@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"slice/internal/attr"
+	"slice/internal/checksum"
 	"slice/internal/client"
 	"slice/internal/ensemble"
 	"slice/internal/fhandle"
@@ -269,6 +271,7 @@ func BenchmarkRouteIO(b *testing.B) {
 type forwardHarness struct {
 	net     *netsim.Network
 	p       *proxy.Proxy
+	io      *route.IOPolicy
 	virtual netsim.Addr
 	lanes   atomic.Uint32
 	logical int
@@ -297,17 +300,18 @@ func newForwardHarness(b *testing.B) *forwardHarness {
 	// layer is always-on in deployments, so its cost (one pooled span and
 	// a handful of atomic adds per request) is part of the budget the
 	// 0 allocs/op gate protects.
+	io := route.NewIOPolicy(nil, storage)
 	p := proxy.New(proxy.Config{
 		Net:     n,
 		Host:    9998,
 		Virtual: virtual,
-		IO:      route.NewIOPolicy(nil, storage),
+		IO:      io,
 		Names:   route.NewNamePolicy(route.MkdirSwitching, 0, dirs),
 		Obs:     obs.NewRegistry("uproxy"),
 		Tracer:  obs.NewTracer(256),
 	})
 	b.Cleanup(p.Close)
-	return &forwardHarness{net: n, p: p, virtual: virtual, logical: fwdLanes, servers: servers}
+	return &forwardHarness{net: n, p: p, io: io, virtual: virtual, logical: fwdLanes, servers: servers}
 }
 
 // fwdLane is one goroutine's private client endpoint + request template.
@@ -386,6 +390,80 @@ func BenchmarkProxyForwardSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.roundTrip(b)
+	}
+}
+
+// newBulkLane is a lane whose round trip is a 32 KiB READ: the request is
+// forwarded to the storage node the I/O policy places the stripe on, and
+// that node's reply — data behind a placeholder attribute block, as
+// storage.Node encodes it — comes back through the µproxy, which must
+// patch attributes and the EOF flag into the received datagram rather
+// than re-encode 32 KiB. One WRITE round trip first puts the file's
+// attributes in the µproxy's cache; without them the reply is re-encoded.
+func (h *forwardHarness) newBulkLane(b *testing.B) *fwdLane {
+	const unit = 32 << 10
+	l := h.newLane(b)
+	fh := fhandle.Handle{Volume: 1, FileID: 7000, Gen: 1, Type: uint8(attr.TypeReg)}
+	addr, err := h.io.ReadTarget(fh, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.server = h.servers[addr.Host-1000]
+
+	data := make([]byte, unit)
+	wargs := nfsproto.WriteArgs{FH: fh, Offset: 0, Count: unit, Data: data}
+	l.request = oncrpc.EncodeCall(1, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcWrite), wargs.Encode)
+	l.reply = oncrpc.EncodeReply(1, oncrpc.AcceptSuccess, (&nfsproto.WriteRes{Status: nfsproto.OK, Count: unit}).Encode)
+	l.roundTrip(b)
+
+	rargs := nfsproto.ReadArgs{FH: fh, Offset: 0, Count: unit}
+	l.request = oncrpc.EncodeCall(1, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), rargs.Encode)
+	l.reply = oncrpc.EncodeReply(1, oncrpc.AcceptSuccess, func(e *xdr.Encoder) {
+		local := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: fh.FileID, Size: unit, Used: unit}
+		nfsproto.EncodeRead(e, local, unit, func(p []byte) (int, bool) { return copy(p, data), true })
+	})
+	return l
+}
+
+// BenchmarkProxyBulkReply is the bulk twin of BenchmarkProxyForwardSerial:
+// a 32 KiB READ request and reply through the µproxy. The gate holds it
+// at 0 allocs/op — the in-place reply patch allocates nothing, where a
+// re-encode costs a 40 KiB buffer per reply.
+func BenchmarkProxyBulkReply(b *testing.B) {
+	h := newForwardHarness(b)
+	l := h.newBulkLane(b)
+	b.ReportAllocs()
+	b.SetBytes(32 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.roundTrip(b)
+	}
+}
+
+// checksumSink keeps BenchmarkChecksumSum's result live.
+var checksumSink uint16
+
+// BenchmarkChecksumSum measures the Internet-checksum kernel at the two
+// datagram sizes the system carries: a name-operation message and a
+// stripe-unit bulk transfer. Every payload byte of a bulk transfer is
+// summed at each hop that builds or parses the datagram.
+func BenchmarkChecksumSum(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		n    int
+	}{{"128B", 128}, {"32KiB", 32<<10 + netsim.HeaderSize + 128}} {
+		b.Run(sz.name, func(b *testing.B) {
+			data := make([]byte, sz.n)
+			for i := range data {
+				data[i] = byte(i*7 + 1)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(sz.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checksumSink += checksum.Sum(data)
+			}
+		})
 	}
 }
 

@@ -9,21 +9,51 @@
 // size (§4.1). This mirrors the FreeBSD NAT-derived code in the prototype.
 package checksum
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Sum computes the Internet checksum over p: the ones'-complement of the
 // ones'-complement sum of 16-bit big-endian words, with a final odd byte
 // padded with zero.
+//
+// The sum is accumulated 64 bits at a time: 2^16 ≡ 1 (mod 2^16-1), so a
+// big-endian 64-bit load is four 16-bit words already in place, and an
+// end-around carry out of bit 63 re-enters at bit 0. Every payload byte
+// of a bulk transfer passes through here at least twice (sender Build,
+// receiver Parse), so the kernel takes 32 bytes per iteration.
 func Sum(p []byte) uint16 {
-	var s uint32
+	var s, c uint64
+	for len(p) >= 32 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(p), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[24:]), c)
+		p = p[32:]
+	}
+	for len(p) >= 8 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(p), c)
+		p = p[8:]
+	}
+	// At most 7 bytes remain: three words and an odd byte cannot overflow
+	// the 64-bit tail accumulator.
+	var t uint64
 	for len(p) >= 2 {
-		s += uint32(p[0])<<8 | uint32(p[1])
+		t += uint64(p[0])<<8 | uint64(p[1])
 		p = p[2:]
 	}
 	if len(p) == 1 {
-		s += uint32(p[0]) << 8
+		t += uint64(p[0]) << 8
 	}
-	for s>>16 != 0 {
-		s = (s & 0xffff) + s>>16
-	}
+	s, c = bits.Add64(s, t, c)
+	s, c = bits.Add64(s, 0, c)
+	s += c
+	// Fold 64 → 32 → 16.
+	s = s>>32 + s&0xffffffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
+	s = s>>16 + s&0xffff
 	return ^uint16(s)
 }
 

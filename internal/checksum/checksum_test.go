@@ -1,11 +1,79 @@
 package checksum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// sumBytePair is the RFC 1071 reference loop — one 16-bit word per
+// iteration — that Sum used before it went word-wide. It stays here as
+// the oracle the fast kernel is checked against. (Its accumulator is 64
+// bits wide: the original's uint32 wrapped past 64 Ki words of 0xFFFF.)
+func sumBytePair(p []byte) uint16 {
+	var s uint64
+	for len(p) >= 2 {
+		s += uint64(p[0])<<8 | uint64(p[1])
+		p = p[2:]
+	}
+	if len(p) == 1 {
+		s += uint64(p[0]) << 8
+	}
+	for s>>16 != 0 {
+		s = (s & 0xffff) + s>>16
+	}
+	return ^uint16(s)
+}
+
+// TestSumMatchesBytePairOracle pins the word-wide kernel to the
+// reference loop across every block/tail split and start alignment the
+// unrolled loops can see, on random bytes and on all-0xFF input (every
+// add carries, so a dropped end-around carry shows), and on a 256 KiB
+// jumbo datagram.
+func TestSumMatchesBytePairOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1071))
+	random := make([]byte, 300+8)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xFF}, 300+8)
+	for _, src := range [][]byte{random, ones} {
+		for align := 0; align < 8; align++ {
+			for n := 0; n <= 300; n++ {
+				p := src[align : align+n]
+				if got, want := Sum(p), sumBytePair(p); got != want {
+					t.Fatalf("len %d align %d (first byte %#x): Sum = %04x, oracle = %04x",
+						n, align, src[0], got, want)
+				}
+			}
+		}
+	}
+	for _, fill := range []func([]byte){
+		func(p []byte) { rng.Read(p) },
+		func(p []byte) { copy(p, bytes.Repeat([]byte{0xFF}, len(p))) },
+	} {
+		jumbo := make([]byte, 256<<10)
+		fill(jumbo)
+		if got, want := Sum(jumbo), sumBytePair(jumbo); got != want {
+			t.Fatalf("256 KiB: Sum = %04x, oracle = %04x", got, want)
+		}
+		if got, want := Sum(jumbo[1:]), sumBytePair(jumbo[1:]); got != want {
+			t.Fatalf("256 KiB-1 unaligned: Sum = %04x, oracle = %04x", got, want)
+		}
+	}
+}
+
+// FuzzSum checks Sum against the oracle on arbitrary bytes; the seeds
+// under testdata/fuzz/FuzzSum (tools/gencorpus) replay on plain go test.
+func FuzzSum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xAB})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if got, want := Sum(p), sumBytePair(p); got != want {
+			t.Fatalf("len %d: Sum = %04x, oracle = %04x", len(p), got, want)
+		}
+	})
+}
 
 func TestSumKnownVector(t *testing.T) {
 	// RFC 1071 example: the ones'-complement sum of 00 01 f2 03 f4 f5

@@ -108,22 +108,15 @@ func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, 
 	got := 0
 	for got < len(p) {
 		cur := off + uint64(got)
-		args := nfsproto.ReadArgs{FH: fh, Offset: cur, Count: uint32(len(p) - got)}
-		var res nfsproto.ReadRes
-		err := c.call(fh, nfsproto.ProcRead, &args, &res)
+		n, eof, err := c.readInto(fh, cur, p[got:])
 		if errors.Is(err, oncrpc.ErrTimedOut) {
-			res = nfsproto.ReadRes{}
-			err = c.call(fh, nfsproto.ProcRead, &args, &res)
+			n, eof, err = c.readInto(fh, cur, p[got:])
 		}
 		if err != nil {
 			return got, false, err
 		}
-		if res.Status != nfsproto.OK {
-			return got, false, res.Status.Error()
-		}
-		n := copy(p[got:], res.Data)
 		got += n
-		if res.EOF || n == 0 {
+		if eof || n == 0 {
 			return got, true, nil
 		}
 	}
@@ -197,6 +190,7 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 			break
 		}
 		n := copy(p[read:], e.data)
+		putChunkBuf(e.data)
 		read += n
 		if e.eof || n == 0 {
 			eof = true
@@ -384,7 +378,8 @@ type wchunk struct {
 	pooled bool
 }
 
-// chunkPool recycles write-behind chunk buffers (≤ one stripe unit).
+// chunkPool recycles write-behind and readahead chunk buffers (≤ one
+// stripe unit).
 var chunkPool sync.Pool
 
 func chunkBuf(n int) []byte {
@@ -735,11 +730,12 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 }
 
 // prefetchWorker fills one readahead entry. It already holds a window
-// slot (taken in raFinish) and releases it when done; the entry's buffer
-// is freshly allocated and handed to the consumer, so no pooling.
+// slot (taken in raFinish) and releases it when done. The entry's buffer
+// comes from chunkPool and goes back when windowedRead has consumed the
+// entry; an entry that is invalidated instead leaves its buffer to the GC.
 func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
 	t0 := time.Now()
-	buf := make([]byte, e.want)
+	buf := chunkBuf(e.want)
 	n, eof, err := c.chunkRead(fh, e.off, buf)
 	if c.readNS != nil {
 		c.readNS.RecordSince(t0)

@@ -179,22 +179,51 @@ func (c *Client) flowKey(fh fhandle.Handle) uint64 {
 	return front.FlowKey(c.self, fhandle.HandleKey(fh))
 }
 
-// call issues one NFS procedure against fh and decodes the reply. fh is
-// the handle the operation targets (the directory for namespace ops);
-// it keys the flow that picks the owning µproxy.
-func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
+// roundTrip issues one NFS procedure against fh. fh is the handle the
+// operation targets (the directory for namespace ops); it keys the flow
+// that picks the owning µproxy. The caller decodes the reply straight out
+// of its receive buffer and hands that back with Free.
+func (c *Client) roundTrip(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg) (oncrpc.Reply, error) {
 	var enc func(*xdr.Encoder)
 	if args != nil {
 		enc = args.Encode
 	}
-	body, err := c.rpc.CallKeyed(c.flowKey(fh), nfsproto.Program, nfsproto.Version, uint32(proc), enc)
+	return c.rpc.CallKeyedReply(c.flowKey(fh), nfsproto.Program, nfsproto.Version, uint32(proc), enc)
+}
+
+// call issues one NFS procedure against fh and decodes the reply. Every
+// result type decodes by value except READ's data, so the receive buffer
+// can go back once Decode returns; READ goes through readInto.
+func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
+	rep, err := c.roundTrip(fh, proc, args)
 	if err != nil {
 		return err
 	}
+	defer rep.Free()
 	if res == nil {
 		return nil
 	}
-	return res.Decode(xdr.NewDecoder(body))
+	return res.Decode(xdr.NewDecoder(rep.Body))
+}
+
+// readInto issues one READ of len(p) bytes at off and copies the data
+// into p directly from the reply's receive buffer — the only copy the
+// client makes of it. It returns the byte count and the server's EOF
+// flag.
+func (c *Client) readInto(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
+	rep, err := c.roundTrip(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(len(p))})
+	if err != nil {
+		return 0, false, err
+	}
+	defer rep.Free()
+	var res nfsproto.ReadRes
+	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
+		return 0, false, err
+	}
+	if res.Status != nfsproto.OK {
+		return 0, false, res.Status.Error()
+	}
+	return copy(p, res.Data), res.EOF, nil
 }
 
 // Mount retrieves the volume root handle.
@@ -416,21 +445,16 @@ func (c *Client) serialRead(fh fhandle.Handle, off uint64, p []byte) (int, bool,
 	for read < len(p) {
 		cur := off + uint64(read)
 		end := c.chunkEnd(cur)
-		want := uint32(end - cur)
-		if rem := uint32(len(p) - read); rem < want {
+		want := int(end - cur)
+		if rem := len(p) - read; rem < want {
 			want = rem
 		}
-		var res nfsproto.ReadRes
-		err := c.call(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: cur, Count: want}, &res)
+		n, eof, err := c.readInto(fh, cur, p[read:read+want])
 		if err != nil {
 			return read, false, err
 		}
-		if res.Status != nfsproto.OK {
-			return read, false, res.Status.Error()
-		}
-		n := copy(p[read:], res.Data)
 		read += n
-		if res.EOF || n == 0 {
+		if eof || n == 0 {
 			return read, true, nil
 		}
 	}

@@ -128,16 +128,11 @@ func Parse(d []byte) (Header, error) {
 	return h, nil
 }
 
-// VerifyChecksum reports whether the datagram's checksum is valid.
+// VerifyChecksum reports whether the datagram's checksum is valid: the
+// ones'-complement sum over the whole datagram, stored checksum included,
+// is all ones. The datagram is only read.
 func VerifyChecksum(d []byte) bool {
-	if len(d) < HeaderSize {
-		return false
-	}
-	stored := binary.BigEndian.Uint16(d[OffChecksum:])
-	binary.BigEndian.PutUint16(d[OffChecksum:], 0)
-	ok := checksum.Sum(d) == stored
-	binary.BigEndian.PutUint16(d[OffChecksum:], stored)
-	return ok
+	return len(d) >= HeaderSize && checksum.Sum(d) == 0
 }
 
 // Payload returns the payload bytes of a datagram (aliasing d).
@@ -184,6 +179,39 @@ func rewriteAddr(d []byte, hostOff, portOff int, a Addr) {
 	binary.BigEndian.PutUint32(d[hostOff:], a.Host)
 	binary.BigEndian.PutUint16(d[portOff:], a.Port)
 	binary.BigEndian.PutUint16(d[OffChecksum:], sum)
+}
+
+// RewriteBytes overwrites the payload bytes at even offset off with b in
+// place, adjusting the checksum incrementally: the cost follows len(b),
+// not the datagram. The µproxy uses it to patch attributes into a bulk
+// reply without touching the data that follows them.
+func RewriteBytes(d []byte, off int, b []byte) error {
+	if off < HeaderSize || off%2 != 0 || off+len(b) > len(d) {
+		return fmt.Errorf("%w: rewrite of %d bytes at offset %d", ErrBadDatagram, len(b), off)
+	}
+	sum := binary.BigEndian.Uint16(d[OffChecksum:])
+	sum = checksum.UpdateBytes(sum, d[off:off+len(b)], b)
+	copy(d[off:], b)
+	binary.BigEndian.PutUint16(d[OffChecksum:], sum)
+	return nil
+}
+
+// TrimTail cuts the last n payload bytes (n even) off the datagram in
+// place and returns the shortened slice, which shares d's buffer: the
+// length field and checksum are adjusted incrementally.
+func TrimTail(d []byte, n int) ([]byte, error) {
+	if n < 0 || n%2 != 0 || len(d)%2 != 0 || len(d)-n < HeaderSize {
+		return d, fmt.Errorf("%w: trim of %d bytes from %d", ErrBadDatagram, n, len(d))
+	}
+	keep := len(d) - n
+	sum := binary.BigEndian.Uint16(d[OffChecksum:])
+	for i := keep; i < len(d); i += 2 {
+		sum = checksum.Update(sum, binary.BigEndian.Uint16(d[i:]), 0)
+	}
+	sum = checksum.Update32(sum, uint32(len(d)), uint32(keep))
+	binary.BigEndian.PutUint32(d[OffLength:], uint32(keep))
+	binary.BigEndian.PutUint16(d[OffChecksum:], sum)
+	return d[:keep], nil
 }
 
 // Verdict is a tap's decision about a datagram.

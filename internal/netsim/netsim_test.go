@@ -369,3 +369,47 @@ func TestRewriteUint64PreservesChecksum(t *testing.T) {
 		t.Fatal("odd-offset rewrite accepted")
 	}
 }
+
+// TestRewriteBytesAndTrimTail: the two in-place edits the µproxy makes to
+// a bulk reply leave exactly the datagram Build would have produced for
+// the edited payload.
+func TestRewriteBytesAndTrimTail(t *testing.T) {
+	src, dst := Addr{Host: 10, Port: 2049}, Addr{Host: 200, Port: 999}
+	payload := make([]byte, 4096+24)
+	for i := range payload {
+		payload[i] = byte(i*31 + 7)
+	}
+	d, err := Build(src, dst, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := bytes.Repeat([]byte{0xFF, 0x00, 0xA5}, 28) // 84 bytes
+	if err := RewriteBytes(d, HeaderSize+8, patch); err != nil {
+		t.Fatal(err)
+	}
+	copy(payload[8:], patch)
+	d, err = TrimTail(d, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := Build(src, dst, payload[:4096])
+	if !bytes.Equal(d, want) {
+		t.Fatal("patched + trimmed datagram differs from a fresh Build of the same payload")
+	}
+	if _, err := Parse(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct{ off, n int }{{HeaderSize - 2, 4}, {HeaderSize + 1, 2}, {len(d) - 2, 4}} {
+		if err := RewriteBytes(d, bad.off, make([]byte, bad.n)); err == nil {
+			t.Fatalf("RewriteBytes(off %d, %d bytes) accepted", bad.off, bad.n)
+		}
+	}
+	for _, n := range []int{-2, 3, len(d)} {
+		if _, err := TrimTail(d, n); err == nil {
+			t.Fatalf("TrimTail(%d) accepted", n)
+		}
+	}
+	if !bytes.Equal(d, want) {
+		t.Fatal("a rejected edit modified the datagram")
+	}
+}

@@ -15,6 +15,7 @@
 package nfsproto
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -541,6 +542,61 @@ func (m *ReadRes) Decode(d *xdr.Decoder) error {
 	}
 	m.Data, err = d.Opaque()
 	return err
+}
+
+// Byte offsets within the body of a successful READ reply that carries
+// post-op attributes. Data servers always answer READ in this shape —
+// the attributes are their local view of the object, a placeholder — so
+// the µproxy can overwrite the attribute block and the EOF flag of the
+// datagram in place instead of re-encoding the data behind them.
+const (
+	ReadResAttrOff  = 8 // after the status and the attributes-follow flag
+	ReadResCountOff = ReadResAttrOff + attr.EncodedSize
+	ReadResEOFOff   = ReadResCountOff + 4
+	readResDataOff  = ReadResEOFOff + 8 // after the opaque length
+)
+
+// PeekReadRes reports whether body starts with a successful READ reply
+// with attributes present — the fixed layout above — whose opaque length
+// agrees with its count and fits in body. It returns the count and the
+// offset at which the padded result ends: anything in body beyond end is
+// not part of the READ result.
+func PeekReadRes(body []byte) (count uint32, end int, ok bool) {
+	if len(body) < readResDataOff ||
+		Status(binary.BigEndian.Uint32(body)) != OK || binary.BigEndian.Uint32(body[4:]) != 1 {
+		return 0, 0, false
+	}
+	count = binary.BigEndian.Uint32(body[ReadResCountOff:])
+	if count > xdr.MaxOpaque || binary.BigEndian.Uint32(body[readResDataOff-4:]) != count {
+		return 0, 0, false
+	}
+	end = readResDataOff + (int(count)+3)&^3
+	return count, end, end <= len(body)
+}
+
+// EncodeRead appends a successful READ result carrying at whose data is
+// read straight into the encoder's buffer: fill is handed a region of
+// max bytes and returns how many of them it filled and whether the read
+// reached the end of the object.
+func EncodeRead(e *xdr.Encoder, at attr.Attr, max uint32, fill func(p []byte) (n int, eof bool)) {
+	if max > xdr.MaxOpaque {
+		max = xdr.MaxOpaque // a short read, not an unbounded buffer
+	}
+	body := e.Len()
+	e.PutUint32(uint32(OK))
+	e.PutBool(true)
+	at.Encode(e)
+	e.PutUint64(0) // count and EOF, known once fill has run
+	e.PutUint32(0) // opaque length, likewise
+	n, eof := fill(e.Reserve(int(max)))
+	e.Truncate(body + readResDataOff)
+	e.Reserve(n)
+	b := e.Bytes()[body:]
+	binary.BigEndian.PutUint32(b[ReadResCountOff:], uint32(n))
+	if eof {
+		b[ReadResEOFOff+3] = 1
+	}
+	binary.BigEndian.PutUint32(b[readResDataOff-4:], uint32(n))
 }
 
 // ---------------------------------------------------------------- WRITE

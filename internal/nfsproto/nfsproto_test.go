@@ -173,3 +173,78 @@ func TestSymlinkMessagesRoundTrip(t *testing.T) {
 		t.Fatal("symlink procedure names")
 	}
 }
+
+// TestEncodeReadMatchesReadRes: a READ result whose data is read straight
+// into the encoder is byte for byte what ReadRes.Encode produces for the
+// same values — every pad length, short reads and the empty read — and
+// its fixed offsets are where PeekReadRes and the µproxy's in-place
+// patch look.
+func TestEncodeReadMatchesReadRes(t *testing.T) {
+	src := make([]byte, 70)
+	for i := range src {
+		src[i] = byte(i + 1)
+	}
+	for _, max := range []uint32{0, 1, 2, 3, 4, 64, 70} {
+		for have := 0; have <= int(max); have += 1 + have/3 {
+			for _, eof := range []bool{false, true} {
+				e := xdr.NewEncoder(8)
+				e.PutUint32(0xFEEDFACE) // EncodeRead appends; it does not own the buffer's start
+				EncodeRead(e, at(), max, func(p []byte) (int, bool) {
+					if len(p) != int(max) {
+						t.Fatalf("fill region is %d bytes, want %d", len(p), max)
+					}
+					for i := range p {
+						p[i] = 0xEE // a short read leaves garbage behind its count
+					}
+					return copy(p, src[:have]), eof
+				})
+				want := xdr.NewEncoder(256)
+				want.PutUint32(0xFEEDFACE)
+				(&ReadRes{Status: OK, Attr: Some(at()), Count: uint32(have), EOF: eof, Data: src[:have]}).Encode(want)
+				if !bytes.Equal(e.Bytes(), want.Bytes()) {
+					t.Fatalf("max %d have %d eof %v:\n got %x\nwant %x", max, have, eof, e.Bytes(), want.Bytes())
+				}
+				body := e.Bytes()[4:]
+				if count, end, ok := PeekReadRes(body); !ok || int(count) != have || end != len(body) {
+					t.Fatalf("PeekReadRes = %d %d %v, want %d %d true", count, end, ok, have, len(body))
+				}
+			}
+		}
+	}
+}
+
+// TestPeekReadResRejects: only a successful READ reply with attributes
+// present has the fixed layout.
+func TestPeekReadResRejects(t *testing.T) {
+	enc := func(m *ReadRes) []byte {
+		e := xdr.NewEncoder(256)
+		m.Encode(e)
+		return e.Bytes()
+	}
+	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Count: 4, Data: []byte("data")})); ok {
+		t.Fatal("reply without attributes accepted")
+	}
+	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: ErrIO, Attr: Some(at())})); ok {
+		t.Fatal("error reply accepted")
+	}
+	full := enc(&ReadRes{Status: OK, Attr: Some(at())})
+	if _, end, ok := PeekReadRes(full); !ok || end != len(full) {
+		t.Fatal("empty successful read rejected")
+	}
+	if _, _, ok := PeekReadRes(full[:len(full)-1]); ok {
+		t.Fatal("truncated reply accepted")
+	}
+	// The result's end is where the data says, whatever follows it; data
+	// cut short of its length, or a count the data does not back, is no
+	// layout to patch.
+	data := enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 5, Data: []byte("12345")})
+	if count, end, ok := PeekReadRes(append(data[:len(data):len(data)], "trailer"...)); !ok || count != 5 || end != len(data) {
+		t.Fatalf("reply with trailing bytes: %d %d %v, want 5 %d true", count, end, ok, len(data))
+	}
+	if _, _, ok := PeekReadRes(data[:len(data)-4]); ok {
+		t.Fatal("reply shorter than its data accepted")
+	}
+	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 9, Data: []byte("12345")})); ok {
+		t.Fatal("count disagreeing with the opaque length accepted")
+	}
+}

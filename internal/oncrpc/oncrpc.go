@@ -60,6 +60,11 @@ const (
 // EncodeCall assembles an RPC call message.
 func EncodeCall(xid, prog, vers, proc uint32, args func(*xdr.Encoder)) []byte {
 	e := xdr.NewEncoder(CallHeader + 128)
+	putCall(e, xid, prog, vers, proc, args)
+	return e.Bytes()
+}
+
+func putCall(e *xdr.Encoder, xid, prog, vers, proc uint32, args func(*xdr.Encoder)) {
 	e.PutUint32(xid)
 	e.PutUint32(MsgCall)
 	e.PutUint32(prog)
@@ -68,19 +73,30 @@ func EncodeCall(xid, prog, vers, proc uint32, args func(*xdr.Encoder)) []byte {
 	if args != nil {
 		args(e)
 	}
-	return e.Bytes()
 }
 
 // EncodeReply assembles an RPC reply message.
 func EncodeReply(xid, accept uint32, res func(*xdr.Encoder)) []byte {
 	e := xdr.NewEncoder(ReplyHeader + 128)
+	putReply(e, xid, accept, res)
+	return e.Bytes()
+}
+
+func putReply(e *xdr.Encoder, xid, accept uint32, res func(*xdr.Encoder)) {
 	e.PutUint32(xid)
 	e.PutUint32(MsgReply)
 	e.PutUint32(accept)
 	if res != nil && accept == AcceptSuccess {
 		res(e)
 	}
-	return e.Bytes()
+}
+
+// newMessageEncoder returns an encoder for one outgoing message whose
+// buffer is recycled through the fabric's datagram pool: a 32 KiB WRITE
+// call or READ reply is encoded into warm pooled memory rather than a
+// fresh 40 KiB heap object per message. The caller Releases it.
+func newMessageEncoder(header int) *xdr.Encoder {
+	return xdr.NewPooledEncoder(netsim.GetBuf, netsim.FreeBuf, header+128)
 }
 
 // Call is a decoded call header plus its argument body. When the call
@@ -101,6 +117,17 @@ type Reply struct {
 	Xid    uint32
 	Accept uint32
 	Body   []byte // aliases the datagram payload
+
+	dgram []byte // the pooled receive buffer Body aliases, when owned
+}
+
+// Free returns the receive buffer behind a reply obtained from
+// CallKeyedReply to the datagram pool. Body, and everything decoded from
+// it that aliases it, must not be used afterwards. A reply that is never
+// freed costs the pool a buffer and nothing else: nobody else holds it.
+func (r *Reply) Free() {
+	netsim.FreeBuf(r.dgram)
+	r.dgram, r.Body = nil, nil
 }
 
 // ErrBadMessage indicates a malformed RPC payload.
@@ -482,17 +509,16 @@ func (c *Client) recvLoop() {
 			delete(s.m, rep.Xid)
 		}
 		s.mu.Unlock()
-		if ok {
-			// Copy the body: the datagram buffer goes back to the pool.
-			// The copy is owned by the awaiting caller; duplicate
-			// deliveries of the same xid find no pending entry and are
-			// dropped above, so the buffered send can never block.
-			body := make([]byte, len(rep.Body))
-			copy(body, rep.Body)
-			rep.Body = body
-			pc.ch <- rep
+		if !ok {
+			netsim.FreeBuf(d)
+			continue
 		}
-		netsim.FreeBuf(d)
+		// The datagram buffer passes to the awaiting caller along with
+		// the body that aliases it. Duplicate deliveries of the same xid
+		// find no pending entry and are freed above, so the buffered
+		// send can never block.
+		rep.dgram = d
+		pc.ch <- rep
 	}
 }
 
@@ -519,13 +545,42 @@ func (c *Client) CallTraced(traceID uint64, prog, vers, proc uint32, args func(*
 	return c.call(0, prog, vers, proc, args, traceID, true)
 }
 
+// CallKeyedReply is CallKeyed without the copy: the returned reply's Body
+// aliases the pooled buffer the reply arrived in, which the caller owns
+// and hands back with Reply.Free once it has decoded (and copied out of)
+// the body. It is how a bulk reader gets a 32 KiB READ result with no
+// intermediate allocation.
+func (c *Client) CallKeyedReply(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
+	return c.roundTrip(key, prog, vers, proc, args, 0, false)
+}
+
 func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) ([]byte, error) {
-	xid, pc, err := c.register()
+	rep, err := c.roundTrip(key, prog, vers, proc, args, traceID, traced)
 	if err != nil {
 		return nil, err
 	}
+	return rep.detach(), nil
+}
+
+// detach copies the body out of an owned reply and frees its buffer.
+func (r *Reply) detach() []byte {
+	body := append([]byte(nil), r.Body...)
+	r.Free()
+	return body
+}
+
+// roundTrip encodes one call into a pooled buffer, which lives exactly as
+// long as the call may still be retransmitted, and runs it.
+func (c *Client) roundTrip(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) (Reply, error) {
+	xid, pc, err := c.register()
+	if err != nil {
+		return Reply{}, err
+	}
 	defer c.unregister(xid)
-	payload := EncodeCall(xid, prog, vers, proc, args)
+	e := newMessageEncoder(CallHeader)
+	defer e.Release()
+	putCall(e, xid, prog, vers, proc, args)
+	payload := e.Bytes()
 	if traced {
 		payload = AppendCallTrace(payload, traceID)
 	}
@@ -535,8 +590,8 @@ func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encode
 // transact runs the retransmit/timeout loop for one registered call. It
 // is shared by the synchronous and asynchronous call paths, so every
 // concurrent call gets the same backoff, jitter, and re-resolve
-// behaviour.
-func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) ([]byte, error) {
+// behaviour. The caller owns the returned reply (see Reply.Free).
+func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) (Reply, error) {
 	timeout := c.cfg.Timeout
 	dst := c.target(key)
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
@@ -549,7 +604,7 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 		}
 		c.noteSent(xid, dst)
 		if err := c.port.SendTo(dst, payload); err != nil {
-			return nil, err
+			return Reply{}, err
 		}
 		wait := timeout
 		if c.cfg.Jitter > 0 {
@@ -561,14 +616,15 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 		case rep := <-ch:
 			timer.Stop()
 			if rep.Accept != AcceptSuccess {
-				return nil, &ErrRejected{Accept: rep.Accept}
+				rep.Free()
+				return Reply{}, &ErrRejected{Accept: rep.Accept}
 			}
-			return rep.Body, nil
+			return rep, nil
 		case <-timer.C:
 			timeout *= time.Duration(c.cfg.Backoff)
 		}
 	}
-	return nil, fmt.Errorf("%w: proc %d to %s after %d attempts",
+	return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",
 		ErrTimedOut, proc, dst, c.cfg.Retries)
 }
 
@@ -606,10 +662,16 @@ func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*
 		p.done <- pendingResult{err: err}
 		return p
 	}
-	payload := EncodeCall(xid, prog, vers, proc, args)
+	e := newMessageEncoder(CallHeader)
+	putCall(e, xid, prog, vers, proc, args)
 	go func() {
-		body, err := c.transact(key, xid, proc, payload, pc.ch)
+		rep, err := c.transact(key, xid, proc, e.Bytes(), pc.ch)
 		c.unregister(xid)
+		e.Release()
+		var body []byte
+		if err == nil {
+			body = rep.detach()
+		}
 		p.done <- pendingResult{body: body, err: err}
 	}()
 	return p
@@ -663,9 +725,10 @@ type callID struct {
 }
 
 // ServerObserver is notified after each handled call with the call's
-// identity and the handler's wall time. It runs on the per-call
-// goroutine and must be cheap and thread-safe (the obs wiring records
-// one histogram sample, a single atomic add).
+// identity and the server's wall time for it: the handler plus the
+// encoding of its result, where a bulk READ does its actual reading. It
+// runs on the per-call goroutine and must be cheap and thread-safe (the
+// obs wiring records one histogram sample, a single atomic add).
 type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
 
 // Server accepts RPC calls on a port and dispatches them to a handler.
@@ -687,6 +750,16 @@ type Server struct {
 
 // DRCSize is the number of replies retained for duplicate suppression.
 const DRCSize = 1024
+
+// drcMaxReply is the largest reply the duplicate-request cache retains.
+// The cache exists so that a retransmitted non-idempotent call (CREATE,
+// REMOVE, WRITE, ...) observes its original reply, and those replies are
+// a status and a few attribute blocks. Anything larger is the result of
+// an idempotent read (READ, READDIR, a resync pull) and simply
+// re-executes on retransmission — retaining it would pin ~40 KiB per
+// slot (1024 slots × 4 storage nodes ≈ 160 MiB of dead READ data) and
+// keep every reply buffer out of the pool.
+const drcMaxReply = 1024
 
 // NewServer starts serving calls arriving on port with handler.
 func NewServer(port Conn, handler Handler) *Server {
@@ -794,6 +867,8 @@ func (s *Server) serveLoop() {
 				t0 = time.Now()
 			}
 			res, accept := s.handler.ServeRPC(call, from)
+			e := newMessageEncoder(ReplyHeader)
+			putReply(e, call.Xid, accept, res)
 			var handlerNS uint64
 			if timed {
 				handlerNS = uint64(time.Since(t0))
@@ -801,26 +876,35 @@ func (s *Server) serveLoop() {
 			if obsFn != nil {
 				(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
 			}
-			reply := EncodeReply(call.Xid, accept, res)
+			reply := e.Bytes()
 			if timed {
 				reply = AppendReplyTrace(reply, call.Trace, handlerNS)
 			}
 			// call.Args (and possibly res) alias the request datagram;
-			// EncodeReply copied everything out, so it can go back now.
+			// putReply copied everything out, so it can go back now.
 			netsim.FreeBuf(d)
 
+			// The cache keeps its own copy: the encoder's buffer goes
+			// back to the pool once the reply is sent.
+			var retained []byte
+			if len(reply) <= drcMaxReply {
+				retained = append(retained, reply...)
+			}
 			s.mu.Lock()
 			delete(s.inflight, key)
-			// Evict the slot we are about to reuse.
-			if old := &s.drcRing[s.drcNext]; old.reply != nil {
-				delete(s.drc, old.key)
+			if retained != nil {
+				// Evict the slot we are about to reuse.
+				if old := &s.drcRing[s.drcNext]; old.reply != nil {
+					delete(s.drc, old.key)
+				}
+				s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: retained}
+				s.drc[key] = s.drcNext
+				s.drcNext = (s.drcNext + 1) % DRCSize
 			}
-			s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: reply}
-			s.drc[key] = s.drcNext
-			s.drcNext = (s.drcNext + 1) % DRCSize
 			s.mu.Unlock()
 
 			_ = s.port.SendTo(from, reply)
+			e.Release()
 		}(call, h.Src, key, id, d)
 	}
 }

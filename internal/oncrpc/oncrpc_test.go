@@ -593,3 +593,132 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 		t.Fatalf("handler executed %d times, want 3", got)
 	}
 }
+
+// TestDRCRetainsOnlySmallReplies: the duplicate-request cache exists for
+// non-idempotent calls, whose replies are small. A retransmitted
+// WRITE-like call must still be answered from the cache without running
+// the handler again; a retransmitted READ-like call, whose 32 KiB reply
+// the cache no longer pins, re-executes and returns identical bytes.
+func TestDRCRetainsOnlySmallReplies(t *testing.T) {
+	const procWrite, procRead = 7, 6
+	bulk := make([]byte, 32<<10)
+	for i := range bulk {
+		bulk[i] = byte(i * 131)
+	}
+	var writes, reads atomic.Uint64
+	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		if call.Proc == procRead {
+			reads.Add(1)
+			return func(e *xdr.Encoder) { e.PutOpaque(bulk) }, AcceptSuccess
+		}
+		n := writes.Add(1)
+		return func(e *xdr.Encoder) { e.PutUint64(n) }, AcceptSuccess
+	})
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	srv := NewServer(sp, h)
+	defer srv.Close()
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	defer cp.Close()
+
+	exchange := func(payload []byte) []byte {
+		t.Helper()
+		if err := cp.SendTo(srv.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		d, err := cp.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer netsim.FreeBuf(d)
+		if _, err := netsim.Parse(d); err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(nil), netsim.Payload(d)...)
+	}
+
+	write := EncodeCall(501, 100003, 3, procWrite, func(e *xdr.Encoder) { e.PutOpaque(bulk) })
+	first := exchange(write)
+	if again := exchange(write); string(again) != string(first) {
+		t.Fatal("retransmitted WRITE answered differently")
+	}
+	if got := writes.Load(); got != 1 {
+		t.Fatalf("WRITE handler ran %d times for one call and its retransmission, want 1", got)
+	}
+
+	read := EncodeCall(502, 100003, 3, procRead, nil)
+	first = exchange(read)
+	rep, err := ParseReply(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := xdr.NewDecoder(rep.Body).Opaque(); err != nil || string(data) != string(bulk) {
+		t.Fatalf("READ returned %d bytes, err %v", len(data), err)
+	}
+	if again := exchange(read); string(again) != string(first) {
+		t.Fatal("retransmitted READ returned different bytes")
+	}
+	if got := reads.Load(); got != 2 {
+		t.Fatalf("READ handler ran %d times, want 2 (bulk replies re-execute)", got)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, ent := range srv.drcRing {
+		if len(ent.reply) > drcMaxReply {
+			t.Fatalf("cache retains a %d-byte reply", len(ent.reply))
+		}
+	}
+	if len(srv.drc) != 1 || len(srv.inflight) != 0 {
+		t.Fatalf("cache holds %d entries (%d in flight), want the WRITE alone", len(srv.drc), len(srv.inflight))
+	}
+}
+
+// TestCallKeyedReplyOwnsItsBuffer: an owned reply's body stays intact
+// while the caller holds it, however many other replies arrive meanwhile,
+// and Call's copy survives the buffer's reuse.
+func TestCallKeyedReplyOwnsItsBuffer(t *testing.T) {
+	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		fill := byte(call.Proc)
+		return func(e *xdr.Encoder) {
+			p := e.Reserve(32 << 10)
+			for i := range p {
+				p[i] = fill
+			}
+		}, AcceptSuccess
+	})
+	cli, _ := newPair(t, netsim.Config{}, h, ClientConfig{})
+	intact := func(body []byte, fill byte) bool {
+		for _, b := range body {
+			if b != fill {
+				return false
+			}
+		}
+		return len(body) >= 32<<10
+	}
+	held, err := cli.CallKeyedReply(0, 7, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := cli.Call(7, 1, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for proc := uint32(3); proc < 40; proc++ {
+		rep, err := cli.CallKeyedReply(0, 7, 1, proc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !intact(rep.Body, byte(proc)) {
+			t.Fatalf("proc %d: reply body corrupt on arrival", proc)
+		}
+		rep.Free()
+		rep.Free() // idempotent
+	}
+	if !intact(held.Body, 1) {
+		t.Fatal("held reply was overwritten by later traffic")
+	}
+	held.Free()
+	if !intact(copied, 2) {
+		t.Fatal("Call's copy aliases a recycled buffer")
+	}
+}

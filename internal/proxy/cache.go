@@ -158,7 +158,19 @@ func (s *attrShard) evictOver() (attrEntry, bool) {
 }
 
 // get returns a copy of the cached attributes for fh.
-func (c *attrCache) get(fh fhandle.Handle) (attr.Attr, bool) {
+func (c *attrCache) get(fh fhandle.Handle) (attr.Attr, bool) { return c.lookup(fh, nil) }
+
+// access stamps a read of fh at time now into its cached attributes and
+// returns them. Unlike update it never creates an entry: attributes
+// conjured for a file the µproxy knows nothing about would carry size 0,
+// and a READ answered from them would report a false end of file.
+func (c *attrCache) access(fh fhandle.Handle, now attr.Time) (attr.Attr, bool) {
+	return c.lookup(fh, &now)
+}
+
+// lookup returns a copy of the cached attributes for fh, after marking
+// them accessed (and so dirty) at *atime when one is given.
+func (c *attrCache) lookup(fh fhandle.Handle, atime *attr.Time) (attr.Attr, bool) {
 	s := c.shard(fh.Ident())
 	s.mu.Lock()
 	e := s.entries[fh.Ident()]
@@ -166,6 +178,11 @@ func (c *attrCache) get(fh fhandle.Handle) (attr.Attr, bool) {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		return attr.Attr{}, false
+	}
+	if atime != nil {
+		e.at.Atime = *atime
+		e.dirty = true
+		e.touched = time.Now()
 	}
 	s.moveToFront(e)
 	at := e.at

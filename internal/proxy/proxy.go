@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -145,6 +146,11 @@ type pendingReq struct {
 	dirtyMark bool
 	dirtyKey  fhandle.Key
 	readSlot  int32
+
+	// attrBuf is scratch for encoding the attributes patched into a
+	// bulk READ reply; living in the pooled record keeps that path free
+	// of allocation.
+	attrBuf [attr.EncodedSize]byte
 
 	// Observability state (see obs.go). All of it is written before the
 	// record is published to the pending table; after pairing, the

@@ -249,25 +249,32 @@ func placementKey(fh fhandle.Handle, stripe uint64) uint64 {
 	return fhandle.HandleKey(fh) + stripe
 }
 
+// siteRun locates the given stripe of fh among the n logical storage
+// sites: degree consecutive sites (mod n) starting at base — one for
+// unmirrored files, MirrorDegree for mirrored ones (§3.1, mirrored
+// striping). n is 0 for an empty table.
+func (p *IOPolicy) siteRun(fh fhandle.Handle, stripe uint64) (base, degree, n int) {
+	n = p.Storage.NumLogical()
+	if n == 0 {
+		return 0, 0, 0
+	}
+	degree = 1
+	if fh.Mirrored() {
+		degree = min(int(fh.MirrorDegree), n)
+	}
+	return int(p.Storage.Site(placementKey(fh, stripe))), degree, n
+}
+
 // StorageSites returns the logical storage sites holding the given stripe
-// of fh: one site for unmirrored files, MirrorDegree consecutive sites for
-// mirrored files (§3.1, mirrored striping).
+// of fh.
 func (p *IOPolicy) StorageSites(fh fhandle.Handle, stripe uint64) []uint32 {
-	n := p.Storage.NumLogical()
+	base, degree, n := p.siteRun(fh, stripe)
 	if n == 0 {
 		return nil
 	}
-	base := p.Storage.Site(placementKey(fh, stripe))
-	degree := 1
-	if fh.Mirrored() {
-		degree = int(fh.MirrorDegree)
-		if degree > n {
-			degree = n
-		}
-	}
 	sites := make([]uint32, degree)
 	for i := range sites {
-		sites[i] = uint32((int(base) + i) % n)
+		sites[i] = uint32((base + i) % n)
 	}
 	return sites
 }
@@ -379,12 +386,12 @@ func (p *IOPolicy) ReadGroup(fh fhandle.Handle, stripe uint64) (replica.Group, b
 // alternation correlates with the striping function itself (both advance
 // by one per stripe) and would concentrate all reads on half the array.
 func (p *IOPolicy) ReadTarget(fh fhandle.Handle, stripe uint64) (netsim.Addr, error) {
-	sites := p.StorageSites(fh, stripe)
-	if len(sites) == 0 {
+	base, degree, n := p.siteRun(fh, stripe)
+	if n == 0 {
 		return netsim.Addr{}, ErrEmptyTable
 	}
-	replica := (stripe * 0x9E3779B97F4A7C15) >> 32 % uint64(len(sites))
-	return p.Storage.Lookup(sites[replica])
+	replica := (stripe * 0x9E3779B97F4A7C15) >> 32 % uint64(degree)
+	return p.Storage.Lookup(uint32((base + int(replica)) % n))
 }
 
 // SpanStripes reports the stripe indices [first, last] covered by an I/O

@@ -1,6 +1,7 @@
 package smallfile
 
 import (
+	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -81,13 +82,7 @@ func (s *Server) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		if err := args.Decode(d); err != nil {
 			return nil, oncrpc.AcceptGarbageArgs
 		}
-		buf := make([]byte, args.Count)
-		n, eof, err := s.store.Read(args.FH, int64(args.Offset), buf)
-		res := &nfsproto.ReadRes{Status: nfsproto.OK, Count: uint32(n), EOF: eof, Data: buf[:n]}
-		if err != nil {
-			res = &nfsproto.ReadRes{Status: nfsproto.ErrIO}
-		}
-		return res.Encode, oncrpc.AcceptSuccess
+		return s.read(&args), oncrpc.AcceptSuccess
 
 	case nfsproto.ProcWrite:
 		var args nfsproto.WriteArgs
@@ -119,6 +114,29 @@ func (s *Server) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 
 	default:
 		return nil, oncrpc.AcceptProcUnavail
+	}
+}
+
+// read serves READ the way a storage node does: the data is read
+// straight into the reply encoder behind a placeholder attribute block
+// (the server's local view of the file) that the µproxy overwrites in
+// place. A backing-store failure shows only once the header is encoded,
+// so it rewinds the reply to a bare error status.
+func (s *Server) read(args *nfsproto.ReadArgs) func(*xdr.Encoder) {
+	fh, off, count := args.FH, int64(args.Offset), args.Count
+	size, _ := s.store.Size(fh)
+	at := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: fh.FileID, Size: uint64(size)}
+	return func(e *xdr.Encoder) {
+		start := e.Len()
+		var rerr error
+		nfsproto.EncodeRead(e, at, count, func(p []byte) (n int, eof bool) {
+			n, eof, rerr = s.store.Read(fh, off, p)
+			return n, eof
+		})
+		if rerr != nil {
+			e.Truncate(start)
+			(&nfsproto.ReadRes{Status: nfsproto.ErrIO}).Encode(e)
+		}
 	}
 }
 

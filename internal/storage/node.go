@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -185,8 +186,7 @@ func (n *Node) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		if !n.authorize(args.FH) {
 			return (&nfsproto.ReadRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
 		}
-		res := n.read(&args)
-		return res.Encode, oncrpc.AcceptSuccess
+		return n.read(&args), oncrpc.AcceptSuccess
 
 	case nfsproto.ProcWrite:
 		var args nfsproto.WriteArgs
@@ -217,25 +217,33 @@ func (n *Node) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 	}
 }
 
-// read serves READ. The reply carries no attributes: in the Slice
-// architecture the µproxy patches cached attributes into I/O responses
-// (§4.1), because storage nodes do not hold file attributes.
-func (n *Node) read(args *nfsproto.ReadArgs) *nfsproto.ReadRes {
-	buf := make([]byte, args.Count)
-	cnt, eof, err := n.store.ReadAt(ObjectOf(args.FH), int64(args.Offset), buf)
-	if err != nil {
+// read serves READ. The data is read straight into the reply encoder,
+// behind a present attribute block holding the node's local view of the
+// object. That view is a placeholder — storage nodes do not hold file
+// attributes (§4.1) — whose place in the reply lets the µproxy patch the
+// authoritative attributes in without re-encoding the data; it never
+// reaches a client.
+func (n *Node) read(args *nfsproto.ReadArgs) func(*xdr.Encoder) {
+	id := ObjectOf(args.FH)
+	size, used, ok := n.store.Stat(id)
+	at := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: args.FH.FileID,
+		Size: uint64(size), Used: uint64(used)}
+	if !ok {
 		// Reading an object that has never been written is a read of a
-		// hole in a sparse file: return zeroes only if the file exists
-		// somewhere else. The storage node cannot know the file size, so
-		// it reports EOF at its local object; the client's view of size
-		// comes from the attributes the µproxy maintains.
-		return &nfsproto.ReadRes{Status: nfsproto.OK, Count: 0, EOF: true, Data: nil}
+		// hole in a sparse file. The storage node cannot know the file
+		// size, so it reports EOF at its local object; the client's view
+		// of size comes from the attributes the µproxy maintains.
+		return (&nfsproto.ReadRes{Status: nfsproto.OK, Attr: nfsproto.Some(at), EOF: true}).Encode
 	}
-	return &nfsproto.ReadRes{
-		Status: nfsproto.OK,
-		Count:  uint32(cnt),
-		EOF:    eof,
-		Data:   buf[:cnt],
+	off, count := int64(args.Offset), args.Count
+	return func(e *xdr.Encoder) {
+		nfsproto.EncodeRead(e, at, count, func(p []byte) (int, bool) {
+			cnt, eof, err := n.store.ReadAt(id, off, p)
+			if err != nil {
+				return 0, true // removed since Stat: a hole, as above
+			}
+			return cnt, eof
+		})
 	}
 }
 
@@ -327,8 +335,8 @@ func (n *Node) serveObj(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		return func(e *xdr.Encoder) { e.PutUint32(uint32(st)) }, oncrpc.AcceptSuccess
 
 	case ObjProcStat:
-		size, ok := n.store.Size(id)
-		res := ObjStatRes{Status: nfsproto.OK, Size: uint64(size), Used: uint64(n.store.Used(id))}
+		size, used, ok := n.store.Stat(id)
+		res := ObjStatRes{Status: nfsproto.OK, Size: uint64(size), Used: uint64(used)}
 		if !ok {
 			res.Status = nfsproto.ErrNoEnt
 		}

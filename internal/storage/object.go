@@ -297,6 +297,18 @@ func (s *ObjectStore) Size(id ObjectID) (int64, bool) {
 	return o.size, true
 }
 
+// Stat returns the logical size of object id, the physical storage
+// allocated to it, and whether it exists, under one lock acquisition.
+func (s *ObjectStore) Stat(id ObjectID) (size, used int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o := s.get(id, false)
+	if o == nil {
+		return 0, 0, false
+	}
+	return o.size, int64(len(o.blocks)) * BlockSize, true
+}
+
 // Used returns the bytes of physical storage allocated to object id.
 func (s *ObjectStore) Used(id ObjectID) int64 {
 	s.mu.Lock()

@@ -232,8 +232,35 @@ func TestNodeWriteReadCommitRPC(t *testing.T) {
 	}
 	var rres nfsproto.ReadRes
 	_ = rres.Decode(xdr.NewDecoder(body))
-	if rres.Status != nfsproto.OK || string(rres.Data) != "12345" {
+	if rres.Status != nfsproto.OK || string(rres.Data) != "12345" || rres.Count != 5 || !rres.EOF {
 		t.Fatalf("read res %+v", rres)
+	}
+	// READ replies carry the node's local view of the object as a
+	// placeholder attribute block, in the fixed place the µproxy patches.
+	if a := rres.Attr.Attr; !rres.Attr.Present || a.Size != 5 || a.FileID != fh.FileID || a.Used != BlockSize {
+		t.Fatalf("read placeholder attributes %+v", rres.Attr)
+	}
+	if count, end, ok := nfsproto.PeekReadRes(body); !ok || count != 5 || end != len(body) {
+		t.Fatalf("PeekReadRes = %d %d %v", count, end, ok)
+	}
+
+	// A short read inside the object, and a read of an object that was
+	// never written: a hole, same reply shape, no data.
+	rargs = nfsproto.ReadArgs{FH: fh, Offset: 1, Count: 3}
+	body, _ = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), rargs.Encode)
+	rres = nfsproto.ReadRes{}
+	if err := rres.Decode(xdr.NewDecoder(body)); err != nil || string(rres.Data) != "234" || rres.EOF {
+		t.Fatalf("partial read %+v, %v", rres, err)
+	}
+	rargs = nfsproto.ReadArgs{FH: testFH(6), Offset: 0, Count: 1 << 20}
+	body, _ = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), rargs.Encode)
+	rres = nfsproto.ReadRes{}
+	if err := rres.Decode(xdr.NewDecoder(body)); err != nil || rres.Status != nfsproto.OK ||
+		rres.Count != 0 || !rres.EOF || len(rres.Data) != 0 || !rres.Attr.Present {
+		t.Fatalf("read of a missing object %+v, %v", rres, err)
+	}
+	if _, _, ok := nfsproto.PeekReadRes(body); !ok {
+		t.Fatal("missing-object reply lacks the patchable layout")
 	}
 }
 

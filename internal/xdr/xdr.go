@@ -29,15 +29,48 @@ const MaxOpaque = 1 << 20
 // pad returns the number of zero bytes needed to round n up to 4.
 func pad(n int) int { return (4 - n&3) & 3 }
 
+// zeros is the source of opaque padding.
+var zeros [4]byte
+
 // Encoder appends XDR-encoded values to an internal buffer.
 // The zero value is ready to use.
 type Encoder struct {
 	buf []byte
+	// get and free, when set, are the pool the buffer is drawn from and
+	// returned to; otherwise it is ordinary heap memory.
+	get  func(n int) []byte
+	free func(b []byte)
 }
 
 // NewEncoder returns an encoder whose buffer has the given initial capacity.
 func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
+}
+
+// NewEncoderBuf returns an encoder that appends to buf, which the caller
+// keeps owning. Encoding past cap(buf) moves the contents to a heap
+// buffer and leaves buf behind.
+func NewEncoderBuf(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
+// NewPooledEncoder returns an encoder whose buffer — the first, of the
+// given capacity, and each larger one it outgrows it into — is drawn
+// from a pool: get returns a buffer of length n (its capacity may be
+// larger, its contents are unspecified), free takes one back. A message
+// that carries bulk data therefore costs one pooled buffer sized to it,
+// not an allocation. The owner calls Release once the encoded bytes are
+// no longer needed; forgetting to only costs the pool a buffer.
+func NewPooledEncoder(get func(n int) []byte, free func(b []byte), capacity int) *Encoder {
+	return &Encoder{buf: get(capacity)[:0], get: get, free: free}
+}
+
+// Release returns a pooled encoder's buffer to its pool. The encoder,
+// and every slice obtained from Bytes or Reserve, must not be used
+// afterwards. On an unpooled encoder it is a no-op.
+func (e *Encoder) Release() {
+	if e.free != nil {
+		e.free(e.buf)
+		e.buf, e.get, e.free = nil, nil, nil
+	}
 }
 
 // Bytes returns the encoded buffer. The slice is owned by the encoder and
@@ -50,8 +83,43 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents but keeps the allocation.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// grow makes room for n more bytes: by doubling on the heap, or with a
+// larger buffer from the pool, handing the outgrown one back.
+func (e *Encoder) grow(n int) {
+	need := len(e.buf) + n
+	if e.get == nil {
+		e.buf = append(make([]byte, 0, max(need, 2*cap(e.buf))), e.buf...)
+		return
+	}
+	nb := e.get(need)[:len(e.buf)]
+	copy(nb, e.buf)
+	e.free(e.buf)
+	e.buf = nb
+}
+
+// Reserve appends n bytes (plus padding to a four-byte boundary) and
+// returns the n-byte region for the caller to fill in place — how a
+// server reads bulk data straight into its reply. The region's contents
+// are unspecified until filled; it is invalidated by further Put calls.
+func (e *Encoder) Reserve(n int) []byte {
+	total := n + pad(n)
+	if cap(e.buf)-len(e.buf) < total {
+		e.grow(total)
+	}
+	start := len(e.buf)
+	e.buf = e.buf[:start+total]
+	copy(e.buf[start+n:], zeros[:])
+	return e.buf[start : start+n : start+n]
+}
+
+// Truncate discards everything after the first n encoded bytes.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // PutUint32 appends a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
+	if cap(e.buf)-len(e.buf) < 4 {
+		e.grow(4)
+	}
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
@@ -79,10 +147,7 @@ func (e *Encoder) PutBool(v bool) {
 // PutFixedOpaque appends fixed-length opaque data (no length prefix),
 // padded to a four-byte boundary.
 func (e *Encoder) PutFixedOpaque(p []byte) {
-	e.buf = append(e.buf, p...)
-	for i := 0; i < pad(len(p)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	copy(e.Reserve(len(p)), p)
 }
 
 // PutOpaque appends variable-length opaque data with a length prefix.
@@ -94,10 +159,7 @@ func (e *Encoder) PutOpaque(p []byte) {
 // PutString appends an XDR string.
 func (e *Encoder) PutString(s string) {
 	e.PutUint32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-	for i := 0; i < pad(len(s)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	copy(e.Reserve(len(s)), s)
 }
 
 // Decoder consumes XDR-encoded values from a byte slice.

@@ -255,3 +255,103 @@ func TestEncoderReset(t *testing.T) {
 		t.Fatalf("got %d, %v", v, err)
 	}
 }
+
+func TestStringPadding(t *testing.T) {
+	for n := 0; n < 9; n++ {
+		e := NewEncoder(0)
+		e.PutString(string(bytes.Repeat([]byte{'x'}, n)))
+		e.PutUint32(0xDEADBEEF)
+		if e.Len() != 4+n+pad(n)+4 {
+			t.Fatalf("len %d: encoded size %d", n, e.Len())
+		}
+		if tail := e.Bytes()[4+n : 4+n+pad(n)]; !bytes.Equal(tail, make([]byte, pad(n))) {
+			t.Fatalf("len %d: padding %x is not zero", n, tail)
+		}
+	}
+}
+
+// countingPool hands out exact-capacity buffers and records the traffic.
+type countingPool struct {
+	gets, frees int
+	live        map[*byte]bool
+}
+
+func (p *countingPool) GetBuf(n int) []byte {
+	p.gets++
+	b := bytes.Repeat([]byte{0xCC}, n) // recycled memory is not zeroed
+	if n > 0 {
+		p.live[&b[0]] = true
+	}
+	return b
+}
+
+func (p *countingPool) FreeBuf(b []byte) {
+	p.frees++
+	if cap(b) > 0 {
+		b = b[:1]
+		if !p.live[&b[0]] {
+			panic("freed a buffer the pool did not hand out, or freed it twice")
+		}
+		delete(p.live, &b[0])
+	}
+}
+
+// TestPooledEncoder: a pooled encoder draws every buffer from its pool,
+// hands each outgrown one back, produces the same bytes as a heap
+// encoder — padding zeroed although the memory is dirty — and returns
+// its last buffer on Release.
+func TestPooledEncoder(t *testing.T) {
+	pool := &countingPool{live: map[*byte]bool{}}
+	bulk := bytes.Repeat([]byte{0x5A}, 1001)
+	encode := func(e *Encoder) {
+		e.PutUint32(7)
+		e.PutString("abcde")
+		e.PutOpaque(bulk)
+		e.PutUint64(1 << 40)
+	}
+	pe := NewPooledEncoder(pool.GetBuf, pool.FreeBuf, 16)
+	encode(pe)
+	he := NewEncoder(0)
+	encode(he)
+	if !bytes.Equal(pe.Bytes(), he.Bytes()) {
+		t.Fatalf("pooled and heap encodings differ:\n%x\n%x", pe.Bytes(), he.Bytes())
+	}
+	if pool.gets < 2 || pool.frees != pool.gets-1 || len(pool.live) != 1 {
+		t.Fatalf("gets %d frees %d live %d: outgrown buffers must go back, the current one stay", pool.gets, pool.frees, len(pool.live))
+	}
+	pe.Release()
+	pe.Release() // harmless
+	if len(pool.live) != 0 || pool.frees != pool.gets {
+		t.Fatalf("after Release: gets %d frees %d live %d", pool.gets, pool.frees, len(pool.live))
+	}
+}
+
+// TestReserveFillsInPlace: Reserve's region is the encoder's own memory,
+// and Truncate + Reserve keeps a prefix of it with fresh padding.
+func TestReserveFillsInPlace(t *testing.T) {
+	e := NewEncoder(4)
+	e.PutUint32(1)
+	p := e.Reserve(10)
+	if len(p) != 10 || cap(p) != 10 {
+		t.Fatalf("region len %d cap %d", len(p), cap(p))
+	}
+	copy(p, "0123456789")
+	if got := e.Bytes(); !bytes.Equal(got, append([]byte{0, 0, 0, 1}, "0123456789\x00\x00"...)) {
+		t.Fatalf("after fill: %q", got)
+	}
+	e.Truncate(4)
+	e.Reserve(5)
+	if got := e.Bytes(); !bytes.Equal(got, append([]byte{0, 0, 0, 1}, "01234\x00\x00\x00"...)) {
+		t.Fatalf("after truncate + reserve: %q", got)
+	}
+	own := make([]byte, 0, 8)
+	b := NewEncoderBuf(own)
+	b.PutUint64(0x0102030405060708)
+	if &b.Bytes()[0] != &own[:1][0] {
+		t.Fatal("NewEncoderBuf did not encode into the caller's buffer")
+	}
+	b.PutUint32(9) // outgrows it: moves to the heap, the caller's buffer is left alone
+	if !bytes.Equal(b.Bytes(), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 9}) {
+		t.Fatalf("after outgrowing: %x", b.Bytes())
+	}
+}

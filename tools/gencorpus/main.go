@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	emitChecksum()
 	emitNetsim()
 	emitNfsproto()
 	emitOncrpc()
@@ -52,6 +54,29 @@ func write(pkg, target, name string, args ...any) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// emitChecksum seeds FuzzSum, which checks the word-wide checksum kernel
+// against the byte-pair reference loop: lengths around the 32- and 8-byte
+// block edges of the unrolled loops, odd tails, and all-ones input, where
+// every addition carries.
+func emitChecksum() {
+	const target = "FuzzSum"
+	ramp := make([]byte, 300)
+	for i := range ramp {
+		ramp[i] = byte(i*37 + 11)
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 65, 300} {
+		write("checksum", target, fmt.Sprintf("seed_ramp_%03d", n), ramp[:n])
+	}
+	ones := bytes.Repeat([]byte{0xFF}, 4099)
+	write("checksum", target, "seed_ones_4099", ones)
+	write("checksum", target, "seed_ones_0064", ones[:64])
+	dgram, err := netsim.Build(netsim.Addr{Host: 10, Port: 2049}, netsim.Addr{Host: 200, Port: 999}, ramp)
+	if err != nil {
+		log.Fatal(err)
+	}
+	write("checksum", target, "seed_datagram", dgram)
 }
 
 func emitNetsim() {
