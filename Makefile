@@ -131,7 +131,8 @@ corpus:
 	$(GO) run ./tools/gencorpus
 
 # Fixed-budget run of every fuzz target (the checksum kernel, wire
-# parsers, the WAL scanner, and the routing-table transition machine).
+# parsers, the record-marking reader, the WAL scanner, and the
+# routing-table transition machine).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/checksum/ -run '^$$' -fuzz FuzzSum -fuzztime $(FUZZTIME)
@@ -141,3 +142,4 @@ fuzz:
 	$(GO) test ./internal/nfsproto/ -run '^$$' -fuzz FuzzParseCall -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nfsproto/ -run '^$$' -fuzz FuzzParseMountPortmap -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim/ -run '^$$' -fuzz FuzzParseDatagram -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadRecord -fuzztime $(FUZZTIME)

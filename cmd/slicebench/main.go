@@ -8,10 +8,13 @@
 //	slicebench -exp fig4       # mkdir-switching affinity sweep
 //	slicebench -exp fig5       # SPECsfs97 delivered throughput
 //	slicebench -exp fig6       # SPECsfs97 latency
-//	slicebench -exp live       # live latency breakdown -> BENCH_live.json
-//	slicebench -exp fleet      # µproxy fleet scale-out (-proxies caps the sweep)
 //	slicebench -exp ablation-hash | ablation-threshold |
 //	           ablation-placement | ablation-affinity-policy
+//
+// These are the paper's model-driven shapes. Measured end-to-end and
+// per-layer figures of the live stack come from benchmark/ (`bash
+// benchmark/run.sh`), and fleet scale-out from BenchmarkFleetForward
+// (`make bench-gate`).
 package main
 
 import (
@@ -26,11 +29,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: "+
 		strings.Join(append([]string{"all"}, bench.Experiments...), ", "))
-	liveOut := flag.String("live-out", "BENCH_live.json", "output path for the live experiment's JSON report")
-	proxies := flag.Int("proxies", bench.FleetProxies, "largest fleet size the fleet experiment sweeps to (powers of two from 1)")
 	flag.Parse()
-	bench.LiveOut = *liveOut
-	bench.FleetProxies = *proxies
 	if err := bench.Run(*exp, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "slicebench:", err)
 		os.Exit(1)

@@ -39,7 +39,6 @@ import (
 	"slice/internal/oncrpc"
 	"slice/internal/rebalance"
 	"slice/internal/route"
-	"slice/internal/udpgate"
 	"slice/internal/wire"
 	"slice/internal/workload"
 	"slice/internal/xdr"
@@ -65,13 +64,11 @@ func main() {
 	var c *client.Client
 	var rc *oncrpc.Client
 	if *connect != "" {
-		var conn oncrpc.Conn
-		var err error
+		dial := wire.DialDatagram
 		if *tcp {
-			conn, err = wire.Dial(*connect)
-		} else {
-			conn, err = udpgate.Dial(*connect)
+			dial = wire.Dial
 		}
+		conn, err := dial(*connect)
 		if err != nil {
 			log.Fatalf("slicectl: dial: %v", err)
 		}

@@ -1,8 +1,8 @@
 // Command sliced runs a complete Slice ensemble — storage nodes, a
 // block-service coordinator, directory servers, small-file servers, and
 // the interposed µproxy — and exports the resulting virtual NFS server
-// over a real UDP socket via the udpgate bridge. Point cmd/slicectl at
-// the printed address.
+// over real sockets through the ensemble's wire gateways: UDP always,
+// record-marked TCP with -tcp. Point cmd/slicectl at the printed address.
 //
 //	sliced -storage 8 -dirs 4 -small 2 -policy switch -p 0.25 -listen 127.0.0.1:20490
 package main
@@ -17,9 +17,8 @@ import (
 
 	"slice/internal/ensemble"
 	"slice/internal/nfsproto"
-	"slice/internal/obs"
 	"slice/internal/route"
-	"slice/internal/udpgate"
+	"slice/internal/wire"
 )
 
 func main() {
@@ -54,6 +53,7 @@ func main() {
 		UseBlockMaps:      *maps,
 		WritebackInterval: 2 * time.Second,
 		CapabilityKey:     []byte(*capkey),
+		UDPListen:         *listen,
 		TCPListen:         *tcp,
 		PortmapListen:     *portmap,
 	})
@@ -62,33 +62,20 @@ func main() {
 	}
 	defer e.Close()
 
-	gw, err := udpgate.NewGateway(*listen, e.Net, e.Virtual)
-	if err != nil {
-		log.Fatalf("sliced: gateway: %v", err)
-	}
-	defer gw.Close()
-	// Surface the UDP gateway's drop counters (no-peer, inject, write)
-	// alongside every other component in `slicectl stats`.
-	udpObs := obs.NewRegistry("udpgate")
-	gw.SetObs(udpObs)
-	e.Obs.AddRegistry(udpObs)
-
 	fmt.Printf("sliced: serving volume %v\n", e.Root)
 	fmt.Printf("  storage nodes      : %d\n", len(e.Storage))
 	fmt.Printf("  directory servers  : %d (%s, p=%.2f)\n", len(e.Dirs), kind, *p)
 	fmt.Printf("  small-file servers : %d\n", len(e.Small))
 	fmt.Printf("  virtual server     : %v (fabric)\n", e.Virtual)
-	fmt.Printf("  UDP endpoint       : %v\n", gw.Addr())
-	if len(e.Gateways) > 0 {
-		fmt.Printf("  TCP endpoint       : %v (record-marked ONC-RPC)\n", e.Gateways[0].Addr())
+	for _, g := range e.DatagramGateways {
+		fmt.Printf("  UDP endpoint       : %v (slicectl -connect %v <command>)\n", g.Addr(), g.Addr())
+	}
+	for _, g := range e.Gateways {
+		fmt.Printf("  TCP endpoint       : %v (record-marked ONC-RPC; slicectl -tcp -connect %v <command>)\n", g.Addr(), g.Addr())
 	}
 	if e.Portmap != nil {
 		fmt.Printf("  portmapper         : %v (program %d v%d)\n", e.Portmap.Addr(),
 			nfsproto.PortmapProgram, nfsproto.PortmapVersion)
-	}
-	fmt.Printf("connect with: slicectl -connect %v <command>\n", gw.Addr())
-	if len(e.Gateways) > 0 {
-		fmt.Printf("          or: slicectl -tcp -connect %v <command>\n", e.Gateways[0].Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -103,15 +90,15 @@ func main() {
 		select {
 		case <-sig:
 			fmt.Println("\nsliced: shutting down")
-			printStats(e, gw)
+			printStats(e)
 			return
 		case <-tick:
-			printStats(e, gw)
+			printStats(e)
 		}
 	}
 }
 
-func printStats(e *ensemble.Ensemble, gw *udpgate.Gateway) {
+func printStats(e *ensemble.Ensemble) {
 	st := e.Proxy.Stats()
 	fmt.Printf("[stats] µproxy: %d reqs, %d resps, %d absorbed, %d initiated\n",
 		st.Requests, st.Responses, st.Absorbed, st.Initiated)
@@ -130,14 +117,14 @@ func printStats(e *ensemble.Ensemble, gw *udpgate.Gateway) {
 		fmt.Printf("[stats] smallfile[%d]: %d reads, %d writes, %d files\n",
 			i, st.Reads, st.Writes, s.Store().NumFiles())
 	}
-	us := gw.Stats()
-	fmt.Printf("[stats] udpgate: %d peers (%d evicted), drops: %d no-peer, %d inject, %d write\n",
-		us.Peers, us.PeersEvicted, us.DropNoPeer, us.DropInject, us.DropWrite)
-	for i, g := range e.Gateways {
-		ws := g.Stats()
-		fmt.Printf("[stats] wire[%d]: %d conns (%d total), rx %d recs / %d B (max %d), tx %d recs / %d B (max %d), %d drops\n",
-			i, ws.Conns, ws.TotalConns, ws.RxRecords, ws.RxBytes, ws.MaxRxRecord,
-			ws.TxRecords, ws.TxBytes, ws.MaxTxRecord, ws.Drops)
+	for _, gws := range [][]*wire.Gateway{e.DatagramGateways, e.Gateways} {
+		for _, g := range gws {
+			ws := g.Stats()
+			fmt.Printf("[stats] wire %s %v: %d peers (%d total, %d evicted), rx %d recs / %d B (max %d), tx %d recs / %d B (max %d), drops: %d no-peer, %d inject, %d write\n",
+				g.Addr().Network(), g.Addr(), ws.Conns, ws.TotalConns, ws.Evicted,
+				ws.RxRecords, ws.RxBytes, ws.MaxRxRecord, ws.TxRecords, ws.TxBytes, ws.MaxTxRecord,
+				ws.DropNoPeer, ws.DropInject, ws.DropWrite)
+		}
 	}
 	// Latency exposition: every component's op-class histograms plus the
 	// µproxy's stage/hop/e2e breakdowns, in the text format `slicectl

@@ -1,13 +1,14 @@
 // Command uproxyd demonstrates that µproxies are freely replicable
 // (§2.1): it runs an ensemble fronted by an N-member µproxy fleet —
 // shared-nothing soft state, one set of routing tables — and exposes
-// each member's virtual address behind its own UDP endpoint at
-// consecutive ports. The constraint the architecture imposes is only
-// that each client's request stream passes through a single µproxy;
-// clients of different endpoints share the volume with no coordination
-// between the members beyond their (read-mostly) routing tables. The
-// in-process ensemble clients additionally exercise the flow-hashed
-// front: their flows spread across all N members.
+// each member's virtual address behind its own UDP endpoint (and, with
+// -tcp, its own TCP endpoint) at consecutive ports. The constraint the
+// architecture imposes is only that each client's request stream passes
+// through a single µproxy; clients of different endpoints share the
+// volume with no coordination between the members beyond their
+// (read-mostly) routing tables. The in-process ensemble clients
+// additionally exercise the flow-hashed front: their flows spread across
+// all N members.
 //
 //	uproxyd -listen 127.0.0.1:20490 -proxies 4
 //
@@ -18,21 +19,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"time"
 
 	"slice/internal/ensemble"
 	"slice/internal/netsim"
-	"slice/internal/obs"
 	"slice/internal/proxy"
 	"slice/internal/route"
-	"slice/internal/udpgate"
 )
 
 func main() {
@@ -74,6 +71,7 @@ func main() {
 		NameKind:          route.MkdirSwitching,
 		MkdirP:            0.25,
 		WritebackInterval: 2 * time.Second,
+		UDPListen:         *listen,
 		TCPListen:         *tcp,
 		PortmapListen:     *portmap,
 	})
@@ -82,34 +80,9 @@ func main() {
 	}
 	defer e.Close()
 
-	// One UDP gateway per fleet member, at consecutive ports: a kernel
-	// client is one flow source, so its endpoint choice IS its front
-	// assignment.
-	host, portStr, err := net.SplitHostPort(*listen)
-	if err != nil {
-		log.Fatalf("uproxyd: -listen %q: %v", *listen, err)
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		log.Fatalf("uproxyd: -listen port %q: %v", portStr, err)
-	}
 	fmt.Printf("uproxyd: one volume, %d interposed µproxies\n", len(e.Proxies))
-	for i, p := range e.Proxies {
-		addr := net.JoinHostPort(host, strconv.Itoa(basePort+i))
-		gw, err := udpgate.NewGateway(addr, e.Net, p.Virtual())
-		if err != nil {
-			log.Fatalf("uproxyd: gateway %d: %v", i, err)
-		}
-		defer gw.Close()
-		// Per-member drop counters under their own stats label.
-		name := "udpgate"
-		if i > 0 {
-			name = fmt.Sprintf("udpgate[%d]", i)
-		}
-		reg := obs.NewRegistry(name)
-		gw.SetObs(reg)
-		e.Obs.AddRegistry(reg)
-		fmt.Printf("  µproxy #%d: %v (fabric %v)\n", i, gw.Addr(), p.Virtual())
+	for i, g := range e.DatagramGateways {
+		fmt.Printf("  µproxy #%d: %v (fabric %v)\n", i, g.Addr(), e.VirtualOf(i))
 	}
 	for i, g := range e.Gateways {
 		fmt.Printf("  µproxy #%d TCP: %v (record-marked ONC-RPC)\n", i, g.Addr())

@@ -12,20 +12,15 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
 // Experiment names accepted by Run.
 var Experiments = []string{
-	"table2", "table3", "fig3", "fig4", "fig5", "fig6", "live", "fleet",
+	"table2", "table3", "fig3", "fig4", "fig5", "fig6",
 	"ablation-hash", "ablation-threshold", "ablation-placement",
 	"ablation-affinity-policy",
 }
-
-// LiveOut is the default BENCH_live.json path for Run("live", ...);
-// cmd/slicebench overrides it from -live-out.
-var LiveOut = "BENCH_live.json"
 
 // Run executes the named experiment, writing its report to w.
 func Run(name string, w io.Writer) error {
@@ -42,10 +37,6 @@ func Run(name string, w io.Writer) error {
 		return Fig5(w)
 	case "fig6":
 		return Fig6(w)
-	case "live":
-		return Live(w, LiveOut)
-	case "fleet":
-		return Fleet(w)
 	case "ablation-hash":
 		return AblationHash(w)
 	case "ablation-threshold":
@@ -119,14 +110,4 @@ func (t *table) write(w io.Writer) {
 	for _, r := range t.rows {
 		line(r)
 	}
-}
-
-// seriesKeys returns sorted map keys for stable output.
-func seriesKeys(m map[int][]float64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

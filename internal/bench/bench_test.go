@@ -2,9 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -104,63 +101,5 @@ func TestTableFormatter(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "longer") || !strings.Contains(out, "bb") {
 		t.Fatalf("formatter output:\n%s", out)
-	}
-}
-
-func TestLiveReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_live.json")
-	var buf bytes.Buffer
-	if err := Live(&buf, out); err != nil {
-		t.Fatalf("live: %v", err)
-	}
-	text := buf.String()
-	for _, want := range []string{"phase untar", "phase sfs-mix", "phase dd", "p99"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("live output missing %q:\n%s", want, text)
-		}
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Phases []struct {
-			Name      string `json:"name"`
-			Ops       int    `json:"ops"`
-			OpClasses map[string]struct {
-				Count uint64 `json:"count"`
-				P50   uint64 `json:"p50_ns"`
-				P99   uint64 `json:"p99_ns"`
-			} `json:"op_classes"`
-			Hops map[string]struct {
-				Count uint64 `json:"count"`
-				P50   uint64 `json:"p50_ns"`
-			} `json:"hops"`
-		} `json:"phases"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("BENCH_live.json: %v", err)
-	}
-	if len(rep.Phases) != 3 {
-		t.Fatalf("got %d phases, want 3", len(rep.Phases))
-	}
-	wantHops := map[string]string{"untar": "dirsrv", "dd": "storage"}
-	for _, ph := range rep.Phases {
-		if ph.Ops == 0 {
-			t.Errorf("phase %s: zero ops", ph.Name)
-		}
-		if len(ph.OpClasses) == 0 {
-			t.Errorf("phase %s: no op classes", ph.Name)
-		}
-		for name, h := range ph.OpClasses {
-			if h.Count > 0 && h.P99 == 0 {
-				t.Errorf("phase %s op %s: zero p99", ph.Name, name)
-			}
-		}
-		if hop, ok := wantHops[ph.Name]; ok {
-			if h, ok := ph.Hops[hop]; !ok || h.Count == 0 {
-				t.Errorf("phase %s: no %s hop samples", ph.Name, hop)
-			}
-		}
 	}
 }

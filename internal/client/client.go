@@ -118,7 +118,7 @@ func New(cfg Config) (*Client, error) {
 }
 
 // NewWithConn creates a client over an existing datagram endpoint — e.g.
-// a udpgate connection to a remote ensemble.
+// a wire.Conn to a remote ensemble.
 func NewWithConn(conn oncrpc.Conn, cfg Config) *Client {
 	if cfg.StripeUnit == 0 {
 		cfg.StripeUnit = route.DefaultStripeUnit

@@ -123,11 +123,14 @@ type Config struct {
 	// coordinator stamp into storage-bound handles. Clients bypassing
 	// the µproxy are refused by the storage nodes.
 	CapabilityKey []byte
-	// TCPListen, when non-empty, exposes the ensemble on real TCP
-	// sockets: one record-marked wire gateway per fleet member, member i
-	// fronting proxy i's virtual address. "127.0.0.1:0" picks ephemeral
-	// ports; a fixed port p assigns member i port p+i.
+	// TCPListen and UDPListen, when non-empty, expose the ensemble on real
+	// sockets: one wire gateway per fleet member and framing (record-marked
+	// TCP streams, bare UDP datagrams), member i fronting proxy i's virtual
+	// address — a remote client is one flow source, so its endpoint choice
+	// is its front assignment. "127.0.0.1:0" picks ephemeral ports; a
+	// fixed port p assigns member i port p+i.
 	TCPListen string
+	UDPListen string
 	// PortmapListen, when non-empty, starts an embedded portmapper
 	// (program 100000 v2) that registers the NFS and MOUNT programs at
 	// gateway 0's TCP port. Requires TCPListen.
@@ -166,11 +169,13 @@ type Ensemble struct {
 	Fleet *route.Fleet
 	Front *front.Ring
 
-	// Gateways are the per-member TCP wire gateways (empty without
-	// Config.TCPListen); Portmap is the embedded portmapper (nil without
-	// Config.PortmapListen).
-	Gateways []*wire.Gateway
-	Portmap  *wire.Portmap
+	// Gateways are the per-member stream (TCP) wire gateways in member
+	// order (empty without Config.TCPListen), DatagramGateways their UDP
+	// siblings (empty without Config.UDPListen); Portmap is the embedded
+	// portmapper (nil without Config.PortmapListen).
+	Gateways         []*wire.Gateway
+	DatagramGateways []*wire.Gateway
+	Portmap          *wire.Portmap
 
 	// Obs aggregates every component's histograms; Tracer archives the
 	// µproxy's per-request spans. Both are always on — recording is one
@@ -403,28 +408,16 @@ func New(cfg Config) (*Ensemble, error) {
 	}
 	e.Proxy = e.Proxies[0]
 
-	// Real-wire serving: TCP gateways (one per fleet member) and the
-	// embedded portmapper pointing real clients at gateway 0.
-	if cfg.TCPListen != "" {
-		for i := 0; i < cfg.Proxies; i++ {
-			listen, err := memberListen(cfg.TCPListen, i)
-			if err != nil {
-				e.Close()
-				return nil, err
-			}
-			gw, err := wire.NewGateway(listen, e.Net, proxyVirtual(i))
-			if err != nil {
-				e.Close()
-				return nil, fmt.Errorf("ensemble: wire gateway %d: %w", i, err)
-			}
-			name := "wire"
-			if i > 0 {
-				name = fmt.Sprintf("wire[%d]", i)
-			}
-			reg := obs.NewRegistry(name)
-			gw.SetObs(reg)
-			e.Obs.AddRegistry(reg)
-			e.Gateways = append(e.Gateways, gw)
+	// Real-wire serving: every member's gateways, and the embedded
+	// portmapper pointing real clients at stream gateway 0.
+	for i := 0; i < cfg.Proxies; i++ {
+		err := e.startGateway(&e.Gateways, wire.NewGateway, cfg.TCPListen, "wire", i)
+		if err == nil {
+			err = e.startGateway(&e.DatagramGateways, wire.NewDatagramGateway, cfg.UDPListen, "wire.udp", i)
+		}
+		if err != nil {
+			e.Close()
+			return nil, err
 		}
 	}
 	if cfg.PortmapListen != "" {
@@ -448,16 +441,48 @@ func New(cfg Config) (*Ensemble, error) {
 	return e, nil
 }
 
-// memberListen derives fleet member i's TCP listen address from the
+// startGateway starts fleet member i's gateway of one framing on its
+// derived listen address (none when listen is empty), with its histograms
+// under the role's label, and appends it to gws.
+func (e *Ensemble) startGateway(gws *[]*wire.Gateway,
+	start func(string, *netsim.Network, netsim.Addr) (*wire.Gateway, error), listen, role string, i int) error {
+	if listen == "" {
+		return nil
+	}
+	listen, err := memberListen(listen, i)
+	if err != nil {
+		return err
+	}
+	gw, err := start(listen, e.Net, proxyVirtual(i))
+	if err != nil {
+		return fmt.Errorf("ensemble: %s gateway %d: %w", role, i, err)
+	}
+	reg := obs.NewRegistry(memberName(role, i))
+	gw.SetObs(reg)
+	e.Obs.AddRegistry(reg)
+	*gws = append(*gws, gw)
+	return nil
+}
+
+// memberName labels fleet member i's instance of a role: member 0 keeps
+// the bare role name single-member tooling expects.
+func memberName(role string, i int) string {
+	if i == 0 {
+		return role
+	}
+	return fmt.Sprintf("%s[%d]", role, i)
+}
+
+// memberListen derives fleet member i's listen address from the
 // configured one: an explicit port p maps to p+i, port 0 stays 0.
 func memberListen(listen string, i int) (string, error) {
 	host, portStr, err := net.SplitHostPort(listen)
 	if err != nil {
-		return "", fmt.Errorf("ensemble: bad TCPListen %q: %w", listen, err)
+		return "", fmt.Errorf("ensemble: bad listen address %q: %w", listen, err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		return "", fmt.Errorf("ensemble: bad TCPListen port %q: %w", portStr, err)
+		return "", fmt.Errorf("ensemble: bad listen port %q: %w", portStr, err)
 	}
 	if port != 0 {
 		port += i
@@ -478,10 +503,7 @@ func NewFleet(n int, cfg Config) (*Ensemble, error) {
 // AddRegistry/AddTracer replace same-name entries, so a restarted proxy
 // reports under its old label.
 func (e *Ensemble) proxyObs(i int) (*obs.Registry, *obs.Tracer) {
-	name := "uproxy"
-	if i > 0 {
-		name = fmt.Sprintf("uproxy[%d]", i)
-	}
+	name := memberName("uproxy", i)
 	reg := obs.NewRegistry(name)
 	e.Obs.AddRegistry(reg)
 	if i == 0 {
@@ -600,6 +622,9 @@ func (e *Ensemble) Close() {
 		e.Portmap.Close()
 	}
 	for _, g := range e.Gateways {
+		g.Close()
+	}
+	for _, g := range e.DatagramGateways {
 		g.Close()
 	}
 	for _, p := range e.Proxies {

@@ -3,11 +3,16 @@ package ensemble
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
+	"slice/internal/client"
+	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
+	"slice/internal/wire"
 )
 
 // TestFleetServesAcrossProxies runs a workload through a 4-proxy fleet
@@ -171,5 +176,80 @@ func TestProxyRestartRejoinsFleet(t *testing.T) {
 	defer c.Close()
 	if _, _, err := c.Create(c.Root(), "h", 0o644, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFleetRealSocketEndpoints pins that the ensemble owns every
+// listener: a fleet of N with both listen addresses set serves `ls /`
+// over each of its 2N real-socket endpoints — every member, both
+// framings, one volume — and Close alone tears all of them down.
+func TestFleetRealSocketEndpoints(t *testing.T) {
+	const members = 3
+	e := newTest(t, func(cfg *Config) {
+		cfg.Proxies = members
+		cfg.TCPListen = "127.0.0.1:0"
+		cfg.UDPListen = "127.0.0.1:0"
+	})
+	if len(e.Gateways) != members || len(e.DatagramGateways) != members {
+		t.Fatalf("%d stream + %d datagram gateways, want %d each",
+			len(e.Gateways), len(e.DatagramGateways), members)
+	}
+	seed, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := seed.Mkdir(seed.Root(), "visible-everywhere", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	var endpoints []net.Addr
+	for i := 0; i < members; i++ {
+		for _, ep := range []struct {
+			gw   *wire.Gateway
+			dial func(string) (*wire.Conn, error)
+		}{{e.Gateways[i], wire.Dial}, {e.DatagramGateways[i], wire.DialDatagram}} {
+			addr := ep.gw.Addr()
+			endpoints = append(endpoints, addr)
+			conn, err := ep.dial(addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := client.NewWithConn(conn, client.Config{Server: e.VirtualOf(i)})
+			if err := c.Mount(); err != nil {
+				t.Fatalf("mount via member %d %s: %v", i, addr.Network(), err)
+			}
+			ents, err := c.ReadDir(c.Root())
+			if err != nil || len(ents) != 1 || ents[0].Name != "visible-everywhere" {
+				t.Fatalf("ls / via member %d %s: %v, %v", i, addr.Network(), ents, err)
+			}
+			c.Close()
+			if st := ep.gw.Stats(); st.RxRecords == 0 || st.TxRecords == 0 || st.Drops != 0 {
+				t.Fatalf("member %d %s gateway stats: %+v", i, addr.Network(), st)
+			}
+		}
+	}
+	snap := e.Obs.Snapshot()
+	for _, role := range []string{"wire", "wire.udp"} {
+		if fleet, n := snap.MergeRole(role, role); n != members || fleet.Hists[obs.HistWireRxRecord].Count() == 0 {
+			t.Fatalf("%s: %d registries in the collector, %d records; want %d, > 0",
+				role, n, fleet.Hists[obs.HistWireRxRecord].Count(), members)
+		}
+	}
+
+	// Close alone releases every socket: each address can be bound again.
+	e.Close()
+	for _, addr := range endpoints {
+		var rebound io.Closer
+		var err error
+		if addr.Network() == "tcp" {
+			rebound, err = net.Listen("tcp", addr.String())
+		} else {
+			rebound, err = net.ListenPacket("udp", addr.String())
+		}
+		if err != nil {
+			t.Fatalf("%s %v still held after Close: %v", addr.Network(), addr, err)
+		}
+		rebound.Close()
 	}
 }

@@ -66,8 +66,8 @@ func TestObsHopAttribution(t *testing.T) {
 	obsWorkload(t, e)
 
 	snap := e.Obs.Snapshot()
-	up, ok := snap.Component("uproxy")
-	if !ok {
+	up, n := snap.MergeRole("uproxy", "uproxy")
+	if n != 1 {
 		t.Fatal("no uproxy component in snapshot")
 	}
 	nonzero := func(name string) {
@@ -91,8 +91,8 @@ func TestObsHopAttribution(t *testing.T) {
 
 	// Every server class timed its handlers.
 	for _, comp := range []string{"dirsrv[0]", "smallfile[0]", "coord"} {
-		cs, ok := snap.Component(comp)
-		if !ok {
+		cs, n := snap.MergeRole(comp, comp)
+		if n != 1 {
 			t.Errorf("no %s component in snapshot", comp)
 			continue
 		}
@@ -178,7 +178,7 @@ func TestObsStatsOverWire(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("snapshot json: %v", err)
 	}
-	if _, ok := snap.Component("uproxy"); !ok {
+	if _, n := snap.MergeRole("uproxy", "uproxy"); n != 1 {
 		t.Error("wire snapshot missing uproxy component")
 	}
 	if snap.MergeOpClass("nfs.create").Count() == 0 {

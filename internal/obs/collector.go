@@ -182,13 +182,3 @@ func (s ClusterSnapshot) MergeRole(role, as string) (RegistrySnapshot, int) {
 	}
 	return out, n
 }
-
-// Component returns the named component's snapshot, if present.
-func (s ClusterSnapshot) Component(name string) (RegistrySnapshot, bool) {
-	for _, comp := range s.Components {
-		if comp.Component == name {
-			return comp, true
-		}
-	}
-	return RegistrySnapshot{}, false
-}

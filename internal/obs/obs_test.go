@@ -185,7 +185,7 @@ func TestRegistryAndCollector(t *testing.T) {
 	if err := json.Unmarshal(c.SnapshotJSON(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := back.Component("dirsrv[1]"); !ok {
+	if _, n := back.MergeRole("dirsrv[1]", "dirsrv[1]"); n != 1 {
 		t.Fatal("decoded snapshot missing dirsrv[1]")
 	}
 }

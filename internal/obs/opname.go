@@ -14,15 +14,19 @@ const (
 	progCoord   = 200301
 )
 
-// Histogram names for the wire gateway's per-connection TCP serving
-// layer: record sizes in each direction, per-connection totals at close,
-// and connection lifetime.
+// Histogram names for the real-socket gateway: record sizes in each
+// direction, per-peer totals and lifetime at close, and the count-only
+// drop and idle-eviction events.
 const (
-	HistWireRxRecord = "wire.rx_record"
-	HistWireTxRecord = "wire.tx_record"
-	HistWireConnRx   = "wire.conn_rx_bytes"
-	HistWireConnTx   = "wire.conn_tx_bytes"
-	HistWireConnNS   = "wire.conn_ns"
+	HistWireRxRecord   = "wire.rx_record"
+	HistWireTxRecord   = "wire.tx_record"
+	HistWireConnRx     = "wire.conn_rx_bytes"
+	HistWireConnTx     = "wire.conn_tx_bytes"
+	HistWireConnNS     = "wire.conn_ns"
+	HistWireDropNoPeer = "wire.drop_nopeer"
+	HistWireDropInject = "wire.drop_inject"
+	HistWireDropWrite  = "wire.drop_write"
+	HistWireEvicted    = "wire.peer_evicted"
 )
 
 // Histogram names for the client bulk-I/O engine. bulk.window samples

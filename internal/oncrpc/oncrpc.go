@@ -187,8 +187,8 @@ func ParseReply(payload []byte) (Reply, error) {
 }
 
 // Conn is the datagram endpoint RPC runs over. *netsim.Port implements it
-// natively; internal/udpgate adapts a real UDP socket so clients can reach
-// a Slice ensemble across processes.
+// natively; internal/wire adapts real UDP and TCP sockets so clients can
+// reach a Slice ensemble across processes.
 type Conn interface {
 	SendTo(dst netsim.Addr, payload []byte) error
 	Recv(timeout time.Duration) ([]byte, error)

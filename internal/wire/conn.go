@@ -10,43 +10,43 @@ import (
 	"slice/internal/netsim"
 )
 
-// connPlaceholderHost is the fabric host a client-side Conn reports in
-// Addr(). Like udpgate's placeholder it sits below every synthetic peer
-// range, so it can never collide with a gateway-allocated host.
-const connPlaceholderHost = 0x7E000002
-
-// Conn is a client-side oncrpc.Conn over a record-marked TCP stream,
-// usable with client.NewWithConn. The TCP connection itself is the peer
-// check (only the dialed gateway can write to it), so received records
-// are stamped with the last-sent destination address — the fabric-level
-// reflection the RPC client's peer-address check expects.
+// Conn is a client-side oncrpc.Conn over a real socket to a Gateway,
+// usable with client.NewWithConn: a record-marked TCP stream (Dial) or a
+// connected UDP socket (DialDatagram). Either way only the dialed gateway
+// can deliver to the socket — the kernel is the real peer check — so
+// received records are stamped with the last-sent destination address,
+// the fabric-level reflection the RPC client's peer-address check expects.
 type Conn struct {
-	tcp net.Conn
-	br  *bufio.Reader
+	sock net.Conn
+	br   *bufio.Reader // stream framing, else nil
 
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	bw  *bufio.Writer // stream framing, else nil
 
 	mu   sync.Mutex
 	peer netsim.Addr
 }
 
-// Dial connects to a wire gateway's TCP address.
+// Dial connects to a stream gateway's TCP address.
 func Dial(server string) (*Conn, error) {
 	tcp, err := net.Dial("tcp", server)
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(tcp), nil
+	return &Conn{
+		sock: tcp,
+		br:   bufio.NewReaderSize(tcp, 64<<10),
+		bw:   bufio.NewWriterSize(tcp, 64<<10),
+	}, nil
 }
 
-// NewConn wraps an established stream in the record-marked framing.
-func NewConn(tcp net.Conn) *Conn {
-	return &Conn{
-		tcp: tcp,
-		br:  bufio.NewReaderSize(tcp, 64<<10),
-		bw:  bufio.NewWriterSize(tcp, 64<<10),
+// DialDatagram connects to a datagram gateway's UDP address.
+func DialDatagram(server string) (*Conn, error) {
+	udp, err := net.Dial("udp", server)
+	if err != nil {
+		return nil, err
 	}
+	return &Conn{sock: udp}, nil
 }
 
 // SendTo implements oncrpc.Conn. The destination fabric address is
@@ -56,34 +56,53 @@ func (c *Conn) SendTo(dst netsim.Addr, payload []byte) error {
 	c.mu.Lock()
 	c.peer = dst
 	c.mu.Unlock()
+	if c.bw == nil {
+		_, err := c.sock.Write(payload)
+		return err
+	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeRecord(c.bw, payload, DefaultFragSize); err != nil {
+	if err := writeRecord(c.bw, payload); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
-// Recv implements oncrpc.Conn: it reads one reassembled record into a
-// pooled header-prefixed buffer and stamps the synthetic source address.
-// A timeout that fires mid-record leaves the stream unsynchronizable, so
-// the connection is closed; the RPC layer treats it like a dead port.
+// Recv implements oncrpc.Conn: it reads one record (reassembled from the
+// stream, or one datagram) into the payload region of a pooled
+// header-prefixed buffer, which the receiver returns with netsim.FreeBuf,
+// and stamps the synthetic source address. A stream error that strikes
+// after any byte of a record was consumed leaves the framing
+// unsynchronizable, so the connection is closed; the RPC layer treats it
+// like a dead port.
 func (c *Conn) Recv(timeout time.Duration) ([]byte, error) {
+	var deadline time.Time
 	if timeout > 0 {
-		if err := c.tcp.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.tcp.SetReadDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
+		deadline = time.Now().Add(timeout)
 	}
-	d, err := readRecord(c.br, netsim.HeaderSize)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() && c.br.Buffered() > 0 {
-			c.tcp.Close()
-		}
+	if err := c.sock.SetReadDeadline(deadline); err != nil {
 		return nil, err
+	}
+	var d []byte
+	if c.br == nil {
+		d = netsim.GetBuf(netsim.HeaderSize + maxDatagram)
+		n, err := c.sock.Read(d[netsim.HeaderSize:])
+		if err != nil {
+			netsim.FreeBuf(d)
+			return nil, err
+		}
+		d = d[:netsim.HeaderSize+n]
+	} else {
+		// Peek consumes nothing: failing here (idle timeout, clean EOF)
+		// leaves the stream at a record boundary and still usable.
+		if _, err := c.br.Peek(1); err != nil {
+			return nil, err
+		}
+		var err error
+		if d, err = readRecord(c.br, netsim.HeaderSize); err != nil {
+			c.sock.Close()
+			return nil, err
+		}
 	}
 	c.mu.Lock()
 	src := c.peer
@@ -94,8 +113,8 @@ func (c *Conn) Recv(timeout time.Duration) ([]byte, error) {
 }
 
 // Addr implements oncrpc.Conn with a placeholder fabric address outside
-// every gateway's synthetic peer range.
+// the gateways' synthetic peer range.
 func (c *Conn) Addr() netsim.Addr { return netsim.Addr{Host: connPlaceholderHost, Port: 1} }
 
 // Close implements oncrpc.Conn.
-func (c *Conn) Close() { _ = c.tcp.Close() }
+func (c *Conn) Close() { _ = c.sock.Close() }

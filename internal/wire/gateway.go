@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,55 +13,102 @@ import (
 	"slice/internal/obs"
 )
 
-// synthHostBase is the base of the gateway's synthetic client host
-// range. It is disjoint from udpgate's (0x7F000000): an ensemble serving
-// both transports must never hand two transports the same fabric host.
-const synthHostBase = 0x7F100000
+const (
+	// synthHostBase is the base of the synthetic client host range; the
+	// allocator pre-increments, so the first peer host is synthHostBase+1.
+	synthHostBase = 0x7F000000
 
-// synthHosts allocates synthetic hosts process-wide, not per gateway: a
-// fleet runs one gateway per member over one shared fabric, and
-// per-gateway counters would hand connections on different members the
-// same host. Since netsim recycles ephemeral ports after close, two such
-// connections could end up with identical {host, port} source addresses
-// — and identical addresses poison the servers' duplicate-request
-// caches across clients. Monotonic process-wide hosts make every
-// connection's fabric address unique for the life of the process.
+	// connPlaceholderHost is the fabric host a client-side Conn reports in
+	// Addr(). It sits below synthHostBase, so it can never collide with a
+	// gateway-allocated peer host.
+	connPlaceholderHost = 0x7E000001
+
+	// maxDatagram is the largest payload a UDP datagram can carry (65535
+	// minus IP and UDP headers). Datagram read buffers are sized to it,
+	// not to netsim.MaxDatagram: jumbo fabric datagrams never ride UDP.
+	maxDatagram = 65507
+
+	// IdleTimeout is how long a datagram peer may stay quiet before its
+	// fabric port and pump goroutine are reclaimed. A stream peer needs no
+	// timer: its connection closing is the signal.
+	IdleTimeout = 2 * time.Minute
+)
+
+// synthHosts allocates synthetic peer hosts process-wide — not per
+// gateway and not per framing: a fleet runs up to two gateways per member
+// over one shared fabric, and independent counters would hand peers of
+// different gateways the same host. Since netsim recycles ephemeral ports
+// after close, two distinct remote clients could then end up with
+// identical {host, port} fabric addresses — which poisons the servers'
+// duplicate-request caches across clients. Monotonic process-wide hosts
+// keep every peer's fabric address unique for the life of the process.
 var synthHosts atomic.Uint32
 
-// Stats counts gateway activity. Record maxima are what the conformance
-// tests assert: a transfer whose records exceed the old 96 KiB datagram
-// cap proves the stream path is no longer datagram-bound.
+// Stats counts gateway activity; a datagram counts as one record. Drops
+// are invisible to both endpoints (they look like network loss, and RPC
+// retransmission recovers), so each cause is counted rather than silently
+// discarded. Record maxima are what the conformance tests assert: a
+// transfer whose records exceed the old 96 KiB datagram cap proves the
+// stream path is not datagram-bound.
 type Stats struct {
-	Conns       int    // live connections
-	TotalConns  uint64 // connections ever accepted
+	Conns       int    // live peers: stream connections or datagram remotes
+	TotalConns  uint64 // peers ever admitted
 	RxRecords   uint64 // records read from clients
 	TxRecords   uint64 // records written to clients
 	RxBytes     uint64
 	TxBytes     uint64
 	MaxRxRecord uint64 // largest single record received
 	MaxTxRecord uint64 // largest single record sent
-	Drops       uint64 // records dropped: fabric send or TCP write failed
+	Drops       uint64 // DropNoPeer + DropInject + DropWrite
+	DropNoPeer  uint64 // inbound: no fabric endpoint could be allocated
+	DropInject  uint64 // inbound: fabric send failed
+	DropWrite   uint64 // outbound: socket write failed
+	Evicted     uint64 // datagram peers reclaimed by idle eviction
 }
 
-// gwHists are the obs histograms a gateway records into.
+// event indexes the rare-event counters: the three drop causes and idle
+// eviction.
+type event int
+
+const (
+	dropNoPeer event = iota
+	dropInject
+	dropWrite
+	evicted
+	numEvents
+)
+
+var eventHists = [numEvents]string{
+	obs.HistWireDropNoPeer, obs.HistWireDropInject, obs.HistWireDropWrite, obs.HistWireEvicted,
+}
+
+// gwHists are the obs histograms a gateway records into. The events are
+// counters in histogram clothing (every sample is 1, the count is the
+// value), which is how drops reach `slicectl stats`.
 type gwHists struct {
 	rxRecord *obs.Histogram // bytes per received record
 	txRecord *obs.Histogram // bytes per sent record
-	connRx   *obs.Histogram // bytes per connection lifetime, inbound
-	connTx   *obs.Histogram // bytes per connection lifetime, outbound
-	connNS   *obs.Histogram // connection lifetime in nanoseconds
+	connRx   *obs.Histogram // bytes per stream connection lifetime, inbound
+	connTx   *obs.Histogram // bytes per peer lifetime, outbound
+	connNS   *obs.Histogram // peer lifetime in nanoseconds
+	events   [numEvents]*obs.Histogram
 }
 
-// Gateway accepts record-marked ONC-RPC TCP connections and relays each
-// onto the netsim fabric under a synthetic per-connection client
-// address, so the traffic traverses the interposed µproxy fleet.
+// Gateway gives real-socket clients a synthetic address on the netsim
+// fabric: every record a remote peer sends is injected toward the virtual
+// server from that address, so it traverses the interposed µproxy exactly
+// like in-fabric traffic, and replies are pumped back to the peer's
+// socket. It serves one of two framings — record-marked ONC-RPC streams
+// or bare UDP datagrams — which differ only in how a peer is
+// demultiplexed, how records are delimited and when a peer ends.
 type Gateway struct {
-	ln      net.Listener
+	sock    io.Closer    // the TCP listener or the UDP socket
+	addr    net.Addr     // where it listens
+	pc      *net.UDPConn // datagram framing, else nil
 	fabric  *netsim.Network
 	virtual netsim.Addr
 
-	fragSize int
-	hists    atomic.Pointer[gwHists]
+	hists atomic.Pointer[gwHists]
 
 	totalConns  atomic.Uint64
 	rxRecords   atomic.Uint64
@@ -68,70 +117,104 @@ type Gateway struct {
 	txBytes     atomic.Uint64
 	maxRxRecord atomic.Uint64
 	maxTxRecord atomic.Uint64
-	drops       atomic.Uint64
+	events      [numEvents]atomic.Uint64
 
 	mu     sync.Mutex
-	conns  map[*gwConn]struct{}
+	peers  map[netip.AddrPort]*peer // by remote socket address
 	closed bool
+	stop   chan struct{}
 	wg     sync.WaitGroup
 }
 
-type gwConn struct {
-	tcp  net.Conn
-	port *netsim.Port
+// peer is one remote client: its socket address, its synthetic fabric
+// endpoint and, for idle eviction of datagram peers, when it last moved a
+// datagram in either direction.
+type peer struct {
+	remote   netip.AddrPort
+	port     *netsim.Port
+	tcp      net.Conn     // stream framing, else nil
+	lastUsed atomic.Int64 // UnixNano; datagram framing only
 }
 
-// NewGateway starts a gateway listening on the given TCP address,
-// forwarding to the fabric's virtual server address.
+func (p *peer) touch() { p.lastUsed.Store(time.Now().UnixNano()) }
+
+func (p *peer) close() {
+	if p.tcp != nil {
+		p.tcp.Close()
+	}
+	p.port.Close()
+}
+
+// NewGateway starts a gateway accepting record-marked ONC-RPC connections
+// on the given TCP address, forwarding to the fabric's virtual server
+// address.
 func NewGateway(listen string, fabric *netsim.Network, virtual netsim.Addr) (*Gateway, error) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return nil, err
 	}
-	g := &Gateway{
-		ln:       ln,
-		fabric:   fabric,
-		virtual:  virtual,
-		fragSize: DefaultFragSize,
-		conns:    make(map[*gwConn]struct{}),
-	}
+	g := newGateway(ln, ln.Addr(), fabric, virtual)
 	g.wg.Add(1)
-	go g.acceptLoop()
+	go g.acceptLoop(ln)
 	return g, nil
 }
 
-// SetObs attaches an obs registry for per-connection wire histograms.
-func (g *Gateway) SetObs(r *obs.Registry) {
-	if r == nil {
-		g.hists.Store(nil)
-		return
+// NewDatagramGateway starts a gateway relaying bare RPC datagrams on the
+// given UDP address, forwarding to the fabric's virtual server address.
+func NewDatagramGateway(listen string, fabric *netsim.Network, virtual netsim.Addr) (*Gateway, error) {
+	pc, err := net.ListenPacket("udp", listen)
+	if err != nil {
+		return nil, err
 	}
-	g.hists.Store(&gwHists{
+	g := newGateway(pc, pc.LocalAddr(), fabric, virtual)
+	g.pc = pc.(*net.UDPConn)
+	g.wg.Add(2)
+	go g.datagramLoop()
+	go g.janitor()
+	return g, nil
+}
+
+func newGateway(sock io.Closer, addr net.Addr, fabric *netsim.Network, virtual netsim.Addr) *Gateway {
+	return &Gateway{
+		sock:    sock,
+		addr:    addr,
+		fabric:  fabric,
+		virtual: virtual,
+		peers:   make(map[netip.AddrPort]*peer),
+		stop:    make(chan struct{}),
+	}
+}
+
+// SetObs attaches an obs registry for the gateway's histograms.
+func (g *Gateway) SetObs(r *obs.Registry) {
+	h := &gwHists{
 		rxRecord: r.Hist(obs.HistWireRxRecord),
 		txRecord: r.Hist(obs.HistWireTxRecord),
 		connRx:   r.Hist(obs.HistWireConnRx),
 		connTx:   r.Hist(obs.HistWireConnTx),
 		connNS:   r.Hist(obs.HistWireConnNS),
-	})
+	}
+	for ev, name := range eventHists {
+		h.events[ev] = r.Hist(name)
+	}
+	g.hists.Store(h)
 }
 
-// Addr returns the TCP address the gateway listens on.
-func (g *Gateway) Addr() net.Addr { return g.ln.Addr() }
+// Addr returns the socket address the gateway listens on.
+func (g *Gateway) Addr() net.Addr { return g.addr }
 
-// Port returns the TCP port the gateway listens on.
+// Port returns the TCP or UDP port the gateway listens on.
 func (g *Gateway) Port() uint32 {
-	if a, ok := g.ln.Addr().(*net.TCPAddr); ok {
-		return uint32(a.Port)
-	}
-	return 0
+	ap, _ := netip.ParseAddrPort(g.addr.String())
+	return uint32(ap.Port())
 }
 
 // Stats returns a snapshot of the gateway counters.
 func (g *Gateway) Stats() Stats {
 	g.mu.Lock()
-	conns := len(g.conns)
+	conns := len(g.peers)
 	g.mu.Unlock()
-	return Stats{
+	s := Stats{
 		Conns:       conns,
 		TotalConns:  g.totalConns.Load(),
 		RxRecords:   g.rxRecords.Load(),
@@ -140,11 +223,16 @@ func (g *Gateway) Stats() Stats {
 		TxBytes:     g.txBytes.Load(),
 		MaxRxRecord: g.maxRxRecord.Load(),
 		MaxTxRecord: g.maxTxRecord.Load(),
-		Drops:       g.drops.Load(),
+		DropNoPeer:  g.events[dropNoPeer].Load(),
+		DropInject:  g.events[dropInject].Load(),
+		DropWrite:   g.events[dropWrite].Load(),
+		Evicted:     g.events[evicted].Load(),
 	}
+	s.Drops = s.DropNoPeer + s.DropInject + s.DropWrite
+	return s
 }
 
-// Close stops the gateway and tears down every connection.
+// Close stops the gateway and tears down every peer.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -152,36 +240,18 @@ func (g *Gateway) Close() {
 		return
 	}
 	g.closed = true
-	for c := range g.conns {
-		c.tcp.Close()
-		c.port.Close()
+	close(g.stop)
+	for _, p := range g.peers {
+		p.close()
 	}
 	g.mu.Unlock()
-	g.ln.Close()
+	g.sock.Close()
 	g.wg.Wait()
 }
 
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		tcp, err := g.ln.Accept()
-		if err != nil {
-			return
-		}
-		c, err := g.admit(tcp)
-		if err != nil {
-			tcp.Close()
-			continue
-		}
-		g.totalConns.Add(1)
-		g.wg.Add(2)
-		go g.connReader(c)
-		go g.connWriter(c)
-	}
-}
-
-// admit allocates the connection's synthetic fabric endpoint.
-func (g *Gateway) admit(tcp net.Conn) (*gwConn, error) {
+// admit allocates a new peer's synthetic fabric endpoint and starts its
+// reply pump.
+func (g *Gateway) admit(remote netip.AddrPort, tcp net.Conn) (*peer, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -191,101 +261,216 @@ func (g *Gateway) admit(tcp net.Conn) (*gwConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &gwConn{tcp: tcp, port: port}
-	g.conns[c] = struct{}{}
-	return c, nil
+	p := &peer{remote: remote, port: port, tcp: tcp}
+	p.touch()
+	g.peers[remote] = p
+	g.totalConns.Add(1)
+	g.wg.Add(1)
+	go g.pumpOut(p)
+	return p, nil
 }
 
-// drop removes a connection; idempotent across the reader and writer.
-func (g *Gateway) drop(c *gwConn) {
+// retire removes a peer; idempotent across its reader and its pump. The
+// table entry is deleted only while it is still this peer: the kernel may
+// already have handed the remote address to a successor.
+func (g *Gateway) retire(p *peer) {
 	g.mu.Lock()
-	delete(g.conns, c)
+	if g.peers[p.remote] == p {
+		delete(g.peers, p.remote)
+	}
 	g.mu.Unlock()
-	c.tcp.Close()
-	c.port.Close()
+	p.close()
 }
 
-// connReader reassembles records off the TCP stream and sends each onto
-// the fabric toward the virtual server from the connection's synthetic
-// address, so the µproxy fleet intercepts it like any client datagram.
-func (g *Gateway) connReader(c *gwConn) {
-	defer g.wg.Done()
-	defer g.drop(c)
+// count records n occurrences of a rare event.
+func (g *Gateway) count(ev event, n uint64) {
+	g.events[ev].Add(n)
+	if h := g.hists.Load(); h != nil {
+		for ; n > 0; n-- {
+			h.events[ev].Record(1)
+		}
+	}
+}
 
-	start := time.Now()
+// inject sends one received record onto the fabric toward the virtual
+// server from the peer's synthetic address, so the µproxy fleet intercepts
+// it like any client datagram. SendTo copies the record into a pooled
+// datagram; a failure (e.g. a record larger than the fabric MTU) is
+// counted, and RPC retransmission recovers exactly as for datagram loss.
+func (g *Gateway) inject(p *peer, rec []byte) {
+	n := uint64(len(rec))
+	g.rxRecords.Add(1)
+	g.rxBytes.Add(n)
+	maxUp(&g.maxRxRecord, n)
+	if h := g.hists.Load(); h != nil {
+		h.rxRecord.Record(n)
+	}
+	if err := p.port.SendTo(g.virtual, rec); err != nil {
+		g.count(dropInject, 1)
+	}
+}
+
+func (g *Gateway) acceptLoop(ln net.Listener) {
+	defer g.wg.Done()
+	for {
+		tcp, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		p, err := g.admit(tcp.RemoteAddr().(*net.TCPAddr).AddrPort(), tcp)
+		if err != nil {
+			g.count(dropNoPeer, 1)
+			tcp.Close()
+			continue
+		}
+		g.wg.Add(1)
+		go g.streamReader(p)
+	}
+}
+
+// streamReader reassembles records off a peer's TCP stream and injects
+// each. The connection ending is what retires a stream peer.
+func (g *Gateway) streamReader(p *peer) {
+	defer g.wg.Done()
+	defer g.retire(p)
+
 	var connRx uint64
 	defer func() {
 		if h := g.hists.Load(); h != nil {
 			h.connRx.Record(connRx)
-			h.connNS.Record(uint64(time.Since(start)))
 		}
 	}()
 
-	br := bufio.NewReaderSize(c.tcp, 64<<10)
+	br := bufio.NewReaderSize(p.tcp, 64<<10)
 	for {
 		rec, err := readRecord(br, 0)
 		if err != nil {
 			return
 		}
-		n := uint64(len(rec))
-		g.rxRecords.Add(1)
-		g.rxBytes.Add(n)
-		connRx += n
-		maxUp(&g.maxRxRecord, n)
-		if h := g.hists.Load(); h != nil {
-			h.rxRecord.Record(n)
-		}
-		// SendTo copies the record into a pooled datagram; drops (e.g. a
-		// record larger than the fabric MTU) are counted, and RPC
-		// retransmission recovers exactly as for datagram loss.
-		if err := c.port.SendTo(g.virtual, rec); err != nil {
-			g.drops.Add(1)
-		}
+		connRx += uint64(len(rec))
+		g.inject(p, rec)
 		netsim.FreeBuf(rec)
 	}
 }
 
-// connWriter drains the connection's fabric port and writes each reply
-// payload as one record, coalescing everything already queued into a
-// single flush (one TCP write burst per wakeup, not per record).
-func (g *Gateway) connWriter(c *gwConn) {
+// datagramLoop reads UDP datagrams (bare RPC payloads), demultiplexes
+// them to peers by source address — admitting on first contact — and
+// injects each.
+func (g *Gateway) datagramLoop() {
 	defer g.wg.Done()
-	defer g.drop(c)
-
-	var connTx uint64
-	defer func() {
-		if h := g.hists.Load(); h != nil {
-			h.connTx.Record(connTx)
-		}
-	}()
-
-	bw := bufio.NewWriterSize(c.tcp, 128<<10)
+	buf := make([]byte, maxDatagram)
 	for {
-		d, err := c.port.Recv(0)
+		n, remote, err := g.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
-		for {
-			if err := g.writeOne(bw, d, &connTx); err != nil {
-				g.drops.Add(1)
-				return
-			}
-			var ok bool
-			if d, ok = c.port.TryRecv(); !ok {
-				break
+		g.mu.Lock()
+		p := g.peers[remote]
+		g.mu.Unlock()
+		if p == nil {
+			if p, err = g.admit(remote, nil); err != nil {
+				g.count(dropNoPeer, 1)
+				continue
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			g.drops.Add(1)
+		p.touch()
+		g.inject(p, buf[:n])
+	}
+}
+
+// janitor reclaims idle datagram peers. Without it, every remote address
+// that ever sent a datagram pinned a port and a goroutine for the life of
+// the gateway.
+func (g *Gateway) janitor() {
+	defer g.wg.Done()
+	tick := time.NewTicker(IdleTimeout / 8)
+	defer tick.Stop()
+	for {
+		select {
+		case <-g.stop:
 			return
+		case now := <-tick.C:
+			g.evictIdle(now)
 		}
 	}
 }
 
-func (g *Gateway) writeOne(bw *bufio.Writer, d []byte, connTx *uint64) error {
+// evictIdle retires every peer quiet for IdleTimeout as of now; closing
+// the fabric port drains the peer's pump. A returning remote is simply
+// re-admitted under a fresh synthetic address.
+func (g *Gateway) evictIdle(now time.Time) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for remote, p := range g.peers {
+		if now.Sub(time.Unix(0, p.lastUsed.Load())) < IdleTimeout {
+			continue
+		}
+		delete(g.peers, remote)
+		p.close()
+		g.count(evicted, 1)
+	}
+}
+
+// pumpOut drains a peer's fabric port back to its socket until the port
+// closes (gateway shutdown, connection end or idle eviction). On a stream
+// everything already queued coalesces into a single flush — one TCP write
+// burst per wakeup, not per record — and a failed write ends the
+// connection, dropping the whole unflushed burst. A datagram is its own
+// burst, and a failed write is one lost reply, not a dead peer.
+func (g *Gateway) pumpOut(p *peer) {
+	defer g.wg.Done()
+	defer g.retire(p)
+
+	start := time.Now()
+	var connTx uint64
+	defer func() {
+		if h := g.hists.Load(); h != nil {
+			h.connTx.Record(connTx)
+			h.connNS.Record(uint64(time.Since(start)))
+		}
+	}()
+
+	var bw *bufio.Writer
+	if p.tcp != nil {
+		bw = bufio.NewWriterSize(p.tcp, 128<<10)
+	}
+	for {
+		d, err := p.port.Recv(0)
+		if err != nil {
+			return
+		}
+		burst := uint64(1)
+		err = g.writeOne(p, bw, d, &connTx)
+		for bw != nil && err == nil {
+			next, ok := p.port.TryRecv()
+			if !ok {
+				err = bw.Flush()
+				break
+			}
+			burst++
+			err = g.writeOne(p, bw, next, &connTx)
+		}
+		if err != nil {
+			g.count(dropWrite, burst)
+			if bw != nil {
+				return
+			}
+		}
+	}
+}
+
+// writeOne writes one reply payload to the peer's socket — as a record
+// into the stream's write buffer, or as a datagram — and frees it.
+func (g *Gateway) writeOne(p *peer, bw *bufio.Writer, d []byte, connTx *uint64) error {
 	payload := netsim.Payload(d)
 	n := uint64(len(payload))
-	err := writeRecord(bw, payload, g.fragSize)
+	var err error
+	if bw != nil {
+		err = writeRecord(bw, payload)
+	} else {
+		p.touch()
+		_, err = g.pc.WriteToUDPAddrPort(payload, p.remote)
+	}
 	netsim.FreeBuf(d)
 	if err != nil {
 		return err

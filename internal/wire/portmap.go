@@ -110,7 +110,7 @@ func (p *Portmap) serveConn(tcp net.Conn) {
 			r.ObserveRPC(call.Program, call.Version, call.Proc, uint64(time.Since(t0)))
 		}
 		netsim.FreeBuf(rec)
-		if err := writeRecord(bw, reply, 0); err != nil {
+		if err := writeRecord(bw, reply); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -168,7 +168,7 @@ func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder)) ([
 	defer tcp.Close()
 	xid := xidCounter.Add(1)
 	bw := bufio.NewWriter(tcp)
-	if err := writeRecord(bw, oncrpc.EncodeCall(xid, prog, vers, proc, args), 0); err != nil {
+	if err := writeRecord(bw, oncrpc.EncodeCall(xid, prog, vers, proc, args)); err != nil {
 		return nil, err
 	}
 	if err := bw.Flush(); err != nil {

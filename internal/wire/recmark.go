@@ -1,16 +1,18 @@
 // Package wire is the real-socket serving layer: it exposes a running
-// Slice ensemble on TCP with standard ONC-RPC record marking (RFC 1831
-// §10), an embedded portmapper (RFC 1833), and the MOUNT program, so a
-// stock NFSv3-style client can discover, mount, and drive the sliced
-// file service over an ordinary network.
+// Slice ensemble to clients in other processes (or on other machines)
+// over TCP with standard ONC-RPC record marking (RFC 1831 §10) or over
+// bare UDP datagrams, with an embedded portmapper (RFC 1833) and the
+// MOUNT program, so a stock NFSv3-style client can discover, mount, and
+// drive the sliced file service over an ordinary network.
 //
-// The TCP gateway plays the same trick as udpgate: each accepted
-// connection is assigned a synthetic client address on the netsim
-// fabric, and decoded records are sent toward the virtual server — so
+// Server side, a Gateway assigns each remote peer — an accepted
+// connection or a UDP source address — a synthetic client address on the
+// netsim fabric and sends its records toward the virtual server, so
 // real-wire traffic traverses the interposed µproxy fleet exactly like
-// in-fabric traffic. Unlike UDP, record-marked TCP has no 64 KiB
-// datagram ceiling: whole stripe-unit READ/WRITE bodies ride a single
-// record, fragmented and reassembled at the marking layer.
+// in-fabric traffic. Client side, Dial and DialDatagram return an
+// oncrpc.Conn for client.NewWithConn. Unlike UDP, record-marked TCP has
+// no 64 KiB datagram ceiling: whole stripe-unit READ/WRITE bodies ride a
+// single record, fragmented and reassembled at the marking layer.
 package wire
 
 import (
@@ -27,10 +29,10 @@ const (
 	// the largest READ/WRITE body (xdr.MaxOpaque = 1 MiB) plus headers.
 	MaxRecord = 1<<20 + 4096
 
-	// DefaultFragSize is the fragment size writers cut records into.
-	// 64 KiB keeps any single fragment within the pool's mid classes and
-	// exercises multi-fragment reassembly on every jumbo transfer.
-	DefaultFragSize = 64 << 10
+	// fragSize is the fragment size writers cut records into. 64 KiB keeps
+	// any single fragment within the pool's mid classes and exercises
+	// multi-fragment reassembly on every jumbo transfer.
+	fragSize = 64 << 10
 
 	// lastFrag is the record-marking terminal bit (RFC 1831 §10).
 	lastFrag = 0x80000000
@@ -97,13 +99,10 @@ func readRecord(r io.Reader, hdrRoom int) ([]byte, error) {
 }
 
 // writeRecord writes payload to w as one record-marked message, cut into
-// fragments of at most fragSize bytes (DefaultFragSize if <= 0). Callers
-// pass a buffered writer and flush once per burst, so consecutive small
-// records coalesce into one TCP write.
-func writeRecord(w io.Writer, payload []byte, fragSize int) error {
-	if fragSize <= 0 {
-		fragSize = DefaultFragSize
-	}
+// fragments of at most fragSize bytes. Callers pass a buffered writer and
+// flush once per burst, so consecutive small records coalesce into one
+// TCP write.
+func writeRecord(w io.Writer, payload []byte) error {
 	if len(payload) > MaxRecord {
 		return ErrRecordTooLarge
 	}

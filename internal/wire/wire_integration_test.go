@@ -12,6 +12,7 @@ import (
 	"slice/internal/ensemble"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
+	"slice/internal/route"
 	"slice/internal/wire"
 	"slice/internal/xdr"
 )
@@ -235,5 +236,69 @@ func TestWireFleetGateways(t *testing.T) {
 			t.Fatalf("readdir: %d entries, %v (want %d)", len(ents), err, len(e.Gateways))
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCrossProcessMountOverUDP drives a full client session over a real
+// UDP socket into a running ensemble: the default deployment path of
+// cmd/sliced and cmd/slicectl.
+func TestCrossProcessMountOverUDP(t *testing.T) {
+	e, err := ensemble.New(ensemble.Config{
+		StorageNodes:     2,
+		DirServers:       2,
+		SmallFileServers: 1,
+		Coordinator:      true,
+		NameKind:         route.MkdirSwitching,
+		MkdirP:           0.5,
+		UDPListen:        "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	gwAddr := e.DatagramGateways[0].Addr().String()
+
+	conn, err := wire.DialDatagram(gwAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.NewWithConn(conn, client.Config{Server: e.Virtual})
+	defer c.Close()
+
+	if err := c.Mount(); err != nil {
+		t.Fatalf("mount over UDP: %v", err)
+	}
+	fh, _, err := c.Create(c.Root(), "over-udp", 0o644, true)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	payload := bytes.Repeat([]byte("udp"), 50000) // crosses the threshold
+	if err := c.WriteFile(fh, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	got, err := c.ReadAll(fh)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %d bytes, err %v", len(got), err)
+	}
+	ents, err := c.ReadDir(c.Root())
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("readdir: %d entries, %v", len(ents), err)
+	}
+
+	// A second independent socket sees the same volume.
+	conn2, err := wire.DialDatagram(gwAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := client.NewWithConn(conn2, client.Config{Server: e.Virtual})
+	defer c2.Close()
+	if err := c2.Mount(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c2.Lookup(c2.Root(), "over-udp"); err != nil {
+		t.Fatalf("second client lookup: %v", err)
+	}
+	if st := e.DatagramGateways[0].Stats(); st.TotalConns != 2 || st.Drops != 0 || st.MaxRxRecord > 65507 {
+		t.Fatalf("datagram gateway stats: %+v", st)
 	}
 }

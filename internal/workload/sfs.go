@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"slice/internal/attr"
 	"slice/internal/client"
@@ -223,17 +222,6 @@ type DDConfig struct {
 type DDStats struct {
 	Bytes    int
 	Mismatch bool
-	// Elapsed is the wall time of the transfer (including the COMMIT
-	// barrier on writes), so callers can report bandwidth.
-	Elapsed time.Duration
-}
-
-// MBps returns the transfer bandwidth in decimal megabytes per second.
-func (st DDStats) MBps() float64 {
-	if st.Elapsed <= 0 {
-		return 0
-	}
-	return float64(st.Bytes) / 1e6 / st.Elapsed.Seconds()
 }
 
 // DD performs a sequential write (creating the file) or a sequential read
@@ -246,7 +234,6 @@ func DD(c *client.Client, root fhandle.Handle, cfg DDConfig) (DDStats, error) {
 	if cfg.Bytes <= 0 {
 		cfg.Bytes = 1 << 20
 	}
-	t0 := time.Now()
 	if cfg.Write {
 		fh, _, err := c.Create(root, cfg.Name, 0o644, false)
 		if err != nil {
@@ -269,7 +256,6 @@ func DD(c *client.Client, root fhandle.Handle, cfg DDConfig) (DDStats, error) {
 		if _, err := c.Commit(fh); err != nil {
 			return st, fmt.Errorf("dd: commit: %w", err)
 		}
-		st.Elapsed = time.Since(t0)
 		return st, nil
 	}
 	fh, _, err := c.Lookup(root, cfg.Name)
@@ -295,7 +281,6 @@ func DD(c *client.Client, root fhandle.Handle, cfg DDConfig) (DDStats, error) {
 			break
 		}
 	}
-	st.Elapsed = time.Since(t0)
 	return st, nil
 }
 

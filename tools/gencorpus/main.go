@@ -21,6 +21,7 @@ import (
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 	"slice/internal/wal"
+	"slice/internal/wire"
 	"slice/internal/xdr"
 )
 
@@ -31,6 +32,7 @@ func main() {
 	emitOncrpc()
 	emitWal()
 	emitRoute()
+	emitWire()
 	fmt.Println("gencorpus: seed corpora written")
 }
 
@@ -54,6 +56,33 @@ func write(pkg, target, name string, args ...any) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// emitWire seeds FuzzReadRecord with RFC 1831 record-marked streams, the
+// marks written by hand (the framing code is unexported): back-to-back
+// records, multi-fragment reassembly, an empty record, and the hostile
+// shapes — a tail torn inside a mark and inside a body, a zero-length
+// non-terminal fragment and one fragment claiming more than MaxRecord.
+// (Fragments whose sum overflows MaxRecord need a megabyte of input;
+// TestReadRecordHostileFrames covers them.)
+func emitWire() {
+	const target = "FuzzReadRecord"
+	const last = 0x80000000
+	frag := func(mark uint32, body []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, mark|uint32(len(body))), body...)
+	}
+	call := bytes.Repeat([]byte("NFS3"), 32)
+	whole := frag(last, call)
+	write("wire", target, "seed_one_record", whole)
+	write("wire", target, "seed_back_to_back", append(append([]byte(nil), whole...), frag(last, []byte("second"))...))
+	multi := append(append(frag(0, call[:50]), frag(0, call[50:51])...), frag(last, call[51:])...)
+	write("wire", target, "seed_three_fragments", multi)
+	write("wire", target, "seed_empty_record", frag(last, nil))
+	write("wire", target, "seed_empty_terminal_fragment", append(frag(0, call), frag(last, nil)...))
+	write("wire", target, "seed_torn_mark", append(append([]byte(nil), whole...), 0x80, 0x00))
+	write("wire", target, "seed_torn_body", multi[:len(multi)-7])
+	write("wire", target, "seed_zero_nonterminal", append(frag(0, nil), whole...))
+	write("wire", target, "seed_oversize_fragment", binary.BigEndian.AppendUint32(nil, last|(wire.MaxRecord+1)))
 }
 
 // emitChecksum seeds FuzzSum, which checks the word-wide checksum kernel
