@@ -308,9 +308,9 @@ func printSpan(s obs.NamedSpan) {
 	if s.End > s.Start {
 		total = uint64(s.End - s.Start)
 	}
-	fmt.Printf("%s xid=%d %s total=%s classify=%s route=%s rewrite=%s\n",
+	fmt.Printf("%s xid=%d %s total=%s intercept=%s decode=%s rewrite=%s softstate=%s\n",
 		s.Component, s.ID, obs.OpName(s.Prog, s.Proc), obs.Nanos(total),
-		obs.Nanos(s.ClassifyNS), obs.Nanos(s.RouteNS), obs.Nanos(s.RewriteNS))
+		obs.Nanos(s.InterceptNS), obs.Nanos(s.DecodeNS), obs.Nanos(s.RewriteNS), obs.Nanos(s.SoftStateNS))
 	hops := s.NHops
 	if hops > obs.MaxHops {
 		hops = obs.MaxHops

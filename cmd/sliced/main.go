@@ -5,17 +5,28 @@
 // record-marked TCP with -tcp. Point cmd/slicectl at the printed address.
 //
 //	sliced -storage 8 -dirs 4 -small 2 -policy switch -p 0.25 -listen 127.0.0.1:20490
+//
+// µproxies are freely replicable (§2.1): -proxies N fronts the ensemble
+// with an N-member fleet — shared-nothing soft state, one set of routing
+// tables — and member i listens at the -listen (and -tcp) port + i. The
+// only constraint is that each client's request stream passes through a
+// single µproxy; clients of different endpoints share the volume with no
+// coordination between the members beyond their (read-mostly) tables.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"time"
 
 	"slice/internal/ensemble"
+	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/route"
 	"slice/internal/wire"
@@ -26,6 +37,7 @@ func main() {
 		storage = flag.Int("storage", 4, "number of storage nodes")
 		dirs    = flag.Int("dirs", 2, "number of directory servers")
 		small   = flag.Int("small", 2, "number of small-file servers")
+		proxies = flag.Int("proxies", 1, "µproxy fleet size (1..8); member i listens at the -listen/-tcp port + i")
 		policy  = flag.String("policy", "switch", "name-space policy: switch | hash")
 		p       = flag.Float64("p", 0.25, "mkdir redirection probability (switch policy)")
 		mirror  = flag.Int("mirror", 0, "mirror degree for new files (0/1 = unmirrored)")
@@ -35,8 +47,23 @@ func main() {
 		tcp     = flag.String("tcp", "", "TCP listen address for record-marked ONC-RPC (empty = UDP only)")
 		portmap = flag.String("portmap", "", "portmapper TCP listen address (requires -tcp; use :111 for real mount clients)")
 		stats   = flag.Duration("stats", 10*time.Second, "stats print interval (0 = off)")
+		pprof   = flag.String("pprof", "", "serve net/http/pprof, with mutex and block profiling armed, on this address (empty = off)")
 	)
 	flag.Parse()
+
+	if *pprof != "" {
+		// Contention profiling of the sharded data path: sample one mutex
+		// event in 5 and every block of 10µs or more, served at
+		// /debug/pprof/{mutex,block}.
+		runtime.SetMutexProfileFraction(5)
+		runtime.SetBlockProfileRate(10_000)
+		go func() {
+			if err := http.ListenAndServe(*pprof, nil); err != nil {
+				log.Printf("sliced: pprof server: %v", err)
+			}
+		}()
+		fmt.Printf("sliced: pprof at http://%s/debug/pprof/\n", *pprof)
+	}
 
 	kind := route.MkdirSwitching
 	if *policy == "hash" {
@@ -46,6 +73,7 @@ func main() {
 		StorageNodes:      *storage,
 		DirServers:        *dirs,
 		SmallFileServers:  *small,
+		Proxies:           *proxies,
 		Coordinator:       true,
 		NameKind:          kind,
 		MkdirP:            *p,
@@ -66,12 +94,11 @@ func main() {
 	fmt.Printf("  storage nodes      : %d\n", len(e.Storage))
 	fmt.Printf("  directory servers  : %d (%s, p=%.2f)\n", len(e.Dirs), kind, *p)
 	fmt.Printf("  small-file servers : %d\n", len(e.Small))
-	fmt.Printf("  virtual server     : %v (fabric)\n", e.Virtual)
-	for _, g := range e.DatagramGateways {
-		fmt.Printf("  UDP endpoint       : %v (slicectl -connect %v <command>)\n", g.Addr(), g.Addr())
+	for i, g := range e.DatagramGateways {
+		fmt.Printf("  µproxy #%d UDP      : %v -> %v (slicectl -connect %v <command>)\n", i, g.Addr(), e.VirtualOf(i), g.Addr())
 	}
-	for _, g := range e.Gateways {
-		fmt.Printf("  TCP endpoint       : %v (record-marked ONC-RPC; slicectl -tcp -connect %v <command>)\n", g.Addr(), g.Addr())
+	for i, g := range e.Gateways {
+		fmt.Printf("  µproxy #%d TCP      : %v (record-marked ONC-RPC; slicectl -tcp -connect %v <command>)\n", i, g.Addr(), g.Addr())
 	}
 	if e.Portmap != nil {
 		fmt.Printf("  portmapper         : %v (program %d v%d)\n", e.Portmap.Addr(),
@@ -99,9 +126,21 @@ func main() {
 }
 
 func printStats(e *ensemble.Ensemble) {
-	st := e.Proxy.Stats()
-	fmt.Printf("[stats] µproxy: %d reqs, %d resps, %d absorbed, %d initiated\n",
-		st.Requests, st.Responses, st.Absorbed, st.Initiated)
+	for i, p := range e.Proxies {
+		if p == nil {
+			continue
+		}
+		st := p.Stats()
+		pending := 0
+		for _, sh := range p.ShardStats() {
+			pending += sh.Pending
+		}
+		fmt.Printf("[stats] µproxy[%d]: %d reqs, %d resps, %d absorbed, %d initiated, %d dropped, %d pending\n",
+			i, st.Requests, st.Responses, st.Absorbed, st.Initiated, st.Dropped, pending)
+	}
+	ps := netsim.PoolStats()
+	fmt.Printf("[stats] bufpool: %d gets / %d puts / %d fresh allocs / %d foreign frees\n",
+		ps.Gets, ps.Puts, ps.News, ps.Ignored)
 	for i, d := range e.Dirs {
 		c := d.Counters()
 		fmt.Printf("[stats] dir[%d]: %d ops, %d peer calls, %d cross-site\n",

@@ -113,11 +113,6 @@ type Config struct {
 	Clock func() attr.Time
 	// WritebackInterval for the µproxy attribute cache (0 = manual).
 	WritebackInterval time.Duration
-	// ProxyServiceTime, when positive, paces every fleet member at one
-	// request per ProxyServiceTime (proxy.Config.ServiceTime): a
-	// capacity model that makes fleet scale-out measurable on a single
-	// machine. Zero keeps the inline fast path.
-	ProxyServiceTime time.Duration
 	// CapabilityKey, when set, enables the §2.2 secure-object model:
 	// storage nodes verify keyed capabilities that the µproxy and
 	// coordinator stamp into storage-bound handles. Clients bypassing
@@ -541,7 +536,6 @@ func (e *Ensemble) newProxy(i int, reg *obs.Registry, tracer *obs.Tracer) *proxy
 		IO:                e.IOPolicy,
 		Names:             e.NamePolicy,
 		Coord:             coordAddr,
-		ServiceTime:       e.cfg.ProxyServiceTime,
 		WritebackInterval: e.cfg.WritebackInterval,
 		CapKey:            e.cfg.CapabilityKey,
 		Obs:               reg,

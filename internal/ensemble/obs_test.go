@@ -82,7 +82,7 @@ func TestObsHopAttribution(t *testing.T) {
 		}
 	}
 	for _, name := range []string{
-		"stage.classify", "stage.route", "stage.rewrite",
+		"stage.intercept", "stage.decode", "stage.rewrite", "stage.softstate",
 		"hop.mount", "hop.dirsrv", "hop.smallfile", "hop.storage", "hop.coord",
 		"e2e.mount.mnt", "e2e.nfs.create", "e2e.nfs.write", "e2e.nfs.commit",
 	} {

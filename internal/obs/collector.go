@@ -140,7 +140,7 @@ func (c *Collector) TracesJSON(max int) []byte {
 }
 
 // WriteText writes the whole cluster snapshot in the text exposition
-// format (the periodic dump of sliced/uproxyd and the /metrics page).
+// format (the periodic dump of sliced).
 func (c *Collector) WriteText(w io.Writer) {
 	for _, rs := range c.Snapshot().Components {
 		rs.WriteText(w)

@@ -223,7 +223,7 @@ func TestTracerSpans(t *testing.T) {
 	tr := NewTracer(64)
 	start := time.Now().UnixNano()
 	s := tr.Start(42, 3, start)
-	s.ClassifyNS = 100
+	s.DecodeNS = 100
 	s.AddHop(HopDirsrv, 5000, 3000)
 	s.AddHop(HopCoord, 7000, 6000)
 	tr.Finish(s, start+12_000)

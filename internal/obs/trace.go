@@ -60,10 +60,13 @@ type Span struct {
 	Proc  uint32 `json:"proc"` // procedure number within Prog
 	Start int64  `json:"start"`
 
-	// Per-stage µproxy costs for this request (Table 3's stages).
-	ClassifyNS uint64 `json:"classify_ns"`
-	RouteNS    uint64 `json:"route_ns"`
-	RewriteNS  uint64 `json:"rewrite_ns"`
+	// Per-stage µproxy costs for this request, request and reply halves
+	// together: Table 3's four stages, from the same clock laps that feed
+	// the µproxy's cumulative counters and stage.* histograms.
+	InterceptNS uint64 `json:"intercept_ns"`
+	DecodeNS    uint64 `json:"decode_ns"`
+	RewriteNS   uint64 `json:"rewrite_ns"`
+	SoftStateNS uint64 `json:"softstate_ns"`
 
 	Hops  [MaxHops]Hop `json:"hops"`
 	NHops int          `json:"nhops"` // hops crossed (may exceed len(Hops))

@@ -12,8 +12,13 @@
 // complete attribute set from the µproxy's attribute cache.
 //
 // All µproxy state is soft: pending-request records, routing tables, the
-// attribute cache, the name cache, and block-map fragments can be
-// discarded at any time; end-to-end RPC retransmission recovers.
+// attribute cache, and block-map fragments can be discarded at any time;
+// end-to-end RPC retransmission recovers. The µproxy caches nothing it
+// cannot keep exactly right on its own: attributes are merged from what
+// it routed and what the directory servers told it, never conjured, and
+// name-to-handle bindings — which another fleet member can change unseen —
+// are not cached at all (REMOVE resolves its victim with a LOOKUP of the
+// µproxy's own every time).
 //
 // Soft state is sharded: the pending-request table and every cache are
 // split into numShards independently locked shards keyed by a hash of the
@@ -25,7 +30,6 @@ package proxy
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -49,14 +53,22 @@ func shardIndex(h uint64) int { return int(h>>60) & (numShards - 1) }
 
 // ------------------------------------------------------- attribute cache
 
+// attrShardCap bounds each shard of the attribute cache (4096 entries in
+// all); inserting over it evicts the shard's least-recently-used entry.
+const attrShardCap = 4096 / numShards
+
 // attrEntry is one attribute-cache entry. Dirty entries hold attribute
 // changes (size/mtime from I/O traffic) not yet pushed to the directory
-// server with SETATTR. prev/next chain the shard's intrusive LRU list.
+// server with SETATTR. srvSize is the size the directory server last
+// reported (or was last sent): write-back sets the size only when routed
+// I/O grew the file past it, so a µproxy that merely overwrote part of a
+// file never pushes its partial view of the length. prev/next chain the
+// shard's intrusive LRU list.
 type attrEntry struct {
 	fh      fhandle.Handle
 	at      attr.Attr
+	srvSize uint64
 	dirty   bool
-	touched time.Time
 
 	prev, next *attrEntry
 }
@@ -68,33 +80,29 @@ type attrShard struct {
 	entries map[fhandle.Key]*attrEntry
 	head    *attrEntry
 	tail    *attrEntry
-	cap     int
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 // attrCache caches file attributes observed in responses and updated by
-// I/O completions (§4.1). It is bounded per shard; inserting over
-// capacity evicts the least-recently-used entry, and a dirty evictee is
-// returned to the caller for writeback OUTSIDE the shard lock, so a slow
-// directory server never stalls unrelated cache hits.
+// I/O completions (§4.1). Entries are created only by observe, from
+// attributes a directory server sent: access and update apply I/O on top
+// of an entry and report a miss otherwise, because attributes conjured
+// from one request would carry that request's view of the size (0 for a
+// READ, the end of one WRITE) and be served — or written back — as the
+// file's. It is bounded per shard; inserting over capacity evicts the
+// least-recently-used entry, and a dirty evictee is returned to the caller
+// for writeback OUTSIDE the shard lock, so a slow directory server never
+// stalls unrelated cache hits.
 type attrCache struct {
 	shards [numShards]attrShard
 }
 
-func newAttrCache(capacity int) *attrCache {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	per := capacity / numShards
-	if per < 1 {
-		per = 1
-	}
+func newAttrCache() *attrCache {
 	c := &attrCache{}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[fhandle.Key]*attrEntry)
-		c.shards[i].cap = per
 	}
 	return c
 }
@@ -148,7 +156,7 @@ func (s *attrShard) unlink(e *attrEntry) {
 // capacity. Called with the shard locked; the caller writes back a dirty
 // evictee after unlocking.
 func (s *attrShard) evictOver() (attrEntry, bool) {
-	if len(s.entries) <= s.cap || s.tail == nil {
+	if len(s.entries) <= attrShardCap || s.tail == nil {
 		return attrEntry{}, false
 	}
 	victim := s.tail
@@ -161,9 +169,7 @@ func (s *attrShard) evictOver() (attrEntry, bool) {
 func (c *attrCache) get(fh fhandle.Handle) (attr.Attr, bool) { return c.lookup(fh, nil) }
 
 // access stamps a read of fh at time now into its cached attributes and
-// returns them. Unlike update it never creates an entry: attributes
-// conjured for a file the µproxy knows nothing about would carry size 0,
-// and a READ answered from them would report a false end of file.
+// returns them; a READ of a file the cache does not hold is a miss.
 func (c *attrCache) access(fh fhandle.Handle, now attr.Time) (attr.Attr, bool) {
 	return c.lookup(fh, &now)
 }
@@ -182,7 +188,6 @@ func (c *attrCache) lookup(fh fhandle.Handle, atime *attr.Time) (attr.Attr, bool
 	if atime != nil {
 		e.at.Atime = *atime
 		e.dirty = true
-		e.touched = time.Now()
 	}
 	s.moveToFront(e)
 	at := e.at
@@ -215,46 +220,41 @@ func (c *attrCache) observe(fh fhandle.Handle, at attr.Attr) (attrEntry, bool) {
 	} else {
 		e.at = at
 	}
-	e.touched = time.Now()
+	e.srvSize = at.Size
 	s.moveToFront(e)
 	return s.evictOver()
 }
 
-// update applies fn to the entry for fh, creating it if absent, and marks
-// it dirty. Used on I/O completions to track size and timestamps. A dirty
-// evictee is returned for out-of-lock writeback, as with observe.
-func (c *attrCache) update(fh fhandle.Handle, fn func(*attr.Attr)) (attrEntry, bool) {
+// update applies fn to fh's entry and marks it dirty, tracking size and
+// timestamps across I/O completions. It reports false, having done
+// nothing, when the cache holds no entry for fh: the caller fetches the
+// file's attributes from its directory server and tries again.
+func (c *attrCache) update(fh fhandle.Handle, fn func(*attrEntry)) bool {
 	s := c.shard(fh.Ident())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entries[fh.Ident()]
 	if e == nil {
-		e = &attrEntry{fh: fh, at: attr.Attr{
-			Type:   attr.FileType(fh.Type),
-			FileID: fh.FileID,
-			Nlink:  1,
-		}}
-		s.entries[fh.Ident()] = e
+		return false
 	}
-	fn(&e.at)
+	fn(e)
 	e.dirty = true
-	e.touched = time.Now()
 	s.moveToFront(e)
-	return s.evictOver()
+	return true
 }
 
-// takeDirty returns and clears the dirty flag of fh's entry, for SETATTR
+// takeDirty returns fh's entry and clears its dirty flag, for SETATTR
 // writeback. ok is false if there was nothing dirty.
-func (c *attrCache) takeDirty(fh fhandle.Handle) (attr.Attr, bool) {
+func (c *attrCache) takeDirty(fh fhandle.Handle) (attrEntry, bool) {
 	s := c.shard(fh.Ident())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entries[fh.Ident()]
 	if e == nil || !e.dirty {
-		return attr.Attr{}, false
+		return attrEntry{}, false
 	}
 	e.dirty = false
-	return e.at, true
+	return *e, true
 }
 
 // markDirty re-marks an entry dirty (writeback failed; retry later).
@@ -264,6 +264,17 @@ func (c *attrCache) markDirty(fh fhandle.Handle) {
 	defer s.mu.Unlock()
 	if e := s.entries[fh.Ident()]; e != nil {
 		e.dirty = true
+	}
+}
+
+// pushed records that the directory server accepted size for fh, so later
+// write-backs of the same entry leave the size alone until I/O grows it.
+func (c *attrCache) pushed(fh fhandle.Handle, size uint64) {
+	s := c.shard(fh.Ident())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[fh.Ident()]; e != nil && e.srvSize < size {
+		e.srvSize = size
 	}
 }
 
@@ -285,6 +296,30 @@ func (c *attrCache) allDirty() []attrEntry {
 	return out
 }
 
+// drain empties the cache (soft-state loss) and returns the dirty entries
+// it held. Each shard's map and LRU are swapped out under the shard's
+// lock, so an update lands either in an entry drain returns or — after
+// missing and re-fetching — in a fresh resident one: never in an entry
+// about to be thrown away, which is how a write-back followed by a
+// separate clear lost the size of a WRITE that completed between the two.
+func (c *attrCache) drain() []attrEntry {
+	var dirty []attrEntry
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		old := s.entries
+		s.entries = make(map[fhandle.Key]*attrEntry)
+		s.head, s.tail = nil, nil
+		s.mu.Unlock()
+		for _, e := range old {
+			if e.dirty {
+				dirty = append(dirty, *e)
+			}
+		}
+	}
+	return dirty
+}
+
 // forget drops the entry for fh (file removed).
 func (c *attrCache) forget(fh fhandle.Handle) {
 	s := c.shard(fh.Ident())
@@ -293,190 +328,6 @@ func (c *attrCache) forget(fh fhandle.Handle) {
 	if e := s.entries[fh.Ident()]; e != nil {
 		s.unlink(e)
 		delete(s.entries, fh.Ident())
-	}
-}
-
-// len returns the number of cached entries across all shards.
-func (c *attrCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// clear drops all entries (soft-state loss).
-func (c *attrCache) clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[fhandle.Key]*attrEntry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
-}
-
-// ------------------------------------------------------------ name cache
-
-// nameKey identifies a directory entry.
-type nameKey struct {
-	parent fhandle.Key
-	name   string
-}
-
-// nameKeyHash extends the parent's identity hash with an FNV-1a fold of
-// the entry name. Allocation-free.
-func nameKeyHash(k nameKey) uint64 {
-	h := keyHash(k.parent)
-	for i := 0; i < len(k.name); i++ {
-		h = (h ^ uint64(k.name[i])) * 1099511628211
-	}
-	return h
-}
-
-// nameEntry is one (directory, name) → child binding in a shard's LRU.
-type nameEntry struct {
-	key   nameKey
-	child fhandle.Handle
-
-	prev, next *nameEntry
-}
-
-// nameShard is one lock's worth of the name cache.
-type nameShard struct {
-	mu      sync.Mutex
-	entries map[nameKey]*nameEntry
-	head    *nameEntry
-	tail    *nameEntry
-	cap     int
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// nameCache remembers (directory, name) → child handle bindings harvested
-// from LOOKUP/CREATE/MKDIR responses. The µproxy uses it to orchestrate
-// REMOVE (it must know the victim's handle to clear its data). Soft
-// state, sharded like the attribute cache, evicted LRU per shard.
-type nameCache struct {
-	shards [numShards]nameShard
-}
-
-func newNameCache(capacity int) *nameCache {
-	if capacity <= 0 {
-		capacity = 8192
-	}
-	per := capacity / numShards
-	if per < 1 {
-		per = 1
-	}
-	c := &nameCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[nameKey]*nameEntry)
-		c.shards[i].cap = per
-	}
-	return c
-}
-
-func (c *nameCache) shard(k nameKey) *nameShard {
-	return &c.shards[shardIndex(nameKeyHash(k))]
-}
-
-func (s *nameShard) moveToFront(e *nameEntry) {
-	if s.head == e {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *nameShard) unlink(e *nameEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *nameCache) put(parent fhandle.Handle, name string, child fhandle.Handle) {
-	k := nameKey{parent.Ident(), name}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.entries[k]
-	if e == nil {
-		e = &nameEntry{key: k}
-		s.entries[k] = e
-	}
-	e.child = child
-	s.moveToFront(e)
-	if len(s.entries) > s.cap && s.tail != nil {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-	}
-}
-
-func (c *nameCache) get(parent fhandle.Handle, name string) (fhandle.Handle, bool) {
-	k := nameKey{parent.Ident(), name}
-	s := c.shard(k)
-	s.mu.Lock()
-	e := s.entries[k]
-	if e == nil {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return fhandle.Handle{}, false
-	}
-	s.moveToFront(e)
-	child := e.child
-	s.mu.Unlock()
-	s.hits.Add(1)
-	return child, true
-}
-
-func (c *nameCache) drop(parent fhandle.Handle, name string) {
-	k := nameKey{parent.Ident(), name}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.entries[k]; e != nil {
-		s.unlink(e)
-		delete(s.entries, k)
-	}
-}
-
-func (c *nameCache) clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[nameKey]*nameEntry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
 	}
 }
 

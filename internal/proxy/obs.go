@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"slice/internal/attr"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
@@ -12,27 +13,95 @@ import (
 	"slice/internal/xdr"
 )
 
-// This file is the µproxy's observability wiring: per-stage and per-hop
-// latency histograms, pooled per-request trace spans keyed by the client
-// xid, and the absorbed stats RPC program that lets slicectl aggregate a
-// live ensemble over the wire.
+// This file is the µproxy's observability wiring: the stage clock, the
+// per-stage and per-hop latency histograms, pooled per-request trace
+// spans keyed by the client xid, and the absorbed stats RPC program that
+// lets slicectl aggregate a live ensemble over the wire.
 //
 // The discipline matches the pooled data path: histogram pointers are
 // resolved once at construction (the registry's map and lock are never
 // touched per request), a span is a pool object stamped and recycled by
-// the tracer, and every obs field of a pending record is written before
-// the record becomes reachable from the pending table — so the response
-// path, which owns the record exclusively after pairing, never races the
-// request path.
+// the tracer, and the request path stops writing the obs fields of a
+// pending record when it releases the shard lock it published the record
+// under — so the response path, which owns the record exclusively after
+// pairing, never races the request path.
+
+// lapClock is the one stage clock a packet carries through the µproxy,
+// read once per stage boundary: a reading closes the lap of the stage just
+// finished (Table 3's four, stats.go) and opens the next, so a packet's
+// laps sum to the time between its first and last readings with no gap
+// and no overlap. settle pays closed laps out to the cumulative counters,
+// the stage.* histograms and the trace span alike; nothing else in the
+// µproxy times a stage.
+//
+// The readings double as the request's other timestamps. A call's clock
+// moves into its pending record: its first reading is the request's start
+// and the reading that closes the request half is the forward time. The
+// reply's clock is spliced onto it when the two pair: the reply's first
+// reading ends the hop, its last ends the request end to end.
+//
+// A lap is closed only where the work on both sides of the boundary costs
+// more than reading the clock, so a call's header match (Handle) and the
+// source restore of a passed-through reply (passThrough) ride in a
+// neighbour's lap. Waiting is no stage: skip restarts the clock after a
+// blocking RPC or a goroutine hand-off, and injection is outside it.
+type lapClock struct {
+	start int64             // first reading
+	last  int64             // latest reading
+	ns    [numStages]uint64 // closed laps not yet settled
+}
+
+// startClock starts a packet's clock.
+func (p *Proxy) startClock() lapClock {
+	now := p.now()
+	return lapClock{start: now, last: now}
+}
+
+// lap closes the lap of stage s: the time since the clock's last reading.
+func (p *Proxy) lap(c *lapClock, s stage) {
+	now := p.now()
+	c.ns[s] += uint64(now - c.last)
+	c.last = now
+}
+
+// skip moves the clock past time no stage is charged for.
+func (p *Proxy) skip(c *lapClock) { c.last = p.now() }
+
+// settle pays c's closed laps out — to the cumulative counters, one
+// sample per stage to the histograms, and to the span when the packet
+// belongs to one — and zeroes them. It reads no clock.
+func (p *Proxy) settle(c *lapClock, sp *obs.Span) {
+	for s, ns := range c.ns {
+		if ns == 0 {
+			continue
+		}
+		p.st.ns[s].Add(ns)
+		if p.hists != nil {
+			p.hists.stage[s].Record(ns)
+		}
+	}
+	if sp != nil {
+		sp.InterceptNS += c.ns[stIntercept]
+		sp.DecodeNS += c.ns[stDecode]
+		sp.RewriteNS += c.ns[stRewrite]
+		sp.SoftStateNS += c.ns[stSoftState]
+	}
+	c.ns = [numStages]uint64{}
+}
+
+// wallTime converts a clock reading to a wire timestamp. Wall time is
+// New's plus the monotonic time since: it follows the host's clock except
+// across a step, which a µproxy that stamps only soft state can afford.
+func (p *Proxy) wallTime(reading int64) attr.Time {
+	return attr.FromGo(time.Unix(0, p.wall0+reading))
+}
 
 // proxyHists caches direct histogram pointers for the data path.
 type proxyHists struct {
-	classify *obs.Histogram
-	route    *obs.Histogram
-	rewrite  *obs.Histogram
-	hop      [obs.HopMount + 1]*obs.Histogram
-	e2e      [nfsproto.ProcCommit + 1]*obs.Histogram
-	mount    *obs.Histogram
+	stage [numStages]*obs.Histogram
+	hop   [obs.HopMount + 1]*obs.Histogram
+	e2e   [nfsproto.ProcCommit + 1]*obs.Histogram
+	mount *obs.Histogram
 
 	// Replica-layer counters (empty/nil when the array is unreplicated):
 	// dirtyOcc samples dirty-set occupancy at each write fan-out, pinned
@@ -45,11 +114,9 @@ type proxyHists struct {
 }
 
 func newProxyHists(reg *obs.Registry, replicas *replica.Map) *proxyHists {
-	h := &proxyHists{
-		classify: reg.Hist("stage.classify"),
-		route:    reg.Hist("stage.route"),
-		rewrite:  reg.Hist("stage.rewrite"),
-		mount:    reg.Hist("e2e.mount.mnt"),
+	h := &proxyHists{mount: reg.Hist("e2e.mount.mnt")}
+	for s, name := range stageNames {
+		h.stage[s] = reg.Hist("stage." + name)
 	}
 	for k := obs.HopDirsrv; k <= obs.HopMount; k++ {
 		h.hop[k] = reg.Hist("hop." + k.String())
@@ -83,58 +150,15 @@ func (p *Proxy) histE2E(prog uint32, proc nfsproto.Proc) *obs.Histogram {
 	return nil
 }
 
-// beginObs stamps a fresh pending record with its observability state:
-// the request start, the classify (intercept + decode) cost, and — when
-// tracing is on — a pooled span. It runs before the record is published
-// to the pending table.
-func (p *Proxy) beginObs(pd *pendingReq, xid, proc uint32, t0 time.Time, classify time.Duration) {
-	if p.hists == nil && p.tracer == nil {
+// recordHop attributes the forwarded hop's round trip — forward time to
+// hopEnd, the first reading of the reply that completed it — when its
+// (last) reply pairs. The reply trailer, when present, splits out the
+// server's handler time; the caller owns pd exclusively.
+func (p *Proxy) recordHop(pd *pendingReq, hopEnd int64, replyBody []byte) {
+	if p.hists == nil && pd.span == nil {
 		return
 	}
-	pd.startNS = t0.UnixNano()
-	pd.clsNS = uint64(classify)
-	if p.hists != nil {
-		p.hists.classify.Record(pd.clsNS)
-	}
-	if p.tracer != nil {
-		sp := p.tracer.Start(uint64(xid), proc, pd.startNS)
-		sp.Prog = pd.prog
-		sp.ClassifyNS = pd.clsNS
-		pd.span = sp
-	}
-}
-
-// markSent records the route and rewrite stages and the forward
-// timestamp. It must run before the record is inserted into the pending
-// table: once inserted, the reply may pair with it concurrently.
-func (p *Proxy) markSent(pd *pendingReq, now time.Time, rewrite time.Duration) {
-	if pd.startNS == 0 {
-		return
-	}
-	nowNS := now.UnixNano()
-	pd.sentAt = nowNS
-	var routeNS uint64
-	if elapsed := uint64(nowNS - pd.startNS); elapsed > pd.clsNS {
-		routeNS = elapsed - pd.clsNS
-	}
-	if sp := pd.span; sp != nil {
-		sp.RouteNS = routeNS
-		sp.RewriteNS = uint64(rewrite)
-	}
-	if p.hists != nil {
-		p.hists.route.Record(routeNS)
-		p.hists.rewrite.Record(uint64(rewrite))
-	}
-}
-
-// recordHop attributes the forwarded hop's round trip when its (last)
-// reply pairs. The reply trailer, when present, splits out the server's
-// handler time; the caller owns pd exclusively.
-func (p *Proxy) recordHop(pd *pendingReq, replyBody []byte) {
-	if pd.sentAt == 0 {
-		return
-	}
-	total := uint64(time.Now().UnixNano() - pd.sentAt)
+	total := uint64(hopEnd - pd.clk.last)
 	var srvNS uint64
 	if _, ns, ok := oncrpc.PeekReplyTrace(replyBody); ok {
 		srvNS = ns
@@ -147,23 +171,20 @@ func (p *Proxy) recordHop(pd *pendingReq, replyBody []byte) {
 			h.Record(total)
 		}
 	}
-	pd.sentAt = 0
 }
 
-// endObs closes out a request: records its end-to-end latency and
-// archives the span. The caller owns pd exclusively.
+// endObs closes out a request at its clock's last reading: settles the
+// response half's laps, records the end-to-end latency and archives the
+// span. The caller owns pd exclusively.
 func (p *Proxy) endObs(pd *pendingReq) {
-	if pd.startNS == 0 {
-		return
-	}
-	endNS := time.Now().UnixNano()
+	p.settle(&pd.clk, pd.span)
 	if p.hists != nil {
 		if h := p.histE2E(pd.prog, pd.proc); h != nil {
-			h.Record(uint64(endNS - pd.startNS))
+			h.Record(uint64(pd.clk.last - pd.clk.start))
 		}
 	}
 	if pd.span != nil {
-		p.tracer.Finish(pd.span, endNS)
+		p.tracer.Finish(pd.span, p.wall0+pd.clk.last)
 		pd.span = nil
 	}
 }
@@ -197,7 +218,7 @@ func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, v
 	if sp == nil && p.hists == nil {
 		return c.Call(prog, vers, proc, args)
 	}
-	t0 := time.Now()
+	t0 := p.now()
 	var body []byte
 	var err error
 	if sp != nil {
@@ -205,7 +226,7 @@ func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, v
 	} else {
 		body, err = c.Call(prog, vers, proc, args)
 	}
-	total := uint64(time.Since(t0))
+	total := uint64(p.now() - t0)
 	var srvNS uint64
 	if err == nil {
 		if _, ns, ok := oncrpc.PeekReplyTrace(body); ok {

@@ -1,8 +1,6 @@
 package proxy
 
 import (
-	"time"
-
 	"slice/internal/attr"
 	"slice/internal/coord"
 	"slice/internal/fhandle"
@@ -199,30 +197,42 @@ func (p *Proxy) observeAttr(fh fhandle.Handle, at attr.Attr) {
 	}
 }
 
-// updateAttr applies a local attribute update (I/O completion) to the
-// cache, with the same out-of-lock eviction writeback as observeAttr.
-func (p *Proxy) updateAttr(fh fhandle.Handle, fn func(*attr.Attr)) {
-	if e, dirty := p.attrs.update(fh, fn); dirty {
-		p.writebackEvicted(e)
-	}
-}
-
 // writebackEvicted pushes a dirty evictee's attributes to its directory
-// server asynchronously.
+// server asynchronously. (A function of its own so that e escapes to the
+// heap only when there is an evictee, not on every observe.)
 func (p *Proxy) writebackEvicted(e attrEntry) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		p.pushOne(e.fh, e.at)
+		p.push(nil, e)
 	}()
 }
 
-// resolveChild finds the handle bound to (dir, name), first in the name
-// cache, then by an own LOOKUP to the responsible directory server.
-func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, bool) {
-	if fh, ok := p.names.get(dir, name); ok {
-		return fh, true
+// fetchAttr asks fh's directory server for the file's attributes and
+// folds them into the cache. The status is the server's: after a remove,
+// ESTALE says the last link went with it.
+func (p *Proxy) fetchAttr(sp *obs.Span, fh fhandle.Handle) (nfsproto.Status, error) {
+	info := nfsproto.RequestInfo{Proc: nfsproto.ProcGetAttr, FH: fh}
+	addr, err := p.cfg.Names.AddrFor(&info)
+	if err != nil {
+		return 0, err
 	}
+	var res nfsproto.GetAttrRes
+	if err := p.nfsCall(sp, obs.HopDirsrv, addr, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}, &res); err != nil {
+		return 0, err
+	}
+	if res.Status == nfsproto.OK {
+		p.observeAttr(fh, res.Attr)
+	}
+	return res.Status, nil
+}
+
+// resolveChild finds the handle bound to (dir, name) with a LOOKUP of the
+// µproxy's own to the responsible directory server — every time: a
+// binding remembered from earlier traffic can be changed through another
+// fleet member without this one seeing it, and a REMOVE orchestrated on a
+// stale handle clears the wrong file's data and strands the right one's.
+func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, bool) {
 	info := nfsproto.RequestInfo{Proc: nfsproto.ProcLookup, FH: dir, Name: name, HasName: true}
 	addr, err := p.cfg.Names.AddrFor(&info)
 	if err != nil {
@@ -238,7 +248,6 @@ func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, b
 	if res.Attr.Present {
 		p.observeAttr(res.FH, res.Attr.Attr)
 	}
-	p.names.put(dir, name, res.FH)
 	return res.FH, true
 }
 
@@ -247,18 +256,17 @@ func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, b
 // intention, then forgets its soft state. It owns d: every path forwards
 // or frees it.
 func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
+	child, known := p.resolveChild(pd.info.FH, pd.info.Name)
+	p.skip(&pd.clk) // the hand-off to this goroutine and the LOOKUP's wait are no stage's cost
 	addr, err := p.cfg.Names.AddrFor(&pd.info)
 	if err != nil {
 		p.dropPending(pd)
 		return p.consumeDrop(d)
 	}
-	dir, name := pd.info.FH, pd.info.Name
-	child, known := p.resolveChild(dir, name)
 
 	// The hook runs on the response goroutine before the span is closed,
 	// so its RPCs are attributed to the request's span via pd.
 	pd.onOK = func() {
-		p.names.drop(dir, name)
 		if !known || child.Type == uint8(attr.TypeDir) {
 			return
 		}
@@ -267,13 +275,8 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 		// LINK the µproxy never saw), so ask the directory server: after
 		// a remove, a live attribute cell means other names remain;
 		// ESTALE means the file is gone and its data must be cleared.
-		var ga nfsproto.GetAttrRes
-		gaInfo := nfsproto.RequestInfo{Proc: nfsproto.ProcGetAttr, FH: child}
-		if addr, err := p.cfg.Names.AddrFor(&gaInfo); err == nil {
-			if err := p.nfsCall(pd.span, obs.HopDirsrv, addr, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: child}, &ga); err == nil && ga.Status == nfsproto.OK {
-				p.observeAttr(child, ga.Attr)
-				return // still linked: keep the data
-			}
+		if st, err := p.fetchAttr(pd.span, child); err == nil && st == nfsproto.OK {
+			return // still linked: keep the data
 		}
 		id := p.coordIntend(pd.span, coord.OpRemove, child, 0)
 		cleared := true
@@ -324,11 +327,13 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 			if cleared {
 				p.coordComplete(pd.span, id)
 			}
-			now := attr.FromGo(time.Now())
-			p.updateAttr(fh, func(a *attr.Attr) {
-				a.Size = size
-				a.Mtime = now
-				a.Ctime = now
+			// The directory server applied the new size itself; an
+			// entry the cache holds follows it.
+			now := p.wallTime(p.now())
+			p.attrs.update(fh, func(e *attrEntry) {
+				e.at.Size, e.srvSize = size, size
+				e.at.Mtime = now
+				e.at.Ctime = now
 			})
 			p.maps.forget(fh)
 		}
@@ -341,17 +346,18 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 // intention, commits every involved data site, clears the intention, and
 // synthesizes the reply. This is the consistent write commitment of §4.2.
 // The span (nil when tracing is off) collects every RPC of the chain and
-// is closed — and the absorbed op's end-to-end latency recorded — when
-// the reply is injected.
-func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.RequestInfo, sp *obs.Span, startNS int64) {
+// is closed — and the absorbed op's end-to-end latency recorded, from
+// start, the first reading of the request's clock — when the reply is
+// injected.
+func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.RequestInfo, sp *obs.Span, start int64) {
 	fh := info.FH
 	defer func() {
-		endNS := time.Now().UnixNano()
-		if p.hists != nil && startNS != 0 {
-			p.hists.e2e[nfsproto.ProcCommit].Record(uint64(endNS - startNS))
+		end := p.now()
+		if p.hists != nil {
+			p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - start))
 		}
 		if sp != nil {
-			p.tracer.Finish(sp, endNS)
+			p.tracer.Finish(sp, p.wall0+end)
 		}
 	}()
 	p.pushAttrs(sp, fh)
@@ -416,23 +422,7 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 // directory server with SETATTR (§4.1: on commit interception and on
 // eviction).
 func (p *Proxy) pushAttrs(sp *obs.Span, fh fhandle.Handle) {
-	at, ok := p.attrs.takeDirty(fh)
-	if !ok {
-		return
-	}
-	info := nfsproto.RequestInfo{Proc: nfsproto.ProcSetAttr, FH: fh}
-	addr, err := p.cfg.Names.AddrFor(&info)
-	if err != nil {
-		p.attrs.markDirty(fh)
-		return
-	}
-	args := nfsproto.SetAttrArgs{FH: fh, Sattr: attr.SetAttr{
-		SetSize: true, Size: at.Size,
-		SetMtime: true, Mtime: at.Mtime,
-		SetAtime: true, Atime: at.Atime,
-	}}
-	var res nfsproto.SetAttrRes
-	if err := p.nfsCall(sp, obs.HopDirsrv, addr, nfsproto.ProcSetAttr, &args, &res); err != nil || res.Status != nfsproto.OK {
+	if e, ok := p.attrs.takeDirty(fh); ok && !p.push(sp, e) {
 		p.attrs.markDirty(fh)
 	}
 }
@@ -445,22 +435,35 @@ func (p *Proxy) pushAttrs(sp *obs.Span, fh fhandle.Handle) {
 // commit path call it directly.
 func (p *Proxy) WritebackAttrs() {
 	for _, e := range p.attrs.allDirty() {
-		p.pushOne(e.fh, e.at)
+		if !p.push(nil, e) {
+			p.attrs.markDirty(e.fh)
+		}
 	}
 }
 
-// pushOne writes one attribute set back without consulting the cache.
-func (p *Proxy) pushOne(fh fhandle.Handle, at attr.Attr) {
-	info := nfsproto.RequestInfo{Proc: nfsproto.ProcSetAttr, FH: fh}
+// push writes one entry's attributes back to its directory server and
+// reports whether the server took them. The times always go; the size
+// goes only when routed I/O grew the file past what the directory server
+// last reported — a write inside the file dirties times alone, so a
+// µproxy never pushes a length it did not itself extend.
+func (p *Proxy) push(sp *obs.Span, e attrEntry) bool {
+	info := nfsproto.RequestInfo{Proc: nfsproto.ProcSetAttr, FH: e.fh}
 	addr, err := p.cfg.Names.AddrFor(&info)
 	if err != nil {
-		return
+		return false
 	}
-	args := nfsproto.SetAttrArgs{FH: fh, Sattr: attr.SetAttr{
-		SetSize: true, Size: at.Size,
-		SetMtime: true, Mtime: at.Mtime,
-		SetAtime: true, Atime: at.Atime,
+	grew := e.at.Size > e.srvSize
+	args := nfsproto.SetAttrArgs{FH: e.fh, Sattr: attr.SetAttr{
+		SetSize: grew, Size: e.at.Size,
+		SetMtime: true, Mtime: e.at.Mtime,
+		SetAtime: true, Atime: e.at.Atime,
 	}}
 	var res nfsproto.SetAttrRes
-	_ = p.nfsCall(nil, obs.HopDirsrv, addr, nfsproto.ProcSetAttr, &args, &res)
+	if err := p.nfsCall(sp, obs.HopDirsrv, addr, nfsproto.ProcSetAttr, &args, &res); err != nil || res.Status != nfsproto.OK {
+		return false
+	}
+	if grew {
+		p.attrs.pushed(e.fh, e.at.Size)
+	}
+	return true
 }

@@ -17,11 +17,18 @@ import (
 	"slice/internal/xdr"
 )
 
-// MountProgram mirrors dirsrv.MountProgram without importing the package
-// (the µproxy layers below the servers).
+// mountProgram mirrors dirsrv.MountProgram without importing the package
+// (the µproxy layers below the servers); mountSite is the directory site
+// that serves it.
 const (
 	mountProgram = 100005
+	mountSite    = 0
 )
+
+// serviceQueue bounds the paced service loop's ingress queue. Requests
+// arriving at a full queue are dropped — an overloaded router sheds load
+// and clients retransmit, as §2.1 prescribes.
+const serviceQueue = 256
 
 // capFieldOffset is the byte offset of the CellKey/capability field within
 // a marshalled file handle (see fhandle.Handle layout).
@@ -46,10 +53,6 @@ type Config struct {
 	// Zero (the default) keeps the inline fast path: requests are
 	// processed on the sender's goroutine with no added cost.
 	ServiceTime time.Duration
-	// ServiceQueue bounds the paced loop's ingress queue (default 256).
-	// Requests arriving at a full queue are dropped — an overloaded
-	// router sheds load and clients retransmit, as §2.1 prescribes.
-	ServiceQueue int
 	// IO routes read/write/commit traffic.
 	IO *route.IOPolicy
 	// Names routes name-space and attribute traffic.
@@ -57,12 +60,6 @@ type Config struct {
 	// Coord is the block-service coordinator; zero disables intention
 	// logging and block maps.
 	Coord netsim.Addr
-	// MountSite is the directory site serving MOUNT (default 0).
-	MountSite uint32
-	// AttrCacheSize bounds the attribute cache (default 4096).
-	AttrCacheSize int
-	// NameCacheSize bounds the name cache (default 8192).
-	NameCacheSize int
 	// WritebackInterval bounds attribute drift: dirty attributes are
 	// pushed to the directory servers at this period. Zero disables the
 	// background flusher (tests drive writeback explicitly).
@@ -152,14 +149,15 @@ type pendingReq struct {
 	// of allocation.
 	attrBuf [attr.EncodedSize]byte
 
-	// Observability state (see obs.go). All of it is written before the
-	// record is published to the pending table; after pairing, the
-	// response path owns the record exclusively.
-	span    *obs.Span   // pooled trace span, nil when tracing is off
-	startNS int64       // request intercept time (UnixNano)
-	sentAt  int64       // forward time (UnixNano), 0 after hop recorded
-	clsNS   uint64      // classify-stage cost
-	hop     obs.HopKind // where the request was forwarded
+	// Observability state (see obs.go). The request path writes it until
+	// it releases the shard lock it published the record under; after
+	// pairing, the response path owns the record exclusively. clk is the
+	// request's stage clock: its first reading is the request's start, the
+	// reading that closes the request half is the forward time, and the
+	// paired reply's own clock is spliced onto it.
+	span *obs.Span   // pooled trace span, nil when tracing is off
+	clk  lapClock    // the stage clock (obs.go)
+	hop  obs.HopKind // where the request was forwarded
 }
 
 var pendPool = sync.Pool{New: func() any { return new(pendingReq) }}
@@ -194,7 +192,6 @@ type Proxy struct {
 	shards [numShards]pendShard
 
 	attrs *attrCache
-	names *nameCache
 	maps  *mapCache
 
 	// dirty is the per-object dirty set of the replica layer: an object
@@ -217,6 +214,13 @@ type Proxy struct {
 	// and requests are processed inline.
 	workCh chan []byte
 
+	// now reads the stage clock: nanoseconds since New on the monotonic
+	// clock (a field so a test can count the reads). wall0 is New's
+	// wall-clock time in Unix nanoseconds; wall0 plus a reading stamps
+	// spans and attribute times without a second clock read.
+	now   func() int64
+	wall0 int64
+
 	tapTok    *netsim.TapToken
 	st        stageCounters
 	hists     *proxyHists // nil when cfg.Obs is nil
@@ -228,12 +232,14 @@ type Proxy struct {
 
 // New creates a µproxy and registers it as a tap on the network.
 func New(cfg Config) *Proxy {
+	base := time.Now()
 	p := &Proxy{
 		cfg:     cfg,
-		attrs:   newAttrCache(cfg.AttrCacheSize),
-		names:   newNameCache(cfg.NameCacheSize),
+		attrs:   newAttrCache(),
 		maps:    newMapCache(),
 		clients: make(map[netsim.Addr]*oncrpc.Client),
+		now:     func() int64 { return int64(time.Since(base)) },
+		wall0:   base.UnixNano(),
 		stopCh:  make(chan struct{}),
 		tracer:  cfg.Tracer,
 	}
@@ -254,11 +260,7 @@ func New(cfg Config) *Proxy {
 		p.shards[i].pend = make(map[pendKey]*pendingReq)
 	}
 	if cfg.ServiceTime > 0 {
-		depth := cfg.ServiceQueue
-		if depth <= 0 {
-			depth = 256
-		}
-		p.workCh = make(chan []byte, depth)
+		p.workCh = make(chan []byte, serviceQueue)
 		p.wg.Add(1)
 		go p.serviceLoop()
 	}
@@ -341,25 +343,27 @@ func (p *Proxy) resetPend() {
 
 // FlushSoftState discards all soft state: pending request records and all
 // caches. The architecture guarantees correctness across this (§2.1);
-// clients recover by retransmission. Dirty attributes are pushed first so
-// only timestamps within the drift bound are lost.
+// clients recover by retransmission. The dirty attributes among those
+// discarded are pushed to the directory servers, so no size the µproxy
+// acknowledged is lost with them.
 func (p *Proxy) FlushSoftState() {
-	p.WritebackAttrs()
-	p.resetPend()
-	p.attrs.clear()
-	p.names.clear()
-	p.maps.clear()
-	p.resetReplica()
+	for _, e := range p.dropSoftState() {
+		p.push(nil, e)
+	}
 }
 
 // DropSoftState discards soft state without writeback, simulating a
 // µproxy crash (uncommitted attribute updates are lost, as §4.1 permits).
-func (p *Proxy) DropSoftState() {
+func (p *Proxy) DropSoftState() { p.dropSoftState() }
+
+// dropSoftState empties every soft-state table and returns the dirty
+// attribute entries among what it dropped.
+func (p *Proxy) dropSoftState() []attrEntry {
 	p.resetPend()
-	p.attrs.clear()
-	p.names.clear()
+	drained := p.attrs.drain()
 	p.maps.clear()
 	p.resetReplica()
+	return drained
 }
 
 // resetReplica clears the dirty set and the read-load counters along
@@ -399,12 +403,6 @@ func (p *Proxy) CachedAttr(fh fhandle.Handle) (bool, uint64) {
 	return ok, at.Size
 }
 
-// CachedName exposes the name cache: the cached child handle bound to
-// (dir, name), if any.
-func (p *Proxy) CachedName(dir fhandle.Handle, name string) (fhandle.Handle, bool) {
-	return p.names.get(dir, name)
-}
-
 // consumeDrop disposes of a datagram the µproxy consumed but cannot
 // process (malformed or unroutable).
 func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
@@ -418,8 +416,12 @@ func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
 // per-packet goroutine, no allocation in the steady state. Only
 // operations that must block (commit absorption, remove orchestration,
 // block-map fetches, response hooks) are handed to helper goroutines.
+//
+// Interception is timed where it does work: every reply on the fabric is
+// probed against the pending table, hit or miss. A call is claimed or
+// dismissed by the header match alone — three loads and two compares,
+// less than one reading of the clock — so its clock starts with decode.
 func (p *Proxy) Handle(d []byte) netsim.Verdict {
-	t0 := time.Now()
 	p.st.intercepted.Add(1)
 	if len(d) < netsim.HeaderSize+oncrpc.ReplyHeader {
 		return netsim.Pass
@@ -429,10 +431,11 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 		Port: binary.BigEndian.Uint16(d[netsim.OffDstPort:]),
 	}
 	payload := d[netsim.HeaderSize:]
-	mtype := binary.BigEndian.Uint32(payload[oncrpc.OffMsgType:])
-
-	if dst == p.cfg.Virtual && mtype == oncrpc.MsgCall {
-		p.st.interceptNS.Add(uint64(time.Since(t0)))
+	switch binary.BigEndian.Uint32(payload[oncrpc.OffMsgType:]) {
+	case oncrpc.MsgCall:
+		if dst != p.cfg.Virtual {
+			return netsim.Pass
+		}
 		if p.workCh != nil {
 			// Paced mode: hand the request to the service loop. A full
 			// queue means the router is saturated; shed the request and
@@ -445,28 +448,48 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 			return netsim.Consumed
 		}
 		return p.handleRequest(d)
-	}
-	if mtype == oncrpc.MsgReply {
-		xid := binary.BigEndian.Uint32(payload[oncrpc.OffXid:])
-		key := pendKey{client: dst, xid: xid}
+	case oncrpc.MsgReply:
+		clk := p.startClock()
+		key := pendKey{client: dst, xid: binary.BigEndian.Uint32(payload[oncrpc.OffXid:])}
 		s := p.shardFor(key)
 		s.mu.Lock()
 		_, ok := s.pend[key]
 		s.mu.Unlock()
+		p.lap(&clk, stIntercept)
 		if ok {
-			p.st.interceptNS.Add(uint64(time.Since(t0)))
-			return p.handleResponse(d, key)
+			return p.handleResponse(d, key, clk)
 		}
+		p.settle(&clk, nil)
 	}
-	p.st.interceptNS.Add(uint64(time.Since(t0)))
 	return netsim.Pass
+}
+
+// newPending opens the pending record of a freshly decoded call — info
+// holds an NFS call's routing fields, nil for another program — hands it
+// the call's clock, and closes the decode lap: decode runs from the call's
+// arrival until it sits, decoded, in a record.
+func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.RequestInfo) *pendingReq {
+	pd := getPending()
+	pd.prog = call.Program
+	pd.expect = 1
+	if info != nil {
+		pd.proc = info.Proc
+		pd.info = *info
+	}
+	pd.clk = clk
+	if p.tracer != nil {
+		pd.span = p.tracer.Start(uint64(call.Xid), call.Proc, p.wall0+clk.start)
+		pd.span.Prog = call.Program
+	}
+	p.lap(&pd.clk, stDecode)
+	return pd
 }
 
 // handleRequest classifies and routes one intercepted call. It always
 // takes ownership of d: every path forwards it, frees it, or hands it to
 // a helper goroutine.
 func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
-	t0 := time.Now()
+	clk := p.startClock()
 	h, err := netsim.Parse(d)
 	if err != nil {
 		return p.consumeDrop(d)
@@ -499,7 +522,8 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		info := pd.info
 		prog, proc, ver := pd.prog, pd.proc, pd.routeVer
 		s.mu.Unlock()
-		p.st.decodeNS.Add(uint64(time.Since(t0)))
+		p.lap(&clk, stDecode)
+		p.settle(&clk, nil)
 		// If the routing tables changed since the path was recorded, the
 		// recorded servers may be dead (crashed and republished at new
 		// addresses): re-resolve the path so the client's end-to-end
@@ -534,17 +558,13 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	s.mu.Unlock()
 
 	if call.Program == mountProgram {
-		cls := time.Since(t0)
-		p.st.decodeNS.Add(uint64(cls))
-		addr, err := p.cfg.Names.Dirs.Lookup(p.cfg.MountSite)
+		pd := p.newPending(clk, &call, nil)
+		pd.hop = obs.HopMount
+		addr, err := p.cfg.Names.Dirs.Lookup(mountSite)
 		if err != nil {
+			p.dropPending(pd)
 			return p.consumeDrop(d)
 		}
-		pd := getPending()
-		pd.prog = call.Program
-		pd.expect = 1
-		pd.hop = obs.HopMount
-		p.beginObs(pd, call.Xid, call.Proc, t0, cls)
 		return p.forward(d, key, pd, addr)
 	}
 	if call.Program == obs.Program {
@@ -553,7 +573,6 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		// over the same wire the NFS traffic uses. Snapshotting walks
 		// registries under their locks, so it runs off the sender's
 		// goroutine.
-		p.st.decodeNS.Add(uint64(time.Since(t0)))
 		if p.cfg.StatsFn == nil {
 			return p.consumeDrop(d)
 		}
@@ -561,6 +580,8 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		if len(call.Body) >= 4 {
 			arg = binary.BigEndian.Uint32(call.Body)
 		}
+		p.lap(&clk, stDecode)
+		p.settle(&clk, nil)
 		src, xid, proc := h.Src, call.Xid, call.Proc
 		netsim.FreeBuf(d)
 		p.wg.Add(1)
@@ -576,18 +597,10 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 
 	proc := nfsproto.Proc(call.Proc)
 	info, err := nfsproto.ParseCall(proc, call.Body)
-	cls := time.Since(t0)
-	p.st.decodeNS.Add(uint64(cls))
 	if err != nil {
 		return p.consumeDrop(d)
 	}
-
-	pd := getPending()
-	pd.proc = proc
-	pd.prog = call.Program
-	pd.info = info
-	pd.expect = 1
-	p.beginObs(pd, call.Xid, call.Proc, t0, cls)
+	pd := p.newPending(clk, &call, &info)
 
 	switch proc {
 	case nfsproto.ProcCommit:
@@ -596,7 +609,8 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		// of blocking RPCs, so it runs off the sender's goroutine; the
 		// request datagram itself is no longer needed. The span, if any,
 		// moves to the absorbing goroutine with the request identity.
-		sp, startNS := pd.span, pd.startNS
+		sp, start := pd.span, pd.clk.start
+		p.settle(&pd.clk, sp)
 		pd.span = nil
 		putPending(pd)
 		netsim.FreeBuf(d)
@@ -605,13 +619,13 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			p.absorbCommit(src, xid, ci, sp, startNS)
+			p.absorbCommit(src, xid, ci, sp, start)
 		}()
 		return netsim.Consumed
 	case nfsproto.ProcRemove:
-		// Remove orchestration resolves the victim's handle first, which
-		// may issue a LOOKUP of its own: run it off the sender's
-		// goroutine, which owns d until it is forwarded.
+		// Remove orchestration resolves the victim's handle first with a
+		// LOOKUP of its own: run it off the sender's goroutine, which
+		// owns d until it is forwarded.
 		pd.hop = obs.HopDirsrv
 		p.wg.Add(1)
 		go func() {
@@ -625,23 +639,23 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	case nfsproto.ProcRead, nfsproto.ProcWrite:
 		if info.FH.Mapped() && !p.coord().IsZero() {
 			// Mapped files may need a blocking block-map fetch from the
-			// coordinator before they can be routed.
+			// coordinator before they can be routed. The hand-off to the
+			// helper goroutine is scheduling, not a stage: skip it.
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
+				p.skip(&pd.clk)
 				p.routeIO(d, key, pd)
 			}()
 			return netsim.Consumed
 		}
 		return p.routeIO(d, key, pd)
 	default:
-		t1 := time.Now()
 		addr, err := p.cfg.Names.AddrFor(&pd.info)
 		if err != nil {
 			p.dropPending(pd)
 			return p.consumeDrop(d)
 		}
-		p.st.rewriteNS.Add(uint64(time.Since(t1)))
 		pd.hop = obs.HopDirsrv
 		return p.forward(d, key, pd, addr)
 	}
@@ -650,7 +664,6 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 // routeIO directs a read or write at the small-file server or the storage
 // array per the threshold and striping policies (§3.1).
 func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
-	t0 := time.Now()
 	info := &pd.info
 	io := p.cfg.IO
 
@@ -660,7 +673,6 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 			p.dropPending(pd)
 			return p.consumeDrop(d)
 		}
-		p.st.rewriteNS.Add(uint64(time.Since(t0)))
 		pd.hop = obs.HopSmallfile
 		return p.forward(d, key, pd, addr)
 	}
@@ -702,10 +714,8 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 					p.hists.dirtyOcc.Record(uint64(p.dirty.Len()))
 				}
 			}
-			p.st.rewriteNS.Add(uint64(time.Since(t0)))
 			return p.forwardMulti(d, key, pd, targets)
 		}
-		p.st.rewriteNS.Add(uint64(time.Since(t0)))
 		return p.forward(d, key, pd, targets[0])
 	}
 
@@ -717,7 +727,6 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 		p.dropPending(pd)
 		return p.consumeDrop(d)
 	}
-	p.st.rewriteNS.Add(uint64(time.Since(t0)))
 	return p.forward(d, key, pd, addr)
 }
 
@@ -817,7 +826,7 @@ func (p *Proxy) mappedSite(sp *obs.Span, fh fhandle.Handle, stripe uint64) (uint
 // responsible logical site is unchanged — only the physical address moves.
 func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.RequestInfo) ([]netsim.Addr, bool) {
 	if prog == mountProgram {
-		a, err := p.cfg.Names.Dirs.Lookup(p.cfg.MountSite)
+		a, err := p.cfg.Names.Dirs.Lookup(mountSite)
 		if err != nil {
 			return nil, false
 		}
@@ -859,57 +868,48 @@ func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.Request
 	return []netsim.Addr{a}, true
 }
 
-// forward registers the pending record, rewrites the destination in place
-// (incremental checksum update), and reinjects the datagram. The rewrite
-// and all observability stamps happen before the record is published:
-// once it is in the pending table, the reply may pair with it on another
-// goroutine.
+// forward rewrites the destination in place (incremental checksum
+// update), publishes the pending record, and reinjects the datagram.
 func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq, target netsim.Addr) netsim.Verdict {
-	t0 := time.Now()
+	netsim.RewriteDst(d, target)
 	pd.targetsBuf[0] = target
 	pd.targets = pd.targetsBuf[:1]
-	pd.routeVer = p.routeVersion()
-
-	t1 := time.Now()
-	netsim.RewriteDst(d, target)
-	rw := time.Since(t1)
-	p.st.rewriteNS.Add(uint64(rw))
-	p.markSent(pd, t1, rw)
-
-	t2 := time.Now()
-	s := p.shardFor(key)
-	s.mu.Lock()
-	s.pend[key] = pd
-	s.mu.Unlock()
-	p.st.softStateNS.Add(uint64(time.Since(t2) + t1.Sub(t0)))
-	p.st.requests.Add(1)
+	p.publish(key, pd)
 	_ = p.cfg.Net.Inject(d)
 	return netsim.Consumed
 }
 
 // forwardMulti replicates the datagram to several targets (mirrored
 // writes). Each copy keeps the client's source address and xid so replies
-// pair with the same pending record.
+// pair with the same pending record. The copies are cut after the record
+// is published, outside the stage clock like the injection they feed.
 func (p *Proxy) forwardMulti(d []byte, key pendKey, pd *pendingReq, targets []netsim.Addr) netsim.Verdict {
-	t0 := time.Now()
 	if len(targets) <= len(pd.targetsBuf) {
 		pd.targets = pd.targetsBuf[:copy(pd.targetsBuf[:], targets)]
 	} else {
 		pd.targets = targets
 	}
+	p.publish(key, pd)
+	p.injectToAll(d, targets)
+	return netsim.Consumed
+}
+
+// publish closes the request half of pd's clock and makes the record
+// pairable: everything since decode was redirection (route resolution and
+// the rewrite), and the last lap — soft state — brackets the insert
+// itself, so it is read and settled under the shard lock. Once the lock
+// drops, a reply may pair with the record and own it.
+func (p *Proxy) publish(key pendKey, pd *pendingReq) {
+	p.lap(&pd.clk, stRewrite)
+	p.settle(&pd.clk, pd.span)
 	pd.routeVer = p.routeVersion()
-	p.markSent(pd, t0, 0)
 	s := p.shardFor(key)
 	s.mu.Lock()
 	s.pend[key] = pd
+	p.lap(&pd.clk, stSoftState)
+	p.settle(&pd.clk, pd.span)
 	s.mu.Unlock()
-	p.st.softStateNS.Add(uint64(time.Since(t0)))
-
-	t1 := time.Now()
-	p.injectToAll(d, targets)
-	p.st.rewriteNS.Add(uint64(time.Since(t1)))
 	p.st.requests.Add(1)
-	return netsim.Consumed
 }
 
 // injectToAll sends d to every target, duplicating it from the buffer

@@ -50,13 +50,13 @@ func TestStageAccounting(t *testing.T) {
 	if st.Requests == 0 || st.Responses == 0 {
 		t.Fatalf("no traffic accounted: %+v", st)
 	}
-	if st.DecodeNS == 0 || st.RewriteNS == 0 || st.SoftStateNS == 0 || st.InterceptNS == 0 {
-		t.Fatalf("a processing stage reported zero time: %+v", st)
-	}
 	if st.Absorbed == 0 {
 		t.Fatalf("commit not absorbed: %+v", st)
 	}
-	if st.TotalNS() < st.DecodeNS {
+	// That every stage is charged, and exactly, is TestStageClockBudget's
+	// to check under a counting clock; this one must not depend on the
+	// wall clock's resolution.
+	if st.TotalNS() != st.InterceptNS+st.DecodeNS+st.RewriteNS+st.SoftStateNS {
 		t.Fatal("TotalNS inconsistent")
 	}
 }

@@ -1,12 +1,10 @@
 package proxy
 
 import (
-	"time"
-
 	"slice/internal/attr"
+	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
-	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
 )
@@ -15,9 +13,9 @@ import (
 // and patches attributes, restores the virtual server as the source, and
 // forwards the reply to the client. It runs inline on the sender's
 // goroutine; only responses with an orchestration hook (which issues
-// blocking RPCs) are finished on a helper goroutine.
-func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
-	t0 := time.Now()
+// blocking RPCs) are finished on a helper goroutine. clk is the reply's
+// clock, started when Handle took it off the fabric.
+func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdict {
 	h, err := netsim.Parse(d)
 	if err != nil {
 		return p.consumeDrop(d)
@@ -26,6 +24,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
 	if err != nil {
 		return p.consumeDrop(d)
 	}
+	p.lap(&clk, stDecode)
 	s := p.shardFor(key)
 	s.mu.Lock()
 	pd := s.pend[key]
@@ -40,6 +39,8 @@ func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
 		// members would silently diverge). Drop it instead; the client's
 		// retransmission rebuilds the record — and re-marks the dirty
 		// set — with a full fan-out.
+		p.lap(&clk, stSoftState)
+		p.settle(&clk, nil)
 		if p.dirty != nil {
 			if g, ok := p.cfg.IO.Replicas.MemberOf(h.Src); ok && len(g.Members) > 1 {
 				return p.consumeDrop(d)
@@ -55,6 +56,8 @@ func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
 		}
 		if pd.replied[h.Src] {
 			s.mu.Unlock()
+			p.lap(&clk, stSoftState)
+			p.settle(&clk, nil)
 			netsim.FreeBuf(d)
 			return netsim.Consumed
 		}
@@ -68,20 +71,21 @@ func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
 			pd.errReply = append([]byte(nil), rep.Body...)
 		}
 		s.mu.Unlock()
-		p.st.softStateNS.Add(uint64(time.Since(t0)))
+		p.lap(&clk, stSoftState)
+		p.settle(&clk, nil)
 		netsim.FreeBuf(d)
 		return netsim.Consumed
 	}
 	delete(s.pend, key)
 	s.mu.Unlock()
 	// The record is now exclusively owned by this goroutine: lookups and
-	// deletion are serialized by the shard lock.
-	p.st.softStateNS.Add(uint64(time.Since(t0)))
-
-	// Attribute the forwarded hop now that its last reply arrived; the
-	// reply trailer, when the server appended one, splits out its
-	// handler time.
-	p.recordHop(pd, rep.Body)
+	// deletion are serialized by the shard lock. Its last reply arrived
+	// when that reply's clock started, which ends the forwarded hop (the
+	// reply trailer, when the server appended one, splits out its handler
+	// time); from here the request's clock runs on the reply's readings.
+	p.recordHop(pd, clk.start, rep.Body)
+	clk.start = pd.clk.start
+	pd.clk = clk
 
 	if pd.errReply != nil {
 		rep.Body = pd.errReply
@@ -90,11 +94,14 @@ func (p *Proxy) handleResponse(d []byte, key pendKey) netsim.Verdict {
 	if rep.Accept == oncrpc.AcceptSuccess && pd.onOK != nil &&
 		replyStatus(pd.proc, rep.Body) == nfsproto.OK {
 		// The hook blocks on µproxy-originated RPCs; run it (and the
-		// forwarding that must follow it) off the sender's goroutine.
+		// forwarding that must follow it) off the sender's goroutine. Its
+		// waiting is no stage's cost: the clock skips it.
+		p.lap(&pd.clk, stSoftState)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
 			pd.onOK()
+			p.skip(&pd.clk)
 			p.finishResponse(d, key, pd, rep)
 		}()
 		return netsim.Consumed
@@ -129,7 +136,7 @@ func (p *Proxy) finishResponse(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 		p.settleReplica(pd, rep)
 	}
 	if pd.prog != nfsproto.Program || rep.Accept != oncrpc.AcceptSuccess {
-		p.passThrough(d)
+		p.passThrough(d, pd)
 	} else {
 		switch pd.proc {
 		case nfsproto.ProcRead, nfsproto.ProcWrite:
@@ -139,29 +146,14 @@ func (p *Proxy) finishResponse(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 		case nfsproto.ProcGetAttr:
 			p.respondGetAttr(d, key, pd, rep)
 		case nfsproto.ProcLink:
-			// Harvest the updated link count: the remove orchestration's
-			// fast path depends on the cache tracking links it routed.
+			// Harvest the updated link count.
 			var res nfsproto.LinkRes
-			if err := res.Decode(xdr.NewDecoder(rep.Body)); err == nil && res.Status == nfsproto.OK {
-				if res.Attr.Present {
-					p.observeAttr(pd.info.FH, res.Attr.Attr)
-				}
-				if pd.info.HasName2 {
-					p.names.put(pd.info.FH2, pd.info.Name2, pd.info.FH)
-				}
+			if err := res.Decode(xdr.NewDecoder(rep.Body)); err == nil && res.Status == nfsproto.OK && res.Attr.Present {
+				p.observeAttr(pd.info.FH, res.Attr.Attr)
 			}
-			p.passThrough(d)
-		case nfsproto.ProcRename:
-			p.names.drop(pd.info.FH, pd.info.Name)
-			if pd.info.HasName2 {
-				p.names.drop(pd.info.FH2, pd.info.Name2)
-			}
-			p.passThrough(d)
-		case nfsproto.ProcRmdir:
-			p.names.drop(pd.info.FH, pd.info.Name)
-			p.passThrough(d)
+			p.passThrough(d, pd)
 		default:
-			p.passThrough(d)
+			p.passThrough(d, pd)
 		}
 	}
 	p.endObs(pd)
@@ -182,12 +174,13 @@ func replyStatus(proc nfsproto.Proc, body []byte) nfsproto.Status {
 }
 
 // passThrough restores the virtual server address as the packet source
-// with an incremental checksum fix, and delivers it to the client.
-// Ownership of d transfers to the network.
-func (p *Proxy) passThrough(d []byte) {
-	t0 := time.Now()
+// with an incremental checksum fix, and delivers it to the client. The
+// restore — six bytes and a checksum delta — closes the reply's soft-state
+// lap rather than a rewrite lap of its own (see lapClock). Ownership of d
+// transfers to the network.
+func (p *Proxy) passThrough(d []byte, pd *pendingReq) {
 	netsim.RewriteSrc(d, p.cfg.Virtual)
-	p.st.rewriteNS.Add(uint64(time.Since(t0)))
+	p.lap(&pd.clk, stSoftState)
 	p.st.responses.Add(1)
 	_ = p.cfg.Net.Inject(d)
 }
@@ -201,16 +194,15 @@ func (p *Proxy) passThrough(d []byte) {
 // length: WRITE replies, which carry none, and READ replies the µproxy
 // holds no attributes for, whose placeholder must be cut out.
 func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
-	t0 := time.Now()
 	fh := pd.info.FH
-	now := attr.FromGo(t0)
+	now := p.wallTime(pd.clk.last)
 
 	var body func(*xdr.Encoder)
 	switch pd.proc {
 	case nfsproto.ProcRead:
 		// Only a successful read is an access, and only to a file whose
-		// attributes are cached: see attrCache.access. What follows the
-		// READ result in the body is nothing or the server's trace trailer
+		// attributes are cached: see attrCache. What follows the READ
+		// result in the body is nothing or the server's trace trailer
 		// and is known by its length, never by the trailer's magic alone
 		// (file data may end in those bytes); any other shape is re-encoded.
 		if count, end, patchable := nfsproto.PeekReadRes(rep.Body); patchable {
@@ -222,7 +214,7 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 			}
 			if patchable {
 				if at, ok := p.attrs.access(fh, now); ok {
-					p.st.softStateNS.Add(uint64(time.Since(t0)))
+					p.lap(&pd.clk, stSoftState)
 					p.patchRead(d, pd, trailer, &at, pd.info.Offset+uint64(count) >= at.Size)
 					return
 				}
@@ -243,13 +235,8 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 			// local region of a striped file; with no cached size to
 			// correct against (soft state was lost), fetch authoritative
 			// attributes rather than surface a false EOF mid-file.
-			var ga nfsproto.GetAttrRes
-			gaInfo := nfsproto.RequestInfo{Proc: nfsproto.ProcGetAttr, FH: fh}
-			if addr, err := p.cfg.Names.AddrFor(&gaInfo); err == nil {
-				if err := p.nfsCall(pd.span, obs.HopDirsrv, addr, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}, &ga); err == nil && ga.Status == nfsproto.OK {
-					p.observeAttr(fh, ga.Attr)
-					at, ok = p.attrs.get(fh)
-				}
+			if st, err := p.fetchFor(pd, fh); err == nil && st == nfsproto.OK {
+				at, ok = p.attrs.get(fh)
 			}
 		}
 		if ok {
@@ -271,14 +258,33 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 		}
 		if res.Status == nfsproto.OK {
 			end := pd.info.Offset + uint64(res.Count)
-			p.updateAttr(fh, func(a *attr.Attr) {
-				if end > a.Size {
-					a.Size = end
-					a.Used = (end + 8191) &^ 8191
+			wrote := func(e *attrEntry) {
+				if end > e.at.Size {
+					e.at.Size = end
+					e.at.Used = (end + 8191) &^ 8191
 				}
-				a.Mtime = now
-				a.Ctime = now
-			})
+				e.at.Mtime = now
+				e.at.Ctime = now
+			}
+			// The write lands on top of the file's attributes, never on
+			// ones made up from it: a µproxy that holds none (a cold fleet
+			// member, or any µproxy after losing its soft state) fetches
+			// them first, again if a flush empties the cache in between.
+			for !p.attrs.update(fh, wrote) {
+				st, err := p.fetchFor(pd, fh)
+				if err != nil {
+					// Unacknowledged, the client retransmits and the
+					// storage node's DRC replays the reply; acknowledged
+					// with its growth recorded nowhere, the data past the
+					// old end of file would be unreachable.
+					p.st.dropped.Add(1)
+					netsim.FreeBuf(d)
+					return
+				}
+				if st != nfsproto.OK {
+					break // the file is gone: nothing to account the write to
+				}
+			}
 		}
 		if at, ok := p.attrs.get(fh); ok {
 			res.Attr = nfsproto.Some(at)
@@ -286,12 +292,21 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 		body = res.Encode
 
 	default:
-		p.passThrough(d)
+		p.passThrough(d, pd)
 		return
 	}
-	p.st.softStateNS.Add(uint64(time.Since(t0)))
-	p.respondEncoded(key, body)
+	p.lap(&pd.clk, stSoftState)
+	p.respondEncoded(key, pd, body)
 	netsim.FreeBuf(d)
+}
+
+// fetchFor is fetchAttr on behalf of the reply pd is finishing. The wait
+// is no stage's cost: the clock closes its soft-state lap before the call
+// and skips to its return.
+func (p *Proxy) fetchFor(pd *pendingReq, fh fhandle.Handle) (nfsproto.Status, error) {
+	p.lap(&pd.clk, stSoftState)
+	defer p.skip(&pd.clk)
+	return p.fetchAttr(pd.span, fh)
 }
 
 // patchRead turns a data server's READ reply into the virtual server's
@@ -304,7 +319,6 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 // The result is byte for byte the datagram a decode, re-encode and Build
 // would have produced. Ownership of d transfers to the network.
 func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, eof bool) {
-	t0 := time.Now()
 	const body = netsim.HeaderSize + oncrpc.ReplyHeader
 	if trailer > 0 {
 		d, _ = netsim.TrimTail(d, trailer) // cannot fail: respondIO measured it inside the body
@@ -318,19 +332,18 @@ func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, 
 	_ = netsim.RewriteBytes(d, body+nfsproto.ReadResAttrOff, pd.attrBuf[:])
 	_ = netsim.RewriteBytes(d, body+nfsproto.ReadResEOFOff, eofWord[:])
 	netsim.RewriteSrc(d, p.cfg.Virtual)
-	p.st.rewriteNS.Add(uint64(time.Since(t0)))
+	p.lap(&pd.clk, stRewrite)
 	p.st.responses.Add(1)
 	_ = p.cfg.Net.Inject(d)
 }
 
-// respondChild harvests the (name → handle) binding and child attributes
-// from LOOKUP/CREATE/MKDIR replies, then forwards the reply with the
-// child's attributes patched from the (possibly fresher) attribute cache:
-// the µproxy's view of size and timestamps reflects I/O the directory
-// server has not yet seen (§4.1). LookupRes and CreateRes share a wire
-// layout, so one decode path serves all three procedures.
+// respondChild harvests the child's attributes from LOOKUP/CREATE/MKDIR
+// replies, then forwards the reply with them patched from the (possibly
+// fresher) attribute cache: the µproxy's view of size and timestamps
+// reflects I/O the directory server has not yet seen (§4.1). LookupRes and
+// CreateRes share a wire layout, so one decode path serves all three
+// procedures.
 func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
-	t0 := time.Now()
 	var res nfsproto.LookupRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		p.st.dropped.Add(1)
@@ -338,12 +351,8 @@ func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.R
 		return
 	}
 	if res.Status != nfsproto.OK {
-		p.st.softStateNS.Add(uint64(time.Since(t0)))
-		p.passThrough(d)
+		p.passThrough(d, pd)
 		return
-	}
-	if pd.info.HasName {
-		p.names.put(pd.info.FH, pd.info.Name, res.FH)
 	}
 	if res.Attr.Present {
 		p.observeAttr(res.FH, res.Attr.Attr)
@@ -354,8 +363,8 @@ func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.R
 	if at, ok := p.attrs.get(res.FH); ok {
 		res.Attr = nfsproto.Some(at)
 	}
-	p.st.softStateNS.Add(uint64(time.Since(t0)))
-	p.respondEncoded(key, res.Encode)
+	p.lap(&pd.clk, stSoftState)
+	p.respondEncoded(key, pd, res.Encode)
 	netsim.FreeBuf(d)
 }
 
@@ -363,7 +372,6 @@ func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.R
 // answers the client with the merged attributes (local dirty size/mtime
 // win over the directory server's stale view).
 func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
-	t0 := time.Now()
 	var res nfsproto.GetAttrRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		p.st.dropped.Add(1)
@@ -371,26 +379,24 @@ func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 		return
 	}
 	if res.Status != nfsproto.OK {
-		p.st.softStateNS.Add(uint64(time.Since(t0)))
-		p.passThrough(d)
+		p.passThrough(d, pd)
 		return
 	}
 	p.observeAttr(pd.info.FH, res.Attr)
 	if at, ok := p.attrs.get(pd.info.FH); ok {
 		res.Attr = at
 	}
-	p.st.softStateNS.Add(uint64(time.Since(t0)))
-	p.respondEncoded(key, res.Encode)
+	p.lap(&pd.clk, stSoftState)
+	p.respondEncoded(key, pd, res.Encode)
 	netsim.FreeBuf(d)
 }
 
 // respondEncoded builds a fresh reply datagram from the virtual server to
-// the client and injects it.
-func (p *Proxy) respondEncoded(key pendKey, body func(*xdr.Encoder)) {
-	t1 := time.Now()
+// the client — the reply's rewrite lap — and injects it.
+func (p *Proxy) respondEncoded(key pendKey, pd *pendingReq, body func(*xdr.Encoder)) {
 	payload := oncrpc.EncodeReply(key.xid, oncrpc.AcceptSuccess, body)
 	out, err := netsim.Build(p.cfg.Virtual, key.client, payload)
-	p.st.rewriteNS.Add(uint64(time.Since(t1)))
+	p.lap(&pd.clk, stRewrite)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return
