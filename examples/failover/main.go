@@ -20,7 +20,6 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/route"
 	"slice/internal/smallfile"
-	"slice/internal/storage"
 	"slice/internal/wal"
 )
 
@@ -59,7 +58,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rebuilt := smallfile.NewStore(e.Storage[0].Store(), storage.ObjectID(0x5F<<56), crashedLog)
+	rebuilt := smallfile.NewStore(e.Storage[0].Store(), smallfile.BackingID(0), crashedLog)
 	if err := rebuilt.Recover(crashedLog); err != nil {
 		log.Fatal(err)
 	}

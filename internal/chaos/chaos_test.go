@@ -406,3 +406,78 @@ func TestWindowedBulkEquivalenceUnderChaos(t *testing.T) {
 	VerifyBytes(t, e, w, fh, data)
 	FsckClean(t, e)
 }
+
+// TestNameHashingDirFailoverToNewHost: under name hashing every name
+// routes by key through the directory table, so a site's identity must
+// not derive from its server's address — a directory server that fails
+// over to a brand-new host keeps its journal, and every name it
+// acknowledged must still resolve there.
+func TestNameHashingDirFailoverToNewHost(t *testing.T) {
+	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.NameKind = route.NameHashing })
+	ch := e.Chaos()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	acked, err := Untar(c, c.Root(), UntarConfig{Dirs: 1, Files: 59})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.CrashDir(1)
+	if _, err := ch.RestartDir(1, nil, 70); err != nil {
+		t.Fatalf("dir restart on a new host: %v", err)
+	}
+	if lost := VerifyAcked(c, 10*time.Second, acked); len(lost) != 0 {
+		t.Fatalf("%d of %d acknowledged names lost across the failover: %v", len(lost), len(acked), lost)
+	}
+	FsckClean(t, e)
+}
+
+// TestSmallFileFailoverToNewHost: a small-file server is dataless — its
+// journal and backing object survive it — so restarting it on a new
+// host must serve every file it held, byte for byte, and the sibling
+// server's files must not have moved.
+func TestSmallFileFailoverToNewHost(t *testing.T) {
+	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.SmallFileServers = 2 })
+	ch := e.Chaos()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	acked, err := Untar(c, c.Root(), UntarConfig{Dirs: 1, Files: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := acked[1:]
+	content := func(i int) []byte {
+		return bytes.Repeat([]byte{byte('a' + i%26), byte(i)}, 2048) // 4 KiB: below the threshold
+	}
+	for i, f := range files {
+		if err := c.WriteFile(f.FH, content(i)); err != nil {
+			t.Fatalf("write %s: %v", f.Name, err)
+		}
+	}
+	ch.CrashSmall(1)
+	if _, err := ch.RestartSmall(1, 75); err != nil {
+		t.Fatalf("small-file restart on a new host: %v", err)
+	}
+	for i, f := range files {
+		var got []byte
+		err := Retry(10*time.Second, func() error {
+			var err error
+			got, err = c.ReadAll(f.FH)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("read %s after failover: %v", f.Name, err)
+		}
+		if !bytes.Equal(got, content(i)) {
+			t.Fatalf("%s: read back %d bytes differing from the %d written", f.Name, len(got), len(content(i)))
+		}
+	}
+	FsckClean(t, e)
+}

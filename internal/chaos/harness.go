@@ -27,6 +27,7 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
+	"slice/internal/smallfile"
 	"slice/internal/storage"
 	"slice/internal/wal"
 )
@@ -187,7 +188,7 @@ func VerifyBytes(t testing.TB, e *ensemble.Ensemble, c *client.Client, fh fhandl
 
 // ReplicaGroupsIdentical asserts every live member of every replica
 // group holds byte-identical copies of every object. Small-file backing
-// objects (ID top byte 0x5F) are excluded: they live on one node by
+// objects (smallfile.IsBackingID) are excluded: they live on one node by
 // design and never take the replicated path.
 func ReplicaGroupsIdentical(t testing.TB, e *ensemble.Ensemble) {
 	t.Helper()
@@ -212,7 +213,7 @@ func ReplicaGroupsIdentical(t testing.TB, e *ensemble.Ensemble) {
 			}
 			for _, ent := range page {
 				after = ent.ID
-				if uint64(ent.ID)>>56 == 0x5F {
+				if smallfile.IsBackingID(ent.ID) {
 					continue
 				}
 				want := make([]byte, ent.Size)

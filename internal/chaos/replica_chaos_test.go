@@ -1,11 +1,14 @@
 package chaos
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"slice/internal/client"
 	"slice/internal/ensemble"
 	"slice/internal/oncrpc"
+	"slice/internal/storage"
 	"slice/internal/workload"
 )
 
@@ -186,5 +189,73 @@ func TestReplicaKillMidUntarUnderSfsMix(t *testing.T) {
 		t.Fatalf("replica restart: %v", err)
 	}
 	ReplicaGroupsIdentical(t, e)
+	FsckClean(t, e)
+}
+
+// TestCoordinatorRecoveryWaitsForReplicaMember: a REMOVE's intention is
+// durable while one replica-group member — not a primary — is cut off,
+// and the coordinator restarts with the member still unreachable. The
+// member holds a full copy of the file's stripes, so recovery must not
+// declare the remove finished until it has reached that member too.
+func TestCoordinatorRecoveryWaitsForReplicaMember(t *testing.T) {
+	e := newReplicatedEnsemble(t, nil)
+	ch := e.Chaos()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fh, _, err := c.Create(c.Root(), "mirrored-victim", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFile(fh, bytes.Repeat([]byte("m"), 300*1024)); err != nil {
+		t.Fatal(err)
+	}
+	obj := storage.ObjectOf(fh)
+	member := e.Storage[1].Store() // group 0 = {node 0 (primary), node 1}
+	if _, ok := member.Size(obj); !ok {
+		t.Fatal("the write never reached group 0's second member")
+	}
+
+	// One transmission, one orchestration chain (see
+	// TestCoordinatorRecoveryFinishesExactlyOnce).
+	oneShot, err := client.New(client.Config{
+		Net: e.Net, Host: 232, Server: e.Virtual,
+		RPC: oncrpc.ClientConfig{Timeout: 50 * time.Millisecond, Retries: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oneShot.Close()
+	if err := oneShot.Mount(); err != nil {
+		t.Fatal(err)
+	}
+	ch.PartitionStorage(1)
+	_ = oneShot.Remove(c.Root(), "mirrored-victim") // times out client-side; the chain runs on
+	if !WaitFor(5*time.Second, func() bool { return e.Coord.PendingIntentions() >= 1 }) {
+		t.Fatal("remove intention never became durable")
+	}
+
+	ch.CrashCoordinator()
+	co, err := ch.RestartCoordinator(3052) // recovery runs before this returns, member still cut off
+	if err != nil {
+		t.Fatalf("coordinator restart: %v", err)
+	}
+	if _, ok := member.Size(obj); !ok {
+		t.Fatal("the partitioned member lost its copy (fault window not exercised)")
+	}
+	if pending, finished := co.PendingIntentions(), co.Stats().Finished; pending != 1 || finished != 0 {
+		t.Fatalf("recovery left %d pending and finished %d with a replica member unreached, want 1 and 0", pending, finished)
+	}
+
+	ch.HealStorage(1)
+	if !WaitFor(10*time.Second, func() bool { return co.PendingIntentions() == 0 }) {
+		t.Fatalf("intention still pending after the member healed: %d", co.PendingIntentions())
+	}
+	if _, ok := member.Size(obj); ok {
+		t.Fatal("finished remove left the file's blocks on the replica member (orphan)")
+	}
 	FsckClean(t, e)
 }

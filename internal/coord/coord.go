@@ -27,6 +27,7 @@ import (
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
+	"slice/internal/replica"
 	"slice/internal/route"
 	"slice/internal/wal"
 	"slice/internal/xdr"
@@ -102,8 +103,12 @@ type Config struct {
 	// Log is the intentions journal (backed by the storage service via a
 	// static placement function, per §4.2).
 	Log *wal.Log
-	// Storage maps logical storage sites to storage nodes.
+	// Storage maps logical storage sites to storage nodes (replica-group
+	// primaries when the array is replicated).
 	Storage *route.Table
+	// Replicas is the replica map the µproxies hold over Storage (nil:
+	// unreplicated): finishing an intention must reach every member.
+	Replicas *replica.Map
 	// SmallFile maps logical small-file sites to small-file servers; may
 	// be nil when no small-file servers are configured.
 	SmallFile *route.Table
@@ -337,24 +342,16 @@ func (c *Coordinator) finish(in *intent) error {
 	return firstErr
 }
 
-// forEachStorage visits every storage node address once — including the
-// nodes of a pending topology transition, so recovery-time removes,
-// truncates, and commits reach the binding about to take over (a
-// remove finished against only the old nodes could resurrect its bytes
-// at the swap).
+// forEachStorage visits every storage node address once — every member
+// of every replica group, and the nodes of a pending topology transition
+// too, so recovery-time removes, truncates, and commits reach each copy
+// and the binding about to take over (a remove finished against only the
+// primaries, or only the old nodes, leaves bytes the swap or a failover
+// could resurrect).
 func (c *Coordinator) forEachStorage(f func(netsim.Addr)) {
-	seen := make(map[netsim.Addr]bool)
-	for _, a := range c.cfg.Storage.Physical() {
-		if !seen[a] {
-			seen[a] = true
-			f(a)
-		}
-	}
-	for _, a := range c.cfg.Storage.PendingPhysical() {
-		if !seen[a] {
-			seen[a] = true
-			f(a)
-		}
+	cur, next := c.cfg.Storage.Bindings(c.cfg.Replicas)
+	for _, a := range next.AppendAll(cur.AppendAll(nil)) {
+		f(a)
 	}
 }
 

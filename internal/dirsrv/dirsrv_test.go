@@ -782,3 +782,27 @@ func TestSymlinkCellsAndReplay(t *testing.T) {
 		t.Fatalf("readlink after replay: %v %q", rl.Status, rl.Target)
 	}
 }
+
+// TestChildAttrCopiesUnderLock: a LOOKUP's attribute read of the child's
+// cell must not race a concurrent SETATTR of the same cell (run under
+// -race, which is what reports the unlocked read).
+func TestChildAttrCopiesUnderLock(t *testing.T) {
+	h := newHarness(t, 1, route.MkdirSwitching, 0)
+	f := h.create(h.root, "f")
+	s := h.servers[0]
+	const rounds = 500
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			s.localSetAttrByKey(f.FileID, &attr.SetAttr{SetSize: true, Size: uint64(i)})
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if !s.childAttr(f).Present {
+			t.Error("resident child cell reported absent")
+			break
+		}
+	}
+	<-done
+}

@@ -33,11 +33,8 @@ func (s *Server) optLocalAttr(fh fhandle.Handle) nfsproto.OptAttr {
 // reference if the cell lives elsewhere (lookup crossing a site boundary,
 // §4.3).
 func (s *Server) childAttr(child fhandle.Handle) nfsproto.OptAttr {
-	s.mu.Lock()
-	c := s.st.attrs[child.FileID]
-	s.mu.Unlock()
-	if c != nil {
-		return nfsproto.Some(c.at)
+	if at := s.optLocalAttr(child); at.Present {
+		return at
 	}
 	site := child.Site % uint32(s.dirSites())
 	if site == s.site {

@@ -77,6 +77,7 @@ func (c *Chaos) RestartCoordinator(port uint16) (*coord.Coordinator, error) {
 	}
 	co, err := coord.Restart(p, coord.Config{
 		Storage:    c.e.StorageTable,
+		Replicas:   c.e.Replicas,
 		SmallFile:  c.e.SmallTable,
 		Net:        c.e.Net,
 		Host:       HostCoord,
@@ -191,17 +192,7 @@ func (c *Chaos) RestartDir(i int, snapshot []byte, host uint32) (*dirsrv.Server,
 	if err != nil {
 		return nil, err
 	}
-	srv, err := dirsrv.Restart(port, dirsrv.Config{
-		Site:         uint32(i),
-		Volume:       1,
-		Kind:         c.e.cfg.NameKind,
-		Table:        c.e.DirTable,
-		Net:          c.e.Net,
-		Host:         host,
-		Clock:        c.e.cfg.Clock,
-		MirrorDegree: c.e.cfg.MirrorDegree,
-		UseMaps:      c.e.cfg.UseBlockMaps && c.e.cfg.Coordinator,
-	}, snapshot, log)
+	srv, err := dirsrv.Restart(port, c.e.dirConfig(i, host), snapshot, log)
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +232,7 @@ func (c *Chaos) RestartSmall(i int, host uint32) (*smallfile.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	backing := c.e.Storage[i%len(c.e.Storage)].Store()
-	backID := storage.ObjectID(0x5F<<56 | uint64(i))
+	backing, backID := c.e.smallBacking(i)
 	srv, err := smallfile.Restart(port, backing, backID, log)
 	if err != nil {
 		return nil, err

@@ -274,12 +274,8 @@ func New(cfg Config) (*Ensemble, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Each small-file server's backing object lives on a storage
-		// node chosen by its index (dataless managers, §2.3).
-		backing := e.Storage[i%len(e.Storage)].Store()
-		backID := storage.ObjectID(0x5F<<56 | uint64(i))
-		st := smallfile.NewStore(backing, backID, log)
-		srv := smallfile.NewServer(port, st)
+		backing, backID := e.smallBacking(i)
+		srv := smallfile.NewServer(port, smallfile.NewStore(backing, backID, log))
 		reg := obs.NewRegistry(fmt.Sprintf("smallfile[%d]", i))
 		srv.SetObs(reg)
 		e.Obs.AddRegistry(reg)
@@ -289,9 +285,10 @@ func New(cfg Config) (*Ensemble, error) {
 		smallAddrs = append(smallAddrs, addr)
 	}
 	if len(smallAddrs) > 0 {
-		// Small files place by consistent hashing: adding a small-file
-		// server moves only the names the ring assigns it (§12).
-		e.SmallTable = route.NewRingTable(smallAddrs)
+		// One logical site per server: site i is server i's journal and
+		// backing object whatever address serves it, so a failover
+		// rebind moves no file (DESIGN.md §13.2).
+		e.SmallTable = route.NewTable(len(smallAddrs), smallAddrs)
 	}
 
 	// Coordinator.
@@ -309,6 +306,7 @@ func New(cfg Config) (*Ensemble, error) {
 		e.Coord = coord.New(port, coord.Config{
 			Log:        log,
 			Storage:    e.StorageTable,
+			Replicas:   e.Replicas,
 			SmallFile:  e.SmallTable,
 			Net:        e.Net,
 			Host:       HostCoord,
@@ -325,9 +323,9 @@ func New(cfg Config) (*Ensemble, error) {
 	for i := 0; i < cfg.DirServers; i++ {
 		dirAddrs = append(dirAddrs, netsim.Addr{Host: HostDir0 + uint32(i), Port: ServicePort})
 	}
-	// The name space places by consistent hashing too, so directory-
-	// server membership changes keep the minimal-movement property.
-	e.DirTable = route.NewRingTable(dirAddrs)
+	// Directory site i is the Site stamped into the handles server i
+	// mints, so it too must survive a rebind to another address.
+	e.DirTable = route.NewTable(len(dirAddrs), dirAddrs)
 	for i := 0; i < cfg.DirServers; i++ {
 		port, err := e.Net.Bind(dirAddrs[i])
 		if err != nil {
@@ -338,18 +336,9 @@ func New(cfg Config) (*Ensemble, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := dirsrv.New(port, dirsrv.Config{
-			Site:         uint32(i),
-			Volume:       1,
-			Kind:         cfg.NameKind,
-			Table:        e.DirTable,
-			Log:          log,
-			Net:          e.Net,
-			Host:         HostDir0 + uint32(i),
-			Clock:        cfg.Clock,
-			MirrorDegree: cfg.MirrorDegree,
-			UseMaps:      cfg.UseBlockMaps && cfg.Coordinator,
-		})
+		dcfg := e.dirConfig(i, HostDir0+uint32(i))
+		dcfg.Log = log
+		d := dirsrv.New(port, dcfg)
 		reg := obs.NewRegistry(fmt.Sprintf("dirsrv[%d]", i))
 		d.SetObs(reg)
 		e.Obs.AddRegistry(reg)
@@ -434,6 +423,29 @@ func New(cfg Config) (*Ensemble, error) {
 		e.Portmap = pm
 	}
 	return e, nil
+}
+
+// dirConfig is directory server i's configuration when it serves at host
+// (its journal is the caller's to attach: New takes it in the Config,
+// Restart beside it).
+func (e *Ensemble) dirConfig(i int, host uint32) dirsrv.Config {
+	return dirsrv.Config{
+		Site:         uint32(i),
+		Volume:       1,
+		Kind:         e.cfg.NameKind,
+		Table:        e.DirTable,
+		Net:          e.Net,
+		Host:         host,
+		Clock:        e.cfg.Clock,
+		MirrorDegree: e.cfg.MirrorDegree,
+		UseMaps:      e.cfg.UseBlockMaps && e.cfg.Coordinator,
+	}
+}
+
+// smallBacking names small-file server i's backing object: it lives on a
+// storage node chosen by the server's index (dataless managers, §2.3).
+func (e *Ensemble) smallBacking(i int) (*storage.ObjectStore, storage.ObjectID) {
+	return e.Storage[i%len(e.Storage)].Store(), smallfile.BackingID(i)
 }
 
 // startGateway starts fleet member i's gateway of one framing on its

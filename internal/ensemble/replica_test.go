@@ -7,6 +7,7 @@ import (
 
 	"slice/internal/oncrpc"
 	"slice/internal/route"
+	"slice/internal/smallfile"
 	"slice/internal/storage"
 )
 
@@ -34,7 +35,7 @@ func newReplicated(t *testing.T, mutate func(*Config)) *Ensemble {
 
 // assertGroupsIdentical checks that every member of each replica group
 // holds byte-identical copies of every object, excluding small-file
-// backing objects (id top byte 0x5F), which live on one node by design.
+// backing objects, which live on one node by design.
 func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 	t.Helper()
 	k := e.cfg.Replication
@@ -54,7 +55,7 @@ func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 			}
 			for _, ent := range page {
 				after = ent.ID
-				if uint64(ent.ID)>>56 == 0x5F {
+				if smallfile.IsBackingID(ent.ID) {
 					continue
 				}
 				want := make([]byte, ent.Size)

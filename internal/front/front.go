@@ -16,6 +16,8 @@
 package front
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -83,17 +85,9 @@ func (r *Ring) build() *ringState {
 	}
 	// Sort by hash; ties (vanishingly rare for a 64-bit mix) resolve to
 	// the lower member ID so every ring is deterministic.
-	sortPoints := func(a, b pt) bool {
-		if a.hash != b.hash {
-			return a.hash < b.hash
-		}
-		return a.owner.ID < b.owner.ID
-	}
-	for i := 1; i < len(pts); i++ {
-		for j := i; j > 0 && sortPoints(pts[j], pts[j-1]); j-- {
-			pts[j], pts[j-1] = pts[j-1], pts[j]
-		}
-	}
+	slices.SortFunc(pts, func(a, b pt) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), cmp.Compare(a.owner.ID, b.owner.ID))
+	})
 	for _, p := range pts {
 		st.points = append(st.points, p.hash)
 		st.owners = append(st.owners, p.owner)

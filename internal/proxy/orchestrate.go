@@ -149,40 +149,11 @@ func (p *Proxy) dataSites(fh fhandle.Handle) []netsim.Addr {
 		large = false
 	}
 	if large {
-		seen := make(map[netsim.Addr]bool)
-		add := func(a netsim.Addr) {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-		for _, a := range p.cfg.IO.Storage.Physical() {
-			if g, ok := p.cfg.IO.Replicas.GroupOf(a); ok {
-				for _, m := range g.Members {
-					add(m)
-				}
-			} else {
-				add(a)
-			}
-		}
 		// Mid-transition, the pending binding's nodes may already hold
 		// double-written blocks; a remove or truncate that skipped them
 		// would resurrect dead bytes at the swap.
-		if pend := p.cfg.IO.Storage.PendingPhysical(); pend != nil {
-			reps := p.cfg.IO.Storage.PendingReplicas()
-			if reps == nil {
-				reps = p.cfg.IO.Replicas
-			}
-			for _, a := range pend {
-				if g, ok := reps.GroupOf(a); ok {
-					for _, m := range g.Members {
-						add(m)
-					}
-				} else {
-					add(a)
-				}
-			}
-		}
+		cur, next := p.cfg.IO.Bindings()
+		out = next.AppendAll(cur.AppendAll(out))
 	}
 	return out
 }

@@ -751,14 +751,9 @@ func (p *Proxy) writeTargets(sp *obs.Span, fh fhandle.Handle, stripe uint64) ([]
 		if err != nil {
 			return nil, err
 		}
-		a, err := p.cfg.IO.Storage.Lookup(site)
-		if err != nil {
-			return nil, err
-		}
-		if g, ok := p.cfg.IO.Replicas.GroupOf(a); ok {
-			return g.Members, nil
-		}
-		return []netsim.Addr{a}, nil
+		// A logical site is its own table key.
+		cur, _ := p.cfg.IO.Bindings()
+		return cur.AppendNodes(nil, uint64(site), 1), nil
 	}
 	return p.cfg.IO.WriteTargets(fh, stripe)
 }

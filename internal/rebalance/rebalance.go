@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,12 +48,10 @@ import (
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/route"
+	"slice/internal/smallfile"
+	"slice/internal/storage"
 	"slice/internal/xdr"
 )
-
-// smallFileIDByte tags the small-file servers' backing objects; they
-// live outside the striped space and never migrate with it.
-const smallFileIDByte = 0x5F
 
 // Config wires a Driver into the ensemble.
 type Config struct {
@@ -204,7 +203,7 @@ func (d *Driver) Run(next []netsim.Addr, nextReps *replica.Map, preCommit func()
 		if !table.Transitioning() || table.PendingEpoch() != epoch {
 			return fail(fmt.Errorf("rebalance: transition %d aborted externally", epoch))
 		}
-		changed, err := d.round(table, round > 1)
+		changed, err := d.round(round > 1)
 		if err != nil {
 			return fail(err)
 		}
@@ -249,21 +248,27 @@ type chunkMove struct {
 // moving chunk whose destination bytes differ from the source. It
 // returns how many repairs (writes, truncates, removes) it made —
 // zero means the bindings agree everywhere the placement moves.
-func (d *Driver) round(table *route.Table, verifyOnly bool) (int, error) {
+func (d *Driver) round(verifyOnly bool) (int, error) {
 	su := d.cfg.IO.StripeUnit
 	if su == 0 {
 		su = route.DefaultStripeUnit
 	}
 
-	srcNodes := distinct(table.Physical())
+	cur, next := d.cfg.IO.Bindings()
+	if next.NumLogical() == 0 {
+		return 0, fmt.Errorf("rebalance: transition closed under the round")
+	}
+	// Sources are read from the current binding's primaries, so list
+	// those alone: the table's binding under no replica map.
+	prims, _ := d.cfg.IO.Storage.Bindings(nil)
 	sizes := make(map[uint64]uint64) // object -> max size across src nodes
-	for _, a := range srcNodes {
+	for _, a := range prims.AppendAll(nil) {
 		objs, err := d.listObjects(a)
 		if err != nil {
 			return 0, err
 		}
 		for id, size := range objs {
-			if cur, ok := sizes[id]; !ok || cur < size {
+			if have, ok := sizes[id]; !ok || have < size {
 				sizes[id] = size
 			}
 		}
@@ -276,43 +281,29 @@ func (d *Driver) round(table *route.Table, verifyOnly bool) (int, error) {
 	// round targets it.
 	dstSizes := make(map[netsim.Addr]map[uint64]uint64)
 	moves := make(map[netsim.Addr][]chunkMove) // keyed by src node
-	reps := table.PendingReplicas()
-	if reps == nil {
-		reps = d.cfg.IO.Replicas
-	}
-	pend := table.PendingPhysical()
-	if pend == nil {
-		return 0, fmt.Errorf("rebalance: transition closed under the round")
-	}
-	for _, p := range pend {
-		for _, a := range d.expand(p, reps) {
-			if dstSizes[a] != nil {
-				continue
-			}
-			objs, err := d.listObjects(a)
-			if err != nil {
-				return 0, err
-			}
-			dstSizes[a] = objs
+	for _, a := range next.AppendAll(nil) {
+		objs, err := d.listObjects(a)
+		if err != nil {
+			return 0, err
 		}
+		dstSizes[a] = objs
 	}
+	var holders, pending []netsim.Addr // one stripe's nodes under each binding
 	for id, size := range sizes {
-		if id>>56 == smallFileIDByte {
-			continue // small-file backing object: not in the striped space
+		if smallfile.IsBackingID(storage.ObjectID(id)) {
+			continue // not in the striped space
 		}
 		for stripe := uint64(0); stripe == 0 || stripe*su < size; stripe++ {
-			key := id + stripe
-			src, err := table.Route(key)
-			if err != nil {
-				return 0, err
+			key := route.PlacementKey(id, stripe)
+			holders = cur.AppendNodes(holders[:0], key, 1)
+			if len(holders) == 0 {
+				return 0, route.ErrEmptyTable
 			}
-			dst, err := table.PendingLookup(table.PendingSite(key))
-			if err != nil {
-				return 0, fmt.Errorf("rebalance: pending lookup: %w", err)
-			}
+			src := holders[0] // the primary
+			pending = next.AppendNodes(pending[:0], key, 1)
 			var dsts []netsim.Addr
-			for _, a := range d.expand(dst, reps) {
-				if a != src && !d.memberOfCurrent(src, a) {
+			for _, a := range pending {
+				if !slices.Contains(holders, a) {
 					dsts = append(dsts, a)
 				}
 			}
@@ -377,10 +368,10 @@ func (d *Driver) round(table *route.Table, verifyOnly bool) (int, error) {
 	// was removed mid-copy and the remove raced our writes).
 	for dst, objs := range dstSizes {
 		for id := range objs {
-			if _, live := sizes[id]; live || id>>56 == smallFileIDByte {
+			if _, live := sizes[id]; live || smallfile.IsBackingID(storage.ObjectID(id)) {
 				continue
 			}
-			if !d.everMovesTo(table, sizes, id, dst) {
+			if !everMovesTo(next, id, dst) {
 				continue // not ours: the node owned it before the transition
 			}
 			if err := d.peerRemove(dst, id); err != nil {
@@ -393,25 +384,17 @@ func (d *Driver) round(table *route.Table, verifyOnly bool) (int, error) {
 	return changed, nil
 }
 
-// everMovesTo reports whether object id has any stripe the transition
-// places on dst. Sizes no longer list the object (it was removed), so
-// scan a bounded stripe range — ghosts are creatures of the copy
-// window, which only ever touched stripes below the listed size.
-func (d *Driver) everMovesTo(table *route.Table, sizes map[uint64]uint64, id uint64, dst netsim.Addr) bool {
-	reps := table.PendingReplicas()
-	if reps == nil {
-		reps = d.cfg.IO.Replicas
-	}
+// everMovesTo reports whether object id has any stripe the pending
+// binding places on dst. Sizes no longer list the object (it was
+// removed), so scan a bounded stripe range — ghosts are creatures of the
+// copy window, which only ever touched stripes below the listed size.
+func everMovesTo(next route.Binding, id uint64, dst netsim.Addr) bool {
 	const scanStripes = 1024
+	var nodes []netsim.Addr
 	for stripe := uint64(0); stripe < scanStripes; stripe++ {
-		a, err := table.PendingLookup(table.PendingSite(id + stripe))
-		if err != nil {
-			return false
-		}
-		for _, m := range d.expand(a, reps) {
-			if m == dst {
-				return true
-			}
+		nodes = next.AppendNodes(nodes[:0], route.PlacementKey(id, stripe), 1)
+		if slices.Contains(nodes, dst) {
+			return true
 		}
 	}
 	return false
@@ -487,30 +470,6 @@ func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]
 		}
 	}
 	return changed, nil
-}
-
-// expand resolves a primary to its replica-group members under reps
-// (itself when unreplicated).
-func (d *Driver) expand(a netsim.Addr, reps *replica.Map) []netsim.Addr {
-	if g, ok := reps.GroupOf(a); ok {
-		return g.Members
-	}
-	return []netsim.Addr{a}
-}
-
-// memberOfCurrent reports whether cand already replicates src's data
-// under the CURRENT binding (same group: no copy needed).
-func (d *Driver) memberOfCurrent(src, cand netsim.Addr) bool {
-	g, ok := d.cfg.IO.Replicas.GroupOf(src)
-	if !ok {
-		return false
-	}
-	for _, m := range g.Members {
-		if m == cand {
-			return true
-		}
-	}
-	return false
 }
 
 // ------------------------------------------------------- peer operations
@@ -754,17 +713,4 @@ func (d *Driver) complete(id uint64) {
 	_, _ = c.Call(coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 	})
-}
-
-// distinct returns the distinct addresses in first-appearance order.
-func distinct(sites []netsim.Addr) []netsim.Addr {
-	seen := make(map[netsim.Addr]bool, len(sites))
-	out := make([]netsim.Addr, 0, len(sites))
-	for _, a := range sites {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
 }

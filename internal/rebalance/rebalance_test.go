@@ -13,6 +13,7 @@ import (
 	"slice/internal/obs"
 	"slice/internal/replica"
 	"slice/internal/route"
+	"slice/internal/smallfile"
 	"slice/internal/storage"
 	"slice/internal/wal"
 )
@@ -29,8 +30,12 @@ type rig struct {
 
 func addrN(i int) netsim.Addr { return netsim.Addr{Host: uint32(10 + i), Port: 2049} }
 
+// rigLogical is the rigs' logical-site count: slack enough that every
+// grow below hands each new node a share.
+const rigLogical = 12
+
 // newRig starts storage nodes on addrs[0:cur] as the current binding
-// (ring table) and pre-starts the rest so a transition can target them.
+// and pre-starts the rest so a transition can target them.
 func newRig(t *testing.T, addrs []netsim.Addr, cur int) *rig {
 	t.Helper()
 	r := &rig{
@@ -47,7 +52,7 @@ func newRig(t *testing.T, addrs []netsim.Addr, cur int) *rig {
 		r.stores[a] = st
 		r.nodes[a] = storage.NewNode(port, st)
 	}
-	r.table = route.NewRingTable(addrs[:cur])
+	r.table = route.NewTable(rigLogical, addrs[:cur])
 	r.io = route.NewIOPolicy(nil, r.table)
 	t.Cleanup(func() {
 		for _, n := range r.nodes {
@@ -71,13 +76,23 @@ func (r *rig) driver(t *testing.T, reg *obs.Registry) *Driver {
 	return d
 }
 
+// grow plans the site list that adds nodes to the current binding — what
+// ensemble.Grow hands the driver.
+func (r *rig) grow(t *testing.T, add ...netsim.Addr) []netsim.Addr {
+	t.Helper()
+	next, err := route.PlanGrow(r.table.Physical(), add, r.table.NumLogical())
+	if err != nil {
+		t.Fatalf("PlanGrow: %v", err)
+	}
+	return next
+}
+
 // movedID returns the first id >= start whose stripe 0 lands on want
-// under a ring binding over next (i.e. an object the transition moves).
+// under the site list next (i.e. an object the transition moves).
 func movedID(t *testing.T, next []netsim.Addr, want netsim.Addr, start uint64) uint64 {
 	t.Helper()
-	nt := route.NewRingTable(next)
 	for id := start; id < start+1<<20; id++ {
-		if a, err := nt.Route(id); err == nil && a == want {
+		if next[id%uint64(len(next))] == want {
 			return id
 		}
 	}
@@ -168,24 +183,26 @@ func TestGrowMovesBlocks(t *testing.T) {
 	}
 	r := newRig(t, addrs, 4)
 	su := r.io.StripeUnit
+	// Growing 4→6 over 12 sites rebinds sites 8–11; every object below
+	// has a stripe there.
 	sizes := map[uint64]uint64{
-		1: 0,           // zero-length: must still appear at its new site
-		2: su / 2,      // sub-stripe
-		3: 3*su + su/3, // multi-stripe with a short tail
-		4: 4 * su,      // exact stripe multiple
-		5: su,
+		8:  0,           // zero-length: must still appear at its new site
+		9:  su / 2,      // sub-stripe
+		10: 3*su + su/3, // multi-stripe with a short tail
+		7:  4 * su,      // exact stripe multiple
+		11: su,
 	}
 	for id, size := range sizes {
 		r.populate(t, id, size)
 	}
 	// A small-file backing object must not migrate with the striped space.
-	smallID := uint64(0x5F)<<56 | 7
+	smallID := uint64(smallfile.BackingID(7))
 	r.populate(t, smallID, 16)
 
 	reg := obs.NewRegistry("rebalance-test")
 	d := r.driver(t, reg)
 	preCommitRan := false
-	if err := d.Run(addrs, nil, func() error { preCommitRan = true; return nil }); err != nil {
+	if err := d.Run(r.grow(t, addrs[4:]...), nil, func() error { preCommitRan = true; return nil }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !preCommitRan {
@@ -236,8 +253,12 @@ func TestShrinkMovesBlocksOffRemoved(t *testing.T) {
 	for id, size := range sizes {
 		r.populate(t, id, size)
 	}
+	next, err := route.PlanShrink(r.table.Physical(), addrs[4:])
+	if err != nil {
+		t.Fatalf("PlanShrink: %v", err)
+	}
 	d := r.driver(t, nil)
-	if err := d.Run(addrs[:4], nil, nil); err != nil {
+	if err := d.Run(next, nil, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for id, size := range sizes {
@@ -259,7 +280,7 @@ func TestListPaging(t *testing.T) {
 		r.populate(t, uint64(1000+i), 8)
 	}
 	d := r.driver(t, nil)
-	if err := d.Run(addrs, nil, nil); err != nil {
+	if err := d.Run(r.grow(t, addrs[1]), nil, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if d.Status().Objects != n {
@@ -277,14 +298,15 @@ func TestTruncateSyncsStaleDest(t *testing.T) {
 	// An object whose new placement is the incoming node, already holding
 	// a stale larger copy there (earlier aborted migration). The driver
 	// must chop it to the source size.
-	id := movedID(t, addrs, addrs[1], 21)
+	next := r.grow(t, addrs[1])
+	id := movedID(t, next, addrs[1], 21)
 	r.populate(t, id, su/2)
 	stale := make([]byte, 2*su)
 	if err := r.stores[addrs[1]].WriteAt(storage.ObjectID(id), 0, stale, true); err != nil {
 		t.Fatal(err)
 	}
 	d := r.driver(t, nil)
-	if err := d.Run(addrs, nil, nil); err != nil {
+	if err := d.Run(next, nil, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	r.checkPlacement(t, id, su/2)
@@ -299,12 +321,13 @@ func TestGhostScrub(t *testing.T) {
 	r.populate(t, 31, 64)
 	// A ghost: bytes on the incoming node for an object no source lists
 	// (its file was removed while an earlier copy attempt was in flight).
-	ghost := movedID(t, addrs, addrs[1], 99)
+	next := r.grow(t, addrs[1])
+	ghost := movedID(t, next, addrs[1], 99)
 	if err := r.stores[addrs[1]].WriteAt(storage.ObjectID(ghost), 0, []byte("stale"), true); err != nil {
 		t.Fatal(err)
 	}
 	d := r.driver(t, nil)
-	if err := d.Run(addrs, nil, nil); err != nil {
+	if err := d.Run(next, nil, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if _, ok := r.stores[addrs[1]].Size(storage.ObjectID(ghost)); ok {
@@ -324,12 +347,12 @@ func TestReplicatedGrow(t *testing.T) {
 	r := newRig(t, addrs, 6) // start all nodes; bindings pick primaries
 	curReps := replica.NewMap(2, addrs[:4])
 	curPrim := []netsim.Addr{addrs[0], addrs[2]}
-	r.table = route.NewRingTable(curPrim)
+	r.table = route.NewTable(rigLogical, curPrim)
 	r.io = route.NewIOPolicy(nil, r.table)
 	r.io.Replicas = curReps
 
 	su := r.io.StripeUnit
-	sizes := map[uint64]uint64{41: 3 * su, 42: su + 9}
+	sizes := map[uint64]uint64{44: 3 * su, 45: su + 9} // stripes on sites 8–10, which the grow rebinds
 	// Foreground writes land on every group member.
 	for id, size := range sizes {
 		for off := uint64(0); off < size; off += su {
@@ -356,13 +379,15 @@ func TestReplicatedGrow(t *testing.T) {
 	}
 
 	nextReps := replica.NewMap(2, addrs)
-	nextPrim := []netsim.Addr{addrs[0], addrs[2], addrs[4]}
 	d := r.driver(t, nil)
-	if err := d.Run(nextPrim, nextReps, func() error {
+	if err := d.Run(r.grow(t, addrs[4]), nextReps, func() error {
 		r.io.Replicas = nextReps
 		return nil
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if d.Status().BytesMoved == 0 {
+		t.Fatal("the grow moved nothing: the test's objects miss the rebound sites")
 	}
 	// Every stripe must now be whole on EVERY member of its new group.
 	for id, size := range sizes {
@@ -409,7 +434,7 @@ func TestForegroundWritesDuringMigration(t *testing.T) {
 	for fid := uint64(50); len(ids) < 20; fid++ {
 		fh := fhandle.Handle{FileID: fid}
 		id := fhandle.HandleKey(fh)
-		if id>>56 == smallFileIDByte {
+		if smallfile.IsBackingID(storage.ObjectID(id)) {
 			continue
 		}
 		fhs = append(fhs, fh)
@@ -448,7 +473,7 @@ func TestForegroundWritesDuringMigration(t *testing.T) {
 		}
 	}()
 	d := r.driver(t, nil)
-	err := d.Run(addrs, nil, nil)
+	err := d.Run(r.grow(t, addrs[4:]...), nil, nil)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -462,11 +487,12 @@ func TestForegroundWritesDuringMigration(t *testing.T) {
 func TestRunRejectsOpenTransition(t *testing.T) {
 	addrs := []netsim.Addr{addrN(0), addrN(1)}
 	r := newRig(t, addrs, 1)
-	if _, err := r.table.Begin(addrs, nil); err != nil {
+	next := r.grow(t, addrs[1])
+	if _, err := r.table.Begin(next, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := r.driver(t, nil)
-	if err := d.Run(addrs, nil, nil); err == nil {
+	if err := d.Run(next, nil, nil); err == nil {
 		t.Fatal("Run succeeded with a transition already open")
 	}
 	if d.Status().State == "done" {
@@ -480,13 +506,13 @@ func TestRunAbortsOnPreCommitError(t *testing.T) {
 	r.populate(t, 61, 128)
 	ver0 := r.table.Version()
 	d := r.driver(t, nil)
-	if err := d.Run(addrs, nil, func() error { return fmt.Errorf("swap refused") }); err == nil {
+	if err := d.Run(r.grow(t, addrs[1]), nil, func() error { return fmt.Errorf("swap refused") }); err == nil {
 		t.Fatal("Run ignored preCommit error")
 	}
 	if r.table.Transitioning() {
 		t.Fatal("transition left open after failed Run")
 	}
-	if len(r.table.Physical()) != 1 {
+	if r.table.NumPhysical() != 1 {
 		t.Fatal("table grew despite the abort")
 	}
 	if r.table.Version() == ver0 {
@@ -513,7 +539,7 @@ func TestRunFailsWhenPeerDenies(t *testing.T) {
 		RetryBudget: 50 * time.Millisecond,
 	})
 	defer d.Close()
-	if err := d.Run(addrs, nil, nil); err == nil {
+	if err := d.Run(r.grow(t, addrs[1]), nil, nil); err == nil {
 		t.Fatal("Run succeeded with a rejected bearer token")
 	}
 	if r.table.Transitioning() {
@@ -562,7 +588,7 @@ func TestIntentionHeartbeat(t *testing.T) {
 		Settle:    30 * time.Millisecond, // several probe windows per run
 	})
 	defer d.Close()
-	if err := d.Run(addrs, nil, nil); err != nil {
+	if err := d.Run(r.grow(t, addrs[4:]...), nil, nil); err != nil {
 		t.Fatalf("Run with coordinator: %v", err)
 	}
 	for id := uint64(80); id < 90; id++ {
@@ -571,7 +597,7 @@ func TestIntentionHeartbeat(t *testing.T) {
 	// After commit the chain is complete: give the probe time to fire on
 	// anything left behind and confirm the committed binding survives.
 	time.Sleep(120 * time.Millisecond)
-	if r.table.Transitioning() || len(distinct(r.table.Physical())) != 6 {
+	if r.table.Transitioning() || r.table.NumPhysical() != 6 {
 		t.Fatal("committed binding did not survive the probe")
 	}
 }
@@ -600,7 +626,7 @@ func TestStaleIntentionRollsBack(t *testing.T) {
 	})
 	defer co.Close()
 
-	epoch, err := r.table.Begin(addrs, nil)
+	epoch, err := r.table.Begin(r.grow(t, addrs[1]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +643,7 @@ func TestStaleIntentionRollsBack(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := len(r.table.Physical()); got != 1 {
+	if got := r.table.NumPhysical(); got != 1 {
 		t.Fatalf("rollback left %d nodes, want the original 1", got)
 	}
 }

@@ -13,6 +13,7 @@ package route
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +43,6 @@ type Table struct {
 // atomic load gives the data path a consistent (current, pending) pair.
 type tableState struct {
 	sites   []netsim.Addr // logical -> physical; never mutated once stored
-	ring    []ringPoint   // non-nil: consistent-hash placement (transition.go)
 	next    *pendingState // open transition's pending binding (nil: none)
 	version uint64
 }
@@ -85,11 +85,6 @@ func (t *Table) Swap(physical []netsim.Addr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.state.Load()
-	if cur.ring != nil {
-		sites := append([]netsim.Addr(nil), physical...)
-		t.state.Store(&tableState{sites: sites, ring: buildRing(sites), version: cur.version + 1})
-		return
-	}
 	t.bind(len(cur.sites), physical, cur.version+1)
 }
 
@@ -108,9 +103,6 @@ func (t *Table) Site(key uint64) uint32 {
 	st := t.state.Load()
 	if len(st.sites) == 0 {
 		return 0
-	}
-	if st.ring != nil {
-		return ringSite(st.ring, key)
 	}
 	return uint32(key % uint64(len(st.sites)))
 }
@@ -131,10 +123,7 @@ func (t *Table) Route(key uint64) (netsim.Addr, error) {
 	if len(st.sites) == 0 {
 		return netsim.Addr{}, ErrEmptyTable
 	}
-	if st.ring != nil {
-		return st.sites[int(ringSite(st.ring, key))%len(st.sites)], nil
-	}
-	return st.sites[int(uint32(key%uint64(len(st.sites))))%len(st.sites)], nil
+	return st.sites[key%uint64(len(st.sites))], nil
 }
 
 // Physical returns a copy of the current logical→physical binding.
@@ -149,12 +138,85 @@ func (t *Table) Physical() []netsim.Addr {
 // the table — the real array width when several logical sites share a
 // node.
 func (t *Table) NumPhysical() int {
-	sites := t.state.Load().sites
-	seen := make(map[netsim.Addr]struct{}, len(sites))
-	for _, a := range sites {
-		seen[a] = struct{}{}
+	return len(distinctAddrs(t.state.Load().sites))
+}
+
+// Binding is one immutable logical→physical generation of a table paired
+// with the replica map that expands its primaries. It is the one place
+// that answers "which nodes hold this key" and "which nodes are there":
+// the data path, the coordinator and the rebalance driver all enumerate
+// through it, so none of them can forget a replica-group member or a
+// pending node the others reach.
+type Binding struct {
+	sites []netsim.Addr
+	reps  *replica.Map
+}
+
+// Bindings returns the current binding and, while a transition is open,
+// the pending one (NumLogical 0 otherwise), both from one snapshot load.
+// reps is the live replica map over the current binding (nil:
+// unreplicated); the pending binding expands through the map its
+// transition carries, or through reps when it carries none.
+func (t *Table) Bindings(reps *replica.Map) (cur, next Binding) {
+	st := t.state.Load()
+	cur = Binding{sites: st.sites, reps: reps}
+	if st.next != nil {
+		next = Binding{sites: st.next.sites, reps: st.next.reps}
+		if next.reps == nil {
+			next.reps = reps
+		}
 	}
-	return len(seen)
+	return cur, next
+}
+
+// NumLogical returns the binding's logical site count (0: no binding).
+func (b Binding) NumLogical() int { return len(b.sites) }
+
+// run locates key among the binding's n > 0 logical sites: degree
+// consecutive sites (mod n, clamped to n) starting at base.
+func (b Binding) run(key uint64, degree int) (base, clamped int) {
+	n := len(b.sites)
+	return int(key % uint64(n)), min(degree, n)
+}
+
+// AppendNodes appends to dst every node holding the degree consecutive
+// logical sites that start at key's site, replica-group members
+// included, skipping nodes dst already has (mirrored sites wrapping a
+// small array, or two bindings of one transition, resolve to one node
+// more than once). An empty binding appends nothing.
+func (b Binding) AppendNodes(dst []netsim.Addr, key uint64, degree int) []netsim.Addr {
+	if len(b.sites) == 0 {
+		return dst
+	}
+	base, degree := b.run(key, degree)
+	for i := 0; i < degree; i++ {
+		dst = b.appendGroup(dst, b.sites[(base+i)%len(b.sites)])
+	}
+	return dst
+}
+
+// AppendAll appends to dst every node of the binding, replica-group
+// members included, skipping nodes dst already has.
+func (b Binding) AppendAll(dst []netsim.Addr) []netsim.Addr {
+	for _, a := range b.sites {
+		dst = b.appendGroup(dst, a)
+	}
+	return dst
+}
+
+// appendGroup appends primary's whole replica group (primary alone when
+// unreplicated) minus what dst already holds.
+func (b Binding) appendGroup(dst []netsim.Addr, primary netsim.Addr) []netsim.Addr {
+	members := []netsim.Addr{primary}
+	if g, ok := b.reps.GroupOf(primary); ok {
+		members = g.Members
+	}
+	for _, m := range members {
+		if !slices.Contains(dst, m) {
+			dst = append(dst, m)
+		}
+	}
+	return dst
 }
 
 // ------------------------------------------------------------- I/O policy
@@ -243,35 +305,40 @@ func (p *IOPolicy) StripeIndex(offset uint64) uint64 {
 	return offset / p.StripeUnit
 }
 
-// placementKey spreads files across the array so all files do not start on
-// storage node 0.
-func placementKey(fh fhandle.Handle, stripe uint64) uint64 {
-	return fhandle.HandleKey(fh) + stripe
+// PlacementKey is the table key of one stripe of a storage object (the
+// object ID is fhandle.HandleKey of the file's handle): adding the stripe
+// index walks a file round-robin over the sites, and the fingerprint
+// spreads files so they do not all start on storage node 0.
+func PlacementKey(object, stripe uint64) uint64 {
+	return object + stripe
 }
 
-// siteRun locates the given stripe of fh among the n logical storage
-// sites: degree consecutive sites (mod n) starting at base — one for
-// unmirrored files, MirrorDegree for mirrored ones (§3.1, mirrored
-// striping). n is 0 for an empty table.
-func (p *IOPolicy) siteRun(fh fhandle.Handle, stripe uint64) (base, degree, n int) {
-	n = p.Storage.NumLogical()
-	if n == 0 {
-		return 0, 0, 0
-	}
+// Bindings returns the storage table's current and pending bindings under
+// the policy's replica map.
+func (p *IOPolicy) Bindings() (cur, next Binding) {
+	return p.Storage.Bindings(p.Replicas)
+}
+
+// stripeRun is the placement of one stripe of fh: its table key and how
+// many consecutive logical sites hold it — one for unmirrored files,
+// MirrorDegree for mirrored ones (§3.1, mirrored striping).
+func stripeRun(fh fhandle.Handle, stripe uint64) (key uint64, degree int) {
 	degree = 1
 	if fh.Mirrored() {
-		degree = min(int(fh.MirrorDegree), n)
+		degree = int(fh.MirrorDegree)
 	}
-	return int(p.Storage.Site(placementKey(fh, stripe))), degree, n
+	return PlacementKey(fhandle.HandleKey(fh), stripe), degree
 }
 
 // StorageSites returns the logical storage sites holding the given stripe
 // of fh.
 func (p *IOPolicy) StorageSites(fh fhandle.Handle, stripe uint64) []uint32 {
-	base, degree, n := p.siteRun(fh, stripe)
+	cur, _ := p.Bindings()
+	n := cur.NumLogical()
 	if n == 0 {
 		return nil
 	}
+	base, degree := cur.run(stripeRun(fh, stripe))
 	sites := make([]uint32, degree)
 	for i := range sites {
 		sites[i] = uint32((base + i) % n)
@@ -287,96 +354,12 @@ func (p *IOPolicy) StorageSites(fh fhandle.Handle, stripe uint64) []uint32 {
 // copier never chases bytes written behind it, and an abort loses
 // nothing because the old binding saw every write too).
 func (p *IOPolicy) WriteTargets(fh fhandle.Handle, stripe uint64) ([]netsim.Addr, error) {
-	sites := p.StorageSites(fh, stripe)
-	if len(sites) == 0 {
+	cur, next := p.Bindings()
+	if cur.NumLogical() == 0 {
 		return nil, ErrEmptyTable
 	}
-	addrs := make([]netsim.Addr, 0, len(sites))
-	for _, s := range sites {
-		a, err := p.Storage.Lookup(s)
-		if err != nil {
-			return nil, err
-		}
-		if g, ok := p.Replicas.GroupOf(a); ok {
-			addrs = append(addrs, g.Members...)
-			continue
-		}
-		addrs = append(addrs, a)
-	}
-	addrs = p.appendPendingTargets(addrs, fh, stripe)
-	return dedupAddrs(addrs), nil
-}
-
-// appendPendingTargets adds the pending binding's targets for the
-// stripe when a transition is open. The pending replica map (when the
-// transition carries one) expands pending primaries; otherwise the
-// current map does.
-func (p *IOPolicy) appendPendingTargets(addrs []netsim.Addr, fh fhandle.Handle, stripe uint64) []netsim.Addr {
-	next := p.Storage.state.Load().next
-	if next == nil || len(next.sites) == 0 {
-		return addrs
-	}
-	n := len(next.sites)
-	key := placementKey(fh, stripe)
-	var base uint32
-	if next.ring != nil {
-		base = ringSite(next.ring, key)
-	} else {
-		base = uint32(key % uint64(n))
-	}
-	degree := 1
-	if fh.Mirrored() {
-		degree = int(fh.MirrorDegree)
-		if degree > n {
-			degree = n
-		}
-	}
-	reps := next.reps
-	if reps == nil {
-		reps = p.Replicas
-	}
-	for i := 0; i < degree; i++ {
-		a := next.sites[(int(base)+i)%n]
-		if g, ok := reps.GroupOf(a); ok {
-			addrs = append(addrs, g.Members...)
-			continue
-		}
-		addrs = append(addrs, a)
-	}
-	return addrs
-}
-
-// dedupAddrs removes repeats in place, preserving order (mirrored sites
-// wrapping a small array can resolve to one node more than once).
-func dedupAddrs(addrs []netsim.Addr) []netsim.Addr {
-	out := addrs[:0]
-	for _, a := range addrs {
-		dup := false
-		for _, b := range out {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// ReadGroup resolves the replica group holding fh's stripe. ok is false
-// when the array is unreplicated (read from ReadTarget's answer as
-// always).
-func (p *IOPolicy) ReadGroup(fh fhandle.Handle, stripe uint64) (replica.Group, bool) {
-	if !p.Replicas.Replicated() {
-		return replica.Group{}, false
-	}
-	a, err := p.ReadTarget(fh, stripe)
-	if err != nil {
-		return replica.Group{}, false
-	}
-	return p.Replicas.GroupOf(a)
+	key, degree := stripeRun(fh, stripe)
+	return next.AppendNodes(cur.AppendNodes(nil, key, degree), key, degree), nil
 }
 
 // ReadTarget returns the storage node to read the given stripe from. For
@@ -386,12 +369,14 @@ func (p *IOPolicy) ReadGroup(fh fhandle.Handle, stripe uint64) (replica.Group, b
 // alternation correlates with the striping function itself (both advance
 // by one per stripe) and would concentrate all reads on half the array.
 func (p *IOPolicy) ReadTarget(fh fhandle.Handle, stripe uint64) (netsim.Addr, error) {
-	base, degree, n := p.siteRun(fh, stripe)
+	cur, _ := p.Bindings()
+	n := cur.NumLogical()
 	if n == 0 {
 		return netsim.Addr{}, ErrEmptyTable
 	}
+	base, degree := cur.run(stripeRun(fh, stripe))
 	replica := (stripe * 0x9E3779B97F4A7C15) >> 32 % uint64(degree)
-	return p.Storage.Lookup(uint32((base + int(replica)) % n))
+	return cur.sites[(base+int(replica))%n], nil
 }
 
 // SpanStripes reports the stripe indices [first, last] covered by an I/O

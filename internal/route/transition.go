@@ -1,4 +1,4 @@
-// Versioned topology transitions and consistent-hash (ring) tables.
+// Versioned topology transitions.
 //
 // A transition is a two-phase rebind of a Table: Begin publishes a
 // *pending* binding next to the current one (bumping the version so
@@ -10,21 +10,15 @@
 // no longer owns and the coordinator's intention probe can roll back a
 // dead driver's transition without racing a live one.
 //
-// Ring tables place keys by consistent hashing (Chord's "roughly equal
-// share with minimal movement" argument): each physical node projects a
-// fixed set of pseudo-random points on a 64-bit ring derived only from
-// its own address, and a key belongs to the successor point. Adding a
-// node therefore only moves the keys that land on the new node's arcs;
-// removing one only moves its own keys — no survivor-to-survivor
-// shuffling. The name and small-file hash spaces use ring tables; the
-// bulk-striping table stays modular (stripes want an even round-robin
-// decluster, and PlanGrow/PlanShrink give it minimal movement at
-// logical-site granularity instead).
+// Every table places a key on logical site key mod n, and a site's
+// identity is its index: rebinding a site to another server (failover,
+// Swap) moves no key, and PlanGrow/PlanShrink change membership by
+// rebinding the fewest sites that keeps the nodes balanced — the
+// consistent-hashing minimum at logical-site granularity (§3.3.1).
 package route
 
 import (
 	"fmt"
-	"sort"
 
 	"slice/internal/netsim"
 	"slice/internal/replica"
@@ -35,96 +29,15 @@ import (
 // consistently from a single atomic load.
 type pendingState struct {
 	sites []netsim.Addr // pending logical -> physical binding
-	ring  []ringPoint   // pending ring (ring tables only)
 	reps  *replica.Map  // replica groups under the pending binding (may be nil)
 	epoch uint64
 }
 
-// ringPoint is one virtual node on the hash ring.
-type ringPoint struct {
-	point uint64
-	site  uint32
-}
-
-// ringVnodes is the number of ring points each physical node projects.
-// More points smooth the per-node share (with 96 the max/mean load
-// ratio stays under ~1.3 for small arrays) at a small lookup cost
-// (binary search over n*96 points).
-const ringVnodes = 96
-
-// mix64 is the splitmix64 finalizer — a cheap full-avalanche mix so
-// adjacent keys and adjacent vnode indices land on unrelated ring
-// points.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// nodeSeed derives a stable per-node seed from the address alone, so a
-// node's ring points never depend on the rest of the membership — the
-// property minimal movement rests on.
-func nodeSeed(a netsim.Addr) uint64 {
-	return mix64(uint64(a.Host)<<16 | uint64(a.Port))
-}
-
-// buildRing projects every site's points and sorts them.
-func buildRing(sites []netsim.Addr) []ringPoint {
-	ring := make([]ringPoint, 0, len(sites)*ringVnodes)
-	for i, a := range sites {
-		seed := nodeSeed(a)
-		for j := 0; j < ringVnodes; j++ {
-			ring = append(ring, ringPoint{
-				point: mix64(seed + uint64(j)*0x9E3779B97F4A7C15),
-				site:  uint32(i),
-			})
-		}
-	}
-	sort.Slice(ring, func(i, j int) bool {
-		if ring[i].point != ring[j].point {
-			return ring[i].point < ring[j].point
-		}
-		return ring[i].site < ring[j].site
-	})
-	return ring
-}
-
-// ringSite finds the successor point for a key (alloc-free binary
-// search on the routing hot path).
-func ringSite(ring []ringPoint, key uint64) uint32 {
-	h := mix64(key)
-	lo, hi := 0, len(ring)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ring[mid].point < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(ring) {
-		lo = 0 // wrap: successor of the last point is the first
-	}
-	return ring[lo].site
-}
-
-// NewRingTable builds a consistent-hash table over the physical
-// servers: one logical site per server, keys placed by ring successor.
-// Swap/Begin/Commit preserve the minimal-movement property because
-// each node's ring points depend only on its own address.
+// One logical site per server, under the name benchmark/ledger.go — its
+// sole caller, which only a benchmark PR may edit — still compiles
+// against; ROADMAP item 8's PR deletes it.
 func NewRingTable(physical []netsim.Addr) *Table {
-	t := &Table{}
-	sites := append([]netsim.Addr(nil), physical...)
-	t.state.Store(&tableState{sites: sites, ring: buildRing(sites), version: 1})
-	return t
-}
-
-// Ring reports whether the table places keys by consistent hashing.
-func (t *Table) Ring() bool {
-	return t.state.Load().ring != nil
+	return NewTable(len(physical), physical)
 }
 
 // ------------------------------------------------------------ transitions
@@ -133,10 +46,9 @@ func (t *Table) Ring() bool {
 // still open; callers must Commit or Abort it first.
 var ErrTransitionPending = fmt.Errorf("route: transition already pending")
 
-// Begin opens a transition to a new binding and returns its epoch. For
-// modular tables next is the complete logical→physical site list (use
-// PlanGrow/PlanShrink to derive one with minimal movement); for ring
-// tables it is the new physical server set. The current binding stays
+// Begin opens a transition to a new binding and returns its epoch. next
+// is the complete logical→physical site list (use PlanGrow/PlanShrink to
+// derive one with minimal movement). The current binding stays
 // authoritative for reads; WriteTargets starts unioning both bindings.
 // reps carries the replica groups the pending binding will run under
 // (nil keeps the current map). The version bump makes retransmitting
@@ -156,12 +68,8 @@ func (t *Table) Begin(next []netsim.Addr, reps *replica.Map) (uint64, error) {
 		reps:  reps,
 		epoch: cur.version + 1,
 	}
-	if cur.ring != nil {
-		pend.ring = buildRing(pend.sites)
-	}
 	t.state.Store(&tableState{
 		sites:   cur.sites,
-		ring:    cur.ring,
 		next:    pend,
 		version: cur.version + 1,
 	})
@@ -182,7 +90,6 @@ func (t *Table) Commit(epoch uint64) bool {
 	}
 	t.state.Store(&tableState{
 		sites:   cur.next.sites,
-		ring:    cur.next.ring,
 		version: cur.version + 1,
 	})
 	return true
@@ -199,7 +106,6 @@ func (t *Table) Abort(epoch uint64) bool {
 	}
 	t.state.Store(&tableState{
 		sites:   cur.sites,
-		ring:    cur.ring,
 		version: cur.version + 1,
 	})
 	return true
@@ -218,68 +124,10 @@ func (t *Table) PendingEpoch() uint64 {
 	return 0
 }
 
-// PendingReplicas returns the replica map the pending binding will run
-// under, or nil when the transition keeps (or has no) replica groups.
-func (t *Table) PendingReplicas() *replica.Map {
-	if next := t.state.Load().next; next != nil {
-		return next.reps
-	}
-	return nil
-}
-
-// PendingNumLogical returns the pending binding's logical site count
-// (0: no transition).
-func (t *Table) PendingNumLogical() int {
-	if next := t.state.Load().next; next != nil {
-		return len(next.sites)
-	}
-	return 0
-}
-
-// PendingSite returns the logical site a key will map to after the
-// transition commits.
-func (t *Table) PendingSite(key uint64) uint32 {
-	next := t.state.Load().next
-	if next == nil || len(next.sites) == 0 {
-		return 0
-	}
-	if next.ring != nil {
-		return ringSite(next.ring, key)
-	}
-	return uint32(key % uint64(len(next.sites)))
-}
-
-// PendingLookup resolves a pending logical site to its physical server.
-func (t *Table) PendingLookup(site uint32) (netsim.Addr, error) {
-	next := t.state.Load().next
-	if next == nil || len(next.sites) == 0 {
-		return netsim.Addr{}, ErrEmptyTable
-	}
-	return next.sites[int(site)%len(next.sites)], nil
-}
-
-// PendingPhysical returns the distinct physical servers of the pending
-// binding, in first-appearance order (nil: no transition).
-func (t *Table) PendingPhysical() []netsim.Addr {
-	next := t.state.Load().next
-	if next == nil {
-		return nil
-	}
-	return distinctAddrs(next.sites)
-}
-
 // distinctAddrs returns the distinct addresses in first-appearance
 // order.
 func distinctAddrs(sites []netsim.Addr) []netsim.Addr {
-	out := make([]netsim.Addr, 0, len(sites))
-	seen := make(map[netsim.Addr]bool, len(sites))
-	for _, a := range sites {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
+	return Binding{sites: sites}.AppendAll(nil)
 }
 
 // --------------------------------------------------------------- planners
@@ -294,19 +142,7 @@ func PlanGrow(cur []netsim.Addr, add []netsim.Addr, logical int) ([]netsim.Addr,
 	if logical < len(cur) {
 		logical = len(cur)
 	}
-	nodes := distinctAddrs(cur)
-	for _, a := range add {
-		dup := false
-		for _, b := range nodes {
-			if a == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			nodes = append(nodes, a)
-		}
-	}
+	nodes := Binding{sites: add}.AppendAll(distinctAddrs(cur))
 	sites := make([]netsim.Addr, logical)
 	copy(sites, cur)
 	return rebind(sites, nodes, len(cur))

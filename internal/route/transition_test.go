@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"slice/internal/fhandle"
@@ -43,8 +44,8 @@ func TestBeginCommit(t *testing.T) {
 			t.Fatalf("key %d routed to a pending-only node before commit", key)
 		}
 	}
-	if tbl.PendingNumLogical() != 12 {
-		t.Fatalf("pending logical = %d", tbl.PendingNumLogical())
+	if _, pend := tbl.Bindings(nil); pend.NumLogical() != 12 {
+		t.Fatalf("pending logical = %d", pend.NumLogical())
 	}
 	// A second Begin while one is open must fail.
 	if _, err := tbl.Begin(next, nil); err != ErrTransitionPending {
@@ -261,116 +262,6 @@ func TestPlanShrinkMovesOnlyRemoved(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovement: keys only ever move to added nodes on grow,
-// and only away from removed nodes on shrink.
-func TestRingMinimalMovement(t *testing.T) {
-	tbl := NewRingTable(addrs(4))
-	if !tbl.Ring() {
-		t.Fatal("not a ring table")
-	}
-	before := make(map[uint64]netsim.Addr)
-	for key := uint64(0); key < 5000; key++ {
-		a, err := tbl.Route(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before[key] = a
-	}
-	epoch, err := tbl.Begin(addrs(6), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for key := uint64(0); key < 5000; key++ {
-		// Pending placement: only keys landing on the new nodes' arcs move.
-		site := tbl.PendingSite(key)
-		a, err := tbl.PendingLookup(site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != before[key] {
-			moved++
-			if a != addrN(4) && a != addrN(5) {
-				t.Fatalf("key %d moved between survivors: %v -> %v", key, before[key], a)
-			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("grow moved no keys at all")
-	}
-	// The moved share should be roughly the new nodes' fair share (2/6
-	// = 33%); 1.2× of it bounds consistent-hash imbalance.
-	if frac := float64(moved) / 5000; frac > 1.2*(2.0/6.0) {
-		t.Fatalf("ring grow moved %.1f%% of keys, above 1.2× the 33%% minimum", 100*frac)
-	}
-	if !tbl.Commit(epoch) {
-		t.Fatal("commit failed")
-	}
-
-	// Shrink back: only node 5's keys move.
-	next, err := tbl.Begin(addrs(5), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := make(map[uint64]netsim.Addr)
-	for key := uint64(0); key < 5000; key++ {
-		a, _ := tbl.Route(key)
-		after[key] = a
-	}
-	if !tbl.Commit(next) {
-		t.Fatal("commit failed")
-	}
-	for key := uint64(0); key < 5000; key++ {
-		a, _ := tbl.Route(key)
-		if a != after[key] && after[key] != addrN(5) {
-			t.Fatalf("key %d moved between survivors on shrink", key)
-		}
-	}
-}
-
-// TestRingBalance: the per-node share of a ring table stays within a
-// modest factor of the mean (Chord's "roughly equal share").
-func TestRingBalance(t *testing.T) {
-	tbl := NewRingTable(addrs(6))
-	counts := make(map[netsim.Addr]int)
-	const keys = 60000
-	for key := uint64(0); key < keys; key++ {
-		a, err := tbl.Route(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[a]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("only %d of 6 nodes own keys", len(counts))
-	}
-	mean := float64(keys) / 6
-	for a, c := range counts {
-		if r := float64(c) / mean; r > 1.45 || r < 0.55 {
-			t.Fatalf("node %v owns %.2f× the mean share", a, r)
-		}
-	}
-}
-
-func TestRingSwapRebuildsRing(t *testing.T) {
-	tbl := NewRingTable(addrs(4))
-	tbl.Swap(addrs(6))
-	if !tbl.Ring() {
-		t.Fatal("Swap dropped ring placement")
-	}
-	counts := make(map[netsim.Addr]int)
-	for key := uint64(0); key < 6000; key++ {
-		a, err := tbl.Route(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[a]++
-	}
-	if len(counts) != 6 {
-		t.Fatalf("only %d of 6 nodes own keys after Swap", len(counts))
-	}
-}
-
 // TestWriteTargetsUnionDuringTransition: writes fan out to both
 // bindings while a transition is open, and collapse to the new binding
 // after commit.
@@ -398,27 +289,11 @@ func TestWriteTargetsUnionDuringTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasOld := false
-	for _, a := range during {
-		if a == oldT[0] {
-			hasOld = true
-		}
-	}
-	if !hasOld {
+	if !slices.Contains(during, oldT[0]) {
 		t.Fatalf("transition write targets %v dropped the old target %v", during, oldT[0])
 	}
-	site := tbl.PendingSite(fhandle.HandleKey(fh) + 3)
-	want, err := tbl.PendingLookup(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasNew := false
-	for _, a := range during {
-		if a == want {
-			hasNew = true
-		}
-	}
-	if !hasNew {
+	want := next[(fhandle.HandleKey(fh)+3)%12]
+	if !slices.Contains(during, want) {
 		t.Fatalf("transition write targets %v missing pending target %v", during, want)
 	}
 	if !tbl.Commit(epoch) {
@@ -447,38 +322,38 @@ func TestWriteTargetsPendingReplicas(t *testing.T) {
 	if _, err := tbl.Begin(next, reps); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.PendingReplicas() != reps {
-		t.Fatal("PendingReplicas lost the map")
-	}
 	fh := fhandle.Handle{FileID: 7}
 	ts, err := pol.WriteTargets(fh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site := tbl.PendingSite(fhandle.HandleKey(fh))
-	primary, _ := tbl.PendingLookup(site)
+	primary := next[fhandle.HandleKey(fh)%2]
 	g, ok := reps.GroupOf(primary)
 	if !ok {
 		t.Fatalf("pending primary %v has no group", primary)
 	}
 	for _, m := range g.Members {
-		found := false
-		for _, a := range ts {
-			if a == m {
-				found = true
-			}
-		}
-		if !found {
+		if !slices.Contains(ts, m) {
 			t.Fatalf("write targets %v missing pending group member %v", ts, m)
 		}
 	}
+	// The pending binding's "all nodes" view reaches the members too,
+	// and the current one — no live map — only its primaries.
+	cur, pend := pol.Bindings()
+	if got := pend.AppendAll(nil); len(got) != 4 {
+		t.Fatalf("pending binding enumerates %v, want all 4 group members", got)
+	}
+	if got := cur.AppendAll(nil); len(got) != 2 {
+		t.Fatalf("current binding enumerates %v, want its 2 nodes", got)
+	}
 }
 
-// FuzzTableTransition drives random grow/shrink/begin/commit/abort/swap
-// sequences over both table kinds and asserts the structural
-// invariants: routing always resolves, versions only grow, the epoch
-// guard holds, and pending state exists exactly while a transition is
-// open.
+// FuzzTableTransition drives random grow/begin/commit/abort/swap
+// sequences and asserts the structural invariants: routing always
+// resolves, versions only grow, the epoch guard holds, pending state
+// exists exactly while a transition is open, and no operation changes
+// the logical-site count (a key's site is its identity). Byte 0 picks
+// that count (12 down to 4 over the four starting nodes).
 func FuzzTableTransition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{1, 0, 0, 1, 5, 2, 9})
@@ -487,27 +362,17 @@ func FuzzTableTransition(f *testing.F) {
 		if len(prog) == 0 {
 			return
 		}
-		var tbl *Table
-		if prog[0]%2 == 0 {
-			tbl = NewTable(12, addrs(4))
-		} else {
-			tbl = NewRingTable(addrs(4))
-		}
+		logical := 12 - int(prog[0]%9)
+		tbl := NewTable(logical, addrs(4))
 		nextNode := 4
 		lastVersion := tbl.Version()
 		var openEpoch uint64
 		for _, b := range prog[1:] {
 			switch b % 5 {
 			case 0: // begin a grow
-				var next []netsim.Addr
-				var err error
-				if tbl.Ring() {
-					next = append(tbl.Physical(), addrN(nextNode))
-				} else {
-					next, err = PlanGrow(tbl.Physical(), []netsim.Addr{addrN(nextNode)}, tbl.NumLogical())
-					if err != nil {
-						t.Fatal(err)
-					}
+				next, err := PlanGrow(tbl.Physical(), []netsim.Addr{addrN(nextNode)}, logical)
+				if err != nil {
+					t.Fatal(err)
 				}
 				epoch, err := tbl.Begin(next, nil)
 				if err == nil {
@@ -549,18 +414,19 @@ func FuzzTableTransition(f *testing.F) {
 			if tbl.Transitioning() != (openEpoch != 0) {
 				t.Fatalf("Transitioning=%v but openEpoch=%d", tbl.Transitioning(), openEpoch)
 			}
+			_, pend := tbl.Bindings(nil)
 			if tbl.Transitioning() {
-				if _, err := tbl.PendingLookup(tbl.PendingSite(99)); err != nil {
-					t.Fatalf("pending lookup failed mid-transition: %v", err)
+				if len(pend.AppendNodes(nil, 99, 1)) != 1 {
+					t.Fatal("pending binding did not place a key mid-transition")
 				}
-				if len(tbl.PendingPhysical()) == 0 {
+				if len(pend.AppendAll(nil)) == 0 {
 					t.Fatal("open transition with no pending physical nodes")
 				}
-			} else if tbl.PendingEpoch() != 0 || tbl.PendingPhysical() != nil {
+			} else if tbl.PendingEpoch() != 0 || pend.NumLogical() != 0 {
 				t.Fatal("closed transition left pending state behind")
 			}
-			if tbl.NumLogical() == 0 {
-				t.Fatal("table lost all sites")
+			if tbl.NumLogical() != logical || tbl.Site(99) != uint32(99%logical) {
+				t.Fatalf("site identity changed: %d sites (want %d), Site(99)=%d", tbl.NumLogical(), logical, tbl.Site(99))
 			}
 		}
 	})

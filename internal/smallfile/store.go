@@ -21,6 +21,22 @@ import (
 	"slice/internal/xdr"
 )
 
+// backingTag is the top byte of every small-file server's backing-object
+// ID. Backing objects live on storage nodes beside striped file objects
+// but outside the striped space: they never migrate with it and are not
+// replicated with it.
+const backingTag = 0x5F
+
+// BackingID is the backing-object ID of small-file server i.
+func BackingID(i int) storage.ObjectID {
+	return storage.ObjectID(backingTag<<56 | uint64(i))
+}
+
+// IsBackingID reports whether id names a small-file backing object.
+func IsBackingID(id storage.ObjectID) bool {
+	return uint64(id)>>56 == backingTag
+}
+
 // LogicalBlock is the logical block size of small files.
 const LogicalBlock = 8192
 

@@ -194,12 +194,14 @@ func emitOncrpc() {
 }
 
 // emitRoute seeds FuzzTableTransition's op-code programs: byte 0 picks
-// the table kind (even = modulo with logical slack, odd = consistent-hash
-// ring), every later byte is an op mod 5 (0 begin-grow, 1 commit,
+// the logical-site count (12 minus byte 0 mod 9, over four starting
+// nodes), every later byte is an op mod 5 (0 begin-grow, 1 commit,
 // 2 abort, 3 failover swap, 4 route keys). The seeds walk each structural
 // transition the invariants guard: clean grow+commit, abort rollback,
 // swap abandoning an open transition, stale commits after close, and
-// chained grows on both kinds.
+// chained grows at two site counts. (The `ring` names date from when odd
+// bytes picked a second table kind; they stay so the seeds keep their
+// test IDs.)
 func emitRoute() {
 	const target = "FuzzTableTransition"
 	write("route", target, "seed_modulo_grow_commit", []byte{0, 0, 4, 1, 4})
