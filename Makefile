@@ -35,9 +35,9 @@ bench-module:
 # Benchmark regression gate: repeated short runs of the gated data-path
 # benchmarks, reduced to their minimum and compared against the
 # checked-in baselines. Allocation counts are held exactly (the forward
-# path must stay 0 allocs/op; the bulk path's budgets carry headroom in
-# BENCH_bulkio.json); ns/op gets BENCH_TOLERANCE headroom for machine
-# noise. bench.out/bench_bulk.out are kept for CI artifact upload. The
+# path must stay 0 allocs/op, a LOOKUP pair 1 and a NULL RPC 3; the bulk
+# path's budgets carry headroom in BENCH_bulkio.json); ns/op gets
+# BENCH_TOLERANCE headroom for machine noise. bench.out/bench_bulk.out are kept for CI artifact upload. The
 # bulk benchmarks run at -cpu 4 only (the windowed fan-out needs
 # GOMAXPROCS>1 to overlap) and a few long iterations, not thousands of
 # short ones.
@@ -50,7 +50,7 @@ BENCH_WIRE_TIME ?= 3x
 BENCH_REBALANCE_TIME ?= 2x
 BENCH_TOLERANCE ?= 2.5
 bench-gate:
-	$(GO) test -run xxx -bench 'ProxyForward|ProxyBulkReply|CacheHit|ChecksumSum' -benchmem \
+	$(GO) test -run xxx -bench 'ProxyForward|ProxyBulkReply|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum' -benchmem \
 	    -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -cpu 1,4 . > bench.out \
 	    || { cat bench.out; exit 1; }
 	$(GO) test -run xxx -bench 'FleetForward' -benchmem \

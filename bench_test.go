@@ -440,6 +440,68 @@ func BenchmarkProxyBulkReply(b *testing.B) {
 	}
 }
 
+// newLookupLane is a lane whose round trip is a LOOKUP: the name-path
+// message, 128 bytes each way. The reply carries the child's attributes,
+// which the µproxy observes and patches from its cache in the received
+// datagram.
+func (h *forwardHarness) newLookupLane(b *testing.B) *fwdLane {
+	l := h.newLane(b)
+	dir := fhandle.Handle{Volume: 1, FileID: 42, Gen: 1, Type: uint8(attr.TypeDir)}
+	child := fhandle.Handle{Volume: 1, FileID: 43, Gen: 1, Type: uint8(attr.TypeReg)}
+	l.server = h.servers[dir.Site]
+	l.request = oncrpc.EncodeCall(1, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcLookup),
+		(&nfsproto.LookupArgs{Dir: dir, Name: "f0001234.c"}).Encode)
+	l.reply = oncrpc.EncodeReply(1, oncrpc.AcceptSuccess, (&nfsproto.LookupRes{Status: nfsproto.OK, FH: child,
+		Attr: nfsproto.Some(attr.Attr{Type: attr.TypeReg, Mode: 0o644, Nlink: 1, FileID: child.FileID})}).Encode)
+	return l
+}
+
+// BenchmarkProxyLookupPair is the name-path twin of
+// BenchmarkProxyBulkReply: a LOOKUP request and its reply through the
+// µproxy, the pair benchmark/ledger.go reports as proxy.handle_*. The gate
+// holds it at 1 alloc/op — the name string nfsproto.ParseCall makes of the
+// request; the reply is patched in place and allocates nothing, where the
+// decode and re-encode it replaced cost four.
+func BenchmarkProxyLookupPair(b *testing.B) {
+	h := newForwardHarness(b)
+	l := h.newLookupLane(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.roundTrip(b)
+	}
+}
+
+// BenchmarkRPCNullCall is one NULL call from an oncrpc.Client to an
+// oncrpc.Server over a bare fabric: the RPC layer's own cost per message,
+// which every name operation pays twice over (client to µproxy-routed
+// server and back). The gate holds its allocations: the two message
+// encoders and the server's duplicate-request-cache copy of the reply.
+func BenchmarkRPCNullCall(b *testing.B) {
+	n := netsim.New(netsim.Config{})
+	sp, err := n.Bind(netsim.Addr{Host: 3, Port: 2049})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := oncrpc.NewServer(sp, oncrpc.HandlerFunc(func(oncrpc.Call, netsim.Addr) (func(*xdr.Encoder), uint32) {
+		return nil, oncrpc.AcceptSuccess
+	}))
+	defer srv.Close()
+	cp, err := n.BindAny(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cli := oncrpc.NewClient(cp, srv.Addr(), oncrpc.ClientConfig{})
+	defer cli.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcNull), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // checksumSink keeps BenchmarkChecksumSum's result live.
 var checksumSink uint16
 

@@ -155,7 +155,7 @@ func encodeCellRecord(fh fhandle.Handle, at *attr.Attr) []byte {
 }
 
 func encodeCellRecordT(fh fhandle.Handle, at *attr.Attr, target string) []byte {
-	e := xdr.NewEncoder(96 + len(target))
+	e := xdr.NewEncoder(fhandle.Size + attr.EncodedSize + xdr.StringSize(target))
 	fh.Encode(e)
 	at.Encode(e)
 	e.PutString(target)
@@ -177,7 +177,7 @@ func decodeCellRecord(p []byte) (fhandle.Handle, attr.Attr, string, error) {
 }
 
 func encodeEntryRecord(parent fhandle.Handle, name string, child fhandle.Handle) []byte {
-	e := xdr.NewEncoder(96)
+	e := xdr.NewEncoder(2*fhandle.Size + xdr.StringSize(name))
 	parent.Encode(e)
 	e.PutString(name)
 	child.Encode(e)

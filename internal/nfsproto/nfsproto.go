@@ -314,6 +314,17 @@ func (m *GetAttrRes) Decode(d *xdr.Decoder) error {
 	return nil
 }
 
+// GetAttrResAttrOff is the offset of the attribute block within the body
+// of a successful GETATTR reply: a status, then the block.
+const GetAttrResAttrOff = 4
+
+// PeekGetAttrRes reports whether body starts with a successful GETATTR
+// result and returns the offset at which it ends.
+func PeekGetAttrRes(body []byte) (end int, ok bool) {
+	end = GetAttrResAttrOff + attr.EncodedSize
+	return end, len(body) >= end && Status(binary.BigEndian.Uint32(body)) == OK
+}
+
 // ---------------------------------------------------------------- SETATTR
 
 // SetAttrArgs are the arguments of SETATTR.
@@ -415,6 +426,36 @@ func (m *LookupRes) Decode(d *xdr.Decoder) error {
 		}
 	}
 	return m.DirAttr.Decode(d)
+}
+
+// Byte offsets within the body of a successful LOOKUP, CREATE, MKDIR or
+// SYMLINK reply — the four share LookupRes's layout — that carries the
+// child's attributes: status, handle, attributes-follow flag, attributes,
+// then the directory's optional attribute block.
+const (
+	ChildResFHOff   = 4
+	ChildResAttrOff = ChildResFHOff + fhandle.Size + 4
+	childResDirOff  = ChildResAttrOff + attr.EncodedSize // the directory's attributes-follow flag
+)
+
+// PeekChildRes reports whether body starts with a successful LOOKUP,
+// CREATE, MKDIR or SYMLINK result with the child's attributes present —
+// the fixed layout above. It returns the offset of the directory's
+// attribute block (0 when the reply carries none) and the offset at which
+// the result ends: anything in body beyond end is not part of it.
+func PeekChildRes(body []byte) (dirAttrOff, end int, ok bool) {
+	end = childResDirOff + 4
+	if len(body) < end || Status(binary.BigEndian.Uint32(body)) != OK ||
+		binary.BigEndian.Uint32(body[ChildResAttrOff-4:]) != 1 {
+		return 0, 0, false
+	}
+	switch binary.BigEndian.Uint32(body[childResDirOff:]) {
+	case 0:
+		return 0, end, true
+	case 1:
+		return end, end + attr.EncodedSize, end+attr.EncodedSize <= len(body)
+	}
+	return 0, 0, false
 }
 
 // ---------------------------------------------------------------- ACCESS

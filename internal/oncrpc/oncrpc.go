@@ -324,11 +324,28 @@ const numPendingShards = 16
 // destination when a retransmission re-resolves across a
 // reconfiguration, and then the first and latest destinations are the
 // ones a live reply can still come from.
+//
+// Records are recycled through callPool with their channel and timer, so
+// a call allocates neither. The one rule: a record goes back to the pool
+// only from the call that received its reply (and stopped its timer before
+// it fired, so no tick is left in it either). recvLoop removes the map
+// entry before its single send on ch, so once that send has been received
+// nothing else refers to the record; a call that gave up, on the other
+// hand, may already have been matched and have the send still on its way —
+// recycled, that late reply would complete whichever call took the record
+// next — so its record is left to the garbage collector.
 type pendingCall struct {
-	ch   chan Reply
-	dst  [2]netsim.Addr
-	ndst int
+	ch    chan Reply
+	timer *time.Timer // stopped, its channel empty, whenever the record is pooled
+	dst   [2]netsim.Addr
+	ndst  int
 }
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &pendingCall{ch: make(chan Reply, 1), timer: t}
+}}
 
 // sentTo records a transmission destination (first + latest kept).
 func (pc *pendingCall) sentTo(a netsim.Addr) {
@@ -449,7 +466,8 @@ func (c *Client) register() (uint32, *pendingCall, error) {
 		return 0, nil, netsim.ErrClosed
 	}
 	xid := c.nextXid.Add(1)
-	pc := &pendingCall{ch: make(chan Reply, 1)}
+	pc := callPool.Get().(*pendingCall)
+	pc.ndst = 0
 	s := c.shard(xid)
 	s.mu.Lock()
 	s.m[xid] = pc
@@ -584,14 +602,15 @@ func (c *Client) roundTrip(key uint64, prog, vers, proc uint32, args func(*xdr.E
 	if traced {
 		payload = AppendCallTrace(payload, traceID)
 	}
-	return c.transact(key, xid, proc, payload, pc.ch)
+	return c.transact(key, xid, proc, payload, pc)
 }
 
 // transact runs the retransmit/timeout loop for one registered call. It
 // is shared by the synchronous and asynchronous call paths, so every
 // concurrent call gets the same backoff, jitter, and re-resolve
-// behaviour. The caller owns the returned reply (see Reply.Free).
-func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) (Reply, error) {
+// behaviour. The caller owns the returned reply (see Reply.Free); pc is
+// transact's to recycle and must not be used after it returns.
+func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, pc *pendingCall) (Reply, error) {
 	timeout := c.cfg.Timeout
 	dst := c.target(key)
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
@@ -611,16 +630,23 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 			frac := float64(randomUint32()) / (1 << 32)
 			wait += time.Duration(float64(timeout) * c.cfg.Jitter * frac)
 		}
-		timer := time.NewTimer(wait)
+		pc.timer.Reset(wait)
 		select {
-		case rep := <-ch:
-			timer.Stop()
+		case rep := <-pc.ch:
+			// A timer stopped before it fired has sent nothing and will
+			// send nothing. One that fired as the reply arrived may, under
+			// the buffered timer channels this module's go line selects,
+			// deliver its tick after any attempt to drain it; that record
+			// is not worth recycling.
+			if pc.timer.Stop() {
+				callPool.Put(pc)
+			}
 			if rep.Accept != AcceptSuccess {
 				rep.Free()
 				return Reply{}, &ErrRejected{Accept: rep.Accept}
 			}
 			return rep, nil
-		case <-timer.C:
+		case <-pc.timer.C:
 			timeout *= time.Duration(c.cfg.Backoff)
 		}
 	}
@@ -665,7 +691,7 @@ func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*
 	e := newMessageEncoder(CallHeader)
 	putCall(e, xid, prog, vers, proc, args)
 	go func() {
-		rep, err := c.transact(key, xid, proc, e.Bytes(), pc.ch)
+		rep, err := c.transact(key, xid, proc, e.Bytes(), pc)
 		c.unregister(xid)
 		e.Release()
 		var body []byte
@@ -687,8 +713,10 @@ func (p *Pending) Await() ([]byte, error) {
 // ---------------------------------------------------------------- server
 
 // Handler serves the body of a single RPC call. It returns the result
-// encoder function and an accept status. Handlers run concurrently, one
-// goroutine per in-flight request.
+// encoder function and an accept status. Handlers run concurrently, each
+// in-flight request on a server worker of its own (see Server.worker), and
+// may block — on a peer server's RPC included — without holding up the
+// calls behind them.
 type Handler interface {
 	ServeRPC(call Call, from netsim.Addr) (res func(*xdr.Encoder), accept uint32)
 }
@@ -727,8 +755,9 @@ type callID struct {
 // ServerObserver is notified after each handled call with the call's
 // identity and the server's wall time for it: the handler plus the
 // encoding of its result, where a bulk READ does its actual reading. It
-// runs on the per-call goroutine and must be cheap and thread-safe (the
-// obs wiring records one histogram sample, a single atomic add).
+// runs on the worker that served the call, before the reply is sent, and
+// must be cheap and thread-safe (the obs wiring records one histogram
+// sample, a single atomic add).
 type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
 
 // Server accepts RPC calls on a port and dispatches them to a handler.
@@ -743,6 +772,7 @@ type Server struct {
 	drcNext  int
 	inflight map[drcKey]callID
 
+	idle      atomic.Int32 // workers parked in Recv, or about to be
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -750,6 +780,11 @@ type Server struct {
 
 // DRCSize is the number of replies retained for duplicate suppression.
 const DRCSize = 1024
+
+// residentWorkers is how many idle workers a server keeps between calls.
+// A worker that finishes a call while this many are already waiting for
+// the next one exits; fewer, and it stays, grown stack and all.
+const residentWorkers = 8
 
 // drcMaxReply is the largest reply the duplicate-request cache retains.
 // The cache exists so that a retransmitted non-idempotent call (CREATE,
@@ -771,8 +806,9 @@ func NewServer(port Conn, handler Handler) *Server {
 		inflight: make(map[drcKey]callID),
 		closed:   make(chan struct{}),
 	}
+	s.idle.Store(1)
 	s.wg.Add(1)
-	go s.serveLoop()
+	go s.worker()
 	return s
 }
 
@@ -800,111 +836,136 @@ func (s *Server) Close() {
 	})
 }
 
-func (s *Server) serveLoop() {
+// worker is one resident server goroutine: it receives a datagram from
+// the port itself, serves it, and goes back for the next, so the stack it
+// grew inside the first deep handler call is still there for the second.
+// There is no dispatcher to hand the call over from, and no goroutine is
+// started per call.
+//
+// Invariant: a goroutine is always parked in Recv (or on its way there).
+// idle counts those; the worker that takes the last idle slot starts its
+// successor before it serves, so a handler that blocks — on a slow store,
+// or on a synchronous RPC to a peer server that is itself waiting on this
+// one — never keeps the next call from being received. The number of
+// workers is therefore unbounded, like the goroutine-per-call it replaces;
+// what is bounded is how many stay resident between calls.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		d, err := s.port.Recv(0)
 		if err != nil {
 			return
 		}
-		h, err := netsim.Parse(d)
-		if err != nil {
-			netsim.FreeBuf(d)
-			continue
+		if s.idle.Add(-1) == 0 {
+			s.idle.Add(1)
+			s.wg.Add(1)
+			go s.worker()
 		}
-		call, err := ParseCall(netsim.Payload(d))
-		if err != nil {
-			netsim.FreeBuf(d)
-			continue
+		s.serve(d)
+		if s.idle.Add(1) > residentWorkers {
+			s.idle.Add(-1)
+			return
 		}
-		if id, body, ok := SplitCallTrace(call.Body); ok {
-			call.Body = body
-			call.Trace = id
-			call.Traced = true
-		}
-		key := drcKey{host: h.Src, xid: call.Xid}
-		id := callID{prog: call.Program, vers: call.Version,
-			proc: call.Proc, bodyLen: len(call.Body)}
-
-		s.mu.Lock()
-		if idx, ok := s.drc[key]; ok {
-			if s.drcRing[idx].id == id {
-				// Retransmission of a completed call: replay the reply.
-				reply := s.drcRing[idx].reply
-				s.mu.Unlock()
-				netsim.FreeBuf(d)
-				_ = s.port.SendTo(h.Src, reply)
-				continue
-			}
-			// Same {source, xid} but a different call: not a
-			// retransmission. Drop the stale entry (clearing its ring
-			// slot so the eventual slot reuse cannot evict a newer entry
-			// under the same key) and execute the call fresh.
-			delete(s.drc, key)
-			s.drcRing[idx] = drcEntry{}
-		}
-		if _, ok := s.inflight[key]; ok {
-			// Retransmission of an in-progress call: drop; the client
-			// will retry and eventually hit the DRC. A *different* call
-			// colliding with the in-flight slot is also dropped — one
-			// key cannot track both — but its retransmission lands
-			// after the first call completes and then takes the
-			// stale-entry path above, so it is executed, not wedged.
-			s.mu.Unlock()
-			netsim.FreeBuf(d)
-			continue
-		}
-		s.inflight[key] = id
-		s.mu.Unlock()
-
-		s.wg.Add(1)
-		go func(call Call, from netsim.Addr, key drcKey, id callID, d []byte) {
-			defer s.wg.Done()
-			obsFn := s.obs.Load()
-			timed := obsFn != nil || call.Traced
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			res, accept := s.handler.ServeRPC(call, from)
-			e := newMessageEncoder(ReplyHeader)
-			putReply(e, call.Xid, accept, res)
-			var handlerNS uint64
-			if timed {
-				handlerNS = uint64(time.Since(t0))
-			}
-			if obsFn != nil {
-				(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
-			}
-			reply := e.Bytes()
-			if timed {
-				reply = AppendReplyTrace(reply, call.Trace, handlerNS)
-			}
-			// call.Args (and possibly res) alias the request datagram;
-			// putReply copied everything out, so it can go back now.
-			netsim.FreeBuf(d)
-
-			// The cache keeps its own copy: the encoder's buffer goes
-			// back to the pool once the reply is sent.
-			var retained []byte
-			if len(reply) <= drcMaxReply {
-				retained = append(retained, reply...)
-			}
-			s.mu.Lock()
-			delete(s.inflight, key)
-			if retained != nil {
-				// Evict the slot we are about to reuse.
-				if old := &s.drcRing[s.drcNext]; old.reply != nil {
-					delete(s.drc, old.key)
-				}
-				s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: retained}
-				s.drc[key] = s.drcNext
-				s.drcNext = (s.drcNext + 1) % DRCSize
-			}
-			s.mu.Unlock()
-
-			_ = s.port.SendTo(from, reply)
-			e.Release()
-		}(call, h.Src, key, id, d)
 	}
+}
+
+// serve handles one received datagram: parse, duplicate suppression,
+// handler, reply. It owns d.
+func (s *Server) serve(d []byte) {
+	h, err := netsim.Parse(d)
+	if err != nil {
+		netsim.FreeBuf(d)
+		return
+	}
+	call, err := ParseCall(netsim.Payload(d))
+	if err != nil {
+		netsim.FreeBuf(d)
+		return
+	}
+	if id, body, ok := SplitCallTrace(call.Body); ok {
+		call.Body = body
+		call.Trace = id
+		call.Traced = true
+	}
+	from := h.Src
+	key := drcKey{host: from, xid: call.Xid}
+	id := callID{prog: call.Program, vers: call.Version,
+		proc: call.Proc, bodyLen: len(call.Body)}
+
+	s.mu.Lock()
+	if idx, ok := s.drc[key]; ok {
+		if s.drcRing[idx].id == id {
+			// Retransmission of a completed call: replay the reply.
+			reply := s.drcRing[idx].reply
+			s.mu.Unlock()
+			netsim.FreeBuf(d)
+			_ = s.port.SendTo(from, reply)
+			return
+		}
+		// Same {source, xid} but a different call: not a
+		// retransmission. Drop the stale entry (clearing its ring
+		// slot so the eventual slot reuse cannot evict a newer entry
+		// under the same key) and execute the call fresh.
+		delete(s.drc, key)
+		s.drcRing[idx] = drcEntry{}
+	}
+	if _, ok := s.inflight[key]; ok {
+		// Retransmission of an in-progress call: drop; the client
+		// will retry and eventually hit the DRC. A *different* call
+		// colliding with the in-flight slot is also dropped — one
+		// key cannot track both — but its retransmission lands
+		// after the first call completes and then takes the
+		// stale-entry path above, so it is executed, not wedged.
+		s.mu.Unlock()
+		netsim.FreeBuf(d)
+		return
+	}
+	s.inflight[key] = id
+	s.mu.Unlock()
+
+	obsFn := s.obs.Load()
+	timed := obsFn != nil || call.Traced
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	res, accept := s.handler.ServeRPC(call, from)
+	e := newMessageEncoder(ReplyHeader)
+	putReply(e, call.Xid, accept, res)
+	var handlerNS uint64
+	if timed {
+		handlerNS = uint64(time.Since(t0))
+	}
+	if obsFn != nil {
+		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
+	}
+	reply := e.Bytes()
+	if timed {
+		reply = AppendReplyTrace(reply, call.Trace, handlerNS)
+	}
+	// call.Args (and possibly res) alias the request datagram;
+	// putReply copied everything out, so it can go back now.
+	netsim.FreeBuf(d)
+
+	// The cache keeps its own copy: the encoder's buffer goes
+	// back to the pool once the reply is sent.
+	var retained []byte
+	if len(reply) <= drcMaxReply {
+		retained = append(retained, reply...)
+	}
+	s.mu.Lock()
+	delete(s.inflight, key)
+	if retained != nil {
+		// Evict the slot we are about to reuse.
+		if old := &s.drcRing[s.drcNext]; old.reply != nil {
+			delete(s.drc, old.key)
+		}
+		s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: retained}
+		s.drc[key] = s.drcNext
+		s.drcNext = (s.drcNext + 1) % DRCSize
+	}
+	s.mu.Unlock()
+
+	_ = s.port.SendTo(from, reply)
+	e.Release()
 }

@@ -1,0 +1,269 @@
+package oncrpc
+
+import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"slice/internal/netsim"
+	"slice/internal/xdr"
+)
+
+// TestResidentWorkersNeverBound: the server keeps a constant number of
+// workers between calls but bounds nothing. With four times that many
+// handlers blocked, one more call is still received and served; so is a
+// handler that calls back into its own server and waits — the shape of a
+// directory server's peer RPC, which a bounded pool would deadlock. Once
+// the handlers are released and the server closed, no worker is left.
+func TestResidentWorkersNeverBound(t *testing.T) {
+	const (
+		procBlock = 1
+		procEcho  = 2
+		procPeer  = 3
+		blocked   = 4 * residentWorkers
+	)
+	before := runtime.NumGoroutine()
+
+	n := netsim.New(netsim.Config{})
+	bind := func(host uint32) *netsim.Port {
+		p, err := n.BindAny(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// No call may be decided by a retransmission: every wait below is for
+	// an event, and the timeout only bounds a failing run.
+	patient := ClientConfig{Timeout: time.Minute, Retries: 1}
+	entered := make(chan struct{}, blocked)
+	release := make(chan struct{})
+	var peer *Client
+	srv := NewServer(bind(2), HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		switch call.Proc {
+		case procBlock:
+			entered <- struct{}{}
+			<-release
+		case procPeer:
+			if _, err := peer.Call(7, 1, procEcho, nil); err != nil {
+				return nil, AcceptSystemErr
+			}
+		}
+		return nil, AcceptSuccess
+	}))
+	peer = NewClient(bind(3), srv.Addr(), patient)
+	cli := NewClient(bind(1), srv.Addr(), patient)
+
+	calls := make([]*Pending, blocked)
+	for i := range calls {
+		calls[i] = cli.CallStart(7, 1, procBlock, nil)
+	}
+	for i := 0; i < blocked; i++ {
+		<-entered
+	}
+	if _, err := cli.Call(7, 1, procEcho, nil); err != nil {
+		t.Fatalf("call behind %d blocked handlers: %v", blocked, err)
+	}
+	if _, err := cli.Call(7, 1, procPeer, nil); err != nil {
+		t.Fatalf("handler calling back into its own server: %v", err)
+	}
+	close(release)
+	for i, p := range calls {
+		if _, err := p.Await(); err != nil {
+			t.Fatalf("blocked call %d: %v", i, err)
+		}
+	}
+
+	cli.Close()
+	peer.Close()
+	srv.Close() // waits for every worker
+	// The workers have run their last deferred call when Close returns;
+	// the runtime may take a moment more to retire them (and the clients'
+	// receive loops, which nothing waits for).
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the server started, %d after it closed", before, runtime.NumGoroutine())
+		}
+	}
+}
+
+// scriptedConn is a client's Conn under the test's control: it hands each
+// transmitted payload to the test, which supplies the datagrams Recv
+// returns one at a time, and its transmissions can be made to fail.
+type scriptedConn struct {
+	sent     chan []byte   // a copy of each transmitted payload
+	deliver  chan []byte   // datagrams for Recv
+	inRecv   chan struct{} // Recv was entered: the previous datagram is fully dealt with
+	failSend bool          // only touched on the calling goroutine (SendTo, the Resolve hook)
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func newScriptedConn() *scriptedConn {
+	return &scriptedConn{
+		sent:    make(chan []byte, 1),
+		deliver: make(chan []byte),
+		inRecv:  make(chan struct{}),
+		closed:  make(chan struct{}),
+	}
+}
+
+var errSendFailed = errors.New("send failed")
+
+func (c *scriptedConn) SendTo(dst netsim.Addr, payload []byte) error {
+	if c.failSend {
+		return errSendFailed
+	}
+	c.sent <- append([]byte(nil), payload...)
+	return nil
+}
+
+func (c *scriptedConn) Recv(time.Duration) ([]byte, error) {
+	select {
+	case c.inRecv <- struct{}{}:
+	case <-c.closed:
+		return nil, netsim.ErrClosed
+	}
+	select {
+	case d := <-c.deliver:
+		return d, nil
+	case <-c.closed:
+		return nil, netsim.ErrClosed
+	}
+}
+
+func (c *scriptedConn) Addr() netsim.Addr { return netsim.Addr{Host: 1, Port: 100} }
+func (c *scriptedConn) Close()            { c.once.Do(func() { close(c.closed) }) }
+
+// answer delivers the reply to the call last sent on c, echoing v, and
+// returns once the client's receive loop has passed it on and come back.
+func (c *scriptedConn) answer(t *testing.T, from netsim.Addr, v uint32) {
+	call, err := ParseCall(<-c.sent)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	d, err := netsim.Build(from, c.Addr(), EncodeReply(call.Xid, AcceptSuccess,
+		func(e *xdr.Encoder) { e.PutUint32(v) }))
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	c.deliver <- d
+	<-c.inRecv
+}
+
+// TestGivenUpCallRecordNotRecycled: a call that gives up may still have a
+// reply land in its record's channel — the receive loop matches it, and
+// only then sends — so that record must never serve another call. Here the
+// order is forced: the reply to the first transmission is matched and sent
+// after the call's first timeout and before its second transmission, which
+// fails, so the call returns an error with the reply sitting in its
+// channel. Every later call must then get its own reply, not that one.
+func TestGivenUpCallRecordNotRecycled(t *testing.T) {
+	// One P, so that a record put back would be the next one taken: the
+	// pool keeps a per-P slot other Ps cannot reach. (The race detector
+	// still drops one Put in four at random: run with -count.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	server := netsim.Addr{Host: 2, Port: 2049}
+
+	hasty := newScriptedConn()
+	resolves := 0
+	cli := NewClient(hasty, server, ClientConfig{
+		Timeout: time.Millisecond, Retries: 2, Jitter: -1,
+		// Runs on the calling goroutine before every transmission; the
+		// second time, between the timeout and the retransmission it
+		// triggers, is where the late reply arrives.
+		Resolve: func() netsim.Addr {
+			if resolves++; resolves == 2 {
+				hasty.answer(t, server, 0xDEAD)
+				hasty.failSend = true
+			}
+			return netsim.Addr{}
+		},
+	})
+	defer cli.Close()
+	<-hasty.inRecv // the receive loop is up
+	if _, err := cli.Call(7, 1, 1, nil); !errors.Is(err, errSendFailed) {
+		t.Fatalf("first call: err = %v, want the failed retransmission's", err)
+	}
+
+	// Later calls share the record pool, whichever client makes them.
+	patient := newScriptedConn()
+	cli2 := NewClient(patient, server, ClientConfig{Timeout: time.Minute, Retries: 1})
+	defer cli2.Close()
+	<-patient.inRecv
+	for i := uint32(0); i < 16; i++ {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			patient.answer(t, server, i)
+		}()
+		body, err := cli2.Call(7, 1, 1, nil)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got, _ := xdr.NewDecoder(body).Uint32(); got != i {
+			t.Fatalf("call %d completed with reply %#x: the record of a call that gave up was recycled", i, got)
+		}
+		<-done
+	}
+}
+
+// TestRepliesRacingTimeoutsNeverCrossCalls is the same property on the
+// path it usually takes: replies arrive around the time their
+// single-attempt calls give up, so some calls succeed, some time out, and
+// some replies are matched by the receive loop while their call is already
+// on its way out — or while its timer is firing, whose tick must not be
+// left in a recycled record either. Whatever the interleaving, a call
+// that returns a reply returns its own, and a call fails only by timing
+// out. (How often the windows are hit depends on timing; that the outcome
+// is right does not.)
+func TestRepliesRacingTimeoutsNeverCrossCalls(t *testing.T) {
+	const timeout = 300 * time.Microsecond
+	n := netsim.New(netsim.Config{})
+	sp, err := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sp, echoHandler)
+	defer srv.Close()
+	cp, err := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(cp, srv.Addr(), ClientConfig{Timeout: timeout, Retries: 1, Jitter: -1})
+	defer cli.Close()
+	// Replies only: half arrive at once, half up to two timeouts late.
+	n.SetLinkFault(2, 1, netsim.LinkFault{Reorder: 0.5, ReorderWindow: 2 * timeout})
+	const callers, rounds = 8, 150
+	var wg sync.WaitGroup
+	var ok, late atomic.Int64
+	for caller := uint32(0); caller < callers; caller++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint32(0); seq < rounds; seq++ {
+				want := caller<<16 | seq
+				body, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(want) })
+				if errors.Is(err, ErrTimedOut) {
+					late.Add(1)
+					continue
+				}
+				if err != nil {
+					t.Errorf("call %#x: %v", want, err)
+					return
+				}
+				if got, _ := xdr.NewDecoder(body).Uint32(); got != want {
+					t.Errorf("call %#x completed with the reply to %#x", want, got)
+					return
+				}
+				ok.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d calls answered in time, %d gave up", ok.Load(), late.Load())
+}

@@ -34,28 +34,40 @@ func newRawReader(t *testing.T, e *ensemble.Ensemble) *rawReader {
 	return &rawReader{t: t, e: e, port: port, xid: 7000}
 }
 
-// read sends one READ to the virtual server and returns the reply
+// call sends one call to the virtual server and returns the reply
 // datagram as delivered.
-func (r *rawReader) read(fh fhandle.Handle, off uint64, count uint32) []byte {
+func (r *rawReader) call(proc nfsproto.Proc, args nfsproto.Msg) []byte {
 	r.t.Helper()
 	r.xid++
-	args := nfsproto.ReadArgs{FH: fh, Offset: off, Count: count}
-	call := oncrpc.EncodeCall(r.xid, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), args.Encode)
+	call := oncrpc.EncodeCall(r.xid, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err := r.port.SendTo(r.e.Virtual, call); err != nil {
 		r.t.Fatal(err)
 	}
 	d, err := r.port.Recv(2 * time.Second)
 	if err != nil {
-		r.t.Fatalf("READ at %d: %v", off, err)
+		r.t.Fatalf("%v: %v", proc, err)
 	}
 	return d
 }
 
-// checkCanonical asserts that d is exactly the datagram the virtual
-// server would send had the reply been decoded, re-encoded and built from
-// scratch — the path the in-place patch replaced — and returns the
-// decoded result.
-func (r *rawReader) checkCanonical(d []byte) nfsproto.ReadRes {
+// read sends one READ.
+func (r *rawReader) read(fh fhandle.Handle, off uint64, count uint32) []byte {
+	r.t.Helper()
+	return r.call(nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: count})
+}
+
+// checkCanonical is canonical for a READ reply.
+func (r *rawReader) checkCanonical(d []byte) (res nfsproto.ReadRes) {
+	r.t.Helper()
+	r.canonical(d, &res)
+	return res
+}
+
+// canonical decodes the reply d into res and asserts that d is exactly
+// the datagram the virtual server would send had the reply been decoded,
+// re-encoded and built from scratch — the path the in-place patch
+// replaced.
+func (r *rawReader) canonical(d []byte, res nfsproto.Msg) {
 	r.t.Helper()
 	h, err := netsim.Parse(d)
 	if err != nil {
@@ -68,7 +80,6 @@ func (r *rawReader) checkCanonical(d []byte) nfsproto.ReadRes {
 	if err != nil || rep.Xid != r.xid || rep.Accept != oncrpc.AcceptSuccess {
 		r.t.Fatalf("reply %+v, err %v", rep, err)
 	}
-	var res nfsproto.ReadRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		r.t.Fatal(err)
 	}
@@ -80,7 +91,6 @@ func (r *rawReader) checkCanonical(d []byte) nfsproto.ReadRes {
 	if !bytes.Equal(d, want) {
 		r.t.Fatalf("patched datagram (%d bytes) differs from decode -> re-encode -> Build (%d bytes)", len(d), len(want))
 	}
-	return res
 }
 
 // TestReadReplyPatchedInPlace: for every way a bulk READ reply is patched
@@ -263,6 +273,60 @@ func TestReadReplyPatchKeepsTrailerLookalike(t *testing.T) {
 			if !bytes.HasSuffix(res.Data, magic) {
 				t.Fatalf("traced=%v: read at %d does not end in the lookalike", traced, off)
 			}
+		}
+		e.Close()
+	}
+}
+
+// TestNameRepliesPatchedFromTheCache: what the directory servers really
+// answer MKDIR, CREATE, LOOKUP and GETATTR with — trace trailer appended
+// or, unobserved, not — reaches the client as the virtual server's reply,
+// canonical to the byte, and carrying the µproxy's attributes where they
+// are fresher: the size of a file grown through the µproxy, which its
+// directory server still believes empty.
+func TestNameRepliesPatchedFromTheCache(t *testing.T) {
+	for _, traced := range []bool{true, false} {
+		e := newEnsemble(t, nil)
+		if !traced {
+			for _, d := range e.Dirs {
+				d.SetObs(nil)
+			}
+		}
+		c, err := e.NewClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		r := newRawReader(t, e)
+
+		var made nfsproto.CreateRes
+		r.canonical(r.call(nfsproto.ProcMkdir, &nfsproto.CreateArgs{Dir: c.Root(), Name: "d"}), &made)
+		if made.Status != nfsproto.OK || !made.Attr.Present || made.Attr.Attr.Type != attr.TypeDir {
+			t.Fatalf("traced=%v: MKDIR: %+v", traced, made)
+		}
+		r.canonical(r.call(nfsproto.ProcCreate, &nfsproto.CreateArgs{Dir: made.FH, Name: "f"}), &made)
+		if made.Status != nfsproto.OK || !made.Attr.Present || made.Attr.Attr.Type != attr.TypeReg || made.Attr.Attr.Size != 0 {
+			t.Fatalf("traced=%v: CREATE: %+v", traced, made)
+		}
+		fh := made.FH
+		const size = 100 << 10
+		if err := c.WriteFile(fh, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+
+		var found nfsproto.LookupRes
+		dir, _, err := c.Lookup(c.Root(), "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.canonical(r.call(nfsproto.ProcLookup, &nfsproto.LookupArgs{Dir: dir, Name: "f"}), &found)
+		if found.Status != nfsproto.OK || found.FH != fh || !found.Attr.Present || found.Attr.Attr.Size != size {
+			t.Fatalf("traced=%v: LOOKUP: %+v, want the %d bytes written through the µproxy", traced, found, size)
+		}
+		var got nfsproto.GetAttrRes
+		r.canonical(r.call(nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}), &got)
+		if got.Status != nfsproto.OK || got.Attr.Size != size || got.Attr.FileID != fh.FileID {
+			t.Fatalf("traced=%v: GETATTR: %+v", traced, got)
 		}
 		e.Close()
 	}

@@ -201,18 +201,10 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 	switch pd.proc {
 	case nfsproto.ProcRead:
 		// Only a successful read is an access, and only to a file whose
-		// attributes are cached: see attrCache. What follows the READ
-		// result in the body is nothing or the server's trace trailer
-		// and is known by its length, never by the trailer's magic alone
-		// (file data may end in those bytes); any other shape is re-encoded.
-		if count, end, patchable := nfsproto.PeekReadRes(rep.Body); patchable {
-			trailer := len(rep.Body) - end
-			if trailer == oncrpc.ReplyTraceLen {
-				_, _, patchable = oncrpc.PeekReplyTrace(rep.Body)
-			} else {
-				patchable = trailer == 0
-			}
-			if patchable {
+		// attributes are cached: see attrCache. Any shape but the fixed
+		// one, followed by at most a trace trailer, is re-encoded.
+		if count, end, ok := nfsproto.PeekReadRes(rep.Body); ok {
+			if trailer, ok := replyTrailer(rep.Body, end); ok {
 				if at, ok := p.attrs.access(fh, now); ok {
 					p.lap(&pd.clk, stSoftState)
 					p.patchRead(d, pd, trailer, &at, pd.info.Offset+uint64(count) >= at.Size)
@@ -309,32 +301,83 @@ func (p *Proxy) fetchFor(pd *pendingReq, fh fhandle.Handle) (nfsproto.Status, er
 	return p.fetchAttr(pd.span, fh)
 }
 
-// patchRead turns a data server's READ reply into the virtual server's
-// without touching the data: it overwrites the placeholder attribute
-// block with at and sets the EOF flag in the received datagram, cuts off
-// the trailer bytes the server's trace trailer occupies after the READ
-// result (0 when it sent none), restores the virtual server as the source —
-// each with a differential checksum repair, so the cost follows the ~100
-// bytes changed, not the 32 KiB carried — and injects the same buffer.
-// The result is byte for byte the datagram a decode, re-encode and Build
-// would have produced. Ownership of d transfers to the network.
-func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, eof bool) {
-	const body = netsim.HeaderSize + oncrpc.ReplyHeader
+// replyTrailer reports how many bytes of a reply body beyond end, where its
+// result ends, are the server's trace trailer — 0 or oncrpc.ReplyTraceLen —
+// and whether the body holds nothing else. The trailer is known by its
+// length, with the magic as a cross-check, never by the magic alone (file
+// data may end in those bytes); a reply of any other shape is re-encoded.
+func replyTrailer(body []byte, end int) (trailer int, ok bool) {
+	switch len(body) - end {
+	case 0:
+		return 0, true
+	case oncrpc.ReplyTraceLen:
+		_, _, ok = oncrpc.PeekReplyTrace(body)
+		return oncrpc.ReplyTraceLen, ok
+	}
+	return 0, false
+}
+
+// peekAttr decodes the attribute block at offset off of a reply body whose
+// shape a Peek has validated.
+func peekAttr(body []byte, off int) (at attr.Attr) {
+	_ = at.Decode(xdr.NewDecoder(body[off : off+attr.EncodedSize])) // cannot fail: the block is whole
+	return at
+}
+
+// patchAttr is the in-place patch every reply kind shares: it cuts the
+// trailer bytes the server's trace trailer occupies after the result off
+// the received reply d (0 when it sent none), overwrites the attribute
+// block at offset off of its body with at, and returns the shortened
+// datagram for injectPatched. Each edit repairs the checksum
+// differentially, so the cost follows the ~100 bytes changed, not the
+// bytes carried, and the result is byte for byte the datagram a decode,
+// re-encode and Build would have produced. The buffer is the µproxy's from
+// interception to injection: callers copy out everything they observe from
+// it before this first overwrite, and nothing refers to it afterwards.
+func (p *Proxy) patchAttr(d []byte, pd *pendingReq, trailer, off int, at *attr.Attr) []byte {
 	if trailer > 0 {
-		d, _ = netsim.TrimTail(d, trailer) // cannot fail: respondIO measured it inside the body
+		d, _ = netsim.TrimTail(d, trailer) // cannot fail: the caller measured it inside the body
 	}
 	at.Encode(xdr.NewEncoderBuf(pd.attrBuf[:0]))
-	var eofWord [4]byte
-	if eof {
-		eofWord[3] = 1
-	}
-	// The offsets are even and inside the body PeekReadRes validated.
-	_ = netsim.RewriteBytes(d, body+nfsproto.ReadResAttrOff, pd.attrBuf[:])
-	_ = netsim.RewriteBytes(d, body+nfsproto.ReadResEOFOff, eofWord[:])
+	// The offset is even and inside the body the caller's Peek validated.
+	_ = netsim.RewriteBytes(d, netsim.HeaderSize+oncrpc.ReplyHeader+off, pd.attrBuf[:])
+	return d
+}
+
+// injectPatched restores the virtual server as the source of a reply
+// patched in place, closes its rewrite lap, and delivers it. Ownership of
+// d transfers to the network.
+func (p *Proxy) injectPatched(d []byte, pd *pendingReq) {
 	netsim.RewriteSrc(d, p.cfg.Virtual)
 	p.lap(&pd.clk, stRewrite)
 	p.st.responses.Add(1)
 	_ = p.cfg.Net.Inject(d)
+}
+
+// injectMerged finishes a name reply in place: the attribute block at
+// offset off of its body, which held srv — fh's attributes as the directory
+// server sees them, just observed into the cache — becomes what the cache
+// now holds for fh, where locally known size and times win.
+func (p *Proxy) injectMerged(d []byte, pd *pendingReq, trailer, off int, fh fhandle.Handle, srv attr.Attr) {
+	at, ok := p.attrs.get(fh)
+	if !ok {
+		at = srv // flushed in between: the server's attributes stand
+	}
+	p.lap(&pd.clk, stSoftState)
+	p.injectPatched(p.patchAttr(d, pd, trailer, off, &at), pd)
+}
+
+// patchRead patches a data server's READ reply in place without touching
+// the data: the placeholder attribute block becomes at, and the EOF flag,
+// which reflected the server's local object, becomes eof.
+func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, eof bool) {
+	d = p.patchAttr(d, pd, trailer, nfsproto.ReadResAttrOff, at)
+	var eofWord [4]byte
+	if eof {
+		eofWord[3] = 1
+	}
+	_ = netsim.RewriteBytes(d, netsim.HeaderSize+oncrpc.ReplyHeader+nfsproto.ReadResEOFOff, eofWord[:])
+	p.injectPatched(d, pd)
 }
 
 // respondChild harvests the child's attributes from LOOKUP/CREATE/MKDIR
@@ -342,8 +385,22 @@ func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, 
 // fresher) attribute cache: the µproxy's view of size and timestamps
 // reflects I/O the directory server has not yet seen (§4.1). LookupRes and
 // CreateRes share a wire layout, so one decode path serves all three
-// procedures.
+// procedures. The common shape — success, child attributes present — is
+// observed straight from the received bytes and patched in place; any
+// other is decoded and re-encoded.
 func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
+	if dirOff, end, ok := nfsproto.PeekChildRes(rep.Body); ok {
+		if trailer, ok := replyTrailer(rep.Body, end); ok {
+			fh, _ := fhandle.Unmarshal(rep.Body[nfsproto.ChildResFHOff : nfsproto.ChildResFHOff+fhandle.Size]) // cannot fail: the length is right
+			srv := peekAttr(rep.Body, nfsproto.ChildResAttrOff)
+			p.observeAttr(fh, srv)
+			if dirOff > 0 {
+				p.observeAttr(pd.info.FH, peekAttr(rep.Body, dirOff))
+			}
+			p.injectMerged(d, pd, trailer, nfsproto.ChildResAttrOff, fh, srv)
+			return
+		}
+	}
 	var res nfsproto.LookupRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		p.st.dropped.Add(1)
@@ -370,8 +427,17 @@ func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.R
 
 // respondGetAttr folds a GETATTR reply into the attribute cache, then
 // answers the client with the merged attributes (local dirty size/mtime
-// win over the directory server's stale view).
+// win over the directory server's stale view) — in place when the reply is
+// a successful result and at most the trace trailer.
 func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
+	if end, ok := nfsproto.PeekGetAttrRes(rep.Body); ok {
+		if trailer, ok := replyTrailer(rep.Body, end); ok {
+			srv := peekAttr(rep.Body, nfsproto.GetAttrResAttrOff)
+			p.observeAttr(pd.info.FH, srv)
+			p.injectMerged(d, pd, trailer, nfsproto.GetAttrResAttrOff, pd.info.FH, srv)
+			return
+		}
+	}
 	var res nfsproto.GetAttrRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		p.st.dropped.Add(1)

@@ -29,28 +29,49 @@ type ObjectID uint64
 var ErrNoObject = errors.New("storage: no such object")
 
 // block is one logical block of an object. data is allocated on first
-// write and always BlockSize long; durable marks committed content.
+// write and always BlockSize long; durable marks committed content;
+// queued marks a block that is on its object's unstable list.
 type block struct {
 	data    []byte
 	durable bool
+	queued  bool
 }
 
-// object is an ordered byte sequence held as a sparse block map.
+// object is an ordered byte sequence held as a sparse block map. unstable
+// lists the blocks written unstably since the last commit — each at most
+// once (block.queued) — so a commit costs what was written, not what the
+// object holds. A block overwritten stably, or truncated away, stays on
+// the list until the next commit or crash empties it; committing it again
+// is harmless.
 type object struct {
-	blocks map[int64]*block
-	size   int64 // logical size in bytes
+	blocks   map[int64]*block
+	unstable []*block
+	size     int64 // logical size in bytes
+}
+
+// commit makes the object's unstable blocks durable and returns how many
+// it visited.
+func (o *object) commit() int {
+	n := len(o.unstable)
+	for _, b := range o.unstable {
+		b.durable, b.queued = true, false
+	}
+	clear(o.unstable)
+	o.unstable = o.unstable[:0]
+	return n
 }
 
 // Stats counts storage node activity.
 type Stats struct {
-	Reads          uint64
-	Writes         uint64
-	Commits        uint64
-	Removes        uint64
-	BytesRead      uint64
-	BytesWritten   uint64
-	PrefetchStarts uint64 // sequential streams detected
-	Crashes        uint64
+	Reads           uint64
+	Writes          uint64
+	Commits         uint64
+	BlocksCommitted uint64 // blocks a commit made durable
+	Removes         uint64
+	BytesRead       uint64
+	BytesWritten    uint64
+	PrefetchStarts  uint64 // sequential streams detected
+	Crashes         uint64
 }
 
 // ObjectStore is the storage manager inside one node (the role FFS played
@@ -129,10 +150,10 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 			o.blocks[bn] = b
 		}
 		n := copy(b.data[bo:], p)
-		if stable {
-			b.durable = true
-		} else {
-			b.durable = false
+		b.durable = stable
+		if !stable && !b.queued {
+			b.queued = true
+			o.unstable = append(o.unstable, b)
 		}
 		p = p[n:]
 		off += int64(n)
@@ -192,7 +213,8 @@ func (s *ObjectStore) ReadAt(id ObjectID, off int64, p []byte) (int, bool, error
 }
 
 // Commit makes all buffered writes to object id durable (write clustering:
-// one pass marks every dirty block) and returns the write verifier.
+// one pass over the blocks written since the last commit) and returns the
+// write verifier.
 // Committing a nonexistent object succeeds: NFS commit of a file with no
 // uncommitted data is a no-op.
 func (s *ObjectStore) Commit(id ObjectID) uint64 {
@@ -200,9 +222,7 @@ func (s *ObjectStore) Commit(id ObjectID) uint64 {
 	defer s.mu.Unlock()
 	s.stats.Commits++
 	if o := s.get(id, false); o != nil {
-		for _, b := range o.blocks {
-			b.durable = true
-		}
+		s.stats.BlocksCommitted += uint64(o.commit())
 	}
 	return s.verifier
 }
@@ -213,9 +233,7 @@ func (s *ObjectStore) CommitAll() uint64 {
 	defer s.mu.Unlock()
 	s.stats.Commits++
 	for _, o := range s.objects {
-		for _, b := range o.blocks {
-			b.durable = true
-		}
+		s.stats.BlocksCommitted += uint64(o.commit())
 	}
 	return s.verifier
 }
@@ -330,6 +348,14 @@ func (s *ObjectStore) Crash() {
 	s.stats.Crashes++
 	s.verifier++
 	for _, o := range s.objects {
+		// Every unstable block is about to be dropped or was overwritten
+		// stably since: either way it leaves the list, and must leave it
+		// unmarked, or its next unstable write would never be queued.
+		for _, b := range o.unstable {
+			b.queued = false
+		}
+		clear(o.unstable)
+		o.unstable = o.unstable[:0]
 		var maxDurableEnd int64
 		for bn, b := range o.blocks {
 			if !b.durable {

@@ -99,6 +99,68 @@ func TestStableWriteSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestCommitVisitsOnlyUnstableBlocks: a COMMIT costs the blocks written
+// unstably since the last one, not the blocks the object holds — the
+// small-file servers' shared backing object holds thousands, and the
+// commit runs under the node-wide mutex. The count is of blocks visited,
+// not of time.
+func TestCommitVisitsOnlyUnstableBlocks(t *testing.T) {
+	s := NewObjectStore()
+	const blocks = 4096
+	if err := s.WriteAt(1, 0, make([]byte, blocks*BlockSize), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	if got := s.Stats().BlocksCommitted; got != blocks {
+		t.Fatalf("first commit visited %d blocks, want all %d", got, blocks)
+	}
+	// One dirty write, twice over, spanning two blocks; and a stable one,
+	// which needs no commit.
+	for i := 0; i < 2; i++ {
+		if err := s.WriteAt(1, 100*BlockSize-10, []byte("twenty bytes of data"), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.WriteAt(1, 200*BlockSize, []byte("stable"), true); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	if got := s.Stats().BlocksCommitted - blocks; got != 2 {
+		t.Fatalf("commit after one two-block write into a %d-block object visited %d blocks, want 2", blocks, got)
+	}
+	s.CommitAll()
+	if got := s.Stats().BlocksCommitted - blocks; got != 2 {
+		t.Fatalf("a commit with nothing unstable visited %d blocks", got-2)
+	}
+	// The writes are durable all the same.
+	s.Crash()
+	buf := make([]byte, 20)
+	if _, _, err := s.ReadAt(1, 100*BlockSize-10, buf); err != nil || string(buf) != "twenty bytes of data" {
+		t.Fatalf("after commit and crash: %q, %v", buf, err)
+	}
+	if size, _ := s.Size(1); size != blocks*BlockSize {
+		t.Fatalf("size %d after commit and crash, want %d", size, blocks*BlockSize)
+	}
+}
+
+// TestStableOverwriteOfQueuedBlockThenCrash: a block written unstably,
+// then stably, then crashed over is durable and off the unstable list —
+// and must come off it unmarked, or its next unstable write is never
+// queued and no commit ever reaches it.
+func TestStableOverwriteOfQueuedBlockThenCrash(t *testing.T) {
+	s := NewObjectStore()
+	_ = s.WriteAt(1, 0, []byte("unstable"), false)
+	_ = s.WriteAt(1, 0, []byte("stable!!"), true)
+	s.Crash()
+	_ = s.WriteAt(1, 0, []byte("again..."), false)
+	s.Commit(1)
+	s.Crash()
+	buf := make([]byte, 8)
+	if n, _, err := s.ReadAt(1, 0, buf); err != nil || string(buf[:n]) != "again..." {
+		t.Fatalf("read %q, %v: the committed rewrite was lost", buf[:n], err)
+	}
+}
+
 func TestTruncateShrinkAndZero(t *testing.T) {
 	s := NewObjectStore()
 	_ = s.WriteAt(1, 0, bytes.Repeat([]byte{0xFF}, 2*BlockSize), true)

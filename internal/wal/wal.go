@@ -25,7 +25,8 @@ import (
 // in-memory store with an explicit durability horizon so tests can simulate
 // crashes; in a deployment it would be a storage-service object.
 type Store interface {
-	// Append adds bytes to the store buffer (not yet durable).
+	// Append adds a copy of p to the store buffer (not yet durable); p is
+	// the caller's again when it returns.
 	Append(p []byte) error
 	// Sync makes all appended bytes durable.
 	Sync() error
@@ -38,12 +39,23 @@ type Store interface {
 // MemStore is an in-memory Store that distinguishes buffered from durable
 // bytes. CrashCopy returns a view holding only the durable prefix, which
 // tests use to simulate power failure.
+//
+// The log is held in fixed segments, so bytes once appended never move:
+// Append copies p and nothing else, however long the log has grown. Every
+// segment but the last is full; sizes double from minSegment to maxSegment,
+// so an idle log costs a few KiB and a busy one allocates once per MiB.
 type MemStore struct {
 	mu      sync.Mutex
-	buf     []byte
+	segs    [][]byte
+	size    int // bytes appended
 	durable int // bytes guaranteed to survive a crash
 	syncs   uint64
 }
+
+const (
+	minSegment = 4 << 10
+	maxSegment = 1 << 20
+)
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
@@ -52,7 +64,22 @@ func NewMemStore() *MemStore { return &MemStore{} }
 func (m *MemStore) Append(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = append(m.buf, p...)
+	m.size += len(p)
+	for len(p) > 0 {
+		last := len(m.segs) - 1
+		if last < 0 || len(m.segs[last]) == cap(m.segs[last]) {
+			n := minSegment
+			if last >= 0 {
+				n = min(2*cap(m.segs[last]), maxSegment)
+			}
+			m.segs = append(m.segs, make([]byte, 0, n))
+			last++
+		}
+		seg := m.segs[last]
+		n := copy(seg[len(seg):cap(seg)], p)
+		m.segs[last] = seg[:len(seg)+n]
+		p = p[n:]
+	}
 	return nil
 }
 
@@ -60,7 +87,7 @@ func (m *MemStore) Append(p []byte) error {
 func (m *MemStore) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.durable = len(m.buf)
+	m.durable = m.size
 	m.syncs++
 	return nil
 }
@@ -77,16 +104,24 @@ func (m *MemStore) Syncs() uint64 {
 func (m *MemStore) Contents() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]byte, len(m.buf))
-	copy(out, m.buf)
-	return out, nil
+	return m.prefix(m.size), nil
+}
+
+// prefix returns a copy of the first n bytes of the log.
+func (m *MemStore) prefix(n int) []byte {
+	out := make([]byte, 0, n)
+	for _, seg := range m.segs {
+		out = append(out, seg[:min(len(seg), n-len(out))]...)
+	}
+	return out
 }
 
 // Reset implements Store.
 func (m *MemStore) Reset() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.buf = nil
+	m.segs = nil
+	m.size = 0
 	m.durable = 0
 	return nil
 }
@@ -95,10 +130,11 @@ func (m *MemStore) Reset() error {
 // last Sync, simulating loss of buffered data in a crash.
 func (m *MemStore) CrashCopy() *MemStore {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	durable := m.prefix(m.durable)
+	m.mu.Unlock()
 	c := &MemStore{}
-	c.buf = append(c.buf, m.buf[:m.durable]...)
-	c.durable = m.durable
+	_ = c.Append(durable) // cannot fail
+	c.durable = c.size
 	return c
 }
 
@@ -127,6 +163,7 @@ type Log struct {
 	appendGen uint64 // bumped by every Append
 	syncGen   uint64 // appendGen horizon known durable
 	stats     Stats
+	frame     []byte // Append's framing scratch, reused under mu
 
 	// syncMu serializes store.Sync and forms the group-commit queue:
 	// callers blocked here when the leader finishes usually find their
@@ -165,7 +202,11 @@ func (l *Log) Append(recType uint32, payload []byte) (uint64, error) {
 	defer l.mu.Unlock()
 	seq := l.nextSeq
 	l.nextSeq++
-	frame := make([]byte, headerLen+len(payload)+crcLen)
+	n := headerLen + len(payload) + crcLen
+	if cap(l.frame) < n {
+		l.frame = make([]byte, n)
+	}
+	frame := l.frame[:n]
 	binary.BigEndian.PutUint32(frame[0:], recMagic)
 	binary.BigEndian.PutUint64(frame[4:], seq)
 	binary.BigEndian.PutUint32(frame[12:], recType)

@@ -2,8 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -192,5 +195,124 @@ func TestLargePayloads(t *testing.T) {
 	})
 	if !bytes.Equal(got, big) {
 		t.Fatal("large payload mismatch")
+	}
+}
+
+// sliceStore is the MemStore this package had before the segmented one —
+// the whole log in one slice that append regrows and re-copies — kept as
+// its oracle.
+type sliceStore struct {
+	buf     []byte
+	durable int
+}
+
+func (m *sliceStore) Append(p []byte) error { m.buf = append(m.buf, p...); return nil }
+func (m *sliceStore) Sync() error           { m.durable = len(m.buf); return nil }
+func (m *sliceStore) Reset() error          { m.buf, m.durable = nil, 0; return nil }
+func (m *sliceStore) Contents() ([]byte, error) {
+	return append([]byte{}, m.buf...), nil
+}
+func (m *sliceStore) crashCopy() *sliceStore {
+	return &sliceStore{buf: append([]byte(nil), m.buf[:m.durable]...), durable: m.durable}
+}
+
+// scanAll replays a log into one comparable string per record, plus the
+// error the scan ended with.
+func scanAll(l *Log) ([]string, error) {
+	var recs []string
+	err := l.Scan(func(seq uint64, recType uint32, payload []byte) error {
+		recs = append(recs, fmt.Sprintf("%d:%d:%x", seq, recType, payload))
+		return nil
+	})
+	return recs, err
+}
+
+// TestMemStoreMatchesSliceOracle drives a log over the segmented MemStore
+// and one over the one-slice oracle with the same random appends, syncs,
+// torn tails, crashes and checkpoints — records sized to straddle the
+// 4, 8, 16 KiB … segment boundaries — and requires the same bytes, the
+// same replay and the same crash survivors from both at every step.
+func TestMemStoreMatchesSliceOracle(t *testing.T) {
+	for _, seed := range []int64{1, 42, 777} {
+		rng := rand.New(rand.NewSource(seed))
+		store, oracle := NewMemStore(), &sliceStore{}
+		open := func() (*Log, *Log) {
+			t.Helper()
+			a, errA := Open(store)
+			b, errB := Open(oracle)
+			if (errA == nil) != (errB == nil) || errors.Is(errA, ErrCorrupt) != errors.Is(errB, ErrCorrupt) {
+				t.Fatalf("seed %d: Open: %v over segments, %v over the oracle", seed, errA, errB)
+			}
+			return a, b
+		}
+		log, olog := open()
+		for step := 0; step < 600; step++ {
+			switch op := rng.Intn(20); {
+			case op < 12: // a record, often larger than what is left of the segment
+				payload := make([]byte, rng.Intn(3000))
+				rng.Read(payload)
+				recType := rng.Uint32()
+				s1, err1 := log.Append(recType, payload)
+				s2, err2 := olog.Append(recType, payload)
+				if s1 != s2 || err1 != nil || err2 != nil {
+					t.Fatalf("seed %d step %d: Append: seq %d (%v) vs %d (%v)", seed, step, s1, err1, s2, err2)
+				}
+			case op < 16:
+				_, _ = log.Sync(), olog.Sync()
+			case op == 16: // a torn tail: the start of a frame, appended beneath the log and made durable
+				var frame [headerLen]byte
+				binary.BigEndian.PutUint32(frame[:], recMagic)
+				torn := frame[:1+rng.Intn(headerLen-1)]
+				_, _ = store.Append(torn), oracle.Append(torn)
+				_, _ = store.Sync(), oracle.Sync()
+				// Nothing can follow a torn tail but a restart.
+				fallthrough
+			case op == 17: // crash: only what was synced survives, and the logs reopen on it
+				store, oracle = store.CrashCopy(), oracle.crashCopy()
+				if log, olog = open(); log == nil {
+					// Both refused the survivors alike: start over.
+					store, oracle = NewMemStore(), &sliceStore{}
+					log, olog = open()
+				}
+			case op == 18:
+				if err1, err2 := log.Checkpoint(), olog.Checkpoint(); err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+			case op == 19:
+				recs, err := scanAll(log)
+				orecs, oerr := scanAll(olog)
+				if !slices.Equal(recs, orecs) || (err == nil) != (oerr == nil) {
+					t.Fatalf("seed %d step %d: Scan replays %d records (%v), the oracle %d (%v)", seed, step, len(recs), err, len(orecs), oerr)
+				}
+			}
+			got, _ := store.Contents()
+			want, _ := oracle.Contents()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Contents differ: %d bytes over segments, %d over the oracle", seed, step, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestAppendAllocatesNothing: a record costs no allocation — the frame is
+// built in the log's scratch and copied into a segment that is already
+// there (a new one comes once per maxSegment bytes, not per record).
+func TestAppendAllocatesNothing(t *testing.T) {
+	log, err := Open(NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 120)
+	for i := 0; i < 2*maxSegment/len(payload); i++ { // into the full-size segments
+		if _, err := log.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := log.AppendSync(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendSync allocates %v times per record, want 0", n)
 	}
 }

@@ -311,7 +311,7 @@ func TestRecvMidRecordTimeoutClosesStream(t *testing.T) {
 	if _, err := c.Recv(20 * time.Millisecond); err == nil {
 		t.Fatal("Recv on an idle stream returned a record")
 	}
-	if err := writeRecord(peer, []byte("first")); err != nil {
+	if err := putRecord(peer, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	d, err := c.Recv(5 * time.Second)
@@ -326,7 +326,7 @@ func TestRecvMidRecordTimeoutClosesStream(t *testing.T) {
 	// The peer writes a mark, stalls past the deadline, then writes the
 	// body — itself a well-formed record — plus a whole second record.
 	var body bytes.Buffer
-	if err := writeRecord(&body, []byte("looks like a record")); err != nil {
+	if err := putRecord(&body, []byte("looks like a record")); err != nil {
 		t.Fatal(err)
 	}
 	var mark [4]byte
@@ -338,18 +338,17 @@ func TestRecvMidRecordTimeoutClosesStream(t *testing.T) {
 		t.Fatal("Recv returned a record whose body never arrived")
 	}
 	_, _ = peer.Write(body.Bytes())
-	_ = writeRecord(peer, []byte("second"))
+	_ = putRecord(peer, []byte("second"))
 	if d, err := c.Recv(time.Second); err == nil {
 		t.Fatalf("Recv after a mid-record timeout parsed body bytes as a record: %q", d[netsim.HeaderSize:])
 	}
 }
 
 // BenchmarkConnRecv measures the client-side receive path of both
-// framings: one read into one pooled buffer. The datagram path is 0
-// allocs/op (it once allocated a fresh 96 KiB buffer plus a
-// header-prefixed copy per datagram); the stream path's two 4-byte
-// allocations are the record-mark scratch of readRecord and of this
-// benchmark's writeRecord, which escape through io.Reader/io.Writer.
+// framings: one read into one pooled buffer, 0 allocs/op on both (the
+// datagram path once allocated a fresh 96 KiB buffer plus a
+// header-prefixed copy per datagram, the stream path a 4-byte record-mark
+// scratch on each side).
 func BenchmarkConnRecv(b *testing.B) {
 	payload := make([]byte, 8<<10)
 	run := func(b *testing.B, c *Conn, send func() error) {

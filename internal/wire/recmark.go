@@ -16,6 +16,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,22 +47,23 @@ var ErrRecordTooLarge = errors.New("wire: record exceeds maximum size")
 // fragments into a single pooled buffer with hdrRoom bytes reserved at
 // the front (for a netsim pseudo header). The caller owns the result and
 // returns it with netsim.FreeBuf. A clean EOF before the first byte of a
-// record returns io.EOF; EOF mid-record returns io.ErrUnexpectedEOF.
-func readRecord(r io.Reader, hdrRoom int) ([]byte, error) {
-	var fh [4]byte
+// record returns io.EOF; EOF mid-record returns io.ErrUnexpectedEOF. The
+// fragment mark is read where it lies in r's buffer, so a record costs no
+// allocation beyond its pooled buffer.
+func readRecord(r *bufio.Reader, hdrRoom int) ([]byte, error) {
 	var buf []byte
 	total := 0
 	for {
-		if _, err := io.ReadFull(r, fh[:]); err != nil {
-			if buf != nil {
-				netsim.FreeBuf(buf)
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
+		fh, err := r.Peek(4)
+		if err != nil {
+			netsim.FreeBuf(buf)
+			if err == io.EOF && (buf != nil || len(fh) > 0) {
+				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
-		v := binary.BigEndian.Uint32(fh[:])
+		v := binary.BigEndian.Uint32(fh)
+		_, _ = r.Discard(4) // cannot fail: Peek buffered them
 		last := v&lastFrag != 0
 		flen := int(v &^ lastFrag)
 		if flen == 0 && !last {
@@ -101,12 +103,12 @@ func readRecord(r io.Reader, hdrRoom int) ([]byte, error) {
 // writeRecord writes payload to w as one record-marked message, cut into
 // fragments of at most fragSize bytes. Callers pass a buffered writer and
 // flush once per burst, so consecutive small records coalesce into one
-// TCP write.
-func writeRecord(w io.Writer, payload []byte) error {
+// TCP write. The fragment mark is built in w's own buffer: a local array
+// handed to Write would escape to the heap on every record.
+func writeRecord(w *bufio.Writer, payload []byte) error {
 	if len(payload) > MaxRecord {
 		return ErrRecordTooLarge
 	}
-	var fh [4]byte
 	off := 0
 	for {
 		n := len(payload) - off
@@ -118,8 +120,7 @@ func writeRecord(w io.Writer, payload []byte) error {
 		if last {
 			v |= lastFrag
 		}
-		binary.BigEndian.PutUint32(fh[:], v)
-		if _, err := w.Write(fh[:]); err != nil {
+		if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), v)); err != nil {
 			return err
 		}
 		if _, err := w.Write(payload[off : off+n]); err != nil {

@@ -16,7 +16,7 @@ import (
 // whatever fragmentation a peer chooses.
 func writeFrags(w io.Writer, payload []byte, frag int) error {
 	if frag <= 0 {
-		return writeRecord(w, payload)
+		return putRecord(w, payload)
 	}
 	for {
 		n, mark := len(payload), uint32(lastFrag)
@@ -33,6 +33,16 @@ func writeFrags(w io.Writer, payload []byte, frag int) error {
 			return nil
 		}
 	}
+}
+
+// putRecord is writeRecord onto a plain writer: framed through a buffered
+// writer, as every caller outside the tests does, and flushed.
+func putRecord(w io.Writer, payload []byte) error {
+	bw := bufio.NewWriter(w)
+	if err := writeRecord(bw, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -55,7 +65,8 @@ func TestRecordRoundTrip(t *testing.T) {
 			if err := bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			got, err := readRecord(&stream, 0)
+			br := bufio.NewReader(&stream)
+			got, err := readRecord(br, 0)
 			if err != nil {
 				t.Fatalf("readRecord(size=%d frag=%d): %v", size, frag, err)
 			}
@@ -63,8 +74,8 @@ func TestRecordRoundTrip(t *testing.T) {
 				t.Fatalf("payload mismatch at size=%d frag=%d", size, frag)
 			}
 			netsim.FreeBuf(got)
-			if stream.Len() != 0 {
-				t.Fatalf("%d trailing bytes after record at size=%d frag=%d", stream.Len(), size, frag)
+			if n := br.Buffered() + stream.Len(); n != 0 {
+				t.Fatalf("%d trailing bytes after record at size=%d frag=%d", n, size, frag)
 			}
 		}
 	}
@@ -80,7 +91,7 @@ func TestRecordExceedsOldDatagramCap(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	var stream bytes.Buffer
-	if err := writeRecord(&stream, payload); err != nil {
+	if err := putRecord(&stream, payload); err != nil {
 		t.Fatal(err)
 	}
 	// With 64 KiB fragments this must be a multi-fragment record.
@@ -88,7 +99,7 @@ func TestRecordExceedsOldDatagramCap(t *testing.T) {
 	if first&lastFrag != 0 {
 		t.Fatalf("%d-byte record fit one fragment", len(payload))
 	}
-	got, err := readRecord(&stream, 0)
+	got, err := readRecord(bufio.NewReader(&stream), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +115,10 @@ func TestRecordExceedsOldDatagramCap(t *testing.T) {
 func TestRecordHdrRoom(t *testing.T) {
 	payload := []byte("stamp me")
 	var stream bytes.Buffer
-	if err := writeRecord(&stream, payload); err != nil {
+	if err := putRecord(&stream, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readRecord(&stream, netsim.HeaderSize)
+	got, err := readRecord(bufio.NewReader(&stream), netsim.HeaderSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +139,7 @@ func TestReadRecordTornStream(t *testing.T) {
 	}
 	full := stream.Bytes()
 	for _, cut := range []int{1, 3, 4, 7, 4100, len(full) - 1} {
-		_, err := readRecord(bytes.NewReader(full[:cut]), 0)
+		_, err := readRecord(bufio.NewReader(bytes.NewReader(full[:cut])), 0)
 		if err == nil {
 			t.Fatalf("torn stream (cut at %d) produced a record", cut)
 		}
@@ -137,7 +148,7 @@ func TestReadRecordTornStream(t *testing.T) {
 			t.Fatalf("mid-record cut at %d reported clean EOF", cut)
 		}
 	}
-	if _, err := readRecord(bytes.NewReader(nil), 0); err != io.EOF {
+	if _, err := readRecord(bufio.NewReader(bytes.NewReader(nil)), 0); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
@@ -145,14 +156,14 @@ func TestReadRecordTornStream(t *testing.T) {
 func TestReadRecordHostileFrames(t *testing.T) {
 	// A non-terminal zero-length fragment would loop forever.
 	var zero [4]byte
-	if _, err := readRecord(bytes.NewReader(zero[:]), 0); err == nil {
+	if _, err := readRecord(bufio.NewReader(bytes.NewReader(zero[:])), 0); err == nil {
 		t.Fatal("zero-length non-terminal fragment accepted")
 	}
 	// A fragment claiming more than MaxRecord must be rejected before
 	// any allocation of that size.
 	var huge [4]byte
 	binary.BigEndian.PutUint32(huge[:], lastFrag|uint32(MaxRecord+1))
-	if _, err := readRecord(bytes.NewReader(huge[:]), 0); err != ErrRecordTooLarge {
+	if _, err := readRecord(bufio.NewReader(bytes.NewReader(huge[:])), 0); err != ErrRecordTooLarge {
 		t.Fatalf("oversize fragment: err = %v, want ErrRecordTooLarge", err)
 	}
 	// Many fragments whose sum overflows MaxRecord.
@@ -164,14 +175,14 @@ func TestReadRecordHostileFrames(t *testing.T) {
 		stream.Write(fh[:])
 		stream.Write(chunk)
 	}
-	if _, err := readRecord(&stream, 0); err != ErrRecordTooLarge {
+	if _, err := readRecord(bufio.NewReader(&stream), 0); err != ErrRecordTooLarge {
 		t.Fatalf("runaway fragments: err = %v, want ErrRecordTooLarge", err)
 	}
 }
 
 func TestWriteRecordRejectsOversize(t *testing.T) {
 	var stream bytes.Buffer
-	if err := writeRecord(&stream, make([]byte, MaxRecord+1)); err != ErrRecordTooLarge {
+	if err := putRecord(&stream, make([]byte, MaxRecord+1)); err != ErrRecordTooLarge {
 		t.Fatalf("err = %v, want ErrRecordTooLarge", err)
 	}
 }
@@ -188,8 +199,9 @@ func TestBackToBackRecords(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	br := bufio.NewReader(&stream)
 	for i, want := range msgs {
-		got, err := readRecord(&stream, 0)
+		got, err := readRecord(br, 0)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
@@ -198,8 +210,36 @@ func TestBackToBackRecords(t *testing.T) {
 		}
 		netsim.FreeBuf(got)
 	}
-	if _, err := readRecord(&stream, 0); err != io.EOF {
+	if _, err := readRecord(br, 0); err != io.EOF {
 		t.Fatalf("after last record: %v, want io.EOF", err)
+	}
+}
+
+// TestRecordFramingAllocatesNothing: writing a record and reading it back
+// costs no allocation beyond the pooled buffer it is read into — the
+// 4-byte fragment mark lives in the bufio buffers on both sides. (It was a
+// heap-allocated scratch per record in each direction: four allocations on
+// every RPC over a stream gateway.)
+func TestRecordFramingAllocatesNothing(t *testing.T) {
+	var stream bytes.Buffer
+	bw, br := bufio.NewWriter(&stream), bufio.NewReader(&stream)
+	for _, size := range []int{128, 3 * fragSize / 2} { // one fragment, two
+		payload := make([]byte, size)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := writeRecord(bw, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := readRecord(br, netsim.HeaderSize)
+			if err != nil || len(rec) != netsim.HeaderSize+size {
+				t.Fatalf("read %d bytes, %v", len(rec), err)
+			}
+			netsim.FreeBuf(rec)
+		}); n != 0 {
+			t.Errorf("a %d-byte record costs %v allocations to frame and reassemble, want 0", size, n)
+		}
 	}
 }
 
@@ -248,15 +288,19 @@ func TestPortmapGetPortAndDump(t *testing.T) {
 func BenchmarkRecordRoundTrip(b *testing.B) {
 	payload := make([]byte, 128<<10)
 	var stream bytes.Buffer
+	bw, br := bufio.NewWriter(&stream), bufio.NewReader(&stream)
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stream.Reset()
-		if err := writeRecord(&stream, payload); err != nil {
+		if err := writeRecord(bw, payload); err != nil {
 			b.Fatal(err)
 		}
-		got, err := readRecord(&stream, 0)
+		if err := bw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		got, err := readRecord(br, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +315,7 @@ func BenchmarkRecordRoundTrip(b *testing.B) {
 func FuzzReadRecord(f *testing.F) {
 	var two bytes.Buffer
 	_ = writeFrags(&two, []byte("a record in three fragments"), 10)
-	_ = writeRecord(&two, []byte("and a second"))
+	_ = putRecord(&two, []byte("and a second"))
 	f.Add(two.Bytes())
 	f.Add(two.Bytes()[:two.Len()-3])
 	f.Add([]byte{0, 0, 0, 0})
@@ -292,7 +336,7 @@ func FuzzReadRecord(f *testing.F) {
 			}
 		}
 		run := func(hdrRoom int) {
-			r := bytes.NewReader(stream)
+			r := bufio.NewReader(bytes.NewReader(stream))
 			for i := 0; ; i++ {
 				rec, err := readRecord(r, hdrRoom)
 				if err != nil {
