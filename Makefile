@@ -35,8 +35,9 @@ bench-module:
 # Benchmark regression gate: repeated short runs of the gated data-path
 # benchmarks, reduced to their minimum and compared against the
 # checked-in baselines. Allocation counts are held exactly (the forward
-# path must stay 0 allocs/op, a LOOKUP pair 1 and a NULL RPC 3; the bulk
-# path's budgets carry headroom in BENCH_bulkio.json); ns/op gets
+# path must stay 0 allocs/op, a LOOKUP pair 1, a NULL RPC 3 and a storage
+# object's write/commit/remove cycle 22; the bulk path's budgets carry
+# headroom in BENCH_bulkio.json); ns/op gets
 # BENCH_TOLERANCE headroom for machine noise. bench.out/bench_bulk.out are kept for CI artifact upload. The
 # bulk benchmarks run at -cpu 4 only (the windowed fan-out needs
 # GOMAXPROCS>1 to overlap) and a few long iterations, not thousands of
@@ -57,7 +58,7 @@ bench-gate:
 	    -benchtime $(BENCH_FLEET_TIME) -count $(BENCH_COUNT) -cpu 4 . >> bench.out \
 	    || { cat bench.out; exit 1; }
 	$(GO) run ./cmd/benchgate -baseline BENCH_proxy.json -input bench.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkBulk(Read|Write)' -benchmem \
+	$(GO) test -run xxx -bench 'BenchmarkBulk(Read|Write)|BenchmarkStorageChurn|BenchmarkWriteBehind64K' -benchmem \
 	    -benchtime $(BENCH_BULK_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_bulk.out \
 	    || { cat bench_bulk.out; exit 1; }
 	$(GO) run ./cmd/benchgate -baseline BENCH_bulkio.json -input bench_bulk.out -tolerance $(BENCH_TOLERANCE)

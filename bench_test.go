@@ -25,6 +25,7 @@ import (
 	"slice/internal/proxy"
 	"slice/internal/route"
 	"slice/internal/sim"
+	"slice/internal/storage"
 	"slice/internal/wire"
 	"slice/internal/workload"
 	"slice/internal/xdr"
@@ -881,6 +882,98 @@ func BenchmarkBulkWrite(b *testing.B) {
 	b.Run("serial/nodes=4", func(b *testing.B) { benchBulkWrite(b, 4, true) })
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) { benchBulkWrite(b, n, false) })
+	}
+}
+
+// BenchmarkStorageChurn is ddwrite as one storage node sees it: fill a
+// 1 MiB object with 32 KiB unstable writes, commit it, remove it, repeat.
+// Every block of an object is claimed from the blocks the last one gave
+// back (DESIGN.md §14.3), so an op allocates the object record, its block
+// map and its unstable list and not one byte of block data; the
+// BENCH_bulkio.json row holds allocs_op and b_op there.
+func BenchmarkStorageChurn(b *testing.B) {
+	const (
+		objectBytes = 1 << 20
+		writeBytes  = 32 << 10
+	)
+	s := storage.NewObjectStore()
+	p := make([]byte, writeBytes)
+	for i := range p {
+		p[i] = byte(i * 131)
+	}
+	cycle := func(id storage.ObjectID) {
+		for off := int64(0); off < objectBytes; off += writeBytes {
+			if err := s.WriteAt(id, off, p, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Commit(id)
+		s.Remove(id)
+	}
+	cycle(1) // the first object's blocks are the only ones ever allocated
+	b.SetBytes(objectBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(storage.ObjectID(i + 2))
+	}
+}
+
+// BenchmarkWriteBehind64K is the client's share of a bulk write and
+// nothing else: 64 KiB aligned unstable writes, one COMMIT per 2 MiB,
+// against a server that acknowledges every call and keeps nothing, over a
+// fabric with no latency. A 64 KiB aligned write completes exactly two
+// chunks and leaves nothing in the tail (TestWriteBehindMatchesCarve), so
+// the client copies each payload byte once, into the pooled buffer it is
+// sent from; b_op holds the pool to that — a chunk buffer that stopped
+// being recycled would show as 32 KiB per chunk.
+func BenchmarkWriteBehind64K(b *testing.B) {
+	net := netsim.New(netsim.Config{})
+	port, err := net.Bind(netsim.Addr{Host: 2, Port: 2049})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := oncrpc.NewServer(port, oncrpc.HandlerFunc(func(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
+		switch nfsproto.Proc(call.Proc) {
+		case nfsproto.ProcWrite:
+			var a nfsproto.WriteArgs
+			if a.Decode(xdr.NewDecoder(call.Body)) != nil {
+				return nil, oncrpc.AcceptGarbageArgs
+			}
+			return (&nfsproto.WriteRes{Status: nfsproto.OK, Count: a.Count, Verf: 1}).Encode, oncrpc.AcceptSuccess
+		case nfsproto.ProcCommit:
+			return (&nfsproto.CommitRes{Status: nfsproto.OK, Verf: 1}).Encode, oncrpc.AcceptSuccess
+		}
+		return nil, oncrpc.AcceptProcUnavail
+	}))
+	b.Cleanup(srv.Close)
+	c, err := client.New(client.Config{Net: net, Host: 100, Server: srv.Addr()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	fh := fhandle.Handle{Volume: 1, FileID: 9, Type: uint8(attr.TypeReg), CellKey: 9, Gen: 1}
+	data := make([]byte, bulkBenchBytes)
+	for i := range data {
+		data[i] = byte(i * 131)
+	}
+	const base = 1 << 20 // above the small-file threshold, stripe-aligned
+	pass := func() {
+		for off := 0; off < bulkBenchBytes; off += bulkBenchIO {
+			if _, err := c.Write(fh, uint64(base+off), data[off:off+bulkBenchIO], false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := c.Commit(fh); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass() // the testing package collects before each run: refill the pools
+	b.SetBytes(bulkBenchBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }
 

@@ -11,12 +11,13 @@
 // Ordering rules that keep the pipelined path byte-exact with the serial
 // one:
 //
-//   - Unstable writes are write-behind: strictly sequential bytes
-//     accumulate in a per-client tail buffer, full stripe-unit chunks are
-//     carved off and dispatched asynchronously, and the partial tail is
-//     flushed when the stream breaks or a barrier arrives. A write that
-//     would overlap a chunk already in flight drains the file first, so
-//     two writes to the same range can never race.
+//   - Unstable writes are write-behind: every chunk a strictly sequential
+//     write completes is assembled once, in the buffer it is sent from,
+//     and dispatched asynchronously; the sub-chunk remainder waits in a
+//     per-client tail buffer (never a full chunk) and is flushed when the
+//     stream breaks or a barrier arrives. A write that would overlap a
+//     chunk already in flight drains the file first, so two writes to the
+//     same range can never race.
 //   - Reads, GetAttr, SetAttr, Commit, and stable writes drain the
 //     target file's write-behind traffic before issuing; Remove and
 //     Rename (which identify files by name, not handle) drain everything.
@@ -28,13 +29,17 @@
 //     invalidates it, and a read that breaks the sequential pattern
 //     resets it.
 //
-// Buffer ownership across the async boundary: a write-behind chunk
-// carved from the tail copies its bytes into a pooled buffer; the
-// dispatched worker owns that buffer exclusively until its WRITE —
-// including any retry, which re-encodes the payload — completes, and only
-// then returns it to the pool. Callers may therefore reuse their own
-// buffers the moment Write returns. Flushed tail buffers transfer
-// ownership to the dispatched chunks outright and are left to the GC.
+// Buffer ownership across the async boundary: every write-behind chunk —
+// the caller's bytes alone, the tail topped up with them, or the flushed
+// tail as it stands — is a chunkPool buffer; the worker it is handed to
+// owns that buffer exclusively until its WRITE — including any retry,
+// which re-encodes the payload — completes, and only then returns it to
+// the pool. Callers may therefore reuse their own buffers the moment
+// Write returns.
+//
+// Chunk RPCs run on resident workers (startChunk): a goroutine's stack
+// grows inside the µproxy's tap on its first send, and a worker that parks
+// between chunks keeps it.
 package client
 
 import (
@@ -45,6 +50,7 @@ import (
 
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/oncrpc"
 )
 
@@ -220,32 +226,15 @@ func (c *Client) fanoutRead(fh fhandle.Handle, off uint64, p []byte) (int, bool,
 		c.acquire()
 		t0 := time.Now()
 		n, eof, err := c.chunkRead(fh, off, p)
-		if c.readNS != nil {
-			c.readNS.RecordSince(t0)
-		}
-		c.release()
+		c.chunkDone(c.readNS, t0)
 		return n, eof, err
 	}
-	type rres struct {
-		n   int
-		eof bool
-		err error
-	}
-	results := make([]rres, len(spans))
+	results := make([]chunkResult, len(spans))
 	var wg sync.WaitGroup
+	wg.Add(len(spans))
 	for i, s := range spans {
 		c.acquire()
-		wg.Add(1)
-		go func(i int, s chunkSpan) {
-			defer wg.Done()
-			defer c.release()
-			t0 := time.Now()
-			n, eof, err := c.chunkRead(fh, s.off, p[s.off-off:s.end-off])
-			if c.readNS != nil {
-				c.readNS.RecordSince(t0)
-			}
-			results[i] = rres{n, eof, err}
-		}(i, s)
+		c.startChunk(chunkTask{op: opRead, fh: fh, off: s.off, data: p[s.off-off : s.end-off], res: &results[i], wg: &wg})
 	}
 	wg.Wait()
 	read := 0
@@ -302,39 +291,156 @@ func (c *Client) fanoutWrite(fh fhandle.Handle, off uint64, p []byte, stability 
 		c.acquire()
 		t0 := time.Now()
 		err := c.chunkWrite(fh, off, p, stability)
-		if c.writeNS != nil {
-			c.writeNS.RecordSince(t0)
-		}
-		c.release()
+		c.chunkDone(c.writeNS, t0)
 		if err != nil {
 			return 0, err
 		}
 		return len(p), nil
 	}
-	errs := make([]error, len(spans))
+	results := make([]chunkResult, len(spans))
 	var wg sync.WaitGroup
+	wg.Add(len(spans))
 	for i, s := range spans {
 		c.acquire()
-		wg.Add(1)
-		go func(i int, s chunkSpan) {
-			defer wg.Done()
-			defer c.release()
-			t0 := time.Now()
-			errs[i] = c.chunkWrite(fh, s.off, p[s.off-off:s.end-off], stability)
-			if c.writeNS != nil {
-				c.writeNS.RecordSince(t0)
-			}
-		}(i, s)
+		c.startChunk(chunkTask{op: opWrite, fh: fh, off: s.off, data: p[s.off-off : s.end-off], stability: stability, res: &results[i], wg: &wg})
 	}
 	wg.Wait()
 	written := 0
 	for i, s := range spans {
-		if errs[i] != nil {
-			return written, errs[i]
+		if results[i].err != nil {
+			return written, results[i].err
 		}
 		written += int(s.end - s.off)
 	}
 	return written, nil
+}
+
+// ---------------------------------------------------------------------
+// Chunk workers
+// ---------------------------------------------------------------------
+
+// chunkTask is one chunk RPC handed to a worker, which holds the window
+// slot its dispatcher took until the RPC completes.
+type chunkTask struct {
+	op        uint8
+	stability uint32 // opWrite
+	fh        fhandle.Handle
+	off       uint64
+	data      []byte // opRead: destination; opWrite, opBehind: source
+
+	res *chunkResult    // opRead, opWrite: where the outcome goes,
+	wg  *sync.WaitGroup // and who waits for it
+	f   *fileIO         // opBehind: the file's in-flight record
+	ra  *raEntry        // opPrefetch
+}
+
+const (
+	opRead     = iota // a fanned-out READ of a caller's buffer
+	opWrite           // a fanned-out synchronous WRITE
+	opBehind          // a write-behind chunk: pooled data, deferred error
+	opPrefetch        // a readahead entry
+)
+
+// chunkResult is the outcome of one fanned-out chunk.
+type chunkResult struct {
+	n   int
+	eof bool
+	err error
+}
+
+// startChunk runs t on a worker. The caller has taken t's window slot, so
+// fewer than Window other tasks are running: either a worker is parked (or
+// has released its slot and is about to park) and takes t, or fewer than
+// Window workers exist and t starts one. The window therefore bounds the
+// workers as well as the RPCs, with no pool size of its own. Workers never
+// take slots, so they cannot deadlock against their dispatchers.
+func (c *Client) startChunk(t chunkTask) {
+	select {
+	case c.tasks <- t:
+		return
+	default:
+	}
+	if int(c.nworkers.Add(1)) <= c.cfg.Window {
+		c.workers.Add(1)
+		go c.chunkWorker(t)
+		return
+	}
+	c.nworkers.Add(-1)
+	select {
+	case c.tasks <- t:
+	case <-c.done:
+		c.runChunk(&t) // closed underneath its caller: fail it here
+	}
+}
+
+// chunkWorker runs its first task and then whatever is handed to it, on
+// the one stack, until Close.
+func (c *Client) chunkWorker(t chunkTask) {
+	defer c.workers.Done()
+	for {
+		c.runChunk(&t)
+		select {
+		case t = <-c.tasks:
+		case <-c.done:
+			return
+		}
+	}
+}
+
+// runChunk performs t's RPC, releases its window slot and completes it.
+func (c *Client) runChunk(t *chunkTask) {
+	t0 := time.Now()
+	switch t.op {
+	case opRead:
+		n, eof, err := c.chunkRead(t.fh, t.off, t.data)
+		c.chunkDone(c.readNS, t0)
+		*t.res = chunkResult{n, eof, err}
+		t.wg.Done()
+	case opWrite:
+		err := c.chunkWrite(t.fh, t.off, t.data, t.stability)
+		c.chunkDone(c.writeNS, t0)
+		t.res.err = err
+		t.wg.Done()
+	case opBehind:
+		err := c.chunkWrite(t.fh, t.off, t.data, nfsproto.Unstable)
+		c.chunkDone(c.writeNS, t0)
+		putChunkBuf(t.data)
+		c.bulkMu.Lock()
+		f := t.f
+		f.inflight--
+		f.dropSpan(t.off)
+		if err != nil && f.err == nil {
+			f.err = err
+		}
+		if f.inflight == 0 {
+			if f.err == nil {
+				delete(c.files, t.fh.Ident())
+			}
+			c.bulkCnd.Broadcast()
+		}
+		c.bulkMu.Unlock()
+	case opPrefetch:
+		e := t.ra
+		buf := chunkBuf(e.want)
+		n, eof, err := c.chunkRead(t.fh, e.off, buf)
+		c.chunkDone(c.readNS, t0)
+		e.data, e.eof, e.err = buf[:n], eof, err
+		if eof {
+			// Before ready closes: a reader that has waited for this
+			// entry tops the horizon up against the lowered end of file.
+			c.raEOF(e.gen, e.off+uint64(n))
+		}
+		close(e.ready)
+	}
+	*t = chunkTask{} // a parked worker pins no buffer
+}
+
+// chunkDone samples a chunk's latency and frees its window slot.
+func (c *Client) chunkDone(h *obs.Histogram, t0 time.Time) {
+	if h != nil {
+		h.RecordSince(t0)
+	}
+	c.release()
 }
 
 // writeTail is the buffered sequential write stream: bytes accepted by
@@ -368,23 +474,18 @@ func (f *fileIO) dropSpan(off uint64) {
 	}
 }
 
-// wchunk is one dispatched write-behind chunk. pooled marks data as a
-// chunkPool buffer the worker must return after its WRITE completes.
-type wchunk struct {
-	fh     fhandle.Handle
-	id     fhandle.Key
-	off    uint64
-	data   []byte
-	pooled bool
-}
-
 // chunkPool recycles write-behind and readahead chunk buffers (≤ one
-// stripe unit).
-var chunkPool sync.Pool
+// stripe unit). It holds *[]byte so a Put boxes no slice header; the
+// pointers themselves are recycled through chunkPtrs.
+var chunkPool, chunkPtrs sync.Pool
 
 func chunkBuf(n int) []byte {
 	if v := chunkPool.Get(); v != nil {
-		if b := *v.(*[]byte); cap(b) >= n {
+		bp := v.(*[]byte)
+		b := *bp
+		*bp = nil
+		chunkPtrs.Put(bp)
+		if cap(b) >= n {
 			return b[:n]
 		}
 	}
@@ -392,124 +493,107 @@ func chunkBuf(n int) []byte {
 }
 
 func putChunkBuf(b []byte) {
-	b = b[:0]
-	chunkPool.Put(&b)
+	bp, _ := chunkPtrs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	*bp = b[:0]
+	chunkPool.Put(bp)
 }
 
-// writeBehind appends p to the sequential tail, carves off and
-// dispatches any full chunks, and returns immediately. Non-sequential
-// bytes flush the old tail first; bytes overlapping an in-flight chunk
-// drain the file so conflicting writes are never concurrently in flight.
+// writeBehind dispatches every chunk that p completes and buffers the
+// rest, and returns immediately. Each such chunk is assembled in the
+// pooled buffer it is sent from — the tail's own buffer, topped up from
+// the head of p, if the tail holds its first bytes, a fresh one otherwise
+// — so the client copies each byte once. (Encoding straight from p is not
+// possible: Write returns, and the caller may reuse p, before the RPC is
+// encoded; a retry re-encodes from the buffer too.) Only the sub-chunk
+// remainder of p joins the tail, so the tail never holds a full chunk,
+// and its buffer (at least BlockSize long) always has room for the rest
+// of one. Non-sequential bytes flush the old tail first; bytes
+// overlapping an in-flight chunk drain the file so conflicting writes are
+// never concurrently in flight.
 func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []byte) (int, error) {
-	c.bulkMu.Lock()
-	var flush *writeTail
-	if c.tail != nil && (c.tail.id != id || c.tail.end() != off) {
-		flush = c.tail
-		c.tail = nil
-	}
-	c.bulkMu.Unlock()
-	if flush != nil {
-		c.dispatchTail(flush)
-	}
+	c.flushTail(func(t *writeTail) bool { return t.id != id || t.end() != off })
 	if c.overlapsInflight(id, off, off+uint64(len(p))) {
 		if err := c.drainFile(fh); err != nil {
 			return 0, err
 		}
 	}
+	total := len(p)
+	var readyBuf [4]chunkTask // a 64 KiB write completes 2 or 3 chunks
+	ready := readyBuf[:0]
 	c.bulkMu.Lock()
 	if c.tail == nil {
 		c.tail = &writeTail{id: id, fh: fh, off: off}
 	}
-	c.tail.buf = append(c.tail.buf, p...)
-	ready := c.carveLocked()
-	c.bulkMu.Unlock()
-	for _, ch := range ready {
-		c.dispatchChunk(ch)
-	}
-	return len(p), nil
-}
-
-// carveLocked removes full chunks from the head of the tail, copying
-// each into a pooled buffer for its worker. The sub-chunk remainder
-// stays buffered, coalescing with the next sequential write. Caller
-// holds bulkMu.
-func (c *Client) carveLocked() []wchunk {
 	t := c.tail
-	if t == nil {
-		return nil
-	}
-	var out []wchunk
 	for {
-		end := c.chunkEnd(t.off)
-		n := int(end - t.off)
-		if len(t.buf) < n {
+		n := int(c.chunkEnd(t.off) - t.off)
+		if len(t.buf)+len(p) < n {
 			break
 		}
-		buf := chunkBuf(n)
-		copy(buf, t.buf[:n])
-		out = append(out, wchunk{fh: t.fh, id: t.id, off: t.off, data: buf, pooled: true})
-		t.buf = t.buf[:copy(t.buf, t.buf[n:])]
-		t.off = end
-	}
-	return out
-}
-
-// dispatchTail dispatches a detached tail, including its partial final
-// chunk. Ownership of t.buf passes to the dispatched chunks, which alias
-// it; it must not be appended to again.
-func (c *Client) dispatchTail(t *writeTail) {
-	off, buf := t.off, t.buf
-	for len(buf) > 0 {
-		end := c.chunkEnd(off)
-		n := int(end - off)
-		if n > len(buf) {
-			n = len(buf)
+		var buf []byte
+		if k := len(t.buf); k > 0 {
+			// Top the tail's own buffer up and send that: its bytes
+			// are not copied a second time.
+			buf, t.buf = t.buf[:n], nil
+			p = p[copy(buf[k:], p):]
+		} else {
+			buf = chunkBuf(n)
+			p = p[copy(buf, p):]
 		}
-		c.dispatchChunk(wchunk{fh: t.fh, id: t.id, off: off, data: buf[:n]})
-		buf = buf[n:]
-		off += uint64(n)
+		ready = append(ready, c.registerLocked(t, buf))
+		t.off += uint64(n)
 	}
+	if len(p) > 0 {
+		if t.buf == nil {
+			t.buf = chunkBuf(int(c.cfg.BlockSize))[:0]
+		}
+		t.buf = append(t.buf, p...)
+	}
+	c.bulkMu.Unlock()
+	for i := range ready {
+		c.acquire()
+		c.startChunk(ready[i])
+	}
+	return total, nil
 }
 
-// dispatchChunk registers ch as in flight and hands it to an async
-// worker once a window slot frees up. Registration happens before the
-// (possibly blocking) slot acquisition so a concurrent drain always sees
-// the chunk.
-func (c *Client) dispatchChunk(ch wchunk) {
+// flushTail detaches the tail if it matches and dispatches what it holds:
+// at most one partial chunk, sent from the tail's own pooled buffer.
+func (c *Client) flushTail(match func(*writeTail) bool) {
 	c.bulkMu.Lock()
-	f := c.files[ch.id]
-	if f == nil {
-		f = &fileIO{}
-		c.files[ch.id] = f
+	t := c.tail
+	if t == nil || !match(t) {
+		c.bulkMu.Unlock()
+		return
 	}
-	f.inflight++
-	f.spans = append(f.spans, span{ch.off, ch.off + uint64(len(ch.data))})
+	c.tail = nil
+	if len(t.buf) == 0 { // and then it holds no buffer either
+		c.bulkMu.Unlock()
+		return
+	}
+	task := c.registerLocked(t, t.buf)
 	c.bulkMu.Unlock()
 	c.acquire()
-	go func() {
-		t0 := time.Now()
-		err := c.chunkWrite(ch.fh, ch.off, ch.data, nfsproto.Unstable)
-		if c.writeNS != nil {
-			c.writeNS.RecordSince(t0)
-		}
-		c.release()
-		if ch.pooled {
-			putChunkBuf(ch.data)
-		}
-		c.bulkMu.Lock()
-		f.inflight--
-		f.dropSpan(ch.off)
-		if err != nil && f.err == nil {
-			f.err = err
-		}
-		if f.inflight == 0 {
-			if f.err == nil {
-				delete(c.files, ch.id)
-			}
-			c.bulkCnd.Broadcast()
-		}
-		c.bulkMu.Unlock()
-	}()
+	c.startChunk(task)
+}
+
+// registerLocked records data, the bytes at t.off, as a chunk of t's file
+// in flight, and returns the task that writes it. Registration happens
+// under the same hold of bulkMu that took the bytes out of the tail — and
+// before the (possibly blocking) slot acquisition — so a concurrent drain
+// always sees the chunk. Caller holds bulkMu.
+func (c *Client) registerLocked(t *writeTail, data []byte) chunkTask {
+	f := c.files[t.id]
+	if f == nil {
+		f = &fileIO{}
+		c.files[t.id] = f
+	}
+	f.inflight++
+	f.spans = append(f.spans, span{t.off, t.off + uint64(len(data))})
+	return chunkTask{op: opBehind, fh: t.fh, off: t.off, data: data, f: f}
 }
 
 // overlapsInflight reports whether [lo, hi) intersects any chunk
@@ -558,16 +642,7 @@ func (c *Client) takeErr(id fhandle.Key) error {
 // This is the Commit barrier and the write-to-read ordering point.
 func (c *Client) drainFile(fh fhandle.Handle) error {
 	id := fh.Ident()
-	c.bulkMu.Lock()
-	var flush *writeTail
-	if c.tail != nil && c.tail.id == id {
-		flush = c.tail
-		c.tail = nil
-	}
-	c.bulkMu.Unlock()
-	if flush != nil {
-		c.dispatchTail(flush)
-	}
+	c.flushTail(func(t *writeTail) bool { return t.id == id })
 	c.bulkMu.Lock()
 	defer c.bulkMu.Unlock()
 	for {
@@ -588,13 +663,7 @@ func (c *Client) drainFile(fh fhandle.Handle) error {
 // returning the first deferred error found. Used by Close and by
 // namespace operations that cannot name their target handle.
 func (c *Client) drainAll() error {
-	c.bulkMu.Lock()
-	flush := c.tail
-	c.tail = nil
-	c.bulkMu.Unlock()
-	if flush != nil {
-		c.dispatchTail(flush)
-	}
+	c.flushTail(func(*writeTail) bool { return true })
 	c.invalidateRAAll()
 	c.bulkMu.Lock()
 	defer c.bulkMu.Unlock()
@@ -629,6 +698,7 @@ type raState struct {
 	expected uint64 // offset that would continue the stream
 	horizon  uint64 // lowest offset not yet prefetched
 	eofAt    uint64 // lowest offset known to be at/past EOF
+	gen      uint64 // which stream this is (Client.raGen when it began)
 	entries  map[uint64]*raEntry
 }
 
@@ -637,6 +707,7 @@ type raState struct {
 type raEntry struct {
 	off   uint64
 	want  int
+	gen   uint64 // the stream that launched it
 	ready chan struct{}
 	data  []byte
 	eof   bool
@@ -654,12 +725,24 @@ func (c *Client) raAdvance(id fhandle.Key, off uint64) bool {
 	if c.ra.valid && c.ra.id == id && c.ra.expected == off {
 		return true
 	}
+	c.raGen++
 	c.ra = raState{
 		valid: true, id: id, expected: off, horizon: off,
-		eofAt:   ^uint64(0),
+		eofAt: ^uint64(0), gen: c.raGen,
 		entries: make(map[uint64]*raEntry),
 	}
 	return false
+}
+
+// raEOF lowers the stream's known end of file to end, as found by one of
+// its own prefetches: a stream that has been reset or invalidated since
+// (a write may have moved the end) learns nothing from it.
+func (c *Client) raEOF(gen, end uint64) {
+	c.bulkMu.Lock()
+	if c.ra.valid && c.ra.gen == gen && end < c.ra.eofAt {
+		c.ra.eofAt = end
+	}
+	c.bulkMu.Unlock()
 }
 
 // raTake removes and returns the entry at off if it exists and fits
@@ -682,6 +765,9 @@ func (c *Client) raTake(id fhandle.Key, off uint64, max int) *raEntry {
 // raFinish records where the stream now stands and, when the read was
 // sequential and did not hit EOF, tops the prefetch horizon up to
 // Readahead chunks ahead using only window slots that are free right now.
+// Each entry's buffer comes from chunkPool (runChunk) and goes back when
+// windowedRead has consumed the entry; an entry that is invalidated
+// instead leaves its buffer to the GC.
 func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, prefetch bool) {
 	if c.cfg.Readahead <= 0 {
 		return
@@ -715,7 +801,7 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 		}
 		end := c.chunkEnd(c.ra.horizon)
 		e := &raEntry{
-			off: c.ra.horizon, want: int(end - c.ra.horizon),
+			off: c.ra.horizon, want: int(end - c.ra.horizon), gen: c.ra.gen,
 			ready: make(chan struct{}),
 		}
 		c.ra.entries[e.off] = e
@@ -725,24 +811,8 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	}
 	c.bulkMu.Unlock()
 	for _, e := range started {
-		go c.prefetchWorker(fh, e)
+		c.startChunk(chunkTask{op: opPrefetch, fh: fh, ra: e})
 	}
-}
-
-// prefetchWorker fills one readahead entry. It already holds a window
-// slot (taken in raFinish) and releases it when done. The entry's buffer
-// comes from chunkPool and goes back when windowedRead has consumed the
-// entry; an entry that is invalidated instead leaves its buffer to the GC.
-func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
-	t0 := time.Now()
-	buf := chunkBuf(e.want)
-	n, eof, err := c.chunkRead(fh, e.off, buf)
-	if c.readNS != nil {
-		c.readNS.RecordSince(t0)
-	}
-	e.data, e.eof, e.err = buf[:n], eof, err
-	close(e.ready)
-	c.release()
 }
 
 // invalidateRA drops the readahead cache if it belongs to id.

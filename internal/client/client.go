@@ -105,6 +105,16 @@ type Client struct {
 	files   map[fhandle.Key]*fileIO // files with write-behind state
 	tail    *writeTail              // buffered sequential write tail
 	ra      raState                 // sequential readahead cache
+	raGen   uint64                  // readahead streams begun so far
+
+	// Chunk workers (bulk.go): tasks hands a chunk to a parked worker,
+	// done tells the workers to exit. At most Window exist, started on
+	// demand; a client that never does bulk I/O starts none.
+	tasks     chan chunkTask
+	done      chan struct{}
+	closeOnce sync.Once
+	nworkers  atomic.Int32
+	workers   sync.WaitGroup
 }
 
 // New creates a client on the netsim fabric. Call Mount before file
@@ -147,6 +157,8 @@ func NewWithConn(conn oncrpc.Conn, cfg Config) *Client {
 	c.files = make(map[fhandle.Key]*fileIO)
 	if cfg.Window > 1 {
 		c.win = make(chan struct{}, cfg.Window)
+		c.tasks = make(chan chunkTask)
+		c.done = make(chan struct{})
 	}
 	if cfg.Obs != nil {
 		c.winHist = cfg.Obs.Hist(obs.HistBulkWindow)
@@ -156,11 +168,14 @@ func NewWithConn(conn oncrpc.Conn, cfg Config) *Client {
 	return c
 }
 
-// Close drains outstanding write-behind traffic (best effort) and
-// releases the client's port.
+// Close drains outstanding write-behind traffic (best effort), stops the
+// chunk workers once the prefetches still in flight have finished, and
+// releases the client's port. It may be called more than once.
 func (c *Client) Close() {
 	if c.windowed() {
 		c.drainAll()
+		c.closeOnce.Do(func() { close(c.done) })
+		c.workers.Wait()
 	}
 	c.rpc.Close()
 }

@@ -28,21 +28,27 @@ type ObjectID uint64
 // ErrNoObject is returned for operations on objects that do not exist.
 var ErrNoObject = errors.New("storage: no such object")
 
-// block is one logical block of an object. data is allocated on first
-// write and always BlockSize long; durable marks committed content;
-// queued marks a block that is on its object's unstable list.
+// block is one logical block of an object. data is always BlockSize long;
+// durable marks committed content; queued marks a block that is on its
+// object's unstable list.
 type block struct {
 	data    []byte
 	durable bool
 	queued  bool
 }
 
+// maxFreeBlocks bounds the store's free list: 32 MiB of block data, what
+// removing one 32 MiB object hands back at once. A node that has never
+// removed, shrunk or crashed holds none of it.
+const maxFreeBlocks = 4096
+
 // object is an ordered byte sequence held as a sparse block map. unstable
 // lists the blocks written unstably since the last commit — each at most
 // once (block.queued) — so a commit costs what was written, not what the
 // object holds. A block overwritten stably, or truncated away, stays on
 // the list until the next commit or crash empties it; committing it again
-// is harmless.
+// is harmless — which is why a block still on the list is never recycled
+// into another object (ObjectStore.recycle).
 type object struct {
 	blocks   map[int64]*block
 	unstable []*block
@@ -86,6 +92,11 @@ type ObjectStore struct {
 	// detect sequential streams for prefetching (§4.2: storage nodes
 	// prefetch sequential files up to 256KB beyond the current access).
 	seqTail map[ObjectID]int64
+
+	// free is a LIFO of blocks dropped by Remove, Truncate and Crash, at
+	// most maxFreeBlocks of them. Their data is stale, not zero: the write
+	// that claims one clears whatever it does not itself cover.
+	free []*block
 }
 
 // NewObjectStore returns an empty store with a fresh write verifier.
@@ -119,6 +130,35 @@ func (s *ObjectStore) NumObjects() int {
 	return len(s.objects)
 }
 
+// recycle puts a block no object maps any more on the free list. The block
+// must not be on any unstable list: a later commit of that list would mark
+// it durable inside whichever object had claimed it since. Caller holds
+// s.mu.
+func (s *ObjectStore) recycle(b *block) {
+	if len(s.free) < maxFreeBlocks {
+		s.free = append(s.free, b)
+	}
+}
+
+// claim returns a block for a write of n bytes at block offset bo that
+// found none mapped: a recycled one with the bytes the write will not cover
+// cleared (holes and the tail past end of object read as zeros), or a fresh
+// one. Kept out of line so the allocation stays off WriteAt's hit path.
+// Caller holds s.mu.
+//
+//go:noinline
+func (s *ObjectStore) claim(bo int64, n int) *block {
+	if last := len(s.free) - 1; last >= 0 {
+		b := s.free[last]
+		s.free[last] = nil
+		s.free = s.free[:last]
+		clear(b.data[:bo])
+		clear(b.data[bo+int64(n):])
+		return b
+	}
+	return &block{data: make([]byte, BlockSize)}
+}
+
 func (s *ObjectStore) get(id ObjectID, create bool) *object {
 	o := s.objects[id]
 	if o == nil && create {
@@ -146,7 +186,7 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 		bo := off % BlockSize
 		b := o.blocks[bn]
 		if b == nil {
-			b = &block{data: make([]byte, BlockSize)}
+			b = s.claim(bo, min(len(p), int(BlockSize-bo)))
 			o.blocks[bn] = b
 		}
 		n := copy(b.data[bo:], p)
@@ -202,9 +242,7 @@ func (s *ObjectStore) ReadAt(id ObjectID, off int64, p []byte) (int, bool, error
 		if b := o.blocks[bn]; b != nil {
 			copy(p[read:read+want], b.data[bo:])
 		} else {
-			for i := read; i < read+want; i++ {
-				p[i] = 0
-			}
+			clear(p[read : read+want])
 		}
 		read += want
 	}
@@ -244,6 +282,14 @@ func (s *ObjectStore) Remove(id ObjectID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Removes++
+	if o := s.objects[id]; o != nil {
+		// The unstable list dies with the object, so every block is free
+		// to go, queued or not.
+		for _, b := range o.blocks {
+			b.queued = false
+			s.recycle(b)
+		}
+	}
 	delete(s.objects, id)
 	delete(s.seqTail, id)
 }
@@ -259,17 +305,20 @@ func (s *ObjectStore) Truncate(id ObjectID, size int64) error {
 	o := s.get(id, true)
 	if size < o.size {
 		lastBlock := (size + BlockSize - 1) / BlockSize
-		for bn := range o.blocks {
+		for bn, b := range o.blocks {
 			if bn >= lastBlock {
 				delete(o.blocks, bn)
+				// A queued block stays on o.unstable until the next
+				// commit or crash and is left to the collector.
+				if !b.queued {
+					s.recycle(b)
+				}
 			}
 		}
 		// Zero the tail of the new last block.
 		if size%BlockSize != 0 {
 			if b := o.blocks[size/BlockSize]; b != nil {
-				for i := size % BlockSize; i < BlockSize; i++ {
-					b.data[i] = 0
-				}
+				clear(b.data[size%BlockSize:])
 			}
 		}
 	}
@@ -360,6 +409,7 @@ func (s *ObjectStore) Crash() {
 		for bn, b := range o.blocks {
 			if !b.durable {
 				delete(o.blocks, bn)
+				s.recycle(b) // the lists are cleared: nothing is queued
 				continue
 			}
 			if end := (bn + 1) * BlockSize; end > maxDurableEnd {

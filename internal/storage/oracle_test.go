@@ -114,8 +114,7 @@ func TestObjectStoreOracle(t *testing.T) {
 		fail := func(format string, args ...interface{}) {
 			t.Fatalf("%s\ntrace:\n  %s", fmt.Sprintf(format, args...), strings.Join(trace, "\n  "))
 		}
-		_ = fail
-		for step := 0; step < 4000; step++ {
+		for step := 0; step < 16000; step++ {
 			id := ObjectID(rng.Intn(objects) + 1)
 			m := models[id]
 			switch rng.Intn(12) {
@@ -134,6 +133,20 @@ func TestObjectStoreOracle(t *testing.T) {
 					models[id] = m
 				}
 				m.write(off, data, stable)
+				// Every block the write touched, whole: a claimed block
+				// carries another object's bytes wherever the store
+				// failed to clear it, and a read of the written range
+				// alone would never see them.
+				lo := off / BlockSize * BlockSize
+				hi := (off + n + BlockSize - 1) / BlockSize * BlockSize
+				buf := make([]byte, hi-lo)
+				got, _, err := s.ReadAt(id, int64(lo), buf)
+				if err != nil {
+					t.Fatalf("seed %d step %d read-back: %v", seed, step, err)
+				}
+				if want, _ := m.read(lo, hi-lo); !bytes.Equal(buf[:got], want) {
+					fail("seed %d step %d: blocks [%d,%d) differ from the model after the write", seed, step, lo, hi)
+				}
 
 			case 4, 5, 6, 7: // read and compare
 				if m == nil {
@@ -189,6 +202,9 @@ func TestObjectStoreOracle(t *testing.T) {
 				for _, mm := range models {
 					mm.crash()
 				}
+			}
+			if len(s.free) > maxFreeBlocks {
+				t.Fatalf("seed %d step %d: free list holds %d blocks, bound %d", seed, step, len(s.free), maxFreeBlocks)
 			}
 			// Sizes must agree continuously.
 			if m = models[id]; m != nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -382,5 +383,141 @@ func TestObjectOfIgnoresHints(t *testing.T) {
 	b.Flags = fhandle.FlagMirrored
 	if ObjectOf(a) != ObjectOf(b) {
 		t.Fatal("placement hints changed the backing object identity")
+	}
+}
+
+// TestRecycledBlockReadsZero: a block taken from the free list still holds
+// its previous owner's bytes, and a write that covers only part of it must
+// leave the rest reading as zeros — before the written byte, after it, and
+// past the end of the object once it grows.
+func TestRecycledBlockReadsZero(t *testing.T) {
+	s := NewObjectStore()
+	if err := s.WriteAt(1, 0, bytes.Repeat([]byte{0xFF}, 4*BlockSize), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Remove(1)
+	if len(s.free) != 4 {
+		t.Fatalf("free list holds %d blocks after removing a 4-block object", len(s.free))
+	}
+	// One byte in block 0, one in block 2 (block 1 stays a hole).
+	for _, off := range []int64{5, 2*BlockSize + 100} {
+		if err := s.WriteAt(2, off, []byte{0xAB}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.free) != 2 {
+		t.Fatalf("free list holds %d blocks after two one-block writes, want 2", len(s.free))
+	}
+	if err := s.Truncate(2, 3*BlockSize); err != nil { // grow: expose each block's tail
+		t.Fatal(err)
+	}
+	got := make([]byte, 3*BlockSize)
+	if n, _, err := s.ReadAt(2, 0, got); err != nil || n != len(got) {
+		t.Fatalf("read %d, %v", n, err)
+	}
+	want := make([]byte, 3*BlockSize)
+	want[5], want[2*BlockSize+100] = 0xAB, 0xAB
+	if !bytes.Equal(got, want) {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("byte %d reads %#x, want %#x: a recycled block leaked its old contents", i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTruncatedQueuedBlockNotRecycled: a block Truncate drops while it is
+// still on its object's unstable list must not reach another object — the
+// first object's next commit would make the second object's uncommitted
+// data durable.
+func TestTruncatedQueuedBlockNotRecycled(t *testing.T) {
+	s := NewObjectStore()
+	if err := s.WriteAt(1, 0, make([]byte, 2*BlockSize), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Truncate(1, BlockSize); err != nil { // drops block 1, still queued
+		t.Fatal(err)
+	}
+	if err := s.WriteAt(2, 0, bytes.Repeat([]byte{7}, BlockSize), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	s.Crash()
+	if size, _ := s.Size(2); size != 0 {
+		t.Fatalf("object 2 kept %d uncommitted bytes across a crash: committing object 1 made its block durable", size)
+	}
+	if size, _ := s.Size(1); size != BlockSize {
+		t.Fatalf("object 1 is %d bytes after commit and crash, want %d", size, BlockSize)
+	}
+}
+
+// TestChurnAllocatesNoBlocks: once the free list is warm, writing a region
+// and dropping it again allocates no block. With the object kept (stable
+// writes, shrink to nothing) the cycle allocates nothing at all; with the
+// object removed it allocates the object record, its map and its unstable
+// list — a few small objects, never block data.
+func TestChurnAllocatesNoBlocks(t *testing.T) {
+	s := NewObjectStore()
+	p := bytes.Repeat([]byte{3}, 32*1024)
+	kept := func() {
+		if err := s.WriteAt(1, 0, p, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Truncate(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed := func() {
+		if err := s.WriteAt(2, 0, p, false); err != nil {
+			t.Fatal(err)
+		}
+		s.Remove(2)
+	}
+	for i := 0; i < 4; i++ { // warm-up: the blocks and the kept object's map
+		kept()
+		removed()
+	}
+	if n := testing.AllocsPerRun(100, kept); n != 0 {
+		t.Errorf("write 32 KiB / truncate cycle on a kept object: %v allocs, want 0", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const cycles = 100
+	for i := 0; i < cycles; i++ {
+		removed()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= BlockSize/8 {
+		t.Errorf("write 32 KiB / remove cycle allocates %d B, want well under one block (%d)", per, BlockSize)
+	}
+	if got := s.PhysicalBytes(); got != 0 {
+		t.Errorf("%d bytes live after the last cycle", got)
+	}
+}
+
+// TestFreeListBounded: removing more blocks than the bound keeps exactly
+// the bound, and the next writes draw it down before allocating.
+func TestFreeListBounded(t *testing.T) {
+	s := NewObjectStore()
+	const blocks = maxFreeBlocks + 64
+	one := make([]byte, BlockSize)
+	for bn := int64(0); bn < blocks; bn++ {
+		if err := s.WriteAt(1, bn*BlockSize, one, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Remove(1)
+	if len(s.free) != maxFreeBlocks {
+		t.Fatalf("free list holds %d blocks after removing %d, bound %d", len(s.free), blocks, maxFreeBlocks)
+	}
+	if err := s.WriteAt(2, 0, make([]byte, 16*BlockSize), false); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.free) != maxFreeBlocks-16 {
+		t.Fatalf("free list holds %d blocks after a 16-block write, want %d", len(s.free), maxFreeBlocks-16)
+	}
+	s.Crash() // drops all 16 uncommitted blocks, back onto the list
+	if len(s.free) != maxFreeBlocks {
+		t.Fatalf("free list holds %d blocks after the crash, want %d", len(s.free), maxFreeBlocks)
 	}
 }
