@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-proxy bench-gate bench-module lint cover fuzz corpus nightly-chaos
+.PHONY: check vet build test race examples bench bench-proxy bench-gate bench-module lint cover fuzz corpus nightly-chaos
 
 # The full gate: everything a change must pass before it lands.
-check: vet build race bench-proxy bench-module
+check: vet build race examples bench-proxy bench-module
 
 vet:
 	$(GO) vet ./...
@@ -16,6 +16,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Run every example end to end; each exits non-zero on a wrong result and
+# all of them finish in seconds.
+examples:
+	@for d in examples/*/; do \
+	    echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Short run of every benchmark, as a smoke test.
 bench:

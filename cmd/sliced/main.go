@@ -40,8 +40,7 @@ func main() {
 		proxies = flag.Int("proxies", 1, "µproxy fleet size (1..8); member i listens at the -listen/-tcp port + i")
 		policy  = flag.String("policy", "switch", "name-space policy: switch | hash")
 		p       = flag.Float64("p", 0.25, "mkdir redirection probability (switch policy)")
-		mirror  = flag.Int("mirror", 0, "mirror degree for new files (0/1 = unmirrored)")
-		maps    = flag.Bool("blockmaps", false, "route bulk I/O through coordinator block maps")
+		repl    = flag.Int("replication", 1, "k-way replica groups over the storage nodes (1 = unreplicated; -storage must be a multiple)")
 		capkey  = flag.String("capkey", "", "storage capability key (enables the secure-object model)")
 		listen  = flag.String("listen", "127.0.0.1:20490", "UDP listen address")
 		tcp     = flag.String("tcp", "", "TCP listen address for record-marked ONC-RPC (empty = UDP only)")
@@ -77,8 +76,7 @@ func main() {
 		Coordinator:       true,
 		NameKind:          kind,
 		MkdirP:            *p,
-		MirrorDegree:      uint8(*mirror),
-		UseBlockMaps:      *maps,
+		Replication:       *repl,
 		WritebackInterval: 2 * time.Second,
 		CapabilityKey:     []byte(*capkey),
 		UDPListen:         *listen,
@@ -91,7 +89,7 @@ func main() {
 	defer e.Close()
 
 	fmt.Printf("sliced: serving volume %v\n", e.Root)
-	fmt.Printf("  storage nodes      : %d\n", len(e.Storage))
+	fmt.Printf("  storage nodes      : %d (replication %d)\n", len(e.Storage), max(1, *repl))
 	fmt.Printf("  directory servers  : %d (%s, p=%.2f)\n", len(e.Dirs), kind, *p)
 	fmt.Printf("  small-file servers : %d\n", len(e.Small))
 	for i, g := range e.DatagramGateways {

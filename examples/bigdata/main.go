@@ -1,7 +1,7 @@
 // Bigdata: high-bandwidth I/O on large files — the workload of Table 2.
-// Demonstrates striped placement across the storage array, per-file
-// mirrored striping for fault tolerance, and reads surviving the crash of
-// a replica node.
+// Demonstrates striped placement across the storage array, 2-way replica
+// groups for fault tolerance, and reads surviving the loss of a replica
+// node, disk and all.
 package main
 
 import (
@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	// Unmirrored ensemble first: watch a 2MB file decluster.
+	// Unreplicated ensemble first: watch a 2MB file decluster.
 	e, err := ensemble.New(ensemble.Config{
 		StorageNodes:     8,
 		DirServers:       1,
@@ -50,15 +50,15 @@ func main() {
 		fmt.Printf("  node %d: %4d KB\n", i, n.Store().PhysicalBytes()/1024)
 	}
 
-	// Mirrored ensemble: every block lives on two nodes; losing one
-	// node's uncommitted state does not lose data.
+	// Replicated ensemble: two groups of two members, so every block
+	// lives on two nodes and losing a whole node does not lose data.
 	em, err := ensemble.New(ensemble.Config{
 		StorageNodes:     4,
 		DirServers:       1,
 		SmallFileServers: 1,
 		Coordinator:      true,
 		NameKind:         route.MkdirSwitching,
-		MirrorDegree:     2,
+		Replication:      2,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -74,26 +74,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ncritical.db mirrored=%v degree=%d\n", fh.Mirrored(), fh.MirrorDegree)
+	fmt.Printf("\ncritical.db on %d replica groups of %d members\n", em.Replicas.NumGroups(), em.Replicas.Degree())
 	payload := bytes.Repeat([]byte("durable"), 64*1024) // 448 KB
 	if err := cm.WriteFile(fh, payload); err != nil {
 		log.Fatal(err)
 	}
 
-	// Crash a storage node that holds replicas.
-	for i, n := range em.Storage {
-		if n.Store().Stats().Writes > 0 {
-			fmt.Printf("crashing storage node %d...\n", i)
-			n.Store().Crash()
-			break
-		}
-	}
+	// Kill group 0's primary together with its disk: its mirror is
+	// promoted, and reads of the group's stripes go there.
+	fmt.Println("killing storage node 0, group 0's primary...")
+	em.Chaos().KillReplica(0)
 	got, err := cm.ReadAll(fh)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		log.Fatal("mirrored read returned wrong data after replica crash")
+		log.Fatal("replicated read returned wrong data after a member was lost")
 	}
-	fmt.Printf("read back %d bytes intact from the surviving mirrors\n", len(got))
+	fmt.Printf("read back %d bytes intact from the surviving members\n", len(got))
 }

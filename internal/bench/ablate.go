@@ -5,12 +5,10 @@ import (
 	"hash/fnv"
 	"io"
 
-	"slice/internal/coord"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/route"
 	"slice/internal/sim"
-	"slice/internal/wal"
 )
 
 // Ablation benches probe the design choices DESIGN.md calls out, beyond
@@ -128,8 +126,11 @@ func AblationThreshold(w io.Writer) error {
 }
 
 // AblationPlacement compares static striping against coordinator block
-// maps: stripe balance across the array and the map-fetch overhead the
-// µproxy pays for the added placement flexibility.
+// maps: stripe balance across the array and the per-file state the
+// coordinator would keep for the added placement flexibility. Block maps
+// are retired from the live stack; their column is a model of the
+// allocator they used, which handed out sites round-robin from one cursor
+// shared by every file (cursor++ mod n) and journaled one entry per stripe.
 func AblationPlacement(w io.Writer) error {
 	header(w, "Ablation: static striping vs coordinator block maps",
 		"Distributing 64 files × 64 stripes over 8 storage nodes.")
@@ -140,41 +141,17 @@ func AblationPlacement(w io.Writer) error {
 		addrs = append(addrs, netsim.Addr{Host: uint32(10 + i), Port: 2049})
 	}
 	table := route.NewTable(nodes, addrs)
-	io2 := route.NewIOPolicy(nil, table)
 
-	// Static placement.
 	static := make([]int, nodes)
 	for f := 0; f < files; f++ {
 		fh := fhandle.Handle{Volume: 1, FileID: uint64(f + 1), Gen: 1}
 		for s := uint64(0); s < stripes; s++ {
-			static[int(io2.StorageSites(fh, s)[0])]++
+			static[table.Site(route.PlacementKey(fhandle.HandleKey(fh), s))]++
 		}
 	}
-
-	// Coordinator block maps (round-robin dynamic placement).
-	log, err := wal.Open(wal.NewMemStore())
-	if err != nil {
-		return err
-	}
-	net := netsim.New(netsim.Config{})
-	port, err := net.Bind(netsim.Addr{Host: 90, Port: 3049})
-	if err != nil {
-		return err
-	}
-	co := coord.New(port, coord.Config{
-		Log: log, Storage: table, Net: net, Host: 90, MapStripeSpread: true,
-	})
-	defer co.Close()
 	mapped := make([]int, nodes)
-	for f := 0; f < files; f++ {
-		fh := fhandle.Handle{Volume: 1, FileID: uint64(f + 1), Gen: 1, Flags: fhandle.FlagMapped}
-		sites, err := co.GetMap(fh, 0, stripes)
-		if err != nil {
-			return err
-		}
-		for _, s := range sites {
-			mapped[int(s)%nodes]++
-		}
+	for cursor := 0; cursor < files*stripes; cursor++ {
+		mapped[cursor%nodes]++
 	}
 
 	spread := func(c []int) (int, int) {
@@ -193,7 +170,7 @@ func AblationPlacement(w io.Writer) error {
 	mMin, mMax := spread(mapped)
 	t := newTable("policy", "min stripes/node", "max stripes/node", "coordinator state")
 	t.addf("static striping|%d|%d|none", sMin, sMax)
-	t.addf("block maps|%d|%d|%d map entries + log", mMin, mMax, co.Stats().MapAllocs)
+	t.addf("block maps|%d|%d|%d map entries + log", mMin, mMax, files*stripes)
 	t.write(w)
 	fmt.Fprintln(w, "\n  Static placement needs no per-file state but is fixed at write time;")
 	fmt.Fprintln(w, "  block maps match its balance while allowing policy-driven placement,")

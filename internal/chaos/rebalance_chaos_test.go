@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"slice/internal/ensemble"
+	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/workload"
 )
@@ -248,41 +249,95 @@ func TestShrinkUnderLoad(t *testing.T) {
 	FsckClean(t, e)
 }
 
-// TestGrowRefusedForMappedAndMirrored pins the documented scope-outs:
-// elastic reconfiguration must refuse configurations whose placement
-// the driver cannot recompute from storage listings (DESIGN.md §13).
-func TestGrowRefusedForMappedAndMirrored(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mutate func(*ensemble.Config)
-	}{
-		{"block-maps", func(cfg *ensemble.Config) { cfg.UseBlockMaps = true }},
-		{"mirrored", func(cfg *ensemble.Config) { cfg.MirrorDegree = 2 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := newEnsemble(t, func(cfg *ensemble.Config) {
-				cfg.StorageNodes = 4
-				tc.mutate(cfg)
-			})
-			if err := e.Grow(2); err == nil {
-				t.Fatal("Grow accepted a configuration the driver cannot migrate")
-			} else if want := "DESIGN.md"; !contains(err.Error(), want) {
-				t.Fatalf("refusal %q does not cite the design doc", err)
-			}
-			if err := e.Shrink(1); err == nil {
-				t.Fatal("Shrink accepted a configuration the driver cannot migrate")
-			}
-		})
+// TestGrowShrinkReplicated: a 2-way replicated array of two groups grows
+// by one group and shrinks back while a writer keeps creating, writing
+// and committing multi-stripe files. Both transitions must commit, the
+// namespace must be fsck-clean, every group byte-identical, and every
+// byte the writer had acknowledged must read back. Nothing is sequenced
+// by a sleep: the writer is the test goroutine, two files land before
+// the grow starts, and each transition runs beside a fixed batch of
+// files — bounded, because a migration commits only after two copy
+// rounds in a row find nothing to repair, which an endless writer can
+// postpone indefinitely.
+func TestGrowShrinkReplicated(t *testing.T) {
+	e := newReplicatedEnsemble(t, func(cfg *ensemble.Config) {
+		cfg.LogicalSites = 12
+	})
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	defer c.Close()
+	// Ballast gives the copy phase something to move.
+	if _, err := workload.DD(c, c.Root(), workload.DDConfig{
+		Name: "ballast", Bytes: 2 << 20, Write: true,
+	}); err != nil {
+		t.Fatalf("ballast: %v", err)
+	}
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
+	type ackedFile struct {
+		fh   fhandle.Handle
+		data []byte
+	}
+	var acked []ackedFile
+	overlap := 0 // files written while a transition was open
+	write := func(n int) error {
+		for end := len(acked) + n; len(acked) < end; {
+			i := len(acked)
+			open := e.StorageTable.Transitioning()
+			fh, _, err := c.Create(c.Root(), fmt.Sprintf("live-%03d", i), 0o644, true)
+			if err != nil {
+				return fmt.Errorf("create %d: %w", i, err)
+			}
+			data := make([]byte, 64<<10+5*e.IOPolicy.StripeUnit/2)
+			for j := range data {
+				data[j] = byte(i*131 + j*7 + j>>9)
+			}
+			if err := c.WriteFile(fh, data); err != nil {
+				return fmt.Errorf("write %d: %w", i, err)
+			}
+			if open || e.StorageTable.Transitioning() {
+				overlap++
+			}
+			acked = append(acked, ackedFile{fh, data})
 		}
+		return nil
 	}
-	return false
-}
+	// transition runs op beside a batch of the writer's files.
+	transition := func(name string, op func() error, groups int) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		werr := write(12)
+		if err := <-done; err != nil {
+			t.Fatalf("%s of a k=2 array: %v", name, err)
+		}
+		if werr != nil {
+			t.Fatalf("live writer during %s: %v", name, werr)
+		}
+		if st := e.RebalanceStatus(); st.State != "done" {
+			t.Fatalf("%s: rebalance state %q", name, st.State)
+		}
+		if g := e.Replicas.NumGroups(); g != groups {
+			t.Fatalf("after %s: %d replica groups, want %d", name, g, groups)
+		}
+		ReplicaGroupsIdentical(t, e)
+	}
 
-var _ = fmt.Sprintf // keep fmt for the long-build variant's shared helpers
+	if err := write(2); err != nil {
+		t.Fatalf("live writer before grow: %v", err)
+	}
+	transition("grow", func() error { return e.Grow(2) }, 3)
+	transition("shrink", func() error { return e.Shrink(2) }, 2)
+	t.Logf("writer acknowledged %d files, %d of them with a transition open", len(acked), overlap)
+
+	FsckClean(t, e)
+	for _, f := range acked {
+		VerifyBytes(t, e, c, f.fh, f.data)
+	}
+	if dd, err := workload.DD(c, c.Root(), workload.DDConfig{
+		Name: "ballast", Bytes: 2 << 20, Verify: true,
+	}); err != nil || dd.Mismatch {
+		t.Fatalf("ballast verify: err %v mismatch %v", err, dd.Mismatch)
+	}
+}

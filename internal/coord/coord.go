@@ -1,13 +1,9 @@
 // Package coord implements the Slice block-service coordinator (§2.2,
 // §3.3.2, §4.2).
 //
-// A coordinator manages a subset of files, selected by fileID. It has two
-// jobs. First, it maintains optional per-file block maps that give the
-// storage site for each logical block, enabling dynamic I/O placement
-// policies beyond static striping. Second, it preserves the atomicity of
-// operations that span multiple storage sites — remove/truncate, NFS V3
-// write commitment, and mirrored writes — with an intention-logging
-// protocol: the µproxy declares an intention before the operation, the
+// A coordinator preserves the atomicity of operations that span multiple
+// storage sites — remove/truncate, NFS V3 write commitment and topology
+// migrations — with an intention-logging protocol: the µproxy declares an intention before the operation, the
 // coordinator logs it to stable storage, and the µproxy clears it with a
 // completion message afterwards. If the completion never arrives, the
 // coordinator finishes the operation itself: the finishing actions
@@ -43,7 +39,6 @@ const (
 const (
 	ProcIntend   = 1 // declare an intention; returns its id
 	ProcComplete = 2 // clear an intention
-	ProcGetMap   = 3 // fetch/allocate block-map fragments
 )
 
 // Intention operation types.
@@ -51,8 +46,8 @@ const (
 	OpRemove   = 1 // remove file data from all sites
 	OpTruncate = 2 // truncate file data on all sites
 	OpCommit   = 3 // commit (make durable) a multi-site write set
-	OpMirror   = 4 // mirrored write in progress
 	OpMigrate  = 5 // topology transition in progress; Size carries the epoch
+	// 4 is retired: it marked per-file mirrored writes, which nothing sent.
 )
 
 // opName renders an op type for errors and logs.
@@ -64,8 +59,6 @@ func opName(op uint32) string {
 		return "truncate"
 	case OpCommit:
 		return "commit"
-	case OpMirror:
-		return "mirror-write"
 	case OpMigrate:
 		return "migrate"
 	default:
@@ -78,15 +71,15 @@ type intent struct {
 	ID     uint64
 	Op     uint32
 	FH     fhandle.Handle
-	Size   uint64 // truncate target size; commit/mirror byte count
+	Size   uint64 // truncate target size; commit byte count; migrate epoch
 	Logged time.Time
 }
 
-// WAL record types.
+// WAL record types. Type 3 was the retired block-map allocation record;
+// replay skips it like any type it does not know.
 const (
 	recIntent   = 1
 	recComplete = 2
-	recMapAlloc = 3
 )
 
 // Stats counts coordinator activity.
@@ -94,8 +87,6 @@ type Stats struct {
 	Intentions  uint64
 	Completions uint64
 	Finished    uint64 // operations the coordinator finished itself
-	MapAllocs   uint64
-	MapFetches  uint64
 }
 
 // Config configures a coordinator.
@@ -118,10 +109,6 @@ type Config struct {
 	// ProbeAfter is how long an intention may sit unacknowledged before
 	// the coordinator finishes the operation itself (default 2s).
 	ProbeAfter time.Duration
-	// MapStripeSpread controls dynamic placement: block-map allocation
-	// assigns stripes round-robin over the storage sites starting at a
-	// per-file base.
-	MapStripeSpread bool
 	// CapKey is the storage capability key (§2.2); the coordinator is
 	// inside the trust boundary and stamps capabilities into the handles
 	// of its recovery-time storage operations.
@@ -135,8 +122,6 @@ type Coordinator struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*intent
-	maps    map[fhandle.Key][]uint32 // stripe -> logical storage site
-	rr      uint64                   // round-robin allocation cursor
 	stats   Stats
 
 	clientsMu sync.Mutex
@@ -179,7 +164,6 @@ func newCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		nextID:  1,
 		pending: make(map[uint64]*intent),
-		maps:    make(map[fhandle.Key][]uint32),
 		clients: make(map[netsim.Addr]*oncrpc.Client),
 		stopCh:  make(chan struct{}),
 	}
@@ -321,7 +305,7 @@ func (c *Coordinator) finish(in *intent) error {
 		c.forEachDataSite(in.FH, func(addr netsim.Addr) {
 			record(c.objCall(addr, storageObjProcTruncate, in.FH, func(e *xdr.Encoder) { e.PutUint64(in.Size) }))
 		})
-	case OpCommit, OpMirror:
+	case OpCommit:
 		// Commit on every replica/site the file's blocks could live on;
 		// NFS commit of clean data is a no-op, so over-commit is safe.
 		c.forEachStorage(func(addr netsim.Addr) {
@@ -459,32 +443,6 @@ func (c *Coordinator) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encod
 		c.Complete(id)
 		return func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.OK)) }, oncrpc.AcceptSuccess
 
-	case ProcGetMap:
-		fh, err := fhandle.Decode(d)
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		first, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		count, err := d.Uint32()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		sites, err := c.GetMap(fh, first, count)
-		st := nfsproto.OK
-		if err != nil {
-			st = nfsproto.ErrIO
-		}
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			e.PutUint32(uint32(len(sites)))
-			for _, s := range sites {
-				e.PutUint32(s)
-			}
-		}, oncrpc.AcceptSuccess
-
 	default:
 		return nil, oncrpc.AcceptProcUnavail
 	}
@@ -531,61 +489,6 @@ func (c *Coordinator) Complete(id uint64) {
 	c.clearIntent(id, false)
 }
 
-// GetMap returns the logical storage sites of stripes [first, first+count)
-// of fh, allocating map entries for unmapped stripes. Allocation is
-// round-robin from a per-file base so concurrent large files interleave
-// over the array.
-func (c *Coordinator) GetMap(fh fhandle.Handle, first uint64, count uint32) ([]uint32, error) {
-	n := c.cfg.Storage.NumLogical()
-	if n == 0 {
-		return nil, route.ErrEmptyTable
-	}
-	c.mu.Lock()
-	c.stats.MapFetches++
-	key := fh.Ident()
-	m := c.maps[key]
-	end := first + uint64(count)
-	grew := false
-	for uint64(len(m)) < end {
-		var site uint32
-		if c.cfg.MapStripeSpread {
-			site = uint32(c.rr % uint64(n))
-			c.rr++
-		} else {
-			site = uint32((fhandle.HandleKey(fh) + uint64(len(m))) % uint64(n))
-		}
-		m = append(m, site)
-		c.stats.MapAllocs++
-		grew = true
-	}
-	c.maps[key] = m
-	out := make([]uint32, count)
-	copy(out, m[first:end])
-	if !grew {
-		c.mu.Unlock()
-		return out, nil
-	}
-	// Journal the post-state map under c.mu (records for the same file
-	// must hit the log in growth order — replay keeps the last one), then
-	// sync outside it; see Intend for the locking rationale.
-	e := xdr.NewEncoder(32 + 4*len(m))
-	fh.Encode(e)
-	e.PutUint32(uint32(len(m)))
-	for _, s := range m {
-		e.PutUint32(s)
-	}
-	log := c.cfg.Log
-	_, err := log.Append(recMapAlloc, e.Bytes())
-	c.mu.Unlock()
-	if err == nil {
-		err = log.Sync()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Recover rebuilds coordinator state from its intentions log and finishes
 // every operation that was in flight when the previous incarnation failed.
 func (c *Coordinator) Recover(log *wal.Log) error {
@@ -600,7 +503,6 @@ func (c *Coordinator) Recover(log *wal.Log) error {
 // not finish pending operations.
 func (c *Coordinator) recoverState(log *wal.Log) error {
 	pending := make(map[uint64]*intent)
-	maps := make(map[fhandle.Key][]uint32)
 	var maxID uint64
 	err := log.Scan(func(seq uint64, recType uint32, payload []byte) error {
 		d := xdr.NewDecoder(payload)
@@ -632,25 +534,6 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 				return err
 			}
 			delete(pending, id)
-		case recMapAlloc:
-			fh, err := fhandle.Decode(d)
-			if err != nil {
-				return err
-			}
-			n, err := d.Uint32()
-			if err != nil {
-				return err
-			}
-			if err := xdr.CheckLen(n, 1<<20); err != nil {
-				return err
-			}
-			m := make([]uint32, n)
-			for i := range m {
-				if m[i], err = d.Uint32(); err != nil {
-					return err
-				}
-			}
-			maps[fh.Ident()] = m
 		}
 		return nil
 	})
@@ -660,7 +543,6 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 	c.mu.Lock()
 	c.cfg.Log = log
 	c.pending = pending
-	c.maps = maps
 	c.nextID = maxID + 1
 	c.mu.Unlock()
 	return nil

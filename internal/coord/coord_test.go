@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -204,53 +205,6 @@ func TestRecoverCompletesInFlight(t *testing.T) {
 	}
 }
 
-func TestGetMapStableAndLogged(t *testing.T) {
-	r := newRig(t, time.Hour)
-	fh := testFH(20)
-	m1, err := r.co.GetMap(fh, 0, 8)
-	if err != nil || len(m1) != 8 {
-		t.Fatalf("GetMap: %v %v", m1, err)
-	}
-	// Same answer on refetch.
-	m2, _ := r.co.GetMap(fh, 0, 8)
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatal("block map changed between fetches")
-		}
-	}
-	// Sub-range fetch matches.
-	m3, _ := r.co.GetMap(fh, 4, 2)
-	if m3[0] != m1[4] || m3[1] != m1[5] {
-		t.Fatal("fragment fetch disagrees with full map")
-	}
-	// Maps survive coordinator recovery.
-	log2, _ := wal.Open(r.store.CrashCopy())
-	if err := r.co.Recover(log2); err != nil {
-		t.Fatal(err)
-	}
-	m4, _ := r.co.GetMap(fh, 0, 8)
-	for i := range m1 {
-		if m1[i] != m4[i] {
-			t.Fatal("block map lost in recovery")
-		}
-	}
-}
-
-func TestGetMapSpreadsStripes(t *testing.T) {
-	r := newRig(t, time.Hour)
-	m, err := r.co.GetMap(testFH(21), 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint32]bool{}
-	for _, s := range m {
-		seen[s] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("map allocation used %d sites", len(seen))
-	}
-}
-
 // ------------------------------------------------------------ RPC surface
 
 func TestCoordinatorRPC(t *testing.T) {
@@ -283,20 +237,11 @@ func TestCoordinatorRPC(t *testing.T) {
 		t.Fatal("intention survives RPC complete")
 	}
 
-	// GetMap over RPC.
-	body, err = r.cli.Call(Program, Version, ProcGetMap, func(e *xdr.Encoder) {
-		fh.Encode(e)
-		e.PutUint64(0)
-		e.PutUint32(4)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = xdr.NewDecoder(body)
-	st, _ = d.Uint32()
-	n, _ := d.Uint32()
-	if nfsproto.Status(st) != nfsproto.OK || n != 4 {
-		t.Fatalf("getmap rpc: %v n=%d", nfsproto.Status(st), n)
+	// Procedure 3, the retired block-map fetch, is gone from the program.
+	_, err = r.cli.Call(Program, Version, 3, nil)
+	var rej *oncrpc.ErrRejected
+	if !errors.As(err, &rej) || rej.Accept != oncrpc.AcceptProcUnavail {
+		t.Fatalf("proc 3: err = %v, want ErrRejected{ProcUnavail}", err)
 	}
 }
 

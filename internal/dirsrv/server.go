@@ -47,26 +47,17 @@ type Config struct {
 	Host uint32
 	// Clock supplies timestamps; nil uses the wall clock.
 	Clock func() attr.Time
-	// MirrorDegree, when >1, stamps newly minted regular-file handles
-	// with mirrored-striping hints (per-file placement policy, §3.1).
-	MirrorDegree uint8
-	// UseMaps stamps newly minted regular-file handles with the
-	// block-map hint, directing the µproxy to coordinator-managed
-	// placement instead of the static striping function.
-	UseMaps bool
 }
 
 // Server is one Slice directory server site.
 type Server struct {
-	site   uint32
-	vol    uint32
-	kind   route.NameKind
-	table  *route.Table
-	net    *netsim.Network
-	host   uint32
-	clock  func() attr.Time
-	mirror uint8
-	maps   bool
+	site  uint32
+	vol   uint32
+	kind  route.NameKind
+	table *route.Table
+	net   *netsim.Network
+	host  uint32
+	clock func() attr.Time
 
 	mu     sync.Mutex
 	st     *state
@@ -107,18 +98,16 @@ func Restart(port *netsim.Port, cfg Config, snapshot []byte, log *wal.Log) (*Ser
 
 func newServer(cfg Config) *Server {
 	return &Server{
-		site:   cfg.Site,
-		vol:    cfg.Volume,
-		kind:   cfg.Kind,
-		table:  cfg.Table,
-		net:    cfg.Net,
-		host:   cfg.Host,
-		clock:  cfg.Clock,
-		mirror: cfg.MirrorDegree,
-		maps:   cfg.UseMaps,
-		st:     newState(),
-		log:    cfg.Log,
-		peers:  make(map[netsim.Addr]*oncrpc.Client),
+		site:  cfg.Site,
+		vol:   cfg.Volume,
+		kind:  cfg.Kind,
+		table: cfg.Table,
+		net:   cfg.Net,
+		host:  cfg.Host,
+		clock: cfg.Clock,
+		st:    newState(),
+		log:   cfg.Log,
+		peers: make(map[netsim.Addr]*oncrpc.Client),
 	}
 }
 
@@ -195,13 +184,11 @@ func (s *Server) SetRoot(fh fhandle.Handle) {
 	s.mu.Unlock()
 }
 
-// mintLocked allocates a fresh file handle owned by this site. Regular
-// files carry the ensemble's per-file placement hints (mirroring, block
-// maps) so the µproxy can route their I/O without extra state (§3.1).
+// mintLocked allocates a fresh file handle owned by this site.
 func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
 	s.st.nextID++
 	seq := s.st.nextID
-	fh := fhandle.Handle{
+	return fhandle.Handle{
 		Volume:  s.vol,
 		FileID:  uint64(s.site+1)<<40 | seq,
 		Type:    ftype,
@@ -209,16 +196,6 @@ func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
 		Site:    s.site,
 		Gen:     1,
 	}
-	if ftype == uint8(attr.TypeReg) {
-		if s.mirror > 1 {
-			fh.MirrorDegree = s.mirror
-			fh.Flags |= fhandle.FlagMirrored
-		}
-		if s.maps {
-			fh.Flags |= fhandle.FlagMapped
-		}
-	}
-	return fh
 }
 
 // serve dispatches RPC calls by program.

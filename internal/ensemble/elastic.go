@@ -85,20 +85,6 @@ func (e *Ensemble) RebalanceStatus() rebalance.Status {
 	return e.Rebalancer().Status()
 }
 
-// elasticOK rejects configurations whose placement the rebalance driver
-// cannot recompute from storage listings alone: block-mapped files
-// consult per-file coordinator maps, and mirrored striping needs the
-// MirrorDegree only the handle carries.
-func (e *Ensemble) elasticOK() error {
-	if e.cfg.UseBlockMaps {
-		return fmt.Errorf("ensemble: elastic reconfiguration is incompatible with UseBlockMaps (block-mapped placement is per-file coordinator state, DESIGN.md §13)")
-	}
-	if e.cfg.MirrorDegree > 1 {
-		return fmt.Errorf("ensemble: elastic reconfiguration is incompatible with MirrorDegree > 1 (mirror fan-out is handle state the driver cannot recover, DESIGN.md §13)")
-	}
-	return nil
-}
-
 // Grow adds n storage nodes and migrates blocks onto them online: new
 // nodes are started, the transition opens (every foreground write fans
 // out to both bindings), the driver copies and verifies until the
@@ -106,9 +92,6 @@ func (e *Ensemble) elasticOK() error {
 // wider stripe class in one table generation. Blocks move from old
 // nodes only onto new ones (minimal movement).
 func (e *Ensemble) Grow(n int) error {
-	if err := e.elasticOK(); err != nil {
-		return err
-	}
 	if n <= 0 {
 		return fmt.Errorf("ensemble: Grow(%d)", n)
 	}
@@ -165,9 +148,6 @@ func (e *Ensemble) Grow(n int) error {
 // from placement. The nodes keep running (their stale bytes are
 // garbage, not state) until the caller closes them.
 func (e *Ensemble) Shrink(n int) error {
-	if err := e.elasticOK(); err != nil {
-		return err
-	}
 	k := e.cfg.Replication
 	if k > 1 && n%k != 0 {
 		return fmt.Errorf("ensemble: Shrink(%d) must remove whole replica groups of %d", n, k)

@@ -81,22 +81,18 @@ type Config struct {
 	// the route defaults.
 	Threshold  uint64
 	StripeUnit uint64
-	// MirrorDegree >1 mirrors all newly created files.
-	MirrorDegree uint8
 	// Replication >1 partitions the storage nodes into consecutive
 	// replica groups of that many members (Harmonia-style, PAPERS.md):
 	// the routing tables address only each group's primary, the µproxy
 	// fans every WRITE to the whole group and spreads clean reads across
-	// members via its dirty set. StorageNodes should be a multiple of
-	// Replication; a remainder folds into the last group.
+	// members via its dirty set. StorageNodes must be a multiple of
+	// Replication, so Grow and Shrink move whole groups.
 	Replication int
 	// StorageServiceTime, when positive, paces every storage node at one
 	// NFS request per StorageServiceTime — the capacity model that makes
 	// replica read scaling measurable on a single machine (the replica
 	// peer program is never paced, so resync is not throttled).
 	StorageServiceTime time.Duration
-	// UseBlockMaps routes bulk I/O through coordinator block maps.
-	UseBlockMaps bool
 	// LogicalSites sets routing-table granularity (default: server count).
 	LogicalSites int
 	// CoordProbeAfter bounds how long an intention may sit pending before
@@ -212,6 +208,9 @@ func New(cfg Config) (*Ensemble, error) {
 	}
 	if cfg.Proxies > MaxProxies {
 		return nil, fmt.Errorf("ensemble: %d proxies exceeds the host plan's limit of %d", cfg.Proxies, MaxProxies)
+	}
+	if cfg.Replication > 1 && cfg.StorageNodes%cfg.Replication != 0 {
+		return nil, fmt.Errorf("ensemble: %d storage nodes do not split into replica groups of %d", cfg.StorageNodes, cfg.Replication)
 	}
 	e := &Ensemble{
 		Net:     netsim.New(cfg.Net),
@@ -430,15 +429,13 @@ func New(cfg Config) (*Ensemble, error) {
 // Restart beside it).
 func (e *Ensemble) dirConfig(i int, host uint32) dirsrv.Config {
 	return dirsrv.Config{
-		Site:         uint32(i),
-		Volume:       1,
-		Kind:         e.cfg.NameKind,
-		Table:        e.DirTable,
-		Net:          e.Net,
-		Host:         host,
-		Clock:        e.cfg.Clock,
-		MirrorDegree: e.cfg.MirrorDegree,
-		UseMaps:      e.cfg.UseBlockMaps && e.cfg.Coordinator,
+		Site:   uint32(i),
+		Volume: 1,
+		Kind:   e.cfg.NameKind,
+		Table:  e.DirTable,
+		Net:    e.Net,
+		Host:   host,
+		Clock:  e.cfg.Clock,
 	}
 }
 
@@ -648,7 +645,9 @@ func (e *Ensemble) Close() {
 		s.Close()
 	}
 	for _, n := range e.Storage {
-		n.Close()
+		if n != nil { // a KillReplica victim not restarted
+			n.Close()
+		}
 	}
 	e.rebalMu.Lock()
 	if e.rebal != nil {

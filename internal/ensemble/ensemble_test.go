@@ -333,8 +333,11 @@ func TestRmdirSemantics(t *testing.T) {
 	}
 }
 
+// TestMirroredFiles: mirroring is a k = 2 replica-group policy. Every
+// bulk stripe lands on both members of its group, and the file reads back
+// intact after one member is lost together with its disk.
 func TestMirroredFiles(t *testing.T) {
-	e := newTest(t, func(cfg *Config) { cfg.MirrorDegree = 2 })
+	e := newTest(t, func(cfg *Config) { cfg.Replication = 2 })
 	c, err := e.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -344,9 +347,6 @@ func TestMirroredFiles(t *testing.T) {
 	fh, _, err := c.Create(c.Root(), "mirrored", 0o644, true)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !fh.Mirrored() {
-		t.Fatal("handle not marked mirrored")
 	}
 	data := make([]byte, 192*1024)
 	for i := range data {
@@ -373,24 +373,25 @@ func TestMirroredFiles(t *testing.T) {
 		t.Fatalf("stored %d bulk bytes, want >= %d (two replicas)", stored, 2*bulk)
 	}
 
-	// Reads survive the loss of one replica: crash one storage node that
-	// holds data, then read again through the alternating-replica policy.
-	// (Mirrored reads alternate by stripe; with one node wiped every
-	// stripe still has a live replica.)
-	for _, sn := range e.Storage {
-		if sn.Store().Stats().Writes > 0 {
-			sn.Store().Crash()
+	// Reads survive the loss of a member: kill a primary holding data,
+	// disk and all; its mirror is promoted and serves the group's stripes.
+	killed := -1
+	for i, sn := range e.Storage {
+		if _, primary := e.Replicas.GroupOf(sn.Addr()); primary && sn.Store().Stats().Writes > 0 {
+			e.Chaos().KillReplica(i)
+			killed = i
 			break
 		}
 	}
-	// A crashed node loses uncommitted data; committed data survives, so
-	// the file must still read back correctly from the mirrors.
+	if killed < 0 {
+		t.Fatal("no primary holds data")
+	}
 	got2 := make([]byte, len(data))
 	if _, _, err := c.Read(fh, 0, got2); err != nil {
-		t.Fatalf("read after replica crash: %v", err)
+		t.Fatalf("read after replica loss: %v", err)
 	}
 	if !bytes.Equal(got2, data) {
-		t.Fatal("mirrored read after crash mismatch")
+		t.Fatal("mirrored read after replica loss mismatch")
 	}
 }
 

@@ -9,10 +9,13 @@
 //   - the file type, so the µproxy can classify requests without state,
 //   - a cell key placed by the directory server that minted the handle,
 //     letting any directory server locate the resident attribute cell,
-//   - the logical site that owns the attribute cell (fixed placement),
-//   - per-file placement hints (mirror degree) consulted by the I/O
-//     routing policies, and
+//   - the logical site that owns the attribute cell (fixed placement), and
 //   - a generation number to fence stale handles after delete/recreate.
+//
+// Bytes 13–15 of the wire form once held per-file placement hints
+// (mirroring, block maps). Redundancy is now the storage array's replica
+// groups, not a property of the file, so they are written zero and
+// ignored on parse.
 package fhandle
 
 import (
@@ -28,27 +31,14 @@ import (
 // Size is the fixed wire size of a file handle in bytes.
 const Size = 32
 
-// Flag bits carried in a handle.
-const (
-	// FlagMirrored marks files whose blocks are replicated across storage
-	// nodes according to MirrorDegree.
-	FlagMirrored = 1 << 0
-	// FlagMapped marks files whose block locations are recorded in
-	// per-file block maps at a coordinator, instead of computed by the
-	// static placement function.
-	FlagMapped = 1 << 1
-)
-
 // Handle identifies a file or directory within a Slice volume.
 type Handle struct {
-	Volume       uint32 // volume identifier (virtual server may host several)
-	FileID       uint64 // unique file identifier within the volume
-	Type         uint8  // attr.FileType truncated to a byte
-	MirrorDegree uint8  // number of replicas for mirrored files (0 or 1 = none)
-	Flags        uint16 // placement hint flags
-	CellKey      uint64 // directory-server cell locator key
-	Site         uint32 // logical site ID of the owning directory server
-	Gen          uint32 // generation number
+	Volume  uint32 // volume identifier (virtual server may host several)
+	FileID  uint64 // unique file identifier within the volume
+	Type    uint8  // attr.FileType truncated to a byte
+	CellKey uint64 // directory-server cell locator key
+	Site    uint32 // logical site ID of the owning directory server
+	Gen     uint32 // generation number
 }
 
 // ErrBadHandle indicates a malformed wire handle.
@@ -74,8 +64,6 @@ func (h Handle) marshal(b *[Size]byte) {
 	binary.BigEndian.PutUint32(b[0:], h.Volume)
 	binary.BigEndian.PutUint64(b[4:], h.FileID)
 	b[12] = h.Type
-	b[13] = h.MirrorDegree
-	binary.BigEndian.PutUint16(b[14:], h.Flags)
 	binary.BigEndian.PutUint64(b[16:], h.CellKey)
 	binary.BigEndian.PutUint32(b[24:], h.Site)
 	binary.BigEndian.PutUint32(b[28:], h.Gen)
@@ -94,25 +82,17 @@ func Unmarshal(p []byte) (Handle, error) {
 		return Handle{}, fmt.Errorf("%w: length %d", ErrBadHandle, len(p))
 	}
 	return Handle{
-		Volume:       binary.BigEndian.Uint32(p[0:]),
-		FileID:       binary.BigEndian.Uint64(p[4:]),
-		Type:         p[12],
-		MirrorDegree: p[13],
-		Flags:        binary.BigEndian.Uint16(p[14:]),
-		CellKey:      binary.BigEndian.Uint64(p[16:]),
-		Site:         binary.BigEndian.Uint32(p[24:]),
-		Gen:          binary.BigEndian.Uint32(p[28:]),
+		Volume:  binary.BigEndian.Uint32(p[0:]),
+		FileID:  binary.BigEndian.Uint64(p[4:]),
+		Type:    p[12],
+		CellKey: binary.BigEndian.Uint64(p[16:]),
+		Site:    binary.BigEndian.Uint32(p[24:]),
+		Gen:     binary.BigEndian.Uint32(p[28:]),
 	}, nil
 }
 
 // IsZero reports whether the handle is the zero handle.
 func (h Handle) IsZero() bool { return h == Handle{} }
-
-// Mirrored reports whether the file is mirrored across storage nodes.
-func (h Handle) Mirrored() bool { return h.Flags&FlagMirrored != 0 && h.MirrorDegree > 1 }
-
-// Mapped reports whether the file uses coordinator block maps.
-func (h Handle) Mapped() bool { return h.Flags&FlagMapped != 0 }
 
 // String renders the handle compactly for logs and errors.
 func (h Handle) String() string {
@@ -121,7 +101,8 @@ func (h Handle) String() string {
 }
 
 // Key returns a comparable map key for the handle identity (volume, fileID,
-// generation). Placement hints are excluded so rerouted copies compare equal.
+// generation). Routing fields are excluded so rerouted copies (a capability
+// in CellKey, say) compare equal.
 type Key struct {
 	Volume uint32
 	FileID uint64
@@ -137,7 +118,7 @@ func (h Handle) Ident() Key {
 // used to key directory hash chains and the name-hashing routing policy
 // (§3.2, §4.3). The paper selected MD5 empirically for its balance. Only
 // the parent's identity fields participate: two copies of a handle that
-// differ in placement hints or type bits must fingerprint identically, or
+// differ in routing fields or type bits must fingerprint identically, or
 // the µproxy and the directory servers would disagree about placement.
 func NameKey(parent Handle, name string) uint64 {
 	hsh := md5.New()
@@ -190,8 +171,8 @@ func u64bytes(v uint64) []byte {
 // to map handles to backing objects.
 func HandleKey(h Handle) uint64 {
 	var b [Size]byte
-	// Identity only: placement hints must not affect routing of a file
-	// whose hints change over its lifetime.
+	// Identity only: the capability the µproxy stamps into CellKey must
+	// not move the file.
 	binary.BigEndian.PutUint32(b[0:], h.Volume)
 	binary.BigEndian.PutUint64(b[4:], h.FileID)
 	binary.BigEndian.PutUint32(b[28:], h.Gen)

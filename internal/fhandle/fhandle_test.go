@@ -9,8 +9,8 @@ import (
 
 func sample() Handle {
 	return Handle{
-		Volume: 1, FileID: 0x123456789A, Type: 1, MirrorDegree: 2,
-		Flags: FlagMirrored, CellKey: 0xDEADBEEF, Site: 3, Gen: 7,
+		Volume: 1, FileID: 0x123456789A, Type: 1,
+		CellKey: 0xDEADBEEF, Site: 3, Gen: 7,
 	}
 }
 
@@ -43,14 +43,30 @@ func TestXDRRoundTrip(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(vol uint32, id uint64, typ, mir uint8, flags uint16, cell uint64, site, gen uint32) bool {
-		h := Handle{Volume: vol, FileID: id, Type: typ, MirrorDegree: mir,
-			Flags: flags, CellKey: cell, Site: site, Gen: gen}
+	f := func(vol uint32, id uint64, typ uint8, cell uint64, site, gen uint32) bool {
+		h := Handle{Volume: vol, FileID: id, Type: typ,
+			CellKey: cell, Site: site, Gen: gen}
 		got, err := Unmarshal(h.Marshal())
 		return err == nil && got == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetiredHintBytes: bytes 13–15 once carried per-file placement
+// hints. They are written zero, and whatever a handle minted before their
+// retirement holds there is ignored on parse.
+func TestRetiredHintBytes(t *testing.T) {
+	h := sample()
+	p := h.Marshal()
+	if p[13] != 0 || p[14] != 0 || p[15] != 0 {
+		t.Fatalf("hint bytes not zero: % x", p[13:16])
+	}
+	p[13], p[14], p[15] = 2, 0, 3 // an old mirrored+mapped handle
+	got, err := Unmarshal(p)
+	if err != nil || got != h {
+		t.Fatalf("hint bytes changed the parse: %+v, %v", got, err)
 	}
 }
 
@@ -72,24 +88,11 @@ func TestPredicates(t *testing.T) {
 	if h.IsZero() {
 		t.Fatal("nonzero handle IsZero")
 	}
-	if !h.Mirrored() {
-		t.Fatal("mirrored handle not Mirrored")
-	}
-	h.MirrorDegree = 1
-	if h.Mirrored() {
-		t.Fatal("degree-1 handle reported mirrored")
-	}
-	h.Flags = FlagMapped
-	if !h.Mapped() {
-		t.Fatal("mapped flag not detected")
-	}
 }
 
 func TestIdentExcludesHints(t *testing.T) {
 	a := sample()
 	b := a
-	b.MirrorDegree = 0
-	b.Flags = 0
 	b.Site = 9
 	b.CellKey = 1
 	b.Type = 2
@@ -142,8 +145,6 @@ func TestNameKeyBalance(t *testing.T) {
 func TestHandleKeyIgnoresHints(t *testing.T) {
 	a := sample()
 	b := a
-	b.Flags = 0
-	b.MirrorDegree = 0
 	b.Site = 99
 	b.Type = 2
 	b.CellKey = 0
@@ -176,12 +177,12 @@ func TestCapability(t *testing.T) {
 	if VerifyCapability(key, h) {
 		t.Fatal("raw handle verified without a capability")
 	}
-	// The capability covers identity only: placement hints may differ.
+	// The capability covers identity only: routing fields may differ.
 	hinted := capped
-	hinted.Flags |= FlagMapped
-	hinted.MirrorDegree = 3
+	hinted.Site = 5
+	hinted.Type = 2
 	if !VerifyCapability(key, hinted) {
-		t.Fatal("hint changes invalidated the capability")
+		t.Fatal("routing-field changes invalidated the capability")
 	}
 	// Identity changes invalidate it.
 	forged := capped

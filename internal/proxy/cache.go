@@ -12,7 +12,7 @@
 // complete attribute set from the µproxy's attribute cache.
 //
 // All µproxy state is soft: pending-request records, routing tables, the
-// attribute cache, and block-map fragments can be discarded at any time;
+// attribute cache and the replica dirty set can be discarded at any time;
 // end-to-end RPC retransmission recovers. The µproxy caches nothing it
 // cannot keep exactly right on its own: attributes are merged from what
 // it routed and what the directory servers told it, never conjured, and
@@ -328,77 +328,5 @@ func (c *attrCache) forget(fh fhandle.Handle) {
 	if e := s.entries[fh.Ident()]; e != nil {
 		s.unlink(e)
 		delete(s.entries, fh.Ident())
-	}
-}
-
-// --------------------------------------------------------- block-map cache
-
-// mapShard is one lock's worth of the block-map cache.
-type mapShard struct {
-	mu      sync.Mutex
-	entries map[fhandle.Key][]uint32
-}
-
-// mapCache caches per-file block-map fragments supplied by a coordinator
-// (§3.1). Fragments are fetched in chunks. Sharded by file identity.
-type mapCache struct {
-	shards [numShards]mapShard
-}
-
-// mapChunk is how many stripes one coordinator fetch returns.
-const mapChunk = 64
-
-func newMapCache() *mapCache {
-	c := &mapCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[fhandle.Key][]uint32)
-	}
-	return c
-}
-
-func (c *mapCache) shard(k fhandle.Key) *mapShard {
-	return &c.shards[shardIndex(keyHash(k))]
-}
-
-// get returns the cached site of a stripe, or ok=false on a miss.
-func (c *mapCache) get(fh fhandle.Handle, stripe uint64) (uint32, bool) {
-	s := c.shard(fh.Ident())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.entries[fh.Ident()]
-	if stripe < uint64(len(m)) {
-		return m[stripe], true
-	}
-	return 0, false
-}
-
-// fill installs a fetched fragment starting at stripe first.
-func (c *mapCache) fill(fh fhandle.Handle, first uint64, sites []uint32) {
-	s := c.shard(fh.Ident())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := fh.Ident()
-	m := s.entries[key]
-	need := first + uint64(len(sites))
-	for uint64(len(m)) < need {
-		m = append(m, 0)
-	}
-	copy(m[first:], sites)
-	s.entries[key] = m
-}
-
-func (c *mapCache) forget(fh fhandle.Handle) {
-	s := c.shard(fh.Ident())
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.entries, fh.Ident())
-}
-
-func (c *mapCache) clear() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.entries = make(map[fhandle.Key][]uint32)
-		s.mu.Unlock()
 	}
 }

@@ -64,44 +64,6 @@ func (p *Proxy) coordComplete(sp *obs.Span, id uint64) {
 	})
 }
 
-// coordGetMap fetches a block-map fragment.
-func (p *Proxy) coordGetMap(sp *obs.Span, fh fhandle.Handle, first uint64, count uint32) ([]uint32, error) {
-	c, err := p.coordRPC()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcGetMap, func(e *xdr.Encoder) {
-		fh.Encode(e)
-		e.PutUint64(first)
-		e.PutUint32(count)
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := xdr.NewDecoder(body)
-	st, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if s := nfsproto.Status(st); s != nfsproto.OK {
-		return nil, s.Error()
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if err := xdr.CheckLen(n, 1<<20); err != nil {
-		return nil, err
-	}
-	sites := make([]uint32, n)
-	for i := range sites {
-		if sites[i], err = d.Uint32(); err != nil {
-			return nil, err
-		}
-	}
-	return sites, nil
-}
-
 // capFH stamps the storage capability into a handle the µproxy sends to
 // data servers itself (no-op without a key; harmless for small-file
 // servers, which ignore the field).
@@ -263,7 +225,6 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 			p.coordComplete(pd.span, id)
 		}
 		p.attrs.forget(child)
-		p.maps.forget(child)
 	}
 	return p.forward(d, key, pd, addr)
 }
@@ -306,7 +267,6 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 				e.at.Mtime = now
 				e.at.Ctime = now
 			})
-			p.maps.forget(fh)
 		}
 	}
 	return p.forward(d, key, pd, addr)

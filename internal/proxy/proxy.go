@@ -58,7 +58,7 @@ type Config struct {
 	// Names routes name-space and attribute traffic.
 	Names *route.NamePolicy
 	// Coord is the block-service coordinator; zero disables intention
-	// logging and block maps.
+	// logging.
 	Coord netsim.Addr
 	// WritebackInterval bounds attribute drift: dirty attributes are
 	// pushed to the directory servers at this period. Zero disables the
@@ -116,8 +116,8 @@ type pendingReq struct {
 	targets    []netsim.Addr
 	targetsBuf [4]netsim.Addr
 
-	// expect is the number of replies still awaited (mirrored writes
-	// expect one per replica); replied dedups per-replica replies, since
+	// expect is the number of replies still awaited (a fanned-out write
+	// expects one per target); replied dedups per-target replies, since
 	// retransmissions make servers replay theirs.
 	expect  int
 	replied map[netsim.Addr]bool
@@ -192,7 +192,6 @@ type Proxy struct {
 	shards [numShards]pendShard
 
 	attrs *attrCache
-	maps  *mapCache
 
 	// dirty is the per-object dirty set of the replica layer: an object
 	// is dirty while a fanned-out WRITE to its group is in flight, and
@@ -236,7 +235,6 @@ func New(cfg Config) *Proxy {
 	p := &Proxy{
 		cfg:     cfg,
 		attrs:   newAttrCache(),
-		maps:    newMapCache(),
 		clients: make(map[netsim.Addr]*oncrpc.Client),
 		now:     func() int64 { return int64(time.Since(base)) },
 		wall0:   base.UnixNano(),
@@ -361,7 +359,6 @@ func (p *Proxy) DropSoftState() { p.dropSoftState() }
 func (p *Proxy) dropSoftState() []attrEntry {
 	p.resetPend()
 	drained := p.attrs.drain()
-	p.maps.clear()
 	p.resetReplica()
 	return drained
 }
@@ -415,7 +412,7 @@ func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
 // the sender's goroutine and processes the fast path inline — no
 // per-packet goroutine, no allocation in the steady state. Only
 // operations that must block (commit absorption, remove orchestration,
-// block-map fetches, response hooks) are handed to helper goroutines.
+// response hooks) are handed to helper goroutines.
 //
 // Interception is timed where it does work: every reply on the fabric is
 // probed against the pending table, hit or miss. A call is claimed or
@@ -637,18 +634,6 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		pd.hop = obs.HopDirsrv
 		return p.routeSetAttr(d, key, pd)
 	case nfsproto.ProcRead, nfsproto.ProcWrite:
-		if info.FH.Mapped() && !p.coord().IsZero() {
-			// Mapped files may need a blocking block-map fetch from the
-			// coordinator before they can be routed. The hand-off to the
-			// helper goroutine is scheduling, not a stage: skip it.
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.skip(&pd.clk)
-				p.routeIO(d, key, pd)
-			}()
-			return netsim.Consumed
-		}
 		return p.routeIO(d, key, pd)
 	default:
 		addr, err := p.cfg.Names.AddrFor(&pd.info)
@@ -697,7 +682,7 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 		// while a topology transition is open (double-write). Anything
 		// beyond one target fans out and completes only when every
 		// target replied.
-		targets, err := p.writeTargets(pd.span, info.FH, stripe)
+		targets, err := io.WriteTargets(info.FH, stripe)
 		if err != nil || len(targets) == 0 {
 			p.dropPending(pd)
 			return p.consumeDrop(d)
@@ -719,7 +704,7 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 		return p.forward(d, key, pd, targets[0])
 	}
 
-	addr, err := p.readTarget(pd.span, info.FH, stripe)
+	addr, err := io.ReadTarget(info.FH, stripe)
 	if err == nil && p.dirty != nil {
 		addr = p.spreadRead(pd, key, addr, stripe)
 	}
@@ -728,34 +713,6 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 		return p.consumeDrop(d)
 	}
 	return p.forward(d, key, pd, addr)
-}
-
-// readTarget resolves the storage node for a read, consulting block maps
-// for mapped files and the static placement function otherwise. A
-// coordinator fetch on a map miss is attributed to sp, when tracing.
-func (p *Proxy) readTarget(sp *obs.Span, fh fhandle.Handle, stripe uint64) (netsim.Addr, error) {
-	if fh.Mapped() && !p.coord().IsZero() {
-		site, err := p.mappedSite(sp, fh, stripe)
-		if err != nil {
-			return netsim.Addr{}, err
-		}
-		return p.cfg.IO.Storage.Lookup(site)
-	}
-	return p.cfg.IO.ReadTarget(fh, stripe)
-}
-
-// writeTargets resolves the storage nodes for a write (all replicas).
-func (p *Proxy) writeTargets(sp *obs.Span, fh fhandle.Handle, stripe uint64) ([]netsim.Addr, error) {
-	if fh.Mapped() && !p.coord().IsZero() && !fh.Mirrored() {
-		site, err := p.mappedSite(sp, fh, stripe)
-		if err != nil {
-			return nil, err
-		}
-		// A logical site is its own table key.
-		cur, _ := p.cfg.IO.Bindings()
-		return cur.AppendNodes(nil, uint64(site), 1), nil
-	}
-	return p.cfg.IO.WriteTargets(fh, stripe)
 }
 
 // spreadRead picks the replica-group member to serve a read that the
@@ -793,32 +750,11 @@ func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, str
 	return g.Members[i]
 }
 
-// mappedSite returns the block-map site for a stripe, fetching a fragment
-// from the coordinator on a miss.
-func (p *Proxy) mappedSite(sp *obs.Span, fh fhandle.Handle, stripe uint64) (uint32, error) {
-	if site, ok := p.maps.get(fh, stripe); ok {
-		return site, nil
-	}
-	first := stripe - stripe%mapChunk
-	sites, err := p.coordGetMap(sp, fh, first, mapChunk)
-	if err != nil {
-		return 0, err
-	}
-	p.maps.fill(fh, first, sites)
-	site, ok := p.maps.get(fh, stripe)
-	if !ok {
-		return 0, route.ErrEmptyTable
-	}
-	return site, nil
-}
-
 // retargets re-resolves the forwarding path of a retransmitted request
-// after a routing-table change. Only paths that resolve without blocking
-// are recomputed; mapped-file I/O may need a coordinator RPC, which must
-// not run on the sender's goroutine, so it keeps its recorded path.
-// Resolution is deterministic (mkdir switching hashes the parent handle
-// and name), so a recomputed path agrees with the original whenever the
-// responsible logical site is unchanged — only the physical address moves.
+// after a routing-table change. Resolution is deterministic (mkdir
+// switching hashes the parent handle and name), so a recomputed path
+// agrees with the original whenever the responsible logical site is
+// unchanged — only the physical address moves.
 func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.RequestInfo) ([]netsim.Addr, bool) {
 	if prog == mountProgram {
 		a, err := p.cfg.Names.Dirs.Lookup(mountSite)
@@ -828,9 +764,6 @@ func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.Request
 		return []netsim.Addr{a}, true
 	}
 	if proc == nfsproto.ProcRead || proc == nfsproto.ProcWrite {
-		if info.FH.Mapped() && !p.coord().IsZero() {
-			return nil, false
-		}
 		if p.cfg.IO.SmallFileTarget(info.Offset) {
 			a, err := p.cfg.IO.SmallFileServer(info.FH)
 			if err != nil {
@@ -843,13 +776,13 @@ func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.Request
 			// Keep the full resolved fan-out: replica members must all
 			// converge, and a write retransmitted across a transition
 			// boundary must reach the pending binding too.
-			ts, err := p.writeTargets(nil, info.FH, stripe)
+			ts, err := p.cfg.IO.WriteTargets(info.FH, stripe)
 			if err != nil || len(ts) == 0 {
 				return nil, false
 			}
 			return ts, true
 		}
-		a, err := p.readTarget(nil, info.FH, stripe)
+		a, err := p.cfg.IO.ReadTarget(info.FH, stripe)
 		if err != nil {
 			return nil, false
 		}
@@ -874,8 +807,8 @@ func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq, target netsim.Add
 	return netsim.Consumed
 }
 
-// forwardMulti replicates the datagram to several targets (mirrored
-// writes). Each copy keeps the client's source address and xid so replies
+// forwardMulti replicates the datagram to several targets (replica-group
+// and double-written transition writes). Each copy keeps the client's source address and xid so replies
 // pair with the same pending record. The copies are cut after the record
 // is published, outside the stage clock like the injection they feed.
 func (p *Proxy) forwardMulti(d []byte, key pendKey, pd *pendingReq, targets []netsim.Addr) netsim.Verdict {

@@ -103,8 +103,10 @@ func TestIOResponsesCarryAttributes(t *testing.T) {
 	}
 }
 
+// TestMirroredWriteFanout: with 2-way replica groups the µproxy fans
+// every bulk WRITE out to both members of the stripe's group.
 func TestMirroredWriteFanout(t *testing.T) {
-	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.MirrorDegree = 2 })
+	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.Replication = 2 })
 	c, err := e.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -126,47 +128,6 @@ func TestMirroredWriteFanout(t *testing.T) {
 	want := uint64(2 * (128 - 64) * 1024)
 	if bulk < want {
 		t.Fatalf("bulk bytes %d, want >= %d for two replicas", bulk, want)
-	}
-}
-
-func TestBlockMapRouting(t *testing.T) {
-	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.UseBlockMaps = true })
-	c, err := e.NewClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	fh, _, err := c.Create(c.Root(), "mapped", 0o644, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fh.Mapped() {
-		t.Fatal("handle not marked mapped")
-	}
-	data := make([]byte, 256*1024)
-	for i := range data {
-		data[i] = byte(i >> 8)
-	}
-	if err := c.WriteFile(fh, data); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, _, err := c.Read(fh, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("mapped-file round trip mismatch")
-	}
-	if e.Coord.Stats().MapAllocs == 0 {
-		t.Fatal("coordinator allocated no block-map entries")
-	}
-	// Routing must follow the map even after the proxy loses its cache.
-	e.Proxy.DropSoftState()
-	if _, _, err := c.Read(fh, 64*1024, got[:32*1024]); err != nil {
-		t.Fatalf("read after map-cache loss: %v", err)
-	}
-	if e.Coord.Stats().MapFetches < 2 {
-		t.Fatal("proxy did not refetch the map after losing soft state")
 	}
 }
 

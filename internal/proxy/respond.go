@@ -49,8 +49,8 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdi
 		return netsim.Pass
 	}
 	if len(pd.targets) > 1 {
-		// Mirrored fan-out: count each replica once, even when
-		// retransmissions made it reply several times.
+		// Fan-out: count each target once, even when retransmissions
+		// made it reply several times.
 		if pd.replied == nil {
 			pd.replied = make(map[netsim.Addr]bool, len(pd.targets))
 		}
@@ -65,7 +65,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdi
 	}
 	pd.expect--
 	if pd.expect > 0 {
-		// A mirrored write still awaiting replicas. Remember the first
+		// A fanned-out write still awaiting targets. Remember the first
 		// failure so the client sees the worst outcome.
 		if rep.Accept == oncrpc.AcceptSuccess && replyStatus(pd.proc, rep.Body) != nfsproto.OK && pd.errReply == nil {
 			pd.errReply = append([]byte(nil), rep.Body...)

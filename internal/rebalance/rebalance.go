@@ -276,12 +276,24 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 	d.setStatus(func(s *Status) { s.Objects = len(sizes) })
 
 	// Destination listings, for size sync and ghost scrubbing. Every
-	// node of the pending binding is listed — an incoming node may hold
-	// stale bytes (earlier aborted migration) even when no move of this
-	// round targets it.
-	dstSizes := make(map[netsim.Addr]map[uint64]uint64)
-	moves := make(map[netsim.Addr][]chunkMove) // keyed by src node
+	// node the transition brings in is listed — it may hold stale bytes
+	// (earlier aborted migration) even when no move of this round
+	// targets it. A node that already holds data under the current
+	// binding is not: it takes every foreground write, truncate and
+	// remove of its objects itself, and the listings are snapshots — an
+	// object a writer created or extended after the source listing would
+	// look like a ghost or an oversized copy, and removing or truncating
+	// it there destroys stripes no move covers, so nothing repairs them.
+	// On such a node the driver writes its moving chunks and nothing
+	// else; on an incoming node every byte belongs to a moving stripe,
+	// so whatever a round gets wrong there the next one repairs.
+	holding := cur.AppendAll(nil)
+	dstSizes := make(map[netsim.Addr]map[uint64]uint64) // incoming nodes only
+	moves := make(map[netsim.Addr][]chunkMove)          // keyed by src node
 	for _, a := range next.AppendAll(nil) {
+		if slices.Contains(holding, a) {
+			continue
+		}
 		objs, err := d.listObjects(a)
 		if err != nil {
 			return 0, err
@@ -295,12 +307,12 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 		}
 		for stripe := uint64(0); stripe == 0 || stripe*su < size; stripe++ {
 			key := route.PlacementKey(id, stripe)
-			holders = cur.AppendNodes(holders[:0], key, 1)
+			holders = cur.AppendNodes(holders[:0], key)
 			if len(holders) == 0 {
 				return 0, route.ErrEmptyTable
 			}
 			src := holders[0] // the primary
-			pending = next.AppendNodes(pending[:0], key, 1)
+			pending = next.AppendNodes(pending[:0], key)
 			var dsts []netsim.Addr
 			for _, a := range pending {
 				if !slices.Contains(holders, a) {
@@ -364,8 +376,8 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 		return 0, firstErr
 	}
 
-	// Ghost scrub: a destination object whose source vanished (the file
-	// was removed mid-copy and the remove raced our writes).
+	// Ghost scrub: an incoming node's object whose source vanished (the
+	// file was removed mid-copy and the remove raced our writes).
 	for dst, objs := range dstSizes {
 		for id := range objs {
 			if _, live := sizes[id]; live || smallfile.IsBackingID(storage.ObjectID(id)) {
@@ -392,7 +404,7 @@ func everMovesTo(next route.Binding, id uint64, dst netsim.Addr) bool {
 	const scanStripes = 1024
 	var nodes []netsim.Addr
 	for stripe := uint64(0); stripe < scanStripes; stripe++ {
-		nodes = next.AppendNodes(nodes[:0], route.PlacementKey(id, stripe), 1)
+		nodes = next.AppendNodes(nodes[:0], route.PlacementKey(id, stripe))
 		if slices.Contains(nodes, dst) {
 			return true
 		}
@@ -426,14 +438,17 @@ func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]
 		hist = d.verifyHist
 	}
 	for _, dst := range m.dsts {
-		// Size-sync once per (object, destination) per round.
+		// Size-sync once per (object, incoming destination) per round.
 		mu.Lock()
-		if truncated[dst] == nil {
-			truncated[dst] = make(map[uint64]bool)
+		listed, incoming := dstSizes[dst]
+		dsz, present := listed[m.id]
+		needTrunc := incoming && !truncated[dst][m.id] && (!present || dsz != size)
+		if needTrunc {
+			if truncated[dst] == nil {
+				truncated[dst] = make(map[uint64]bool)
+			}
+			truncated[dst][m.id] = true
 		}
-		dsz, present := dstSizes[dst][m.id]
-		needTrunc := !truncated[dst][m.id] && (!present || dsz != size)
-		truncated[dst][m.id] = true
 		mu.Unlock()
 		if needTrunc {
 			if err := d.peerTruncate(dst, m.id, size); err != nil {

@@ -271,6 +271,30 @@ func TestShrinkMovesBlocksOffRemoved(t *testing.T) {
 	}
 }
 
+// TestGrowMovesBackingTagLookalike: a file fingerprint whose top byte is
+// the small-file backing tag is still a striped object. One in 256 file
+// objects looks like that, and a grow must move its stripes like any
+// other's.
+func TestGrowMovesBackingTagLookalike(t *testing.T) {
+	addrs := make([]netsim.Addr, 6)
+	for i := range addrs {
+		addrs[i] = addrN(i)
+	}
+	r := newRig(t, addrs, 4)
+	next := r.grow(t, addrs[4:]...)
+	id := movedID(t, next, addrs[4], 0x5F3C_9A17_0E42_0000)
+	if id>>56 != 0x5F {
+		t.Fatalf("id %#x is not a backing-tag lookalike", id)
+	}
+	size := 3 * r.io.StripeUnit
+	r.populate(t, id, size)
+	d := r.driver(t, nil)
+	if err := d.Run(next, nil, nil); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	r.checkPlacement(t, id, size)
+}
+
 func TestListPaging(t *testing.T) {
 	addrs := []netsim.Addr{addrN(0), addrN(1)}
 	r := newRig(t, addrs, 1)
@@ -427,18 +451,13 @@ func TestForegroundWritesDuringMigration(t *testing.T) {
 	r := newRig(t, addrs, 4)
 	su := r.io.StripeUnit
 	// Real bulk writes key objects by HandleKey, so derive ids from
-	// handles (skipping the rare key that collides with the small-file
-	// id space and would be ignored by the copier).
+	// handles.
 	var fhs []fhandle.Handle
 	var ids []uint64
 	for fid := uint64(50); len(ids) < 20; fid++ {
 		fh := fhandle.Handle{FileID: fid}
-		id := fhandle.HandleKey(fh)
-		if smallfile.IsBackingID(storage.ObjectID(id)) {
-			continue
-		}
 		fhs = append(fhs, fh)
-		ids = append(ids, id)
+		ids = append(ids, fhandle.HandleKey(fh))
 	}
 	for _, id := range ids {
 		r.populate(t, id, 2*su)

@@ -1,8 +1,8 @@
 // Package route implements the Slice request routing policies (§3): the
 // compact routing tables mapping logical server sites to physical servers,
-// the threshold policy separating small-file I/O from bulk I/O, static and
-// mirrored striping placement for bulk I/O, and the two name-space
-// policies, mkdir switching and name hashing.
+// the threshold policy separating small-file I/O from bulk I/O, static
+// striping placement for bulk I/O, and the two name-space policies, mkdir
+// switching and name hashing.
 //
 // The same policy code drives both the live µproxy (internal/proxy) and
 // the discrete-event performance simulator (internal/sim), so the
@@ -172,27 +172,15 @@ func (t *Table) Bindings(reps *replica.Map) (cur, next Binding) {
 // NumLogical returns the binding's logical site count (0: no binding).
 func (b Binding) NumLogical() int { return len(b.sites) }
 
-// run locates key among the binding's n > 0 logical sites: degree
-// consecutive sites (mod n, clamped to n) starting at base.
-func (b Binding) run(key uint64, degree int) (base, clamped int) {
-	n := len(b.sites)
-	return int(key % uint64(n)), min(degree, n)
-}
-
-// AppendNodes appends to dst every node holding the degree consecutive
-// logical sites that start at key's site, replica-group members
-// included, skipping nodes dst already has (mirrored sites wrapping a
-// small array, or two bindings of one transition, resolve to one node
-// more than once). An empty binding appends nothing.
-func (b Binding) AppendNodes(dst []netsim.Addr, key uint64, degree int) []netsim.Addr {
+// AppendNodes appends to dst every node holding key's logical site,
+// replica-group members included, skipping nodes dst already has (the
+// two bindings of one transition may resolve to the same node). An empty
+// binding appends nothing.
+func (b Binding) AppendNodes(dst []netsim.Addr, key uint64) []netsim.Addr {
 	if len(b.sites) == 0 {
 		return dst
 	}
-	base, degree := b.run(key, degree)
-	for i := 0; i < degree; i++ {
-		dst = b.appendGroup(dst, b.sites[(base+i)%len(b.sites)])
-	}
-	return dst
+	return b.appendGroup(dst, b.sites[key%uint64(len(b.sites))])
 }
 
 // AppendAll appends to dst every node of the binding, replica-group
@@ -238,7 +226,7 @@ type IOTarget struct {
 
 // IOPolicy routes read/write/commit traffic. It separates small-file
 // traffic from bulk I/O at a fixed threshold offset and declusters bulk
-// blocks across the storage array with striping, optionally mirrored.
+// blocks across the storage array with striping.
 //
 // With Replicas set, the Storage table is built over replica-group
 // PRIMARIES only: placement still resolves one address per stripe, and
@@ -313,70 +301,39 @@ func PlacementKey(object, stripe uint64) uint64 {
 	return object + stripe
 }
 
+// stripeKey is the table key of one stripe of fh.
+func stripeKey(fh fhandle.Handle, stripe uint64) uint64 {
+	return PlacementKey(fhandle.HandleKey(fh), stripe)
+}
+
 // Bindings returns the storage table's current and pending bindings under
 // the policy's replica map.
 func (p *IOPolicy) Bindings() (cur, next Binding) {
 	return p.Storage.Bindings(p.Replicas)
 }
 
-// stripeRun is the placement of one stripe of fh: its table key and how
-// many consecutive logical sites hold it — one for unmirrored files,
-// MirrorDegree for mirrored ones (§3.1, mirrored striping).
-func stripeRun(fh fhandle.Handle, stripe uint64) (key uint64, degree int) {
-	degree = 1
-	if fh.Mirrored() {
-		degree = int(fh.MirrorDegree)
-	}
-	return PlacementKey(fhandle.HandleKey(fh), stripe), degree
-}
-
-// StorageSites returns the logical storage sites holding the given stripe
-// of fh.
-func (p *IOPolicy) StorageSites(fh fhandle.Handle, stripe uint64) []uint32 {
-	cur, _ := p.Bindings()
-	n := cur.NumLogical()
-	if n == 0 {
-		return nil
-	}
-	base, degree := cur.run(stripeRun(fh, stripe))
-	sites := make([]uint32, degree)
-	for i := range sites {
-		sites[i] = uint32((base + i) % n)
-	}
-	return sites
-}
-
 // WriteTargets returns every storage node that must receive a write of the
-// given stripe: all replicas for mirrored files, and — when the array is
-// replicated — every member of each resolved site's replica group. While
-// the storage table has an open transition the result is the union of the
-// current and pending bindings' targets (double-writing: the migration
-// copier never chases bytes written behind it, and an abort loses
-// nothing because the old binding saw every write too).
+// given stripe: the stripe's node, or — when the array is replicated —
+// every member of its replica group. While the storage table has an open
+// transition the result is the union of the current and pending
+// bindings' targets (double-writing: the migration copier never chases
+// bytes written behind it, and an abort loses nothing because the old
+// binding saw every write too).
 func (p *IOPolicy) WriteTargets(fh fhandle.Handle, stripe uint64) ([]netsim.Addr, error) {
 	cur, next := p.Bindings()
 	if cur.NumLogical() == 0 {
 		return nil, ErrEmptyTable
 	}
-	key, degree := stripeRun(fh, stripe)
-	return next.AppendNodes(cur.AppendNodes(nil, key, degree), key, degree), nil
+	key := stripeKey(fh, stripe)
+	return next.AppendNodes(cur.AppendNodes(nil, key), key), nil
 }
 
-// ReadTarget returns the storage node to read the given stripe from. For
-// mirrored files it alternates between replicas to balance load across the
-// mirrors, as the prototype's client µproxies do. The replica choice mixes
-// the stripe index through a multiplicative hash: a simple stripe%degree
-// alternation correlates with the striping function itself (both advance
-// by one per stripe) and would concentrate all reads on half the array.
+// ReadTarget returns the storage node to read the given stripe from: the
+// stripe's site in the current binding (its group's primary when the
+// array is replicated — spreading reads over the other members is the
+// µproxy's call, since only it knows which objects have writes in flight).
 func (p *IOPolicy) ReadTarget(fh fhandle.Handle, stripe uint64) (netsim.Addr, error) {
-	cur, _ := p.Bindings()
-	n := cur.NumLogical()
-	if n == 0 {
-		return netsim.Addr{}, ErrEmptyTable
-	}
-	base, degree := cur.run(stripeRun(fh, stripe))
-	replica := (stripe * 0x9E3779B97F4A7C15) >> 32 % uint64(degree)
-	return cur.sites[(base+int(replica))%n], nil
+	return p.Storage.Route(stripeKey(fh, stripe))
 }
 
 // SpanStripes reports the stripe indices [first, last] covered by an I/O
@@ -520,11 +477,4 @@ func (np *NamePolicy) siteNameHashing(info *nfsproto.RequestInfo) uint32 {
 func (np *NamePolicy) AddrFor(info *nfsproto.RequestInfo) (netsim.Addr, error) {
 	site, _ := np.SiteFor(info)
 	return np.Dirs.Lookup(site)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/replica"
 )
 
 func addrs(n int) []netsim.Addr {
@@ -19,6 +20,11 @@ func addrs(n int) []netsim.Addr {
 
 func regFH(id uint64, site uint32) fhandle.Handle {
 	return fhandle.Handle{Volume: 1, FileID: id, Type: 1, CellKey: id, Site: site, Gen: 1}
+}
+
+// stripeSite is the logical storage site holding one stripe of fh.
+func stripeSite(p *IOPolicy, fh fhandle.Handle, stripe uint64) uint32 {
+	return p.Storage.Site(stripeKey(fh, stripe))
 }
 
 func TestTableBasics(t *testing.T) {
@@ -137,18 +143,14 @@ func TestStripingDeclusters(t *testing.T) {
 	fh := regFH(42, 0)
 	seen := make(map[uint32]bool)
 	for stripe := uint64(0); stripe < 16; stripe++ {
-		sites := p.StorageSites(fh, stripe)
-		if len(sites) != 1 {
-			t.Fatalf("unmirrored file got %d sites", len(sites))
-		}
-		seen[sites[0]] = true
+		seen[stripeSite(p, fh, stripe)] = true
 	}
 	if len(seen) < 8 {
 		t.Fatalf("16 stripes used only %d of 8 sites", len(seen))
 	}
 	// Consecutive stripes land on different sites.
-	s0 := p.StorageSites(fh, 0)[0]
-	s1 := p.StorageSites(fh, 1)[0]
+	s0 := stripeSite(p, fh, 0)
+	s1 := stripeSite(p, fh, 1)
 	if s0 == s1 {
 		t.Fatal("consecutive stripes colocated")
 	}
@@ -158,44 +160,53 @@ func TestDifferentFilesStartDifferently(t *testing.T) {
 	p := NewIOPolicy(nil, NewTable(8, addrs(8)))
 	starts := make(map[uint32]int)
 	for id := uint64(1); id <= 64; id++ {
-		starts[p.StorageSites(regFH(id, 0), 0)[0]]++
+		starts[stripeSite(p, regFH(id, 0), 0)]++
 	}
 	if len(starts) < 4 {
 		t.Fatalf("64 files start on only %d sites", len(starts))
 	}
 }
 
+// TestMirroredPlacement: mirroring is a k = 2 replica-group policy. The
+// storage table routes to group primaries; a write reaches both members
+// of the stripe's group, and a read resolves to its primary (spreading
+// over members is the µproxy's choice, guarded by its dirty set).
 func TestMirroredPlacement(t *testing.T) {
-	p := NewIOPolicy(nil, NewTable(4, addrs(4)))
+	all := addrs(4)
+	reps := replica.NewMap(2, all)
+	p := NewIOPolicy(nil, NewTable(2, []netsim.Addr{all[0], all[2]}))
+	p.Replicas = reps
 	fh := regFH(5, 0)
-	fh.MirrorDegree = 2
-	fh.Flags = fhandle.FlagMirrored
-	sites := p.StorageSites(fh, 3)
-	if len(sites) != 2 {
-		t.Fatalf("mirror degree 2 got %d sites", len(sites))
+	primaries := map[netsim.Addr]bool{}
+	for stripe := uint64(0); stripe < 8; stripe++ {
+		targets, err := p.WriteTargets(fh, stripe)
+		if err != nil || len(targets) != 2 || targets[0] == targets[1] {
+			t.Fatalf("stripe %d write targets: %v, %v", stripe, targets, err)
+		}
+		g, ok := reps.GroupOf(targets[0])
+		if !ok || g.Members[1] != targets[1] {
+			t.Fatalf("stripe %d: targets %v are not one group", stripe, targets)
+		}
+		r, err := p.ReadTarget(fh, stripe)
+		if err != nil || r != targets[0] {
+			t.Fatalf("stripe %d read target %v, want primary %v (%v)", stripe, r, targets[0], err)
+		}
+		primaries[r] = true
 	}
-	if sites[0] == sites[1] {
-		t.Fatal("replicas colocated")
-	}
-	targets, err := p.WriteTargets(fh, 3)
-	if err != nil || len(targets) != 2 {
-		t.Fatalf("write targets: %v, %v", targets, err)
-	}
-	// Reads alternate between the replicas by stripe index.
-	r0, _ := p.ReadTarget(fh, 0)
-	r1, _ := p.ReadTarget(fh, 1)
-	if r0 == r1 {
-		t.Fatal("mirrored reads do not alternate replicas")
+	if len(primaries) != 2 {
+		t.Fatalf("8 stripes read from %d of 2 groups", len(primaries))
 	}
 }
 
-func TestMirrorDegreeClampedToArray(t *testing.T) {
-	p := NewIOPolicy(nil, NewTable(2, addrs(2)))
-	fh := regFH(5, 0)
-	fh.MirrorDegree = 8
-	fh.Flags = fhandle.FlagMirrored
-	if got := len(p.StorageSites(fh, 0)); got != 2 {
-		t.Fatalf("degree clamp: %d sites from a 2-node array", got)
+// TestReplicationDegreeClampedToArray: a degree larger than the array
+// makes one group of every node, never a member twice.
+func TestReplicationDegreeClampedToArray(t *testing.T) {
+	all := addrs(2)
+	p := NewIOPolicy(nil, NewTable(1, all[:1]))
+	p.Replicas = replica.NewMap(8, all)
+	targets, err := p.WriteTargets(regFH(5, 0), 0)
+	if err != nil || len(targets) != 2 || targets[0] == targets[1] {
+		t.Fatalf("degree clamp: %v from a 2-node array (%v)", targets, err)
 	}
 }
 

@@ -416,7 +416,7 @@ func FuzzTableTransition(f *testing.F) {
 			}
 			_, pend := tbl.Bindings(nil)
 			if tbl.Transitioning() {
-				if len(pend.AppendNodes(nil, 99, 1)) != 1 {
+				if len(pend.AppendNodes(nil, 99)) != 1 {
 					t.Fatal("pending binding did not place a key mid-transition")
 				}
 				if len(pend.AppendAll(nil)) == 0 {

@@ -3,11 +3,12 @@ package sim
 import (
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
+	"slice/internal/replica"
 	"slice/internal/route"
 )
 
 // BulkConfig parameterizes the Table 2 experiment: sequential dd-style
-// I/O on large files through the striping and mirroring policies.
+// I/O on large files through the striping policy, mirrored or not.
 type BulkConfig struct {
 	StorageNodes int
 	Clients      int
@@ -52,9 +53,12 @@ type BulkResult struct {
 }
 
 // RunBulk simulates the bulk-I/O pipeline: each client keeps Window
-// 32KB transfers outstanding against the striped (optionally mirrored)
-// file; blocks route to storage nodes through route.IOPolicy exactly as
-// the µproxy routes them. Bandwidth is emergent from the queueing between
+// 32KB transfers outstanding against the striped file; blocks route to
+// storage nodes through route.IOPolicy exactly as the µproxy routes them.
+// Mirroring is the live stack's k = 2 replica-group policy: the table
+// routes to group primaries, writes fan out to both members, and each
+// read goes to one member picked from the stripe — the choice the
+// µproxy's spreadRead makes for a clean object. Bandwidth is emergent from the queueing between
 // client CPUs and storage-node streams.
 func RunBulk(cfg BulkConfig) BulkResult {
 	cfg.defaults()
@@ -73,6 +77,14 @@ func RunBulk(cfg BulkConfig) BulkResult {
 	}
 	policy := route.NewIOPolicy(nil, route.NewTable(cfg.StorageNodes, addrs))
 	policy.StripeUnit = uint64(cfg.BlockSize)
+	if cfg.Mirrored {
+		policy.Replicas = replica.NewMap(2, addrs)
+		var primaries []netsim.Addr
+		for _, g := range policy.Replicas.Groups() {
+			primaries = append(primaries, g.Members[0])
+		}
+		policy.Storage = route.NewTable(cfg.StorageNodes, primaries)
+	}
 
 	// Per-byte costs.
 	var clientPB, nodePB float64
@@ -109,10 +121,6 @@ func RunBulk(cfg BulkConfig) BulkResult {
 	for c := 0; c < cfg.Clients; c++ {
 		c := c
 		fh := fhandle.Handle{Volume: 1, FileID: uint64(1000 + c), Type: 1, Gen: 1}
-		if cfg.Mirrored {
-			fh.MirrorDegree = 2
-			fh.Flags = fhandle.FlagMirrored
-		}
 		next := 0
 		inflight := 0
 		var issue func()
@@ -140,8 +148,8 @@ func RunBulk(cfg BulkConfig) BulkResult {
 						finishOne()
 						return
 					}
-					// Mirrored writes fan out; the op completes when
-					// every replica has absorbed the block.
+					// Replicated writes fan out; the op completes when
+					// every member has absorbed the block.
 					pendingReplicas := len(targets)
 					for _, tgt := range targets {
 						nodes[nodeIndex[tgt]].Visit(nodeCost, func() {
@@ -156,6 +164,12 @@ func RunBulk(cfg BulkConfig) BulkResult {
 					if err != nil {
 						finishOne()
 						return
+					}
+					if g, ok := policy.Replicas.GroupOf(tgt); ok {
+						// A multiplicative hash: stripe%2 would advance in
+						// step with the striping itself and leave every
+						// group's second member idle.
+						tgt = g.Members[(stripe*0x9E3779B97F4A7C15)>>32%uint64(len(g.Members))]
 					}
 					nodes[nodeIndex[tgt]].Visit(nodeCost, finishOne)
 				}

@@ -27,14 +27,17 @@ import (
 // replicated with it.
 const backingTag = 0x5F
 
-// BackingID is the backing-object ID of small-file server i.
+// BackingID is the backing-object ID of small-file server i (i < 256).
 func BackingID(i int) storage.ObjectID {
 	return storage.ObjectID(backingTag<<56 | uint64(i))
 }
 
-// IsBackingID reports whether id names a small-file backing object.
+// IsBackingID reports whether id names a small-file backing object: one
+// BackingID can mint, the tag byte over seven bytes of which only the
+// lowest may be set. A striped file's object ID is a 64-bit fingerprint,
+// one in 256 of which starts with the tag byte too.
 func IsBackingID(id storage.ObjectID) bool {
-	return uint64(id)>>56 == backingTag
+	return uint64(id)&^0xFF == backingTag<<56
 }
 
 // LogicalBlock is the logical block size of small files.

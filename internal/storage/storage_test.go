@@ -379,10 +379,10 @@ func TestNodeObjProgramRPC(t *testing.T) {
 func TestObjectOfIgnoresHints(t *testing.T) {
 	a := testFH(3)
 	b := a
-	b.MirrorDegree = 2
-	b.Flags = fhandle.FlagMirrored
+	b.Site = 9
+	b.CellKey = 0xC0FFEE // where the µproxy stamps the capability
 	if ObjectOf(a) != ObjectOf(b) {
-		t.Fatal("placement hints changed the backing object identity")
+		t.Fatal("routing fields changed the backing object identity")
 	}
 }
 
