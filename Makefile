@@ -58,7 +58,7 @@ BENCH_WIRE_TIME ?= 3x
 BENCH_REBALANCE_TIME ?= 2x
 BENCH_TOLERANCE ?= 2.5
 bench-gate:
-	$(GO) test -run xxx -bench 'ProxyForward|ProxyBulkReply|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum' -benchmem \
+	$(GO) test -run xxx -bench 'ProxyForward|ProxyBulkReply|ProxyHandleRead|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum' -benchmem \
 	    -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -cpu 1,4 . > bench.out \
 	    || { cat bench.out; exit 1; }
 	$(GO) test -run xxx -bench 'FleetForward' -benchmem \
@@ -138,9 +138,10 @@ nightly-chaos:
 corpus:
 	$(GO) run ./tools/gencorpus
 
-# Fixed-budget run of every fuzz target (the checksum kernel, wire
-# parsers, the record-marking reader, the WAL scanner, and the
-# routing-table transition machine).
+# Fixed-budget run of every fuzz target (the checksum kernel and the
+# differential edits that must not launder corruption, wire parsers, the
+# record-marking reader, the WAL scanner, and the routing-table
+# transition machine).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/checksum/ -run '^$$' -fuzz FuzzSum -fuzztime $(FUZZTIME)
@@ -150,4 +151,5 @@ fuzz:
 	$(GO) test ./internal/nfsproto/ -run '^$$' -fuzz FuzzParseCall -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nfsproto/ -run '^$$' -fuzz FuzzParseMountPortmap -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim/ -run '^$$' -fuzz FuzzParseDatagram -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netsim/ -run '^$$' -fuzz FuzzDifferentialEdit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzReadRecord -fuzztime $(FUZZTIME)

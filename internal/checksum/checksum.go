@@ -19,32 +19,48 @@ import (
 // padded with zero.
 //
 // The sum is accumulated 64 bits at a time: 2^16 ≡ 1 (mod 2^16-1), so a
-// big-endian 64-bit load is four 16-bit words already in place, and an
-// end-around carry out of bit 63 re-enters at bit 0. Every payload byte
-// of a bulk transfer passes through here at least twice (sender Build,
-// receiver Parse), so the kernel takes 32 bytes per iteration.
+// 64-bit load is four 16-bit words already in place, and an end-around
+// carry out of bit 63 re-enters at bit 0. The loads are native-order
+// (little-endian): the ones'-complement sum of byte-swapped words is the
+// byte-swapped sum (RFC 1071 §2(B)), so the folded result is swapped once
+// instead of every word on the way in. Every payload byte of a bulk
+// transfer passes through here twice (sender Build, receiver Recv), so
+// the kernel takes 128 bytes per iteration.
 func Sum(p []byte) uint16 {
 	var s, c uint64
-	for len(p) >= 32 {
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(p), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[8:]), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[16:]), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(p[24:]), c)
-		p = p[32:]
+	for len(p) >= 128 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[24:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[32:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[40:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[48:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[56:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[64:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[72:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[80:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[88:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[96:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[104:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[112:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[120:]), c)
+		p = p[128:]
 	}
 	for len(p) >= 8 {
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(p), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p), c)
 		p = p[8:]
 	}
 	// At most 7 bytes remain: three words and an odd byte cannot overflow
-	// the 64-bit tail accumulator.
+	// the 64-bit tail accumulator. In native order the odd byte is the low
+	// half of its zero-padded word.
 	var t uint64
 	for len(p) >= 2 {
-		t += uint64(p[0])<<8 | uint64(p[1])
+		t += uint64(p[0]) | uint64(p[1])<<8
 		p = p[2:]
 	}
 	if len(p) == 1 {
-		t += uint64(p[0]) << 8
+		t += uint64(p[0])
 	}
 	s, c = bits.Add64(s, t, c)
 	s, c = bits.Add64(s, 0, c)
@@ -54,7 +70,7 @@ func Sum(p []byte) uint16 {
 	s = s>>16 + s&0xffff
 	s = s>>16 + s&0xffff
 	s = s>>16 + s&0xffff
-	return ^uint16(s)
+	return ^bits.ReverseBytes16(uint16(s))
 }
 
 // Update returns the checksum after a 16-bit word at an even offset changes

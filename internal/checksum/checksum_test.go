@@ -29,17 +29,18 @@ func sumBytePair(p []byte) uint16 {
 
 // TestSumMatchesBytePairOracle pins the word-wide kernel to the
 // reference loop across every block/tail split and start alignment the
-// unrolled loops can see, on random bytes and on all-0xFF input (every
-// add carries, so a dropped end-around carry shows), and on a 256 KiB
-// jumbo datagram.
+// unrolled loops can see — two whole 128-byte bodies and every tail
+// after them — on random bytes and on all-0xFF input (every add carries,
+// so a dropped end-around carry shows), and on a 256 KiB jumbo datagram.
 func TestSumMatchesBytePairOracle(t *testing.T) {
+	const maxLen = 600
 	rng := rand.New(rand.NewSource(1071))
-	random := make([]byte, 300+8)
+	random := make([]byte, maxLen+8)
 	rng.Read(random)
-	ones := bytes.Repeat([]byte{0xFF}, 300+8)
+	ones := bytes.Repeat([]byte{0xFF}, maxLen+8)
 	for _, src := range [][]byte{random, ones} {
 		for align := 0; align < 8; align++ {
-			for n := 0; n <= 300; n++ {
+			for n := 0; n <= maxLen; n++ {
 				p := src[align : align+n]
 				if got, want := Sum(p), sumBytePair(p); got != want {
 					t.Fatalf("len %d align %d (first byte %#x): Sum = %04x, oracle = %04x",
@@ -63,14 +64,22 @@ func TestSumMatchesBytePairOracle(t *testing.T) {
 	}
 }
 
-// FuzzSum checks Sum against the oracle on arbitrary bytes; the seeds
-// under testdata/fuzz/FuzzSum (tools/gencorpus) replay on plain go test.
+// FuzzSum checks Sum against the oracle on arbitrary bytes, copied to
+// every starting offset 0‥7 of a fresh heap buffer (16 bytes or more, so
+// its start is 8-byte aligned); the seeds under testdata/fuzz/FuzzSum
+// (tools/gencorpus) replay on plain go test.
 func FuzzSum(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xAB})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		if got, want := Sum(p), sumBytePair(p); got != want {
-			t.Fatalf("len %d: Sum = %04x, oracle = %04x", len(p), got, want)
+		want := sumBytePair(p)
+		buf := make([]byte, len(p)+16)
+		for align := 0; align < 8; align++ {
+			q := buf[align : align+len(p)]
+			copy(q, p)
+			if got := Sum(q); got != want {
+				t.Fatalf("len %d align %d: Sum = %04x, oracle = %04x", len(p), align, got, want)
+			}
 		}
 	})
 }

@@ -7,6 +7,9 @@
 // interposed element such as the Slice µproxy can do exactly what the
 // FreeBSD packet-filter prototype did: decode layer-3/4 fields from raw
 // bytes, rewrite addresses and ports, and fix the checksum incrementally.
+// A datagram is verified where it leaves the fabric, by Port.Recv and
+// TryRecv, which drop one that fails; an element that only edits a
+// datagram differentially leaves any corruption in place for them.
 //
 // Taps model interposition "along the network path": a tap sees every
 // datagram before delivery and may pass, drop, or consume it (injecting
@@ -104,6 +107,18 @@ var ErrBadDatagram = errors.New("netsim: bad datagram")
 // Parse decodes and validates the header of a datagram, verifying length
 // and checksum.
 func Parse(d []byte) (Header, error) {
+	h, err := ParseHeader(d)
+	if err == nil && !VerifyChecksum(d) {
+		err = fmt.Errorf("%w: checksum mismatch", ErrBadDatagram)
+	}
+	return h, err
+}
+
+// ParseHeader is Parse without the checksum pass, for a datagram that is
+// verified elsewhere: one Recv returned, or one an interposed element
+// forwards with differential edits only, for its receiver's Recv to
+// verify.
+func ParseHeader(d []byte) (Header, error) {
 	if len(d) < HeaderSize {
 		return Header{}, fmt.Errorf("%w: short datagram (%d bytes)", ErrBadDatagram, len(d))
 	}
@@ -121,9 +136,6 @@ func Parse(d []byte) (Header, error) {
 	}
 	if int(h.Length) != len(d) {
 		return h, fmt.Errorf("%w: length field %d != size %d", ErrBadDatagram, h.Length, len(d))
-	}
-	if !VerifyChecksum(d) {
-		return h, fmt.Errorf("%w: checksum mismatch", ErrBadDatagram)
 	}
 	return h, nil
 }
@@ -258,7 +270,7 @@ type Stats struct {
 	Sent      uint64
 	Delivered uint64
 	Lost      uint64 // dropped by configured loss
-	Dropped   uint64 // dropped by taps or full queues or unbound ports
+	Dropped   uint64 // dropped by taps, full queues, unbound ports or Recv's verify
 	Faulted   uint64 // dropped by the runtime fault plane (crash/partition/link drop)
 	Bytes     uint64
 }
@@ -443,7 +455,8 @@ func (p *Port) SendTo(dst Addr, payload []byte) error {
 // Recv blocks until a datagram arrives, the timeout expires (zero means no
 // timeout), or the port is closed. The returned slice is owned by the
 // caller, who should hand it back with FreeBuf once it (and anything
-// aliasing it) is no longer needed.
+// aliasing it) is no longer needed. It has been verified: a datagram whose
+// length or checksum is wrong is dropped (Stats.Dropped) and Recv waits on.
 func (p *Port) Recv(timeout time.Duration) ([]byte, error) {
 	var timer *time.Timer
 	var timeoutCh <-chan time.Time
@@ -452,26 +465,45 @@ func (p *Port) Recv(timeout time.Duration) ([]byte, error) {
 		defer timer.Stop()
 		timeoutCh = timer.C
 	}
-	select {
-	case d := <-p.ch:
-		return d, nil
-	case <-timeoutCh:
-		return nil, ErrTimeout
-	case <-p.closed:
-		return nil, ErrClosed
+	for {
+		select {
+		case d := <-p.ch:
+			if p.net.intact(d) {
+				return d, nil
+			}
+		case <-timeoutCh:
+			return nil, ErrTimeout
+		case <-p.closed:
+			return nil, ErrClosed
+		}
 	}
 }
 
-// TryRecv returns a queued datagram without blocking; ok is false when the
-// queue is empty. The wire gateway uses it to coalesce every datagram
-// already queued for a connection into one TCP write burst.
+// TryRecv returns a queued, verified datagram without blocking; ok is
+// false when the queue holds none. The wire gateway uses it to coalesce
+// every datagram already queued for a connection into one TCP write burst.
 func (p *Port) TryRecv() (d []byte, ok bool) {
-	select {
-	case d := <-p.ch:
-		return d, true
-	default:
-		return nil, false
+	for {
+		select {
+		case d := <-p.ch:
+			if p.net.intact(d) {
+				return d, true
+			}
+		default:
+			return nil, false
+		}
 	}
+}
+
+// intact verifies a datagram leaving the fabric; one that fails is freed
+// and counted dropped.
+func (n *Network) intact(d []byte) bool {
+	if _, err := Parse(d); err == nil {
+		return true
+	}
+	n.stats.dropped.Add(1)
+	FreeBuf(d)
+	return false
 }
 
 // ErrTimeout is returned by Recv when the timeout expires.

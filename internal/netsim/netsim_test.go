@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -312,6 +313,158 @@ func TestConcurrentSendersNoRace(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
+}
+
+// TestRecvDropsCorruptDatagrams: a datagram leaves the fabric verified.
+// Recv and TryRecv drop one whose checksum or length field is wrong,
+// count it in Stats.Dropped, and go on to the next.
+func TestRecvDropsCorruptDatagrams(t *testing.T) {
+	n := New(Config{})
+	a, _ := n.Bind(Addr{Host: 1, Port: 1})
+	b, _ := n.Bind(Addr{Host: 2, Port: 2})
+	inject := func(payload string, corrupt func([]byte)) {
+		d, err := Build(a.Addr(), b.Addr(), []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(d)
+		if err := n.Inject(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flipData := func(d []byte) { d[HeaderSize+3] ^= 0x10 }
+	cutShort := func(d []byte) { binary.BigEndian.PutUint32(d[OffLength:], uint32(len(d)-2)) }
+	keep := func([]byte) {}
+
+	inject("corrupt payload", flipData)
+	inject("wrong length", cutShort)
+	inject("first clean", keep)
+	d, err := b.Recv(time.Second)
+	if err != nil || string(Payload(d)) != "first clean" {
+		t.Fatalf("Recv = %q, %v; want the clean datagram behind two bad ones", Payload(d), err)
+	}
+	FreeBuf(d)
+	inject("corrupt again", flipData)
+	inject("second clean", keep)
+	if d, ok := b.TryRecv(); !ok || string(Payload(d)) != "second clean" {
+		t.Fatalf("TryRecv = %q, %v; want the clean datagram behind a bad one", Payload(d), ok)
+	}
+	inject("corrupt alone", flipData)
+	if _, ok := b.TryRecv(); ok {
+		t.Fatal("TryRecv returned a corrupt datagram")
+	}
+	if _, err := b.Recv(10 * time.Millisecond); err != ErrTimeout {
+		t.Fatalf("Recv on a queue of nothing intact: %v, want ErrTimeout", err)
+	}
+	if s := n.Stats(); s.Dropped != 4 || s.Delivered != 6 {
+		t.Fatalf("dropped %d of %d delivered, want 4 of 6", s.Dropped, s.Delivered)
+	}
+}
+
+// TestRecvDropLoopEndsOnClose: a Recv dropping a stream of corrupt
+// datagrams still returns ErrClosed once the port closes under it.
+func TestRecvDropLoopEndsOnClose(t *testing.T) {
+	n := New(Config{QueueLen: 64})
+	a, _ := n.Bind(Addr{Host: 1, Port: 1})
+	b, _ := n.Bind(Addr{Host: 2, Port: 2})
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Recv(0)
+		done <- err
+	}()
+	for i := 0; i < 200; i++ {
+		d, _ := Build(a.Addr(), b.Addr(), []byte("never intact"))
+		d[HeaderSize] ^= 0x01
+		_ = n.Inject(d)
+		if i == 100 {
+			b.Close()
+		}
+	}
+	if err := <-done; err != ErrClosed {
+		t.Fatalf("Recv = %v, want ErrClosed", err)
+	}
+}
+
+// FuzzDifferentialEdit: a datagram with one corrupted byte stays corrupt
+// through each differential edit the µproxy makes — RewriteSrc,
+// RewriteDst, RewriteUint64, RewriteBytes, TrimTail — unless the edit
+// overwrote or cut every corrupted byte. That is why the µproxy may
+// forward READ and WRITE traffic without reading it: the receiver's Recv
+// still drops what the fabric corrupted. flip picks the byte (low 24 bits)
+// and its xor mask (top 8); edit picks each edit's offset (low 16 bits)
+// and length (top 16). Seeds: testdata/fuzz/FuzzDifferentialEdit
+// (tools/gencorpus).
+func FuzzDifferentialEdit(f *testing.F) {
+	f.Add([]byte("an NFS-sized payload for the edits"), uint32(0x40000021), uint32(0x00060008))
+	f.Fuzz(func(t *testing.T, payload []byte, flip, edit uint32) {
+		if len(payload) > 4096 {
+			payload = payload[:4096]
+		}
+		good, err := Build(Addr{Host: 10, Port: 2049}, Addr{Host: 200, Port: 999}, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(flip&0xFFFFFF) % len(good)
+		mask := byte(flip >> 24)
+		if mask == 0 {
+			mask = 1
+		}
+		span := len(good) - HeaderSize + 1
+		off := HeaderSize + int(edit&0xFFFF)%span&^1
+		n := int(edit>>16) % span
+		patch := bytes.Repeat([]byte{0xA5, byte(edit)}, n/2+1)[:n]
+		// Each edit returns the edited datagram and the byte ranges
+		// [lo, hi) it overwrote or cut; a refused edit covers nothing.
+		type region struct{ lo, hi int }
+		edits := []struct {
+			name  string
+			apply func(d []byte) ([]byte, []region)
+		}{
+			{"RewriteSrc", func(d []byte) ([]byte, []region) {
+				RewriteSrc(d, Addr{Host: edit, Port: uint16(flip)})
+				return d, []region{{OffSrcHost, OffSrcHost + 4}, {OffSrcPort, OffSrcPort + 2}}
+			}},
+			{"RewriteDst", func(d []byte) ([]byte, []region) {
+				RewriteDst(d, Addr{Host: ^edit, Port: uint16(flip >> 8)})
+				return d, []region{{OffDstHost, OffDstHost + 4}, {OffDstPort, OffDstPort + 2}}
+			}},
+			{"RewriteUint64", func(d []byte) ([]byte, []region) {
+				if RewriteUint64(d, off, uint64(edit)*0x9E3779B97F4A7C15) != nil {
+					return d, nil
+				}
+				return d, []region{{off, off + 8}}
+			}},
+			{"RewriteBytes", func(d []byte) ([]byte, []region) {
+				if RewriteBytes(d, off, patch) != nil {
+					return d, nil
+				}
+				return d, []region{{off, off + len(patch)}}
+			}},
+			{"TrimTail", func(d []byte) ([]byte, []region) {
+				out, err := TrimTail(d, n&^1)
+				if err != nil {
+					return d, nil
+				}
+				return out, []region{{len(out), len(d)}, {OffLength, OffLength + 4}}
+			}},
+		}
+		for _, e := range edits {
+			d := GetBuf(len(good))
+			copy(d, good)
+			d[at] ^= mask
+			out, covered := e.apply(d)
+			hit := false
+			for _, r := range covered {
+				hit = hit || r.lo <= at && at < r.hi
+			}
+			if !hit && VerifyChecksum(out) {
+				t.Fatalf("%s laundered a corrupt byte at %d (mask %#x) of %d: the datagram verifies",
+					e.name, at, mask, len(good))
+			}
+			FreeBuf(d)
+		}
+		FreeBuf(good)
+	})
 }
 
 func TestAddrString(t *testing.T) {

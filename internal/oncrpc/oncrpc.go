@@ -870,9 +870,9 @@ func (s *Server) worker() {
 }
 
 // serve handles one received datagram: parse, duplicate suppression,
-// handler, reply. It owns d.
+// handler, reply. It owns d, which the port's Recv has verified.
 func (s *Server) serve(d []byte) {
-	h, err := netsim.Parse(d)
+	h, err := netsim.ParseHeader(d)
 	if err != nil {
 		netsim.FreeBuf(d)
 		return

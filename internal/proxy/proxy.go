@@ -450,11 +450,12 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 		key := pendKey{client: dst, xid: binary.BigEndian.Uint32(payload[oncrpc.OffXid:])}
 		s := p.shardFor(key)
 		s.mu.Lock()
-		_, ok := s.pend[key]
+		pd, ok := s.pend[key]
+		verify := ok && !pd.clientVerifies()
 		s.mu.Unlock()
 		p.lap(&clk, stIntercept)
 		if ok {
-			return p.handleResponse(d, key, clk)
+			return p.handleResponse(d, key, clk, verify)
 		}
 		p.settle(&clk, nil)
 	}
@@ -487,7 +488,7 @@ func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.Reque
 // a helper goroutine.
 func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	clk := p.startClock()
-	h, err := netsim.Parse(d)
+	h, err := netsim.ParseHeader(d)
 	if err != nil {
 		return p.consumeDrop(d)
 	}
@@ -495,64 +496,26 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	if err != nil {
 		return p.consumeDrop(d)
 	}
-	key := pendKey{client: h.Src, xid: call.Xid}
-
-	// Retransmission while the original is in flight: the forwarded
-	// packet or its reply may have been lost past the µproxy, so the
-	// retransmission must be re-forwarded along the recorded path; the
-	// servers' duplicate-request caches absorb genuine repeats. (A
-	// µproxy that swallowed retransmissions would turn one lost packet
-	// into a permanently stuck request — the end-to-end recovery of
-	// §2.1 depends on the µproxy staying transparent to retries.)
-	// The recorded path is copied out under the shard lock: the record
-	// is pooled and may be recycled the moment the lock is released.
-	s := p.shardFor(key)
-	s.mu.Lock()
-	if pd := s.pend[key]; pd != nil {
-		var tbuf [4]netsim.Addr
-		var targets []netsim.Addr
-		if len(pd.targets) <= len(tbuf) {
-			targets = tbuf[:copy(tbuf[:], pd.targets)]
-		} else {
-			targets = append([]netsim.Addr(nil), pd.targets...)
-		}
-		info := pd.info
-		prog, proc, ver := pd.prog, pd.proc, pd.routeVer
-		s.mu.Unlock()
-		p.lap(&clk, stDecode)
-		p.settle(&clk, nil)
-		// If the routing tables changed since the path was recorded, the
-		// recorded servers may be dead (crashed and republished at new
-		// addresses): re-resolve the path so the client's end-to-end
-		// retries — the §2.1 recovery mechanism — reach the survivors.
-		if cur := p.routeVersion(); ver != cur {
-			if fresh, ok := p.retargets(prog, proc, info); ok {
-				targets = fresh
-				s.mu.Lock()
-				if pd2 := s.pend[key]; pd2 != nil {
-					if len(fresh) <= len(pd2.targetsBuf) {
-						pd2.targets = pd2.targetsBuf[:copy(pd2.targetsBuf[:], fresh)]
-					} else {
-						pd2.targets = append([]netsim.Addr(nil), fresh...)
-					}
-					pd2.routeVer = cur
-				}
-				s.mu.Unlock()
-			}
-		}
-		// Storage-bound retransmissions need the capability re-stamped:
-		// the client resends the raw handle.
-		if len(p.cfg.CapKey) > 0 && !p.cfg.IO.SmallFileTarget(info.Offset) &&
-			(nfsproto.Proc(call.Proc) == nfsproto.ProcRead ||
-				nfsproto.Proc(call.Proc) == nfsproto.ProcWrite) {
-			capVal := fhandle.Capability(p.cfg.CapKey, info.FH)
-			off := netsim.HeaderSize + oncrpc.CallHeader + info.FHOffset + capFieldOffset
-			_ = netsim.RewriteUint64(d, off, capVal)
-		}
-		p.injectToAll(d, targets)
-		return netsim.Consumed
+	proc := nfsproto.Proc(call.Proc)
+	// READ and WRITE are forwarded in place, and every edit the µproxy
+	// makes to them repairs the checksum differentially, leaving a corrupt
+	// datagram's error for the server's Recv to catch: their payload is
+	// never read here. Every other call is small and is absorbed,
+	// orchestrated or routed by more of its bytes, so it is verified.
+	checked := !inPlace(call.Program, proc)
+	if checked && !netsim.VerifyChecksum(d) {
+		return p.consumeDrop(d)
 	}
-	s.mu.Unlock()
+	var info nfsproto.RequestInfo
+	if call.Program == nfsproto.Program {
+		if info, err = nfsproto.ParseCall(proc, call.Body); err != nil {
+			return p.consumeDrop(d)
+		}
+	}
+	key := pendKey{client: h.Src, xid: call.Xid}
+	if v, replayed := p.retransmit(d, key, &call, &info, checked, &clk); replayed {
+		return v
+	}
 
 	if call.Program == mountProgram {
 		pd := p.newPending(clk, &call, nil)
@@ -589,12 +552,6 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		return netsim.Consumed
 	}
 	if call.Program != nfsproto.Program {
-		return p.consumeDrop(d)
-	}
-
-	proc := nfsproto.Proc(call.Proc)
-	info, err := nfsproto.ParseCall(proc, call.Body)
-	if err != nil {
 		return p.consumeDrop(d)
 	}
 	pd := p.newPending(clk, &call, &info)
@@ -644,6 +601,101 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		pd.hop = obs.HopDirsrv
 		return p.forward(d, key, pd, addr)
 	}
+}
+
+// inPlace reports whether calls of proc are forwarded in place without the
+// µproxy verifying them — READ and WRITE (handleRequest) — so a pending
+// record of one was built from bytes nobody has verified yet.
+func inPlace(prog uint32, proc nfsproto.Proc) bool {
+	return prog == nfsproto.Program && (proc == nfsproto.ProcRead || proc == nfsproto.ProcWrite)
+}
+
+// retransmit handles a call whose key already has a pending record and
+// reports whether it did; otherwise the caller routes the call fresh.
+//
+// Retransmission while the original is in flight: the forwarded packet or
+// its reply may have been lost past the µproxy, so the retransmission must
+// be re-forwarded along the recorded path; the servers' duplicate-request
+// caches absorb genuine repeats. (A µproxy that swallowed retransmissions
+// would turn one lost packet into a permanently stuck request — the
+// end-to-end recovery of §2.1 depends on the µproxy staying transparent to
+// retries.) The recorded path is copied out under the shard lock: the
+// record is pooled and may be recycled the moment the lock is released.
+//
+// A READ's or WRITE's record was built from unverified bytes, so its
+// retransmission is verified (checked says whether handleRequest already
+// did) and must agree with it in procedure, handle and offset — what the
+// record was routed, stamped and will account the reply by. One that does
+// not came from a corrupt first transmission, which every server's Recv
+// dropped: it is discarded — its load slot, dirty mark and span released —
+// and the retransmission routed fresh rather than along a wrong path with
+// a capability for the wrong handle.
+func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfsproto.RequestInfo, checked bool, clk *lapClock) (netsim.Verdict, bool) {
+	s := p.shardFor(key)
+	s.mu.Lock()
+	pd := s.pend[key]
+	if pd != nil && !checked && inPlace(pd.prog, pd.proc) {
+		s.mu.Unlock()
+		if !netsim.VerifyChecksum(d) {
+			return p.consumeDrop(d), true
+		}
+		s.mu.Lock()
+		pd = s.pend[key]
+	}
+	if pd == nil {
+		s.mu.Unlock()
+		return 0, false
+	}
+	if inPlace(pd.prog, pd.proc) && (pd.prog != call.Program || pd.proc != nfsproto.Proc(call.Proc) ||
+		pd.info.FH != info.FH || pd.info.Offset != info.Offset) {
+		delete(s.pend, key)
+		s.mu.Unlock()
+		if p.dirty != nil {
+			p.settleReplica(pd, nil)
+		}
+		p.dropPending(pd)
+		return 0, false
+	}
+	var tbuf [4]netsim.Addr
+	var targets []netsim.Addr
+	if len(pd.targets) <= len(tbuf) {
+		targets = tbuf[:copy(tbuf[:], pd.targets)]
+	} else {
+		targets = append([]netsim.Addr(nil), pd.targets...)
+	}
+	rec := pd.info
+	prog, proc, ver := pd.prog, pd.proc, pd.routeVer
+	s.mu.Unlock()
+	p.lap(clk, stDecode)
+	p.settle(clk, nil)
+	// If the routing tables changed since the path was recorded, the
+	// recorded servers may be dead (crashed and republished at new
+	// addresses): re-resolve the path so the client's end-to-end retries —
+	// the §2.1 recovery mechanism — reach the survivors.
+	if cur := p.routeVersion(); ver != cur {
+		if fresh, ok := p.retargets(prog, proc, rec); ok {
+			targets = fresh
+			s.mu.Lock()
+			if pd2 := s.pend[key]; pd2 != nil {
+				if len(fresh) <= len(pd2.targetsBuf) {
+					pd2.targets = pd2.targetsBuf[:copy(pd2.targetsBuf[:], fresh)]
+				} else {
+					pd2.targets = append([]netsim.Addr(nil), fresh...)
+				}
+				pd2.routeVer = cur
+			}
+			s.mu.Unlock()
+		}
+	}
+	// Storage-bound retransmissions need the capability re-stamped: the
+	// client resends the raw handle.
+	if len(p.cfg.CapKey) > 0 && inPlace(prog, proc) && !p.cfg.IO.SmallFileTarget(rec.Offset) {
+		capVal := fhandle.Capability(p.cfg.CapKey, rec.FH)
+		off := netsim.HeaderSize + oncrpc.CallHeader + rec.FHOffset + capFieldOffset
+		_ = netsim.RewriteUint64(d, off, capVal)
+	}
+	p.injectToAll(d, targets)
+	return netsim.Consumed, true
 }
 
 // routeIO directs a read or write at the small-file server or the storage

@@ -14,9 +14,15 @@ import (
 // forwards the reply to the client. It runs inline on the sender's
 // goroutine; only responses with an orchestration hook (which issues
 // blocking RPCs) are finished on a helper goroutine. clk is the reply's
-// clock, started when Handle took it off the fabric.
-func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdict {
-	h, err := netsim.Parse(d)
+// clock, started when Handle took it off the fabric; verify is false when
+// the record Handle probed is a READ's, whose reply only patchRead edits
+// (or, if it cannot, respondIO verifies before re-encoding).
+func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool) netsim.Verdict {
+	parse := netsim.ParseHeader
+	if verify {
+		parse = netsim.Parse
+	}
+	h, err := parse(d)
 	if err != nil {
 		return p.consumeDrop(d)
 	}
@@ -47,6 +53,11 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdi
 			}
 		}
 		return netsim.Pass
+	}
+	if !verify && !pd.clientVerifies() {
+		// The record changed since Handle probed it: verify after all.
+		s.mu.Unlock()
+		return p.handleResponse(d, key, clk, true)
 	}
 	if len(pd.targets) > 1 {
 		// Fan-out: count each target once, even when retransmissions
@@ -110,13 +121,23 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock) netsim.Verdi
 	return netsim.Consumed
 }
 
-// settleReplica retires a completed request's replica bookkeeping: a
-// spread read releases its load slot; a fanned-out write clears its
-// dirty mark only when every replica acknowledged success. A failed or
-// partial fan-out leaves the object dirty — the safe over-approximation:
-// its reads pin to the primary until a retransmission completes the
-// fan-out or a COMMIT barrier force-clears the entry.
-func (p *Proxy) settleReplica(pd *pendingReq, rep oncrpc.Reply) {
+// clientVerifies reports whether pd's reply is left for the client's Recv
+// to verify: a READ's, which patchRead edits only differentially (and
+// respondIO verifies before it re-encodes one it cannot patch). Every
+// other reply is verified on arrival, before the µproxy re-encodes it,
+// harvests attributes from it or counts its source.
+func (pd *pendingReq) clientVerifies() bool {
+	return pd.prog == nfsproto.Program && pd.proc == nfsproto.ProcRead
+}
+
+// settleReplica retires a request's replica bookkeeping: a spread read
+// releases its load slot; a fanned-out write clears its dirty mark only
+// when every replica acknowledged success. A failed or partial fan-out
+// leaves the object dirty — the safe over-approximation: its reads pin to
+// the primary until a retransmission completes the fan-out or a COMMIT
+// barrier force-clears the entry. A nil rep is a discarded record's, whose
+// write no member accepted: its mark goes.
+func (p *Proxy) settleReplica(pd *pendingReq, rep *oncrpc.Reply) {
 	if slot := int(pd.readSlot) - 1; slot >= 0 && slot < len(p.loads) {
 		p.loads[slot].Add(-1)
 	}
@@ -124,7 +145,7 @@ func (p *Proxy) settleReplica(pd *pendingReq, rep oncrpc.Reply) {
 		return
 	}
 	// rep.Body already holds the worst outcome (errReply) of the fan-out.
-	if rep.Accept == oncrpc.AcceptSuccess && replyStatus(pd.proc, rep.Body) == nfsproto.OK {
+	if rep == nil || rep.Accept == oncrpc.AcceptSuccess && replyStatus(pd.proc, rep.Body) == nfsproto.OK {
 		p.dirty.ClearWrite(pd.dirtyKey)
 	}
 }
@@ -133,7 +154,7 @@ func (p *Proxy) settleReplica(pd *pendingReq, rep oncrpc.Reply) {
 // handler, then recycles the pending record.
 func (p *Proxy) finishResponse(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
 	if p.dirty != nil {
-		p.settleReplica(pd, rep)
+		p.settleReplica(pd, &rep)
 	}
 	if pd.prog != nfsproto.Program || rep.Accept != oncrpc.AcceptSuccess {
 		p.passThrough(d, pd)
@@ -211,6 +232,13 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 					return
 				}
 			}
+		}
+		// The bytes are about to go into a fresh datagram, whose new
+		// checksum would launder any corruption: verify them first.
+		if !netsim.VerifyChecksum(d) {
+			p.st.dropped.Add(1)
+			netsim.FreeBuf(d)
+			return
 		}
 		var res nfsproto.ReadRes
 		if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {

@@ -254,6 +254,69 @@ func TestDropCounterNoPeer(t *testing.T) {
 	}
 }
 
+// TestCorruptDatagramNeverReachesSocket: a gateway's peer ports are where
+// replies leave the fabric, so they verify there. A corrupt datagram
+// addressed to a peer is dropped by the port's Recv/TryRecv — counted as a
+// fabric drop, not a gateway one — and never written to the socket; the
+// clean one behind it is.
+func TestCorruptDatagramNeverReachesSocket(t *testing.T) {
+	for _, f := range framings {
+		t.Run(f.name, func(t *testing.T) {
+			n := netsim.New(netsim.Config{})
+			startEcho(t, n)
+			gw, err := f.listen("127.0.0.1:0", n, testVirtual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			c, err := f.dial(gw.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			pingPong(t, c, "admit me")
+			gw.mu.Lock()
+			var peer netsim.Addr
+			for _, p := range gw.peers {
+				peer = p.port.Addr()
+			}
+			gw.mu.Unlock()
+
+			send := func(payload string, corrupt bool) {
+				d, err := netsim.Build(testVirtual, peer, []byte(payload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if corrupt {
+					d[netsim.HeaderSize+2] ^= 0x08
+				}
+				if err := n.Inject(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dropped := n.Stats().Dropped
+			send("corrupt", true)
+			send("clean", false)
+			d, err := c.Recv(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer netsim.FreeBuf(d)
+			if got := string(d[netsim.HeaderSize:]); got != "clean" {
+				t.Fatalf("socket received %q, want only the clean datagram", got)
+			}
+			if got := n.Stats().Dropped - dropped; got != 1 {
+				t.Fatalf("fabric dropped %d datagrams, want the corrupt one", got)
+			}
+			// (The pump counts a reply after writing it.)
+			waitFor(t, "tx counters", func() bool { return gw.Stats().TxRecords == 2 })
+			if s := gw.Stats(); s.Drops != 0 {
+				t.Fatalf("gateway counted %d drops, want 0", s.Drops)
+			}
+		})
+	}
+}
+
 // TestDropWriteCountsRecords pins the outbound drop accounting: a stream
 // whose flush fails loses every record coalesced into that burst, and
 // each is one dropped reply — not one per burst.

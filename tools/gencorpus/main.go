@@ -86,16 +86,16 @@ func emitWire() {
 }
 
 // emitChecksum seeds FuzzSum, which checks the word-wide checksum kernel
-// against the byte-pair reference loop: lengths around the 32- and 8-byte
-// block edges of the unrolled loops, odd tails, and all-ones input, where
-// every addition carries.
+// against the byte-pair reference loop at every starting offset 0‥7:
+// lengths around the 128- and 8-byte block edges of the unrolled loops,
+// odd tails, and all-ones input, where every addition carries.
 func emitChecksum() {
 	const target = "FuzzSum"
 	ramp := make([]byte, 300)
 	for i := range ramp {
 		ramp[i] = byte(i*37 + 11)
 	}
-	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 65, 300} {
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 65, 127, 128, 129, 255, 256, 257, 300} {
 		write("checksum", target, fmt.Sprintf("seed_ramp_%03d", n), ramp[:n])
 	}
 	ones := bytes.Repeat([]byte{0xFF}, 4099)
@@ -126,6 +126,26 @@ func emitNetsim() {
 
 	header := append([]byte(nil), good[:netsim.HeaderSize]...)
 	write("netsim", target, "seed_header_only", header)
+
+	// FuzzDifferentialEdit(payload, flip, edit): flip is the corrupted
+	// byte's index (low 24 bits) and xor mask (top 8); edit is the offset
+	// (low 16) and length (top 16) of the RewriteUint64/RewriteBytes/
+	// TrimTail edits. A READ-reply-sized payload, corrupted in the data, in
+	// each header field an edit writes or reads, and in the tail TrimTail
+	// cuts; an odd length, which TrimTail refuses.
+	const edit = "FuzzDifferentialEdit"
+	reply := bytes.Repeat([]byte("data"), 1024+28)
+	flip := func(at int, mask byte) uint32 { return uint32(mask)<<24 | uint32(at) }
+	span := func(off, n int) uint32 { return uint32(n)<<16 | uint32(off) }
+	write("netsim", edit, "seed_data_attr_patch", reply, flip(netsim.HeaderSize+200, 0x80), span(12, 84))
+	write("netsim", edit, "seed_inside_patch", reply, flip(netsim.HeaderSize+40, 0x01), span(24, 84))
+	write("netsim", edit, "seed_src_field", reply, flip(netsim.OffSrcPort+1, 0x04), span(8, 24))
+	write("netsim", edit, "seed_dst_field", reply, flip(netsim.OffDstHost, 0xFF), span(8, 24))
+	write("netsim", edit, "seed_checksum_field", reply, flip(netsim.OffChecksum, 0x10), span(16, 24))
+	write("netsim", edit, "seed_length_field", reply, flip(netsim.OffLength+3, 0x02), span(0, 0))
+	write("netsim", edit, "seed_reserved_field", reply, flip(netsim.OffChecksum+2, 0x01), span(0, 24))
+	write("netsim", edit, "seed_cut_tail", reply, flip(netsim.HeaderSize+len(reply)-3, 0x20), span(0, 24))
+	write("netsim", edit, "seed_odd_length", reply[:101], flip(netsim.HeaderSize+99, 0x08), span(2, 24))
 }
 
 func emitNfsproto() {
