@@ -102,7 +102,7 @@ lint: vet
 # COVER_FLOOR% of statements overall, and two correctness-critical
 # packages must also meet per-package floors on their own —
 # cross-package chaos tests don't count toward them: internal/replica
-# (replica map + resync protocol) and internal/rebalance (online block
+# (replica map + peer program) and internal/rebalance (online block
 # migration; its floor is higher because a missed branch there is lost
 # data, not a missed optimization).
 COVER_FLOOR ?= 65

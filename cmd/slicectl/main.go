@@ -235,8 +235,9 @@ func runStats(rc *oncrpc.Client, args []string) error {
 // printReplicaSection renders replica health from the cluster snapshot:
 // the µproxy fleet's dirty-set occupancy and pinned reads, the per-group
 // read-spread balance (the replica.read[g.m] hists count spread reads per
-// member slot), and per-node resync sizes from the storage tier. Silent
-// on an unreplicated array — no replica hists ever record.
+// member slot). A replica rebirth is a rebalance transition and shows in
+// rebalance-status. Silent on an unreplicated array — no replica hists
+// ever record.
 func printReplicaSection(snap obs.ClusterSnapshot) {
 	up, _ := snap.MergeRole("uproxy", "uproxy(fleet)")
 
@@ -290,13 +291,6 @@ func printReplicaSection(snap obs.ClusterSnapshot) {
 			balance = float64(min) / float64(max)
 		}
 		fmt.Printf("  group %d read spread: %s balance=%.2f\n", g, strings.Join(parts, " "), balance)
-	}
-	// Resyncs report from each storage node's registry: one sample per
-	// rebuild, valued at the bytes copied from the surviving sibling.
-	for _, comp := range snap.Components {
-		if h, ok := comp.Hists["replica.resync_bytes"]; ok && h.Count() > 0 {
-			fmt.Printf("  %s resyncs: %d (last ~%d bytes)\n", comp.Component, h.Count(), h.Max())
-		}
 	}
 }
 

@@ -2,12 +2,16 @@ package chaos
 
 import (
 	"bytes"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"slice/internal/client"
 	"slice/internal/ensemble"
+	"slice/internal/netsim"
 	"slice/internal/oncrpc"
+	"slice/internal/replica"
 	"slice/internal/storage"
 	"slice/internal/workload"
 )
@@ -33,8 +37,8 @@ func newReplicatedEnsemble(t *testing.T, mutate func(*ensemble.Config)) *ensembl
 // demonstrably stalls against it, then the kill publishes the member
 // removal. The write and its COMMIT barrier must complete with no
 // client-visible error (stalled fan-outs retarget onto the survivor at
-// their next retransmission), and after the member is reborn and
-// resynced from its sibling, every group must be byte-identical and the
+// their next retransmission), and after the member is reborn by a
+// rebalance transition, every group must be byte-identical and the
 // namespace fsck-clean.
 func TestReplicaKillMidWindowedBulkWrite(t *testing.T) {
 	e := newReplicatedEnsemble(t, nil)
@@ -100,8 +104,8 @@ func TestReplicaKillMidWindowedBulkWrite(t *testing.T) {
 		t.Fatalf("commit barrier with a dead replica: %v", err)
 	}
 
-	// Rebirth: empty store, resynced from the surviving sibling before
-	// the member serves or rejoins the group.
+	// Rebirth: empty store, copied from the surviving sibling by a
+	// transition before the member rejoins the live group.
 	if _, err := ch.RestartReplica(killed); err != nil {
 		t.Fatalf("replica restart: %v", err)
 	}
@@ -114,7 +118,7 @@ func TestReplicaKillMidWindowedBulkWrite(t *testing.T) {
 // an untar streams namespace updates and an SFS-like mix (SPECsfs97 op
 // shares, small-file skew) grinds the data path from a second client.
 // Both workloads must complete without client-visible errors, no
-// acknowledged entry may be lost, and after resync the groups are
+// acknowledged entry may be lost, and after the rebirth the groups are
 // byte-identical and the namespace fsck-clean.
 func TestReplicaKillMidUntarUnderSfsMix(t *testing.T) {
 	e := newReplicatedEnsemble(t, nil)
@@ -257,5 +261,187 @@ func TestCoordinatorRecoveryWaitsForReplicaMember(t *testing.T) {
 	if _, ok := member.Size(obj); ok {
 		t.Fatal("finished remove left the file's blocks on the replica member (orphan)")
 	}
+	FsckClean(t, e)
+}
+
+// storageAddr is storage node i's service address.
+func storageAddr(i int) netsim.Addr {
+	return netsim.Addr{Host: ensemble.HostStorage0 + uint32(i), Port: ensemble.ServicePort}
+}
+
+// fillGen writes generation g of chunk i: consecutive generations differ
+// in every byte, so a stale chunk cannot pass for a fresh one.
+func fillGen(p []byte, i, g int) {
+	for j := range p {
+		p[j] = byte(j*31 + i*131 + g*97)
+	}
+}
+
+// TestReplicaRebirthUnderOverwrite: a member is reborn while a writer
+// overwrites a file pass after pass, one PeerChunk-sized WRITE at a
+// time. Every write acknowledged before the member rejoins must be on
+// it — including one to a chunk the rebirth had already copied — so
+// once the surviving sibling is killed and every read comes from the
+// reborn member alone, the file must read back at the generation of
+// each chunk's last acknowledged write.
+func TestReplicaRebirthUnderOverwrite(t *testing.T) {
+	e := newReplicatedEnsemble(t, nil)
+	ch := e.Chaos()
+	// Serial: a WRITE returns only once every replica acknowledged it.
+	w, err := e.NewSerialClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	fh, _, err := w.Create(w.Root(), "rebirth-overwrite", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = replica.PeerChunk
+	const chunks = 64 // 2 MiB
+	gen := make([]int, chunks)
+	buf := make([]byte, chunk)
+	for i := range gen {
+		fillGen(buf, i, 1)
+		if _, err := w.Write(fh, uint64(i*chunk), buf, false); err != nil {
+			t.Fatal(err)
+		}
+		gen[i] = 1
+	}
+	if _, err := w.Commit(fh); err != nil {
+		t.Fatal(err)
+	}
+
+	killed, err := ch.KillReplicaUnderWrite(1) // node 3; node 2 survives
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restarted atomic.Bool
+	overwriting := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		buf := make([]byte, chunk)
+		for g := 2; ; g++ {
+			for i := range gen {
+				fillGen(buf, i, g)
+				if _, err := w.Write(fh, uint64(i*chunk), buf, false); err != nil {
+					done <- err
+					return
+				}
+				gen[i] = g
+				if g == 2 && i == 0 {
+					close(overwriting)
+				}
+				if restarted.Load() {
+					done <- nil
+					return
+				}
+			}
+		}
+	}()
+	<-overwriting
+	_, rerr := ch.RestartReplica(killed)
+	restarted.Store(true)
+	if err := <-done; err != nil {
+		t.Fatalf("overwrite across the rebirth: %v", err)
+	}
+	if rerr != nil {
+		t.Fatalf("replica restart: %v", rerr)
+	}
+	if _, err := w.Commit(fh); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every read now comes from the reborn member.
+	ch.KillReplica(2)
+	want := make([]byte, chunks*chunk)
+	for i, g := range gen {
+		fillGen(want[i*chunk:(i+1)*chunk], i, g)
+	}
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	VerifyBytes(t, e, c, fh, want)
+	FsckClean(t, e)
+}
+
+// TestReplicaPrimaryRebirth: a group's primary dies, a write lands on
+// the promoted survivor alone, and the old primary is reborn. The
+// storage table must keep routing the group's sites to the survivor
+// while the transition is open and hand them back to the reborn primary
+// only at the commit; then the group is byte-identical, the file reads
+// back, and the namespace is fsck-clean.
+func TestReplicaPrimaryRebirth(t *testing.T) {
+	e := newReplicatedEnsemble(t, nil)
+	ch := e.Chaos()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh, _, err := c.Create(c.Root(), "primary-rebirth", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 1024*1024)
+	fillGen(data, 0, 1)
+	if err := c.WriteFile(fh, data); err != nil {
+		t.Fatal(err)
+	}
+
+	primary, survivor := storageAddr(2), storageAddr(3) // group 1
+	ch.KillReplica(2)
+	if phys := e.StorageTable.Physical(); slices.Contains(phys, primary) || !slices.Contains(phys, survivor) {
+		t.Fatalf("after the kill the table binds %v, want the promoted survivor", phys)
+	}
+	fillGen(data, 0, 2)
+	if err := c.WriteFile(fh, data); err != nil {
+		t.Fatalf("write through the promoted survivor: %v", err)
+	}
+
+	// Check the table at every datagram the driver sends the reborn
+	// primary: each one is inside the open transition, so the current
+	// sites must still route to the survivor and the pending binding must
+	// hold the primary.
+	var copies atomic.Int64
+	var wrong atomic.Value
+	tok := e.Net.AddTap(netsim.TapFunc(func(d []byte) netsim.Verdict {
+		h, err := netsim.ParseHeader(d)
+		if err != nil || h.Src.Host != ensemble.HostRebalance || h.Dst != primary {
+			return netsim.Pass
+		}
+		copies.Add(1)
+		_, next := e.StorageTable.Bindings(nil)
+		if phys := e.StorageTable.Physical(); slices.Contains(phys, primary) || !slices.Contains(phys, survivor) {
+			wrong.CompareAndSwap(nil, "the primary was bound before the commit")
+		} else if !slices.Contains(next.AppendAll(nil), primary) {
+			wrong.CompareAndSwap(nil, "the open transition does not bind the primary")
+		}
+		return netsim.Pass
+	}))
+	_, err = ch.RestartReplica(2)
+	e.Net.RemoveTap(tok)
+	if err != nil {
+		t.Fatalf("primary restart: %v", err)
+	}
+	if msg := wrong.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if copies.Load() == 0 {
+		t.Fatal("the rebirth sent the primary nothing")
+	}
+	if phys := e.StorageTable.Physical(); !slices.Contains(phys, primary) || slices.Contains(phys, survivor) {
+		t.Fatalf("after the commit the table binds %v, want the reborn primary", phys)
+	}
+	if g := e.Replicas.Groups()[1]; g.Members[0] != primary || len(g.Members) != 2 {
+		t.Fatalf("group 1 = %v, want the reborn primary first", g.Members)
+	}
+	if st := e.RebalanceStatus(); st.State != "done" {
+		t.Fatalf("rebalance status %+v after the rebirth", st)
+	}
+	ReplicaGroupsIdentical(t, e)
+	VerifyBytes(t, e, c, fh, data)
 	FsckClean(t, e)
 }

@@ -6,9 +6,7 @@ import (
 	"slice/internal/coord"
 	"slice/internal/dirsrv"
 	"slice/internal/netsim"
-	"slice/internal/oncrpc"
 	"slice/internal/proxy"
-	"slice/internal/replica"
 	"slice/internal/route"
 	"slice/internal/smallfile"
 	"slice/internal/storage"
@@ -32,13 +30,17 @@ func (e *Ensemble) Chaos() *Chaos { return &Chaos{e: e} }
 // rebind swaps old for new in a routing table, preserving every other
 // logical site's binding.
 func rebind(t *route.Table, oldA, newA netsim.Addr) {
-	phys := t.Physical()
-	for i, a := range phys {
+	t.Swap(rebindSites(t.Physical(), oldA, newA))
+}
+
+// rebindSites rebinds every logical site of old in the site list to new.
+func rebindSites(sites []netsim.Addr, oldA, newA netsim.Addr) []netsim.Addr {
+	for i, a := range sites {
 		if a == oldA {
-			phys[i] = newA
+			sites[i] = newA
 		}
 	}
-	t.Swap(phys)
+	return sites
 }
 
 // --------------------------------------------------------- coordinator
@@ -270,19 +272,12 @@ func (c *Chaos) RestartStorage(i int) (*storage.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := storage.NewNode(port, c.e.Storage[i].Store())
-	if len(c.e.cfg.CapabilityKey) > 0 {
-		node.RequireCapability(c.e.cfg.CapabilityKey)
-	}
-	node.SetObs(c.e.obsStorage[i])
+	node := c.e.newStorageNode(port, c.e.Storage[i].Store(), c.e.obsStorage[i])
 	c.e.Storage[i] = node
 	return node, nil
 }
 
 // ------------------------------------------------------ replica groups
-
-// resyncWindow is the peer-read pipeline depth of a replica resync.
-const resyncWindow = 8
 
 // replicaGroup returns the group index storage node i belongs to under
 // the consecutive partition (the last group absorbs any remainder).
@@ -346,14 +341,18 @@ func (c *Chaos) KillReplicaUnderWrite(g int) (int, error) {
 	return i, nil
 }
 
-// RestartReplica revives storage node i with an empty store, resyncing
-// it from a surviving member of its replica group over the windowed
-// peer program. The service port is bound only after the resync
-// completes, so the reborn member never serves a stale read, and the
-// member is marked back up in the replica map only once it is live —
-// writes that finished against the shrunken group during the resync
-// are already on the peer the store was copied from, so the reborn
-// member re-enters the group byte-identical.
+// RestartReplica revives storage node i with an empty store and
+// rebuilds it as a rebalance transition — the one data mover the array
+// has. The service port is bound at once; the pending binding carries
+// the replica map with only this member's down mark cleared, so every
+// foreground write reaches the member from Begin on while spread reads,
+// which follow the live map, never do. The driver copies, size-syncs and
+// scrubs the member like any incoming node, and preCommit marks it up
+// just before the epoch-guarded commit. If the dead member was its
+// group's primary, the pending site list rebinds its sites back to it,
+// undoing KillReplica's promotion at the commit. A failed transition
+// (a coordinator probe abort included) kills the member again, so it
+// stays down and a later restart starts over.
 func (c *Chaos) RestartReplica(i int) (*storage.Node, error) {
 	if c.e.Replicas == nil {
 		return nil, fmt.Errorf("ensemble: array is not replicated")
@@ -366,57 +365,25 @@ func (c *Chaos) RestartReplica(i int) (*storage.Node, error) {
 	}
 	host := HostStorage0 + uint32(i)
 	addr := netsim.Addr{Host: host, Port: ServicePort}
-	g := c.replicaGroup(i)
-	var peer netsim.Addr
-	found := false
-	for _, s := range c.e.Replicas.Groups()[g].Members {
-		idx := int(s.Host - HostStorage0)
-		if s != addr && idx >= 0 && idx < len(c.e.Storage) && c.e.Storage[idx] != nil {
-			peer, found = s, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("ensemble: no live sibling to resync storage node %d from", i)
-	}
 	c.e.Net.RestartHost(host)
-	// Resync over a transient client port; the service port stays unbound
-	// until the store is complete.
-	cp, err := c.e.Net.Bind(netsim.Addr{Host: host, Port: 1})
-	if err != nil {
-		return nil, err
-	}
-	cli := oncrpc.NewClient(cp, peer, c.e.cfg.ClientRPC)
-	store := storage.NewObjectStore()
-	st, err := storage.ResyncFrom(cli, replica.PeerToken(c.e.cfg.CapabilityKey), resyncWindow, store)
-	cli.Close()
-	if err != nil {
-		return nil, fmt.Errorf("ensemble: resync storage node %d from %v: %w", i, peer, err)
-	}
-	if reg := c.e.obsStorage[i]; reg != nil {
-		reg.Hist("replica.resync_bytes").Record(uint64(st.Bytes))
-	}
 	port, err := c.e.Net.Bind(addr)
 	if err != nil {
 		return nil, err
 	}
-	node := storage.NewNode(port, store)
-	if len(c.e.cfg.CapabilityKey) > 0 {
-		node.RequireCapability(c.e.cfg.CapabilityKey)
-	}
-	if c.e.cfg.StorageServiceTime > 0 {
-		node.SetServiceTime(c.e.cfg.StorageServiceTime)
-	}
-	node.SetReplica(uint32(i/c.e.cfg.Replication), uint32(i%c.e.cfg.Replication))
-	node.SetObs(c.e.obsStorage[i])
+	node := c.e.newStorageNode(port, storage.NewObjectStore(), c.e.obsStorage[i])
 	c.e.Storage[i] = node
-	// Rejoin the group last: if the dead member had been the primary the
-	// promotion is undone and the storage table rebound to the original.
-	before := c.e.Replicas.Groups()[g].Members[0]
-	c.e.Replicas.MarkUp(addr)
-	after := c.e.Replicas.Groups()[g].Members[0]
-	if after != before {
-		rebind(c.e.StorageTable, before, after)
+
+	g := c.replicaGroup(i)
+	nextReps := c.e.Replicas.WithUp(addr)
+	next := rebindSites(c.e.StorageTable.Physical(),
+		c.e.Replicas.Groups()[g].Members[0], nextReps.Groups()[g].Members[0])
+	err = c.e.Rebalancer().Run(next, nextReps, func() error {
+		c.e.Replicas.MarkUp(addr)
+		return nil
+	})
+	if err != nil {
+		c.KillReplica(i)
+		return nil, fmt.Errorf("ensemble: rebirth of storage node %d: %w", i, err)
 	}
 	return node, nil
 }

@@ -17,6 +17,20 @@ import (
 // (between the proxy range growing down from HostProxy and HostCoord).
 const HostRebalance = 91
 
+// newStorageNode serves store on port, wired like every node of the
+// array: capability key, pacing, and the node's registry.
+func (e *Ensemble) newStorageNode(port *netsim.Port, store *storage.ObjectStore, reg *obs.Registry) *storage.Node {
+	node := storage.NewNode(port, store)
+	if len(e.cfg.CapabilityKey) > 0 {
+		node.RequireCapability(e.cfg.CapabilityKey)
+	}
+	if e.cfg.StorageServiceTime > 0 {
+		node.SetServiceTime(e.cfg.StorageServiceTime)
+	}
+	node.SetObs(reg)
+	return node
+}
+
 // AddStorageNodes starts n more storage nodes on the next slots of the
 // host plan, fully wired (capability key, pacing, obs) but NOT yet bound
 // into any routing table — Grow binds them. Returns their addresses.
@@ -29,15 +43,8 @@ func (e *Ensemble) AddStorageNodes(n int) ([]netsim.Addr, error) {
 		if err != nil {
 			return nil, err
 		}
-		node := storage.NewNode(port, storage.NewObjectStore())
-		if len(e.cfg.CapabilityKey) > 0 {
-			node.RequireCapability(e.cfg.CapabilityKey)
-		}
-		if e.cfg.StorageServiceTime > 0 {
-			node.SetServiceTime(e.cfg.StorageServiceTime)
-		}
 		reg := obs.NewRegistry(fmt.Sprintf("storage[%d]", i))
-		node.SetObs(reg)
+		node := e.newStorageNode(port, storage.NewObjectStore(), reg)
 		e.Obs.AddRegistry(reg)
 		e.obsStorage = append(e.obsStorage, reg)
 		e.Storage = append(e.Storage, node)
@@ -121,13 +128,6 @@ func (e *Ensemble) Grow(n int) error {
 		for _, g := range nextReps.Groups()[len(old):] {
 			newPrims = append(newPrims, g.Members[0])
 		}
-		for gi, g := range nextReps.Groups() {
-			for mi, a := range g.Members {
-				if node := e.nodeAt(a); node != nil {
-					node.SetReplica(uint32(gi), uint32(mi))
-				}
-			}
-		}
 		next, err := route.PlanGrow(cur, newPrims, e.StorageTable.NumLogical())
 		if err != nil {
 			return err
@@ -189,16 +189,6 @@ func (e *Ensemble) Shrink(n int) error {
 		return err
 	}
 	return e.Rebalancer().Run(next, nil, nil)
-}
-
-// nodeAt finds the running storage node bound at addr (by host-plan
-// slot), nil if none.
-func (e *Ensemble) nodeAt(addr netsim.Addr) *storage.Node {
-	i := int(addr.Host) - HostStorage0
-	if i < 0 || i >= len(e.Storage) {
-		return nil
-	}
-	return e.Storage[i]
 }
 
 // adminGrow runs Grow in the background for the stats-plane verb; the

@@ -91,7 +91,8 @@ type Config struct {
 	// StorageServiceTime, when positive, paces every storage node at one
 	// NFS request per StorageServiceTime — the capacity model that makes
 	// replica read scaling measurable on a single machine (the replica
-	// peer program is never paced, so resync is not throttled).
+	// peer program is never paced, so rebalance copies — grow, shrink
+	// and replica rebirth alike — are not throttled).
 	StorageServiceTime time.Duration
 	// LogicalSites sets routing-table granularity (default: server count).
 	LogicalSites int
@@ -229,18 +230,8 @@ func New(cfg Config) (*Ensemble, error) {
 		if err != nil {
 			return nil, err
 		}
-		node := storage.NewNode(port, storage.NewObjectStore())
-		if len(cfg.CapabilityKey) > 0 {
-			node.RequireCapability(cfg.CapabilityKey)
-		}
-		if cfg.StorageServiceTime > 0 {
-			node.SetServiceTime(cfg.StorageServiceTime)
-		}
-		if cfg.Replication > 1 {
-			node.SetReplica(uint32(i/cfg.Replication), uint32(i%cfg.Replication))
-		}
 		reg := obs.NewRegistry(fmt.Sprintf("storage[%d]", i))
-		node.SetObs(reg)
+		node := e.newStorageNode(port, storage.NewObjectStore(), reg)
 		e.Obs.AddRegistry(reg)
 		e.obsStorage = append(e.obsStorage, reg)
 		e.Storage = append(e.Storage, node)

@@ -295,7 +295,7 @@ func TestDirtyMarkSurvivesSoftStateLoss(t *testing.T) {
 	assertGroupsIdentical(t, e)
 }
 
-func TestKillReplicaResyncRebuildsMember(t *testing.T) {
+func TestKillReplicaRebirthRebuildsMember(t *testing.T) {
 	e := newReplicated(t, func(cfg *Config) {
 		cfg.ClientRPC = oncrpc.ClientConfig{Timeout: 50 * time.Millisecond, Retries: 100}
 	})
@@ -305,7 +305,7 @@ func TestKillReplicaResyncRebuildsMember(t *testing.T) {
 	}
 	defer c.Close()
 
-	fh, _, err := c.Create(c.Root(), "resync.dat", 0o644, true)
+	fh, _, err := c.Create(c.Root(), "rebirth.dat", 0o644, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,8 @@ func TestKillReplicaResyncRebuildsMember(t *testing.T) {
 		t.Fatalf("read with a dead member: n=%d err=%v", n, err)
 	}
 
-	// Restart: the member resyncs from its sibling before serving.
+	// Restart: a rebalance transition copies the member whole before it
+	// rejoins the group.
 	if _, err := e.Chaos().RestartReplica(killed); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestKillReplicaResyncRebuildsMember(t *testing.T) {
 	before := e.Storage[killed].Store().Stats().Reads
 	for i := 0; i < 32; i++ {
 		if _, _, err := c.Read(fh, 0, got); err != nil {
-			t.Fatalf("read %d after resync: %v", i, err)
+			t.Fatalf("read %d after rebirth: %v", i, err)
 		}
 	}
 	if e.Storage[killed].Store().Stats().Reads == before && before == 0 {

@@ -790,7 +790,7 @@ const residentWorkers = 8
 // The cache exists so that a retransmitted non-idempotent call (CREATE,
 // REMOVE, WRITE, ...) observes its original reply, and those replies are
 // a status and a few attribute blocks. Anything larger is the result of
-// an idempotent read (READ, READDIR, a resync pull) and simply
+// an idempotent read (READ, READDIR, a peer-program chunk read) and simply
 // re-executes on retransmission — retaining it would pin ~40 KiB per
 // slot (1024 slots × 4 storage nodes ≈ 160 MiB of dead READ data) and
 // keep every reply buffer out of the pool.

@@ -1,6 +1,7 @@
 // Package rebalance drives background block migration for a topology
-// transition (ISSUE: elastic ensemble; paper §3.3.1's reconfiguration
-// step made online). The driver owns one transition end to end:
+// transition — a grow, a shrink, or the rebirth of a replica that lost
+// its disk (paper §3.3.1's reconfiguration step made online). The
+// driver owns one transition end to end:
 //
 //  1. Begin the transition on the storage table. From this instant every
 //     foreground write fans out to BOTH bindings (route.IOPolicy
@@ -78,11 +79,12 @@ type Config struct {
 	// the migration gives up (rides out storage-node restarts).
 	// Default 10s.
 	RetryBudget time.Duration
-	// MaxRounds caps copy-and-verify rounds. Default 64.
-	MaxRounds int
 	// Obs records copy/verify chunk latency histograms (nil: none).
 	Obs *obs.Registry
 }
+
+// maxRounds caps copy-and-verify rounds per transition.
+const maxRounds = 64
 
 // Status is a snapshot of migration progress, JSON-encodable for the
 // stats plane (slicectl rebalance-status).
@@ -123,9 +125,6 @@ func New(cfg Config) *Driver {
 	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 10 * time.Second
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 64
 	}
 	d := &Driver{
 		cfg:     cfg,
@@ -196,8 +195,8 @@ func (d *Driver) Run(next []netsim.Addr, nextReps *replica.Map, preCommit func()
 
 	clean := 0
 	for round := 1; ; round++ {
-		if round > d.cfg.MaxRounds {
-			return fail(fmt.Errorf("rebalance: no convergence after %d rounds", d.cfg.MaxRounds))
+		if round > maxRounds {
+			return fail(fmt.Errorf("rebalance: no convergence after %d rounds", maxRounds))
 		}
 		d.setStatus(func(s *Status) { s.Round = round })
 		if !table.Transitioning() || table.PendingEpoch() != epoch {
@@ -261,12 +260,14 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 	// Sources are read from the current binding's primaries, so list
 	// those alone: the table's binding under no replica map.
 	prims, _ := d.cfg.IO.Storage.Bindings(nil)
-	sizes := make(map[uint64]uint64) // object -> max size across src nodes
+	sizes := make(map[uint64]uint64)                    // object -> max size across src nodes
+	srcSizes := make(map[netsim.Addr]map[uint64]uint64) // src node -> its listing
 	for _, a := range prims.AppendAll(nil) {
 		objs, err := d.listObjects(a)
 		if err != nil {
 			return 0, err
 		}
+		srcSizes[a] = objs
 		for id, size := range objs {
 			if have, ok := sizes[id]; !ok || have < size {
 				sizes[id] = size
@@ -287,8 +288,14 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 	// On such a node the driver writes its moving chunks and nothing
 	// else; on an incoming node every byte belongs to a moving stripe,
 	// so whatever a round gets wrong there the next one repairs.
+	//
+	// An incoming node is size-synced to the largest size among the
+	// sources whose stripes move onto it — the size the same writes give
+	// those sources — so a reborn replica ends the size of its sibling,
+	// not of the largest copy anywhere in the array.
 	holding := cur.AppendAll(nil)
 	dstSizes := make(map[netsim.Addr]map[uint64]uint64) // incoming nodes only
+	want := make(map[netsim.Addr]map[uint64]uint64)     // size-sync targets
 	moves := make(map[netsim.Addr][]chunkMove)          // keyed by src node
 	for _, a := range next.AppendAll(nil) {
 		if slices.Contains(holding, a) {
@@ -321,6 +328,14 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 			}
 			if len(dsts) == 0 {
 				continue
+			}
+			if srcSize, ok := srcSizes[src][id]; ok {
+				for _, a := range dsts {
+					if want[a] == nil {
+						want[a] = make(map[uint64]uint64)
+					}
+					want[a][id] = max(want[a][id], srcSize)
+				}
 			}
 			// PeerProcRead caps one transfer at PeerChunk bytes, so a
 			// stripe wider than that becomes several moves.
@@ -358,7 +373,7 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 		go func(src netsim.Addr, list []chunkMove) {
 			defer wg.Done()
 			for _, m := range list {
-				c, err := d.repairChunk(m, sizes[m.id], dstSizes, truncated, &mu, verifyOnly)
+				c, err := d.repairChunk(m, want, dstSizes, truncated, &mu, verifyOnly)
 				mu.Lock()
 				changed += c
 				if err != nil && firstErr == nil {
@@ -412,10 +427,10 @@ func everMovesTo(next route.Binding, id uint64, dst netsim.Addr) bool {
 	return false
 }
 
-// repairChunk size-syncs the destinations of one chunk and rewrites any
-// destination whose bytes differ from the source. Returns how many
-// repairs it made.
-func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]map[uint64]uint64,
+// repairChunk size-syncs the destinations of one chunk to their want
+// sizes and rewrites any destination whose bytes differ from the
+// source. Returns how many repairs it made.
+func (d *Driver) repairChunk(m chunkMove, want, dstSizes map[netsim.Addr]map[uint64]uint64,
 	truncated map[netsim.Addr]map[uint64]bool, mu *sync.Mutex, verify bool) (int, error) {
 	changed := 0
 	var srcData []byte
@@ -442,7 +457,8 @@ func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]
 		mu.Lock()
 		listed, incoming := dstSizes[dst]
 		dsz, present := listed[m.id]
-		needTrunc := incoming && !truncated[dst][m.id] && (!present || dsz != size)
+		size, sourced := want[dst][m.id]
+		needTrunc := incoming && sourced && !truncated[dst][m.id] && (!present || dsz != size)
 		if needTrunc {
 			if truncated[dst] == nil {
 				truncated[dst] = make(map[uint64]bool)

@@ -295,6 +295,40 @@ func TestGrowMovesBackingTagLookalike(t *testing.T) {
 	r.checkPlacement(t, id, size)
 }
 
+// TestCopiedBytesSurviveCrash: everything the driver puts on an incoming
+// node — copied stripes, a sparse tail, a zero-length object — is stable
+// there, because peer writes are. A replica reborn by a transition must
+// not shed acknowledged data to a later crash of its volatile state.
+func TestCopiedBytesSurviveCrash(t *testing.T) {
+	addrs := make([]netsim.Addr, 6)
+	for i := range addrs {
+		addrs[i] = addrN(i)
+	}
+	r := newRig(t, addrs, 4)
+	su := r.io.StripeUnit
+	next := r.grow(t, addrs[4:]...)
+	sizes := map[uint64]uint64{
+		movedID(t, next, addrs[4], 100): 5*su + su/3,
+		movedID(t, next, addrs[4], 200): 0,
+		movedID(t, next, addrs[5], 300): 3 * su,
+	}
+	for id, size := range sizes {
+		r.populate(t, id, size)
+	}
+	d := r.driver(t, nil)
+	if err := d.Run(next, nil, nil); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if d.Status().BytesMoved == 0 {
+		t.Fatal("the grow copied nothing")
+	}
+	r.stores[addrs[4]].Crash()
+	r.stores[addrs[5]].Crash()
+	for id, size := range sizes {
+		r.checkPlacement(t, id, size)
+	}
+}
+
 func TestListPaging(t *testing.T) {
 	addrs := []netsim.Addr{addrN(0), addrN(1)}
 	r := newRig(t, addrs, 1)

@@ -18,9 +18,17 @@
 // because a fresh µproxy over-approximates — absent knowledge an entry
 // re-marked by a retransmitted WRITE pins reads to the primary until the
 // next COMMIT clears it.
+//
+// A member that lost its disk rejoins through a rebalance transition
+// whose pending map is the live one with its down mark cleared
+// (Map.WithUp): writes reach it from the transition's start, reads only
+// after the commit. The peer program (peer.go) carries that copy, like
+// every other data move.
 package replica
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,7 +49,7 @@ type Group struct {
 type mapState struct {
 	degree    int
 	groups    []Group
-	slots     int // total members across groups
+	slots     int                   // total members across groups
 	byPrimary map[netsim.Addr]int32 // primary address -> group index
 	byMember  map[netsim.Addr]int32 // any member address -> group index
 	version   uint64
@@ -142,14 +150,27 @@ func (m *Map) MarkDown(addr netsim.Addr) {
 	m.store(cur.version + 1)
 }
 
-// MarkUp restores a member marked down (after its resync completed),
-// bumping the version so spread reads start reaching it again.
+// MarkUp restores a member marked down (once a rebirth transition has
+// copied it whole, just before the commit), bumping the version so
+// spread reads start reaching it again.
 func (m *Map) MarkUp(addr netsim.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := m.state.Load()
 	delete(m.down, addr)
 	m.store(cur.version + 1)
+}
+
+// WithUp returns a new map over the same nodes and down marks, except
+// that addr is up — the pending replica map of a rebirth transition,
+// which must reach the reborn member while the live map keeps it down.
+func (m *Map) WithUp(addr netsim.Addr) *Map {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	up := &Map{nodes: slices.Clone(m.nodes), degree: m.degree, down: maps.Clone(m.down)}
+	delete(up.down, addr)
+	up.store(m.state.Load().version + 1)
+	return up
 }
 
 // Degree returns the replication degree (members per group).

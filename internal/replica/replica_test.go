@@ -190,3 +190,46 @@ func TestPeerToken(t *testing.T) {
 		t.Fatal("token not deterministic")
 	}
 }
+
+// TestPeerTokenDerivation pins the token semantics: nil key means open
+// (zero token), and distinct keys derive distinct tokens.
+func TestPeerTokenDerivation(t *testing.T) {
+	if PeerToken(nil) != 0 {
+		t.Fatal("nil key must derive the zero (open) token")
+	}
+	if PeerToken([]byte("a")) == PeerToken([]byte("b")) {
+		t.Fatal("distinct keys derived the same token")
+	}
+	if PeerToken([]byte("a")) == 0 {
+		t.Fatal("a real key derived the open token")
+	}
+}
+
+// TestWithUpClearsOneMark: the pending map of a rebirth brings exactly
+// one member back — its group's primary again if it was one — while the
+// live map and every other down mark stay as they were.
+func TestWithUpClearsOneMark(t *testing.T) {
+	nodes := addrs(4)
+	m := NewMap(2, nodes)
+	m.MarkDown(nodes[0])
+	m.MarkDown(nodes[3])
+	up := m.WithUp(nodes[0])
+	if g := up.Groups()[0]; len(g.Members) != 2 || g.Members[0] != nodes[0] {
+		t.Fatalf("pending group 0 = %v, want the reborn primary back first", g.Members)
+	}
+	if g := up.Groups()[1]; len(g.Members) != 1 || g.Members[0] != nodes[2] {
+		t.Fatalf("pending group 1 = %v, want node 3 still down", g.Members)
+	}
+	if g := m.Groups()[0]; len(g.Members) != 1 || g.Members[0] != nodes[1] {
+		t.Fatalf("live group 0 = %v, want the survivor alone", g.Members)
+	}
+	if up.Version() <= m.Version() {
+		t.Fatalf("pending version %d not past live %d", up.Version(), m.Version())
+	}
+	// The copies are independent: a later swap of the live map leaves the
+	// pending one alone.
+	m.Swap(addrs(6))
+	if g := up.Groups()[0]; g.Members[0] != nodes[0] || up.NumGroups() != 2 {
+		t.Fatalf("live swap leaked into the pending map: %v", up.Groups())
+	}
+}

@@ -50,11 +50,6 @@ type Node struct {
 	capKey []byte
 	denied uint64
 
-	// Replica identity (group, member slot), set by the deployment when
-	// the array is replicated; informational plus peer-program gate.
-	group, member uint32
-	isReplica     bool
-
 	// serviceTime paces the node: each request holds paceMu for this
 	// long before being served, modelling a disk-arm/NIC capacity of
 	// 1/serviceTime per node so scaling benchmarks measure fan-out, not
@@ -100,22 +95,6 @@ func (n *Node) authorize(fh fhandle.Handle) bool {
 	n.denied++
 	n.mu.Unlock()
 	return false
-}
-
-// SetReplica records the node's replica identity: group g, member slot
-// m within it (0 = primary). The peer resync program only serves on
-// nodes that know they are replicas.
-func (n *Node) SetReplica(g, m uint32) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.group, n.member, n.isReplica = g, m, true
-}
-
-// Replica returns the node's replica identity (group, member, set).
-func (n *Node) Replica() (uint32, uint32, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.group, n.member, n.isReplica
 }
 
 // SetServiceTime paces the node at one request per d (0 disables).
@@ -349,11 +328,11 @@ func (n *Node) serveObj(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 
 // -------------------------------------------------- replica peer program
 //
-// Besides the list/read procs the resync puller uses, the program
-// carries write/remove/truncate so the rebalance driver (a peer inside
-// the trust boundary, holding the same bearer token) can push objects
-// onto the nodes a topology transition adds and scrub ghosts it finds
-// during verification.
+// The rebalance driver (a peer inside the trust boundary, holding the
+// bearer token) lists and reads objects on the nodes a topology
+// transition copies from, and writes, truncates and removes them on the
+// nodes it copies to — a grown group, or a reborn replica — scrubbing
+// ghosts it finds during verification.
 
 // peerAuthorized checks the peer-program bearer token. The token is
 // derived from the capability key, which never leaves the trust
@@ -372,9 +351,9 @@ func (n *Node) peerAuthorized(token uint64) bool {
 	return false
 }
 
-// servePeer answers the replica resync program (replica.PeerProgram): a
-// restarting group sibling lists this node's objects and reads their
-// bytes back in bulk.
+// servePeer answers the replica peer program (replica.PeerProgram):
+// bulk list/read on a transition's source, durable write, truncate and
+// remove on its destination.
 func (n *Node) servePeer(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 	d := xdr.NewDecoder(call.Body)
 	token, err := d.Uint64()

@@ -336,7 +336,8 @@ type ObjEntry struct {
 // after, in ascending ID order — the pagination primitive of the
 // replica peer program. A fresh page is consistent at the instant it
 // was taken; callers tolerate objects appearing or vanishing between
-// pages (resync re-covers them via fanned-out writes).
+// pages (the rebalance driver re-lists every round, and writes fan out
+// to its destinations from the transition's start).
 func (s *ObjectStore) ListAfter(after ObjectID, max int) []ObjEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()

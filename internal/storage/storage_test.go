@@ -521,3 +521,30 @@ func TestFreeListBounded(t *testing.T) {
 		t.Fatalf("free list holds %d blocks after the crash, want %d", len(s.free), maxFreeBlocks)
 	}
 }
+
+func TestListAfterPaginates(t *testing.T) {
+	s := NewObjectStore()
+	for id := ObjectID(1); id <= 7; id++ {
+		if err := s.WriteAt(id, 0, []byte{byte(id)}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []ObjEntry
+	after := ObjectID(0)
+	for {
+		page := s.ListAfter(after, 3)
+		if len(page) == 0 {
+			break
+		}
+		got = append(got, page...)
+		after = page[len(page)-1].ID
+	}
+	if len(got) != 7 {
+		t.Fatalf("paged %d entries, want 7", len(got))
+	}
+	for i, e := range got {
+		if e.ID != ObjectID(i+1) || e.Size != 1 {
+			t.Fatalf("entry %d = %+v", i, e)
+		}
+	}
+}
