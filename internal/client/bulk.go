@@ -25,9 +25,9 @@
 //     or drain on the same file (the NFSv3 deferred-error model); the
 //     error is sticky until surfaced exactly once.
 //   - Readahead caches whole prefetched chunks keyed by offset for a
-//     single sequential stream; any write, SetAttr, Remove, or Rename
-//     invalidates it, and a read that breaks the sequential pattern
-//     resets it.
+//     single sequential stream, each still in the reply datagram it
+//     arrived in; any write, SetAttr, Remove, or Rename invalidates it,
+//     and a read that breaks the sequential pattern resets it.
 //
 // Buffer ownership across the async boundary: every write-behind chunk —
 // the caller's bytes alone, the tail topped up with them, or the flushed
@@ -193,10 +193,13 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 		if e.err != nil || (len(e.data) < e.want && !e.eof) {
 			// Unusable entry (failed, or short without EOF): drop it and
 			// fetch those bytes on the demand path below.
+			e.rep.Free()
 			break
 		}
+		// The entry's data is copied from the reply datagram it arrived
+		// in straight into the caller's buffer.
 		n := copy(p[read:], e.data)
-		putChunkBuf(e.data)
+		e.rep.Free()
 		read += n
 		if e.eof || n == 0 {
 			eof = true
@@ -420,17 +423,30 @@ func (c *Client) runChunk(t *chunkTask) {
 		}
 		c.bulkMu.Unlock()
 	case opPrefetch:
+		// One READ, kept in the datagram it arrives in. A short reply
+		// without EOF is not used: the demand path reads those bytes.
+		// Reads are idempotent, so a timed-out one is re-issued once, as
+		// chunkRead does.
 		e := t.ra
-		buf := chunkBuf(e.want)
-		n, eof, err := c.chunkRead(t.fh, e.off, buf)
+		rep, res, err := c.readReply(t.fh, e.off, e.want)
+		if errors.Is(err, oncrpc.ErrTimedOut) {
+			rep, res, err = c.readReply(t.fh, e.off, e.want)
+		}
 		c.chunkDone(c.readNS, t0)
-		e.data, e.eof, e.err = buf[:n], eof, err
-		if eof {
+		e.rep, e.data, e.eof, e.err = rep, res.Data, res.EOF, err
+		c.bulkMu.Lock()
+		if end := e.off + uint64(len(res.Data)); res.EOF && c.ra.valid && c.ra.gen == e.gen && end < c.ra.eofAt {
 			// Before ready closes: a reader that has waited for this
 			// entry tops the horizon up against the lowered end of file.
-			c.raEOF(e.gen, e.off+uint64(n))
+			// A stream reset or invalidated since (a write may have
+			// moved the end) learns nothing from it.
+			c.ra.eofAt = end
 		}
-		close(e.ready)
+		if e.dropped {
+			e.rep.Free()
+		}
+		close(e.ready) // under bulkMu: see raDropLocked
+		c.bulkMu.Unlock()
 	}
 	*t = chunkTask{} // a parked worker pins no buffer
 }
@@ -474,9 +490,9 @@ func (f *fileIO) dropSpan(off uint64) {
 	}
 }
 
-// chunkPool recycles write-behind and readahead chunk buffers (≤ one
-// stripe unit). It holds *[]byte so a Put boxes no slice header; the
-// pointers themselves are recycled through chunkPtrs.
+// chunkPool recycles write-behind chunk buffers (≤ one stripe unit). It
+// holds *[]byte so a Put boxes no slice header; the pointers themselves
+// are recycled through chunkPtrs.
 var chunkPool, chunkPtrs sync.Pool
 
 func chunkBuf(n int) []byte {
@@ -702,16 +718,21 @@ type raState struct {
 	entries  map[uint64]*raEntry
 }
 
-// raEntry is one prefetched chunk. data/eof/err are written by the
-// worker before ready closes and read only after.
+// raEntry is one prefetched chunk, [off, off+want) of the file.
+// rep/data/eof/err are written by the worker before ready closes and read
+// only after; data aliases rep, the reply datagram, which the read that
+// takes the entry frees — or, for an entry the stream drops unread,
+// raDropLocked or the worker.
 type raEntry struct {
-	off   uint64
-	want  int
-	gen   uint64 // the stream that launched it
-	ready chan struct{}
-	data  []byte
-	eof   bool
-	err   error
+	off     uint64
+	want    int
+	gen     uint64 // the stream that launched it
+	ready   chan struct{}
+	dropped bool // under bulkMu: the stream let go of it before it was ready
+	rep     oncrpc.Reply
+	data    []byte
+	eof     bool
+	err     error
 }
 
 // raAdvance reports whether a read at off continues the cached stream;
@@ -725,6 +746,7 @@ func (c *Client) raAdvance(id fhandle.Key, off uint64) bool {
 	if c.ra.valid && c.ra.id == id && c.ra.expected == off {
 		return true
 	}
+	c.raDropAllLocked()
 	c.raGen++
 	c.ra = raState{
 		valid: true, id: id, expected: off, horizon: off,
@@ -734,20 +756,30 @@ func (c *Client) raAdvance(id fhandle.Key, off uint64) bool {
 	return false
 }
 
-// raEOF lowers the stream's known end of file to end, as found by one of
-// its own prefetches: a stream that has been reset or invalidated since
-// (a write may have moved the end) learns nothing from it.
-func (c *Client) raEOF(gen, end uint64) {
-	c.bulkMu.Lock()
-	if c.ra.valid && c.ra.gen == gen && end < c.ra.eofAt {
-		c.ra.eofAt = end
+// raDropLocked lets go of an entry the stream will never read. Its reply
+// goes back to the pool now if it has arrived, or else when its worker
+// delivers it: the worker closes ready under bulkMu, so exactly one of
+// the two sees the other. Caller holds bulkMu.
+func raDropLocked(e *raEntry) {
+	select {
+	case <-e.ready:
+		e.rep.Free()
+	default:
+		e.dropped = true
 	}
-	c.bulkMu.Unlock()
+}
+
+// raDropAllLocked drops every entry the stream holds. Caller holds bulkMu.
+func (c *Client) raDropAllLocked() {
+	for _, e := range c.ra.entries {
+		raDropLocked(e)
+	}
 }
 
 // raTake removes and returns the entry at off if it exists and fits
-// within max bytes (an entry larger than the caller's remaining buffer
-// is left uncached and the bytes are read on the demand path instead).
+// within max bytes. An entry larger than the caller's remaining buffer
+// stays cached; its bytes are read on the demand path instead, and
+// raFinish drops it once the stream has passed it.
 func (c *Client) raTake(id fhandle.Key, off uint64, max int) *raEntry {
 	c.bulkMu.Lock()
 	defer c.bulkMu.Unlock()
@@ -765,9 +797,9 @@ func (c *Client) raTake(id fhandle.Key, off uint64, max int) *raEntry {
 // raFinish records where the stream now stands and, when the read was
 // sequential and did not hit EOF, tops the prefetch horizon up to
 // Readahead chunks ahead using only window slots that are free right now.
-// Each entry's buffer comes from chunkPool (runChunk) and goes back when
-// windowedRead has consumed the entry; an entry that is invalidated
-// instead leaves its buffer to the GC.
+// Each entry's reply datagram goes back to the fabric's pool when
+// windowedRead has consumed the entry, or when the stream drops it unread
+// (raDropLocked).
 func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, prefetch bool) {
 	if c.cfg.Readahead <= 0 {
 		return
@@ -781,9 +813,10 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	if eof && next < c.ra.eofAt {
 		c.ra.eofAt = next
 	}
-	for o := range c.ra.entries {
+	for o, e := range c.ra.entries {
 		if o < next {
 			delete(c.ra.entries, o)
+			raDropLocked(e)
 		}
 	}
 	if c.ra.horizon < next {
@@ -819,6 +852,7 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 func (c *Client) invalidateRA(id fhandle.Key) {
 	c.bulkMu.Lock()
 	if c.ra.valid && c.ra.id == id {
+		c.raDropAllLocked()
 		c.ra = raState{}
 	}
 	c.bulkMu.Unlock()
@@ -827,6 +861,7 @@ func (c *Client) invalidateRA(id fhandle.Key) {
 // invalidateRAAll drops the readahead cache unconditionally.
 func (c *Client) invalidateRAAll() {
 	c.bulkMu.Lock()
+	c.raDropAllLocked()
 	c.ra = raState{}
 	c.bulkMu.Unlock()
 }

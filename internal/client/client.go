@@ -226,19 +226,35 @@ func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, 
 // client makes of it. It returns the byte count and the server's EOF
 // flag.
 func (c *Client) readInto(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
-	rep, err := c.roundTrip(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(len(p))})
+	rep, res, err := c.readReply(fh, off, len(p))
 	if err != nil {
 		return 0, false, err
 	}
 	defer rep.Free()
-	var res nfsproto.ReadRes
-	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
-		return 0, false, err
-	}
-	if res.Status != nfsproto.OK {
-		return 0, false, res.Status.Error()
-	}
 	return copy(p, res.Data), res.EOF, nil
+}
+
+// readReply issues one READ of count bytes at off and returns the
+// successful result still in the datagram it arrived in: res.Data aliases
+// rep, which the caller frees once it has copied the data out. A reply
+// that fails is freed here.
+func (c *Client) readReply(fh fhandle.Handle, off uint64, count int) (oncrpc.Reply, nfsproto.ReadRes, error) {
+	var res nfsproto.ReadRes
+	rep, err := c.roundTrip(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(count)})
+	if err != nil {
+		return oncrpc.Reply{}, res, err
+	}
+	if err = res.Decode(xdr.NewDecoder(rep.Body)); err == nil && res.Status != nfsproto.OK {
+		err = res.Status.Error()
+	}
+	if err != nil {
+		rep.Free()
+		return oncrpc.Reply{}, nfsproto.ReadRes{}, err
+	}
+	if len(res.Data) > count {
+		res.Data = res.Data[:count]
+	}
+	return rep, res, nil
 }
 
 // Mount retrieves the volume root handle.

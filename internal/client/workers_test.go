@@ -409,3 +409,66 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 		}
 	}
 }
+
+// TestReadaheadKeepsReply: a prefetched chunk is held in the reply
+// datagram it arrived in, not copied out of it.
+func TestReadaheadKeepsReply(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	srv := newFakeNFS(t, net)
+	defer srv.srv.Close()
+	srv.files[5] = bytes.Repeat([]byte{3}, 4*testChunk)
+	c := newFakeClient(t, net, srv, Config{Window: 4, Readahead: 1})
+	defer c.Close()
+	fh := regularFH(5)
+
+	// Slices of one buffer that run to its end share their last element.
+	last := func(b []byte) *byte { return &b[:cap(b)][cap(b)-1] }
+	entry := func(off uint64) *raEntry {
+		c.bulkMu.Lock()
+		e := c.ra.entries[off]
+		c.bulkMu.Unlock()
+		if e == nil {
+			t.Fatalf("no readahead entry at offset %d", off)
+		}
+		<-e.ready
+		return e
+	}
+	buf := make([]byte, testChunk)
+	for _, off := range []uint64{0, testChunk} { // a stream, then its first sequential read
+		if _, _, err := c.Read(fh, off, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := entry(2 * testChunk)
+	if len(e.data) != testChunk || last(e.data) != last(e.rep.Body) {
+		t.Fatal("the prefetched chunk is not held in its reply")
+	}
+}
+
+// TestReadaheadReturnsDroppedReplies: the reply datagrams of entries a
+// stream lets go of unread — whether they have arrived or are still in
+// flight — go back to the fabric's pool, not to the collector: once the
+// client and server are closed, every pooled buffer taken has been
+// returned.
+func TestReadaheadReturnsDroppedReplies(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	srv := newFakeNFS(t, net)
+	srv.files[6] = bytes.Repeat([]byte{8}, 16*testChunk)
+	before := netsim.PoolStats()
+	c := newFakeClient(t, net, srv, Config{Window: 8, Readahead: 6})
+	fh := regularFH(6)
+	buf := make([]byte, testChunk)
+	for _, off := range []uint64{0, testChunk, 9 * testChunk, 10 * testChunk} {
+		// The third read breaks the stream, dropping what the second
+		// prefetched; Close drops what the fourth did.
+		if _, _, err := c.Read(fh, off, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	srv.srv.Close()
+	after := netsim.PoolStats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+		t.Fatalf("%d pooled buffers taken, %d returned", gets, puts)
+	}
+}

@@ -87,18 +87,30 @@ func Build(src, dst Addr, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("netsim: datagram size %d exceeds max %d", total, MaxDatagram)
 	}
 	d := GetBuf(total)
+	copy(d[HeaderSize:], payload)
+	_ = Seal(d, src, dst) // cannot fail: the size is checked above
+	return d, nil
+}
+
+// Seal turns d, whose payload has been written in place after HeaderSize
+// bytes of room, into a datagram from src to dst: it fills in the header
+// and computes the checksum, so a sender that encodes straight into a
+// pooled buffer never copies its payload (Port.Send).
+func Seal(d []byte, src, dst Addr) error {
+	if len(d) < HeaderSize || len(d) > MaxDatagram {
+		return fmt.Errorf("%w: datagram size %d outside [%d, %d]", ErrBadDatagram, len(d), HeaderSize, MaxDatagram)
+	}
 	binary.BigEndian.PutUint32(d[OffSrcHost:], src.Host)
 	binary.BigEndian.PutUint32(d[OffDstHost:], dst.Host)
 	binary.BigEndian.PutUint16(d[OffSrcPort:], src.Port)
 	binary.BigEndian.PutUint16(d[OffDstPort:], dst.Port)
-	binary.BigEndian.PutUint32(d[OffLength:], uint32(total))
-	copy(d[HeaderSize:], payload)
+	binary.BigEndian.PutUint32(d[OffLength:], uint32(len(d)))
 	// Zero the checksum and reserved fields before summing: the pooled
 	// buffer may hold stale bytes of its previous datagram at these offsets.
 	binary.BigEndian.PutUint16(d[OffChecksum:], 0)
 	binary.BigEndian.PutUint16(d[offReserved:], 0)
 	binary.BigEndian.PutUint16(d[OffChecksum:], checksum.Sum(d))
-	return d, nil
+	return nil
 }
 
 // ErrBadDatagram indicates a malformed or corrupt datagram.
@@ -443,10 +455,22 @@ func (p *Port) Close() {
 	})
 }
 
-// SendTo builds a datagram to dst carrying payload and sends it.
+// SendTo builds a datagram to dst carrying a copy of payload and sends it.
 func (p *Port) SendTo(dst Addr, payload []byte) error {
 	d, err := Build(p.addr, dst, payload)
 	if err != nil {
+		return err
+	}
+	return p.net.send(d)
+}
+
+// Send seals d — a pooled buffer whose payload the caller wrote in place
+// after HeaderSize bytes of room — as a datagram to dst and sends it,
+// copying nothing. Ownership of d passes to the network whatever the
+// outcome: a datagram that cannot be sealed is freed.
+func (p *Port) Send(dst Addr, d []byte) error {
+	if err := Seal(d, p.addr, dst); err != nil {
+		FreeBuf(d)
 		return err
 	}
 	return p.net.send(d)

@@ -136,6 +136,53 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
+// TestSendSealsInPlace: Send turns a buffer whose payload was written in
+// place into a datagram without copying it — the receiver gets the very
+// buffer, verified, byte for byte what Build makes of the same payload —
+// and takes ownership even of one it cannot seal.
+func TestSendSealsInPlace(t *testing.T) {
+	n := New(Config{})
+	a, err := n.Bind(Addr{Host: 1, Port: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Bind(Addr{Host: 2, Port: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("encoded in place!")
+	d := GetBuf(HeaderSize + len(payload))
+	for i := range d[:HeaderSize] {
+		d[i] = 0xEE // a recycled buffer's stale header
+	}
+	copy(d[HeaderSize:], payload)
+	if err := a.Send(b.Addr(), d); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Recv(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &d[0] {
+		t.Fatal("Send copied the datagram")
+	}
+	want, _ := Build(a.Addr(), b.Addr(), payload)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sealed datagram %x, Build makes %x", got, want)
+	}
+
+	before := PoolStats().Puts
+	if err := a.Send(b.Addr(), GetBuf(MaxDatagram+1)); err == nil {
+		t.Fatal("oversized datagram sent")
+	}
+	if err := a.Send(b.Addr(), GetBuf(HeaderSize-1)); err == nil {
+		t.Fatal("datagram shorter than its header sent")
+	}
+	if PoolStats().Puts == before {
+		t.Fatal("a datagram Send refused was not freed")
+	}
+}
+
 func TestRecvTimeout(t *testing.T) {
 	n := New(Config{})
 	p, _ := n.Bind(Addr{Host: 1, Port: 1})

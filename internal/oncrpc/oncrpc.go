@@ -93,10 +93,36 @@ func putReply(e *xdr.Encoder, xid, accept uint32, res func(*xdr.Encoder)) {
 
 // newMessageEncoder returns an encoder for one outgoing message whose
 // buffer is recycled through the fabric's datagram pool: a 32 KiB WRITE
-// call or READ reply is encoded into warm pooled memory rather than a
-// fresh 40 KiB heap object per message. The caller Releases it.
+// call is encoded into warm pooled memory rather than a fresh 40 KiB heap
+// object per message. The caller Releases it.
 func newMessageEncoder(header int) *xdr.Encoder {
 	return xdr.NewPooledEncoder(netsim.GetBuf, netsim.FreeBuf, header+128)
+}
+
+// newDatagramEncoder is newMessageEncoder with the datagram header's room
+// reserved in front of the message: the encoded buffer becomes the
+// datagram that carries it (netsim.Seal, netsim.Port.Send), so the
+// message is never copied after it is encoded. Whoever sends or seals the
+// buffer owns it from then on; otherwise the caller Releases it.
+func newDatagramEncoder(header int) *xdr.Encoder {
+	e := newMessageEncoder(netsim.HeaderSize + header)
+	e.Reserve(netsim.HeaderSize)
+	return e
+}
+
+// BuildReply encodes a reply message from src to dst straight into a
+// pooled datagram, sealed and owned by the caller (netsim.FreeBuf), who
+// typically hands it to the network: EncodeReply and netsim.Build without
+// the copy between them.
+func BuildReply(src, dst netsim.Addr, xid, accept uint32, res func(*xdr.Encoder)) ([]byte, error) {
+	e := newDatagramEncoder(ReplyHeader)
+	putReply(e, xid, accept, res)
+	d := e.Bytes()
+	if err := netsim.Seal(d, src, dst); err != nil {
+		e.Release()
+		return nil, err
+	}
+	return d, nil
 }
 
 // Call is a decoded call header plus its argument body. When the call
@@ -186,9 +212,9 @@ func ParseReply(payload []byte) (Reply, error) {
 	return Reply{Xid: xid, Accept: accept, Body: payload[ReplyHeader:]}, nil
 }
 
-// Conn is the datagram endpoint RPC runs over. *netsim.Port implements it
-// natively; internal/wire adapts real UDP and TCP sockets so clients can
-// reach a Slice ensemble across processes.
+// Conn is the datagram endpoint an RPC client runs over. *netsim.Port
+// implements it natively; internal/wire adapts real UDP and TCP sockets so
+// clients can reach a Slice ensemble across processes.
 type Conn interface {
 	SendTo(dst netsim.Addr, payload []byte) error
 	Recv(timeout time.Duration) ([]byte, error)
@@ -761,8 +787,10 @@ type callID struct {
 type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
 
 // Server accepts RPC calls on a port and dispatches them to a handler.
+// It runs on a fabric port, not any Conn, because it sends each reply in
+// the buffer it encoded it into (netsim.Port.Send).
 type Server struct {
-	port    Conn
+	port    *netsim.Port
 	handler Handler
 	obs     atomic.Pointer[ServerObserver]
 
@@ -797,7 +825,7 @@ const residentWorkers = 8
 const drcMaxReply = 1024
 
 // NewServer starts serving calls arriving on port with handler.
-func NewServer(port Conn, handler Handler) *Server {
+func NewServer(port *netsim.Port, handler Handler) *Server {
 	s := &Server{
 		port:     port,
 		handler:  handler,
@@ -930,7 +958,9 @@ func (s *Server) serve(d []byte) {
 		t0 = time.Now()
 	}
 	res, accept := s.handler.ServeRPC(call, from)
-	e := newMessageEncoder(ReplyHeader)
+	// The reply is encoded into the buffer that becomes its datagram: a
+	// READ's data is read straight into the datagram that carries it.
+	e := newDatagramEncoder(ReplyHeader)
 	putReply(e, call.Xid, accept, res)
 	var handlerNS uint64
 	if timed {
@@ -939,16 +969,17 @@ func (s *Server) serve(d []byte) {
 	if obsFn != nil {
 		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
 	}
-	reply := e.Bytes()
 	if timed {
-		reply = AppendReplyTrace(reply, call.Trace, handlerNS)
+		putReplyTrace(e, call.Trace, handlerNS)
 	}
+	out := e.Bytes()
+	reply := netsim.Payload(out)
 	// call.Args (and possibly res) alias the request datagram;
 	// putReply copied everything out, so it can go back now.
 	netsim.FreeBuf(d)
 
-	// The cache keeps its own copy: the encoder's buffer goes
-	// back to the pool once the reply is sent.
+	// The cache keeps its own copy: the datagram belongs to the
+	// network once it is sent.
 	var retained []byte
 	if len(reply) <= drcMaxReply {
 		retained = append(retained, reply...)
@@ -966,6 +997,5 @@ func (s *Server) serve(d []byte) {
 	}
 	s.mu.Unlock()
 
-	_ = s.port.SendTo(from, reply)
-	e.Release()
+	_ = s.port.Send(from, out)
 }

@@ -722,3 +722,74 @@ func TestCallKeyedReplyOwnsItsBuffer(t *testing.T) {
 		t.Fatal("Call's copy aliases a recycled buffer")
 	}
 }
+
+// TestReplyEncodedIntoItsDatagram: a server encodes its reply into the
+// buffer that crosses the fabric — the region a handler filled is, at the
+// same address, the body of the datagram the network carries — and the
+// trace trailer follows the result in that same buffer.
+func TestReplyEncodedIntoItsDatagram(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	sp, err := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := make(chan *byte, 1)
+	srv := NewServer(sp, HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		return func(e *xdr.Encoder) {
+			p := e.Reserve(4096)
+			for i := range p {
+				p[i] = byte(i)
+			}
+			filled <- &p[0]
+		}, AcceptSuccess
+	}))
+	srv.SetObserver(func(uint32, uint32, uint32, uint64) {})
+	sent := make(chan *byte, 1)
+	n.AddTap(netsim.TapFunc(func(d []byte) netsim.Verdict {
+		if h, err := netsim.ParseHeader(d); err == nil && h.Src == srv.Addr() {
+			sent <- &d[netsim.HeaderSize+ReplyHeader]
+		}
+		return netsim.Pass
+	}))
+	cp, err := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(cp, srv.Addr(), ClientConfig{})
+	t.Cleanup(func() { cli.Close(); srv.Close() })
+
+	rep, err := cli.CallKeyedReply(0, 7, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Free()
+	if <-filled != <-sent {
+		t.Fatal("the reply was copied between its encoder and its datagram")
+	}
+	if len(rep.Body) != 4096+ReplyTraceLen || rep.Body[4095] != 4095%256 {
+		t.Fatalf("reply body of %d bytes", len(rep.Body))
+	}
+	if _, _, ok := PeekReplyTrace(rep.Body); !ok {
+		t.Fatal("no trace trailer behind the result")
+	}
+}
+
+// TestBuildReplyMatchesBuild: a reply encoded straight into its datagram
+// is byte for byte EncodeReply's message sealed by Build.
+func TestBuildReplyMatchesBuild(t *testing.T) {
+	src, dst := netsim.Addr{Host: 9, Port: 2049}, netsim.Addr{Host: 3, Port: 700}
+	res := func(e *xdr.Encoder) { e.PutOpaque([]byte("result")) }
+	got, err := BuildReply(src, dst, 77, AcceptSuccess, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := netsim.Build(src, dst, EncodeReply(77, AcceptSuccess, res))
+	if string(got) != string(want) {
+		t.Fatalf("BuildReply %x, Build of EncodeReply %x", got, want)
+	}
+	if _, err := BuildReply(src, dst, 77, AcceptSuccess, func(e *xdr.Encoder) {
+		e.Reserve(netsim.MaxDatagram)
+	}); err == nil {
+		t.Fatal("a reply beyond the fabric MTU was built")
+	}
+}

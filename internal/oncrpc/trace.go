@@ -1,6 +1,10 @@
 package oncrpc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"slice/internal/xdr"
+)
 
 // The optional trace field: a fixed trailer appended after the argument
 // or result body of an RPC message, carrying the request's trace id and
@@ -48,11 +52,17 @@ func SplitCallTrace(body []byte) (traceID uint64, stripped []byte, ok bool) {
 
 // AppendReplyTrace appends the trace trailer to a reply payload.
 func AppendReplyTrace(payload []byte, traceID, serverNS uint64) []byte {
-	var t [ReplyTraceLen]byte
-	binary.BigEndian.PutUint64(t[0:], traceID)
-	binary.BigEndian.PutUint64(t[8:], serverNS)
-	binary.BigEndian.PutUint64(t[16:], traceMagic)
-	return append(payload, t[:]...)
+	e := xdr.NewEncoderBuf(payload)
+	putReplyTrace(e, traceID, serverNS)
+	return e.Bytes()
+}
+
+// putReplyTrace encodes the trace trailer at the end of a reply being
+// encoded.
+func putReplyTrace(e *xdr.Encoder, traceID, serverNS uint64) {
+	e.PutUint64(traceID)
+	e.PutUint64(serverNS)
+	e.PutUint64(traceMagic)
 }
 
 // PeekReplyTrace reads the trace trailer from a reply body without

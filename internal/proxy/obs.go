@@ -249,18 +249,14 @@ func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, v
 // helper goroutine: StatsFn walks registries under their locks.
 func (p *Proxy) answerStats(client netsim.Addr, xid, proc, arg uint32) {
 	out := p.cfg.StatsFn(proc, arg)
-	var payload []byte
+	accept, res := uint32(oncrpc.AcceptSuccess), func(e *xdr.Encoder) { e.PutOpaque(out) }
 	if out == nil {
-		payload = oncrpc.EncodeReply(xid, oncrpc.AcceptProcUnavail, nil)
-	} else {
-		payload = oncrpc.EncodeReply(xid, oncrpc.AcceptSuccess, func(e *xdr.Encoder) {
-			e.PutOpaque(out)
-		})
+		accept, res = oncrpc.AcceptProcUnavail, nil
 	}
-	// An oversized snapshot (beyond the fabric MTU) fails Build and is
-	// counted as dropped; the caller times out and can ask for less
+	// An oversized snapshot (beyond the fabric MTU) fails BuildReply and
+	// is counted as dropped; the caller times out and can ask for less
 	// (fewer traces) rather than the µproxy fragmenting.
-	d, err := netsim.Build(p.cfg.Virtual, client, payload)
+	d, err := oncrpc.BuildReply(p.cfg.Virtual, client, xid, accept, res)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

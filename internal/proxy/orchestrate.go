@@ -321,25 +321,15 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 			// and its reads may spread again.
 			p.dirty.ForceClear(fh.Ident())
 		}
-	} else if id == 0 {
-		fail := nfsproto.CommitRes{Status: nfsproto.ErrIO}
-		payload := oncrpc.EncodeReply(xid, oncrpc.AcceptSuccess, fail.Encode)
-		if out, err := netsim.Build(p.cfg.Virtual, client, payload); err == nil {
-			p.st.absorbed.Add(1)
-			p.st.responses.Add(1)
-			_ = p.cfg.Net.Inject(out)
-		} else {
-			p.st.dropped.Add(1)
-		}
-		return
 	}
 
 	res := nfsproto.CommitRes{Status: nfsproto.OK, Verf: verf}
-	if at, ok := p.attrs.get(fh); ok {
+	if !committed && id == 0 {
+		res = nfsproto.CommitRes{Status: nfsproto.ErrIO}
+	} else if at, ok := p.attrs.get(fh); ok {
 		res.Attr = nfsproto.Some(at)
 	}
-	payload := oncrpc.EncodeReply(xid, oncrpc.AcceptSuccess, res.Encode)
-	out, err := netsim.Build(p.cfg.Virtual, client, payload)
+	out, err := oncrpc.BuildReply(p.cfg.Virtual, client, xid, oncrpc.AcceptSuccess, res.Encode)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

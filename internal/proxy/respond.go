@@ -485,11 +485,10 @@ func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 	netsim.FreeBuf(d)
 }
 
-// respondEncoded builds a fresh reply datagram from the virtual server to
+// respondEncoded encodes a fresh reply datagram from the virtual server to
 // the client — the reply's rewrite lap — and injects it.
 func (p *Proxy) respondEncoded(key pendKey, pd *pendingReq, body func(*xdr.Encoder)) {
-	payload := oncrpc.EncodeReply(key.xid, oncrpc.AcceptSuccess, body)
-	out, err := netsim.Build(p.cfg.Virtual, key.client, payload)
+	out, err := oncrpc.BuildReply(p.cfg.Virtual, key.client, key.xid, oncrpc.AcceptSuccess, body)
 	p.lap(&pd.clk, stRewrite)
 	if err != nil {
 		p.st.dropped.Add(1)

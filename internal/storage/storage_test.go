@@ -11,6 +11,7 @@ import (
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
+	"slice/internal/replica"
 	"slice/internal/xdr"
 )
 
@@ -373,6 +374,59 @@ func TestNodeObjProgramRPC(t *testing.T) {
 	_ = st.Decode(xdr.NewDecoder(body))
 	if st.Status != nfsproto.ErrNoEnt {
 		t.Fatalf("stat of removed object: %v", st.Status)
+	}
+}
+
+// TestPeerReadRPC: the peer program's chunk read answers with the
+// object's bytes in the shape the rebalance driver decodes — capped at PeerChunk, short at the end of the
+// object, empty past it, padded — and PeerNoObj for a missing object.
+func TestPeerReadRPC(t *testing.T) {
+	node, cli := newNode(t)
+	data := make([]byte, replica.PeerChunk+101)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	id := ObjectOf(testFH(11))
+	if err := node.Store().WriteAt(id, 0, data, true); err != nil {
+		t.Fatal(err)
+	}
+	read := func(id ObjectID, off uint64, n uint32) (uint32, []byte) {
+		t.Helper()
+		body, err := cli.Call(replica.PeerProgram, replica.PeerVersion, replica.PeerProcRead, func(e *xdr.Encoder) {
+			e.PutUint64(0) // the bearer token: this node requires none
+			e.PutUint64(uint64(id))
+			e.PutUint64(off)
+			e.PutUint32(n)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := xdr.NewDecoder(body)
+		status, err := d.Uint32()
+		if err != nil || status != replica.PeerOK {
+			return status, nil
+		}
+		p, err := d.Opaque()
+		if err != nil || d.Remaining() != 0 {
+			t.Fatalf("read at %d: %v, %d bytes after the data", off, err, d.Remaining())
+		}
+		return status, p
+	}
+	for _, c := range []struct {
+		off  uint64
+		n    uint32
+		want []byte
+	}{
+		{0, replica.PeerChunk + 50, data[:replica.PeerChunk]},
+		{replica.PeerChunk, 1000, data[replica.PeerChunk:]},
+		{uint64(len(data)) + 10, 10, nil},
+	} {
+		if status, got := read(id, c.off, c.n); status != replica.PeerOK || !bytes.Equal(got, c.want) {
+			t.Fatalf("read (off %d, count %d): status %d, %d bytes, want %d", c.off, c.n, status, len(got), len(c.want))
+		}
+	}
+	if status, _ := read(ObjectOf(testFH(12)), 0, 10); status != replica.PeerNoObj {
+		t.Fatalf("read of a missing object: status %d", status)
 	}
 }
 

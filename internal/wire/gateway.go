@@ -294,18 +294,20 @@ func (g *Gateway) count(ev event, n uint64) {
 
 // inject sends one received record onto the fabric toward the virtual
 // server from the peer's synthetic address, so the µproxy fleet intercepts
-// it like any client datagram. SendTo copies the record into a pooled
-// datagram; a failure (e.g. a record larger than the fabric MTU) is
-// counted, and RPC retransmission recovers exactly as for datagram loss.
-func (g *Gateway) inject(p *peer, rec []byte) {
-	n := uint64(len(rec))
+// it like any client datagram. The record is the payload of d, a pooled
+// buffer with netsim.HeaderSize bytes of room in front, which Send seals
+// in place and takes ownership of; a failure (e.g. a record larger than
+// the fabric MTU) is counted, and RPC retransmission recovers exactly as
+// for datagram loss.
+func (g *Gateway) inject(p *peer, d []byte) {
+	n := uint64(len(netsim.Payload(d)))
 	g.rxRecords.Add(1)
 	g.rxBytes.Add(n)
 	maxUp(&g.maxRxRecord, n)
 	if h := g.hists.Load(); h != nil {
 		h.rxRecord.Record(n)
 	}
-	if err := p.port.SendTo(g.virtual, rec); err != nil {
+	if err := p.port.Send(g.virtual, d); err != nil {
 		g.count(dropInject, 1)
 	}
 }
@@ -343,19 +345,21 @@ func (g *Gateway) streamReader(p *peer) {
 
 	br := bufio.NewReaderSize(p.tcp, 64<<10)
 	for {
-		rec, err := readRecord(br, 0)
+		// Reassembled behind room for the datagram header, the record
+		// goes onto the fabric in the buffer it was read into.
+		d, err := readRecord(br, netsim.HeaderSize)
 		if err != nil {
 			return
 		}
-		connRx += uint64(len(rec))
-		g.inject(p, rec)
-		netsim.FreeBuf(rec)
+		connRx += uint64(len(netsim.Payload(d)))
+		g.inject(p, d)
 	}
 }
 
 // datagramLoop reads UDP datagrams (bare RPC payloads), demultiplexes
 // them to peers by source address — admitting on first contact — and
-// injects each.
+// injects a copy of each, sized to it: a datagram's length is known only
+// once it has been read into a buffer large enough for any.
 func (g *Gateway) datagramLoop() {
 	defer g.wg.Done()
 	buf := make([]byte, maxDatagram)
@@ -374,7 +378,9 @@ func (g *Gateway) datagramLoop() {
 			}
 		}
 		p.touch()
-		g.inject(p, buf[:n])
+		d := netsim.GetBuf(netsim.HeaderSize + n)
+		copy(netsim.Payload(d), buf[:n])
+		g.inject(p, d)
 	}
 }
 
