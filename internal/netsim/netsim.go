@@ -406,6 +406,7 @@ type Port struct {
 	ch     chan []byte
 	closed chan struct{}
 	once   sync.Once
+	upcall atomic.Pointer[func(d []byte)] // see SetUpcall
 }
 
 // Bind claims addr and returns its port.
@@ -453,6 +454,26 @@ func (p *Port) Close() {
 		p.net.mu.Unlock()
 		close(p.closed)
 	})
+}
+
+// SetUpcall makes fn the port's receiver: from then on every datagram
+// delivered to the port is verified as Recv verifies it and handed to fn
+// on the delivering goroutine — the sender's, or a delay timer's — instead
+// of being queued, so no receiving goroutine is woken to take it. fn owns
+// the datagram it is given and must not block: it runs inside the
+// sender's send. Set it before traffic is addressed to the port: datagrams
+// already queued are passed to fn at once, but one queued while SetUpcall
+// runs would wait for a Recv. A delivery after Close is dropped (counted in
+// Stats.Dropped); Recv and TryRecv see nothing once an upcall is set.
+func (p *Port) SetUpcall(fn func(d []byte)) {
+	p.upcall.Store(&fn)
+	for {
+		d, ok := p.TryRecv()
+		if !ok {
+			return
+		}
+		fn(d)
+	}
 }
 
 // SendTo builds a datagram to dst carrying a copy of payload and sends it.
@@ -635,6 +656,20 @@ func (n *Network) enqueueAfter(p *Port, d []byte, extra time.Duration) {
 }
 
 func (n *Network) enqueue(p *Port, d []byte) {
+	if fn := p.upcall.Load(); fn != nil {
+		select {
+		case <-p.closed:
+			n.stats.dropped.Add(1)
+			FreeBuf(d)
+			return
+		default:
+		}
+		n.stats.delivered.Add(1)
+		if n.intact(d) {
+			(*fn)(d)
+		}
+		return
+	}
 	select {
 	case p.ch <- d:
 		n.stats.delivered.Add(1)

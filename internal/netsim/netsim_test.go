@@ -613,3 +613,116 @@ func TestRewriteBytesAndTrimTail(t *testing.T) {
 		t.Fatal("a rejected edit modified the datagram")
 	}
 }
+
+// upcallPair binds a sender and a receiver whose upcall records what it is
+// handed, freeing each datagram as a receiver must.
+func upcallPair(t *testing.T, n *Network) (src, dst *Port, got *[][]byte) {
+	t.Helper()
+	src, err := n.Bind(Addr{Host: 1, Port: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err = n.Bind(Addr{Host: 2, Port: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = new([][]byte)
+	dst.SetUpcall(func(d []byte) {
+		*got = append(*got, append([]byte(nil), Payload(d)...))
+		FreeBuf(d)
+	})
+	return src, dst, got
+}
+
+// TestUpcallRunsOnTheSendersGoroutine: a datagram to an upcall port is in
+// the receiver's hands when SendTo returns, and nothing is queued for Recv.
+func TestUpcallRunsOnTheSendersGoroutine(t *testing.T) {
+	n := New(Config{})
+	src, dst, got := upcallPair(t, n)
+	if err := src.SendTo(dst.Addr(), []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 1 || string((*got)[0]) != "hello" {
+		t.Fatalf("upcall saw %q", *got)
+	}
+	if _, ok := dst.TryRecv(); ok {
+		t.Fatal("a datagram was queued on an upcall port")
+	}
+	if st := n.Stats(); st.Delivered != 1 || st.Dropped != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestUpcallDropsCorruptDatagram: the upcall is the fabric's edge, so it
+// verifies as Recv does — a datagram corrupted in flight is counted dropped
+// and never handed to the receiver.
+func TestUpcallDropsCorruptDatagram(t *testing.T) {
+	n := New(Config{})
+	src, dst, got := upcallPair(t, n)
+	n.AddTap(TapFunc(func(d []byte) Verdict {
+		d[len(d)-1] ^= 0x40 // a payload bit, checksum left alone
+		return Pass
+	}))
+	if err := src.SendTo(dst.Addr(), []byte("corrupt me")); err != nil {
+		t.Fatal(err)
+	}
+	if len(*got) != 0 {
+		t.Fatalf("a corrupt datagram was dispatched: %q", *got)
+	}
+	if st := n.Stats(); st.Dropped != 1 {
+		t.Fatalf("Dropped = %d, want 1", st.Dropped)
+	}
+}
+
+// TestUpcallAfterCloseDropped: a delivery that reaches a port after Close —
+// one whose latency timer was already running — is dropped and its buffer
+// returned to the pool, not handed to a receiver that has gone.
+func TestUpcallAfterCloseDropped(t *testing.T) {
+	n := New(Config{})
+	_, dst, got := upcallPair(t, n)
+	d, err := Build(Addr{Host: 1, Port: 1}, dst.Addr(), []byte("late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := PoolStats()
+	dst.Close()
+	n.enqueue(dst, d) // what a latency timer armed before Close does
+	if len(*got) != 0 {
+		t.Fatalf("a delivery after Close was dispatched: %q", *got)
+	}
+	after := PoolStats()
+	if puts := after.Puts - before.Puts; puts != 1 || after.Gets != before.Gets {
+		t.Fatalf("pool: %d gets, %d puts around the dropped delivery, want 0 and 1",
+			after.Gets-before.Gets, puts)
+	}
+	if st := n.Stats(); st.Dropped != 1 {
+		t.Fatalf("Dropped = %d, want 1", st.Dropped)
+	}
+}
+
+// TestSetUpcallDrainsQueue: datagrams queued before the upcall was set are
+// handed to it, in order, when it is.
+func TestSetUpcallDrainsQueue(t *testing.T) {
+	n := New(Config{})
+	src, err := n.Bind(Addr{Host: 1, Port: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := n.Bind(Addr{Host: 2, Port: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"one", "two"} {
+		if err := src.SendTo(dst.Addr(), []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	dst.SetUpcall(func(d []byte) {
+		got = append(got, string(Payload(d)))
+		FreeBuf(d)
+	})
+	if len(got) != 2 || got[0] != "one" || got[1] != "two" {
+		t.Fatalf("upcall saw %q", got)
+	}
+}

@@ -99,6 +99,22 @@ func (p Proc) String() string {
 	}
 }
 
+// Idempotent reports whether a retransmitted call of p may simply run
+// again: NULL, GETATTR, LOOKUP, ACCESS, READLINK, READ, READDIR and FSSTAT
+// change nothing, so a second execution answers as the first would have
+// (RFC 1813; Linux nfsd serves them uncached). Every other procedure —
+// SETATTR, WRITE, CREATE, MKDIR, SYMLINK, REMOVE, RMDIR, RENAME, LINK,
+// COMMIT, and any this package does not know — must answer a
+// retransmission with its original reply, from the server's
+// duplicate-request cache.
+func (p Proc) Idempotent() bool {
+	switch p {
+	case ProcNull, ProcGetAttr, ProcLookup, ProcAccess, ProcReadLink, ProcRead, ProcReadDir, ProcFsStat:
+		return true
+	}
+	return false
+}
+
 // Status is an NFS V3 status code (nfsstat3).
 type Status uint32
 

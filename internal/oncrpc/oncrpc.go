@@ -10,9 +10,15 @@
 //
 // Clients retransmit on timeout with exponential backoff — the end-to-end
 // recovery the Slice architecture relies on when the µproxy or the network
-// drops packets (§2.1). Servers keep a duplicate-request cache so that
-// retransmitted non-idempotent operations (e.g. CREATE, REMOVE) observe
-// their original reply rather than re-executing.
+// drops packets (§2.1). Servers keep a duplicate-request cache (DRC) so
+// that a retransmitted non-idempotent call observes its original reply
+// rather than executing twice. The rule is by procedure, as in NFSv3
+// servers (RFC 1813): the idempotent NFS procedures — NULL, GETATTR,
+// LOOKUP, ACCESS, READLINK, READ, READDIR and FSSTAT — never enter the
+// cache and simply run again when retransmitted; SETATTR, WRITE, CREATE,
+// MKDIR, SYMLINK, REMOVE, RMDIR, RENAME, LINK and COMMIT, and every call of
+// any other program, are executed at most once while their reply is
+// cached (nfsproto.Proc.Idempotent is the one classification).
 package oncrpc
 
 import (
@@ -25,6 +31,7 @@ import (
 	"time"
 
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/xdr"
 )
 
@@ -354,7 +361,7 @@ const numPendingShards = 16
 // Records are recycled through callPool with their channel and timer, so
 // a call allocates neither. The one rule: a record goes back to the pool
 // only from the call that received its reply (and stopped its timer before
-// it fired, so no tick is left in it either). recvLoop removes the map
+// it fired, so no tick is left in it either). dispatch removes the map
 // entry before its single send on ch, so once that send has been received
 // nothing else refers to the record; a call that gave up, on the other
 // hand, may already have been matched and have the send still on its way —
@@ -424,7 +431,9 @@ type Client struct {
 }
 
 // NewClient creates a client bound to port that calls the given server
-// address. The client owns the port's receive loop.
+// address. The client owns the port's receive side: on a port that offers
+// an upcall (a *netsim.Port) its reply dispatch becomes the port's
+// receiver, and on any other Conn a receive loop runs the same dispatch.
 func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	cfg.defaults()
 	seed := cfg.XidSeed
@@ -440,7 +449,11 @@ func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint32]*pendingCall)
 	}
-	go c.recvLoop()
+	if u, ok := port.(upcaller); ok {
+		u.SetUpcall(c.dispatch)
+	} else {
+		go c.recvLoop()
+	}
 	return c
 }
 
@@ -523,47 +536,62 @@ func (c *Client) unregister(xid uint32) {
 	s.mu.Unlock()
 }
 
+// upcaller is a Conn that can hand each received datagram straight to a
+// receive function on the delivering goroutine (*netsim.Port).
+type upcaller interface {
+	SetUpcall(fn func(d []byte))
+}
+
+// recvLoop feeds dispatch from a Conn that only offers Recv.
 func (c *Client) recvLoop() {
 	for {
 		d, err := c.port.Recv(0)
 		if err != nil {
 			return // port closed
 		}
-		payload := netsim.Payload(d)
-		rep, err := ParseReply(payload)
-		if err != nil {
-			netsim.FreeBuf(d)
-			continue // not a reply; ignore
-		}
-		src := netsim.Addr{
-			Host: binary.BigEndian.Uint32(d[netsim.OffSrcHost:]),
-			Port: binary.BigEndian.Uint16(d[netsim.OffSrcPort:]),
-		}
-		s := c.shard(rep.Xid)
-		s.mu.Lock()
-		pc, ok := s.m[rep.Xid]
-		if ok && !pc.from(src) {
-			// Matching xid, wrong peer: a stray reply from an address
-			// this call was never sent to. Leave the call registered —
-			// the real peer's answer (or a retransmission's) still
-			// matches — and drop the stray.
-			ok = false
-			c.strayReplies.Add(1)
-		} else if ok {
-			delete(s.m, rep.Xid)
-		}
-		s.mu.Unlock()
-		if !ok {
-			netsim.FreeBuf(d)
-			continue
-		}
-		// The datagram buffer passes to the awaiting caller along with
-		// the body that aliases it. Duplicate deliveries of the same xid
-		// find no pending entry and are freed above, so the buffered
-		// send can never block.
-		rep.dgram = d
-		pc.ch <- rep
+		c.dispatch(d)
 	}
+}
+
+// dispatch matches one received datagram, which it owns, to the call
+// waiting for it and hands it over; anything else is freed. It never
+// blocks and takes only the xid's shard lock, because on a fabric port it
+// runs inside the sender's send (netsim.Port.SetUpcall) — so the sender
+// wakes the waiting caller itself, with no receive goroutine in between.
+func (c *Client) dispatch(d []byte) {
+	rep, err := ParseReply(netsim.Payload(d))
+	if err != nil {
+		netsim.FreeBuf(d)
+		return // not a reply; ignore
+	}
+	src := netsim.Addr{
+		Host: binary.BigEndian.Uint32(d[netsim.OffSrcHost:]),
+		Port: binary.BigEndian.Uint16(d[netsim.OffSrcPort:]),
+	}
+	s := c.shard(rep.Xid)
+	s.mu.Lock()
+	pc, ok := s.m[rep.Xid]
+	if ok && !pc.from(src) {
+		// Matching xid, wrong peer: a stray reply from an address this
+		// call was never sent to. Leave the call registered — the real
+		// peer's answer (or a retransmission's) still matches — and drop
+		// the stray.
+		ok = false
+		c.strayReplies.Add(1)
+	} else if ok {
+		delete(s.m, rep.Xid)
+	}
+	s.mu.Unlock()
+	if !ok {
+		netsim.FreeBuf(d)
+		return
+	}
+	// The datagram buffer passes to the awaiting caller along with the
+	// body that aliases it. Duplicate deliveries of the same xid find no
+	// pending entry and are freed above, so the buffered send can never
+	// block.
+	rep.dgram = d
+	pc.ch <- rep
 }
 
 // Call issues proc of prog/vers with the encoded args and returns the
@@ -817,11 +845,11 @@ const residentWorkers = 8
 // drcMaxReply is the largest reply the duplicate-request cache retains.
 // The cache exists so that a retransmitted non-idempotent call (CREATE,
 // REMOVE, WRITE, ...) observes its original reply, and those replies are
-// a status and a few attribute blocks. Anything larger is the result of
-// an idempotent read (READ, READDIR, a peer-program chunk read) and simply
-// re-executes on retransmission — retaining it would pin ~40 KiB per
-// slot (1024 slots × 4 storage nodes ≈ 160 MiB of dead READ data) and
-// keep every reply buffer out of the pool.
+// a status and a few attribute blocks. Idempotent NFS procedures never
+// reach it (reExecutes); a larger reply of another program is a peer
+// chunk read, which re-executes on retransmission too — retaining it
+// would pin ~40 KiB per slot (1024 slots × 4 storage nodes ≈ 160 MiB of
+// dead data) and keep every reply buffer out of the pool.
 const drcMaxReply = 1024
 
 // NewServer starts serving calls arriving on port with handler.
@@ -919,37 +947,11 @@ func (s *Server) serve(d []byte) {
 	key := drcKey{host: from, xid: call.Xid}
 	id := callID{prog: call.Program, vers: call.Version,
 		proc: call.Proc, bodyLen: len(call.Body)}
-
-	s.mu.Lock()
-	if idx, ok := s.drc[key]; ok {
-		if s.drcRing[idx].id == id {
-			// Retransmission of a completed call: replay the reply.
-			reply := s.drcRing[idx].reply
-			s.mu.Unlock()
-			netsim.FreeBuf(d)
-			_ = s.port.SendTo(from, reply)
-			return
-		}
-		// Same {source, xid} but a different call: not a
-		// retransmission. Drop the stale entry (clearing its ring
-		// slot so the eventual slot reuse cannot evict a newer entry
-		// under the same key) and execute the call fresh.
-		delete(s.drc, key)
-		s.drcRing[idx] = drcEntry{}
-	}
-	if _, ok := s.inflight[key]; ok {
-		// Retransmission of an in-progress call: drop; the client
-		// will retry and eventually hit the DRC. A *different* call
-		// colliding with the in-flight slot is also dropped — one
-		// key cannot track both — but its retransmission lands
-		// after the first call completes and then takes the
-		// stale-entry path above, so it is executed, not wedged.
-		s.mu.Unlock()
+	atMostOnce := !reExecutes(&call)
+	if atMostOnce && !s.admit(key, id, from) {
 		netsim.FreeBuf(d)
 		return
 	}
-	s.inflight[key] = id
-	s.mu.Unlock()
 
 	obsFn := s.obs.Load()
 	timed := obsFn != nil || call.Traced
@@ -973,13 +975,65 @@ func (s *Server) serve(d []byte) {
 		putReplyTrace(e, call.Trace, handlerNS)
 	}
 	out := e.Bytes()
-	reply := netsim.Payload(out)
 	// call.Args (and possibly res) alias the request datagram;
 	// putReply copied everything out, so it can go back now.
 	netsim.FreeBuf(d)
+	if atMostOnce {
+		s.retain(key, id, netsim.Payload(out))
+	}
+	_ = s.port.Send(from, out)
+}
 
-	// The cache keeps its own copy: the datagram belongs to the
-	// network once it is sent.
+// reExecutes reports whether a retransmission of call simply runs again:
+// true of the NFSv3 procedures nfsproto classes idempotent, whose replies
+// never enter the duplicate-request cache. Every other call — the
+// non-idempotent NFS procedures and every other program — is executed at
+// most once.
+func reExecutes(call *Call) bool {
+	return call.Program == nfsproto.Program && call.Version == nfsproto.Version &&
+		nfsproto.Proc(call.Proc).Idempotent()
+}
+
+// admit is duplicate suppression for an at-most-once call: it reports
+// whether the call is new and is to be executed, now registered in
+// flight. A retransmission of a completed call is answered from the cache
+// here; one of a call still executing is dropped.
+func (s *Server) admit(key drcKey, id callID, from netsim.Addr) bool {
+	s.mu.Lock()
+	if idx, ok := s.drc[key]; ok {
+		if s.drcRing[idx].id == id {
+			// Retransmission of a completed call: replay the reply.
+			reply := s.drcRing[idx].reply
+			s.mu.Unlock()
+			_ = s.port.SendTo(from, reply)
+			return false
+		}
+		// Same {source, xid} but a different call: not a retransmission.
+		// Drop the stale entry (clearing its ring slot so the eventual
+		// slot reuse cannot evict a newer entry under the same key) and
+		// execute the call fresh.
+		delete(s.drc, key)
+		s.drcRing[idx] = drcEntry{}
+	}
+	if _, ok := s.inflight[key]; ok {
+		// Retransmission of an in-progress call: drop; the client will
+		// retry and eventually hit the DRC. A *different* call colliding
+		// with the in-flight slot is also dropped — one key cannot track
+		// both — but its retransmission lands after the first call
+		// completes and then takes the stale-entry path above, so it is
+		// executed, not wedged.
+		s.mu.Unlock()
+		return false
+	}
+	s.inflight[key] = id
+	s.mu.Unlock()
+	return true
+}
+
+// retain ends an admitted call's time in flight and caches its reply for
+// retransmissions, keeping a copy of its own: the datagram belongs to the
+// network once it is sent.
+func (s *Server) retain(key drcKey, id callID, reply []byte) {
 	var retained []byte
 	if len(reply) <= drcMaxReply {
 		retained = append(retained, reply...)
@@ -996,6 +1050,4 @@ func (s *Server) serve(d []byte) {
 		s.drcNext = (s.drcNext + 1) % DRCSize
 	}
 	s.mu.Unlock()
-
-	_ = s.port.Send(from, out)
 }

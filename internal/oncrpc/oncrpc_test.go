@@ -595,23 +595,38 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 }
 
 // TestDRCRetainsOnlySmallReplies: the duplicate-request cache exists for
-// non-idempotent calls, whose replies are small. A retransmitted
-// WRITE-like call must still be answered from the cache without running
-// the handler again; a retransmitted READ-like call, whose 32 KiB reply
-// the cache no longer pins, re-executes and returns identical bytes.
+// non-idempotent calls, whose replies are small. A retransmitted WRITE,
+// CREATE or SETATTR must still be answered from the cache without running
+// the handler again; a retransmitted READ or GETATTR, idempotent, never
+// enters the cache and re-executes — READ returning identical bytes. A call
+// of another program stays at-most-once, but a reply larger than
+// drcMaxReply (a peer chunk read) is never retained.
 func TestDRCRetainsOnlySmallReplies(t *testing.T) {
-	const procWrite, procRead = 7, 6
+	const (
+		procGetAttr = 1
+		procSetAttr = 2
+		procRead    = 6
+		procWrite   = 7
+		procCreate  = 8
+	)
 	bulk := make([]byte, 32<<10)
 	for i := range bulk {
 		bulk[i] = byte(i * 131)
 	}
-	var writes, reads atomic.Uint64
+	// peerProg stands for a storage node's peer program: not NFS, so its
+	// calls stay at-most-once, and its chunk read replies in bulk.
+	const peerProg, procChunk = 200102, 3
+	var runs [procCreate + 1]atomic.Uint64
+	var chunkRuns atomic.Uint64
 	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-		if call.Proc == procRead {
-			reads.Add(1)
+		if call.Program == peerProg {
+			chunkRuns.Add(1)
 			return func(e *xdr.Encoder) { e.PutOpaque(bulk) }, AcceptSuccess
 		}
-		n := writes.Add(1)
+		n := runs[call.Proc].Add(1)
+		if call.Proc == procRead {
+			return func(e *xdr.Encoder) { e.PutOpaque(bulk) }, AcceptSuccess
+		}
 		return func(e *xdr.Encoder) { e.PutUint64(n) }, AcceptSuccess
 	})
 	n := netsim.New(netsim.Config{})
@@ -637,17 +652,23 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 		return append([]byte(nil), netsim.Payload(d)...)
 	}
 
-	write := EncodeCall(501, 100003, 3, procWrite, func(e *xdr.Encoder) { e.PutOpaque(bulk) })
-	first := exchange(write)
-	if again := exchange(write); string(again) != string(first) {
-		t.Fatal("retransmitted WRITE answered differently")
-	}
-	if got := writes.Load(); got != 1 {
-		t.Fatalf("WRITE handler ran %d times for one call and its retransmission, want 1", got)
+	// Non-idempotent: the retransmission replays the first reply.
+	for xid, c := range map[uint32]struct {
+		proc uint32
+		body []byte
+	}{501: {procWrite, bulk}, 503: {procCreate, []byte("name")}, 504: {procSetAttr, []byte("attr")}} {
+		call := EncodeCall(xid, 100003, 3, c.proc, func(e *xdr.Encoder) { e.PutOpaque(c.body) })
+		first := exchange(call)
+		if again := exchange(call); string(again) != string(first) {
+			t.Fatalf("retransmitted proc %d answered differently", c.proc)
+		}
+		if got := runs[c.proc].Load(); got != 1 {
+			t.Fatalf("proc %d handler ran %d times for one call and its retransmission, want 1", c.proc, got)
+		}
 	}
 
 	read := EncodeCall(502, 100003, 3, procRead, nil)
-	first = exchange(read)
+	first := exchange(read)
 	rep, err := ParseReply(first)
 	if err != nil {
 		t.Fatal(err)
@@ -658,9 +679,31 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 	if again := exchange(read); string(again) != string(first) {
 		t.Fatal("retransmitted READ returned different bytes")
 	}
-	if got := reads.Load(); got != 2 {
-		t.Fatalf("READ handler ran %d times, want 2 (bulk replies re-execute)", got)
+	if got := runs[procRead].Load(); got != 2 {
+		t.Fatalf("READ handler ran %d times, want 2 (idempotent calls re-execute)", got)
 	}
+
+	// A GETATTR reply is small enough to cache, but GETATTR is idempotent:
+	// its retransmission runs the handler again.
+	getattr := EncodeCall(505, 100003, 3, procGetAttr, func(e *xdr.Encoder) { e.PutUint32(9) })
+	exchange(getattr)
+	exchange(getattr)
+	if got := runs[procGetAttr].Load(); got != 2 {
+		t.Fatalf("GETATTR handler ran %d times for one call and its retransmission, want 2", got)
+	}
+
+	// A peer chunk read is at-most-once but its 32 KiB reply is too large
+	// to retain: the call leaves flight uncached, and its retransmission
+	// runs again and returns the same bytes.
+	chunk := EncodeCall(506, peerProg, 1, procChunk, nil)
+	first = exchange(chunk)
+	if again := exchange(chunk); string(again) != string(first) {
+		t.Fatal("retransmitted chunk read returned different bytes")
+	}
+	if got := chunkRuns.Load(); got != 2 {
+		t.Fatalf("chunk read handler ran %d times, want 2 (a large reply is not retained)", got)
+	}
+
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for _, ent := range srv.drcRing {
@@ -668,8 +711,82 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 			t.Fatalf("cache retains a %d-byte reply", len(ent.reply))
 		}
 	}
-	if len(srv.drc) != 1 || len(srv.inflight) != 0 {
-		t.Fatalf("cache holds %d entries (%d in flight), want the WRITE alone", len(srv.drc), len(srv.inflight))
+	if len(srv.drc) != 3 || len(srv.inflight) != 0 {
+		t.Fatalf("cache holds %d entries (%d in flight), want WRITE, CREATE and SETATTR", len(srv.drc), len(srv.inflight))
+	}
+}
+
+// TestClientOnFabricPortStartsNoReceiver: on a fabric port the client's
+// reply dispatch is the port's upcall, not a receive goroutine, so a reply
+// has been matched to its waiting call — or counted as a stray — by the
+// time the sender's SendTo returns. Its calls through a server complete.
+func TestClientOnFabricPortStartsNoReceiver(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	peer, err := n.Bind(netsim.Addr{Host: 3, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	other, err := n.Bind(netsim.Addr{Host: 4, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	cp, err := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(cp, peer.Addr(), ClientConfig{})
+	defer cli.Close()
+
+	xid, pc, err := cli.register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli.noteSent(xid, peer.Addr())
+	reply := EncodeReply(xid, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(42) })
+	// From an address the call was never sent to: rejected in the send.
+	if err := other.SendTo(cp.Addr(), reply); err != nil {
+		t.Fatal(err)
+	}
+	if got := cli.StrayReplies(); got != 1 {
+		t.Fatalf("stray reply counted %d times when its send returned, want 1", got)
+	}
+	// From the call's peer: handed to the caller in the send.
+	if err := peer.SendTo(cp.Addr(), reply); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case rep := <-pc.ch:
+		if got, _ := xdr.NewDecoder(rep.Body).Uint32(); got != 42 {
+			t.Fatalf("reply body %d, want 42", got)
+		}
+		rep.Free()
+	default:
+		t.Fatal("reply not dispatched to its call by the time its send returned")
+	}
+	cli.unregister(xid)
+
+	sp, err := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sp, echoHandler)
+	defer srv.Close()
+	cp2, err := n.Bind(netsim.Addr{Host: 1, Port: 101})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli2 := NewClient(cp2, srv.Addr(), ClientConfig{})
+	defer cli2.Close()
+	for i := uint32(0); i < 8; i++ {
+		body, err := cli2.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(i) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := xdr.NewDecoder(body).Uint32(); got != i {
+			t.Fatalf("call %d answered with %d", i, got)
+		}
 	}
 }
 

@@ -327,10 +327,11 @@ func (p *Proxy) shardFor(key pendKey) *pendShard {
 	return &p.shards[shardIndex(pendHash(key))]
 }
 
-// resetPend discards every pending record. In-flight replies for the
-// dropped records pass through to the client untouched; clients recover
+// forgetPend discards every pending record, as a crash does. In-flight
+// replies for the dropped records pass through with their server's source
+// address, the client's peer check discards them, and the client recovers
 // by retransmission, as §2.1 requires.
-func (p *Proxy) resetPend() {
+func (p *Proxy) forgetPend() {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
@@ -339,36 +340,66 @@ func (p *Proxy) resetPend() {
 	}
 }
 
-// FlushSoftState discards all soft state: pending request records and all
-// caches. The architecture guarantees correctness across this (§2.1);
-// clients recover by retransmission. The dirty attributes among those
+// flushAge is how old a pending record must be for a flush to drop it. A
+// reply follows its call within milliseconds; a record that has waited a
+// second belongs to a call whose client gave up or retransmits, and a
+// retransmission opens a fresh record.
+const flushAge = time.Second
+
+// agePend is a flush's pass over the pending table: it drops the records
+// of abandoned calls and keeps the rest pairing their replies, stripped of
+// the replica bookkeeping that belonged to the dirty set and read loads
+// resetReplica just emptied. Run after resetReplica.
+func (p *Proxy) agePend() {
+	cutoff := p.now() - int64(flushAge)
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		for k, pd := range s.pend {
+			if pd.clk.start <= cutoff {
+				delete(s.pend, k)
+				continue
+			}
+			pd.dirtyMark, pd.readSlot = false, 0
+		}
+		s.mu.Unlock()
+	}
+}
+
+// FlushSoftState discards the µproxy's caches — attributes, and over a
+// replicated array the dirty set and read loads — and the records of calls
+// that have waited a second or more. The dirty attributes among those
 // discarded are pushed to the directory servers, so no size the µproxy
-// acknowledged is lost with them.
+// acknowledged is lost with them. A call in flight keeps its record: the
+// record pairs the reply with the client that sent the call and finishes
+// it as its procedure requires, which an address alone cannot (a WRITE's
+// growth is recorded from the offset in the call; a READ's EOF is
+// corrected against the file's size). DESIGN.md §6 has why that record is
+// still soft state.
 func (p *Proxy) FlushSoftState() {
-	for _, e := range p.dropSoftState() {
+	p.resetReplica()
+	p.agePend()
+	for _, e := range p.attrs.drain() {
 		p.push(nil, e)
 	}
 }
 
-// DropSoftState discards soft state without writeback, simulating a
-// µproxy crash (uncommitted attribute updates are lost, as §4.1 permits).
-func (p *Proxy) DropSoftState() { p.dropSoftState() }
-
-// dropSoftState empties every soft-state table and returns the dirty
-// attribute entries among what it dropped.
-func (p *Proxy) dropSoftState() []attrEntry {
-	p.resetPend()
-	drained := p.attrs.drain()
+// DropSoftState discards all soft state without writeback, simulating a
+// µproxy crash: pending records are forgotten with everything else, and
+// uncommitted attribute updates are lost, as §4.1 permits.
+func (p *Proxy) DropSoftState() {
+	p.forgetPend()
+	p.attrs.drain()
 	p.resetReplica()
-	return drained
 }
 
 // resetReplica clears the dirty set and the read-load counters along
 // with the rest of the soft state. A fresh (or rebooted) µproxy starts
-// with no dirtiness knowledge; retransmitted WRITEs re-mark their
-// objects, and until they do, an in-flight write's object may be read
-// from any member — the same window §2.1 accepts for every other piece
-// of lost soft state, closed for committed data by the COMMIT barrier.
+// with no dirtiness knowledge: a write in flight marks its object again
+// only if its record was lost and a retransmission opens a new one, and
+// until then the object may be read from any member — the same window
+// §2.1 accepts for every other piece of lost soft state, closed for
+// committed data by the COMMIT barrier.
 func (p *Proxy) resetReplica() {
 	if p.dirty == nil {
 		return
