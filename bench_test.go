@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"slice/internal/attr"
-	"slice/internal/checksum"
 	"slice/internal/client"
 	"slice/internal/ensemble"
 	"slice/internal/fhandle"
@@ -553,33 +552,6 @@ func BenchmarkRPCNullCall(b *testing.B) {
 		if _, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcNull), nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// checksumSink keeps BenchmarkChecksumSum's result live.
-var checksumSink uint16
-
-// BenchmarkChecksumSum measures the Internet-checksum kernel at the two
-// datagram sizes the system carries: a name-operation message and a
-// stripe-unit bulk transfer. Every payload byte of a bulk transfer is
-// summed at each hop that builds or parses the datagram.
-func BenchmarkChecksumSum(b *testing.B) {
-	for _, sz := range []struct {
-		name string
-		n    int
-	}{{"128B", 128}, {"32KiB", 32<<10 + netsim.HeaderSize + 128}} {
-		b.Run(sz.name, func(b *testing.B) {
-			data := make([]byte, sz.n)
-			for i := range data {
-				data[i] = byte(i*7 + 1)
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(sz.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				checksumSink += checksum.Sum(data)
-			}
-		})
 	}
 }
 

@@ -7,6 +7,12 @@
 // recomputing it over the whole packet. The cost of the adjustment is
 // proportional to the number of modified bytes and independent of packet
 // size (§4.1). This mirrors the FreeBSD NAT-derived code in the prototype.
+//
+// The full sum is paid by the end hosts: a datagram's sender seals it and
+// its receiver verifies it where it leaves the fabric. Sum takes 64-byte
+// blocks in AVX2 registers on amd64 CPUs that have them (selected once at
+// start-up by CPUID and XGETBV) and a portable 64-bit add-with-carry loop
+// everywhere else and for short inputs.
 package checksum
 
 import (
@@ -18,16 +24,41 @@ import (
 // ones'-complement sum of 16-bit big-endian words, with a final odd byte
 // padded with zero.
 //
-// The sum is accumulated 64 bits at a time: 2^16 ≡ 1 (mod 2^16-1), so a
-// 64-bit load is four 16-bit words already in place, and an end-around
-// carry out of bit 63 re-enters at bit 0. The loads are native-order
-// (little-endian): the ones'-complement sum of byte-swapped words is the
-// byte-swapped sum (RFC 1071 §2(B)), so the folded result is swapped once
-// instead of every word on the way in. Every payload byte of a bulk
-// transfer passes through here twice (sender Build, receiver Recv), so
-// the kernel takes 128 bytes per iteration.
-func Sum(p []byte) uint16 {
+// Every payload byte of a bulk transfer passes through here twice (sender
+// Build or Seal, receiver Recv), so on a CPU with AVX2 an input of
+// vectorMin bytes or more has its whole 64-byte blocks summed in vector
+// registers (sumBlocksAVX2) before the portable loop adds the remainder.
+// Shorter inputs, and every input on other CPUs, take the portable loop
+// alone.
+func Sum(p []byte) uint16 { return sum(p, vectorMin) }
+
+// vectorMin is the shortest input Sum hands to the vector kernel: the
+// first whole number of 64-byte blocks past the crossover, below which
+// the kernel's setup and lane reduction cost more than the portable loop
+// spends. On a 2.1 GHz Xeon the vector path takes 8.1 ns against 7.0 ns
+// at 128 bytes, 12.2 against 12.6 at 176 and 8.7 against 14.6 at 192.
+const vectorMin = 192
+
+// sum computes the checksum of p, handing its whole 64-byte blocks to the
+// vector kernel if the CPU has one and p is at least vectorFrom bytes
+// long. Tests pass math.MaxInt to run the portable loop alone. Sum
+// inlines into its callers, so a short input costs them one call.
+//
+// The portable loop accumulates 64 bits at a time: 2^16 ≡ 1
+// (mod 2^16-1), so a 64-bit load is four 16-bit words already in place,
+// and an end-around carry out of bit 63 re-enters at bit 0. The loads are
+// native-order (little-endian): the ones'-complement sum of byte-swapped
+// words is the byte-swapped sum (RFC 1071 §2(B)), so the folded result
+// is swapped once instead of every word on the way in. The loop takes
+// 128 bytes per iteration; after the vector kernel fewer than 64 bytes
+// are left for it.
+func sum(p []byte, vectorFrom int) uint16 {
 	var s, c uint64
+	if haveAVX2 && len(p) >= vectorFrom {
+		n := len(p) &^ 63
+		s = sumBlocksAVX2(p[:n])
+		p = p[n:]
+	}
 	for len(p) >= 128 {
 		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p), c)
 		s, c = bits.Add64(s, binary.LittleEndian.Uint64(p[8:]), c)
@@ -98,19 +129,14 @@ func Update64(sum uint16, old, new uint64) uint16 {
 }
 
 // UpdateBytes folds a change of the even-offset-aligned byte range from old
-// to new (equal lengths) into the checksum.
+// to new (equal lengths) into the checksum as one RFC 1624 update,
+// HC' = ~(~HC + ~M + M'), where M and M' are the folded sums of the old
+// and new bytes: its cost is two Sum passes over the range, not one
+// Update per 16-bit word. For every sum but 0xFFFF (the checksum of
+// all-zero bytes, which no datagram carries) the result equals a
+// word-by-word chain of Update calls; at 0xFFFF the two can differ only
+// between the two ones'-complement zeros.
 func UpdateBytes(sum uint16, old, new []byte) uint16 {
-	n := len(old)
-	if len(new) < n {
-		n = len(new)
-	}
-	for i := 0; i+1 < n; i += 2 {
-		ow := uint16(old[i])<<8 | uint16(old[i+1])
-		nw := uint16(new[i])<<8 | uint16(new[i+1])
-		sum = Update(sum, ow, nw)
-	}
-	if n%2 == 1 {
-		sum = Update(sum, uint16(old[n-1])<<8, uint16(new[n-1])<<8)
-	}
-	return sum
+	n := min(len(old), len(new))
+	return Update(sum, ^Sum(old[:n]), ^Sum(new[:n]))
 }

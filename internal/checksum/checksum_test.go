@@ -3,9 +3,11 @@ package checksum
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // sumBytePair is the RFC 1071 reference loop — one 16-bit word per
@@ -27,59 +29,91 @@ func sumBytePair(p []byte) uint16 {
 	return ^uint16(s)
 }
 
-// TestSumMatchesBytePairOracle pins the word-wide kernel to the
-// reference loop across every block/tail split and start alignment the
-// unrolled loops can see — two whole 128-byte bodies and every tail
-// after them — on random bytes and on all-0xFF input (every add carries,
-// so a dropped end-around carry shows), and on a 256 KiB jumbo datagram.
+// aligned returns an n-byte slice whose first byte sits on a 64-byte
+// boundary, so that p[k:] starts exactly k bytes past one.
+func aligned(n int) []byte {
+	buf := make([]byte, n+63)
+	off := int(-uintptr(unsafe.Pointer(&buf[0])) & 63)
+	return buf[off : off+n : off+n]
+}
+
+// sumGeneric is Sum on the portable loop alone, whatever the CPU.
+func sumGeneric(p []byte) uint16 { return sum(p, math.MaxInt) }
+
+// checkBothKernels fails t unless Sum and the portable loop alone both
+// agree with the byte-pair oracle on p, which starts align bytes past a
+// 64-byte boundary.
+func checkBothKernels(t *testing.T, input string, align int, p []byte) {
+	t.Helper()
+	want := sumBytePair(p)
+	if got := Sum(p); got != want {
+		t.Fatalf("%s, len %d align %d: Sum = %04x, oracle = %04x", input, len(p), align, got, want)
+	}
+	if got := sumGeneric(p); got != want {
+		t.Fatalf("%s, len %d align %d: sumGeneric = %04x, oracle = %04x", input, len(p), align, got, want)
+	}
+}
+
+// TestSumMatchesBytePairOracle pins both kernels — Sum, which takes the
+// vector path from vectorMin bytes up on an AVX2 CPU, and sumGeneric,
+// the portable loop alone — to the reference loop. It covers every
+// length from zero to past three whole blocks beyond the threshold
+// (every block/remainder split the vector path can see, and two whole
+// 128-byte bodies with every tail of the portable loop) at every start
+// alignment 0‥31 from a 64-byte boundary, on random bytes and on
+// all-0xFF input (every add carries, so a dropped end-around carry or a
+// dropped lane shows), and a 256 KiB jumbo datagram ± 1 byte at two
+// alignments.
 func TestSumMatchesBytePairOracle(t *testing.T) {
-	const maxLen = 600
+	if vectorMin%64 != 0 || vectorMin < 64 {
+		t.Fatalf("vectorMin = %d: the vector threshold must be a whole, positive number of 64-byte blocks", vectorMin)
+	}
+	maxLen := max(600, vectorMin+3*64+63)
 	rng := rand.New(rand.NewSource(1071))
-	random := make([]byte, maxLen+8)
+	random := aligned(maxLen + 32)
 	rng.Read(random)
-	ones := bytes.Repeat([]byte{0xFF}, maxLen+8)
-	for _, src := range [][]byte{random, ones} {
-		for align := 0; align < 8; align++ {
+	ones := aligned(maxLen + 32)
+	copy(ones, bytes.Repeat([]byte{0xFF}, len(ones)))
+	for _, src := range []struct {
+		name string
+		p    []byte
+	}{{"random", random}, {"all-0xFF", ones}} {
+		for align := 0; align < 32; align++ {
 			for n := 0; n <= maxLen; n++ {
-				p := src[align : align+n]
-				if got, want := Sum(p), sumBytePair(p); got != want {
-					t.Fatalf("len %d align %d (first byte %#x): Sum = %04x, oracle = %04x",
-						n, align, src[0], got, want)
-				}
+				checkBothKernels(t, src.name, align, src.p[align:align+n])
 			}
 		}
 	}
-	for _, fill := range []func([]byte){
-		func(p []byte) { rng.Read(p) },
-		func(p []byte) { copy(p, bytes.Repeat([]byte{0xFF}, len(p))) },
+	for _, fill := range []struct {
+		name string
+		fn   func([]byte)
+	}{
+		{"random jumbo", func(p []byte) { rng.Read(p) }},
+		{"all-0xFF jumbo", func(p []byte) { copy(p, bytes.Repeat([]byte{0xFF}, len(p))) }},
 	} {
-		jumbo := make([]byte, 256<<10)
-		fill(jumbo)
-		if got, want := Sum(jumbo), sumBytePair(jumbo); got != want {
-			t.Fatalf("256 KiB: Sum = %04x, oracle = %04x", got, want)
-		}
-		if got, want := Sum(jumbo[1:]), sumBytePair(jumbo[1:]); got != want {
-			t.Fatalf("256 KiB-1 unaligned: Sum = %04x, oracle = %04x", got, want)
+		jumbo := aligned(256<<10 + 2)
+		fill.fn(jumbo)
+		for _, n := range []int{256<<10 - 1, 256 << 10, 256<<10 + 1} {
+			for _, align := range []int{0, 1} {
+				checkBothKernels(t, fill.name, align, jumbo[align:align+n])
+			}
 		}
 	}
 }
 
-// FuzzSum checks Sum against the oracle on arbitrary bytes, copied to
-// every starting offset 0‥7 of a fresh heap buffer (16 bytes or more, so
-// its start is 8-byte aligned); the seeds under testdata/fuzz/FuzzSum
-// (tools/gencorpus) replay on plain go test.
+// FuzzSum checks both kernels against the oracle on arbitrary bytes,
+// copied to every start alignment 0‥31 from a 64-byte boundary; the
+// seeds under testdata/fuzz/FuzzSum (tools/gencorpus) replay on plain
+// go test.
 func FuzzSum(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xAB})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		want := sumBytePair(p)
-		buf := make([]byte, len(p)+16)
-		for align := 0; align < 8; align++ {
+		buf := aligned(len(p) + 32)
+		for align := 0; align < 32; align++ {
 			q := buf[align : align+len(p)]
 			copy(q, p)
-			if got := Sum(q); got != want {
-				t.Fatalf("len %d align %d: Sum = %04x, oracle = %04x", len(p), align, got, want)
-			}
+			checkBothKernels(t, "fuzz input", align, q)
 		}
 	})
 }
@@ -154,23 +188,53 @@ func TestUpdate32And64(t *testing.T) {
 	}
 }
 
+// updateBytesPerWord is the word-by-word UpdateBytes that preceded the
+// single RFC 1624 update: one Update per 16-bit word, the odd last byte
+// padded with zero. It stays here as the oracle.
+func updateBytesPerWord(sum uint16, old, new []byte) uint16 {
+	n := min(len(old), len(new))
+	for i := 0; i+1 < n; i += 2 {
+		ow := uint16(old[i])<<8 | uint16(old[i+1])
+		nw := uint16(new[i])<<8 | uint16(new[i+1])
+		sum = Update(sum, ow, nw)
+	}
+	if n%2 == 1 {
+		sum = Update(sum, uint16(old[n-1])<<8, uint16(new[n-1])<<8)
+	}
+	return sum
+}
+
+// TestUpdateBytes checks the single-update UpdateBytes against the
+// per-word oracle, byte for byte, on every range length 0‥600, and
+// against a full recomputation of the edited buffer. Besides random
+// bytes it edits all-zero to all-0xFF ranges and back, where the
+// ones'-complement sums of the ranges are zero.
 func TestUpdateBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		data := make([]byte, 64+rng.Intn(64)*2)
+	zeros := make([]byte, 600)
+	ones := bytes.Repeat([]byte{0xFF}, 600)
+	for n := 0; n <= 600; n++ {
+		data := make([]byte, 2*n+64)
 		rng.Read(data)
-		sum := Sum(data)
-		// Replace an even-aligned span.
-		off := rng.Intn(len(data)/4) * 2
-		n := 1 + rng.Intn(len(data)-off-1)
-		old := append([]byte(nil), data[off:off+n]...)
-		repl := make([]byte, n)
-		rng.Read(repl)
-		copy(data[off:], repl)
-		sum = UpdateBytes(sum, old, repl)
-		if sum != Sum(data) {
-			t.Fatalf("trial %d: UpdateBytes incremental %04x != full %04x (off %d len %d)",
-				trial, sum, Sum(data), off, n)
+		off := rng.Intn(len(data)-n+1) &^ 1
+		random := make([]byte, n)
+		rng.Read(random)
+		for _, repl := range [][]byte{random, zeros[:n], ones[:n]} {
+			for _, orig := range [][]byte{nil, zeros[:n], ones[:n]} {
+				if orig != nil {
+					copy(data[off:], orig)
+				}
+				sum := Sum(data)
+				old := append([]byte(nil), data[off:off+n]...)
+				got := UpdateBytes(sum, old, repl)
+				if want := updateBytesPerWord(sum, old, repl); got != want {
+					t.Fatalf("len %d off %d: UpdateBytes = %04x, per-word oracle = %04x", n, off, got, want)
+				}
+				copy(data[off:], repl)
+				if full := Sum(data); got != full {
+					t.Fatalf("len %d off %d: UpdateBytes = %04x, full recompute = %04x", n, off, got, full)
+				}
+			}
 		}
 	}
 }
@@ -193,11 +257,70 @@ func TestUpdateChain(t *testing.T) {
 	}
 }
 
-func BenchmarkSumFull8K(b *testing.B) {
-	data := make([]byte, 8192)
-	b.SetBytes(8192)
-	for i := 0; i < b.N; i++ {
-		Sum(data)
+// benchSink keeps a benchmark's result live.
+var benchSink uint16
+
+// BenchmarkChecksumSum measures Sum, and the portable loop alone, at the
+// datagram sizes the system carries: a 128-byte name-operation message,
+// and 4 KiB (sfsmix's READs and WRITEs) and 32 KiB (a stripe unit) of
+// payload behind the 20-byte fabric header and 128 bytes of RPC and NFS
+// headers. Every payload byte of a bulk transfer is summed twice, by
+// the sender that seals its datagram and the receiver that verifies it.
+// The warm cases sum one buffer over and over; 32KiB-cold steps a window
+// through 64 MiB, more than the last-level cache, so every pass reads
+// from memory. The cold case is informational and not gated.
+func BenchmarkChecksumSum(b *testing.B) {
+	const headers = 20 + 128
+	for _, sz := range []struct {
+		name   string
+		n, buf int
+	}{
+		{"128B", 128, 128},
+		{"4KiB", 4<<10 + headers, 4<<10 + headers},
+		{"32KiB", 32<<10 + headers, 32<<10 + headers},
+		{"32KiB-cold", 32<<10 + headers, 64 << 20},
+	} {
+		for _, generic := range []bool{false, true} {
+			name := sz.name
+			if generic {
+				name += "/generic"
+			}
+			b.Run(name, func(b *testing.B) {
+				data := make([]byte, sz.buf)
+				for i := range data {
+					data[i] = byte(i*7 + 1)
+				}
+				var windows [][]byte
+				for off := 0; off+sz.n <= len(data); off += sz.n {
+					windows = append(windows, data[off:off+sz.n])
+				}
+				b.ReportAllocs()
+				b.SetBytes(int64(sz.n))
+				b.ResetTimer()
+				if len(windows) == 1 {
+					// Warm: the loop the gated rows were recorded with.
+					p := windows[0]
+					for i := 0; i < b.N; i++ {
+						if generic {
+							benchSink += sumGeneric(p)
+						} else {
+							benchSink += Sum(p)
+						}
+					}
+					return
+				}
+				for i, w := 0, 0; i < b.N; i++ {
+					if generic {
+						benchSink += sumGeneric(windows[w])
+					} else {
+						benchSink += Sum(windows[w])
+					}
+					if w++; w == len(windows) {
+						w = 0
+					}
+				}
+			})
+		}
 	}
 }
 

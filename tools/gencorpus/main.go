@@ -85,10 +85,11 @@ func emitWire() {
 	write("wire", target, "seed_oversize_fragment", binary.BigEndian.AppendUint32(nil, last|(wire.MaxRecord+1)))
 }
 
-// emitChecksum seeds FuzzSum, which checks the word-wide checksum kernel
-// against the byte-pair reference loop at every starting offset 0‥7:
-// lengths around the 128- and 8-byte block edges of the unrolled loops,
-// odd tails, and all-ones input, where every addition carries.
+// emitChecksum seeds FuzzSum, which checks both checksum kernels — Sum,
+// vector path included, and the portable loop alone — against the
+// byte-pair reference loop at every start alignment 0‥31: lengths around
+// the 8-, 64- and 128-byte block edges and the vector threshold, odd
+// tails, and all-ones input, where every addition carries.
 func emitChecksum() {
 	const target = "FuzzSum"
 	ramp := make([]byte, 300)
