@@ -42,6 +42,34 @@ func newEnsemble(t *testing.T, mutate func(*ensemble.Config)) *ensemble.Ensemble
 	return e
 }
 
+// must fails the test on a fault-injection error.
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serviceAt is the service address on host, where a failed-over server
+// restarts.
+func serviceAt(host uint32) netsim.Addr {
+	return netsim.Addr{Host: host, Port: ensemble.ServicePort}
+}
+
+// coordAddr is the coordinator's address on its host at port.
+func coordAddr(port uint16) netsim.Addr {
+	return netsim.Addr{Host: ensemble.HostCoord, Port: port}
+}
+
+// rebootStorage crashes storage node i and restarts it over the same
+// object store: a machine reboot that keeps its disk.
+func rebootStorage(ch *ensemble.Chaos, i int) error {
+	if err := ch.Crash(ensemble.RoleStorage, i); err != nil {
+		return err
+	}
+	return ch.Restart(ensemble.RoleStorage, i, storageAddr(i))
+}
+
 // TestCoordinatorCrashMidRemoveLeavesNoOrphans: a storage site is
 // unreachable while a REMOVE's data is being cleared, so the µproxy
 // leaves the intention pending; then the coordinator itself crashes.
@@ -87,12 +115,10 @@ func TestCoordinatorCrashMidRemoveLeavesNoOrphans(t *testing.T) {
 	// Now the coordinator dies too. Restart it from the durable prefix
 	// of its journal after the partition heals: recovery replays the
 	// intention and finishes the remove everywhere.
-	ch.CrashCoordinator()
+	must(t, ch.Crash(ensemble.RoleCoord, 0))
 	ch.HealStorage(0)
-	co, err := ch.RestartCoordinator(3050)
-	if err != nil {
-		t.Fatalf("coordinator restart: %v", err)
-	}
+	must(t, ch.Restart(ensemble.RoleCoord, 0, coordAddr(3050)))
+	co := e.Coord
 
 	if !WaitFor(10*time.Second, func() bool { return co.PendingIntentions() == 0 }) {
 		t.Fatalf("intentions still pending after recovery: %d", co.PendingIntentions())
@@ -228,7 +254,7 @@ func TestDirServerRestartFromWALMidUntar(t *testing.T) {
 				if n == 12 && !once {
 					once = true
 					// Pause until the crash lands: otherwise a fast
-					// machine finishes the whole untar before CrashDir
+					// machine finishes the whole untar before the crash
 					// runs and the test exercises nothing.
 					close(crashAt)
 					<-crashed
@@ -238,7 +264,7 @@ func TestDirServerRestartFromWALMidUntar(t *testing.T) {
 	}()
 
 	<-crashAt
-	ch.CrashDir(1)
+	must(t, ch.Crash(ensemble.RoleDir, 1))
 	close(crashed)
 	// Hold the dead window open until the workload demonstrably hit it:
 	// the untar stalls on the first op routed to the dead site and
@@ -250,9 +276,7 @@ func TestDirServerRestartFromWALMidUntar(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := ch.RestartDir(1, nil, 70); err != nil {
-		t.Fatalf("dir restart from WAL: %v", err)
-	}
+	must(t, ch.Restart(ensemble.RoleDir, 1, serviceAt(70)))
 
 	<-done
 	if untarErr != nil {
@@ -322,12 +346,10 @@ func TestCoordinatorRecoveryFinishesExactlyOnce(t *testing.T) {
 		t.Fatalf("partitioned node saw %d removes mid-chain", got-removes0)
 	}
 
-	ch.CrashCoordinator()
+	must(t, ch.Crash(ensemble.RoleCoord, 0))
 	ch.HealStorage(0)
-	co, err := ch.RestartCoordinator(3051)
-	if err != nil {
-		t.Fatalf("coordinator restart: %v", err)
-	}
+	must(t, ch.Restart(ensemble.RoleCoord, 0, coordAddr(3051)))
+	co := e.Coord
 	// Recovery completes before the new port serves: the pending remove
 	// is already finished when Restart returns.
 	if n := co.PendingIntentions(); n != 0 {
@@ -383,7 +405,7 @@ func TestWindowedBulkEquivalenceUnderChaos(t *testing.T) {
 		ch.PartitionStorage(1)
 		time.Sleep(300 * time.Millisecond)
 		ch.HealStorage(1)
-		if _, err := ch.RestartStorage(2); err != nil {
+		if err := rebootStorage(ch, 2); err != nil {
 			t.Errorf("storage restart: %v", err)
 		}
 	}()
@@ -425,10 +447,8 @@ func TestNameHashingDirFailoverToNewHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch.CrashDir(1)
-	if _, err := ch.RestartDir(1, nil, 70); err != nil {
-		t.Fatalf("dir restart on a new host: %v", err)
-	}
+	must(t, ch.Crash(ensemble.RoleDir, 1))
+	must(t, ch.Restart(ensemble.RoleDir, 1, serviceAt(70)))
 	if lost := VerifyAcked(c, 10*time.Second, acked); len(lost) != 0 {
 		t.Fatalf("%d of %d acknowledged names lost across the failover: %v", len(lost), len(acked), lost)
 	}
@@ -461,10 +481,8 @@ func TestSmallFileFailoverToNewHost(t *testing.T) {
 			t.Fatalf("write %s: %v", f.Name, err)
 		}
 	}
-	ch.CrashSmall(1)
-	if _, err := ch.RestartSmall(1, 75); err != nil {
-		t.Fatalf("small-file restart on a new host: %v", err)
-	}
+	must(t, ch.Crash(ensemble.RoleSmall, 1))
+	must(t, ch.Restart(ensemble.RoleSmall, 1, serviceAt(75)))
 	for i, f := range files {
 		var got []byte
 		err := Retry(10*time.Second, func() error {

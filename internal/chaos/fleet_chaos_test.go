@@ -75,7 +75,7 @@ func TestProxyKillMidUntar(t *testing.T) {
 	// Kill in two beats, as a real failure unfolds: the process dies
 	// first (Close — requests to it now blackhole), and only once the
 	// workload demonstrably hit the corpse does the front's failure
-	// detection publish the membership swap (CrashProxy). In-flight calls
+	// detection publish the membership swap (Crash). In-flight calls
 	// must ride their retransmissions onto the sibling.
 	e.Proxies[1].Close()
 	close(crashed)
@@ -85,7 +85,7 @@ func TestProxyKillMidUntar(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	ch.CrashProxy(1)
+	must(t, ch.Crash(ensemble.RoleProxy, 1))
 
 	<-done
 	if untarErr != nil {
@@ -153,7 +153,7 @@ func TestProxyKillUnderWindowedBulkRead(t *testing.T) {
 		res <- readResult{got, err}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	ch.CrashProxy(owner)
+	must(t, ch.Crash(ensemble.RoleProxy, owner))
 
 	r := <-res
 	if r.err != nil {

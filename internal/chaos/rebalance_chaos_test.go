@@ -180,7 +180,7 @@ func TestAddTwoKillOneMidRebalance(t *testing.T) {
 	}) {
 		t.Fatal("rebalance never started")
 	}
-	if _, err := ch.RestartStorage(4); err != nil {
+	if err := rebootStorage(ch, 4); err != nil {
 		t.Fatalf("restart incoming node: %v", err)
 	}
 

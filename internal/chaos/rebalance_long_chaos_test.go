@@ -122,7 +122,7 @@ func TestMatrixGrowKillShrinkCycle(t *testing.T) {
 		t.Fatal("rebalance never started")
 	}
 	if e.RebalanceStatus().State == "running" {
-		if _, err := e.Chaos().RestartStorage(baseNodes); err != nil {
+		if err := rebootStorage(e.Chaos(), baseNodes); err != nil {
 			t.Fatalf("restart incoming node: %v", err)
 		}
 	}

@@ -242,11 +242,9 @@ func TestCoordinatorRecoveryWaitsForReplicaMember(t *testing.T) {
 		t.Fatal("remove intention never became durable")
 	}
 
-	ch.CrashCoordinator()
-	co, err := ch.RestartCoordinator(3052) // recovery runs before this returns, member still cut off
-	if err != nil {
-		t.Fatalf("coordinator restart: %v", err)
-	}
+	must(t, ch.Crash(ensemble.RoleCoord, 0))
+	must(t, ch.Restart(ensemble.RoleCoord, 0, coordAddr(3052))) // recovery runs before this returns, member still cut off
+	co := e.Coord
 	if _, ok := member.Size(obj); !ok {
 		t.Fatal("the partitioned member lost its copy (fault window not exercised)")
 	}

@@ -82,7 +82,7 @@ func TestStorageRestartMidTCPUntar(t *testing.T) {
 		OnEntry: func(n int) {
 			if n == 7 && !restarted {
 				restarted = true
-				if _, err := ch.RestartStorage(1); err != nil {
+				if err := rebootStorage(ch, 1); err != nil {
 					t.Errorf("storage restart: %v", err)
 				}
 			}

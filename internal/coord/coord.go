@@ -140,15 +140,16 @@ func New(port *netsim.Port, cfg Config) *Coordinator {
 	return c
 }
 
-// Restart builds a coordinator from its intentions log: state is rebuilt
-// and in-flight operations of the failed incarnation are finished BEFORE
-// the server begins accepting calls on port, so no new intention can race
-// recovery or collide with a recovered id. This is the uniform
-// crash-restart path the chaos harness uses (§4.2: a restarted
-// coordinator scans its log and completes interrupted operations).
-func Restart(port *netsim.Port, cfg Config, log *wal.Log) (*Coordinator, error) {
+// Restart builds a coordinator from its intentions log, cfg.Log: state
+// is rebuilt and in-flight operations of the failed incarnation are
+// finished BEFORE the server begins accepting calls on port, so no new
+// intention can race recovery or collide with a recovered id. An empty
+// log makes it a fresh coordinator. This is the uniform crash-restart
+// path (§4.2: a restarted coordinator scans its log and completes
+// interrupted operations).
+func Restart(port *netsim.Port, cfg Config) (*Coordinator, error) {
 	c := newCoordinator(cfg)
-	if err := c.recoverState(log); err != nil {
+	if err := c.recoverState(cfg.Log); err != nil {
 		return nil, err
 	}
 	c.finishRecovered()
@@ -487,16 +488,6 @@ func (c *Coordinator) Intend(op uint32, fh fhandle.Handle, size uint64) (uint64,
 // Complete clears an intention after the initiator finished the operation.
 func (c *Coordinator) Complete(id uint64) {
 	c.clearIntent(id, false)
-}
-
-// Recover rebuilds coordinator state from its intentions log and finishes
-// every operation that was in flight when the previous incarnation failed.
-func (c *Coordinator) Recover(log *wal.Log) error {
-	if err := c.recoverState(log); err != nil {
-		return err
-	}
-	c.finishRecovered()
-	return nil
 }
 
 // recoverState replays the log and installs the rebuilt state; it does

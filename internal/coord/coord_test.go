@@ -192,9 +192,10 @@ func TestRecoverCompletesInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.co.Recover(log2); err != nil {
+	if err := r.co.recoverState(log2); err != nil {
 		t.Fatal(err)
 	}
+	r.co.finishRecovered()
 	if r.co.PendingIntentions() != 0 {
 		t.Fatalf("pending after recovery = %d", r.co.PendingIntentions())
 	}
@@ -357,11 +358,12 @@ func TestRestartServesAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	co2, err := Restart(port2, Config{
+		Log:        log2,
 		Storage:    route.NewTable(4, []netsim.Addr{r.nodes[0].Addr(), r.nodes[1].Addr()}),
 		Net:        r.net,
 		Host:       91,
 		ProbeAfter: time.Hour,
-	}, log2)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,19 +301,11 @@ func (s *Server) restoreSnapshot(p []byte) error {
 	return nil
 }
 
-// Recover rebuilds server state from a snapshot (possibly nil for an empty
-// checkpoint) plus the surviving log. It implements the failover path of
-// §2.3: state = backing object + write-ahead log replay.
-func (s *Server) Recover(snapshot []byte, log *wal.Log) error {
-	if snapshot != nil {
-		if err := s.restoreSnapshot(snapshot); err != nil {
-			return err
-		}
-	} else {
-		s.mu.Lock()
-		s.st = newState()
-		s.mu.Unlock()
-	}
+// replayLog applies every surviving journal record over the current
+// state (empty for a restarted server; a checkpoint once one is
+// restored). Replay is idempotent, so replaying over state that already
+// holds some records is safe.
+func (s *Server) replayLog(log *wal.Log) error {
 	return log.Scan(func(seq uint64, recType uint32, payload []byte) error {
 		return s.replay(recType, payload)
 	})

@@ -461,8 +461,11 @@ func TestRecoveryFromSnapshotAndLog(t *testing.T) {
 		Table: h.table, Log: freshLog, Net: net2, Host: 10,
 	})
 	defer s2.Close()
-	if err := s2.Recover(snap, crashedLog); err != nil {
-		t.Fatalf("recover: %v", err)
+	if err := s2.restoreSnapshot(snap); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if err := s2.replayLog(crashedLog); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 
 	// The recovered server resolves both pre- and post-snapshot state.
@@ -481,19 +484,27 @@ func TestRecoveryIdempotentReplay(t *testing.T) {
 	s := h.servers[0]
 	h.create(h.root, "a")
 	h.mkdir(h.root, "b")
-	// Recover from a nil snapshot and the full log — then replay the
+	// Recover onto an empty state from the full log — then replay the
 	// same log again over the recovered state.
 	log, _ := wal.Open(h.stores[0].CrashCopy())
-	if err := s.Recover(nil, log); err != nil {
+	if err := recoverFresh(s, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Recover(nil, log); err != nil {
+	if err := s.replayLog(log); err != nil {
 		t.Fatal(err)
 	}
 	ents := s.localListDir(h.root.Ident())
 	if len(ents) != 2 {
 		t.Fatalf("%d entries after double replay, want 2", len(ents))
 	}
+}
+
+// recoverFresh rebuilds s from log onto an empty state, as Restart does.
+func recoverFresh(s *Server, log *wal.Log) error {
+	s.mu.Lock()
+	s.st = newState()
+	s.mu.Unlock()
+	return s.replayLog(log)
 }
 
 func TestCountersTrackCrossSite(t *testing.T) {
@@ -771,7 +782,7 @@ func TestSymlinkCellsAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.servers[0].Recover(nil, log); err != nil {
+	if err := recoverFresh(h.servers[0], log); err != nil {
 		t.Fatal(err)
 	}
 	var rl nfsproto.ReadLinkRes

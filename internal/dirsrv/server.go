@@ -78,18 +78,17 @@ func New(port *netsim.Port, cfg Config) *Server {
 	return s
 }
 
-// Restart builds a directory server recovered from a snapshot (nil for
-// none) plus its surviving journal BEFORE it begins serving on port, so
-// no request can observe pre-recovery state. The restarted server keeps
-// journaling to the same log it replayed, so a later crash recovers from
-// the full record sequence. This is the uniform manager failover path of
-// §2.3: state = backing object + write-ahead log replay. The caller
-// re-installs the volume root with SetRoot and republishes the server's
-// address in the routing table.
-func Restart(port *netsim.Port, cfg Config, snapshot []byte, log *wal.Log) (*Server, error) {
-	cfg.Log = log
+// Restart builds a directory server recovered from its journal, cfg.Log,
+// BEFORE it begins serving on port, so no request can observe
+// pre-recovery state. The server keeps journaling to the log it
+// replayed, so a later crash recovers from the full record sequence; an
+// empty journal makes it a fresh server. This is the uniform manager
+// failover path of §2.3: state = backing object + write-ahead log
+// replay. The caller installs the volume root with SetRoot and publishes
+// the server's address in the routing table.
+func Restart(port *netsim.Port, cfg Config) (*Server, error) {
 	s := newServer(cfg)
-	if err := s.Recover(snapshot, log); err != nil {
+	if err := s.replayLog(cfg.Log); err != nil {
 		return nil, err
 	}
 	s.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(s.serve))

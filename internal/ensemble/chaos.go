@@ -2,10 +2,12 @@ package ensemble
 
 import (
 	"fmt"
+	"slices"
 
 	"slice/internal/coord"
 	"slice/internal/dirsrv"
 	"slice/internal/netsim"
+	"slice/internal/obs"
 	"slice/internal/proxy"
 	"slice/internal/route"
 	"slice/internal/smallfile"
@@ -17,9 +19,11 @@ import (
 // ensemble. Crashes go through the fabric's fault plane — the victim's
 // ports are torn down and in-flight datagrams to it are lost, exactly as
 // a machine failure would look from the network — and restarts rebuild
-// the component from the durable prefix of its journal (§2.3), rewiring
-// the shared routing tables or the µproxy's coordinator address so
-// clients recover through ordinary retransmission (§2.1).
+// the role from its durable value alone (§2.3), through the same start
+// helper New used, rewiring the shared routing tables, the fleet or the
+// µproxies' coordinator address so clients recover through ordinary
+// retransmission (§2.1). Chaos calls must not run concurrently with
+// each other.
 type Chaos struct {
 	e *Ensemble
 }
@@ -28,9 +32,11 @@ type Chaos struct {
 func (e *Ensemble) Chaos() *Chaos { return &Chaos{e: e} }
 
 // rebind swaps old for new in a routing table, preserving every other
-// logical site's binding.
+// logical site's binding (a no-op when they are the same address).
 func rebind(t *route.Table, oldA, newA netsim.Addr) {
-	t.Swap(rebindSites(t.Physical(), oldA, newA))
+	if oldA != newA {
+		t.Swap(rebindSites(t.Physical(), oldA, newA))
+	}
 }
 
 // rebindSites rebinds every logical site of old in the site list to new.
@@ -43,206 +49,303 @@ func rebindSites(sites []netsim.Addr, oldA, newA netsim.Addr) []netsim.Addr {
 	return sites
 }
 
-// --------------------------------------------------------- coordinator
+// Role names one kind of ensemble member for Crash and Restart. Each
+// role has one durable value, the only thing that survives its crash.
+type Role int
 
-// CrashCoordinator kills the coordinator host: its ports (server and
-// client side) are torn down, in-flight RPCs are lost, and only the
-// durable prefix of the intentions journal survives for restart.
-func (c *Chaos) CrashCoordinator() {
-	if c.e.Coord == nil {
-		return
-	}
-	c.e.Net.CrashHost(HostCoord)
-	c.e.Coord.Close()
-	c.e.Coord = nil
-	c.e.CoordLog = c.e.CoordLog.CrashCopy()
+const (
+	RoleStorage Role = iota // storage node i: its object store
+	RoleDir                 // directory server i: DirLogs[i]
+	RoleSmall               // small-file server i: SmallLogs[i] (its backing object lives on a storage node)
+	RoleCoord               // the coordinator (i = 0): CoordLog
+	RoleProxy               // µproxy i: nothing
+)
+
+func (r Role) String() string {
+	return [...]string{"storage node", "directory server", "small-file server", "coordinator", "µproxy"}[r]
 }
 
-// RestartCoordinator rebuilds the coordinator from the durable prefix of
-// its journal on a fresh port of the same host. Recovery — replaying the
-// log and finishing every pending intention — completes before the new
-// port accepts calls, and the µproxy is re-pointed at the new address so
-// its stuck coordinator RPCs fail over mid-retry.
-func (c *Chaos) RestartCoordinator(port uint16) (*coord.Coordinator, error) {
-	if c.e.Coord != nil {
-		return nil, fmt.Errorf("ensemble: coordinator still running")
+// roleSlot is one role instance: Restart's key into Ensemble.down.
+type roleSlot struct {
+	role Role
+	i    int
+}
+
+// live reports whether slot i of s holds a running member.
+func live[T comparable](s []T, i int) bool {
+	var none T
+	return i >= 0 && i < len(s) && s[i] != none
+}
+
+// put stores v in slot i of s, growing s to reach it.
+func put[T any](s *[]T, i int, v T) {
+	for len(*s) <= i {
+		var none T
+		*s = append(*s, none)
 	}
-	c.e.Net.RestartHost(HostCoord)
-	addr := netsim.Addr{Host: HostCoord, Port: port}
-	p, err := c.e.Net.Bind(addr)
+	(*s)[i] = v
+}
+
+// Crash kills role i. The host it currently serves on is torn down
+// (in-flight datagrams to and from it are lost), the role is closed and
+// its slot nilled, and its journal keeps only its durable prefix. A
+// crashed µproxy also leaves the fleet table — the front's failure
+// detection, folded into one membership swap: flows it owned remap to
+// the survivors, in-flight calls on their next retransmission. Crash
+// records the address for Restart.
+func (c *Chaos) Crash(role Role, i int) error {
+	e := c.e
+	var at netsim.Addr
+	switch {
+	case role == RoleStorage && live(e.Storage, i):
+		at = e.Storage[i].Addr()
+		e.Net.CrashHost(at.Host)
+		e.Storage[i].Close()
+		e.Storage[i] = nil
+	case role == RoleDir && live(e.Dirs, i):
+		at = e.Dirs[i].Addr()
+		e.Net.CrashHost(at.Host)
+		e.Dirs[i].Close()
+		e.Dirs[i] = nil
+		e.DirLogs[i] = e.DirLogs[i].CrashCopy()
+	case role == RoleSmall && live(e.Small, i):
+		at = e.Small[i].Addr()
+		e.Net.CrashHost(at.Host)
+		e.Small[i].Close()
+		e.Small[i] = nil
+		e.SmallLogs[i] = e.SmallLogs[i].CrashCopy()
+	case role == RoleCoord && i == 0 && e.Coord != nil:
+		at = e.Coord.Addr()
+		e.Net.CrashHost(at.Host)
+		e.Coord.Close()
+		e.Coord = nil
+		e.CoordLog = e.CoordLog.CrashCopy()
+	case role == RoleProxy && live(e.Proxies, i):
+		at = proxyVirtual(i)
+		e.Net.CrashHost(at.Host)
+		e.Net.CrashHost(proxyHost(i))
+		e.Proxies[i].Close()
+		e.Proxies[i] = nil
+		if i == 0 {
+			e.Proxy = nil
+		}
+		e.Fleet.Swap(slices.DeleteFunc(slices.Clone(e.Fleet.Members()),
+			func(m route.ProxyMember) bool { return m.ID == uint32(i) }))
+	default:
+		return fmt.Errorf("ensemble: no running %v %d", role, i)
+	}
+	e.down[roleSlot{role, i}] = at
+	return nil
+}
+
+// Restart rebuilds crashed role i from its durable value alone, serving
+// at at, through the helper New started it with. A directory or
+// small-file server replays its journal before it serves and its logical
+// site is rebound from the address recorded at the crash to at — the
+// µproxy sees a route-version change and pending requests re-resolve on
+// their next retransmission. A coordinator finishes every pending
+// intention before it serves, and every live µproxy is re-pointed at
+// it. A storage node or µproxy has a fixed slot in the host plan and
+// refuses any other address; a µproxy comes back with empty soft state
+// under its old fleet ID, so consistent hashing hands it back exactly
+// the flows it owned (§2.1). Restarting a role that is not crashed is
+// an error.
+func (c *Chaos) Restart(role Role, i int, at netsim.Addr) error {
+	e := c.e
+	slot := roleSlot{role, i}
+	from, ok := e.down[slot]
+	if !ok {
+		return fmt.Errorf("ensemble: %v %d is not crashed", role, i)
+	}
+	if (role == RoleStorage || role == RoleProxy) && at != from {
+		return fmt.Errorf("ensemble: %v %d restarts only at %v, not %v", role, i, from, at)
+	}
+	e.Net.RestartHost(at.Host)
+	var err error
+	switch role {
+	case RoleStorage:
+		err = e.startStorage(i, e.disks[i])
+	case RoleDir:
+		err = e.startDir(i, from, at)
+	case RoleSmall:
+		err = e.startSmall(i, from, at)
+	case RoleCoord:
+		err = e.startCoord(at)
+	case RoleProxy:
+		e.Net.RestartHost(proxyHost(i))
+		e.startProxy(i)
+	}
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("ensemble: restart %v %d at %v: %w", role, i, at, err)
 	}
-	log, err := wal.Open(c.e.CoordLog)
+	delete(e.down, slot)
+	return nil
+}
+
+// ------------------------------------------------------- role start-up
+
+// The helpers below are each role's one construction path, shared by
+// New (over an empty durable value) and Restart (over a crashed one):
+// bind the port, open the journal, run the recovering constructor,
+// attach the role's registry, and bind the role into its table, fleet
+// or coordinator address.
+
+// registry returns the registry named name, registering it with the
+// collector on first use: a restarted role reports into its
+// predecessor's, so counts accumulate across failovers.
+func (e *Ensemble) registry(name string) *obs.Registry {
+	reg := e.regs[name]
+	if reg == nil {
+		reg = obs.NewRegistry(name)
+		e.Obs.AddRegistry(reg)
+		e.regs[name] = reg
+	}
+	return reg
+}
+
+// startStorage serves disk as storage node i at its slot in the host
+// plan, wired like every node of the array: capability key, pacing and
+// registry. Placement binds it (New's tables, Grow, a rebirth).
+func (e *Ensemble) startStorage(i int, disk *storage.ObjectStore) error {
+	port, err := e.Net.Bind(storageAddr(i))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	co, err := coord.Restart(p, coord.Config{
-		Storage:    c.e.StorageTable,
-		Replicas:   c.e.Replicas,
-		SmallFile:  c.e.SmallTable,
-		Net:        c.e.Net,
-		Host:       HostCoord,
-		ProbeAfter: c.e.cfg.CoordProbeAfter,
-		CapKey:     c.e.cfg.CapabilityKey,
-	}, log)
+	node := storage.NewNode(port, disk)
+	if len(e.cfg.CapabilityKey) > 0 {
+		node.RequireCapability(e.cfg.CapabilityKey)
+	}
+	if e.cfg.StorageServiceTime > 0 {
+		node.SetServiceTime(e.cfg.StorageServiceTime)
+	}
+	node.SetObs(e.registry(fmt.Sprintf("storage[%d]", i)))
+	put(&e.Storage, i, node)
+	put(&e.disks, i, disk)
+	return nil
+}
+
+// startDir recovers directory server i from DirLogs[i] and serves it at
+// at, rebinding its logical site from from.
+func (e *Ensemble) startDir(i int, from, at netsim.Addr) error {
+	log, err := wal.Open(e.DirLogs[i])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if c.e.obsCoord != nil {
-		co.SetObs(c.e.obsCoord)
+	port, err := e.Net.Bind(at)
+	if err != nil {
+		return err
 	}
-	c.e.Coord = co
-	// Re-point every live fleet member; a crashed proxy picks the new
-	// address up from RestartProxy's rebuild.
-	for _, p := range c.e.Proxies {
+	srv, err := dirsrv.Restart(port, dirsrv.Config{
+		Site:   uint32(i),
+		Volume: 1,
+		Kind:   e.cfg.NameKind,
+		Table:  e.DirTable,
+		Log:    log,
+		Net:    e.Net,
+		Host:   at.Host,
+		Clock:  e.cfg.Clock,
+	})
+	if err != nil {
+		port.Close()
+		return err
+	}
+	srv.SetRoot(e.Root)
+	srv.SetObs(e.registry(fmt.Sprintf("dirsrv[%d]", i)))
+	put(&e.Dirs, i, srv)
+	rebind(e.DirTable, from, at)
+	return nil
+}
+
+// startSmall recovers small-file server i from SmallLogs[i] against its
+// backing object and serves it at at, rebinding its logical site from
+// from.
+func (e *Ensemble) startSmall(i int, from, at netsim.Addr) error {
+	log, err := wal.Open(e.SmallLogs[i])
+	if err != nil {
+		return err
+	}
+	port, err := e.Net.Bind(at)
+	if err != nil {
+		return err
+	}
+	backing, backID := e.smallBacking(i)
+	srv, err := smallfile.Restart(port, backing, backID, log)
+	if err != nil {
+		port.Close()
+		return err
+	}
+	srv.SetObs(e.registry(fmt.Sprintf("smallfile[%d]", i)))
+	put(&e.Small, i, srv)
+	rebind(e.SmallTable, from, at)
+	return nil
+}
+
+// startCoord recovers the coordinator from CoordLog, finishing every
+// pending intention before it serves at at, and points every live
+// µproxy at it.
+func (e *Ensemble) startCoord(at netsim.Addr) error {
+	log, err := wal.Open(e.CoordLog)
+	if err != nil {
+		return err
+	}
+	port, err := e.Net.Bind(at)
+	if err != nil {
+		return err
+	}
+	co, err := coord.Restart(port, coord.Config{
+		Log:        log,
+		Storage:    e.StorageTable,
+		Replicas:   e.Replicas,
+		SmallFile:  e.SmallTable,
+		Net:        e.Net,
+		Host:       at.Host,
+		ProbeAfter: e.cfg.CoordProbeAfter,
+		CapKey:     e.cfg.CapabilityKey,
+	})
+	if err != nil {
+		port.Close()
+		return err
+	}
+	co.SetObs(e.registry("coord"))
+	e.Coord = co
+	for _, p := range e.Proxies {
 		if p != nil {
-			p.SetCoord(addr)
+			p.SetCoord(at)
 		}
 	}
-	return co, nil
+	return nil
 }
 
-// -------------------------------------------------------------- µproxies
-
-// CrashProxy kills µproxy i: its hosts (virtual address and client
-// ports) are torn down, every in-flight request it was brokering is
-// lost with its soft state, and the fleet table drops the member — the
-// front's failure detection, folded into one membership swap. Flows the
-// victim owned remap to the surviving siblings; in-flight calls reach
-// them on their next retransmission, new calls immediately.
-func (c *Chaos) CrashProxy(i int) {
-	if i < 0 || i >= len(c.e.Proxies) || c.e.Proxies[i] == nil {
-		return
+// startProxy starts µproxy i on its slot in the host plan with empty
+// soft state and joins it to the fleet under ID i.
+func (e *Ensemble) startProxy(i int) {
+	var coordAddr netsim.Addr
+	if e.Coord != nil {
+		coordAddr = e.Coord.Addr()
 	}
-	c.e.Net.CrashHost(proxyVirtual(i).Host)
-	c.e.Net.CrashHost(proxyHost(i))
-	c.e.Proxies[i].Close()
-	c.e.Proxies[i] = nil
+	p := proxy.New(proxy.Config{
+		Net:               e.Net,
+		Host:              proxyHost(i),
+		Virtual:           proxyVirtual(i),
+		ID:                uint32(i),
+		IO:                e.IOPolicy,
+		Names:             e.NamePolicy,
+		Coord:             coordAddr,
+		WritebackInterval: e.cfg.WritebackInterval,
+		CapKey:            e.cfg.CapabilityKey,
+		Obs:               e.registry(memberName("uproxy", i)),
+		Tracer:            e.tracers[i],
+		StatsFn:           e.serveStats,
+	})
+	put(&e.Proxies, i, p)
 	if i == 0 {
-		c.e.Proxy = nil
+		e.Proxy = p
 	}
-	members := c.e.Fleet.Members()
-	survivors := make([]route.ProxyMember, 0, len(members))
-	for _, m := range members {
-		if m.ID != uint32(i) {
-			survivors = append(survivors, m)
-		}
-	}
-	c.e.Fleet.Swap(survivors)
-}
-
-// RestartProxy revives µproxy i on its original slot with empty soft
-// state — the architecture's whole point is that nothing else is needed
-// (§2.1). The member rejoins the fleet under its old ID, so consistent
-// hashing hands it back exactly the flows it owned before the crash,
-// and it reports under its old observability labels.
-func (c *Chaos) RestartProxy(i int) (*proxy.Proxy, error) {
-	if i < 0 || i >= len(c.e.Proxies) {
-		return nil, fmt.Errorf("ensemble: no proxy slot %d", i)
-	}
-	if c.e.Proxies[i] != nil {
-		return nil, fmt.Errorf("ensemble: proxy %d still running", i)
-	}
-	c.e.Net.RestartHost(proxyVirtual(i).Host)
-	c.e.Net.RestartHost(proxyHost(i))
-	reg, tracer := c.e.proxyObs(i)
-	p := c.e.newProxy(i, reg, tracer)
-	c.e.Proxies[i] = p
-	if i == 0 {
-		c.e.Proxy = p
-	}
-	members := c.e.Fleet.Members()
-	rejoined := make([]route.ProxyMember, 0, len(members)+1)
-	rejoined = append(rejoined, members...)
-	rejoined = append(rejoined, route.ProxyMember{
+	e.Fleet.Swap(append(slices.Clip(e.Fleet.Members()), route.ProxyMember{
 		ID:      uint32(i),
 		Virtual: proxyVirtual(i),
 		Host:    proxyHost(i),
-	})
-	c.e.Fleet.Swap(rejoined)
-	return p, nil
-}
-
-// --------------------------------------------------- directory servers
-
-// CrashDir kills directory server i's host. The snapshot of its backing
-// object must have been taken before the crash (checkpoints are
-// periodic in a deployment); pass it to RestartDir.
-func (c *Chaos) CrashDir(i int) {
-	c.e.Net.CrashHost(HostDir0 + uint32(i))
-	c.e.Dirs[i].Close()
-	c.e.DirLogs[i] = c.e.DirLogs[i].CrashCopy()
-}
-
-// RestartDir rebuilds directory server i from snapshot plus the durable
-// suffix of its journal, serving at host (a fresh site, or the original
-// host revived). The shared directory table is rebound to the new
-// address, which the µproxy observes as a route-version change: pending
-// requests re-resolve on their next client retransmission.
-func (c *Chaos) RestartDir(i int, snapshot []byte, host uint32) (*dirsrv.Server, error) {
-	oldAddr := netsim.Addr{Host: HostDir0 + uint32(i), Port: ServicePort}
-	if host == HostDir0+uint32(i) {
-		c.e.Net.RestartHost(host)
-	}
-	addr := netsim.Addr{Host: host, Port: ServicePort}
-	port, err := c.e.Net.Bind(addr)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Open(c.e.DirLogs[i])
-	if err != nil {
-		return nil, err
-	}
-	srv, err := dirsrv.Restart(port, c.e.dirConfig(i, host), snapshot, log)
-	if err != nil {
-		return nil, err
-	}
-	srv.SetRoot(c.e.Root)
-	// The restarted server keeps the original registry: counts accumulate
-	// across the failover rather than resetting with the process.
-	srv.SetObs(c.e.obsDirs[i])
-	c.e.Dirs[i] = srv
-	rebind(c.e.DirTable, oldAddr, addr)
-	return srv, nil
-}
-
-// -------------------------------------------------- small-file servers
-
-// CrashSmall kills small-file server i's host. Its store is dataless:
-// everything needed for restart is the backing object (on a storage
-// node) plus the durable journal prefix.
-func (c *Chaos) CrashSmall(i int) {
-	c.e.Net.CrashHost(HostSmall0 + uint32(i))
-	c.e.Small[i].Close()
-	c.e.SmallLogs[i] = c.e.SmallLogs[i].CrashCopy()
-}
-
-// RestartSmall rebuilds small-file server i against its backing object
-// at host and rebinds the small-file table.
-func (c *Chaos) RestartSmall(i int, host uint32) (*smallfile.Server, error) {
-	oldAddr := netsim.Addr{Host: HostSmall0 + uint32(i), Port: ServicePort}
-	if host == HostSmall0+uint32(i) {
-		c.e.Net.RestartHost(host)
-	}
-	addr := netsim.Addr{Host: host, Port: ServicePort}
-	port, err := c.e.Net.Bind(addr)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.Open(c.e.SmallLogs[i])
-	if err != nil {
-		return nil, err
-	}
-	backing, backID := c.e.smallBacking(i)
-	srv, err := smallfile.Restart(port, backing, backID, log)
-	if err != nil {
-		return nil, err
-	}
-	srv.SetObs(c.e.obsSmall[i])
-	c.e.Small[i] = srv
-	rebind(c.e.SmallTable, oldAddr, addr)
-	return srv, nil
+	}))
 }
 
 // ------------------------------------------------------- storage nodes
@@ -257,24 +360,6 @@ func (c *Chaos) PartitionStorage(i int) {
 // HealStorage reconnects a partitioned storage node.
 func (c *Chaos) HealStorage(i int) {
 	c.e.Net.RejoinHost(HostStorage0 + uint32(i))
-}
-
-// RestartStorage reboots storage node i mid-flight: the host's ports are
-// torn down (in-flight datagrams to and from it are lost) and the node
-// comes back at the same address over the same backing store — a machine
-// reboot that keeps its disk. No table rebind is needed.
-func (c *Chaos) RestartStorage(i int) (*storage.Node, error) {
-	host := HostStorage0 + uint32(i)
-	c.e.Net.CrashHost(host)
-	c.e.Storage[i].Close()
-	c.e.Net.RestartHost(host)
-	port, err := c.e.Net.Bind(netsim.Addr{Host: host, Port: ServicePort})
-	if err != nil {
-		return nil, err
-	}
-	node := c.e.newStorageNode(port, c.e.Storage[i].Store(), c.e.obsStorage[i])
-	c.e.Storage[i] = node
-	return node, nil
 }
 
 // ------------------------------------------------------ replica groups
@@ -293,7 +378,8 @@ func (c *Chaos) replicaGroup(i int) int {
 // total-loss failure replication exists to absorb. The host is torn
 // down (in-flight datagrams lost), the object store is discarded, and
 // the member is marked down in the replica map: failure detection
-// folded into one topology swap, exactly like CrashProxy's fleet swap.
+// folded into one topology swap, exactly like a µproxy crash's fleet
+// swap.
 // Writes stop awaiting the dead member, reads stop spreading to it,
 // and the version bump retargets stalled in-flight requests onto the
 // survivors at their next client retransmission. If i was its group's
@@ -302,17 +388,17 @@ func (c *Chaos) KillReplica(i int) {
 	if i < 0 || i >= len(c.e.Storage) || c.e.Storage[i] == nil {
 		return
 	}
-	c.e.Net.CrashHost(HostStorage0 + uint32(i))
+	addr := storageAddr(i)
+	c.e.Net.CrashHost(addr.Host)
 	// A kill subsumes a transient partition of the same host: the crash
 	// already drops all its traffic, and the replacement machine must not
 	// inherit the partition marker.
-	c.e.Net.RejoinHost(HostStorage0 + uint32(i))
+	c.e.Net.RejoinHost(addr.Host)
 	c.e.Storage[i].Close()
 	c.e.Storage[i] = nil
 	if c.e.Replicas == nil {
 		return
 	}
-	addr := netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort}
 	g := c.replicaGroup(i)
 	before := c.e.Replicas.Groups()[g].Members[0]
 	c.e.Replicas.MarkDown(addr)
@@ -363,21 +449,18 @@ func (c *Chaos) RestartReplica(i int) (*storage.Node, error) {
 	if c.e.Storage[i] != nil {
 		return nil, fmt.Errorf("ensemble: storage node %d still running", i)
 	}
-	host := HostStorage0 + uint32(i)
-	addr := netsim.Addr{Host: host, Port: ServicePort}
-	c.e.Net.RestartHost(host)
-	port, err := c.e.Net.Bind(addr)
-	if err != nil {
+	addr := storageAddr(i)
+	c.e.Net.RestartHost(addr.Host)
+	if err := c.e.startStorage(i, storage.NewObjectStore()); err != nil {
 		return nil, err
 	}
-	node := c.e.newStorageNode(port, storage.NewObjectStore(), c.e.obsStorage[i])
-	c.e.Storage[i] = node
+	node := c.e.Storage[i]
 
 	g := c.replicaGroup(i)
 	nextReps := c.e.Replicas.WithUp(addr)
 	next := rebindSites(c.e.StorageTable.Physical(),
 		c.e.Replicas.Groups()[g].Members[0], nextReps.Groups()[g].Members[0])
-	err = c.e.Rebalancer().Run(next, nextReps, func() error {
+	err := c.e.Rebalancer().Run(next, nextReps, func() error {
 		c.e.Replicas.MarkUp(addr)
 		return nil
 	})

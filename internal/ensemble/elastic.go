@@ -17,20 +17,6 @@ import (
 // (between the proxy range growing down from HostProxy and HostCoord).
 const HostRebalance = 91
 
-// newStorageNode serves store on port, wired like every node of the
-// array: capability key, pacing, and the node's registry.
-func (e *Ensemble) newStorageNode(port *netsim.Port, store *storage.ObjectStore, reg *obs.Registry) *storage.Node {
-	node := storage.NewNode(port, store)
-	if len(e.cfg.CapabilityKey) > 0 {
-		node.RequireCapability(e.cfg.CapabilityKey)
-	}
-	if e.cfg.StorageServiceTime > 0 {
-		node.SetServiceTime(e.cfg.StorageServiceTime)
-	}
-	node.SetObs(reg)
-	return node
-}
-
 // AddStorageNodes starts n more storage nodes on the next slots of the
 // host plan, fully wired (capability key, pacing, obs) but NOT yet bound
 // into any routing table — Grow binds them. Returns their addresses.
@@ -38,17 +24,10 @@ func (e *Ensemble) AddStorageNodes(n int) ([]netsim.Addr, error) {
 	var added []netsim.Addr
 	for j := 0; j < n; j++ {
 		i := len(e.Storage)
-		addr := netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort}
-		port, err := e.Net.Bind(addr)
-		if err != nil {
+		if err := e.startStorage(i, storage.NewObjectStore()); err != nil {
 			return nil, err
 		}
-		reg := obs.NewRegistry(fmt.Sprintf("storage[%d]", i))
-		node := e.newStorageNode(port, storage.NewObjectStore(), reg)
-		e.Obs.AddRegistry(reg)
-		e.obsStorage = append(e.obsStorage, reg)
-		e.Storage = append(e.Storage, node)
-		added = append(added, addr)
+		added = append(added, storageAddr(i))
 	}
 	return added, nil
 }
@@ -182,7 +161,7 @@ func (e *Ensemble) Shrink(n int) error {
 	}
 	removed := make([]netsim.Addr, 0, n)
 	for i := len(e.Storage) - n; i < len(e.Storage); i++ {
-		removed = append(removed, netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort})
+		removed = append(removed, storageAddr(i))
 	}
 	next, err := route.PlanShrink(cur, removed)
 	if err != nil {

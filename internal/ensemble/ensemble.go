@@ -176,14 +176,16 @@ type Ensemble struct {
 	Obs    *obs.Collector
 	Tracer *obs.Tracer
 
-	obsProxy   *obs.Registry
-	obsProxies []*obs.Registry
-	obsCoord   *obs.Registry
-	obsDirs    []*obs.Registry
-	obsSmall   []*obs.Registry
-	obsStorage []*obs.Registry
+	// regs holds every role's registry by name and tracers µproxy i's
+	// span archive: a restarted role reports into its predecessor's.
+	regs    map[string]*obs.Registry
+	tracers []*obs.Tracer
 
-	proxyTracers []*obs.Tracer
+	// disks[i] is storage node i's object store, the one part of a
+	// storage node that survives its crash; down records each crashed
+	// role's last address until Restart (chaos.go).
+	disks []*storage.ObjectStore
+	down  map[roleSlot]netsim.Addr
 
 	Root       fhandle.Handle
 	cfg        Config
@@ -219,23 +221,19 @@ func New(cfg Config) (*Ensemble, error) {
 		Obs:     obs.NewCollector(),
 		Tracer:  obs.NewTracer(512),
 		cfg:     cfg,
+		regs:    make(map[string]*obs.Registry),
+		down:    make(map[roleSlot]netsim.Addr),
 	}
 	e.Obs.AddTracer("uproxy", e.Tracer)
 
-	// Storage nodes.
+	// Every role starts through the helper that also restarts it
+	// (chaos.go), from an empty durable value.
 	var storageAddrs []netsim.Addr
 	for i := 0; i < cfg.StorageNodes; i++ {
-		addr := netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort}
-		port, err := e.Net.Bind(addr)
-		if err != nil {
+		if err := e.startStorage(i, storage.NewObjectStore()); err != nil {
 			return nil, err
 		}
-		reg := obs.NewRegistry(fmt.Sprintf("storage[%d]", i))
-		node := e.newStorageNode(port, storage.NewObjectStore(), reg)
-		e.Obs.AddRegistry(reg)
-		e.obsStorage = append(e.obsStorage, reg)
-		e.Storage = append(e.Storage, node)
-		storageAddrs = append(storageAddrs, addr)
+		storageAddrs = append(storageAddrs, storageAddr(i))
 	}
 	logical := cfg.LogicalSites
 	tableAddrs := storageAddrs
@@ -251,90 +249,34 @@ func New(cfg Config) (*Ensemble, error) {
 	}
 	e.StorageTable = route.NewTable(logical, tableAddrs)
 
-	// Small-file servers.
-	var smallAddrs []netsim.Addr
-	for i := 0; i < cfg.SmallFileServers; i++ {
-		addr := netsim.Addr{Host: HostSmall0 + uint32(i), Port: ServicePort}
-		port, err := e.Net.Bind(addr)
-		if err != nil {
-			return nil, err
-		}
-		logStore := wal.NewMemStore()
-		log, err := wal.Open(logStore)
-		if err != nil {
-			return nil, err
-		}
-		backing, backID := e.smallBacking(i)
-		srv := smallfile.NewServer(port, smallfile.NewStore(backing, backID, log))
-		reg := obs.NewRegistry(fmt.Sprintf("smallfile[%d]", i))
-		srv.SetObs(reg)
-		e.Obs.AddRegistry(reg)
-		e.obsSmall = append(e.obsSmall, reg)
-		e.Small = append(e.Small, srv)
-		e.SmallLogs = append(e.SmallLogs, logStore)
-		smallAddrs = append(smallAddrs, addr)
-	}
+	// Small-file and directory servers get one logical site each: site i
+	// is server i's journal (and, for a small-file server, its backing
+	// object; for a directory server, the Site stamped into the handles
+	// it mints) whatever address serves it, so a failover rebind moves
+	// no file (DESIGN.md §13.2).
+	smallAddrs := serviceAddrs(HostSmall0, cfg.SmallFileServers)
 	if len(smallAddrs) > 0 {
-		// One logical site per server: site i is server i's journal and
-		// backing object whatever address serves it, so a failover
-		// rebind moves no file (DESIGN.md §13.2).
 		e.SmallTable = route.NewTable(len(smallAddrs), smallAddrs)
 	}
-
-	// Coordinator.
+	for i, a := range smallAddrs {
+		e.SmallLogs = append(e.SmallLogs, wal.NewMemStore())
+		if err := e.startSmall(i, a, a); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Coordinator {
-		addr := netsim.Addr{Host: HostCoord, Port: CoordinatorPt}
-		port, err := e.Net.Bind(addr)
-		if err != nil {
-			return nil, err
-		}
 		e.CoordLog = wal.NewMemStore()
-		log, err := wal.Open(e.CoordLog)
-		if err != nil {
+		if err := e.startCoord(netsim.Addr{Host: HostCoord, Port: CoordinatorPt}); err != nil {
 			return nil, err
 		}
-		e.Coord = coord.New(port, coord.Config{
-			Log:        log,
-			Storage:    e.StorageTable,
-			Replicas:   e.Replicas,
-			SmallFile:  e.SmallTable,
-			Net:        e.Net,
-			Host:       HostCoord,
-			ProbeAfter: cfg.CoordProbeAfter,
-			CapKey:     cfg.CapabilityKey,
-		})
-		e.obsCoord = obs.NewRegistry("coord")
-		e.Coord.SetObs(e.obsCoord)
-		e.Obs.AddRegistry(e.obsCoord)
 	}
-
-	// Directory servers.
-	var dirAddrs []netsim.Addr
-	for i := 0; i < cfg.DirServers; i++ {
-		dirAddrs = append(dirAddrs, netsim.Addr{Host: HostDir0 + uint32(i), Port: ServicePort})
-	}
-	// Directory site i is the Site stamped into the handles server i
-	// mints, so it too must survive a rebind to another address.
+	dirAddrs := serviceAddrs(HostDir0, cfg.DirServers)
 	e.DirTable = route.NewTable(len(dirAddrs), dirAddrs)
-	for i := 0; i < cfg.DirServers; i++ {
-		port, err := e.Net.Bind(dirAddrs[i])
-		if err != nil {
+	for i, a := range dirAddrs {
+		e.DirLogs = append(e.DirLogs, wal.NewMemStore())
+		if err := e.startDir(i, a, a); err != nil {
 			return nil, err
 		}
-		logStore := wal.NewMemStore()
-		log, err := wal.Open(logStore)
-		if err != nil {
-			return nil, err
-		}
-		dcfg := e.dirConfig(i, HostDir0+uint32(i))
-		dcfg.Log = log
-		d := dirsrv.New(port, dcfg)
-		reg := obs.NewRegistry(fmt.Sprintf("dirsrv[%d]", i))
-		d.SetObs(reg)
-		e.Obs.AddRegistry(reg)
-		e.obsDirs = append(e.obsDirs, reg)
-		e.Dirs = append(e.Dirs, d)
-		e.DirLogs = append(e.DirLogs, logStore)
 	}
 
 	// Volume root on site 0, shared with all sites for MOUNT.
@@ -366,21 +308,17 @@ func New(cfg Config) (*Ensemble, error) {
 	// tables. Sharing the Table objects is what makes fleet-wide
 	// reconfiguration coordinated — one Swap atomically moves every
 	// proxy to the same route-table version.
-	members := make([]route.ProxyMember, cfg.Proxies)
-	for i := 0; i < cfg.Proxies; i++ {
-		members[i] = route.ProxyMember{
-			ID:      uint32(i),
-			Virtual: proxyVirtual(i),
-			Host:    proxyHost(i),
-		}
-	}
-	e.Fleet = route.NewFleet(members)
+	e.Fleet = route.NewFleet(nil)
 	e.Front = front.NewRing(e.Fleet, 0)
 	for i := 0; i < cfg.Proxies; i++ {
-		reg, tracer := e.proxyObs(i)
-		e.Proxies = append(e.Proxies, e.newProxy(i, reg, tracer))
+		tracer := e.Tracer
+		if i > 0 {
+			tracer = obs.NewTracer(512)
+			e.Obs.AddTracer(memberName("uproxy", i), tracer)
+		}
+		e.tracers = append(e.tracers, tracer)
+		e.startProxy(i)
 	}
-	e.Proxy = e.Proxies[0]
 
 	// Real-wire serving: every member's gateways, and the embedded
 	// portmapper pointing real clients at stream gateway 0.
@@ -415,25 +353,26 @@ func New(cfg Config) (*Ensemble, error) {
 	return e, nil
 }
 
-// dirConfig is directory server i's configuration when it serves at host
-// (its journal is the caller's to attach: New takes it in the Config,
-// Restart beside it).
-func (e *Ensemble) dirConfig(i int, host uint32) dirsrv.Config {
-	return dirsrv.Config{
-		Site:   uint32(i),
-		Volume: 1,
-		Kind:   e.cfg.NameKind,
-		Table:  e.DirTable,
-		Net:    e.Net,
-		Host:   host,
-		Clock:  e.cfg.Clock,
+// serviceAddrs returns the service addresses of n servers numbered up
+// from host0.
+func serviceAddrs(host0 uint32, n int) []netsim.Addr {
+	addrs := make([]netsim.Addr, n)
+	for i := range addrs {
+		addrs[i] = netsim.Addr{Host: host0 + uint32(i), Port: ServicePort}
 	}
+	return addrs
 }
 
-// smallBacking names small-file server i's backing object: it lives on a
-// storage node chosen by the server's index (dataless managers, §2.3).
+// storageAddr is storage node i's fixed slot in the host plan.
+func storageAddr(i int) netsim.Addr {
+	return netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort}
+}
+
+// smallBacking names small-file server i's backing object: it lives on
+// one of the initial storage nodes, chosen by the server's index
+// (dataless managers, §2.3), so a grown array never moves it.
 func (e *Ensemble) smallBacking(i int) (*storage.ObjectStore, storage.ObjectID) {
-	return e.Storage[i%len(e.Storage)].Store(), smallfile.BackingID(i)
+	return e.disks[i%e.cfg.StorageNodes], smallfile.BackingID(i)
 }
 
 // startGateway starts fleet member i's gateway of one framing on its
@@ -483,65 +422,6 @@ func memberListen(listen string, i int) (string, error) {
 		port += i
 	}
 	return net.JoinHostPort(host, strconv.Itoa(port)), nil
-}
-
-// NewFleet builds an ensemble fronted by n µproxies, with every other
-// parameter at its cfg value.
-func NewFleet(n int, cfg Config) (*Ensemble, error) {
-	cfg.Proxies = n
-	return New(cfg)
-}
-
-// proxyObs builds (or, across restarts, rebuilds) µproxy i's registry
-// and tracer, registered with the collector under its stable name —
-// proxy 0 keeps the bare "uproxy" name single-proxy tooling expects.
-// AddRegistry/AddTracer replace same-name entries, so a restarted proxy
-// reports under its old label.
-func (e *Ensemble) proxyObs(i int) (*obs.Registry, *obs.Tracer) {
-	name := memberName("uproxy", i)
-	reg := obs.NewRegistry(name)
-	e.Obs.AddRegistry(reg)
-	if i == 0 {
-		e.obsProxy = reg
-	}
-	for len(e.obsProxies) <= i {
-		e.obsProxies = append(e.obsProxies, nil)
-	}
-	e.obsProxies[i] = reg
-	for len(e.proxyTracers) <= i {
-		e.proxyTracers = append(e.proxyTracers, nil)
-	}
-	if e.proxyTracers[i] == nil {
-		if i == 0 {
-			e.proxyTracers[0] = e.Tracer
-		} else {
-			e.proxyTracers[i] = obs.NewTracer(512)
-			e.Obs.AddTracer(name, e.proxyTracers[i])
-		}
-	}
-	return reg, e.proxyTracers[i]
-}
-
-// newProxy starts µproxy i on its slot in the host plan.
-func (e *Ensemble) newProxy(i int, reg *obs.Registry, tracer *obs.Tracer) *proxy.Proxy {
-	var coordAddr netsim.Addr
-	if e.Coord != nil {
-		coordAddr = e.Coord.Addr()
-	}
-	return proxy.New(proxy.Config{
-		Net:               e.Net,
-		Host:              proxyHost(i),
-		Virtual:           proxyVirtual(i),
-		ID:                uint32(i),
-		IO:                e.IOPolicy,
-		Names:             e.NamePolicy,
-		Coord:             coordAddr,
-		WritebackInterval: e.cfg.WritebackInterval,
-		CapKey:            e.cfg.CapabilityKey,
-		Obs:               reg,
-		Tracer:            tracer,
-		StatsFn:           e.serveStats,
-	})
 }
 
 // serveStats answers the absorbed stats RPC program (obs.Program) from
@@ -629,14 +509,19 @@ func (e *Ensemble) Close() {
 	if e.Coord != nil {
 		e.Coord.Close()
 	}
+	// A crashed role's slot is nil until it restarts.
 	for _, d := range e.Dirs {
-		d.Close()
+		if d != nil {
+			d.Close()
+		}
 	}
 	for _, s := range e.Small {
-		s.Close()
+		if s != nil {
+			s.Close()
+		}
 	}
 	for _, n := range e.Storage {
-		if n != nil { // a KillReplica victim not restarted
+		if n != nil {
 			n.Close()
 		}
 	}

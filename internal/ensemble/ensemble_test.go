@@ -13,7 +13,6 @@ import (
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/route"
-	"slice/internal/wal"
 )
 
 // newTest builds a default ensemble for integration tests: 4 storage
@@ -514,9 +513,10 @@ func TestManyClientsConcurrent(t *testing.T) {
 
 // TestDirectoryServerFailover exercises the §2.3 failover story end to
 // end: a directory server dies; a surviving site assumes its role by
-// recovering its state from the snapshot (backing object) plus the
-// write-ahead log; the µproxy's routing table is rebound to the
-// replacement; clients continue without visible volume changes.
+// recovering its state from the write-ahead log; the µproxy's routing
+// table is rebound to the replacement; clients continue without visible
+// volume changes. A second failover of the moved server then recovers
+// the updates the replacement journaled.
 func TestDirectoryServerFailover(t *testing.T) {
 	e := newTest(t, func(cfg *Config) { cfg.DirServers = 2; cfg.MkdirP = 0 })
 	c, err := e.NewClient()
@@ -538,46 +538,9 @@ func TestDirectoryServerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Checkpoint site 0 to its backing object, then fail it.
-	snapshot := e.Dirs[0].Snapshot()
-	oldAddr := e.Dirs[0].Addr()
-	e.Dirs[0].Close()
-
-	// A replacement assumes the role at a NEW address, rebuilt from the
-	// checkpoint plus the durable log suffix.
-	crashedLog, err := wal.Open(e.DirLogs[0].CrashCopy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newAddr := netsim.Addr{Host: 70, Port: ServicePort}
-	port, err := e.Net.Bind(newAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshLog, err := wal.Open(wal.NewMemStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	replacement := dirsrv.New(port, dirsrv.Config{
-		Site: 0, Volume: 1, Kind: route.MkdirSwitching,
-		Table: e.DirTable, Log: freshLog, Net: e.Net, Host: 70,
-	})
-	defer replacement.Close()
-	if err := replacement.Recover(snapshot, crashedLog); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	replacement.SetRoot(e.Root)
-
-	// Rebind logical site 0 to the replacement. The µproxy shares this
-	// table; no client-visible change occurs.
-	phys := e.DirTable.Physical()
-	newPhys := []netsim.Addr{newAddr}
-	for _, a := range phys[1:] {
-		if a != oldAddr {
-			newPhys = append(newPhys, a)
-		}
-	}
-	e.DirTable.Swap(newPhys[:2])
+	// Fail site 0; a replacement assumes the role at a NEW address,
+	// rebuilt from the durable journal, and the shared table follows.
+	failover(t, e, 70)
 
 	// The volume is intact through the same client.
 	got, _, err := c.Lookup(dir, "paper.tex")
@@ -591,13 +554,34 @@ func TestDirectoryServerFailover(t *testing.T) {
 	if err != nil || string(data) != "interposed request routing" {
 		t.Fatalf("read after failover: %q, %v", data, err)
 	}
-	// And it keeps accepting updates.
-	if _, _, err := c.Create(dir, "revision.tex", 0o644, true); err != nil {
+	// And it keeps accepting updates, into the journal a later crash
+	// replays.
+	rev, _, err := c.Create(dir, "revision.tex", 0o644, true)
+	if err != nil {
 		t.Fatalf("create after failover: %v", err)
+	}
+	failover(t, e, 71)
+	if got, _, err := c.Lookup(dir, "revision.tex"); err != nil || got.Ident() != rev.Ident() {
+		t.Fatalf("revision.tex after the second failover: %v", err)
 	}
 	ents, err := c.ReadDir(dir)
 	if err != nil || len(ents) != 2 {
 		t.Fatalf("readdir after failover: %d entries, %v", len(ents), err)
+	}
+}
+
+// failover crashes directory server 0 and restarts it on host.
+func failover(t *testing.T, e *Ensemble, host uint32) {
+	t.Helper()
+	at := netsim.Addr{Host: host, Port: ServicePort}
+	if err := e.Chaos().Crash(RoleDir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Chaos().Restart(RoleDir, 0, at); err != nil {
+		t.Fatalf("restart at %v: %v", at, err)
+	}
+	if got := e.DirTable.Physical()[0]; got != at {
+		t.Fatalf("site 0 bound to %v after failover to %v", got, at)
 	}
 }
 
@@ -813,8 +797,8 @@ func TestSymlinksThroughFullStack(t *testing.T) {
 	}
 }
 
-// TestSymlinkSurvivesDirServerFailover: symlink targets recover from the
-// snapshot+log path like all other cell state.
+// TestSymlinkSurvivesFailover: symlink targets recover from the journal
+// like all other cell state.
 func TestSymlinkSurvivesFailover(t *testing.T) {
 	e := newTest(t, func(cfg *Config) { cfg.DirServers = 1 })
 	c, err := e.NewClient()
@@ -825,27 +809,7 @@ func TestSymlinkSurvivesFailover(t *testing.T) {
 	if _, _, err := c.Symlink(c.Root(), "cfg", "/etc/slice.conf"); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Dirs[0].Snapshot()
-	crashedLog, err := wal.Open(e.DirLogs[0].CrashCopy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshLog, _ := wal.Open(wal.NewMemStore())
-	port, err := e.Net.Bind(netsim.Addr{Host: 71, Port: ServicePort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replacement := dirsrv.New(port, dirsrv.Config{
-		Site: 0, Volume: 1, Kind: route.MkdirSwitching,
-		Table: e.DirTable, Log: freshLog, Net: e.Net, Host: 71,
-	})
-	defer replacement.Close()
-	if err := replacement.Recover(snap, crashedLog); err != nil {
-		t.Fatal(err)
-	}
-	replacement.SetRoot(e.Root)
-	e.Dirs[0].Close()
-	e.DirTable.Swap([]netsim.Addr{{Host: 71, Port: ServicePort}})
+	failover(t, e, 71)
 	target, err := c.ReadLink(fhandleOf(t, c, "cfg"))
 	if err != nil || target != "/etc/slice.conf" {
 		t.Fatalf("readlink after failover: %q, %v", target, err)

@@ -120,7 +120,7 @@ func TestProxyCrashDoesNotStrandRequest(t *testing.T) {
 	}
 
 	// The owner dies before the call's first transmission (Close is what
-	// CrashProxy does first, so this is the same fault with deterministic
+	// Crash does first, so this is the same fault with deterministic
 	// timing), but the fleet table has not noticed yet: the transmission
 	// blackholes exactly as it would against a freshly dead machine. The
 	// membership swap lands 10ms in — before the first 25ms retransmit —
@@ -132,7 +132,9 @@ func TestProxyCrashDoesNotStrandRequest(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	e.Chaos().CrashProxy(owner)
+	if err := e.Chaos().Crash(RoleProxy, owner); err != nil {
+		t.Fatal(err)
+	}
 	if err := <-done; err != nil {
 		t.Fatalf("request stranded by proxy crash: %v", err)
 	}
@@ -155,11 +157,13 @@ func TestProxyRestartRejoinsFleet(t *testing.T) {
 		cfg.ClientRPC = oncrpc.ClientConfig{Timeout: 25 * time.Millisecond, Retries: 9}
 	})
 	ver := e.Fleet.Version()
-	e.Chaos().CrashProxy(1)
+	if err := e.Chaos().Crash(RoleProxy, 1); err != nil {
+		t.Fatal(err)
+	}
 	if e.Fleet.Len() != 1 || e.Fleet.Version() != ver+1 {
 		t.Fatalf("after crash: %d members at version %d", e.Fleet.Len(), e.Fleet.Version())
 	}
-	if _, err := e.Chaos().RestartProxy(1); err != nil {
+	if err := e.Chaos().Restart(RoleProxy, 1, proxyVirtual(1)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Fleet.Len() != 2 {

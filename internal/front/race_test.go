@@ -54,7 +54,7 @@ func TestSwapUnderConcurrentResolveRace(t *testing.T) {
 	}
 
 	// Churn: members leave and rejoin, one at a time, never emptying the
-	// fleet — each Swap is a crash or a restart as CrashProxy/RestartProxy
+	// fleet — each Swap is a crash or a restart as Chaos.Crash/Restart
 	// publish them.
 	for i := 0; i < 2000; i++ {
 		gone := uint32(i % len(all))

@@ -27,8 +27,10 @@ import (
 func tapAhead(t *testing.T, e *ensemble.Ensemble, tap netsim.TapFunc) {
 	t.Helper()
 	e.Net.AddTap(tap)
-	e.Chaos().CrashProxy(0)
-	if _, err := e.Chaos().RestartProxy(0); err != nil {
+	if err := e.Chaos().Crash(ensemble.RoleProxy, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Chaos().Restart(ensemble.RoleProxy, 0, e.VirtualOf(0)); err != nil {
 		t.Fatal(err)
 	}
 }

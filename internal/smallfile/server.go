@@ -35,7 +35,7 @@ func NewServer(port *netsim.Port, store *Store) *Server {
 // store keeps journaling to the log it replayed.
 func Restart(port *netsim.Port, backing *storage.ObjectStore, backID storage.ObjectID, log *wal.Log) (*Server, error) {
 	store := NewStore(backing, backID, log)
-	if err := store.Recover(log); err != nil {
+	if err := store.replayLog(); err != nil {
 		return nil, err
 	}
 	return NewServer(port, store), nil

@@ -227,7 +227,7 @@ func TestRecoverFromLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore(backing, 1, log2)
-	if err := s2.Recover(log2); err != nil {
+	if err := s2.replayLog(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.Size(f1); ok {

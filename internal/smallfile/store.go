@@ -466,12 +466,13 @@ func encodeFileID(fileID uint64) []byte {
 	return e.Bytes()
 }
 
-// Recover rebuilds the map records from the journal; the data itself is in
-// the backing object. This is the small-file half of manager failover.
-func (s *Store) Recover(log *wal.Log) error {
+// replayLog rebuilds the map records from the store's journal; the data
+// itself is in the backing object. This is the small-file half of
+// manager failover.
+func (s *Store) replayLog() error {
 	maps := make(map[uint64]*mapRecord)
 	var end int64
-	err := log.Scan(func(seq uint64, recType uint32, payload []byte) error {
+	err := s.log.Scan(func(seq uint64, recType uint32, payload []byte) error {
 		switch recType {
 		case recMap:
 			fileID, rec, err := decodeMapRecord(payload)
@@ -500,7 +501,6 @@ func (s *Store) Recover(log *wal.Log) error {
 	s.mu.Lock()
 	s.maps = maps
 	s.end = end
-	s.log = log
 	// Free lists are conservatively dropped on recovery: fragments that
 	// were free simply stay unused until the region is reallocated by
 	// growth at the end; a background compactor would reclaim them.
