@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-cross build test race examples bench bench-proxy bench-gate bench-module lint cover fuzz corpus nightly-chaos
+.PHONY: check vet vet-cross build test race examples bench bench-proxy bench-gate bench-module lint cover cover-func fuzz corpus nightly-chaos
 
 # The full gate: everything a change must pass before it lands.
 check: vet vet-cross build race examples bench-proxy bench-module
@@ -129,6 +129,23 @@ cover:
 	awk -v t="$$pkg" -v f="$(REBAL_COVER_FLOOR)" 'BEGIN { \
 	    if (t+0 < f+0) { printf "cover: internal/rebalance %.1f%% is below the %s%% floor\n", t, f; exit 1 } \
 	    else { printf "cover: internal/rebalance %.1f%% >= %s%% floor\n", t, f } }'
+
+# Functions no tier-1 test reaches, outside cmd/, tools/ and examples/,
+# under -coverpkg=./... (so a function reached only from another
+# package's tests counts as reached). COVER_FUNC.txt is the checked-in
+# list and a ratchet: a function that joins it fails the target, and one
+# that leaves it (now tested, or deleted) is printed for removal from it.
+cover-func:
+	@$(GO) test -count=1 -coverpkg=./... -coverprofile=cover_func.out ./... > cover_func.log 2>&1 \
+	    || { cat cover_func.log; exit 1; }
+	@$(GO) tool cover -func=cover_func.out \
+	    | awk '$$NF == "0.0%" && $$1 !~ /^slice\/(cmd|tools|examples)\// { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' \
+	    | LC_ALL=C sort -u > cover_func.now
+	@joined=$$(LC_ALL=C comm -13 COVER_FUNC.txt cover_func.now); \
+	left=$$(LC_ALL=C comm -23 COVER_FUNC.txt cover_func.now); \
+	if [ -n "$$left" ]; then printf 'cover-func: reached or deleted, remove from COVER_FUNC.txt:\n%s\n' "$$left"; fi; \
+	if [ -n "$$joined" ]; then printf 'cover-func: no test reaches these new entries:\n%s\n' "$$joined"; exit 1; fi; \
+	echo "cover-func: $$(wc -l < cover_func.now) functions no test reaches, none new"
 
 # The nightly chaos matrix, locally: the whole chaos suite plus the
 # chaos_long elastic-topology scenarios, across {udp,tcp} transports and

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slice/internal/client"
+	"slice/internal/coord"
 	"slice/internal/ensemble"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -365,6 +366,48 @@ func TestCoordinatorRecoveryFinishesExactlyOnce(t *testing.T) {
 		t.Fatal("recovered remove left blocks on the partitioned node (orphan)")
 	}
 	FsckClean(t, e)
+}
+
+// TestCoordinatorCommitReachesSmallFileServer: a commit intention the
+// coordinator finishes itself runs the same site fan-out as the µproxy's
+// COMMIT, so it makes the file's small-file journal durable, not only
+// its storage nodes: the unstable write's map record survives a crash of
+// the small-file server, and the bytes read back.
+func TestCoordinatorCommitReachesSmallFileServer(t *testing.T) {
+	e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.CoordProbeAfter = time.Hour })
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh, _, err := c.Create(c.Root(), "unstable-small", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("u"), 4096)
+	if _, err := c.Write(fh, 0, want, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(fh); err != nil {
+		t.Fatal(err)
+	}
+
+	// The µproxy died before its COMMIT fan-out: only the intention is left.
+	syncs := e.SmallLogs[0].Syncs()
+	if _, err := e.Coord.Intend(coord.OpCommit, fh, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Coord.CheckIntentions(time.Now().Add(time.Hour)); n != 1 {
+		t.Fatalf("the probe finished %d intentions, want 1", n)
+	}
+	if e.SmallLogs[0].Syncs() == syncs {
+		t.Fatal("the coordinator's commit never synced the small-file journal")
+	}
+
+	ch := e.Chaos()
+	must(t, ch.Crash(ensemble.RoleSmall, 0))
+	must(t, ch.Restart(ensemble.RoleSmall, 0, serviceAt(ensemble.HostSmall0)))
+	VerifyBytes(t, e, c, fh, want)
 }
 
 // TestWindowedBulkEquivalenceUnderChaos: a windowed client streams a

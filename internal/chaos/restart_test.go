@@ -134,6 +134,30 @@ func TestRestartOfLiveRoleRefused(t *testing.T) {
 	FsckClean(t, e)
 }
 
+// TestRebalanceDriverFollowsRestartedCoordinator: the rebalance driver,
+// built while the first coordinator served, reaches the coordinator
+// through the address the ensemble publishes, so a transition after the
+// coordinator restarted on another host is covered by intentions its
+// replacement logged — and all of them completed once the grow
+// committed. A driver that kept the first address would send every
+// intention to a dead host and run the transition uncovered.
+func TestRebalanceDriverFollowsRestartedCoordinator(t *testing.T) {
+	e := newEnsemble(t, nil)
+	e.Rebalancer()
+	ch := e.Chaos()
+	must(t, ch.Crash(ensemble.RoleCoord, 0))
+	must(t, ch.Restart(ensemble.RoleCoord, 0, netsim.Addr{Host: 80, Port: ensemble.CoordinatorPt}))
+	if err := e.Grow(2); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	if n := e.Coord.Stats().Intentions; n == 0 {
+		t.Fatal("the restarted coordinator logged no migrate intention for the grow")
+	}
+	if n := e.Coord.PendingIntentions(); n != 0 {
+		t.Fatalf("%d intentions still pending after the grow committed", n)
+	}
+}
+
 // TestPowerCutRestartsEveryRole is the one crash/restart contract under
 // its hardest case: after a COMMIT barrier ends an sfsmix-shaped load —
 // small and large files, creates and overwrites — every role crashes at

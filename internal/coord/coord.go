@@ -14,7 +14,6 @@
 package coord
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -25,6 +24,7 @@ import (
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/route"
+	"slice/internal/storage"
 	"slice/internal/wal"
 	"slice/internal/xdr"
 )
@@ -49,22 +49,6 @@ const (
 	OpMigrate  = 5 // topology transition in progress; Size carries the epoch
 	// 4 is retired: it marked per-file mirrored writes, which nothing sent.
 )
-
-// opName renders an op type for errors and logs.
-func opName(op uint32) string {
-	switch op {
-	case OpRemove:
-		return "remove"
-	case OpTruncate:
-		return "truncate"
-	case OpCommit:
-		return "commit"
-	case OpMigrate:
-		return "migrate"
-	default:
-		return fmt.Sprintf("op(%d)", op)
-	}
-}
 
 // intent is one logged intention.
 type intent struct {
@@ -103,7 +87,8 @@ type Config struct {
 	// SmallFile maps logical small-file sites to small-file servers; may
 	// be nil when no small-file servers are configured.
 	SmallFile *route.Table
-	// Net and Host are used to bind client ports toward the data servers.
+	// Net and Host bind the client port the coordinator calls the data
+	// sites from.
 	Net  *netsim.Network
 	Host uint32
 	// ProbeAfter is how long an intention may sit unacknowledged before
@@ -124,8 +109,11 @@ type Coordinator struct {
 	pending map[uint64]*intent
 	stats   Stats
 
-	clientsMu sync.Mutex
-	clients   map[netsim.Addr]*oncrpc.Client
+	// sites lists a file's data sites (route.IOPolicy.DataSites over the
+	// configured tables); rpc is the one client that calls them, bound
+	// on first use.
+	sites *route.IOPolicy
+	rpc   func() (*oncrpc.Client, error)
 
 	srv       *oncrpc.Server
 	stopCh    chan struct{}
@@ -165,7 +153,8 @@ func newCoordinator(cfg Config) *Coordinator {
 		cfg:     cfg,
 		nextID:  1,
 		pending: make(map[uint64]*intent),
-		clients: make(map[netsim.Addr]*oncrpc.Client),
+		sites:   &route.IOPolicy{SmallFile: cfg.SmallFile, Storage: cfg.Storage, Replicas: cfg.Replicas},
+		rpc:     oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 		stopCh:  make(chan struct{}),
 	}
 }
@@ -209,11 +198,9 @@ func (c *Coordinator) Close() {
 		close(c.stopCh)
 		c.srv.Close()
 		c.wg.Wait()
-		c.clientsMu.Lock()
-		for _, cl := range c.clients {
+		if cl, err := c.rpc(); err == nil {
 			cl.Close()
 		}
-		c.clientsMu.Unlock()
 	})
 }
 
@@ -248,11 +235,9 @@ func (c *Coordinator) CheckIntentions(now time.Time) int {
 	c.mu.Unlock()
 	done := 0
 	for _, in := range stale {
-		if c.finish(in) != nil {
-			continue
+		if c.finish(in) {
+			done++
 		}
-		c.clearIntent(in.ID, true)
-		done++
 	}
 	return done
 }
@@ -283,36 +268,11 @@ func (c *Coordinator) clearIntent(id uint64, finished bool) {
 }
 
 // finish performs the idempotent completing actions for an intention whose
-// initiator may have failed: it drives every site that could hold state
-// for the operation to the operation's final state.
-func (c *Coordinator) finish(in *intent) error {
-	fh := in.FH
-	if len(c.cfg.CapKey) > 0 {
-		fh = fhandle.WithCapability(c.cfg.CapKey, fh)
-	}
-	in = &intent{ID: in.ID, Op: in.Op, FH: fh, Size: in.Size, Logged: in.Logged}
-	var firstErr error
-	record := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	switch in.Op {
-	case OpRemove:
-		c.forEachDataSite(in.FH, func(addr netsim.Addr) {
-			record(c.objCall(addr, storageObjProcRemove, in.FH, nil))
-		})
-	case OpTruncate:
-		c.forEachDataSite(in.FH, func(addr netsim.Addr) {
-			record(c.objCall(addr, storageObjProcTruncate, in.FH, func(e *xdr.Encoder) { e.PutUint64(in.Size) }))
-		})
-	case OpCommit:
-		// Commit on every replica/site the file's blocks could live on;
-		// NFS commit of clean data is a no-op, so over-commit is safe.
-		c.forEachStorage(func(addr netsim.Addr) {
-			record(c.nfsCommit(addr, in.FH))
-		})
-	case OpMigrate:
+// initiator may have failed — the same Apply the µproxy ran, at every site
+// that could hold the file's data — and clears the intention once they are
+// confirmed everywhere, reporting whether it did.
+func (c *Coordinator) finish(in *intent) bool {
+	if in.Op == OpMigrate {
 		// A migration intention gone stale means its rebalance driver
 		// died mid-copy: roll the topology transition back so the old
 		// binding (which saw every double-written byte) stays
@@ -323,86 +283,116 @@ func (c *Coordinator) finish(in *intent) error {
 		if c.cfg.Storage != nil {
 			c.cfg.Storage.Abort(in.Size)
 		}
+		c.clearIntent(in.ID, true)
+		return true
 	}
-	return firstErr
+	// A commit's Offset and Count stay zero: the whole file. Committing
+	// clean data is a no-op, so over-commit is safe.
+	_, ok := Apply(c.callSite, c.cfg.CapKey, Action{Op: in.Op, FH: in.FH, Size: in.Size},
+		c.sites.DataSites(in.FH, false), func() { c.clearIntent(in.ID, true) })
+	return ok
 }
 
-// forEachStorage visits every storage node address once — every member
-// of every replica group, and the nodes of a pending topology transition
-// too, so recovery-time removes, truncates, and commits reach each copy
-// and the binding about to take over (a remove finished against only the
-// primaries, or only the old nodes, leaves bytes the swap or a failover
-// could resurrect).
-func (c *Coordinator) forEachStorage(f func(netsim.Addr)) {
-	cur, next := c.cfg.Storage.Bindings(c.cfg.Replicas)
-	for _, a := range next.AppendAll(cur.AppendAll(nil)) {
-		f(a)
-	}
-}
-
-// forEachDataSite visits every storage node and (if configured) the
-// small-file server responsible for fh.
-func (c *Coordinator) forEachDataSite(fh fhandle.Handle, f func(netsim.Addr)) {
-	c.forEachStorage(f)
-	if c.cfg.SmallFile != nil {
-		if a, err := c.cfg.SmallFile.Route(fhandle.HandleKey(fh)); err == nil {
-			f(a)
-		}
-	}
-}
-
-// client returns (creating if needed) an RPC client to addr.
-func (c *Coordinator) client(a netsim.Addr) (*oncrpc.Client, error) {
-	c.clientsMu.Lock()
-	defer c.clientsMu.Unlock()
-	if cl, ok := c.clients[a]; ok {
-		return cl, nil
-	}
-	port, err := c.cfg.Net.BindAny(c.cfg.Host)
+// callSite is the coordinator's Caller: its one client, aimed per call.
+func (c *Coordinator) callSite(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+	cl, err := c.rpc()
 	if err != nil {
 		return nil, err
 	}
-	cl := oncrpc.NewClient(port, a, oncrpc.ClientConfig{})
-	c.clients[a] = cl
-	return cl, nil
+	return cl.CallTo(site, 0, prog, vers, proc, args)
 }
 
-// Program/proc constants of the storage raw-object service, duplicated
-// here to avoid an import cycle with the storage package's tests.
-const (
-	storageObjProgram      = 200101
-	storageObjVersion      = 1
-	storageObjProcRemove   = 1
-	storageObjProcTruncate = 2
-)
+// ----------------------------------------------------- multi-site operations
 
-// objCall issues a raw-object procedure for fh at addr; extra (optional)
-// appends procedure-specific arguments after the handle.
-func (c *Coordinator) objCall(addr netsim.Addr, proc uint32, fh fhandle.Handle, extra func(*xdr.Encoder)) error {
-	cl, err := c.client(addr)
-	if err != nil {
-		return err
+// Caller issues one RPC to site: the coordinator's own client, or a
+// µproxy's, which also attributes the call to the request's trace span.
+// The zero site is the coordinator, which the µproxies' and the rebalance
+// driver's clients resolve per transmission (oncrpc.Client.CallTo).
+type Caller func(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error)
+
+// Action is one operation Apply carries to every data site of a file.
+type Action struct {
+	Op     uint32 // OpRemove, OpTruncate or OpCommit
+	FH     fhandle.Handle
+	Size   uint64 // OpTruncate: the new length
+	Offset uint64 // OpCommit: the range to commit (0 and 0: the whole file)
+	Count  uint32
+}
+
+// Apply performs a at every site in sites through call, and only when
+// every site confirmed does it call complete and report ok. A site that
+// did not confirm may still hold the file's data or its unstable writes,
+// so the intention covering a must stay pending for the coordinator's
+// probe to finish the idempotent operation there (§4.2) — completing
+// anyway would orphan the site's blocks. capKey, when set, stamps the
+// storage capability into the handle (small-file servers ignore it).
+// verf is the XOR of the sites' commit verifiers.
+func Apply(call Caller, capKey []byte, a Action, sites []netsim.Addr, complete func()) (verf uint64, ok bool) {
+	fh := a.FH
+	if len(capKey) > 0 {
+		fh = fhandle.WithCapability(capKey, fh)
 	}
-	_, err = cl.Call(storageObjProgram, storageObjVersion, proc, func(e *xdr.Encoder) {
-		fh.Encode(e)
-		if extra != nil {
-			extra(e)
+	ok = true
+	for _, site := range sites {
+		var err error
+		switch a.Op {
+		case OpRemove:
+			_, err = call(site, storage.ObjProgram, storage.ObjVersion, storage.ObjProcRemove, fh.Encode)
+		case OpTruncate:
+			_, err = call(site, storage.ObjProgram, storage.ObjVersion, storage.ObjProcTruncate, func(e *xdr.Encoder) {
+				fh.Encode(e)
+				e.PutUint64(a.Size)
+			})
+		case OpCommit:
+			args := nfsproto.CommitArgs{FH: fh, Offset: a.Offset, Count: a.Count}
+			var body []byte
+			if body, err = call(site, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), args.Encode); err == nil {
+				var res nfsproto.CommitRes
+				if err = res.Decode(xdr.NewDecoder(body)); err == nil {
+					err = res.Status.Error()
+				}
+				if err == nil {
+					verf ^= res.Verf
+				}
+			}
 		}
-	})
-	return err
+		if err != nil {
+			ok = false
+		}
+	}
+	if ok {
+		complete()
+	}
+	return verf, ok
 }
 
-// nfsCommit issues an NFS COMMIT for fh at addr.
-func (c *Coordinator) nfsCommit(addr netsim.Addr, fh fhandle.Handle) error {
-	cl, err := c.client(addr)
-	if err != nil {
-		return err
-	}
-	_, err = cl.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), func(e *xdr.Encoder) {
-		args := nfsproto.CommitArgs{FH: fh}
-		args.Encode(e)
+// CallIntend logs an intention with the coordinator through call and
+// returns its id, or 0 when it was not logged.
+func CallIntend(call Caller, op uint32, fh fhandle.Handle, size uint64) uint64 {
+	body, err := call(netsim.Addr{}, Program, Version, ProcIntend, func(e *xdr.Encoder) {
+		e.PutUint32(op)
+		fh.Encode(e)
+		e.PutUint64(size)
 	})
-	return err
+	if err != nil {
+		return 0
+	}
+	d := xdr.NewDecoder(body)
+	if st, err := d.Uint32(); err != nil || nfsproto.Status(st) != nfsproto.OK {
+		return 0
+	}
+	id, err := d.Uint64()
+	if err != nil {
+		return 0
+	}
+	return id
+}
+
+// CallComplete clears intention id (0: none) through call.
+func CallComplete(call Caller, id uint64) {
+	if id != 0 {
+		_, _ = call(netsim.Addr{}, Program, Version, ProcComplete, func(e *xdr.Encoder) { e.PutUint64(id) })
+	}
 }
 
 // ---------------------------------------------------------------- serving
@@ -552,9 +542,6 @@ func (c *Coordinator) finishRecovered() {
 	}
 	c.mu.Unlock()
 	for _, in := range pending {
-		if c.finish(in) != nil {
-			continue
-		}
-		c.clearIntent(in.ID, true)
+		c.finish(in)
 	}
 }

@@ -25,17 +25,18 @@ type harness struct {
 	stores  []*wal.MemStore
 	table   *route.Table
 	policy  *route.NamePolicy
-	clients map[netsim.Addr]*oncrpc.Client
+	rpc     *oncrpc.Client // one client for every site, like the µproxy's
 	root    fhandle.Handle
 }
 
 func newHarness(t *testing.T, n int, kind route.NameKind, p float64) *harness {
 	t.Helper()
-	h := &harness{
-		t:       t,
-		net:     netsim.New(netsim.Config{}),
-		clients: make(map[netsim.Addr]*oncrpc.Client),
+	h := &harness{t: t, net: netsim.New(netsim.Config{})}
+	cport, err := h.net.BindAny(200)
+	if err != nil {
+		t.Fatal(err)
 	}
+	h.rpc = oncrpc.NewClient(cport, netsim.Addr{}, oncrpc.ClientConfig{})
 	var addrs []netsim.Addr
 	for i := 0; i < n; i++ {
 		addrs = append(addrs, netsim.Addr{Host: uint32(10 + i), Port: 2049})
@@ -67,24 +68,9 @@ func newHarness(t *testing.T, n int, kind route.NameKind, p float64) *harness {
 		for _, s := range h.servers {
 			s.Close()
 		}
-		for _, c := range h.clients {
-			c.Close()
-		}
+		h.rpc.Close()
 	})
 	return h
-}
-
-func (h *harness) client(a netsim.Addr) *oncrpc.Client {
-	if c, ok := h.clients[a]; ok {
-		return c
-	}
-	port, err := h.net.BindAny(200)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	c := oncrpc.NewClient(port, a, oncrpc.ClientConfig{})
-	h.clients[a] = c
-	return c
 }
 
 // call routes one NFS call by policy (as the µproxy would) and decodes.
@@ -99,7 +85,7 @@ func (h *harness) call(proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) 
 	if err != nil {
 		return err
 	}
-	body, err := h.client(addr).Call(nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	body, err := h.rpc.CallTo(addr, 0, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}
@@ -422,7 +408,7 @@ func TestMisroutedRequestDetected(t *testing.T) {
 	// stale routing table in the µproxy.
 	wrong := h.servers[1].Addr()
 	args := nfsproto.CreateArgs{Dir: h.root, Name: "lost", Exclusive: true}
-	body, err := h.client(wrong).Call(nfsproto.Program, nfsproto.Version,
+	body, err := h.rpc.CallTo(wrong, 0, nfsproto.Program, nfsproto.Version,
 		uint32(nfsproto.ProcCreate), args.Encode)
 	if err != nil {
 		t.Fatal(err)
@@ -523,7 +509,7 @@ func TestCountersTrackCrossSite(t *testing.T) {
 
 func TestMountProgram(t *testing.T) {
 	h := newHarness(t, 2, route.MkdirSwitching, 0)
-	body, err := h.client(h.servers[0].Addr()).Call(MountProgram, MountVersion, MountProcMnt, nil)
+	body, err := h.rpc.CallTo(h.servers[0].Addr(), 0, MountProgram, MountVersion, MountProcMnt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package dirsrv
 import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
-	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
@@ -31,23 +30,6 @@ const (
 	peerLinkDelta     = 9
 )
 
-// peerClient returns (creating if needed) an RPC client to the directory
-// server at addr.
-func (s *Server) peerClient(a netsim.Addr) (*oncrpc.Client, error) {
-	s.peersMu.Lock()
-	defer s.peersMu.Unlock()
-	if c, ok := s.peers[a]; ok {
-		return c, nil
-	}
-	port, err := s.net.BindAny(s.host)
-	if err != nil {
-		return nil, err
-	}
-	c := oncrpc.NewClient(port, a, oncrpc.ClientConfig{})
-	s.peers[a] = c
-	return c, nil
-}
-
 // peerCall issues a peer procedure to the given logical site and decodes
 // the leading status word of the reply; decodeRest (optional) consumes the
 // remainder. The server must NOT hold s.mu across this call.
@@ -58,12 +40,12 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
-	c, err := s.peerClient(a)
+	c, err := s.peer()
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
 	s.addCounter(func(ct *Counters) { ct.PeerCalls++ })
-	body, err := c.Call(PeerProgram, PeerVersion, proc, args)
+	body, err := c.CallTo(a, 0, PeerProgram, PeerVersion, proc, args)
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}

@@ -41,9 +41,9 @@ type Config struct {
 	Table *route.Table
 	// Log is the server's write-ahead journal.
 	Log *wal.Log
-	// Net is the fabric, used to bind peer-client ports.
+	// Net is the fabric, used to bind the peer-client port.
 	Net *netsim.Network
-	// Host is this server's host address for peer-client ports.
+	// Host is this server's host address for the peer-client port.
 	Host uint32
 	// Clock supplies timestamps; nil uses the wall clock.
 	Clock func() attr.Time
@@ -55,8 +55,6 @@ type Server struct {
 	vol   uint32
 	kind  route.NameKind
 	table *route.Table
-	net   *netsim.Network
-	host  uint32
 	clock func() attr.Time
 
 	mu     sync.Mutex
@@ -65,8 +63,9 @@ type Server struct {
 	rootFH fhandle.Handle
 	ct     Counters
 
-	peersMu sync.Mutex
-	peers   map[netsim.Addr]*oncrpc.Client
+	// peer is the one client the server calls its peer sites from,
+	// bound on first use.
+	peer func() (*oncrpc.Client, error)
 
 	srv *oncrpc.Server
 }
@@ -101,17 +100,12 @@ func newServer(cfg Config) *Server {
 		vol:   cfg.Volume,
 		kind:  cfg.Kind,
 		table: cfg.Table,
-		net:   cfg.Net,
-		host:  cfg.Host,
 		clock: cfg.Clock,
 		st:    newState(),
 		log:   cfg.Log,
-		peers: make(map[netsim.Addr]*oncrpc.Client),
+		peer:  oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 	}
 }
-
-// Site returns the server's logical site ID.
-func (s *Server) Site() uint32 { return s.site }
 
 // Addr returns the server's service address.
 func (s *Server) Addr() netsim.Addr { return s.srv.Addr() }
@@ -146,11 +140,9 @@ func (s *Server) addCounter(f func(*Counters)) {
 // Close shuts the server down.
 func (s *Server) Close() {
 	s.srv.Close()
-	s.peersMu.Lock()
-	for _, c := range s.peers {
+	if c, err := s.peer(); err == nil {
 		c.Close()
 	}
-	s.peersMu.Unlock()
 }
 
 // CreateRoot mints the volume root directory. The ensemble calls it once,

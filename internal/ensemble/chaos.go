@@ -8,6 +8,7 @@ import (
 	"slice/internal/dirsrv"
 	"slice/internal/netsim"
 	"slice/internal/obs"
+	"slice/internal/oncrpc"
 	"slice/internal/proxy"
 	"slice/internal/route"
 	"slice/internal/smallfile"
@@ -21,7 +22,7 @@ import (
 // a machine failure would look from the network — and restarts rebuild
 // the role from its durable value alone (§2.3), through the same start
 // helper New used, rewiring the shared routing tables, the fleet or the
-// µproxies' coordinator address so clients recover through ordinary
+// coordinator's published address so clients recover through ordinary
 // retransmission (§2.1). Chaos calls must not run concurrently with
 // each other.
 type Chaos struct {
@@ -144,12 +145,12 @@ func (c *Chaos) Crash(role Role, i int) error {
 // site is rebound from the address recorded at the crash to at — the
 // µproxy sees a route-version change and pending requests re-resolve on
 // their next retransmission. A coordinator finishes every pending
-// intention before it serves, and every live µproxy is re-pointed at
-// it. A storage node or µproxy has a fixed slot in the host plan and
-// refuses any other address; a µproxy comes back with empty soft state
-// under its old fleet ID, so consistent hashing hands it back exactly
-// the flows it owned (§2.1). Restarting a role that is not crashed is
-// an error.
+// intention before it serves, and publishes its new address to the
+// µproxies and the rebalance driver. A storage node or µproxy has a
+// fixed slot in the host plan and refuses any other address; a µproxy
+// comes back with empty soft state under its old fleet ID, so
+// consistent hashing hands it back exactly the flows it owned (§2.1).
+// Restarting a role that is not crashed is an error.
 func (c *Chaos) Restart(role Role, i int, at netsim.Addr) error {
 	e := c.e
 	slot := roleSlot{role, i}
@@ -188,7 +189,7 @@ func (c *Chaos) Restart(role Role, i int, at netsim.Addr) error {
 // New (over an empty durable value) and Restart (over a crashed one):
 // bind the port, open the journal, run the recovering constructor,
 // attach the role's registry, and bind the role into its table, fleet
-// or coordinator address.
+// or the published coordinator address.
 
 // registry returns the registry named name, registering it with the
 // collector on first use: a restarted role reports into its
@@ -281,8 +282,8 @@ func (e *Ensemble) startSmall(i int, from, at netsim.Addr) error {
 }
 
 // startCoord recovers the coordinator from CoordLog, finishing every
-// pending intention before it serves at at, and points every live
-// µproxy at it.
+// pending intention before it serves at at, and publishes at to
+// coordResolver.
 func (e *Ensemble) startCoord(at netsim.Addr) error {
 	log, err := wal.Open(e.CoordLog)
 	if err != nil {
@@ -308,21 +309,26 @@ func (e *Ensemble) startCoord(at netsim.Addr) error {
 	}
 	co.SetObs(e.registry("coord"))
 	e.Coord = co
-	for _, p := range e.Proxies {
-		if p != nil {
-			p.SetCoord(at)
-		}
-	}
+	e.coordAt.Store(&at)
 	return nil
+}
+
+// coordResolver is the one way the µproxies and the rebalance driver
+// reach the coordinator: the address its latest start published, read
+// before every transmission, so a call in flight across a restart
+// follows the coordinator to its new host (a crash leaves the old
+// address, and calls time out against it until Restart). nil without
+// a coordinator.
+func (e *Ensemble) coordResolver() oncrpc.Resolver {
+	if !e.cfg.Coordinator {
+		return nil
+	}
+	return func() netsim.Addr { return *e.coordAt.Load() }
 }
 
 // startProxy starts µproxy i on its slot in the host plan with empty
 // soft state and joins it to the fleet under ID i.
 func (e *Ensemble) startProxy(i int) {
-	var coordAddr netsim.Addr
-	if e.Coord != nil {
-		coordAddr = e.Coord.Addr()
-	}
 	p := proxy.New(proxy.Config{
 		Net:               e.Net,
 		Host:              proxyHost(i),
@@ -330,7 +336,7 @@ func (e *Ensemble) startProxy(i int) {
 		ID:                uint32(i),
 		IO:                e.IOPolicy,
 		Names:             e.NamePolicy,
-		Coord:             coordAddr,
+		Coord:             e.coordResolver(),
 		WritebackInterval: e.cfg.WritebackInterval,
 		CapKey:            e.cfg.CapabilityKey,
 		Obs:               e.registry(memberName("uproxy", i)),

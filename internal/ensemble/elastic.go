@@ -13,7 +13,7 @@ import (
 	"slice/internal/storage"
 )
 
-// HostRebalance is where the rebalance driver binds its client ports
+// HostRebalance is where the rebalance driver binds its client port
 // (between the proxy range growing down from HostProxy and HostCoord).
 const HostRebalance = 91
 
@@ -38,10 +38,6 @@ func (e *Ensemble) Rebalancer() *rebalance.Driver {
 	e.rebalMu.Lock()
 	defer e.rebalMu.Unlock()
 	if e.rebal == nil {
-		var coordAddr netsim.Addr
-		if e.Coord != nil {
-			coordAddr = e.Coord.Addr()
-		}
 		reg := obs.NewRegistry("rebalance")
 		e.Obs.AddRegistry(reg)
 		// The intention heartbeat must beat the coordinator's probe, or
@@ -56,7 +52,7 @@ func (e *Ensemble) Rebalancer() *rebalance.Driver {
 			Net:       e.Net,
 			Host:      HostRebalance,
 			IO:        e.IOPolicy,
-			Coord:     coordAddr,
+			Coord:     e.coordResolver(),
 			CapKey:    e.cfg.CapabilityKey,
 			Heartbeat: hb,
 			Obs:       reg,

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slice/internal/attr"
@@ -34,7 +35,7 @@ import (
 // Host numbering plan for the fabric.
 const (
 	HostVirtual   = 100 // virtual server of µproxy i at HostVirtual+i (no machine behind it)
-	HostProxy     = 99  // µproxy i's own client ports at HostProxy-i
+	HostProxy     = 99  // µproxy i's own client port at HostProxy-i
 	HostCoord     = 90
 	HostStorage0  = 10 // storage node i at HostStorage0+i
 	HostDir0      = 30 // directory server i at HostDir0+i
@@ -54,7 +55,7 @@ func proxyVirtual(i int) netsim.Addr {
 	return netsim.Addr{Host: HostVirtual + uint32(i), Port: ServicePort}
 }
 
-// proxyHost returns the host µproxy i binds its own client ports on.
+// proxyHost returns the host µproxy i binds its own client port on.
 func proxyHost(i int) uint32 { return HostProxy - uint32(i) }
 
 // VirtualOf returns the virtual server address fleet member i presents —
@@ -143,6 +144,8 @@ type Ensemble struct {
 	SmallLogs []*wal.MemStore
 	Coord     *coord.Coordinator
 	CoordLog  *wal.MemStore
+	// coordAt is where the coordinator last started (coordResolver).
+	coordAt atomic.Pointer[netsim.Addr]
 	// Proxy is µproxy 0; Proxies is the whole fleet (a crashed member
 	// is nil until restarted).
 	Proxy   *proxy.Proxy

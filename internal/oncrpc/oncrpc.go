@@ -457,13 +457,28 @@ func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	return c
 }
 
-// Server returns the static server address this client calls (a configured
-// Resolver may override it per transmission).
-func (c *Client) Server() netsim.Addr { return c.server }
+// LazyClient returns a function that, on its first call, binds a free
+// ephemeral port of host and builds a client there with no server of its
+// own: each call names its site with CallTo, and a zero site goes to
+// cfg.Resolve. Every later call returns the same client, or the same
+// error. It is how a role that calls many sites holds one client for all
+// of them.
+func LazyClient(n *netsim.Network, host uint32, cfg ClientConfig) func() (*Client, error) {
+	return sync.OnceValues(func() (*Client, error) {
+		port, err := n.BindAny(host)
+		if err != nil {
+			return nil, err
+		}
+		return NewClient(port, netsim.Addr{}, cfg), nil
+	})
+}
 
-// target resolves the destination for one transmission of the call
-// with the given flow key.
-func (c *Client) target(key uint64) netsim.Addr {
+// target resolves the destination for one transmission of a call to
+// dst (zero: resolved from the call's flow key).
+func (c *Client) target(key uint64, dst netsim.Addr) netsim.Addr {
+	if !dst.IsZero() {
+		return dst
+	}
 	if c.cfg.ResolveKey != nil {
 		if a := c.cfg.ResolveKey(key); !a.IsZero() {
 			return a
@@ -597,7 +612,17 @@ func (c *Client) dispatch(d []byte) {
 // Call issues proc of prog/vers with the encoded args and returns the
 // reply body. It retransmits on timeout.
 func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(0, prog, vers, proc, args, 0, false)
+	return c.call(0, netsim.Addr{}, 0, prog, vers, proc, args)
+}
+
+// CallTo is Call to dst, so one client serves every site a role calls. A
+// zero dst goes where Call goes, re-resolved before every transmission.
+// A nonzero traceID rides the call as the optional trace trailer, tying
+// the server-side work to the originating request's trace: servers that
+// predate the field ignore it, and the reply body may end with a reply
+// trailer readable via PeekReplyTrace.
+func (c *Client) CallTo(dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+	return c.call(0, dst, traceID, prog, vers, proc, args)
 }
 
 // CallKeyed issues a call tagged with a flow key: every transmission —
@@ -606,15 +631,7 @@ func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte,
 // fleet reconfigurations. Without a ResolveKey it behaves exactly like
 // Call.
 func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(key, prog, vers, proc, args, 0, false)
-}
-
-// CallTraced issues a call carrying the optional trace trailer, tying
-// the server-side work to the originating request's trace id. Servers
-// that predate the trace field ignore the trailer; the reply body may
-// end with a reply trailer readable via PeekReplyTrace.
-func (c *Client) CallTraced(traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(0, prog, vers, proc, args, traceID, true)
+	return c.call(key, netsim.Addr{}, 0, prog, vers, proc, args)
 }
 
 // CallKeyedReply is CallKeyed without the copy: the returned reply's Body
@@ -623,11 +640,11 @@ func (c *Client) CallTraced(traceID uint64, prog, vers, proc uint32, args func(*
 // the body. It is how a bulk reader gets a 32 KiB READ result with no
 // intermediate allocation.
 func (c *Client) CallKeyedReply(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
-	return c.roundTrip(key, prog, vers, proc, args, 0, false)
+	return c.roundTrip(key, netsim.Addr{}, 0, prog, vers, proc, args)
 }
 
-func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) ([]byte, error) {
-	rep, err := c.roundTrip(key, prog, vers, proc, args, traceID, traced)
+func (c *Client) call(key uint64, dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+	rep, err := c.roundTrip(key, dst, traceID, prog, vers, proc, args)
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +660,7 @@ func (r *Reply) detach() []byte {
 
 // roundTrip encodes one call into a pooled buffer, which lives exactly as
 // long as the call may still be retransmitted, and runs it.
-func (c *Client) roundTrip(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) (Reply, error) {
+func (c *Client) roundTrip(key uint64, dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	xid, pc, err := c.register()
 	if err != nil {
 		return Reply{}, err
@@ -653,10 +670,10 @@ func (c *Client) roundTrip(key uint64, prog, vers, proc uint32, args func(*xdr.E
 	defer e.Release()
 	putCall(e, xid, prog, vers, proc, args)
 	payload := e.Bytes()
-	if traced {
+	if traceID != 0 {
 		payload = AppendCallTrace(payload, traceID)
 	}
-	return c.transact(key, xid, proc, payload, pc)
+	return c.transact(key, dst, xid, proc, payload, pc)
 }
 
 // transact runs the retransmit/timeout loop for one registered call. It
@@ -664,16 +681,16 @@ func (c *Client) roundTrip(key uint64, prog, vers, proc uint32, args func(*xdr.E
 // concurrent call gets the same backoff, jitter, and re-resolve
 // behaviour. The caller owns the returned reply (see Reply.Free); pc is
 // transact's to recycle and must not be used after it returns.
-func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, pc *pendingCall) (Reply, error) {
+func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload []byte, pc *pendingCall) (Reply, error) {
 	timeout := c.cfg.Timeout
-	dst := c.target(key)
+	dst := c.target(key, to)
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			c.retransmissions.Add(1)
 			// Re-resolve before every retransmission: if the server was
 			// restarted elsewhere while we waited, the retry goes to the
 			// replacement instead of the corpse.
-			dst = c.target(key)
+			dst = c.target(key, to)
 		}
 		c.noteSent(xid, dst)
 		if err := c.port.SendTo(dst, payload); err != nil {
@@ -745,7 +762,7 @@ func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*
 	e := newMessageEncoder(CallHeader)
 	putCall(e, xid, prog, vers, proc, args)
 	go func() {
-		rep, err := c.transact(key, xid, proc, e.Bytes(), pc)
+		rep, err := c.transact(key, netsim.Addr{}, xid, proc, e.Bytes(), pc)
 		c.unregister(xid)
 		e.Release()
 		var body []byte

@@ -391,6 +391,38 @@ func TestResolverRetargetsRestartedServer(t *testing.T) {
 	}
 }
 
+// TestCallToNamesEachDestination: one client with no server of its own
+// reaches every site by naming it per call, and a zero destination goes
+// where Call goes — the resolver's current answer.
+func TestCallToNamesEachDestination(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	var execs [3]atomic.Uint64
+	var srvs [3]*Server
+	for i := range srvs {
+		sp, err := n.Bind(netsim.Addr{Host: uint32(2 + i), Port: 2049})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i] = NewServer(sp, countingHandler(&execs[i]))
+		defer srvs[i].Close()
+	}
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	cli := NewClient(cp, netsim.Addr{}, ClientConfig{Resolve: srvs[2].Addr})
+	defer cli.Close()
+
+	for i, want := range []int{0, 1, 0} {
+		if _, err := cli.CallTo(srvs[want].Addr(), 0, 7, 1, uint32(i+1), nil); err != nil {
+			t.Fatalf("call %d to server %d: %v", i, want, err)
+		}
+	}
+	if _, err := cli.CallTo(netsim.Addr{}, 0, 7, 1, 9, nil); err != nil {
+		t.Fatalf("call to the resolved server: %v", err)
+	}
+	if a, b, c := execs[0].Load(), execs[1].Load(), execs[2].Load(); a != 2 || b != 1 || c != 1 {
+		t.Fatalf("executions = %d/%d/%d, want 2/1/1", a, b, c)
+	}
+}
+
 // TestKeyResolverRoutesByFlow: keyed calls route through ResolveKey per
 // flow key, fall back to the static server for unknown keys, and
 // re-resolve per retransmission — so when a flow's owner dies mid-call

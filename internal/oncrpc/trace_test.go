@@ -46,7 +46,7 @@ func TestReplyTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTracedCallEndToEnd drives CallTraced against a server with an
+// TestTracedCallEndToEnd drives a traced CallTo against a server with an
 // observer: the handler must see the trailer stripped, the observer must
 // see the handler time, and the reply must carry the trace trailer.
 func TestTracedCallEndToEnd(t *testing.T) {
@@ -69,7 +69,7 @@ func TestTracedCallEndToEnd(t *testing.T) {
 		}
 	})
 
-	body, err := cli.CallTraced(0xABCD, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(1) })
+	body, err := cli.CallTo(srv.Addr(), 0xABCD, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(1) })
 	if err != nil {
 		t.Fatal(err)
 	}

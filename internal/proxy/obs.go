@@ -211,21 +211,24 @@ func (p *Proxy) hopForSite(addr netsim.Addr) obs.HopKind {
 	return obs.HopStorage
 }
 
-// obsCall wraps a µproxy-originated RPC: it carries the span's trace id
-// on the wire (so the server's reply trailer attributes its handler
-// time), times the round trip, and records the hop.
-func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+// obsCall wraps a µproxy-originated RPC to dst (zero: the coordinator):
+// it carries the span's trace id on the wire (so the server's reply
+// trailer attributes its handler time), times the round trip, and
+// records the hop.
+func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+	c, err := p.rpc()
+	if err != nil {
+		return nil, err
+	}
 	if sp == nil && p.hists == nil {
-		return c.Call(prog, vers, proc, args)
+		return c.CallTo(dst, 0, prog, vers, proc, args)
+	}
+	var traceID uint64
+	if sp != nil {
+		traceID = sp.ID
 	}
 	t0 := p.now()
-	var body []byte
-	var err error
-	if sp != nil {
-		body, err = c.CallTraced(sp.ID, prog, vers, proc, args)
-	} else {
-		body, err = c.Call(prog, vers, proc, args)
-	}
+	body, err := c.CallTo(dst, traceID, prog, vers, proc, args)
 	total := uint64(p.now() - t0)
 	var srvNS uint64
 	if err == nil {

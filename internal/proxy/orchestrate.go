@@ -8,7 +8,6 @@ import (
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
-	"slice/internal/storage"
 	"slice/internal/xdr"
 )
 
@@ -20,104 +19,36 @@ import (
 // asynchronous completion. If the µproxy dies mid-operation, the
 // coordinator times out, probes, and finishes the idempotent tail itself.
 
-// coordIntend declares an intention. With no coordinator configured it
-// returns id 0, which Complete ignores. The RPC is attributed to span sp
-// as a coordinator hop.
-func (p *Proxy) coordIntend(sp *obs.Span, op uint32, fh fhandle.Handle, size uint64) uint64 {
-	if p.coord().IsZero() {
-		return 0
-	}
-	c, err := p.coordRPC()
-	if err != nil {
-		return 0
-	}
-	body, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
-		e.PutUint32(op)
-		fh.Encode(e)
-		e.PutUint64(size)
-	})
-	if err != nil {
-		return 0
-	}
-	d := xdr.NewDecoder(body)
-	if st, err := d.Uint32(); err != nil || nfsproto.Status(st) != nfsproto.OK {
-		return 0
-	}
-	id, err := d.Uint64()
-	if err != nil {
-		return 0
-	}
-	return id
-}
-
-// coordComplete clears an intention.
-func (p *Proxy) coordComplete(sp *obs.Span, id uint64) {
-	if id == 0 || p.coord().IsZero() {
-		return
-	}
-	c, err := p.coordRPC()
-	if err != nil {
-		return
-	}
-	_, _ = p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
-		e.PutUint64(id)
-	})
-}
-
-// capFH stamps the storage capability into a handle the µproxy sends to
-// data servers itself (no-op without a key; harmless for small-file
-// servers, which ignore the field).
-func (p *Proxy) capFH(fh fhandle.Handle) fhandle.Handle {
-	if len(p.cfg.CapKey) == 0 {
-		return fh
-	}
-	return fhandle.WithCapability(p.cfg.CapKey, fh)
-}
-
-// objOp issues a raw-object remove/truncate/stat at addr. The error
-// matters to callers holding an intention: a site that could not be
-// reached still holds data, so the intention must stay pending for the
-// coordinator to finish.
-func (p *Proxy) objOp(sp *obs.Span, addr netsim.Addr, proc uint32, fh fhandle.Handle, extra func(*xdr.Encoder)) error {
-	c, err := p.rpc(addr)
-	if err != nil {
-		return err
-	}
-	p.st.initiated.Add(1)
-	capped := p.capFH(fh)
-	_, err = p.obsCall(sp, p.hopForSite(addr), c, storage.ObjProgram, storage.ObjVersion, proc, func(e *xdr.Encoder) {
-		capped.Encode(e)
-		if extra != nil {
-			extra(e)
+// caller returns the coord.Caller of the RPCs the µproxy originates for
+// span sp: the zero site is the coordinator, any other a data site whose
+// call counts as initiated, and each is attributed to sp as a hop of its
+// kind.
+func (p *Proxy) caller(sp *obs.Span) coord.Caller {
+	return func(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+		hop := obs.HopCoord
+		if !site.IsZero() {
+			hop = p.hopForSite(site)
+			p.st.initiated.Add(1)
 		}
-	})
-	return err
+		return p.obsCall(sp, hop, site, prog, vers, proc, args)
+	}
 }
 
-// dataSites enumerates the sites that may hold data of fh: its small-file
-// server and — when the file extends past the threshold, or its size is
-// unknown — every storage node, with replica-group primaries expanded to
-// their whole group so removes, truncates, and commit barriers reach
-// every member.
-func (p *Proxy) dataSites(fh fhandle.Handle) []netsim.Addr {
-	var out []netsim.Addr
-	if p.cfg.IO.SmallFile != nil {
-		if a, err := p.cfg.IO.SmallFileServer(fh); err == nil {
-			out = append(out, a)
-		}
+// applyAll performs a at every data site of its file under an intention
+// logged with size: coord.Apply completes the intention only when every
+// site confirmed, and otherwise leaves it to the coordinator's probe. It
+// skips the storage nodes when the cached size says the file lies wholly
+// below the threshold. id is 0 when no intention was logged (no
+// coordinator, or it could not be reached).
+func (p *Proxy) applyAll(sp *obs.Span, a coord.Action, size uint64) (id, verf uint64, ok bool) {
+	call := p.caller(sp)
+	if p.cfg.Coord != nil {
+		id = coord.CallIntend(call, a.Op, a.FH, size)
 	}
-	large := true
-	if at, ok := p.attrs.get(fh); ok && at.Size < p.cfg.IO.Threshold {
-		large = false
-	}
-	if large {
-		// Mid-transition, the pending binding's nodes may already hold
-		// double-written blocks; a remove or truncate that skipped them
-		// would resurrect dead bytes at the swap.
-		cur, next := p.cfg.IO.Bindings()
-		out = next.AppendAll(cur.AppendAll(out))
-	}
-	return out
+	at, cached := p.attrs.get(a.FH)
+	sites := p.cfg.IO.DataSites(a.FH, cached && at.Size < p.cfg.IO.Threshold)
+	verf, ok = coord.Apply(call, p.cfg.CapKey, a, sites, func() { coord.CallComplete(call, id) })
+	return id, verf, ok
 }
 
 // observeAttr folds authoritative attributes into the cache; if the
@@ -211,19 +142,7 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 		if st, err := p.fetchAttr(pd.span, child); err == nil && st == nfsproto.OK {
 			return // still linked: keep the data
 		}
-		id := p.coordIntend(pd.span, coord.OpRemove, child, 0)
-		cleared := true
-		for _, site := range p.dataSites(child) {
-			if err := p.objOp(pd.span, site, storage.ObjProcRemove, child, nil); err != nil {
-				cleared = false
-			}
-		}
-		// Complete only when every site confirmed. Otherwise the
-		// intention stays pending and the coordinator's probe finishes
-		// the idempotent remove on all sites (§4.2) — never an orphan.
-		if cleared {
-			p.coordComplete(pd.span, id)
-		}
+		p.applyAll(pd.span, coord.Action{Op: coord.OpRemove, FH: child}, 0)
 		p.attrs.forget(child)
 	}
 	return p.forward(d, key, pd, addr)
@@ -245,20 +164,7 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 	if args.Sattr.SetSize {
 		fh, size := args.FH, args.Sattr.Size
 		pd.onOK = func() {
-			id := p.coordIntend(pd.span, coord.OpTruncate, fh, size)
-			cleared := true
-			for _, site := range p.dataSites(fh) {
-				if err := p.objOp(pd.span, site, storage.ObjProcTruncate, fh, func(e *xdr.Encoder) {
-					e.PutUint64(size)
-				}); err != nil {
-					cleared = false
-				}
-			}
-			// As with remove: an unreached site keeps the intention
-			// pending so the coordinator finishes the truncate itself.
-			if cleared {
-				p.coordComplete(pd.span, id)
-			}
+			p.applyAll(pd.span, coord.Action{Op: coord.OpTruncate, FH: fh, Size: size}, size)
 			// The directory server applied the new size itself; an
 			// entry the cache holds follows it.
 			now := p.wallTime(p.now())
@@ -293,19 +199,9 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 	}()
 	p.pushAttrs(sp, fh)
 
-	id := p.coordIntend(sp, coord.OpCommit, fh, uint64(info.Count))
-	var verf uint64
-	committed := true
-	for _, site := range p.dataSites(fh) {
-		var cres nfsproto.CommitRes
-		if err := p.nfsCall(sp, p.hopForSite(site), site, nfsproto.ProcCommit, &nfsproto.CommitArgs{
-			FH: p.capFH(fh), Offset: info.Offset, Count: info.Count,
-		}, &cres); err == nil && cres.Status == nfsproto.OK {
-			verf ^= cres.Verf
-		} else {
-			committed = false
-		}
-	}
+	id, verf, committed := p.applyAll(sp, coord.Action{
+		Op: coord.OpCommit, FH: fh, Offset: info.Offset, Count: info.Count,
+	}, uint64(info.Count))
 	// Only a fully committed write set clears the intention. A partial
 	// commit with a durable intention may still be acknowledged — the
 	// coordinator's probe finishes the idempotent commit on every site
@@ -313,7 +209,6 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 	// an intention there is no such guarantee: fail the commit so the
 	// client retains and retries its uncommitted writes.
 	if committed {
-		p.coordComplete(sp, id)
 		if p.dirty != nil {
 			// The commit barrier drained the file's window on every
 			// member: whatever over-approximated dirtiness the object

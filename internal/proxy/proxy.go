@@ -38,7 +38,7 @@ const capFieldOffset = 16
 type Config struct {
 	// Net is the fabric the µproxy taps.
 	Net *netsim.Network
-	// Host is the host address the µproxy binds its own client ports on.
+	// Host is the host address the µproxy binds its own client port on.
 	Host uint32
 	// Virtual is the virtual NFS server address presented to clients.
 	Virtual netsim.Addr
@@ -57,9 +57,10 @@ type Config struct {
 	IO *route.IOPolicy
 	// Names routes name-space and attribute traffic.
 	Names *route.NamePolicy
-	// Coord is the block-service coordinator; zero disables intention
-	// logging.
-	Coord netsim.Addr
+	// Coord resolves the block-service coordinator's address before
+	// every transmission, so a call in flight across a coordinator
+	// restart follows it to its new host; nil disables intention logging.
+	Coord oncrpc.Resolver
 	// WritebackInterval bounds attribute drift: dirty attributes are
 	// pushed to the directory servers at this period. Zero disables the
 	// background flusher (tests drive writeback explicitly).
@@ -182,11 +183,6 @@ type pendShard struct {
 type Proxy struct {
 	cfg Config
 
-	// coordAddr is the current coordinator address, swappable at runtime
-	// so a restarted coordinator (fresh port) can be re-targeted without
-	// tearing the µproxy down. Zero disables the coordinator protocol.
-	coordAddr atomic.Pointer[netsim.Addr]
-
 	// shards holds the pending-request table, split so that concurrent
 	// clients contend only when they hash to the same shard.
 	shards [numShards]pendShard
@@ -201,13 +197,10 @@ type Proxy struct {
 	dirty *replica.DirtySet
 	loads []atomic.Int64
 
-	clientsMu sync.Mutex
-	clients   map[netsim.Addr]*oncrpc.Client
-	// coordCli is the coordinator client; unlike the per-address clients
-	// it resolves its destination per transmission from coordAddr, so an
-	// in-flight call retries against the coordinator's new address after
-	// failover instead of timing out against the dead one.
-	coordCli *oncrpc.Client
+	// rpc is the one client every RPC the µproxy originates goes out on,
+	// bound on first use: CallTo names each data site, and its zero site
+	// is the coordinator, through cfg.Coord.
+	rpc func() (*oncrpc.Client, error)
 
 	// workCh feeds the paced service loop; nil when ServiceTime is 0
 	// and requests are processed inline.
@@ -233,13 +226,13 @@ type Proxy struct {
 func New(cfg Config) *Proxy {
 	base := time.Now()
 	p := &Proxy{
-		cfg:     cfg,
-		attrs:   newAttrCache(),
-		clients: make(map[netsim.Addr]*oncrpc.Client),
-		now:     func() int64 { return int64(time.Since(base)) },
-		wall0:   base.UnixNano(),
-		stopCh:  make(chan struct{}),
-		tracer:  cfg.Tracer,
+		cfg:    cfg,
+		attrs:  newAttrCache(),
+		rpc:    oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
+		now:    func() int64 { return int64(time.Since(base)) },
+		wall0:  base.UnixNano(),
+		stopCh: make(chan struct{}),
+		tracer: cfg.Tracer,
 	}
 	if cfg.IO != nil && cfg.IO.Replicas.Replicated() {
 		p.dirty = replica.NewDirtySet()
@@ -252,8 +245,6 @@ func New(cfg Config) *Proxy {
 		}
 		p.hists = newProxyHists(cfg.Obs, rm)
 	}
-	coordAddr := cfg.Coord
-	p.coordAddr.Store(&coordAddr)
 	for i := range p.shards {
 		p.shards[i].pend = make(map[pendKey]*pendingReq)
 	}
@@ -277,30 +268,11 @@ func (p *Proxy) Close() {
 		p.cfg.Net.RemoveTap(p.tapTok)
 		close(p.stopCh)
 		p.wg.Wait()
-		p.clientsMu.Lock()
-		for _, c := range p.clients {
+		if c, err := p.rpc(); err == nil {
 			c.Close()
 		}
-		if p.coordCli != nil {
-			p.coordCli.Close()
-		}
-		p.clientsMu.Unlock()
 	})
 }
-
-// ID returns the µproxy's fleet identity.
-func (p *Proxy) ID() uint32 { return p.cfg.ID }
-
-// Virtual returns the virtual server address this instance answers.
-func (p *Proxy) Virtual() netsim.Addr { return p.cfg.Virtual }
-
-// coord returns the coordinator address currently in effect.
-func (p *Proxy) coord() netsim.Addr { return *p.coordAddr.Load() }
-
-// SetCoord re-targets the coordinator, e.g. after the ensemble restarts
-// it on a fresh port. New coordinator RPCs use the address immediately;
-// calls already retrying re-resolve it on their next retransmission.
-func (p *Proxy) SetCoord(a netsim.Addr) { p.coordAddr.Store(&a) }
 
 // routeVersion folds the versions of every table the µproxy forwards by;
 // it changes exactly when a failover republishes some server's address.
@@ -944,52 +916,13 @@ func (p *Proxy) injectToAll(d []byte, targets []netsim.Addr) {
 	_ = p.cfg.Net.Inject(d)
 }
 
-// rpc returns a client for addr, creating one on first use.
-func (p *Proxy) rpc(addr netsim.Addr) (*oncrpc.Client, error) {
-	p.clientsMu.Lock()
-	defer p.clientsMu.Unlock()
-	if c, ok := p.clients[addr]; ok {
-		return c, nil
-	}
-	port, err := p.cfg.Net.BindAny(p.cfg.Host)
-	if err != nil {
-		return nil, err
-	}
-	c := oncrpc.NewClient(port, addr, oncrpc.ClientConfig{})
-	p.clients[addr] = c
-	return c, nil
-}
-
-// coordRPC returns the coordinator client, creating it on first use. It
-// is built with a resolver reading coordAddr so each (re)transmission of
-// an in-flight call chases the address current at send time: a call
-// stuck against a dead coordinator completes against its replacement as
-// soon as SetCoord publishes the new address.
-func (p *Proxy) coordRPC() (*oncrpc.Client, error) {
-	p.clientsMu.Lock()
-	defer p.clientsMu.Unlock()
-	if p.coordCli != nil {
-		return p.coordCli, nil
-	}
-	port, err := p.cfg.Net.BindAny(p.cfg.Host)
-	if err != nil {
-		return nil, err
-	}
-	p.coordCli = oncrpc.NewClient(port, p.coord(), oncrpc.ClientConfig{Resolve: p.coord})
-	return p.coordCli, nil
-}
-
 // nfsCall issues an NFS call the µproxy originates itself (lookups for
 // remove orchestration, setattr writeback, commit fan-out). The call is
 // attributed to span sp (nil for background work) as a hop of the given
 // kind, carrying the trace id on the wire.
 func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
-	c, err := p.rpc(addr)
-	if err != nil {
-		return err
-	}
 	p.st.initiated.Add(1)
-	body, err := p.obsCall(sp, hop, c, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	body, err := p.obsCall(sp, hop, addr, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}

@@ -56,16 +56,17 @@ import (
 
 // Config wires a Driver into the ensemble.
 type Config struct {
-	// Net and Host bind the driver's client ports.
+	// Net and Host bind the driver's client port.
 	Net  *netsim.Network
 	Host uint32
 	// IO carries the storage table being transitioned, the stripe unit,
 	// and the current replica map.
 	IO *route.IOPolicy
-	// Coord is the coordinator's address; zero runs without an
-	// intention log (tests only — a crash then leaves the transition
-	// open until something aborts it).
-	Coord netsim.Addr
+	// Coord resolves the coordinator's address before every
+	// transmission, so the intention chain follows a restarted
+	// coordinator; nil runs without an intention log (tests only — a
+	// crash then leaves the transition open until something aborts it).
+	Coord oncrpc.Resolver
 	// CapKey derives the peer-program bearer token.
 	CapKey []byte
 	// Heartbeat is the intention refresh period; it must stay below the
@@ -107,9 +108,12 @@ type Driver struct {
 	cfg   Config
 	token uint64
 
-	mu      sync.Mutex
-	clients map[netsim.Addr]*oncrpc.Client
-	status  Status
+	// rpc is the one client the driver calls every storage node from,
+	// bound on first use; its zero site is the coordinator (cfg.Coord).
+	rpc func() (*oncrpc.Client, error)
+
+	mu     sync.Mutex
+	status Status
 
 	copyHist   *obs.Histogram
 	verifyHist *obs.Histogram
@@ -127,9 +131,9 @@ func New(cfg Config) *Driver {
 		cfg.RetryBudget = 10 * time.Second
 	}
 	d := &Driver{
-		cfg:     cfg,
-		token:   replica.PeerToken(cfg.CapKey),
-		clients: make(map[netsim.Addr]*oncrpc.Client),
+		cfg:   cfg,
+		token: replica.PeerToken(cfg.CapKey),
+		rpc:   oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
 	}
 	d.status.State = "idle"
 	if cfg.Obs != nil {
@@ -152,14 +156,11 @@ func (d *Driver) StatusJSON() []byte {
 	return b
 }
 
-// Close releases the driver's RPC clients.
+// Close releases the driver's RPC client.
 func (d *Driver) Close() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, c := range d.clients {
+	if c, err := d.rpc(); err == nil {
 		c.Close()
 	}
-	d.clients = make(map[netsim.Addr]*oncrpc.Client)
 }
 
 func (d *Driver) setStatus(f func(*Status)) {
@@ -443,8 +444,8 @@ func (d *Driver) repairChunk(m chunkMove, want, dstSizes map[netsim.Addr]map[uin
 		srcData, srcOK = data, ok
 		if !ok {
 			// Object vanished from the source: the remove fans out to the
-			// destinations too (dataSites includes pending nodes); the
-			// ghost scrub catches stragglers.
+			// destinations too (IOPolicy.DataSites includes pending
+			// nodes); the ghost scrub catches stragglers.
 			return changed, nil
 		}
 	}
@@ -505,19 +506,13 @@ func (d *Driver) repairChunk(m chunkMove, want, dstSizes map[netsim.Addr]map[uin
 
 // ------------------------------------------------------- peer operations
 
-func (d *Driver) client(a netsim.Addr) (*oncrpc.Client, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c, ok := d.clients[a]; ok {
-		return c, nil
-	}
-	port, err := d.cfg.Net.BindAny(d.cfg.Host)
+// call is the driver's coord.Caller: its one client, aimed per call.
+func (d *Driver) call(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+	c, err := d.rpc()
 	if err != nil {
 		return nil, err
 	}
-	c := oncrpc.NewClient(port, a, oncrpc.ClientConfig{})
-	d.clients[a] = c
-	return c, nil
+	return c.CallTo(site, 0, prog, vers, proc, args)
 }
 
 // retry runs op until it succeeds or the retry budget is spent — a
@@ -537,14 +532,10 @@ func (d *Driver) retry(op func() error) error {
 // peerCall makes one retried peer-program call and returns its status
 // and the remaining decoder.
 func (d *Driver) peerCall(a netsim.Addr, proc uint32, args func(*xdr.Encoder)) (uint32, *xdr.Decoder, error) {
-	c, err := d.client(a)
-	if err != nil {
-		return 0, nil, err
-	}
 	var status uint32
 	var dec *xdr.Decoder
-	err = d.retry(func() error {
-		body, err := c.Call(replica.PeerProgram, replica.PeerVersion, proc, func(e *xdr.Encoder) {
+	err := d.retry(func() error {
+		body, err := d.call(a, replica.PeerProgram, replica.PeerVersion, proc, func(e *xdr.Encoder) {
 			e.PutUint64(d.token)
 			args(e)
 		})
@@ -674,7 +665,7 @@ func (d *Driver) peerRemove(a netsim.Addr, id uint64) error {
 // driver is alive. The returned stop function completes the last
 // intention.
 func (d *Driver) startHeartbeat(epoch uint64) (stop func()) {
-	if d.cfg.Coord.IsZero() {
+	if d.cfg.Coord == nil {
 		return func() {}
 	}
 	id := d.intend(epoch)
@@ -710,38 +701,7 @@ func (d *Driver) startHeartbeat(epoch uint64) (stop func()) {
 // intend logs one migrate intention carrying the epoch; 0 on failure
 // (the previous intention stays pending and keeps covering us).
 func (d *Driver) intend(epoch uint64) uint64 {
-	c, err := d.client(d.cfg.Coord)
-	if err != nil {
-		return 0
-	}
-	body, err := c.Call(coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
-		e.PutUint32(coord.OpMigrate)
-		fhandle.Handle{}.Encode(e)
-		e.PutUint64(epoch)
-	})
-	if err != nil {
-		return 0
-	}
-	dec := xdr.NewDecoder(body)
-	if st, err := dec.Uint32(); err != nil || st != 0 {
-		return 0
-	}
-	id, err := dec.Uint64()
-	if err != nil {
-		return 0
-	}
-	return id
+	return coord.CallIntend(d.call, coord.OpMigrate, fhandle.Handle{}, epoch)
 }
 
-func (d *Driver) complete(id uint64) {
-	if id == 0 {
-		return
-	}
-	c, err := d.client(d.cfg.Coord)
-	if err != nil {
-		return
-	}
-	_, _ = c.Call(coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
-		e.PutUint64(id)
-	})
-}
+func (d *Driver) complete(id uint64) { coord.CallComplete(d.call, id) }

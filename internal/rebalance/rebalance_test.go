@@ -636,7 +636,7 @@ func TestIntentionHeartbeat(t *testing.T) {
 		Net:       r.net,
 		Host:      202,
 		IO:        r.io,
-		Coord:     coordAddr,
+		Coord:     co.Addr,
 		Heartbeat: 10 * time.Millisecond,
 		Settle:    30 * time.Millisecond, // several probe windows per run
 	})
@@ -684,7 +684,7 @@ func TestStaleIntentionRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Log the intention the way the driver would, then "crash".
-	d := New(Config{Net: r.net, Host: 203, IO: r.io, Coord: coordAddr})
+	d := New(Config{Net: r.net, Host: 203, IO: r.io, Coord: co.Addr})
 	defer d.Close()
 	if id := d.intend(epoch); id == 0 {
 		t.Fatal("intend failed")

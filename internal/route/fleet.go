@@ -15,7 +15,7 @@ import (
 type ProxyMember struct {
 	ID      uint32      // stable fleet slot, never reused for a different proxy
 	Virtual netsim.Addr // the virtual NFS server address this proxy answers
-	Host    uint32      // host the proxy's own client ports bind on
+	Host    uint32      // host the proxy's own client port binds on
 }
 
 // Fleet is the versioned membership table of the µproxy tier, the

@@ -268,6 +268,24 @@ func (p *IOPolicy) SmallFileServer(fh fhandle.Handle) (netsim.Addr, error) {
 	return p.SmallFile.Route(fhandle.HandleKey(fh))
 }
 
+// DataSites lists every site that may hold fh's data: its small-file
+// server, then — unless small says the file lies wholly below the
+// threshold — every storage node of the current and the pending binding,
+// replica groups whole. A remove, truncate or commit must reach each of
+// them: a member or a pending node it skipped keeps bytes that a failover
+// or the transition's swap would resurrect.
+func (p *IOPolicy) DataSites(fh fhandle.Handle, small bool) []netsim.Addr {
+	var out []netsim.Addr
+	if a, err := p.SmallFileServer(fh); err == nil {
+		out = append(out, a)
+	}
+	if !small {
+		cur, next := p.Bindings()
+		out = next.AppendAll(cur.AppendAll(out))
+	}
+	return out
+}
+
 // WindowFor sizes a client's bulk-I/O window: stripe width × the
 // per-node queue depth, so a full window keeps every storage node
 // perNode requests deep. An empty table yields perNode (no fan-out to
