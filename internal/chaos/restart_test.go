@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"slice/internal/client"
 	"slice/internal/ensemble"
+	"slice/internal/fhandle"
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/workload"
 )
 
@@ -279,4 +282,47 @@ func TestPowerCutRestartsEveryRole(t *testing.T) {
 		t.Fatalf("write after the power cut: %v", err)
 	}
 	VerifyBytes(t, e, c, fh, want[0])
+}
+
+// TestStaleCreateLeavesNoOrphan: a CREATE or SYMLINK under a directory
+// removed since its handle was looked up answers ESTALE, and the cell it
+// minted before finding the parent gone must be gone from the journal
+// too: a restart of the directory server replays no orphan file cell.
+func TestStaleCreateLeavesNoOrphan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *client.Client, dir fhandle.Handle) error
+	}{
+		{"create", func(c *client.Client, dir fhandle.Handle) error {
+			_, _, err := c.Create(dir, "f", 0o644, true)
+			return err
+		}},
+		{"symlink", func(c *client.Client, dir fhandle.Handle) error {
+			_, _, err := c.Symlink(dir, "l", "/elsewhere")
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnsemble(t, func(cfg *ensemble.Config) { cfg.DirServers = 1 })
+			c, err := e.NewClient()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			dir, _, err := c.Mkdir(c.Root(), "gone", 0o755)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Rmdir(c.Root(), "gone"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.op(c, dir); nfsproto.StatusOf(err) != nfsproto.ErrStale {
+				t.Fatalf("%s under a removed directory: %v, want ESTALE", tc.name, err)
+			}
+			FsckClean(t, e)
+			must(t, e.Chaos().Crash(ensemble.RoleDir, 0))
+			must(t, e.Chaos().Restart(ensemble.RoleDir, 0, serviceAt(70)))
+			FsckClean(t, e)
+		})
+	}
 }

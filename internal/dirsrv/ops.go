@@ -165,9 +165,7 @@ func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 	if st := s.touchParentMaybeRemote(a.Dir, 0); st == nfsproto.ErrStale {
 		// Parent vanished concurrently: undo.
 		s.localRemoveEntry(a.Dir, a.Name, false)
-		s.mu.Lock()
-		delete(s.st.attrs, fh.FileID)
-		s.mu.Unlock()
+		s.discardCell(fh, &at)
 		return &nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
 	return &nfsproto.CreateRes{
@@ -232,17 +230,23 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 		}
 	}
 	if st != nfsproto.OK {
-		// Abort: discard the orphan cell.
-		s.mu.Lock()
-		delete(s.st.attrs, fh.FileID)
-		_, _ = s.log.AppendSync(recCellGone, encodeCellRecord(fh, &at))
-		s.mu.Unlock()
+		s.discardCell(fh, &at)
 		return &nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	return &nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: fh,
 		Attr: nfsproto.Some(at), DirAttr: s.optLocalAttr(a.Dir),
 	}
+}
+
+// discardCell undoes the cell a create, symlink or mkdir minted before it
+// found it could not link it in: the cell goes from memory and, by a
+// recCellGone record, from the journal, so a restart replays no orphan.
+func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr) {
+	s.mu.Lock()
+	delete(s.st.attrs, fh.FileID)
+	_, _ = s.log.AppendSync(recCellGone, encodeCellRecord(fh, at))
+	s.mu.Unlock()
 }
 
 // peerInsert installs a name entry at a remote site.
@@ -566,9 +570,7 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
 
 	if st := s.touchParentMaybeRemote(a.Dir, 0); st == nfsproto.ErrStale {
 		s.localRemoveEntry(a.Dir, a.Name, false)
-		s.mu.Lock()
-		delete(s.st.attrs, fh.FileID)
-		s.mu.Unlock()
+		s.discardCell(fh, &at)
 		return &nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
 	return &nfsproto.CreateRes{

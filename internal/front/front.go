@@ -59,9 +59,6 @@ func NewRing(fleet *route.Fleet, vnodes int) *Ring {
 	return r
 }
 
-// Fleet returns the membership table the ring routes over.
-func (r *Ring) Fleet() *route.Fleet { return r.fleet }
-
 // build constructs the ring for the fleet's current membership.
 func (r *Ring) build() *ringState {
 	version := r.fleet.Version()

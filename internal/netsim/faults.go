@@ -149,14 +149,6 @@ func (n *Network) PartitionOneWay(src, dst uint32) {
 	n.mutateFaults(func(fs *faultState) { fs.cut[hostPair{src, dst}] = true })
 }
 
-// Partition cuts both directions between hosts a and b.
-func (n *Network) Partition(a, b uint32) {
-	n.mutateFaults(func(fs *faultState) {
-		fs.cut[hostPair{a, b}] = true
-		fs.cut[hostPair{b, a}] = true
-	})
-}
-
 // Heal removes both directional cuts between a and b.
 func (n *Network) Heal(a, b uint32) {
 	n.mutateFaults(func(fs *faultState) {

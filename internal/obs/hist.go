@@ -62,15 +62,6 @@ func (h *Histogram) RecordSince(t0 time.Time) {
 	h.Record(uint64(time.Since(t0)))
 }
 
-// RecordDuration records a duration sample in nanoseconds. Negative
-// durations (clock steps) record as zero.
-func (h *Histogram) RecordDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.Record(uint64(d))
-}
-
 // Count returns the total number of recorded samples.
 func (h *Histogram) Count() uint64 {
 	var n uint64

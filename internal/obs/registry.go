@@ -59,13 +59,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	return s
 }
 
-// WriteText writes the registry in the text exposition format, one
-// histogram per line.
-func (r *Registry) WriteText(w io.Writer) {
-	s := r.Snapshot()
-	s.WriteText(w)
-}
-
 // RegistrySnapshot is a point-in-time copy of one component's histograms.
 type RegistrySnapshot struct {
 	Component string                  `json:"component"`

@@ -272,7 +272,7 @@ type ClientConfig struct {
 	// Resolve, when non-nil, overrides the server address per transmission.
 	Resolve Resolver
 	// ResolveKey, when non-nil, overrides the server address per
-	// transmission for keyed calls (CallKeyed/CallStartKeyed), taking
+	// transmission for keyed calls (CallKeyed), taking
 	// precedence over Resolve when it returns a non-zero address.
 	ResolveKey KeyResolver
 }
@@ -336,7 +336,7 @@ func (e *ErrRejected) Error() string {
 
 // numPendingShards shards the xid→reply-channel map. With a windowed
 // bulk client keeping dozens of calls in flight, a single pending-map
-// mutex becomes the hot lock: every CallStart, every reply, and every
+// mutex becomes the hot lock: every call, every reply, and every
 // retransmission timer would serialize on it. Sixteen shards keyed by
 // the xid's low bits keep registration and reply matching contention-free
 // (xids are sequential, so consecutive in-flight calls land on distinct
@@ -413,7 +413,7 @@ type pendingShard struct {
 
 // Client issues RPC calls to a fixed server address over a netsim port and
 // matches replies to calls by xid. Calls may be issued concurrently from
-// any number of goroutines; see CallStart for the asynchronous form.
+// any number of goroutines.
 type Client struct {
 	port   Conn
 	server netsim.Addr
@@ -723,62 +723,6 @@ func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload 
 	}
 	return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",
 		ErrTimedOut, proc, dst, c.cfg.Retries)
-}
-
-// ---------------------------------------------------------- async calls
-
-// Pending is one in-flight asynchronous call started with CallStart.
-// Await collects its result; each Pending must be awaited exactly once.
-type Pending struct {
-	done chan pendingResult
-}
-
-type pendingResult struct {
-	body []byte
-	err  error
-}
-
-// CallStart issues proc of prog/vers asynchronously and returns a
-// Pending handle. The argument encoder runs synchronously before
-// CallStart returns — the caller may reuse or modify any buffers the
-// encoder read as soon as CallStart returns (transfer of ownership is by
-// copy into the call payload). Retransmission, backoff, and re-resolve
-// run in the background exactly as for Call; any number of calls may be
-// in flight concurrently on one client, bounded only by the caller.
-func (c *Client) CallStart(prog, vers, proc uint32, args func(*xdr.Encoder)) *Pending {
-	return c.CallStartKeyed(0, prog, vers, proc, args)
-}
-
-// CallStartKeyed is CallStart with a flow key: the asynchronous form of
-// CallKeyed, re-resolving the destination through ResolveKey before
-// every transmission.
-func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) *Pending {
-	p := &Pending{done: make(chan pendingResult, 1)}
-	xid, pc, err := c.register()
-	if err != nil {
-		p.done <- pendingResult{err: err}
-		return p
-	}
-	e := newMessageEncoder(CallHeader)
-	putCall(e, xid, prog, vers, proc, args)
-	go func() {
-		rep, err := c.transact(key, netsim.Addr{}, xid, proc, e.Bytes(), pc)
-		c.unregister(xid)
-		e.Release()
-		var body []byte
-		if err == nil {
-			body = rep.detach()
-		}
-		p.done <- pendingResult{body: body, err: err}
-	}()
-	return p
-}
-
-// Await blocks until the call completes and returns the reply body (a
-// fresh copy owned by the caller) or the call's error.
-func (p *Pending) Await() ([]byte, error) {
-	r := <-p.done
-	return r.body, r.err
 }
 
 // ---------------------------------------------------------------- server

@@ -56,9 +56,16 @@ func TestResidentWorkersNeverBound(t *testing.T) {
 	peer = NewClient(bind(3), srv.Addr(), patient)
 	cli := NewClient(bind(1), srv.Addr(), patient)
 
-	calls := make([]*Pending, blocked)
-	for i := range calls {
-		calls[i] = cli.CallStart(7, 1, procBlock, nil)
+	var calls sync.WaitGroup
+	blockedErrs := make(chan error, blocked)
+	for i := 0; i < blocked; i++ {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			if _, err := cli.Call(7, 1, procBlock, nil); err != nil {
+				blockedErrs <- err
+			}
+		}()
 	}
 	for i := 0; i < blocked; i++ {
 		<-entered
@@ -70,10 +77,10 @@ func TestResidentWorkersNeverBound(t *testing.T) {
 		t.Fatalf("handler calling back into its own server: %v", err)
 	}
 	close(release)
-	for i, p := range calls {
-		if _, err := p.Await(); err != nil {
-			t.Fatalf("blocked call %d: %v", i, err)
-		}
+	calls.Wait()
+	close(blockedErrs)
+	for err := range blockedErrs {
+		t.Fatalf("blocked call: %v", err)
 	}
 
 	cli.Close()

@@ -674,7 +674,8 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 	// If the routing tables changed since the path was recorded, the
 	// recorded servers may be dead (crashed and republished at new
 	// addresses): re-resolve the path so the client's end-to-end retries —
-	// the §2.1 recovery mechanism — reach the survivors.
+	// the §2.1 recovery mechanism — reach the survivors, and re-arm the
+	// record to await a reply from each target of the new path.
 	if cur := p.routeVersion(); ver != cur {
 		if fresh, ok := p.retargets(prog, proc, rec); ok {
 			targets = fresh
@@ -686,6 +687,7 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 					pd2.targets = append([]netsim.Addr(nil), fresh...)
 				}
 				pd2.routeVer = cur
+				p.arm(pd2, len(fresh))
 			}
 			s.mu.Unlock()
 		}
@@ -743,17 +745,7 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 			return p.consumeDrop(d)
 		}
 		if len(targets) > 1 {
-			pd.expect = len(targets)
-			if p.dirty != nil {
-				// Mark before the packets leave: a read racing this fan-out
-				// must see the object dirty and pin to the primary.
-				pd.dirtyKey = info.FH.Ident()
-				pd.dirtyMark = true
-				p.dirty.MarkWrite(pd.dirtyKey)
-				if p.hists != nil {
-					p.hists.dirtyOcc.Record(uint64(p.dirty.Len()))
-				}
-			}
+			p.arm(pd, len(targets))
 			return p.forwardMulti(d, key, pd, targets)
 		}
 		return p.forward(d, key, pd, targets[0])
@@ -768,6 +760,29 @@ func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 		return p.consumeDrop(d)
 	}
 	return p.forward(d, key, pd, addr)
+}
+
+// arm makes pd await one reply from each of its n targets: the count, an
+// empty set of targets heard from, and, for a WRITE fanned out over a
+// replicated array, a dirty mark on the object — taken before the packets
+// leave, so that a read racing the fan-out sees the object dirty and pins
+// to the primary. Re-arming a record for a retargeted path takes the new
+// mark before it releases the old one, so the object never reads clean in
+// between.
+func (p *Proxy) arm(pd *pendingReq, n int) {
+	pd.expect, pd.replied = n, nil
+	held := pd.dirtyMark
+	pd.dirtyMark = p.dirty != nil && n > 1 && pd.proc == nfsproto.ProcWrite
+	if pd.dirtyMark {
+		pd.dirtyKey = pd.info.FH.Ident()
+		p.dirty.MarkWrite(pd.dirtyKey)
+		if p.hists != nil {
+			p.hists.dirtyOcc.Record(uint64(p.dirty.Len()))
+		}
+	}
+	if held {
+		p.dirty.ClearWrite(pd.dirtyKey)
+	}
 }
 
 // spreadRead picks the replica-group member to serve a read that the

@@ -96,10 +96,9 @@ type Station struct {
 	busy  int
 	queue []job
 	// accounting
-	BusyTime  float64 // aggregate busy server-seconds
-	Served    uint64
-	WaitTime  float64 // aggregate queueing delay (excluding service)
-	maxQueued int
+	BusyTime float64 // aggregate busy server-seconds
+	Served   uint64
+	WaitTime float64 // aggregate queueing delay (excluding service)
 }
 
 type job struct {
@@ -131,9 +130,6 @@ func (s *Station) Visit(dur float64, done func()) {
 		return
 	}
 	s.queue = append(s.queue, j)
-	if len(s.queue) > s.maxQueued {
-		s.maxQueued = len(s.queue)
-	}
 }
 
 func (s *Station) start(j job) {
@@ -162,9 +158,6 @@ func (s *Station) Utilization() float64 {
 	}
 	return s.BusyTime / (t * float64(s.servers))
 }
-
-// MaxQueued returns the high-water mark of the queue length.
-func (s *Station) MaxQueued() int { return s.maxQueued }
 
 // Backlog returns the jobs currently queued or in service.
 func (s *Station) Backlog() int { return len(s.queue) + s.busy }

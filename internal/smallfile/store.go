@@ -12,10 +12,10 @@
 package smallfile
 
 import (
-	"fmt"
 	"sync"
 
 	"slice/internal/fhandle"
+	"slice/internal/nfsproto"
 	"slice/internal/storage"
 	"slice/internal/wal"
 	"slice/internal/xdr"
@@ -39,6 +39,14 @@ func BackingID(i int) storage.ObjectID {
 func IsBackingID(id storage.ObjectID) bool {
 	return uint64(id)&^0xFF == backingTag<<56
 }
+
+// A Store's errors name the NFS status its server answers with
+// (storage.Handler).
+var (
+	errOffset    = &nfsproto.StatusError{Status: nfsproto.ErrIO}    // an offset past int64
+	errThreshold = &nfsproto.StatusError{Status: nfsproto.ErrFBig}  // a write past the threshold region
+	errSize      = &nfsproto.StatusError{Status: nfsproto.ErrInval} // a size past int64
+)
 
 // LogicalBlock is the logical block size of small files.
 const LogicalBlock = 8192
@@ -197,10 +205,10 @@ func (s *Store) freeFrag(off int64, size int32) {
 // stable selects NFS FILE_SYNC semantics.
 func (s *Store) Write(fh fhandle.Handle, off int64, data []byte, stable bool) error {
 	if off < 0 {
-		return fmt.Errorf("smallfile: negative offset %d", off)
+		return errOffset
 	}
 	if off+int64(len(data)) > MaxBlocks*LogicalBlock {
-		return fmt.Errorf("smallfile: write beyond threshold region (end %d)", off+int64(len(data)))
+		return errThreshold
 	}
 	fileID := fh.FileID
 	s.mu.Lock()
@@ -269,7 +277,7 @@ func (s *Store) Write(fh fhandle.Handle, off int64, data []byte, stable bool) er
 // whether the read reached the end of the server's local data.
 func (s *Store) Read(fh fhandle.Handle, off int64, p []byte) (int, bool, error) {
 	if off < 0 {
-		return 0, false, fmt.Errorf("smallfile: negative offset %d", off)
+		return 0, false, errOffset
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,7 +374,7 @@ func (s *Store) Remove(fh fhandle.Handle) {
 // Truncate sets the local size, freeing fragments beyond the new end.
 func (s *Store) Truncate(fh fhandle.Handle, size int64) error {
 	if size < 0 {
-		return fmt.Errorf("smallfile: negative size %d", size)
+		return errSize
 	}
 	if size > MaxBlocks*LogicalBlock {
 		size = MaxBlocks * LogicalBlock
@@ -403,6 +411,12 @@ func (s *Store) Truncate(fh fhandle.Handle, size int64) error {
 	}
 	return nil
 }
+
+// Key names a file by its handle: a Store is a storage.Backend.
+func (s *Store) Key(fh fhandle.Handle) fhandle.Handle { return fh }
+
+// Verifier returns the backing object's write verifier.
+func (s *Store) Verifier() uint64 { return s.backing.Verifier() }
 
 // Commit makes the file's buffered data durable (NFS V3 commit compliance
 // for writes below the threshold offset) and returns the write verifier.

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -14,29 +13,16 @@ import (
 	"slice/internal/xdr"
 )
 
-// ObjProgram is the RPC program number of the raw-object extension service
-// (remove/truncate/stat by handle), used by coordinators and file managers.
-const (
-	ObjProgram = 200101
-	ObjVersion = 1
-)
-
-// Raw-object procedures.
-const (
-	ObjProcRemove   = 1
-	ObjProcTruncate = 2
-	ObjProcStat     = 3
-)
-
 // ObjectOf maps a file handle to the backing object identifier, the
 // "external hash" of §4.2.
 func ObjectOf(fh fhandle.Handle) ObjectID {
 	return ObjectID(fhandle.HandleKey(fh))
 }
 
-// Node is a network storage node: an ObjectStore exported over RPC. It
-// serves the NFS subset {NULL, READ, WRITE, COMMIT} addressed by file
-// handle, plus the raw-object program.
+// Node is a network storage node: an ObjectStore exported over RPC. The
+// shared data-server Handler answers the NFS I/O subset and the raw-object
+// program; what the node adds is its own: the capability check, pacing,
+// and the replica peer program.
 //
 // With a capability key configured, the node refuses requests whose
 // handle does not carry a valid keyed fingerprint — the OBSD/NASD secure
@@ -45,6 +31,7 @@ func ObjectOf(fh fhandle.Handle) ObjectID {
 // key holders (the µproxy, the coordinator) can mint capabilities.
 type Node struct {
 	store  *ObjectStore
+	io     *Handler[ObjectID]
 	srv    *oncrpc.Server
 	mu     sync.Mutex
 	capKey []byte
@@ -61,6 +48,7 @@ type Node struct {
 // NewNode starts a storage node on port, serving store.
 func NewNode(port *netsim.Port, store *ObjectStore) *Node {
 	n := &Node{store: store}
+	n.io = NewHandler(objects{store}, n.authorize)
 	n.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(n.serve))
 	return n
 }
@@ -139,191 +127,12 @@ func (n *Node) Close() { n.srv.Close() }
 
 func (n *Node) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
 	switch call.Program {
-	case nfsproto.Program:
-		n.pace()
-		return n.serveNFS(call)
-	case ObjProgram:
-		return n.serveObj(call)
 	case replica.PeerProgram:
 		return n.servePeer(call)
-	default:
-		return nil, oncrpc.AcceptProgUnavail
+	case nfsproto.Program:
+		n.pace()
 	}
-}
-
-func (n *Node) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
-	d := xdr.NewDecoder(call.Body)
-	switch nfsproto.Proc(call.Proc) {
-	case nfsproto.ProcNull:
-		return func(e *xdr.Encoder) {}, oncrpc.AcceptSuccess
-
-	case nfsproto.ProcRead:
-		var args nfsproto.ReadArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		if !n.authorize(args.FH) {
-			return (&nfsproto.ReadRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		return n.read(&args), oncrpc.AcceptSuccess
-
-	case nfsproto.ProcWrite:
-		var args nfsproto.WriteArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		if !n.authorize(args.FH) {
-			return (&nfsproto.WriteRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		res := n.write(&args)
-		return res.Encode, oncrpc.AcceptSuccess
-
-	case nfsproto.ProcCommit:
-		var args nfsproto.CommitArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		if !n.authorize(args.FH) {
-			return (&nfsproto.CommitRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		res := n.commit(&args)
-		return res.Encode, oncrpc.AcceptSuccess
-
-	default:
-		// Storage nodes serve only the bulk I/O subset; anything else
-		// was misrouted.
-		return nil, oncrpc.AcceptProcUnavail
-	}
-}
-
-// read serves READ. The data is read straight into the reply encoder,
-// behind a present attribute block holding the node's local view of the
-// object. That view is a placeholder — storage nodes do not hold file
-// attributes (§4.1) — whose place in the reply lets the µproxy patch the
-// authoritative attributes in without re-encoding the data; it never
-// reaches a client.
-func (n *Node) read(args *nfsproto.ReadArgs) func(*xdr.Encoder) {
-	id := ObjectOf(args.FH)
-	size, used, ok := n.store.Stat(id)
-	at := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: args.FH.FileID,
-		Size: uint64(size), Used: uint64(used)}
-	if !ok {
-		// Reading an object that has never been written is a read of a
-		// hole in a sparse file. The storage node cannot know the file
-		// size, so it reports EOF at its local object; the client's view
-		// of size comes from the attributes the µproxy maintains.
-		return (&nfsproto.ReadRes{Status: nfsproto.OK, Attr: nfsproto.Some(at), EOF: true}).Encode
-	}
-	off, count := int64(args.Offset), args.Count
-	return func(e *xdr.Encoder) {
-		nfsproto.EncodeRead(e, at, count, func(p []byte) (int, bool) {
-			cnt, eof, err := n.store.ReadAt(id, off, p)
-			if err != nil {
-				return 0, true // removed since Stat: a hole, as above
-			}
-			return cnt, eof
-		})
-	}
-}
-
-func (n *Node) write(args *nfsproto.WriteArgs) *nfsproto.WriteRes {
-	cnt := args.Count
-	if int(cnt) > len(args.Data) {
-		cnt = uint32(len(args.Data))
-	}
-	stable := args.Stable != nfsproto.Unstable
-	if err := n.store.WriteAt(ObjectOf(args.FH), int64(args.Offset), args.Data[:cnt], stable); err != nil {
-		return &nfsproto.WriteRes{Status: nfsproto.ErrIO}
-	}
-	committed := uint32(nfsproto.Unstable)
-	if stable {
-		committed = nfsproto.FileSync
-	}
-	return &nfsproto.WriteRes{
-		Status:    nfsproto.OK,
-		Count:     cnt,
-		Committed: committed,
-		Verf:      n.store.Verifier(),
-	}
-}
-
-func (n *Node) commit(args *nfsproto.CommitArgs) *nfsproto.CommitRes {
-	verf := n.store.Commit(ObjectOf(args.FH))
-	return &nfsproto.CommitRes{Status: nfsproto.OK, Verf: verf}
-}
-
-// --------------------------------------------------- raw-object program
-
-// ObjStatRes is the result of ObjProcStat.
-type ObjStatRes struct {
-	Status nfsproto.Status
-	Size   uint64
-	Used   uint64
-}
-
-// Encode appends the result to e.
-func (r *ObjStatRes) Encode(e *xdr.Encoder) {
-	e.PutUint32(uint32(r.Status))
-	if r.Status == nfsproto.OK {
-		e.PutUint64(r.Size)
-		e.PutUint64(r.Used)
-	}
-}
-
-// Decode reads the result from d.
-func (r *ObjStatRes) Decode(d *xdr.Decoder) error {
-	s, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	r.Status = nfsproto.Status(s)
-	if r.Status != nfsproto.OK {
-		return nil
-	}
-	if r.Size, err = d.Uint64(); err != nil {
-		return err
-	}
-	r.Used, err = d.Uint64()
-	return err
-}
-
-func (n *Node) serveObj(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
-	d := xdr.NewDecoder(call.Body)
-	fh, err := fhandle.Decode(d)
-	if err != nil {
-		return nil, oncrpc.AcceptGarbageArgs
-	}
-	if !n.authorize(fh) {
-		return func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.ErrAccess)) }, oncrpc.AcceptSuccess
-	}
-	id := ObjectOf(fh)
-	switch call.Proc {
-	case ObjProcRemove:
-		n.store.Remove(id)
-		return func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.OK)) }, oncrpc.AcceptSuccess
-
-	case ObjProcTruncate:
-		size, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		st := nfsproto.OK
-		if err := n.store.Truncate(id, int64(size)); err != nil {
-			st = nfsproto.ErrInval
-		}
-		return func(e *xdr.Encoder) { e.PutUint32(uint32(st)) }, oncrpc.AcceptSuccess
-
-	case ObjProcStat:
-		size, used, ok := n.store.Stat(id)
-		res := ObjStatRes{Status: nfsproto.OK, Size: uint64(size), Used: uint64(used)}
-		if !ok {
-			res.Status = nfsproto.ErrNoEnt
-		}
-		return res.Encode, oncrpc.AcceptSuccess
-
-	default:
-		return nil, oncrpc.AcceptProcUnavail
-	}
+	return n.io.ServeRPC(call, from)
 }
 
 // -------------------------------------------------- replica peer program

@@ -5,7 +5,8 @@
 // identifiers; requesters address data as (object, logical offset). Nodes
 // accept NFS file handles as object identifiers, mapping them to objects
 // with an external hash, and serve the NFS subset {read, write, commit}
-// plus an extension program for remove/truncate/stat of raw objects.
+// plus an extension program for remove/truncate of raw objects, through
+// the data-server Handler the small-file servers share.
 //
 // Writes are unstable until committed, mirroring NFS V3 write semantics:
 // a crash discards uncommitted blocks and changes the node's write
@@ -17,6 +18,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"slice/internal/nfsproto"
 )
 
 // BlockSize is the logical block size of storage objects.
@@ -27,6 +30,13 @@ type ObjectID uint64
 
 // ErrNoObject is returned for operations on objects that do not exist.
 var ErrNoObject = errors.New("storage: no such object")
+
+// An offset or size past int64 — a negative one here — names the NFS
+// status a data server answers it with (Handler).
+var (
+	errOffset = &nfsproto.StatusError{Status: nfsproto.ErrIO}
+	errSize   = &nfsproto.StatusError{Status: nfsproto.ErrInval}
+)
 
 // block is one logical block of an object. data is always BlockSize long;
 // durable marks committed content; queued marks a block that is on its
@@ -173,7 +183,7 @@ func (s *ObjectStore) get(id ObjectID, create bool) *object {
 // otherwise it remains volatile until Commit.
 func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) error {
 	if off < 0 {
-		return fmt.Errorf("storage: negative offset %d", off)
+		return errOffset
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -209,7 +219,7 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 // read as zeros. Reading a nonexistent object returns ErrNoObject.
 func (s *ObjectStore) ReadAt(id ObjectID, off int64, p []byte) (int, bool, error) {
 	if off < 0 {
-		return 0, false, fmt.Errorf("storage: negative offset %d", off)
+		return 0, false, errOffset
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -298,7 +308,7 @@ func (s *ObjectStore) Remove(id ObjectID) {
 // the new end. Truncating a nonexistent object creates it.
 func (s *ObjectStore) Truncate(id ObjectID, size int64) error {
 	if size < 0 {
-		return fmt.Errorf("storage: negative size %d", size)
+		return errSize
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,29 +373,6 @@ func (s *ObjectStore) Size(id ObjectID) (int64, bool) {
 		return 0, false
 	}
 	return o.size, true
-}
-
-// Stat returns the logical size of object id, the physical storage
-// allocated to it, and whether it exists, under one lock acquisition.
-func (s *ObjectStore) Stat(id ObjectID) (size, used int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.get(id, false)
-	if o == nil {
-		return 0, 0, false
-	}
-	return o.size, int64(len(o.blocks)) * BlockSize, true
-}
-
-// Used returns the bytes of physical storage allocated to object id.
-func (s *ObjectStore) Used(id ObjectID) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.get(id, false)
-	if o == nil {
-		return 0
-	}
-	return int64(len(o.blocks)) * BlockSize
 }
 
 // Crash simulates a node failure and restart: uncommitted blocks are lost
