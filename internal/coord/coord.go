@@ -149,7 +149,7 @@ func newCoordinator(cfg Config) *Coordinator {
 	if cfg.ProbeAfter <= 0 {
 		cfg.ProbeAfter = 2 * time.Second
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		cfg:     cfg,
 		nextID:  1,
 		pending: make(map[uint64]*intent),
@@ -157,6 +157,8 @@ func newCoordinator(cfg Config) *Coordinator {
 		rpc:     oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 		stopCh:  make(chan struct{}),
 	}
+	cfg.Log.SetLive(&c.mu, c.liveRecords)
+	return c
 }
 
 func (c *Coordinator) start(port *netsim.Port) {
@@ -259,12 +261,40 @@ func (c *Coordinator) clearIntent(id uint64, finished bool) {
 	} else {
 		c.stats.Completions++
 	}
-	e := xdr.NewEncoder(8)
-	e.PutUint64(id)
 	log := c.cfg.Log
-	_, _ = log.Append(recComplete, e.Bytes())
+	_, _ = log.Append(recComplete, encodeID(id))
 	c.mu.Unlock()
 	_ = log.Sync()
+}
+
+// encode is in's recIntent payload.
+func (in *intent) encode() []byte {
+	e := xdr.NewEncoder(64)
+	e.PutUint64(in.ID)
+	e.PutUint32(in.Op)
+	in.FH.Encode(e)
+	e.PutUint64(in.Size)
+	return e.Bytes()
+}
+
+// encodeID is a recComplete payload.
+func encodeID(id uint64) []byte {
+	e := xdr.NewEncoder(8)
+	e.PutUint64(id)
+	return e.Bytes()
+}
+
+// liveRecords emits the coordinator's state for wal.Log to compact to:
+// the last ID issued, intended and completed so no restart reissues it,
+// then one recIntent per pending intention. The caller holds c.mu.
+func (c *Coordinator) liveRecords(emit func(recType uint32, payload []byte)) {
+	if last := c.nextID - 1; last > 0 {
+		emit(recIntent, (&intent{ID: last}).encode())
+		emit(recComplete, encodeID(last))
+	}
+	for _, in := range c.pending {
+		emit(recIntent, in.encode())
+	}
 }
 
 // finish performs the idempotent completing actions for an intention whose
@@ -453,13 +483,8 @@ func (c *Coordinator) Intend(op uint32, fh fhandle.Handle, size uint64) (uint64,
 	in := &intent{ID: id, Op: op, FH: fh, Size: size, Logged: time.Now()}
 	c.pending[id] = in
 	c.stats.Intentions++
-	e := xdr.NewEncoder(64)
-	e.PutUint64(id)
-	e.PutUint32(op)
-	fh.Encode(e)
-	e.PutUint64(size)
 	log := c.cfg.Log
-	_, err := log.Append(recIntent, e.Bytes())
+	_, err := log.Append(recIntent, in.encode())
 	c.mu.Unlock()
 	if err == nil {
 		err = log.Sync()

@@ -10,8 +10,8 @@
 // cross-site references.
 //
 // Directory servers are dataless: every mutation is journaled in a
-// write-ahead log, and the full cell state can be snapshot to and restored
-// from a backing object, enabling failover (§2.3).
+// write-ahead log, which compacts itself to the records of the live cells,
+// and a restart replays it, enabling failover (§2.3).
 package dirsrv
 
 import (
@@ -53,8 +53,8 @@ type state struct {
 	chains map[uint64][]*nameCell
 	// byDir indexes local name cells by parent directory for readdir.
 	byDir map[fhandle.Key][]*nameCell
-	// nextID mints fileIDs; the high bits carry the site so IDs are
-	// unique across servers.
+	// nextID is one past the highest fileID minted or replayed here; the
+	// high bits carry the site so IDs are unique across servers.
 	nextID uint64
 }
 
@@ -196,114 +196,31 @@ func decodeEntryRecord(p []byte) (parent fhandle.Handle, name string, child fhan
 	return
 }
 
-// ------------------------------------------------------------- snapshot
+// ------------------------------------------------------------ compaction
 
-// snapshotMagic guards snapshot decoding.
-const snapshotMagic = 0x5D1C5A1D
-
-// Snapshot serializes the full cell state for checkpoint to a backing
-// object. The WAL may be truncated after a successful snapshot.
-func (s *Server) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := xdr.NewEncoder(4096)
-	e.PutUint32(snapshotMagic)
-	e.PutUint64(s.st.nextID)
-	e.PutUint32(uint32(len(s.st.attrs)))
-	// Deterministic order for reproducible snapshots.
-	keys := make([]uint64, 0, len(s.st.attrs))
-	for k := range s.st.attrs {
-		keys = append(keys, k)
+// liveRecords emits the server's state for wal.Log to compact to: the last
+// fileID minted, as a cell made and gone so no restart reissues it, then
+// one recNewCell per attribute cell and one recInsert per name cell.
+// The caller holds s.mu.
+func (s *Server) liveRecords(emit func(recType uint32, payload []byte)) {
+	if s.st.nextID > 0 {
+		last := fhandle.Handle{Volume: s.vol, FileID: s.st.nextID - 1, CellKey: s.st.nextID - 1, Site: s.site, Gen: 1}
+		rec := encodeCellRecord(last, &attr.Attr{})
+		emit(recNewCell, rec)
+		emit(recCellGone, rec)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		c := s.st.attrs[k]
-		e.PutUint64(k)
-		c.fh.Encode(e)
-		c.at.Encode(e)
-		e.PutString(c.target)
+	for _, c := range s.st.attrs {
+		emit(recNewCell, encodeCellRecordT(c.fh, &c.at, c.target))
 	}
-	var cells []*nameCell
-	for _, chain := range s.st.chains {
-		cells = append(cells, chain...)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].parent != cells[j].parent {
-			return cells[i].parent.FileID < cells[j].parent.FileID
+	for _, ents := range s.st.byDir { // name cells in creation order
+		for _, c := range ents {
+			emit(recInsert, encodeEntryRecord(handleFromKey(c.parent), c.name, c.child))
 		}
-		return cells[i].name < cells[j].name
-	})
-	e.PutUint32(uint32(len(cells)))
-	for _, c := range cells {
-		handleFromKey(c.parent).Encode(e)
-		e.PutString(c.name)
-		c.child.Encode(e)
 	}
-	return e.Bytes()
-}
-
-// restoreSnapshot loads cell state from a snapshot.
-func (s *Server) restoreSnapshot(p []byte) error {
-	d := xdr.NewDecoder(p)
-	magic, err := d.Uint32()
-	if err != nil || magic != snapshotMagic {
-		return fmt.Errorf("dirsrv: bad snapshot (magic %x, err %v)", magic, err)
-	}
-	st := newState()
-	if st.nextID, err = d.Uint64(); err != nil {
-		return err
-	}
-	nAttrs, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < nAttrs; i++ {
-		k, err := d.Uint64()
-		if err != nil {
-			return err
-		}
-		fh, err := fhandle.Decode(d)
-		if err != nil {
-			return err
-		}
-		var at attr.Attr
-		if err := at.Decode(d); err != nil {
-			return err
-		}
-		target, err := d.String()
-		if err != nil {
-			return err
-		}
-		st.attrs[k] = &attrCell{fh: fh, at: at, target: target}
-	}
-	nCells, err := d.Uint32()
-	if err != nil {
-		return err
-	}
-	for i := uint32(0); i < nCells; i++ {
-		parent, err := fhandle.Decode(d)
-		if err != nil {
-			return err
-		}
-		name, err := d.String()
-		if err != nil {
-			return err
-		}
-		child, err := fhandle.Decode(d)
-		if err != nil {
-			return err
-		}
-		st.insertEntry(&nameCell{parent: parent.Ident(), name: name, child: child})
-	}
-	s.mu.Lock()
-	s.st = st
-	s.mu.Unlock()
-	return nil
 }
 
 // replayLog applies every surviving journal record over the current
-// state (empty for a restarted server; a checkpoint once one is
-// restored). Replay is idempotent, so replaying over state that already
+// state (empty for a restarted server). Replay is idempotent, so replaying over state that already
 // holds some records is safe.
 func (s *Server) replayLog(log *wal.Log) error {
 	return log.Scan(func(seq uint64, recType uint32, payload []byte) error {

@@ -23,6 +23,7 @@ type harness struct {
 	net     *netsim.Network
 	servers []*Server
 	stores  []*wal.MemStore
+	tees    []*teeStore // stores[i] beneath, and its full history
 	table   *route.Table
 	policy  *route.NamePolicy
 	rpc     *oncrpc.Client // one client for every site, like the µproxy's
@@ -48,11 +49,13 @@ func newHarness(t *testing.T, n int, kind route.NameKind, p float64) *harness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := wal.NewMemStore()
-		log, err := wal.Open(store)
+		tee := newTeeStore()
+		store := tee.MemStore
+		log, err := wal.Open(tee)
 		if err != nil {
 			t.Fatal(err)
 		}
+		h.tees = append(h.tees, tee)
 		h.servers = append(h.servers, New(port, Config{
 			Site: uint32(i), Volume: 1, Kind: kind, Table: h.table,
 			Log: log, Net: h.net, Host: addrs[i].Host,
@@ -423,17 +426,19 @@ func TestMisroutedRequestDetected(t *testing.T) {
 }
 
 // TestRecoveryFromSnapshotAndLog is the failover path: rebuild a dir
-// server from its checkpoint plus the durable log suffix.
+// server from its compacted journal plus the durable suffix.
 func TestRecoveryFromSnapshotAndLog(t *testing.T) {
 	h := newHarness(t, 1, route.MkdirSwitching, 0)
 	s := h.servers[0]
 	d := h.mkdir(h.root, "pre-snapshot")
-	snap := s.Snapshot()
+	if err := s.Log().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 
 	// More activity after the checkpoint, journaled only.
 	h.create(d, "post-snapshot-file")
 
-	// Failover: fresh server from snapshot + crashed (durable) log.
+	// Failover: fresh server replaying the crashed (durable) log.
 	crashedLog, err := wal.Open(h.stores[0].CrashCopy())
 	if err != nil {
 		t.Fatal(err)
@@ -447,9 +452,6 @@ func TestRecoveryFromSnapshotAndLog(t *testing.T) {
 		Table: h.table, Log: freshLog, Net: net2, Host: 10,
 	})
 	defer s2.Close()
-	if err := s2.restoreSnapshot(snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
 	if err := s2.replayLog(crashedLog); err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -95,7 +95,7 @@ func Restart(port *netsim.Port, cfg Config) (*Server, error) {
 }
 
 func newServer(cfg Config) *Server {
-	return &Server{
+	s := &Server{
 		site:  cfg.Site,
 		vol:   cfg.Volume,
 		kind:  cfg.Kind,
@@ -105,6 +105,8 @@ func newServer(cfg Config) *Server {
 		log:   cfg.Log,
 		peer:  oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 	}
+	s.log.SetLive(&s.mu, s.liveRecords)
+	return s
 }
 
 // Addr returns the server's service address.
@@ -177,13 +179,13 @@ func (s *Server) SetRoot(fh fhandle.Handle) {
 
 // mintLocked allocates a fresh file handle owned by this site.
 func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
-	s.st.nextID++
-	seq := s.st.nextID
+	id := uint64(s.site+1)<<40 | max(s.st.nextID, 1)
+	s.st.nextID = id + 1
 	return fhandle.Handle{
 		Volume:  s.vol,
-		FileID:  uint64(s.site+1)<<40 | seq,
+		FileID:  id,
 		Type:    ftype,
-		CellKey: uint64(s.site+1)<<40 | seq,
+		CellKey: id,
 		Site:    s.site,
 		Gen:     1,
 	}

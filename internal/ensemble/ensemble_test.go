@@ -53,6 +53,34 @@ func TestMountAndNull(t *testing.T) {
 	}
 }
 
+// TestFsStatThroughProxy: FSSTAT on the root travels through the µproxy
+// to the root's directory server, which counts the files its cells hold.
+func TestFsStatThroughProxy(t *testing.T) {
+	e := newTest(t, nil)
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before, err := c.FsStat(c.Root())
+	if err != nil {
+		t.Fatalf("fsstat: %v", err)
+	}
+	if !before.Attr.Present || before.Attr.Attr.Type != attr.TypeDir || before.TotalBytes == 0 {
+		t.Fatalf("fsstat of the root: %+v", before)
+	}
+	if _, _, err := c.Create(c.Root(), "counted", 0o644, true); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.FsStat(c.Root())
+	if err != nil {
+		t.Fatalf("fsstat: %v", err)
+	}
+	if after.FreeFiles != before.FreeFiles-1 {
+		t.Fatalf("free files %d after a create, want %d", after.FreeFiles, before.FreeFiles-1)
+	}
+}
+
 func TestCreateWriteReadSmallFile(t *testing.T) {
 	e := newTest(t, nil)
 	c, err := e.NewClient()

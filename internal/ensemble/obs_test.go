@@ -3,10 +3,12 @@ package ensemble
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"slice/internal/netsim"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
+	"slice/internal/rebalance"
 	"slice/internal/route"
 	"slice/internal/workload"
 	"slice/internal/xdr"
@@ -209,5 +211,69 @@ func TestObsStatsOverWire(t *testing.T) {
 		if s.Component != "uproxy" {
 			t.Fatalf("span component %q", s.Component)
 		}
+	}
+}
+
+// TestAdminGrowShrinkOverStatsPlane drives the grow and shrink verbs the
+// way slicectl does — the stats program's ProcGrow and ProcShrink sent to
+// the virtual address — and waits for each transition, read back through
+// ProcRebalanceStatus, to settle.
+func TestAdminGrowShrinkOverStatsPlane(t *testing.T) {
+	e, err := New(Config{
+		StorageNodes: 2, DirServers: 1, SmallFileServers: 1,
+		Coordinator: true, LogicalSites: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	obsWorkload(t, e)
+
+	port, err := e.Net.Bind(netsim.Addr{Host: HostClient0 + 91, Port: 901})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := oncrpc.NewClient(port, e.Virtual, oncrpc.ClientConfig{})
+	defer rc.Close()
+	call := func(proc, arg uint32) []byte {
+		t.Helper()
+		body, err := rc.Call(obs.Program, obs.Version, proc, func(enc *xdr.Encoder) { enc.PutUint32(arg) })
+		if err != nil {
+			t.Fatalf("stats proc %d: %v", proc, err)
+		}
+		raw, err := xdr.NewDecoder(body).Opaque()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// settle waits for a transition past epoch to finish, and returns it.
+	settle := func(epoch uint64) rebalance.Status {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var st rebalance.Status
+			if err := json.Unmarshal(call(obs.ProcRebalanceStatus, 0), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Epoch > epoch && (st.State == "done" || st.State == "failed") {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("rebalance did not settle: %+v", st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	width := e.StorageTable.NumPhysical
+
+	call(obs.ProcGrow, 2)
+	grown := settle(0)
+	if grown.State != "done" || width() != 4 {
+		t.Fatalf("grow over the stats plane: %+v, %d nodes in the table", grown, width())
+	}
+	call(obs.ProcShrink, 2)
+	if st := settle(grown.Epoch); st.State != "done" || width() != 2 {
+		t.Fatalf("shrink over the stats plane: %+v, %d nodes in the table", st, width())
 	}
 }

@@ -98,6 +98,9 @@ func TestStatusError(t *testing.T) {
 	if err == nil || StatusOf(err) != ErrNoEnt {
 		t.Fatalf("status error round trip: %v", err)
 	}
+	if got := err.Error(); got != "nfs: "+ErrNoEnt.String() {
+		t.Fatalf("status error text %q", got)
+	}
 	if StatusOf(nil) != OK {
 		t.Fatal("StatusOf(nil)")
 	}
@@ -129,9 +132,10 @@ func TestClassOf(t *testing.T) {
 		ProcReadDir: ClassDir,
 		ProcNull:    ClassNone,
 	}
+	names := map[Class]string{ClassIO: "io", ClassName: "name", ClassAttr: "attr", ClassDir: "dir", ClassNone: "none"}
 	for p, want := range cases {
-		if got := ClassOf(p); got != want {
-			t.Errorf("ClassOf(%v) = %v, want %v", p, got, want)
+		if got := ClassOf(p); got != want || got.String() != names[want] {
+			t.Errorf("ClassOf(%v) = %v, want %v (%s)", p, got, want, names[want])
 		}
 	}
 }

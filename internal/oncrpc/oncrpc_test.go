@@ -2,6 +2,8 @@ package oncrpc
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,6 +132,9 @@ func TestRejectedCall(t *testing.T) {
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Accept != AcceptProcUnavail {
 		t.Fatalf("err = %v, want ErrRejected{ProcUnavail}", err)
+	}
+	if want := fmt.Sprintf("accept_stat %d", AcceptProcUnavail); !strings.Contains(err.Error(), want) {
+		t.Fatalf("rejection %q does not name %s", err, want)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestPaperExample8300Bytes(t *testing.T) {
 	if err := s.Write(f, 0, make([]byte, 8300), false); err != nil {
 		t.Fatal(err)
 	}
-	if used := s.Used(f); used != 8320 {
+	if used := s.PhysicalBytes(); used != 8320 {
 		t.Fatalf("physical usage = %d, want 8320", used)
 	}
 }
@@ -244,6 +244,40 @@ func TestRecoverFromLog(t *testing.T) {
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte("2"), 9000)) {
 		t.Fatal("recovered content mismatch")
+	}
+}
+
+// TestSparseWriteReadsZeros: a write that starts past a block's live
+// bytes leaves a gap that reads as zeros, whatever the fragment held
+// before — bytes a truncate cut off, or a freed fragment's old data.
+func TestSparseWriteReadsZeros(t *testing.T) {
+	s, _ := newStore(t)
+	if err := s.Write(fh(1), 0, bytes.Repeat([]byte{0xAA}, 100), false); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Truncate(fh(1), 50)
+	if err := s.Write(fh(1), 80, []byte("tail"), false); err != nil {
+		t.Fatal(err)
+	}
+	// fh(2)'s first block reuses the fragment fh(3) freed.
+	if err := s.Write(fh(3), 0, bytes.Repeat([]byte{0xBB}, 100), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Remove(fh(3))
+	if err := s.Write(fh(2), 60, []byte("tail"), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		f    uint64
+		want []byte
+	}{
+		{1, append(append(bytes.Repeat([]byte{0xAA}, 50), make([]byte, 30)...), "tail"...)},
+		{2, append(make([]byte, 60), "tail"...)},
+	} {
+		got := make([]byte, len(c.want))
+		if n, _, err := s.Read(fh(c.f), 0, got); err != nil || n != len(c.want) || !bytes.Equal(got, c.want) {
+			t.Fatalf("file %d reads %x (n=%d, %v), want %x", c.f, got, n, err, c.want)
+		}
 	}
 }
 

@@ -131,12 +131,16 @@ type Store struct {
 
 // NewStore creates a small-file store over the given backing object.
 func NewStore(backing *storage.ObjectStore, backID storage.ObjectID, log *wal.Log) *Store {
-	return &Store{
+	s := &Store{
 		backing: backing,
 		backID:  backID,
 		maps:    make(map[uint64]*mapRecord),
 		log:     log,
 	}
+	if log != nil {
+		log.SetLive(&s.mu, s.liveRecords)
+	}
+	return s
 }
 
 // Stats returns a snapshot of the store counters.
@@ -250,6 +254,12 @@ func (s *Store) Write(fh fhandle.Handle, off int64, data []byte, stable bool) er
 			ext.Off = newOff
 			ext.Length = needFrag
 		}
+		if bo > ext.Used {
+			// Zero the gap: a truncate or an earlier owner left bytes.
+			if err := s.backing.WriteAt(s.backID, ext.Off+int64(ext.Used), make([]byte, bo-ext.Used), stable); err != nil {
+				return err
+			}
+		}
 		if err := s.backing.WriteAt(s.backID, ext.Off+int64(bo), data[:n], stable); err != nil {
 			return err
 		}
@@ -336,21 +346,6 @@ func (s *Store) Size(fh fhandle.Handle) (int64, bool) {
 		return 0, false
 	}
 	return rec.Size, true
-}
-
-// Used returns the physical bytes allocated to the file.
-func (s *Store) Used(fh fhandle.Handle) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.maps[fh.FileID]
-	if rec == nil {
-		return 0
-	}
-	var t int64
-	for _, ext := range rec.Extents {
-		t += int64(ext.Length)
-	}
-	return t
 }
 
 // Remove frees the file's fragments and map record.
@@ -478,6 +473,14 @@ func encodeFileID(fileID uint64) []byte {
 	e := xdr.NewEncoder(8)
 	e.PutUint64(fileID)
 	return e.Bytes()
+}
+
+// liveRecords emits the store's state as journal records, for wal.Log to
+// compact to: one recMap per live file. The caller holds s.mu.
+func (s *Store) liveRecords(emit func(recType uint32, payload []byte)) {
+	for fileID, rec := range s.maps {
+		emit(recMap, encodeMapRecord(fileID, rec))
+	}
 }
 
 // replayLog rebuilds the map records from the store's journal; the data

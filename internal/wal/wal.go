@@ -10,7 +10,8 @@
 // sequence number, a record type, and a CRC-32 over the frame. A torn final
 // record (from a crash mid-append) is detected by the CRC and ignored, as
 // in Hagmann-style logging [10]. Group commit is supported by buffering
-// appends until Sync.
+// appends until Sync. A log compacts itself to the records of its role's
+// live state (SetLive): a checkpoint is the journal compacted.
 package wal
 
 import (
@@ -32,8 +33,10 @@ type Store interface {
 	Sync() error
 	// Contents returns the durable byte sequence.
 	Contents() ([]byte, error)
-	// Reset discards all content (used at checkpoint).
-	Reset() error
+	// Replace discards all content and installs p in its place, durable:
+	// a crash sees either the old content or p, never a mix. The store
+	// keeps p.
+	Replace(p []byte) error
 }
 
 // MemStore is an in-memory Store that distinguishes buffered from durable
@@ -43,7 +46,8 @@ type Store interface {
 // The log is held in fixed segments, so bytes once appended never move:
 // Append copies p and nothing else, however long the log has grown. Every
 // segment but the last is full; sizes double from minSegment to maxSegment,
-// so an idle log costs a few KiB and a busy one allocates once per MiB.
+// so an idle log costs a few KiB and a busy one allocates once per MiB. A
+// compacted journal is the first segment, as Replace received it.
 type MemStore struct {
 	mu      sync.Mutex
 	segs    [][]byte
@@ -70,7 +74,7 @@ func (m *MemStore) Append(p []byte) error {
 		if last < 0 || len(m.segs[last]) == cap(m.segs[last]) {
 			n := minSegment
 			if last >= 0 {
-				n = min(2*cap(m.segs[last]), maxSegment)
+				n = min(max(2*cap(m.segs[last]), minSegment), maxSegment)
 			}
 			m.segs = append(m.segs, make([]byte, 0, n))
 			last++
@@ -116,13 +120,12 @@ func (m *MemStore) prefix(n int) []byte {
 	return out
 }
 
-// Reset implements Store.
-func (m *MemStore) Reset() error {
+// Replace implements Store: p becomes the one segment, durable, in one
+// step. Appends fill its spare capacity before they start a new segment.
+func (m *MemStore) Replace(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.segs = nil
-	m.size = 0
-	m.durable = 0
+	m.segs, m.size, m.durable = [][]byte{p}, len(p), len(p)
 	return nil
 }
 
@@ -133,8 +136,7 @@ func (m *MemStore) CrashCopy() *MemStore {
 	durable := m.prefix(m.durable)
 	m.mu.Unlock()
 	c := &MemStore{}
-	_ = c.Append(durable) // cannot fail
-	c.durable = c.size
+	_ = c.Replace(durable) // cannot fail
 	return c
 }
 
@@ -147,8 +149,13 @@ const (
 // ErrCorrupt indicates a damaged log record (other than a torn tail).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// CompactFloor is the journal length below which a log never compacts.
+// Above it, a log compacts when it would grow past twice its length after
+// the last compaction, so compaction at most doubles the bytes written.
+const CompactFloor = 64 << 10
+
 // Stats aggregates log activity for the experiments (Fig. 3 reports log
-// traffic per directory server).
+// traffic per directory server). Compaction output is not counted.
 type Stats struct {
 	Appends uint64
 	Syncs   uint64
@@ -165,11 +172,14 @@ type Log struct {
 	stats     Stats
 	frame     []byte // Append's framing scratch, reused under mu
 
+	size, base int // the store's length, now and after the last compaction
+	live       func(emit func(recType uint32, payload []byte))
+	roleMu     sync.Locker // guards the state live reads
+
 	// syncMu serializes store.Sync and forms the group-commit queue:
 	// callers blocked here when the leader finishes usually find their
 	// records already durable and return without another device sync.
-	// Never held together with mu by the same goroutine except in
-	// Checkpoint (syncMu before mu).
+	// Lock order: syncMu before mu.
 	syncMu sync.Mutex
 }
 
@@ -181,12 +191,25 @@ func Open(store Store) (*Log, error) {
 		if seq >= l.nextSeq {
 			l.nextSeq = seq + 1
 		}
+		l.size += headerLen + len(payload) + crcLen
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return l, nil
+}
+
+// SetLive registers, before the log is shared, the function that emits
+// the role's current state as the records that rebuild it on replay, and
+// the lock that guards that state, and so lets the log compact itself.
+// Compaction runs inside Append, before the triggering record is framed:
+// the role must append only while holding mu, and live must not touch the
+// log. live runs under mu, so no record can slip between the state it
+// captures and the swap; a record already applied to that state replays
+// idempotently after it.
+func (l *Log) SetLive(mu sync.Locker, live func(emit func(recType uint32, payload []byte))) {
+	l.roleMu, l.live = mu, live
 }
 
 // Stats returns a snapshot of log counters.
@@ -200,27 +223,64 @@ func (l *Log) Stats() Stats {
 func (l *Log) Append(recType uint32, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	n := headerLen + len(payload) + crcLen
+	if l.live != nil && l.size+n > max(2*l.base, CompactFloor) {
+		if err := l.compact(); err != nil {
+			return 0, err
+		}
+	}
 	seq := l.nextSeq
 	l.nextSeq++
-	n := headerLen + len(payload) + crcLen
-	if cap(l.frame) < n {
-		l.frame = make([]byte, n)
-	}
-	frame := l.frame[:n]
-	binary.BigEndian.PutUint32(frame[0:], recMagic)
-	binary.BigEndian.PutUint64(frame[4:], seq)
-	binary.BigEndian.PutUint32(frame[12:], recType)
-	binary.BigEndian.PutUint32(frame[16:], uint32(len(payload)))
-	copy(frame[headerLen:], payload)
-	crc := crc32.ChecksumIEEE(frame[:headerLen+len(payload)])
-	binary.BigEndian.PutUint32(frame[headerLen+len(payload):], crc)
-	if err := l.store.Append(frame); err != nil {
+	l.frame = appendFrame(l.frame[:0], seq, recType, payload)
+	if err := l.store.Append(l.frame); err != nil {
 		return 0, err
 	}
+	l.size += n
 	l.appendGen++
 	l.stats.Appends++
-	l.stats.Bytes += uint64(len(frame))
+	l.stats.Bytes += uint64(n)
 	return seq, nil
+}
+
+// appendFrame appends one framed record to dst.
+func appendFrame(dst []byte, seq uint64, recType uint32, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, recMagic)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, recType)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// compact rewrites the journal to the records live emits (none, if no
+// role registered), numbered on from nextSeq, and installs them in one
+// Replace. The caller holds mu.
+func (l *Log) compact() error {
+	buf := make([]byte, 0, l.size) // the live state rarely outgrows the journal
+	if l.live != nil {
+		l.live(func(recType uint32, payload []byte) {
+			buf = appendFrame(buf, l.nextSeq, recType, payload)
+			l.nextSeq++
+		})
+	}
+	if err := l.store.Replace(buf); err != nil {
+		return err
+	}
+	l.size, l.base = len(buf), len(buf)
+	return nil
+}
+
+// Checkpoint compacts the log now, under the role's lock, to the role's
+// live state (to nothing if none is registered), keeping the sequence.
+func (l *Log) Checkpoint() error {
+	if l.roleMu != nil {
+		l.roleMu.Lock()
+		defer l.roleMu.Unlock()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.compact()
 }
 
 // Sync forces buffered records to durable storage (group commit point).
@@ -315,15 +375,4 @@ func (l *Log) Scan(fn func(seq uint64, recType uint32, payload []byte) error) er
 		off += headerLen + plen + crcLen
 	}
 	return nil
-}
-
-// Checkpoint discards the log after its state has been captured in backing
-// objects. The sequence counter is preserved.
-func (l *Log) Checkpoint() error {
-	l.syncMu.Lock() // exclude a concurrent store.Sync racing the Reset
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.syncGen = l.appendGen
-	return l.store.Reset()
 }

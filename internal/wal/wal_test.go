@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,6 +121,11 @@ func TestMidLogCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestCheckpointResetsLogKeepsSeq: a checkpoint compacts the log to the
+// records live emits (none at first), numbered on from the last sequence
+// number, and the rewrite is durable at once: a crash right after it
+// reopens with exactly the live records, and sequence numbers stay
+// monotone across it.
 func TestCheckpointResetsLogKeepsSeq(t *testing.T) {
 	store := NewMemStore()
 	log, _ := Open(store)
@@ -134,6 +141,92 @@ func TestCheckpointResetsLogKeepsSeq(t *testing.T) {
 	seq2, _ := log.AppendSync(1, []byte("post"))
 	if seq2 <= seq1 {
 		t.Fatalf("sequence regressed after checkpoint: %d then %d", seq1, seq2)
+	}
+
+	// Compact to two live records, under the role's lock, with an
+	// unsynced record pending: the crash copy holds the live records and
+	// nothing else.
+	var role sync.Mutex
+	locked := false
+	log.SetLive(&role, func(emit func(uint32, []byte)) {
+		locked = !role.TryLock()
+		for _, p := range []string{"a", "b"} {
+			emit(2, []byte(p))
+		}
+	})
+	_, _ = log.Append(1, []byte("unsynced"))
+	if err := log.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !locked {
+		t.Fatal("Checkpoint ran live without the role's lock")
+	}
+	reopened, err := Open(store.CrashCopy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := scanAll(reopened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		fmt.Sprintf("%d:2:%x", seq2+2, "a"),
+		fmt.Sprintf("%d:2:%x", seq2+3, "b"),
+	}
+	if !slices.Equal(recs, want) {
+		t.Fatalf("crash copy after compaction replays %v, want %v", recs, want)
+	}
+	if seq3, _ := reopened.AppendSync(1, []byte("next")); seq3 != seq2+4 {
+		t.Fatalf("reopened log appends seq %d, want %d", seq3, seq2+4)
+	}
+	if st := log.Stats(); st.Appends != 3 || st.Bytes != uint64(3*(headerLen+crcLen)+len("pre")+len("post")+len("unsynced")) {
+		t.Fatalf("stats %+v count the compaction output", st)
+	}
+}
+
+// TestCompactionPolicy: a log with live state compacts when a record
+// would take it past twice its length after the last compaction (and
+// past the floor), before that record is appended, so it never holds
+// more than max(2 × its compacted length, CompactFloor) bytes.
+func TestCompactionPolicy(t *testing.T) {
+	store := NewMemStore()
+	log, _ := Open(store)
+	payload := make([]byte, 1000)
+	liveRecs := 0
+	log.SetLive(nil, func(emit func(uint32, []byte)) {
+		for i := 0; i < liveRecs; i++ {
+			emit(3, payload)
+		}
+	})
+	frame := headerLen + len(payload) + crcLen
+	compactions := 0
+	for i := 0; i < 2000; i++ {
+		liveRecs = i / 10 // live state grows at a tenth of the append rate
+		before := log.size
+		seq, err := log.Append(1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := store.Contents()
+		if len(data) != log.size {
+			t.Fatalf("append %d: the log thinks it holds %d bytes, the store %d", i, log.size, len(data))
+		}
+		if log.size < before {
+			compactions++
+			if want := (liveRecs + 1) * frame; log.size != want {
+				t.Fatalf("append %d: %d bytes after compaction, want %d live records + the new one", i, log.size, liveRecs)
+			}
+			recs, _ := scanAll(log)
+			if last := recs[len(recs)-1]; !strings.HasPrefix(last, fmt.Sprintf("%d:1:", seq)) {
+				t.Fatalf("append %d: the triggering record %q is not last after compaction", i, last)
+			}
+		}
+		if limit := max(2*log.base, CompactFloor); log.size > limit {
+			t.Fatalf("append %d: %d bytes, over the limit %d", i, log.size, limit)
+		}
+	}
+	if compactions < 3 {
+		t.Fatalf("%d compactions over 2000 appends, want several", compactions)
 	}
 }
 
@@ -208,7 +301,11 @@ type sliceStore struct {
 
 func (m *sliceStore) Append(p []byte) error { m.buf = append(m.buf, p...); return nil }
 func (m *sliceStore) Sync() error           { m.durable = len(m.buf); return nil }
-func (m *sliceStore) Reset() error          { m.buf, m.durable = nil, 0; return nil }
+func (m *sliceStore) Replace(p []byte) error {
+	m.buf = append([]byte(nil), p...)
+	m.durable = len(m.buf)
+	return nil
+}
 func (m *sliceStore) Contents() ([]byte, error) {
 	return append([]byte{}, m.buf...), nil
 }
@@ -229,19 +326,34 @@ func scanAll(l *Log) ([]string, error) {
 
 // TestMemStoreMatchesSliceOracle drives a log over the segmented MemStore
 // and one over the one-slice oracle with the same random appends, syncs,
-// torn tails, crashes and checkpoints — records sized to straddle the
-// 4, 8, 16 KiB … segment boundaries — and requires the same bytes, the
-// same replay and the same crash survivors from both at every step.
+// torn tails, crashes and compactions — records sized to straddle the 4,
+// 8, 16 KiB … segment boundaries, and the boundary between a compacted
+// journal's segment and the next — and requires the same bytes, the same
+// replay and the same crash survivors from both at every step.
 func TestMemStoreMatchesSliceOracle(t *testing.T) {
 	for _, seed := range []int64{1, 42, 777} {
 		rng := rand.New(rand.NewSource(seed))
 		store, oracle := NewMemStore(), &sliceStore{}
+		// The "live state" both logs compact to: the last few records
+		// appended, as many as keep says.
+		var recent [][]byte
+		keep, straddled, compacted := 0, 0, false
+		live := func(emit func(uint32, []byte)) {
+			compacted = true
+			for _, p := range recent[len(recent)-min(keep, len(recent)):] {
+				emit(uint32(len(p)), p)
+			}
+		}
 		open := func() (*Log, *Log) {
 			t.Helper()
 			a, errA := Open(store)
 			b, errB := Open(oracle)
 			if (errA == nil) != (errB == nil) || errors.Is(errA, ErrCorrupt) != errors.Is(errB, ErrCorrupt) {
 				t.Fatalf("seed %d: Open: %v over segments, %v over the oracle", seed, errA, errB)
+			}
+			if a != nil {
+				a.SetLive(nil, live)
+				b.SetLive(nil, live)
 			}
 			return a, b
 		}
@@ -252,10 +364,17 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 				payload := make([]byte, rng.Intn(3000))
 				rng.Read(payload)
 				recType := rng.Uint32()
+				keep = 20 // the policy compacts to the last 20 records
+				segs := len(store.segs)
 				s1, err1 := log.Append(recType, payload)
 				s2, err2 := olog.Append(recType, payload)
 				if s1 != s2 || err1 != nil || err2 != nil {
 					t.Fatalf("seed %d step %d: Append: seq %d (%v) vs %d (%v)", seed, step, s1, err1, s2, err2)
+				}
+				recent = append(recent, payload)
+				if compacted && len(store.segs) > segs {
+					straddled++ // out of the compacted journal's segment
+					compacted = false
 				}
 			case op < 16:
 				_, _ = log.Sync(), olog.Sync()
@@ -269,12 +388,14 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 				fallthrough
 			case op == 17: // crash: only what was synced survives, and the logs reopen on it
 				store, oracle = store.CrashCopy(), oracle.crashCopy()
+				compacted = false
 				if log, olog = open(); log == nil {
 					// Both refused the survivors alike: start over.
 					store, oracle = NewMemStore(), &sliceStore{}
 					log, olog = open()
 				}
-			case op == 18:
+			case op == 18: // a checkpoint: compaction to anywhere from none to 12 of the last records
+				keep = rng.Intn(13)
 				if err1, err2 := log.Checkpoint(), olog.Checkpoint(); err1 != nil || err2 != nil {
 					t.Fatal(err1, err2)
 				}
@@ -290,6 +411,9 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("seed %d step %d: Contents differ: %d bytes over segments, %d over the oracle", seed, step, len(got), len(want))
 			}
+		}
+		if straddled == 0 {
+			t.Fatalf("seed %d: no append crossed out of a compacted journal's segment", seed)
 		}
 	}
 }
