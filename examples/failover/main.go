@@ -1,8 +1,8 @@
 // Failover: the recovery mechanisms of §2.3 and §3.3.2 in action.
 //
 //  1. Dataless manager failover: a small-file server crashes and is
-//     restarted on a new host from its backing storage object plus its
-//     write-ahead log; file contents survive.
+//     restarted on a new host from its durable value, its fragment store
+//     plus its write-ahead log; file contents survive.
 //  2. Coordinator intention recovery: a µproxy "dies" between declaring a
 //     remove intention and clearing the data; the coordinator's probe
 //     finishes the remove.
@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// Crash the manager, then restart it on a new host from what is
-	// durable — its write-ahead log and the backing object — the way a
+	// durable — its write-ahead log and its fragment store — the way a
 	// surviving site assumes a failed server's role. The small-file table
 	// is rebound, and the client reads on through the µproxy.
 	files := e.Small[0].Store().NumFiles()

@@ -499,7 +499,7 @@ func TestNameHashingDirFailoverToNewHost(t *testing.T) {
 }
 
 // TestSmallFileFailoverToNewHost: a small-file server is dataless — its
-// journal and backing object survive it — so restarting it on a new
+// journal and fragment store survive it — so restarting it on a new
 // host must serve every file it held, byte for byte, and the sibling
 // server's files must not have moved.
 func TestSmallFileFailoverToNewHost(t *testing.T) {

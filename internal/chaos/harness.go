@@ -27,7 +27,6 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
-	"slice/internal/smallfile"
 	"slice/internal/storage"
 	"slice/internal/wal"
 )
@@ -187,9 +186,7 @@ func VerifyBytes(t testing.TB, e *ensemble.Ensemble, c *client.Client, fh fhandl
 }
 
 // ReplicaGroupsIdentical asserts every live member of every replica
-// group holds byte-identical copies of every object. Small-file backing
-// objects (smallfile.IsBackingID) are excluded: they live on one node by
-// design and never take the replicated path.
+// group holds byte-identical copies of every object.
 func ReplicaGroupsIdentical(t testing.TB, e *ensemble.Ensemble) {
 	t.Helper()
 	if e.Replicas == nil {
@@ -213,9 +210,6 @@ func ReplicaGroupsIdentical(t testing.TB, e *ensemble.Ensemble) {
 			}
 			for _, ent := range page {
 				after = ent.ID
-				if smallfile.IsBackingID(ent.ID) {
-					continue
-				}
 				want := make([]byte, ent.Size)
 				if ent.Size > 0 {
 					ref.ReadAt(ent.ID, 0, want)

@@ -18,8 +18,8 @@ import (
 
 // newReplicatedEnsemble builds the fault-injection deployment with 2-way
 // replicated storage: 4 nodes in 2 groups, group 1 = {node 2, node 3}.
-// The small-file backing object lives on node 0, so killing group 1's
-// last member never touches the unreplicated small-file path.
+// Small-file servers keep their fragments in stores of their own, so a
+// storage node's kill or rebirth never touches the small-file path.
 func newReplicatedEnsemble(t *testing.T, mutate func(*ensemble.Config)) *ensemble.Ensemble {
 	return newEnsemble(t, func(cfg *ensemble.Config) {
 		cfg.StorageNodes = 4

@@ -525,7 +525,7 @@ func putChunkBuf(b []byte) {
 // possible: Write returns, and the caller may reuse p, before the RPC is
 // encoded; a retry re-encodes from the buffer too.) Only the sub-chunk
 // remainder of p joins the tail, so the tail never holds a full chunk,
-// and its buffer (at least BlockSize long) always has room for the rest
+// and its buffer (at least StripeUnit long) always has room for the rest
 // of one. Non-sequential bytes flush the old tail first; bytes
 // overlapping an in-flight chunk drain the file so conflicting writes are
 // never concurrently in flight.
@@ -564,7 +564,7 @@ func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []
 	}
 	if len(p) > 0 {
 		if t.buf == nil {
-			t.buf = chunkBuf(int(c.cfg.BlockSize))[:0]
+			t.buf = chunkBuf(int(c.cfg.StripeUnit))[:0]
 		}
 		t.buf = append(t.buf, p...)
 	}

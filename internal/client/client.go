@@ -47,9 +47,6 @@ type Config struct {
 	Host uint32
 	// Server is the (virtual) NFS server address.
 	Server netsim.Addr
-	// BlockSize is the maximum bytes per READ/WRITE (default: the stripe
-	// unit).
-	BlockSize uint32
 	// Threshold and StripeUnit are the I/O split boundaries; defaults
 	// match route defaults.
 	Threshold  uint64
@@ -135,9 +132,6 @@ func NewWithConn(conn oncrpc.Conn, cfg Config) *Client {
 	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = route.DefaultThreshold
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = uint32(cfg.StripeUnit)
 	}
 	if cfg.Window == 0 {
 		cfg.Window = DefaultWindow
@@ -447,13 +441,10 @@ func (c *Client) FsStat(fh fhandle.Handle) (nfsproto.FsStatRes, error) {
 }
 
 // chunkEnd returns the end of the I/O chunk starting at off: transfers
-// never cross a stripe-unit or threshold boundary, and never exceed the
-// block size.
+// never cross a stripe-unit or threshold boundary, so none exceeds the
+// stripe unit.
 func (c *Client) chunkEnd(off uint64) uint64 {
-	end := off + uint64(c.cfg.BlockSize)
-	if b := (off/c.cfg.StripeUnit + 1) * c.cfg.StripeUnit; b < end {
-		end = b
-	}
+	end := (off/c.cfg.StripeUnit + 1) * c.cfg.StripeUnit
 	if off < c.cfg.Threshold && c.cfg.Threshold < end {
 		end = c.cfg.Threshold
 	}

@@ -75,8 +75,9 @@ type Stats struct {
 
 // Config configures a coordinator.
 type Config struct {
-	// Log is the intentions journal (backed by the storage service via a
-	// static placement function, per §4.2).
+	// Log is the intentions journal, the coordinator's durable value. It
+	// stays off the storage nodes: the coordinator must not depend on
+	// the nodes it recovers.
 	Log *wal.Log
 	// Storage maps logical storage sites to storage nodes (replica-group
 	// primaries when the array is replicated).

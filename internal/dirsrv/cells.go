@@ -286,13 +286,8 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 	return nil
 }
 
-// now returns the current wire timestamp via the injectable clock.
-func (s *Server) now() attr.Time {
-	if s.clock != nil {
-		return s.clock()
-	}
-	return attr.FromGo(time.Now())
-}
+// now returns the current wire timestamp.
+func (s *Server) now() attr.Time { return attr.FromGo(time.Now()) }
 
 // Counters aggregates directory server activity for the experiments.
 type Counters struct {

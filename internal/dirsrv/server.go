@@ -45,8 +45,6 @@ type Config struct {
 	Net *netsim.Network
 	// Host is this server's host address for the peer-client port.
 	Host uint32
-	// Clock supplies timestamps; nil uses the wall clock.
-	Clock func() attr.Time
 }
 
 // Server is one Slice directory server site.
@@ -55,7 +53,6 @@ type Server struct {
 	vol   uint32
 	kind  route.NameKind
 	table *route.Table
-	clock func() attr.Time
 
 	mu     sync.Mutex
 	st     *state
@@ -82,9 +79,9 @@ func New(port *netsim.Port, cfg Config) *Server {
 // pre-recovery state. The server keeps journaling to the log it
 // replayed, so a later crash recovers from the full record sequence; an
 // empty journal makes it a fresh server. This is the uniform manager
-// failover path of §2.3: state = backing object + write-ahead log
-// replay. The caller installs the volume root with SetRoot and publishes
-// the server's address in the routing table.
+// failover path of §2.3: a directory server's state is its write-ahead
+// log, rebuilt by replay. The caller installs the volume root with
+// SetRoot and publishes the server's address in the routing table.
 func Restart(port *netsim.Port, cfg Config) (*Server, error) {
 	s := newServer(cfg)
 	if err := s.replayLog(cfg.Log); err != nil {
@@ -100,7 +97,6 @@ func newServer(cfg Config) *Server {
 		vol:   cfg.Volume,
 		kind:  cfg.Kind,
 		table: cfg.Table,
-		clock: cfg.Clock,
 		st:    newState(),
 		log:   cfg.Log,
 		peer:  oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),

@@ -57,7 +57,7 @@ type Role int
 const (
 	RoleStorage Role = iota // storage node i: its object store
 	RoleDir                 // directory server i: DirLogs[i]
-	RoleSmall               // small-file server i: SmallLogs[i] (its backing object lives on a storage node)
+	RoleSmall               // small-file server i: SmallLogs[i] and its fragment store
 	RoleCoord               // the coordinator (i = 0): CoordLog
 	RoleProxy               // µproxy i: nothing
 )
@@ -89,11 +89,12 @@ func put[T any](s *[]T, i int, v T) {
 
 // Crash kills role i. The host it currently serves on is torn down
 // (in-flight datagrams to and from it are lost), the role is closed and
-// its slot nilled, and its journal keeps only its durable prefix. A
-// crashed µproxy also leaves the fleet table — the front's failure
-// detection, folded into one membership swap: flows it owned remap to
-// the survivors, in-flight calls on their next retransmission. Crash
-// records the address for Restart.
+// its slot nilled, and its journal keeps only its durable prefix; a
+// storage node's object store and a small-file server's fragment store
+// are kept whole. A crashed µproxy also leaves the fleet table — the
+// front's failure detection, folded into one membership swap: flows it
+// owned remap to the survivors, in-flight calls on their next
+// retransmission. Crash records the address for Restart.
 func (c *Chaos) Crash(role Role, i int) error {
 	e := c.e
 	var at netsim.Addr
@@ -244,7 +245,6 @@ func (e *Ensemble) startDir(i int, from, at netsim.Addr) error {
 		Log:    log,
 		Net:    e.Net,
 		Host:   at.Host,
-		Clock:  e.cfg.Clock,
 	})
 	if err != nil {
 		port.Close()
@@ -258,7 +258,7 @@ func (e *Ensemble) startDir(i int, from, at netsim.Addr) error {
 }
 
 // startSmall recovers small-file server i from SmallLogs[i] against its
-// backing object and serves it at at, rebinding its logical site from
+// fragment store and serves it at at, rebinding its logical site from
 // from.
 func (e *Ensemble) startSmall(i int, from, at netsim.Addr) error {
 	log, err := wal.Open(e.SmallLogs[i])
@@ -269,8 +269,7 @@ func (e *Ensemble) startSmall(i int, from, at netsim.Addr) error {
 	if err != nil {
 		return err
 	}
-	backing, backID := e.smallBacking(i)
-	srv, err := smallfile.Restart(port, backing, backID, log)
+	srv, err := smallfile.Restart(port, e.smallDisks[i], log)
 	if err != nil {
 		port.Close()
 		return err

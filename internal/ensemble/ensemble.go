@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"slice/internal/attr"
 	"slice/internal/client"
 	"slice/internal/coord"
 	"slice/internal/dirsrv"
@@ -107,8 +106,6 @@ type Config struct {
 	ClientRPC oncrpc.ClientConfig
 	// Net configures the fabric (loss, latency).
 	Net netsim.Config
-	// Clock injects timestamps into all servers.
-	Clock func() attr.Time
 	// WritebackInterval for the µproxy attribute cache (0 = manual).
 	WritebackInterval time.Duration
 	// CapabilityKey, when set, enables the §2.2 secure-object model:
@@ -185,10 +182,13 @@ type Ensemble struct {
 	tracers []*obs.Tracer
 
 	// disks[i] is storage node i's object store, the one part of a
-	// storage node that survives its crash; down records each crashed
-	// role's last address until Restart (chaos.go).
-	disks []*storage.ObjectStore
-	down  map[roleSlot]netsim.Addr
+	// storage node that survives its crash; smallDisks[i] is small-file
+	// server i's fragment store, which survives its crash beside
+	// SmallLogs[i]; down records each crashed role's last address until
+	// Restart (chaos.go).
+	disks      []*storage.ObjectStore
+	smallDisks []*storage.ObjectStore
+	down       map[roleSlot]netsim.Addr
 
 	Root       fhandle.Handle
 	cfg        Config
@@ -253,16 +253,16 @@ func New(cfg Config) (*Ensemble, error) {
 	e.StorageTable = route.NewTable(logical, tableAddrs)
 
 	// Small-file and directory servers get one logical site each: site i
-	// is server i's journal (and, for a small-file server, its backing
-	// object; for a directory server, the Site stamped into the handles
-	// it mints) whatever address serves it, so a failover rebind moves
-	// no file (DESIGN.md §13.2).
+	// is server i's durable value (and, for a directory server, the Site
+	// stamped into the handles it mints) whatever address serves it, so a
+	// failover rebind moves no file (DESIGN.md §13.2).
 	smallAddrs := serviceAddrs(HostSmall0, cfg.SmallFileServers)
 	if len(smallAddrs) > 0 {
 		e.SmallTable = route.NewTable(len(smallAddrs), smallAddrs)
 	}
 	for i, a := range smallAddrs {
 		e.SmallLogs = append(e.SmallLogs, wal.NewMemStore())
+		e.smallDisks = append(e.smallDisks, storage.NewObjectStore())
 		if err := e.startSmall(i, a, a); err != nil {
 			return nil, err
 		}
@@ -369,13 +369,6 @@ func serviceAddrs(host0 uint32, n int) []netsim.Addr {
 // storageAddr is storage node i's fixed slot in the host plan.
 func storageAddr(i int) netsim.Addr {
 	return netsim.Addr{Host: HostStorage0 + uint32(i), Port: ServicePort}
-}
-
-// smallBacking names small-file server i's backing object: it lives on
-// one of the initial storage nodes, chosen by the server's index
-// (dataless managers, §2.3), so a grown array never moves it.
-func (e *Ensemble) smallBacking(i int) (*storage.ObjectStore, storage.ObjectID) {
-	return e.disks[i%e.cfg.StorageNodes], smallfile.BackingID(i)
 }
 
 // startGateway starts fleet member i's gateway of one framing on its

@@ -258,9 +258,9 @@ func TestRemoveClearsData(t *testing.T) {
 	for _, sn := range e.Storage {
 		after += sn.Store().TotalBytes()
 	}
-	// Only the coordinator/small-file backing objects may remain.
-	if after >= before {
-		t.Fatalf("storage bytes did not shrink after remove: before %d after %d", before, after)
+	// Storage nodes hold striped file objects only, so none may remain.
+	if after != 0 {
+		t.Fatalf("storage bytes left after remove: before %d after %d", before, after)
 	}
 	if e.Coord.PendingIntentions() != 0 {
 		t.Fatalf("%d intentions left pending after clean remove", e.Coord.PendingIntentions())

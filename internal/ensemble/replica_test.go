@@ -2,12 +2,13 @@ package ensemble
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"slice/internal/fhandle"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
-	"slice/internal/smallfile"
 	"slice/internal/storage"
 )
 
@@ -34,8 +35,7 @@ func newReplicated(t *testing.T, mutate func(*Config)) *Ensemble {
 }
 
 // assertGroupsIdentical checks that every member of each replica group
-// holds byte-identical copies of every object, excluding small-file
-// backing objects, which live on one node by design.
+// holds byte-identical copies of every object.
 func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 	t.Helper()
 	k := e.cfg.Replication
@@ -55,9 +55,6 @@ func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 			}
 			for _, ent := range page {
 				after = ent.ID
-				if smallfile.IsBackingID(ent.ID) {
-					continue
-				}
 				want := make([]byte, ent.Size)
 				if ent.Size > 0 {
 					ref.ReadAt(ent.ID, 0, want)
@@ -351,4 +348,57 @@ func TestKillReplicaRebirthRebuildsMember(t *testing.T) {
 	if e.Storage[killed].Store().Stats().Reads == before && before == 0 {
 		t.Log("note: no spread read landed on the reborn member (hash-dependent)")
 	}
+}
+
+// TestSmallFilesSurviveReplicaRebirthAndRestart: a small-file server's
+// fragments are part of its own durable value, beside its journal, not an
+// object on a storage node. A rebirth of storage node 0 (a fresh, empty
+// store) followed by a crash and restart of small-file server 0 must
+// leave every FILE_SYNC small file readable byte for byte.
+func TestSmallFilesSurviveReplicaRebirthAndRestart(t *testing.T) {
+	e := newReplicated(t, func(cfg *Config) {
+		cfg.SmallFileServers = 2
+		cfg.ClientRPC = oncrpc.ClientConfig{Timeout: 50 * time.Millisecond, Retries: 100}
+	})
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const files = 16
+	fhs := make([]fhandle.Handle, files)
+	want := make([][]byte, files)
+	for i := range fhs {
+		fh, _, err := c.Create(c.Root(), fmt.Sprintf("small%02d", i), 0o644, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = bytes.Repeat([]byte{byte('a' + i)}, 1000+i*300)
+		if _, err := c.Write(fh, 0, want[i], true); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		fhs[i] = fh
+	}
+
+	e.Chaos().KillReplica(0)
+	if _, err := e.Chaos().RestartReplica(0); err != nil {
+		t.Fatal(err)
+	}
+	at := e.Small[0].Addr()
+	if err := e.Chaos().Crash(RoleSmall, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Chaos().Restart(RoleSmall, 0, at); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, fh := range fhs {
+		got := make([]byte, len(want[i]))
+		n, _, err := c.Read(fh, 0, got)
+		if err != nil || n != len(got) || !bytes.Equal(got, want[i]) {
+			t.Errorf("file %d: read n=%d err=%v, want %d bytes back", i, n, err, len(want[i]))
+		}
+	}
+	assertGroupsIdentical(t, e)
 }

@@ -4,14 +4,15 @@ import "fmt"
 
 // Wire program numbers, duplicated here as literals so obs stays a leaf
 // package: the components that own the canonical constants (nfsproto,
-// dirsrv, storage, coord) all import obs.
+// dirsrv, storage, replica, coord) all import obs.
 const (
-	progPortmap = 100000
-	progNFS     = 100003
-	progMount   = 100005
-	progObj     = 200101
-	progDirPeer = 200201
-	progCoord   = 200301
+	progPortmap     = 100000
+	progNFS         = 100003
+	progMount       = 100005
+	progObj         = 200101
+	progReplicaPeer = 200102
+	progDirPeer     = 200201
+	progCoord       = 200301
 )
 
 // Histogram names for the real-socket gateway: record sizes in each
@@ -112,8 +113,19 @@ func OpName(prog, proc uint32) string {
 			return "obj.remove"
 		case 2:
 			return "obj.truncate"
+		}
+	case progReplicaPeer:
+		switch proc {
+		case 1:
+			return "replica.peer.list"
+		case 2:
+			return "replica.peer.read"
 		case 3:
-			return "obj.stat"
+			return "replica.peer.write"
+		case 4:
+			return "replica.peer.remove"
+		case 5:
+			return "replica.peer.truncate"
 		}
 	case progDirPeer:
 		if proc < uint32(len(dirPeerProcNames)) && dirPeerProcNames[proc] != "" {
@@ -125,8 +137,6 @@ func OpName(prog, proc uint32) string {
 			return "coord.intend"
 		case 2:
 			return "coord.complete"
-		case 3:
-			return "coord.getmap"
 		}
 	case Program:
 		switch proc {

@@ -15,7 +15,7 @@ const (
 	HopDirsrv            // a directory server served the request
 	HopSmallfile         // a small-file server served the request
 	HopStorage           // a storage node served the request
-	HopCoord             // a coordinator RPC (intend/complete/getmap)
+	HopCoord             // a coordinator RPC (intend/complete)
 	HopMount             // the MOUNT program hop (served by a directory site)
 )
 

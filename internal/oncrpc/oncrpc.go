@@ -252,14 +252,16 @@ type Resolver func() netsim.Addr
 // thread-safe and allocation-free: they run on the bulk I/O fast path.
 type KeyResolver func(key uint64) netsim.Addr
 
+// backoff multiplies a call's retransmission timeout after each attempt.
+const backoff = 2
+
 // ClientConfig tunes RPC client behaviour.
 type ClientConfig struct {
-	// Timeout is the initial retransmission timeout (default 50ms).
+	// Timeout is the initial retransmission timeout (default 50ms); it
+	// doubles after each retransmission.
 	Timeout time.Duration
 	// Retries is the maximum number of transmissions (default 5).
 	Retries int
-	// Backoff multiplies the timeout after each retransmission (default 2).
-	Backoff int
 	// Jitter is the maximum fraction of each retransmission timeout added
 	// as random slack, decorrelating the retry storms of clients that
 	// timed out together (default 0.1; negative disables).
@@ -283,9 +285,6 @@ func (c *ClientConfig) defaults() {
 	}
 	if c.Retries <= 0 {
 		c.Retries = 5
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 2
 	}
 	if c.Jitter == 0 {
 		c.Jitter = 0.1
@@ -718,7 +717,7 @@ func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload 
 			}
 			return rep, nil
 		case <-pc.timer.C:
-			timeout *= time.Duration(c.cfg.Backoff)
+			timeout *= backoff
 		}
 	}
 	return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",

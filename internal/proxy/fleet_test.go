@@ -61,8 +61,8 @@ func TestRemoveAfterRecreateThroughSibling(t *testing.T) {
 	x, y := clientVia(t, e, 0), clientVia(t, e, 1)
 	const size = 256 << 10 // the small-file region and six stripes
 
-	// A file that stays: the small-file server's own backing object exists
-	// before the baseline is taken.
+	// A file that stays, so the baseline counts live data on both the
+	// storage nodes and the small-file servers.
 	keep, _, err := x.Create(x.Root(), "keep", 0o644, true)
 	if err != nil {
 		t.Fatal(err)

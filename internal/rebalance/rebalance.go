@@ -49,8 +49,6 @@ import (
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/route"
-	"slice/internal/smallfile"
-	"slice/internal/storage"
 	"slice/internal/xdr"
 )
 
@@ -310,9 +308,6 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 	}
 	var holders, pending []netsim.Addr // one stripe's nodes under each binding
 	for id, size := range sizes {
-		if smallfile.IsBackingID(storage.ObjectID(id)) {
-			continue // not in the striped space
-		}
 		for stripe := uint64(0); stripe == 0 || stripe*su < size; stripe++ {
 			key := route.PlacementKey(id, stripe)
 			holders = cur.AppendNodes(holders[:0], key)
@@ -396,7 +391,7 @@ func (d *Driver) round(verifyOnly bool) (int, error) {
 	// file was removed mid-copy and the remove raced our writes).
 	for dst, objs := range dstSizes {
 		for id := range objs {
-			if _, live := sizes[id]; live || smallfile.IsBackingID(storage.ObjectID(id)) {
+			if _, live := sizes[id]; live {
 				continue
 			}
 			if !everMovesTo(next, id, dst) {

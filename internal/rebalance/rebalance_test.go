@@ -13,7 +13,6 @@ import (
 	"slice/internal/obs"
 	"slice/internal/replica"
 	"slice/internal/route"
-	"slice/internal/smallfile"
 	"slice/internal/storage"
 	"slice/internal/wal"
 )
@@ -195,10 +194,6 @@ func TestGrowMovesBlocks(t *testing.T) {
 	for id, size := range sizes {
 		r.populate(t, id, size)
 	}
-	// A small-file backing object must not migrate with the striped space.
-	smallID := uint64(smallfile.BackingID(7))
-	r.populate(t, smallID, 16)
-
 	reg := obs.NewRegistry("rebalance-test")
 	d := r.driver(t, reg)
 	preCommitRan := false
@@ -214,21 +209,6 @@ func TestGrowMovesBlocks(t *testing.T) {
 	for id, size := range sizes {
 		r.checkPlacement(t, id, size)
 	}
-	// The small-file object stayed where it was and nowhere else.
-	onOld, onNew := 0, 0
-	for a, st := range r.stores {
-		if _, ok := st.Size(storage.ObjectID(smallID)); ok {
-			if a == addrs[4] || a == addrs[5] {
-				onNew++
-			} else {
-				onOld++
-			}
-		}
-	}
-	if onOld != 1 || onNew != 0 {
-		t.Fatalf("small-file object: on %d old and %d new nodes, want 1/0", onOld, onNew)
-	}
-
 	st := d.Status()
 	if st.State != "done" || st.Epoch == 0 || st.BytesMoved == 0 || st.ChunksChecked == 0 {
 		t.Fatalf("status = %+v", st)
@@ -271,10 +251,10 @@ func TestShrinkMovesBlocksOffRemoved(t *testing.T) {
 	}
 }
 
-// TestGrowMovesBackingTagLookalike: a file fingerprint whose top byte is
-// the small-file backing tag is still a striped object. One in 256 file
-// objects looks like that, and a grow must move its stripes like any
-// other's.
+// TestGrowMovesBackingTagLookalike: every object on a storage node is a
+// striped object, whatever its ID's bits. A fingerprint whose top byte is
+// 0x5F (the tag small-file fragment stores once used here) must move like
+// any other, so a special case for a reserved tag cannot come back.
 func TestGrowMovesBackingTagLookalike(t *testing.T) {
 	addrs := make([]netsim.Addr, 6)
 	for i := range addrs {
@@ -284,7 +264,7 @@ func TestGrowMovesBackingTagLookalike(t *testing.T) {
 	next := r.grow(t, addrs[4:]...)
 	id := movedID(t, next, addrs[4], 0x5F3C_9A17_0E42_0000)
 	if id>>56 != 0x5F {
-		t.Fatalf("id %#x is not a backing-tag lookalike", id)
+		t.Fatalf("id %#x does not carry the 0x5F top byte", id)
 	}
 	size := 3 * r.io.StripeUnit
 	r.populate(t, id, size)

@@ -13,7 +13,7 @@ import (
 // change no key's logical site and must move exactly the failed
 // server's keys to the new address — for every table an ensemble
 // builds. A site's state (a directory server's journal and the Site in
-// the handles it minted, a small-file server's backing object) follows
+// the handles it minted, a small-file server's journal and fragments) follows
 // the site index, not the address.
 func TestRebindKeepsSiteIdentity(t *testing.T) {
 	e, err := ensemble.New(ensemble.Config{

@@ -68,7 +68,7 @@ func restart(t *testing.T, backing *storage.ObjectStore, journal *wal.MemStore) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Restart(port, backing, 1, log)
+	srv, err := Restart(port, backing, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,12 @@ func NewServer(port *netsim.Port, store *Store) *Server {
 }
 
 // Restart builds a small-file server whose store is recovered from its
-// journal against the backing object BEFORE the server starts accepting
-// calls on port — the §2.3 dataless-manager failover path. The restarted
-// store keeps journaling to the log it replayed.
-func Restart(port *netsim.Port, backing *storage.ObjectStore, backID storage.ObjectID, log *wal.Log) (*Server, error) {
-	store := NewStore(backing, backID, log)
+// journal against its fragment store BEFORE the server starts accepting
+// calls on port — the §2.3 failover path. frags and log are the server's
+// durable value; frags holds the one object its fragments are laid out
+// in. The restarted store keeps journaling to the log it replayed.
+func Restart(port *netsim.Port, frags *storage.ObjectStore, log *wal.Log) (*Server, error) {
+	store := NewStore(frags, 1, log)
 	if err := store.replayLog(); err != nil {
 		return nil, err
 	}

@@ -21,25 +21,6 @@ import (
 	"slice/internal/xdr"
 )
 
-// backingTag is the top byte of every small-file server's backing-object
-// ID. Backing objects live on storage nodes beside striped file objects
-// but outside the striped space: they never migrate with it and are not
-// replicated with it.
-const backingTag = 0x5F
-
-// BackingID is the backing-object ID of small-file server i (i < 256).
-func BackingID(i int) storage.ObjectID {
-	return storage.ObjectID(backingTag<<56 | uint64(i))
-}
-
-// IsBackingID reports whether id names a small-file backing object: one
-// BackingID can mint, the tag byte over seven bytes of which only the
-// lowest may be set. A striped file's object ID is a 64-bit fingerprint,
-// one in 256 of which starts with the tag byte too.
-func IsBackingID(id storage.ObjectID) bool {
-	return uint64(id)&^0xFF == backingTag<<56
-}
-
 // A Store's errors name the NFS status its server answers with
 // (storage.Handler).
 var (

@@ -28,7 +28,7 @@ func TestDataServersAnswerAlike(t *testing.T) {
 		return p
 	}
 	node := storage.NewNode(bind(2), storage.NewObjectStore())
-	sfs := smallfile.NewServer(bind(3), smallfile.NewStore(storage.NewObjectStore(), smallfile.BackingID(0), nil))
+	sfs := smallfile.NewServer(bind(3), smallfile.NewStore(storage.NewObjectStore(), 1, nil))
 	servers := []struct {
 		name string
 		cli  *oncrpc.Client

@@ -105,8 +105,8 @@ func (n *Node) pace() {
 	n.paceMu.Unlock()
 }
 
-// Store returns the node's object store (used by tests and by managers
-// whose backing objects live on this node).
+// Store returns the node's object store, which holds only striped file
+// objects (for stats and tests).
 func (n *Node) Store() *ObjectStore { return n.store }
 
 // Addr returns the node's network address.

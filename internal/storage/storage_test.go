@@ -102,9 +102,9 @@ func TestStableWriteSurvivesCrash(t *testing.T) {
 }
 
 // TestCommitVisitsOnlyUnstableBlocks: a COMMIT costs the blocks written
-// unstably since the last one, not the blocks the object holds — the
-// small-file servers' shared backing object holds thousands, and the
-// commit runs under the node-wide mutex. The count is of blocks visited,
+// unstably since the last one, not the blocks the object holds — a
+// small-file server's fragment object holds thousands, and the commit
+// runs under the store-wide mutex. The count is of blocks visited,
 // not of time.
 func TestCommitVisitsOnlyUnstableBlocks(t *testing.T) {
 	s := NewObjectStore()

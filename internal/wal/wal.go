@@ -1,10 +1,11 @@
 // Package wal implements the write-ahead log used by Slice file managers.
 //
 // Directory servers, small-file servers, and the block-service coordinator
-// are "dataless": all durable state lives in backing objects on the network
-// storage array plus a journal of updates (§2.3). The system recovers a
-// failed manager by replaying its log against its backing objects, which is
-// what enables fast failover to a surviving site.
+// keep their durable state in a journal of updates (§2.3); a small-file
+// server also keeps its fragment store beside its journal. The system
+// recovers a failed manager by replaying its log (against that fragment
+// store, for a small-file server), which is what enables fast failover to
+// a surviving site.
 //
 // Records are framed with a magic number, a monotonically increasing
 // sequence number, a record type, and a CRC-32 over the frame. A torn final
