@@ -8,12 +8,13 @@ check: vet vet-cross build race examples bench-proxy bench-module
 vet:
 	$(GO) vet ./...
 
-# The checksum kernel has an amd64 assembly body and a portable fallback
-# behind a !amd64 build constraint, which an amd64 build never compiles.
-# Cross-vetting for arm64 (the toolchain needs nothing downloaded for it)
-# keeps the fallback and the fabric that calls it building.
+# The checksum kernel and the storage node's streaming copy each have an
+# amd64 assembly body and a portable fallback behind a !amd64 build
+# constraint, which an amd64 build never compiles. Cross-vetting for arm64
+# (the toolchain needs nothing downloaded for it) keeps the fallbacks and
+# the fabric that calls the checksum building.
 vet-cross:
-	GOARCH=arm64 $(GO) vet ./internal/checksum/ ./internal/netsim/
+	GOARCH=arm64 $(GO) vet ./internal/checksum/ ./internal/netsim/ ./internal/storage/
 
 build:
 	$(GO) build ./...
@@ -72,7 +73,7 @@ bench-gate:
 	    -benchtime $(BENCH_FLEET_TIME) -count $(BENCH_COUNT) -cpu 4 . >> bench.out \
 	    || { cat bench.out; exit 1; }
 	$(GO) run ./cmd/benchgate -baseline BENCH_proxy.json -input bench.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkBulk(Read|Write)|BenchmarkStorageChurn|BenchmarkWriteBehind64K' -benchmem \
+	$(GO) test -run xxx -bench 'BenchmarkBulk(Read|Write)|BenchmarkStorageChurn(Cold)?|BenchmarkWriteBehind64K' -benchmem \
 	    -benchtime $(BENCH_BULK_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_bulk.out \
 	    || { cat bench_bulk.out; exit 1; }
 	$(GO) run ./cmd/benchgate -baseline BENCH_bulkio.json -input bench_bulk.out -tolerance $(BENCH_TOLERANCE)

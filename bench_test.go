@@ -913,9 +913,10 @@ func BenchmarkBulkWrite(b *testing.B) {
 // BenchmarkStorageChurn is ddwrite as one storage node sees it: fill a
 // 1 MiB object with 32 KiB unstable writes, commit it, remove it, repeat.
 // Every block of an object is claimed from the blocks the last one gave
-// back (DESIGN.md §14.3), so an op allocates the object record, its block
+// back (DESIGN.md §14.1), so an op allocates the object record, its block
 // map and its unstable list and not one byte of block data; the
-// BENCH_bulkio.json row holds allocs_op and b_op there.
+// BENCH_bulkio.json row holds allocs_op and b_op there. Its 1 MiB working
+// set stays in L2: BenchmarkStorageChurnCold is the same cycle out of it.
 func BenchmarkStorageChurn(b *testing.B) {
 	const (
 		objectBytes = 1 << 20
@@ -941,6 +942,45 @@ func BenchmarkStorageChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle(storage.ObjectID(i + 2))
+	}
+}
+
+// BenchmarkStorageChurnCold is BenchmarkStorageChurn with the blocks
+// cold, as a ddwrite storage node's are: 64 objects of 1 MiB stay live,
+// and an op removes the oldest, then writes (32 KiB unstable writes) and
+// commits a new one. The free list is a LIFO, so every block the new
+// object claims is one the removed object gave back, last written 64 MiB
+// of traffic ago — past both cores' L2 — and WriteAt fills it through
+// copyCold (DESIGN.md §14.1).
+func BenchmarkStorageChurnCold(b *testing.B) {
+	const (
+		objectBytes = 1 << 20
+		writeBytes  = 32 << 10
+		live        = 64
+	)
+	s := storage.NewObjectStore()
+	p := make([]byte, writeBytes)
+	for i := range p {
+		p[i] = byte(i * 131)
+	}
+	fill := func(id storage.ObjectID) {
+		for off := int64(0); off < objectBytes; off += writeBytes {
+			if err := s.WriteAt(id, off, p, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Commit(id)
+	}
+	for id := storage.ObjectID(1); id <= live; id++ {
+		fill(id)
+	}
+	b.SetBytes(objectBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := storage.ObjectID(live + 1 + i)
+		s.Remove(id - live)
+		fill(id)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"slice/internal/attr"
 	"slice/internal/client"
@@ -168,6 +169,42 @@ func TestLargeFileStriping(t *testing.T) {
 	}
 	if nodesWithData < 2 {
 		t.Fatalf("striping used %d storage nodes, want >=2", nodesWithData)
+	}
+}
+
+// TestStorageServiceTimePacesNodes: Config.StorageServiceTime admits one
+// NFS request per interval at each storage node, so the N requests one
+// node serves take at least (N−1) intervals. Only that lower bound is
+// asserted: pacing cannot beat it, and a slow box only adds time.
+func TestStorageServiceTimePacesNodes(t *testing.T) {
+	const d = 2 * time.Millisecond
+	e := newTest(t, func(c *Config) {
+		c.StorageNodes = 1
+		c.StorageServiceTime = d
+	})
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh, _, err := c.Create(c.Root(), "paced.dat", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 512 KiB stable: all but the first 64 KiB go to the storage node.
+	before := e.Storage[0].Store().Stats()
+	start := time.Now()
+	if _, err := c.Write(fh, 0, make([]byte, 512*1024), true); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	elapsed := time.Since(start)
+	after := e.Storage[0].Store().Stats()
+	n := (after.Writes - before.Writes) + (after.Reads - before.Reads) + (after.Commits - before.Commits)
+	if n < 8 {
+		t.Fatalf("the storage node served %d requests, want at least 8", n)
+	}
+	if floor := time.Duration(n-1) * d; elapsed < floor {
+		t.Fatalf("%d paced requests took %v, under the %v that %v pacing allows", n, elapsed, floor, d)
 	}
 }
 

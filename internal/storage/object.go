@@ -9,8 +9,9 @@
 // the data-server Handler the small-file servers share.
 //
 // Writes are unstable until committed, mirroring NFS V3 write semantics:
-// a crash discards uncommitted blocks and changes the node's write
-// verifier, which clients detect and use to re-send uncommitted data.
+// a crash reverts every byte and every object's size to what was last
+// committed and changes the node's write verifier, which clients detect
+// and use to re-send uncommitted data.
 package storage
 
 import (
@@ -38,13 +39,16 @@ var (
 	errSize   = &nfsproto.StatusError{Status: nfsproto.ErrInval}
 )
 
-// block is one logical block of an object. data is always BlockSize long;
-// durable marks committed content; queued marks a block that is on its
-// object's unstable list.
+// block is one logical block of an object. data is always BlockSize long.
+// queued marks a block on its object's unstable list: data holds bytes no
+// commit has covered. shadow is then what a crash puts back — the block's
+// committed bytes, kept by its first unstable write since they were
+// committed, plus any stable write since — or nil if none of its bytes is
+// committed, and a crash drops the block.
 type block struct {
-	data    []byte
-	durable bool
-	queued  bool
+	data   []byte
+	shadow *block
+	queued bool
 }
 
 // maxFreeBlocks bounds the store's free list: 32 MiB of block data, what
@@ -55,25 +59,31 @@ const maxFreeBlocks = 4096
 // object is an ordered byte sequence held as a sparse block map. unstable
 // lists the blocks written unstably since the last commit — each at most
 // once (block.queued) — so a commit costs what was written, not what the
-// object holds. A block overwritten stably, or truncated away, stays on
-// the list until the next commit or crash empties it; committing it again
-// is harmless — which is why a block still on the list is never recycled
-// into another object (ObjectStore.recycle).
+// object holds. A block truncated away stays on the list until the next
+// commit or crash empties it; committing it again is harmless — which is
+// why a block still on the list is never recycled into another object
+// (ObjectStore.recycle).
 type object struct {
 	blocks   map[int64]*block
 	unstable []*block
 	size     int64 // logical size in bytes
+	durable  int64 // the size a crash reverts to: as of the last commit, stable write or truncate
 }
 
 // commit makes the object's unstable blocks durable and returns how many
-// it visited.
-func (o *object) commit() int {
+// it visited. Caller holds s.mu.
+func (s *ObjectStore) commit(o *object) int {
 	n := len(o.unstable)
 	for _, b := range o.unstable {
-		b.durable, b.queued = true, false
+		b.queued = false
+		if b.shadow != nil {
+			s.recycle(b.shadow)
+			b.shadow = nil
+		}
 	}
 	clear(o.unstable)
 	o.unstable = o.unstable[:0]
+	o.durable = o.size
 	return n
 }
 
@@ -153,20 +163,44 @@ func (s *ObjectStore) recycle(b *block) {
 // claim returns a block for a write of n bytes at block offset bo that
 // found none mapped: a recycled one with the bytes the write will not cover
 // cleared (holes and the tail past end of object read as zeros), or a fresh
-// one. Kept out of line so the allocation stays off WriteAt's hit path.
-// Caller holds s.mu.
+// one; and whether it was recycled. A recycled block was last written
+// with its previous object, on ddwrite 32 MiB of traffic ago, so it is
+// cold in cache; a fresh block's data was zeroed just now. Kept out of
+// line so the allocation stays off WriteAt's hit path. Caller holds s.mu.
 //
 //go:noinline
-func (s *ObjectStore) claim(bo int64, n int) *block {
+func (s *ObjectStore) claim(bo int64, n int) (*block, bool) {
 	if last := len(s.free) - 1; last >= 0 {
 		b := s.free[last]
 		s.free[last] = nil
 		s.free = s.free[:last]
 		clear(b.data[:bo])
 		clear(b.data[bo+int64(n):])
-		return b
+		return b, true
 	}
-	return &block{data: make([]byte, BlockSize)}
+	return &block{data: make([]byte, BlockSize)}, false
+}
+
+// keep gives b, about to take its first unstable write since its bytes
+// were committed, a shadow holding them. Caller holds s.mu.
+//
+//go:noinline
+func (s *ObjectStore) keep(b *block) {
+	b.shadow, _ = s.claim(0, BlockSize)
+	copy(b.shadow.data, b.data)
+}
+
+// commitBytes writes p, a stable write at block offset bo, into the
+// shadow of b, a block that also holds uncommitted bytes, so that a crash
+// keeps it. A block with no shadow had no committed byte: its new shadow
+// holds p and zeros. Caller holds s.mu.
+//
+//go:noinline
+func (s *ObjectStore) commitBytes(b *block, bo int64, p []byte) {
+	if b.shadow == nil {
+		b.shadow, _ = s.claim(bo, len(p))
+	}
+	copy(b.shadow.data[bo:], p)
 }
 
 func (s *ObjectStore) get(id ObjectID, create bool) *object {
@@ -180,7 +214,9 @@ func (s *ObjectStore) get(id ObjectID, create bool) *object {
 
 // WriteAt writes p at byte offset off of object id, creating the object if
 // needed. If stable is true the data is durable immediately (FILE_SYNC);
-// otherwise it remains volatile until Commit.
+// otherwise it remains volatile until Commit. The bytes a write puts into
+// a block taken from the free list go through copyCold; the rest through
+// copy.
 func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) error {
 	if off < 0 {
 		return errOffset
@@ -194,22 +230,37 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 	for len(p) > 0 {
 		bn := off / BlockSize
 		bo := off % BlockSize
+		w := p[:min(len(p), int(BlockSize-bo))]
 		b := o.blocks[bn]
 		if b == nil {
-			b = s.claim(bo, min(len(p), int(BlockSize-bo)))
+			var recycled bool
+			b, recycled = s.claim(bo, len(w))
 			o.blocks[bn] = b
+			if recycled {
+				copyCold(b.data[bo:], w)
+			} else {
+				copy(b.data[bo:], w)
+			}
+		} else {
+			if !stable && !b.queued {
+				s.keep(b)
+			}
+			copy(b.data[bo:], w)
 		}
-		n := copy(b.data[bo:], p)
-		b.durable = stable
-		if !stable && !b.queued {
+		if stable {
+			if b.queued {
+				s.commitBytes(b, bo, w)
+			}
+		} else if !b.queued {
 			b.queued = true
 			o.unstable = append(o.unstable, b)
 		}
-		p = p[n:]
-		off += int64(n)
+		p = p[len(w):]
+		off += int64(len(w))
 	}
-	if end > o.size {
-		o.size = end
+	o.size = max(o.size, end)
+	if stable {
+		o.durable = max(o.durable, end)
 	}
 	return nil
 }
@@ -270,7 +321,7 @@ func (s *ObjectStore) Commit(id ObjectID) uint64 {
 	defer s.mu.Unlock()
 	s.stats.Commits++
 	if o := s.get(id, false); o != nil {
-		s.stats.BlocksCommitted += uint64(o.commit())
+		s.stats.BlocksCommitted += uint64(s.commit(o))
 	}
 	return s.verifier
 }
@@ -281,7 +332,7 @@ func (s *ObjectStore) CommitAll() uint64 {
 	defer s.mu.Unlock()
 	s.stats.Commits++
 	for _, o := range s.objects {
-		s.stats.BlocksCommitted += uint64(o.commit())
+		s.stats.BlocksCommitted += uint64(s.commit(o))
 	}
 	return s.verifier
 }
@@ -298,6 +349,10 @@ func (s *ObjectStore) Remove(id ObjectID) {
 		for _, b := range o.blocks {
 			b.queued = false
 			s.recycle(b)
+			if b.shadow != nil {
+				s.recycle(b.shadow)
+				b.shadow = nil
+			}
 		}
 	}
 	delete(s.objects, id)
@@ -305,7 +360,9 @@ func (s *ObjectStore) Remove(id ObjectID) {
 }
 
 // Truncate sets the logical size of object id, discarding blocks beyond
-// the new end. Truncating a nonexistent object creates it.
+// the new end. Like a stable write it is durable at once: a crash keeps
+// the new size and the zeros past it. Truncating a nonexistent object
+// creates it.
 func (s *ObjectStore) Truncate(id ObjectID, size int64) error {
 	if size < 0 {
 		return errSize
@@ -318,21 +375,28 @@ func (s *ObjectStore) Truncate(id ObjectID, size int64) error {
 		for bn, b := range o.blocks {
 			if bn >= lastBlock {
 				delete(o.blocks, bn)
+				if b.shadow != nil {
+					s.recycle(b.shadow)
+					b.shadow = nil
+				}
 				// A queued block stays on o.unstable until the next
-				// commit or crash and is left to the collector.
+				// commit (which leaves it to the collector) or crash.
 				if !b.queued {
 					s.recycle(b)
 				}
 			}
 		}
-		// Zero the tail of the new last block.
+		// Zero the tail of the new last block, committed bytes included.
 		if size%BlockSize != 0 {
 			if b := o.blocks[size/BlockSize]; b != nil {
 				clear(b.data[size%BlockSize:])
+				if b.shadow != nil {
+					clear(b.shadow.data[size%BlockSize:])
+				}
 			}
 		}
 	}
-	o.size = size
+	o.size, o.durable = size, size
 	return nil
 }
 
@@ -375,38 +439,44 @@ func (s *ObjectStore) Size(id ObjectID) (int64, bool) {
 	return o.size, true
 }
 
-// Crash simulates a node failure and restart: uncommitted blocks are lost
-// (truncated objects keep their committed size semantics: size reverts to
-// cover only durable blocks when the tail was never committed), and the
-// write verifier changes so clients re-send uncommitted writes.
+// Crash simulates a node failure and restart: every byte reverts to its
+// last committed value (a block with none becomes a hole), every object's
+// size to its last committed size, and the write verifier changes so
+// clients re-send uncommitted writes.
 func (s *ObjectStore) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Crashes++
 	s.verifier++
 	for _, o := range s.objects {
-		// Every unstable block is about to be dropped or was overwritten
-		// stably since: either way it leaves the list, and must leave it
-		// unmarked, or its next unstable write would never be queued.
+		// A queued block with a shadow gets its committed bytes back and
+		// leaves the list unmarked, or its next unstable write would never
+		// be queued. One without is unmapped and stays marked for the
+		// pass below.
+		for bn, b := range o.blocks {
+			if !b.queued {
+				continue
+			}
+			if sh := b.shadow; sh != nil {
+				b.data, sh.data = sh.data, b.data
+				b.shadow, b.queued = nil, false
+				s.recycle(sh)
+			} else {
+				delete(o.blocks, bn)
+			}
+		}
+		// What is still marked no object maps: the blocks just dropped
+		// and those Truncate dropped while queued. The list is emptied
+		// before s.mu is released, so no commit can reach them again.
 		for _, b := range o.unstable {
-			b.queued = false
+			if b.queued {
+				b.queued = false
+				s.recycle(b)
+			}
 		}
 		clear(o.unstable)
 		o.unstable = o.unstable[:0]
-		var maxDurableEnd int64
-		for bn, b := range o.blocks {
-			if !b.durable {
-				delete(o.blocks, bn)
-				s.recycle(b) // the lists are cleared: nothing is queued
-				continue
-			}
-			if end := (bn + 1) * BlockSize; end > maxDurableEnd {
-				maxDurableEnd = end
-			}
-		}
-		if o.size > maxDurableEnd {
-			o.size = maxDurableEnd
-		}
+		o.size = o.durable
 	}
 	s.seqTail = make(map[ObjectID]int64)
 }

@@ -9,78 +9,53 @@ import (
 )
 
 // modelObject is an independent restatement of the storage-object
-// durability spec: content at byte granularity, durability at block
-// granularity (NFS V3 unstable-write semantics).
+// durability spec (NFS V3 unstable-write semantics) at byte granularity:
+// the content and size a reader sees, and the content and size a crash
+// reverts to — as of the last commit, plus every stable write and
+// truncate since.
 type modelObject struct {
-	data    []byte
-	durable map[int]bool // block index -> survives a crash
-	size    int
+	data, committed []byte
+	size, comSize   int
 }
 
-func newModelObject() *modelObject {
-	return &modelObject{durable: make(map[int]bool)}
-}
+func newModelObject() *modelObject { return &modelObject{} }
 
+// extend grows both views to n bytes; past its size each reads zeros.
 func (m *modelObject) extend(n int) {
 	if len(m.data) < n {
 		m.data = append(m.data, make([]byte, n-len(m.data))...)
+	}
+	if len(m.committed) < n {
+		m.committed = append(m.committed, make([]byte, n-len(m.committed))...)
 	}
 }
 
 func (m *modelObject) write(off int, p []byte, stable bool) {
 	m.extend(off + len(p))
 	copy(m.data[off:], p)
-	for b := off / BlockSize; b <= (off+len(p)-1)/BlockSize; b++ {
-		m.durable[b] = stable
-	}
-	if off+len(p) > m.size {
-		m.size = off + len(p)
+	m.size = max(m.size, off+len(p))
+	if stable {
+		copy(m.committed[off:], p)
+		m.comSize = max(m.comSize, off+len(p))
 	}
 }
 
 func (m *modelObject) commit() {
-	for b := range m.durable {
-		m.durable[b] = true
-	}
+	m.committed = append(m.committed[:0], m.data...)
+	m.comSize = m.size
 }
 
 func (m *modelObject) truncate(size int) {
-	if size < m.size {
-		lastBlock := (size + BlockSize - 1) / BlockSize
-		for b := range m.durable {
-			if b >= lastBlock {
-				delete(m.durable, b)
-			}
-		}
-		// Dropped blocks and the zeroed tail of the kept partial block
-		// both read as zero afterwards, even if the object regrows.
-		for i := size; i < len(m.data); i++ {
-			m.data[i] = 0
-		}
-	}
-	m.size = size
 	m.extend(size)
+	// Both views read zeros past the new end, even if the object regrows.
+	clear(m.data[size:])
+	clear(m.committed[size:])
+	m.size, m.comSize = size, size
 }
 
 func (m *modelObject) crash() {
-	maxEnd := 0
-	for b, d := range m.durable {
-		if !d {
-			// Volatile block: contents lost, reads as a hole.
-			m.extend((b + 1) * BlockSize)
-			for i := b * BlockSize; i < (b+1)*BlockSize; i++ {
-				m.data[i] = 0
-			}
-			delete(m.durable, b)
-			continue
-		}
-		if end := (b + 1) * BlockSize; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if m.size > maxEnd {
-		m.size = maxEnd
-	}
+	m.data = append(m.data[:0], m.committed...)
+	m.size = m.comSize
 }
 
 // read returns the expected bytes and EOF flag for a read at off.

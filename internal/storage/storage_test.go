@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,60 @@ func TestStableWriteSurvivesCrash(t *testing.T) {
 	n, _, err := s.ReadAt(1, 0, buf)
 	if err != nil || n == 0 {
 		t.Fatalf("stable write lost in crash: n=%d err=%v", n, err)
+	}
+}
+
+// TestCrashKeepsCommittedBytesUnderUnstableOverwrite: a committed block
+// that takes an unstable write of two bytes and then a crash reads back
+// as committed, all of it — not as a hole, and not with the two bytes.
+func TestCrashKeepsCommittedBytesUnderUnstableOverwrite(t *testing.T) {
+	s := NewObjectStore()
+	want := bytes.Repeat([]byte{0x5A}, BlockSize)
+	if err := s.WriteAt(1, 0, want, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	if err := s.WriteAt(1, 100, []byte{1, 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	if size, _ := s.Size(1); size != BlockSize {
+		t.Fatalf("size %d after the crash, want the committed %d", size, BlockSize)
+	}
+	got := make([]byte, BlockSize)
+	if n, _, err := s.ReadAt(1, 0, got); err != nil || n != BlockSize || !bytes.Equal(got, want) {
+		t.Fatalf("read %d, %v: the committed block did not survive an unstable overwrite and a crash", n, err)
+	}
+	// The next commit makes the rewrite durable, as if nothing happened.
+	if err := s.WriteAt(1, 100, []byte{1, 2}, false); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	s.Crash()
+	want[100], want[101] = 1, 2
+	if _, _, err := s.ReadAt(1, 0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("committed rewrite lost: %v", err)
+	}
+}
+
+// TestCrashKeepsCommittedSize: an unstable write past the committed end,
+// then a crash, leaves the size committed — not rounded up to the end of
+// the last block that holds committed bytes.
+func TestCrashKeepsCommittedSize(t *testing.T) {
+	s := NewObjectStore()
+	if err := s.WriteAt(1, 0, bytes.Repeat([]byte{'c'}, 100), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Commit(1)
+	if err := s.WriteAt(1, BlockSize, []byte("unstable"), false); err != nil {
+		t.Fatal(err)
+	}
+	s.Crash()
+	if size, _ := s.Size(1); size != 100 {
+		t.Fatalf("size %d after the crash, want the committed 100", size)
+	}
+	if n, eof, err := s.ReadAt(1, 0, make([]byte, 200)); err != nil || n != 100 || !eof {
+		t.Fatalf("read n=%d eof=%v err=%v, want the committed 100 bytes", n, eof, err)
 	}
 }
 
@@ -426,40 +481,51 @@ func TestObjectOfIgnoresHints(t *testing.T) {
 
 // TestRecycledBlockReadsZero: a block taken from the free list still holds
 // its previous owner's bytes, and a write that covers only part of it must
-// leave the rest reading as zeros — before the written byte, after it, and
-// past the end of the object once it grows.
+// leave the rest reading as zeros — before the written bytes, after them,
+// and past the end of the object once it grows — whichever copy fills it:
+// one byte, a stretch just below coldCopyMin, and copyCold's head, body
+// and tail at odd offsets, over a whole block and across two.
 func TestRecycledBlockReadsZero(t *testing.T) {
+	const blocks = 8
 	s := NewObjectStore()
-	if err := s.WriteAt(1, 0, bytes.Repeat([]byte{0xFF}, 4*BlockSize), false); err != nil {
+	if err := s.WriteAt(1, 0, bytes.Repeat([]byte{0xFF}, blocks*BlockSize), false); err != nil {
 		t.Fatal(err)
 	}
 	s.Remove(1)
-	if len(s.free) != 4 {
-		t.Fatalf("free list holds %d blocks after removing a 4-block object", len(s.free))
+	if len(s.free) != blocks {
+		t.Fatalf("free list holds %d blocks after removing a %d-block object", len(s.free), blocks)
 	}
-	// One byte in block 0, one in block 2 (block 1 stays a hole).
-	for _, off := range []int64{5, 2*BlockSize + 100} {
-		if err := s.WriteAt(2, off, []byte{0xAB}, false); err != nil {
+	writes := []struct {
+		off int64
+		n   int
+	}{
+		{5, 1}, {2*BlockSize + 100, 1}, // block 1 stays a hole
+		{3*BlockSize + 5, coldCopyMin - 1},
+		{4*BlockSize + 3, 2*BlockSize - 3}, // an odd head, then a whole block
+		{6*BlockSize + 5000, 5000},         // two blocks, odd head and tail
+	}
+	rng := rand.New(rand.NewSource(7))
+	want := make([]byte, 9*BlockSize)
+	for _, w := range writes {
+		p := want[w.off : w.off+int64(w.n)]
+		rng.Read(p)
+		if err := s.WriteAt(2, w.off, p, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(s.free) != 2 {
-		t.Fatalf("free list holds %d blocks after two one-block writes, want 2", len(s.free))
+	if len(s.free) != 1 {
+		t.Fatalf("free list holds %d blocks after writes into 7 blocks, want 1", len(s.free))
 	}
-	if err := s.Truncate(2, 3*BlockSize); err != nil { // grow: expose each block's tail
+	if err := s.Truncate(2, int64(len(want))); err != nil { // grow: expose each block's tail
 		t.Fatal(err)
 	}
-	got := make([]byte, 3*BlockSize)
+	got := make([]byte, len(want))
 	if n, _, err := s.ReadAt(2, 0, got); err != nil || n != len(got) {
 		t.Fatalf("read %d, %v", n, err)
 	}
-	want := make([]byte, 3*BlockSize)
-	want[5], want[2*BlockSize+100] = 0xAB, 0xAB
-	if !bytes.Equal(got, want) {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("byte %d reads %#x, want %#x: a recycled block leaked its old contents", i, got[i], want[i])
-			}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("byte %d reads %#x, want %#x: a recycled block leaked its old contents or lost a write", i, got[i], want[i])
 		}
 	}
 }
