@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -46,4 +47,41 @@ func TestCopyColdMatchesCopy(t *testing.T) {
 	if got := copyCold(dst, src[:coldCopyMin+3]); got != coldCopyMin+3 {
 		t.Fatalf("copied %d bytes from a %d-byte source", got, coldCopyMin+3)
 	}
+}
+
+// TestConcurrentRecycledWrites: goroutines sharing one store write, read
+// back and remove objects of their own, so each claims blocks another one
+// last wrote and fills them through copyCold. Every read must see its own
+// writer's bytes, and under -race the kernel's reported reads and writes
+// (copy_race.go) must order with the store's mutex like any other access.
+func TestConcurrentRecycledWrites(t *testing.T) {
+	const (
+		writers = 4
+		rounds  = 50
+		size    = 4 * BlockSize
+	)
+	s := NewObjectStore()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := bytes.Repeat([]byte{byte(w + 1)}, size)
+			got := make([]byte, size)
+			for r := 0; r < rounds; r++ {
+				id := ObjectID(w*rounds + r + 1)
+				if err := s.WriteAt(id, 3, p, false); err != nil {
+					t.Error(err)
+					return
+				}
+				s.Commit(id)
+				if n, _, err := s.ReadAt(id, 3, got); err != nil || n != size || !bytes.Equal(got, p) {
+					t.Errorf("writer %d round %d: read %d, %v, or bytes not its own", w, r, n, err)
+					return
+				}
+				s.Remove(id)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
