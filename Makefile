@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-cross build test race examples bench bench-proxy bench-gate bench-module lint cover cover-func fuzz corpus nightly-chaos
+.PHONY: check vet vet-cross build test race examples bench bench-proxy bench-gate bench-module lint cover cover-func fuzz corpus corpus-check nightly-chaos
 
 # The full gate: everything a change must pass before it lands.
 check: vet vet-cross build race examples bench-proxy bench-module
@@ -53,10 +53,15 @@ bench-module:
 # path must stay 0 allocs/op, a LOOKUP pair 1, a NULL RPC 3 and a storage
 # object's write/commit/remove cycle 22; the bulk path's budgets carry
 # headroom in BENCH_bulkio.json); ns/op gets
-# BENCH_TOLERANCE headroom for machine noise. bench.out/bench_bulk.out are kept for CI artifact upload. The
-# bulk benchmarks run at -cpu 4 only (the windowed fan-out needs
-# GOMAXPROCS>1 to overlap) and a few long iterations, not thousands of
-# short ones.
+# BENCH_TOLERANCE headroom for machine noise. The bench*.out files are
+# kept for CI artifact upload. The bulk benchmarks run at -cpu 4 only (the
+# windowed fan-out needs GOMAXPROCS>1 to overlap) and a few long
+# iterations, not thousands of short ones.
+#
+# Each row of the loop is one `go test -bench` run: output file, baseline,
+# -benchtime, -cpu, packages (comma-separated) and the -bench regexp. A
+# row whose output file is the previous row's appends to it, and a
+# baseline of - defers the comparison to the file's last row.
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 20000x
 BENCH_BULK_TIME ?= 3x
@@ -66,29 +71,21 @@ BENCH_WIRE_TIME ?= 3x
 BENCH_REBALANCE_TIME ?= 2x
 BENCH_TOLERANCE ?= 2.5
 bench-gate:
-	$(GO) test -run xxx -bench 'ProxyForward|ProxyBulkReply|ProxyHandleRead|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum' -benchmem \
-	    -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -cpu 1,4 . ./internal/checksum/ > bench.out \
-	    || { cat bench.out; exit 1; }
-	$(GO) test -run xxx -bench 'FleetForward' -benchmem \
-	    -benchtime $(BENCH_FLEET_TIME) -count $(BENCH_COUNT) -cpu 4 . >> bench.out \
-	    || { cat bench.out; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline BENCH_proxy.json -input bench.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkBulk(Read|Write)|BenchmarkStorageChurn(Cold)?|BenchmarkWriteBehind64K' -benchmem \
-	    -benchtime $(BENCH_BULK_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_bulk.out \
-	    || { cat bench_bulk.out; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline BENCH_bulkio.json -input bench_bulk.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkReplicaRead' -benchmem \
-	    -benchtime $(BENCH_REPLICA_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_replica.out \
-	    || { cat bench_replica.out; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline BENCH_replica.json -input bench_replica.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkWire(Read|Write)' -benchmem \
-	    -benchtime $(BENCH_WIRE_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_wire.out \
-	    || { cat bench_wire.out; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline BENCH_wire.json -input bench_wire.out -tolerance $(BENCH_TOLERANCE)
-	$(GO) test -run xxx -bench 'BenchmarkRebalanceThroughput' -benchmem \
-	    -benchtime $(BENCH_REBALANCE_TIME) -count $(BENCH_COUNT) -cpu 4 . > bench_rebalance.out \
-	    || { cat bench_rebalance.out; exit 1; }
-	$(GO) run ./cmd/benchgate -baseline BENCH_rebalance.json -input bench_rebalance.out -tolerance $(BENCH_TOLERANCE)
+	@set -f; prev=; for row in \
+	    "bench.out - $(BENCH_TIME) 1,4 .,./internal/checksum/ ProxyForward|ProxyBulkReply|ProxyHandleRead|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum" \
+	    "bench.out BENCH_proxy.json $(BENCH_FLEET_TIME) 4 . FleetForward" \
+	    "bench_bulk.out BENCH_bulkio.json $(BENCH_BULK_TIME) 4 . BenchmarkBulk(Read|Write)|BenchmarkStorageChurn(Cold)?|BenchmarkWriteBehind64K" \
+	    "bench_replica.out BENCH_replica.json $(BENCH_REPLICA_TIME) 4 . BenchmarkReplicaRead" \
+	    "bench_wire.out BENCH_wire.json $(BENCH_WIRE_TIME) 4 . BenchmarkWire(Read|Write)" \
+	    "bench_rebalance.out BENCH_rebalance.json $(BENCH_REBALANCE_TIME) 4 . BenchmarkRebalanceThroughput"; do \
+	    set -- $$row; \
+	    [ "$$1" = "$$prev" ] || : > $$1; prev=$$1; \
+	    echo "bench-gate: -bench '$$6' -benchtime $$3 -cpu $$4 >> $$1"; \
+	    $(GO) test -run xxx -bench "$$6" -benchmem \
+	        -benchtime $$3 -count $(BENCH_COUNT) -cpu $$4 $$(echo $$5 | tr , ' ') >> $$1 \
+	        || { cat $$1; exit 1; }; \
+	    [ "$$2" = - ] || $(GO) run ./cmd/benchgate -baseline $$2 -input $$1 -tolerance $(BENCH_TOLERANCE) || exit 1; \
+	done
 
 # Static analysis beyond vet. The tools are not vendored: offline
 # checkouts skip a missing tool with a note, but under CI=1 a missing
@@ -165,6 +162,19 @@ nightly-chaos:
 # Regenerate the checked-in fuzz seed corpora (testdata/fuzz/...).
 corpus:
 	$(GO) run ./tools/gencorpus
+
+# The checked-in seed corpora are exactly what tools/gencorpus writes: a
+# change to a wire format the seeds encode fails here until the corpora
+# are regenerated and added with it (a seed the generator rewrote shows
+# as modified, one it newly wrote as untracked, one it no longer writes
+# as deleted).
+corpus-check: corpus
+	@stale=$$(git diff --name-status -- '*/testdata/fuzz/*'; \
+	    git ls-files --others --exclude-standard -- '*/testdata/fuzz/*'); \
+	if [ -n "$$stale" ]; then \
+	    printf 'corpus-check: tools/gencorpus does not reproduce the checked-in seed corpora:\n%s\n' "$$stale"; exit 1; \
+	fi; \
+	echo "corpus-check: the seed corpora are what tools/gencorpus writes"
 
 # Fixed-budget run of every fuzz target (the checksum kernel and the
 # differential edits that must not launder corruption, wire parsers, the

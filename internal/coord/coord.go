@@ -330,7 +330,8 @@ func (c *Coordinator) callSite(site netsim.Addr, prog, vers, proc uint32, args f
 	if err != nil {
 		return nil, err
 	}
-	return cl.CallTo(site, 0, prog, vers, proc, args)
+	rep, err := cl.CallTo(site, prog, vers, proc, args)
+	return rep.Body, err
 }
 
 // ----------------------------------------------------- multi-site operations

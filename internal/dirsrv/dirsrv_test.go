@@ -88,11 +88,11 @@ func (h *harness) call(proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) 
 	if err != nil {
 		return err
 	}
-	body, err := h.rpc.CallTo(addr, 0, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	rep, err := h.rpc.CallTo(addr, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}
-	return res.Decode(xdr.NewDecoder(body))
+	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
 func (h *harness) mkdir(dir fhandle.Handle, name string) fhandle.Handle {
@@ -411,13 +411,13 @@ func TestMisroutedRequestDetected(t *testing.T) {
 	// stale routing table in the µproxy.
 	wrong := h.servers[1].Addr()
 	args := nfsproto.CreateArgs{Dir: h.root, Name: "lost", Exclusive: true}
-	body, err := h.rpc.CallTo(wrong, 0, nfsproto.Program, nfsproto.Version,
+	rep, err := h.rpc.CallTo(wrong, nfsproto.Program, nfsproto.Version,
 		uint32(nfsproto.ProcCreate), args.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res nfsproto.CreateRes
-	if err := res.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != nfsproto.ErrMisrouted {
@@ -511,11 +511,11 @@ func TestCountersTrackCrossSite(t *testing.T) {
 
 func TestMountProgram(t *testing.T) {
 	h := newHarness(t, 2, route.MkdirSwitching, 0)
-	body, err := h.rpc.CallTo(h.servers[0].Addr(), 0, MountProgram, MountVersion, MountProcMnt, nil)
+	rep, err := h.rpc.CallTo(h.servers[0].Addr(), MountProgram, MountVersion, MountProcMnt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := xdr.NewDecoder(body)
+	d := xdr.NewDecoder(rep.Body)
 	st, _ := d.Uint32()
 	if nfsproto.Status(st) != nfsproto.OK {
 		t.Fatalf("mount: %v", nfsproto.Status(st))

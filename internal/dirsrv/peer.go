@@ -45,11 +45,11 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 		return nfsproto.ErrServerFault, err
 	}
 	s.addCounter(func(ct *Counters) { ct.PeerCalls++ })
-	body, err := c.CallTo(a, 0, PeerProgram, PeerVersion, proc, args)
+	rep, err := c.CallTo(a, PeerProgram, PeerVersion, proc, args)
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
-	d := xdr.NewDecoder(body)
+	d := xdr.NewDecoder(rep.Body)
 	st, err := d.Uint32()
 	if err != nil {
 		return nfsproto.ErrServerFault, err

@@ -172,6 +172,56 @@ func TestLargeFileStriping(t *testing.T) {
 	}
 }
 
+// TestWriteEndingInOldTraceMagic: an UNSTABLE 32 KiB WRITE whose data
+// ends in eight arbitrary bytes and then "SLICTRAC" — the magic that once
+// marked an optional trace trailer, which every server cut off a call's
+// body, 16 bytes short — is stored whole through the µproxy, at a
+// small-file server and at a storage node alike, and reads back exact
+// after COMMIT.
+func TestWriteEndingInOldTraceMagic(t *testing.T) {
+	e := newTest(t, nil)
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fh, _, err := c.Create(c.Root(), "lookalike", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One write below the 64 KiB threshold (a small-file server's) and one
+	// above it (a storage node's).
+	const unit = 32 << 10
+	offsets := []uint64{0, 64 << 10}
+	data := make([]byte, unit)
+	for i := range data {
+		data[i] = byte(i*13 + i>>9)
+	}
+	copy(data[unit-8:], "SLICTRAC")
+	for _, off := range offsets {
+		if _, err := c.Write(fh, off, data, false); err != nil {
+			t.Fatalf("write at %d: %v", off, err)
+		}
+	}
+	if _, err := c.Commit(fh); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	for _, off := range offsets {
+		got := make([]byte, unit)
+		n, _, err := c.Read(fh, off, got)
+		if err != nil {
+			t.Fatalf("read at %d: %v", off, err)
+		}
+		if !bytes.Equal(got[:n], data) {
+			t.Fatalf("read at %d: %d bytes, not the %d written", off, n, unit)
+		}
+	}
+	if at, err := c.GetAttr(fh); err != nil || at.Size != 64<<10+unit {
+		t.Fatalf("size %d, %v; want %d", at.Size, err, 64<<10+unit)
+	}
+}
+
 // TestStorageServiceTimePacesNodes: Config.StorageServiceTime admits one
 // NFS request per interval at each storage node, so the N requests one
 // node serves take at least (N−1) intervals. Only that lower bound is

@@ -116,7 +116,7 @@ func TestObsHopAttribution(t *testing.T) {
 	// Archived spans cover every hop kind the workload crossed, each with
 	// time attributed to it.
 	covered := map[obs.HopKind]bool{}
-	traced := map[obs.HopKind]bool{}
+	timed := map[obs.HopKind]bool{}
 	for _, rec := range e.Obs.Traces(0) {
 		n := rec.NHops
 		if n > obs.MaxHops {
@@ -127,7 +127,7 @@ func TestObsHopAttribution(t *testing.T) {
 				covered[h.Kind] = true
 			}
 			if h.ServerNS > 0 {
-				traced[h.Kind] = true
+				timed[h.Kind] = true
 			}
 		}
 	}
@@ -136,10 +136,12 @@ func TestObsHopAttribution(t *testing.T) {
 			t.Errorf("no span attributes time to hop %s", k)
 		}
 	}
-	// µproxy-originated RPCs carry the trace id, so those hops must also
-	// have server-side handler time from the reply trailer.
-	for _, k := range []obs.HopKind{obs.HopStorage, obs.HopCoord} {
-		if !traced[k] {
+	// Every server behind a hop times its calls, so each hop kind also
+	// has server-side time, read from the reply header: forwarded calls
+	// (directory, small-file and storage servers) and the µproxy's own
+	// (the coordinator's intentions) alike.
+	for _, k := range []obs.HopKind{obs.HopDirsrv, obs.HopSmallfile, obs.HopStorage, obs.HopCoord} {
+		if !timed[k] {
 			t.Errorf("no span carries server-side time for hop %s", k)
 		}
 	}

@@ -220,24 +220,6 @@ func RewriteBytes(d []byte, off int, b []byte) error {
 	return nil
 }
 
-// TrimTail cuts the last n payload bytes (n even) off the datagram in
-// place and returns the shortened slice, which shares d's buffer: the
-// length field and checksum are adjusted incrementally.
-func TrimTail(d []byte, n int) ([]byte, error) {
-	if n < 0 || n%2 != 0 || len(d)%2 != 0 || len(d)-n < HeaderSize {
-		return d, fmt.Errorf("%w: trim of %d bytes from %d", ErrBadDatagram, n, len(d))
-	}
-	keep := len(d) - n
-	sum := binary.BigEndian.Uint16(d[OffChecksum:])
-	for i := keep; i < len(d); i += 2 {
-		sum = checksum.Update(sum, binary.BigEndian.Uint16(d[i:]), 0)
-	}
-	sum = checksum.Update32(sum, uint32(len(d)), uint32(keep))
-	binary.BigEndian.PutUint32(d[OffLength:], uint32(keep))
-	binary.BigEndian.PutUint16(d[OffChecksum:], sum)
-	return d[:keep], nil
-}
-
 // Verdict is a tap's decision about a datagram.
 type Verdict int
 

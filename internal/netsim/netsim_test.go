@@ -434,8 +434,8 @@ func TestRecvDropLoopEndsOnClose(t *testing.T) {
 
 // FuzzDifferentialEdit: a datagram with one corrupted byte stays corrupt
 // through each differential edit the µproxy makes — RewriteSrc,
-// RewriteDst, RewriteUint64, RewriteBytes, TrimTail — unless the edit
-// overwrote or cut every corrupted byte. That is why the µproxy may
+// RewriteDst, RewriteUint64, RewriteBytes — unless the edit overwrote
+// every corrupted byte. That is why the µproxy may
 // forward READ and WRITE traffic without reading it: the receiver's Recv
 // still drops what the fabric corrupted. flip picks the byte (low 24 bits)
 // and its xor mask (top 8); edit picks each edit's offset (low 16 bits)
@@ -460,51 +460,44 @@ func FuzzDifferentialEdit(f *testing.F) {
 		off := HeaderSize + int(edit&0xFFFF)%span&^1
 		n := int(edit>>16) % span
 		patch := bytes.Repeat([]byte{0xA5, byte(edit)}, n/2+1)[:n]
-		// Each edit returns the edited datagram and the byte ranges
-		// [lo, hi) it overwrote or cut; a refused edit covers nothing.
+		// Each edit returns the byte ranges [lo, hi) it overwrote; a
+		// refused edit covers nothing.
 		type region struct{ lo, hi int }
 		edits := []struct {
 			name  string
-			apply func(d []byte) ([]byte, []region)
+			apply func(d []byte) []region
 		}{
-			{"RewriteSrc", func(d []byte) ([]byte, []region) {
+			{"RewriteSrc", func(d []byte) []region {
 				RewriteSrc(d, Addr{Host: edit, Port: uint16(flip)})
-				return d, []region{{OffSrcHost, OffSrcHost + 4}, {OffSrcPort, OffSrcPort + 2}}
+				return []region{{OffSrcHost, OffSrcHost + 4}, {OffSrcPort, OffSrcPort + 2}}
 			}},
-			{"RewriteDst", func(d []byte) ([]byte, []region) {
+			{"RewriteDst", func(d []byte) []region {
 				RewriteDst(d, Addr{Host: ^edit, Port: uint16(flip >> 8)})
-				return d, []region{{OffDstHost, OffDstHost + 4}, {OffDstPort, OffDstPort + 2}}
+				return []region{{OffDstHost, OffDstHost + 4}, {OffDstPort, OffDstPort + 2}}
 			}},
-			{"RewriteUint64", func(d []byte) ([]byte, []region) {
+			{"RewriteUint64", func(d []byte) []region {
 				if RewriteUint64(d, off, uint64(edit)*0x9E3779B97F4A7C15) != nil {
-					return d, nil
+					return nil
 				}
-				return d, []region{{off, off + 8}}
+				return []region{{off, off + 8}}
 			}},
-			{"RewriteBytes", func(d []byte) ([]byte, []region) {
+			{"RewriteBytes", func(d []byte) []region {
 				if RewriteBytes(d, off, patch) != nil {
-					return d, nil
+					return nil
 				}
-				return d, []region{{off, off + len(patch)}}
-			}},
-			{"TrimTail", func(d []byte) ([]byte, []region) {
-				out, err := TrimTail(d, n&^1)
-				if err != nil {
-					return d, nil
-				}
-				return out, []region{{len(out), len(d)}, {OffLength, OffLength + 4}}
+				return []region{{off, off + len(patch)}}
 			}},
 		}
 		for _, e := range edits {
 			d := GetBuf(len(good))
 			copy(d, good)
 			d[at] ^= mask
-			out, covered := e.apply(d)
+			covered := e.apply(d)
 			hit := false
 			for _, r := range covered {
 				hit = hit || r.lo <= at && at < r.hi
 			}
-			if !hit && VerifyChecksum(out) {
+			if !hit && VerifyChecksum(d) {
 				t.Fatalf("%s laundered a corrupt byte at %d (mask %#x) of %d: the datagram verifies",
 					e.name, at, mask, len(good))
 			}
@@ -570,12 +563,12 @@ func TestRewriteUint64PreservesChecksum(t *testing.T) {
 	}
 }
 
-// TestRewriteBytesAndTrimTail: the two in-place edits the µproxy makes to
-// a bulk reply leave exactly the datagram Build would have produced for
-// the edited payload.
-func TestRewriteBytesAndTrimTail(t *testing.T) {
+// TestRewriteBytes: the in-place edit the µproxy makes to a bulk reply
+// leaves exactly the datagram Build would have produced for the edited
+// payload, and an edit out of bounds or at an odd offset is refused.
+func TestRewriteBytes(t *testing.T) {
 	src, dst := Addr{Host: 10, Port: 2049}, Addr{Host: 200, Port: 999}
-	payload := make([]byte, 4096+24)
+	payload := make([]byte, 4096)
 	for i := range payload {
 		payload[i] = byte(i*31 + 7)
 	}
@@ -588,13 +581,9 @@ func TestRewriteBytesAndTrimTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(payload[8:], patch)
-	d, err = TrimTail(d, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Build(src, dst, payload[:4096])
+	want, _ := Build(src, dst, payload)
 	if !bytes.Equal(d, want) {
-		t.Fatal("patched + trimmed datagram differs from a fresh Build of the same payload")
+		t.Fatal("patched datagram differs from a fresh Build of the same payload")
 	}
 	if _, err := Parse(d); err != nil {
 		t.Fatal(err)
@@ -602,11 +591,6 @@ func TestRewriteBytesAndTrimTail(t *testing.T) {
 	for _, bad := range []struct{ off, n int }{{HeaderSize - 2, 4}, {HeaderSize + 1, 2}, {len(d) - 2, 4}} {
 		if err := RewriteBytes(d, bad.off, make([]byte, bad.n)); err == nil {
 			t.Fatalf("RewriteBytes(off %d, %d bytes) accepted", bad.off, bad.n)
-		}
-	}
-	for _, n := range []int{-2, 3, len(d)} {
-		if _, err := TrimTail(d, n); err == nil {
-			t.Fatalf("TrimTail(%d) accepted", n)
 		}
 	}
 	if !bytes.Equal(d, want) {

@@ -334,11 +334,10 @@ func (m *GetAttrRes) Decode(d *xdr.Decoder) error {
 // of a successful GETATTR reply: a status, then the block.
 const GetAttrResAttrOff = 4
 
-// PeekGetAttrRes reports whether body starts with a successful GETATTR
-// result and returns the offset at which it ends.
-func PeekGetAttrRes(body []byte) (end int, ok bool) {
-	end = GetAttrResAttrOff + attr.EncodedSize
-	return end, len(body) >= end && Status(binary.BigEndian.Uint32(body)) == OK
+// PeekGetAttrRes reports whether body is exactly a successful GETATTR
+// result.
+func PeekGetAttrRes(body []byte) bool {
+	return len(body) == GetAttrResAttrOff+attr.EncodedSize && Status(binary.BigEndian.Uint32(body)) == OK
 }
 
 // ---------------------------------------------------------------- SETATTR
@@ -454,24 +453,23 @@ const (
 	childResDirOff  = ChildResAttrOff + attr.EncodedSize // the directory's attributes-follow flag
 )
 
-// PeekChildRes reports whether body starts with a successful LOOKUP,
+// PeekChildRes reports whether body is exactly a successful LOOKUP,
 // CREATE, MKDIR or SYMLINK result with the child's attributes present —
 // the fixed layout above. It returns the offset of the directory's
-// attribute block (0 when the reply carries none) and the offset at which
-// the result ends: anything in body beyond end is not part of it.
-func PeekChildRes(body []byte) (dirAttrOff, end int, ok bool) {
-	end = childResDirOff + 4
+// attribute block (0 when the reply carries none).
+func PeekChildRes(body []byte) (dirAttrOff int, ok bool) {
+	end := childResDirOff + 4
 	if len(body) < end || Status(binary.BigEndian.Uint32(body)) != OK ||
 		binary.BigEndian.Uint32(body[ChildResAttrOff-4:]) != 1 {
-		return 0, 0, false
+		return 0, false
 	}
 	switch binary.BigEndian.Uint32(body[childResDirOff:]) {
 	case 0:
-		return 0, end, true
+		return 0, len(body) == end
 	case 1:
-		return end, end + attr.EncodedSize, end+attr.EncodedSize <= len(body)
+		return end, len(body) == end+attr.EncodedSize
 	}
-	return 0, 0, false
+	return 0, false
 }
 
 // ---------------------------------------------------------------- ACCESS
@@ -613,22 +611,20 @@ const (
 	readResDataOff  = ReadResEOFOff + 8 // after the opaque length
 )
 
-// PeekReadRes reports whether body starts with a successful READ reply
+// PeekReadRes reports whether body is exactly a successful READ reply
 // with attributes present — the fixed layout above — whose opaque length
-// agrees with its count and fits in body. It returns the count and the
-// offset at which the padded result ends: anything in body beyond end is
-// not part of the READ result.
-func PeekReadRes(body []byte) (count uint32, end int, ok bool) {
+// agrees with its count and whose padded data ends the body. It returns
+// the count.
+func PeekReadRes(body []byte) (count uint32, ok bool) {
 	if len(body) < readResDataOff ||
 		Status(binary.BigEndian.Uint32(body)) != OK || binary.BigEndian.Uint32(body[4:]) != 1 {
-		return 0, 0, false
+		return 0, false
 	}
 	count = binary.BigEndian.Uint32(body[ReadResCountOff:])
 	if count > xdr.MaxOpaque || binary.BigEndian.Uint32(body[readResDataOff-4:]) != count {
-		return 0, 0, false
+		return 0, false
 	}
-	end = readResDataOff + (int(count)+3)&^3
-	return count, end, end <= len(body)
+	return count, len(body) == readResDataOff+(int(count)+3)&^3
 }
 
 // EncodeRead appends a successful READ result carrying at whose data is

@@ -209,8 +209,8 @@ func TestEncodeReadMatchesReadRes(t *testing.T) {
 					t.Fatalf("max %d have %d eof %v:\n got %x\nwant %x", max, have, eof, e.Bytes(), want.Bytes())
 				}
 				body := e.Bytes()[4:]
-				if count, end, ok := PeekReadRes(body); !ok || int(count) != have || end != len(body) {
-					t.Fatalf("PeekReadRes = %d %d %v, want %d %d true", count, end, ok, have, len(body))
+				if count, ok := PeekReadRes(body); !ok || int(count) != have {
+					t.Fatalf("PeekReadRes = %d %v, want %d true", count, ok, have)
 				}
 			}
 		}
@@ -218,37 +218,40 @@ func TestEncodeReadMatchesReadRes(t *testing.T) {
 }
 
 // TestPeekReadResRejects: only a successful READ reply with attributes
-// present has the fixed layout.
+// present, and nothing after it, has the fixed layout.
 func TestPeekReadResRejects(t *testing.T) {
 	enc := func(m *ReadRes) []byte {
 		e := xdr.NewEncoder(256)
 		m.Encode(e)
 		return e.Bytes()
 	}
-	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Count: 4, Data: []byte("data")})); ok {
+	if _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Count: 4, Data: []byte("data")})); ok {
 		t.Fatal("reply without attributes accepted")
 	}
-	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: ErrIO, Attr: Some(at())})); ok {
+	if _, ok := PeekReadRes(enc(&ReadRes{Status: ErrIO, Attr: Some(at())})); ok {
 		t.Fatal("error reply accepted")
 	}
 	full := enc(&ReadRes{Status: OK, Attr: Some(at())})
-	if _, end, ok := PeekReadRes(full); !ok || end != len(full) {
+	if _, ok := PeekReadRes(full); !ok {
 		t.Fatal("empty successful read rejected")
 	}
-	if _, _, ok := PeekReadRes(full[:len(full)-1]); ok {
+	if _, ok := PeekReadRes(full[:len(full)-1]); ok {
 		t.Fatal("truncated reply accepted")
 	}
-	// The result's end is where the data says, whatever follows it; data
-	// cut short of its length, or a count the data does not back, is no
+	// The result must end where the data says: bytes after it, data cut
+	// short of its length, or a count the data does not back are no
 	// layout to patch.
 	data := enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 5, Data: []byte("12345")})
-	if count, end, ok := PeekReadRes(append(data[:len(data):len(data)], "trailer"...)); !ok || count != 5 || end != len(data) {
-		t.Fatalf("reply with trailing bytes: %d %d %v, want 5 %d true", count, end, ok, len(data))
+	if count, ok := PeekReadRes(data); !ok || count != 5 {
+		t.Fatalf("five-byte read: %d %v, want 5 true", count, ok)
 	}
-	if _, _, ok := PeekReadRes(data[:len(data)-4]); ok {
+	if _, ok := PeekReadRes(append(data[:len(data):len(data)], "trailer\x00"...)); ok {
+		t.Fatal("reply with trailing bytes accepted")
+	}
+	if _, ok := PeekReadRes(data[:len(data)-4]); ok {
 		t.Fatal("reply shorter than its data accepted")
 	}
-	if _, _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 9, Data: []byte("12345")})); ok {
+	if _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 9, Data: []byte("12345")})); ok {
 		t.Fatal("count disagreeing with the opaque length accepted")
 	}
 }

@@ -51,8 +51,12 @@ const (
 	AcceptSystemErr    = 5
 )
 
-// Byte offsets of call header fields within an RPC payload, exported for
-// interposed rewriters.
+// Byte offsets of call and reply header fields within an RPC payload,
+// exported for interposed rewriters. A reply's header ends in one fixed
+// 64-bit word, the server's wall time for the call in nanoseconds (0 from
+// a server without an observer, and in every reply the µproxy builds
+// itself): interposed elements read it to split a hop's round trip into
+// server time and wire time.
 const (
 	OffXid      = 0
 	OffMsgType  = 4
@@ -61,7 +65,8 @@ const (
 	OffProc     = 16
 	CallHeader  = 20 // call body begins here
 	OffAccept   = 8  // within a reply
-	ReplyHeader = 12 // reply body begins here
+	OffServerNS = 12 // within a reply
+	ReplyHeader = 20 // reply body begins here
 )
 
 // EncodeCall assembles an RPC call message.
@@ -93,6 +98,7 @@ func putReply(e *xdr.Encoder, xid, accept uint32, res func(*xdr.Encoder)) {
 	e.PutUint32(xid)
 	e.PutUint32(MsgReply)
 	e.PutUint32(accept)
+	e.PutUint64(0) // server time, filled in by Server.serve
 	if res != nil && accept == AcceptSuccess {
 		res(e)
 	}
@@ -132,24 +138,21 @@ func BuildReply(src, dst netsim.Addr, xid, accept uint32, res func(*xdr.Encoder)
 	return d, nil
 }
 
-// Call is a decoded call header plus its argument body. When the call
-// carried the optional trace trailer (see trace.go), the server strips
-// it before dispatch and records the trace id here.
+// Call is a decoded call header plus its argument body.
 type Call struct {
 	Xid     uint32
 	Program uint32
 	Version uint32
 	Proc    uint32
 	Body    []byte // aliases the datagram payload
-	Trace   uint64 // trace id from the call trailer, if Traced
-	Traced  bool   // the call carried a trace trailer
 }
 
 // Reply is a decoded reply header plus its result body.
 type Reply struct {
-	Xid    uint32
-	Accept uint32
-	Body   []byte // aliases the datagram payload
+	Xid      uint32
+	Accept   uint32
+	ServerNS uint64 // the server's time for the call; 0 when it was not timed
+	Body     []byte // aliases the datagram payload
 
 	dgram []byte // the pooled receive buffer Body aliases, when owned
 }
@@ -216,7 +219,8 @@ func ParseReply(payload []byte) (Reply, error) {
 		return Reply{}, fmt.Errorf("%w: not a reply (type %d)", ErrBadMessage, mt)
 	}
 	accept, _ := d.Uint32()
-	return Reply{Xid: xid, Accept: accept, Body: payload[ReplyHeader:]}, nil
+	ns, _ := d.Uint64()
+	return Reply{Xid: xid, Accept: accept, ServerNS: ns, Body: payload[ReplyHeader:]}, nil
 }
 
 // Conn is the datagram endpoint an RPC client runs over. *netsim.Port
@@ -266,11 +270,6 @@ type ClientConfig struct {
 	// as random slack, decorrelating the retry storms of clients that
 	// timed out together (default 0.1; negative disables).
 	Jitter float64
-	// XidSeed seeds the client's xid sequence. Zero (the default) draws a
-	// per-client random seed, so a client restarted on a reused host/port
-	// cannot collide with its previous incarnation's entries in a server's
-	// duplicate-request cache.
-	XidSeed uint32
 	// Resolve, when non-nil, overrides the server address per transmission.
 	Resolve Resolver
 	// ResolveKey, when non-nil, overrides the server address per
@@ -433,12 +432,12 @@ type Client struct {
 // address. The client owns the port's receive side: on a port that offers
 // an upcall (a *netsim.Port) its reply dispatch becomes the port's
 // receiver, and on any other Conn a receive loop runs the same dispatch.
+// Its xid sequence starts at a per-client random draw, so a client
+// restarted on a reused host/port cannot collide with its previous
+// incarnation's entries in a server's duplicate-request cache.
 func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	cfg.defaults()
-	seed := cfg.XidSeed
-	if seed == 0 {
-		seed = randomUint32()
-	}
+	seed := randomUint32()
 	c := &Client{
 		port:   port,
 		server: server,
@@ -611,17 +610,17 @@ func (c *Client) dispatch(d []byte) {
 // Call issues proc of prog/vers with the encoded args and returns the
 // reply body. It retransmits on timeout.
 func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(0, netsim.Addr{}, 0, prog, vers, proc, args)
+	rep, err := c.call(0, netsim.Addr{}, prog, vers, proc, args)
+	return rep.Body, err
 }
 
 // CallTo is Call to dst, so one client serves every site a role calls. A
 // zero dst goes where Call goes, re-resolved before every transmission.
-// A nonzero traceID rides the call as the optional trace trailer, tying
-// the server-side work to the originating request's trace: servers that
-// predate the field ignore it, and the reply body may end with a reply
-// trailer readable via PeekReplyTrace.
-func (c *Client) CallTo(dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(0, dst, traceID, prog, vers, proc, args)
+// It returns the whole reply, so the caller can read the server's time
+// for the call (Reply.ServerNS); the reply's Body is the caller's own
+// copy, and there is nothing to Free.
+func (c *Client) CallTo(dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
+	return c.call(0, dst, prog, vers, proc, args)
 }
 
 // CallKeyed issues a call tagged with a flow key: every transmission —
@@ -630,7 +629,8 @@ func (c *Client) CallTo(dst netsim.Addr, traceID uint64, prog, vers, proc uint32
 // fleet reconfigurations. Without a ResolveKey it behaves exactly like
 // Call.
 func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	return c.call(key, netsim.Addr{}, 0, prog, vers, proc, args)
+	rep, err := c.call(key, netsim.Addr{}, prog, vers, proc, args)
+	return rep.Body, err
 }
 
 // CallKeyedReply is CallKeyed without the copy: the returned reply's Body
@@ -639,27 +639,25 @@ func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.E
 // the body. It is how a bulk reader gets a 32 KiB READ result with no
 // intermediate allocation.
 func (c *Client) CallKeyedReply(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
-	return c.roundTrip(key, netsim.Addr{}, 0, prog, vers, proc, args)
+	return c.roundTrip(key, netsim.Addr{}, prog, vers, proc, args)
 }
 
-func (c *Client) call(key uint64, dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	rep, err := c.roundTrip(key, dst, traceID, prog, vers, proc, args)
+// call is roundTrip with the reply's body copied out and its buffer
+// freed.
+func (c *Client) call(key uint64, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
+	rep, err := c.roundTrip(key, dst, prog, vers, proc, args)
 	if err != nil {
-		return nil, err
+		return Reply{}, err
 	}
-	return rep.detach(), nil
-}
-
-// detach copies the body out of an owned reply and frees its buffer.
-func (r *Reply) detach() []byte {
-	body := append([]byte(nil), r.Body...)
-	r.Free()
-	return body
+	body := append([]byte(nil), rep.Body...)
+	rep.Free()
+	rep.Body = body
+	return rep, nil
 }
 
 // roundTrip encodes one call into a pooled buffer, which lives exactly as
 // long as the call may still be retransmitted, and runs it.
-func (c *Client) roundTrip(key uint64, dst netsim.Addr, traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
+func (c *Client) roundTrip(key uint64, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	xid, pc, err := c.register()
 	if err != nil {
 		return Reply{}, err
@@ -668,18 +666,14 @@ func (c *Client) roundTrip(key uint64, dst netsim.Addr, traceID uint64, prog, ve
 	e := newMessageEncoder(CallHeader)
 	defer e.Release()
 	putCall(e, xid, prog, vers, proc, args)
-	payload := e.Bytes()
-	if traceID != 0 {
-		payload = AppendCallTrace(payload, traceID)
-	}
-	return c.transact(key, dst, xid, proc, payload, pc)
+	return c.transact(key, dst, xid, proc, e.Bytes(), pc)
 }
 
-// transact runs the retransmit/timeout loop for one registered call. It
-// is shared by the synchronous and asynchronous call paths, so every
-// concurrent call gets the same backoff, jitter, and re-resolve
-// behaviour. The caller owns the returned reply (see Reply.Free); pc is
-// transact's to recycle and must not be used after it returns.
+// transact runs the retransmit/timeout loop for one registered call, so
+// every call, whichever method issued it, gets the same backoff, jitter,
+// and re-resolve behaviour. The caller owns the returned reply (see
+// Reply.Free); pc is transact's to recycle and must not be used after it
+// returns.
 func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload []byte, pc *pendingCall) (Reply, error) {
 	timeout := c.cfg.Timeout
 	dst := c.target(key, to)
@@ -832,9 +826,9 @@ func NewServer(port *netsim.Port, handler Handler) *Server {
 func (s *Server) Addr() netsim.Addr { return s.port.Addr() }
 
 // SetObserver installs (or, with nil, removes) the server's observer.
-// While an observer is installed the server also times every handler and
-// appends the reply trace trailer, so interposed elements can split this
-// hop's round-trip into server time and wire time.
+// While an observer is installed the server also writes each call's time
+// into its reply header (OffServerNS), so interposed elements can split
+// this hop's round trip into server time and wire time.
 func (s *Server) SetObserver(fn ServerObserver) {
 	if fn == nil {
 		s.obs.Store(nil)
@@ -898,11 +892,6 @@ func (s *Server) serve(d []byte) {
 		netsim.FreeBuf(d)
 		return
 	}
-	if id, body, ok := SplitCallTrace(call.Body); ok {
-		call.Body = body
-		call.Trace = id
-		call.Traced = true
-	}
 	from := h.Src
 	key := drcKey{host: from, xid: call.Xid}
 	id := callID{prog: call.Program, vers: call.Version,
@@ -914,9 +903,8 @@ func (s *Server) serve(d []byte) {
 	}
 
 	obsFn := s.obs.Load()
-	timed := obsFn != nil || call.Traced
 	var t0 time.Time
-	if timed {
+	if obsFn != nil {
 		t0 = time.Now()
 	}
 	res, accept := s.handler.ServeRPC(call, from)
@@ -924,17 +912,12 @@ func (s *Server) serve(d []byte) {
 	// READ's data is read straight into the datagram that carries it.
 	e := newDatagramEncoder(ReplyHeader)
 	putReply(e, call.Xid, accept, res)
-	var handlerNS uint64
-	if timed {
-		handlerNS = uint64(time.Since(t0))
-	}
-	if obsFn != nil {
-		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
-	}
-	if timed {
-		putReplyTrace(e, call.Trace, handlerNS)
-	}
 	out := e.Bytes()
+	if obsFn != nil {
+		handlerNS := uint64(time.Since(t0))
+		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
+		binary.BigEndian.PutUint64(out[netsim.HeaderSize+OffServerNS:], handlerNS)
+	}
 	// call.Args (and possibly res) alias the request datagram;
 	// putReply copied everything out, so it can go back now.
 	netsim.FreeBuf(d)

@@ -152,19 +152,15 @@ func (p *Proxy) histE2E(prog uint32, proc nfsproto.Proc) *obs.Histogram {
 
 // recordHop attributes the forwarded hop's round trip — forward time to
 // hopEnd, the first reading of the reply that completed it — when its
-// (last) reply pairs. The reply trailer, when present, splits out the
-// server's handler time; the caller owns pd exclusively.
-func (p *Proxy) recordHop(pd *pendingReq, hopEnd int64, replyBody []byte) {
+// (last) reply pairs, and the server's time for the call, read from the
+// reply header, to the span. The caller owns pd exclusively.
+func (p *Proxy) recordHop(pd *pendingReq, hopEnd int64, serverNS uint64) {
 	if p.hists == nil && pd.span == nil {
 		return
 	}
 	total := uint64(hopEnd - pd.clk.last)
-	var srvNS uint64
-	if _, ns, ok := oncrpc.PeekReplyTrace(replyBody); ok {
-		srvNS = ns
-	}
 	if pd.span != nil {
-		pd.span.AddHop(pd.hop, total, srvNS)
+		pd.span.AddHop(pd.hop, total, serverNS)
 	}
 	if p.hists != nil {
 		if h := p.hists.hop[pd.hop]; h != nil {
@@ -212,39 +208,25 @@ func (p *Proxy) hopForSite(addr netsim.Addr) obs.HopKind {
 }
 
 // obsCall wraps a µproxy-originated RPC to dst (zero: the coordinator):
-// it carries the span's trace id on the wire (so the server's reply
-// trailer attributes its handler time), times the round trip, and
-// records the hop.
+// it times the round trip and records the hop, with the server's time for
+// the call from the reply header.
 func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
 	c, err := p.rpc()
 	if err != nil {
 		return nil, err
 	}
-	if sp == nil && p.hists == nil {
-		return c.CallTo(dst, 0, prog, vers, proc, args)
-	}
-	var traceID uint64
-	if sp != nil {
-		traceID = sp.ID
-	}
 	t0 := p.now()
-	body, err := c.CallTo(dst, traceID, prog, vers, proc, args)
+	rep, err := c.CallTo(dst, prog, vers, proc, args)
 	total := uint64(p.now() - t0)
-	var srvNS uint64
-	if err == nil {
-		if _, ns, ok := oncrpc.PeekReplyTrace(body); ok {
-			srvNS = ns
-		}
-	}
 	if sp != nil {
-		sp.AddHop(hop, total, srvNS)
+		sp.AddHop(hop, total, rep.ServerNS)
 	}
 	if p.hists != nil {
 		if h := p.hists.hop[hop]; h != nil {
 			h.Record(total)
 		}
 	}
-	return body, err
+	return rep.Body, err
 }
 
 // answerStats serves one absorbed stats-program call (obs.Program) from

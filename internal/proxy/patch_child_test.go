@@ -15,14 +15,14 @@ import (
 
 // TestChildAndGetAttrRepliesPatchedInPlace: a successful LOOKUP, CREATE,
 // MKDIR, SYMLINK or GETATTR reply — with or without the directory's
-// attributes, with or without the server's trace trailer — leaves the
-// µproxy in the buffer it arrived in, carrying the cache's attributes
-// (here fresher than the server's: a size and mtime from I/O the directory
-// server has not heard of), and is byte for byte what the path it replaced
-// builds: decode, substitute the cached attributes, re-encode, Build. Any
-// other shape — child attributes absent, bytes after the result that are
-// not exactly a trace trailer — still takes that path, in a fresh buffer;
-// an error status passes through untouched but for its source.
+// attributes — leaves the µproxy in the buffer it arrived in, carrying the
+// cache's attributes (here fresher than the server's: a size and mtime
+// from I/O the directory server has not heard of), and is byte for byte
+// what the path it replaced builds: decode, substitute the cached
+// attributes, re-encode, Build. Any other shape — child attributes absent,
+// any bytes after the result, the old trace trailer's included — still
+// takes that path, in a fresh buffer; an error status passes through
+// untouched but for its source.
 func TestChildAndGetAttrRepliesPatchedInPlace(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	dirAddr := netsim.Addr{Host: 30, Port: 2049}
@@ -46,8 +46,9 @@ func TestChildAndGetAttrRepliesPatchedInPlace(t *testing.T) {
 
 	dir := fhandle.Handle{Volume: 1, FileID: 42, Gen: 1, Type: uint8(attr.TypeDir)}
 	dirAt := attr.Attr{Type: attr.TypeDir, Mode: 0o755, Nlink: 2, FileID: 42, Mtime: attr.Time{Sec: 50}}
-	trailer := oncrpc.AppendReplyTrace(nil, 7, 1234)
-	lookalike := append(bytes.Repeat([]byte{0xAB}, oncrpc.ReplyTraceLen-8), trailer[oncrpc.ReplyTraceLen-8:]...)
+	// What a timed reply once carried after its result: trace id, server
+	// nanoseconds, then the magic "SLICTRAC".
+	oldTrailer := append(bytes.Repeat([]byte{0xAB}, 16), "SLICTRAC"...)
 
 	type path int
 	const (
@@ -144,12 +145,10 @@ func TestChildAndGetAttrRepliesPatchedInPlace(t *testing.T) {
 		}{
 			{"plain", nil, false, false, inPlace},
 			{"dir attributes", nil, true, false, inPlace},
-			{"trace trailer", trailer, false, false, inPlace},
-			{"dir attributes and trace trailer", trailer, true, false, inPlace},
 			{"child attributes absent", nil, true, true, reencoded},
 			{"four stray bytes", []byte{1, 2, 3, 4}, false, false, reencoded},
-			{"trailer-length tail without the magic", make([]byte, oncrpc.ReplyTraceLen), true, false, reencoded},
-			{"magic behind a tail of the wrong length", lookalike[4:], false, false, reencoded},
+			{"old trace trailer", oldTrailer, false, false, reencoded},
+			{"dir attributes and old trace trailer", oldTrailer, true, false, reencoded},
 		} {
 			// The file is known to the µproxy with attributes newer than
 			// the directory server's: observed once, then grown by I/O.
@@ -189,10 +188,10 @@ func TestChildAndGetAttrRepliesPatchedInPlace(t *testing.T) {
 		// An error status is not patched.
 		if proc == nfsproto.ProcGetAttr {
 			exchange(proc.String()+", error status", proc, &nfsproto.GetAttrArgs{FH: dir},
-				&nfsproto.GetAttrRes{Status: nfsproto.ErrStale}, trailer, fhandle.Handle{}, passed)
+				&nfsproto.GetAttrRes{Status: nfsproto.ErrStale}, nil, fhandle.Handle{}, passed)
 		} else {
 			exchange(proc.String()+", error status", proc, childArgs(proc),
-				&nfsproto.LookupRes{Status: nfsproto.ErrNoEnt, DirAttr: nfsproto.Some(dirAt)}, trailer, fhandle.Handle{}, passed)
+				&nfsproto.LookupRes{Status: nfsproto.ErrNoEnt, DirAttr: nfsproto.Some(dirAt)}, nil, fhandle.Handle{}, passed)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package proxy_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -66,7 +67,8 @@ func (r *rawReader) checkCanonical(d []byte) (res nfsproto.ReadRes) {
 // canonical decodes the reply d into res and asserts that d is exactly
 // the datagram the virtual server would send had the reply been decoded,
 // re-encoded and built from scratch — the path the in-place patch
-// replaced.
+// replaced — with the server's time for the call in the reply header,
+// which an in-place patch leaves as the server wrote it.
 func (r *rawReader) canonical(d []byte, res nfsproto.Msg) {
 	r.t.Helper()
 	h, err := netsim.Parse(d)
@@ -83,8 +85,9 @@ func (r *rawReader) canonical(d []byte, res nfsproto.Msg) {
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		r.t.Fatal(err)
 	}
-	want, err := netsim.Build(r.e.Virtual, r.port.Addr(),
-		oncrpc.EncodeReply(rep.Xid, oncrpc.AcceptSuccess, res.Encode))
+	payload := oncrpc.EncodeReply(rep.Xid, oncrpc.AcceptSuccess, res.Encode)
+	binary.BigEndian.PutUint64(payload[oncrpc.OffServerNS:], rep.ServerNS)
+	want, err := netsim.Build(r.e.Virtual, r.port.Addr(), payload)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -200,22 +203,23 @@ func TestReadReplyPatchedInPlace(t *testing.T) {
 	}
 }
 
-// TestReadReplyPatchKeepsTrailerLookalike: a server's trace trailer is
-// cut off a patched READ reply, file data that merely ends in the
-// trailer's magic never is — whether the data servers append a trailer
-// behind it or, unobserved and answering an untraced call, send none.
+// TestReadReplyPatchKeepsTrailerLookalike: READ data that ends like the
+// trace trailer replies once carried — in its magic, "SLICTRAC" — reaches
+// the client unchanged through the in-place patch, whether the data
+// servers are observed (and write their time into the reply header) or
+// not.
 func TestReadReplyPatchKeepsTrailerLookalike(t *testing.T) {
 	const unit = 32 << 10
 	const size = 64<<10 + 4*unit
 	magic := []byte("SLICTRAC")
 
-	for _, traced := range []bool{true, false} {
+	for _, observed := range []bool{true, false} {
 		content := make([]byte, size)
 		for i := range content {
 			content[i] = byte(i*7 + i>>11)
 		}
 		e := newEnsemble(t, nil)
-		if !traced {
+		if !observed {
 			for _, n := range e.Storage {
 				n.SetObs(nil)
 			}
@@ -235,10 +239,10 @@ func TestReadReplyPatchKeepsTrailerLookalike(t *testing.T) {
 		if _, err := c.GetAttr(fh); err != nil { // the patch needs cached attributes
 			t.Fatal(err)
 		}
-		// A WRITE call ending in the magic would itself be taken for a
-		// traced call, so the lookalike goes into the stores directly, at
-		// the end of every stripe unit. An object is sparse, addressed by
-		// file offset: the units a node does not hold are holes in it.
+		// The lookalike goes into the stores directly, at the end of every
+		// stripe unit, so only the read path is under test. An object is
+		// sparse, addressed by file offset: the units a node does not hold
+		// are holes in it.
 		obj, stamped := storage.ObjectOf(fh), 0
 		for _, n := range e.Storage {
 			sz, _ := n.Store().Size(obj)
@@ -268,10 +272,10 @@ func TestReadReplyPatchKeepsTrailerLookalike(t *testing.T) {
 			res := r.checkCanonical(r.read(fh, off, unit))
 			if res.Status != nfsproto.OK || !res.Attr.Present || res.Attr.Attr.Size != size ||
 				!bytes.Equal(res.Data, content[off:off+unit]) {
-				t.Fatalf("traced=%v: read at %d: status %v, attr %+v, %d bytes", traced, off, res.Status, res.Attr, len(res.Data))
+				t.Fatalf("observed=%v: read at %d: status %v, attr %+v, %d bytes", observed, off, res.Status, res.Attr, len(res.Data))
 			}
 			if !bytes.HasSuffix(res.Data, magic) {
-				t.Fatalf("traced=%v: read at %d does not end in the lookalike", traced, off)
+				t.Fatalf("observed=%v: read at %d does not end in the lookalike", observed, off)
 			}
 		}
 		e.Close()
@@ -279,15 +283,15 @@ func TestReadReplyPatchKeepsTrailerLookalike(t *testing.T) {
 }
 
 // TestNameRepliesPatchedFromTheCache: what the directory servers really
-// answer MKDIR, CREATE, LOOKUP and GETATTR with — trace trailer appended
-// or, unobserved, not — reaches the client as the virtual server's reply,
+// answer MKDIR, CREATE, LOOKUP and GETATTR with — their time in the reply
+// header or, unobserved, 0 — reaches the client as the virtual server's reply,
 // canonical to the byte, and carrying the µproxy's attributes where they
 // are fresher: the size of a file grown through the µproxy, which its
 // directory server still believes empty.
 func TestNameRepliesPatchedFromTheCache(t *testing.T) {
-	for _, traced := range []bool{true, false} {
+	for _, observed := range []bool{true, false} {
 		e := newEnsemble(t, nil)
-		if !traced {
+		if !observed {
 			for _, d := range e.Dirs {
 				d.SetObs(nil)
 			}
@@ -302,11 +306,11 @@ func TestNameRepliesPatchedFromTheCache(t *testing.T) {
 		var made nfsproto.CreateRes
 		r.canonical(r.call(nfsproto.ProcMkdir, &nfsproto.CreateArgs{Dir: c.Root(), Name: "d"}), &made)
 		if made.Status != nfsproto.OK || !made.Attr.Present || made.Attr.Attr.Type != attr.TypeDir {
-			t.Fatalf("traced=%v: MKDIR: %+v", traced, made)
+			t.Fatalf("observed=%v: MKDIR: %+v", observed, made)
 		}
 		r.canonical(r.call(nfsproto.ProcCreate, &nfsproto.CreateArgs{Dir: made.FH, Name: "f"}), &made)
 		if made.Status != nfsproto.OK || !made.Attr.Present || made.Attr.Attr.Type != attr.TypeReg || made.Attr.Attr.Size != 0 {
-			t.Fatalf("traced=%v: CREATE: %+v", traced, made)
+			t.Fatalf("observed=%v: CREATE: %+v", observed, made)
 		}
 		fh := made.FH
 		const size = 100 << 10
@@ -321,12 +325,12 @@ func TestNameRepliesPatchedFromTheCache(t *testing.T) {
 		}
 		r.canonical(r.call(nfsproto.ProcLookup, &nfsproto.LookupArgs{Dir: dir, Name: "f"}), &found)
 		if found.Status != nfsproto.OK || found.FH != fh || !found.Attr.Present || found.Attr.Attr.Size != size {
-			t.Fatalf("traced=%v: LOOKUP: %+v, want the %d bytes written through the µproxy", traced, found, size)
+			t.Fatalf("observed=%v: LOOKUP: %+v, want the %d bytes written through the µproxy", observed, found, size)
 		}
 		var got nfsproto.GetAttrRes
 		r.canonical(r.call(nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}), &got)
 		if got.Status != nfsproto.OK || got.Attr.Size != size || got.Attr.FileID != fh.FileID {
-			t.Fatalf("traced=%v: GETATTR: %+v", traced, got)
+			t.Fatalf("observed=%v: GETATTR: %+v", observed, got)
 		}
 		e.Close()
 	}

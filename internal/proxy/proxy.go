@@ -934,7 +934,7 @@ func (p *Proxy) injectToAll(d []byte, targets []netsim.Addr) {
 // nfsCall issues an NFS call the µproxy originates itself (lookups for
 // remove orchestration, setattr writeback, commit fan-out). The call is
 // attributed to span sp (nil for background work) as a hop of the given
-// kind, carrying the trace id on the wire.
+// kind.
 func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
 	p.st.initiated.Add(1)
 	body, err := p.obsCall(sp, hop, addr, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)

@@ -91,10 +91,10 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 	s.mu.Unlock()
 	// The record is now exclusively owned by this goroutine: lookups and
 	// deletion are serialized by the shard lock. Its last reply arrived
-	// when that reply's clock started, which ends the forwarded hop (the
-	// reply trailer, when the server appended one, splits out its handler
-	// time); from here the request's clock runs on the reply's readings.
-	p.recordHop(pd, clk.start, rep.Body)
+	// when that reply's clock started, which ends the forwarded hop (its
+	// header splits out the server's time); from here the request's clock
+	// runs on the reply's readings.
+	p.recordHop(pd, clk.start, rep.ServerNS)
 	clk.start = pd.clk.start
 	pd.clk = clk
 
@@ -223,14 +223,12 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 	case nfsproto.ProcRead:
 		// Only a successful read is an access, and only to a file whose
 		// attributes are cached: see attrCache. Any shape but the fixed
-		// one, followed by at most a trace trailer, is re-encoded.
-		if count, end, ok := nfsproto.PeekReadRes(rep.Body); ok {
-			if trailer, ok := replyTrailer(rep.Body, end); ok {
-				if at, ok := p.attrs.access(fh, now); ok {
-					p.lap(&pd.clk, stSoftState)
-					p.patchRead(d, pd, trailer, &at, pd.info.Offset+uint64(count) >= at.Size)
-					return
-				}
+		// one is re-encoded.
+		if count, ok := nfsproto.PeekReadRes(rep.Body); ok {
+			if at, ok := p.attrs.access(fh, now); ok {
+				p.lap(&pd.clk, stSoftState)
+				p.patchRead(d, pd, &at, pd.info.Offset+uint64(count) >= at.Size)
+				return
 			}
 		}
 		// The bytes are about to go into a fresh datagram, whose new
@@ -329,22 +327,6 @@ func (p *Proxy) fetchFor(pd *pendingReq, fh fhandle.Handle) (nfsproto.Status, er
 	return p.fetchAttr(pd.span, fh)
 }
 
-// replyTrailer reports how many bytes of a reply body beyond end, where its
-// result ends, are the server's trace trailer — 0 or oncrpc.ReplyTraceLen —
-// and whether the body holds nothing else. The trailer is known by its
-// length, with the magic as a cross-check, never by the magic alone (file
-// data may end in those bytes); a reply of any other shape is re-encoded.
-func replyTrailer(body []byte, end int) (trailer int, ok bool) {
-	switch len(body) - end {
-	case 0:
-		return 0, true
-	case oncrpc.ReplyTraceLen:
-		_, _, ok = oncrpc.PeekReplyTrace(body)
-		return oncrpc.ReplyTraceLen, ok
-	}
-	return 0, false
-}
-
 // peekAttr decodes the attribute block at offset off of a reply body whose
 // shape a Peek has validated.
 func peekAttr(body []byte, off int) (at attr.Attr) {
@@ -352,24 +334,19 @@ func peekAttr(body []byte, off int) (at attr.Attr) {
 	return at
 }
 
-// patchAttr is the in-place patch every reply kind shares: it cuts the
-// trailer bytes the server's trace trailer occupies after the result off
-// the received reply d (0 when it sent none), overwrites the attribute
-// block at offset off of its body with at, and returns the shortened
-// datagram for injectPatched. Each edit repairs the checksum
-// differentially, so the cost follows the ~100 bytes changed, not the
-// bytes carried, and the result is byte for byte the datagram a decode,
-// re-encode and Build would have produced. The buffer is the µproxy's from
-// interception to injection: callers copy out everything they observe from
-// it before this first overwrite, and nothing refers to it afterwards.
-func (p *Proxy) patchAttr(d []byte, pd *pendingReq, trailer, off int, at *attr.Attr) []byte {
-	if trailer > 0 {
-		d, _ = netsim.TrimTail(d, trailer) // cannot fail: the caller measured it inside the body
-	}
+// patchAttr is the in-place patch every reply kind shares: it overwrites
+// the attribute block at offset off of the received reply d's body with
+// at. The edit repairs the checksum differentially, so the cost follows
+// the ~100 bytes changed, not the bytes carried, and the result is byte
+// for byte the datagram a decode, re-encode and Build would have produced,
+// but for the reply header's server time, which stays the server's. The
+// buffer is the µproxy's from interception to injection: callers copy out
+// everything they observe from it before this first overwrite, and
+// nothing refers to it afterwards.
+func (p *Proxy) patchAttr(d []byte, pd *pendingReq, off int, at *attr.Attr) {
 	at.Encode(xdr.NewEncoderBuf(pd.attrBuf[:0]))
 	// The offset is even and inside the body the caller's Peek validated.
 	_ = netsim.RewriteBytes(d, netsim.HeaderSize+oncrpc.ReplyHeader+off, pd.attrBuf[:])
-	return d
 }
 
 // injectPatched restores the virtual server as the source of a reply
@@ -386,20 +363,21 @@ func (p *Proxy) injectPatched(d []byte, pd *pendingReq) {
 // offset off of its body, which held srv — fh's attributes as the directory
 // server sees them, just observed into the cache — becomes what the cache
 // now holds for fh, where locally known size and times win.
-func (p *Proxy) injectMerged(d []byte, pd *pendingReq, trailer, off int, fh fhandle.Handle, srv attr.Attr) {
+func (p *Proxy) injectMerged(d []byte, pd *pendingReq, off int, fh fhandle.Handle, srv attr.Attr) {
 	at, ok := p.attrs.get(fh)
 	if !ok {
 		at = srv // flushed in between: the server's attributes stand
 	}
 	p.lap(&pd.clk, stSoftState)
-	p.injectPatched(p.patchAttr(d, pd, trailer, off, &at), pd)
+	p.patchAttr(d, pd, off, &at)
+	p.injectPatched(d, pd)
 }
 
 // patchRead patches a data server's READ reply in place without touching
 // the data: the placeholder attribute block becomes at, and the EOF flag,
 // which reflected the server's local object, becomes eof.
-func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, eof bool) {
-	d = p.patchAttr(d, pd, trailer, nfsproto.ReadResAttrOff, at)
+func (p *Proxy) patchRead(d []byte, pd *pendingReq, at *attr.Attr, eof bool) {
+	p.patchAttr(d, pd, nfsproto.ReadResAttrOff, at)
 	var eofWord [4]byte
 	if eof {
 		eofWord[3] = 1
@@ -417,17 +395,15 @@ func (p *Proxy) patchRead(d []byte, pd *pendingReq, trailer int, at *attr.Attr, 
 // observed straight from the received bytes and patched in place; any
 // other is decoded and re-encoded.
 func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
-	if dirOff, end, ok := nfsproto.PeekChildRes(rep.Body); ok {
-		if trailer, ok := replyTrailer(rep.Body, end); ok {
-			fh, _ := fhandle.Unmarshal(rep.Body[nfsproto.ChildResFHOff : nfsproto.ChildResFHOff+fhandle.Size]) // cannot fail: the length is right
-			srv := peekAttr(rep.Body, nfsproto.ChildResAttrOff)
-			p.observeAttr(fh, srv)
-			if dirOff > 0 {
-				p.observeAttr(pd.info.FH, peekAttr(rep.Body, dirOff))
-			}
-			p.injectMerged(d, pd, trailer, nfsproto.ChildResAttrOff, fh, srv)
-			return
+	if dirOff, ok := nfsproto.PeekChildRes(rep.Body); ok {
+		fh, _ := fhandle.Unmarshal(rep.Body[nfsproto.ChildResFHOff : nfsproto.ChildResFHOff+fhandle.Size]) // cannot fail: the length is right
+		srv := peekAttr(rep.Body, nfsproto.ChildResAttrOff)
+		p.observeAttr(fh, srv)
+		if dirOff > 0 {
+			p.observeAttr(pd.info.FH, peekAttr(rep.Body, dirOff))
 		}
+		p.injectMerged(d, pd, nfsproto.ChildResAttrOff, fh, srv)
+		return
 	}
 	var res nfsproto.LookupRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
@@ -456,15 +432,13 @@ func (p *Proxy) respondChild(d []byte, key pendKey, pd *pendingReq, rep oncrpc.R
 // respondGetAttr folds a GETATTR reply into the attribute cache, then
 // answers the client with the merged attributes (local dirty size/mtime
 // win over the directory server's stale view) — in place when the reply is
-// a successful result and at most the trace trailer.
+// exactly a successful result.
 func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Reply) {
-	if end, ok := nfsproto.PeekGetAttrRes(rep.Body); ok {
-		if trailer, ok := replyTrailer(rep.Body, end); ok {
-			srv := peekAttr(rep.Body, nfsproto.GetAttrResAttrOff)
-			p.observeAttr(pd.info.FH, srv)
-			p.injectMerged(d, pd, trailer, nfsproto.GetAttrResAttrOff, pd.info.FH, srv)
-			return
-		}
+	if nfsproto.PeekGetAttrRes(rep.Body) {
+		srv := peekAttr(rep.Body, nfsproto.GetAttrResAttrOff)
+		p.observeAttr(pd.info.FH, srv)
+		p.injectMerged(d, pd, nfsproto.GetAttrResAttrOff, pd.info.FH, srv)
+		return
 	}
 	var res nfsproto.GetAttrRes
 	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {

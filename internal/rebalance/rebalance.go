@@ -507,7 +507,8 @@ func (d *Driver) call(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.
 	if err != nil {
 		return nil, err
 	}
-	return c.CallTo(site, 0, prog, vers, proc, args)
+	rep, err := c.CallTo(site, prog, vers, proc, args)
+	return rep.Body, err
 }
 
 // retry runs op until it succeeds or the retry budget is spent — a

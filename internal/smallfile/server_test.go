@@ -52,7 +52,7 @@ func TestServerReadReply(t *testing.T) {
 	if a := res.Attr.Attr; !res.Attr.Present || a.Size != 10 || a.FileID != 3 {
 		t.Fatalf("placeholder attributes %+v", res.Attr)
 	}
-	if _, _, ok := nfsproto.PeekReadRes(body); !ok {
+	if _, ok := nfsproto.PeekReadRes(body); !ok {
 		t.Fatal("reply lacks the patchable layout")
 	}
 	// An offset past int64 is one the store refuses.

@@ -359,8 +359,8 @@ func TestNodeWriteReadCommitRPC(t *testing.T) {
 	if a := rres.Attr.Attr; !rres.Attr.Present || a.Size != 5 || a.FileID != fh.FileID || a.Used != BlockSize {
 		t.Fatalf("read placeholder attributes %+v", rres.Attr)
 	}
-	if count, end, ok := nfsproto.PeekReadRes(body); !ok || count != 5 || end != len(body) {
-		t.Fatalf("PeekReadRes = %d %d %v", count, end, ok)
+	if count, ok := nfsproto.PeekReadRes(body); !ok || count != 5 {
+		t.Fatalf("PeekReadRes = %d %v", count, ok)
 	}
 
 	// A short read inside the object, and a read of an object that was
@@ -378,7 +378,7 @@ func TestNodeWriteReadCommitRPC(t *testing.T) {
 		rres.Count != 0 || !rres.EOF || len(rres.Data) != 0 || !rres.Attr.Present {
 		t.Fatalf("read of a missing object %+v, %v", rres, err)
 	}
-	if _, _, ok := nfsproto.PeekReadRes(body); !ok {
+	if _, ok := nfsproto.PeekReadRes(body); !ok {
 		t.Fatal("missing-object reply lacks the patchable layout")
 	}
 }

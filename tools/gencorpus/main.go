@@ -1,9 +1,9 @@
 // Command gencorpus regenerates the checked-in fuzz seed corpora under
 // each package's testdata/fuzz/<Target>/ directory. The seeds cover the
 // interesting wire shapes — valid frames, torn tails, corrupted
-// checksums, trace trailers — so plain `go test` (which replays the seed
-// corpus without -fuzz) exercises the parsers' edge paths on every CI
-// run, and fuzz runs start from structured inputs instead of noise.
+// checksums — so plain `go test` (which replays the seed corpus without
+// -fuzz) exercises the parsers' edge paths on every CI run, and fuzz runs
+// start from structured inputs instead of noise.
 //
 //	go run ./tools/gencorpus
 package main
@@ -26,6 +26,19 @@ import (
 )
 
 func main() {
+	// Every seed is written afresh, so one the generator no longer writes
+	// is gone from the tree (and make corpus-check reports it) rather than
+	// left behind, stale. Fuzz findings kept beside the seeds are not
+	// named seed_*.
+	stale, err := filepath.Glob(filepath.Join("internal", "*", "testdata", "fuzz", "*", "seed_*"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, f := range stale {
+		if err := os.Remove(f); err != nil {
+			log.Fatal(err)
+		}
+	}
 	emitChecksum()
 	emitNetsim()
 	emitNfsproto()
@@ -130,10 +143,10 @@ func emitNetsim() {
 
 	// FuzzDifferentialEdit(payload, flip, edit): flip is the corrupted
 	// byte's index (low 24 bits) and xor mask (top 8); edit is the offset
-	// (low 16) and length (top 16) of the RewriteUint64/RewriteBytes/
-	// TrimTail edits. A READ-reply-sized payload, corrupted in the data, in
-	// each header field an edit writes or reads, and in the tail TrimTail
-	// cuts; an odd length, which TrimTail refuses.
+	// (low 16) and length (top 16) of the RewriteUint64/RewriteBytes
+	// edits. A READ-reply-sized payload, corrupted in the data, in each
+	// header field an edit writes or reads, and near its end; an odd
+	// length.
 	const edit = "FuzzDifferentialEdit"
 	reply := bytes.Repeat([]byte("data"), 1024+28)
 	flip := func(at int, mask byte) uint32 { return uint32(mask)<<24 | uint32(at) }
@@ -199,17 +212,9 @@ func emitOncrpc() {
 	write("oncrpc", target, "seed_call", call)
 	reply := oncrpc.EncodeReply(7, oncrpc.AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(42) })
 	write("oncrpc", target, "seed_reply", reply)
-
-	// Trace trailers: a traced call and a timed reply, plus a trailer
-	// whose magic is one bit off (must parse as plain payload).
-	traced := oncrpc.AppendCallTrace(append([]byte(nil), call...), 0xABCDEF)
-	write("oncrpc", target, "seed_call_traced", traced)
-	timed := oncrpc.AppendReplyTrace(append([]byte(nil), reply...), 0xABCDEF, 12345)
-	write("oncrpc", target, "seed_reply_traced", timed)
-	badmagic := append([]byte(nil), traced...)
-	badmagic[len(badmagic)-1] ^= 0x01
-	write("oncrpc", target, "seed_trace_badmagic", badmagic)
-
+	timed := append([]byte(nil), reply...)
+	binary.BigEndian.PutUint64(timed[oncrpc.OffServerNS:], 12345) // the server's time for the call
+	write("oncrpc", target, "seed_reply_timed", timed)
 	write("oncrpc", target, "seed_call_torn", call[:9])
 	write("oncrpc", target, "seed_unsupported_vers", []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9})
 }
