@@ -442,8 +442,10 @@ func (p *Port) Close() {
 // delivered to the port is verified as Recv verifies it and handed to fn
 // on the delivering goroutine — the sender's, or a delay timer's — instead
 // of being queued, so no receiving goroutine is woken to take it. fn owns
-// the datagram it is given and must not block: it runs inside the
-// sender's send. Set it before traffic is addressed to the port: datagrams
+// the datagram it is given and runs inside the sender's send, so it must
+// not wait on anything a sender may hold: an RPC client's reply dispatch
+// never blocks, and a data server's handler waits only on its own store.
+// Set it before traffic is addressed to the port: datagrams
 // already queued are passed to fn at once, but one queued while SetUpcall
 // runs would wait for a Recv. A delivery after Close is dropped (counted in
 // Stats.Dropped); Recv and TryRecv see nothing once an upcall is set.

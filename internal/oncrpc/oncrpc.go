@@ -256,13 +256,29 @@ type Resolver func() netsim.Addr
 // thread-safe and allocation-free: they run on the bulk I/O fast path.
 type KeyResolver func(key uint64) netsim.Addr
 
-// backoff multiplies a call's retransmission timeout after each attempt.
+// backoff multiplies a call's retransmission timeout after each attempt,
+// up to maxTimeout.
 const backoff = 2
+
+// maxTimeout caps the doubling of a call's retransmission timeout, so the
+// ladder bounds a call's time and not only its attempts: past the cap each
+// attempt waits maxTimeout (plus jitter), where 40 uncapped attempts from
+// 25 ms would reach a 100 s wait by the 13th (DESIGN.md §15.2). An initial
+// timeout configured above the cap is kept, and does not grow.
+const maxTimeout = 2 * time.Second
+
+// backedOff returns the retransmission timeout that follows t.
+func backedOff(t time.Duration) time.Duration {
+	if t >= maxTimeout {
+		return t
+	}
+	return min(t*backoff, maxTimeout)
+}
 
 // ClientConfig tunes RPC client behaviour.
 type ClientConfig struct {
 	// Timeout is the initial retransmission timeout (default 50ms); it
-	// doubles after each retransmission.
+	// doubles after each retransmission, up to 2 s (maxTimeout).
 	Timeout time.Duration
 	// Retries is the maximum number of transmissions (default 5).
 	Retries int
@@ -414,6 +430,7 @@ type pendingShard struct {
 // any number of goroutines.
 type Client struct {
 	port   Conn
+	sealer sealer // port, when it can send a call encoded in place; else nil
 	server netsim.Addr
 	cfg    ClientConfig
 
@@ -432,6 +449,9 @@ type Client struct {
 // address. The client owns the port's receive side: on a port that offers
 // an upcall (a *netsim.Port) its reply dispatch becomes the port's
 // receiver, and on any other Conn a receive loop runs the same dispatch.
+// On a port that seals datagrams in place (a *netsim.Port again) every
+// transmission of a call is encoded into the datagram that carries it; on
+// any other Conn a call is encoded once and SendTo copies it.
 // Its xid sequence starts at a per-client random draw, so a client
 // restarted on a reused host/port cannot collide with its previous
 // incarnation's entries in a server's duplicate-request cache.
@@ -443,6 +463,7 @@ func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 		server: server,
 		cfg:    cfg,
 	}
+	c.sealer, _ = port.(sealer)
 	c.nextXid.Store(seed - 1) // Add(1) on first register yields the seed
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint32]*pendingCall)
@@ -555,6 +576,13 @@ type upcaller interface {
 	SetUpcall(fn func(d []byte))
 }
 
+// sealer is a Conn that sends a datagram whose payload its caller encoded
+// in place after netsim.HeaderSize bytes of room (*netsim.Port). A wrapper
+// that embeds Conn hides Send, and so keeps every call on SendTo.
+type sealer interface {
+	Send(dst netsim.Addr, d []byte) error
+}
+
 // recvLoop feeds dispatch from a Conn that only offers Recv.
 func (c *Client) recvLoop() {
 	for {
@@ -655,18 +683,45 @@ func (c *Client) call(key uint64, dst netsim.Addr, prog, vers, proc uint32, args
 	return rep, nil
 }
 
-// roundTrip encodes one call into a pooled buffer, which lives exactly as
-// long as the call may still be retransmitted, and runs it.
+// callHead is the header of one registered call. A retransmission
+// re-encodes the call from it and the call's args: safe, because args only
+// reads, and what it reads — a WRITE's chunk buffer included — outlives
+// the call (DESIGN.md §9). args is passed beside it, never in a struct
+// with the encoded payload: escape analysis does not tell fields apart,
+// and a payload handed to SendTo would move every caller's args to the
+// heap.
+type callHead struct{ xid, prog, vers, proc uint32 }
+
+// roundTrip registers one call and runs it. Off a sealing Conn the call is
+// encoded once, into a pooled buffer that lives exactly as long as the
+// call may still be retransmitted.
 func (c *Client) roundTrip(key uint64, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	xid, pc, err := c.register()
 	if err != nil {
 		return Reply{}, err
 	}
 	defer c.unregister(xid)
-	e := newMessageEncoder(CallHeader)
-	defer e.Release()
-	putCall(e, xid, prog, vers, proc, args)
-	return c.transact(key, dst, xid, proc, e.Bytes(), pc)
+	h := callHead{xid: xid, prog: prog, vers: vers, proc: proc}
+	var payload []byte
+	if c.sealer == nil {
+		e := newMessageEncoder(CallHeader)
+		defer e.Release()
+		putCall(e, xid, prog, vers, proc, args)
+		payload = e.Bytes()
+	}
+	return c.transact(key, dst, h, args, payload, pc)
+}
+
+// transmit sends one transmission of the call h to dst: payload, the call
+// encoded once, through SendTo; or with no payload the call encoded afresh
+// from args into the datagram that carries it, through Send.
+func (c *Client) transmit(dst netsim.Addr, h callHead, args func(*xdr.Encoder), payload []byte) error {
+	if payload != nil {
+		return c.port.SendTo(dst, payload)
+	}
+	e := newDatagramEncoder(CallHeader)
+	putCall(e, h.xid, h.prog, h.vers, h.proc, args)
+	return c.sealer.Send(dst, e.Bytes())
 }
 
 // transact runs the retransmit/timeout loop for one registered call, so
@@ -674,7 +729,7 @@ func (c *Client) roundTrip(key uint64, dst netsim.Addr, prog, vers, proc uint32,
 // and re-resolve behaviour. The caller owns the returned reply (see
 // Reply.Free); pc is transact's to recycle and must not be used after it
 // returns.
-func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload []byte, pc *pendingCall) (Reply, error) {
+func (c *Client) transact(key uint64, to netsim.Addr, h callHead, args func(*xdr.Encoder), payload []byte, pc *pendingCall) (Reply, error) {
 	timeout := c.cfg.Timeout
 	dst := c.target(key, to)
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
@@ -685,8 +740,8 @@ func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload 
 			// replacement instead of the corpse.
 			dst = c.target(key, to)
 		}
-		c.noteSent(xid, dst)
-		if err := c.port.SendTo(dst, payload); err != nil {
+		c.noteSent(h.xid, dst)
+		if err := c.transmit(dst, h, args, payload); err != nil {
 			return Reply{}, err
 		}
 		wait := timeout
@@ -711,20 +766,21 @@ func (c *Client) transact(key uint64, to netsim.Addr, xid, proc uint32, payload 
 			}
 			return rep, nil
 		case <-pc.timer.C:
-			timeout *= backoff
+			timeout = backedOff(timeout)
 		}
 	}
 	return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",
-		ErrTimedOut, proc, dst, c.cfg.Retries)
+		ErrTimedOut, h.proc, dst, c.cfg.Retries)
 }
 
 // ---------------------------------------------------------------- server
 
 // Handler serves the body of a single RPC call. It returns the result
-// encoder function and an accept status. Handlers run concurrently, each
-// in-flight request on a server worker of its own (see Server.worker), and
-// may block — on a peer server's RPC included — without holding up the
-// calls behind them.
+// encoder function and an accept status. Handlers run concurrently. Under
+// NewServer each in-flight request runs on a server worker of its own (see
+// Server.worker) and may block — on a peer server's RPC included — without
+// holding up the calls behind them. Under NewInlineServer each runs on the
+// goroutine that delivered its call and must never wait on another RPC.
 type Handler interface {
 	ServeRPC(call Call, from netsim.Addr) (res func(*xdr.Encoder), accept uint32)
 }
@@ -763,7 +819,7 @@ type callID struct {
 // ServerObserver is notified after each handled call with the call's
 // identity and the server's wall time for it: the handler plus the
 // encoding of its result, where a bulk READ does its actual reading. It
-// runs on the worker that served the call, before the reply is sent, and
+// runs on the goroutine that served the call, before the reply is sent, and
 // must be cheap and thread-safe (the obs wiring records one histogram
 // sample, a single atomic add).
 type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
@@ -786,7 +842,17 @@ type Server struct {
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
+
+	// inline counts the calls an inline server is serving, plus
+	// inlineClosing once Close has begun; the serve that leaves the count
+	// at inlineClosing closes drained, on which Close waits.
+	inline    atomic.Int64
+	drained   chan struct{}
+	drainOnce sync.Once
 }
+
+// inlineClosing marks an inline server's count once Close has begun.
+const inlineClosing = 1 << 62
 
 // DRCSize is the number of replies retained for duplicate suppression.
 const DRCSize = 1024
@@ -806,9 +872,32 @@ const residentWorkers = 8
 // dead data) and keep every reply buffer out of the pool.
 const drcMaxReply = 1024
 
-// NewServer starts serving calls arriving on port with handler.
+// NewServer starts serving calls arriving on port with handler, on
+// resident workers (Server.worker): the server for a handler that may
+// block on another RPC, such as a directory server's on its peers.
 func NewServer(port *netsim.Port, handler Handler) *Server {
-	s := &Server{
+	s := newServer(port, handler)
+	s.idle.Store(1)
+	s.wg.Add(1)
+	go s.worker()
+	return s
+}
+
+// NewInlineServer starts serving calls arriving on port with a handler
+// that never waits on another RPC — a data server's. Each call is served
+// on the goroutine that delivers it, through the port's upcall
+// (netsim.Port.SetUpcall): the sender's, so no worker is woken to take it
+// and none is started. Nothing the sender holds may be needed on the
+// call's way through the handler and the reply's way back.
+func NewInlineServer(port *netsim.Port, handler Handler) *Server {
+	s := newServer(port, handler)
+	s.drained = make(chan struct{})
+	port.SetUpcall(s.serveInline)
+	return s
+}
+
+func newServer(port *netsim.Port, handler Handler) *Server {
+	return &Server{
 		port:     port,
 		handler:  handler,
 		drc:      make(map[drcKey]int),
@@ -816,10 +905,6 @@ func NewServer(port *netsim.Port, handler Handler) *Server {
 		inflight: make(map[drcKey]callID),
 		closed:   make(chan struct{}),
 	}
-	s.idle.Store(1)
-	s.wg.Add(1)
-	go s.worker()
-	return s
 }
 
 // Addr returns the server's bound address.
@@ -837,13 +922,33 @@ func (s *Server) SetObserver(fn ServerObserver) {
 	s.obs.Store(&fn)
 }
 
-// Close stops the server and waits for in-flight handlers. Idempotent.
+// Close stops the server and waits for in-flight handlers — its
+// workers', or an inline server's serves on their senders' goroutines —
+// so a server restarted over the same store never overlaps one of them.
+// A handler must not call it. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.port.Close()
 		close(s.closed)
+		if s.drained != nil && s.inline.Add(inlineClosing) != inlineClosing {
+			<-s.drained
+		}
 		s.wg.Wait()
 	})
+}
+
+// serveInline is an inline server's upcall. A call delivered once Close
+// has begun is dropped unserved: the closed port already drops the ones
+// that reach it later.
+func (s *Server) serveInline(d []byte) {
+	if s.inline.Add(1)&inlineClosing == 0 {
+		s.serve(d)
+	} else {
+		netsim.FreeBuf(d)
+	}
+	if s.inline.Add(-1) == inlineClosing {
+		s.drainOnce.Do(func() { close(s.drained) })
+	}
 }
 
 // worker is one resident server goroutine: it receives a datagram from

@@ -184,19 +184,10 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 // synthesizes the reply. This is the consistent write commitment of §4.2.
 // The span (nil when tracing is off) collects every RPC of the chain and
 // is closed — and the absorbed op's end-to-end latency recorded, from
-// start, the first reading of the request's clock — when the reply is
-// injected.
+// start, the first reading of the request's clock — just before the reply
+// is injected, so a client that acts on the reply finds both.
 func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.RequestInfo, sp *obs.Span, start int64) {
 	fh := info.FH
-	defer func() {
-		end := p.now()
-		if p.hists != nil {
-			p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - start))
-		}
-		if sp != nil {
-			p.tracer.Finish(sp, p.wall0+end)
-		}
-	}()
 	p.pushAttrs(sp, fh)
 
 	id, verf, committed := p.applyAll(sp, coord.Action{
@@ -225,6 +216,13 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 		res.Attr = nfsproto.Some(at)
 	}
 	out, err := oncrpc.BuildReply(p.cfg.Virtual, client, xid, oncrpc.AcceptSuccess, res.Encode)
+	end := p.now()
+	if p.hists != nil {
+		p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - start))
+	}
+	if sp != nil {
+		p.tracer.Finish(sp, p.wall0+end)
+	}
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

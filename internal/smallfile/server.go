@@ -18,10 +18,12 @@ type Server struct {
 	srv   *oncrpc.Server
 }
 
-// NewServer starts a small-file server on port.
+// NewServer starts a small-file server on port. Its handler never waits on
+// another RPC, so it serves each call on the goroutine that delivers it
+// (oncrpc.NewInlineServer).
 func NewServer(port *netsim.Port, store *Store) *Server {
 	s := &Server{store: store}
-	s.srv = oncrpc.NewServer(port, storage.NewHandler(store, nil))
+	s.srv = oncrpc.NewInlineServer(port, storage.NewHandler(store, nil))
 	return s
 }
 

@@ -8,7 +8,9 @@ import "unsafe"
 // overwrite it; copyNT's streaming stores skip that read. Below coldCopyMin bytes plain copy runs. Above
 // it, copy takes the head up to dst's first 16-byte boundary and the tail
 // past the last whole 64-byte step, and copyNT the rest (through
-// copyStream, which shows it to the race detector).
+// copyStream, which shows it to the race detector). The streaming stores
+// are not fenced: the caller runs storeFence once, after its last copyCold
+// and before another goroutine may read the bytes.
 func copyCold(dst, src []byte) int {
 	n := min(len(dst), len(src))
 	if n < coldCopyMin {
@@ -25,3 +27,5 @@ func copyCold(dst, src []byte) int {
 
 //go:noescape
 func copyNT(dst, src []byte)
+
+func storeFence()

@@ -7,10 +7,10 @@
 // streaming stores (MOVNTO, the MOVNTDQ encoding) that write around the
 // cache instead of first reading each destination line into it. dst must
 // be 16-byte aligned and len(dst) a multiple of 64; src may be longer and
-// unaligned. Streaming stores are weakly ordered, so the SFENCE before
-// the return makes them visible ahead of any later store, the release of
-// the lock the caller holds included. SSE2 is baseline amd64: no CPUID
-// check. It uses X0-X3 only (not X15, which Go's internal ABI keeps zero).
+// unaligned. Streaming stores are weakly ordered and copyNT does not fence
+// them: its caller runs storeFence once after its last copyNT and before
+// it publishes the bytes. SSE2 is baseline amd64: no CPUID check. It uses
+// X0-X3 only (not X15, which Go's internal ABI keeps zero).
 TEXT ·copyNT(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -33,5 +33,12 @@ loop:
 	JNZ    loop
 
 done:
+	RET
+
+// func storeFence()
+//
+// storeFence orders every streaming store before it ahead of every store
+// after it, the release of the lock its caller holds included.
+TEXT ·storeFence(SB), NOSPLIT, $0-0
 	SFENCE
 	RET

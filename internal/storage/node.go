@@ -40,16 +40,20 @@ type Node struct {
 	// serviceTime paces the node: each request holds paceMu for this
 	// long before being served, modelling a disk-arm/NIC capacity of
 	// 1/serviceTime per node so scaling benchmarks measure fan-out, not
-	// the simulator's infinite parallelism. Zero (the default) disables.
+	// the simulator's infinite parallelism. The node serves inline, so
+	// the wait is spent on the goroutine that delivered the request.
+	// Zero (the default) disables.
 	serviceTime time.Duration
 	paceMu      sync.Mutex
 }
 
-// NewNode starts a storage node on port, serving store.
+// NewNode starts a storage node on port, serving store. Its handler never
+// waits on another RPC, so it serves each call on the goroutine that
+// delivers it (oncrpc.NewInlineServer).
 func NewNode(port *netsim.Port, store *ObjectStore) *Node {
 	n := &Node{store: store}
 	n.io = NewHandler(objects{store}, n.authorize)
-	n.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(n.serve))
+	n.srv = oncrpc.NewInlineServer(port, oncrpc.HandlerFunc(n.serve))
 	return n
 }
 

@@ -215,7 +215,8 @@ func (s *ObjectStore) get(id ObjectID, create bool) *object {
 // WriteAt writes p at byte offset off of object id, creating the object if
 // needed. If stable is true the data is durable immediately (FILE_SYNC);
 // otherwise it remains volatile until Commit. The bytes a write puts into
-// a block taken from the free list go through copyCold; the rest through
+// a block taken from the free list go through copyCold, whose streaming
+// stores one storeFence orders before s.mu is released; the rest through
 // copy.
 func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) error {
 	if off < 0 {
@@ -227,6 +228,7 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 	s.stats.Writes++
 	s.stats.BytesWritten += uint64(len(p))
 	end := off + int64(len(p))
+	cold := false
 	for len(p) > 0 {
 		bn := off / BlockSize
 		bo := off % BlockSize
@@ -238,6 +240,7 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 			o.blocks[bn] = b
 			if recycled {
 				copyCold(b.data[bo:], w)
+				cold = true
 			} else {
 				copy(b.data[bo:], w)
 			}
@@ -261,6 +264,9 @@ func (s *ObjectStore) WriteAt(id ObjectID, off int64, p []byte, stable bool) err
 	o.size = max(o.size, end)
 	if stable {
 		o.durable = max(o.durable, end)
+	}
+	if cold {
+		storeFence()
 	}
 	return nil
 }
