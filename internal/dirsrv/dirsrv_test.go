@@ -32,7 +32,13 @@ type harness struct {
 
 func newHarness(t *testing.T, n int, kind route.NameKind, p float64) *harness {
 	t.Helper()
-	h := &harness{t: t, net: netsim.New(netsim.Config{})}
+	return newHarnessOn(t, netsim.New(netsim.Config{}), n, kind, p)
+}
+
+// newHarnessOn is newHarness on a fabric of the caller's.
+func newHarnessOn(t *testing.T, net *netsim.Network, n int, kind route.NameKind, p float64) *harness {
+	t.Helper()
+	h := &harness{t: t, net: net}
 	cport, err := h.net.BindAny(200)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package fhandle
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,46 @@ func TestNameKeyBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestNameKeyGolden: keys recorded from the streaming-hash NameKey, for
+// parents with and without routing fields and names up to and past the
+// stack-copy limit. Placement under name hashing and every directory
+// hash chain follow these values, so they must never move.
+func TestNameKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		parent Handle
+		name   string
+		want   uint64
+	}{
+		{Handle{Volume: 1, FileID: 1, Gen: 1}, "", 0xc97d5a866606c833},
+		{Handle{Volume: 1, FileID: 1, Gen: 1}, "a", 0xba7d7c2af278ca07},
+		{Handle{Volume: 1, FileID: 1, Gen: 1, Site: 3, CellKey: 99, Type: 2}, "src", 0x91dc939d5e4331c7},
+		{Handle{Volume: 7, FileID: 0x123456789abc, Gen: 42}, "file-000123.txt", 0x90ab00e1749f53e2},
+		{Handle{Volume: 0xffffffff, FileID: ^uint64(0), Gen: 0xffffffff}, "d0/x", 0xc1a49f04fb75348b},
+		{Handle{Volume: 2, FileID: 1000, Gen: 3}, strings.Repeat("n", 255), 0xeb2c69597b4cac8e},
+		{Handle{Volume: 2, FileID: 1000, Gen: 3}, strings.Repeat("n", 256), 0x7c3417958b24e431},
+		{Handle{Volume: 2, FileID: 1000, Gen: 3}, strings.Repeat("long", 300), 0xa5816bc69675e5a7},
+	} {
+		if got := NameKey(c.parent, c.name); got != c.want {
+			t.Errorf("NameKey(%v, %d-byte name) = %#x, want %#x", c.parent, len(c.name), got, c.want)
+		}
+	}
+}
+
+// TestNameKeyAllocatesNothing: a name of NFS length is hashed from the
+// stack.
+func TestNameKeyAllocatesNothing(t *testing.T) {
+	parent := sample()
+	long := strings.Repeat("x", 255)
+	if n := testing.AllocsPerRun(100, func() {
+		sinkKey = NameKey(parent, "file-000123.txt")
+		sinkKey = NameKey(parent, long)
+	}); n != 0 {
+		t.Fatalf("NameKey allocates %v times per call pair", n)
+	}
+}
+
+var sinkKey uint64
 
 func TestHandleKeyIgnoresHints(t *testing.T) {
 	a := sample()

@@ -444,7 +444,8 @@ func (p *Port) Close() {
 // of being queued, so no receiving goroutine is woken to take it. fn owns
 // the datagram it is given and runs inside the sender's send, so it must
 // not wait on anything a sender may hold: an RPC client's reply dispatch
-// never blocks, and a data server's handler waits only on its own store.
+// never blocks, and a server's handler waits only on its own store and
+// on calls to other servers, which are served the same way.
 // Set it before traffic is addressed to the port: datagrams
 // already queued are passed to fn at once, but one queued while SetUpcall
 // runs would wait for a Recv. A delivery after Close is dropped (counted in

@@ -51,9 +51,17 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An attempt is lost when its call or its reply is dropped:
+	// p = 1 − 0.85² ≈ 0.278 (duplication and reordering only help). A run
+	// makes 8 × 16 × 12 = 1 536 calls, so with 8 attempts it failed with
+	// probability ≈ 1 536 · p⁸ ≈ 5.4 %. With 17, a call fails with
+	// p¹⁷ ≈ 3.4 · 10⁻¹⁰ and a run with ≈ 5 · 10⁻⁷. The extra attempts wait
+	// at most the capped ladder — 20 ms doubling to 2 s, 22.5 s in all
+	// (24.8 s with jitter) — and are reached only by calls the old ladder
+	// failed.
 	cli := NewClient(cp, srv.Addr(), ClientConfig{
 		Timeout: 20 * time.Millisecond,
-		Retries: 8,
+		Retries: 17,
 	})
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 	fault := netsim.LinkFault{
@@ -115,8 +123,6 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		// Residual timeouts are possible at 15% loss with finite
-		// retries, but should be absent with 8 attempts; surface them.
 		t.Fatalf("call failed under faults: %v", err)
 	}
 }

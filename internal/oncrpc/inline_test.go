@@ -13,25 +13,17 @@ import (
 	"slice/internal/xdr"
 )
 
-// serverWorkers counts the goroutines running Server.worker.
-func serverWorkers() int {
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	return bytes.Count(buf[:n], []byte("oncrpc.(*Server).worker("))
-}
-
-// TestInlineServerStartsNoWorker: an inline server serves a call on the
-// goroutine that sends it — the reply is queued at the caller's port when
-// the send returns — and leaves no goroutine parked in Recv. A worker
-// server, the control, leaves one.
+// TestInlineServerStartsNoWorker: a server serves a call on the goroutine
+// that sends it — the reply is queued at the caller's port when the send
+// returns — and starts no goroutine, neither to receive nor to serve.
 func TestInlineServerStartsNoWorker(t *testing.T) {
 	n := netsim.New(netsim.Config{})
-	before := serverWorkers()
+	before := runtime.NumGoroutine()
 	sp, err := n.BindAny(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewInlineServer(sp, echoHandler)
+	srv := NewServer(sp, echoHandler)
 	defer srv.Close()
 	cp, err := n.BindAny(1)
 	if err != nil {
@@ -53,22 +45,12 @@ func TestInlineServerStartsNoWorker(t *testing.T) {
 		t.Fatalf("reply echoes %#x", v)
 	}
 	netsim.FreeBuf(d)
-	if got := serverWorkers(); got > before {
-		t.Fatalf("%d server workers after an inline server served, %d before", got, before)
-	}
-
-	wp, err := n.BindAny(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewServer(wp, echoHandler)
-	defer ws.Close()
-	if got := serverWorkers(); got != before+1 {
-		t.Fatalf("the control: %d server workers after a worker server started, want %d", got, before+1)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after a server started and served, %d before", got, before)
 	}
 }
 
-// TestInlineServerCloseWaitsForHandler: Close on an inline server returns
+// TestInlineServerCloseWaitsForHandler: Close on a server returns
 // only once a handler in flight — blocked on a channel, on its sender's
 // goroutine — has returned, so a server restarted over the same store
 // never overlaps one of the old server's handlers. A call delivered after
@@ -82,7 +64,7 @@ func TestInlineServerCloseWaitsForHandler(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var returned, served atomic.Int32
-	srv := NewInlineServer(sp, HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+	srv := NewServer(sp, HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
 		served.Add(1)
 		if call.Proc == 1 {
 			close(entered)
@@ -106,7 +88,7 @@ func TestInlineServerCloseWaitsForHandler(t *testing.T) {
 		closed <- returned.Load()
 	}()
 	// Wait for Close to have begun, then check it has not returned.
-	for srv.inline.Load()&inlineClosing == 0 {
+	for srv.serving.Load()&closing == 0 {
 		runtime.Gosched()
 	}
 	select {
@@ -125,6 +107,90 @@ func TestInlineServerCloseWaitsForHandler(t *testing.T) {
 	}
 	if got := served.Load(); got != 1 {
 		t.Fatalf("%d calls served, want only the one that arrived before Close", got)
+	}
+}
+
+// TestInlineServerNeverBound: a server bounds nothing, because each call
+// is served on its sender's goroutine. With many handlers blocked, one
+// more call is still served; so is a handler that calls back into its own
+// server and waits — the shape of a directory server's peer RPC, which a
+// bounded pool of receivers would deadlock — because the nested call is
+// served on the handler's own goroutine. Once the handlers are released
+// and the server closed, no goroutine is left.
+func TestInlineServerNeverBound(t *testing.T) {
+	const (
+		procBlock = 1
+		procEcho  = 2
+		procPeer  = 3
+		blocked   = 32
+	)
+	before := runtime.NumGoroutine()
+
+	n := netsim.New(netsim.Config{})
+	bind := func(host uint32) *netsim.Port {
+		p, err := n.BindAny(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// No call may be decided by a retransmission: every wait below is for
+	// an event, and the timeout only bounds a failing run.
+	patient := ClientConfig{Timeout: time.Minute, Retries: 1}
+	entered := make(chan struct{}, blocked)
+	release := make(chan struct{})
+	var peer *Client
+	srv := NewServer(bind(2), HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		switch call.Proc {
+		case procBlock:
+			entered <- struct{}{}
+			<-release
+		case procPeer:
+			if _, err := peer.Call(7, 1, procEcho, nil); err != nil {
+				return nil, AcceptSystemErr
+			}
+		}
+		return nil, AcceptSuccess
+	}))
+	peer = NewClient(bind(3), srv.Addr(), patient)
+	cli := NewClient(bind(1), srv.Addr(), patient)
+
+	var calls sync.WaitGroup
+	blockedErrs := make(chan error, blocked)
+	for i := 0; i < blocked; i++ {
+		calls.Add(1)
+		go func() {
+			defer calls.Done()
+			if _, err := cli.Call(7, 1, procBlock, nil); err != nil {
+				blockedErrs <- err
+			}
+		}()
+	}
+	for i := 0; i < blocked; i++ {
+		<-entered
+	}
+	if _, err := cli.Call(7, 1, procEcho, nil); err != nil {
+		t.Fatalf("call behind %d blocked handlers: %v", blocked, err)
+	}
+	if _, err := cli.Call(7, 1, procPeer, nil); err != nil {
+		t.Fatalf("handler calling back into its own server: %v", err)
+	}
+	close(release)
+	calls.Wait()
+	close(blockedErrs)
+	for err := range blockedErrs {
+		t.Fatalf("blocked call: %v", err)
+	}
+
+	cli.Close()
+	peer.Close()
+	srv.Close()
+	// The callers have returned when calls.Wait does; the runtime may take
+	// a moment more to retire their goroutines.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the server started, %d after it closed", before, runtime.NumGoroutine())
+		}
 	}
 }
 

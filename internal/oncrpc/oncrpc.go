@@ -776,11 +776,12 @@ func (c *Client) transact(key uint64, to netsim.Addr, h callHead, args func(*xdr
 // ---------------------------------------------------------------- server
 
 // Handler serves the body of a single RPC call. It returns the result
-// encoder function and an accept status. Handlers run concurrently. Under
-// NewServer each in-flight request runs on a server worker of its own (see
-// Server.worker) and may block — on a peer server's RPC included — without
-// holding up the calls behind them. Under NewInlineServer each runs on the
-// goroutine that delivered its call and must never wait on another RPC.
+// encoder function and an accept status. Handlers run concurrently, each
+// on the goroutine that delivered its call (see NewServer). A handler may
+// call another server — a directory server its peers — since no server
+// needs a receiving goroutine: that server's handler runs nested on the
+// caller's goroutine, or on a fabric delay timer's. Nothing the sender of
+// a call holds may be needed by the handler or by the reply's way back.
 type Handler interface {
 	ServeRPC(call Call, from netsim.Addr) (res func(*xdr.Encoder), accept uint32)
 }
@@ -838,29 +839,20 @@ type Server struct {
 	drcNext  int
 	inflight map[drcKey]callID
 
-	idle      atomic.Int32 // workers parked in Recv, or about to be
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	// inline counts the calls an inline server is serving, plus
-	// inlineClosing once Close has begun; the serve that leaves the count
-	// at inlineClosing closes drained, on which Close waits.
-	inline    atomic.Int64
+	// serving counts the calls being served, plus closing once Close has
+	// begun; the serve that leaves the count at closing closes drained,
+	// on which Close waits.
+	serving   atomic.Int64
 	drained   chan struct{}
+	closeOnce sync.Once
 	drainOnce sync.Once
 }
 
-// inlineClosing marks an inline server's count once Close has begun.
-const inlineClosing = 1 << 62
+// closing marks a server's serving count once Close has begun.
+const closing = 1 << 62
 
 // DRCSize is the number of replies retained for duplicate suppression.
 const DRCSize = 1024
-
-// residentWorkers is how many idle workers a server keeps between calls.
-// A worker that finishes a call while this many are already waiting for
-// the next one exits; fewer, and it stays, grown stack and all.
-const residentWorkers = 8
 
 // drcMaxReply is the largest reply the duplicate-request cache retains.
 // The cache exists so that a retransmitted non-idempotent call (CREATE,
@@ -872,39 +864,24 @@ const residentWorkers = 8
 // dead data) and keep every reply buffer out of the pool.
 const drcMaxReply = 1024
 
-// NewServer starts serving calls arriving on port with handler, on
-// resident workers (Server.worker): the server for a handler that may
-// block on another RPC, such as a directory server's on its peers.
+// NewServer starts serving calls arriving on port with handler. Each call
+// is served on the goroutine that delivers it, through the port's upcall
+// (netsim.Port.SetUpcall): the sender's, or a delay timer's, so no
+// goroutine is woken to take it and none is started. A handler that calls
+// a peer server runs that server's handler nested on its own goroutine;
+// the reply is matched on the way back (the client's upcall), before the
+// caller waits for it.
 func NewServer(port *netsim.Port, handler Handler) *Server {
-	s := newServer(port, handler)
-	s.idle.Store(1)
-	s.wg.Add(1)
-	go s.worker()
-	return s
-}
-
-// NewInlineServer starts serving calls arriving on port with a handler
-// that never waits on another RPC — a data server's. Each call is served
-// on the goroutine that delivers it, through the port's upcall
-// (netsim.Port.SetUpcall): the sender's, so no worker is woken to take it
-// and none is started. Nothing the sender holds may be needed on the
-// call's way through the handler and the reply's way back.
-func NewInlineServer(port *netsim.Port, handler Handler) *Server {
-	s := newServer(port, handler)
-	s.drained = make(chan struct{})
-	port.SetUpcall(s.serveInline)
-	return s
-}
-
-func newServer(port *netsim.Port, handler Handler) *Server {
-	return &Server{
+	s := &Server{
 		port:     port,
 		handler:  handler,
 		drc:      make(map[drcKey]int),
 		drcRing:  make([]drcEntry, DRCSize),
 		inflight: make(map[drcKey]callID),
-		closed:   make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
+	port.SetUpcall(s.serveInline)
+	return s
 }
 
 // Addr returns the server's bound address.
@@ -922,70 +899,34 @@ func (s *Server) SetObserver(fn ServerObserver) {
 	s.obs.Store(&fn)
 }
 
-// Close stops the server and waits for in-flight handlers — its
-// workers', or an inline server's serves on their senders' goroutines —
-// so a server restarted over the same store never overlaps one of them.
-// A handler must not call it. Idempotent.
+// Close stops the server and waits for the handlers in flight, on their
+// senders' goroutines, so a server restarted over the same store never
+// overlaps one of them. A handler must not call it. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.port.Close()
-		close(s.closed)
-		if s.drained != nil && s.inline.Add(inlineClosing) != inlineClosing {
+		if s.serving.Add(closing) != closing {
 			<-s.drained
 		}
-		s.wg.Wait()
 	})
 }
 
-// serveInline is an inline server's upcall. A call delivered once Close
-// has begun is dropped unserved: the closed port already drops the ones
-// that reach it later.
+// serveInline is the port's upcall. A call delivered once Close has begun
+// is dropped unserved: the closed port already drops the ones that reach
+// it later.
 func (s *Server) serveInline(d []byte) {
-	if s.inline.Add(1)&inlineClosing == 0 {
+	if s.serving.Add(1)&closing == 0 {
 		s.serve(d)
 	} else {
 		netsim.FreeBuf(d)
 	}
-	if s.inline.Add(-1) == inlineClosing {
+	if s.serving.Add(-1) == closing {
 		s.drainOnce.Do(func() { close(s.drained) })
 	}
 }
 
-// worker is one resident server goroutine: it receives a datagram from
-// the port itself, serves it, and goes back for the next, so the stack it
-// grew inside the first deep handler call is still there for the second.
-// There is no dispatcher to hand the call over from, and no goroutine is
-// started per call.
-//
-// Invariant: a goroutine is always parked in Recv (or on its way there).
-// idle counts those; the worker that takes the last idle slot starts its
-// successor before it serves, so a handler that blocks — on a slow store,
-// or on a synchronous RPC to a peer server that is itself waiting on this
-// one — never keeps the next call from being received. The number of
-// workers is therefore unbounded, like the goroutine-per-call it replaces;
-// what is bounded is how many stay resident between calls.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		d, err := s.port.Recv(0)
-		if err != nil {
-			return
-		}
-		if s.idle.Add(-1) == 0 {
-			s.idle.Add(1)
-			s.wg.Add(1)
-			go s.worker()
-		}
-		s.serve(d)
-		if s.idle.Add(1) > residentWorkers {
-			s.idle.Add(-1)
-			return
-		}
-	}
-}
-
-// serve handles one received datagram: parse, duplicate suppression,
-// handler, reply. It owns d, which the port's Recv has verified.
+// serve handles one delivered datagram: parse, duplicate suppression,
+// handler, reply. It owns d, which the fabric has verified.
 func (s *Server) serve(d []byte) {
 	h, err := netsim.ParseHeader(d)
 	if err != nil {

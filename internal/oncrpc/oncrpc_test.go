@@ -195,12 +195,17 @@ func TestDuplicateRequestCache(t *testing.T) {
 }
 
 // TestSlowHandlerRetransmitDropped: a retransmission arriving while the
-// original is still executing must not run the handler twice.
+// original is still executing must not run the handler twice. The
+// original is served on the goroutine that sends it, so it is sent from
+// one of its own; the retransmission is dropped on the test's.
 func TestSlowHandlerRetransmitDropped(t *testing.T) {
 	var executions atomic.Uint64
+	entered := make(chan struct{})
 	release := make(chan struct{})
 	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-		executions.Add(1)
+		if executions.Add(1) == 1 {
+			close(entered)
+		}
 		<-release
 		return func(e *xdr.Encoder) {}, AcceptSuccess
 	})
@@ -212,11 +217,14 @@ func TestSlowHandlerRetransmitDropped(t *testing.T) {
 	defer cp.Close()
 
 	payload := EncodeCall(77, 7, 1, 1, nil)
-	_ = cp.SendTo(srv.Addr(), payload)
-	time.Sleep(10 * time.Millisecond)
+	sent := make(chan error, 1)
+	go func() { sent <- cp.SendTo(srv.Addr(), payload) }()
+	<-entered
 	_ = cp.SendTo(srv.Addr(), payload) // retransmit while in flight
-	time.Sleep(10 * time.Millisecond)
 	close(release)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cp.Recv(time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,10 @@ type Server struct {
 	srv   *oncrpc.Server
 }
 
-// NewServer starts a small-file server on port. Its handler never waits on
-// another RPC, so it serves each call on the goroutine that delivers it
-// (oncrpc.NewInlineServer).
+// NewServer starts a small-file server on port.
 func NewServer(port *netsim.Port, store *Store) *Server {
 	s := &Server{store: store}
-	s.srv = oncrpc.NewInlineServer(port, storage.NewHandler(store, nil))
+	s.srv = oncrpc.NewServer(port, storage.NewHandler(store, nil))
 	return s
 }
 

@@ -47,13 +47,11 @@ type Node struct {
 	paceMu      sync.Mutex
 }
 
-// NewNode starts a storage node on port, serving store. Its handler never
-// waits on another RPC, so it serves each call on the goroutine that
-// delivers it (oncrpc.NewInlineServer).
+// NewNode starts a storage node on port, serving store.
 func NewNode(port *netsim.Port, store *ObjectStore) *Node {
 	n := &Node{store: store}
 	n.io = NewHandler(objects{store}, n.authorize)
-	n.srv = oncrpc.NewInlineServer(port, oncrpc.HandlerFunc(n.serve))
+	n.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(n.serve))
 	return n
 }
 
