@@ -29,9 +29,15 @@ const (
 	maxDatagram = 65507
 
 	// IdleTimeout is how long a datagram peer may stay quiet before its
-	// fabric port and pump goroutine are reclaimed. A stream peer needs no
-	// timer: its connection closing is the signal.
+	// fabric port and its two goroutines are reclaimed. A stream peer needs
+	// no timer: its connection closing is the signal.
 	IdleTimeout = 2 * time.Minute
+
+	// injectQueue is how many of a datagram peer's records may wait for
+	// its injector; one more is dropped, as a full socket buffer drops
+	// it, and RPC retransmission recovers. A client keeps at most a
+	// window of bulk calls (16 by default) in flight.
+	injectQueue = 128
 )
 
 // synthHosts allocates synthetic peer hosts process-wide — not per
@@ -61,7 +67,7 @@ type Stats struct {
 	MaxTxRecord uint64 // largest single record sent
 	Drops       uint64 // DropNoPeer + DropInject + DropWrite
 	DropNoPeer  uint64 // inbound: no fabric endpoint could be allocated
-	DropInject  uint64 // inbound: fabric send failed
+	DropInject  uint64 // inbound: fabric send failed, or a datagram peer's queue was full
 	DropWrite   uint64 // outbound: socket write failed
 	Evicted     uint64 // datagram peers reclaimed by idle eviction
 }
@@ -127,12 +133,13 @@ type Gateway struct {
 }
 
 // peer is one remote client: its socket address, its synthetic fabric
-// endpoint and, for idle eviction of datagram peers, when it last moved a
-// datagram in either direction.
+// endpoint and, for datagram peers, the queue its injector drains and
+// when it last moved a datagram in either direction (for idle eviction).
 type peer struct {
 	remote   netip.AddrPort
 	port     *netsim.Port
 	tcp      net.Conn     // stream framing, else nil
+	in       chan []byte  // datagram framing, else nil; closed under Gateway.mu
 	lastUsed atomic.Int64 // UnixNano; datagram framing only
 }
 
@@ -242,6 +249,7 @@ func (g *Gateway) Close() {
 	g.closed = true
 	close(g.stop)
 	for _, p := range g.peers {
+		g.dropLocked(p)
 		p.close()
 	}
 	g.mu.Unlock()
@@ -250,10 +258,9 @@ func (g *Gateway) Close() {
 }
 
 // admit allocates a new peer's synthetic fabric endpoint and starts its
-// reply pump.
+// reply pump, with g.mu held. A datagram peer gets an injector too; a
+// stream peer's reader, started by acceptLoop, injects its records.
 func (g *Gateway) admit(remote netip.AddrPort, tcp net.Conn) (*peer, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if g.closed {
 		return nil, netsim.ErrClosed
 	}
@@ -267,6 +274,11 @@ func (g *Gateway) admit(remote netip.AddrPort, tcp net.Conn) (*peer, error) {
 	g.totalConns.Add(1)
 	g.wg.Add(1)
 	go g.pumpOut(p)
+	if tcp == nil {
+		p.in = make(chan []byte, injectQueue)
+		g.wg.Add(1)
+		go g.injectLoop(p)
+	}
 	return p, nil
 }
 
@@ -276,10 +288,21 @@ func (g *Gateway) admit(remote netip.AddrPort, tcp net.Conn) (*peer, error) {
 func (g *Gateway) retire(p *peer) {
 	g.mu.Lock()
 	if g.peers[p.remote] == p {
-		delete(g.peers, p.remote)
+		g.dropLocked(p)
 	}
 	g.mu.Unlock()
 	p.close()
+}
+
+// dropLocked removes a peer from the table, with g.mu held, and closes a
+// datagram peer's queue: records are queued only under g.mu and only to a
+// peer in the table, so none can follow the close, and the injector ends
+// once it has drained the rest.
+func (g *Gateway) dropLocked(p *peer) {
+	delete(g.peers, p.remote)
+	if p.in != nil {
+		close(p.in)
+	}
 }
 
 // count records n occurrences of a rare event.
@@ -319,7 +342,9 @@ func (g *Gateway) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
+		g.mu.Lock()
 		p, err := g.admit(tcp.RemoteAddr().(*net.TCPAddr).AddrPort(), tcp)
+		g.mu.Unlock()
 		if err != nil {
 			g.count(dropNoPeer, 1)
 			tcp.Close()
@@ -356,9 +381,8 @@ func (g *Gateway) streamReader(p *peer) {
 	}
 }
 
-// datagramLoop reads UDP datagrams (bare RPC payloads), demultiplexes
-// them to peers by source address — admitting on first contact — and
-// injects a copy of each, sized to it: a datagram's length is known only
+// datagramLoop reads UDP datagrams (bare RPC payloads) and queues a copy
+// of each, sized to it, to its peer: a datagram's length is known only
 // once it has been read into a buffer large enough for any.
 func (g *Gateway) datagramLoop() {
 	defer g.wg.Done()
@@ -368,18 +392,45 @@ func (g *Gateway) datagramLoop() {
 		if err != nil {
 			return
 		}
-		g.mu.Lock()
-		p := g.peers[remote]
-		g.mu.Unlock()
-		if p == nil {
-			if p, err = g.admit(remote, nil); err != nil {
-				g.count(dropNoPeer, 1)
-				continue
-			}
-		}
-		p.touch()
 		d := netsim.GetBuf(netsim.HeaderSize + n)
 		copy(netsim.Payload(d), buf[:n])
+		g.enqueue(remote, d)
+	}
+}
+
+// enqueue demultiplexes a datagram to its peer by source address —
+// admitting on first contact — and queues it for the peer's injector.
+// Every server serves a call on the goroutine that injects it (DESIGN.md
+// §15.1), so the loop that reads the socket must not inject: a directory
+// server's handler waiting on a lost peer reply would hold every peer's
+// datagrams behind it, where a peer of its own holds only its own.
+func (g *Gateway) enqueue(remote netip.AddrPort, d []byte) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := g.peers[remote]
+	if p == nil {
+		var err error
+		if p, err = g.admit(remote, nil); err != nil {
+			netsim.FreeBuf(d)
+			g.count(dropNoPeer, 1)
+			return
+		}
+	}
+	p.touch()
+	select {
+	case p.in <- d:
+	default:
+		netsim.FreeBuf(d)
+		g.count(dropInject, 1)
+	}
+}
+
+// injectLoop injects a datagram peer's records in the order they arrived
+// until the peer is dropped from the table, as streamReader does for a
+// stream peer.
+func (g *Gateway) injectLoop(p *peer) {
+	defer g.wg.Done()
+	for d := range p.in {
 		g.inject(p, d)
 	}
 }
@@ -407,11 +458,11 @@ func (g *Gateway) janitor() {
 func (g *Gateway) evictIdle(now time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for remote, p := range g.peers {
+	for _, p := range g.peers {
 		if now.Sub(time.Unix(0, p.lastUsed.Load())) < IdleTimeout {
 			continue
 		}
-		delete(g.peers, remote)
+		g.dropLocked(p)
 		p.close()
 		g.count(evicted, 1)
 	}

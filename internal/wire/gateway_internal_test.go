@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,6 +159,71 @@ func TestPeerLifecycle(t *testing.T) {
 			}
 			if s.RxRecords != 3 || s.TxRecords != 3 || s.RxBytes != 11 || s.TxBytes != 11 || s.Drops != 0 {
 				t.Fatalf("record counters: %+v", s)
+			}
+		})
+	}
+}
+
+// TestStalledCallHoldsOnlyItsPeer: a server serves each call on the
+// goroutine that injects it, so a call whose handler waits — a directory
+// server's cross-site operation riding out a lost peer reply — holds that
+// goroutine. Under either framing it must be a goroutine of the call's own
+// peer: another client's calls through the same gateway are answered
+// while the first waits, and the held call completes once released.
+func TestStalledCallHoldsOnlyItsPeer(t *testing.T) {
+	for _, f := range framings {
+		t.Run(f.name, func(t *testing.T) {
+			n := netsim.New(netsim.Config{})
+			p, err := n.Bind(testVirtual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			held, release := make(chan struct{}), make(chan struct{})
+			p.SetUpcall(func(d []byte) {
+				defer netsim.FreeBuf(d)
+				h, err := netsim.Parse(d)
+				if err != nil {
+					return
+				}
+				if string(netsim.Payload(d)) == "hold" {
+					close(held)
+					<-release
+				}
+				_ = p.SendTo(h.Src, netsim.Payload(d))
+			})
+			gw, err := f.listen("127.0.0.1:0", n, testVirtual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			var once sync.Once
+			unhold := func() { once.Do(func() { close(release) }) }
+			defer unhold() // before gw.Close, which waits for the held call
+
+			dial := func() *Conn {
+				c, err := f.dial(gw.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(c.Close)
+				return c
+			}
+			c1, c2 := dial(), dial()
+			if err := c1.SendTo(testVirtual, []byte("hold")); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-held:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the held call never reached the server")
+			}
+			pingPong(t, c2, "free")
+			unhold()
+			if d, err := c1.Recv(5 * time.Second); err != nil || string(d[netsim.HeaderSize:]) != "hold" {
+				t.Fatalf("held call answered %q, %v", d, err)
+			} else {
+				netsim.FreeBuf(d)
 			}
 		})
 	}

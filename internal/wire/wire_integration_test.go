@@ -3,6 +3,8 @@ package wire_test
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,8 @@ import (
 	"slice/internal/client"
 	"slice/internal/dirsrv"
 	"slice/internal/ensemble"
+	"slice/internal/fhandle"
+	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
@@ -301,4 +305,94 @@ func TestCrossProcessMountOverUDP(t *testing.T) {
 	if st := e.DatagramGateways[0].Stats(); st.TotalConns != 2 || st.Drops != 0 || st.MaxRxRecord > 65507 {
 		t.Fatalf("datagram gateway stats: %+v", st)
 	}
+}
+
+// BenchmarkDatagramGatewayNameMix runs closed-loop clients, each on a UDP
+// socket of its own, through one datagram gateway: creates in the
+// client's own subtree, every twelfth op a MKDIR (a quarter of them
+// placed off the parent's site, so the directory server calls its peer).
+// With peerloss=N a tap drops one in every N replies between directory
+// servers, so a cross-site operation waits out the peer client's first
+// retransmission timeout; the other clients' calls must not wait with it
+// (DESIGN.md §15.1). failed/op counts the ops that returned an error.
+func BenchmarkDatagramGatewayNameMix(b *testing.B) {
+	for _, bc := range []struct {
+		clients, peerLoss int
+	}{{1, 0}, {4, 0}, {4, 50}} {
+		name := fmt.Sprintf("clients=%d", bc.clients)
+		if bc.peerLoss > 0 {
+			name += fmt.Sprintf("/peerloss=%d", bc.peerLoss)
+		}
+		b.Run(name, func(b *testing.B) { benchNameMix(b, bc.clients, bc.peerLoss) })
+	}
+}
+
+func benchNameMix(b *testing.B, clients, peerLoss int) {
+	e, err := ensemble.New(ensemble.Config{
+		StorageNodes: 4, DirServers: 2, SmallFileServers: 2,
+		Coordinator: true, NameKind: route.MkdirSwitching, MkdirP: 0.25,
+		UDPListen: "127.0.0.1:0",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if peerLoss > 0 {
+		dirs, hosts := map[netsim.Addr]bool{}, map[uint32]bool{}
+		for _, d := range e.Dirs {
+			dirs[d.Addr()], hosts[d.Addr().Host] = true, true
+		}
+		var seen atomic.Int64
+		e.Net.AddTap(netsim.TapFunc(func(d []byte) netsim.Verdict {
+			h, err := netsim.ParseHeader(d)
+			if err == nil && dirs[h.Src] && hosts[h.Dst.Host] && seen.Add(1)%int64(peerLoss) == 0 {
+				return netsim.Drop
+			}
+			return netsim.Pass
+		}))
+	}
+	gw := e.DatagramGateways[0].Addr().String()
+	cs := make([]*client.Client, clients)
+	tops := make([]fhandle.Handle, clients)
+	for i := range cs {
+		conn, err := wire.DialDatagram(gw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs[i] = client.NewWithConn(conn, client.Config{Server: e.Virtual})
+		defer cs[i].Close()
+		if err := cs[i].Mount(); err != nil {
+			b.Fatal(err)
+		}
+		if tops[i], _, err = cs[i].Mkdir(cs[i].Root(), fmt.Sprintf("c%d", i), 0o755); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next, failed atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for i, c := range cs {
+		wg.Add(1)
+		go func(c *client.Client, dirs []fhandle.Handle) {
+			defer wg.Done()
+			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
+				d := dirs[int(n)%len(dirs)]
+				var err error
+				if n%12 == 0 {
+					var fh fhandle.Handle
+					if fh, _, err = c.Mkdir(d, fmt.Sprintf("d%d", n), 0o755); err == nil {
+						dirs = append(dirs, fh)
+					}
+				} else {
+					_, _, err = c.Create(d, fmt.Sprintf("f%d", n), 0o644, true)
+				}
+				if err != nil {
+					failed.Add(1)
+				}
+			}
+		}(c, []fhandle.Handle{tops[i]})
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(failed.Load())/float64(b.N), "failed/op")
 }
