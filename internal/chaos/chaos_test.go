@@ -96,18 +96,20 @@ func TestCoordinatorCrashMidRemoveLeavesNoOrphans(t *testing.T) {
 	}
 
 	// Storage node 0 drops off the fabric; the remove's data clearing
-	// cannot reach it. The client is still acknowledged quickly — the
-	// first transmission's orchestration chain withholds its reply while
-	// it grinds against the dead site, but the retransmission is answered
-	// from the directory server's duplicate-request cache — and the
-	// durable intention stands in for the unreachable site.
+	// cannot reach it. The client is acknowledged once the one
+	// orchestration chain, which runs on its send, has given up on the
+	// dead site, and the durable intention stands in for the unreachable
+	// site.
 	ch.PartitionStorage(0)
-	retransBefore := c.Retransmissions()
+	faulted, intents := e.Net.Stats().Faulted, e.Coord.Stats().Intentions
 	if err := Retry(15*time.Second, func() error { return c.Remove(c.Root(), "victim") }); err != nil {
 		t.Fatalf("remove during partition: %v", err)
 	}
-	if c.Retransmissions() == retransBefore {
-		t.Fatal("remove acknowledged on the first transmission (fault window not exercised)")
+	if e.Net.Stats().Faulted == faulted {
+		t.Fatal("no datagram to the partitioned node was dropped (fault window not exercised)")
+	}
+	if n := e.Coord.Stats().Intentions - intents; n != 1 {
+		t.Fatalf("one remove declared %d intentions, want 1", n)
 	}
 	if !WaitFor(5*time.Second, func() bool { return e.Coord.PendingIntentions() >= 1 }) {
 		t.Fatalf("intention completed despite unreachable site (pending=%d)", e.Coord.PendingIntentions())
@@ -184,7 +186,7 @@ func TestStoragePartitionMidCommitNoLostAckedWrites(t *testing.T) {
 	}
 
 	ch.PartitionStorage(1)
-	retransBefore := c.Retransmissions()
+	faulted, intents := e.Net.Stats().Faulted, e.Coord.Stats().Intentions
 	t0 := time.Now()
 	if _, err := c.Commit(fh); err != nil {
 		t.Fatalf("commit during partition not acknowledged: %v", err)
@@ -192,8 +194,11 @@ func TestStoragePartitionMidCommitNoLostAckedWrites(t *testing.T) {
 	if lat := time.Since(t0); lat > 8*time.Second {
 		t.Fatalf("commit latency %v exceeds bound", lat)
 	}
-	if c.Retransmissions() == retransBefore {
-		t.Fatal("commit answered before the partition cost any timeouts (fault not exercised)")
+	if e.Net.Stats().Faulted == faulted {
+		t.Fatal("no datagram to the partitioned node was dropped (fault not exercised)")
+	}
+	if n := e.Coord.Stats().Intentions - intents; n != 1 {
+		t.Fatalf("one commit declared %d intentions, want 1", n)
 	}
 	if n := e.Coord.PendingIntentions(); n < 1 {
 		t.Fatalf("commit intention cleared despite unreachable site (pending=%d)", n)
@@ -221,6 +226,59 @@ func TestStoragePartitionMidCommitNoLostAckedWrites(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("acknowledged committed data lost in storage crash")
+	}
+	FsckClean(t, e)
+}
+
+// TestStoragePartitionMidTruncateDeclaresOneIntention: a truncating
+// SETATTR while a storage node is partitioned is acknowledged after its
+// one orchestration chain has given up on the dead site, under exactly one
+// intention, which the coordinator's probe finishes once the partition
+// heals: the file's blocks past the new size are gone from every site.
+func TestStoragePartitionMidTruncateDeclaresOneIntention(t *testing.T) {
+	e := newEnsemble(t, nil)
+	ch := e.Chaos()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fh, _, err := c.Create(c.Root(), "shrink", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteFile(fh, bytes.Repeat([]byte("t"), 200*1024)); err != nil { // spans both storage nodes
+		t.Fatal(err)
+	}
+
+	ch.PartitionStorage(1)
+	faulted, intents := e.Net.Stats().Faulted, e.Coord.Stats().Intentions
+	if err := c.Truncate(fh, 0); err != nil {
+		t.Fatalf("truncate during partition not acknowledged: %v", err)
+	}
+	if e.Net.Stats().Faulted == faulted {
+		t.Fatal("no datagram to the partitioned node was dropped (fault not exercised)")
+	}
+	if n := e.Coord.Stats().Intentions - intents; n != 1 {
+		t.Fatalf("one truncate declared %d intentions, want 1", n)
+	}
+	if n := e.Coord.PendingIntentions(); n < 1 {
+		t.Fatalf("truncate intention cleared despite unreachable site (pending=%d)", n)
+	}
+
+	ch.HealStorage(1)
+	if !WaitFor(5*time.Second, func() bool { return e.Coord.PendingIntentions() == 0 }) {
+		t.Fatalf("coordinator never finished the interrupted truncate (pending=%d)", e.Coord.PendingIntentions())
+	}
+	obj := storage.ObjectOf(fh)
+	for i, sn := range e.Storage {
+		if size, ok := sn.Store().Size(obj); ok && size > 0 {
+			t.Fatalf("storage node %d still holds %d bytes of the truncated file", i, size)
+		}
+	}
+	if at, err := c.GetAttr(fh); err != nil || at.Size != 0 {
+		t.Fatalf("size after truncate %d, %v; want 0", at.Size, err)
 	}
 	FsckClean(t, e)
 }
@@ -334,7 +392,7 @@ func TestCoordinatorRecoveryFinishesExactlyOnce(t *testing.T) {
 	removes0, removes1 := node0.Stats().Removes, node1.Stats().Removes
 
 	ch.PartitionStorage(0)
-	_ = oneShot.Remove(c.Root(), "gone") // times out client-side; the chain runs on
+	_ = oneShot.Remove(c.Root(), "gone") // answered after its one chain, which the send runs
 	if !WaitFor(5*time.Second, func() bool { return e.Coord.PendingIntentions() >= 1 }) {
 		t.Fatal("remove intention never became durable")
 	}

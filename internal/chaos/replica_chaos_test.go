@@ -237,7 +237,7 @@ func TestCoordinatorRecoveryWaitsForReplicaMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.PartitionStorage(1)
-	_ = oneShot.Remove(c.Root(), "mirrored-victim") // times out client-side; the chain runs on
+	_ = oneShot.Remove(c.Root(), "mirrored-victim") // answered after its one chain, which the send runs
 	if !WaitFor(5*time.Second, func() bool { return e.Coord.PendingIntentions() >= 1 }) {
 		t.Fatal("remove intention never became durable")
 	}

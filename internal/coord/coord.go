@@ -114,7 +114,7 @@ type Coordinator struct {
 	// configured tables); rpc is the one client that calls them, bound
 	// on first use.
 	sites *route.IOPolicy
-	rpc   func() (*oncrpc.Client, error)
+	rpc   *oncrpc.LazyClient
 
 	srv       *oncrpc.Server
 	stopCh    chan struct{}
@@ -155,7 +155,7 @@ func newCoordinator(cfg Config) *Coordinator {
 		nextID:  1,
 		pending: make(map[uint64]*intent),
 		sites:   &route.IOPolicy{SmallFile: cfg.SmallFile, Storage: cfg.Storage, Replicas: cfg.Replicas},
-		rpc:     oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
+		rpc:     oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 		stopCh:  make(chan struct{}),
 	}
 	cfg.Log.SetLive(&c.mu, c.liveRecords)
@@ -201,9 +201,7 @@ func (c *Coordinator) Close() {
 		close(c.stopCh)
 		c.srv.Close()
 		c.wg.Wait()
-		if cl, err := c.rpc(); err == nil {
-			cl.Close()
-		}
+		c.rpc.Close()
 	})
 }
 
@@ -216,6 +214,15 @@ func (c *Coordinator) probeLoop() {
 		case <-c.stopCh:
 			return
 		case <-tick.C:
+			// A probe against a dead site takes a retry ladder, after
+			// which the next tick is already due: Close must win over it,
+			// which a select choosing at random between the two does not
+			// guarantee.
+			select {
+			case <-c.stopCh:
+				return
+			default:
+			}
 			c.CheckIntentions(time.Now())
 		}
 	}
@@ -326,7 +333,7 @@ func (c *Coordinator) finish(in *intent) bool {
 
 // callSite is the coordinator's Caller: its one client, aimed per call.
 func (c *Coordinator) callSite(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	cl, err := c.rpc()
+	cl, err := c.rpc.Get()
 	if err != nil {
 		return nil, err
 	}

@@ -811,3 +811,19 @@ func TestChildAttrCopiesUnderLock(t *testing.T) {
 	}
 	<-done
 }
+
+// TestBareServerCloses: a directory server built without a fabric for
+// peer calls — it never makes one — closes without building a client.
+func TestBareServerCloses(t *testing.T) {
+	port, err := netsim.New(netsim.Config{}).BindAny(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(wal.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(port, Config{Site: 0, Volume: 1, Kind: route.MkdirSwitching,
+		Table: route.NewTable(1, []netsim.Addr{port.Addr()}), Log: log})
+	s.Close()
+}

@@ -40,7 +40,7 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
-	c, err := s.peer()
+	c, err := s.peer.Get()
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}

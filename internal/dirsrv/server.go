@@ -62,7 +62,7 @@ type Server struct {
 
 	// peer is the one client the server calls its peer sites from,
 	// bound on first use.
-	peer func() (*oncrpc.Client, error)
+	peer *oncrpc.LazyClient
 
 	srv *oncrpc.Server
 }
@@ -99,7 +99,7 @@ func newServer(cfg Config) *Server {
 		table: cfg.Table,
 		st:    newState(),
 		log:   cfg.Log,
-		peer:  oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
+		peer:  oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 	}
 	s.log.SetLive(&s.mu, s.liveRecords)
 	return s
@@ -138,9 +138,7 @@ func (s *Server) addCounter(f func(*Counters)) {
 // Close shuts the server down.
 func (s *Server) Close() {
 	s.srv.Close()
-	if c, err := s.peer(); err == nil {
-		c.Close()
-	}
+	s.peer.Close()
 }
 
 // CreateRoot mints the volume root directory. The ensemble calls it once,

@@ -476,20 +476,64 @@ func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	return c
 }
 
-// LazyClient returns a function that, on its first call, binds a free
-// ephemeral port of host and builds a client there with no server of its
-// own: each call names its site with CallTo, and a zero site goes to
-// cfg.Resolve. Every later call returns the same client, or the same
-// error. It is how a role that calls many sites holds one client for all
-// of them.
-func LazyClient(n *netsim.Network, host uint32, cfg ClientConfig) func() (*Client, error) {
-	return sync.OnceValues(func() (*Client, error) {
-		port, err := n.BindAny(host)
-		if err != nil {
-			return nil, err
-		}
-		return NewClient(port, netsim.Addr{}, cfg), nil
-	})
+// LazyClient is how a role that calls many sites holds one client for all
+// of them: Get, on its first call, binds a free ephemeral port of the host
+// and builds a client there with no server of its own — each call names
+// its site with CallTo, and a zero site goes to the config's Resolve — and
+// every later Get returns the same client, or the same error.
+type LazyClient struct {
+	net  *netsim.Network
+	host uint32
+	cfg  ClientConfig
+
+	built  atomic.Pointer[Client]
+	mu     sync.Mutex // serializes the build with Close
+	err    error
+	closed bool
+}
+
+// NewLazyClient returns a LazyClient that binds on host of n on first use.
+func NewLazyClient(n *netsim.Network, host uint32, cfg ClientConfig) *LazyClient {
+	return &LazyClient{net: n, host: host, cfg: cfg}
+}
+
+// Get returns the client, building it on first use. After Close it binds
+// nothing: it returns the closed client, whose calls fail, or, when none
+// was built, netsim.ErrClosed.
+func (l *LazyClient) Get() (*Client, error) {
+	if c := l.built.Load(); c != nil {
+		return c, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c := l.built.Load(); c != nil {
+		return c, nil
+	}
+	if l.closed {
+		return nil, netsim.ErrClosed
+	}
+	if l.err != nil {
+		return nil, l.err
+	}
+	port, err := l.net.BindAny(l.host)
+	if err != nil {
+		l.err = err
+		return nil, err
+	}
+	c := NewClient(port, netsim.Addr{}, l.cfg)
+	l.built.Store(c)
+	return c, nil
+}
+
+// Close closes the client if Get built one. Idempotent.
+func (l *LazyClient) Close() {
+	l.mu.Lock()
+	l.closed = true
+	c := l.built.Load()
+	l.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
 }
 
 // target resolves the destination for one transmission of a call to

@@ -958,3 +958,29 @@ func TestBuildReplyMatchesBuild(t *testing.T) {
 		t.Fatal("a reply beyond the fabric MTU was built")
 	}
 }
+
+// TestLazyClientClose: Close closes only a client Get built, and a Get
+// after Close binds nothing: it returns netsim.ErrClosed, or the closed
+// client, whose calls fail with it.
+func TestLazyClientClose(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	unused := NewLazyClient(n, 1, ClientConfig{})
+	unused.Close()
+	if c, err := unused.Get(); c != nil || !errors.Is(err, netsim.ErrClosed) {
+		t.Fatalf("Get after Close = %v, %v; want netsim.ErrClosed", c, err)
+	}
+
+	used := NewLazyClient(n, 1, ClientConfig{})
+	c, err := used.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	used.Close()
+	used.Close()
+	if again, err := used.Get(); again != c || err != nil {
+		t.Fatalf("Get after Close = %v, %v; want the closed client", again, err)
+	}
+	if _, err := c.CallTo(netsim.Addr{Host: 2, Port: 2049}, 1, 1, 0, nil); !errors.Is(err, netsim.ErrClosed) {
+		t.Fatalf("call on the closed client: %v, want netsim.ErrClosed", err)
+	}
+}

@@ -44,7 +44,7 @@ import (
 // more than reading the clock, so a call's header match (Handle) and the
 // source restore of a passed-through reply (passThrough) ride in a
 // neighbour's lap. Waiting is no stage: skip restarts the clock after a
-// blocking RPC or a goroutine hand-off, and injection is outside it.
+// blocking RPC, and injection is outside it.
 type lapClock struct {
 	start int64             // first reading
 	last  int64             // latest reading
@@ -211,7 +211,7 @@ func (p *Proxy) hopForSite(addr netsim.Addr) obs.HopKind {
 // it times the round trip and records the hop, with the server's time for
 // the call from the reply header.
 func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	c, err := p.rpc()
+	c, err := p.rpc.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -230,8 +230,8 @@ func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, dst netsim.Addr, prog, ve
 }
 
 // answerStats serves one absorbed stats-program call (obs.Program) from
-// the configured StatsFn, replying as the virtual server. Runs on a
-// helper goroutine: StatsFn walks registries under their locks.
+// the configured StatsFn, replying as the virtual server, on the sender's
+// goroutine.
 func (p *Proxy) answerStats(client netsim.Addr, xid, proc, arg uint32) {
 	out := p.cfg.StatsFn(proc, arg)
 	accept, res := uint32(oncrpc.AcceptSuccess), func(e *xdr.Encoder) { e.PutOpaque(out) }

@@ -18,6 +18,8 @@ import (
 // intention with the coordinator, perform the operation, then send an
 // asynchronous completion. If the µproxy dies mid-operation, the
 // coordinator times out, probes, and finishes the idempotent tail itself.
+// Each runs on the goroutine that delivered its call or reply, under
+// orchestrate, as a directory server's handler runs its peer calls.
 
 // caller returns the coord.Caller of the RPCs the µproxy originates for
 // span sp: the zero site is the coordinator, any other a data site whose
@@ -52,24 +54,13 @@ func (p *Proxy) applyAll(sp *obs.Span, a coord.Action, size uint64) (id, verf ui
 }
 
 // observeAttr folds authoritative attributes into the cache; if the
-// insert evicted a dirty entry, its attributes are written back outside
-// the shard lock, on a helper goroutine, so a slow directory server never
-// stalls unrelated cache traffic.
+// insert evicted a dirty entry, its attributes are written back once the
+// shard lock is released, so a slow directory server never stalls
+// unrelated cache traffic.
 func (p *Proxy) observeAttr(fh fhandle.Handle, at attr.Attr) {
 	if e, dirty := p.attrs.observe(fh, at); dirty {
-		p.writebackEvicted(e)
+		p.orchestrate(func() { p.push(nil, e) })
 	}
-}
-
-// writebackEvicted pushes a dirty evictee's attributes to its directory
-// server asynchronously. (A function of its own so that e escapes to the
-// heap only when there is an evictee, not on every observe.)
-func (p *Proxy) writebackEvicted(e attrEntry) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.push(nil, e)
-	}()
 }
 
 // fetchAttr asks fh's directory server for the file's attributes and
@@ -115,21 +106,21 @@ func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, b
 	return res.FH, true
 }
 
-// routeRemove forwards REMOVE to the directory server with an onOK hook
-// that clears the victim's data across the storage sites under an
-// intention, then forgets its soft state. It owns d: every path forwards
-// or frees it.
+// routeRemove resolves the victim's handle with a LOOKUP of the µproxy's
+// own, then forwards REMOVE to the directory server with an onOK hook that
+// clears the victim's data across the storage sites under an intention,
+// then forgets its soft state. It owns d: every path forwards or frees it.
 func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 	child, known := p.resolveChild(pd.info.FH, pd.info.Name)
-	p.skip(&pd.clk) // the hand-off to this goroutine and the LOOKUP's wait are no stage's cost
+	p.skip(&pd.clk) // the LOOKUP's wait is no stage's cost
 	addr, err := p.cfg.Names.AddrFor(&pd.info)
 	if err != nil {
 		p.dropPending(pd)
 		return p.consumeDrop(d)
 	}
 
-	// The hook runs on the response goroutine before the span is closed,
-	// so its RPCs are attributed to the request's span via pd.
+	// The hook runs before the span is closed, so its RPCs are attributed
+	// to the request's span via pd.
 	pd.onOK = func() {
 		if !known || child.Type == uint8(attr.TypeDir) {
 			return
@@ -182,11 +173,14 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 // file's dirty attributes to the directory server, declares a commit
 // intention, commits every involved data site, clears the intention, and
 // synthesizes the reply. This is the consistent write commitment of §4.2.
-// The span (nil when tracing is off) collects every RPC of the chain and
-// is closed — and the absorbed op's end-to-end latency recorded, from
-// start, the first reading of the request's clock — just before the reply
-// is injected, so a client that acts on the reply finds both.
-func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.RequestInfo, sp *obs.Span, start int64) {
+// It owns pd, the call's record, which is never published. The span (nil
+// when tracing is off) collects every RPC of the chain and is closed — and
+// the absorbed op's end-to-end latency recorded, from the first reading of
+// the request's clock — just before the reply is injected, so a client
+// that acts on the reply finds both.
+func (p *Proxy) absorbCommit(key pendKey, pd *pendingReq) {
+	p.settle(&pd.clk, pd.span)
+	sp, info := pd.span, &pd.info
 	fh := info.FH
 	p.pushAttrs(sp, fh)
 
@@ -215,14 +209,15 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 	} else if at, ok := p.attrs.get(fh); ok {
 		res.Attr = nfsproto.Some(at)
 	}
-	out, err := oncrpc.BuildReply(p.cfg.Virtual, client, xid, oncrpc.AcceptSuccess, res.Encode)
+	out, err := oncrpc.BuildReply(p.cfg.Virtual, key.client, key.xid, oncrpc.AcceptSuccess, res.Encode)
 	end := p.now()
 	if p.hists != nil {
-		p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - start))
+		p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - pd.clk.start))
 	}
 	if sp != nil {
 		p.tracer.Finish(sp, p.wall0+end)
 	}
+	putPending(pd)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

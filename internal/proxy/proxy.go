@@ -133,8 +133,8 @@ type pendingReq struct {
 	routeVer uint64
 
 	// onOK runs when a successful reply arrives, before it is forwarded;
-	// orchestration hooks use it. Responses with a hook are finished on
-	// a helper goroutine because hooks issue blocking RPCs.
+	// orchestration hooks use it. It blocks on RPCs of the µproxy's own,
+	// on the goroutine that delivered the reply.
 	onOK func()
 
 	// Replica bookkeeping (nil dirty set disables all of it). dirtyMark
@@ -200,7 +200,7 @@ type Proxy struct {
 	// rpc is the one client every RPC the µproxy originates goes out on,
 	// bound on first use: CallTo names each data site, and its zero site
 	// is the coordinator, through cfg.Coord.
-	rpc func() (*oncrpc.Client, error)
+	rpc *oncrpc.LazyClient
 
 	// workCh feeds the paced service loop; nil when ServiceTime is 0
 	// and requests are processed inline.
@@ -213,26 +213,36 @@ type Proxy struct {
 	now   func() int64
 	wall0 int64
 
-	tapTok    *netsim.TapToken
-	st        stageCounters
-	hists     *proxyHists // nil when cfg.Obs is nil
-	tracer    *obs.Tracer // nil when cfg.Tracer is nil
-	stopCh    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	tapTok *netsim.TapToken
+	st     stageCounters
+	hists  *proxyHists // nil when cfg.Obs is nil
+	tracer *obs.Tracer // nil when cfg.Tracer is nil
+
+	// orchestrating counts the orchestrations in flight, plus closing
+	// once Close has begun; the one that leaves the count at closing
+	// closes drained, on which Close waits. wg counts New's loops.
+	orchestrating atomic.Int64
+	drained       chan struct{}
+	drainOnce     sync.Once
+	stopCh        chan struct{}
+	closeOnce     sync.Once
+	wg            sync.WaitGroup
 }
+
+const closing = 1 << 62 // marks the orchestration count once Close has begun
 
 // New creates a µproxy and registers it as a tap on the network.
 func New(cfg Config) *Proxy {
 	base := time.Now()
 	p := &Proxy{
-		cfg:    cfg,
-		attrs:  newAttrCache(),
-		rpc:    oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
-		now:    func() int64 { return int64(time.Since(base)) },
-		wall0:  base.UnixNano(),
-		stopCh: make(chan struct{}),
-		tracer: cfg.Tracer,
+		cfg:     cfg,
+		attrs:   newAttrCache(),
+		rpc:     oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
+		now:     func() int64 { return int64(time.Since(base)) },
+		wall0:   base.UnixNano(),
+		drained: make(chan struct{}),
+		stopCh:  make(chan struct{}),
+		tracer:  cfg.Tracer,
 	}
 	if cfg.IO != nil && cfg.IO.Replicas.Replicated() {
 		p.dirty = replica.NewDirtySet()
@@ -261,17 +271,34 @@ func New(cfg Config) *Proxy {
 	return p
 }
 
-// Close detaches the µproxy from the network and stops its helpers.
-// It is idempotent.
+// Close detaches the µproxy from the network, stops its loops and waits
+// for the orchestrations in flight, each bounded by its client's retry
+// ladder; later ones are refused. It must not be called from one, and is
+// idempotent.
 func (p *Proxy) Close() {
 	p.closeOnce.Do(func() {
 		p.cfg.Net.RemoveTap(p.tapTok)
 		close(p.stopCh)
-		p.wg.Wait()
-		if c, err := p.rpc(); err == nil {
-			c.Close()
+		if p.orchestrating.Add(closing) != closing {
+			<-p.drained
 		}
+		p.wg.Wait()
+		p.rpc.Close()
 	})
+}
+
+// orchestrate runs fn — work on a sender's goroutine that blocks on RPCs
+// of the µproxy's own — and reports whether it ran: once Close has begun,
+// it refuses.
+func (p *Proxy) orchestrate(fn func()) bool {
+	ran := p.orchestrating.Add(1)&closing == 0
+	if ran {
+		fn()
+	}
+	if p.orchestrating.Add(-1) == closing {
+		p.drainOnce.Do(func() { close(p.drained) })
+	}
+	return ran
 }
 
 // routeVersion folds the versions of every table the µproxy forwards by;
@@ -412,10 +439,9 @@ func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
 }
 
 // Handle implements netsim.Tap: the packet-filter entry point. It runs on
-// the sender's goroutine and processes the fast path inline — no
-// per-packet goroutine, no allocation in the steady state. Only
-// operations that must block (commit absorption, remove orchestration,
-// response hooks) are handed to helper goroutines.
+// the sender's goroutine and does all its work there — no per-packet
+// goroutine, no allocation in the steady state; an operation the µproxy
+// coordinates itself blocks it on RPCs of its own (orchestrate.go).
 //
 // Interception is timed where it does work: every reply on the fabric is
 // probed against the pending table, hit or miss. A call is claimed or
@@ -487,8 +513,7 @@ func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.Reque
 }
 
 // handleRequest classifies and routes one intercepted call. It always
-// takes ownership of d: every path forwards it, frees it, or hands it to
-// a helper goroutine.
+// takes ownership of d: every path forwards it or frees it.
 func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	clk := p.startClock()
 	h, err := netsim.ParseHeader(d)
@@ -533,9 +558,7 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	if call.Program == obs.Program {
 		// The stats program is absorbed: the µproxy answers it from the
 		// ensemble's collector so slicectl aggregates a live deployment
-		// over the same wire the NFS traffic uses. Snapshotting walks
-		// registries under their locks, so it runs off the sender's
-		// goroutine.
+		// over the same wire the NFS traffic uses.
 		if p.cfg.StatsFn == nil {
 			return p.consumeDrop(d)
 		}
@@ -545,13 +568,8 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		}
 		p.lap(&clk, stDecode)
 		p.settle(&clk, nil)
-		src, xid, proc := h.Src, call.Xid, call.Proc
 		netsim.FreeBuf(d)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.answerStats(src, xid, proc, arg)
-		}()
+		p.answerStats(h.Src, call.Xid, call.Proc, arg)
 		return netsim.Consumed
 	}
 	if call.Program != nfsproto.Program {
@@ -561,34 +579,20 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 
 	switch proc {
 	case nfsproto.ProcCommit:
-		// Commit is absorbed: the µproxy coordinates multi-site commit
-		// itself and answers the client (§3.3.2, §4.1). That is a chain
-		// of blocking RPCs, so it runs off the sender's goroutine; the
-		// request datagram itself is no longer needed. The span, if any,
-		// moves to the absorbing goroutine with the request identity.
-		sp, start := pd.span, pd.clk.start
-		p.settle(&pd.clk, sp)
-		pd.span = nil
-		putPending(pd)
+		// Commit is absorbed: the µproxy coordinates the multi-site
+		// commit and answers the client itself (§3.3.2, §4.1).
 		netsim.FreeBuf(d)
-		src, xid := h.Src, call.Xid
-		ci := info // case-local copy: capturing info itself would heap-allocate it on every request
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.absorbCommit(src, xid, ci, sp, start)
-		}()
+		if !p.orchestrate(func() { p.absorbCommit(key, pd) }) {
+			p.st.dropped.Add(1)
+			p.dropPending(pd)
+		}
 		return netsim.Consumed
 	case nfsproto.ProcRemove:
-		// Remove orchestration resolves the victim's handle first with a
-		// LOOKUP of its own: run it off the sender's goroutine, which
-		// owns d until it is forwarded.
 		pd.hop = obs.HopDirsrv
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.routeRemove(d, key, pd)
-		}()
+		if !p.orchestrate(func() { p.routeRemove(d, key, pd) }) {
+			p.dropPending(pd)
+			return p.consumeDrop(d)
+		}
 		return netsim.Consumed
 	case nfsproto.ProcSetAttr:
 		pd.hop = obs.HopDirsrv

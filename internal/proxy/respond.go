@@ -11,12 +11,11 @@ import (
 
 // handleResponse pairs a server reply with its pending record, harvests
 // and patches attributes, restores the virtual server as the source, and
-// forwards the reply to the client. It runs inline on the sender's
-// goroutine; only responses with an orchestration hook (which issues
-// blocking RPCs) are finished on a helper goroutine. clk is the reply's
-// clock, started when Handle took it off the fabric; verify is false when
-// the record Handle probed is a READ's, whose reply only patchRead edits
-// (or, if it cannot, respondIO verifies before re-encoding).
+// forwards the reply to the client, all on the sender's goroutine — an
+// orchestration hook's RPCs included. clk is the reply's clock, started
+// when Handle took it off the fabric; verify is false when the record
+// Handle probed is a READ's, whose reply only patchRead edits (or, if it
+// cannot, respondIO verifies before re-encoding).
 func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool) netsim.Verdict {
 	parse := netsim.ParseHeader
 	if verify {
@@ -104,17 +103,18 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 
 	if rep.Accept == oncrpc.AcceptSuccess && pd.onOK != nil &&
 		replyStatus(pd.proc, rep.Body) == nfsproto.OK {
-		// The hook blocks on µproxy-originated RPCs; run it (and the
-		// forwarding that must follow it) off the sender's goroutine. Its
-		// waiting is no stage's cost: the clock skips it.
+		// The hook blocks on µproxy-originated RPCs, and its waiting is no
+		// stage's cost: the clock skips it. Once Close has begun the reply
+		// goes unanswered, as a crashed µproxy's would.
 		p.lap(&pd.clk, stSoftState)
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
+		if !p.orchestrate(func() {
 			pd.onOK()
 			p.skip(&pd.clk)
 			p.finishResponse(d, key, pd, rep)
-		}()
+		}) {
+			p.dropPending(pd)
+			return p.consumeDrop(d)
+		}
 		return netsim.Consumed
 	}
 	p.finishResponse(d, key, pd, rep)

@@ -108,7 +108,7 @@ type Driver struct {
 
 	// rpc is the one client the driver calls every storage node from,
 	// bound on first use; its zero site is the coordinator (cfg.Coord).
-	rpc func() (*oncrpc.Client, error)
+	rpc *oncrpc.LazyClient
 
 	mu     sync.Mutex
 	status Status
@@ -131,7 +131,7 @@ func New(cfg Config) *Driver {
 	d := &Driver{
 		cfg:   cfg,
 		token: replica.PeerToken(cfg.CapKey),
-		rpc:   oncrpc.LazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
+		rpc:   oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
 	}
 	d.status.State = "idle"
 	if cfg.Obs != nil {
@@ -156,9 +156,7 @@ func (d *Driver) StatusJSON() []byte {
 
 // Close releases the driver's RPC client.
 func (d *Driver) Close() {
-	if c, err := d.rpc(); err == nil {
-		c.Close()
-	}
+	d.rpc.Close()
 }
 
 func (d *Driver) setStatus(f func(*Status)) {
@@ -503,7 +501,7 @@ func (d *Driver) repairChunk(m chunkMove, want, dstSizes map[netsim.Addr]map[uin
 
 // call is the driver's coord.Caller: its one client, aimed per call.
 func (d *Driver) call(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
-	c, err := d.rpc()
+	c, err := d.rpc.Get()
 	if err != nil {
 		return nil, err
 	}

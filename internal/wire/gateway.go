@@ -38,6 +38,15 @@ const (
 	// it, and RPC retransmission recovers. A client keeps at most a
 	// window of bulk calls (16 by default) in flight.
 	injectQueue = 128
+
+	// datagramReadBuffer is the receive buffer a datagram gateway asks
+	// its socket for. The kernel's default (net.core.rmem_default, about
+	// 208 KiB on Linux) is smaller than one client's window of bulk WRITE
+	// datagrams, so the kernel dropped part of every burst unseen and each
+	// one waited out a retransmission: two clients wrote 56 files of
+	// 256 KiB a second through the default and 3 214 with 4 MiB. The
+	// kernel caps the request at net.core.rmem_max.
+	datagramReadBuffer = 4 << 20
 )
 
 // synthHosts allocates synthetic peer hosts process-wide — not per
@@ -175,6 +184,7 @@ func NewDatagramGateway(listen string, fabric *netsim.Network, virtual netsim.Ad
 	}
 	g := newGateway(pc, pc.LocalAddr(), fabric, virtual)
 	g.pc = pc.(*net.UDPConn)
+	_ = g.pc.SetReadBuffer(datagramReadBuffer) // best effort: a smaller buffer only drops more
 	g.wg.Add(2)
 	go g.datagramLoop()
 	go g.janitor()
