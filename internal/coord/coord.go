@@ -195,13 +195,16 @@ func (c *Coordinator) PendingIntentions() int {
 	return len(c.pending)
 }
 
-// Close stops the coordinator. Idempotent.
+// Close stops the coordinator. Idempotent. The client closes before the
+// probe loop is waited for, so a probe retrying against a dead site ends
+// at its next transmission instead of running out its retry ladder; an
+// intention it could not confirm stays pending for the next incarnation.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stopCh)
 		c.srv.Close()
-		c.wg.Wait()
 		c.rpc.Close()
+		c.wg.Wait()
 	})
 }
 

@@ -206,6 +206,31 @@ func TestRecoverCompletesInFlight(t *testing.T) {
 	}
 }
 
+// TestCloseEndsProbeAgainstDeadSite: Close while the probe retries an
+// intention against a dead site returns at the probe's next transmission,
+// well inside one retry ladder (≈ 1.9 s with the default client), and the
+// intention it could not confirm stays pending.
+func TestCloseEndsProbeAgainstDeadSite(t *testing.T) {
+	r := newRig(t, 20*time.Millisecond)
+	r.net.CrashHost(r.nodes[1].Addr().Host)
+	if _, err := r.co.Intend(OpRemove, testFH(40), 0); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.net.Stats().Faulted == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe never called the dead site")
+		}
+	}
+	start := time.Now()
+	r.co.Close()
+	if took := time.Since(start); took > 300*time.Millisecond {
+		t.Fatalf("Close took %v behind a probe retrying against a dead site", took)
+	}
+	if n := r.co.PendingIntentions(); n != 1 {
+		t.Fatalf("%d intentions pending after Close, want the unconfirmed one", n)
+	}
+}
+
 // ------------------------------------------------------------ RPC surface
 
 func TestCoordinatorRPC(t *testing.T) {

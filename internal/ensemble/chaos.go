@@ -386,8 +386,8 @@ func (c *Chaos) replicaGroup(i int) int {
 // folded into one topology swap, exactly like a µproxy crash's fleet
 // swap.
 // Writes stop awaiting the dead member, reads stop spreading to it,
-// and the version bump retargets stalled in-flight requests onto the
-// survivors at their next client retransmission. If i was its group's
+// and each stalled in-flight request is routed onto the survivors at
+// its next client retransmission. If i was its group's
 // primary the next member is promoted and the storage table rebound.
 func (c *Chaos) KillReplica(i int) {
 	if i < 0 || i >= len(c.e.Storage) || c.e.Storage[i] == nil {

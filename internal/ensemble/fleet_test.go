@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"slice/internal/client"
+	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
@@ -61,22 +63,51 @@ func TestFleetServesAcrossProxies(t *testing.T) {
 }
 
 // TestFleetCoordinatedRouteSwap checks the coordinated-retarget
-// property: the fleet shares its routing tables, so one Swap moves
-// every member to the identical route-table version — no member can
-// keep forwarding by the superseded binding.
+// property: the fleet shares its routing tables, so after one Swap that
+// rebinds a directory site, a call through every member is forwarded to
+// the site's new address — no member keeps forwarding by the superseded
+// binding.
 func TestFleetCoordinatedRouteSwap(t *testing.T) {
 	e := newTest(t, func(cfg *Config) { cfg.Proxies = 4 })
-	before := e.Proxies[0].RouteVersion()
-	for i, p := range e.Proxies {
-		if v := p.RouteVersion(); v != before {
-			t.Fatalf("proxy %d at route version %d, proxy 0 at %d", i, v, before)
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := c.Root()
+	c.Close()
+	old, err := e.NamePolicy.AddrFor(&nfsproto.RequestInfo{Proc: nfsproto.ProcGetAttr, FH: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err := e.Net.Bind(netsim.Addr{Host: 70, Port: old.Port})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer moved.Close()
+	next := e.DirTable.Physical()
+	for i, a := range next {
+		if a == old {
+			next[i] = moved.Addr()
 		}
 	}
-	e.DirTable.Swap(e.DirTable.Physical())
-	for i, p := range e.Proxies {
-		if v := p.RouteVersion(); v != before+1 {
-			t.Fatalf("after swap, proxy %d at route version %d, want %d", i, v, before+1)
+	e.DirTable.Swap(next)
+
+	caller, err := e.Net.BindAny(HostClient0 + 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer caller.Close()
+	for i := range e.Proxies {
+		call := oncrpc.EncodeCall(uint32(i+1), nfsproto.Program, nfsproto.Version,
+			uint32(nfsproto.ProcGetAttr), (&nfsproto.GetAttrArgs{FH: root}).Encode)
+		if err := caller.SendTo(e.VirtualOf(i), call); err != nil {
+			t.Fatal(err)
 		}
+		d, err := moved.Recv(time.Second)
+		if err != nil {
+			t.Fatalf("after the swap, proxy %d did not forward the call to the site's new address %s: %v", i, moved.Addr(), err)
+		}
+		netsim.FreeBuf(d)
 	}
 }
 

@@ -758,8 +758,13 @@ func (c *Client) roundTrip(key uint64, dst netsim.Addr, prog, vers, proc uint32,
 
 // transmit sends one transmission of the call h to dst: payload, the call
 // encoded once, through SendTo; or with no payload the call encoded afresh
-// from args into the datagram that carries it, through Send.
+// from args into the datagram that carries it, through Send. A closed
+// client transmits nothing: a call in flight across Close ends at its next
+// transmission rather than running out its retry ladder.
 func (c *Client) transmit(dst netsim.Addr, h callHead, args func(*xdr.Encoder), payload []byte) error {
+	if c.closed.Load() {
+		return netsim.ErrClosed
+	}
 	if payload != nil {
 		return c.port.SendTo(dst, payload)
 	}

@@ -113,11 +113,6 @@ func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, b
 func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 	child, known := p.resolveChild(pd.info.FH, pd.info.Name)
 	p.skip(&pd.clk) // the LOOKUP's wait is no stage's cost
-	addr, err := p.cfg.Names.AddrFor(&pd.info)
-	if err != nil {
-		p.dropPending(pd)
-		return p.consumeDrop(d)
-	}
 
 	// The hook runs before the span is closed, so its RPCs are attributed
 	// to the request's span via pd.
@@ -136,7 +131,7 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 		p.applyAll(pd.span, coord.Action{Op: coord.OpRemove, FH: child}, 0)
 		p.attrs.forget(child)
 	}
-	return p.forward(d, key, pd, addr)
+	return p.forward(d, key, pd)
 }
 
 // routeSetAttr forwards SETATTR; truncating updates additionally clear
@@ -144,11 +139,6 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 	var args nfsproto.SetAttrArgs
 	if err := args.Decode(xdr.NewDecoder(netsim.Payload(d)[oncrpc.CallHeader:])); err != nil {
-		p.dropPending(pd)
-		return p.consumeDrop(d)
-	}
-	addr, err := p.cfg.Names.AddrFor(&pd.info)
-	if err != nil {
 		p.dropPending(pd)
 		return p.consumeDrop(d)
 	}
@@ -166,7 +156,7 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdi
 			})
 		}
 	}
-	return p.forward(d, key, pd, addr)
+	return p.forward(d, key, pd)
 }
 
 // absorbCommit answers COMMIT without forwarding it: the µproxy pushes the

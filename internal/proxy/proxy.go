@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,28 +110,21 @@ type pendingReq struct {
 	prog uint32
 	info nfsproto.RequestInfo
 
-	// targets are the physical servers the request was routed to, kept
-	// so client retransmissions are re-forwarded along the same path
-	// (the servers' duplicate-request caches absorb the repeats). For
-	// the common fan-outs it aliases targetsBuf, so recording the path
-	// costs no allocation.
+	// targets is the path the call's last transmission was routed along:
+	// the servers whose replies the record awaits. arm sets it, for the
+	// first transmission and again for every retransmission, which is
+	// routed afresh (route). For the common fan-outs it aliases
+	// targetsBuf, so recording the path costs no allocation.
 	targets    []netsim.Addr
 	targetsBuf [4]netsim.Addr
 
-	// expect is the number of replies still awaited (a fanned-out write
-	// expects one per target); replied dedups per-target replies, since
-	// retransmissions make servers replay theirs.
-	expect  int
-	replied map[netsim.Addr]bool
+	// heard has bit i set once targets[i] replied: each server on the
+	// path counts once, though retransmissions make servers replay their
+	// replies, and the record completes when every bit is set.
+	heard uint64
 	// errReply holds the first non-OK reply body of a multi-target
 	// request so the worst outcome is what the client sees.
 	errReply []byte
-
-	// routeVer is the combined routing-table version the path was
-	// resolved under. A retransmission arriving after the tables changed
-	// (failover republished a server) re-resolves instead of replaying
-	// the recorded — possibly dead — path.
-	routeVer uint64
 
 	// onOK runs when a successful reply arrives, before it is forwarded;
 	// orchestration hooks use it. It blocks on RPCs of the µproxy's own,
@@ -301,23 +295,6 @@ func (p *Proxy) orchestrate(fn func()) bool {
 	return ran
 }
 
-// routeVersion folds the versions of every table the µproxy forwards by;
-// it changes exactly when a failover republishes some server's address.
-func (p *Proxy) routeVersion() uint64 {
-	v := p.cfg.Names.Dirs.Version() + p.cfg.IO.Storage.Version() +
-		p.cfg.IO.Replicas.Version()
-	if p.cfg.IO.SmallFile != nil {
-		v += p.cfg.IO.SmallFile.Version()
-	}
-	return v
-}
-
-// RouteVersion exposes the folded routing-table version. Every proxy in
-// a fleet shares the same Table objects, so a reconfiguration Swap moves
-// all of them to the new version in one atomic store — the coordinated
-// retarget the shared-nothing design gets for free.
-func (p *Proxy) RouteVersion() uint64 { return p.routeVersion() }
-
 // Stats returns a snapshot of the per-stage CPU accounting.
 func (p *Proxy) Stats() StageStats { return p.st.snapshot() }
 
@@ -395,10 +372,10 @@ func (p *Proxy) DropSoftState() {
 // resetReplica clears the dirty set and the read-load counters along
 // with the rest of the soft state. A fresh (or rebooted) µproxy starts
 // with no dirtiness knowledge: a write in flight marks its object again
-// only if its record was lost and a retransmission opens a new one, and
-// until then the object may be read from any member — the same window
-// §2.1 accepts for every other piece of lost soft state, closed for
-// committed data by the COMMIT barrier.
+// at its next retransmission, which re-arms its record (or opens a new
+// one where the record was lost), and until then the object may be read
+// from any member — the same window §2.1 accepts for every other piece of
+// lost soft state, closed for committed data by the COMMIT barrier.
 func (p *Proxy) resetReplica() {
 	if p.dirty == nil {
 		return
@@ -498,7 +475,6 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.RequestInfo) *pendingReq {
 	pd := getPending()
 	pd.prog = call.Program
-	pd.expect = 1
 	if info != nil {
 		pd.proc = info.Proc
 		pd.info = *info
@@ -546,14 +522,7 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	}
 
 	if call.Program == mountProgram {
-		pd := p.newPending(clk, &call, nil)
-		pd.hop = obs.HopMount
-		addr, err := p.cfg.Names.Dirs.Lookup(mountSite)
-		if err != nil {
-			p.dropPending(pd)
-			return p.consumeDrop(d)
-		}
-		return p.forward(d, key, pd, addr)
+		return p.forward(d, key, p.newPending(clk, &call, nil))
 	}
 	if call.Program == obs.Program {
 		// The stats program is absorbed: the µproxy answers it from the
@@ -588,25 +557,15 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		}
 		return netsim.Consumed
 	case nfsproto.ProcRemove:
-		pd.hop = obs.HopDirsrv
 		if !p.orchestrate(func() { p.routeRemove(d, key, pd) }) {
 			p.dropPending(pd)
 			return p.consumeDrop(d)
 		}
 		return netsim.Consumed
 	case nfsproto.ProcSetAttr:
-		pd.hop = obs.HopDirsrv
 		return p.routeSetAttr(d, key, pd)
-	case nfsproto.ProcRead, nfsproto.ProcWrite:
-		return p.routeIO(d, key, pd)
 	default:
-		addr, err := p.cfg.Names.AddrFor(&pd.info)
-		if err != nil {
-			p.dropPending(pd)
-			return p.consumeDrop(d)
-		}
-		pd.hop = obs.HopDirsrv
-		return p.forward(d, key, pd, addr)
+		return p.forward(d, key, pd)
 	}
 }
 
@@ -620,14 +579,17 @@ func inPlace(prog uint32, proc nfsproto.Proc) bool {
 // retransmit handles a call whose key already has a pending record and
 // reports whether it did; otherwise the caller routes the call fresh.
 //
-// Retransmission while the original is in flight: the forwarded packet or
-// its reply may have been lost past the µproxy, so the retransmission must
-// be re-forwarded along the recorded path; the servers' duplicate-request
-// caches absorb genuine repeats. (A µproxy that swallowed retransmissions
-// would turn one lost packet into a permanently stuck request — the
-// end-to-end recovery of §2.1 depends on the µproxy staying transparent to
-// retries.) The recorded path is copied out under the shard lock: the
-// record is pooled and may be recycled the moment the lock is released.
+// The forwarded packet or its reply may have been lost past the µproxy, so
+// a retransmission is forwarded again — and routed like a call: the path
+// is resolved from the tables as they are now, and the record re-armed to
+// await that path, under the shard lock the record is published under.
+// A server that moved is reached at its new address, a write that a
+// transition widened reaches the new binding too, and a fanned-out WRITE
+// whose dirty mark a flush stripped marks its object again. The servers'
+// duplicate-request caches absorb genuine repeats. (A µproxy that
+// swallowed retransmissions would turn one lost packet into a permanently
+// stuck request — the end-to-end recovery of §2.1 depends on the µproxy
+// staying transparent to retries.)
 //
 // A READ's or WRITE's record was built from unverified bytes, so its
 // retransmission is verified (checked says whether handleRequest already
@@ -663,120 +625,98 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 		p.dropPending(pd)
 		return 0, false
 	}
-	var tbuf [4]netsim.Addr
-	var targets []netsim.Addr
-	if len(pd.targets) <= len(tbuf) {
-		targets = tbuf[:copy(tbuf[:], pd.targets)]
-	} else {
-		targets = append([]netsim.Addr(nil), pd.targets...)
-	}
-	rec := pd.info
-	prog, proc, ver := pd.prog, pd.proc, pd.routeVer
+	var buf [1]netsim.Addr
+	path, ok := p.route(d, key, pd, buf[:0])
 	s.mu.Unlock()
 	p.lap(clk, stDecode)
 	p.settle(clk, nil)
-	// If the routing tables changed since the path was recorded, the
-	// recorded servers may be dead (crashed and republished at new
-	// addresses): re-resolve the path so the client's end-to-end retries —
-	// the §2.1 recovery mechanism — reach the survivors, and re-arm the
-	// record to await a reply from each target of the new path.
-	if cur := p.routeVersion(); ver != cur {
-		if fresh, ok := p.retargets(prog, proc, rec); ok {
-			targets = fresh
-			s.mu.Lock()
-			if pd2 := s.pend[key]; pd2 != nil {
-				if len(fresh) <= len(pd2.targetsBuf) {
-					pd2.targets = pd2.targetsBuf[:copy(pd2.targetsBuf[:], fresh)]
-				} else {
-					pd2.targets = append([]netsim.Addr(nil), fresh...)
-				}
-				pd2.routeVer = cur
-				p.arm(pd2, len(fresh))
-			}
-			s.mu.Unlock()
-		}
+	if !ok {
+		return p.consumeDrop(d), true
 	}
-	// Storage-bound retransmissions need the capability re-stamped: the
-	// client resends the raw handle.
-	if len(p.cfg.CapKey) > 0 && inPlace(prog, proc) && !p.cfg.IO.SmallFileTarget(rec.Offset) {
-		capVal := fhandle.Capability(p.cfg.CapKey, rec.FH)
-		off := netsim.HeaderSize + oncrpc.CallHeader + rec.FHOffset + capFieldOffset
-		_ = netsim.RewriteUint64(d, off, capVal)
-	}
-	p.injectToAll(d, targets)
+	p.injectToAll(d, path)
 	return netsim.Consumed, true
 }
 
-// routeIO directs a read or write at the small-file server or the storage
-// array per the threshold and striping policies (§3.1).
-func (p *Proxy) routeIO(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
-	info := &pd.info
-	io := p.cfg.IO
+// maxPath bounds a call's path: heard has one bit per server on it.
+const maxPath = 64
 
-	if io.SmallFileTarget(info.Offset) {
-		addr, err := io.SmallFileServer(info.FH)
-		if err != nil {
-			p.dropPending(pd)
-			return p.consumeDrop(d)
-		}
+// route resolves the path pd's call takes now and arms pd to await it;
+// the first transmission and every retransmission go through it. The
+// path is where the policies of §3 put the call: the mount site; the name
+// policy's site for name-space and attribute calls (REMOVE's and
+// SETATTR's forwards included); for a READ or WRITE the small-file server
+// below the threshold, and otherwise the storage array — one node for a
+// read, spread over a replica group (spreadRead); every node holding the
+// stripe for a write, a transition's double-write included. It stamps the
+// capability into d's handle when the path leads to storage nodes and
+// addresses d to the path's first server. A single-server path is appended
+// to buf. route reports false, leaving pd armed as it was, when the
+// tables cannot place the call. A retransmission calls it under the shard lock of
+// the published record.
+func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) ([]netsim.Addr, bool) {
+	info, io := &pd.info, p.cfg.IO
+	var path []netsim.Addr
+	var a netsim.Addr
+	var err error
+	slot := int32(0)
+	switch {
+	case pd.prog == mountProgram:
+		pd.hop = obs.HopMount
+		a, err = p.cfg.Names.Dirs.Lookup(mountSite)
+	case !inPlace(pd.prog, pd.proc):
+		pd.hop = obs.HopDirsrv
+		a, err = p.cfg.Names.AddrFor(info)
+	case io.SmallFileTarget(info.Offset):
 		pd.hop = obs.HopSmallfile
-		return p.forward(d, key, pd, addr)
-	}
-
-	// Requests bound for storage nodes carry a capability: rewrite the
-	// handle's capability field in the raw datagram and repair the
-	// checksum incrementally (same mechanism as address redirection).
-	if len(p.cfg.CapKey) > 0 {
-		capVal := fhandle.Capability(p.cfg.CapKey, info.FH)
-		off := netsim.HeaderSize + oncrpc.CallHeader + info.FHOffset + capFieldOffset
-		if err := netsim.RewriteUint64(d, off, capVal); err != nil {
-			p.dropPending(pd)
-			return p.consumeDrop(d)
+		a, err = io.SmallFileServer(info.FH)
+	default:
+		// Requests bound for storage nodes carry a capability: rewrite the
+		// handle's capability field in the raw datagram and repair the
+		// checksum incrementally (same mechanism as address redirection).
+		if len(p.cfg.CapKey) > 0 {
+			capVal := fhandle.Capability(p.cfg.CapKey, info.FH)
+			off := netsim.HeaderSize + oncrpc.CallHeader + info.FHOffset + capFieldOffset
+			if netsim.RewriteUint64(d, off, capVal) != nil {
+				return nil, false
+			}
 		}
-	}
-
-	pd.hop = obs.HopStorage
-	stripe := io.StripeIndex(info.Offset)
-	if info.Proc == nfsproto.ProcWrite {
-		// Resolve the full target set: one node for a plain write, the
-		// whole replica group when replicated, both bindings' targets
-		// while a topology transition is open (double-write). Anything
-		// beyond one target fans out and completes only when every
-		// target replied.
-		targets, err := io.WriteTargets(info.FH, stripe)
-		if err != nil || len(targets) == 0 {
-			p.dropPending(pd)
-			return p.consumeDrop(d)
+		pd.hop = obs.HopStorage
+		stripe := io.StripeIndex(info.Offset)
+		if info.Proc == nfsproto.ProcWrite {
+			if path, err = io.WriteTargets(info.FH, stripe); len(path) > maxPath {
+				return nil, false
+			}
+		} else if a, err = io.ReadTarget(info.FH, stripe); err == nil && p.dirty != nil {
+			a, slot = p.spreadRead(pd, key, a, stripe)
 		}
-		if len(targets) > 1 {
-			p.arm(pd, len(targets))
-			return p.forwardMulti(d, key, pd, targets)
-		}
-		return p.forward(d, key, pd, targets[0])
-	}
-
-	addr, err := io.ReadTarget(info.FH, stripe)
-	if err == nil && p.dirty != nil {
-		addr = p.spreadRead(pd, key, addr, stripe)
 	}
 	if err != nil {
-		p.dropPending(pd)
-		return p.consumeDrop(d)
+		return nil, false
 	}
-	return p.forward(d, key, pd, addr)
+	if path == nil {
+		path = append(buf, a)
+	}
+	p.arm(pd, path, slot)
+	netsim.RewriteDst(d, path[0])
+	return path, true
 }
 
-// arm makes pd await one reply from each of its n targets: the count, an
-// empty set of targets heard from, and, for a WRITE fanned out over a
-// replicated array, a dirty mark on the object — taken before the packets
-// leave, so that a read racing the fan-out sees the object dirty and pins
-// to the primary. Re-arming a record for a retargeted path takes the new
-// mark before it releases the old one, so the object never reads clean in
-// between.
-func (p *Proxy) arm(pd *pendingReq, n int) {
-	pd.expect, pd.replied = n, nil
-	held := pd.dirtyMark
-	pd.dirtyMark = p.dirty != nil && n > 1 && pd.proc == nfsproto.ProcWrite
+// arm makes pd await one reply from each server on path, none heard from
+// yet. A WRITE fanned out over a replicated array takes a dirty mark on
+// its object — before the packets leave, so that a read racing the
+// fan-out sees the object dirty and pins to the primary — and a spread
+// read holds slot, the load slot spreadRead charged (0: none). Re-arming
+// a record takes the new mark and slot before it releases the old ones,
+// so the object never reads clean in between.
+func (p *Proxy) arm(pd *pendingReq, path []netsim.Addr, slot int32) {
+	if len(path) <= len(pd.targetsBuf) {
+		pd.targets = pd.targetsBuf[:copy(pd.targetsBuf[:], path)]
+	} else {
+		pd.targets = slices.Clone(path) // a copy: path may live in the caller's frame
+	}
+	pd.heard = 0
+	held, heldSlot := pd.dirtyMark, pd.readSlot
+	pd.dirtyMark = p.dirty != nil && len(path) > 1 && pd.proc == nfsproto.ProcWrite
 	if pd.dirtyMark {
 		pd.dirtyKey = pd.info.FH.Ident()
 		p.dirty.MarkWrite(pd.dirtyKey)
@@ -787,24 +727,34 @@ func (p *Proxy) arm(pd *pendingReq, n int) {
 	if held {
 		p.dirty.ClearWrite(pd.dirtyKey)
 	}
+	pd.readSlot = slot
+	p.unload(heldSlot)
+}
+
+// unload releases a spread read's load slot (0: none).
+func (p *Proxy) unload(slot int32) {
+	if i := int(slot) - 1; i >= 0 && i < len(p.loads) {
+		p.loads[i].Add(-1)
+	}
 }
 
 // spreadRead picks the replica-group member to serve a read that the
-// placement resolved to primary. A dirty object pins to the primary —
-// its reply order defines the file's contents while writes are in
-// flight; a clean object goes to the less loaded of two member slots
-// drawn from the request hash (power-of-two-choices over this µproxy's
-// own outstanding spread reads).
-func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, stripe uint64) netsim.Addr {
+// placement resolved to primary, and the load slot it charged (1 + the
+// slot's index; 0: none). A dirty object pins to the primary — its reply
+// order defines the file's contents while writes are in flight; a clean
+// object goes to the less loaded of two member slots drawn from the
+// request hash (power-of-two-choices over this µproxy's own outstanding
+// spread reads).
+func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, stripe uint64) (netsim.Addr, int32) {
 	g, ok := p.cfg.IO.Replicas.GroupOf(primary)
 	if !ok || len(g.Members) <= 1 {
-		return primary
+		return primary, 0
 	}
 	if p.dirty.Dirty(pd.info.FH.Ident()) {
 		if p.hists != nil {
 			p.hists.pinned.Record(1)
 		}
-		return g.Members[0]
+		return g.Members[0], 0
 	}
 	h := pendHash(key) ^ (stripe+1)*0x9E3779B97F4A7C15
 	i, j := replica.Pick2(len(g.Members), h)
@@ -814,85 +764,26 @@ func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, str
 		i, slot = j, alt
 	}
 	if slot >= len(p.loads) { // topology outgrew the load array: stay safe
-		return primary
+		return primary, 0
 	}
 	p.loads[slot].Add(1)
-	pd.readSlot = int32(slot + 1)
 	if p.hists != nil && slot < len(p.hists.readSpread) {
 		p.hists.readSpread[slot].Record(1)
 	}
-	return g.Members[i]
+	return g.Members[i], int32(slot + 1)
 }
 
-// retargets re-resolves the forwarding path of a retransmitted request
-// after a routing-table change. Resolution is deterministic (mkdir
-// switching hashes the parent handle and name), so a recomputed path
-// agrees with the original whenever the responsible logical site is
-// unchanged — only the physical address moves.
-func (p *Proxy) retargets(prog uint32, proc nfsproto.Proc, info nfsproto.RequestInfo) ([]netsim.Addr, bool) {
-	if prog == mountProgram {
-		a, err := p.cfg.Names.Dirs.Lookup(mountSite)
-		if err != nil {
-			return nil, false
-		}
-		return []netsim.Addr{a}, true
-	}
-	if proc == nfsproto.ProcRead || proc == nfsproto.ProcWrite {
-		if p.cfg.IO.SmallFileTarget(info.Offset) {
-			a, err := p.cfg.IO.SmallFileServer(info.FH)
-			if err != nil {
-				return nil, false
-			}
-			return []netsim.Addr{a}, true
-		}
-		stripe := p.cfg.IO.StripeIndex(info.Offset)
-		if proc == nfsproto.ProcWrite {
-			// Keep the full resolved fan-out: replica members must all
-			// converge, and a write retransmitted across a transition
-			// boundary must reach the pending binding too.
-			ts, err := p.cfg.IO.WriteTargets(info.FH, stripe)
-			if err != nil || len(ts) == 0 {
-				return nil, false
-			}
-			return ts, true
-		}
-		a, err := p.cfg.IO.ReadTarget(info.FH, stripe)
-		if err != nil {
-			return nil, false
-		}
-		return []netsim.Addr{a}, true
-	}
-	// Name-space and attribute operations route by the name policy.
-	a, err := p.cfg.Names.AddrFor(&info)
-	if err != nil {
-		return nil, false
-	}
-	return []netsim.Addr{a}, true
-}
-
-// forward rewrites the destination in place (incremental checksum
-// update), publishes the pending record, and reinjects the datagram.
-func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq, target netsim.Addr) netsim.Verdict {
-	netsim.RewriteDst(d, target)
-	pd.targetsBuf[0] = target
-	pd.targets = pd.targetsBuf[:1]
-	p.publish(key, pd)
-	_ = p.cfg.Net.Inject(d)
-	return netsim.Consumed
-}
-
-// forwardMulti replicates the datagram to several targets (replica-group
-// and double-written transition writes). Each copy keeps the client's source address and xid so replies
-// pair with the same pending record. The copies are cut after the record
-// is published, outside the stage clock like the injection they feed.
-func (p *Proxy) forwardMulti(d []byte, key pendKey, pd *pendingReq, targets []netsim.Addr) netsim.Verdict {
-	if len(targets) <= len(pd.targetsBuf) {
-		pd.targets = pd.targetsBuf[:copy(pd.targetsBuf[:], targets)]
-	} else {
-		pd.targets = targets
+// forward routes the first transmission of pd's call, publishes its
+// record and sends d along the path. It owns d: it forwards or frees it.
+func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
+	var buf [1]netsim.Addr
+	path, ok := p.route(d, key, pd, buf[:0])
+	if !ok {
+		p.dropPending(pd)
+		return p.consumeDrop(d)
 	}
 	p.publish(key, pd)
-	p.injectToAll(d, targets)
+	p.injectToAll(d, path)
 	return netsim.Consumed
 }
 
@@ -904,7 +795,6 @@ func (p *Proxy) forwardMulti(d []byte, key pendKey, pd *pendingReq, targets []ne
 func (p *Proxy) publish(key pendKey, pd *pendingReq) {
 	p.lap(&pd.clk, stRewrite)
 	p.settle(&pd.clk, pd.span)
-	pd.routeVer = p.routeVersion()
 	s := p.shardFor(key)
 	s.mu.Lock()
 	s.pend[key] = pd
@@ -914,24 +804,22 @@ func (p *Proxy) publish(key pendKey, pd *pendingReq) {
 	p.st.requests.Add(1)
 }
 
-// injectToAll sends d to every target, duplicating it from the buffer
-// pool for all but the first. Ownership of d transfers to the network.
-func (p *Proxy) injectToAll(d []byte, targets []netsim.Addr) {
-	if len(targets) == 0 {
-		netsim.FreeBuf(d)
-		return
-	}
+// injectToAll sends d, which route addressed to path[0], to every server
+// on path, duplicating it from the buffer pool for the rest; the copies
+// are cut outside the stage clock, like the injection they feed. Each
+// copy keeps the client's source address and xid, so every reply pairs
+// with the same pending record. Ownership of d transfers to the network.
+func (p *Proxy) injectToAll(d []byte, path []netsim.Addr) {
 	// Every copy is cut BEFORE the original is injected anywhere: Inject
 	// hands the buffer to the network, which may deliver, free, and
 	// recycle it while this loop is still running — copying from d after
 	// its first injection would mirror whatever the pool reused it for.
-	for _, target := range targets[1:] {
+	for _, target := range path[1:] {
 		dup := netsim.GetBuf(len(d))
 		copy(dup, d)
 		netsim.RewriteDst(dup, target)
 		_ = p.cfg.Net.Inject(dup)
 	}
-	netsim.RewriteDst(d, targets[0])
 	_ = p.cfg.Net.Inject(d)
 }
 

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"slices"
+
 	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
@@ -12,7 +14,10 @@ import (
 // handleResponse pairs a server reply with its pending record, harvests
 // and patches attributes, restores the virtual server as the source, and
 // forwards the reply to the client, all on the sender's goroutine — an
-// orchestration hook's RPCs included. clk is the reply's clock, started
+// orchestration hook's RPCs included. A reply counts toward its record
+// only when its source is on the path the record was last armed for, and
+// once per server; the record completes when every server on that path
+// has replied. clk is the reply's clock, started
 // when Handle took it off the fabric; verify is false when the record
 // Handle probed is a READ's, whose reply only patchRead edits (or, if it
 // cannot, respondIO verifies before re-encoding).
@@ -58,23 +63,20 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 		s.mu.Unlock()
 		return p.handleResponse(d, key, clk, true)
 	}
-	if len(pd.targets) > 1 {
-		// Fan-out: count each target once, even when retransmissions
-		// made it reply several times.
-		if pd.replied == nil {
-			pd.replied = make(map[netsim.Addr]bool, len(pd.targets))
-		}
-		if pd.replied[h.Src] {
-			s.mu.Unlock()
-			p.lap(&clk, stSoftState)
-			p.settle(&clk, nil)
-			netsim.FreeBuf(d)
-			return netsim.Consumed
-		}
-		pd.replied[h.Src] = true
+	// A server a re-route took off the path (a shrink, a transition's
+	// commit, a spread read sent elsewhere) must not stand in for the
+	// path's own reply, and a retransmission makes a server replay its
+	// reply: neither counts.
+	i := slices.Index(pd.targets, h.Src)
+	if i < 0 || pd.heard&(1<<i) != 0 {
+		s.mu.Unlock()
+		p.lap(&clk, stSoftState)
+		p.settle(&clk, nil)
+		netsim.FreeBuf(d)
+		return netsim.Consumed
 	}
-	pd.expect--
-	if pd.expect > 0 {
+	pd.heard |= 1 << i
+	if pd.heard != 1<<len(pd.targets)-1 {
 		// A fanned-out write still awaiting targets. Remember the first
 		// failure so the client sees the worst outcome.
 		if rep.Accept == oncrpc.AcceptSuccess && replyStatus(pd.proc, rep.Body) != nfsproto.OK && pd.errReply == nil {
@@ -138,9 +140,7 @@ func (pd *pendingReq) clientVerifies() bool {
 // barrier force-clears the entry. A nil rep is a discarded record's, whose
 // write no member accepted: its mark goes.
 func (p *Proxy) settleReplica(pd *pendingReq, rep *oncrpc.Reply) {
-	if slot := int(pd.readSlot) - 1; slot >= 0 && slot < len(p.loads) {
-		p.loads[slot].Add(-1)
-	}
+	p.unload(pd.readSlot)
 	if !pd.dirtyMark {
 		return
 	}

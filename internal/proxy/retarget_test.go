@@ -1,11 +1,13 @@
 package proxy_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"slice/internal/client"
 	"slice/internal/ensemble"
 	"slice/internal/netsim"
 	"slice/internal/oncrpc"
@@ -156,4 +158,180 @@ func TestRetargetedWriteRearms(t *testing.T) {
 		}
 		quiescent(t, e)
 	})
+}
+
+// clientAt mounts a serial client on host, so a test can cut or slow the
+// links from that host alone.
+func clientAt(t *testing.T, e *ensemble.Ensemble, host uint32, rpc oncrpc.ClientConfig) *client.Client {
+	t.Helper()
+	c, err := client.New(client.Config{
+		Net:        e.Net,
+		Host:       host,
+		Server:     e.Virtual,
+		Threshold:  e.IOPolicy.Threshold,
+		StripeUnit: e.IOPolicy.StripeUnit,
+		RPC:        rpc,
+		Window:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.Mount(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// waitFor polls cond until it holds, failing the test after a few seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestRetransmittedWriteRemarksAfterFlush: a flush keeps the record of a
+// WRITE in flight but strips its dirty mark. The write's retransmission is
+// routed like a call, so it marks the object again, and spread reads pin
+// to the primary from then on: no read returns the old contents after one
+// returned the new. The group has k = 2 members, and member 1's copy of
+// the write is lost until the end.
+func TestRetransmittedWriteRemarksAfterFlush(t *testing.T) {
+	const unit = 32 << 10
+	e := newEnsemble(t, func(cfg *ensemble.Config) {
+		cfg.StorageNodes, cfg.Replication = 2, 2
+		cfg.SmallFileServers, cfg.DirServers = 0, 1
+	})
+	const writer = ensemble.HostClient0 + 101
+	w := clientAt(t, e, writer, oncrpc.ClientConfig{Timeout: 100 * time.Millisecond, Retries: 10})
+	r := clientAt(t, e, writer+1, oncrpc.ClientConfig{})
+	fh, _, err := w.Create(w.Root(), "remarked", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := storage.ObjectOf(fh)
+	member1 := e.Storage[1].Addr().Host
+	want := pattern(unit, 3)
+
+	e.Net.PartitionOneWay(writer, member1)
+	lost := e.Net.Stats().Faulted
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Write(fh, 0, want, true)
+		done <- err
+	}()
+	waitFor(t, "the write's first copy to member 1 to be lost", func() bool { return e.Net.Stats().Faulted > lost })
+	waitFor(t, "member 0 to apply the write", func() bool {
+		size, ok := e.Storage[0].Store().Size(obj)
+		return ok && size == unit
+	})
+	lost = e.Net.Stats().Faulted
+	e.Proxy.FlushSoftState()
+	waitFor(t, "the retransmission's copy to member 1 to be lost", func() bool { return e.Net.Stats().Faulted > lost })
+	if !e.Proxy.ObjectDirty(fh) {
+		t.Error("the retransmitted WRITE did not mark its object dirty again")
+	}
+
+	got := make([]byte, unit)
+	sawNew := false
+	for i := 0; i < 40; i++ {
+		n, _, err := r.Read(fh, 0, got)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		switch {
+		case n == unit && bytes.Equal(got, want):
+			sawNew = true
+		case n == 0 && sawNew:
+			t.Fatalf("read %d returned the old contents after an earlier read returned the new", i)
+		case n != 0:
+			t.Fatalf("read %d returned %d bytes, neither the old contents nor the new", i, n)
+		}
+	}
+
+	e.Net.Heal(writer, member1)
+	if err := <-done; err != nil {
+		t.Fatalf("write after the partition healed: %v", err)
+	}
+	if size, ok := e.Storage[1].Store().Size(obj); !ok || size != unit {
+		t.Fatalf("member 1 holds %d bytes (ok %v), want %d", size, ok, unit)
+	}
+	quiescent(t, e)
+}
+
+// TestReplyFromServerOffPathDropped: a reply counts only from a server on
+// its record's current path. A WRITE's first transmission is held on its
+// way to node X by fabric latency; a transition's commit then rebinds the
+// stripe to node Y, and the client's retransmission is routed there and
+// lost. X's reply, released after the retransmission, must not complete
+// the record: the write's home is now Y, which has not applied it.
+func TestReplyFromServerOffPathDropped(t *testing.T) {
+	const unit = 32 << 10
+	e := newEnsemble(t, func(cfg *ensemble.Config) {
+		cfg.StorageNodes = 2
+		cfg.SmallFileServers, cfg.DirServers = 0, 1
+	})
+	const writer = ensemble.HostClient0 + 101
+	c := clientAt(t, e, writer, oncrpc.ClientConfig{Timeout: 50 * time.Millisecond, Retries: 12})
+	fh, _, err := c.Create(c.Root(), "moved", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := storage.ObjectOf(fh)
+	path, err := e.IOPolicy.WriteTargets(fh, 0)
+	if err != nil || len(path) != 1 {
+		t.Fatalf("write path %v, %v: want one node", path, err)
+	}
+	x := int(path[0].Host - ensemble.HostStorage0)
+	y := 1 - x
+	want := pattern(unit, 4)
+
+	const hold = 400 * time.Millisecond
+	e.Net.SetLinkFault(writer, e.Storage[x].Addr().Host, netsim.LinkFault{Latency: hold})
+	e.Net.PartitionOneWay(writer, e.Storage[y].Addr().Host)
+	requests, lost := e.Proxy.Stats().Requests, e.Net.Stats().Faulted
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Write(fh, 0, want, true)
+		done <- err
+	}()
+	waitFor(t, "the write's first transmission", func() bool { return e.Proxy.Stats().Requests > requests })
+	next := e.StorageTable.Physical()
+	for i, a := range next {
+		next[i] = e.Storage[1-int(a.Host-ensemble.HostStorage0)].Addr()
+	}
+	epoch, err := e.StorageTable.Begin(next, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.StorageTable.Commit(epoch) {
+		t.Fatal("the transition did not commit")
+	}
+	waitFor(t, "the retransmission to node Y to be lost", func() bool { return e.Net.Stats().Faulted > lost })
+	waitFor(t, "node X to apply the held first transmission", func() bool {
+		size, ok := e.Storage[x].Store().Size(obj)
+		return ok && size == unit
+	})
+	select {
+	case err := <-done:
+		t.Fatalf("the client was answered (%v) by node X, which the commit took off the write's path, before node Y applied the write", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	e.Net.Heal(writer, e.Storage[y].Addr().Host)
+	e.Net.SetLinkFault(writer, e.Storage[x].Addr().Host, netsim.LinkFault{})
+	if err := <-done; err != nil {
+		t.Fatalf("write after the partition healed: %v", err)
+	}
+	if size, ok := e.Storage[y].Store().Size(obj); !ok || size != unit {
+		t.Fatalf("node Y holds %d bytes (ok %v), want %d", size, ok, unit)
+	}
+	got, err := c.ReadAll(fh)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes, %v, equal %v", len(got), err, bytes.Equal(got, want))
+	}
+	quiescent(t, e)
 }
