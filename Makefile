@@ -59,32 +59,27 @@ bench-module:
 # iterations, not thousands of short ones.
 #
 # Each row of the loop is one `go test -bench` run: output file, baseline,
-# -benchtime, -cpu, packages (comma-separated) and the -bench regexp. A
-# row whose output file is the previous row's appends to it, and a
-# baseline of - defers the comparison to the file's last row.
+# -benchtime, -cpu, packages (comma-separated) and the -bench regexp.
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 20000x
 BENCH_BULK_TIME ?= 3x
-BENCH_FLEET_TIME ?= 5000x
 BENCH_REPLICA_TIME ?= 2000x
 BENCH_WIRE_TIME ?= 3x
 BENCH_REBALANCE_TIME ?= 2x
 BENCH_TOLERANCE ?= 2.5
 bench-gate:
-	@set -f; prev=; for row in \
-	    "bench.out - $(BENCH_TIME) 1,4 .,./internal/checksum/ ProxyForward|ProxyBulkReply|ProxyHandleRead|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum" \
-	    "bench.out BENCH_proxy.json $(BENCH_FLEET_TIME) 4 . FleetForward" \
+	@set -f; for row in \
+	    "bench.out BENCH_proxy.json $(BENCH_TIME) 1,4 .,./internal/checksum/ ProxyForward|ProxyBulkReply|ProxyHandleRead|ProxyLookupPair|RPCNullCall|CacheHit|ChecksumSum" \
 	    "bench_bulk.out BENCH_bulkio.json $(BENCH_BULK_TIME) 4 . BenchmarkBulk(Read|Write)|BenchmarkStorageChurn(Cold)?|BenchmarkWriteBehind64K" \
 	    "bench_replica.out BENCH_replica.json $(BENCH_REPLICA_TIME) 4 . BenchmarkReplicaRead" \
 	    "bench_wire.out BENCH_wire.json $(BENCH_WIRE_TIME) 4 . BenchmarkWire(Read|Write)" \
 	    "bench_rebalance.out BENCH_rebalance.json $(BENCH_REBALANCE_TIME) 4 . BenchmarkRebalanceThroughput"; do \
 	    set -- $$row; \
-	    [ "$$1" = "$$prev" ] || : > $$1; prev=$$1; \
-	    echo "bench-gate: -bench '$$6' -benchtime $$3 -cpu $$4 >> $$1"; \
+	    echo "bench-gate: -bench '$$6' -benchtime $$3 -cpu $$4 > $$1"; \
 	    $(GO) test -run xxx -bench "$$6" -benchmem \
-	        -benchtime $$3 -count $(BENCH_COUNT) -cpu $$4 $$(echo $$5 | tr , ' ') >> $$1 \
+	        -benchtime $$3 -count $(BENCH_COUNT) -cpu $$4 $$(echo $$5 | tr , ' ') > $$1 \
 	        || { cat $$1; exit 1; }; \
-	    [ "$$2" = - ] || $(GO) run ./cmd/benchgate -baseline $$2 -input $$1 -tolerance $(BENCH_TOLERANCE) || exit 1; \
+	    $(GO) run ./cmd/benchgate -baseline $$2 -input $$1 -tolerance $(BENCH_TOLERANCE) || exit 1; \
 	done
 
 # Static analysis beyond vet. The tools are not vendored: offline

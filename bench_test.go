@@ -16,7 +16,6 @@ import (
 	"slice/internal/client"
 	"slice/internal/ensemble"
 	"slice/internal/fhandle"
-	"slice/internal/front"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
@@ -318,7 +317,7 @@ func newForwardHarness(b *testing.B) *forwardHarness {
 // The FH site pins each lane to its own directory server. target is the
 // virtual address the lane's requests are sent to — the single proxy in
 // the forward benchmarks, the lane's ring-resolved owner in the fleet
-// benchmark.
+// test (fleet_test.go).
 type fwdLane struct {
 	target  netsim.Addr
 	client  *netsim.Port
@@ -342,16 +341,16 @@ func (h *forwardHarness) newLane(b *testing.B) *fwdLane {
 	return &fwdLane{target: h.virtual, client: client, server: server, request: request, reply: reply}
 }
 
-func (l *fwdLane) roundTrip(b *testing.B) {
+func (l *fwdLane) roundTrip(tb testing.TB) {
 	l.xid++
 	binary.BigEndian.PutUint32(l.request[oncrpc.OffXid:], l.xid)
 	binary.BigEndian.PutUint32(l.reply[oncrpc.OffXid:], l.xid)
 	if err := l.client.SendTo(l.target, l.request); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := l.server.Recv(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	src := netsim.Addr{
 		Host: binary.BigEndian.Uint32(d[netsim.OffSrcHost:]),
@@ -359,11 +358,11 @@ func (l *fwdLane) roundTrip(b *testing.B) {
 	}
 	netsim.FreeBuf(d)
 	if err := l.server.SendTo(src, l.reply); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err = l.client.Recv(0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	netsim.FreeBuf(d)
 }
@@ -552,152 +551,6 @@ func BenchmarkRPCNullCall(b *testing.B) {
 		if _, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcNull), nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Fleet scale-out benchmark ------------------------------------------
-//
-// BenchmarkFleetForward measures aggregate forwarded throughput as the
-// proxy fleet grows. Raw forwarding is far too cheap to expose scaling on
-// this container (one core; see BENCH_proxy.json), so every fleet member
-// runs with a paced service loop (Config.ServiceTime) that caps it at a
-// fixed per-proxy rate — the saturated-CPU regime of §5. Scaling then
-// shows up the way it does in the paper: N shared-nothing proxies deliver
-// N times the aggregate rate, because no request ever crosses two members
-// and nothing is shared but the (read-mostly) routing tables.
-
-// fleetServiceTime is each member's paced per-request cost: one proxy
-// saturates at 1/fleetServiceTime = 20k fwd-ops/s.
-const fleetServiceTime = 50 * time.Microsecond
-
-// fleetHarness is the forward-path rig scaled out: n paced µproxies over
-// one set of shared routing tables, fronted by the consistent-hash ring
-// that assigns each lane's flow to its owner.
-type fleetHarness struct {
-	net     *netsim.Network
-	proxies []*proxy.Proxy
-	ring    *front.Ring
-	servers []*netsim.Port
-}
-
-func newFleetHarness(b *testing.B, n int) *fleetHarness {
-	b.Helper()
-	net := netsim.New(netsim.Config{QueueLen: 1024})
-	dirAddrs := make([]netsim.Addr, fwdLanes)
-	servers := make([]*netsim.Port, fwdLanes)
-	for i := range dirAddrs {
-		dirAddrs[i] = netsim.Addr{Host: uint32(1000 + i), Port: 2049}
-		port, err := net.Bind(dirAddrs[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers[i] = port
-	}
-	dirs := route.NewTable(fwdLanes, dirAddrs)
-	storage := route.NewTable(fwdLanes, dirAddrs)
-	members := make([]route.ProxyMember, n)
-	proxies := make([]*proxy.Proxy, n)
-	for i := 0; i < n; i++ {
-		virtual := netsim.Addr{Host: uint32(9000 + i), Port: 2049}
-		host := uint32(8900 + i)
-		// Per-member observability stays on, as in the single-proxy
-		// benchmarks: the 0 allocs/op budget covers tracing.
-		p := proxy.New(proxy.Config{
-			Net:         net,
-			Host:        host,
-			Virtual:     virtual,
-			ID:          uint32(i),
-			ServiceTime: fleetServiceTime,
-			IO:          route.NewIOPolicy(nil, storage),
-			Names:       route.NewNamePolicy(route.MkdirSwitching, 0, dirs),
-			Obs:         obs.NewRegistry(fmt.Sprintf("uproxy[%d]", i)),
-			Tracer:      obs.NewTracer(256),
-		})
-		b.Cleanup(p.Close)
-		proxies[i] = p
-		members[i] = route.ProxyMember{ID: uint32(i), Virtual: virtual, Host: host}
-	}
-	return &fleetHarness{
-		net:     net,
-		proxies: proxies,
-		ring:    front.NewRing(route.NewFleet(members), 0),
-		servers: servers,
-	}
-}
-
-// newLane builds lane i exactly like the single-proxy harness, except the
-// lane's target is whichever fleet member the front ring hashes its flow
-// to. Returns the owning member's ID so the benchmark can check coverage.
-func (h *fleetHarness) newLane(b *testing.B, i uint32) (*fwdLane, uint32) {
-	clientAddr := netsim.Addr{Host: uint32(2000 + i), Port: 999}
-	client, err := h.net.Bind(clientAddr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fh := fhandle.Handle{Volume: 1, FileID: uint64(100 + i), Gen: 1, Site: i % fwdLanes}
-	owner, ok := h.ring.Owner(front.FlowKey(clientAddr, fhandle.HandleKey(fh)))
-	if !ok {
-		b.Fatal("empty fleet")
-	}
-	args := nfsproto.AccessArgs{FH: fh, Access: 1}
-	request := oncrpc.EncodeCall(1, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcAccess), args.Encode)
-	reply := oncrpc.EncodeReply(1, oncrpc.AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(0) })
-	return &fwdLane{
-		target:  owner.Virtual,
-		client:  client,
-		server:  h.servers[i%fwdLanes],
-		request: request,
-		reply:   reply,
-	}, owner.ID
-}
-
-// BenchmarkFleetForward drives fwdLanes concurrent closed-loop clients
-// through a 1/2/4/8-member fleet of rate-paced proxies. ns/op should
-// track fleetServiceTime/N — near-linear aggregate scaling — and each
-// member must stay at 0 allocs per forwarded request with tracing on.
-// Gated by BENCH_proxy.json (ratio rules + exact allocs).
-func BenchmarkFleetForward(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("proxies=%d", n), func(b *testing.B) {
-			h := newFleetHarness(b, n)
-			lanes := make([]*fwdLane, fwdLanes)
-			owned := make(map[uint32]bool)
-			for i := range lanes {
-				lane, owner := h.newLane(b, uint32(i))
-				lanes[i] = lane
-				owned[owner] = true
-			}
-			if len(owned) != n {
-				b.Fatalf("lanes land on %d of %d fleet members", len(owned), n)
-			}
-			var wg sync.WaitGroup
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i, l := range lanes {
-				// Split b.N across the closed-loop lanes; GOMAXPROCS may be 1
-				// here, so RunParallel would collapse to a single lane and
-				// starve all but one member.
-				ops := b.N / len(lanes)
-				if i < b.N%len(lanes) {
-					ops++
-				}
-				if ops == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(l *fwdLane, ops int) {
-					defer wg.Done()
-					for j := 0; j < ops; j++ {
-						l.roundTrip(b)
-					}
-				}(l, ops)
-			}
-			wg.Wait()
-			b.StopTimer()
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "fwd-ops/s")
-			}
-		})
 	}
 }
 
@@ -1044,32 +897,25 @@ func BenchmarkWriteBehind64K(b *testing.B) {
 
 // ------------------------------------------------ replica read scaling
 //
-// BenchmarkReplicaRead measures aggregate read throughput as one replica
-// group grows from k=1 to k=3 members. Raw storage reads are too cheap
-// to expose scaling on one core, so every storage node is paced
-// (Config.StorageServiceTime) at a fixed per-node rate — the
-// saturated-server regime Harmonia-style read spreading exists for. The
-// file is written and committed before the timer starts, so the object
-// is clean and the µproxy's dirty set lets every read spread across the
-// group by power-of-two-choices; throughput should then track k times
-// the single-node rate. Gated by BENCH_replica.json (ratio rules
-// measured within one run, so no machine tolerance is needed).
+// BenchmarkReplicaRead measures the serial-client READ path against one
+// replica group of k=1 to k=3 members. The file is written and committed
+// before the timer starts, so the object is clean and the µproxy's dirty
+// set lets every read spread across the group by power-of-two-choices.
+// Every node serves on its sender's goroutine, so on a small host the
+// members share its cores and ns/op does not fall with k: how the reads
+// divide is held by ensemble's TestReplicatedWriteFansOutReadsSpread,
+// counted, and BENCH_replica.json gates this path's cost and allocations.
 
 const (
-	// replicaServiceTime paces each storage node: one node saturates at
-	// 1/replicaServiceTime ≈ 6.7k reads/s, so k clean replicas deliver
-	// ~k× that in aggregate.
-	replicaServiceTime = 150 * time.Microsecond
-	// replicaReadLanes closed-loop readers keep every member busy
-	// without flooding the paced queues.
+	// replicaReadLanes closed-loop readers, each a serial client.
 	replicaReadLanes = 8
 	// One stripe unit per op: each read is exactly one storage READ RPC.
 	replicaReadIO    = 32 << 10
 	replicaFileBytes = 1 << 20
 )
 
-// newReplicaArray builds a k-member single-group replicated array with
-// paced nodes. All-striped (no small-file servers), so every read takes
+// newReplicaArray builds a k-member single-group replicated array.
+// All-striped (no small-file servers), so every read takes
 // the spread-capable bulk path.
 func newReplicaArray(b *testing.B, k int) *ensemble.Ensemble {
 	b.Helper()
@@ -1077,7 +923,6 @@ func newReplicaArray(b *testing.B, k int) *ensemble.Ensemble {
 		StorageNodes: k, Replication: k,
 		DirServers: 1, SmallFileServers: 0,
 		Coordinator: true, NameKind: route.MkdirSwitching,
-		StorageServiceTime: replicaServiceTime,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -1100,8 +945,8 @@ func benchReplicaRead(b *testing.B, k int) {
 	if err := w.WriteFile(fh, data); err != nil {
 		b.Fatal(err)
 	}
-	// Serial clients (window=1): one paced storage READ per op, no
-	// readahead inflating the offered load.
+	// Serial clients (window=1): one storage READ per op, no readahead
+	// inflating the offered load.
 	lanes := make([]*client.Client, replicaReadLanes)
 	for i := range lanes {
 		lanes[i] = bulkClient(b, e, true)
@@ -1143,9 +988,8 @@ func benchReplicaRead(b *testing.B, k int) {
 }
 
 // BenchmarkReplicaRead drives the closed-loop read lanes against
-// replica groups of 1/2/3 paced members. ns/op should track
-// replicaServiceTime/k; BENCH_replica.json gates the k=2/k=3 speedups
-// over k=1 at ≥1.6×/2.2×.
+// replica groups of 1/2/3 members; BENCH_replica.json gates each row's
+// ns/op, B/op and allocs/op.
 func BenchmarkReplicaRead(b *testing.B) {
 	for _, k := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) { benchReplicaRead(b, k) })

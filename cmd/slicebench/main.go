@@ -13,8 +13,8 @@
 //
 // These are the paper's model-driven shapes. Measured end-to-end and
 // per-layer figures of the live stack come from benchmark/ (`bash
-// benchmark/run.sh`), and fleet scale-out from BenchmarkFleetForward
-// (`make bench-gate`).
+// benchmark/run.sh`), and the fleet's division of load from
+// TestFleetDividesLoad (`go test -run FleetDividesLoad .`).
 package main
 
 import (

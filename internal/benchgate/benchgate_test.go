@@ -231,15 +231,19 @@ func TestRealBaselineParses(t *testing.T) {
 			}
 		}
 	}
-	// The fleet scaling gate must stay in force: a 4-member fleet owes at
-	// least the paper's near-linear speedup over one member.
-	found := false
-	for _, r := range base.Ratios {
-		if r.Scaled == "BenchmarkFleetForward/proxies=4" && r.MinSpeedup >= 3.2 {
-			found = true
+	// The §4.1 gate must stay in force: the µproxy's cost may not grow
+	// with the packet, so a 32 KiB READ pair takes at most 1.3× a 4 KiB
+	// one at both CPU counts.
+	for _, cpu := range []string{"cpu1", "cpu4"} {
+		found := false
+		for _, r := range base.Ratios {
+			if r.Base == "BenchmarkProxyHandleRead/4KiB" && r.Scaled == "BenchmarkProxyHandleRead/32KiB" &&
+				r.CPU == cpu && r.MinSpeedup >= 0.77 {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Error("baseline has no 4-proxy fleet ratio rule with min_speedup >= 3.2")
+		if !found {
+			t.Errorf("baseline has no %s ProxyHandleRead 32KiB/4KiB ratio rule with min_speedup >= 0.77", cpu)
+		}
 	}
 }

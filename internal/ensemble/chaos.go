@@ -206,7 +206,7 @@ func (e *Ensemble) registry(name string) *obs.Registry {
 }
 
 // startStorage serves disk as storage node i at its slot in the host
-// plan, wired like every node of the array: capability key, pacing and
+// plan, wired like every node of the array: capability key and
 // registry. Placement binds it (New's tables, Grow, a rebirth).
 func (e *Ensemble) startStorage(i int, disk *storage.ObjectStore) error {
 	port, err := e.Net.Bind(storageAddr(i))
@@ -216,9 +216,6 @@ func (e *Ensemble) startStorage(i int, disk *storage.ObjectStore) error {
 	node := storage.NewNode(port, disk)
 	if len(e.cfg.CapabilityKey) > 0 {
 		node.RequireCapability(e.cfg.CapabilityKey)
-	}
-	if e.cfg.StorageServiceTime > 0 {
-		node.SetServiceTime(e.cfg.StorageServiceTime)
 	}
 	node.SetObs(e.registry(fmt.Sprintf("storage[%d]", i)))
 	put(&e.Storage, i, node)

@@ -88,12 +88,6 @@ type Config struct {
 	// members via its dirty set. StorageNodes must be a multiple of
 	// Replication, so Grow and Shrink move whole groups.
 	Replication int
-	// StorageServiceTime, when positive, paces every storage node at one
-	// NFS request per StorageServiceTime — the capacity model that makes
-	// replica read scaling measurable on a single machine (the replica
-	// peer program is never paced, so rebalance copies — grow, shrink
-	// and replica rebirth alike — are not throttled).
-	StorageServiceTime time.Duration
 	// LogicalSites sets routing-table granularity (default: server count).
 	LogicalSites int
 	// CoordProbeAfter bounds how long an intention may sit pending before

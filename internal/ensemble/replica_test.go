@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"slice/internal/client"
 	"slice/internal/fhandle"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
@@ -78,8 +79,41 @@ func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 	}
 }
 
+// TestReplicatedWriteFansOutReadsSpread writes and commits a file to one
+// replica group of k members, checks that every member holds it, and then
+// counts how its clean reads divide: eight serial clients make 1 024
+// stripe-unit READs in all, and the busiest member may serve at most one
+// over the speedup spreading must buy — 1.6× at k = 2, 2.2× at k = 3:
+// with the readers in a closed loop, aggregate read throughput is bounded
+// by that share.
+//
+// The readers take turns on the test's goroutine. Every node serves on its
+// sender's goroutine, so each read completes before the next is routed,
+// every load slot reads zero when spreadRead weighs its two draws, and the
+// split is the placement hash's alone. Run concurrently on two cores, a
+// reader descheduled while its read holds a load slot steers every other
+// read away from that member, and the split follows the scheduler.
 func TestReplicatedWriteFansOutReadsSpread(t *testing.T) {
-	e := newReplicated(t, nil)
+	for _, tc := range []struct {
+		k        int
+		maxShare float64
+	}{{2, 1 / 1.6}, {3, 1 / 2.2}} {
+		t.Run(fmt.Sprintf("k=%d", tc.k), func(t *testing.T) {
+			testReadsSpread(t, tc.k, tc.maxShare)
+		})
+	}
+}
+
+func testReadsSpread(t *testing.T, k int, maxShare float64) {
+	const (
+		readers = 8
+		reads   = 1024
+		unit    = route.DefaultStripeUnit
+	)
+	e := newReplicated(t, func(cfg *Config) {
+		cfg.StorageNodes = k
+		cfg.Replication = k
+	})
 	c, err := e.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +124,7 @@ func TestReplicatedWriteFansOutReadsSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]byte, 256*1024)
+	data := make([]byte, 1<<20)
 	for i := range data {
 		data[i] = byte(i*7 + i>>9)
 	}
@@ -108,25 +142,37 @@ func TestReplicatedWriteFansOutReadsSpread(t *testing.T) {
 	// Every member of every group holds identical bytes.
 	assertGroupsIdentical(t, e)
 
-	// Reads spread: a clean object is served by non-primary members too.
-	got := make([]byte, len(data))
-	for i := 0; i < 16; i++ {
-		n, _, err := c.Read(fh, 0, got)
-		if err != nil || n != len(data) {
-			t.Fatalf("read %d: n=%d err=%v", i, n, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("read %d: content mismatch", i)
-		}
-	}
-	nonPrimaryReads := uint64(0)
+	before := make([]uint64, k)
 	for i, sn := range e.Storage {
-		if i%e.cfg.Replication != 0 {
-			nonPrimaryReads += sn.Store().Stats().Reads
+		before[i] = sn.Store().Stats().Reads
+	}
+	rcs := make([]*client.Client, readers)
+	for r := range rcs {
+		if rcs[r], err = e.NewSerialClient(); err != nil {
+			t.Fatal(err)
+		}
+		defer rcs[r].Close()
+	}
+	got := make([]byte, unit)
+	for i := 0; i < reads; i++ {
+		r := i % readers
+		off := (r*len(data)/readers + i/readers*unit) % len(data)
+		n, _, err := rcs[r].Read(fh, uint64(off), got)
+		if err != nil || n != unit || !bytes.Equal(got, data[off:off+unit]) {
+			t.Fatalf("reader %d at %d: n=%d err=%v, or the bytes differ", r, off, n, err)
 		}
 	}
-	if nonPrimaryReads == 0 {
-		t.Fatal("no read was spread to a non-primary replica")
+	var total, most uint64
+	for i, sn := range e.Storage {
+		n := sn.Store().Stats().Reads - before[i]
+		total += n
+		most = max(most, n)
+	}
+	if total != reads {
+		t.Fatalf("the group served %d reads, want %d", total, reads)
+	}
+	if share := float64(most) / float64(total); share > maxShare {
+		t.Errorf("the busiest member served %.3f of the reads, want at most %.3f", share, maxShare)
 	}
 }
 

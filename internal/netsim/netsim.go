@@ -264,7 +264,7 @@ type Stats struct {
 	Sent      uint64
 	Delivered uint64
 	Lost      uint64 // dropped by configured loss
-	Dropped   uint64 // dropped by taps, full queues, unbound ports or Recv's verify
+	Dropped   uint64 // dropped by taps, full queues, unbound ports, Recv's verify or a closed sender
 	Faulted   uint64 // dropped by the runtime fault plane (crash/partition/link drop)
 	Bytes     uint64
 }
@@ -461,8 +461,24 @@ func (p *Port) SetUpcall(fn func(d []byte)) {
 	}
 }
 
+// refuse reports whether p is closed, counting the refused send in
+// Stats.Dropped: a closed port puts nothing on the fabric.
+func (p *Port) refuse() bool {
+	select {
+	case <-p.closed:
+		p.net.stats.dropped.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
 // SendTo builds a datagram to dst carrying a copy of payload and sends it.
+// A closed port returns ErrClosed.
 func (p *Port) SendTo(dst Addr, payload []byte) error {
+	if p.refuse() {
+		return ErrClosed
+	}
 	d, err := Build(p.addr, dst, payload)
 	if err != nil {
 		return err
@@ -473,8 +489,13 @@ func (p *Port) SendTo(dst Addr, payload []byte) error {
 // Send seals d — a pooled buffer whose payload the caller wrote in place
 // after HeaderSize bytes of room — as a datagram to dst and sends it,
 // copying nothing. Ownership of d passes to the network whatever the
-// outcome: a datagram that cannot be sealed is freed.
+// outcome: a datagram that cannot be sealed, or that a closed port refuses
+// (ErrClosed), is freed.
 func (p *Port) Send(dst Addr, d []byte) error {
+	if p.refuse() {
+		FreeBuf(d)
+		return ErrClosed
+	}
 	if err := Seal(d, p.addr, dst); err != nil {
 		FreeBuf(d)
 		return err

@@ -214,6 +214,44 @@ func TestClosedPortRecv(t *testing.T) {
 	}
 }
 
+// TestClosedPortSendsNothing: once closed, a port refuses to transmit.
+// SendTo and Send each return ErrClosed, put nothing on the fabric and
+// count one drop, and Send frees the datagram it was handed.
+func TestClosedPortSendsNothing(t *testing.T) {
+	n := New(Config{})
+	dst, _ := n.Bind(Addr{Host: 2, Port: 1})
+	p, _ := n.Bind(Addr{Host: 1, Port: 1})
+	p.Close()
+	payload := []byte("after close")
+	for _, tc := range []struct {
+		name string
+		send func() error
+	}{
+		{"SendTo", func() error { return p.SendTo(dst.Addr(), payload) }},
+		{"Send", func() error {
+			d := GetBuf(HeaderSize + len(payload))
+			copy(d[HeaderSize:], payload)
+			return p.Send(dst.Addr(), d)
+		}},
+	} {
+		before, puts := n.Stats(), PoolStats().Puts
+		if err := tc.send(); err != ErrClosed {
+			t.Fatalf("%s on a closed port = %v, want ErrClosed", tc.name, err)
+		}
+		after := n.Stats()
+		if d, ok := dst.TryRecv(); ok {
+			t.Fatalf("%s on a closed port delivered %q", tc.name, Payload(d))
+		}
+		if after.Sent != before.Sent || after.Dropped != before.Dropped+1 {
+			t.Fatalf("%s on a closed port: sent %d → %d, dropped %d → %d; want no send and one drop",
+				tc.name, before.Sent, after.Sent, before.Dropped, after.Dropped)
+		}
+		if tc.name == "Send" && PoolStats().Puts == puts {
+			t.Fatal("Send on a closed port kept the datagram it was handed")
+		}
+	}
+}
+
 func TestBindAnyAllocatesDistinctPorts(t *testing.T) {
 	n := New(Config{})
 	seen := make(map[Addr]bool)

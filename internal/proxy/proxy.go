@@ -26,11 +26,6 @@ const (
 	mountSite    = 0
 )
 
-// serviceQueue bounds the paced service loop's ingress queue. Requests
-// arriving at a full queue are dropped — an overloaded router sheds load
-// and clients retransmit, as §2.1 prescribes.
-const serviceQueue = 256
-
 // capFieldOffset is the byte offset of the CellKey/capability field within
 // a marshalled file handle (see fhandle.Handle layout).
 const capFieldOffset = 16
@@ -46,14 +41,6 @@ type Config struct {
 	// ID is this instance's stable fleet identity (route.ProxyMember.ID).
 	// A single-proxy deployment leaves it 0.
 	ID uint32
-	// ServiceTime, when positive, meters the request path through a
-	// single paced service loop at one request per ServiceTime — a
-	// capacity model for a µproxy core: one instance saturates at
-	// 1/ServiceTime forwarded ops/s, so fleet scaling is measurable on
-	// any host, independent of how many real CPUs back the simulation.
-	// Zero (the default) keeps the inline fast path: requests are
-	// processed on the sender's goroutine with no added cost.
-	ServiceTime time.Duration
 	// IO routes read/write/commit traffic.
 	IO *route.IOPolicy
 	// Names routes name-space and attribute traffic.
@@ -196,10 +183,6 @@ type Proxy struct {
 	// is the coordinator, through cfg.Coord.
 	rpc *oncrpc.LazyClient
 
-	// workCh feeds the paced service loop; nil when ServiceTime is 0
-	// and requests are processed inline.
-	workCh chan []byte
-
 	// now reads the stage clock: nanoseconds since New on the monotonic
 	// clock (a field so a test can count the reads). wall0 is New's
 	// wall-clock time in Unix nanoseconds; wall0 plus a reading stamps
@@ -214,7 +197,7 @@ type Proxy struct {
 
 	// orchestrating counts the orchestrations in flight, plus closing
 	// once Close has begun; the one that leaves the count at closing
-	// closes drained, on which Close waits. wg counts New's loops.
+	// closes drained, on which Close waits. wg counts the writeback loop.
 	orchestrating atomic.Int64
 	drained       chan struct{}
 	drainOnce     sync.Once
@@ -251,11 +234,6 @@ func New(cfg Config) *Proxy {
 	}
 	for i := range p.shards {
 		p.shards[i].pend = make(map[pendKey]*pendingReq)
-	}
-	if cfg.ServiceTime > 0 {
-		p.workCh = make(chan []byte, serviceQueue)
-		p.wg.Add(1)
-		go p.serviceLoop()
 	}
 	p.tapTok = cfg.Net.AddTap(p)
 	if cfg.WritebackInterval > 0 {
@@ -408,7 +386,8 @@ func (p *Proxy) CachedAttr(fh fhandle.Handle) (bool, uint64) {
 }
 
 // consumeDrop disposes of a datagram the µproxy consumed but cannot
-// process (malformed or unroutable).
+// process (malformed or unroutable) or must not count (a reply from a
+// server off its record's path, or one already heard from).
 func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
 	p.st.dropped.Add(1)
 	netsim.FreeBuf(d)
@@ -438,17 +417,6 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 	case oncrpc.MsgCall:
 		if dst != p.cfg.Virtual {
 			return netsim.Pass
-		}
-		if p.workCh != nil {
-			// Paced mode: hand the request to the service loop. A full
-			// queue means the router is saturated; shed the request and
-			// let the client's retransmission find capacity.
-			select {
-			case p.workCh <- d:
-			default:
-				return p.consumeDrop(d)
-			}
-			return netsim.Consumed
 		}
 		return p.handleRequest(d)
 	case oncrpc.MsgReply:
@@ -834,42 +802,6 @@ func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nf
 		return err
 	}
 	return res.Decode(xdr.NewDecoder(body))
-}
-
-// serviceLoop is the paced request worker: one request per ServiceTime,
-// metered against an absolute deadline (next += S) so the loop tracks
-// its nominal rate instead of accumulating scheduler drift — under
-// saturation it forwards exactly 1/ServiceTime ops/s.
-func (p *Proxy) serviceLoop() {
-	defer p.wg.Done()
-	var next time.Time
-	for {
-		select {
-		case <-p.stopCh:
-			for {
-				select {
-				case d := <-p.workCh:
-					netsim.FreeBuf(d)
-				default:
-					return
-				}
-			}
-		case d := <-p.workCh:
-			// Bounded catch-up credit: sleep overshoot (timer slack is
-			// coarser than ServiceTime) leaves next behind the clock, and
-			// the deficit is repaid by serving queued requests back to
-			// back. The credit is capped so an idle proxy cannot bank an
-			// unlimited burst.
-			now := time.Now()
-			if floor := now.Add(-32 * p.cfg.ServiceTime); next.Before(floor) {
-				next = floor
-			} else if wait := next.Sub(now); wait > 0 {
-				time.Sleep(wait)
-			}
-			next = next.Add(p.cfg.ServiceTime)
-			p.handleRequest(d)
-		}
-	}
 }
 
 func (p *Proxy) writebackLoop() {

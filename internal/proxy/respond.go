@@ -72,8 +72,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 		s.mu.Unlock()
 		p.lap(&clk, stSoftState)
 		p.settle(&clk, nil)
-		netsim.FreeBuf(d)
-		return netsim.Consumed
+		return p.consumeDrop(d)
 	}
 	pd.heard |= 1 << i
 	if pd.heard != 1<<len(pd.targets)-1 {

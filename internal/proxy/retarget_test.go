@@ -267,7 +267,8 @@ func TestRetransmittedWriteRemarksAfterFlush(t *testing.T) {
 // way to node X by fabric latency; a transition's commit then rebinds the
 // stripe to node Y, and the client's retransmission is routed there and
 // lost. X's reply, released after the retransmission, must not complete
-// the record: the write's home is now Y, which has not applied it.
+// the record: the write's home is now Y, which has not applied it. The
+// µproxy counts it as its one drop.
 func TestReplyFromServerOffPathDropped(t *testing.T) {
 	const unit = 32 << 10
 	e := newEnsemble(t, func(cfg *ensemble.Config) {
@@ -292,7 +293,7 @@ func TestReplyFromServerOffPathDropped(t *testing.T) {
 	const hold = 400 * time.Millisecond
 	e.Net.SetLinkFault(writer, e.Storage[x].Addr().Host, netsim.LinkFault{Latency: hold})
 	e.Net.PartitionOneWay(writer, e.Storage[y].Addr().Host)
-	requests, lost := e.Proxy.Stats().Requests, e.Net.Stats().Faulted
+	requests, dropped, lost := e.Proxy.Stats().Requests, e.Proxy.Stats().Dropped, e.Net.Stats().Faulted
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Write(fh, 0, want, true)
@@ -325,6 +326,9 @@ func TestReplyFromServerOffPathDropped(t *testing.T) {
 	e.Net.SetLinkFault(writer, e.Storage[x].Addr().Host, netsim.LinkFault{})
 	if err := <-done; err != nil {
 		t.Fatalf("write after the partition healed: %v", err)
+	}
+	if n := e.Proxy.Stats().Dropped - dropped; n != 1 {
+		t.Fatalf("the µproxy counted %d drops, want 1: node X's reply", n)
 	}
 	if size, ok := e.Storage[y].Store().Size(obj); !ok || size != unit {
 		t.Fatalf("node Y holds %d bytes (ok %v), want %d", size, ok, unit)

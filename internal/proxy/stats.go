@@ -20,7 +20,7 @@ type StageStats struct {
 	Responses   uint64 // responses consumed and returned to clients
 	Initiated   uint64 // requests the µproxy initiated itself
 	Absorbed    uint64 // requests absorbed (answered without forwarding)
-	Dropped     uint64 // malformed or unroutable datagrams dropped
+	Dropped     uint64 // malformed or unroutable datagrams, and replies from off the path or already counted, dropped
 
 	InterceptNS uint64
 	DecodeNS    uint64

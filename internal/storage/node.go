@@ -2,11 +2,9 @@ package storage
 
 import (
 	"sync"
-	"time"
 
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
-	"slice/internal/nfsproto"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
@@ -21,8 +19,8 @@ func ObjectOf(fh fhandle.Handle) ObjectID {
 
 // Node is a network storage node: an ObjectStore exported over RPC. The
 // shared data-server Handler answers the NFS I/O subset and the raw-object
-// program; what the node adds is its own: the capability check, pacing,
-// and the replica peer program.
+// program; what the node adds is its own: the capability check and the
+// replica peer program.
 //
 // With a capability key configured, the node refuses requests whose
 // handle does not carry a valid keyed fingerprint — the OBSD/NASD secure
@@ -36,15 +34,6 @@ type Node struct {
 	mu     sync.Mutex
 	capKey []byte
 	denied uint64
-
-	// serviceTime paces the node: each request holds paceMu for this
-	// long before being served, modelling a disk-arm/NIC capacity of
-	// 1/serviceTime per node so scaling benchmarks measure fan-out, not
-	// the simulator's infinite parallelism. The node serves inline, so
-	// the wait is spent on the goroutine that delivered the request.
-	// Zero (the default) disables.
-	serviceTime time.Duration
-	paceMu      sync.Mutex
 }
 
 // NewNode starts a storage node on port, serving store.
@@ -87,26 +76,6 @@ func (n *Node) authorize(fh fhandle.Handle) bool {
 	return false
 }
 
-// SetServiceTime paces the node at one request per d (0 disables).
-func (n *Node) SetServiceTime(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.serviceTime = d
-}
-
-// pace serializes admission when a service time is configured.
-func (n *Node) pace() {
-	n.mu.Lock()
-	d := n.serviceTime
-	n.mu.Unlock()
-	if d <= 0 {
-		return
-	}
-	n.paceMu.Lock()
-	time.Sleep(d)
-	n.paceMu.Unlock()
-}
-
 // Store returns the node's object store, which holds only striped file
 // objects (for stats and tests).
 func (n *Node) Store() *ObjectStore { return n.store }
@@ -128,11 +97,8 @@ func (n *Node) SetObs(reg *obs.Registry) {
 func (n *Node) Close() { n.srv.Close() }
 
 func (n *Node) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-	switch call.Program {
-	case replica.PeerProgram:
+	if call.Program == replica.PeerProgram {
 		return n.servePeer(call)
-	case nfsproto.Program:
-		n.pace()
 	}
 	return n.io.ServeRPC(call, from)
 }
