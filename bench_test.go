@@ -900,7 +900,7 @@ func BenchmarkWriteBehind64K(b *testing.B) {
 // BenchmarkReplicaRead measures the serial-client READ path against one
 // replica group of k=1 to k=3 members. The file is written and committed
 // before the timer starts, so the object is clean and the µproxy's dirty
-// set lets every read spread across the group by power-of-two-choices.
+// set lets every read spread across the group by the request's hash.
 // Every node serves on its sender's goroutine, so on a small host the
 // members share its cores and ns/op does not fall with k: how the reads
 // divide is held by ensemble's TestReplicatedWriteFansOutReadsSpread,

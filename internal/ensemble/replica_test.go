@@ -3,6 +3,7 @@ package ensemble
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,18 +82,11 @@ func assertGroupsIdentical(t *testing.T, e *Ensemble) {
 
 // TestReplicatedWriteFansOutReadsSpread writes and commits a file to one
 // replica group of k members, checks that every member holds it, and then
-// counts how its clean reads divide: eight serial clients make 1 024
-// stripe-unit READs in all, and the busiest member may serve at most one
-// over the speedup spreading must buy — 1.6× at k = 2, 2.2× at k = 3:
+// counts how its clean reads divide: eight concurrent serial clients make
+// 1 024 stripe-unit READs in all, and the busiest member may serve at most
+// one over the speedup spreading must buy — 1.6× at k = 2, 2.2× at k = 3:
 // with the readers in a closed loop, aggregate read throughput is bounded
 // by that share.
-//
-// The readers take turns on the test's goroutine. Every node serves on its
-// sender's goroutine, so each read completes before the next is routed,
-// every load slot reads zero when spreadRead weighs its two draws, and the
-// split is the placement hash's alone. Run concurrently on two cores, a
-// reader descheduled while its read holds a load slot steers every other
-// read away from that member, and the split follows the scheduler.
 func TestReplicatedWriteFansOutReadsSpread(t *testing.T) {
 	for _, tc := range []struct {
 		k        int
@@ -153,14 +147,25 @@ func testReadsSpread(t *testing.T, k int, maxShare float64) {
 		}
 		defer rcs[r].Close()
 	}
-	got := make([]byte, unit)
-	for i := 0; i < reads; i++ {
-		r := i % readers
-		off := (r*len(data)/readers + i/readers*unit) % len(data)
-		n, _, err := rcs[r].Read(fh, uint64(off), got)
-		if err != nil || n != unit || !bytes.Equal(got, data[off:off+unit]) {
-			t.Fatalf("reader %d at %d: n=%d err=%v, or the bytes differ", r, off, n, err)
-		}
+	var wg sync.WaitGroup
+	for r, rc := range rcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := make([]byte, unit)
+			for i := 0; i < reads/readers; i++ {
+				off := (r*len(data)/readers + i*unit) % len(data)
+				n, _, err := rc.Read(fh, uint64(off), got)
+				if err != nil || n != unit || !bytes.Equal(got, data[off:off+unit]) {
+					t.Errorf("reader %d at %d: n=%d err=%v, or the bytes differ", r, off, n, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 	var total, most uint64
 	for i, sn := range e.Storage {
@@ -173,6 +178,117 @@ func testReadsSpread(t *testing.T, k int, maxShare float64) {
 	}
 	if share := float64(most) / float64(total); share > maxShare {
 		t.Errorf("the busiest member served %.3f of the reads, want at most %.3f", share, maxShare)
+	}
+}
+
+// TestGrownGroupSpreadsReads: a group that Grow adds spreads its reads
+// like the groups the ensemble started with. A committed 1 MiB file
+// written after a Grow(2) is read 1 024 times by a serial client; every
+// member of both groups must serve reads, and the busiest member of each
+// group at most 1/1.6 of its group's.
+func TestGrownGroupSpreadsReads(t *testing.T) {
+	const (
+		reads = 1024
+		unit  = route.DefaultStripeUnit
+	)
+	e := newReplicated(t, func(cfg *Config) {
+		cfg.StorageNodes = 2
+		cfg.LogicalSites = 16
+	})
+	if err := e.Grow(2); err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	c, err := e.NewSerialClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh, _, err := c.Create(c.Root(), "grown.dat", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 1<<20)
+	for i := range data {
+		data[i] = byte(i*11 + i>>10)
+	}
+	if err := c.WriteFile(fh, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Commit(fh); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Proxy.DirtyLen(); n != 0 {
+		t.Fatalf("dirty set holds %d entries after a commit", n)
+	}
+
+	before := make([]uint64, len(e.Storage))
+	for i, sn := range e.Storage {
+		before[i] = sn.Store().Stats().Reads
+	}
+	got := make([]byte, unit)
+	for i := 0; i < reads; i++ {
+		off := i * unit % len(data)
+		if n, _, err := c.Read(fh, uint64(off), got); err != nil || n != unit || !bytes.Equal(got, data[off:off+unit]) {
+			t.Fatalf("read %d at %d: n=%d err=%v, or the bytes differ", i, off, n, err)
+		}
+	}
+	served := make([]uint64, len(e.Storage))
+	for i, sn := range e.Storage {
+		served[i] = sn.Store().Stats().Reads - before[i]
+	}
+	if len(served) != 4 {
+		t.Fatalf("%d storage nodes after Grow(2), want 4", len(served))
+	}
+	for g := 0; g < 2; g++ {
+		a, b := served[2*g], served[2*g+1]
+		if a == 0 || b == 0 || float64(max(a, b))/float64(a+b) > 1/1.6 {
+			t.Errorf("group %d's members served %d and %d reads (all: %v): want every member reading, none over 1/1.6",
+				g, a, b, served)
+		}
+	}
+}
+
+// TestSilentMemberCostsOneRetransmission: a member that stops answering
+// without being marked down (partitioned, no MarkDown) fails no read. A
+// read sent to it is retransmitted to the other member of its group, so
+// each of 64 reads of a committed object succeeds.
+func TestSilentMemberCostsOneRetransmission(t *testing.T) {
+	const unit = route.DefaultStripeUnit
+	e := newReplicated(t, func(cfg *Config) {
+		cfg.StorageNodes = 2
+		cfg.ClientRPC = oncrpc.ClientConfig{Timeout: 20 * time.Millisecond, Retries: 5}
+	})
+	c, err := e.NewSerialClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fh, _, err := c.Create(c.Root(), "silent.dat", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 256<<10)
+	for i := range data {
+		data[i] = byte(i * 3)
+	}
+	if err := c.WriteFile(fh, data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Commit(fh); err != nil {
+		t.Fatal(err)
+	}
+
+	e.Chaos().PartitionStorage(1)
+	faulted := e.Net.Stats().Faulted
+	got := make([]byte, unit)
+	for i := 0; i < 64; i++ {
+		off := i * unit % len(data)
+		if n, _, err := c.Read(fh, uint64(off), got); err != nil || n != unit || !bytes.Equal(got, data[off:off+unit]) {
+			t.Fatalf("read %d at %d with member 1 silent: n=%d err=%v, or the bytes differ", i, off, n, err)
+		}
+	}
+	if e.Net.Stats().Faulted == faulted {
+		t.Fatal("no read was sent to the silent member")
 	}
 }
 

@@ -118,13 +118,11 @@ type pendingReq struct {
 	// on the goroutine that delivered the reply.
 	onOK func()
 
-	// Replica bookkeeping (nil dirty set disables all of it). dirtyMark
-	// says this record holds one dirty-set count on dirtyKey, released
-	// only when every replica acknowledged success; readSlot is 1 + the
-	// load-array slot charged for a spread read (0: none).
+	// Replica bookkeeping (nil dirty set disables it). dirtyMark says
+	// this record holds one dirty-set count on dirtyKey, released only
+	// when every replica acknowledged success.
 	dirtyMark bool
 	dirtyKey  fhandle.Key
-	readSlot  int32
 
 	// attrBuf is scratch for encoding the attributes patched into a
 	// bulk READ reply; living in the pooled record keeps that path free
@@ -173,10 +171,8 @@ type Proxy struct {
 	// dirty is the per-object dirty set of the replica layer: an object
 	// is dirty while a fanned-out WRITE to its group is in flight, and
 	// its reads pin to the primary. nil when the array is unreplicated.
-	// loads counts this µproxy's outstanding spread reads per member
-	// slot, the weights of the power-of-two-choices read placement.
+	// It is the only state read spreading keeps (spreadRead).
 	dirty *replica.DirtySet
-	loads []atomic.Int64
 
 	// rpc is the one client every RPC the µproxy originates goes out on,
 	// bound on first use: CallTo names each data site, and its zero site
@@ -223,7 +219,6 @@ func New(cfg Config) *Proxy {
 	}
 	if cfg.IO != nil && cfg.IO.Replicas.Replicated() {
 		p.dirty = replica.NewDirtySet()
-		p.loads = make([]atomic.Int64, cfg.IO.Replicas.Slots())
 	}
 	if cfg.Obs != nil {
 		var rm *replica.Map
@@ -302,8 +297,8 @@ const flushAge = time.Second
 
 // agePend is a flush's pass over the pending table: it drops the records
 // of abandoned calls and keeps the rest pairing their replies, stripped of
-// the replica bookkeeping that belonged to the dirty set and read loads
-// resetReplica just emptied. Run after resetReplica.
+// the dirty marks that belonged to the set resetReplica just emptied. Run
+// after resetReplica.
 func (p *Proxy) agePend() {
 	cutoff := p.now() - int64(flushAge)
 	for i := range p.shards {
@@ -314,22 +309,21 @@ func (p *Proxy) agePend() {
 				delete(s.pend, k)
 				continue
 			}
-			pd.dirtyMark, pd.readSlot = false, 0
+			pd.dirtyMark = false
 		}
 		s.mu.Unlock()
 	}
 }
 
 // FlushSoftState discards the µproxy's caches — attributes, and over a
-// replicated array the dirty set and read loads — and the records of calls
-// that have waited a second or more. The dirty attributes among those
-// discarded are pushed to the directory servers, so no size the µproxy
-// acknowledged is lost with them. A call in flight keeps its record: the
-// record pairs the reply with the client that sent the call and finishes
-// it as its procedure requires, which an address alone cannot (a WRITE's
-// growth is recorded from the offset in the call; a READ's EOF is
-// corrected against the file's size). DESIGN.md §6 has why that record is
-// still soft state.
+// replicated array the dirty set — and the records of calls that have
+// waited a second or more. The dirty attributes among those discarded are
+// pushed to the directory servers, so no size the µproxy acknowledged is
+// lost with them. A call in flight keeps its record: the record pairs the
+// reply with the client that sent the call and finishes it as its
+// procedure requires, which an address alone cannot (a WRITE's growth is
+// recorded from the offset in the call; a READ's EOF is corrected against
+// the file's size). DESIGN.md §6 has why that record is still soft state.
 func (p *Proxy) FlushSoftState() {
 	p.resetReplica()
 	p.agePend()
@@ -347,21 +341,18 @@ func (p *Proxy) DropSoftState() {
 	p.resetReplica()
 }
 
-// resetReplica clears the dirty set and the read-load counters along
-// with the rest of the soft state. A fresh (or rebooted) µproxy starts
-// with no dirtiness knowledge: a write in flight marks its object again
-// at its next retransmission, which re-arms its record (or opens a new
-// one where the record was lost), and until then the object may be read
-// from any member — the same window §2.1 accepts for every other piece of
-// lost soft state, closed for committed data by the COMMIT barrier.
+// resetReplica clears the dirty set along with the rest of the soft state.
+// A fresh (or rebooted) µproxy starts with no dirtiness knowledge: a write
+// in flight marks its object again at its next retransmission, which
+// re-arms its record (or opens a new one where the record was lost), and
+// until then the object may be read from any member — the same window §2.1
+// accepts for every other piece of lost soft state, closed for committed
+// data by the COMMIT barrier.
 func (p *Proxy) resetReplica() {
 	if p.dirty == nil {
 		return
 	}
 	p.dirty.Reset()
-	for i := range p.loads {
-		p.loads[i].Store(0)
-	}
 }
 
 // DirtyLen reports the dirty-set size (0 when unreplicated).
@@ -564,7 +555,7 @@ func inPlace(prog uint32, proc nfsproto.Proc) bool {
 // did) and must agree with it in procedure, handle and offset — what the
 // record was routed, stamped and will account the reply by. One that does
 // not came from a corrupt first transmission, which every server's Recv
-// dropped: it is discarded — its load slot, dirty mark and span released —
+// dropped: it is discarded — its dirty mark and span released —
 // and the retransmission routed fresh rather than along a wrong path with
 // a capability for the wrong handle.
 func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfsproto.RequestInfo, checked bool, clk *lapClock) (netsim.Verdict, bool) {
@@ -626,7 +617,6 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 	var path []netsim.Addr
 	var a netsim.Addr
 	var err error
-	slot := int32(0)
 	switch {
 	case pd.prog == mountProgram:
 		pd.hop = obs.HopMount
@@ -655,7 +645,7 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 				return nil, false
 			}
 		} else if a, err = io.ReadTarget(info.FH, stripe); err == nil && p.dirty != nil {
-			a, slot = p.spreadRead(pd, key, a, stripe)
+			a = p.spreadRead(pd, key, a, stripe)
 		}
 	}
 	if err != nil {
@@ -664,7 +654,7 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 	if path == nil {
 		path = append(buf, a)
 	}
-	p.arm(pd, path, slot)
+	p.arm(pd, path)
 	netsim.RewriteDst(d, path[0])
 	return path, true
 }
@@ -672,18 +662,17 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 // arm makes pd await one reply from each server on path, none heard from
 // yet. A WRITE fanned out over a replicated array takes a dirty mark on
 // its object — before the packets leave, so that a read racing the
-// fan-out sees the object dirty and pins to the primary — and a spread
-// read holds slot, the load slot spreadRead charged (0: none). Re-arming
-// a record takes the new mark and slot before it releases the old ones,
-// so the object never reads clean in between.
-func (p *Proxy) arm(pd *pendingReq, path []netsim.Addr, slot int32) {
+// fan-out sees the object dirty and pins to the primary. Re-arming a
+// record takes the new mark before it releases the old one, so the object
+// never reads clean in between.
+func (p *Proxy) arm(pd *pendingReq, path []netsim.Addr) {
 	if len(path) <= len(pd.targetsBuf) {
 		pd.targets = pd.targetsBuf[:copy(pd.targetsBuf[:], path)]
 	} else {
 		pd.targets = slices.Clone(path) // a copy: path may live in the caller's frame
 	}
 	pd.heard = 0
-	held, heldSlot := pd.dirtyMark, pd.readSlot
+	held := pd.dirtyMark
 	pd.dirtyMark = p.dirty != nil && len(path) > 1 && pd.proc == nfsproto.ProcWrite
 	if pd.dirtyMark {
 		pd.dirtyKey = pd.info.FH.Ident()
@@ -695,50 +684,39 @@ func (p *Proxy) arm(pd *pendingReq, path []netsim.Addr, slot int32) {
 	if held {
 		p.dirty.ClearWrite(pd.dirtyKey)
 	}
-	pd.readSlot = slot
-	p.unload(heldSlot)
-}
-
-// unload releases a spread read's load slot (0: none).
-func (p *Proxy) unload(slot int32) {
-	if i := int(slot) - 1; i >= 0 && i < len(p.loads) {
-		p.loads[i].Add(-1)
-	}
 }
 
 // spreadRead picks the replica-group member to serve a read that the
-// placement resolved to primary, and the load slot it charged (1 + the
-// slot's index; 0: none). A dirty object pins to the primary — its reply
-// order defines the file's contents while writes are in flight; a clean
-// object goes to the less loaded of two member slots drawn from the
-// request hash (power-of-two-choices over this µproxy's own outstanding
-// spread reads).
-func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, stripe uint64) (netsim.Addr, int32) {
+// placement resolved to primary, from the request and the tables alone:
+// the dirty set is the only state it reads. A dirty object pins to the
+// primary — its reply order defines the file's contents while writes are
+// in flight. A clean object goes to the member the request hash names,
+// and a retransmission whose last path was one member of the group goes
+// to the member after it, so a member that did not answer is not asked
+// again while another can be. (pd.targets still holds the last path: arm
+// runs after.)
+func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, stripe uint64) netsim.Addr {
 	g, ok := p.cfg.IO.Replicas.GroupOf(primary)
 	if !ok || len(g.Members) <= 1 {
-		return primary, 0
+		return primary
 	}
 	if p.dirty.Dirty(pd.info.FH.Ident()) {
 		if p.hists != nil {
 			p.hists.pinned.Record(1)
 		}
-		return g.Members[0], 0
+		return g.Members[0]
 	}
-	h := pendHash(key) ^ (stripe+1)*0x9E3779B97F4A7C15
-	i, j := replica.Pick2(len(g.Members), h)
-	slot := g.Slot0 + i
-	if alt := g.Slot0 + j; alt < len(p.loads) && slot < len(p.loads) &&
-		p.loads[alt].Load() < p.loads[slot].Load() {
-		i, slot = j, alt
+	h := (pendHash(key) ^ (stripe+1)*0x9E3779B97F4A7C15) * 0x9E3779B97F4A7C15
+	i := int((h >> 32) % uint64(len(g.Members)))
+	if len(pd.targets) == 1 {
+		if last := slices.Index(g.Members, pd.targets[0]); last >= 0 {
+			i = (last + 1) % len(g.Members)
+		}
 	}
-	if slot >= len(p.loads) { // topology outgrew the load array: stay safe
-		return primary, 0
-	}
-	p.loads[slot].Add(1)
-	if p.hists != nil && slot < len(p.hists.readSpread) {
+	if slot := g.Slot0 + i; p.hists != nil && slot < len(p.hists.readSpread) {
 		p.hists.readSpread[slot].Record(1)
 	}
-	return g.Members[i], int32(slot + 1)
+	return g.Members[i]
 }
 
 // forward routes the first transmission of pd's call, publishes its

@@ -131,15 +131,14 @@ func (pd *pendingReq) clientVerifies() bool {
 	return pd.prog == nfsproto.Program && pd.proc == nfsproto.ProcRead
 }
 
-// settleReplica retires a request's replica bookkeeping: a spread read
-// releases its load slot; a fanned-out write clears its dirty mark only
-// when every replica acknowledged success. A failed or partial fan-out
-// leaves the object dirty — the safe over-approximation: its reads pin to
-// the primary until a retransmission completes the fan-out or a COMMIT
-// barrier force-clears the entry. A nil rep is a discarded record's, whose
-// write no member accepted: its mark goes.
+// settleReplica retires a request's replica bookkeeping: a fanned-out
+// write clears its dirty mark only when every replica acknowledged
+// success. A failed or partial fan-out leaves the object dirty — the safe
+// over-approximation: its reads pin to the primary until a retransmission
+// completes the fan-out or a COMMIT barrier force-clears the entry. A nil
+// rep is a discarded record's, whose write no member accepted: its mark
+// goes.
 func (p *Proxy) settleReplica(pd *pendingReq, rep *oncrpc.Reply) {
-	p.unload(pd.readSlot)
 	if !pd.dirtyMark {
 		return
 	}

@@ -74,16 +74,15 @@ const (
 )
 
 // quiescent checks that a µproxy whose traffic has all been answered holds
-// no pending record, dirty mark or read-load charge.
+// no pending record or dirty mark.
 func quiescent(t *testing.T, e *ensemble.Ensemble) {
 	t.Helper()
 	pending := 0
 	for _, s := range e.Proxy.ShardStats() {
 		pending += s.Pending
 	}
-	if pending != 0 || e.Proxy.DirtyLen() != 0 || e.Proxy.SpreadReadsInFlight() != 0 {
-		t.Fatalf("µproxy leaked soft state: %d pending records, %d dirty marks, %d read-load charges",
-			pending, e.Proxy.DirtyLen(), e.Proxy.SpreadReadsInFlight())
+	if pending != 0 || e.Proxy.DirtyLen() != 0 {
+		t.Fatalf("µproxy leaked soft state: %d pending records, %d dirty marks", pending, e.Proxy.DirtyLen())
 	}
 }
 
@@ -94,7 +93,7 @@ func quiescent(t *testing.T, e *ensemble.Ensemble) {
 // pending record behind. The clean retransmission must not replay that
 // record: it must reach the right nodes at the right offset with a
 // capability for the right handle, the cached size must follow the write
-// that happened, and the record's dirty mark and load slot must go with it.
+// that happened, and the record's dirty mark must go with it.
 func TestCorruptFirstTransmissionCannotSteerRetransmission(t *testing.T) {
 	const unit = 32 << 10
 	cases := []struct {

@@ -13,8 +13,9 @@
 //
 // Like every other µproxy table, the Map is an immutable snapshot behind
 // an atomic pointer (data-path readers never lock; Swap installs a new
-// generation and bumps the version so pending-request retargeting
-// notices), and the dirty set is sharded soft state: losing it is safe
+// generation, which a retransmission routed afresh picks up), and the
+// dirty set is sharded soft state — the only state read spreading keeps.
+// Losing it is safe
 // because a fresh µproxy over-approximates — absent knowledge an entry
 // re-marked by a retransmitted WRITE pins reads to the primary until the
 // next COMMIT clears it.
@@ -52,10 +53,9 @@ type mapState struct {
 	slots     int                   // total members across groups
 	byPrimary map[netsim.Addr]int32 // primary address -> group index
 	byMember  map[netsim.Addr]int32 // any member address -> group index
-	version   uint64
 }
 
-// Map is the versioned replica-group table layered under route.Table's
+// Map is the replica-group table layered under route.Table's
 // physical-node map: the table routes to primaries, the Map expands a
 // primary to its group. Members marked down (a failed node, folded into
 // a topology swap like route.Fleet) are filtered out of their group
@@ -69,15 +69,14 @@ type Map struct {
 }
 
 // NewMap partitions nodes into groups of degree consecutive members
-// (the last group absorbs any remainder) and returns the versioned
-// table. degree <= 1 yields an empty map that expands nothing.
+// (the last group absorbs any remainder) and returns the table. degree <= 1 yields an empty map that expands nothing.
 func NewMap(degree int, nodes []netsim.Addr) *Map {
 	m := &Map{
 		nodes:  append([]netsim.Addr(nil), nodes...),
 		degree: degree,
 		down:   make(map[netsim.Addr]bool),
 	}
-	m.store(1)
+	m.store()
 	return m
 }
 
@@ -86,8 +85,8 @@ func NewMap(degree int, nodes []netsim.Addr) *Map {
 // its first (dead) member so lookups still resolve somewhere — requests
 // to it stall and clients retransmit, exactly as an unreplicated outage
 // behaves.
-func (m *Map) store(version uint64) {
-	st := &mapState{degree: m.degree, version: version,
+func (m *Map) store() {
+	st := &mapState{degree: m.degree,
 		byPrimary: make(map[netsim.Addr]int32),
 		byMember:  make(map[netsim.Addr]int32)}
 	if m.degree > 1 {
@@ -125,40 +124,36 @@ func (m *Map) store(version uint64) {
 }
 
 // Swap installs a new node list at the same degree, clearing any down
-// marks and bumping the version. In-flight lookups keep the snapshot
-// they loaded.
+// marks. In-flight lookups keep the snapshot they loaded.
 func (m *Map) Swap(nodes []netsim.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.state.Load()
 	m.nodes = append(m.nodes[:0], nodes...)
 	m.down = make(map[netsim.Addr]bool)
-	m.store(cur.version + 1)
+	m.store()
 }
 
 // MarkDown filters addr out of its group in a new generation — failure
 // detection folded into one topology swap: writes stop awaiting the
-// dead member, reads stop spreading to it, and the version bump makes
-// retransmitted in-flight requests re-resolve onto the survivors. When
+// dead member and reads stop spreading to it, and a retransmitted
+// in-flight request, routed afresh, resolves onto the survivors. When
 // addr was its group's primary the next member is promoted; the caller
 // owns rebinding the routing table to the new primary.
 func (m *Map) MarkDown(addr netsim.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.state.Load()
 	m.down[addr] = true
-	m.store(cur.version + 1)
+	m.store()
 }
 
 // MarkUp restores a member marked down (once a rebirth transition has
-// copied it whole, just before the commit), bumping the version so
-// spread reads start reaching it again.
+// copied it whole, just before the commit), so spread reads start
+// reaching it again.
 func (m *Map) MarkUp(addr netsim.Addr) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := m.state.Load()
 	delete(m.down, addr)
-	m.store(cur.version + 1)
+	m.store()
 }
 
 // WithUp returns a new map over the same nodes and down marks, except
@@ -169,7 +164,7 @@ func (m *Map) WithUp(addr netsim.Addr) *Map {
 	defer m.mu.Unlock()
 	up := &Map{nodes: slices.Clone(m.nodes), degree: m.degree, down: maps.Clone(m.down)}
 	delete(up.down, addr)
-	up.store(m.state.Load().version + 1)
+	up.store()
 	return up
 }
 
@@ -179,15 +174,6 @@ func (m *Map) Degree() int {
 		return 1
 	}
 	return m.state.Load().degree
-}
-
-// Version returns the topology generation, incremented by every Swap.
-// A nil map is generation 0 forever.
-func (m *Map) Version() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.state.Load().version
 }
 
 // NumGroups returns the group count.
@@ -236,29 +222,11 @@ func (m *Map) MemberOf(addr netsim.Addr) (Group, bool) {
 
 // Slots returns the flat per-member slot count (total members across all
 // groups — remainder groups may exceed the nominal degree), the size of
-// the load arrays Pick2 choices are weighed against.
+// the µproxy's per-member read histograms (replica.read[g.m]), which a
+// group's Slot0 indexes.
 func (m *Map) Slots() int {
 	if m == nil {
 		return 0
 	}
 	return m.state.Load().slots
-}
-
-// Pick2 derives two distinct member slots in [0, n) from a request hash,
-// the candidate pair for a power-of-two-choices read placement: the
-// caller compares its own outstanding-read counts for both and sends to
-// the less loaded. One member (n <= 1) returns (0, 0). The two halves of
-// the multiplied hash are independent enough that the pair itself is
-// near-uniform over ordered pairs.
-func Pick2(n int, h uint64) (int, int) {
-	if n <= 1 {
-		return 0, 0
-	}
-	h *= 0x9E3779B97F4A7C15
-	i := int((h >> 32) % uint64(n))
-	j := int(uint64(uint32(h)) % uint64(n-1))
-	if j >= i {
-		j++ // skew the second draw around the first: i != j, still uniform
-	}
-	return i, j
 }

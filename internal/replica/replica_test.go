@@ -71,40 +71,11 @@ func TestMapDegreeOneExpandsNothing(t *testing.T) {
 	}
 }
 
-func TestMapSwapBumpsVersion(t *testing.T) {
+func TestMapSwapKeepsDegree(t *testing.T) {
 	m := NewMap(2, addrs(4))
-	v := m.Version()
-	m.Swap(addrs(4))
-	if m.Version() != v+1 {
-		t.Fatalf("version %d after swap, want %d", m.Version(), v+1)
-	}
-	if m.Degree() != 2 {
-		t.Fatalf("swap changed degree to %d", m.Degree())
-	}
-}
-
-func TestPick2DistinctAndCovering(t *testing.T) {
-	for n := 2; n <= 4; n++ {
-		seen := make(map[int]int)
-		for h := uint64(0); h < 4096; h++ {
-			i, j := Pick2(n, h)
-			if i == j {
-				t.Fatalf("n=%d h=%d: identical candidates %d", n, h, i)
-			}
-			if i < 0 || i >= n || j < 0 || j >= n {
-				t.Fatalf("n=%d: candidates %d,%d out of range", n, i, j)
-			}
-			seen[i]++
-			seen[j]++
-		}
-		for s := 0; s < n; s++ {
-			if seen[s] == 0 {
-				t.Fatalf("n=%d: slot %d never a candidate", n, s)
-			}
-		}
-	}
-	if i, j := Pick2(1, 7); i != 0 || j != 0 {
-		t.Fatalf("Pick2(1) = %d,%d", i, j)
+	m.Swap(addrs(6))
+	if m.Degree() != 2 || m.NumGroups() != 3 {
+		t.Fatalf("swap left degree %d over %d groups, want 2 over 3", m.Degree(), m.NumGroups())
 	}
 }
 
@@ -222,9 +193,6 @@ func TestWithUpClearsOneMark(t *testing.T) {
 	}
 	if g := m.Groups()[0]; len(g.Members) != 1 || g.Members[0] != nodes[1] {
 		t.Fatalf("live group 0 = %v, want the survivor alone", g.Members)
-	}
-	if up.Version() <= m.Version() {
-		t.Fatalf("pending version %d not past live %d", up.Version(), m.Version())
 	}
 	// The copies are independent: a later swap of the live map leaves the
 	// pending one alone.

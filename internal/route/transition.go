@@ -1,9 +1,10 @@
 // Versioned topology transitions.
 //
 // A transition is a two-phase rebind of a Table: Begin publishes a
-// *pending* binding next to the current one (bumping the version so
-// µproxies re-resolve and start double-writing new data to both
-// bindings), a background migrator copies old blocks, and Commit makes
+// *pending* binding next to the current one (µproxies start
+// double-writing new data to both bindings with the next call or
+// retransmission they route), a background migrator copies old blocks,
+// and Commit makes
 // the pending binding current (or Abort discards it). Both phases are
 // epoch-guarded: the epoch minted by Begin must be presented to
 // Commit/Abort, so a crashed migration cannot commit a transition it
@@ -51,8 +52,10 @@ var ErrTransitionPending = fmt.Errorf("route: transition already pending")
 // derive one with minimal movement). The current binding stays
 // authoritative for reads; WriteTargets starts unioning both bindings.
 // reps carries the replica groups the pending binding will run under
-// (nil keeps the current map). The version bump makes retransmitting
-// µproxies re-resolve in-flight requests.
+// (nil keeps the current map). A µproxy routes each retransmission from
+// the tables as they are now, so a write in flight reaches the pending
+// binding at its next transmission. The epoch is the table's next
+// version.
 func (t *Table) Begin(next []netsim.Addr, reps *replica.Map) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
