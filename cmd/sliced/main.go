@@ -141,8 +141,10 @@ func printStats(e *ensemble.Ensemble) {
 		ps.Gets, ps.Puts, ps.News, ps.Ignored)
 	for i, d := range e.Dirs {
 		c := d.Counters()
-		fmt.Printf("[stats] dir[%d]: %d ops, %d peer calls, %d cross-site\n",
-			i, c.Ops, c.PeerCalls, c.CrossSite)
+		ls := d.Log().Stats()
+		fmt.Printf("[stats] dir[%d]: %d ops, %d peer calls, %d cross-site; journal %.1f KB, %.1f KB live, %d compactions in %.1f ms\n",
+			i, c.Ops, c.PeerCalls, c.CrossSite, float64(ls.Size)/1e3, float64(ls.Live)/1e3,
+			ls.Compactions, float64(ls.CompactNS)/1e6)
 	}
 	for i, n := range e.Storage {
 		s := n.Store().Stats()

@@ -110,13 +110,13 @@ func (c *Client) chunkSpans(off uint64, n int) []chunkSpan {
 // once (fresh xid) on timeout — reads are idempotent, so the re-issue
 // preserves at-most-once effects while riding out a node restart
 // mid-transfer. Returns bytes read and whether the server reported EOF.
-func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
+func (c *Client) chunkRead(flow uint64, fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
 	got := 0
 	for got < len(p) {
 		cur := off + uint64(got)
-		n, eof, err := c.readInto(fh, cur, p[got:])
+		n, eof, err := c.readInto(flow, fh, cur, p[got:])
 		if errors.Is(err, oncrpc.ErrTimedOut) {
-			n, eof, err = c.readInto(fh, cur, p[got:])
+			n, eof, err = c.readInto(flow, fh, cur, p[got:])
 		}
 		if err != nil {
 			return got, false, err
@@ -133,7 +133,7 @@ func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, 
 // once on timeout (WRITE of fixed bytes at a fixed offset is idempotent;
 // the servers' duplicate-request caches absorb retransmits of the same
 // xid).
-func (c *Client) chunkWrite(fh fhandle.Handle, off uint64, data []byte, stability uint32) error {
+func (c *Client) chunkWrite(flow uint64, fh fhandle.Handle, off uint64, data []byte, stability uint32) error {
 	written := 0
 	for written < len(data) {
 		cur := off + uint64(written)
@@ -142,10 +142,10 @@ func (c *Client) chunkWrite(fh fhandle.Handle, off uint64, data []byte, stabilit
 			Stable: stability, Data: data[written:],
 		}
 		var res nfsproto.WriteRes
-		err := c.call(fh, nfsproto.ProcWrite, &args, &res)
+		err := c.callFlow(flow, nfsproto.ProcWrite, &args, &res)
 		if errors.Is(err, oncrpc.ErrTimedOut) {
 			res = nfsproto.WriteRes{}
-			err = c.call(fh, nfsproto.ProcWrite, &args, &res)
+			err = c.callFlow(flow, nfsproto.ProcWrite, &args, &res)
 		}
 		if err != nil {
 			return err
@@ -181,7 +181,7 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 	if len(p) == 0 {
 		return 0, false, nil
 	}
-	seq := c.raAdvance(id, off)
+	seq, flow := c.raAdvance(fh, id, off)
 	read := 0
 	eof := false
 	for read < len(p) {
@@ -207,15 +207,15 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 		}
 	}
 	if !eof && read < len(p) {
-		n, e2, err := c.fanoutRead(fh, off+uint64(read), p[read:])
+		n, e2, err := c.fanoutRead(flow, fh, off+uint64(read), p[read:])
 		read += n
 		if err != nil {
-			c.raFinish(fh, id, off+uint64(read), false, false)
+			c.raFinish(id, off+uint64(read), false, false)
 			return read, false, err
 		}
 		eof = e2
 	}
-	c.raFinish(fh, id, off+uint64(read), eof, seq && !eof)
+	c.raFinish(id, off+uint64(read), eof, seq && !eof)
 	return read, eof, nil
 }
 
@@ -223,12 +223,12 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 // the window and folds results in chunk order. A chunk that comes back
 // short without EOF (or whose later siblings would otherwise be folded in
 // misaligned) retreats to the serial loop from the first gap.
-func (c *Client) fanoutRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
+func (c *Client) fanoutRead(flow uint64, fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
 	spans := c.chunkSpans(off, len(p))
 	if len(spans) == 1 {
 		c.acquire()
 		t0 := time.Now()
-		n, eof, err := c.chunkRead(fh, off, p)
+		n, eof, err := c.chunkRead(flow, fh, off, p)
 		c.chunkDone(c.readNS, t0)
 		return n, eof, err
 	}
@@ -237,7 +237,7 @@ func (c *Client) fanoutRead(fh fhandle.Handle, off uint64, p []byte) (int, bool,
 	wg.Add(len(spans))
 	for i, s := range spans {
 		c.acquire()
-		c.startChunk(chunkTask{op: opRead, fh: fh, off: s.off, data: p[s.off-off : s.end-off], res: &results[i], wg: &wg})
+		c.startChunk(chunkTask{op: opRead, fh: fh, flow: flow, off: s.off, data: p[s.off-off : s.end-off], res: &results[i], wg: &wg})
 	}
 	wg.Wait()
 	read := 0
@@ -289,11 +289,12 @@ func (c *Client) windowedWrite(fh fhandle.Handle, off uint64, p []byte, stable b
 // every chunk. On error it reports the byte count of the error-free
 // prefix, like the serial loop.
 func (c *Client) fanoutWrite(fh fhandle.Handle, off uint64, p []byte, stability uint32) (int, error) {
+	flow := c.flowKey(fh)
 	spans := c.chunkSpans(off, len(p))
 	if len(spans) == 1 {
 		c.acquire()
 		t0 := time.Now()
-		err := c.chunkWrite(fh, off, p, stability)
+		err := c.chunkWrite(flow, fh, off, p, stability)
 		c.chunkDone(c.writeNS, t0)
 		if err != nil {
 			return 0, err
@@ -305,7 +306,7 @@ func (c *Client) fanoutWrite(fh fhandle.Handle, off uint64, p []byte, stability 
 	wg.Add(len(spans))
 	for i, s := range spans {
 		c.acquire()
-		c.startChunk(chunkTask{op: opWrite, fh: fh, off: s.off, data: p[s.off-off : s.end-off], stability: stability, res: &results[i], wg: &wg})
+		c.startChunk(chunkTask{op: opWrite, fh: fh, flow: flow, off: s.off, data: p[s.off-off : s.end-off], stability: stability, res: &results[i], wg: &wg})
 	}
 	wg.Wait()
 	written := 0
@@ -328,6 +329,7 @@ type chunkTask struct {
 	op        uint8
 	stability uint32 // opWrite
 	fh        fhandle.Handle
+	flow      uint64 // fh's flow key, computed once per stream
 	off       uint64
 	data      []byte // opRead: destination; opWrite, opBehind: source
 
@@ -395,17 +397,17 @@ func (c *Client) runChunk(t *chunkTask) {
 	t0 := time.Now()
 	switch t.op {
 	case opRead:
-		n, eof, err := c.chunkRead(t.fh, t.off, t.data)
+		n, eof, err := c.chunkRead(t.flow, t.fh, t.off, t.data)
 		c.chunkDone(c.readNS, t0)
 		*t.res = chunkResult{n, eof, err}
 		t.wg.Done()
 	case opWrite:
-		err := c.chunkWrite(t.fh, t.off, t.data, t.stability)
+		err := c.chunkWrite(t.flow, t.fh, t.off, t.data, t.stability)
 		c.chunkDone(c.writeNS, t0)
 		t.res.err = err
 		t.wg.Done()
 	case opBehind:
-		err := c.chunkWrite(t.fh, t.off, t.data, nfsproto.Unstable)
+		err := c.chunkWrite(t.flow, t.fh, t.off, t.data, nfsproto.Unstable)
 		c.chunkDone(c.writeNS, t0)
 		putChunkBuf(t.data)
 		c.bulkMu.Lock()
@@ -428,9 +430,9 @@ func (c *Client) runChunk(t *chunkTask) {
 		// Reads are idempotent, so a timed-out one is re-issued once, as
 		// chunkRead does.
 		e := t.ra
-		rep, res, err := c.readReply(t.fh, e.off, e.want)
+		rep, res, err := c.readReply(t.flow, t.fh, e.off, e.want)
 		if errors.Is(err, oncrpc.ErrTimedOut) {
-			rep, res, err = c.readReply(t.fh, e.off, e.want)
+			rep, res, err = c.readReply(t.flow, t.fh, e.off, e.want)
 		}
 		c.chunkDone(c.readNS, t0)
 		e.rep, e.data, e.eof, e.err = rep, res.Data, res.EOF, err
@@ -462,10 +464,11 @@ func (c *Client) chunkDone(h *obs.Histogram, t0 time.Time) {
 // writeTail is the buffered sequential write stream: bytes accepted by
 // Write but not yet dispatched. buf[0] is at file offset off.
 type writeTail struct {
-	id  fhandle.Key
-	fh  fhandle.Handle
-	off uint64
-	buf []byte
+	id   fhandle.Key
+	fh   fhandle.Handle
+	flow uint64 // fh's flow key, for every chunk the tail sends
+	off  uint64
+	buf  []byte
 }
 
 func (t *writeTail) end() uint64 { return t.off + uint64(len(t.buf)) }
@@ -541,7 +544,7 @@ func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []
 	ready := readyBuf[:0]
 	c.bulkMu.Lock()
 	if c.tail == nil {
-		c.tail = &writeTail{id: id, fh: fh, off: off}
+		c.tail = &writeTail{id: id, fh: fh, flow: c.flowKey(fh), off: off}
 	}
 	t := c.tail
 	for {
@@ -609,7 +612,7 @@ func (c *Client) registerLocked(t *writeTail, data []byte) chunkTask {
 	}
 	f.inflight++
 	f.spans = append(f.spans, span{t.off, t.off + uint64(len(data))})
-	return chunkTask{op: opBehind, fh: t.fh, off: t.off, data: data, f: f}
+	return chunkTask{op: opBehind, fh: t.fh, flow: t.flow, off: t.off, data: data, f: f}
 }
 
 // overlapsInflight reports whether [lo, hi) intersects any chunk
@@ -711,6 +714,8 @@ func (c *Client) drainAll() error {
 type raState struct {
 	valid    bool
 	id       fhandle.Key
+	fh       fhandle.Handle
+	flow     uint64 // fh's flow key, for every prefetch of the stream
 	expected uint64 // offset that would continue the stream
 	horizon  uint64 // lowest offset not yet prefetched
 	eofAt    uint64 // lowest offset known to be at/past EOF
@@ -735,25 +740,26 @@ type raEntry struct {
 	err     error
 }
 
-// raAdvance reports whether a read at off continues the cached stream;
-// if not, the cache resets to start a new stream at off.
-func (c *Client) raAdvance(id fhandle.Key, off uint64) bool {
+// raAdvance reports whether a read of fh (whose identity is id) at off
+// continues the cached stream; if not, the cache resets to start a new
+// stream at off. It returns fh's flow key too, computed once per stream.
+func (c *Client) raAdvance(fh fhandle.Handle, id fhandle.Key, off uint64) (bool, uint64) {
 	if c.cfg.Readahead <= 0 {
-		return false
+		return false, c.flowKey(fh)
 	}
 	c.bulkMu.Lock()
 	defer c.bulkMu.Unlock()
 	if c.ra.valid && c.ra.id == id && c.ra.expected == off {
-		return true
+		return true, c.ra.flow
 	}
 	c.raDropAllLocked()
 	c.raGen++
 	c.ra = raState{
-		valid: true, id: id, expected: off, horizon: off,
+		valid: true, id: id, fh: fh, flow: c.flowKey(fh), expected: off, horizon: off,
 		eofAt: ^uint64(0), gen: c.raGen,
 		entries: make(map[uint64]*raEntry),
 	}
-	return false
+	return false, c.ra.flow
 }
 
 // raDropLocked lets go of an entry the stream will never read. Its reply
@@ -800,7 +806,7 @@ func (c *Client) raTake(id fhandle.Key, off uint64, max int) *raEntry {
 // Each entry's reply datagram goes back to the fabric's pool when
 // windowedRead has consumed the entry, or when the stream drops it unread
 // (raDropLocked).
-func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, prefetch bool) {
+func (c *Client) raFinish(id fhandle.Key, next uint64, eof, prefetch bool) {
 	if c.cfg.Readahead <= 0 {
 		return
 	}
@@ -827,6 +833,7 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 		return
 	}
 	budget := c.cfg.Readahead - len(c.ra.entries)
+	fh, flow := c.ra.fh, c.ra.flow
 	var started []*raEntry
 	for budget > 0 && c.ra.horizon < c.ra.eofAt {
 		if !c.tryAcquire() {
@@ -844,7 +851,7 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	}
 	c.bulkMu.Unlock()
 	for _, e := range started {
-		c.startChunk(chunkTask{op: opPrefetch, fh: fh, ra: e})
+		c.startChunk(chunkTask{op: opPrefetch, fh: fh, flow: flow, ra: e})
 	}
 }
 

@@ -188,23 +188,29 @@ func (c *Client) flowKey(fh fhandle.Handle) uint64 {
 	return front.FlowKey(c.self, fhandle.HandleKey(fh))
 }
 
-// roundTrip issues one NFS procedure against fh. fh is the handle the
-// operation targets (the directory for namespace ops); it keys the flow
-// that picks the owning µproxy. The caller decodes the reply straight out
+// roundTrip issues one NFS procedure on flow, the flow key of the handle
+// the operation targets (the directory for namespace ops), which picks the
+// owning µproxy; a bulk stream computes it once (flowKey hashes the
+// handle), not once per chunk. The caller decodes the reply straight out
 // of its receive buffer and hands that back with Free.
-func (c *Client) roundTrip(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg) (oncrpc.Reply, error) {
+func (c *Client) roundTrip(flow uint64, proc nfsproto.Proc, args nfsproto.Msg) (oncrpc.Reply, error) {
 	var enc func(*xdr.Encoder)
 	if args != nil {
 		enc = args.Encode
 	}
-	return c.rpc.CallKeyedReply(c.flowKey(fh), nfsproto.Program, nfsproto.Version, uint32(proc), enc)
+	return c.rpc.CallKeyedReply(flow, nfsproto.Program, nfsproto.Version, uint32(proc), enc)
 }
 
 // call issues one NFS procedure against fh and decodes the reply. Every
 // result type decodes by value except READ's data, so the receive buffer
 // can go back once Decode returns; READ goes through readInto.
 func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
-	rep, err := c.roundTrip(fh, proc, args)
+	return c.callFlow(c.flowKey(fh), proc, args, res)
+}
+
+// callFlow is call with the flow key already computed (see roundTrip).
+func (c *Client) callFlow(flow uint64, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
+	rep, err := c.roundTrip(flow, proc, args)
 	if err != nil {
 		return err
 	}
@@ -215,12 +221,12 @@ func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, 
 	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
-// readInto issues one READ of len(p) bytes at off and copies the data
-// into p directly from the reply's receive buffer — the only copy the
-// client makes of it. It returns the byte count and the server's EOF
-// flag.
-func (c *Client) readInto(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
-	rep, res, err := c.readReply(fh, off, len(p))
+// readInto issues one READ of len(p) bytes at off, on flow, fh's flow key,
+// and copies the data into p directly from the reply's receive buffer —
+// the only copy the client makes of it. It returns the byte count and the
+// server's EOF flag.
+func (c *Client) readInto(flow uint64, fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
+	rep, res, err := c.readReply(flow, fh, off, len(p))
 	if err != nil {
 		return 0, false, err
 	}
@@ -232,9 +238,9 @@ func (c *Client) readInto(fh fhandle.Handle, off uint64, p []byte) (int, bool, e
 // successful result still in the datagram it arrived in: res.Data aliases
 // rep, which the caller frees once it has copied the data out. A reply
 // that fails is freed here.
-func (c *Client) readReply(fh fhandle.Handle, off uint64, count int) (oncrpc.Reply, nfsproto.ReadRes, error) {
+func (c *Client) readReply(flow uint64, fh fhandle.Handle, off uint64, count int) (oncrpc.Reply, nfsproto.ReadRes, error) {
 	var res nfsproto.ReadRes
-	rep, err := c.roundTrip(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(count)})
+	rep, err := c.roundTrip(flow, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(count)})
 	if err != nil {
 		return oncrpc.Reply{}, res, err
 	}
@@ -463,6 +469,7 @@ func (c *Client) Read(fh fhandle.Handle, off uint64, p []byte) (int, bool, error
 // serialRead is the one-chunk-at-a-time read loop; the windowed path
 // must stay byte-exact with it.
 func (c *Client) serialRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
+	flow := c.flowKey(fh)
 	read := 0
 	for read < len(p) {
 		cur := off + uint64(read)
@@ -471,7 +478,7 @@ func (c *Client) serialRead(fh fhandle.Handle, off uint64, p []byte) (int, bool,
 		if rem := len(p) - read; rem < want {
 			want = rem
 		}
-		n, eof, err := c.readInto(fh, cur, p[read:read+want])
+		n, eof, err := c.readInto(flow, fh, cur, p[read:read+want])
 		if err != nil {
 			return read, false, err
 		}
@@ -498,6 +505,7 @@ func (c *Client) Write(fh fhandle.Handle, off uint64, p []byte, stable bool) (in
 
 // serialWrite is the one-chunk-at-a-time write loop.
 func (c *Client) serialWrite(fh fhandle.Handle, off uint64, p []byte, stable bool) (int, error) {
+	flow := c.flowKey(fh)
 	written := 0
 	stability := uint32(nfsproto.Unstable)
 	if stable {
@@ -515,7 +523,7 @@ func (c *Client) serialWrite(fh fhandle.Handle, off uint64, p []byte, stable boo
 			Stable: stability, Data: p[written : written+want],
 		}
 		var res nfsproto.WriteRes
-		if err := c.call(fh, nfsproto.ProcWrite, &args, &res); err != nil {
+		if err := c.callFlow(flow, nfsproto.ProcWrite, &args, &res); err != nil {
 			return written, err
 		}
 		if res.Status != nfsproto.OK {

@@ -32,7 +32,10 @@ func (s *teeStore) Replace(p []byte) error {
 }
 
 // liveOf returns the records c's state compacts to, sorted, and their
-// length as a journal (24 bytes of framing per record).
+// length as a journal (24 bytes of framing per record). It panics unless
+// that length is the live size c registers with its log: every test that
+// reads the live state, around every op and after every recovery's
+// replay, checks the count.
 func liveOf(c *Coordinator) ([]string, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -42,6 +45,9 @@ func liveOf(c *Coordinator) ([]string, int) {
 		recs = append(recs, fmt.Sprintf("%d:%x", recType, p))
 		n += 24 + len(p)
 	})
+	if got := c.liveSize(); got != n {
+		panic(fmt.Sprintf("the coordinator registers a live size of %d bytes, its live records are %d", got, n))
+	}
 	sort.Strings(recs)
 	return recs, n
 }

@@ -158,7 +158,7 @@ func newCoordinator(cfg Config) *Coordinator {
 		rpc:     oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 		stopCh:  make(chan struct{}),
 	}
-	cfg.Log.SetLive(&c.mu, c.liveRecords)
+	cfg.Log.SetLive(&c.mu, c.liveRecords, c.liveSize)
 	return c
 }
 
@@ -278,9 +278,12 @@ func (c *Coordinator) clearIntent(id uint64, finished bool) {
 	_ = log.Sync()
 }
 
+// intentLen is a recIntent payload's length.
+const intentLen = 8 + 4 + fhandle.Size + 8
+
 // encode is in's recIntent payload.
 func (in *intent) encode() []byte {
-	e := xdr.NewEncoder(64)
+	e := xdr.NewEncoder(intentLen)
 	e.PutUint64(in.ID)
 	e.PutUint32(in.Op)
 	in.FH.Encode(e)
@@ -306,6 +309,15 @@ func (c *Coordinator) liveRecords(emit func(recType uint32, payload []byte)) {
 	for _, in := range c.pending {
 		emit(recIntent, in.encode())
 	}
+}
+
+// liveSize is the journal length liveRecords emits. The caller holds c.mu.
+func (c *Coordinator) liveSize() int {
+	n := len(c.pending) * wal.FrameLen(intentLen)
+	if c.nextID > 1 {
+		n += wal.FrameLen(intentLen) + wal.FrameLen(8)
+	}
+	return n
 }
 
 // finish performs the idempotent completing actions for an intention whose

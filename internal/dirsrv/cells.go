@@ -56,6 +56,11 @@ type state struct {
 	// nextID is one past the highest fileID minted or replayed here; the
 	// high bits carry the site so IDs are unique across servers.
 	nextID uint64
+	// cellBytes is the journal length of the cells' live records (one
+	// recNewCell per attribute cell, one recInsert per name cell), kept
+	// by putCell, dropCell, insertEntry and removeEntry, so replay keeps
+	// it too.
+	cellBytes int
 }
 
 func newState() *state {
@@ -77,11 +82,29 @@ func (st *state) findEntry(parent fhandle.Handle, name string) *nameCell {
 	return nil
 }
 
+// putCell installs an attribute cell, replacing any with its fileID.
+func (st *state) putCell(c *attrCell) {
+	if old := st.attrs[c.fh.FileID]; old != nil {
+		st.cellBytes -= cellFrameLen(old.target)
+	}
+	st.attrs[c.fh.FileID] = c
+	st.cellBytes += cellFrameLen(c.target)
+}
+
+// dropCell deletes the attribute cell with the given fileID, if any.
+func (st *state) dropCell(fileID uint64) {
+	if c := st.attrs[fileID]; c != nil {
+		delete(st.attrs, fileID)
+		st.cellBytes -= cellFrameLen(c.target)
+	}
+}
+
 // insertEntry adds a name cell; the caller must have checked uniqueness.
 func (st *state) insertEntry(c *nameCell) {
 	key := fhandle.NameKey(handleFromKey(c.parent), c.name)
 	st.chains[key] = append(st.chains[key], c)
 	st.byDir[c.parent] = append(st.byDir[c.parent], c)
+	st.cellBytes += entryFrameLen(c.name)
 }
 
 // removeEntry deletes the name cell for (parent, name) and returns it.
@@ -104,6 +127,7 @@ func (st *state) removeEntry(parent fhandle.Handle, name string) *nameCell {
 			if len(st.byDir[c.parent]) == 0 {
 				delete(st.byDir, c.parent)
 			}
+			st.cellBytes -= entryFrameLen(c.name)
 			return c
 		}
 	}
@@ -148,18 +172,30 @@ const (
 	recNewCell  = 9 // attribute cell created alone
 )
 
-// encodeCellRecord journals a cell's full post-state, including any
-// symlink target.
-func encodeCellRecord(fh fhandle.Handle, at *attr.Attr) []byte {
-	return encodeCellRecordT(fh, at, "")
+// cellFrameLen is the journal length of a cell record carrying target.
+func cellFrameLen(target string) int {
+	return wal.FrameLen(fhandle.Size + attr.EncodedSize + xdr.StringSize(target))
 }
 
-func encodeCellRecordT(fh fhandle.Handle, at *attr.Attr, target string) []byte {
-	e := xdr.NewEncoder(fhandle.Size + attr.EncodedSize + xdr.StringSize(target))
+// entryFrameLen is the journal length of an entry record for name.
+func entryFrameLen(name string) int {
+	return wal.FrameLen(2*fhandle.Size + xdr.StringSize(name))
+}
+
+// encodeCellRecord encodes into e, reset first, a cell's full post-state,
+// including any symlink target, and returns the record.
+func encodeCellRecord(e *xdr.Encoder, fh fhandle.Handle, at *attr.Attr, target string) []byte {
+	e.Reset()
 	fh.Encode(e)
 	at.Encode(e)
 	e.PutString(target)
 	return e.Bytes()
+}
+
+// cellRecord encodes a cell record into the server's journal scratch.
+// The caller holds s.mu and appends the record before it encodes another.
+func (s *Server) cellRecord(fh fhandle.Handle, at *attr.Attr) []byte {
+	return encodeCellRecord(&s.rec, fh, at, "")
 }
 
 func decodeCellRecord(p []byte) (fhandle.Handle, attr.Attr, string, error) {
@@ -176,12 +212,19 @@ func decodeCellRecord(p []byte) (fhandle.Handle, attr.Attr, string, error) {
 	return fh, at, target, err
 }
 
-func encodeEntryRecord(parent fhandle.Handle, name string, child fhandle.Handle) []byte {
-	e := xdr.NewEncoder(2*fhandle.Size + xdr.StringSize(name))
+// encodeEntryRecord encodes into e, reset first, a name entry record.
+func encodeEntryRecord(e *xdr.Encoder, parent fhandle.Handle, name string, child fhandle.Handle) []byte {
+	e.Reset()
 	parent.Encode(e)
 	e.PutString(name)
 	child.Encode(e)
 	return e.Bytes()
+}
+
+// entryRecord encodes an entry record into the server's journal scratch,
+// under the same rule as cellRecord.
+func (s *Server) entryRecord(parent fhandle.Handle, name string, child fhandle.Handle) []byte {
+	return encodeEntryRecord(&s.rec, parent, name, child)
 }
 
 func decodeEntryRecord(p []byte) (parent fhandle.Handle, name string, child fhandle.Handle, err error) {
@@ -201,22 +244,35 @@ func decodeEntryRecord(p []byte) (parent fhandle.Handle, name string, child fhan
 // liveRecords emits the server's state for wal.Log to compact to: the last
 // fileID minted, as a cell made and gone so no restart reissues it, then
 // one recNewCell per attribute cell and one recInsert per name cell.
-// The caller holds s.mu.
+// It encodes through an encoder of its own: the server's scratch still
+// holds the record whose append triggered the compaction. The caller
+// holds s.mu.
 func (s *Server) liveRecords(emit func(recType uint32, payload []byte)) {
+	e := xdr.NewEncoder(fhandle.Size + attr.EncodedSize + 64)
 	if s.st.nextID > 0 {
 		last := fhandle.Handle{Volume: s.vol, FileID: s.st.nextID - 1, CellKey: s.st.nextID - 1, Site: s.site, Gen: 1}
-		rec := encodeCellRecord(last, &attr.Attr{})
+		rec := encodeCellRecord(e, last, &attr.Attr{}, "")
 		emit(recNewCell, rec)
 		emit(recCellGone, rec)
 	}
 	for _, c := range s.st.attrs {
-		emit(recNewCell, encodeCellRecordT(c.fh, &c.at, c.target))
+		emit(recNewCell, encodeCellRecord(e, c.fh, &c.at, c.target))
 	}
 	for _, ents := range s.st.byDir { // name cells in creation order
 		for _, c := range ents {
-			emit(recInsert, encodeEntryRecord(handleFromKey(c.parent), c.name, c.child))
+			emit(recInsert, encodeEntryRecord(e, handleFromKey(c.parent), c.name, c.child))
 		}
 	}
+}
+
+// liveSize is the journal length liveRecords emits, in O(1). The caller
+// holds s.mu.
+func (s *Server) liveSize() int {
+	n := s.st.cellBytes
+	if s.st.nextID > 0 {
+		n += 2 * cellFrameLen("")
+	}
+	return n
 }
 
 // replayLog applies every surviving journal record over the current
@@ -240,7 +296,7 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		s.st.attrs[fh.FileID] = &attrCell{fh: fh, at: at, target: target}
+		s.st.putCell(&attrCell{fh: fh, at: at, target: target})
 		if fh.FileID >= s.st.nextID {
 			s.st.nextID = fh.FileID + 1
 		}
@@ -279,7 +335,7 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		delete(s.st.attrs, fh.FileID)
+		s.st.dropCell(fh.FileID)
 	default:
 		return fmt.Errorf("dirsrv: unknown log record type %d", recType)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -40,7 +41,9 @@ func (s *teeStore) Replace(p []byte) error {
 const recordOverhead = 24
 
 // liveOf returns the records s's state compacts to, sorted, and their
-// length as a journal.
+// length as a journal. It panics unless that length is the live size s
+// registers with its log: every test that reads the live state, around
+// every op and after every restart's replay, checks the count.
 func liveOf(s *Server) ([]string, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -50,6 +53,9 @@ func liveOf(s *Server) ([]string, int) {
 		recs = append(recs, fmt.Sprintf("%d:%x", recType, p))
 		n += recordOverhead + len(p)
 	})
+	if got := s.liveSize(); got != n {
+		panic(fmt.Sprintf("site %d registers a live size of %d bytes, its live records are %d", s.site, got, n))
+	}
 	sort.Strings(recs)
 	return recs, n
 }
@@ -282,5 +288,26 @@ func TestJournalBoundedUnderChurn(t *testing.T) {
 	full, _ := h.tees[0].full.Contents()
 	if st := h.servers[0].Log().Stats(); st.Bytes != uint64(len(full)) {
 		t.Fatalf("the log counts %d bytes appended, the full journal holds %d", st.Bytes, len(full))
+	}
+}
+
+// TestJournalRecordAllocatesNothing: a SETATTR's journal record is encoded
+// into the server's scratch and framed in the log's, so the SETATTR's
+// local half — the cell update, its record and the synced append —
+// allocates nothing. (The log compacts every few hundred records here; a
+// compaction allocates its image, too rarely to show per op.)
+func TestJournalRecordAllocatesNothing(t *testing.T) {
+	h := newHarness(t, 1, route.MkdirSwitching, 0)
+	fh := h.create(h.root, "f")
+	s := h.servers[0]
+	sa := attr.SetAttr{SetMode: true, Mode: 0o600}
+	setattr := func() {
+		if st, _ := s.localSetAttrByKey(fh.FileID, &sa); st != nfsproto.OK {
+			t.Fatalf("setattr: %v", st)
+		}
+	}
+	setattr() // the scratch's first record grows it once
+	if n := testing.AllocsPerRun(1000, setattr); n != 0 {
+		t.Fatalf("a SETATTR's journaled update allocates %v times, want 0", n)
 	}
 }

@@ -40,7 +40,7 @@ func (s *Server) childAttr(child fhandle.Handle) nfsproto.OptAttr {
 	if site == s.site {
 		return nfsproto.OptAttr{} // should be here but is not: stale
 	}
-	s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+	s.ct.crossSite.Add(1)
 	st, at := s.peerGetAttrByKey(site, child.FileID)
 	if st != nfsproto.OK {
 		return nfsproto.OptAttr{}
@@ -109,7 +109,7 @@ func (s *Server) touchParentMaybeRemote(parent fhandle.Handle, nlinkDelta int32)
 	if site == s.site {
 		return s.localTouchDir(parent.FileID, nlinkDelta)
 	}
-	s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+	s.ct.crossSite.Add(1)
 	st, err := s.peerCall(site, peerTouchDir, func(e *xdrEncoder) {
 		e.PutUint64(parent.FileID)
 		e.PutInt32(nlinkDelta)
@@ -149,13 +149,13 @@ func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.attrs[fh.FileID] = cell
+	s.st.putCell(cell)
 	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
-	if _, err := s.log.Append(recCreate, encodeCellRecord(fh, &cell.at)); err != nil {
+	if _, err := s.log.Append(recCreate, s.cellRecord(fh, &cell.at)); err != nil {
 		s.mu.Unlock()
 		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	if _, err := s.log.AppendSync(recInsert, encodeEntryRecord(a.Dir, a.Name, fh)); err != nil {
+	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
 		s.mu.Unlock()
 		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
@@ -200,12 +200,12 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.attrs[fh.FileID] = cell
+	s.st.putCell(cell)
 	recType := uint32(recNewCell)
 	if redirected {
 		recType = recMkdirIn
 	}
-	if _, err := s.log.AppendSync(recType, encodeCellRecord(fh, &cell.at)); err != nil {
+	if _, err := s.log.AppendSync(recType, s.cellRecord(fh, &cell.at)); err != nil {
 		s.mu.Unlock()
 		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
@@ -214,7 +214,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 
 	var st nfsproto.Status
 	if redirected {
-		s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+		s.ct.crossSite.Add(1)
 		parentSite := a.Dir.Site % uint32(s.dirSites())
 		st, _ = s.peerInsert(parentSite, a.Dir, a.Name, fh)
 	} else {
@@ -244,8 +244,8 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 // recCellGone record, from the journal, so a restart replays no orphan.
 func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr) {
 	s.mu.Lock()
-	delete(s.st.attrs, fh.FileID)
-	_, _ = s.log.AppendSync(recCellGone, encodeCellRecord(fh, at))
+	s.st.dropCell(fh.FileID)
+	_, _ = s.log.AppendSync(recCellGone, s.cellRecord(fh, at))
 	s.mu.Unlock()
 }
 
@@ -282,7 +282,7 @@ func (s *Server) remove(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
 	if childSite == s.site {
 		s.localLinkDelta(child.FileID, -1)
 	} else {
-		s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+		s.ct.crossSite.Add(1)
 		_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
 			e.PutUint64(child.FileID)
 			e.PutInt32(-1)
@@ -353,7 +353,7 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
 		// Orphan directory (mkdir switching): its cell and entries live
 		// at the child's site; ask that site to verify emptiness and
 		// remove the cell.
-		s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+		s.ct.crossSite.Add(1)
 		st, err := s.peerCall(childSite, peerRemoveDirCell, func(e *xdrEncoder) {
 			child.Encode(e)
 		}, nil)
@@ -404,7 +404,7 @@ func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
 	if targetSite == s.site {
 		st = s.localInsertEntry(a.ToDir, a.ToName, child, true)
 	} else {
-		s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+		s.ct.crossSite.Add(1)
 		st, _ = s.peerInsert(targetSite, a.ToDir, a.ToName, child)
 	}
 	// The insert updates the destination directory's cell only when that
@@ -452,7 +452,7 @@ func (s *Server) link(a *nfsproto.LinkArgs) *nfsproto.LinkRes {
 	if childSite == s.site {
 		s.localLinkDelta(a.FH.FileID, 1)
 	} else {
-		s.addCounter(func(ct *Counters) { ct.CrossSite++ })
+		s.ct.crossSite.Add(1)
 		_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
 			e.PutUint64(a.FH.FileID)
 			e.PutInt32(1)
@@ -555,13 +555,13 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}, target: a.Target}
-	s.st.attrs[fh.FileID] = cell
+	s.st.putCell(cell)
 	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
-	if _, err := s.log.Append(recCreate, encodeCellRecordT(fh, &cell.at, a.Target)); err != nil {
+	if _, err := s.log.Append(recCreate, encodeCellRecord(&s.rec, fh, &cell.at, a.Target)); err != nil {
 		s.mu.Unlock()
 		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	if _, err := s.log.AppendSync(recInsert, encodeEntryRecord(a.Dir, a.Name, fh)); err != nil {
+	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
 		s.mu.Unlock()
 		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}

@@ -44,7 +44,7 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
-	s.addCounter(func(ct *Counters) { ct.PeerCalls++ })
+	s.ct.peerCalls.Add(1)
 	rep, err := c.CallTo(a, PeerProgram, PeerVersion, proc, args)
 	if err != nil {
 		return nfsproto.ErrServerFault, err
@@ -67,7 +67,7 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 // purely local mutations (they never call out to other sites), which keeps
 // the peer protocol acyclic and deadlock-free.
 func (s *Server) servePeer(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
-	s.addCounter(func(ct *Counters) { ct.PeerServed++ })
+	s.ct.peerServed.Add(1)
 	d := xdr.NewDecoder(call.Body)
 	switch call.Proc {
 	case peerGetAttr:

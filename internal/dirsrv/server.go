@@ -2,6 +2,7 @@ package dirsrv
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -58,7 +59,11 @@ type Server struct {
 	st     *state
 	log    *wal.Log
 	rootFH fhandle.Handle
-	ct     Counters
+	// rec is the journal records' scratch, used under mu: a record is
+	// encoded into it and appended before the next is encoded.
+	rec xdr.Encoder
+
+	ct struct{ ops, peerCalls, peerServed, crossSite atomic.Uint64 }
 
 	// peer is the one client the server calls its peer sites from,
 	// bound on first use.
@@ -101,7 +106,7 @@ func newServer(cfg Config) *Server {
 		log:   cfg.Log,
 		peer:  oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 	}
-	s.log.SetLive(&s.mu, s.liveRecords)
+	s.log.SetLive(&s.mu, s.liveRecords, s.liveSize)
 	return s
 }
 
@@ -124,15 +129,12 @@ func (s *Server) Log() *wal.Log { return s.log }
 
 // Counters returns a snapshot of the server's activity counters.
 func (s *Server) Counters() Counters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ct
-}
-
-func (s *Server) addCounter(f func(*Counters)) {
-	s.mu.Lock()
-	f(&s.ct)
-	s.mu.Unlock()
+	return Counters{
+		Ops:        s.ct.ops.Load(),
+		PeerCalls:  s.ct.peerCalls.Load(),
+		PeerServed: s.ct.peerServed.Load(),
+		CrossSite:  s.ct.crossSite.Load(),
+	}
 }
 
 // Close shuts the server down.
@@ -155,9 +157,9 @@ func (s *Server) CreateRoot() (fhandle.Handle, error) {
 		Type: attr.TypeDir, Mode: 0o755, Nlink: 2,
 		FileID: fh.FileID, Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.attrs[fh.FileID] = cell
+	s.st.putCell(cell)
 	s.rootFH = fh
-	if _, err := s.log.AppendSync(recNewCell, encodeCellRecord(fh, &cell.at)); err != nil {
+	if _, err := s.log.AppendSync(recNewCell, s.cellRecord(fh, &cell.at)); err != nil {
 		return fhandle.Handle{}, err
 	}
 	return fh, nil
@@ -251,7 +253,7 @@ func (s *Server) serveMount(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 }
 
 func (s *Server) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
-	s.addCounter(func(ct *Counters) { ct.Ops++ })
+	s.ct.ops.Add(1)
 	d := xdr.NewDecoder(call.Body)
 	switch nfsproto.Proc(call.Proc) {
 	case nfsproto.ProcNull:
@@ -349,7 +351,7 @@ func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr) (nfsproto.Statu
 		return nfsproto.ErrStale, attr.Attr{}
 	}
 	sa.Apply(&c.at, s.now())
-	if _, err := s.log.AppendSync(recSetAttr, encodeCellRecord(c.fh, &c.at)); err != nil {
+	if _, err := s.log.AppendSync(recSetAttr, s.cellRecord(c.fh, &c.at)); err != nil {
 		return nfsproto.ErrIO, attr.Attr{}
 	}
 	return nfsproto.OK, c.at
@@ -372,7 +374,7 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 			if child.Type == uint8(attr.TypeDir) {
 				pc.at.Nlink++
 			}
-			if _, err := s.log.Append(recTouch, encodeCellRecord(pc.fh, &pc.at)); err != nil {
+			if _, err := s.log.Append(recTouch, s.cellRecord(pc.fh, &pc.at)); err != nil {
 				return nfsproto.ErrIO
 			}
 		} else if s.ownsHandle(parent) {
@@ -383,7 +385,7 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 	}
 	c := &nameCell{parent: parent.Ident(), name: name, child: child}
 	s.st.insertEntry(c)
-	if _, err := s.log.AppendSync(recInsert, encodeEntryRecord(parent, name, child)); err != nil {
+	if _, err := s.log.AppendSync(recInsert, s.entryRecord(parent, name, child)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -405,12 +407,12 @@ func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParen
 			if c.child.Type == uint8(attr.TypeDir) && pc.at.Nlink > 2 {
 				pc.at.Nlink--
 			}
-			if _, err := s.log.Append(recTouch, encodeCellRecord(pc.fh, &pc.at)); err != nil {
+			if _, err := s.log.Append(recTouch, s.cellRecord(pc.fh, &pc.at)); err != nil {
 				return nfsproto.ErrIO, fhandle.Handle{}
 			}
 		}
 	}
-	if _, err := s.log.AppendSync(recRemove, encodeEntryRecord(parent, name, c.child)); err != nil {
+	if _, err := s.log.AppendSync(recRemove, s.entryRecord(parent, name, c.child)); err != nil {
 		return nfsproto.ErrIO, fhandle.Handle{}
 	}
 	return nfsproto.OK, c.child
@@ -432,7 +434,7 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32) nfsproto.Status {
 		newNlink = 0
 	}
 	c.at.Nlink = uint32(newNlink)
-	if _, err := s.log.AppendSync(recTouch, encodeCellRecord(c.fh, &c.at)); err != nil {
+	if _, err := s.log.AppendSync(recTouch, s.cellRecord(c.fh, &c.at)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -454,8 +456,8 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool) nfspr
 	if checkEmpty && len(s.st.byDir[child.Ident()]) > 0 {
 		return nfsproto.ErrNotEmpty
 	}
-	delete(s.st.attrs, child.FileID)
-	if _, err := s.log.AppendSync(recCellGone, encodeCellRecord(child, &c.at)); err != nil {
+	s.st.dropCell(child.FileID)
+	if _, err := s.log.AppendSync(recCellGone, s.cellRecord(child, &c.at)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -477,13 +479,13 @@ func (s *Server) localLinkDelta(key uint64, delta int32) (nfsproto.Status, uint3
 	c.at.Nlink = uint32(newNlink)
 	c.at.Ctime = s.now()
 	if c.at.Nlink == 0 && c.at.Type != attr.TypeDir {
-		delete(s.st.attrs, key)
-		if _, err := s.log.AppendSync(recCellGone, encodeCellRecord(c.fh, &c.at)); err != nil {
+		s.st.dropCell(key)
+		if _, err := s.log.AppendSync(recCellGone, s.cellRecord(c.fh, &c.at)); err != nil {
 			return nfsproto.ErrIO, 0
 		}
 		return nfsproto.OK, 0
 	}
-	if _, err := s.log.AppendSync(recLinkDel, encodeCellRecord(c.fh, &c.at)); err != nil {
+	if _, err := s.log.AppendSync(recLinkDel, s.cellRecord(c.fh, &c.at)); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, c.at.Nlink

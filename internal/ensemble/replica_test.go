@@ -3,6 +3,7 @@ package ensemble
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,7 +186,9 @@ func testReadsSpread(t *testing.T, k int, maxShare float64) {
 // like the groups the ensemble started with. A committed 1 MiB file
 // written after a Grow(2) is read 1 024 times by a serial client; every
 // member of both groups must serve reads, and the busiest member of each
-// group at most 1/1.6 of its group's.
+// group at most 1/1.6 of its group's. The µproxy's per-member read
+// histograms (replica.read[g.m], what slicectl reports) cover the grown
+// group too: each member's counts at least the reads it served.
 func TestGrownGroupSpreadsReads(t *testing.T) {
 	const (
 		reads = 1024
@@ -225,6 +228,7 @@ func TestGrownGroupSpreadsReads(t *testing.T) {
 	for i, sn := range e.Storage {
 		before[i] = sn.Store().Stats().Reads
 	}
+	histBefore := readHists(e)
 	got := make([]byte, unit)
 	for i := 0; i < reads; i++ {
 		off := i * unit % len(data)
@@ -246,6 +250,29 @@ func TestGrownGroupSpreadsReads(t *testing.T) {
 				g, a, b, served)
 		}
 	}
+	// Every read goes to a member spreadRead counted; a lost one would
+	// count without being served, so a member's count is at least its
+	// reads.
+	histAfter := readHists(e)
+	for i := range served {
+		name := fmt.Sprintf("replica.read[%d.%d]", i/2, i%2)
+		if n := histAfter[name] - histBefore[name]; n == 0 || n < served[i] {
+			t.Errorf("%s counts %d reads, storage node %d served %d (histograms: %v)", name, n, i, served[i], histAfter)
+		}
+	}
+}
+
+// readHists sums the µproxies' replica.read[g.m] histogram counts by name.
+func readHists(e *Ensemble) map[string]uint64 {
+	out := map[string]uint64{}
+	for _, comp := range e.Obs.Snapshot().Components {
+		for name, h := range comp.Hists {
+			if strings.HasPrefix(name, "replica.read[") {
+				out[name] += h.Count()
+			}
+		}
+	}
+	return out
 }
 
 // TestSilentMemberCostsOneRetransmission: a member that stops answering

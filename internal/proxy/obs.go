@@ -2,6 +2,9 @@ package proxy
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"slice/internal/attr"
@@ -103,18 +106,22 @@ type proxyHists struct {
 	e2e   [nfsproto.ProcCommit + 1]*obs.Histogram
 	mount *obs.Histogram
 
-	// Replica-layer counters (empty/nil when the array is unreplicated):
+	// Replica-layer counters (nil when the array is unreplicated):
 	// dirtyOcc samples dirty-set occupancy at each write fan-out, pinned
 	// counts reads pinned to a primary by a dirty object, and
-	// readSpread[slot] counts spread reads sent to each member slot —
-	// the per-replica read balance slicectl reports.
+	// readSpread[g][m] counts spread reads sent to member m of group g —
+	// the per-replica read balance slicectl reports. The table is copied
+	// on write (readHist), so a group or member a Grow adds gets its
+	// histogram on its first read, and a read loads it without a lock.
 	dirtyOcc   *obs.Histogram
 	pinned     *obs.Histogram
-	readSpread []*obs.Histogram
+	readSpread atomic.Pointer[[][]*obs.Histogram]
+	reg        *obs.Registry
+	spreadMu   sync.Mutex // serializes readSpread's writers
 }
 
 func newProxyHists(reg *obs.Registry, replicas *replica.Map) *proxyHists {
-	h := &proxyHists{mount: reg.Hist("e2e.mount.mnt")}
+	h := &proxyHists{mount: reg.Hist("e2e.mount.mnt"), reg: reg}
 	for s, name := range stageNames {
 		h.stage[s] = reg.Hist("stage." + name)
 	}
@@ -127,16 +134,39 @@ func newProxyHists(reg *obs.Registry, replicas *replica.Map) *proxyHists {
 	if replicas.Replicated() {
 		h.dirtyOcc = reg.Hist("replica.dirty_occupancy")
 		h.pinned = reg.Hist("replica.pinned_reads")
-		// One histogram per member slot, named group.member so slicectl
-		// can report per-group balance without knowing the topology.
-		h.readSpread = make([]*obs.Histogram, replicas.Slots())
+		// One histogram per member, named group.member so slicectl can
+		// report per-group balance without knowing the topology; those
+		// of the groups there are now are registered up front.
 		for _, g := range replicas.Groups() {
-			for m := range g.Members {
-				h.readSpread[g.Slot0+m] = reg.Hist(fmt.Sprintf("replica.read[%d.%d]", g.ID, m))
-			}
+			h.readHist(g.ID, len(g.Members)-1)
 		}
 	}
 	return h
+}
+
+// readHist returns the histogram counting spread reads sent to member m
+// of group g, registering it (and any before it in the table) on first
+// use.
+func (h *proxyHists) readHist(g uint32, m int) *obs.Histogram {
+	if t := h.readSpread.Load(); t != nil && int(g) < len(*t) && m < len((*t)[g]) {
+		return (*t)[g][m]
+	}
+	h.spreadMu.Lock()
+	defer h.spreadMu.Unlock()
+	var t [][]*obs.Histogram
+	if old := h.readSpread.Load(); old != nil {
+		t = slices.Clone(*old)
+	}
+	for int(g) >= len(t) {
+		t = append(t, nil)
+	}
+	row := slices.Clone(t[g])
+	for i := len(row); i <= m; i++ {
+		row = append(row, h.reg.Hist(fmt.Sprintf("replica.read[%d.%d]", g, i)))
+	}
+	t[g] = row
+	h.readSpread.Store(&t)
+	return row[m]
 }
 
 // histE2E returns the end-to-end histogram for a request's op class.

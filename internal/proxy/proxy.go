@@ -713,8 +713,8 @@ func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, str
 			i = (last + 1) % len(g.Members)
 		}
 	}
-	if slot := g.Slot0 + i; p.hists != nil && slot < len(p.hists.readSpread) {
-		p.hists.readSpread[slot].Record(1)
+	if p.hists != nil {
+		p.hists.readHist(g.ID, i).Record(1)
 	}
 	return g.Members[i]
 }

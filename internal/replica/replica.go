@@ -37,12 +37,9 @@ import (
 )
 
 // Group is one replica group: Members[0] is the primary — the address
-// the routing tables resolve to — and the rest are its mirrors. Slot0 is
-// the group's first index into the flat per-member slot space (see
-// Map.Slots); member i of the group occupies slot Slot0+i.
+// the routing tables resolve to — and the rest are its mirrors.
 type Group struct {
 	ID      uint32
-	Slot0   int
 	Members []netsim.Addr // never mutated once published
 }
 
@@ -50,7 +47,6 @@ type Group struct {
 type mapState struct {
 	degree    int
 	groups    []Group
-	slots     int                   // total members across groups
 	byPrimary map[netsim.Addr]int32 // primary address -> group index
 	byMember  map[netsim.Addr]int32 // any member address -> group index
 }
@@ -106,7 +102,6 @@ func (m *Map) store() {
 			}
 			g := Group{
 				ID:      uint32(len(st.groups)),
-				Slot0:   st.slots,
 				Members: members,
 			}
 			st.byPrimary[g.Members[0]] = int32(len(st.groups))
@@ -114,7 +109,6 @@ func (m *Map) store() {
 				st.byMember[a] = int32(len(st.groups))
 			}
 			st.groups = append(st.groups, g)
-			st.slots += len(g.Members)
 			if end == len(m.nodes) {
 				break
 			}
@@ -218,15 +212,4 @@ func (m *Map) MemberOf(addr netsim.Addr) (Group, bool) {
 		return st.groups[i], true
 	}
 	return Group{}, false
-}
-
-// Slots returns the flat per-member slot count (total members across all
-// groups — remainder groups may exceed the nominal degree), the size of
-// the µproxy's per-member read histograms (replica.read[g.m]), which a
-// group's Slot0 indexes.
-func (m *Map) Slots() int {
-	if m == nil {
-		return 0
-	}
-	return m.state.Load().slots
 }

@@ -22,9 +22,6 @@ func TestMapPartitionsConsecutive(t *testing.T) {
 	if got := m.NumGroups(); got != 3 {
 		t.Fatalf("NumGroups = %d, want 3", got)
 	}
-	if got := m.Slots(); got != 6 {
-		t.Fatalf("Slots = %d, want 6", got)
-	}
 	for i, g := range m.Groups() {
 		if g.ID != uint32(i) {
 			t.Fatalf("group %d has ID %d", i, g.ID)

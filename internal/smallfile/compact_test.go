@@ -34,7 +34,9 @@ func (s *teeStore) Replace(p []byte) error {
 	return s.MemStore.Replace(p)
 }
 
-// liveOf returns the records s's state compacts to, sorted.
+// liveOf returns the records s's state compacts to, sorted. It panics
+// unless their length as a journal is the live size s registers with its
+// log (see liveBytes).
 func liveOf(s *Store) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -43,6 +45,7 @@ func liveOf(s *Store) []string {
 		recs = append(recs, fmt.Sprintf("%d:%x", recType, p))
 	})
 	sort.Strings(recs)
+	mustLiveSize(s)
 	return recs
 }
 
@@ -51,8 +54,19 @@ func liveOf(s *Store) []string {
 func liveBytes(s *Store) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return mustLiveSize(s)
+}
+
+// mustLiveSize returns the length of the journal s's state compacts to,
+// and panics unless it is the live size s registers with its log: every
+// test that reads the live state, around every op and after every
+// restart's replay, checks the count. The caller holds s.mu.
+func mustLiveSize(s *Store) int {
 	n := 0
 	s.liveRecords(func(_ uint32, p []byte) { n += 24 + len(p) })
+	if got := s.liveSize(); got != n {
+		panic(fmt.Sprintf("the store registers a live size of %d bytes, its live records are %d", got, n))
+	}
 	return n
 }
 

@@ -119,7 +119,7 @@ func NewStore(backing *storage.ObjectStore, backID storage.ObjectID, log *wal.Lo
 		log:     log,
 	}
 	if log != nil {
-		log.SetLive(&s.mu, s.liveRecords)
+		log.SetLive(&s.mu, s.liveRecords, s.liveSize)
 	}
 	return s
 }
@@ -414,8 +414,12 @@ const (
 	recUnmap = 2 // file removed
 )
 
+// mapRecordLen is a recMap payload's length: the fileID, the size and
+// MaxBlocks extents, whether used or not.
+const mapRecordLen = 8 + 8 + MaxBlocks*16
+
 func encodeMapRecord(fileID uint64, rec *mapRecord) []byte {
-	e := xdr.NewEncoder(32 + MaxBlocks*16)
+	e := xdr.NewEncoder(mapRecordLen)
 	e.PutUint64(fileID)
 	e.PutInt64(rec.Size)
 	for _, ext := range rec.Extents {
@@ -463,6 +467,9 @@ func (s *Store) liveRecords(emit func(recType uint32, payload []byte)) {
 		emit(recMap, encodeMapRecord(fileID, rec))
 	}
 }
+
+// liveSize is the journal length liveRecords emits. The caller holds s.mu.
+func (s *Store) liveSize() int { return len(s.maps) * wal.FrameLen(mapRecordLen) }
 
 // replayLog rebuilds the map records from the store's journal; the data
 // itself is in the backing object. This is the small-file half of

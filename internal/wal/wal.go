@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"time"
 )
 
 // Store is the durable medium beneath a log. In the prototype it is an
@@ -147,20 +148,36 @@ const (
 	crcLen    = 4
 )
 
+// FrameLen is the journal length of a record whose payload is n bytes:
+// the unit a role counts its live image in (SetLive).
+func FrameLen(n int) int { return headerLen + n + crcLen }
+
 // ErrCorrupt indicates a damaged log record (other than a torn tail).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // CompactFloor is the journal length below which a log never compacts.
-// Above it, a log compacts when it would grow past twice its length after
-// the last compaction, so compaction at most doubles the bytes written.
+// Above it, a log compacts when a record would take it past twice its
+// role's live image: it cleans only when the garbage it reclaims is at
+// least the live state it copies, so compaction at most doubles the bytes
+// written, and the journal holds at most 2 × max(live, CompactFloor)
+// bytes plus one record.
 const CompactFloor = 64 << 10
 
 // Stats aggregates log activity for the experiments (Fig. 3 reports log
-// traffic per directory server). Compaction output is not counted.
+// traffic per directory server). Compaction output is not counted in
+// Appends or Bytes.
 type Stats struct {
 	Appends uint64
 	Syncs   uint64
 	Bytes   uint64
+	// Compactions counts journal rewrites, Checkpoint's included, and
+	// CompactNS the time they took: time under the role's lock.
+	Compactions uint64
+	CompactNS   uint64
+	// Size is the journal's length now; Live is the role's live image as
+	// it last registered it, at the last append or compaction.
+	Size uint64
+	Live uint64
 }
 
 // Log is a write-ahead journal over a Store.
@@ -173,9 +190,10 @@ type Log struct {
 	stats     Stats
 	frame     []byte // Append's framing scratch, reused under mu
 
-	size, base int // the store's length, now and after the last compaction
-	live       func(emit func(recType uint32, payload []byte))
-	roleMu     sync.Locker // guards the state live reads
+	size     int // the store's length
+	live     func(emit func(recType uint32, payload []byte))
+	liveSize func() int  // the journal length live emits, O(1)
+	roleMu   sync.Locker // guards the state live and liveSize read
 
 	// syncMu serializes store.Sync and forms the group-commit queue:
 	// callers blocked here when the leader finishes usually find their
@@ -192,7 +210,7 @@ func Open(store Store) (*Log, error) {
 		if seq >= l.nextSeq {
 			l.nextSeq = seq + 1
 		}
-		l.size += headerLen + len(payload) + crcLen
+		l.size += FrameLen(len(payload))
 		return nil
 	})
 	if err != nil {
@@ -202,32 +220,44 @@ func Open(store Store) (*Log, error) {
 }
 
 // SetLive registers, before the log is shared, the function that emits
-// the role's current state as the records that rebuild it on replay, and
-// the lock that guards that state, and so lets the log compact itself.
-// Compaction runs inside Append, before the triggering record is framed:
-// the role must append only while holding mu, and live must not touch the
-// log. live runs under mu, so no record can slip between the state it
-// captures and the swap; a record already applied to that state replays
-// idempotently after it.
-func (l *Log) SetLive(mu sync.Locker, live func(emit func(recType uint32, payload []byte))) {
-	l.roleMu, l.live = mu, live
+// the role's current state as the records that rebuild it on replay, the
+// function that returns those records' journal length (the sum of their
+// FrameLen) in O(1), and the lock that guards that state, and so lets the
+// log compact itself. Compaction runs inside Append, before the
+// triggering record is framed: the role must append only while holding
+// mu, and live must not touch the log, nor any scratch that may still hold
+// the payload being appended. live and size run under mu, so no record
+// can slip between the state live captures and the swap; a record already
+// applied to that state replays idempotently after it.
+//
+// size decides only when the log compacts, never what it writes: a count
+// too low compacts too often, one too high lets the journal grow longer
+// first, and either way the journal is live's records.
+func (l *Log) SetLive(mu sync.Locker, live func(emit func(recType uint32, payload []byte)), size func() int) {
+	l.roleMu, l.live, l.liveSize = mu, live, size
 }
 
 // Stats returns a snapshot of log counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.stats
+	st := l.stats
+	st.Size = uint64(l.size)
+	return st
 }
 
 // Append buffers a record; it becomes durable at the next Sync.
 func (l *Log) Append(recType uint32, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := headerLen + len(payload) + crcLen
-	if l.live != nil && l.size+n > max(2*l.base, CompactFloor) {
-		if err := l.compact(); err != nil {
-			return 0, err
+	n := FrameLen(len(payload))
+	if l.live != nil {
+		live := l.liveSize()
+		l.stats.Live = uint64(live)
+		if l.size+n > max(2*live, CompactFloor) {
+			if err := l.compact(); err != nil {
+				return 0, err
+			}
 		}
 	}
 	seq := l.nextSeq
@@ -256,10 +286,13 @@ func appendFrame(dst []byte, seq uint64, recType uint32, payload []byte) []byte 
 
 // compact rewrites the journal to the records live emits (none, if no
 // role registered), numbered on from nextSeq, and installs them in one
-// Replace. The caller holds mu.
+// Replace. The buffer is sized to the registered live image, so it is
+// allocated once when the count is right. The caller holds mu.
 func (l *Log) compact() error {
-	buf := make([]byte, 0, l.size) // the live state rarely outgrows the journal
+	start := time.Now()
+	var buf []byte
 	if l.live != nil {
+		buf = make([]byte, 0, l.liveSize())
 		l.live(func(recType uint32, payload []byte) {
 			buf = appendFrame(buf, l.nextSeq, recType, payload)
 			l.nextSeq++
@@ -268,7 +301,10 @@ func (l *Log) compact() error {
 	if err := l.store.Replace(buf); err != nil {
 		return err
 	}
-	l.size, l.base = len(buf), len(buf)
+	l.size = len(buf)
+	l.stats.Live = uint64(len(buf))
+	l.stats.Compactions++
+	l.stats.CompactNS += uint64(time.Since(start))
 	return nil
 }
 

@@ -153,7 +153,7 @@ func TestCheckpointResetsLogKeepsSeq(t *testing.T) {
 		for _, p := range []string{"a", "b"} {
 			emit(2, []byte(p))
 		}
-	})
+	}, func() int { return 2 * FrameLen(1) })
 	_, _ = log.Append(1, []byte("unsynced"))
 	if err := log.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -185,20 +185,20 @@ func TestCheckpointResetsLogKeepsSeq(t *testing.T) {
 }
 
 // TestCompactionPolicy: a log with live state compacts when a record
-// would take it past twice its length after the last compaction (and
-// past the floor), before that record is appended, so it never holds
-// more than max(2 × its compacted length, CompactFloor) bytes.
+// would take it past twice the role's registered live image (and past the
+// floor), before that record is appended, so it never holds more than
+// max(2 × its live image, CompactFloor) bytes.
 func TestCompactionPolicy(t *testing.T) {
 	store := NewMemStore()
 	log, _ := Open(store)
 	payload := make([]byte, 1000)
+	frame := FrameLen(len(payload))
 	liveRecs := 0
 	log.SetLive(nil, func(emit func(uint32, []byte)) {
 		for i := 0; i < liveRecs; i++ {
 			emit(3, payload)
 		}
-	})
-	frame := headerLen + len(payload) + crcLen
+	}, func() int { return liveRecs * frame })
 	compactions := 0
 	for i := 0; i < 2000; i++ {
 		liveRecs = i / 10 // live state grows at a tenth of the append rate
@@ -221,13 +221,83 @@ func TestCompactionPolicy(t *testing.T) {
 				t.Fatalf("append %d: the triggering record %q is not last after compaction", i, last)
 			}
 		}
-		if limit := max(2*log.base, CompactFloor); log.size > limit {
+		if limit := max(2*liveRecs*frame, CompactFloor); log.size > limit {
 			t.Fatalf("append %d: %d bytes, over the limit %d", i, log.size, limit)
 		}
 	}
-	if compactions < 3 {
-		t.Fatalf("%d compactions over 2000 appends, want several", compactions)
+	if compactions < 3 || uint64(compactions) != log.Stats().Compactions {
+		t.Fatalf("%d compactions over 2000 appends (Stats counts %d), want several and equal", compactions, log.Stats().Compactions)
 	}
+}
+
+// TestCompactionRuleByCount pins when a log compacts, by count. A journal
+// whose every record stays live never compacts, however far past the
+// floor it grows: there is no garbage to reclaim. A journal of pure
+// overwrites — a live set of k records, each append replacing the oldest —
+// compacts exactly at the appends that would take it past twice its live
+// image: at the 2k+1st append, then at every kth.
+func TestCompactionRuleByCount(t *testing.T) {
+	payload := make([]byte, 500)
+	frame := FrameLen(len(payload))
+
+	t.Run("all-live", func(t *testing.T) {
+		log, _ := Open(NewMemStore())
+		n := 0
+		log.SetLive(nil, func(emit func(uint32, []byte)) {
+			for i := 0; i < n; i++ {
+				emit(1, payload)
+			}
+		}, func() int { return n * frame })
+		for i := 0; i < 4*CompactFloor/frame; i++ {
+			n++ // the record is live before it is appended, as in a role
+			if _, err := log.Append(1, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := log.Stats(); st.Compactions != 0 || st.Size != uint64(n*frame) || st.Live != st.Size {
+			t.Fatalf("an all-live journal of %d bytes: %+v, want no compaction and Size = Live", n*frame, st)
+		}
+	})
+
+	t.Run("overwrites", func(t *testing.T) {
+		const k = 100 // 2 × k frames is past the floor
+		if 2*k*frame <= CompactFloor {
+			t.Fatal("the live set does not reach past half the floor")
+		}
+		log, _ := Open(NewMemStore())
+		live := 0
+		log.SetLive(nil, func(emit func(uint32, []byte)) {
+			for i := 0; i < live; i++ {
+				emit(1, payload)
+			}
+		}, func() int { return live * frame })
+		const appends = 5000
+		var want uint64
+		for i := 0; i < appends; i++ {
+			live = min(i+1, k)
+			before := log.size
+			compacts := before+frame > max(2*live*frame, CompactFloor)
+			if compacts {
+				want++
+			}
+			if _, err := log.Append(1, payload); err != nil {
+				t.Fatal(err)
+			}
+			if got := log.Stats().Compactions; got != want {
+				t.Fatalf("append %d at %d bytes, %d live: %d compactions, want %d", i, before, live*frame, got, want)
+			}
+			if compacts && log.size != (k+1)*frame {
+				t.Fatalf("append %d: %d bytes after compaction, want the %d live records and the new one", i, log.size, k)
+			}
+		}
+		// The first compaction comes when the journal would pass 2k
+		// frames, at append 2k (from 0); each one leaves k + 1 (the live
+		// set holds the triggering record too), so the next comes k
+		// appends on.
+		if closed := uint64(1 + (appends-1-2*k)/k); want != closed {
+			t.Fatalf("%d compactions over %d overwrites, want %d", want, appends, closed)
+		}
+	})
 }
 
 func TestGroupCommit(t *testing.T) {
@@ -344,6 +414,13 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 				emit(uint32(len(p)), p)
 			}
 		}
+		size := func() int {
+			n := 0
+			for _, p := range recent[len(recent)-min(keep, len(recent)):] {
+				n += FrameLen(len(p))
+			}
+			return n
+		}
 		open := func() (*Log, *Log) {
 			t.Helper()
 			a, errA := Open(store)
@@ -352,8 +429,8 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 				t.Fatalf("seed %d: Open: %v over segments, %v over the oracle", seed, errA, errB)
 			}
 			if a != nil {
-				a.SetLive(nil, live)
-				b.SetLive(nil, live)
+				a.SetLive(nil, live, size)
+				b.SetLive(nil, live, size)
 			}
 			return a, b
 		}
