@@ -50,7 +50,7 @@ bench-module:
 # Benchmark regression gate: repeated short runs of the gated data-path
 # benchmarks, reduced to their minimum and compared against the
 # checked-in baselines. Allocation counts are held exactly (the forward
-# path must stay 0 allocs/op, a LOOKUP pair 1, a NULL RPC 3 and a storage
+# path must stay 0 allocs/op, a LOOKUP pair 0, a NULL RPC 0 and a storage
 # object's write/commit/remove cycle 22; the bulk path's budgets carry
 # headroom in BENCH_bulkio.json); ns/op gets
 # BENCH_TOLERANCE headroom for machine noise. The bench*.out files are

@@ -141,11 +141,9 @@ func (c *Client) chunkWrite(flow uint64, fh fhandle.Handle, off uint64, data []b
 			FH: fh, Offset: cur, Count: uint32(len(data) - written),
 			Stable: stability, Data: data[written:],
 		}
-		var res nfsproto.WriteRes
-		err := c.callFlow(flow, nfsproto.ProcWrite, &args, &res)
+		res, err := c.writeChunk(flow, &args)
 		if errors.Is(err, oncrpc.ErrTimedOut) {
-			res = nfsproto.WriteRes{}
-			err = c.callFlow(flow, nfsproto.ProcWrite, &args, &res)
+			res, err = c.writeChunk(flow, &args)
 		}
 		if err != nil {
 			return err

@@ -191,34 +191,19 @@ func (c *Client) flowKey(fh fhandle.Handle) uint64 {
 // roundTrip issues one NFS procedure on flow, the flow key of the handle
 // the operation targets (the directory for namespace ops), which picks the
 // owning µproxy; a bulk stream computes it once (flowKey hashes the
-// handle), not once per chunk. The caller decodes the reply straight out
-// of its receive buffer and hands that back with Free.
-func (c *Client) roundTrip(flow uint64, proc nfsproto.Proc, args nfsproto.Msg) (oncrpc.Reply, error) {
-	var enc func(*xdr.Encoder)
-	if args != nil {
-		enc = args.Encode
-	}
-	return c.rpc.CallKeyedReply(flow, nfsproto.Program, nfsproto.Version, uint32(proc), enc)
+// handle), not once per chunk. args is the Encode of an arguments value
+// on the caller's stack, which the RPC client only calls; the caller
+// decodes the reply straight out of its receive buffer, by a concrete
+// Decode into a result on its own stack, and hands the buffer back with
+// Free. (Through an nfsproto.Msg or a decode func value both values, and
+// the decoder, would move to the heap: three allocations per call.)
+func (c *Client) roundTrip(flow uint64, proc nfsproto.Proc, args func(*xdr.Encoder)) (oncrpc.Reply, error) {
+	return c.rpc.CallKeyedReply(flow, nfsproto.Program, nfsproto.Version, uint32(proc), args)
 }
 
-// call issues one NFS procedure against fh and decodes the reply. Every
-// result type decodes by value except READ's data, so the receive buffer
-// can go back once Decode returns; READ goes through readInto.
-func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
-	return c.callFlow(c.flowKey(fh), proc, args, res)
-}
-
-// callFlow is call with the flow key already computed (see roundTrip).
-func (c *Client) callFlow(flow uint64, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
-	rep, err := c.roundTrip(flow, proc, args)
-	if err != nil {
-		return err
-	}
-	defer rep.Free()
-	if res == nil {
-		return nil
-	}
-	return res.Decode(xdr.NewDecoder(rep.Body))
+// call is roundTrip on fh's flow.
+func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args func(*xdr.Encoder)) (oncrpc.Reply, error) {
+	return c.roundTrip(c.flowKey(fh), proc, args)
 }
 
 // readInto issues one READ of len(p) bytes at off, on flow, fh's flow key,
@@ -240,7 +225,8 @@ func (c *Client) readInto(flow uint64, fh fhandle.Handle, off uint64, p []byte) 
 // that fails is freed here.
 func (c *Client) readReply(flow uint64, fh fhandle.Handle, off uint64, count int) (oncrpc.Reply, nfsproto.ReadRes, error) {
 	var res nfsproto.ReadRes
-	rep, err := c.roundTrip(flow, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(count)})
+	args := nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(count)}
+	rep, err := c.roundTrip(flow, nfsproto.ProcRead, args.Encode)
 	if err != nil {
 		return oncrpc.Reply{}, res, err
 	}
@@ -255,6 +241,17 @@ func (c *Client) readReply(flow uint64, fh fhandle.Handle, off uint64, count int
 		res.Data = res.Data[:count]
 	}
 	return rep, res, nil
+}
+
+// writeChunk sends one WRITE on flow and decodes its result.
+func (c *Client) writeChunk(flow uint64, args *nfsproto.WriteArgs) (nfsproto.WriteRes, error) {
+	rep, err := c.roundTrip(flow, nfsproto.ProcWrite, args.Encode)
+	var res nfsproto.WriteRes
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	return res, err
 }
 
 // Mount retrieves the volume root handle.
@@ -293,8 +290,14 @@ func (c *Client) GetAttr(fh fhandle.Handle) (attr.Attr, error) {
 			return attr.Attr{}, err
 		}
 	}
+	args := nfsproto.GetAttrArgs{FH: fh}
+	rep, err := c.call(fh, nfsproto.ProcGetAttr, args.Encode)
 	var res nfsproto.GetAttrRes
-	if err := c.call(fh, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return attr.Attr{}, err
 	}
 	return res.Attr, res.Status.Error()
@@ -308,8 +311,14 @@ func (c *Client) SetAttr(fh fhandle.Handle, sa attr.SetAttr) (attr.Attr, error) 
 		}
 		c.invalidateRA(fh.Ident())
 	}
+	args := nfsproto.SetAttrArgs{FH: fh, Sattr: sa}
+	rep, err := c.call(fh, nfsproto.ProcSetAttr, args.Encode)
 	var res nfsproto.SetAttrRes
-	if err := c.call(fh, nfsproto.ProcSetAttr, &nfsproto.SetAttrArgs{FH: fh, Sattr: sa}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return attr.Attr{}, err
 	}
 	return res.Attr.Attr, res.Status.Error()
@@ -323,8 +332,14 @@ func (c *Client) Truncate(fh fhandle.Handle, size uint64) error {
 
 // Access checks permissions (the prototype grants all requested bits).
 func (c *Client) Access(fh fhandle.Handle, mask uint32) (uint32, error) {
+	args := nfsproto.AccessArgs{FH: fh, Access: mask}
+	rep, err := c.call(fh, nfsproto.ProcAccess, args.Encode)
 	var res nfsproto.AccessRes
-	if err := c.call(fh, nfsproto.ProcAccess, &nfsproto.AccessArgs{FH: fh, Access: mask}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return 0, err
 	}
 	return res.Access, res.Status.Error()
@@ -332,8 +347,14 @@ func (c *Client) Access(fh fhandle.Handle, mask uint32) (uint32, error) {
 
 // Lookup resolves name within dir.
 func (c *Client) Lookup(dir fhandle.Handle, name string) (fhandle.Handle, attr.Attr, error) {
+	args := nfsproto.LookupArgs{Dir: dir, Name: name}
+	rep, err := c.call(dir, nfsproto.ProcLookup, args.Encode)
 	var res nfsproto.LookupRes
-	if err := c.call(dir, nfsproto.ProcLookup, &nfsproto.LookupArgs{Dir: dir, Name: name}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return fhandle.Handle{}, attr.Attr{}, err
 	}
 	return res.FH, res.Attr.Attr, res.Status.Error()
@@ -345,11 +366,7 @@ func (c *Client) Create(dir fhandle.Handle, name string, mode uint32, exclusive 
 		Dir: dir, Name: name, Exclusive: exclusive,
 		Sattr: attr.SetAttr{SetMode: true, Mode: mode},
 	}
-	var res nfsproto.CreateRes
-	if err := c.call(dir, nfsproto.ProcCreate, &args, &res); err != nil {
-		return fhandle.Handle{}, attr.Attr{}, err
-	}
-	return res.FH, res.Attr.Attr, res.Status.Error()
+	return c.create(dir, nfsproto.ProcCreate, args.Encode)
 }
 
 // Mkdir makes a directory.
@@ -358,8 +375,19 @@ func (c *Client) Mkdir(dir fhandle.Handle, name string, mode uint32) (fhandle.Ha
 		Dir: dir, Name: name,
 		Sattr: attr.SetAttr{SetMode: true, Mode: mode},
 	}
+	return c.create(dir, nfsproto.ProcMkdir, args.Encode)
+}
+
+// create sends a CREATE, MKDIR or SYMLINK, whose results share
+// CreateRes's layout, and returns the new object.
+func (c *Client) create(dir fhandle.Handle, proc nfsproto.Proc, args func(*xdr.Encoder)) (fhandle.Handle, attr.Attr, error) {
+	rep, err := c.call(dir, proc, args)
 	var res nfsproto.CreateRes
-	if err := c.call(dir, nfsproto.ProcMkdir, &args, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return fhandle.Handle{}, attr.Attr{}, err
 	}
 	return res.FH, res.Attr.Attr, res.Status.Error()
@@ -374,17 +402,24 @@ func (c *Client) Remove(dir fhandle.Handle, name string) error {
 			return err
 		}
 	}
-	var res nfsproto.RemoveRes
-	if err := c.call(dir, nfsproto.ProcRemove, &nfsproto.RemoveArgs{Dir: dir, Name: name}, &res); err != nil {
-		return err
-	}
-	return res.Status.Error()
+	return c.remove(dir, nfsproto.ProcRemove, name)
 }
 
 // Rmdir removes an empty directory.
 func (c *Client) Rmdir(dir fhandle.Handle, name string) error {
+	return c.remove(dir, nfsproto.ProcRmdir, name)
+}
+
+// remove sends a REMOVE or RMDIR of name in dir.
+func (c *Client) remove(dir fhandle.Handle, proc nfsproto.Proc, name string) error {
+	args := nfsproto.RemoveArgs{Dir: dir, Name: name}
+	rep, err := c.call(dir, proc, args.Encode)
 	var res nfsproto.RemoveRes
-	if err := c.call(dir, nfsproto.ProcRmdir, &nfsproto.RemoveArgs{Dir: dir, Name: name}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return err
 	}
 	return res.Status.Error()
@@ -398,8 +433,13 @@ func (c *Client) Rename(fromDir fhandle.Handle, fromName string, toDir fhandle.H
 		}
 	}
 	args := nfsproto.RenameArgs{FromDir: fromDir, FromName: fromName, ToDir: toDir, ToName: toName}
+	rep, err := c.call(fromDir, nfsproto.ProcRename, args.Encode)
 	var res nfsproto.RenameRes
-	if err := c.call(fromDir, nfsproto.ProcRename, &args, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return err
 	}
 	return res.Status.Error()
@@ -407,8 +447,14 @@ func (c *Client) Rename(fromDir fhandle.Handle, fromName string, toDir fhandle.H
 
 // Link creates a hard link to fh named name in dir.
 func (c *Client) Link(fh, dir fhandle.Handle, name string) error {
+	args := nfsproto.LinkArgs{FH: fh, Dir: dir, Name: name}
+	rep, err := c.call(fh, nfsproto.ProcLink, args.Encode)
 	var res nfsproto.LinkRes
-	if err := c.call(fh, nfsproto.ProcLink, &nfsproto.LinkArgs{FH: fh, Dir: dir, Name: name}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return err
 	}
 	return res.Status.Error()
@@ -419,10 +465,13 @@ func (c *Client) ReadDir(dir fhandle.Handle) ([]nfsproto.DirEntry, error) {
 	var out []nfsproto.DirEntry
 	var cookie uint64
 	for {
+		args := nfsproto.ReadDirArgs{Dir: dir, Cookie: cookie, Count: 32 * 1024}
+		rep, err := c.call(dir, nfsproto.ProcReadDir, args.Encode)
 		var res nfsproto.ReadDirRes
-		err := c.call(dir, nfsproto.ProcReadDir, &nfsproto.ReadDirArgs{
-			Dir: dir, Cookie: cookie, Count: 32 * 1024,
-		}, &res)
+		if err == nil {
+			err = res.Decode(xdr.NewDecoder(rep.Body))
+			rep.Free()
+		}
 		if err != nil {
 			return out, err
 		}
@@ -439,8 +488,14 @@ func (c *Client) ReadDir(dir fhandle.Handle) ([]nfsproto.DirEntry, error) {
 
 // FsStat returns volume statistics.
 func (c *Client) FsStat(fh fhandle.Handle) (nfsproto.FsStatRes, error) {
+	args := nfsproto.FsStatArgs{FH: fh}
+	rep, err := c.call(fh, nfsproto.ProcFsStat, args.Encode)
 	var res nfsproto.FsStatRes
-	if err := c.call(fh, nfsproto.ProcFsStat, &nfsproto.FsStatArgs{FH: fh}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return res, err
 	}
 	return res, res.Status.Error()
@@ -522,8 +577,8 @@ func (c *Client) serialWrite(fh fhandle.Handle, off uint64, p []byte, stable boo
 			FH: fh, Offset: cur, Count: uint32(want),
 			Stable: stability, Data: p[written : written+want],
 		}
-		var res nfsproto.WriteRes
-		if err := c.callFlow(flow, nfsproto.ProcWrite, &args, &res); err != nil {
+		res, err := c.writeChunk(flow, &args)
+		if err != nil {
 			return written, err
 		}
 		if res.Status != nfsproto.OK {
@@ -559,8 +614,14 @@ func (c *Client) Commit(fh fhandle.Handle) (uint64, error) {
 			return 0, err
 		}
 	}
+	args := nfsproto.CommitArgs{FH: fh}
+	rep, err := c.call(fh, nfsproto.ProcCommit, args.Encode)
 	var res nfsproto.CommitRes
-	if err := c.call(fh, nfsproto.ProcCommit, &nfsproto.CommitArgs{FH: fh}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return 0, err
 	}
 	return res.Verf, res.Status.Error()
@@ -613,17 +674,19 @@ func (c *Client) MkdirAll(base fhandle.Handle, parts ...string) (fhandle.Handle,
 // Symlink creates a symbolic link named name in dir pointing at target.
 func (c *Client) Symlink(dir fhandle.Handle, name, target string) (fhandle.Handle, attr.Attr, error) {
 	args := nfsproto.SymlinkArgs{Dir: dir, Name: name, Target: target}
-	var res nfsproto.CreateRes
-	if err := c.call(dir, nfsproto.ProcSymlink, &args, &res); err != nil {
-		return fhandle.Handle{}, attr.Attr{}, err
-	}
-	return res.FH, res.Attr.Attr, res.Status.Error()
+	return c.create(dir, nfsproto.ProcSymlink, args.Encode)
 }
 
 // ReadLink returns a symbolic link's target path.
 func (c *Client) ReadLink(fh fhandle.Handle) (string, error) {
+	args := nfsproto.ReadLinkArgs{FH: fh}
+	rep, err := c.call(fh, nfsproto.ProcReadLink, args.Encode)
 	var res nfsproto.ReadLinkRes
-	if err := c.call(fh, nfsproto.ProcReadLink, &nfsproto.ReadLinkArgs{FH: fh}, &res); err != nil {
+	if err == nil {
+		err = res.Decode(xdr.NewDecoder(rep.Body))
+		rep.Free()
+	}
+	if err != nil {
 		return "", err
 	}
 	return res.Target, res.Status.Error()

@@ -48,53 +48,53 @@ func (s *Server) childAttr(child fhandle.Handle) nfsproto.OptAttr {
 	return nfsproto.Some(at)
 }
 
-func (s *Server) getattr(a *nfsproto.GetAttrArgs) *nfsproto.GetAttrRes {
+func (s *Server) getattr(a *nfsproto.GetAttrArgs) nfsproto.GetAttrRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.st.attrs[a.FH.FileID]
 	if c == nil || c.fh.Gen != a.FH.Gen {
-		return &nfsproto.GetAttrRes{Status: nfsproto.ErrStale}
+		return nfsproto.GetAttrRes{Status: nfsproto.ErrStale}
 	}
-	return &nfsproto.GetAttrRes{Status: nfsproto.OK, Attr: c.at}
+	return nfsproto.GetAttrRes{Status: nfsproto.OK, Attr: c.at}
 }
 
-func (s *Server) setattr(a *nfsproto.SetAttrArgs) *nfsproto.SetAttrRes {
+func (s *Server) setattr(a *nfsproto.SetAttrArgs) nfsproto.SetAttrRes {
 	st, at := s.localSetAttrByKey(a.FH.FileID, &a.Sattr)
-	res := &nfsproto.SetAttrRes{Status: st}
+	res := nfsproto.SetAttrRes{Status: st}
 	if st == nfsproto.OK {
 		res.Attr = nfsproto.Some(at)
 	}
 	return res
 }
 
-func (s *Server) access(a *nfsproto.AccessArgs) *nfsproto.AccessRes {
+func (s *Server) access(a *nfsproto.AccessArgs) nfsproto.AccessRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.st.attrs[a.FH.FileID]
 	if c == nil {
-		return &nfsproto.AccessRes{Status: nfsproto.ErrStale}
+		return nfsproto.AccessRes{Status: nfsproto.ErrStale}
 	}
 	// The prototype grants all requested permissions; Slice defers real
 	// access control to the handle-capability model of §2.2.
-	return &nfsproto.AccessRes{
+	return nfsproto.AccessRes{
 		Status: nfsproto.OK,
 		Attr:   nfsproto.Some(c.at),
 		Access: a.Access,
 	}
 }
 
-func (s *Server) lookup(a *nfsproto.LookupArgs) *nfsproto.LookupRes {
+func (s *Server) lookup(a *nfsproto.LookupArgs) nfsproto.LookupRes {
 	s.mu.Lock()
 	entry := s.st.findEntry(a.Dir, a.Name)
 	s.mu.Unlock()
 	if entry == nil {
-		return &nfsproto.LookupRes{
+		return nfsproto.LookupRes{
 			Status:  nfsproto.ErrNoEnt,
 			DirAttr: s.optLocalAttr(a.Dir),
 		}
 	}
 	child := entry.child
-	return &nfsproto.LookupRes{
+	return nfsproto.LookupRes{
 		Status:  nfsproto.OK,
 		FH:      child,
 		Attr:    s.childAttr(child),
@@ -120,9 +120,9 @@ func (s *Server) touchParentMaybeRemote(parent fhandle.Handle, nlinkDelta int32)
 	return st
 }
 
-func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
+func (s *Server) create(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
-		return &nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
+		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
 	// Mint the child and its attribute cell here (fixed placement: the
 	// create site owns the file's attributes).
@@ -131,9 +131,9 @@ func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 		child := existing.child
 		s.mu.Unlock()
 		if a.Exclusive {
-			return &nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
+			return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 		}
-		return &nfsproto.CreateRes{
+		return nfsproto.CreateRes{
 			Status: nfsproto.OK, FH: child,
 			Attr: s.childAttr(child), DirAttr: s.optLocalAttr(a.Dir),
 		}
@@ -153,11 +153,11 @@ func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
 	if _, err := s.log.Append(recCreate, s.cellRecord(fh, &cell.at)); err != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
+		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
+		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
 	s.mu.Unlock()
@@ -166,15 +166,15 @@ func (s *Server) create(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 		// Parent vanished concurrently: undo.
 		s.localRemoveEntry(a.Dir, a.Name, false)
 		s.discardCell(fh, &at)
-		return &nfsproto.CreateRes{Status: nfsproto.ErrStale}
+		return nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
-	return &nfsproto.CreateRes{
+	return nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: fh,
 		Attr: nfsproto.Some(at), DirAttr: s.optLocalAttr(a.Dir),
 	}
 }
 
-func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
+func (s *Server) mkdir(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 	// Under mkdir switching, arriving at a site other than the parent's
 	// means the µproxy redirected this mkdir here: the new directory (and
 	// its descendants) will live on this site, orphaned from its parent
@@ -186,7 +186,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 	if !redirected {
 		if existing := s.st.findEntry(a.Dir, a.Name); existing != nil {
 			s.mu.Unlock()
-			return &nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
+			return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	}
 	now := s.now()
@@ -207,7 +207,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 	}
 	if _, err := s.log.AppendSync(recType, s.cellRecord(fh, &cell.at)); err != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
+		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
 	s.mu.Unlock()
@@ -231,9 +231,9 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) *nfsproto.CreateRes {
 	}
 	if st != nfsproto.OK {
 		s.discardCell(fh, &at)
-		return &nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	return &nfsproto.CreateRes{
+	return nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: fh,
 		Attr: nfsproto.Some(at), DirAttr: s.optLocalAttr(a.Dir),
 	}
@@ -258,23 +258,23 @@ func (s *Server) peerInsert(site uint32, parent fhandle.Handle, name string, chi
 	}, nil)
 }
 
-func (s *Server) remove(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
+func (s *Server) remove(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 	s.mu.Lock()
 	entry := s.st.findEntry(a.Dir, a.Name)
 	if entry == nil {
 		s.mu.Unlock()
-		return &nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	if entry.child.Type == uint8(attr.TypeDir) {
 		s.mu.Unlock()
-		return &nfsproto.RemoveRes{Status: nfsproto.ErrIsDir, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: nfsproto.ErrIsDir, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	child := entry.child
 	s.mu.Unlock()
 
 	st, _ := s.localRemoveEntry(a.Dir, a.Name, true)
 	if st != nfsproto.OK {
-		return &nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	// Drop the child's link count, following the cross-site reference if
 	// its attribute cell lives elsewhere (hard links under name hashing).
@@ -291,7 +291,7 @@ func (s *Server) remove(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
 	if !s.ownsHandle(a.Dir) {
 		s.touchParentMaybeRemote(a.Dir, 0)
 	}
-	return &nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
+	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
 }
 
 // dirEmpty checks whether a directory has no entries anywhere. Under mkdir
@@ -323,16 +323,16 @@ func (s *Server) dirEmpty(child fhandle.Handle) (bool, nfsproto.Status) {
 	return true, nfsproto.OK
 }
 
-func (s *Server) rmdir(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
+func (s *Server) rmdir(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 	s.mu.Lock()
 	entry := s.st.findEntry(a.Dir, a.Name)
 	if entry == nil {
 		s.mu.Unlock()
-		return &nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	if entry.child.Type != uint8(attr.TypeDir) {
 		s.mu.Unlock()
-		return &nfsproto.RemoveRes{Status: nfsproto.ErrNotDir, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: nfsproto.ErrNotDir, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	child := entry.child
 	s.mu.Unlock()
@@ -341,13 +341,13 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
 	if childSite == s.site {
 		empty, st := s.dirEmpty(child)
 		if st != nfsproto.OK {
-			return &nfsproto.RemoveRes{Status: st}
+			return nfsproto.RemoveRes{Status: st}
 		}
 		if !empty {
-			return &nfsproto.RemoveRes{Status: nfsproto.ErrNotEmpty, DirAttr: s.optLocalAttr(a.Dir)}
+			return nfsproto.RemoveRes{Status: nfsproto.ErrNotEmpty, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 		if st := s.localRemoveDirCell(child, true); st != nfsproto.OK && st != nfsproto.ErrStale {
-			return &nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+			return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	} else {
 		// Orphan directory (mkdir switching): its cell and entries live
@@ -358,28 +358,28 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) *nfsproto.RemoveRes {
 			child.Encode(e)
 		}, nil)
 		if err != nil {
-			return &nfsproto.RemoveRes{Status: nfsproto.ErrServerFault}
+			return nfsproto.RemoveRes{Status: nfsproto.ErrServerFault}
 		}
 		if st != nfsproto.OK && st != nfsproto.ErrStale {
-			return &nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+			return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	}
 	st, _ := s.localRemoveEntry(a.Dir, a.Name, true)
 	if st != nfsproto.OK {
-		return &nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	if !s.ownsHandle(a.Dir) {
 		s.touchParentMaybeRemote(a.Dir, -1)
 	}
-	return &nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
+	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
 }
 
-func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
+func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
 	s.mu.Lock()
 	entry := s.st.findEntry(a.FromDir, a.FromName)
 	s.mu.Unlock()
 	if entry == nil {
-		return &nfsproto.RenameRes{
+		return nfsproto.RenameRes{
 			Status:      nfsproto.ErrNoEnt,
 			FromDirAttr: s.optLocalAttr(a.FromDir),
 			ToDirAttr:   s.optLocalAttr(a.ToDir),
@@ -414,7 +414,7 @@ func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
 		s.touchParentMaybeRemote(a.ToDir, nlinkBump)
 	}
 	if st != nfsproto.OK {
-		return &nfsproto.RenameRes{
+		return nfsproto.RenameRes{
 			Status:      st,
 			FromDirAttr: s.optLocalAttr(a.FromDir),
 			ToDirAttr:   s.optLocalAttr(a.ToDir),
@@ -424,7 +424,7 @@ func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
 	// nlink when a directory moves out.
 	st, _ = s.localRemoveEntry(a.FromDir, a.FromName, true)
 	if st != nfsproto.OK {
-		return &nfsproto.RenameRes{Status: st}
+		return nfsproto.RenameRes{Status: st}
 	}
 	if !s.ownsHandle(a.FromDir) {
 		var delta int32
@@ -433,20 +433,20 @@ func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
 		}
 		s.touchParentMaybeRemote(a.FromDir, delta)
 	}
-	return &nfsproto.RenameRes{
+	return nfsproto.RenameRes{
 		Status:      nfsproto.OK,
 		FromDirAttr: s.optLocalAttr(a.FromDir),
 		ToDirAttr:   s.optLocalAttr(a.ToDir),
 	}
 }
 
-func (s *Server) link(a *nfsproto.LinkArgs) *nfsproto.LinkRes {
+func (s *Server) link(a *nfsproto.LinkArgs) nfsproto.LinkRes {
 	if a.FH.Type == uint8(attr.TypeDir) {
-		return &nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
+		return nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
 	}
 	st := s.localInsertEntry(a.Dir, a.Name, a.FH, true)
 	if st != nfsproto.OK {
-		return &nfsproto.LinkRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.LinkRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	childSite := a.FH.Site % uint32(s.dirSites())
 	if childSite == s.site {
@@ -461,14 +461,14 @@ func (s *Server) link(a *nfsproto.LinkArgs) *nfsproto.LinkRes {
 	if !s.ownsHandle(a.Dir) {
 		s.touchParentMaybeRemote(a.Dir, 0)
 	}
-	return &nfsproto.LinkRes{
+	return nfsproto.LinkRes{
 		Status:  nfsproto.OK,
 		Attr:    s.childAttr(a.FH),
 		DirAttr: s.optLocalAttr(a.Dir),
 	}
 }
 
-func (s *Server) readdir(a *nfsproto.ReadDirArgs) *nfsproto.ReadDirRes {
+func (s *Server) readdir(a *nfsproto.ReadDirArgs) nfsproto.ReadDirRes {
 	var all []remoteEntry
 	if s.kind == route.MkdirSwitching {
 		all = s.localListDir(a.Dir.Ident())
@@ -483,7 +483,7 @@ func (s *Server) readdir(a *nfsproto.ReadDirArgs) *nfsproto.ReadDirRes {
 			}
 			ents, err := s.peerFetchEntries(uint32(site), a.Dir)
 			if err != nil {
-				return &nfsproto.ReadDirRes{Status: nfsproto.ErrServerFault}
+				return nfsproto.ReadDirRes{Status: nfsproto.ErrServerFault}
 			}
 			all = append(all, ents...)
 		}
@@ -491,9 +491,9 @@ func (s *Server) readdir(a *nfsproto.ReadDirArgs) *nfsproto.ReadDirRes {
 	}
 	start := int(a.Cookie)
 	if start > len(all) {
-		return &nfsproto.ReadDirRes{Status: nfsproto.ErrBadCookie}
+		return nfsproto.ReadDirRes{Status: nfsproto.ErrBadCookie}
 	}
-	res := &nfsproto.ReadDirRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
+	res := nfsproto.ReadDirRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
 	bytes := uint32(0)
 	for i := start; i < len(all); i++ {
 		ent := all[i]
@@ -515,11 +515,11 @@ func (s *Server) readdir(a *nfsproto.ReadDirArgs) *nfsproto.ReadDirRes {
 	return res
 }
 
-func (s *Server) fsstat(a *nfsproto.FsStatArgs) *nfsproto.FsStatRes {
+func (s *Server) fsstat(a *nfsproto.FsStatArgs) nfsproto.FsStatRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nFiles := uint64(len(s.st.attrs))
-	res := &nfsproto.FsStatRes{
+	res := nfsproto.FsStatRes{
 		Status:     nfsproto.OK,
 		TotalBytes: 1 << 40,
 		FreeBytes:  1 << 40,
@@ -535,17 +535,17 @@ func (s *Server) fsstat(a *nfsproto.FsStatArgs) *nfsproto.FsStatRes {
 // symlink creates a symbolic link cell: a name entry plus an attribute
 // cell carrying the target path. It follows the same placement rules as
 // create — the link lives at the site that owns the (parent, name) entry.
-func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
+func (s *Server) symlink(a *nfsproto.SymlinkArgs) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
-		return &nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
+		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
 	if len(a.Target) > 4096 {
-		return &nfsproto.CreateRes{Status: nfsproto.ErrNameTooLong}
+		return nfsproto.CreateRes{Status: nfsproto.ErrNameTooLong}
 	}
 	s.mu.Lock()
 	if s.st.findEntry(a.Dir, a.Name) != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	now := s.now()
 	fh := s.mintLocked(uint8(attr.TypeLink))
@@ -559,11 +559,11 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
 	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
 	if _, err := s.log.Append(recCreate, encodeCellRecord(&s.rec, fh, &cell.at, a.Target)); err != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
+		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
 		s.mu.Unlock()
-		return &nfsproto.CreateRes{Status: nfsproto.ErrIO}
+		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
 	s.mu.Unlock()
@@ -571,27 +571,27 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
 	if st := s.touchParentMaybeRemote(a.Dir, 0); st == nfsproto.ErrStale {
 		s.localRemoveEntry(a.Dir, a.Name, false)
 		s.discardCell(fh, &at)
-		return &nfsproto.CreateRes{Status: nfsproto.ErrStale}
+		return nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
-	return &nfsproto.CreateRes{
+	return nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: fh,
 		Attr: nfsproto.Some(at), DirAttr: s.optLocalAttr(a.Dir),
 	}
 }
 
 // readlink returns a symbolic link's target path.
-func (s *Server) readlink(a *nfsproto.ReadLinkArgs) *nfsproto.ReadLinkRes {
+func (s *Server) readlink(a *nfsproto.ReadLinkArgs) nfsproto.ReadLinkRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.st.attrs[a.FH.FileID]
 	if c == nil || c.fh.Gen != a.FH.Gen {
-		return &nfsproto.ReadLinkRes{Status: nfsproto.ErrStale}
+		return nfsproto.ReadLinkRes{Status: nfsproto.ErrStale}
 	}
 	if c.at.Type != attr.TypeLink {
-		return &nfsproto.ReadLinkRes{Status: nfsproto.ErrInval, Attr: nfsproto.Some(c.at)}
+		return nfsproto.ReadLinkRes{Status: nfsproto.ErrInval, Attr: nfsproto.Some(c.at)}
 	}
 	c.at.Atime = s.now()
-	return &nfsproto.ReadLinkRes{
+	return nfsproto.ReadLinkRes{
 		Status: nfsproto.OK,
 		Attr:   nfsproto.Some(c.at),
 		Target: c.target,

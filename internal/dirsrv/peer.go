@@ -3,6 +3,7 @@ package dirsrv
 import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
+	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
@@ -66,7 +67,7 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 // servePeer handles inbound peer-protocol calls. Peer handlers perform
 // purely local mutations (they never call out to other sites), which keeps
 // the peer protocol acyclic and deadlock-free.
-func (s *Server) servePeer(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (s *Server) servePeer(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
 	s.ct.peerServed.Add(1)
 	d := xdr.NewDecoder(call.Body)
 	switch call.Proc {

@@ -75,7 +75,7 @@ type Server struct {
 // New starts a directory server on the given service port.
 func New(port *netsim.Port, cfg Config) *Server {
 	s := newServer(cfg)
-	s.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(s.serve))
+	s.srv = oncrpc.NewServer(port, s)
 	return s
 }
 
@@ -92,7 +92,7 @@ func Restart(port *netsim.Port, cfg Config) (*Server, error) {
 	if err := s.replayLog(cfg.Log); err != nil {
 		return nil, err
 	}
-	s.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(s.serve))
+	s.srv = oncrpc.NewServer(port, s)
 	return s, nil
 }
 
@@ -187,21 +187,24 @@ func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
 	}
 }
 
-// serve dispatches RPC calls by program.
-func (s *Server) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+// ServeRPC implements oncrpc.Handler: it dispatches a call by program.
+// The NFS procedures decode their arguments and encode their results
+// straight into the reply; the cold mount and peer programs return
+// theirs as encoder functions (oncrpc.HandlerFunc).
+func (s *Server) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	switch call.Program {
 	case nfsproto.Program:
-		return s.serveNFS(call)
+		return s.serveNFS(call, e)
 	case PeerProgram:
-		return s.servePeer(call)
+		return oncrpc.HandlerFunc(s.servePeer).ServeRPC(call, from, e)
 	case MountProgram:
-		return s.serveMount(call)
+		return oncrpc.HandlerFunc(s.serveMount).ServeRPC(call, from, e)
 	default:
-		return nil, oncrpc.AcceptProgUnavail
+		return oncrpc.AcceptProgUnavail
 	}
 }
 
-func (s *Server) serveMount(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (s *Server) serveMount(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
 	switch call.Proc {
 	case nfsproto.MountProcNull:
 		return func(*xdr.Encoder) {}, oncrpc.AcceptSuccess
@@ -252,65 +255,110 @@ func (s *Server) serveMount(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 	}
 }
 
-func (s *Server) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+// serveNFS serves one NFS procedure: its arguments decode into a value on
+// this frame and its result, returned by value, encodes into the reply, so
+// neither is allocated.
+func (s *Server) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	s.ct.ops.Add(1)
 	d := xdr.NewDecoder(call.Body)
+	var err error
 	switch nfsproto.Proc(call.Proc) {
 	case nfsproto.ProcNull:
-		return func(e *xdr.Encoder) {}, oncrpc.AcceptSuccess
 	case nfsproto.ProcGetAttr:
 		var a nfsproto.GetAttrArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.getattr(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.getattr(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcSetAttr:
 		var a nfsproto.SetAttrArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.setattr(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.setattr(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcLookup:
+		// The name is read in place (StringView): lookup keeps nothing of
+		// it, and the request datagram lives until the handler returns.
 		var a nfsproto.LookupArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.lookup(&a) })
+		if a.Dir, err = fhandle.Decode(d); err == nil {
+			if a.Name, err = d.StringView(); err == nil {
+				res := s.lookup(&a)
+				res.Encode(e)
+			}
+		}
 	case nfsproto.ProcAccess:
 		var a nfsproto.AccessArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.access(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.access(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcCreate:
 		var a nfsproto.CreateArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.create(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.create(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcSymlink:
 		var a nfsproto.SymlinkArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.symlink(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.symlink(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcReadLink:
 		var a nfsproto.ReadLinkArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.readlink(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.readlink(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcMkdir:
 		var a nfsproto.CreateArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.mkdir(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.mkdir(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcRemove:
 		var a nfsproto.RemoveArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.remove(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.remove(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcRmdir:
 		var a nfsproto.RemoveArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.rmdir(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.rmdir(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcRename:
 		var a nfsproto.RenameArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.rename(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.rename(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcLink:
 		var a nfsproto.LinkArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.link(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.link(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcReadDir:
 		var a nfsproto.ReadDirArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.readdir(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.readdir(&a)
+			res.Encode(e)
+		}
 	case nfsproto.ProcFsStat:
 		var a nfsproto.FsStatArgs
-		return decodeAndRun(d, &a, func() nfsproto.Msg { return s.fsstat(&a) })
+		if err = a.Decode(d); err == nil {
+			res := s.fsstat(&a)
+			res.Encode(e)
+		}
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
-}
-
-func decodeAndRun(d *xdr.Decoder, args nfsproto.Msg, run func() nfsproto.Msg) (func(*xdr.Encoder), uint32) {
-	if err := args.Decode(d); err != nil {
-		return nil, oncrpc.AcceptGarbageArgs
+	if err != nil {
+		return oncrpc.AcceptGarbageArgs
 	}
-	res := run()
-	return res.Encode, oncrpc.AcceptSuccess
+	return oncrpc.AcceptSuccess
 }
 
 // dirSites returns the number of logical directory sites.

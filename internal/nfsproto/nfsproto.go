@@ -203,27 +203,51 @@ func (s Status) String() string {
 	}
 }
 
-// Error converts a non-OK status into a Go error; OK yields nil.
+// Error converts a non-OK status into a Go error; OK yields nil. Each
+// status this package names has one preallocated error, so a failed call
+// — the ENOENT LOOKUP ahead of every create — allocates none.
 func (s Status) Error() error {
 	if s == OK {
 		return nil
 	}
+	if e, ok := statusErrors[s]; ok {
+		return e
+	}
 	return &StatusError{Status: s}
 }
 
-// StatusError wraps a protocol status as a Go error.
+// statusErrors holds the one error of each named status (Status.Error).
+var statusErrors = func() map[Status]*StatusError {
+	m := make(map[Status]*StatusError)
+	for _, s := range []Status{ErrPerm, ErrNoEnt, ErrIO, ErrAccess, ErrExist,
+		ErrXDev, ErrNoDev, ErrNotDir, ErrIsDir, ErrInval, ErrFBig, ErrNoSpc,
+		ErrROFS, ErrNameTooLong, ErrNotEmpty, ErrStale, ErrBadHandle,
+		ErrNotSync, ErrBadCookie, ErrNotSupp, ErrServerFault, ErrJukebox,
+		ErrMisrouted} {
+		m[s] = &StatusError{Status: s}
+	}
+	return m
+}()
+
+// StatusError wraps a protocol status as a Go error. Status.Error shares
+// one per status: never modify one.
 type StatusError struct{ Status Status }
 
 // Error implements the error interface.
 func (e *StatusError) Error() string { return "nfs: " + e.Status.String() }
 
 // StatusOf extracts the protocol status from err: nil maps to OK, a
-// StatusError maps to its code, anything else to ErrServerFault.
+// StatusError — err itself, or one it wraps — maps to its code, anything
+// else to ErrServerFault. An unwrapped StatusError is type-asserted, which
+// allocates nothing; only a wrapped one pays for errors.As.
 func StatusOf(err error) Status {
 	if err == nil {
 		return OK
 	}
-	var se *StatusError
+	if se, ok := err.(*StatusError); ok {
+		return se.Status
+	}
+	var se *StatusError // escapes into errors.As: allocated only here
 	if errors.As(err, &se) {
 		return se.Status
 	}

@@ -2,6 +2,8 @@ package nfsproto
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -253,5 +255,36 @@ func TestPeekReadResRejects(t *testing.T) {
 	}
 	if _, ok := PeekReadRes(enc(&ReadRes{Status: OK, Attr: Some(at()), Count: 9, Data: []byte("12345")})); ok {
 		t.Fatal("count disagreeing with the opaque length accepted")
+	}
+}
+
+// TestFailedStatusAllocatesNothing: a failed status becomes its one
+// preallocated error and StatusOf reads it back by type assertion, so the
+// ENOENT LOOKUP ahead of every create costs no allocation; a wrapped
+// status is still found, through errors.As.
+func TestFailedStatusAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, func() {
+		if StatusOf(ErrNoEnt.Error()) != ErrNoEnt {
+			t.Fatal("StatusOf(ErrNoEnt.Error()) is not ErrNoEnt")
+		}
+	}); n != 0 {
+		t.Fatalf("StatusOf(ErrNoEnt.Error()) allocates %v times, want 0", n)
+	}
+	if ErrNoEnt.Error() != ErrNoEnt.Error() {
+		t.Fatal("two ENOENT errors differ: the status is not preallocated")
+	}
+	wrapped := fmt.Errorf("lookup: %w", ErrStale.Error())
+	if got := StatusOf(wrapped); got != ErrStale {
+		t.Fatalf("StatusOf(wrapped ESTALE) = %v", got)
+	}
+	var se *StatusError
+	if !errors.As(wrapped, &se) || se.Status != ErrStale {
+		t.Fatalf("errors.As extracts %v from a wrapped ESTALE", se)
+	}
+	if got := StatusOf(Status(4242).Error()); got != Status(4242) {
+		t.Fatalf("an unnamed status reads back as %v", got)
+	}
+	if got := StatusOf(errors.New("other")); got != ErrServerFault {
+		t.Fatalf("StatusOf(a plain error) = %v", got)
 	}
 }

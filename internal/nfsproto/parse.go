@@ -17,12 +17,14 @@ type RequestInfo struct {
 	FH       fhandle.Handle
 	FHOffset int // byte offset of FH within the call body
 
-	// Name is the name argument of namespace operations.
+	// Name is the name argument of namespace operations. It aliases the
+	// call body ParseCall read it from (xdr.Decoder.StringView), so it is
+	// valid only while that body is: a caller that keeps it copies it.
 	Name    string
 	HasName bool
 
 	// FH2/Name2 carry the second (handle, name) pair of RENAME, and the
-	// target directory of LINK.
+	// target directory of LINK. Name2 aliases the body as Name does.
 	FH2       fhandle.Handle
 	FH2Offset int
 	Name2     string
@@ -68,7 +70,7 @@ func ParseCall(proc Proc, body []byte) (RequestInfo, error) {
 		if info.FH, err = fhandle.Decode(d); err != nil {
 			return info, err
 		}
-		info.Name, err = d.String()
+		info.Name, err = d.StringView()
 		info.HasName = err == nil
 		return info, err
 
@@ -77,7 +79,7 @@ func ParseCall(proc Proc, body []byte) (RequestInfo, error) {
 		if info.FH, err = fhandle.Decode(d); err != nil {
 			return info, err
 		}
-		if info.Name, err = d.String(); err != nil {
+		if info.Name, err = d.StringView(); err != nil {
 			return info, err
 		}
 		info.HasName = true
@@ -86,7 +88,7 @@ func ParseCall(proc Proc, body []byte) (RequestInfo, error) {
 			return info, err
 		}
 		info.HasFH2 = true
-		info.Name2, err = d.String()
+		info.Name2, err = d.StringView()
 		info.HasName2 = err == nil
 		return info, err
 
@@ -100,7 +102,7 @@ func ParseCall(proc Proc, body []byte) (RequestInfo, error) {
 			return info, err
 		}
 		info.HasFH2 = true
-		info.Name2, err = d.String()
+		info.Name2, err = d.StringView()
 		info.HasName2 = err == nil
 		return info, err
 

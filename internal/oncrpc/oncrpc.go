@@ -104,12 +104,29 @@ func putReply(e *xdr.Encoder, xid, accept uint32, res func(*xdr.Encoder)) {
 	}
 }
 
+// encoders recycles the Encoder structs of outgoing messages. A call's
+// args and a handler's result are encoded through a func value or an
+// interface, which moves the encoder they are handed to the heap; drawn
+// from here, it is not a fresh object per message.
+var encoders = sync.Pool{New: func() any { return new(xdr.Encoder) }}
+
 // newMessageEncoder returns an encoder for one outgoing message whose
 // buffer is recycled through the fabric's datagram pool: a 32 KiB WRITE
 // call is encoded into warm pooled memory rather than a fresh 40 KiB heap
-// object per message. The caller Releases it.
+// object per message. The caller hands it back with freeEncoder once its
+// buffer has been sent, sealed or Released.
 func newMessageEncoder(header int) *xdr.Encoder {
-	return xdr.NewPooledEncoder(netsim.GetBuf, netsim.FreeBuf, header+128)
+	e := encoders.Get().(*xdr.Encoder)
+	*e = xdr.PooledEncoder(netsim.GetBuf, netsim.FreeBuf, header+128)
+	return e
+}
+
+// freeEncoder returns an encoder from newMessageEncoder to the pool. Its
+// buffer must already belong to someone else — sent, sealed, or Released:
+// the struct forgets it, so the next message cannot write into it.
+func freeEncoder(e *xdr.Encoder) {
+	*e = xdr.Encoder{}
+	encoders.Put(e)
 }
 
 // newDatagramEncoder is newMessageEncoder with the datagram header's room
@@ -129,6 +146,7 @@ func newDatagramEncoder(header int) *xdr.Encoder {
 // the copy between them.
 func BuildReply(src, dst netsim.Addr, xid, accept uint32, res func(*xdr.Encoder)) ([]byte, error) {
 	e := newDatagramEncoder(ReplyHeader)
+	defer freeEncoder(e)
 	putReply(e, xid, accept, res)
 	d := e.Bytes()
 	if err := netsim.Seal(d, src, dst); err != nil {
@@ -749,6 +767,7 @@ func (c *Client) roundTrip(key uint64, dst netsim.Addr, prog, vers, proc uint32,
 	var payload []byte
 	if c.sealer == nil {
 		e := newMessageEncoder(CallHeader)
+		defer freeEncoder(e)
 		defer e.Release()
 		putCall(e, xid, prog, vers, proc, args)
 		payload = e.Bytes()
@@ -770,7 +789,9 @@ func (c *Client) transmit(dst netsim.Addr, h callHead, args func(*xdr.Encoder), 
 	}
 	e := newDatagramEncoder(CallHeader)
 	putCall(e, h.xid, h.prog, h.vers, h.proc, args)
-	return c.sealer.Send(dst, e.Bytes())
+	err := c.sealer.Send(dst, e.Bytes())
+	freeEncoder(e)
+	return err
 }
 
 // transact runs the retransmit/timeout loop for one registered call, so
@@ -824,23 +845,37 @@ func (c *Client) transact(key uint64, to netsim.Addr, h callHead, args func(*xdr
 
 // ---------------------------------------------------------------- server
 
-// Handler serves the body of a single RPC call. It returns the result
-// encoder function and an accept status. Handlers run concurrently, each
-// on the goroutine that delivered its call (see NewServer). A handler may
-// call another server — a directory server its peers — since no server
-// needs a receiving goroutine: that server's handler runs nested on the
-// caller's goroutine, or on a fabric delay timer's. Nothing the sender of
-// a call holds may be needed by the handler or by the reply's way back.
+// Handler serves the body of a single RPC call: it appends the call's
+// result to e, the reply the server has begun, and returns the accept
+// status. e belongs to the server for the one call — the handler neither
+// keeps it nor anything from e.Bytes past its return — and on any accept
+// but AcceptSuccess the server truncates whatever the handler wrote, so
+// the reply carries the header alone (DESIGN.md §15.6). call.Body aliases
+// the request datagram, which lives until the handler returns.
+//
+// Handlers run concurrently, each on the goroutine that delivered its call
+// (see NewServer). A handler may call another server — a directory server
+// its peers — since no server needs a receiving goroutine: that server's
+// handler runs nested on the caller's goroutine, or on a fabric delay
+// timer's. Nothing the sender of a call holds may be needed by the handler
+// or by the reply's way back.
 type Handler interface {
-	ServeRPC(call Call, from netsim.Addr) (res func(*xdr.Encoder), accept uint32)
+	ServeRPC(call Call, from netsim.Addr, e *xdr.Encoder) (accept uint32)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function that returns its result as an encoder
+// function to the Handler interface. That function is typically a closure
+// made per call — an allocation the cold programs (mount, coordination,
+// peers) can afford and the data path does not make.
 type HandlerFunc func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32)
 
 // ServeRPC implements Handler.
-func (f HandlerFunc) ServeRPC(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-	return f(call, from)
+func (f HandlerFunc) ServeRPC(call Call, from netsim.Addr, e *xdr.Encoder) uint32 {
+	res, accept := f(call, from)
+	if res != nil && accept == AcceptSuccess {
+		res(e)
+	}
+	return accept
 }
 
 // drcEntry is a duplicate-request cache entry.
@@ -912,6 +947,11 @@ const DRCSize = 1024
 // would pin ~40 KiB per slot (1024 slots × 4 storage nodes ≈ 160 MiB of
 // dead data) and keep every reply buffer out of the pool.
 const drcMaxReply = 1024
+
+// drcSlotCap is the least capacity a cache slot's buffer is given, so the
+// slot can take the next reply it holds — a few hundred bytes at most for
+// the procedures the cache serves — into the same memory.
+const drcSlotCap = 256
 
 // NewServer starts serving calls arriving on port with handler. Each call
 // is served on the goroutine that delivers it, through the port's upcall
@@ -1002,19 +1042,25 @@ func (s *Server) serve(d []byte) {
 	if obsFn != nil {
 		t0 = time.Now()
 	}
-	res, accept := s.handler.ServeRPC(call, from)
-	// The reply is encoded into the buffer that becomes its datagram: a
-	// READ's data is read straight into the datagram that carries it.
+	// The reply is encoded into the buffer that becomes its datagram: the
+	// header first, then the handler's result behind it — a READ's data is
+	// read straight into the datagram that carries it.
 	e := newDatagramEncoder(ReplyHeader)
-	putReply(e, call.Xid, accept, res)
+	putReply(e, call.Xid, AcceptSuccess, nil)
+	accept := s.handler.ServeRPC(call, from, e)
+	if accept != AcceptSuccess {
+		e.Truncate(netsim.HeaderSize + ReplyHeader)
+		binary.BigEndian.PutUint32(e.Bytes()[netsim.HeaderSize+OffAccept:], accept)
+	}
 	out := e.Bytes()
+	freeEncoder(e) // out is the reply's now: sent below
 	if obsFn != nil {
 		handlerNS := uint64(time.Since(t0))
 		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
 		binary.BigEndian.PutUint64(out[netsim.HeaderSize+OffServerNS:], handlerNS)
 	}
-	// call.Args (and possibly res) alias the request datagram;
-	// putReply copied everything out, so it can go back now.
+	// call.Body aliases the request datagram; the handler has copied out
+	// what it keeps, so it can go back now.
 	netsim.FreeBuf(d)
 	if atMostOnce {
 		s.retain(key, id, netsim.Payload(out))
@@ -1040,10 +1086,14 @@ func (s *Server) admit(key drcKey, id callID, from netsim.Addr) bool {
 	s.mu.Lock()
 	if idx, ok := s.drc[key]; ok {
 		if s.drcRing[idx].id == id {
-			// Retransmission of a completed call: replay the reply.
+			// Retransmission of a completed call: replay the reply, copied
+			// into its datagram under the lock, since retain reuses the
+			// slot's buffer once the slot is evicted.
 			reply := s.drcRing[idx].reply
+			d := netsim.GetBuf(netsim.HeaderSize + len(reply))
+			copy(d[netsim.HeaderSize:], reply)
 			s.mu.Unlock()
-			_ = s.port.SendTo(from, reply)
+			_ = s.port.Send(from, d)
 			return false
 		}
 		// Same {source, xid} but a different call: not a retransmission.
@@ -1070,20 +1120,21 @@ func (s *Server) admit(key drcKey, id callID, from netsim.Addr) bool {
 
 // retain ends an admitted call's time in flight and caches its reply for
 // retransmissions, keeping a copy of its own: the datagram belongs to the
-// network once it is sent.
+// network once it is sent. The copy goes into the buffer of the slot it
+// evicts, so once the ring has filled a retained reply allocates nothing.
 func (s *Server) retain(key drcKey, id callID, reply []byte) {
-	var retained []byte
-	if len(reply) <= drcMaxReply {
-		retained = append(retained, reply...)
-	}
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if retained != nil {
-		// Evict the slot we are about to reuse.
-		if old := &s.drcRing[s.drcNext]; old.reply != nil {
-			delete(s.drc, old.key)
+	if len(reply) <= drcMaxReply {
+		slot := &s.drcRing[s.drcNext]
+		if slot.reply != nil {
+			delete(s.drc, slot.key)
 		}
-		s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: retained}
+		buf := slot.reply[:0]
+		if cap(buf) < len(reply) {
+			buf = make([]byte, 0, max(len(reply), drcSlotCap))
+		}
+		*slot = drcEntry{key: key, id: id, reply: append(buf, reply...)}
 		s.drc[key] = s.drcNext
 		s.drcNext = (s.drcNext + 1) % DRCSize
 	}

@@ -95,6 +95,9 @@ func pendHash(k pendKey) uint64 {
 type pendingReq struct {
 	proc nfsproto.Proc
 	prog uint32
+	// info is the call's routing view. Its names alias the datagram being
+	// routed and are cleared once route has read them: a record outlives
+	// the datagram it was parsed from.
 	info nfsproto.RequestInfo
 
 	// targets is the path the call's last transmission was routed along:
@@ -584,7 +587,10 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 		p.dropPending(pd)
 		return 0, false
 	}
-	var buf [1]netsim.Addr
+	// A name-space call is routed by names the record does not keep
+	// (route): this transmission's, which alias d.
+	pd.info.Name, pd.info.Name2 = info.Name, info.Name2
+	var buf [len(pendingReq{}.targetsBuf)]netsim.Addr
 	path, ok := p.route(d, key, pd, buf[:0])
 	s.mu.Unlock()
 	p.lap(clk, stDecode)
@@ -608,8 +614,9 @@ const maxPath = 64
 // read, spread over a replica group (spreadRead); every node holding the
 // stripe for a write, a transition's double-write included. It stamps the
 // capability into d's handle when the path leads to storage nodes and
-// addresses d to the path's first server. A single-server path is appended
-// to buf. route reports false, leaving pd armed as it was, when the
+// addresses d to the path's first server. The path is appended to buf,
+// which a write's fan-out outgrows only past len(pd.targetsBuf) servers.
+// route reports false, leaving pd armed as it was, when the
 // tables cannot place the call. A retransmission calls it under the shard lock of
 // the published record.
 func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) ([]netsim.Addr, bool) {
@@ -624,6 +631,9 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 	case !inPlace(pd.prog, pd.proc):
 		pd.hop = obs.HopDirsrv
 		a, err = p.cfg.Names.AddrFor(info)
+		// The names alias d, which goes to the network next: the record
+		// keeps no copy of them, and a retransmission brings its own.
+		info.Name, info.Name2 = "", ""
 	case io.SmallFileTarget(info.Offset):
 		pd.hop = obs.HopSmallfile
 		a, err = io.SmallFileServer(info.FH)
@@ -641,7 +651,7 @@ func (p *Proxy) route(d []byte, key pendKey, pd *pendingReq, buf []netsim.Addr) 
 		pd.hop = obs.HopStorage
 		stripe := io.StripeIndex(info.Offset)
 		if info.Proc == nfsproto.ProcWrite {
-			if path, err = io.WriteTargets(info.FH, stripe); len(path) > maxPath {
+			if path, err = io.AppendWriteTargets(buf, info.FH, stripe); len(path) > maxPath {
 				return nil, false
 			}
 		} else if a, err = io.ReadTarget(info.FH, stripe); err == nil && p.dirty != nil {
@@ -722,7 +732,7 @@ func (p *Proxy) spreadRead(pd *pendingReq, key pendKey, primary netsim.Addr, str
 // forward routes the first transmission of pd's call, publishes its
 // record and sends d along the path. It owns d: it forwards or frees it.
 func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
-	var buf [1]netsim.Addr
+	var buf [len(pendingReq{}.targetsBuf)]netsim.Addr
 	path, ok := p.route(d, key, pd, buf[:0])
 	if !ok {
 		p.dropPending(pd)

@@ -338,12 +338,19 @@ func (p *IOPolicy) Bindings() (cur, next Binding) {
 // bytes written behind it, and an abort loses nothing because the old
 // binding saw every write too).
 func (p *IOPolicy) WriteTargets(fh fhandle.Handle, stripe uint64) ([]netsim.Addr, error) {
+	return p.AppendWriteTargets(nil, fh, stripe)
+}
+
+// AppendWriteTargets is WriteTargets appending to dst (skipping nodes dst
+// already holds), so a caller with room on its own stack — the µproxy,
+// for every WRITE — routes a write without allocating.
+func (p *IOPolicy) AppendWriteTargets(dst []netsim.Addr, fh fhandle.Handle, stripe uint64) ([]netsim.Addr, error) {
 	cur, next := p.Bindings()
 	if cur.NumLogical() == 0 {
-		return nil, ErrEmptyTable
+		return dst, ErrEmptyTable
 	}
 	key := stripeKey(fh, stripe)
-	return next.AppendNodes(cur.AppendNodes(nil, key), key), nil
+	return next.AppendNodes(cur.AppendNodes(dst, key), key), nil
 }
 
 // ReadTarget returns the storage node to read the given stripe from: the

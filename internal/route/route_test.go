@@ -2,6 +2,7 @@ package route
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"slice/internal/fhandle"
@@ -369,5 +370,33 @@ func TestAddrFor(t *testing.T) {
 	}
 	if a != addrs(4)[1] {
 		t.Fatalf("AddrFor = %v", a)
+	}
+}
+
+// TestAppendWriteTargetsIntoCallersBuffer: AppendWriteTargets appends the
+// targets WriteTargets returns to the caller's buffer, so a caller with
+// room on its stack — the µproxy, for every WRITE — routes a write without
+// allocating.
+func TestAppendWriteTargetsIntoCallersBuffer(t *testing.T) {
+	all := addrs(4)
+	p := NewIOPolicy(nil, NewTable(2, []netsim.Addr{all[0], all[2]}))
+	p.Replicas = replica.NewMap(2, all)
+	fh := regFH(5, 0)
+	var buf [4]netsim.Addr
+	for stripe := uint64(0); stripe < 4; stripe++ {
+		want, err := p.WriteTargets(fh, stripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.AppendWriteTargets(buf[:0], fh, stripe)
+		if err != nil || !slices.Equal(got, want) || &got[0] != &buf[0] {
+			t.Fatalf("stripe %d: appended %v (%v), want %v in the caller's buffer", stripe, got, err, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = p.AppendWriteTargets(buf[:0], fh, 1) }); n != 0 {
+		t.Fatalf("AppendWriteTargets into a buffer with room allocates %v times", n)
+	}
+	if _, err := NewIOPolicy(nil, NewTable(0, nil)).AppendWriteTargets(buf[:0], fh, 0); err == nil {
+		t.Fatal("an empty table routed a write")
 	}
 }

@@ -72,15 +72,17 @@ func NewHandler[K any](b Backend[K], authorize func(fhandle.Handle) bool) *Handl
 	return &Handler[K]{b: b, authorize: authorize}
 }
 
-// ServeRPC implements oncrpc.Handler.
-func (h *Handler[K]) ServeRPC(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
+// ServeRPC implements oncrpc.Handler. Each procedure decodes its
+// arguments into a value on this frame and encodes its result straight
+// into the reply, so a READ or WRITE allocates nothing here.
+func (h *Handler[K]) ServeRPC(call oncrpc.Call, _ netsim.Addr, e *xdr.Encoder) uint32 {
 	switch call.Program {
 	case nfsproto.Program:
-		return h.serveNFS(call)
+		return h.serveNFS(call, e)
 	case ObjProgram:
-		return h.serveObj(call)
+		return h.serveObj(call, e)
 	default:
-		return nil, oncrpc.AcceptProgUnavail
+		return oncrpc.AcceptProgUnavail
 	}
 }
 
@@ -88,109 +90,112 @@ func (h *Handler[K]) refused(fh fhandle.Handle) bool {
 	return h.authorize != nil && !h.authorize(fh)
 }
 
-func (h *Handler[K]) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (h *Handler[K]) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
+	var err error
 	switch nfsproto.Proc(call.Proc) {
 	case nfsproto.ProcNull:
-		return func(e *xdr.Encoder) {}, oncrpc.AcceptSuccess
-
 	case nfsproto.ProcRead:
 		var args nfsproto.ReadArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+		if err = args.Decode(d); err == nil {
+			h.read(&args, e)
 		}
-		if h.refused(args.FH) {
-			return (&nfsproto.ReadRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		return h.read(&args), oncrpc.AcceptSuccess
-
 	case nfsproto.ProcWrite:
 		var args nfsproto.WriteArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+		if err = args.Decode(d); err == nil {
+			res := h.write(&args)
+			res.Encode(e)
 		}
-		if h.refused(args.FH) {
-			return (&nfsproto.WriteRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		return h.write(&args).Encode, oncrpc.AcceptSuccess
-
 	case nfsproto.ProcCommit:
 		var args nfsproto.CommitArgs
-		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+		if err = args.Decode(d); err == nil {
+			res := h.commit(&args)
+			res.Encode(e)
 		}
-		if h.refused(args.FH) {
-			return (&nfsproto.CommitRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
-		}
-		res := &nfsproto.CommitRes{Status: nfsproto.OK, Verf: h.b.Commit(h.b.Key(args.FH))}
-		return res.Encode, oncrpc.AcceptSuccess
-
 	default:
 		// Data servers serve only the I/O subset; anything else was
 		// misrouted.
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
+	if err != nil {
+		return oncrpc.AcceptGarbageArgs
+	}
+	return oncrpc.AcceptSuccess
 }
 
-func (h *Handler[K]) read(args *nfsproto.ReadArgs) func(*xdr.Encoder) {
-	k, off, count := h.b.Key(args.FH), int64(args.Offset), args.Count
-	size, _ := h.b.Size(k)
-	at := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: args.FH.FileID,
-		Size: uint64(size), Used: uint64(size+BlockSize-1) / BlockSize * BlockSize}
-	return func(e *xdr.Encoder) {
-		start := e.Len()
+// read encodes a READ's result into e, its data read straight into the
+// reply.
+func (h *Handler[K]) read(args *nfsproto.ReadArgs, e *xdr.Encoder) {
+	start := e.Len()
+	st := nfsproto.ErrAccess
+	if !h.refused(args.FH) {
+		k, off := h.b.Key(args.FH), int64(args.Offset)
+		size, _ := h.b.Size(k)
+		at := attr.Attr{Type: attr.TypeReg, Nlink: 1, FileID: args.FH.FileID,
+			Size: uint64(size), Used: uint64(size+BlockSize-1) / BlockSize * BlockSize}
 		var err error
-		nfsproto.EncodeRead(e, at, count, func(p []byte) (n int, eof bool) {
+		nfsproto.EncodeRead(e, at, args.Count, func(p []byte) (n int, eof bool) {
 			n, eof, err = h.b.Read(k, off, p)
 			return n, eof
 		})
-		if err != nil {
-			e.Truncate(start)
-			(&nfsproto.ReadRes{Status: nfsproto.StatusOf(err)}).Encode(e)
+		if err == nil {
+			return
 		}
+		st = nfsproto.StatusOf(err)
 	}
+	e.Truncate(start)
+	res := nfsproto.ReadRes{Status: st}
+	res.Encode(e)
 }
 
-func (h *Handler[K]) write(args *nfsproto.WriteArgs) *nfsproto.WriteRes {
+func (h *Handler[K]) write(args *nfsproto.WriteArgs) nfsproto.WriteRes {
+	if h.refused(args.FH) {
+		return nfsproto.WriteRes{Status: nfsproto.ErrAccess}
+	}
 	cnt := min(args.Count, uint32(len(args.Data)))
 	stable := args.Stable != nfsproto.Unstable
 	if err := h.b.Write(h.b.Key(args.FH), int64(args.Offset), args.Data[:cnt], stable); err != nil {
-		return &nfsproto.WriteRes{Status: nfsproto.StatusOf(err)}
+		return nfsproto.WriteRes{Status: nfsproto.StatusOf(err)}
 	}
 	committed := uint32(nfsproto.Unstable)
 	if stable {
 		committed = nfsproto.FileSync
 	}
-	return &nfsproto.WriteRes{Status: nfsproto.OK, Count: cnt, Committed: committed, Verf: h.b.Verifier()}
+	return nfsproto.WriteRes{Status: nfsproto.OK, Count: cnt, Committed: committed, Verf: h.b.Verifier()}
 }
 
-func (h *Handler[K]) serveObj(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (h *Handler[K]) commit(args *nfsproto.CommitArgs) nfsproto.CommitRes {
+	if h.refused(args.FH) {
+		return nfsproto.CommitRes{Status: nfsproto.ErrAccess}
+	}
+	return nfsproto.CommitRes{Status: nfsproto.OK, Verf: h.b.Commit(h.b.Key(args.FH))}
+}
+
+// serveObj answers the raw-object program; its result is the bare status.
+func (h *Handler[K]) serveObj(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
 	fh, err := fhandle.Decode(d)
 	if err != nil {
-		return nil, oncrpc.AcceptGarbageArgs
+		return oncrpc.AcceptGarbageArgs
 	}
 	if h.refused(fh) {
-		return objResult(nfsproto.ErrAccess), oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.ErrAccess))
+		return oncrpc.AcceptSuccess
 	}
 	switch call.Proc {
 	case ObjProcRemove:
 		h.b.Remove(h.b.Key(fh))
-		return objResult(nfsproto.OK), oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.OK))
 	case ObjProcTruncate:
 		size, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		return objResult(nfsproto.StatusOf(h.b.Truncate(h.b.Key(fh), int64(size)))), oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.StatusOf(h.b.Truncate(h.b.Key(fh), int64(size)))))
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
-}
-
-// objResult encodes an object-program result: the bare status.
-func objResult(st nfsproto.Status) func(*xdr.Encoder) {
-	return func(e *xdr.Encoder) { e.PutUint32(uint32(st)) }
+	return oncrpc.AcceptSuccess
 }
 
 // objects is an ObjectStore as a Node's Backend: a handle names the object

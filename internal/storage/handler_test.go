@@ -1,10 +1,12 @@
 package storage_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
+	"slice/internal/allocs"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
@@ -156,4 +158,67 @@ func answer(t *testing.T, cli *oncrpc.Client, prog, proc uint32, args func(*xdr.
 		return res.Status.String()
 	}
 	return "accept 0"
+}
+
+// TestDataPathAllocatesNothing: on either kind of data server a READ of
+// bytes the file holds, and a WRITE into a block it already has, allocate
+// nothing more than a NULL call — arguments decoded on the stack, the
+// result and a READ's data encoded straight into the reply. A WRITE's
+// reply, retained for retransmissions, is measured once the cache has
+// wrapped, so it is copied into an evicted slot's buffer.
+func TestDataPathAllocatesNothing(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	bind := func(host uint32) *netsim.Port {
+		p, err := n.BindAny(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	node := storage.NewNode(bind(2), storage.NewObjectStore())
+	defer node.Close()
+	sfs := smallfile.NewServer(bind(3), smallfile.NewStore(storage.NewObjectStore(), 1, nil))
+	defer sfs.Close()
+	fh := fhandle.Handle{Volume: 1, FileID: 42, Type: 1, Gen: 1}
+	data := make([]byte, 4096)
+	for _, srv := range []struct {
+		name string
+		addr netsim.Addr
+	}{{"storage", node.Addr()}, {"smallfile", sfs.Addr()}} {
+		cli := oncrpc.NewClient(bind(1), srv.addr, oncrpc.ClientConfig{})
+		call := func(proc nfsproto.Proc, args func(*xdr.Encoder)) func() {
+			return func() {
+				rep, err := cli.CallKeyedReply(0, nfsproto.Program, nfsproto.Version, uint32(proc), args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if proc != nfsproto.ProcNull {
+					if st := nfsproto.Status(binary.BigEndian.Uint32(rep.Body)); st != nfsproto.OK {
+						t.Fatalf("%s %v: %v", srv.name, proc, st)
+					}
+				}
+				rep.Free()
+			}
+		}
+		write := nfsproto.WriteArgs{FH: fh, Count: uint32(len(data)), Stable: nfsproto.Unstable, Data: data}
+		read := nfsproto.ReadArgs{FH: fh, Count: uint32(len(data))}
+		for i := 0; i < oncrpc.DRCSize; i++ {
+			call(nfsproto.ProcWrite, write.Encode)()
+		}
+		null := allocs.PerCall(1000, call(nfsproto.ProcNull, nil))
+		if !allocs.Race && null > allocs.Slack {
+			t.Fatalf("%s: a NULL call allocates %.2f times", srv.name, null)
+		}
+		for _, op := range []struct {
+			name string
+			do   func()
+		}{{"READ", call(nfsproto.ProcRead, read.Encode)}, {"WRITE", call(nfsproto.ProcWrite, write.Encode)}} {
+			got := allocs.PerCall(1000, op.do)
+			t.Logf("%s %s: %.2f allocations, a NULL call %.2f", srv.name, op.name, got, null)
+			if got-null > allocs.Slack {
+				t.Errorf("%s: a %s allocates %.2f times, a NULL call %.2f", srv.name, op.name, got, null)
+			}
+		}
+		cli.Close()
+	}
 }

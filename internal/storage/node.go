@@ -40,7 +40,7 @@ type Node struct {
 func NewNode(port *netsim.Port, store *ObjectStore) *Node {
 	n := &Node{store: store}
 	n.io = NewHandler(objects{store}, n.authorize)
-	n.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(n.serve))
+	n.srv = oncrpc.NewServer(port, n)
 	return n
 }
 
@@ -96,11 +96,14 @@ func (n *Node) SetObs(reg *obs.Registry) {
 // Close shuts the node down.
 func (n *Node) Close() { n.srv.Close() }
 
-func (n *Node) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+// ServeRPC implements oncrpc.Handler: the data-server Handler serves the
+// node's I/O, and the cold replica peer program returns its results as
+// encoder functions (oncrpc.HandlerFunc).
+func (n *Node) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	if call.Program == replica.PeerProgram {
-		return n.servePeer(call)
+		return oncrpc.HandlerFunc(n.servePeer).ServeRPC(call, from, e)
 	}
-	return n.io.ServeRPC(call, from)
+	return n.io.ServeRPC(call, from, e)
 }
 
 // -------------------------------------------------- replica peer program
@@ -131,7 +134,7 @@ func (n *Node) peerAuthorized(token uint64) bool {
 // servePeer answers the replica peer program (replica.PeerProgram):
 // bulk list/read on a transition's source, durable write, truncate and
 // remove on its destination.
-func (n *Node) servePeer(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (n *Node) servePeer(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
 	d := xdr.NewDecoder(call.Body)
 	token, err := d.Uint64()
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Errors returned by the decoder. ErrShortBuffer indicates truncated input;
@@ -52,15 +53,17 @@ func NewEncoder(capacity int) *Encoder {
 // buffer and leaves buf behind.
 func NewEncoderBuf(buf []byte) *Encoder { return &Encoder{buf: buf} }
 
-// NewPooledEncoder returns an encoder whose buffer — the first, of the
+// PooledEncoder returns an encoder whose buffer — the first, of the
 // given capacity, and each larger one it outgrows it into — is drawn
 // from a pool: get returns a buffer of length n (its capacity may be
 // larger, its contents are unspecified), free takes one back. A message
 // that carries bulk data therefore costs one pooled buffer sized to it,
 // not an allocation. The owner calls Release once the encoded bytes are
-// no longer needed; forgetting to only costs the pool a buffer.
-func NewPooledEncoder(get func(n int) []byte, free func(b []byte), capacity int) *Encoder {
-	return &Encoder{buf: get(capacity)[:0], get: get, free: free}
+// no longer needed; forgetting to only costs the pool a buffer. It
+// returns the encoder by value, for its owner to keep in memory of its
+// own — a recycled struct — rather than in a fresh object.
+func PooledEncoder(get func(n int) []byte, free func(b []byte), capacity int) Encoder {
+	return Encoder{buf: get(capacity)[:0], get: get, free: free}
 }
 
 // Release returns a pooled encoder's buffer to its pool. The encoder,
@@ -267,6 +270,15 @@ func (d *Decoder) Opaque() ([]byte, error) {
 func (d *Decoder) String() (string, error) {
 	p, err := d.Opaque()
 	return string(p), err
+}
+
+// StringView decodes an XDR string without copying it: the string
+// aliases the decoder's buffer, so it is valid only while the buffer is
+// and must not be kept — a server's lookup of a name in the request it is
+// serving, not a name it stores.
+func (d *Decoder) StringView() (string, error) {
+	p, err := d.Opaque()
+	return unsafe.String(unsafe.SliceData(p), len(p)), err
 }
 
 // UintAt reads the uint32 at byte offset off without advancing the decoder.

@@ -309,7 +309,8 @@ func TestPooledEncoder(t *testing.T) {
 		e.PutOpaque(bulk)
 		e.PutUint64(1 << 40)
 	}
-	pe := NewPooledEncoder(pool.GetBuf, pool.FreeBuf, 16)
+	pooled := PooledEncoder(pool.GetBuf, pool.FreeBuf, 16)
+	pe := &pooled
 	encode(pe)
 	he := NewEncoder(0)
 	encode(he)
@@ -353,5 +354,33 @@ func TestReserveFillsInPlace(t *testing.T) {
 	b.PutUint32(9) // outgrows it: moves to the heap, the caller's buffer is left alone
 	if !bytes.Equal(b.Bytes(), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 9}) {
 		t.Fatalf("after outgrowing: %x", b.Bytes())
+	}
+}
+
+// TestStringViewAliasesItsBuffer: StringView decodes what String does,
+// without a copy — the string is the buffer's own bytes, so a later write
+// to the buffer shows through it — and allocates nothing.
+func TestStringViewAliasesItsBuffer(t *testing.T) {
+	e := NewEncoder(16)
+	e.PutString("name")
+	e.PutString("")
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	s, err := d.StringView()
+	if err != nil || s != "name" {
+		t.Fatalf("StringView = %q, %v", s, err)
+	}
+	if empty, err := d.StringView(); err != nil || empty != "" {
+		t.Fatalf("empty StringView = %q, %v", empty, err)
+	}
+	buf[4] = 'g'
+	if s != "game" {
+		t.Fatalf("after a write to the buffer the view reads %q: it was copied", s)
+	}
+	if _, err := NewDecoder(buf[:6]).StringView(); err == nil {
+		t.Fatal("StringView of a truncated string succeeded")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = NewDecoder(buf).StringView() }); n != 0 {
+		t.Fatalf("StringView allocates %v times", n)
 	}
 }
