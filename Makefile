@@ -58,8 +58,12 @@ bench-module:
 # windowed fan-out needs GOMAXPROCS>1 to overlap) and a few long
 # iterations, not thousands of short ones.
 #
-# Each row of the loop is one `go test -bench` run: output file, baseline,
-# -benchtime, -cpu, packages (comma-separated) and the -bench regexp.
+# Each row of the loop is BENCH_COUNT `go test -bench -count 1` passes
+# over one group of benchmarks: output file, baseline, -benchtime, -cpu,
+# packages (comma-separated) and the -bench regexp. A pass samples every
+# benchmark of the row once, so each min-of-BENCH_COUNT, and both sides
+# of a ratio rule, are drawn from across the whole row's run rather than
+# from back-to-back samples one burst of host load can cover.
 BENCH_COUNT ?= 6
 BENCH_TIME ?= 20000x
 BENCH_BULK_TIME ?= 3x
@@ -75,10 +79,13 @@ bench-gate:
 	    "bench_wire.out BENCH_wire.json $(BENCH_WIRE_TIME) 4 . BenchmarkWire(Read|Write)" \
 	    "bench_rebalance.out BENCH_rebalance.json $(BENCH_REBALANCE_TIME) 4 . BenchmarkRebalanceThroughput"; do \
 	    set -- $$row; \
-	    echo "bench-gate: -bench '$$6' -benchtime $$3 -cpu $$4 > $$1"; \
-	    $(GO) test -run xxx -bench "$$6" -benchmem \
-	        -benchtime $$3 -count $(BENCH_COUNT) -cpu $$4 $$(echo $$5 | tr , ' ') > $$1 \
-	        || { cat $$1; exit 1; }; \
+	    echo "bench-gate: $(BENCH_COUNT) × -bench '$$6' -benchtime $$3 -cpu $$4 > $$1"; \
+	    : > $$1; \
+	    for pass in $$(seq $(BENCH_COUNT)); do \
+	        $(GO) test -run xxx -bench "$$6" -benchmem \
+	            -benchtime $$3 -count 1 -cpu $$4 $$(echo $$5 | tr , ' ') >> $$1 \
+	            || { cat $$1; exit 1; }; \
+	    done; \
 	    $(GO) run ./cmd/benchgate -baseline $$2 -input $$1 -tolerance $(BENCH_TOLERANCE) || exit 1; \
 	done
 

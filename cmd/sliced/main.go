@@ -142,9 +142,9 @@ func printStats(e *ensemble.Ensemble) {
 	for i, d := range e.Dirs {
 		c := d.Counters()
 		ls := d.Log().Stats()
-		fmt.Printf("[stats] dir[%d]: %d ops, %d peer calls, %d cross-site; journal %.1f KB, %.1f KB live, %d compactions in %.1f ms\n",
+		fmt.Printf("[stats] dir[%d]: %d ops, %d peer calls, %d cross-site; journal %.1f KB, %.1f KB live, %d compactions in %.1f ms; %d outcomes held, peak %d\n",
 			i, c.Ops, c.PeerCalls, c.CrossSite, float64(ls.Size)/1e3, float64(ls.Live)/1e3,
-			ls.Compactions, float64(ls.CompactNS)/1e6)
+			ls.Compactions, float64(ls.CompactNS)/1e6, c.Outcomes, c.OutcomesPeak)
 	}
 	for i, n := range e.Storage {
 		s := n.Store().Stats()

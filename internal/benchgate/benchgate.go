@@ -31,11 +31,13 @@ type Metrics struct {
 	AllocsOp float64 `json:"allocs_op"`
 }
 
-// RatioRule gates a scaling property between two benchmarks in the same
+// RatioRule gates a scaling property between two benchmarks of one gate
 // run: Scaled must be at least MinSpeedup times faster (ns/op) than Base
-// at the given CPU count. Both sides are measured on the same machine in
-// the same invocation, so — unlike the absolute ns/op gates — the ratio
-// needs no machine-noise tolerance and holds the speedup itself.
+// at the given CPU count. Both sides are measured on the same machine,
+// each pass of the run sampling both once (make bench-gate), so their
+// minima come from the same stretch of host load and — unlike the
+// absolute ns/op gates — the ratio needs no machine-noise tolerance and
+// holds the speedup itself.
 type RatioRule struct {
 	Base       string  `json:"base"`
 	Scaled     string  `json:"scaled"`

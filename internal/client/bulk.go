@@ -131,8 +131,9 @@ func (c *Client) chunkRead(flow uint64, fh fhandle.Handle, off uint64, p []byte)
 
 // chunkWrite writes one chunk, continuing on short writes and re-issuing
 // once on timeout (WRITE of fixed bytes at a fixed offset is idempotent;
-// the servers' duplicate-request caches absorb retransmits of the same
-// xid).
+// a data server answers a retransmission of the same xid from its outcome
+// table without writing again, so a late one cannot overwrite a newer
+// write).
 func (c *Client) chunkWrite(flow uint64, fh fhandle.Handle, off uint64, data []byte, stability uint32) error {
 	written := 0
 	for written < len(data) {

@@ -21,6 +21,7 @@ import (
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/route"
@@ -60,10 +61,14 @@ type intent struct {
 }
 
 // WAL record types. Type 3 was the retired block-map allocation record;
-// replay skips it like any type it does not know.
+// replay skips it like any type it does not know. A recIntent logged for
+// a ProcIntend call ends in the call's once.Done, so a retransmitted
+// Intend — across a restart too — gets the id it was first given;
+// compaction carries the outcomes of the last once.Span as recOutcome.
 const (
 	recIntent   = 1
 	recComplete = 2
+	recOutcome  = 4
 )
 
 // Stats counts coordinator activity.
@@ -109,6 +114,7 @@ type Coordinator struct {
 	nextID  uint64
 	pending map[uint64]*intent
 	stats   Stats
+	done    once.Table // each ProcIntend's id, by the call's identity
 
 	// sites lists a file's data sites (route.IOPolicy.DataSites over the
 	// configured tables); rpc is the one client that calls them, bound
@@ -163,7 +169,7 @@ func newCoordinator(cfg Config) *Coordinator {
 }
 
 func (c *Coordinator) start(port *netsim.Port) {
-	c.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(c.serve))
+	c.srv = oncrpc.NewServer(port, c)
 	c.wg.Add(1)
 	go c.probeLoop()
 }
@@ -281,13 +287,16 @@ func (c *Coordinator) clearIntent(id uint64, finished bool) {
 // intentLen is a recIntent payload's length.
 const intentLen = 8 + 4 + fhandle.Size + 8
 
-// encode is in's recIntent payload.
-func (in *intent) encode() []byte {
-	e := xdr.NewEncoder(intentLen)
+// encode is in's recIntent payload, ending in done unless it is nil.
+func (in *intent) encode(done *once.Done) []byte {
+	e := xdr.NewEncoder(intentLen + once.DoneSize)
 	e.PutUint64(in.ID)
 	e.PutUint32(in.Op)
 	in.FH.Encode(e)
 	e.PutUint64(in.Size)
+	if done != nil {
+		done.Encode(e)
+	}
 	return e.Bytes()
 }
 
@@ -300,20 +309,27 @@ func encodeID(id uint64) []byte {
 
 // liveRecords emits the coordinator's state for wal.Log to compact to:
 // the last ID issued, intended and completed so no restart reissues it,
-// then one recIntent per pending intention. The caller holds c.mu.
+// then one recIntent per pending intention and one recOutcome per
+// ProcIntend answered in the last once.Span. The caller holds c.mu.
 func (c *Coordinator) liveRecords(emit func(recType uint32, payload []byte)) {
 	if last := c.nextID - 1; last > 0 {
-		emit(recIntent, (&intent{ID: last}).encode())
+		emit(recIntent, (&intent{ID: last}).encode(nil))
 		emit(recComplete, encodeID(last))
 	}
 	for _, in := range c.pending {
-		emit(recIntent, in.encode())
+		emit(recIntent, in.encode(nil))
 	}
+	e := xdr.NewEncoder(once.DoneSize)
+	c.done.Each(func(d *once.Done) {
+		e.Reset()
+		d.Encode(e)
+		emit(recOutcome, e.Bytes())
+	})
 }
 
 // liveSize is the journal length liveRecords emits. The caller holds c.mu.
 func (c *Coordinator) liveSize() int {
-	n := len(c.pending) * wal.FrameLen(intentLen)
+	n := len(c.pending)*wal.FrameLen(intentLen) + c.done.Len()*wal.FrameLen(once.DoneSize)
 	if c.nextID > 1 {
 		n += wal.FrameLen(intentLen) + wal.FrameLen(8)
 	}
@@ -451,46 +467,49 @@ func CallComplete(call Caller, id uint64) {
 
 // ---------------------------------------------------------------- serving
 
-func (c *Coordinator) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+// ServeRPC implements oncrpc.Handler, encoding each result straight into
+// the reply.
+func (c *Coordinator) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	if call.Program != Program {
-		return nil, oncrpc.AcceptProgUnavail
+		return oncrpc.AcceptProgUnavail
 	}
 	d := xdr.NewDecoder(call.Body)
 	switch call.Proc {
 	case ProcIntend:
 		op, err := d.Uint32()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		fh, err := fhandle.Decode(d)
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		size, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		id, err := c.Intend(op, fh, size)
+		id, err := c.intend(once.IdentOf(&call, from), op, fh, size)
 		st := nfsproto.OK
 		if err != nil {
 			st = nfsproto.ErrIO
 		}
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			e.PutUint64(id)
-		}, oncrpc.AcceptSuccess
+		e.PutUint32(uint32(st))
+		e.PutUint64(id)
 
 	case ProcComplete:
+		// Clearing an intention twice clears nothing the second time: a
+		// retransmission simply runs again.
 		id, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		c.Complete(id)
-		return func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.OK)) }, oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.OK))
 
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
+	return oncrpc.AcceptSuccess
 }
 
 // Intend logs a new intention and returns its id. The record is appended
@@ -501,25 +520,44 @@ func (c *Coordinator) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encod
 // (and the RPC reply is not sent) until Sync says the record is durable,
 // and concurrent intentions' syncs coalesce via group commit.
 func (c *Coordinator) Intend(op uint32, fh fhandle.Handle, size uint64) (uint64, error) {
+	return c.intend(once.Ident{}, op, fh, size)
+}
+
+// intend is Intend for the ProcIntend call call (zero: none): a call it
+// logged an intention for before gets that intention's id again, and no
+// second intention. The call's outcome rides in the intention's record
+// and enters the table once the record is durable.
+func (c *Coordinator) intend(call once.Ident, op uint32, fh fhandle.Handle, size uint64) (uint64, error) {
 	c.mu.Lock()
+	if o, ok := c.done.Find(call); ok {
+		c.mu.Unlock()
+		return o.Value, nil
+	}
 	id := c.nextID
 	c.nextID++
 	in := &intent{ID: id, Op: op, FH: fh, Size: size, Logged: time.Now()}
 	c.pending[id] = in
 	c.stats.Intentions++
+	var done *once.Done
+	if !call.IsZero() {
+		done = &once.Done{Ident: call, Outcome: once.Outcome{Status: uint32(nfsproto.OK), Value: id}, At: time.Now().UnixNano()}
+	}
 	log := c.cfg.Log
-	_, err := log.Append(recIntent, in.encode())
+	_, err := log.Append(recIntent, in.encode(done))
 	c.mu.Unlock()
 	if err == nil {
 		err = log.Sync()
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
 		// Not durable: withdraw the intention rather than acknowledge an
 		// operation recovery would never see.
-		c.mu.Lock()
 		delete(c.pending, id)
-		c.mu.Unlock()
 		return 0, err
+	}
+	if done != nil {
+		c.done.Put(*done)
 	}
 	return id, nil
 }
@@ -558,6 +596,11 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 			if id > maxID {
 				maxID = id
 			}
+			if d.Remaining() > 0 {
+				return c.replayDone(d)
+			}
+		case recOutcome:
+			return c.replayDone(d)
 		case recComplete:
 			id, err := d.Uint64()
 			if err != nil {
@@ -574,6 +617,19 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 	c.cfg.Log = log
 	c.pending = pending
 	c.nextID = maxID + 1
+	c.mu.Unlock()
+	return nil
+}
+
+// replayDone puts the call outcome a record ends in back in the table,
+// unless it has expired. It runs before the coordinator serves.
+func (c *Coordinator) replayDone(d *xdr.Decoder) error {
+	done, err := once.DecodeDone(d)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.done.Put(done)
 	c.mu.Unlock()
 	return nil
 }

@@ -21,6 +21,8 @@ import (
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
+	"slice/internal/nfsproto"
+	"slice/internal/once"
 	"slice/internal/wal"
 	"slice/internal/xdr"
 )
@@ -165,12 +167,18 @@ const (
 	recMkdirIn  = 2 // redirected mkdir: local cell, remote entry
 	recRemove   = 3 // entry removed (and cell, if local)
 	recSetAttr  = 4
-	recInsert   = 5 // entry inserted (peer or rename/link)
-	recTouch    = 6 // directory nlink/mtime adjustment
-	recLinkDel  = 7 // link count delta on a cell
-	recCellGone = 8 // attribute cell removed
-	recNewCell  = 9 // attribute cell created alone
+	recInsert   = 5  // entry inserted (peer or rename/link)
+	recTouch    = 6  // directory nlink/mtime adjustment
+	recLinkDel  = 7  // link count delta on a cell
+	recCellGone = 8  // attribute cell removed
+	recNewCell  = 9  // attribute cell created alone
+	recOutcome  = 10 // a call's outcome alone (once.Done)
 )
+
+// A record that makes a call's mutation durable ends in the call's
+// once.Done — its identity and outcome — after its own fields
+// (Server.answered), so the mutation and the answer a retransmission gets
+// reach the journal together, and replay rebuilds the outcome table.
 
 // cellFrameLen is the journal length of a cell record carrying target.
 func cellFrameLen(target string) int {
@@ -198,8 +206,7 @@ func (s *Server) cellRecord(fh fhandle.Handle, at *attr.Attr) []byte {
 	return encodeCellRecord(&s.rec, fh, at, "")
 }
 
-func decodeCellRecord(p []byte) (fhandle.Handle, attr.Attr, string, error) {
-	d := xdr.NewDecoder(p)
+func decodeCellRecord(d *xdr.Decoder) (fhandle.Handle, attr.Attr, string, error) {
 	fh, err := fhandle.Decode(d)
 	if err != nil {
 		return fh, attr.Attr{}, "", err
@@ -227,8 +234,7 @@ func (s *Server) entryRecord(parent fhandle.Handle, name string, child fhandle.H
 	return encodeEntryRecord(&s.rec, parent, name, child)
 }
 
-func decodeEntryRecord(p []byte) (parent fhandle.Handle, name string, child fhandle.Handle, err error) {
-	d := xdr.NewDecoder(p)
+func decodeEntryRecord(d *xdr.Decoder) (parent fhandle.Handle, name string, child fhandle.Handle, err error) {
 	if parent, err = fhandle.Decode(d); err != nil {
 		return
 	}
@@ -239,12 +245,35 @@ func decodeEntryRecord(p []byte) (parent fhandle.Handle, name string, child fhan
 	return
 }
 
+// answered appends to the record just encoded in the journal scratch the
+// outcome st and v of the call id, and records it in the outcome table:
+// the record that carries the call's mutation carries its answer too. A
+// zero id — a step of an operation whose outcome another record carries —
+// appends nothing. It returns the record. The caller holds s.mu.
+func (s *Server) answered(id once.Ident, st nfsproto.Status, v uint64) []byte {
+	if !id.IsZero() {
+		d := s.done.Record(id, once.Outcome{Status: uint32(st), Value: v})
+		d.Encode(&s.rec)
+	}
+	return s.rec.Bytes()
+}
+
+// recorded returns the outcome recorded for the call id (zero: none).
+// The caller holds s.mu.
+func (s *Server) recorded(id once.Ident) (nfsproto.Status, uint64, bool) {
+	if id.IsZero() {
+		return 0, 0, false
+	}
+	o, ok := s.done.Find(id)
+	return nfsproto.Status(o.Status), o.Value, ok
+}
+
 // ------------------------------------------------------------ compaction
 
 // liveRecords emits the server's state for wal.Log to compact to: the last
 // fileID minted, as a cell made and gone so no restart reissues it, then
-// one recNewCell per attribute cell and one recInsert per name cell.
-// It encodes through an encoder of its own: the server's scratch still
+// one recNewCell per attribute cell, one recInsert per name cell and one
+// recOutcome per call outcome of the last once.Span. It encodes through an encoder of its own: the server's scratch still
 // holds the record whose append triggered the compaction. The caller
 // holds s.mu.
 func (s *Server) liveRecords(emit func(recType uint32, payload []byte)) {
@@ -263,12 +292,17 @@ func (s *Server) liveRecords(emit func(recType uint32, payload []byte)) {
 			emit(recInsert, encodeEntryRecord(e, handleFromKey(c.parent), c.name, c.child))
 		}
 	}
+	s.done.Each(func(d *once.Done) {
+		e.Reset()
+		d.Encode(e)
+		emit(recOutcome, e.Bytes())
+	})
 }
 
 // liveSize is the journal length liveRecords emits, in O(1). The caller
 // holds s.mu.
 func (s *Server) liveSize() int {
-	n := s.st.cellBytes
+	n := s.st.cellBytes + s.done.Len()*wal.FrameLen(once.DoneSize)
 	if s.st.nextID > 0 {
 		n += 2 * cellFrameLen("")
 	}
@@ -286,13 +320,15 @@ func (s *Server) replayLog(log *wal.Log) error {
 
 // replay applies one journal record. Replay is idempotent: records assert
 // final states rather than increments where possible, and increments are
-// guarded by the presence checks below.
+// guarded by the presence checks below. A record that ends in a call's
+// outcome puts it back in the outcome table, unless it has expired.
 func (s *Server) replay(recType uint32, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	d := xdr.NewDecoder(payload)
 	switch recType {
 	case recCreate, recMkdirIn, recNewCell:
-		fh, at, target, err := decodeCellRecord(payload)
+		fh, at, target, err := decodeCellRecord(d)
 		if err != nil {
 			return err
 		}
@@ -301,7 +337,7 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 			s.st.nextID = fh.FileID + 1
 		}
 	case recInsert:
-		parent, name, child, err := decodeEntryRecord(payload)
+		parent, name, child, err := decodeEntryRecord(d)
 		if err != nil {
 			return err
 		}
@@ -309,21 +345,13 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 			s.st.insertEntry(&nameCell{parent: parent.Ident(), name: name, child: child})
 		}
 	case recRemove:
-		parent, name, _, err := decodeEntryRecord(payload)
+		parent, name, _, err := decodeEntryRecord(d)
 		if err != nil {
 			return err
 		}
 		s.st.removeEntry(parent, name)
-	case recSetAttr:
-		fh, at, _, err := decodeCellRecord(payload)
-		if err != nil {
-			return err
-		}
-		if c := s.st.attrs[fh.FileID]; c != nil {
-			c.at = at
-		}
-	case recTouch, recLinkDel:
-		fh, at, _, err := decodeCellRecord(payload)
+	case recSetAttr, recTouch, recLinkDel:
+		fh, at, _, err := decodeCellRecord(d)
 		if err != nil {
 			return err
 		}
@@ -331,13 +359,21 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 			c.at = at // records carry the post-state for idempotent replay
 		}
 	case recCellGone:
-		fh, _, _, err := decodeCellRecord(payload)
+		fh, _, _, err := decodeCellRecord(d)
 		if err != nil {
 			return err
 		}
 		s.st.dropCell(fh.FileID)
+	case recOutcome:
 	default:
 		return fmt.Errorf("dirsrv: unknown log record type %d", recType)
+	}
+	if d.Remaining() > 0 {
+		done, err := once.DecodeDone(d)
+		if err != nil {
+			return err
+		}
+		s.done.Put(done)
 	}
 	return nil
 }
@@ -347,8 +383,11 @@ func (s *Server) now() attr.Time { return attr.FromGo(time.Now()) }
 
 // Counters aggregates directory server activity for the experiments.
 type Counters struct {
-	Ops        uint64 // NFS operations served
+	Ops        uint64 // NFS operations executed, not those answered from their outcome
 	PeerCalls  uint64 // outbound peer-protocol calls
 	PeerServed uint64 // inbound peer-protocol calls
 	CrossSite  uint64 // NFS operations that required a peer call
+	// Outcomes is the outcome table's size now (once.Table.Len),
+	// OutcomesPeak the most it has held.
+	Outcomes, OutcomesPeak uint64
 }

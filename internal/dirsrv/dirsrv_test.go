@@ -10,6 +10,7 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
 	"slice/internal/wal"
@@ -800,7 +801,7 @@ func TestChildAttrCopiesUnderLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < rounds; i++ {
-			s.localSetAttrByKey(f.FileID, &attr.SetAttr{SetSize: true, Size: uint64(i)})
+			s.localSetAttrByKey(f.FileID, &attr.SetAttr{SetSize: true, Size: uint64(i)}, once.Ident{})
 		}
 	}()
 	for i := 0; i < rounds; i++ {

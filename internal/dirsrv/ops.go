@@ -6,6 +6,7 @@ import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
+	"slice/internal/once"
 	"slice/internal/route"
 	"slice/internal/xdr"
 )
@@ -58,8 +59,11 @@ func (s *Server) getattr(a *nfsproto.GetAttrArgs) nfsproto.GetAttrRes {
 	return nfsproto.GetAttrRes{Status: nfsproto.OK, Attr: c.at}
 }
 
-func (s *Server) setattr(a *nfsproto.SetAttrArgs) nfsproto.SetAttrRes {
-	st, at := s.localSetAttrByKey(a.FH.FileID, &a.Sattr)
+func (s *Server) setattr(a *nfsproto.SetAttrArgs, o *op) nfsproto.SetAttrRes {
+	if st, _, dup := s.seen(o); dup {
+		return nfsproto.SetAttrRes{Status: st, Attr: s.optLocalAttr(a.FH)}
+	}
+	st, at := s.localSetAttrByKey(a.FH.FileID, &a.Sattr, o.id)
 	res := nfsproto.SetAttrRes{Status: st}
 	if st == nfsproto.OK {
 		res.Attr = nfsproto.Some(at)
@@ -104,13 +108,15 @@ func (s *Server) lookup(a *nfsproto.LookupArgs) nfsproto.LookupRes {
 
 // touchParentMaybeRemote updates the parent directory's mtime/nlink, via a
 // peer call when the parent's cell lives on another site (name hashing).
-func (s *Server) touchParentMaybeRemote(parent fhandle.Handle, nlinkDelta int32) nfsproto.Status {
+func (s *Server) touchParentMaybeRemote(o *op, parent fhandle.Handle, nlinkDelta int32) nfsproto.Status {
 	site := parent.Site % uint32(s.dirSites())
 	if site == s.site {
-		return s.localTouchDir(parent.FileID, nlinkDelta)
+		return s.localTouchDir(parent.FileID, nlinkDelta, once.Ident{})
 	}
 	s.ct.crossSite.Add(1)
+	id := o.step(peerTouchDir)
 	st, err := s.peerCall(site, peerTouchDir, func(e *xdrEncoder) {
+		id.Encode(e)
 		e.PutUint64(parent.FileID)
 		e.PutInt32(nlinkDelta)
 	}, nil)
@@ -120,13 +126,17 @@ func (s *Server) touchParentMaybeRemote(parent fhandle.Handle, nlinkDelta int32)
 	return st
 }
 
-func (s *Server) create(a *nfsproto.CreateArgs) nfsproto.CreateRes {
+func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
 		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
 	// Mint the child and its attribute cell here (fixed placement: the
 	// create site owns the file's attributes).
 	s.mu.Lock()
+	if st, fileID, dup := s.seenLocked(o); dup {
+		s.mu.Unlock()
+		return s.madeAgain(a.Dir, st, fileID, attr.TypeReg)
+	}
 	if existing := s.st.findEntry(a.Dir, a.Name); existing != nil {
 		child := existing.child
 		s.mu.Unlock()
@@ -155,17 +165,18 @@ func (s *Server) create(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 		s.mu.Unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
+	s.entryRecord(a.Dir, a.Name, fh)
+	if _, err := s.log.AppendSync(recInsert, s.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
 		s.mu.Unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
 	s.mu.Unlock()
 
-	if st := s.touchParentMaybeRemote(a.Dir, 0); st == nfsproto.ErrStale {
+	if st := s.touchParentMaybeRemote(o, a.Dir, 0); st == nfsproto.ErrStale {
 		// Parent vanished concurrently: undo.
-		s.localRemoveEntry(a.Dir, a.Name, false)
-		s.discardCell(fh, &at)
+		s.localRemoveEntry(a.Dir, a.Name, false, once.Ident{})
+		s.discardCell(fh, &at, o.id, nfsproto.ErrStale)
 		return nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
 	return nfsproto.CreateRes{
@@ -174,7 +185,7 @@ func (s *Server) create(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 	}
 }
 
-func (s *Server) mkdir(a *nfsproto.CreateArgs) nfsproto.CreateRes {
+func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	// Under mkdir switching, arriving at a site other than the parent's
 	// means the µproxy redirected this mkdir here: the new directory (and
 	// its descendants) will live on this site, orphaned from its parent
@@ -183,6 +194,10 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 	redirected := s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir)
 
 	s.mu.Lock()
+	if st, fileID, dup := s.seenLocked(o); dup {
+		s.mu.Unlock()
+		return s.madeAgain(a.Dir, st, fileID, attr.TypeDir)
+	}
 	if !redirected {
 		if existing := s.st.findEntry(a.Dir, a.Name); existing != nil {
 			s.mu.Unlock()
@@ -216,21 +231,44 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 	if redirected {
 		s.ct.crossSite.Add(1)
 		parentSite := a.Dir.Site % uint32(s.dirSites())
-		st, _ = s.peerInsert(parentSite, a.Dir, a.Name, fh)
+		var bound uint64
+		st, bound = s.peerInsert(o, parentSite, a.Dir, a.Name, fh)
+		if st == nfsproto.OK {
+			res := nfsproto.CreateRes{Status: nfsproto.OK, FH: fh, Attr: nfsproto.Some(at)}
+			if bound != fh.FileID {
+				// The parent's site answered an insert it served
+				// before: this is a retransmission of a MKDIR whose
+				// outcome this site lost in a restart, and the
+				// directory minted then is the one the name is bound
+				// to. The one minted now goes.
+				s.discardCell(fh, &at, once.Ident{}, 0)
+				res.FH = s.handleOf(bound, uint8(attr.TypeDir))
+				res.Attr = s.childAttr(res.FH)
+			}
+			// No record of this site's carries the outcome: the insert
+			// was the parent's. A record of its own does, for a
+			// retransmission that comes back here.
+			s.mu.Lock()
+			s.rec.Reset()
+			_, _ = s.log.Append(recOutcome, s.answered(o.id, st, res.FH.FileID))
+			s.mu.Unlock()
+			res.DirAttr = s.optLocalAttr(a.Dir)
+			return res
+		}
 	} else {
-		st = s.localInsertEntry(a.Dir, a.Name, fh, true)
+		st, _ = s.localInsertEntry(a.Dir, a.Name, fh, true, o.id)
 		if st == nfsproto.OK && !s.ownsHandle(a.Dir) {
 			// Name hashing: the entry hashed here, but the parent's
 			// attribute cell lives at its own site; its link count and
 			// mtime must be updated there.
-			if pst := s.touchParentMaybeRemote(a.Dir, 1); pst == nfsproto.ErrStale {
+			if pst := s.touchParentMaybeRemote(o, a.Dir, 1); pst == nfsproto.ErrStale {
 				st = nfsproto.ErrStale
-				s.localRemoveEntry(a.Dir, a.Name, false)
+				s.localRemoveEntry(a.Dir, a.Name, false, once.Ident{})
 			}
 		}
 	}
 	if st != nfsproto.OK {
-		s.discardCell(fh, &at)
+		s.discardCell(fh, &at, o.id, st)
 		return nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	return nfsproto.CreateRes{
@@ -242,23 +280,50 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs) nfsproto.CreateRes {
 // discardCell undoes the cell a create, symlink or mkdir minted before it
 // found it could not link it in: the cell goes from memory and, by a
 // recCellGone record, from the journal, so a restart replays no orphan.
-func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr) {
+// The record carries the call's outcome, st, the failure the undo answers.
+func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr, id once.Ident, st nfsproto.Status) {
 	s.mu.Lock()
 	s.st.dropCell(fh.FileID)
-	_, _ = s.log.AppendSync(recCellGone, s.cellRecord(fh, at))
+	s.cellRecord(fh, at)
+	_, _ = s.log.AppendSync(recCellGone, s.answered(id, st, 0))
 	s.mu.Unlock()
 }
 
-// peerInsert installs a name entry at a remote site.
-func (s *Server) peerInsert(site uint32, parent fhandle.Handle, name string, child fhandle.Handle) (nfsproto.Status, error) {
-	return s.peerCall(site, peerInsertEntry, func(e *xdrEncoder) {
+// madeAgain answers a retransmitted CREATE, MKDIR or SYMLINK from its
+// outcome: the handle it minted, with the file's current attributes.
+func (s *Server) madeAgain(dir fhandle.Handle, st nfsproto.Status, fileID uint64, t attr.FileType) nfsproto.CreateRes {
+	res := nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(dir)}
+	if st == nfsproto.OK {
+		res.FH = s.handleOf(fileID, uint8(t))
+		res.Attr = s.childAttr(res.FH)
+	}
+	return res
+}
+
+// peerInsert installs a name entry at a remote site, a step of o, and
+// returns the file ID the name is bound to there.
+func (s *Server) peerInsert(o *op, site uint32, parent fhandle.Handle, name string, child fhandle.Handle) (nfsproto.Status, uint64) {
+	id := o.step(peerInsertEntry)
+	var bound uint64
+	st, err := s.peerCall(site, peerInsertEntry, func(e *xdrEncoder) {
+		id.Encode(e)
 		parent.Encode(e)
 		e.PutString(name)
 		child.Encode(e)
-	}, nil)
+	}, func(d *xdr.Decoder) (err error) {
+		bound, err = d.Uint64()
+		return err
+	})
+	if err != nil {
+		return nfsproto.ErrServerFault, 0
+	}
+	return st, bound
 }
 
-func (s *Server) remove(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
+func (s *Server) remove(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
+	if st, _, dup := s.seen(o); dup {
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+	}
 	s.mu.Lock()
 	entry := s.st.findEntry(a.Dir, a.Name)
 	if entry == nil {
@@ -272,26 +337,34 @@ func (s *Server) remove(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 	child := entry.child
 	s.mu.Unlock()
 
-	st, _ := s.localRemoveEntry(a.Dir, a.Name, true)
+	st, _ := s.localRemoveEntry(a.Dir, a.Name, true, o.id)
 	if st != nfsproto.OK {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	// Drop the child's link count, following the cross-site reference if
 	// its attribute cell lives elsewhere (hard links under name hashing).
-	childSite := child.Site % uint32(s.dirSites())
-	if childSite == s.site {
-		s.localLinkDelta(child.FileID, -1)
-	} else {
-		s.ct.crossSite.Add(1)
-		_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
-			e.PutUint64(child.FileID)
-			e.PutInt32(-1)
-		}, nil)
-	}
+	s.linkDelta(o, child, -1)
 	if !s.ownsHandle(a.Dir) {
-		s.touchParentMaybeRemote(a.Dir, 0)
+		s.touchParentMaybeRemote(o, a.Dir, 0)
 	}
 	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
+}
+
+// linkDelta adjusts child's link count where its attribute cell lives, by
+// a peer call, a step of o, when that is another site.
+func (s *Server) linkDelta(o *op, child fhandle.Handle, delta int32) {
+	childSite := child.Site % uint32(s.dirSites())
+	if childSite == s.site {
+		s.localLinkDelta(child.FileID, delta, once.Ident{})
+		return
+	}
+	s.ct.crossSite.Add(1)
+	id := o.step(peerLinkDelta)
+	_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
+		id.Encode(e)
+		e.PutUint64(child.FileID)
+		e.PutInt32(delta)
+	}, nil)
 }
 
 // dirEmpty checks whether a directory has no entries anywhere. Under mkdir
@@ -323,7 +396,10 @@ func (s *Server) dirEmpty(child fhandle.Handle) (bool, nfsproto.Status) {
 	return true, nfsproto.OK
 }
 
-func (s *Server) rmdir(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
+func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
+	if st, _, dup := s.seen(o); dup {
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+	}
 	s.mu.Lock()
 	entry := s.st.findEntry(a.Dir, a.Name)
 	if entry == nil {
@@ -346,7 +422,7 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 		if !empty {
 			return nfsproto.RemoveRes{Status: nfsproto.ErrNotEmpty, DirAttr: s.optLocalAttr(a.Dir)}
 		}
-		if st := s.localRemoveDirCell(child, true); st != nfsproto.OK && st != nfsproto.ErrStale {
+		if st := s.localRemoveDirCell(child, true, once.Ident{}); st != nfsproto.OK && st != nfsproto.ErrStale {
 			return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	} else {
@@ -354,7 +430,9 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 		// at the child's site; ask that site to verify emptiness and
 		// remove the cell.
 		s.ct.crossSite.Add(1)
+		id := o.step(peerRemoveDirCell)
 		st, err := s.peerCall(childSite, peerRemoveDirCell, func(e *xdrEncoder) {
+			id.Encode(e)
 			child.Encode(e)
 		}, nil)
 		if err != nil {
@@ -364,17 +442,24 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs) nfsproto.RemoveRes {
 			return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	}
-	st, _ := s.localRemoveEntry(a.Dir, a.Name, true)
+	st, _ := s.localRemoveEntry(a.Dir, a.Name, true, o.id)
 	if st != nfsproto.OK {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	if !s.ownsHandle(a.Dir) {
-		s.touchParentMaybeRemote(a.Dir, -1)
+		s.touchParentMaybeRemote(o, a.Dir, -1)
 	}
 	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
 }
 
-func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
+func (s *Server) rename(a *nfsproto.RenameArgs, o *op) nfsproto.RenameRes {
+	if st, _, dup := s.seen(o); dup {
+		return nfsproto.RenameRes{
+			Status:      st,
+			FromDirAttr: s.optLocalAttr(a.FromDir),
+			ToDirAttr:   s.optLocalAttr(a.ToDir),
+		}
+	}
 	s.mu.Lock()
 	entry := s.st.findEntry(a.FromDir, a.FromName)
 	s.mu.Unlock()
@@ -402,16 +487,16 @@ func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
 	}
 	var st nfsproto.Status
 	if targetSite == s.site {
-		st = s.localInsertEntry(a.ToDir, a.ToName, child, true)
+		st, _ = s.localInsertEntry(a.ToDir, a.ToName, child, true, once.Ident{})
 	} else {
 		s.ct.crossSite.Add(1)
-		st, _ = s.peerInsert(targetSite, a.ToDir, a.ToName, child)
+		st, _ = s.peerInsert(o, targetSite, a.ToDir, a.ToName, child)
 	}
 	// The insert updates the destination directory's cell only when that
 	// cell is resident at the entry's site; under name hashing the cell
 	// lives at the directory's own site and needs an explicit touch.
 	if st == nfsproto.OK && a.ToDir.Site%uint32(s.dirSites()) != targetSite {
-		s.touchParentMaybeRemote(a.ToDir, nlinkBump)
+		s.touchParentMaybeRemote(o, a.ToDir, nlinkBump)
 	}
 	if st != nfsproto.OK {
 		return nfsproto.RenameRes{
@@ -422,7 +507,7 @@ func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
 	}
 	// Remove the old entry. localRemoveEntry adjusts the from-parent's
 	// nlink when a directory moves out.
-	st, _ = s.localRemoveEntry(a.FromDir, a.FromName, true)
+	st, _ = s.localRemoveEntry(a.FromDir, a.FromName, true, o.id)
 	if st != nfsproto.OK {
 		return nfsproto.RenameRes{Status: st}
 	}
@@ -431,7 +516,7 @@ func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
 		if isDir && !sameDir {
 			delta = -1
 		}
-		s.touchParentMaybeRemote(a.FromDir, delta)
+		s.touchParentMaybeRemote(o, a.FromDir, delta)
 	}
 	return nfsproto.RenameRes{
 		Status:      nfsproto.OK,
@@ -440,26 +525,22 @@ func (s *Server) rename(a *nfsproto.RenameArgs) nfsproto.RenameRes {
 	}
 }
 
-func (s *Server) link(a *nfsproto.LinkArgs) nfsproto.LinkRes {
+func (s *Server) link(a *nfsproto.LinkArgs, o *op) nfsproto.LinkRes {
 	if a.FH.Type == uint8(attr.TypeDir) {
 		return nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
 	}
-	st := s.localInsertEntry(a.Dir, a.Name, a.FH, true)
+	st, dup := nfsproto.OK, false
+	if st, _, dup = s.seen(o); !dup {
+		st, _ = s.localInsertEntry(a.Dir, a.Name, a.FH, true, o.id)
+	}
 	if st != nfsproto.OK {
 		return nfsproto.LinkRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	childSite := a.FH.Site % uint32(s.dirSites())
-	if childSite == s.site {
-		s.localLinkDelta(a.FH.FileID, 1)
-	} else {
-		s.ct.crossSite.Add(1)
-		_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
-			e.PutUint64(a.FH.FileID)
-			e.PutInt32(1)
-		}, nil)
-	}
-	if !s.ownsHandle(a.Dir) {
-		s.touchParentMaybeRemote(a.Dir, 0)
+	if !dup {
+		s.linkDelta(o, a.FH, 1)
+		if !s.ownsHandle(a.Dir) {
+			s.touchParentMaybeRemote(o, a.Dir, 0)
+		}
 	}
 	return nfsproto.LinkRes{
 		Status:  nfsproto.OK,
@@ -535,9 +616,12 @@ func (s *Server) fsstat(a *nfsproto.FsStatArgs) nfsproto.FsStatRes {
 // symlink creates a symbolic link cell: a name entry plus an attribute
 // cell carrying the target path. It follows the same placement rules as
 // create — the link lives at the site that owns the (parent, name) entry.
-func (s *Server) symlink(a *nfsproto.SymlinkArgs) nfsproto.CreateRes {
+func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
 		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
+	}
+	if st, fileID, dup := s.seen(o); dup {
+		return s.madeAgain(a.Dir, st, fileID, attr.TypeLink)
 	}
 	if len(a.Target) > 4096 {
 		return nfsproto.CreateRes{Status: nfsproto.ErrNameTooLong}
@@ -561,16 +645,17 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) nfsproto.CreateRes {
 		s.mu.Unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	if _, err := s.log.AppendSync(recInsert, s.entryRecord(a.Dir, a.Name, fh)); err != nil {
+	s.entryRecord(a.Dir, a.Name, fh)
+	if _, err := s.log.AppendSync(recInsert, s.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
 		s.mu.Unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
 	s.mu.Unlock()
 
-	if st := s.touchParentMaybeRemote(a.Dir, 0); st == nfsproto.ErrStale {
-		s.localRemoveEntry(a.Dir, a.Name, false)
-		s.discardCell(fh, &at)
+	if st := s.touchParentMaybeRemote(o, a.Dir, 0); st == nfsproto.ErrStale {
+		s.localRemoveEntry(a.Dir, a.Name, false, once.Ident{})
+		s.discardCell(fh, &at, o.id, nfsproto.ErrStale)
 		return nfsproto.CreateRes{Status: nfsproto.ErrStale}
 	}
 	return nfsproto.CreateRes{

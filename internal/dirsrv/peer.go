@@ -3,8 +3,8 @@ package dirsrv
 import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
-	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
 )
@@ -18,12 +18,11 @@ const (
 	PeerVersion = 1
 )
 
-// Peer procedures.
+// Peer procedures. 2 and 4, a remote SETATTR and a remote entry removal,
+// are retired: nothing called them.
 const (
 	peerGetAttr       = 1
-	peerSetAttr       = 2
 	peerInsertEntry   = 3
-	peerRemoveEntry   = 4
 	peerTouchDir      = 5
 	peerRemoveDirCell = 6
 	peerListDir       = 7
@@ -64,139 +63,107 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	return status, nil
 }
 
-// servePeer handles inbound peer-protocol calls. Peer handlers perform
-// purely local mutations (they never call out to other sites), which keeps
-// the peer protocol acyclic and deadlock-free.
-func (s *Server) servePeer(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
+// servePeer handles inbound peer-protocol calls, encoding each result
+// straight into the reply. Peer handlers perform purely local mutations
+// (they never call out to other sites), which keeps the peer protocol
+// acyclic and deadlock-free. A mutation's arguments begin with the
+// identity of the step of the client operation it serves (op.step), under
+// which it records its outcome, so a retransmission — of the peer call,
+// or of a step the operation takes again when its client retries it —
+// gets the first execution's answer.
+func (s *Server) servePeer(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	s.ct.peerServed.Add(1)
 	d := xdr.NewDecoder(call.Body)
+	var id once.Ident
+	switch call.Proc {
+	case peerInsertEntry, peerTouchDir, peerRemoveDirCell, peerLinkDelta:
+		var err error
+		if id, err = once.DecodeIdent(d); err != nil {
+			return oncrpc.AcceptGarbageArgs
+		}
+	}
 	switch call.Proc {
 	case peerGetAttr:
 		key, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		st, at := s.localGetAttrByKey(key)
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			if st == nfsproto.OK {
-				at.Encode(e)
-			}
-		}, oncrpc.AcceptSuccess
-
-	case peerSetAttr:
-		key, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+		e.PutUint32(uint32(st))
+		if st == nfsproto.OK {
+			at.Encode(e)
 		}
-		var sa attr.SetAttr
-		if err := sa.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		st, at := s.localSetAttrByKey(key, &sa)
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			if st == nfsproto.OK {
-				at.Encode(e)
-			}
-		}, oncrpc.AcceptSuccess
 
 	case peerInsertEntry:
-		parent, name, child, err := decodeEntryRecord(call.Body)
+		parent, name, child, err := decodeEntryRecord(d)
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		st := s.localInsertEntry(parent, name, child, true)
-		return statusOnly(st), oncrpc.AcceptSuccess
-
-	case peerRemoveEntry:
-		parent, err := fhandle.Decode(d)
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+		st, bound := s.localInsertEntry(parent, name, child, true, id)
+		e.PutUint32(uint32(st))
+		if st == nfsproto.OK {
+			e.PutUint64(bound)
 		}
-		name, err := d.String()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		st, child := s.localRemoveEntry(parent, name, true)
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			if st == nfsproto.OK {
-				child.Encode(e)
-			}
-		}, oncrpc.AcceptSuccess
 
 	case peerTouchDir:
 		key, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		delta, err := d.Int32()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		st := s.localTouchDir(key, delta)
-		return statusOnly(st), oncrpc.AcceptSuccess
+		e.PutUint32(uint32(s.localTouchDir(key, delta, id)))
 
 	case peerRemoveDirCell:
 		child, err := fhandle.Decode(d)
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		st := s.localRemoveDirCell(child, true)
-		return statusOnly(st), oncrpc.AcceptSuccess
+		e.PutUint32(uint32(s.localRemoveDirCell(child, true, id)))
 
 	case peerListDir:
 		parent, err := fhandle.Decode(d)
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		ents := s.localListDir(parent.Ident())
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(nfsproto.OK))
-			e.PutUint32(uint32(len(ents)))
-			for _, ent := range ents {
-				e.PutUint64(ent.child.FileID)
-				e.PutString(ent.name)
-				ent.child.Encode(e)
-			}
-		}, oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.OK))
+		e.PutUint32(uint32(len(ents)))
+		for _, ent := range ents {
+			e.PutUint64(ent.child.FileID)
+			e.PutString(ent.name)
+			ent.child.Encode(e)
+		}
 
 	case peerCountDir:
 		parent, err := fhandle.Decode(d)
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		n := len(s.localListDir(parent.Ident()))
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(nfsproto.OK))
-			e.PutUint32(uint32(n))
-		}, oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.OK))
+		e.PutUint32(uint32(len(s.localListDir(parent.Ident()))))
 
 	case peerLinkDelta:
 		key, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		delta, err := d.Int32()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		st, nlink := s.localLinkDelta(key, delta)
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(st))
-			if st == nfsproto.OK {
-				e.PutUint32(nlink)
-			}
-		}, oncrpc.AcceptSuccess
+		st, nlink := s.localLinkDelta(key, delta, id)
+		e.PutUint32(uint32(st))
+		if st == nfsproto.OK {
+			e.PutUint32(nlink)
+		}
 
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
-}
-
-func statusOnly(st nfsproto.Status) func(*xdr.Encoder) {
-	return func(e *xdr.Encoder) { e.PutUint32(uint32(st)) }
+	return oncrpc.AcceptSuccess
 }
 
 // remoteEntry is a directory entry fetched from a peer via ListDir.

@@ -9,6 +9,7 @@ import (
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
 	"slice/internal/wal"
@@ -62,6 +63,10 @@ type Server struct {
 	// rec is the journal records' scratch, used under mu: a record is
 	// encoded into it and appended before the next is encoded.
 	rec xdr.Encoder
+	// done is the outcome of each non-idempotent call served in the last
+	// once.Span, NFS and peer alike, under mu; the journal carries it
+	// (answered), so it survives a restart.
+	done once.Table
 
 	ct struct{ ops, peerCalls, peerServed, crossSite atomic.Uint64 }
 
@@ -129,11 +134,16 @@ func (s *Server) Log() *wal.Log { return s.log }
 
 // Counters returns a snapshot of the server's activity counters.
 func (s *Server) Counters() Counters {
+	s.mu.Lock()
+	outcomes, peak := s.done.Len(), s.done.Peak()
+	s.mu.Unlock()
 	return Counters{
-		Ops:        s.ct.ops.Load(),
-		PeerCalls:  s.ct.peerCalls.Load(),
-		PeerServed: s.ct.peerServed.Load(),
-		CrossSite:  s.ct.crossSite.Load(),
+		Ops:          s.ct.ops.Load(),
+		PeerCalls:    s.ct.peerCalls.Load(),
+		PeerServed:   s.ct.peerServed.Load(),
+		CrossSite:    s.ct.crossSite.Load(),
+		Outcomes:     uint64(outcomes),
+		OutcomesPeak: uint64(peak),
 	}
 }
 
@@ -177,90 +187,81 @@ func (s *Server) SetRoot(fh fhandle.Handle) {
 func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
 	id := uint64(s.site+1)<<40 | max(s.st.nextID, 1)
 	s.st.nextID = id + 1
+	return s.handleOf(id, ftype)
+}
+
+// handleOf returns the handle minted for fileID, whose high bits name the
+// site that minted it.
+func (s *Server) handleOf(fileID uint64, ftype uint8) fhandle.Handle {
 	return fhandle.Handle{
 		Volume:  s.vol,
-		FileID:  id,
+		FileID:  fileID,
 		Type:    ftype,
-		CellKey: id,
-		Site:    s.site,
+		CellKey: fileID,
+		Site:    uint32(fileID>>40) - 1,
 		Gen:     1,
 	}
 }
 
-// ServeRPC implements oncrpc.Handler: it dispatches a call by program.
-// The NFS procedures decode their arguments and encode their results
-// straight into the reply; the cold mount and peer programs return
-// theirs as encoder functions (oncrpc.HandlerFunc).
+// ServeRPC implements oncrpc.Handler: it dispatches a call by program,
+// and each program decodes its arguments and encodes its result straight
+// into the reply.
 func (s *Server) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	switch call.Program {
 	case nfsproto.Program:
-		return s.serveNFS(call, e)
+		return s.serveNFS(call, from, e)
 	case PeerProgram:
-		return oncrpc.HandlerFunc(s.servePeer).ServeRPC(call, from, e)
+		return s.servePeer(call, e)
 	case MountProgram:
-		return oncrpc.HandlerFunc(s.serveMount).ServeRPC(call, from, e)
+		return s.serveMount(call, e)
 	default:
 		return oncrpc.AcceptProgUnavail
 	}
 }
 
-func (s *Server) serveMount(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
-	switch call.Proc {
-	case nfsproto.MountProcNull:
-		return func(*xdr.Encoder) {}, oncrpc.AcceptSuccess
-
-	case nfsproto.MountProcMnt:
-		// The dirpath argument is optional for back-compatibility: the
-		// in-fabric client has always sent a bare MNT. When present it
-		// must name the export (or "/").
-		if len(call.Body) > 0 {
-			var args nfsproto.MountPathArgs
-			if err := args.Decode(xdr.NewDecoder(call.Body)); err != nil {
-				return nil, oncrpc.AcceptGarbageArgs
-			}
-			if args.Path != "" && args.Path != "/" && args.Path != ExportPath {
-				res := nfsproto.MountMntRes{Status: nfsproto.ErrNoEnt}
-				return res.Encode, oncrpc.AcceptSuccess
-			}
+func (s *Server) serveMount(call oncrpc.Call, e *xdr.Encoder) uint32 {
+	// The path argument of MNT and UMNT is optional for back-compatibility:
+	// the in-fabric client has always sent a bare MNT. When present it
+	// must be well formed, and MNT's must name the export (or "/").
+	var args nfsproto.MountPathArgs
+	if (call.Proc == nfsproto.MountProcMnt || call.Proc == nfsproto.MountProcUmnt) && len(call.Body) > 0 {
+		if err := args.Decode(xdr.NewDecoder(call.Body)); err != nil {
+			return oncrpc.AcceptGarbageArgs
 		}
+	}
+	switch call.Proc {
+	case nfsproto.MountProcNull, nfsproto.MountProcUmnt, nfsproto.MountProcUmntAll:
+		// A stateless server: nothing to tear down.
+	case nfsproto.MountProcMnt:
 		s.mu.Lock()
-		fh := s.rootFH
+		res := nfsproto.MountMntRes{Status: nfsproto.OK, FH: s.rootFH}
 		s.mu.Unlock()
-		res := nfsproto.MountMntRes{Status: nfsproto.OK, FH: fh}
-		if fh.IsZero() {
+		if res.FH.IsZero() || args.Path != "" && args.Path != "/" && args.Path != ExportPath {
 			res = nfsproto.MountMntRes{Status: nfsproto.ErrNoEnt}
 		}
-		return res.Encode, oncrpc.AcceptSuccess
-
-	case nfsproto.MountProcUmnt:
-		// Stateless server: nothing to tear down, but the argument must
-		// still be well formed.
-		if len(call.Body) > 0 {
-			var args nfsproto.MountPathArgs
-			if err := args.Decode(xdr.NewDecoder(call.Body)); err != nil {
-				return nil, oncrpc.AcceptGarbageArgs
-			}
-		}
-		return func(*xdr.Encoder) {}, oncrpc.AcceptSuccess
-
-	case nfsproto.MountProcUmntAll:
-		return func(*xdr.Encoder) {}, oncrpc.AcceptSuccess
-
+		res.Encode(e)
 	case nfsproto.MountProcExport:
 		res := nfsproto.ExportRes{Entries: []nfsproto.ExportEntry{{Dir: ExportPath}}}
-		return res.Encode, oncrpc.AcceptSuccess
-
+		res.Encode(e)
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
+	return oncrpc.AcceptSuccess
 }
 
 // serveNFS serves one NFS procedure: its arguments decode into a value on
 // this frame and its result, returned by value, encodes into the reply, so
 // neither is allocated.
-func (s *Server) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
-	s.ct.ops.Add(1)
+// A mutating procedure also takes the call's identity, under which it
+// records the outcome, and answers a retransmission from it.
+func (s *Server) serveNFS(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
+	o := op{id: once.IdentOf(&call, from)}
+	defer func() {
+		if !o.replayed {
+			s.ct.ops.Add(1)
+		}
+	}()
 	var err error
 	switch nfsproto.Proc(call.Proc) {
 	case nfsproto.ProcNull:
@@ -273,7 +274,7 @@ func (s *Server) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	case nfsproto.ProcSetAttr:
 		var a nfsproto.SetAttrArgs
 		if err = a.Decode(d); err == nil {
-			res := s.setattr(&a)
+			res := s.setattr(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcLookup:
@@ -295,13 +296,13 @@ func (s *Server) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	case nfsproto.ProcCreate:
 		var a nfsproto.CreateArgs
 		if err = a.Decode(d); err == nil {
-			res := s.create(&a)
+			res := s.create(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcSymlink:
 		var a nfsproto.SymlinkArgs
 		if err = a.Decode(d); err == nil {
-			res := s.symlink(&a)
+			res := s.symlink(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcReadLink:
@@ -313,31 +314,31 @@ func (s *Server) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	case nfsproto.ProcMkdir:
 		var a nfsproto.CreateArgs
 		if err = a.Decode(d); err == nil {
-			res := s.mkdir(&a)
+			res := s.mkdir(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcRemove:
 		var a nfsproto.RemoveArgs
 		if err = a.Decode(d); err == nil {
-			res := s.remove(&a)
+			res := s.remove(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcRmdir:
 		var a nfsproto.RemoveArgs
 		if err = a.Decode(d); err == nil {
-			res := s.rmdir(&a)
+			res := s.rmdir(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcRename:
 		var a nfsproto.RenameArgs
 		if err = a.Decode(d); err == nil {
-			res := s.rename(&a)
+			res := s.rename(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcLink:
 		var a nfsproto.LinkArgs
 		if err = a.Decode(d); err == nil {
-			res := s.link(&a)
+			res := s.link(&a, &o)
 			res.Encode(e)
 		}
 	case nfsproto.ProcReadDir:
@@ -379,7 +380,44 @@ func (s *Server) ownsHandle(fh fhandle.Handle) bool {
 //
 // local* methods implement single-site mutations. They take s.mu, journal
 // the mutation, and return NFS statuses. They never call peers, so peer
-// handlers built on them are leaves of the call graph.
+// handlers built on them are leaves of the call graph. Each takes the
+// identity of the call whose outcome its record carries: the NFS call it
+// completes, a peer step it serves — which it answers from the outcome
+// table when that step was served before — or none, when it is a step of
+// an operation whose outcome another record carries.
+
+// op is the NFS call a mutation serves: its identity, under which its
+// outcome is recorded, and the peer mutations made on its behalf so far,
+// each of which carries the identity of its step (step).
+type op struct {
+	id    once.Ident
+	steps uint32
+	// replayed is set when the op was answered from its recorded outcome:
+	// no operation was executed, and Counters.Ops does not count it.
+	replayed bool
+}
+
+// step returns the identity of the op's next peer mutation, proc: the
+// same one in every execution of the op that reaches the same step.
+func (o *op) step(proc uint32) once.Ident {
+	o.steps++
+	return o.id.Sub(o.steps<<8 | proc)
+}
+
+// seen returns the outcome recorded for the op: it was served before,
+// and this is a retransmission.
+func (s *Server) seen(o *op) (nfsproto.Status, uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seenLocked(o)
+}
+
+// seenLocked is seen for a caller that holds s.mu.
+func (s *Server) seenLocked(o *op) (nfsproto.Status, uint64, bool) {
+	st, v, ok := s.recorded(o.id)
+	o.replayed = ok
+	return st, v, ok
+}
 
 func (s *Server) localGetAttrByKey(key uint64) (nfsproto.Status, attr.Attr) {
 	s.mu.Lock()
@@ -391,7 +429,7 @@ func (s *Server) localGetAttrByKey(key uint64) (nfsproto.Status, attr.Attr) {
 	return nfsproto.OK, c.at
 }
 
-func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr) (nfsproto.Status, attr.Attr) {
+func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr, id once.Ident) (nfsproto.Status, attr.Attr) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.st.attrs[key]
@@ -399,20 +437,24 @@ func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr) (nfsproto.Statu
 		return nfsproto.ErrStale, attr.Attr{}
 	}
 	sa.Apply(&c.at, s.now())
-	if _, err := s.log.AppendSync(recSetAttr, s.cellRecord(c.fh, &c.at)); err != nil {
+	s.cellRecord(c.fh, &c.at)
+	if _, err := s.log.AppendSync(recSetAttr, s.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO, attr.Attr{}
 	}
 	return nfsproto.OK, c.at
 }
 
 // localInsertEntry inserts a name entry (and, for directory children,
-// bumps the parent link count). touchParent updates the parent cell if it
-// is resident.
-func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhandle.Handle, touchParent bool) nfsproto.Status {
+// bumps the parent link count) and returns the file ID the name is bound
+// to. touchParent updates the parent cell if it is resident.
+func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhandle.Handle, touchParent bool, id once.Ident) (nfsproto.Status, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st, bound, ok := s.recorded(id); ok {
+		return st, bound
+	}
 	if s.st.findEntry(parent, name) != nil {
-		return nfsproto.ErrExist
+		return nfsproto.ErrExist, 0
 	}
 	if touchParent {
 		if pc := s.st.attrs[parent.FileID]; pc != nil {
@@ -423,24 +465,25 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 				pc.at.Nlink++
 			}
 			if _, err := s.log.Append(recTouch, s.cellRecord(pc.fh, &pc.at)); err != nil {
-				return nfsproto.ErrIO
+				return nfsproto.ErrIO, 0
 			}
 		} else if s.ownsHandle(parent) {
 			// The parent should be here but its cell is gone: it was
 			// removed concurrently.
-			return nfsproto.ErrStale
+			return nfsproto.ErrStale, 0
 		}
 	}
 	c := &nameCell{parent: parent.Ident(), name: name, child: child}
 	s.st.insertEntry(c)
-	if _, err := s.log.AppendSync(recInsert, s.entryRecord(parent, name, child)); err != nil {
-		return nfsproto.ErrIO
+	s.entryRecord(parent, name, child)
+	if _, err := s.log.AppendSync(recInsert, s.answered(id, nfsproto.OK, child.FileID)); err != nil {
+		return nfsproto.ErrIO, 0
 	}
-	return nfsproto.OK
+	return nfsproto.OK, child.FileID
 }
 
 // localRemoveEntry removes a name entry and returns the child handle.
-func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParent bool) (nfsproto.Status, fhandle.Handle) {
+func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParent bool, id once.Ident) (nfsproto.Status, fhandle.Handle) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.st.removeEntry(parent, name)
@@ -460,16 +503,20 @@ func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParen
 			}
 		}
 	}
-	if _, err := s.log.AppendSync(recRemove, s.entryRecord(parent, name, c.child)); err != nil {
+	s.entryRecord(parent, name, c.child)
+	if _, err := s.log.AppendSync(recRemove, s.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO, fhandle.Handle{}
 	}
 	return nfsproto.OK, c.child
 }
 
 // localTouchDir updates a resident directory cell's mtime and link count.
-func (s *Server) localTouchDir(key uint64, nlinkDelta int32) nfsproto.Status {
+func (s *Server) localTouchDir(key uint64, nlinkDelta int32, id once.Ident) nfsproto.Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st, _, ok := s.recorded(id); ok {
+		return st
+	}
 	c := s.st.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale
@@ -482,7 +529,8 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32) nfsproto.Status {
 		newNlink = 0
 	}
 	c.at.Nlink = uint32(newNlink)
-	if _, err := s.log.AppendSync(recTouch, s.cellRecord(c.fh, &c.at)); err != nil {
+	s.cellRecord(c.fh, &c.at)
+	if _, err := s.log.AppendSync(recTouch, s.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -491,9 +539,12 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32) nfsproto.Status {
 // localRemoveDirCell removes a resident directory attribute cell after
 // verifying the directory has no local entries. checkEmpty is false when
 // the caller has already performed a global emptiness check.
-func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool) nfsproto.Status {
+func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool, id once.Ident) nfsproto.Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st, _, ok := s.recorded(id); ok {
+		return st
+	}
 	c := s.st.attrs[child.FileID]
 	if c == nil {
 		return nfsproto.ErrStale
@@ -505,7 +556,8 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool) nfspr
 		return nfsproto.ErrNotEmpty
 	}
 	s.st.dropCell(child.FileID)
-	if _, err := s.log.AppendSync(recCellGone, s.cellRecord(child, &c.at)); err != nil {
+	s.cellRecord(child, &c.at)
+	if _, err := s.log.AppendSync(recCellGone, s.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -513,9 +565,12 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool) nfspr
 
 // localLinkDelta adjusts a file cell's link count, removing the cell when
 // it reaches zero. Returns the new link count.
-func (s *Server) localLinkDelta(key uint64, delta int32) (nfsproto.Status, uint32) {
+func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsproto.Status, uint32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st, nlink, ok := s.recorded(id); ok {
+		return st, uint32(nlink)
+	}
 	c := s.st.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale, 0
@@ -526,14 +581,13 @@ func (s *Server) localLinkDelta(key uint64, delta int32) (nfsproto.Status, uint3
 	}
 	c.at.Nlink = uint32(newNlink)
 	c.at.Ctime = s.now()
+	recType := uint32(recLinkDel)
 	if c.at.Nlink == 0 && c.at.Type != attr.TypeDir {
 		s.st.dropCell(key)
-		if _, err := s.log.AppendSync(recCellGone, s.cellRecord(c.fh, &c.at)); err != nil {
-			return nfsproto.ErrIO, 0
-		}
-		return nfsproto.OK, 0
+		recType = recCellGone
 	}
-	if _, err := s.log.AppendSync(recLinkDel, s.cellRecord(c.fh, &c.at)); err != nil {
+	s.cellRecord(c.fh, &c.at)
+	if _, err := s.log.AppendSync(recType, s.answered(id, nfsproto.OK, uint64(c.at.Nlink))); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, c.at.Nlink

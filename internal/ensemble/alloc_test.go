@@ -8,16 +8,20 @@ import (
 	"slice/internal/attr"
 	"slice/internal/client"
 	"slice/internal/nfsproto"
-	"slice/internal/oncrpc"
 )
 
+// runs is how many calls allocsOver measures, and how many it warms up
+// over first.
+const runs = 1000
+
 // allocsOver returns the mean allocations of op from client through the
-// µproxy to its server and back, after oncrpc.DRCSize warm-up calls — so
-// a non-idempotent op is measured once its server's duplicate-request
-// cache has wrapped and retains each reply in the buffer of a slot it
-// evicts, as in any run longer than the cache — and the same for a NULL
-// call, which takes the same path and draws from the same pools. Without
-// the race detector the NULL call itself must allocate nothing.
+// µproxy to its server and back, after runs warm-up calls, and the same
+// for a NULL call, which takes the same path and draws from the same
+// pools. A non-idempotent op records its outcome in its server's table,
+// a map that keeps every call of up to two once.Spans and grows by
+// doubling until it does: warmed up over as many calls as are measured,
+// it grows at most once more over the measured ones. Without the race detector the NULL call
+// itself must allocate nothing.
 func allocsOver(t *testing.T, c *client.Client, op func() error) (got, null float64) {
 	t.Helper()
 	call := func(f func() error) func() {
@@ -27,23 +31,23 @@ func allocsOver(t *testing.T, c *client.Client, op func() error) (got, null floa
 			}
 		}
 	}
-	for i := 0; i < oncrpc.DRCSize; i++ {
+	for i := 0; i < runs; i++ {
 		call(op)()
 	}
-	null = allocs.PerCall(1000, call(c.Null))
+	null = allocs.PerCall(runs, call(c.Null))
 	if !allocs.Race && null > allocs.Slack {
 		t.Fatalf("a NULL call through the µproxy allocates %.2f times", null)
 	}
-	return allocs.PerCall(1000, call(op)), null
+	return allocs.PerCall(runs, call(op)), null
 }
 
 // TestNameOpsAllocateNothing: GETATTR, ACCESS, SETATTR of times only and
 // LOOKUP, of a name that is bound and of one that is not, allocate
 // nothing from the client through the µproxy to the directory server and
 // back — arguments and results on the stack at every layer, encoders
-// recycled, a failed status preallocated, a retained reply in recycled
-// memory, and a LOOKUP's name read in place by the µproxy and by the
-// directory server alike.
+// recycled, a failed status preallocated, a SETATTR's outcome recorded in
+// a table that holds no pointer, and a LOOKUP's name read in place by the
+// µproxy and by the directory server alike.
 func TestNameOpsAllocateNothing(t *testing.T) {
 	e := newTest(t, nil)
 	c, err := e.NewClient()
@@ -89,8 +93,9 @@ func TestNameOpsAllocateNothing(t *testing.T) {
 // little else: the directory server's attribute cell, name cell, the hash
 // chain that holds it and the name it stores, and the µproxy's
 // attribute-cache entry for the new file — five objects, and one more of
-// headroom for the maps and directory list the new entries grow. The
-// reply it retains for retransmissions reuses an evicted slot's buffer.
+// headroom for the maps and directory list the new entries grow. Its
+// outcome, recorded for retransmissions, is an entry in a table that
+// holds no pointer.
 func TestCreateAllocatesItsStateOnly(t *testing.T) {
 	e := newTest(t, nil)
 	c, err := e.NewClient()
@@ -100,7 +105,7 @@ func TestCreateAllocatesItsStateOnly(t *testing.T) {
 	defer c.Close()
 	// The names are made before the measured calls: a caller's name is
 	// not the RPC path's allocation.
-	names := make([]string, oncrpc.DRCSize+1+1000)
+	names := make([]string, 2*runs+1)
 	for i := range names {
 		names[i] = fmt.Sprintf("f%07d", i)
 	}

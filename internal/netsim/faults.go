@@ -25,7 +25,7 @@ type LinkFault struct {
 	// Latency is added to every delivery on the link (a latency spike).
 	Latency time.Duration
 	// Duplicate is the probability that a datagram is delivered twice —
-	// the failure mode duplicate-request caches exist for.
+	// the failure mode at-most-once execution exists for.
 	Duplicate float64
 	// Reorder is the probability that a datagram is held back by a random
 	// extra delay of up to ReorderWindow, letting later traffic overtake.

@@ -105,8 +105,8 @@ func (p Proc) String() string {
 // (RFC 1813; Linux nfsd serves them uncached). Every other procedure —
 // SETATTR, WRITE, CREATE, MKDIR, SYMLINK, REMOVE, RMDIR, RENAME, LINK,
 // COMMIT, and any this package does not know — must answer a
-// retransmission with its original reply, from the server's
-// duplicate-request cache.
+// retransmission as it answered the call, from the outcome the server
+// recorded (once.Table).
 func (p Proc) Idempotent() bool {
 	switch p {
 	case ProcNull, ProcGetAttr, ProcLookup, ProcAccess, ProcReadLink, ProcRead, ProcReadDir, ProcFsStat:

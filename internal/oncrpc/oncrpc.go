@@ -10,15 +10,18 @@
 //
 // Clients retransmit on timeout with exponential backoff — the end-to-end
 // recovery the Slice architecture relies on when the µproxy or the network
-// drops packets (§2.1). Servers keep a duplicate-request cache (DRC) so
-// that a retransmitted non-idempotent call observes its original reply
-// rather than executing twice. The rule is by procedure, as in NFSv3
-// servers (RFC 1813): the idempotent NFS procedures — NULL, GETATTR,
-// LOOKUP, ACCESS, READLINK, READ, READDIR and FSSTAT — never enter the
-// cache and simply run again when retransmitted; SETATTR, WRITE, CREATE,
-// MKDIR, SYMLINK, REMOVE, RMDIR, RENAME, LINK and COMMIT, and every call of
-// any other program, are executed at most once while their reply is
-// cached (nfsproto.Proc.Idempotent is the one classification).
+// drops packets (§2.1). A retransmitted non-idempotent call must not
+// execute twice. The rule is by procedure, as in NFSv3 servers (RFC
+// 1813): the idempotent NFS procedures — NULL, GETATTR, LOOKUP, ACCESS,
+// READLINK, READ, READDIR and FSSTAT — simply run again when
+// retransmitted; SETATTR, WRITE, CREATE, MKDIR, SYMLINK, REMOVE, RMDIR,
+// RENAME, LINK and COMMIT, and every call of any other program, are
+// executed at most once (nfsproto.Proc.Idempotent is the one
+// classification). The server drops a retransmission of such a call while
+// the call executes; once it has completed, the role that served it
+// answers the retransmission from the outcome it recorded where the call
+// mutated (package once), by rebuilding the reply, never by executing the
+// call again. No server keeps a reply.
 package oncrpc
 
 import (
@@ -312,15 +315,29 @@ type ClientConfig struct {
 	ResolveKey KeyResolver
 }
 
+// The default retransmission ladder, which every client in the product
+// runs.
+const (
+	defaultTimeout = 50 * time.Millisecond
+	defaultRetries = 5
+	defaultJitter  = 0.1
+)
+
+// Ladder is the most time a default client spends on one call: its
+// transmissions' timeouts, 50 + 100 + 200 + 400 + 800 ms (defaultTimeout
+// doubling over defaultRetries transmissions), plus the most jitter
+// they get, 10 % — about 1.7 s.
+const Ladder = defaultTimeout * (1<<defaultRetries - 1) * 11 / 10
+
 func (c *ClientConfig) defaults() {
 	if c.Timeout <= 0 {
-		c.Timeout = 50 * time.Millisecond
+		c.Timeout = defaultTimeout
 	}
 	if c.Retries <= 0 {
-		c.Retries = 5
+		c.Retries = defaultRetries
 	}
 	if c.Jitter == 0 {
-		c.Jitter = 0.1
+		c.Jitter = defaultJitter
 	}
 }
 
@@ -329,7 +346,7 @@ func (c *ClientConfig) defaults() {
 // It MUST start from per-process entropy: a zero start would make every
 // process draw the same "random" xid sequence, so two client processes
 // reaching a server from a reused source address would collide in its
-// duplicate-request cache and be served each other's cached replies.
+// outcome table and be answered from each other's outcomes.
 var xidCounter atomic.Uint64
 
 func init() {
@@ -472,7 +489,7 @@ type Client struct {
 // any other Conn a call is encoded once and SendTo copies it.
 // Its xid sequence starts at a per-client random draw, so a client
 // restarted on a reused host/port cannot collide with its previous
-// incarnation's entries in a server's duplicate-request cache.
+// incarnation's entries in a server's outcome table.
 func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 	cfg.defaults()
 	seed := randomUint32()
@@ -865,8 +882,8 @@ type Handler interface {
 
 // HandlerFunc adapts a function that returns its result as an encoder
 // function to the Handler interface. That function is typically a closure
-// made per call — an allocation the cold programs (mount, coordination,
-// peers) can afford and the data path does not make.
+// made per call, an allocation no server in the product makes: every one
+// encodes into the reply. It is the adapter for tests and test harnesses.
 type HandlerFunc func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32)
 
 // ServeRPC implements Handler.
@@ -876,29 +893,6 @@ func (f HandlerFunc) ServeRPC(call Call, from netsim.Addr, e *xdr.Encoder) uint3
 		res(e)
 	}
 	return accept
-}
-
-// drcEntry is a duplicate-request cache entry.
-type drcEntry struct {
-	key   drcKey
-	id    callID
-	reply []byte
-}
-
-type drcKey struct {
-	host netsim.Addr
-	xid  uint32
-}
-
-// callID is the verifier a {source, xid} cache slot carries: the call's
-// program, version, procedure, and argument length. A true retransmission
-// repeats all four; a different call re-using the slot's {source, xid} —
-// a new client incarnation on a recycled source address whose xid window
-// happens to overlap — does not, and replaying the cached reply to it
-// would answer the wrong procedure entirely.
-type callID struct {
-	prog, vers, proc uint32
-	bodyLen          int
 }
 
 // ServerObserver is notified after each handled call with the call's
@@ -918,10 +912,7 @@ type Server struct {
 	obs     atomic.Pointer[ServerObserver]
 
 	mu       sync.Mutex
-	drc      map[drcKey]int // key -> index into drcRing
-	drcRing  []drcEntry
-	drcNext  int
-	inflight map[drcKey]callID
+	inflight map[callKey]struct{} // at-most-once calls being executed
 
 	// serving counts the calls being served, plus closing once Close has
 	// begun; the serve that leaves the count at closing closes drained,
@@ -932,26 +923,14 @@ type Server struct {
 	drainOnce sync.Once
 }
 
+// callKey is what a retransmission repeats of its call.
+type callKey struct {
+	src netsim.Addr
+	xid uint32
+}
+
 // closing marks a server's serving count once Close has begun.
 const closing = 1 << 62
-
-// DRCSize is the number of replies retained for duplicate suppression.
-const DRCSize = 1024
-
-// drcMaxReply is the largest reply the duplicate-request cache retains.
-// The cache exists so that a retransmitted non-idempotent call (CREATE,
-// REMOVE, WRITE, ...) observes its original reply, and those replies are
-// a status and a few attribute blocks. Idempotent NFS procedures never
-// reach it (reExecutes); a larger reply of another program is a peer
-// chunk read, which re-executes on retransmission too — retaining it
-// would pin ~40 KiB per slot (1024 slots × 4 storage nodes ≈ 160 MiB of
-// dead data) and keep every reply buffer out of the pool.
-const drcMaxReply = 1024
-
-// drcSlotCap is the least capacity a cache slot's buffer is given, so the
-// slot can take the next reply it holds — a few hundred bytes at most for
-// the procedures the cache serves — into the same memory.
-const drcSlotCap = 256
 
 // NewServer starts serving calls arriving on port with handler. Each call
 // is served on the goroutine that delivers it, through the port's upcall
@@ -964,9 +943,7 @@ func NewServer(port *netsim.Port, handler Handler) *Server {
 	s := &Server{
 		port:     port,
 		handler:  handler,
-		drc:      make(map[drcKey]int),
-		drcRing:  make([]drcEntry, DRCSize),
-		inflight: make(map[drcKey]callID),
+		inflight: make(map[callKey]struct{}),
 		drained:  make(chan struct{}),
 	}
 	port.SetUpcall(s.serveInline)
@@ -1014,8 +991,8 @@ func (s *Server) serveInline(d []byte) {
 	}
 }
 
-// serve handles one delivered datagram: parse, duplicate suppression,
-// handler, reply. It owns d, which the fabric has verified.
+// serve handles one delivered datagram: parse, suppression of a duplicate
+// in flight, handler, reply. It owns d, which the fabric has verified.
 func (s *Server) serve(d []byte) {
 	h, err := netsim.ParseHeader(d)
 	if err != nil {
@@ -1028,11 +1005,9 @@ func (s *Server) serve(d []byte) {
 		return
 	}
 	from := h.Src
-	key := drcKey{host: from, xid: call.Xid}
-	id := callID{prog: call.Program, vers: call.Version,
-		proc: call.Proc, bodyLen: len(call.Body)}
+	key := callKey{src: from, xid: call.Xid}
 	atMostOnce := !reExecutes(&call)
-	if atMostOnce && !s.admit(key, id, from) {
+	if atMostOnce && !s.admit(key) {
 		netsim.FreeBuf(d)
 		return
 	}
@@ -1063,80 +1038,36 @@ func (s *Server) serve(d []byte) {
 	// what it keeps, so it can go back now.
 	netsim.FreeBuf(d)
 	if atMostOnce {
-		s.retain(key, id, netsim.Payload(out))
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
 	}
 	_ = s.port.Send(from, out)
 }
 
 // reExecutes reports whether a retransmission of call simply runs again:
-// true of the NFSv3 procedures nfsproto classes idempotent, whose replies
-// never enter the duplicate-request cache. Every other call — the
-// non-idempotent NFS procedures and every other program — is executed at
-// most once.
+// true of the NFSv3 procedures nfsproto classes idempotent. Every other
+// call — the non-idempotent NFS procedures and every other program — is
+// executed at most once: its handler answers a retransmission of a call
+// it completed from the outcome it recorded, and the server drops one of
+// a call still executing.
 func reExecutes(call *Call) bool {
 	return call.Program == nfsproto.Program && call.Version == nfsproto.Version &&
 		nfsproto.Proc(call.Proc).Idempotent()
 }
 
-// admit is duplicate suppression for an at-most-once call: it reports
-// whether the call is new and is to be executed, now registered in
-// flight. A retransmission of a completed call is answered from the cache
-// here; one of a call still executing is dropped.
-func (s *Server) admit(key drcKey, id callID, from netsim.Addr) bool {
+// admit registers an at-most-once call in flight and reports whether it
+// is to be executed: false when a call under the same {source, xid} is
+// executing — its retransmission, dropped, since the client retries and
+// then finds the handler's recorded outcome. A different call colliding
+// with the one in flight is dropped too, but its own retransmission
+// lands once the first has left flight, and is executed.
+func (s *Server) admit(key callKey) bool {
 	s.mu.Lock()
-	if idx, ok := s.drc[key]; ok {
-		if s.drcRing[idx].id == id {
-			// Retransmission of a completed call: replay the reply, copied
-			// into its datagram under the lock, since retain reuses the
-			// slot's buffer once the slot is evicted.
-			reply := s.drcRing[idx].reply
-			d := netsim.GetBuf(netsim.HeaderSize + len(reply))
-			copy(d[netsim.HeaderSize:], reply)
-			s.mu.Unlock()
-			_ = s.port.Send(from, d)
-			return false
-		}
-		// Same {source, xid} but a different call: not a retransmission.
-		// Drop the stale entry (clearing its ring slot so the eventual
-		// slot reuse cannot evict a newer entry under the same key) and
-		// execute the call fresh.
-		delete(s.drc, key)
-		s.drcRing[idx] = drcEntry{}
-	}
-	if _, ok := s.inflight[key]; ok {
-		// Retransmission of an in-progress call: drop; the client will
-		// retry and eventually hit the DRC. A *different* call colliding
-		// with the in-flight slot is also dropped — one key cannot track
-		// both — but its retransmission lands after the first call
-		// completes and then takes the stale-entry path above, so it is
-		// executed, not wedged.
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if _, busy := s.inflight[key]; busy {
 		return false
 	}
-	s.inflight[key] = id
-	s.mu.Unlock()
+	s.inflight[key] = struct{}{}
 	return true
-}
-
-// retain ends an admitted call's time in flight and caches its reply for
-// retransmissions, keeping a copy of its own: the datagram belongs to the
-// network once it is sent. The copy goes into the buffer of the slot it
-// evicts, so once the ring has filled a retained reply allocates nothing.
-func (s *Server) retain(key drcKey, id callID, reply []byte) {
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if len(reply) <= drcMaxReply {
-		slot := &s.drcRing[s.drcNext]
-		if slot.reply != nil {
-			delete(s.drc, slot.key)
-		}
-		buf := slot.reply[:0]
-		if cap(buf) < len(reply) {
-			buf = make([]byte, 0, max(len(reply), drcSlotCap))
-		}
-		*slot = drcEntry{key: key, id: id, reply: append(buf, reply...)}
-		s.drc[key] = s.drcNext
-		s.drcNext = (s.drcNext + 1) % DRCSize
-	}
-	s.mu.Unlock()
 }

@@ -156,13 +156,11 @@ func TestRejectedCall(t *testing.T) {
 }
 
 // TestDuplicateRequestCache verifies that a retransmitted non-idempotent
-// call executes once: the server replays the cached reply.
+// call executes once: the server hands it to the handler, which answers
+// it from the outcome it recorded.
 func TestDuplicateRequestCache(t *testing.T) {
 	var executions atomic.Uint64
-	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-		n := executions.Add(1)
-		return func(e *xdr.Encoder) { e.PutUint64(n) }, AcceptSuccess
-	})
+	h := countingHandler(&executions)
 	n := netsim.New(netsim.Config{})
 	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
 	srv := NewServer(sp, h)
@@ -267,11 +265,45 @@ func TestClientCloseFailsCalls(t *testing.T) {
 	}
 }
 
-// countingHandler replies with the number of times it has executed.
+// recorded is a role's at-most-once table in miniature (package once is
+// the product's): the value each call was answered with, by its source
+// and xid and the verifier a retransmission repeats.
+type recorded struct {
+	mu sync.Mutex
+	m  map[recordedKey]uint64
+}
+
+type recordedKey struct {
+	src                   netsim.Addr
+	xid, prog, vers, proc uint32
+	n                     int
+}
+
+// once returns the value call was answered with before, or runs run and
+// records its value.
+func (r *recorded) once(call Call, from netsim.Addr, run func() uint64) uint64 {
+	k := recordedKey{from, call.Xid, call.Program, call.Version, call.Proc, len(call.Body)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.m[k]
+	if !ok {
+		if r.m == nil {
+			r.m = make(map[recordedKey]uint64)
+		}
+		v = run()
+		r.m[k] = v
+	}
+	return v
+}
+
+// countingHandler replies with the number of times it has executed. It
+// is at most once as a role is: it records that number as the call's
+// outcome, and answers a retransmission of a call it executed from it.
 func countingHandler(executions *atomic.Uint64) Handler {
-	return HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-		n := executions.Add(1)
-		return func(e *xdr.Encoder) { e.PutUint64(n) }, AcceptSuccess
+	var done recorded
+	return handlerOf(func(call Call, from netsim.Addr, e *xdr.Encoder) uint32 {
+		e.PutUint64(done.once(call, from, func() uint64 { return executions.Add(1) }))
+		return AcceptSuccess
 	})
 }
 
@@ -642,14 +674,14 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 	}
 }
 
-// TestDRCRetainsOnlySmallReplies: the duplicate-request cache exists for
-// non-idempotent calls, whose replies are small. A retransmitted WRITE,
-// CREATE or SETATTR must still be answered from the cache without running
-// the handler again; a retransmitted READ or GETATTR, idempotent, never
-// enters the cache and re-executes — READ returning identical bytes. A call
-// of another program stays at-most-once, but a reply larger than
-// drcMaxReply (a peer chunk read) is never retained.
-func TestDRCRetainsOnlySmallReplies(t *testing.T) {
+// TestServerRetainsNoReply: a server keeps no reply. A retransmitted
+// WRITE, CREATE or SETATTR is answered by the handler from the outcome it
+// recorded, without running the mutation again, and the reply is
+// rebuilt byte for byte; a retransmitted READ or GETATTR, idempotent,
+// re-executes — READ returning identical bytes — and so does a peer chunk
+// read, whose handler records nothing. Once the calls are answered the
+// server holds nothing of them.
+func TestServerRetainsNoReply(t *testing.T) {
 	const (
 		procGetAttr = 1
 		procSetAttr = 2
@@ -662,20 +694,26 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 		bulk[i] = byte(i * 131)
 	}
 	// peerProg stands for a storage node's peer program: not NFS, so its
-	// calls stay at-most-once, and its chunk read replies in bulk.
+	// calls stay at most once in flight, and its chunk read replies in
+	// bulk.
 	const peerProg, procChunk = 200102, 3
 	var runs [procCreate + 1]atomic.Uint64
 	var chunkRuns atomic.Uint64
-	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
-		if call.Program == peerProg {
+	var done recorded
+	h := handlerOf(func(call Call, from netsim.Addr, e *xdr.Encoder) uint32 {
+		switch {
+		case call.Program == peerProg:
 			chunkRuns.Add(1)
-			return func(e *xdr.Encoder) { e.PutOpaque(bulk) }, AcceptSuccess
+			e.PutOpaque(bulk)
+		case call.Proc == procRead:
+			runs[call.Proc].Add(1)
+			e.PutOpaque(bulk)
+		case call.Proc == procGetAttr:
+			e.PutUint64(runs[call.Proc].Add(1))
+		default:
+			e.PutUint64(done.once(call, from, func() uint64 { return runs[call.Proc].Add(1) }))
 		}
-		n := runs[call.Proc].Add(1)
-		if call.Proc == procRead {
-			return func(e *xdr.Encoder) { e.PutOpaque(bulk) }, AcceptSuccess
-		}
-		return func(e *xdr.Encoder) { e.PutUint64(n) }, AcceptSuccess
+		return AcceptSuccess
 	})
 	n := netsim.New(netsim.Config{})
 	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
@@ -700,7 +738,7 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 		return append([]byte(nil), netsim.Payload(d)...)
 	}
 
-	// Non-idempotent: the retransmission replays the first reply.
+	// Non-idempotent: the retransmission is answered from the outcome.
 	for xid, c := range map[uint32]struct {
 		proc uint32
 		body []byte
@@ -711,7 +749,7 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 			t.Fatalf("retransmitted proc %d answered differently", c.proc)
 		}
 		if got := runs[c.proc].Load(); got != 1 {
-			t.Fatalf("proc %d handler ran %d times for one call and its retransmission, want 1", c.proc, got)
+			t.Fatalf("proc %d mutated %d times for one call and its retransmission, want 1", c.proc, got)
 		}
 	}
 
@@ -731,8 +769,6 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 		t.Fatalf("READ handler ran %d times, want 2 (idempotent calls re-execute)", got)
 	}
 
-	// A GETATTR reply is small enough to cache, but GETATTR is idempotent:
-	// its retransmission runs the handler again.
 	getattr := EncodeCall(505, 100003, 3, procGetAttr, func(e *xdr.Encoder) { e.PutUint32(9) })
 	exchange(getattr)
 	exchange(getattr)
@@ -740,27 +776,19 @@ func TestDRCRetainsOnlySmallReplies(t *testing.T) {
 		t.Fatalf("GETATTR handler ran %d times for one call and its retransmission, want 2", got)
 	}
 
-	// A peer chunk read is at-most-once but its 32 KiB reply is too large
-	// to retain: the call leaves flight uncached, and its retransmission
-	// runs again and returns the same bytes.
 	chunk := EncodeCall(506, peerProg, 1, procChunk, nil)
 	first = exchange(chunk)
 	if again := exchange(chunk); string(again) != string(first) {
 		t.Fatal("retransmitted chunk read returned different bytes")
 	}
 	if got := chunkRuns.Load(); got != 2 {
-		t.Fatalf("chunk read handler ran %d times, want 2 (a large reply is not retained)", got)
+		t.Fatalf("chunk read handler ran %d times, want 2", got)
 	}
 
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	for _, ent := range srv.drcRing {
-		if len(ent.reply) > drcMaxReply {
-			t.Fatalf("cache retains a %d-byte reply", len(ent.reply))
-		}
-	}
-	if len(srv.drc) != 3 || len(srv.inflight) != 0 {
-		t.Fatalf("cache holds %d entries (%d in flight), want WRITE, CREATE and SETATTR", len(srv.drc), len(srv.inflight))
+	if len(srv.inflight) != 0 {
+		t.Fatalf("the server holds %d calls in flight after every reply", len(srv.inflight))
 	}
 }
 

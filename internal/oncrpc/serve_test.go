@@ -71,19 +71,25 @@ func TestServeTruncatesFailedResult(t *testing.T) {
 }
 
 // TestDRCReplayIsByteIdentical: a retransmission answered from the
-// duplicate-request cache is byte-identical to the first reply — also once
-// the ring has wrapped and each retained reply was copied into the buffer
-// of a slot it evicted, which held another call's reply.
+// handler's outcome table is byte-identical to the first reply — also
+// after more calls than the counted reply ring this table replaced held
+// (1 024), each rebuilding a reply whose length and bytes differ from
+// call to call.
 func TestDRCReplayIsByteIdentical(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
 	var executions int
-	srv := NewServer(sp, handlerOf(func(call Call, _ netsim.Addr, e *xdr.Encoder) uint32 {
-		executions++
-		// A result whose length and bytes differ from call to call.
-		b := e.Reserve(int(call.Xid % 97))
+	var done recorded
+	srv := NewServer(sp, handlerOf(func(call Call, from netsim.Addr, e *xdr.Encoder) uint32 {
+		v := done.once(call, from, func() uint64 {
+			executions++
+			return uint64(call.Xid)
+		})
+		// A result whose length and bytes differ from call to call,
+		// rebuilt from the outcome alone.
+		b := e.Reserve(int(v % 97))
 		for i := range b {
-			b[i] = byte(call.Xid) + byte(i)
+			b[i] = byte(v) + byte(i)
 		}
 		return AcceptSuccess
 	}))
@@ -91,12 +97,12 @@ func TestDRCReplayIsByteIdentical(t *testing.T) {
 	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
 	defer cp.Close()
 
-	const calls = DRCSize*2 + 10
+	const calls = 2*1024 + 10
 	first := make(map[uint32][]byte)
 	for xid := uint32(1); xid <= calls; xid++ {
 		first[xid] = rawCall(t, cp, srv.Addr(), EncodeCall(xid, 7, 1, 1, nil))
 	}
-	for xid := uint32(calls - DRCSize + 1); xid <= calls; xid += 37 {
+	for xid := uint32(1); xid <= calls; xid += 37 {
 		again := rawCall(t, cp, srv.Addr(), EncodeCall(xid, 7, 1, 1, nil))
 		if !bytes.Equal(again, first[xid]) {
 			t.Fatalf("xid %d: the replayed reply differs from the first", xid)

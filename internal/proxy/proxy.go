@@ -548,7 +548,7 @@ func inPlace(prog uint32, proc nfsproto.Proc) bool {
 // A server that moved is reached at its new address, a write that a
 // transition widened reaches the new binding too, and a fanned-out WRITE
 // whose dirty mark a flush stripped marks its object again. The servers'
-// duplicate-request caches absorb genuine repeats. (A µproxy that
+// outcome tables absorb genuine repeats. (A µproxy that
 // swallowed retransmissions would turn one lost packet into a permanently
 // stuck request — the end-to-end recovery of §2.1 depends on the µproxy
 // staying transparent to retries.)

@@ -290,7 +290,7 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 				st, err := p.fetchFor(pd, fh)
 				if err != nil {
 					// Unacknowledged, the client retransmits and the
-					// storage node's DRC replays the reply; acknowledged
+					// storage node answers from its outcome; acknowledged
 					// with its growth recorded nowhere, the data past the
 					// old end of file would be unreachable.
 					p.st.dropped.Add(1)

@@ -16,6 +16,7 @@ import (
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/obs"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
 )
@@ -43,6 +44,10 @@ type Server struct {
 	vol    uint32
 	clock  func() attr.Time
 	ops    uint64
+	// done is the outcome of each mutation of the last once.Span, in
+	// memory only, so a retransmission is answered from it rather than
+	// run again.
+	done once.Table
 
 	srv *oncrpc.Server
 }
@@ -62,7 +67,7 @@ func New(port *netsim.Port, volume uint32, clock func() attr.Time) *Server {
 			Atime: now, Mtime: now, Ctime: now},
 		children: make(map[string]uint64),
 	}
-	s.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(s.serve))
+	s.srv = oncrpc.NewServer(port, s)
 	return s
 }
 
@@ -104,41 +109,44 @@ func (s *Server) fh(id uint64, t attr.FileType) fhandle.Handle {
 	return fhandle.Handle{Volume: s.vol, FileID: id, Type: uint8(t), CellKey: id, Gen: 1}
 }
 
-func (s *Server) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+// ServeRPC implements oncrpc.Handler: it decodes a call's arguments,
+// serves it, and encodes the result into the reply. A mutating procedure
+// takes the call's identity too, under which it records its outcome.
+func (s *Server) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	if call.Program == mountProgram {
 		if call.Proc != mountProcMnt {
-			return nil, oncrpc.AcceptProcUnavail
+			return oncrpc.AcceptProcUnavail
 		}
-		root := s.root
-		return func(e *xdr.Encoder) {
-			e.PutUint32(uint32(nfsproto.OK))
-			root.Encode(e)
-		}, oncrpc.AcceptSuccess
+		e.PutUint32(uint32(nfsproto.OK))
+		s.root.Encode(e)
+		return oncrpc.AcceptSuccess
 	}
 	if call.Program != nfsproto.Program {
-		return nil, oncrpc.AcceptProgUnavail
+		return oncrpc.AcceptProgUnavail
 	}
 	s.mu.Lock()
 	s.ops++
 	s.mu.Unlock()
 
 	d := xdr.NewDecoder(call.Body)
-	run := func(args nfsproto.Msg, f func() nfsproto.Msg) (func(*xdr.Encoder), uint32) {
+	id := once.IdentOf(&call, from)
+	run := func(args nfsproto.Msg, f func() nfsproto.Msg) uint32 {
 		if err := args.Decode(d); err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		return f().Encode, oncrpc.AcceptSuccess
+		f().Encode(e)
+		return oncrpc.AcceptSuccess
 	}
 
 	switch nfsproto.Proc(call.Proc) {
 	case nfsproto.ProcNull:
-		return func(e *xdr.Encoder) {}, oncrpc.AcceptSuccess
+		return oncrpc.AcceptSuccess
 	case nfsproto.ProcGetAttr:
 		var a nfsproto.GetAttrArgs
 		return run(&a, func() nfsproto.Msg { return s.getattr(&a) })
 	case nfsproto.ProcSetAttr:
 		var a nfsproto.SetAttrArgs
-		return run(&a, func() nfsproto.Msg { return s.setattr(&a) })
+		return run(&a, func() nfsproto.Msg { return s.setattr(&a, id) })
 	case nfsproto.ProcLookup:
 		var a nfsproto.LookupArgs
 		return run(&a, func() nfsproto.Msg { return s.lookup(&a) })
@@ -150,31 +158,31 @@ func (s *Server) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), 
 		return run(&a, func() nfsproto.Msg { return s.read(&a) })
 	case nfsproto.ProcWrite:
 		var a nfsproto.WriteArgs
-		return run(&a, func() nfsproto.Msg { return s.write(&a) })
+		return run(&a, func() nfsproto.Msg { return s.write(&a, id) })
 	case nfsproto.ProcCreate:
 		var a nfsproto.CreateArgs
-		return run(&a, func() nfsproto.Msg { return s.create(&a, attr.TypeReg) })
+		return run(&a, func() nfsproto.Msg { return s.create(&a, attr.TypeReg, id) })
 	case nfsproto.ProcSymlink:
 		var a nfsproto.SymlinkArgs
-		return run(&a, func() nfsproto.Msg { return s.symlink(&a) })
+		return run(&a, func() nfsproto.Msg { return s.symlink(&a, id) })
 	case nfsproto.ProcReadLink:
 		var a nfsproto.ReadLinkArgs
 		return run(&a, func() nfsproto.Msg { return s.readlink(&a) })
 	case nfsproto.ProcMkdir:
 		var a nfsproto.CreateArgs
-		return run(&a, func() nfsproto.Msg { return s.create(&a, attr.TypeDir) })
+		return run(&a, func() nfsproto.Msg { return s.create(&a, attr.TypeDir, id) })
 	case nfsproto.ProcRemove:
 		var a nfsproto.RemoveArgs
-		return run(&a, func() nfsproto.Msg { return s.remove(&a, false) })
+		return run(&a, func() nfsproto.Msg { return s.remove(&a, false, id) })
 	case nfsproto.ProcRmdir:
 		var a nfsproto.RemoveArgs
-		return run(&a, func() nfsproto.Msg { return s.remove(&a, true) })
+		return run(&a, func() nfsproto.Msg { return s.remove(&a, true, id) })
 	case nfsproto.ProcRename:
 		var a nfsproto.RenameArgs
-		return run(&a, func() nfsproto.Msg { return s.rename(&a) })
+		return run(&a, func() nfsproto.Msg { return s.rename(&a, id) })
 	case nfsproto.ProcLink:
 		var a nfsproto.LinkArgs
-		return run(&a, func() nfsproto.Msg { return s.link(&a) })
+		return run(&a, func() nfsproto.Msg { return s.link(&a, id) })
 	case nfsproto.ProcReadDir:
 		var a nfsproto.ReadDirArgs
 		return run(&a, func() nfsproto.Msg { return s.readdir(&a) })
@@ -188,8 +196,30 @@ func (s *Server) serve(call oncrpc.Call, from netsim.Addr) (func(*xdr.Encoder), 
 			return &nfsproto.CommitRes{Status: nfsproto.OK, Verf: 1}
 		})
 	default:
-		return nil, oncrpc.AcceptProcUnavail
+		return oncrpc.AcceptProcUnavail
 	}
+}
+
+// seen returns the outcome recorded for the call id: the call is a
+// retransmission of one served before. The caller holds s.mu.
+func (s *Server) seen(id once.Ident) (nfsproto.Status, uint64, bool) {
+	o, ok := s.done.Find(id)
+	return nfsproto.Status(o.Status), o.Value, ok
+}
+
+// served records that the call id mutated, to value v. The caller holds
+// s.mu.
+func (s *Server) served(id once.Ident, v uint64) {
+	s.done.Record(id, once.Outcome{Status: uint32(nfsproto.OK), Value: v})
+}
+
+// attrOf returns the attributes of file id, if it exists. The caller holds
+// s.mu.
+func (s *Server) attrOf(id uint64) nfsproto.OptAttr {
+	if n := s.nodes[id]; n != nil {
+		return nfsproto.Some(n.at)
+	}
+	return nfsproto.OptAttr{}
 }
 
 func (s *Server) getattr(a *nfsproto.GetAttrArgs) *nfsproto.GetAttrRes {
@@ -202,9 +232,12 @@ func (s *Server) getattr(a *nfsproto.GetAttrArgs) *nfsproto.GetAttrRes {
 	return &nfsproto.GetAttrRes{Status: nfsproto.OK, Attr: n.at}
 }
 
-func (s *Server) setattr(a *nfsproto.SetAttrArgs) *nfsproto.SetAttrRes {
+func (s *Server) setattr(a *nfsproto.SetAttrArgs, id once.Ident) *nfsproto.SetAttrRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st, _, dup := s.seen(id); dup {
+		return &nfsproto.SetAttrRes{Status: st, Attr: s.attrOf(a.FH.FileID)}
+	}
 	n := s.nodes[a.FH.FileID]
 	if n == nil {
 		return &nfsproto.SetAttrRes{Status: nfsproto.ErrStale}
@@ -218,6 +251,7 @@ func (s *Server) setattr(a *nfsproto.SetAttrArgs) *nfsproto.SetAttrRes {
 			n.data = append(n.data, make([]byte, size-len(n.data))...)
 		}
 	}
+	s.served(id, 0)
 	return &nfsproto.SetAttrRes{Status: nfsproto.OK, Attr: nfsproto.Some(n.at)}
 }
 
@@ -276,16 +310,19 @@ func (s *Server) read(a *nfsproto.ReadArgs) *nfsproto.ReadRes {
 	}
 }
 
-func (s *Server) write(a *nfsproto.WriteArgs) *nfsproto.WriteRes {
+func (s *Server) write(a *nfsproto.WriteArgs, id once.Ident) *nfsproto.WriteRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.nodes[a.FH.FileID]
 	if n == nil {
 		return &nfsproto.WriteRes{Status: nfsproto.ErrStale}
 	}
-	cnt := int(a.Count)
-	if cnt > len(a.Data) {
-		cnt = len(a.Data)
+	cnt := min(int(a.Count), len(a.Data))
+	if _, _, dup := s.seen(id); dup {
+		return &nfsproto.WriteRes{
+			Status: nfsproto.OK, Attr: nfsproto.Some(n.at),
+			Count: uint32(cnt), Committed: nfsproto.FileSync, Verf: 1,
+		}
 	}
 	end := int(a.Offset) + cnt
 	if end > len(n.data) {
@@ -297,18 +334,22 @@ func (s *Server) write(a *nfsproto.WriteArgs) *nfsproto.WriteRes {
 	n.at.Ctime = now
 	n.at.Size = uint64(len(n.data))
 	n.at.Used = n.at.Size
+	s.served(id, 0)
 	return &nfsproto.WriteRes{
 		Status: nfsproto.OK, Attr: nfsproto.Some(n.at),
 		Count: uint32(cnt), Committed: nfsproto.FileSync, Verf: 1,
 	}
 }
 
-func (s *Server) create(a *nfsproto.CreateArgs, t attr.FileType) *nfsproto.CreateRes {
+func (s *Server) create(a *nfsproto.CreateArgs, t attr.FileType, call once.Ident) *nfsproto.CreateRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := s.nodes[a.Dir.FileID]
 	if dir == nil || dir.children == nil {
 		return &nfsproto.CreateRes{Status: nfsproto.ErrNotDir}
+	}
+	if _, id, dup := s.seen(call); dup {
+		return s.madeAgain(dir, id, t)
 	}
 	if id, ok := dir.children[a.Name]; ok {
 		if a.Exclusive || t == attr.TypeDir {
@@ -345,18 +386,31 @@ func (s *Server) create(a *nfsproto.CreateArgs, t attr.FileType) *nfsproto.Creat
 	dir.children[a.Name] = id
 	dir.at.Mtime = now
 	dir.at.Ctime = now
+	s.served(call, id)
 	return &nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: s.fh(id, t),
 		Attr: nfsproto.Some(n.at), DirAttr: nfsproto.Some(dir.at),
 	}
 }
 
-func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
+// madeAgain answers a retransmitted CREATE, MKDIR or SYMLINK in dir from
+// the file ID it minted. The caller holds s.mu.
+func (s *Server) madeAgain(dir *node, id uint64, t attr.FileType) *nfsproto.CreateRes {
+	return &nfsproto.CreateRes{
+		Status: nfsproto.OK, FH: s.fh(id, t),
+		Attr: s.attrOf(id), DirAttr: nfsproto.Some(dir.at),
+	}
+}
+
+func (s *Server) symlink(a *nfsproto.SymlinkArgs, call once.Ident) *nfsproto.CreateRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := s.nodes[a.Dir.FileID]
 	if dir == nil || dir.children == nil {
 		return &nfsproto.CreateRes{Status: nfsproto.ErrNotDir}
+	}
+	if _, id, dup := s.seen(call); dup {
+		return s.madeAgain(dir, id, attr.TypeLink)
 	}
 	if _, exists := dir.children[a.Name]; exists {
 		return &nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: nfsproto.Some(dir.at)}
@@ -374,6 +428,7 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs) *nfsproto.CreateRes {
 	dir.children[a.Name] = id
 	dir.at.Mtime = now
 	dir.at.Ctime = now
+	s.served(call, id)
 	return &nfsproto.CreateRes{
 		Status: nfsproto.OK, FH: s.fh(id, attr.TypeLink),
 		Attr: nfsproto.Some(n.at), DirAttr: nfsproto.Some(dir.at),
@@ -394,12 +449,15 @@ func (s *Server) readlink(a *nfsproto.ReadLinkArgs) *nfsproto.ReadLinkRes {
 	return &nfsproto.ReadLinkRes{Status: nfsproto.OK, Attr: nfsproto.Some(n.at), Target: n.target}
 }
 
-func (s *Server) remove(a *nfsproto.RemoveArgs, wantDir bool) *nfsproto.RemoveRes {
+func (s *Server) remove(a *nfsproto.RemoveArgs, wantDir bool, call once.Ident) *nfsproto.RemoveRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dir := s.nodes[a.Dir.FileID]
 	if dir == nil || dir.children == nil {
 		return &nfsproto.RemoveRes{Status: nfsproto.ErrNotDir}
+	}
+	if st, _, dup := s.seen(call); dup {
+		return &nfsproto.RemoveRes{Status: st, DirAttr: nfsproto.Some(dir.at)}
 	}
 	id, ok := dir.children[a.Name]
 	if !ok {
@@ -431,16 +489,20 @@ func (s *Server) remove(a *nfsproto.RemoveArgs, wantDir bool) *nfsproto.RemoveRe
 			delete(s.nodes, id)
 		}
 	}
+	s.served(call, 0)
 	return &nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: nfsproto.Some(dir.at)}
 }
 
-func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
+func (s *Server) rename(a *nfsproto.RenameArgs, call once.Ident) *nfsproto.RenameRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	from := s.nodes[a.FromDir.FileID]
 	to := s.nodes[a.ToDir.FileID]
 	if from == nil || from.children == nil || to == nil || to.children == nil {
 		return &nfsproto.RenameRes{Status: nfsproto.ErrNotDir}
+	}
+	if st, _, dup := s.seen(call); dup {
+		return &nfsproto.RenameRes{Status: st, FromDirAttr: nfsproto.Some(from.at), ToDirAttr: nfsproto.Some(to.at)}
 	}
 	id, ok := from.children[a.FromName]
 	if !ok {
@@ -461,17 +523,21 @@ func (s *Server) rename(a *nfsproto.RenameArgs) *nfsproto.RenameRes {
 		}
 		to.at.Nlink++
 	}
+	s.served(call, 0)
 	return &nfsproto.RenameRes{Status: nfsproto.OK,
 		FromDirAttr: nfsproto.Some(from.at), ToDirAttr: nfsproto.Some(to.at)}
 }
 
-func (s *Server) link(a *nfsproto.LinkArgs) *nfsproto.LinkRes {
+func (s *Server) link(a *nfsproto.LinkArgs, call once.Ident) *nfsproto.LinkRes {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.nodes[a.FH.FileID]
 	dir := s.nodes[a.Dir.FileID]
 	if n == nil {
 		return &nfsproto.LinkRes{Status: nfsproto.ErrStale}
+	}
+	if st, _, dup := s.seen(call); dup && dir != nil {
+		return &nfsproto.LinkRes{Status: st, Attr: nfsproto.Some(n.at), DirAttr: nfsproto.Some(dir.at)}
 	}
 	if n.at.Type == attr.TypeDir {
 		return &nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
@@ -488,6 +554,7 @@ func (s *Server) link(a *nfsproto.LinkArgs) *nfsproto.LinkRes {
 	n.at.Ctime = now
 	dir.at.Mtime = now
 	dir.at.Ctime = now
+	s.served(call, 0)
 	return &nfsproto.LinkRes{Status: nfsproto.OK,
 		Attr: nfsproto.Some(n.at), DirAttr: nfsproto.Some(dir.at)}
 }

@@ -2,11 +2,13 @@ package storage
 
 import (
 	"errors"
+	"sync"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
 )
@@ -59,11 +61,23 @@ type Backend[K any] interface {
 // re-encoding the data; it never reaches a client. Read's error shows only
 // once that header is encoded, so it rewinds the reply to the bare status
 // the error names.
+//
+// A WRITE, TRUNCATE or REMOVE repeats to the same result, so a
+// retransmission of one need not be told from its first transmission to
+// be answered right. What it must not do is run again after a newer write
+// to the same bytes was acknowledged, and undo it: the handler keeps each
+// one's outcome for once.Span, in memory, and answers a retransmission
+// it finds there from its arguments and the outcome without touching the
+// backend. A restart forgets the table, as it forgets the replies in
+// flight.
 type Handler[K any] struct {
 	b Backend[K]
 	// authorize, when set, vets every handle a call names; a refused one
 	// answers EACCES.
 	authorize func(fhandle.Handle) bool
+
+	mu   sync.Mutex
+	done once.Table
 }
 
 // NewHandler returns a handler serving b. authorize may be nil: every
@@ -75,12 +89,12 @@ func NewHandler[K any](b Backend[K], authorize func(fhandle.Handle) bool) *Handl
 // ServeRPC implements oncrpc.Handler. Each procedure decodes its
 // arguments into a value on this frame and encodes its result straight
 // into the reply, so a READ or WRITE allocates nothing here.
-func (h *Handler[K]) ServeRPC(call oncrpc.Call, _ netsim.Addr, e *xdr.Encoder) uint32 {
+func (h *Handler[K]) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	switch call.Program {
 	case nfsproto.Program:
-		return h.serveNFS(call, e)
+		return h.serveNFS(call, from, e)
 	case ObjProgram:
-		return h.serveObj(call, e)
+		return h.serveObj(call, from, e)
 	default:
 		return oncrpc.AcceptProgUnavail
 	}
@@ -90,7 +104,23 @@ func (h *Handler[K]) refused(fh fhandle.Handle) bool {
 	return h.authorize != nil && !h.authorize(fh)
 }
 
-func (h *Handler[K]) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
+// once runs the mutation do for the call id unless the call ran within
+// the last once.Span, and returns the status it came to.
+func (h *Handler[K]) once(id once.Ident, do func() uint32) uint32 {
+	h.mu.Lock()
+	o, ok := h.done.Find(id)
+	h.mu.Unlock()
+	if ok {
+		return o.Status
+	}
+	st := do()
+	h.mu.Lock()
+	h.done.Record(id, once.Outcome{Status: st})
+	h.mu.Unlock()
+	return st
+}
+
+func (h *Handler[K]) serveNFS(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
 	var err error
 	switch nfsproto.Proc(call.Proc) {
@@ -103,7 +133,7 @@ func (h *Handler[K]) serveNFS(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	case nfsproto.ProcWrite:
 		var args nfsproto.WriteArgs
 		if err = args.Decode(d); err == nil {
-			res := h.write(&args)
+			res := h.write(&args, once.IdentOf(&call, from))
 			res.Encode(e)
 		}
 	case nfsproto.ProcCommit:
@@ -148,14 +178,17 @@ func (h *Handler[K]) read(args *nfsproto.ReadArgs, e *xdr.Encoder) {
 	res.Encode(e)
 }
 
-func (h *Handler[K]) write(args *nfsproto.WriteArgs) nfsproto.WriteRes {
+func (h *Handler[K]) write(args *nfsproto.WriteArgs, id once.Ident) nfsproto.WriteRes {
 	if h.refused(args.FH) {
 		return nfsproto.WriteRes{Status: nfsproto.ErrAccess}
 	}
 	cnt := min(args.Count, uint32(len(args.Data)))
 	stable := args.Stable != nfsproto.Unstable
-	if err := h.b.Write(h.b.Key(args.FH), int64(args.Offset), args.Data[:cnt], stable); err != nil {
-		return nfsproto.WriteRes{Status: nfsproto.StatusOf(err)}
+	st := nfsproto.Status(h.once(id, func() uint32 {
+		return uint32(nfsproto.StatusOf(h.b.Write(h.b.Key(args.FH), int64(args.Offset), args.Data[:cnt], stable)))
+	}))
+	if st != nfsproto.OK {
+		return nfsproto.WriteRes{Status: st}
 	}
 	committed := uint32(nfsproto.Unstable)
 	if stable {
@@ -172,7 +205,7 @@ func (h *Handler[K]) commit(args *nfsproto.CommitArgs) nfsproto.CommitRes {
 }
 
 // serveObj answers the raw-object program; its result is the bare status.
-func (h *Handler[K]) serveObj(call oncrpc.Call, e *xdr.Encoder) uint32 {
+func (h *Handler[K]) serveObj(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
 	fh, err := fhandle.Decode(d)
 	if err != nil {
@@ -182,16 +215,21 @@ func (h *Handler[K]) serveObj(call oncrpc.Call, e *xdr.Encoder) uint32 {
 		e.PutUint32(uint32(nfsproto.ErrAccess))
 		return oncrpc.AcceptSuccess
 	}
+	id := once.IdentOf(&call, from)
 	switch call.Proc {
 	case ObjProcRemove:
-		h.b.Remove(h.b.Key(fh))
-		e.PutUint32(uint32(nfsproto.OK))
+		e.PutUint32(h.once(id, func() uint32 {
+			h.b.Remove(h.b.Key(fh))
+			return uint32(nfsproto.OK)
+		}))
 	case ObjProcTruncate:
 		size, err := d.Uint64()
 		if err != nil {
 			return oncrpc.AcceptGarbageArgs
 		}
-		e.PutUint32(uint32(nfsproto.StatusOf(h.b.Truncate(h.b.Key(fh), int64(size)))))
+		e.PutUint32(h.once(id, func() uint32 {
+			return uint32(nfsproto.StatusOf(h.b.Truncate(h.b.Key(fh), int64(size))))
+		}))
 	default:
 		return oncrpc.AcceptProcUnavail
 	}

@@ -6,6 +6,7 @@ import (
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
 	"slice/internal/obs"
+	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/xdr"
@@ -97,11 +98,10 @@ func (n *Node) SetObs(reg *obs.Registry) {
 func (n *Node) Close() { n.srv.Close() }
 
 // ServeRPC implements oncrpc.Handler: the data-server Handler serves the
-// node's I/O, and the cold replica peer program returns its results as
-// encoder functions (oncrpc.HandlerFunc).
+// node's I/O, and the node the replica peer program.
 func (n *Node) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	if call.Program == replica.PeerProgram {
-		return oncrpc.HandlerFunc(n.servePeer).ServeRPC(call, from, e)
+		return n.servePeer(call, from, e)
 	}
 	return n.io.ServeRPC(call, from, e)
 }
@@ -133,106 +133,92 @@ func (n *Node) peerAuthorized(token uint64) bool {
 
 // servePeer answers the replica peer program (replica.PeerProgram):
 // bulk list/read on a transition's source, durable write, truncate and
-// remove on its destination.
-func (n *Node) servePeer(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
+// remove on its destination. The mutations are at most once as the I/O
+// program's are (Handler.once), in the same table.
+func (n *Node) servePeer(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) uint32 {
 	d := xdr.NewDecoder(call.Body)
 	token, err := d.Uint64()
 	if err != nil {
-		return nil, oncrpc.AcceptGarbageArgs
+		return oncrpc.AcceptGarbageArgs
 	}
 	if !n.peerAuthorized(token) {
-		return func(e *xdr.Encoder) { e.PutUint32(replica.PeerDenied) }, oncrpc.AcceptSuccess
+		e.PutUint32(replica.PeerDenied)
+		return oncrpc.AcceptSuccess
+	}
+	if call.Proc < replica.PeerProcList || call.Proc > replica.PeerProcTruncate {
+		return oncrpc.AcceptProcUnavail
+	}
+	id, err := d.Uint64() // every procedure's first argument: an object (List: the one to list after)
+	if err != nil {
+		return oncrpc.AcceptGarbageArgs
 	}
 	switch call.Proc {
 	case replica.PeerProcList:
-		after, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
 		max, err := d.Uint32()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		if max > replica.PeerListMax {
-			max = replica.PeerListMax
+		ents := n.store.ListAfter(ObjectID(id), int(min(max, replica.PeerListMax)))
+		e.PutUint32(replica.PeerOK)
+		e.PutUint32(uint32(len(ents)))
+		for _, ent := range ents {
+			e.PutUint64(uint64(ent.ID))
+			e.PutUint64(uint64(ent.Size))
 		}
-		ents := n.store.ListAfter(ObjectID(after), int(max))
-		return func(e *xdr.Encoder) {
-			e.PutUint32(replica.PeerOK)
-			e.PutUint32(uint32(len(ents)))
-			for _, ent := range ents {
-				e.PutUint64(uint64(ent.ID))
-				e.PutUint64(uint64(ent.Size))
-			}
-		}, oncrpc.AcceptSuccess
 
 	case replica.PeerProcRead:
-		id, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
 		off, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		count, err := d.Uint32()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		if count > replica.PeerChunk {
-			count = replica.PeerChunk
-		}
-		buf := make([]byte, count)
+		buf := make([]byte, min(count, replica.PeerChunk))
 		cnt, _, rerr := n.store.ReadAt(ObjectID(id), int64(off), buf)
 		if rerr != nil {
-			return func(e *xdr.Encoder) { e.PutUint32(replica.PeerNoObj) }, oncrpc.AcceptSuccess
+			e.PutUint32(replica.PeerNoObj)
+			break
 		}
-		return func(e *xdr.Encoder) {
-			e.PutUint32(replica.PeerOK)
-			e.PutOpaque(buf[:cnt])
-		}, oncrpc.AcceptSuccess
+		e.PutUint32(replica.PeerOK)
+		e.PutOpaque(buf[:cnt])
 
 	case replica.PeerProcWrite:
-		id, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
 		off, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
 		data, err := d.Opaque()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		if werr := n.store.WriteAt(ObjectID(id), int64(off), data, true); werr != nil {
-			return func(e *xdr.Encoder) { e.PutUint32(replica.PeerNoObj) }, oncrpc.AcceptSuccess
-		}
-		return func(e *xdr.Encoder) { e.PutUint32(replica.PeerOK) }, oncrpc.AcceptSuccess
+		e.PutUint32(n.io.once(once.IdentOf(&call, from), func() uint32 {
+			return peerStatus(n.store.WriteAt(ObjectID(id), int64(off), data, true))
+		}))
 
 	case replica.PeerProcRemove:
-		id, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
-		n.store.Remove(ObjectID(id))
-		return func(e *xdr.Encoder) { e.PutUint32(replica.PeerOK) }, oncrpc.AcceptSuccess
+		e.PutUint32(n.io.once(once.IdentOf(&call, from), func() uint32 {
+			n.store.Remove(ObjectID(id))
+			return replica.PeerOK
+		}))
 
 	case replica.PeerProcTruncate:
-		id, err := d.Uint64()
-		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
-		}
 		size, err := d.Uint64()
 		if err != nil {
-			return nil, oncrpc.AcceptGarbageArgs
+			return oncrpc.AcceptGarbageArgs
 		}
-		if terr := n.store.Truncate(ObjectID(id), int64(size)); terr != nil {
-			return func(e *xdr.Encoder) { e.PutUint32(replica.PeerNoObj) }, oncrpc.AcceptSuccess
-		}
-		return func(e *xdr.Encoder) { e.PutUint32(replica.PeerOK) }, oncrpc.AcceptSuccess
-
-	default:
-		return nil, oncrpc.AcceptProcUnavail
+		e.PutUint32(n.io.once(once.IdentOf(&call, from), func() uint32 {
+			return peerStatus(n.store.Truncate(ObjectID(id), int64(size)))
+		}))
 	}
+	return oncrpc.AcceptSuccess
+}
+
+// peerStatus is the peer program's status for a store error.
+func peerStatus(err error) uint32 {
+	if err != nil {
+		return replica.PeerNoObj
+	}
+	return replica.PeerOK
 }

@@ -55,7 +55,7 @@ const (
 // different gateways the same host. Since netsim recycles ephemeral ports
 // after close, two distinct remote clients could then end up with
 // identical {host, port} fabric addresses — which poisons the servers'
-// duplicate-request caches across clients. Monotonic process-wide hosts
+// outcome tables across clients. Monotonic process-wide hosts
 // keep every peer's fabric address unique for the life of the process.
 var synthHosts atomic.Uint32
 
