@@ -12,8 +12,9 @@ import (
 )
 
 // teeStore is a journal store that compacts like any other and also keeps
-// every record ever appended, never compacted: the full journal a
-// restart from the whole history replays.
+// every record ever appended, never compacted — the checkpoints' restated
+// records left out, nothing dropped: the full journal a restart from the
+// whole history replays. It counts a checkpoint when it drops.
 type teeStore struct {
 	*wal.MemStore
 	full        *wal.MemStore
@@ -26,9 +27,10 @@ func newTeeStore() *teeStore {
 
 func (s *teeStore) Append(p []byte) error { _ = s.full.Append(p); return s.MemStore.Append(p) }
 func (s *teeStore) Sync() error           { _ = s.full.Sync(); return s.MemStore.Sync() }
-func (s *teeStore) Replace(p []byte) error {
+func (s *teeStore) Drop() error {
 	s.compactions.Add(1)
-	return s.MemStore.Replace(p)
+	_ = s.full.Sync()
+	return s.MemStore.Drop()
 }
 
 // liveOf returns the records c's state compacts to, sorted, and their

@@ -164,7 +164,7 @@ func newCoordinator(cfg Config) *Coordinator {
 		rpc:     oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 		stopCh:  make(chan struct{}),
 	}
-	cfg.Log.SetLive(&c.mu, c.liveRecords, c.liveSize)
+	cfg.Log.SetLive(c.liveSize, wal.Shard{Mu: &c.mu, Live: c.liveRecords})
 	return c
 }
 

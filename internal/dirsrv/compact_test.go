@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,23 +20,28 @@ import (
 )
 
 // teeStore is a journal store that compacts like any other and also keeps
-// every record ever appended, never compacted: the full journal a
-// restart from the whole history replays.
+// every record ever appended, never compacted — the checkpoints' restated
+// records left out, nothing dropped: the full journal a restart from the
+// whole history replays. It counts a checkpoint when it cuts and when it
+// drops.
 type teeStore struct {
 	*wal.MemStore
-	full        *wal.MemStore
-	compactions atomic.Int32
+	full              *wal.MemStore
+	cuts, compactions atomic.Int32
 }
 
 func newTeeStore() *teeStore {
 	return &teeStore{MemStore: wal.NewMemStore(), full: wal.NewMemStore()}
 }
 
-func (s *teeStore) Append(p []byte) error { _ = s.full.Append(p); return s.MemStore.Append(p) }
-func (s *teeStore) Sync() error           { _ = s.full.Sync(); return s.MemStore.Sync() }
-func (s *teeStore) Replace(p []byte) error {
+func (s *teeStore) Append(p []byte) error  { _ = s.full.Append(p); return s.MemStore.Append(p) }
+func (s *teeStore) Sync() error            { _ = s.full.Sync(); return s.MemStore.Sync() }
+func (s *teeStore) Restate(p []byte) error { return s.MemStore.Restate(p) }
+func (s *teeStore) Cut() error             { s.cuts.Add(1); return s.MemStore.Cut() }
+func (s *teeStore) Drop() error {
 	s.compactions.Add(1)
-	return s.MemStore.Replace(p)
+	_ = s.full.Sync()
+	return s.MemStore.Drop()
 }
 
 // recordOverhead is a journal record's framing: header and CRC.
@@ -49,16 +55,24 @@ const recordOverhead = 24
 // counted but not returned: which of them a replay keeps depends on the
 // time it runs, since each expires once.Span after it was recorded.
 func liveOf(s *Server) ([]string, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].unlock()
+		}
+	}()
 	var recs []string
 	n := 0
-	s.liveRecords(func(recType uint32, p []byte) {
-		if recType != recOutcome {
-			recs = append(recs, fmt.Sprintf("%d:%x", recType, p))
-		}
-		n += recordOverhead + len(p)
-	})
+	for i := range s.shards {
+		s.liveRecords(&s.shards[i], func(recType uint32, p []byte) {
+			if recType != recOutcome {
+				recs = append(recs, strconv.Itoa(int(recType))+":"+string(p))
+			}
+			n += recordOverhead + len(p)
+		})
+	}
 	if got := s.liveSize(); got != n {
 		panic(fmt.Sprintf("site %d registers a live size of %d bytes, its live records are %d", s.site, got, n))
 	}
@@ -93,6 +107,17 @@ func (h *harness) crashCopies(full bool) []*wal.MemStore {
 // Check must find the recovered name space clean.
 func (h *harness) restartAll(stores []*wal.MemStore) [][]string {
 	h.t.Helper()
+	var live [][]string
+	h.restartEach(stores, func(s *Server) {
+		recs, _ := liveOf(s)
+		live = append(live, recs)
+	})
+	return live
+}
+
+// restartEach is restartAll handing each recovered server to read.
+func (h *harness) restartEach(stores []*wal.MemStore, read func(*Server)) {
+	h.t.Helper()
 	net := netsim.New(netsim.Config{})
 	var servers []*Server
 	defer func() {
@@ -107,12 +132,9 @@ func (h *harness) restartAll(stores []*wal.MemStore) [][]string {
 	if problems := Check(servers, h.root); len(problems) != 0 {
 		h.t.Fatalf("restart is not fsck-clean:\n%s", strings.Join(problems, "\n"))
 	}
-	var live [][]string
 	for _, s := range servers {
-		recs, _ := liveOf(s)
-		live = append(live, recs)
+		read(s)
 	}
-	return live
 }
 
 func (h *harness) restartSite(net *netsim.Network, i int, st *wal.MemStore) *Server {
@@ -138,9 +160,12 @@ func (h *harness) restartSite(net *netsim.Network, i int, st *wal.MemStore) *Ser
 // and the outcomes it keeps would otherwise hold most of its journal live.
 func (h *harness) forgetOutcomes() {
 	for _, s := range h.servers {
-		s.mu.Lock()
-		s.done = once.Table{}
-		s.mu.Unlock()
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			sh.done = once.Table{}
+			sh.unlock()
+		}
 	}
 }
 

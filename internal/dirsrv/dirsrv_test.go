@@ -496,9 +496,13 @@ func TestRecoveryIdempotentReplay(t *testing.T) {
 
 // recoverFresh rebuilds s from log onto an empty state, as Restart does.
 func recoverFresh(s *Server, log *wal.Log) error {
-	s.mu.Lock()
-	s.st = newState()
-	s.mu.Unlock()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.state = state{}
+		sh.init(i, sh.log, sh.total)
+		sh.unlock()
+	}
 	return s.replayLog(log)
 }
 
@@ -608,14 +612,16 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	h.create(h.root, "f")
 	s := h.servers[0]
 	// Damage: delete the attr cell behind the entry.
-	s.mu.Lock()
-	for id, c := range s.st.attrs {
-		if c.at.Type == attr.TypeReg {
-			delete(s.st.attrs, id)
-			break
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for id, c := range sh.attrs {
+			if c.at.Type == attr.TypeReg {
+				delete(sh.attrs, id)
+			}
 		}
+		sh.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if problems := Check(h.servers, h.root); len(problems) == 0 {
 		t.Fatal("checker missed a dangling name cell")
 	}

@@ -29,17 +29,27 @@ type stateDump struct {
 	cells []nameCell
 }
 
-// dump snapshots the server's state under its lock.
+// dump snapshots the server's state, holding every shard's lock, taken
+// in ascending order.
 func (s *Server) dump() stateDump {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := stateDump{site: s.site, attrs: make(map[uint64]attrCell, len(s.st.attrs))}
-	for k, c := range s.st.attrs {
-		d.attrs[k] = *c
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
 	}
-	for _, chain := range s.st.chains {
-		for _, c := range chain {
-			d.cells = append(d.cells, *c)
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].unlock()
+		}
+	}()
+	d := stateDump{site: s.site, attrs: make(map[uint64]attrCell)}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for k, c := range sh.attrs {
+			d.attrs[k] = *c
+		}
+		for _, chain := range sh.chains {
+			for _, c := range chain {
+				d.cells = append(d.cells, *c)
+			}
 		}
 	}
 	return d

@@ -16,15 +16,17 @@ type xdrEncoder = xdr.Encoder
 
 // This file implements the NFS-facing operations of a directory server.
 // The general shape of each multi-site operation is: perform the local
-// mutation under s.mu (via a local* helper), release the lock, then issue
-// any peer call. Peer handlers are leaves — they never call out — so the
-// peer protocol cannot deadlock across sites.
+// mutation under its shard's lock (via a local* helper), release the lock,
+// then issue any peer call. Peer handlers are leaves — they never call out
+// — so the peer protocol cannot deadlock across sites. An operation holds
+// one shard's lock at a time, and no lock across a peer call.
 
 // optLocalAttr returns the attribute cell for fh if resident.
 func (s *Server) optLocalAttr(fh fhandle.Handle) nfsproto.OptAttr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c := s.st.attrs[fh.FileID]; c != nil {
+	sh := s.shard(fh.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if c := sh.attrs[fh.FileID]; c != nil {
 		return nfsproto.Some(c.at)
 	}
 	return nfsproto.OptAttr{}
@@ -50,9 +52,10 @@ func (s *Server) childAttr(child fhandle.Handle) nfsproto.OptAttr {
 }
 
 func (s *Server) getattr(a *nfsproto.GetAttrArgs) nfsproto.GetAttrRes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.attrs[a.FH.FileID]
+	sh := s.shard(a.FH.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.attrs[a.FH.FileID]
 	if c == nil || c.fh.Gen != a.FH.Gen {
 		return nfsproto.GetAttrRes{Status: nfsproto.ErrStale}
 	}
@@ -60,7 +63,7 @@ func (s *Server) getattr(a *nfsproto.GetAttrArgs) nfsproto.GetAttrRes {
 }
 
 func (s *Server) setattr(a *nfsproto.SetAttrArgs, o *op) nfsproto.SetAttrRes {
-	if st, _, dup := s.seen(o); dup {
+	if st, _, dup := s.seen(a.FH.FileID, o); dup {
 		return nfsproto.SetAttrRes{Status: st, Attr: s.optLocalAttr(a.FH)}
 	}
 	st, at := s.localSetAttrByKey(a.FH.FileID, &a.Sattr, o.id)
@@ -72,9 +75,10 @@ func (s *Server) setattr(a *nfsproto.SetAttrArgs, o *op) nfsproto.SetAttrRes {
 }
 
 func (s *Server) access(a *nfsproto.AccessArgs) nfsproto.AccessRes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.attrs[a.FH.FileID]
+	sh := s.shard(a.FH.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.attrs[a.FH.FileID]
 	if c == nil {
 		return nfsproto.AccessRes{Status: nfsproto.ErrStale}
 	}
@@ -88,9 +92,10 @@ func (s *Server) access(a *nfsproto.AccessArgs) nfsproto.AccessRes {
 }
 
 func (s *Server) lookup(a *nfsproto.LookupArgs) nfsproto.LookupRes {
-	s.mu.Lock()
-	entry := s.st.findEntry(a.Dir, a.Name)
-	s.mu.Unlock()
+	sh := s.shard(a.Dir.FileID)
+	sh.mu.Lock()
+	entry := sh.findEntry(a.Dir, a.Name)
+	sh.unlock()
 	if entry == nil {
 		return nfsproto.LookupRes{
 			Status:  nfsproto.ErrNoEnt,
@@ -104,6 +109,17 @@ func (s *Server) lookup(a *nfsproto.LookupArgs) nfsproto.LookupRes {
 		Attr:    s.childAttr(child),
 		DirAttr: s.optLocalAttr(a.Dir),
 	}
+}
+
+// entryOf returns the child a name entry here binds (parent, name) to.
+func (s *Server) entryOf(parent fhandle.Handle, name string) (fhandle.Handle, nfsproto.Status) {
+	sh := s.shard(parent.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if c := sh.findEntry(parent, name); c != nil {
+		return c.child, nfsproto.OK
+	}
+	return fhandle.Handle{}, nfsproto.ErrNoEnt
 }
 
 // touchParentMaybeRemote updates the parent directory's mtime/nlink, via a
@@ -131,15 +147,16 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
 	// Mint the child and its attribute cell here (fixed placement: the
-	// create site owns the file's attributes).
-	s.mu.Lock()
-	if st, fileID, dup := s.seenLocked(o); dup {
-		s.mu.Unlock()
+	// create site owns the file's attributes), in the directory's shard.
+	sh := s.shard(a.Dir.FileID)
+	sh.mu.Lock()
+	if st, fileID, dup := sh.seenLocked(o); dup {
+		sh.unlock()
 		return s.madeAgain(a.Dir, st, fileID, attr.TypeReg)
 	}
-	if existing := s.st.findEntry(a.Dir, a.Name); existing != nil {
+	if existing := sh.findEntry(a.Dir, a.Name); existing != nil {
 		child := existing.child
-		s.mu.Unlock()
+		sh.unlock()
 		if a.Exclusive {
 			return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 		}
@@ -149,7 +166,7 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		}
 	}
 	now := s.now()
-	fh := s.mintLocked(uint8(attr.TypeReg))
+	fh := s.mintLocked(sh, uint8(attr.TypeReg))
 	mode := uint32(0o644)
 	if a.Sattr.SetMode {
 		mode = a.Sattr.Mode
@@ -159,19 +176,19 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.putCell(cell)
-	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
-	if _, err := s.log.Append(recCreate, s.cellRecord(fh, &cell.at)); err != nil {
-		s.mu.Unlock()
+	sh.putCell(cell)
+	sh.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
+	if err := sh.append(recCreate, sh.cellRecord(fh, &cell.at)); err != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	s.entryRecord(a.Dir, a.Name, fh)
-	if _, err := s.log.AppendSync(recInsert, s.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
-		s.mu.Unlock()
+	sh.entryRecord(a.Dir, a.Name, fh)
+	if err := sh.appendSync(recInsert, sh.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
-	s.mu.Unlock()
+	sh.unlock()
 
 	if st := s.touchParentMaybeRemote(o, a.Dir, 0); st == nfsproto.ErrStale {
 		// Parent vanished concurrently: undo.
@@ -193,19 +210,23 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	// call, making this the paper's two-site operation.
 	redirected := s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir)
 
-	s.mu.Lock()
-	if st, fileID, dup := s.seenLocked(o); dup {
-		s.mu.Unlock()
+	// The op's outcome lives in the parent's shard, whichever record
+	// carries it; the new directory's cell in a shard of its own.
+	dsh := s.shard(a.Dir.FileID)
+	dsh.mu.Lock()
+	if st, fileID, dup := dsh.seenLocked(o); dup {
+		dsh.unlock()
 		return s.madeAgain(a.Dir, st, fileID, attr.TypeDir)
 	}
-	if !redirected {
-		if existing := s.st.findEntry(a.Dir, a.Name); existing != nil {
-			s.mu.Unlock()
-			return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
-		}
+	exists := !redirected && dsh.findEntry(a.Dir, a.Name) != nil
+	dsh.unlock()
+	if exists {
+		return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 	}
+	sh := s.dirShard()
+	sh.mu.Lock()
 	now := s.now()
-	fh := s.mintLocked(uint8(attr.TypeDir))
+	fh := s.mintLocked(sh, uint8(attr.TypeDir))
 	mode := uint32(0o755)
 	if a.Sattr.SetMode {
 		mode = a.Sattr.Mode
@@ -215,17 +236,17 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.putCell(cell)
+	sh.putCell(cell)
 	recType := uint32(recNewCell)
 	if redirected {
 		recType = recMkdirIn
 	}
-	if _, err := s.log.AppendSync(recType, s.cellRecord(fh, &cell.at)); err != nil {
-		s.mu.Unlock()
+	if err := sh.appendSync(recType, sh.cellRecord(fh, &cell.at)); err != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
-	s.mu.Unlock()
+	sh.unlock()
 
 	var st nfsproto.Status
 	if redirected {
@@ -248,10 +269,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 			// No record of this site's carries the outcome: the insert
 			// was the parent's. A record of its own does, for a
 			// retransmission that comes back here.
-			s.mu.Lock()
-			s.rec.Reset()
-			_, _ = s.log.Append(recOutcome, s.answered(o.id, st, res.FH.FileID))
-			s.mu.Unlock()
+			dsh.outcome(o.id, st, res.FH.FileID)
 			res.DirAttr = s.optLocalAttr(a.Dir)
 			return res
 		}
@@ -268,7 +286,8 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		}
 	}
 	if st != nfsproto.OK {
-		s.discardCell(fh, &at, o.id, st)
+		s.discardCell(fh, &at, once.Ident{}, 0)
+		dsh.outcome(o.id, st, 0)
 		return nfsproto.CreateRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	return nfsproto.CreateRes{
@@ -280,13 +299,16 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 // discardCell undoes the cell a create, symlink or mkdir minted before it
 // found it could not link it in: the cell goes from memory and, by a
 // recCellGone record, from the journal, so a restart replays no orphan.
-// The record carries the call's outcome, st, the failure the undo answers.
+// The record carries the call's outcome, st, the failure the undo
+// answers; the cell of a created file is of its directory's shard, where
+// the retransmission of its CREATE looks.
 func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr, id once.Ident, st nfsproto.Status) {
-	s.mu.Lock()
-	s.st.dropCell(fh.FileID)
-	s.cellRecord(fh, at)
-	_, _ = s.log.AppendSync(recCellGone, s.answered(id, st, 0))
-	s.mu.Unlock()
+	sh := s.shard(fh.FileID)
+	sh.mu.Lock()
+	sh.dropCell(fh.FileID)
+	sh.cellRecord(fh, at)
+	_ = sh.appendSync(recCellGone, sh.answered(id, st, 0))
+	sh.unlock()
 }
 
 // madeAgain answers a retransmitted CREATE, MKDIR or SYMLINK from its
@@ -321,23 +343,18 @@ func (s *Server) peerInsert(o *op, site uint32, parent fhandle.Handle, name stri
 }
 
 func (s *Server) remove(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
-	if st, _, dup := s.seen(o); dup {
+	if st, _, dup := s.seen(a.Dir.FileID, o); dup {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	s.mu.Lock()
-	entry := s.st.findEntry(a.Dir, a.Name)
-	if entry == nil {
-		s.mu.Unlock()
-		return nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
+	child, st := s.entryOf(a.Dir, a.Name)
+	if st == nfsproto.OK && child.Type == uint8(attr.TypeDir) {
+		st = nfsproto.ErrIsDir
 	}
-	if entry.child.Type == uint8(attr.TypeDir) {
-		s.mu.Unlock()
-		return nfsproto.RemoveRes{Status: nfsproto.ErrIsDir, DirAttr: s.optLocalAttr(a.Dir)}
+	if st != nfsproto.OK {
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	child := entry.child
-	s.mu.Unlock()
 
-	st, _ := s.localRemoveEntry(a.Dir, a.Name, true, o.id)
+	st, _ = s.localRemoveEntry(a.Dir, a.Name, true, o.id)
 	if st != nfsproto.OK {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
@@ -373,9 +390,10 @@ func (s *Server) linkDelta(o *op, child fhandle.Handle, delta int32) {
 // this multi-site cost structure).
 func (s *Server) dirEmpty(child fhandle.Handle) (bool, nfsproto.Status) {
 	if s.kind == route.MkdirSwitching {
-		s.mu.Lock()
-		n := len(s.st.byDir[child.Ident()])
-		s.mu.Unlock()
+		sh := s.shard(child.FileID)
+		sh.mu.Lock()
+		n := len(sh.byDir[child.Ident()])
+		sh.unlock()
 		return n == 0, nfsproto.OK
 	}
 	for site := 0; site < s.dirSites(); site++ {
@@ -397,21 +415,16 @@ func (s *Server) dirEmpty(child fhandle.Handle) (bool, nfsproto.Status) {
 }
 
 func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
-	if st, _, dup := s.seen(o); dup {
+	if st, _, dup := s.seen(a.Dir.FileID, o); dup {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	s.mu.Lock()
-	entry := s.st.findEntry(a.Dir, a.Name)
-	if entry == nil {
-		s.mu.Unlock()
-		return nfsproto.RemoveRes{Status: nfsproto.ErrNoEnt, DirAttr: s.optLocalAttr(a.Dir)}
+	child, st := s.entryOf(a.Dir, a.Name)
+	if st == nfsproto.OK && child.Type != uint8(attr.TypeDir) {
+		st = nfsproto.ErrNotDir
 	}
-	if entry.child.Type != uint8(attr.TypeDir) {
-		s.mu.Unlock()
-		return nfsproto.RemoveRes{Status: nfsproto.ErrNotDir, DirAttr: s.optLocalAttr(a.Dir)}
+	if st != nfsproto.OK {
+		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	child := entry.child
-	s.mu.Unlock()
 
 	childSite := child.Site % uint32(s.dirSites())
 	if childSite == s.site {
@@ -442,7 +455,7 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 			return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 		}
 	}
-	st, _ := s.localRemoveEntry(a.Dir, a.Name, true, o.id)
+	st, _ = s.localRemoveEntry(a.Dir, a.Name, true, o.id)
 	if st != nfsproto.OK {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
 	}
@@ -453,24 +466,23 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 }
 
 func (s *Server) rename(a *nfsproto.RenameArgs, o *op) nfsproto.RenameRes {
-	if st, _, dup := s.seen(o); dup {
+	// The old entry's removal completes the op: its outcome lives in the
+	// source directory's shard.
+	if st, _, dup := s.seen(a.FromDir.FileID, o); dup {
 		return nfsproto.RenameRes{
 			Status:      st,
 			FromDirAttr: s.optLocalAttr(a.FromDir),
 			ToDirAttr:   s.optLocalAttr(a.ToDir),
 		}
 	}
-	s.mu.Lock()
-	entry := s.st.findEntry(a.FromDir, a.FromName)
-	s.mu.Unlock()
-	if entry == nil {
+	child, st := s.entryOf(a.FromDir, a.FromName)
+	if st != nfsproto.OK {
 		return nfsproto.RenameRes{
-			Status:      nfsproto.ErrNoEnt,
+			Status:      st,
 			FromDirAttr: s.optLocalAttr(a.FromDir),
 			ToDirAttr:   s.optLocalAttr(a.ToDir),
 		}
 	}
-	child := entry.child
 	isDir := child.Type == uint8(attr.TypeDir)
 	sameDir := a.FromDir.Ident() == a.ToDir.Ident()
 
@@ -485,7 +497,6 @@ func (s *Server) rename(a *nfsproto.RenameArgs, o *op) nfsproto.RenameRes {
 	if isDir && !sameDir {
 		nlinkBump = 1
 	}
-	var st nfsproto.Status
 	if targetSite == s.site {
 		st, _ = s.localInsertEntry(a.ToDir, a.ToName, child, true, once.Ident{})
 	} else {
@@ -530,7 +541,7 @@ func (s *Server) link(a *nfsproto.LinkArgs, o *op) nfsproto.LinkRes {
 		return nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
 	}
 	st, dup := nfsproto.OK, false
-	if st, _, dup = s.seen(o); !dup {
+	if st, _, dup = s.seen(a.Dir.FileID, o); !dup {
 		st, _ = s.localInsertEntry(a.Dir, a.Name, a.FH, true, o.id)
 	}
 	if st != nfsproto.OK {
@@ -597,20 +608,21 @@ func (s *Server) readdir(a *nfsproto.ReadDirArgs) nfsproto.ReadDirRes {
 }
 
 func (s *Server) fsstat(a *nfsproto.FsStatArgs) nfsproto.FsStatRes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	nFiles := uint64(len(s.st.attrs))
-	res := nfsproto.FsStatRes{
+	var nFiles uint64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		nFiles += uint64(len(sh.attrs))
+		sh.mu.Unlock()
+	}
+	return nfsproto.FsStatRes{
 		Status:     nfsproto.OK,
 		TotalBytes: 1 << 40,
 		FreeBytes:  1 << 40,
 		TotalFiles: 1 << 24,
 		FreeFiles:  1<<24 - nFiles,
+		Attr:       s.optLocalAttr(a.FH),
 	}
-	if c := s.st.attrs[a.FH.FileID]; c != nil {
-		res.Attr = nfsproto.Some(c.at)
-	}
-	return res
 }
 
 // symlink creates a symbolic link cell: a name entry plus an attribute
@@ -620,38 +632,39 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
 		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
-	if st, fileID, dup := s.seen(o); dup {
+	if st, fileID, dup := s.seen(a.Dir.FileID, o); dup {
 		return s.madeAgain(a.Dir, st, fileID, attr.TypeLink)
 	}
 	if len(a.Target) > 4096 {
 		return nfsproto.CreateRes{Status: nfsproto.ErrNameTooLong}
 	}
-	s.mu.Lock()
-	if s.st.findEntry(a.Dir, a.Name) != nil {
-		s.mu.Unlock()
+	sh := s.shard(a.Dir.FileID)
+	sh.mu.Lock()
+	if sh.findEntry(a.Dir, a.Name) != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 	}
 	now := s.now()
-	fh := s.mintLocked(uint8(attr.TypeLink))
+	fh := s.mintLocked(sh, uint8(attr.TypeLink))
 	cell := &attrCell{fh: fh, at: attr.Attr{
 		Type: attr.TypeLink, Mode: 0o777, Nlink: 1, FileID: fh.FileID,
 		Size: uint64(len(a.Target)), Used: uint64(len(a.Target)),
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
 		Atime: now, Mtime: now, Ctime: now,
 	}, target: a.Target}
-	s.st.putCell(cell)
-	s.st.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
-	if _, err := s.log.Append(recCreate, encodeCellRecord(&s.rec, fh, &cell.at, a.Target)); err != nil {
-		s.mu.Unlock()
+	sh.putCell(cell)
+	sh.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
+	if err := sh.append(recCreate, encodeCellRecord(&sh.rec, fh, &cell.at, a.Target)); err != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
-	s.entryRecord(a.Dir, a.Name, fh)
-	if _, err := s.log.AppendSync(recInsert, s.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
-		s.mu.Unlock()
+	sh.entryRecord(a.Dir, a.Name, fh)
+	if err := sh.appendSync(recInsert, sh.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
+		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	at := cell.at
-	s.mu.Unlock()
+	sh.unlock()
 
 	if st := s.touchParentMaybeRemote(o, a.Dir, 0); st == nfsproto.ErrStale {
 		s.localRemoveEntry(a.Dir, a.Name, false, once.Ident{})
@@ -666,9 +679,10 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 
 // readlink returns a symbolic link's target path.
 func (s *Server) readlink(a *nfsproto.ReadLinkArgs) nfsproto.ReadLinkRes {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.attrs[a.FH.FileID]
+	sh := s.shard(a.FH.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.attrs[a.FH.FileID]
 	if c == nil || c.fh.Gen != a.FH.Gen {
 		return nfsproto.ReadLinkRes{Status: nfsproto.ErrStale}
 	}

@@ -32,7 +32,7 @@ const (
 
 // peerCall issues a peer procedure to the given logical site and decodes
 // the leading status word of the reply; decodeRest (optional) consumes the
-// remainder. The server must NOT hold s.mu across this call.
+// remainder. The server must hold no shard lock across this call.
 func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	decodeRest func(*xdr.Decoder) error) (nfsproto.Status, error) {
 

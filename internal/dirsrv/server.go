@@ -1,7 +1,6 @@
 package dirsrv
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"slice/internal/attr"
@@ -56,17 +55,14 @@ type Server struct {
 	kind  route.NameKind
 	table *route.Table
 
-	mu     sync.Mutex
-	st     *state
-	log    *wal.Log
-	rootFH fhandle.Handle
-	// rec is the journal records' scratch, used under mu: a record is
-	// encoded into it and appended before the next is encoded.
-	rec xdr.Encoder
-	// done is the outcome of each non-idempotent call served in the last
-	// once.Span, NFS and peer alike, under mu; the journal carries it
-	// (answered), so it survives a restart.
-	done once.Table
+	shards [nShards]shard
+	// live is the journal length of every shard's live records, as each
+	// last counted it (shard.unlock): the image the log checkpoints.
+	live atomic.Int64
+	// dirs deals new directories to shards round-robin.
+	dirs atomic.Uint32
+	log  *wal.Log
+	root atomic.Pointer[fhandle.Handle]
 
 	ct struct{ ops, peerCalls, peerServed, crossSite atomic.Uint64 }
 
@@ -107,13 +103,25 @@ func newServer(cfg Config) *Server {
 		vol:   cfg.Volume,
 		kind:  cfg.Kind,
 		table: cfg.Table,
-		st:    newState(),
 		log:   cfg.Log,
 		peer:  oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{}),
 	}
-	s.log.SetLive(&s.mu, s.liveRecords, s.liveSize)
+	shards := make([]wal.Shard, nShards)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.init(i, s.log, &s.live)
+		shards[i] = wal.Shard{Mu: &sh.mu, Live: func(emit func(uint32, []byte)) { s.liveRecords(sh, emit) }}
+	}
+	s.log.SetLive(s.liveSize, shards...)
 	return s
 }
+
+// shard returns the shard that holds fileID's cell (shardOf).
+func (s *Server) shard(fileID uint64) *shard { return &s.shards[shardOf(fileID)] }
+
+// dirShard returns the shard the next directory is minted in: shard 1
+// first, so the volume root is minted with the site's first file ID.
+func (s *Server) dirShard() *shard { return &s.shards[s.dirs.Add(1)%nShards] }
 
 // Addr returns the server's service address.
 func (s *Server) Addr() netsim.Addr { return s.srv.Addr() }
@@ -134,9 +142,13 @@ func (s *Server) Log() *wal.Log { return s.log }
 
 // Counters returns a snapshot of the server's activity counters.
 func (s *Server) Counters() Counters {
-	s.mu.Lock()
-	outcomes, peak := s.done.Len(), s.done.Peak()
-	s.mu.Unlock()
+	var outcomes, peak int
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		outcomes, peak = outcomes+sh.done.Len(), peak+sh.done.Peak()
+		sh.mu.Unlock()
+	}
 	return Counters{
 		Ops:          s.ct.ops.Load(),
 		PeerCalls:    s.ct.peerCalls.Load(),
@@ -156,20 +168,21 @@ func (s *Server) Close() {
 // CreateRoot mints the volume root directory. The ensemble calls it once,
 // on the site that owns the root.
 func (s *Server) CreateRoot() (fhandle.Handle, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.rootFH.IsZero() {
-		return s.rootFH, nil
+	if fh := s.root.Load(); fh != nil && !fh.IsZero() {
+		return *fh, nil
 	}
+	sh := s.dirShard()
+	sh.mu.Lock()
+	defer sh.unlock()
 	now := s.now()
-	fh := s.mintLocked(uint8(attr.TypeDir))
+	fh := s.mintLocked(sh, uint8(attr.TypeDir))
 	cell := &attrCell{fh: fh, at: attr.Attr{
 		Type: attr.TypeDir, Mode: 0o755, Nlink: 2,
 		FileID: fh.FileID, Atime: now, Mtime: now, Ctime: now,
 	}}
-	s.st.putCell(cell)
-	s.rootFH = fh
-	if _, err := s.log.AppendSync(recNewCell, s.cellRecord(fh, &cell.at)); err != nil {
+	sh.putCell(cell)
+	s.root.Store(&fh)
+	if err := sh.appendSync(recNewCell, sh.cellRecord(fh, &cell.at)); err != nil {
 		return fhandle.Handle{}, err
 	}
 	return fh, nil
@@ -177,16 +190,18 @@ func (s *Server) CreateRoot() (fhandle.Handle, error) {
 
 // SetRoot installs an existing root handle (on non-owner sites, so they
 // can serve MOUNT too).
-func (s *Server) SetRoot(fh fhandle.Handle) {
-	s.mu.Lock()
-	s.rootFH = fh
-	s.mu.Unlock()
-}
+func (s *Server) SetRoot(fh fhandle.Handle) { s.root.Store(&fh) }
 
-// mintLocked allocates a fresh file handle owned by this site.
-func (s *Server) mintLocked(ftype uint8) fhandle.Handle {
-	id := uint64(s.site+1)<<40 | max(s.st.nextID, 1)
-	s.st.nextID = id + 1
+// mintLocked allocates a fresh file handle owned by this site, in shard
+// sh, whose lock the caller holds: the next ID past the site's base that
+// is sh's (shardOf), never the base itself.
+func (s *Server) mintLocked(sh *shard, ftype uint8) fhandle.Handle {
+	first := uint64(s.site+1)<<40 | uint64(sh.i)
+	if sh.i == 0 {
+		first += nShards
+	}
+	id := max(sh.last+nShards, first)
+	sh.last = id
 	return s.handleOf(id, ftype)
 }
 
@@ -233,9 +248,10 @@ func (s *Server) serveMount(call oncrpc.Call, e *xdr.Encoder) uint32 {
 	case nfsproto.MountProcNull, nfsproto.MountProcUmnt, nfsproto.MountProcUmntAll:
 		// A stateless server: nothing to tear down.
 	case nfsproto.MountProcMnt:
-		s.mu.Lock()
-		res := nfsproto.MountMntRes{Status: nfsproto.OK, FH: s.rootFH}
-		s.mu.Unlock()
+		res := nfsproto.MountMntRes{Status: nfsproto.ErrNoEnt}
+		if fh := s.root.Load(); fh != nil {
+			res = nfsproto.MountMntRes{Status: nfsproto.OK, FH: *fh}
+		}
 		if res.FH.IsZero() || args.Path != "" && args.Path != "/" && args.Path != ExportPath {
 			res = nfsproto.MountMntRes{Status: nfsproto.ErrNoEnt}
 		}
@@ -378,13 +394,14 @@ func (s *Server) ownsHandle(fh fhandle.Handle) bool {
 
 // --------------------------------------------------------- local helpers
 //
-// local* methods implement single-site mutations. They take s.mu, journal
-// the mutation, and return NFS statuses. They never call peers, so peer
-// handlers built on them are leaves of the call graph. Each takes the
-// identity of the call whose outcome its record carries: the NFS call it
-// completes, a peer step it serves — which it answers from the outcome
-// table when that step was served before — or none, when it is a step of
-// an operation whose outcome another record carries.
+// local* methods implement single-site mutations. They take the lock of
+// the one shard they touch, journal the mutation, and return NFS
+// statuses. They never call peers, so peer handlers built on them are
+// leaves of the call graph. Each takes the identity of the call whose
+// outcome its record carries: the NFS call it completes, a peer step it
+// serves — which it answers from the outcome table when that step was
+// served before — or none, when it is a step of an operation whose
+// outcome another record carries.
 
 // op is the NFS call a mutation serves: its identity, under which its
 // outcome is recorded, and the peer mutations made on its behalf so far,
@@ -404,25 +421,28 @@ func (o *op) step(proc uint32) once.Ident {
 	return o.id.Sub(o.steps<<8 | proc)
 }
 
-// seen returns the outcome recorded for the op: it was served before,
+// seen returns the outcome recorded for the op in the shard of key, where
+// the record that completes the op is journaled: it was served before,
 // and this is a retransmission.
-func (s *Server) seen(o *op) (nfsproto.Status, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seenLocked(o)
+func (s *Server) seen(key uint64, o *op) (nfsproto.Status, uint64, bool) {
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.unlock()
+	return sh.seenLocked(o)
 }
 
-// seenLocked is seen for a caller that holds s.mu.
-func (s *Server) seenLocked(o *op) (nfsproto.Status, uint64, bool) {
-	st, v, ok := s.recorded(o.id)
+// seenLocked is seen for a caller that holds sh.mu.
+func (sh *shard) seenLocked(o *op) (nfsproto.Status, uint64, bool) {
+	st, v, ok := sh.recorded(o.id)
 	o.replayed = ok
 	return st, v, ok
 }
 
 func (s *Server) localGetAttrByKey(key uint64) (nfsproto.Status, attr.Attr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.attrs[key]
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale, attr.Attr{}
 	}
@@ -430,15 +450,16 @@ func (s *Server) localGetAttrByKey(key uint64) (nfsproto.Status, attr.Attr) {
 }
 
 func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr, id once.Ident) (nfsproto.Status, attr.Attr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.attrs[key]
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale, attr.Attr{}
 	}
 	sa.Apply(&c.at, s.now())
-	s.cellRecord(c.fh, &c.at)
-	if _, err := s.log.AppendSync(recSetAttr, s.answered(id, nfsproto.OK, 0)); err != nil {
+	sh.cellRecord(c.fh, &c.at)
+	if err := sh.appendSync(recSetAttr, sh.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO, attr.Attr{}
 	}
 	return nfsproto.OK, c.at
@@ -448,23 +469,24 @@ func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr, id once.Ident) 
 // bumps the parent link count) and returns the file ID the name is bound
 // to. touchParent updates the parent cell if it is resident.
 func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhandle.Handle, touchParent bool, id once.Ident) (nfsproto.Status, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, bound, ok := s.recorded(id); ok {
+	sh := s.shard(parent.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if st, bound, ok := sh.recorded(id); ok {
 		return st, bound
 	}
-	if s.st.findEntry(parent, name) != nil {
+	if sh.findEntry(parent, name) != nil {
 		return nfsproto.ErrExist, 0
 	}
 	if touchParent {
-		if pc := s.st.attrs[parent.FileID]; pc != nil {
+		if pc := sh.attrs[parent.FileID]; pc != nil {
 			now := s.now()
 			pc.at.Mtime = now
 			pc.at.Ctime = now
 			if child.Type == uint8(attr.TypeDir) {
 				pc.at.Nlink++
 			}
-			if _, err := s.log.Append(recTouch, s.cellRecord(pc.fh, &pc.at)); err != nil {
+			if err := sh.append(recTouch, sh.cellRecord(pc.fh, &pc.at)); err != nil {
 				return nfsproto.ErrIO, 0
 			}
 		} else if s.ownsHandle(parent) {
@@ -474,9 +496,9 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 		}
 	}
 	c := &nameCell{parent: parent.Ident(), name: name, child: child}
-	s.st.insertEntry(c)
-	s.entryRecord(parent, name, child)
-	if _, err := s.log.AppendSync(recInsert, s.answered(id, nfsproto.OK, child.FileID)); err != nil {
+	sh.insertEntry(c)
+	sh.entryRecord(parent, name, child)
+	if err := sh.appendSync(recInsert, sh.answered(id, nfsproto.OK, child.FileID)); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, child.FileID
@@ -484,27 +506,28 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 
 // localRemoveEntry removes a name entry and returns the child handle.
 func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParent bool, id once.Ident) (nfsproto.Status, fhandle.Handle) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.st.removeEntry(parent, name)
+	sh := s.shard(parent.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	c := sh.removeEntry(parent, name)
 	if c == nil {
 		return nfsproto.ErrNoEnt, fhandle.Handle{}
 	}
 	if touchParent {
-		if pc := s.st.attrs[parent.FileID]; pc != nil {
+		if pc := sh.attrs[parent.FileID]; pc != nil {
 			now := s.now()
 			pc.at.Mtime = now
 			pc.at.Ctime = now
 			if c.child.Type == uint8(attr.TypeDir) && pc.at.Nlink > 2 {
 				pc.at.Nlink--
 			}
-			if _, err := s.log.Append(recTouch, s.cellRecord(pc.fh, &pc.at)); err != nil {
+			if err := sh.append(recTouch, sh.cellRecord(pc.fh, &pc.at)); err != nil {
 				return nfsproto.ErrIO, fhandle.Handle{}
 			}
 		}
 	}
-	s.entryRecord(parent, name, c.child)
-	if _, err := s.log.AppendSync(recRemove, s.answered(id, nfsproto.OK, 0)); err != nil {
+	sh.entryRecord(parent, name, c.child)
+	if err := sh.appendSync(recRemove, sh.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO, fhandle.Handle{}
 	}
 	return nfsproto.OK, c.child
@@ -512,12 +535,13 @@ func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParen
 
 // localTouchDir updates a resident directory cell's mtime and link count.
 func (s *Server) localTouchDir(key uint64, nlinkDelta int32, id once.Ident) nfsproto.Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, _, ok := s.recorded(id); ok {
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if st, _, ok := sh.recorded(id); ok {
 		return st
 	}
-	c := s.st.attrs[key]
+	c := sh.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale
 	}
@@ -529,8 +553,8 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32, id once.Ident) nfsp
 		newNlink = 0
 	}
 	c.at.Nlink = uint32(newNlink)
-	s.cellRecord(c.fh, &c.at)
-	if _, err := s.log.AppendSync(recTouch, s.answered(id, nfsproto.OK, 0)); err != nil {
+	sh.cellRecord(c.fh, &c.at)
+	if err := sh.appendSync(recTouch, sh.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -540,24 +564,25 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32, id once.Ident) nfsp
 // verifying the directory has no local entries. checkEmpty is false when
 // the caller has already performed a global emptiness check.
 func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool, id once.Ident) nfsproto.Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, _, ok := s.recorded(id); ok {
+	sh := s.shard(child.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if st, _, ok := sh.recorded(id); ok {
 		return st
 	}
-	c := s.st.attrs[child.FileID]
+	c := sh.attrs[child.FileID]
 	if c == nil {
 		return nfsproto.ErrStale
 	}
 	if c.at.Type != attr.TypeDir {
 		return nfsproto.ErrNotDir
 	}
-	if checkEmpty && len(s.st.byDir[child.Ident()]) > 0 {
+	if checkEmpty && len(sh.byDir[child.Ident()]) > 0 {
 		return nfsproto.ErrNotEmpty
 	}
-	s.st.dropCell(child.FileID)
-	s.cellRecord(child, &c.at)
-	if _, err := s.log.AppendSync(recCellGone, s.answered(id, nfsproto.OK, 0)); err != nil {
+	sh.dropCell(child.FileID)
+	sh.cellRecord(child, &c.at)
+	if err := sh.appendSync(recCellGone, sh.answered(id, nfsproto.OK, 0)); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -566,12 +591,13 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool, id on
 // localLinkDelta adjusts a file cell's link count, removing the cell when
 // it reaches zero. Returns the new link count.
 func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsproto.Status, uint32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, nlink, ok := s.recorded(id); ok {
+	sh := s.shard(key)
+	sh.mu.Lock()
+	defer sh.unlock()
+	if st, nlink, ok := sh.recorded(id); ok {
 		return st, uint32(nlink)
 	}
-	c := s.st.attrs[key]
+	c := sh.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale, 0
 	}
@@ -583,11 +609,11 @@ func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsprot
 	c.at.Ctime = s.now()
 	recType := uint32(recLinkDel)
 	if c.at.Nlink == 0 && c.at.Type != attr.TypeDir {
-		s.st.dropCell(key)
+		sh.dropCell(key)
 		recType = recCellGone
 	}
-	s.cellRecord(c.fh, &c.at)
-	if _, err := s.log.AppendSync(recType, s.answered(id, nfsproto.OK, uint64(c.at.Nlink))); err != nil {
+	sh.cellRecord(c.fh, &c.at)
+	if err := sh.appendSync(recType, sh.answered(id, nfsproto.OK, uint64(c.at.Nlink))); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, c.at.Nlink
@@ -595,9 +621,10 @@ func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsprot
 
 // localListDir returns the local entries of parent.
 func (s *Server) localListDir(parent fhandle.Key) []remoteEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ents := s.st.entriesOf(parent)
+	sh := s.shard(parent.FileID)
+	sh.mu.Lock()
+	defer sh.unlock()
+	ents := sh.entriesOf(parent)
 	out := make([]remoteEntry, len(ents))
 	for i, c := range ents {
 		out[i] = remoteEntry{name: c.name, child: c.child}

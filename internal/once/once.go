@@ -188,11 +188,15 @@ func (t *Table) put(d Done, now int64) {
 
 // Each calls fn with every outcome held, for a role's journal compaction:
 // Len of them, so the role counts what it emits in O(1). Those expired
-// since the last sweep are among them; replay drops them.
+// since the last sweep are among them; replay drops them. fn must not
+// keep d, which Each reuses, so a walk allocates once, not once per
+// outcome.
 func (t *Table) Each(fn func(d *Done)) {
+	var d Done
 	for k, e := range t.m {
-		fn(&Done{Ident: Ident{Src: k.src, Xid: k.xid, Step: k.step, Prog: e.ver[0],
-			Vers: e.ver[1], Proc: e.ver[2], Len: e.ver[3]}, Outcome: e.Outcome, At: e.at})
+		d = Done{Ident: Ident{Src: k.src, Xid: k.xid, Step: k.step, Prog: e.ver[0],
+			Vers: e.ver[1], Proc: e.ver[2], Len: e.ver[3]}, Outcome: e.Outcome, At: e.at}
+		fn(&d)
 	}
 }
 

@@ -119,7 +119,7 @@ func NewStore(backing *storage.ObjectStore, backID storage.ObjectID, log *wal.Lo
 		log:     log,
 	}
 	if log != nil {
-		log.SetLive(&s.mu, s.liveRecords, s.liveSize)
+		log.SetLive(s.liveSize, wal.Shard{Mu: &s.mu, Live: s.liveRecords})
 	}
 	return s
 }

@@ -148,7 +148,7 @@ func TestCheckpointResetsLogKeepsSeq(t *testing.T) {
 	// nothing else.
 	var role sync.Mutex
 	locked := false
-	log.SetLive(&role, func(emit func(uint32, []byte)) {
+	setLive(log, &role, func(emit func(uint32, []byte)) {
 		locked = !role.TryLock()
 		for _, p := range []string{"a", "b"} {
 			emit(2, []byte(p))
@@ -194,7 +194,7 @@ func TestCompactionPolicy(t *testing.T) {
 	payload := make([]byte, 1000)
 	frame := FrameLen(len(payload))
 	liveRecs := 0
-	log.SetLive(nil, func(emit func(uint32, []byte)) {
+	setLive(log, nil, func(emit func(uint32, []byte)) {
 		for i := 0; i < liveRecs; i++ {
 			emit(3, payload)
 		}
@@ -243,7 +243,7 @@ func TestCompactionRuleByCount(t *testing.T) {
 	t.Run("all-live", func(t *testing.T) {
 		log, _ := Open(NewMemStore())
 		n := 0
-		log.SetLive(nil, func(emit func(uint32, []byte)) {
+		setLive(log, nil, func(emit func(uint32, []byte)) {
 			for i := 0; i < n; i++ {
 				emit(1, payload)
 			}
@@ -266,7 +266,7 @@ func TestCompactionRuleByCount(t *testing.T) {
 		}
 		log, _ := Open(NewMemStore())
 		live := 0
-		log.SetLive(nil, func(emit func(uint32, []byte)) {
+		setLive(log, nil, func(emit func(uint32, []byte)) {
 			for i := 0; i < live; i++ {
 				emit(1, payload)
 			}
@@ -345,6 +345,12 @@ func TestScanCallbackErrorPropagates(t *testing.T) {
 	}
 }
 
+// setLive registers live and size with l as a role of one shard, guarded
+// by mu.
+func setLive(l *Log, mu *sync.Mutex, live func(emit func(uint32, []byte)), size func() int) {
+	l.SetLive(size, Shard{Mu: mu, Live: live})
+}
+
 func TestLargePayloads(t *testing.T) {
 	log, _ := Open(NewMemStore())
 	big := bytes.Repeat([]byte{0xAB}, 1<<16)
@@ -365,15 +371,17 @@ func TestLargePayloads(t *testing.T) {
 // the whole log in one slice that append regrows and re-copies — kept as
 // its oracle.
 type sliceStore struct {
-	buf     []byte
-	durable int
+	buf          []byte
+	durable, cut int
 }
 
-func (m *sliceStore) Append(p []byte) error { m.buf = append(m.buf, p...); return nil }
-func (m *sliceStore) Sync() error           { m.durable = len(m.buf); return nil }
-func (m *sliceStore) Replace(p []byte) error {
-	m.buf = append([]byte(nil), p...)
-	m.durable = len(m.buf)
+func (m *sliceStore) Append(p []byte) error  { m.buf = append(m.buf, p...); return nil }
+func (m *sliceStore) Sync() error            { m.durable = len(m.buf); return nil }
+func (m *sliceStore) Restate(p []byte) error { return m.Append(p) }
+func (m *sliceStore) Cut() error             { m.cut = len(m.buf); return nil }
+func (m *sliceStore) Drop() error {
+	m.buf = append([]byte(nil), m.buf[m.cut:]...)
+	m.durable, m.cut = len(m.buf), 0
 	return nil
 }
 func (m *sliceStore) Contents() ([]byte, error) {
@@ -429,8 +437,8 @@ func TestMemStoreMatchesSliceOracle(t *testing.T) {
 				t.Fatalf("seed %d: Open: %v over segments, %v over the oracle", seed, errA, errB)
 			}
 			if a != nil {
-				a.SetLive(nil, live, size)
-				b.SetLive(nil, live, size)
+				setLive(a, nil, live, size)
+				setLive(b, nil, live, size)
 			}
 			return a, b
 		}
