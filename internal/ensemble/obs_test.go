@@ -2,10 +2,13 @@ package ensemble
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"slice/internal/client"
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/rebalance"
@@ -29,8 +32,16 @@ func obsWorkload(t *testing.T, e *Ensemble) {
 	if _, err := workload.Untar(c, c.Root(), workload.UntarConfig{Entries: 40}); err != nil {
 		t.Fatalf("untar: %v", err)
 	}
+	obsWrites(t, c, 0)
+}
 
-	small, _, err := c.Create(c.Root(), "small", 0o644, true)
+// obsWrites creates the i'th pair of files, writes 1 KiB to the small one
+// (one WRITE to the small-file server) and 256 KiB to the big one (its
+// first 64 KiB to the small-file server, a WRITE to the storage nodes per
+// 32 KiB stripe unit after that), and commits the big one.
+func obsWrites(t *testing.T, c *client.Client, i int) {
+	t.Helper()
+	small, _, err := c.Create(c.Root(), fmt.Sprintf("small%d", i), 0o644, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +49,7 @@ func obsWorkload(t *testing.T, e *Ensemble) {
 		t.Fatal(err)
 	}
 
-	big, _, err := c.Create(c.Root(), "big", 0o644, true)
+	big, _, err := c.Create(c.Root(), fmt.Sprintf("big%d", i), 0o644, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +67,21 @@ func obsWorkload(t *testing.T, e *Ensemble) {
 // hop the requests crossed — per-stage and per-hop histograms at the
 // µproxy, per-op histograms at every server class, and archived spans
 // whose hops cover the whole path.
+//
+// The µproxy times 1 call in 16 by xid and the calls it orchestrates
+// always: the MOUNT's span covers the mount hop and the COMMIT's the
+// coordinator. A forwarded call — a CREATE to a directory server, a WRITE
+// to the small-file server or a storage node — has a span only when it is
+// in the sample, so the writes repeat until a span of a forwarded call
+// covers each of the three kinds. An iteration forwards at least one
+// call of each kind (two CREATEs; the small file's WRITE and the big
+// file's first 64 KiB to the small-file server; six 32 KiB WRITEs to the
+// storage nodes), each in the sample with probability 1/16 over the
+// client's random first xid, so after n iterations a kind is still
+// uncovered with probability at most (15/16)ⁿ were the draws independent
+// — and the sample's hash spreads sequential xids more evenly than
+// independent draws. With n = 340 the three kinds together miss with
+// probability ≤ 3 · (15/16)³⁴⁰ < 1e-9.
 func TestObsHopAttribution(t *testing.T) {
 	e, err := New(Config{
 		StorageNodes: 2, DirServers: 2, SmallFileServers: 1,
@@ -66,6 +92,46 @@ func TestObsHopAttribution(t *testing.T) {
 	}
 	defer e.Close()
 	obsWorkload(t, e)
+
+	// The trace ring keeps the latest spans, so coverage accumulates as
+	// the writes repeat: covered and timed over every span, forwarded
+	// over the spans of calls the µproxy forwarded rather than
+	// orchestrated (one hop each, with the server's time).
+	covered := map[obs.HopKind]bool{}
+	timed := map[obs.HopKind]bool{}
+	forwarded := map[obs.HopKind]bool{}
+	scan := func() {
+		for _, rec := range e.Obs.Traces(0) {
+			n := rec.NHops
+			if n > obs.MaxHops {
+				n = obs.MaxHops
+			}
+			routed := rec.Prog == nfsproto.Program && rec.Proc != uint32(nfsproto.ProcCommit) && rec.Proc != uint32(nfsproto.ProcRemove)
+			for _, h := range rec.Hops[:n] {
+				if h.TotalNS > 0 {
+					covered[h.Kind] = true
+				}
+				if h.ServerNS > 0 {
+					timed[h.Kind] = true
+					forwarded[h.Kind] = forwarded[h.Kind] || routed
+				}
+			}
+		}
+	}
+	scan()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const maxIterations = 340
+	for i := 1; !forwarded[obs.HopDirsrv] || !forwarded[obs.HopSmallfile] || !forwarded[obs.HopStorage]; i++ {
+		if i > maxIterations {
+			t.Fatalf("after %d iterations the spans of forwarded calls cover %v, want dirsrv, smallfile and storage", maxIterations, forwarded)
+		}
+		obsWrites(t, c, i)
+		scan()
+	}
 
 	snap := e.Obs.Snapshot()
 	up, n := snap.MergeRole("uproxy", "uproxy")
@@ -115,22 +181,6 @@ func TestObsHopAttribution(t *testing.T) {
 
 	// Archived spans cover every hop kind the workload crossed, each with
 	// time attributed to it.
-	covered := map[obs.HopKind]bool{}
-	timed := map[obs.HopKind]bool{}
-	for _, rec := range e.Obs.Traces(0) {
-		n := rec.NHops
-		if n > obs.MaxHops {
-			n = obs.MaxHops
-		}
-		for _, h := range rec.Hops[:n] {
-			if h.TotalNS > 0 {
-				covered[h.Kind] = true
-			}
-			if h.ServerNS > 0 {
-				timed[h.Kind] = true
-			}
-		}
-	}
 	for _, k := range []obs.HopKind{obs.HopMount, obs.HopDirsrv, obs.HopSmallfile, obs.HopStorage, obs.HopCoord} {
 		if !covered[k] {
 			t.Errorf("no span attributes time to hop %s", k)

@@ -265,3 +265,75 @@ func TestTracerSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveRPCTakesNoLock: once an op class has been served, recording
+// another call of it allocates nothing and never takes the registry's
+// lock — the test holds the lock while it records — and the calls land
+// in the histogram Snapshot names by op class.
+func TestObserveRPCTakesNoLock(t *testing.T) {
+	r := NewRegistry("dirsrv[0]")
+	const lookup, create = 3, 8
+	r.ObserveRPC(progNFS, 3, lookup, 100)
+	r.ObserveRPC(progNFS, 3, create, 100)
+	if n := testing.AllocsPerRun(100, func() { r.ObserveRPC(progNFS, 3, lookup, 100) }); n != 0 {
+		t.Errorf("ObserveRPC allocates %.1f times a call after the first", n)
+	}
+
+	r.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 10; i++ {
+			r.ObserveRPC(progNFS, 3, lookup, 100)
+			r.ObserveRPC(progNFS, 3, create, 100)
+		}
+	}()
+	select {
+	case <-done:
+		r.mu.Unlock()
+	case <-time.After(10 * time.Second):
+		r.mu.Unlock()
+		<-done
+		t.Fatal("ObserveRPC waited on the registry's lock")
+	}
+
+	snap := r.Snapshot()
+	for name, want := range map[string]uint64{"nfs.lookup": 1 + 101 + 10, "nfs.create": 1 + 10} {
+		if got := snap.Hists[name].Count(); got != want {
+			t.Errorf("%s: %d samples, want %d", name, got, want)
+		}
+	}
+	if len(snap.Hists) != 2 {
+		t.Errorf("snapshot names %d histograms, want 2: %v", len(snap.Hists), snap.Hists)
+	}
+}
+
+// TestObserveRPCConcurrentClasses: goroutines serving op classes the
+// table does not hold yet, at once, each find the one histogram of the
+// class, and every call lands in it.
+func TestObserveRPCConcurrentClasses(t *testing.T) {
+	r := NewRegistry("dirsrv[0]")
+	const workers, procs, rounds = 4, 22, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for proc := uint32(0); proc < procs; proc++ {
+					r.ObserveRPC(progNFS, 3, (proc+uint32(w))%procs, 100)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	snap := r.Snapshot()
+	if len(snap.Hists) != procs {
+		t.Errorf("snapshot names %d histograms, want %d", len(snap.Hists), procs)
+	}
+	for proc := uint32(0); proc < procs; proc++ {
+		if got := snap.Hists[OpName(progNFS, proc)].Count(); got != workers*rounds {
+			t.Errorf("%s: %d samples, want %d", OpName(progNFS, proc), got, workers*rounds)
+		}
+	}
+}

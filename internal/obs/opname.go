@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Wire program numbers, duplicated here as literals so obs stays a leaf
 // package: the components that own the canonical constants (nfsproto,
@@ -157,7 +160,33 @@ func OpName(prog, proc uint32) string {
 
 // ObserveRPC records one served call into the registry, named by op
 // class. Its signature matches oncrpc.ServerObserver, so components
-// install it directly: srv.SetObserver(reg.ObserveRPC).
+// install it directly: srv.SetObserver(reg.ObserveRPC). After an op
+// class's first call it takes no lock and allocates nothing.
 func (r *Registry) ObserveRPC(prog, vers, proc uint32, handlerNS uint64) {
-	r.Hist(OpName(prog, proc)).Record(handlerNS)
+	r.rpcHist(prog, proc).Record(handlerNS)
+}
+
+// rpcHist returns the histogram of the calls to proc of prog, found in a
+// table read without the registry's lock; the first call of an op class
+// registers its histogram and copies the table with it added.
+func (r *Registry) rpcHist(prog, proc uint32) *Histogram {
+	key := uint64(prog)<<32 | uint64(proc)
+	if t := r.rpc.Load(); t != nil {
+		if h, ok := (*t)[key]; ok {
+			return h
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	t := map[uint64]*Histogram{}
+	if old := r.rpc.Load(); old != nil {
+		if h, ok := (*old)[key]; ok {
+			return h
+		}
+		t = maps.Clone(*old)
+	}
+	h := r.hist(OpName(prog, proc))
+	t[key] = h
+	r.rpc.Store(&t)
+	return h
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry names the histograms of one component ("uproxy", "dirsrv[0]",
@@ -18,6 +19,10 @@ type Registry struct {
 	mu    sync.Mutex
 	hists map[string]*Histogram
 	order []string
+
+	// rpc maps a served call's program and procedure (ObserveRPC) to its
+	// histogram. It is copied on write under mu and read without it.
+	rpc atomic.Pointer[map[uint64]*Histogram]
 }
 
 // NewRegistry creates a registry for the named component.
@@ -33,6 +38,11 @@ func (r *Registry) Component() string { return r.component }
 func (r *Registry) Hist(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.hist(name)
+}
+
+// hist is Hist with r.mu held.
+func (r *Registry) hist(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}

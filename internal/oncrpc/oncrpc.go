@@ -991,6 +991,13 @@ func (s *Server) serveInline(d []byte) {
 	}
 }
 
+// monoBase anchors monoNow: a time.Since of it reads the monotonic clock
+// alone, where a time.Now reads the wall clock too.
+var monoBase = time.Now()
+
+// monoNow is the monotonic clock in nanoseconds since monoBase.
+func monoNow() int64 { return int64(time.Since(monoBase)) }
+
 // serve handles one delivered datagram: parse, suppression of a duplicate
 // in flight, handler, reply. It owns d, which the fabric has verified.
 func (s *Server) serve(d []byte) {
@@ -1013,9 +1020,9 @@ func (s *Server) serve(d []byte) {
 	}
 
 	obsFn := s.obs.Load()
-	var t0 time.Time
+	var t0 int64
 	if obsFn != nil {
-		t0 = time.Now()
+		t0 = monoNow()
 	}
 	// The reply is encoded into the buffer that becomes its datagram: the
 	// header first, then the handler's result behind it — a READ's data is
@@ -1030,7 +1037,7 @@ func (s *Server) serve(d []byte) {
 	out := e.Bytes()
 	freeEncoder(e) // out is the reply's now: sent below
 	if obsFn != nil {
-		handlerNS := uint64(time.Since(t0))
+		handlerNS := uint64(monoNow() - t0)
 		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
 		binary.BigEndian.PutUint64(out[netsim.HeaderSize+OffServerNS:], handlerNS)
 	}

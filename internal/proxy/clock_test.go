@@ -14,14 +14,16 @@ import (
 	"slice/internal/xdr"
 )
 
-// TestStageClockBudget drives one LOOKUP pair and one ACCESS pair through
-// Proxy.Handle under a clock that counts its readings (each reading is one
-// tick later than the last, so every lap is exactly one tick) and holds
-// the µproxy to its budget: how often a request/reply pair may read the
-// clock with histograms and tracing on, and that the cumulative counters,
-// the stage.* histograms and the spans all report the same laps — which
-// add up, with no gap and no overlap, to the time each packet spent
-// between its first and last readings.
+// TestStageClockBudget drives one LOOKUP pair and one ACCESS pair of timed
+// calls through Proxy.Handle under a clock that counts its readings (each
+// reading is one tick later than the last, so every lap is exactly one
+// tick) and holds the µproxy to its budget: how often a request/reply pair
+// may read the clock with histograms and tracing on, and that the
+// cumulative counters, the stage.* histograms and the spans all report the
+// same laps — which add up, with no gap and no overlap, to the time each
+// packet spent between its first and last readings. Then an untimed LOOKUP
+// pair reads the clock only for its timestamps, adds no lap and no span,
+// and is still counted in its end-to-end and hop histograms.
 func TestStageClockBudget(t *testing.T) {
 	net := netsim.New(netsim.Config{})
 	dirAddr := netsim.Addr{Host: 30, Port: 2049}
@@ -49,11 +51,13 @@ func TestStageClockBudget(t *testing.T) {
 	p.now = func() int64 { reads++; return reads }
 
 	// pair sends one call and its reply through Handle and returns how
-	// many times the µproxy read the clock for the two packets.
+	// many times the µproxy read the clock for the two packets. The call's
+	// xid is the next one whose timing is wantTimed.
 	var xid uint32
-	pair := func(proc nfsproto.Proc, args, res func(*xdr.Encoder)) int64 {
+	pair := func(wantTimed bool, proc nfsproto.Proc, args, res func(*xdr.Encoder)) int64 {
 		t.Helper()
-		xid++
+		for xid++; timed(xid) != wantTimed; xid++ {
+		}
 		before := reads
 		for _, hop := range []struct {
 			src, dst netsim.Addr
@@ -81,11 +85,11 @@ func TestStageClockBudget(t *testing.T) {
 
 	dir := fhandle.Handle{Volume: 1, FileID: 42, Gen: 1, Type: uint8(attr.TypeDir)}
 	child := fhandle.Handle{Volume: 1, FileID: 43, Gen: 1, Type: uint8(attr.TypeReg)}
-	lookup := pair(nfsproto.ProcLookup,
-		(&nfsproto.LookupArgs{Dir: dir, Name: "f"}).Encode,
-		(&nfsproto.LookupRes{Status: nfsproto.OK, FH: child,
-			Attr: nfsproto.Some(attr.Attr{Type: attr.TypeReg, Mode: 0o644, Nlink: 1, FileID: 43})}).Encode)
-	access := pair(nfsproto.ProcAccess,
+	lookupArgs := (&nfsproto.LookupArgs{Dir: dir, Name: "f"}).Encode
+	lookupRes := (&nfsproto.LookupRes{Status: nfsproto.OK, FH: child,
+		Attr: nfsproto.Some(attr.Attr{Type: attr.TypeReg, Mode: 0o644, Nlink: 1, FileID: 43})}).Encode
+	lookup := pair(true, nfsproto.ProcLookup, lookupArgs, lookupRes)
+	access := pair(true, nfsproto.ProcAccess,
 		(&nfsproto.AccessArgs{FH: child, Access: 1}).Encode,
 		func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.OK)) })
 	if lookup > 10 || access > 8 {
@@ -150,5 +154,74 @@ func TestStageClockBudget(t *testing.T) {
 	if fromSpans.InterceptNS != st.InterceptNS || fromSpans.DecodeNS != st.DecodeNS ||
 		fromSpans.RewriteNS != st.RewriteNS || fromSpans.SoftStateNS != st.SoftStateNS {
 		t.Errorf("spans sum to %+v, counters to %+v", fromSpans, st)
+	}
+
+	// An untimed pair reads the clock four times — arrival, forward,
+	// the reply's arrival, and the reply's end — and takes no lap and no
+	// span, but counts in its end-to-end and hop histograms as every call
+	// does. StageStats scales the sampled laps to every packet: four of
+	// the six intercepted were in the sample.
+	e2e, hop := hists["e2e.nfs.lookup"].Count(), hists["hop.dirsrv"].Count()
+	if untimed := pair(false, nfsproto.ProcLookup, lookupArgs, lookupRes); untimed != 4 {
+		t.Errorf("an untimed LOOKUP pair read the clock %d times, want 4", untimed)
+	}
+	after := reg.Snapshot().Hists
+	for s := range stageNames {
+		name := "stage." + stageNames[s]
+		if n, was := after[name].Count(), hists[name].Count(); n != was || p.st.ns[s].Load() != was {
+			t.Errorf("%s after an untimed pair: %d samples, counter %d ticks, want %d of each", name, n, p.st.ns[s].Load(), was)
+		}
+	}
+	if n := len(tracer.Recent(0)); n != 2 {
+		t.Errorf("%d spans archived after an untimed pair, want 2", n)
+	}
+	if got := after["e2e.nfs.lookup"].Count(); got != e2e+1 {
+		t.Errorf("e2e.nfs.lookup: %d samples after an untimed pair, want %d", got, e2e+1)
+	}
+	if got := after["hop.dirsrv"].Count(); got != hop+1 {
+		t.Errorf("hop.dirsrv: %d samples after an untimed pair, want %d", got, hop+1)
+	}
+	scaled := p.Stats()
+	if scaled.Intercepted != 6 {
+		t.Fatalf("%d packets intercepted, want 6", scaled.Intercepted)
+	}
+	for _, f := range []struct {
+		name           string
+		sampled, total uint64
+	}{
+		{"intercept", st.InterceptNS, scaled.InterceptNS},
+		{"decode", st.DecodeNS, scaled.DecodeNS},
+		{"rewrite", st.RewriteNS, scaled.RewriteNS},
+		{"softstate", st.SoftStateNS, scaled.SoftStateNS},
+	} {
+		if want := f.sampled * 6 / 4; f.total != want {
+			t.Errorf("%s estimate: %d ticks from %d sampled over 4 of 6 packets, want %d", f.name, f.total, f.sampled, want)
+		}
+	}
+}
+
+// TestSampleDoesNotAlias: a client's xids run in sequence, and a workload
+// drives them through a fixed cycle of operations. Over 64 Ki consecutive
+// xids from several starts, in cycles of period 2, 3, 4 and 8, each
+// position of the cycle — each op class — is timed within ±10 % of 1 in
+// 16, where a sample by the xid's low bits would time one class of a
+// period-2 cycle at 1 in 8 and the other never.
+func TestSampleDoesNotAlias(t *testing.T) {
+	const n = 1 << 16
+	for _, start := range []uint32{0, 1, 0x7FFFFFF0, 0xDEADBEEF, 0xFFFFFF00} {
+		for _, period := range []uint32{2, 3, 4, 8} {
+			hits := make([]int, period)
+			for i := uint32(0); i < n; i++ {
+				if timed(start + i) {
+					hits[i%period]++
+				}
+			}
+			want := float64(n) / float64(period) / 16
+			for class, h := range hits {
+				if r := float64(h) / want; r < 0.9 || r > 1.1 {
+					t.Errorf("start %#x, period %d: class %d timed %d times, %.3f× its share of 1 in 16", start, period, class, h, r)
+				}
+			}
+		}
 	}
 }

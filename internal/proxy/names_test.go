@@ -10,6 +10,7 @@ import (
 	"slice/internal/ensemble"
 	"slice/internal/fhandle"
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 	"slice/internal/route"
 )
@@ -27,16 +28,32 @@ func TestRetransmissionRoutedByItsOwnNames(t *testing.T) {
 		cfg.NameKind = route.NameHashing
 		cfg.ClientRPC = oncrpc.ClientConfig{Timeout: 20 * time.Millisecond, Retries: 6}
 	})
+	// Once armed, the tap learns the CREATE's xid from the client's call
+	// and drops the first reply to it from a directory server: under name
+	// hashing the CREATE may make a peer call to the root's site first,
+	// whose reply is not the one to lose.
 	var armed atomic.Bool
 	var dropped atomic.Int32
+	var create atomic.Uint64 // 1<<32 | the CREATE's xid, once seen
 	tapAhead(t, e, func(d []byte) netsim.Verdict {
 		h, err := netsim.ParseHeader(d)
-		if err != nil || h.Src.Host < ensemble.HostDir0 || h.Src.Host >= ensemble.HostDir0+4 {
+		if err != nil || !armed.Load() {
 			return netsim.Pass
 		}
-		if binary.BigEndian.Uint32(netsim.Payload(d)[oncrpc.OffMsgType:]) == oncrpc.MsgReply && armed.CompareAndSwap(true, false) {
-			dropped.Add(1)
-			return netsim.Drop
+		payload := netsim.Payload(d)
+		switch binary.BigEndian.Uint32(payload[oncrpc.OffMsgType:]) {
+		case oncrpc.MsgCall:
+			if call, err := oncrpc.ParseCall(payload); err == nil && h.Dst == e.Virtual &&
+				call.Program == nfsproto.Program && nfsproto.Proc(call.Proc) == nfsproto.ProcCreate {
+				create.CompareAndSwap(0, 1<<32|uint64(call.Xid))
+			}
+		case oncrpc.MsgReply:
+			xid := binary.BigEndian.Uint32(payload[oncrpc.OffXid:])
+			if h.Src.Host >= ensemble.HostDir0 && h.Src.Host < ensemble.HostDir0+4 &&
+				create.Load() == 1<<32|uint64(xid) && armed.CompareAndSwap(true, false) {
+				dropped.Add(1)
+				return netsim.Drop
+			}
 		}
 		return netsim.Pass
 	})

@@ -37,11 +37,20 @@ import (
 // the stage.* histograms and the trace span alike; nothing else in the
 // µproxy times a stage.
 //
-// The readings double as the request's other timestamps. A call's clock
-// moves into its pending record: its first reading is the request's start
-// and the reading that closes the request half is the forward time. The
-// reply's clock is spliced onto it when the two pair: the reply's first
-// reading ends the hop, its last ends the request end to end.
+// Laps are taken for timed calls only, as iprobe sampled the paper's
+// Table 3: for the calls timed picks by xid, whose laps alone the
+// counters and stage.* histograms take (StageStats scales them to every
+// packet), and for the calls the µproxy always times, whose own RPCs dwarf
+// the clock (MOUNT, COMMIT, REMOVE, a truncating SETATTR), whose laps go to
+// their spans only.
+//
+// The readings double as the request's other timestamps, and an untimed
+// call reads the clock for these alone — four times a request/reply pair.
+// A call's clock moves into its pending record: its first reading is the
+// request's start and the reading that closes the request half (finalLap)
+// is the forward time. The reply's clock is spliced onto it when the two
+// pair: the reply's first reading ends the hop, its last (finalLap again)
+// ends the request end to end.
 //
 // A lap is closed only where the work on both sides of the boundary costs
 // more than reading the clock, so a call's header match (Handle) and the
@@ -52,35 +61,72 @@ type lapClock struct {
 	start int64             // first reading
 	last  int64             // latest reading
 	ns    [numStages]uint64 // closed laps not yet settled
+
+	timed   bool // laps are taken
+	sampled bool // the packet's xid is in the sample: its laps are counted
 }
 
-// startClock starts a packet's clock.
-func (p *Proxy) startClock() lapClock {
+// sampleBits sets the sample: 1 call in 1<<sampleBits is timed.
+const sampleBits = 4
+
+// timed reports whether the call with transaction id xid is in the stage
+// clock's sample, which takes both halves of 1 call in 16. The xid is
+// hashed (its product with 2³²/φ, top bits), not masked: a client's xids
+// run in sequence, and a workload's fixed cycle of operations over
+// sequential xids would alias with a mask, timing one operation of the
+// cycle always and another never.
+func timed(xid uint32) bool { return (xid*0x9E3779B9)>>(32-sampleBits) == 0 }
+
+// startClock starts a packet's clock, timed when the packet is in the
+// sample.
+func (p *Proxy) startClock(sampled bool) lapClock {
 	now := p.now()
-	return lapClock{start: now, last: now}
+	return lapClock{start: now, last: now, timed: sampled, sampled: sampled}
 }
 
 // lap closes the lap of stage s: the time since the clock's last reading.
+// An untimed clock is not read.
 func (p *Proxy) lap(c *lapClock, s stage) {
+	if c.timed {
+		p.finalLap(c, s)
+	}
+}
+
+// finalLap closes the last lap of a packet's stay, stage s, just before
+// the packet leaves; it reads the clock whether the call is timed or not,
+// for the reading is the call's forward time or its end.
+func (p *Proxy) finalLap(c *lapClock, s stage) {
 	now := p.now()
-	c.ns[s] += uint64(now - c.last)
+	if c.timed {
+		c.ns[s] += uint64(now - c.last)
+	}
 	c.last = now
 }
 
-// skip moves the clock past time no stage is charged for.
-func (p *Proxy) skip(c *lapClock) { c.last = p.now() }
+// skip moves a timed clock past time no stage is charged for.
+func (p *Proxy) skip(c *lapClock) {
+	if c.timed {
+		c.last = p.now()
+	}
+}
 
-// settle pays c's closed laps out — to the cumulative counters, one
-// sample per stage to the histograms, and to the span when the packet
-// belongs to one — and zeroes them. It reads no clock.
+// settle pays c's closed laps out — to the cumulative counters and one
+// sample per stage to the histograms when the packet is in the sample, and
+// to the span when the packet belongs to one — and zeroes them. It reads
+// no clock.
 func (p *Proxy) settle(c *lapClock, sp *obs.Span) {
-	for s, ns := range c.ns {
-		if ns == 0 {
-			continue
-		}
-		p.st.ns[s].Add(ns)
-		if p.hists != nil {
-			p.hists.stage[s].Record(ns)
+	if !c.timed {
+		return
+	}
+	if c.sampled {
+		for s, ns := range c.ns {
+			if ns == 0 {
+				continue
+			}
+			p.st.ns[s].Add(ns)
+			if p.hists != nil {
+				p.hists.stage[s].Record(ns)
+			}
 		}
 	}
 	if sp != nil {

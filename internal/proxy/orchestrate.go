@@ -134,14 +134,10 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 	return p.forward(d, key, pd)
 }
 
-// routeSetAttr forwards SETATTR; truncating updates additionally clear
-// data beyond the new size on every data site, under an intention.
-func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
-	var args nfsproto.SetAttrArgs
-	if err := args.Decode(xdr.NewDecoder(netsim.Payload(d)[oncrpc.CallHeader:])); err != nil {
-		p.dropPending(pd)
-		return p.consumeDrop(d)
-	}
+// routeSetAttr forwards SETATTR, whose decoded arguments are args;
+// truncating updates additionally clear data beyond the new size on every
+// data site, under an intention.
+func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq, args *nfsproto.SetAttrArgs) netsim.Verdict {
 	if args.Sattr.SetSize {
 		fh, size := args.FH, args.Sattr.Size
 		pd.onOK = func() {

@@ -65,8 +65,8 @@ type Config struct {
 	// construction; recording is one atomic add per sample.
 	Obs *obs.Registry
 	// Tracer, when set, archives a pooled per-request span for every
-	// routed request: per-stage µproxy costs plus per-hop round-trip and
-	// server time.
+	// timed request (obs.go): per-stage µproxy costs plus per-hop
+	// round-trip and server time.
 	Tracer *obs.Tracer
 	// StatsFn, when set, answers the stats program (obs.Program) sent to
 	// the virtual server: the µproxy absorbs the call and replies with
@@ -138,7 +138,7 @@ type pendingReq struct {
 	// request's stage clock: its first reading is the request's start, the
 	// reading that closes the request half is the forward time, and the
 	// paired reply's own clock is spliced onto it.
-	span *obs.Span   // pooled trace span, nil when tracing is off
+	span *obs.Span   // pooled trace span, nil when tracing is off or the call untimed
 	clk  lapClock    // the stage clock (obs.go)
 	hop  obs.HopKind // where the request was forwarded
 }
@@ -397,6 +397,8 @@ func (p *Proxy) consumeDrop(d []byte) netsim.Verdict {
 // probed against the pending table, hit or miss. A call is claimed or
 // dismissed by the header match alone — three loads and two compares,
 // less than one reading of the clock — so its clock starts with decode.
+// Every packet whose xid is in the stage clock's sample counts toward the
+// sample's size, a packet that does no timed work included.
 func (p *Proxy) Handle(d []byte) netsim.Verdict {
 	p.st.intercepted.Add(1)
 	if len(d) < netsim.HeaderSize+oncrpc.ReplyHeader {
@@ -407,21 +409,37 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 		Port: binary.BigEndian.Uint16(d[netsim.OffDstPort:]),
 	}
 	payload := d[netsim.HeaderSize:]
+	xid := binary.BigEndian.Uint32(payload[oncrpc.OffXid:])
+	sampled := timed(xid)
+	if sampled {
+		p.st.sampled.Add(1)
+	}
 	switch binary.BigEndian.Uint32(payload[oncrpc.OffMsgType:]) {
 	case oncrpc.MsgCall:
 		if dst != p.cfg.Virtual {
 			return netsim.Pass
 		}
-		return p.handleRequest(d)
+		return p.handleRequest(d, sampled)
 	case oncrpc.MsgReply:
-		clk := p.startClock()
-		key := pendKey{client: dst, xid: binary.BigEndian.Uint32(payload[oncrpc.OffXid:])}
+		// An untimed reply reads the clock only once it has found its
+		// record: the reading ends the forwarded hop.
+		var clk lapClock
+		if sampled {
+			clk = p.startClock(true)
+		}
+		key := pendKey{client: dst, xid: xid}
 		s := p.shardFor(key)
 		s.mu.Lock()
 		pd, ok := s.pend[key]
 		verify := ok && !pd.clientVerifies()
+		timedCall := ok && pd.clk.timed
 		s.mu.Unlock()
-		p.lap(&clk, stIntercept)
+		if sampled {
+			p.lap(&clk, stIntercept)
+		} else if ok {
+			clk = p.startClock(false)
+			clk.timed = timedCall
+		}
 		if ok {
 			return p.handleResponse(d, key, clk, verify)
 		}
@@ -433,7 +451,7 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 // newPending opens the pending record of a freshly decoded call — info
 // holds an NFS call's routing fields, nil for another program — hands it
 // the call's clock, and closes the decode lap: decode runs from the call's
-// arrival until it sits, decoded, in a record.
+// arrival until it sits, decoded, in a record. A timed call gets a span.
 func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.RequestInfo) *pendingReq {
 	pd := getPending()
 	pd.prog = call.Program
@@ -442,7 +460,7 @@ func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.Reque
 		pd.info = *info
 	}
 	pd.clk = clk
-	if p.tracer != nil {
+	if p.tracer != nil && clk.timed {
 		pd.span = p.tracer.Start(uint64(call.Xid), call.Proc, p.wall0+clk.start)
 		pd.span.Prog = call.Program
 	}
@@ -450,10 +468,11 @@ func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.Reque
 	return pd
 }
 
-// handleRequest classifies and routes one intercepted call. It always
-// takes ownership of d: every path forwards it or frees it.
-func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
-	clk := p.startClock()
+// handleRequest classifies and routes one intercepted call, timed when
+// sampled says its xid is in the sample or the µproxy orchestrates it. It
+// always takes ownership of d: every path forwards it or frees it.
+func (p *Proxy) handleRequest(d []byte, sampled bool) netsim.Verdict {
+	clk := p.startClock(sampled)
 	h, err := netsim.ParseHeader(d)
 	if err != nil {
 		return p.consumeDrop(d)
@@ -484,6 +503,7 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	}
 
 	if call.Program == mountProgram {
+		clk.timed = true
 		return p.forward(d, key, p.newPending(clk, &call, nil))
 	}
 	if call.Program == obs.Program {
@@ -506,6 +526,18 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 	if call.Program != nfsproto.Program {
 		return p.consumeDrop(d)
 	}
+	// The calls the µproxy orchestrates are always timed: their own RPCs
+	// dwarf the clock.
+	var sattr nfsproto.SetAttrArgs
+	switch proc {
+	case nfsproto.ProcCommit, nfsproto.ProcRemove:
+		clk.timed = true
+	case nfsproto.ProcSetAttr:
+		if sattr.Decode(xdr.NewDecoder(call.Body)) != nil {
+			return p.consumeDrop(d)
+		}
+		clk.timed = clk.timed || sattr.Sattr.SetSize
+	}
 	pd := p.newPending(clk, &call, &info)
 
 	switch proc {
@@ -525,7 +557,7 @@ func (p *Proxy) handleRequest(d []byte) netsim.Verdict {
 		}
 		return netsim.Consumed
 	case nfsproto.ProcSetAttr:
-		return p.routeSetAttr(d, key, pd)
+		return p.routeSetAttr(d, key, pd, &sattr)
 	default:
 		return p.forward(d, key, pd)
 	}
@@ -754,7 +786,7 @@ func (p *Proxy) publish(key pendKey, pd *pendingReq) {
 	s := p.shardFor(key)
 	s.mu.Lock()
 	s.pend[key] = pd
-	p.lap(&pd.clk, stSoftState)
+	p.finalLap(&pd.clk, stSoftState)
 	p.settle(&pd.clk, pd.span)
 	s.mu.Unlock()
 	p.st.requests.Add(1)

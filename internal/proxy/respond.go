@@ -199,7 +199,7 @@ func replyStatus(proc nfsproto.Proc, body []byte) nfsproto.Status {
 // transfers to the network.
 func (p *Proxy) passThrough(d []byte, pd *pendingReq) {
 	netsim.RewriteSrc(d, p.cfg.Virtual)
-	p.lap(&pd.clk, stSoftState)
+	p.finalLap(&pd.clk, stSoftState)
 	p.st.responses.Add(1)
 	_ = p.cfg.Net.Inject(d)
 }
@@ -352,7 +352,7 @@ func (p *Proxy) patchAttr(d []byte, pd *pendingReq, off int, at *attr.Attr) {
 // d transfers to the network.
 func (p *Proxy) injectPatched(d []byte, pd *pendingReq) {
 	netsim.RewriteSrc(d, p.cfg.Virtual)
-	p.lap(&pd.clk, stRewrite)
+	p.finalLap(&pd.clk, stRewrite)
 	p.st.responses.Add(1)
 	_ = p.cfg.Net.Inject(d)
 }
@@ -461,7 +461,7 @@ func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 // the client — the reply's rewrite lap — and injects it.
 func (p *Proxy) respondEncoded(key pendKey, pd *pendingReq, body func(*xdr.Encoder)) {
 	out, err := oncrpc.BuildReply(p.cfg.Virtual, key.client, key.xid, oncrpc.AcceptSuccess, body)
-	p.lap(&pd.clk, stRewrite)
+	p.finalLap(&pd.clk, stRewrite)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

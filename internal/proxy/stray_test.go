@@ -43,7 +43,7 @@ func TestRecordlessReplicaReplyDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.handleResponse(d, pendKey{client: client, xid: 7}, p.startClock(), true)
+		got := p.handleResponse(d, pendKey{client: client, xid: 7}, p.startClock(timed(7)), true)
 		if got != tc.want {
 			t.Errorf("recordless reply from %v: verdict %v, want %v", tc.from, got, tc.want)
 		}
