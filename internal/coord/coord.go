@@ -287,16 +287,12 @@ func (c *Coordinator) clearIntent(id uint64, finished bool) {
 // intentLen is a recIntent payload's length.
 const intentLen = 8 + 4 + fhandle.Size + 8
 
-// encode is in's recIntent payload, ending in done unless it is nil.
-func (in *intent) encode(done *once.Done) []byte {
-	e := xdr.NewEncoder(intentLen + once.DoneSize)
+// encode appends in's recIntent payload to e and returns e's bytes.
+func (in *intent) encode(e *xdr.Encoder) []byte {
 	e.PutUint64(in.ID)
 	e.PutUint32(in.Op)
 	in.FH.Encode(e)
 	e.PutUint64(in.Size)
-	if done != nil {
-		done.Encode(e)
-	}
 	return e.Bytes()
 }
 
@@ -313,23 +309,25 @@ func encodeID(id uint64) []byte {
 // ProcIntend answered in the last once.Span. The caller holds c.mu.
 func (c *Coordinator) liveRecords(emit func(recType uint32, payload []byte)) {
 	if last := c.nextID - 1; last > 0 {
-		emit(recIntent, (&intent{ID: last}).encode(nil))
+		emit(recIntent, (&intent{ID: last}).encode(xdr.NewEncoder(intentLen)))
 		emit(recComplete, encodeID(last))
 	}
 	for _, in := range c.pending {
-		emit(recIntent, in.encode(nil))
+		emit(recIntent, in.encode(xdr.NewEncoder(intentLen)))
 	}
-	e := xdr.NewEncoder(once.DoneSize)
+	// Every outcome is emitted with its value, so liveSize counts them
+	// without reading one.
+	e := xdr.NewEncoder(once.DoneSize + once.ValueSize)
 	c.done.Each(func(d *once.Done) {
 		e.Reset()
-		d.Encode(e)
+		_ = d.EncodeValued(e) // the table holds only outcomes that fit
 		emit(recOutcome, e.Bytes())
 	})
 }
 
 // liveSize is the journal length liveRecords emits. The caller holds c.mu.
 func (c *Coordinator) liveSize() int {
-	n := len(c.pending)*wal.FrameLen(intentLen) + c.done.Len()*wal.FrameLen(once.DoneSize)
+	n := len(c.pending)*wal.FrameLen(intentLen) + c.done.Len()*wal.FrameLen(once.DoneSize+once.ValueSize)
 	if c.nextID > 1 {
 		n += wal.FrameLen(intentLen) + wal.FrameLen(8)
 	}
@@ -528,22 +526,29 @@ func (c *Coordinator) Intend(op uint32, fh fhandle.Handle, size uint64) (uint64,
 // second intention. The call's outcome rides in the intention's record
 // and enters the table once the record is durable.
 func (c *Coordinator) intend(call once.Ident, op uint32, fh fhandle.Handle, size uint64) (uint64, error) {
+	now := time.Now()
 	c.mu.Lock()
-	if o, ok := c.done.Find(call); ok {
+	if o, ok := c.done.Find(call, now.UnixNano()); ok {
 		c.mu.Unlock()
 		return o.Value, nil
 	}
 	id := c.nextID
-	c.nextID++
-	in := &intent{ID: id, Op: op, FH: fh, Size: size, Logged: time.Now()}
-	c.pending[id] = in
-	c.stats.Intentions++
+	in := &intent{ID: id, Op: op, FH: fh, Size: size, Logged: now}
+	rec := xdr.NewEncoder(intentLen + once.DoneSize + once.ValueSize)
+	in.encode(rec)
 	var done *once.Done
 	if !call.IsZero() {
-		done = &once.Done{Ident: call, Outcome: once.Outcome{Status: uint32(nfsproto.OK), Value: id}, At: time.Now().UnixNano()}
+		done = &once.Done{Ident: call, Outcome: once.Outcome{Status: uint32(nfsproto.OK), Value: id}, At: now.UnixNano()}
+		if err := done.Encode(rec); err != nil {
+			c.mu.Unlock()
+			return 0, err
+		}
 	}
+	c.nextID++
+	c.pending[id] = in
+	c.stats.Intentions++
 	log := c.cfg.Log
-	_, err := log.Append(recIntent, in.encode(done))
+	_, err := log.Append(recIntent, rec.Bytes())
 	c.mu.Unlock()
 	if err == nil {
 		err = log.Sync()
@@ -557,7 +562,7 @@ func (c *Coordinator) intend(call once.Ident, op uint32, fh fhandle.Handle, size
 		return 0, err
 	}
 	if done != nil {
-		c.done.Put(*done)
+		c.done.Put(*done, now.UnixNano())
 	}
 	return id, nil
 }
@@ -572,6 +577,7 @@ func (c *Coordinator) Complete(id uint64) {
 func (c *Coordinator) recoverState(log *wal.Log) error {
 	pending := make(map[uint64]*intent)
 	var maxID uint64
+	now := time.Now()
 	err := log.Scan(func(seq uint64, recType uint32, payload []byte) error {
 		d := xdr.NewDecoder(payload)
 		switch recType {
@@ -592,15 +598,15 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 			if err != nil {
 				return err
 			}
-			pending[id] = &intent{ID: id, Op: op, FH: fh, Size: size, Logged: time.Now()}
+			pending[id] = &intent{ID: id, Op: op, FH: fh, Size: size, Logged: now}
 			if id > maxID {
 				maxID = id
 			}
 			if d.Remaining() > 0 {
-				return c.replayDone(d)
+				return c.replayDone(d, now.UnixNano())
 			}
 		case recOutcome:
-			return c.replayDone(d)
+			return c.replayDone(d, now.UnixNano())
 		case recComplete:
 			id, err := d.Uint64()
 			if err != nil {
@@ -622,14 +628,15 @@ func (c *Coordinator) recoverState(log *wal.Log) error {
 }
 
 // replayDone puts the call outcome a record ends in back in the table,
-// unless it has expired. It runs before the coordinator serves.
-func (c *Coordinator) replayDone(d *xdr.Decoder) error {
-	done, err := once.DecodeDone(d)
+// unless it has expired by now, when replay began. It runs before the
+// coordinator serves.
+func (c *Coordinator) replayDone(d *xdr.Decoder, now int64) error {
+	done, err := once.DecodeDone(d, Program, Version)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.done.Put(done)
+	c.done.Put(done, now)
 	c.mu.Unlock()
 	return nil
 }

@@ -240,28 +240,36 @@ func nameKeyOf(parent fhandle.Handle, name string) uint64 {
 
 // Log record types for directory server journaling.
 const (
-	recCreate   = 1 // entry + attr cell created together
-	recMkdirIn  = 2 // redirected mkdir: local cell, remote entry
-	recRemove   = 3 // entry removed (and cell, if local)
-	recSetAttr  = 4
+	recCreate   = 1  // entry + attr cell created together
+	recMkdirIn  = 2  // redirected mkdir: local cell, remote entry
+	recRemove   = 3  // entry removed (and cell, if local)
+	recSetAttr  = 4  // a cell's attributes after a SETATTR (an attribute record)
 	recInsert   = 5  // entry inserted (peer or rename/link)
-	recTouch    = 6  // directory nlink/mtime adjustment
-	recLinkDel  = 7  // link count delta on a cell
+	recTouch    = 6  // directory nlink/mtime adjustment (an attribute record)
+	recLinkDel  = 7  // link count delta on a cell (an attribute record)
 	recCellGone = 8  // attribute cell removed
 	recNewCell  = 9  // attribute cell created alone
 	recOutcome  = 10 // a call's outcome alone: its shard's index, then its once.Done
 )
 
+// A cell record (recCreate, recMkdirIn, recNewCell, recCellGone) carries
+// the cell's handle, attributes and symlink target; an attribute record
+// (recSetAttr, recTouch, recLinkDel) only the file ID and the attributes
+// after the change, which replay assigns to the cell of that file ID.
+//
 // A record that makes a call's mutation durable ends in the call's
 // once.Done — its identity and outcome — after its own fields
 // (shard.answered), so the mutation and the answer a retransmission gets
 // reach the journal together, and replay rebuilds the outcome table. A
-// record is of the shard of the cell or the directory it names (a cell
-// record's file, an entry record's parent) and a recOutcome of the shard
-// it names; its outcome lives in that shard's table.
+// record is of the shard of the cell or the directory it names (a cell or
+// attribute record's file, an entry record's parent) and a recOutcome of
+// the shard it names; its outcome lives in that shard's table. Its Done
+// carries a value when the value is not zero, except in a compaction's
+// recOutcome, which always does: its length is then the same for every
+// outcome, so the live size counts outcomes, not their values.
 
-// outcomeFrameLen is the journal length of a recOutcome record.
-var outcomeFrameLen = wal.FrameLen(4 + once.DoneSize)
+// outcomeFrameLen is the journal length of a compaction's recOutcome.
+var outcomeFrameLen = wal.FrameLen(4 + once.DoneSize + once.ValueSize)
 
 // cellFrameLen is the journal length of a cell record carrying target.
 func cellFrameLen(target string) int {
@@ -287,6 +295,15 @@ func encodeCellRecord(e *xdr.Encoder, fh fhandle.Handle, at *attr.Attr, target s
 // caller holds sh.mu and appends the record before it encodes another.
 func (sh *shard) cellRecord(fh fhandle.Handle, at *attr.Attr) []byte {
 	return encodeCellRecord(&sh.rec, fh, at, "")
+}
+
+// attrRecord encodes an attribute record, the file ID and at, into the
+// shard's journal scratch, under the same rule as cellRecord.
+func (sh *shard) attrRecord(fileID uint64, at *attr.Attr) []byte {
+	sh.rec.Reset()
+	sh.rec.PutUint64(fileID)
+	at.Encode(&sh.rec)
+	return sh.rec.Bytes()
 }
 
 func decodeCellRecord(d *xdr.Decoder) (fhandle.Handle, attr.Attr, string, error) {
@@ -325,7 +342,9 @@ func (sh *shard) outcome(id once.Ident, st nfsproto.Status, v uint64) {
 	defer sh.unlock()
 	sh.rec.Reset()
 	sh.rec.PutUint32(uint32(sh.i))
-	_ = sh.append(recOutcome, sh.answered(id, st, v))
+	if sh.answered(id, st, v, time.Now().UnixNano()) == nil {
+		_ = sh.append(recOutcome, sh.rec.Bytes())
+	}
 }
 
 func decodeEntryRecord(d *xdr.Decoder) (parent fhandle.Handle, name string, child fhandle.Handle, err error) {
@@ -341,25 +360,41 @@ func decodeEntryRecord(d *xdr.Decoder) (parent fhandle.Handle, name string, chil
 
 // answered appends to the record just encoded in the journal scratch the
 // outcome st and v of the call id, and records it in the shard's outcome
-// table: the record that carries the call's mutation carries its answer
-// too. A zero id — a step of an operation whose outcome another record
-// carries — appends nothing. It returns the record. The caller holds
-// sh.mu.
-func (sh *shard) answered(id once.Ident, st nfsproto.Status, v uint64) []byte {
-	if !id.IsZero() {
-		d := sh.done.Record(id, once.Outcome{Status: uint32(st), Value: v})
-		d.Encode(&sh.rec)
+// table as of now (Unix nanoseconds, the time the mutation read): the
+// record that carries the call's mutation carries its answer too. A zero
+// id — a step of an operation whose outcome another record carries —
+// appends nothing. An outcome that does not fit its journal form
+// (once.ErrDoesNotFit) appends and records nothing, and is returned. The
+// caller holds sh.mu.
+func (sh *shard) answered(id once.Ident, st nfsproto.Status, v uint64, now int64) error {
+	if id.IsZero() {
+		return nil
 	}
-	return sh.rec.Bytes()
+	d := once.Done{Ident: id, Outcome: once.Outcome{Status: uint32(st), Value: v}, At: now}
+	if err := d.Encode(&sh.rec); err != nil {
+		return err
+	}
+	_, err := sh.done.Record(id, d.Outcome, now)
+	return err
+}
+
+// journal appends the record just encoded in the journal scratch, ended
+// in the outcome st and v of the call id (answered), and makes it
+// durable. The caller holds sh.mu.
+func (sh *shard) journal(recType uint32, id once.Ident, st nfsproto.Status, v uint64, now int64) error {
+	if err := sh.answered(id, st, v, now); err != nil {
+		return err
+	}
+	return sh.appendSync(recType, sh.rec.Bytes())
 }
 
 // recorded returns the outcome the shard recorded for the call id (zero:
-// none). The caller holds sh.mu.
-func (sh *shard) recorded(id once.Ident) (nfsproto.Status, uint64, bool) {
+// none) within a Span of now. The caller holds sh.mu.
+func (sh *shard) recorded(id once.Ident, now int64) (nfsproto.Status, uint64, bool) {
 	if id.IsZero() {
 		return 0, 0, false
 	}
-	o, ok := sh.done.Find(id)
+	o, ok := sh.done.Find(id, now)
 	return nfsproto.Status(o.Status), o.Value, ok
 }
 
@@ -389,7 +424,7 @@ func (s *Server) liveRecords(sh *shard, emit func(recType uint32, payload []byte
 	sh.done.Each(func(d *once.Done) {
 		e.Reset()
 		e.PutUint32(uint32(sh.i))
-		d.Encode(e)
+		_ = d.EncodeValued(e) // the table holds only outcomes that fit
 		emit(recOutcome, e.Bytes())
 	})
 }
@@ -402,8 +437,9 @@ func (s *Server) liveSize() int { return int(s.live.Load()) }
 // state (empty for a restarted server). Replay is idempotent, so replaying over state that already
 // holds some records is safe.
 func (s *Server) replayLog(log *wal.Log) error {
+	now := time.Now().UnixNano()
 	return log.Scan(func(seq uint64, recType uint32, payload []byte) error {
-		return s.replay(recType, payload)
+		return s.replay(recType, payload, now)
 	})
 }
 
@@ -413,20 +449,27 @@ func (s *Server) replayLog(log *wal.Log) error {
 // record that ends in a call's outcome puts it back in its shard's
 // outcome table, unless it has expired. A record touches its shard
 // alone, so a shard's records replay the same whether the records of
-// others before them are there or not: a checkpoint may drop them.
-func (s *Server) replay(recType uint32, payload []byte) error {
+// others before them are there or not: a checkpoint may drop them. now
+// is the time replay began, against which outcomes expire.
+func (s *Server) replay(recType uint32, payload []byte, now int64) error {
 	d := xdr.NewDecoder(payload)
 	var (
 		sh                *shard
 		fh, parent, child fhandle.Handle
+		fileID            uint64
 		at                attr.Attr
 		target, name      string
 		err               error
 	)
 	switch recType {
-	case recCreate, recMkdirIn, recNewCell, recSetAttr, recTouch, recLinkDel, recCellGone:
+	case recCreate, recMkdirIn, recNewCell, recCellGone:
 		fh, at, target, err = decodeCellRecord(d)
 		sh = s.shard(fh.FileID)
+	case recSetAttr, recTouch, recLinkDel:
+		if fileID, err = d.Uint64(); err == nil {
+			err = at.Decode(d)
+		}
+		sh = s.shard(fileID)
 	case recInsert, recRemove:
 		parent, name, child, err = decodeEntryRecord(d)
 		sh = s.shard(parent.FileID)
@@ -445,7 +488,7 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 	var done once.Done
 	answered := d.Remaining() > 0
 	if answered {
-		if done, err = once.DecodeDone(d); err != nil {
+		if done, err = once.DecodeDone(d, nfsproto.Program, nfsproto.Version); err != nil {
 			return err
 		}
 	}
@@ -462,14 +505,14 @@ func (s *Server) replay(recType uint32, payload []byte) error {
 	case recRemove:
 		sh.removeEntry(parent, name)
 	case recSetAttr, recTouch, recLinkDel:
-		if c := sh.attrs[fh.FileID]; c != nil {
+		if c := sh.attrs[fileID]; c != nil {
 			c.at = at // records carry the post-state for idempotent replay
 		}
 	case recCellGone:
 		sh.dropCell(fh.FileID)
 	}
 	if answered {
-		sh.done.Put(done)
+		sh.done.Put(done, now)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -86,6 +87,26 @@ func (h *harness) compactions() int {
 		n += int(tee.compactions.Load())
 	}
 	return n
+}
+
+// quietMargin is more than the journal bytes any one op of the tests
+// here appends, and than twice the live bytes it can free.
+const quietMargin = 4 << 10
+
+// quiet reports whether no site's journal can cut or finish a checkpoint
+// during the next op: none has one open, and each is more than
+// quietMargin short of the length at which it cuts one,
+// max(2 × live, wal.CompactFloor).
+func (h *harness) quiet() bool {
+	if h.checkpointOpen() {
+		return false
+	}
+	for _, s := range h.servers {
+		if int(s.Log().Stats().Size)+quietMargin > max(2*s.liveSize(), wal.CompactFloor) {
+			return false
+		}
+	}
+	return true
 }
 
 // crashCopies returns every site's durable journal: compacted, or the
@@ -212,8 +233,17 @@ func TestCompactionEquivalentToFullJournal(t *testing.T) {
 			children := map[uint64]int{}
 			pick := func(ns []name) int { return rng.Intn(len(ns)) }
 			seq, events := 0, 0
-			for op := 0; op < 1500; op++ {
-				before, beforeLive, n := h.crashCopies(false), h.liveAll(), h.compactions()
+			for op := 0; op < 8000; op++ {
+				// An op far from any checkpoint needs no copies taken
+				// before it: the name space is large enough that taking
+				// them at every op would make the test quadratic in its ops.
+				quiet := h.quiet()
+				var before []*wal.MemStore
+				var beforeLive [][]string
+				if !quiet {
+					before, beforeLive = h.crashCopies(false), h.liveAll()
+				}
+				n := h.compactions()
 				seq++
 				nm := fmt.Sprintf("n%d", seq)
 				switch r := rng.Intn(100); {
@@ -260,6 +290,9 @@ func TestCompactionEquivalentToFullJournal(t *testing.T) {
 				h.forgetOutcomes()
 				if h.compactions() == n {
 					continue
+				}
+				if quiet {
+					t.Fatalf("op %d compacted a journal more than %d bytes short of a checkpoint: no copy was taken before it", op, quietMargin)
 				}
 				events++
 				if got := h.restartAll(before); !slices.EqualFunc(got, beforeLive, slices.Equal) {
@@ -331,6 +364,106 @@ func TestJournalBoundedUnderChurn(t *testing.T) {
 	full, _ := h.tees[0].full.Contents()
 	if st := h.servers[0].Log().Stats(); st.Bytes != uint64(len(full)) {
 		t.Fatalf("the log counts %d bytes appended, the full journal holds %d", st.Bytes, len(full))
+	}
+}
+
+// TestOutcomesAndAttributeRecordsRestartClean: past a checkpoint, a journal that
+// holds only attribute records — a SETATTR's, a peer touch's and a peer
+// link count's, each the file ID and the attributes after the change,
+// 88 bytes, then the call's outcome — restarts Check-clean to the state
+// the acknowledged ops left, and each op's outcome is found again.
+func TestOutcomesAndAttributeRecordsRestartClean(t *testing.T) {
+	const attrRecordLen = 8 + 80
+	h := newHarness(t, 1, route.MkdirSwitching, 0)
+	d := h.mkdir(h.root, "d")
+	a, b := h.create(d, "a"), h.create(d, "b")
+	s := h.servers[0]
+	if err := s.Log().Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	image := 0
+	scan(t, h.stores[0].CrashCopy(), func(uint32, []byte) { image++ })
+
+	type acked struct {
+		id    once.Ident
+		key   uint64
+		value uint64
+	}
+	var ops []acked
+	id := once.Ident{Src: netsim.Addr{Host: 200, Port: 1}, Prog: nfsproto.Program, Vers: nfsproto.Version, Len: 40}
+	next := func(proc nfsproto.Proc) once.Ident {
+		id.Xid++
+		id.Proc = uint32(proc)
+		return id
+	}
+	for i, fh := range []fhandle.Handle{a, b, a} {
+		call := next(nfsproto.ProcSetAttr)
+		sa := attr.SetAttr{SetMode: true, Mode: 0o600 + uint32(i), SetUID: true, UID: uint32(1000 + i)}
+		if st, _ := s.localSetAttr(fh.FileID, &sa, &op{id: call}); st != nfsproto.OK {
+			t.Fatalf("setattr: %v", st)
+		}
+		ops = append(ops, acked{call, fh.FileID, 0})
+	}
+	call := next(nfsproto.ProcCreate).Sub(1)
+	if st := s.localTouchDir(d.FileID, 0, call); st != nfsproto.OK {
+		t.Fatalf("touch: %v", st)
+	}
+	ops = append(ops, acked{call, d.FileID, 0})
+	// A link count up and down again, as a LINK and a REMOVE of the
+	// name it made leave it: Check finds it equal to b's one name.
+	for _, delta := range []int32{1, -1} {
+		call = next(nfsproto.ProcLink).Sub(1)
+		st, nlink := s.localLinkDelta(b.FileID, delta, call)
+		if st != nfsproto.OK || nlink != uint32(1+max(delta, 0)) {
+			t.Fatalf("link count %+d: %v, %d", delta, st, nlink)
+		}
+		ops = append(ops, acked{call, b.FileID, uint64(nlink)})
+	}
+
+	journal := h.stores[0].CrashCopy()
+	n := 0
+	scan(t, journal, func(recType uint32, p []byte) {
+		if n++; n <= image {
+			return
+		}
+		want := attrRecordLen + once.DoneSize
+		if recType == recLinkDel {
+			want += once.ValueSize
+		}
+		if recType != recSetAttr && recType != recTouch && recType != recLinkDel || len(p) != want {
+			t.Errorf("record %d past the checkpoint: type %d, %d bytes; want an attribute record of %d", n-image, recType, len(p), want)
+		}
+	})
+	if n-image != len(ops) {
+		t.Fatalf("%d records past the checkpoint, want %d", n-image, len(ops))
+	}
+	want, _ := liveOf(s)
+	h.restartEach([]*wal.MemStore{journal}, func(r *Server) {
+		if got, _ := liveOf(r); !slices.Equal(got, want) {
+			t.Error("the restarted server's state is not the acknowledged one")
+		}
+		now := time.Now().UnixNano()
+		for _, o := range ops {
+			sh := r.shard(o.key)
+			sh.mu.Lock()
+			st, v, ok := sh.recorded(o.id, now)
+			sh.unlock()
+			if !ok || st != nfsproto.OK || v != o.value {
+				t.Errorf("outcome of %+v after the restart: %v %d %v; want OK %d", o.id, st, v, ok, o.value)
+			}
+		}
+	})
+}
+
+// scan calls fn with every record of the journal in st.
+func scan(t *testing.T, st *wal.MemStore, fn func(recType uint32, payload []byte)) {
+	t.Helper()
+	log, err := wal.Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Scan(func(_ uint64, recType uint32, p []byte) error { fn(recType, p); return nil }); err != nil {
+		t.Fatal(err)
 	}
 }
 

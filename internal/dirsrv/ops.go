@@ -2,6 +2,7 @@ package dirsrv
 
 import (
 	"sort"
+	"time"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -63,15 +64,8 @@ func (s *Server) getattr(a *nfsproto.GetAttrArgs) nfsproto.GetAttrRes {
 }
 
 func (s *Server) setattr(a *nfsproto.SetAttrArgs, o *op) nfsproto.SetAttrRes {
-	if st, _, dup := s.seen(a.FH.FileID, o); dup {
-		return nfsproto.SetAttrRes{Status: st, Attr: s.optLocalAttr(a.FH)}
-	}
-	st, at := s.localSetAttrByKey(a.FH.FileID, &a.Sattr, o.id)
-	res := nfsproto.SetAttrRes{Status: st}
-	if st == nfsproto.OK {
-		res.Attr = nfsproto.Some(at)
-	}
-	return res
+	st, at := s.localSetAttr(a.FH.FileID, &a.Sattr, o)
+	return nfsproto.SetAttrRes{Status: st, Attr: at}
 }
 
 func (s *Server) access(a *nfsproto.AccessArgs) nfsproto.AccessRes {
@@ -150,7 +144,8 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	// create site owns the file's attributes), in the directory's shard.
 	sh := s.shard(a.Dir.FileID)
 	sh.mu.Lock()
-	if st, fileID, dup := sh.seenLocked(o); dup {
+	now := time.Now()
+	if st, fileID, dup := sh.seenLocked(o, now.UnixNano()); dup {
 		sh.unlock()
 		return s.madeAgain(a.Dir, st, fileID, attr.TypeReg)
 	}
@@ -165,7 +160,7 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 			Attr: s.childAttr(child), DirAttr: s.optLocalAttr(a.Dir),
 		}
 	}
-	now := s.now()
+	stamp := attr.FromGo(now)
 	fh := s.mintLocked(sh, uint8(attr.TypeReg))
 	mode := uint32(0o644)
 	if a.Sattr.SetMode {
@@ -174,7 +169,7 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	cell := &attrCell{fh: fh, at: attr.Attr{
 		Type: attr.TypeReg, Mode: mode, Nlink: 1, FileID: fh.FileID,
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
-		Atime: now, Mtime: now, Ctime: now,
+		Atime: stamp, Mtime: stamp, Ctime: stamp,
 	}}
 	sh.putCell(cell)
 	sh.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
@@ -183,7 +178,7 @@ func (s *Server) create(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	sh.entryRecord(a.Dir, a.Name, fh)
-	if err := sh.appendSync(recInsert, sh.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
+	if err := sh.journal(recInsert, o.id, nfsproto.OK, fh.FileID, now.UnixNano()); err != nil {
 		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
@@ -214,7 +209,8 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	// carries it; the new directory's cell in a shard of its own.
 	dsh := s.shard(a.Dir.FileID)
 	dsh.mu.Lock()
-	if st, fileID, dup := dsh.seenLocked(o); dup {
+	now := time.Now()
+	if st, fileID, dup := dsh.seenLocked(o, now.UnixNano()); dup {
 		dsh.unlock()
 		return s.madeAgain(a.Dir, st, fileID, attr.TypeDir)
 	}
@@ -225,7 +221,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	}
 	sh := s.dirShard()
 	sh.mu.Lock()
-	now := s.now()
+	stamp := attr.FromGo(now)
 	fh := s.mintLocked(sh, uint8(attr.TypeDir))
 	mode := uint32(0o755)
 	if a.Sattr.SetMode {
@@ -234,7 +230,7 @@ func (s *Server) mkdir(a *nfsproto.CreateArgs, o *op) nfsproto.CreateRes {
 	cell := &attrCell{fh: fh, at: attr.Attr{
 		Type: attr.TypeDir, Mode: mode, Nlink: 2, FileID: fh.FileID,
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
-		Atime: now, Mtime: now, Ctime: now,
+		Atime: stamp, Mtime: stamp, Ctime: stamp,
 	}}
 	sh.putCell(cell)
 	recType := uint32(recNewCell)
@@ -307,7 +303,7 @@ func (s *Server) discardCell(fh fhandle.Handle, at *attr.Attr, id once.Ident, st
 	sh.mu.Lock()
 	sh.dropCell(fh.FileID)
 	sh.cellRecord(fh, at)
-	_ = sh.appendSync(recCellGone, sh.answered(id, st, 0))
+	_ = sh.journal(recCellGone, id, st, 0, time.Now().UnixNano())
 	sh.unlock()
 }
 
@@ -644,13 +640,14 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	now := s.now()
+	now := time.Now()
+	stamp := attr.FromGo(now)
 	fh := s.mintLocked(sh, uint8(attr.TypeLink))
 	cell := &attrCell{fh: fh, at: attr.Attr{
 		Type: attr.TypeLink, Mode: 0o777, Nlink: 1, FileID: fh.FileID,
 		Size: uint64(len(a.Target)), Used: uint64(len(a.Target)),
 		UID: a.Sattr.UID, GID: a.Sattr.GID,
-		Atime: now, Mtime: now, Ctime: now,
+		Atime: stamp, Mtime: stamp, Ctime: stamp,
 	}, target: a.Target}
 	sh.putCell(cell)
 	sh.insertEntry(&nameCell{parent: a.Dir.Ident(), name: a.Name, child: fh})
@@ -659,7 +656,7 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}
 	sh.entryRecord(a.Dir, a.Name, fh)
-	if err := sh.appendSync(recInsert, sh.answered(o.id, nfsproto.OK, fh.FileID)); err != nil {
+	if err := sh.journal(recInsert, o.id, nfsproto.OK, fh.FileID, now.UnixNano()); err != nil {
 		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrIO}
 	}

@@ -2,6 +2,7 @@ package dirsrv
 
 import (
 	"sync/atomic"
+	"time"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -428,12 +429,12 @@ func (s *Server) seen(key uint64, o *op) (nfsproto.Status, uint64, bool) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.unlock()
-	return sh.seenLocked(o)
+	return sh.seenLocked(o, time.Now().UnixNano())
 }
 
-// seenLocked is seen for a caller that holds sh.mu.
-func (sh *shard) seenLocked(o *op) (nfsproto.Status, uint64, bool) {
-	st, v, ok := sh.recorded(o.id)
+// seenLocked is seen at now, for a caller that holds sh.mu.
+func (sh *shard) seenLocked(o *op, now int64) (nfsproto.Status, uint64, bool) {
+	st, v, ok := sh.recorded(o.id, now)
 	o.replayed = ok
 	return st, v, ok
 }
@@ -449,20 +450,31 @@ func (s *Server) localGetAttrByKey(key uint64) (nfsproto.Status, attr.Attr) {
 	return nfsproto.OK, c.at
 }
 
-func (s *Server) localSetAttrByKey(key uint64, sa *attr.SetAttr, id once.Ident) (nfsproto.Status, attr.Attr) {
+// localSetAttr serves the SETATTR o of the cell key under one hold of its
+// shard: a retransmission gets its first status and the cell's
+// attributes now; otherwise sa is applied, stamped with the time the op
+// reads once, and journaled with o's outcome of that time.
+func (s *Server) localSetAttr(key uint64, sa *attr.SetAttr, o *op) (nfsproto.Status, nfsproto.OptAttr) {
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.unlock()
+	now := time.Now()
 	c := sh.attrs[key]
+	if st, _, dup := sh.seenLocked(o, now.UnixNano()); dup {
+		if c == nil {
+			return st, nfsproto.OptAttr{}
+		}
+		return st, nfsproto.Some(c.at)
+	}
 	if c == nil {
-		return nfsproto.ErrStale, attr.Attr{}
+		return nfsproto.ErrStale, nfsproto.OptAttr{}
 	}
-	sa.Apply(&c.at, s.now())
-	sh.cellRecord(c.fh, &c.at)
-	if err := sh.appendSync(recSetAttr, sh.answered(id, nfsproto.OK, 0)); err != nil {
-		return nfsproto.ErrIO, attr.Attr{}
+	sa.Apply(&c.at, attr.FromGo(now))
+	sh.attrRecord(key, &c.at)
+	if err := sh.journal(recSetAttr, o.id, nfsproto.OK, 0, now.UnixNano()); err != nil {
+		return nfsproto.ErrIO, nfsproto.OptAttr{}
 	}
-	return nfsproto.OK, c.at
+	return nfsproto.OK, nfsproto.Some(c.at)
 }
 
 // localInsertEntry inserts a name entry (and, for directory children,
@@ -472,7 +484,8 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 	sh := s.shard(parent.FileID)
 	sh.mu.Lock()
 	defer sh.unlock()
-	if st, bound, ok := sh.recorded(id); ok {
+	now := time.Now()
+	if st, bound, ok := sh.recorded(id, now.UnixNano()); ok {
 		return st, bound
 	}
 	if sh.findEntry(parent, name) != nil {
@@ -480,13 +493,12 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 	}
 	if touchParent {
 		if pc := sh.attrs[parent.FileID]; pc != nil {
-			now := s.now()
-			pc.at.Mtime = now
-			pc.at.Ctime = now
+			pc.at.Mtime = attr.FromGo(now)
+			pc.at.Ctime = pc.at.Mtime
 			if child.Type == uint8(attr.TypeDir) {
 				pc.at.Nlink++
 			}
-			if err := sh.append(recTouch, sh.cellRecord(pc.fh, &pc.at)); err != nil {
+			if err := sh.append(recTouch, sh.attrRecord(parent.FileID, &pc.at)); err != nil {
 				return nfsproto.ErrIO, 0
 			}
 		} else if s.ownsHandle(parent) {
@@ -498,7 +510,7 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 	c := &nameCell{parent: parent.Ident(), name: name, child: child}
 	sh.insertEntry(c)
 	sh.entryRecord(parent, name, child)
-	if err := sh.appendSync(recInsert, sh.answered(id, nfsproto.OK, child.FileID)); err != nil {
+	if err := sh.journal(recInsert, id, nfsproto.OK, child.FileID, now.UnixNano()); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, child.FileID
@@ -513,21 +525,21 @@ func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParen
 	if c == nil {
 		return nfsproto.ErrNoEnt, fhandle.Handle{}
 	}
+	now := time.Now()
 	if touchParent {
 		if pc := sh.attrs[parent.FileID]; pc != nil {
-			now := s.now()
-			pc.at.Mtime = now
-			pc.at.Ctime = now
+			pc.at.Mtime = attr.FromGo(now)
+			pc.at.Ctime = pc.at.Mtime
 			if c.child.Type == uint8(attr.TypeDir) && pc.at.Nlink > 2 {
 				pc.at.Nlink--
 			}
-			if err := sh.append(recTouch, sh.cellRecord(pc.fh, &pc.at)); err != nil {
+			if err := sh.append(recTouch, sh.attrRecord(parent.FileID, &pc.at)); err != nil {
 				return nfsproto.ErrIO, fhandle.Handle{}
 			}
 		}
 	}
 	sh.entryRecord(parent, name, c.child)
-	if err := sh.appendSync(recRemove, sh.answered(id, nfsproto.OK, 0)); err != nil {
+	if err := sh.journal(recRemove, id, nfsproto.OK, 0, now.UnixNano()); err != nil {
 		return nfsproto.ErrIO, fhandle.Handle{}
 	}
 	return nfsproto.OK, c.child
@@ -538,23 +550,23 @@ func (s *Server) localTouchDir(key uint64, nlinkDelta int32, id once.Ident) nfsp
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.unlock()
-	if st, _, ok := sh.recorded(id); ok {
+	now := time.Now()
+	if st, _, ok := sh.recorded(id, now.UnixNano()); ok {
 		return st
 	}
 	c := sh.attrs[key]
 	if c == nil {
 		return nfsproto.ErrStale
 	}
-	now := s.now()
-	c.at.Mtime = now
-	c.at.Ctime = now
+	c.at.Mtime = attr.FromGo(now)
+	c.at.Ctime = c.at.Mtime
 	newNlink := int64(c.at.Nlink) + int64(nlinkDelta)
 	if newNlink < 0 {
 		newNlink = 0
 	}
 	c.at.Nlink = uint32(newNlink)
-	sh.cellRecord(c.fh, &c.at)
-	if err := sh.appendSync(recTouch, sh.answered(id, nfsproto.OK, 0)); err != nil {
+	sh.attrRecord(key, &c.at)
+	if err := sh.journal(recTouch, id, nfsproto.OK, 0, now.UnixNano()); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -567,7 +579,8 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool, id on
 	sh := s.shard(child.FileID)
 	sh.mu.Lock()
 	defer sh.unlock()
-	if st, _, ok := sh.recorded(id); ok {
+	now := time.Now().UnixNano()
+	if st, _, ok := sh.recorded(id, now); ok {
 		return st
 	}
 	c := sh.attrs[child.FileID]
@@ -582,7 +595,7 @@ func (s *Server) localRemoveDirCell(child fhandle.Handle, checkEmpty bool, id on
 	}
 	sh.dropCell(child.FileID)
 	sh.cellRecord(child, &c.at)
-	if err := sh.appendSync(recCellGone, sh.answered(id, nfsproto.OK, 0)); err != nil {
+	if err := sh.journal(recCellGone, id, nfsproto.OK, 0, now); err != nil {
 		return nfsproto.ErrIO
 	}
 	return nfsproto.OK
@@ -594,7 +607,8 @@ func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsprot
 	sh := s.shard(key)
 	sh.mu.Lock()
 	defer sh.unlock()
-	if st, nlink, ok := sh.recorded(id); ok {
+	now := time.Now()
+	if st, nlink, ok := sh.recorded(id, now.UnixNano()); ok {
 		return st, uint32(nlink)
 	}
 	c := sh.attrs[key]
@@ -606,14 +620,16 @@ func (s *Server) localLinkDelta(key uint64, delta int32, id once.Ident) (nfsprot
 		newNlink = 0
 	}
 	c.at.Nlink = uint32(newNlink)
-	c.at.Ctime = s.now()
+	c.at.Ctime = attr.FromGo(now)
 	recType := uint32(recLinkDel)
 	if c.at.Nlink == 0 && c.at.Type != attr.TypeDir {
 		sh.dropCell(key)
+		sh.cellRecord(c.fh, &c.at)
 		recType = recCellGone
+	} else {
+		sh.attrRecord(key, &c.at)
 	}
-	sh.cellRecord(c.fh, &c.at)
-	if err := sh.appendSync(recType, sh.answered(id, nfsproto.OK, uint64(c.at.Nlink))); err != nil {
+	if err := sh.journal(recType, id, nfsproto.OK, uint64(c.at.Nlink), now.UnixNano()); err != nil {
 		return nfsproto.ErrIO, 0
 	}
 	return nfsproto.OK, c.at.Nlink

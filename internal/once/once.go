@@ -11,6 +11,9 @@ package once
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"time"
 
 	"slice/internal/netsim"
@@ -90,112 +93,258 @@ type Done struct {
 	At int64
 }
 
-// DoneSize is the encoded length of a Done.
-const DoneSize = 8*4 + 4 + 8 + 8
+// A journaled Done carries only what replay reads, big-endian:
+//
+//	 0  source host   4
+//	 4  source port   2
+//	 6  Step          2
+//	 8  xid           4
+//	12  procedure     1
+//	13  argument len  3
+//	16  status        2
+//	18  flags         1   flagValue: the value follows
+//	19  zero          1
+//	20  time          4   Unix seconds, rounded up
+//	24  value         8   only under flagValue
+//
+// Program and version are not journaled: each role's journal holds one
+// program's outcomes (a directory server's peer steps carry the identity
+// of the NFS call they serve), so DecodeDone takes them from the role.
+// The time is rounded up, so replay keeps an outcome at least as long as
+// it was recorded for, never shorter.
+const (
+	// DoneSize is the encoded length of a Done without its value.
+	DoneSize = 24
+	// ValueSize is what a Done's value adds to it.
+	ValueSize = 8
 
-// Encode appends d to e.
-func (d *Done) Encode(e *xdr.Encoder) {
-	d.Ident.Encode(e)
-	b := e.Reserve(4 + 8 + 8)
-	binary.BigEndian.PutUint32(b, d.Status)
-	binary.BigEndian.PutUint64(b[4:], d.Value)
-	binary.BigEndian.PutUint64(b[12:], uint64(d.At))
+	flagValue = 1
+
+	maxStep   = 1<<16 - 1
+	maxProc   = 1<<8 - 1
+	maxLen    = 1<<24 - 1
+	maxStatus = 1<<16 - 1
+)
+
+// ErrDoesNotFit is a Done's refusal of a step, procedure, argument
+// length, status or time too large for its field. A field is never
+// truncated.
+var ErrDoesNotFit = errors.New("once: a call's identity or outcome does not fit its journal form")
+
+// fits reports whether id's key and verifier fit their fields.
+func (id *Ident) fits() bool {
+	return id.Step <= maxStep && id.Proc <= maxProc && id.Len <= maxLen
 }
 
-// DecodeDone reads a Done that Encode wrote.
-func DecodeDone(d *xdr.Decoder) (r Done, err error) {
-	if r.Ident, err = DecodeIdent(d); err != nil {
+// fits reports whether d fits its journal form.
+func (d *Done) fits() bool {
+	return d.Ident.fits() && d.Status <= maxStatus && d.At >= 0 && ceilSecond(d.At) <= math.MaxUint32
+}
+
+// ceilSecond returns the whole Unix second at or after ns ≥ 0.
+func ceilSecond(ns int64) int64 { return (ns + int64(time.Second) - 1) / int64(time.Second) }
+
+// Encode appends d to e, its value only when it is not zero: DoneSize or
+// DoneSize+ValueSize bytes. It refuses, appending nothing, a Done that
+// does not fit.
+func (d *Done) Encode(e *xdr.Encoder) error { return d.encode(e, d.Value != 0) }
+
+// EncodeValued is Encode with the value always present: for a record
+// whose length must not depend on it, a compaction's.
+func (d *Done) EncodeValued(e *xdr.Encoder) error { return d.encode(e, true) }
+
+func (d *Done) encode(e *xdr.Encoder, valued bool) error {
+	if !d.fits() {
+		return ErrDoesNotFit
+	}
+	n := DoneSize
+	if valued {
+		n += ValueSize
+	}
+	b := e.Reserve(n)
+	binary.BigEndian.PutUint32(b[0:], d.Src.Host)
+	binary.BigEndian.PutUint16(b[4:], d.Src.Port)
+	binary.BigEndian.PutUint16(b[6:], uint16(d.Step))
+	binary.BigEndian.PutUint32(b[8:], d.Xid)
+	binary.BigEndian.PutUint32(b[12:], d.Proc<<24|d.Len)
+	binary.BigEndian.PutUint16(b[16:], uint16(d.Status))
+	b[18], b[19] = 0, 0
+	binary.BigEndian.PutUint32(b[20:], uint32(ceilSecond(d.At)))
+	if valued {
+		b[18] = flagValue
+		binary.BigEndian.PutUint64(b[24:], d.Value)
+	}
+	return nil
+}
+
+// DecodeDone reads a Done that Encode or EncodeValued wrote, of a call
+// to program prog, version vers: the role's.
+func DecodeDone(d *xdr.Decoder, prog, vers uint32) (r Done, err error) {
+	b, err := d.FixedOpaque(DoneSize)
+	if err != nil {
 		return r, err
 	}
-	if r.Status, err = d.Uint32(); err != nil {
-		return r, err
+	if b[18]&^flagValue != 0 || b[19] != 0 {
+		return r, fmt.Errorf("once: a journaled outcome's flags read %#x %#x", b[18], b[19])
 	}
-	if r.Value, err = d.Uint64(); err != nil {
-		return r, err
+	pl := binary.BigEndian.Uint32(b[12:])
+	r.Ident = Ident{
+		Src:  netsim.Addr{Host: binary.BigEndian.Uint32(b[0:]), Port: binary.BigEndian.Uint16(b[4:])},
+		Step: uint32(binary.BigEndian.Uint16(b[6:])), Xid: binary.BigEndian.Uint32(b[8:]),
+		Prog: prog, Vers: vers, Proc: pl >> 24, Len: pl & maxLen,
 	}
-	at, err := d.Uint64()
-	r.At = int64(at)
+	r.Status = uint32(binary.BigEndian.Uint16(b[16:]))
+	r.At = int64(binary.BigEndian.Uint32(b[20:])) * int64(time.Second)
+	if b[18]&flagValue != 0 {
+		r.Value, err = d.Uint64()
+	}
 	return r, err
 }
 
 // Table is a role's at-most-once table: the outcome of each call it
-// executed in the last Span, by the call's identity. The role records an
-// outcome under the lock its mutation holds. Nothing in it is a pointer,
-// so the collector never scans it. An outcome past its Span is no longer
-// found, and is deleted by the first record a Span after the last sweep,
-// which walks the table once: the table holds one to two Spans of calls,
-// however many, and a lookup or a record is one map operation. The zero
-// value is empty and ready; it is not safe for concurrent use.
+// executed in the last Span, by the call's identity. A table holds the
+// calls of one program, the role's, so it keeps of a call's verifier
+// only the procedure and the argument length. The role records an
+// outcome under the lock its mutation holds, at the time the mutation
+// read, and asks for one at the time its op reads: the table reads no
+// clock. Nothing in it is a pointer, so the collector never scans it. An
+// outcome past its Span is no longer found, and is deleted by the first
+// record a Span after the last sweep, which walks the table once: the
+// table holds one to two Spans of calls, however many, and a lookup or a
+// record is one map operation. The zero value is empty and ready; it is
+// not safe for concurrent use.
 type Table struct {
-	m     map[key]entry
+	m map[key]entry
+	// base is the Unix time entries count their milliseconds from; a
+	// sweep moves it up before they could overflow.
+	base  int64
 	swept int64 // when expired outcomes were last deleted
 	peak  int
 }
 
+// key is what a retransmission repeats: source, Step and xid, packed.
 type key struct {
-	src       netsim.Addr
-	xid, step uint32
+	host       uint32
+	port, step uint16
+	xid        uint32
 }
 
+// entry is one outcome: 20 bytes, so a key and its entry take 32.
 type entry struct {
-	ver [4]uint32 // prog, vers, proc, len
-	Outcome
-	at int64
+	at     int32     // milliseconds after the table's base, rounded up
+	ver    uint32    // procedure<<24 | argument length
+	value  [2]uint32 // high and low words: a uint64 at 4-byte alignment
+	status uint16
 }
 
-func (id *Ident) key() key            { return key{src: id.Src, xid: id.Xid, step: id.Step} }
-func (id *Ident) verifier() [4]uint32 { return [4]uint32{id.Prog, id.Vers, id.Proc, id.Len} }
+const (
+	// spanMS is Span in whole milliseconds, rounded up.
+	spanMS = int64((Span + time.Millisecond - 1) / time.Millisecond)
+	// rebaseMS is how far past its base a sweep lets a table run before
+	// it moves the base up: far short of an int32's milliseconds.
+	rebaseMS = 1 << 30
+)
 
-// Find returns the outcome recorded for id within the last Span.
-func (t *Table) Find(id Ident) (Outcome, bool) {
-	e, ok := t.m[id.key()]
-	if !ok || e.ver != id.verifier() || time.Now().UnixNano()-e.at >= int64(Span) {
+func keyOf(id *Ident) key {
+	return key{host: id.Src.Host, port: id.Src.Port, step: uint16(id.Step), xid: id.Xid}
+}
+
+func verOf(id *Ident) uint32 { return id.Proc<<24 | id.Len }
+
+// sinceBase returns now in milliseconds after t's base, rounded down.
+func (t *Table) sinceBase(now int64) int64 { return (now - t.base) / int64(time.Millisecond) }
+
+// Find returns the outcome recorded for id within the Span before now
+// (Unix nanoseconds).
+func (t *Table) Find(id Ident, now int64) (Outcome, bool) {
+	e, ok := t.m[keyOf(&id)]
+	if !ok || e.ver != verOf(&id) || !id.fits() || t.sinceBase(now)-int64(e.at) >= spanMS {
 		return Outcome{}, false
 	}
-	return e.Outcome, true
+	return Outcome{Status: uint32(e.status), Value: uint64(e.value[0])<<32 | uint64(e.value[1])}, true
 }
 
-// Record records o as id's outcome, now, and returns it as a journal
-// record carries it.
-func (t *Table) Record(id Ident, o Outcome) Done {
-	d := Done{Ident: id, Outcome: o, At: time.Now().UnixNano()}
-	t.put(d, d.At)
-	return d
+// Record records o as id's outcome at now (Unix nanoseconds: the time
+// the mutation read) and returns it as a journal record carries it. It
+// refuses, recording nothing, an outcome that does not fit its journal
+// form.
+func (t *Table) Record(id Ident, o Outcome, now int64) (Done, error) {
+	d := Done{Ident: id, Outcome: o, At: now}
+	if !d.fits() {
+		return Done{}, ErrDoesNotFit
+	}
+	t.put(&d, now)
+	return d, nil
 }
 
-// Put records d as of d.At — a journal's record, replayed — unless it has
-// expired.
-func (t *Table) Put(d Done) { t.put(d, time.Now().UnixNano()) }
-
-func (t *Table) put(d Done, now int64) {
-	if now-d.At >= int64(Span) {
+// Put records d as of d.At — a journal's record, replayed at now —
+// unless it has expired or does not fit.
+func (t *Table) Put(d Done, now int64) {
+	if now-d.At >= int64(Span) || !d.fits() {
 		return
 	}
+	t.put(&d, now)
+}
+
+func (t *Table) put(d *Done, now int64) {
 	if t.m == nil {
-		t.m, t.swept = make(map[key]entry), now
+		t.m, t.base, t.swept = make(map[key]entry), now, now
 	}
 	if now-t.swept >= int64(Span) {
-		for k, e := range t.m {
-			if now-e.at >= int64(Span) {
-				delete(t.m, k)
-			}
-		}
-		t.swept = now
+		t.sweep(now)
 	}
-	t.m[d.key()] = entry{ver: d.verifier(), Outcome: d.Outcome, at: d.At}
+	// The time in milliseconds, rounded up (Go's division truncates, so a
+	// negative quotient is already rounded up). A time further ahead of
+	// now than rounding to a second puts it is a clock that stepped back:
+	// it counts as that second.
+	ms := d.At - t.base
+	at := ms / int64(time.Millisecond)
+	if ms%int64(time.Millisecond) > 0 {
+		at++
+	}
+	at = min(at, t.sinceBase(now)+int64(time.Second/time.Millisecond))
+	t.m[keyOf(&d.Ident)] = entry{at: int32(at), ver: verOf(&d.Ident),
+		value: [2]uint32{uint32(d.Value >> 32), uint32(d.Value)}, status: uint16(d.Status)}
 	t.peak = max(t.peak, len(t.m))
+}
+
+// sweep deletes the outcomes expired at now and, once the table has run
+// rebaseMS past its base, moves the base up to now.
+func (t *Table) sweep(now int64) {
+	nowMS := t.sinceBase(now)
+	var shift int64
+	if nowMS >= rebaseMS {
+		shift = nowMS
+	}
+	for k, e := range t.m {
+		switch {
+		case nowMS-int64(e.at) >= spanMS:
+			delete(t.m, k)
+		case shift != 0:
+			e.at = int32(int64(e.at) - shift)
+			t.m[k] = e
+		}
+	}
+	t.base += shift * int64(time.Millisecond)
+	t.swept = now
 }
 
 // Each calls fn with every outcome held, for a role's journal compaction:
 // Len of them, so the role counts what it emits in O(1). Those expired
-// since the last sweep are among them; replay drops them. fn must not
-// keep d, which Each reuses, so a walk allocates once, not once per
-// outcome.
+// since the last sweep are among them; replay drops them. Each Done's
+// time is its entry's, at most a millisecond past the one recorded, and
+// its program and version are zero: the journal does not carry them. fn
+// must not keep d, which Each reuses, so a walk allocates once, not once
+// per outcome.
 func (t *Table) Each(fn func(d *Done)) {
 	var d Done
 	for k, e := range t.m {
-		d = Done{Ident: Ident{Src: k.src, Xid: k.xid, Step: k.step, Prog: e.ver[0],
-			Vers: e.ver[1], Proc: e.ver[2], Len: e.ver[3]}, Outcome: e.Outcome, At: e.at}
+		d = Done{
+			Ident: Ident{Src: netsim.Addr{Host: k.host, Port: k.port}, Xid: k.xid, Step: uint32(k.step),
+				Proc: e.ver >> 24, Len: e.ver & maxLen},
+			Outcome: Outcome{Status: uint32(e.status), Value: uint64(e.value[0])<<32 | uint64(e.value[1])},
+			At:      t.base + int64(e.at)*int64(time.Millisecond),
+		}
 		fn(&d)
 	}
 }

@@ -393,3 +393,45 @@ func TestArgsStayOnTheCallersStack(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineReplyArmsNoTimer: a call to a server that serves inline finds
+// its reply queued when its transmission returns and arms no timer, on
+// either transmission path; a call whose reply never comes arms its timer
+// at every attempt and walks the whole ladder to ErrTimedOut.
+func TestInlineReplyArmsNoTimer(t *testing.T) {
+	for _, seal := range []bool{false, true} {
+		cli, _ := newPair(t, netsim.Config{}, echoHandler, ClientConfig{Timeout: time.Millisecond, Retries: 4})
+		if !seal {
+			cli.sealer = nil
+		}
+		const calls = 100
+		for i := uint32(0); i < calls; i++ {
+			body, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(i) })
+			if v, _ := xdr.NewDecoder(body).Uint32(); err != nil || v != i {
+				t.Fatalf("seal=%v: call %d: %#x, %v", seal, i, v, err)
+			}
+		}
+		if armed, re := cli.armed.Load(), cli.Retransmissions(); armed != 0 || re != 0 {
+			t.Fatalf("seal=%v: %d inline calls armed %d timers and retransmitted %d times; want none", seal, calls, armed, re)
+		}
+	}
+
+	n := netsim.New(netsim.Config{})
+	silent, err := n.BindAny(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	cp, err := n.BindAny(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := NewClient(cp, silent.Addr(), ClientConfig{Timeout: time.Millisecond, Retries: 4})
+	defer cli.Close()
+	if _, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(1) }); !errors.Is(err, ErrTimedOut) {
+		t.Fatalf("a call nobody answers: %v, want ErrTimedOut", err)
+	}
+	if armed, re := cli.armed.Load(), cli.Retransmissions(); armed != 4 || re != 3 {
+		t.Fatalf("a call nobody answers armed %d timers and retransmitted %d times; want 4 and 3", armed, re)
+	}
+}

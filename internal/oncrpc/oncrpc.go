@@ -475,6 +475,9 @@ type Client struct {
 
 	// retransmissions counts retransmitted calls, for tests and stats.
 	retransmissions atomic.Uint64
+	// armed counts the transmissions whose reply was not queued when
+	// they returned, each of which armed its call's timer, for tests.
+	armed atomic.Uint64
 	// strayReplies counts replies rejected by the peer-address check:
 	// a matching xid from an address the call was never sent to.
 	strayReplies atomic.Uint64
@@ -831,11 +834,22 @@ func (c *Client) transact(key uint64, to netsim.Addr, h callHead, args func(*xdr
 		if err := c.transmit(dst, h, args, payload); err != nil {
 			return Reply{}, err
 		}
+		// A server that serves inline — every one on the fabric — has
+		// queued its reply by the time transmit returns: such a call
+		// takes it without arming the timer, which is then unarmed and
+		// empty (never armed, or fired and drained by the attempt before).
+		select {
+		case rep := <-pc.ch:
+			callPool.Put(pc)
+			return accepted(rep)
+		default:
+		}
 		wait := timeout
 		if c.cfg.Jitter > 0 {
 			frac := float64(randomUint32()) / (1 << 32)
 			wait += time.Duration(float64(timeout) * c.cfg.Jitter * frac)
 		}
+		c.armed.Add(1)
 		pc.timer.Reset(wait)
 		select {
 		case rep := <-pc.ch:
@@ -847,17 +861,23 @@ func (c *Client) transact(key uint64, to netsim.Addr, h callHead, args func(*xdr
 			if pc.timer.Stop() {
 				callPool.Put(pc)
 			}
-			if rep.Accept != AcceptSuccess {
-				rep.Free()
-				return Reply{}, &ErrRejected{Accept: rep.Accept}
-			}
-			return rep, nil
+			return accepted(rep)
 		case <-pc.timer.C:
 			timeout = backedOff(timeout)
 		}
 	}
 	return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",
 		ErrTimedOut, h.proc, dst, c.cfg.Retries)
+}
+
+// accepted returns rep as a call's result: itself if the server accepted
+// the call, an ErrRejected (and rep freed) otherwise.
+func accepted(rep Reply) (Reply, error) {
+	if rep.Accept != AcceptSuccess {
+		rep.Free()
+		return Reply{}, &ErrRejected{Accept: rep.Accept}
+	}
+	return rep, nil
 }
 
 // ---------------------------------------------------------------- server

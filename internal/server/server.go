@@ -203,14 +203,14 @@ func (s *Server) ServeRPC(call oncrpc.Call, from netsim.Addr, e *xdr.Encoder) ui
 // seen returns the outcome recorded for the call id: the call is a
 // retransmission of one served before. The caller holds s.mu.
 func (s *Server) seen(id once.Ident) (nfsproto.Status, uint64, bool) {
-	o, ok := s.done.Find(id)
+	o, ok := s.done.Find(id, time.Now().UnixNano())
 	return nfsproto.Status(o.Status), o.Value, ok
 }
 
 // served records that the call id mutated, to value v. The caller holds
 // s.mu.
 func (s *Server) served(id once.Ident, v uint64) {
-	s.done.Record(id, once.Outcome{Status: uint32(nfsproto.OK), Value: v})
+	_, _ = s.done.Record(id, once.Outcome{Status: uint32(nfsproto.OK), Value: v}, time.Now().UnixNano())
 }
 
 // attrOf returns the attributes of file id, if it exists. The caller holds

@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"slice/internal/attr"
 	"slice/internal/client"
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/server"
 )
 
@@ -153,5 +156,64 @@ func TestBaselineOpsCounter(t *testing.T) {
 	}
 	if srv.Ops() <= before {
 		t.Fatal("ops counter did not advance")
+	}
+}
+
+// TestBaselineAccessFsStatSymlink: ACCESS grants the bits asked for,
+// FSSTAT counts the volume's files, and a SYMLINK's target comes back
+// from READLINK, each over one fabric round trip; READLINK of a file that
+// is no link is EINVAL.
+func TestBaselineAccessFsStatSymlink(t *testing.T) {
+	_, c := newBaseline(t)
+	root := c.Root()
+	mask := uint32(nfsproto.AccessRead | nfsproto.AccessModify)
+	if got, err := c.Access(root, mask); err != nil || got != mask {
+		t.Fatalf("ACCESS %#x: %#x, %v", mask, got, err)
+	}
+	before, err := c.FsStat(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, at, err := c.Symlink(root, "l", "/a/b/c")
+	if err != nil || at.Type != attr.TypeLink || at.Size != uint64(len("/a/b/c")) {
+		t.Fatalf("SYMLINK: %+v, %v", at, err)
+	}
+	if target, err := c.ReadLink(link); err != nil || target != "/a/b/c" {
+		t.Fatalf("READLINK: %q, %v", target, err)
+	}
+	after, err := c.FsStat(root)
+	if err != nil || after.FreeFiles != before.FreeFiles-1 || !after.Attr.Present {
+		t.Fatalf("FSSTAT after a SYMLINK: %d free files (%d before), %v", after.FreeFiles, before.FreeFiles, err)
+	}
+	f, _, err := c.Create(root, "f", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadLink(f); !errors.Is(err, nfsproto.ErrInval.Error()) {
+		t.Fatalf("READLINK of a regular file: %v, want EINVAL", err)
+	}
+}
+
+// TestBaselineObserverRecordsServedCalls: with a registry attached by
+// SetObs a served call is recorded under its op class; detached, it is
+// not.
+func TestBaselineObserverRecordsServedCalls(t *testing.T) {
+	srv, c := newBaseline(t)
+	reg := obs.NewRegistry("baseline")
+	srv.SetObs(reg)
+	name := obs.OpName(nfsproto.Program, uint32(nfsproto.ProcFsStat))
+	count := func() uint64 { return reg.Snapshot().Hists[name].Count() }
+	if _, err := c.FsStat(c.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 1 {
+		t.Fatalf("%s recorded %d calls, want 1", name, n)
+	}
+	srv.SetObs(nil)
+	if _, err := c.FsStat(c.Root()); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 1 {
+		t.Fatalf("%s recorded %d calls after SetObs(nil), want still 1", name, n)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"sync"
+	"time"
 
 	"slice/internal/attr"
 	"slice/internal/fhandle"
@@ -105,17 +106,21 @@ func (h *Handler[K]) refused(fh fhandle.Handle) bool {
 }
 
 // once runs the mutation do for the call id unless the call ran within
-// the last once.Span, and returns the status it came to.
+// the last once.Span, and returns the status it came to. The call's one
+// clock reading, taken as it arrives, is both the time it is looked up
+// at and the time its outcome is recorded at. Every NFS status fits the
+// table's field, so Record refuses none of them.
 func (h *Handler[K]) once(id once.Ident, do func() uint32) uint32 {
+	now := time.Now().UnixNano()
 	h.mu.Lock()
-	o, ok := h.done.Find(id)
+	o, ok := h.done.Find(id, now)
 	h.mu.Unlock()
 	if ok {
 		return o.Status
 	}
 	st := do()
 	h.mu.Lock()
-	h.done.Record(id, once.Outcome{Status: st})
+	_, _ = h.done.Record(id, once.Outcome{Status: st}, now)
 	h.mu.Unlock()
 	return st
 }
