@@ -295,10 +295,10 @@ func newForwardHarness(b *testing.B) *forwardHarness {
 	dirs := route.NewTable(fwdLanes, dirAddrs)
 	storage := route.NewTable(fwdLanes, dirAddrs)
 	virtual := netsim.Addr{Host: 9999, Port: 2049}
-	// Tracing and histograms stay on in the benchmark: the observability
-	// layer is always-on in deployments, so its cost (one pooled span and
-	// a handful of atomic adds per request) is part of the budget the
-	// 0 allocs/op gate protects.
+	// Histograms and the event ring stay on in the benchmark: the
+	// observability layer is always-on in deployments, so its cost (a
+	// handful of atomic adds per request, and the events of the calls in
+	// the sample) is part of the budget the 0 allocs/op gate protects.
 	io := route.NewIOPolicy(nil, storage)
 	p := proxy.New(proxy.Config{
 		Net:     n,
@@ -307,7 +307,6 @@ func newForwardHarness(b *testing.B) *forwardHarness {
 		IO:      io,
 		Names:   route.NewNamePolicy(route.MkdirSwitching, 0, dirs),
 		Obs:     obs.NewRegistry("uproxy"),
-		Tracer:  obs.NewTracer(256),
 	})
 	b.Cleanup(p.Close)
 	return &forwardHarness{net: n, p: p, io: io, virtual: virtual, logical: fwdLanes, servers: servers}

@@ -15,8 +15,9 @@
 //
 // With -proxies N the in-process ensemble runs an N-member µproxy
 // fleet; stats then shows each member under its own label plus the
-// merged uproxy(fleet) aggregate, and trace spans carry the member
-// that recorded them.
+// merged uproxy(fleet) aggregate. trace prints the latest sampled calls,
+// one block each: every event of the call from every role's ring, in time
+// order, each naming the member or server that recorded it.
 //
 //	slicectl -proxies 4 stats
 package main
@@ -212,7 +213,7 @@ func runStats(rc *oncrpc.Client, args []string) error {
 		if len(args) > 1 {
 			n, err := strconv.Atoi(args[1])
 			if err != nil {
-				return fmt.Errorf("trace: bad span count %q", args[1])
+				return fmt.Errorf("trace: bad call count %q", args[1])
 			}
 			max = n
 		}
@@ -220,12 +221,12 @@ func runStats(rc *oncrpc.Client, args []string) error {
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		var spans []obs.NamedSpan
-		if err := json.Unmarshal(raw, &spans); err != nil {
+		var calls []obs.Trace
+		if err := json.Unmarshal(raw, &calls); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		for _, s := range spans {
-			printSpan(s)
+		for _, c := range calls {
+			c.WriteText(os.Stdout)
 		}
 		return nil
 	}
@@ -291,33 +292,6 @@ func printReplicaSection(snap obs.ClusterSnapshot) {
 			balance = float64(min) / float64(max)
 		}
 		fmt.Printf("  group %d read spread: %s balance=%.2f\n", g, strings.Join(parts, " "), balance)
-	}
-}
-
-// printSpan renders one archived span: the op, its end-to-end time, the
-// µproxy stage costs, and every hop with the server-side share when the
-// reply carried the trace field.
-func printSpan(s obs.NamedSpan) {
-	total := uint64(0)
-	if s.End > s.Start {
-		total = uint64(s.End - s.Start)
-	}
-	fmt.Printf("%s xid=%d %s total=%s intercept=%s decode=%s rewrite=%s softstate=%s\n",
-		s.Component, s.ID, obs.OpName(s.Prog, s.Proc), obs.Nanos(total),
-		obs.Nanos(s.InterceptNS), obs.Nanos(s.DecodeNS), obs.Nanos(s.RewriteNS), obs.Nanos(s.SoftStateNS))
-	hops := s.NHops
-	if hops > obs.MaxHops {
-		hops = obs.MaxHops
-	}
-	for _, h := range s.Hops[:hops] {
-		fmt.Printf("  hop %-10s %10s", h.Kind, obs.Nanos(h.TotalNS))
-		if h.ServerNS > 0 {
-			fmt.Printf("  (server %s, wire+queue %s)", obs.Nanos(h.ServerNS), obs.Nanos(h.TotalNS-h.ServerNS))
-		}
-		fmt.Println()
-	}
-	if s.NHops > obs.MaxHops {
-		fmt.Printf("  ... %d more hops not itemized\n", s.NHops-obs.MaxHops)
 	}
 }
 

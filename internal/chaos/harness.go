@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -259,7 +260,8 @@ func VerifyAcked(c *client.Client, budget time.Duration, acked []Entry) []string
 // CHAOS_ARTIFACT_DIR is set (the nightly CI matrix points it at the
 // upload directory), dumps the ensemble's forensic state there: every
 // intention log (coordinator, directory servers, small-file servers) as
-// raw WAL bytes plus a cluster-wide obs snapshot. Without the env var
+// raw WAL bytes, a cluster-wide obs snapshot, and every call in the
+// roles' event rings, stitched (obs_events.json). Without the env var
 // this is a no-op, so local runs stay clean.
 func ArtifactsOnFailure(t testing.TB, e *ensemble.Ensemble) {
 	dir := os.Getenv("CHAOS_ARTIFACT_DIR")
@@ -276,6 +278,9 @@ func ArtifactsOnFailure(t testing.TB, e *ensemble.Ensemble) {
 			return
 		}
 		if err := os.WriteFile(filepath.Join(sub, "obs_snapshot.json"), e.Obs.SnapshotJSON(), 0o644); err != nil {
+			t.Logf("artifacts: %v", err)
+		}
+		if err := os.WriteFile(filepath.Join(sub, "obs_events.json"), e.Obs.StitchJSON(0, math.MaxInt), 0o644); err != nil {
 			t.Logf("artifacts: %v", err)
 		}
 		dump := func(name string, store *wal.MemStore) {
@@ -298,6 +303,6 @@ func ArtifactsOnFailure(t testing.TB, e *ensemble.Ensemble) {
 		for i, s := range e.SmallLogs {
 			dump(fmt.Sprintf("small%d.wal", i), s)
 		}
-		t.Logf("artifacts: dumped WALs and obs snapshot to %s", sub)
+		t.Logf("artifacts: dumped WALs, obs snapshot and events to %s", sub)
 	})
 }

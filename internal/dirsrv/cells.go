@@ -30,6 +30,7 @@ import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/once"
 	"slice/internal/wal"
 	"slice/internal/xdr"
@@ -106,6 +107,7 @@ type shard struct {
 	// image; unlock brings it up to date.
 	counted int
 	total   *atomic.Int64
+	reg     *atomic.Pointer[obs.Registry] // the server's (Server.reg)
 }
 
 func (sh *shard) init(i int, log *wal.Log, total *atomic.Int64) {
@@ -380,12 +382,20 @@ func (sh *shard) answered(id once.Ident, st nfsproto.Status, v uint64, now int64
 
 // journal appends the record just encoded in the journal scratch, ended
 // in the outcome st and v of the call id (answered), and makes it
-// durable. The caller holds sh.mu.
+// durable; a call in the sample has an event for each. The caller holds
+// sh.mu.
 func (sh *shard) journal(recType uint32, id once.Ident, st nfsproto.Status, v uint64, now int64) error {
 	if err := sh.answered(id, st, v, now); err != nil {
 		return err
 	}
-	return sh.appendSync(recType, sh.rec.Bytes())
+	if err := sh.append(recType, sh.rec.Bytes()); err != nil {
+		return err
+	}
+	reg, cid := traced(sh.reg, id)
+	reg.Stamp(cid, obs.KindAppend, 0, uint64(len(sh.rec.Bytes())))
+	err := sh.log.Sync()
+	reg.Stamp(cid, obs.KindSync, 0, 0)
+	return err
 }
 
 // recorded returns the outcome the shard recorded for the call id (zero:

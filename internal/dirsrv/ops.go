@@ -27,7 +27,13 @@ func (s *Server) optLocalAttr(fh fhandle.Handle) nfsproto.OptAttr {
 	sh := s.shard(fh.FileID)
 	sh.mu.Lock()
 	defer sh.unlock()
-	if c := sh.attrs[fh.FileID]; c != nil {
+	return sh.optAttr(fh.FileID)
+}
+
+// optAttr returns the attributes of the cell fileID if it is resident in
+// the state, whose shard's lock the caller holds.
+func (st *state) optAttr(fileID uint64) nfsproto.OptAttr {
+	if c := st.attrs[fileID]; c != nil {
 		return nfsproto.Some(c.at)
 	}
 	return nfsproto.OptAttr{}
@@ -125,7 +131,7 @@ func (s *Server) touchParentMaybeRemote(o *op, parent fhandle.Handle, nlinkDelta
 	}
 	s.ct.crossSite.Add(1)
 	id := o.step(peerTouchDir)
-	st, err := s.peerCall(site, peerTouchDir, func(e *xdrEncoder) {
+	st, err := s.peerCall(site, id, peerTouchDir, func(e *xdrEncoder) {
 		id.Encode(e)
 		e.PutUint64(parent.FileID)
 		e.PutInt32(nlinkDelta)
@@ -323,7 +329,7 @@ func (s *Server) madeAgain(dir fhandle.Handle, st nfsproto.Status, fileID uint64
 func (s *Server) peerInsert(o *op, site uint32, parent fhandle.Handle, name string, child fhandle.Handle) (nfsproto.Status, uint64) {
 	id := o.step(peerInsertEntry)
 	var bound uint64
-	st, err := s.peerCall(site, peerInsertEntry, func(e *xdrEncoder) {
+	st, err := s.peerCall(site, id, peerInsertEntry, func(e *xdrEncoder) {
 		id.Encode(e)
 		parent.Encode(e)
 		e.PutString(name)
@@ -338,21 +344,29 @@ func (s *Server) peerInsert(o *op, site uint32, parent fhandle.Handle, name stri
 	return st, bound
 }
 
+// remove checks for a retransmission, finds the entry, removes it and
+// journals the removal with the op's outcome under one hold of the
+// directory's shard, as create does; the child's link count and a remote
+// parent are follow-ups outside it.
 func (s *Server) remove(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
-	if st, _, dup := s.seen(a.Dir.FileID, o); dup {
-		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+	sh := s.shard(a.Dir.FileID)
+	sh.mu.Lock()
+	now := time.Now()
+	st, _, dup := sh.seenLocked(o, now.UnixNano())
+	var child fhandle.Handle
+	if !dup {
+		if e := sh.findEntry(a.Dir, a.Name); e == nil {
+			st = nfsproto.ErrNoEnt
+		} else if e.child.Type == uint8(attr.TypeDir) {
+			st = nfsproto.ErrIsDir
+		} else {
+			st, child = sh.removeEntryLocked(a.Dir, a.Name, true, o.id, now)
+		}
 	}
-	child, st := s.entryOf(a.Dir, a.Name)
-	if st == nfsproto.OK && child.Type == uint8(attr.TypeDir) {
-		st = nfsproto.ErrIsDir
-	}
-	if st != nfsproto.OK {
-		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
-	}
-
-	st, _ = s.localRemoveEntry(a.Dir, a.Name, true, o.id)
-	if st != nfsproto.OK {
-		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+	dirAttr := sh.optAttr(a.Dir.FileID)
+	sh.unlock()
+	if dup || st != nfsproto.OK {
+		return nfsproto.RemoveRes{Status: st, DirAttr: dirAttr}
 	}
 	// Drop the child's link count, following the cross-site reference if
 	// its attribute cell lives elsewhere (hard links under name hashing).
@@ -360,7 +374,7 @@ func (s *Server) remove(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 	if !s.ownsHandle(a.Dir) {
 		s.touchParentMaybeRemote(o, a.Dir, 0)
 	}
-	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: s.optLocalAttr(a.Dir)}
+	return nfsproto.RemoveRes{Status: nfsproto.OK, DirAttr: dirAttr}
 }
 
 // linkDelta adjusts child's link count where its attribute cell lives, by
@@ -373,7 +387,7 @@ func (s *Server) linkDelta(o *op, child fhandle.Handle, delta int32) {
 	}
 	s.ct.crossSite.Add(1)
 	id := o.step(peerLinkDelta)
-	_, _ = s.peerCall(childSite, peerLinkDelta, func(e *xdrEncoder) {
+	_, _ = s.peerCall(childSite, id, peerLinkDelta, func(e *xdrEncoder) {
 		id.Encode(e)
 		e.PutUint64(child.FileID)
 		e.PutInt32(delta)
@@ -410,6 +424,10 @@ func (s *Server) dirEmpty(child fhandle.Handle) (bool, nfsproto.Status) {
 	return true, nfsproto.OK
 }
 
+// rmdir checks for a retransmission under one hold and removes the entry
+// under another: the emptiness check, a peer call for an orphan
+// directory, sits between the two, and no lock is held across a peer
+// call.
 func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 	if st, _, dup := s.seen(a.Dir.FileID, o); dup {
 		return nfsproto.RemoveRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
@@ -440,7 +458,7 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 		// remove the cell.
 		s.ct.crossSite.Add(1)
 		id := o.step(peerRemoveDirCell)
-		st, err := s.peerCall(childSite, peerRemoveDirCell, func(e *xdrEncoder) {
+		st, err := s.peerCall(childSite, id, peerRemoveDirCell, func(e *xdrEncoder) {
 			id.Encode(e)
 			child.Encode(e)
 		}, nil)
@@ -463,7 +481,9 @@ func (s *Server) rmdir(a *nfsproto.RemoveArgs, o *op) nfsproto.RemoveRes {
 
 func (s *Server) rename(a *nfsproto.RenameArgs, o *op) nfsproto.RenameRes {
 	// The old entry's removal completes the op: its outcome lives in the
-	// source directory's shard.
+	// source directory's shard. It is checked under one hold and the old
+	// entry removed under another, for the new entry's insert, a peer call
+	// under name hashing, sits between them.
 	if st, _, dup := s.seen(a.FromDir.FileID, o); dup {
 		return nfsproto.RenameRes{
 			Status:      st,
@@ -536,12 +556,19 @@ func (s *Server) link(a *nfsproto.LinkArgs, o *op) nfsproto.LinkRes {
 	if a.FH.Type == uint8(attr.TypeDir) {
 		return nfsproto.LinkRes{Status: nfsproto.ErrIsDir}
 	}
-	st, dup := nfsproto.OK, false
-	if st, _, dup = s.seen(a.Dir.FileID, o); !dup {
-		st, _ = s.localInsertEntry(a.Dir, a.Name, a.FH, true, o.id)
+	// The retransmission check and the insert take one hold of the
+	// directory's shard; the link count is a follow-up outside it.
+	sh := s.shard(a.Dir.FileID)
+	sh.mu.Lock()
+	now := time.Now()
+	st, _, dup := sh.seenLocked(o, now.UnixNano())
+	if !dup {
+		st, _ = s.insertEntryLocked(sh, a.Dir, a.Name, a.FH, true, o.id, now)
 	}
+	dirAttr := sh.optAttr(a.Dir.FileID)
+	sh.unlock()
 	if st != nfsproto.OK {
-		return nfsproto.LinkRes{Status: st, DirAttr: s.optLocalAttr(a.Dir)}
+		return nfsproto.LinkRes{Status: st, DirAttr: dirAttr}
 	}
 	if !dup {
 		s.linkDelta(o, a.FH, 1)
@@ -549,11 +576,7 @@ func (s *Server) link(a *nfsproto.LinkArgs, o *op) nfsproto.LinkRes {
 			s.touchParentMaybeRemote(o, a.Dir, 0)
 		}
 	}
-	return nfsproto.LinkRes{
-		Status:  nfsproto.OK,
-		Attr:    s.childAttr(a.FH),
-		DirAttr: s.optLocalAttr(a.Dir),
-	}
+	return nfsproto.LinkRes{Status: nfsproto.OK, Attr: s.childAttr(a.FH), DirAttr: dirAttr}
 }
 
 func (s *Server) readdir(a *nfsproto.ReadDirArgs) nfsproto.ReadDirRes {
@@ -628,19 +651,20 @@ func (s *Server) symlink(a *nfsproto.SymlinkArgs, o *op) nfsproto.CreateRes {
 	if s.kind == route.MkdirSwitching && !s.ownsHandle(a.Dir) {
 		return nfsproto.CreateRes{Status: nfsproto.ErrMisrouted}
 	}
-	if st, fileID, dup := s.seen(a.Dir.FileID, o); dup {
-		return s.madeAgain(a.Dir, st, fileID, attr.TypeLink)
-	}
 	if len(a.Target) > 4096 {
 		return nfsproto.CreateRes{Status: nfsproto.ErrNameTooLong}
 	}
 	sh := s.shard(a.Dir.FileID)
 	sh.mu.Lock()
+	now := time.Now()
+	if st, fileID, dup := sh.seenLocked(o, now.UnixNano()); dup {
+		sh.unlock()
+		return s.madeAgain(a.Dir, st, fileID, attr.TypeLink)
+	}
 	if sh.findEntry(a.Dir, a.Name) != nil {
 		sh.unlock()
 		return nfsproto.CreateRes{Status: nfsproto.ErrExist, DirAttr: s.optLocalAttr(a.Dir)}
 	}
-	now := time.Now()
 	stamp := attr.FromGo(now)
 	fh := s.mintLocked(sh, uint8(attr.TypeLink))
 	cell := &attrCell{fh: fh, at: attr.Attr{

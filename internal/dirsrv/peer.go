@@ -4,6 +4,7 @@ import (
 	"slice/internal/attr"
 	"slice/internal/fhandle"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/once"
 	"slice/internal/oncrpc"
 	"slice/internal/xdr"
@@ -32,8 +33,10 @@ const (
 
 // peerCall issues a peer procedure to the given logical site and decodes
 // the leading status word of the reply; decodeRest (optional) consumes the
-// remainder. The server must hold no shard lock across this call.
-func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
+// remainder. A mutation is the step id of an op (zero: none), and one in
+// the sample has events for the call and its reply. The server must hold
+// no shard lock across this call.
+func (s *Server) peerCall(site uint32, id once.Ident, proc uint32, args func(*xdr.Encoder),
 	decodeRest func(*xdr.Decoder) error) (nfsproto.Status, error) {
 
 	a, err := s.table.Lookup(site)
@@ -45,7 +48,10 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 		return nfsproto.ErrServerFault, err
 	}
 	s.ct.peerCalls.Add(1)
+	reg, cid := traced(&s.reg, id)
+	reg.Stamp(cid, obs.KindCall, uint8(obs.HopDirsrv), 0)
 	rep, err := c.CallTo(a, PeerProgram, PeerVersion, proc, args)
+	reg.Stamp(cid, obs.KindCallReply, uint8(obs.HopDirsrv), rep.ServerNS)
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
@@ -175,7 +181,7 @@ type remoteEntry struct {
 // peerFetchEntries retrieves all entries of parent resident at site.
 func (s *Server) peerFetchEntries(site uint32, parent fhandle.Handle) ([]remoteEntry, error) {
 	var out []remoteEntry
-	st, err := s.peerCall(site, peerListDir,
+	st, err := s.peerCall(site, once.Ident{}, peerListDir,
 		func(e *xdr.Encoder) { parent.Encode(e) },
 		func(d *xdr.Decoder) error {
 			n, err := d.Uint32()
@@ -214,7 +220,7 @@ func (s *Server) peerFetchEntries(site uint32, parent fhandle.Handle) ([]remoteE
 // peerCountEntries returns how many entries of parent reside at site.
 func (s *Server) peerCountEntries(site uint32, parent fhandle.Handle) (int, error) {
 	var count uint32
-	st, err := s.peerCall(site, peerCountDir,
+	st, err := s.peerCall(site, once.Ident{}, peerCountDir,
 		func(e *xdr.Encoder) { parent.Encode(e) },
 		func(d *xdr.Decoder) error {
 			var err error
@@ -233,7 +239,7 @@ func (s *Server) peerCountEntries(site uint32, parent fhandle.Handle) (int, erro
 // peerGetAttrByKey fetches the attribute cell for key from site.
 func (s *Server) peerGetAttrByKey(site uint32, key uint64) (nfsproto.Status, attr.Attr) {
 	var at attr.Attr
-	st, err := s.peerCall(site, peerGetAttr,
+	st, err := s.peerCall(site, once.Ident{}, peerGetAttr,
 		func(e *xdr.Encoder) { e.PutUint64(key) },
 		func(d *xdr.Decoder) error { return at.Decode(d) })
 	if err != nil {

@@ -67,6 +67,10 @@ type Server struct {
 
 	ct struct{ ops, peerCalls, peerServed, crossSite atomic.Uint64 }
 
+	// reg is the attached registry (SetObs), whose ring takes the events
+	// of the calls in the sample: peer calls and journal records.
+	reg atomic.Pointer[obs.Registry]
+
 	// peer is the one client the server calls its peer sites from,
 	// bound on first use.
 	peer *oncrpc.LazyClient
@@ -111,6 +115,7 @@ func newServer(cfg Config) *Server {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.init(i, s.log, &s.live)
+		sh.reg = &s.reg
 		shards[i] = wal.Shard{Mu: &sh.mu, Live: func(emit func(uint32, []byte)) { s.liveRecords(sh, emit) }}
 	}
 	s.log.SetLive(s.liveSize, shards...)
@@ -128,9 +133,11 @@ func (s *Server) dirShard() *shard { return &s.shards[s.dirs.Add(1)%nShards] }
 func (s *Server) Addr() netsim.Addr { return s.srv.Addr() }
 
 // SetObs attaches a histogram registry recording per-procedure handler
-// latency (nil detaches). A restarted server is re-attached to the same
-// registry, so counts accumulate across failovers.
+// latency, and the events of the calls in the sample in its ring (nil
+// detaches). A restarted server is re-attached to the same registry, so
+// counts accumulate across failovers.
 func (s *Server) SetObs(reg *obs.Registry) {
+	s.reg.Store(reg)
 	if reg == nil {
 		s.srv.SetObserver(nil)
 		return
@@ -422,6 +429,16 @@ func (o *op) step(proc uint32) once.Ident {
 	return o.id.Sub(o.steps<<8 | proc)
 }
 
+// traced returns the registry the events of the call id go to — nil
+// unless one is attached and id names a call in the sample — and their
+// key: a peer step's events are its client call's, with its Step.
+func traced(reg *atomic.Pointer[obs.Registry], id once.Ident) (*obs.Registry, obs.CallID) {
+	if id.IsZero() || !obs.Sampled(id.Xid) {
+		return nil, obs.CallID{}
+	}
+	return reg.Load(), obs.CallID{Host: id.Src.Host, Port: id.Src.Port, Step: uint16(id.Step), Xid: id.Xid}
+}
+
 // seen returns the outcome recorded for the op in the shard of key, where
 // the record that completes the op is journaled: it was served before,
 // and this is a retransmission.
@@ -484,7 +501,12 @@ func (s *Server) localInsertEntry(parent fhandle.Handle, name string, child fhan
 	sh := s.shard(parent.FileID)
 	sh.mu.Lock()
 	defer sh.unlock()
-	now := time.Now()
+	return s.insertEntryLocked(sh, parent, name, child, touchParent, id, time.Now())
+}
+
+// insertEntryLocked is localInsertEntry at now, for a caller that holds
+// the lock of parent's shard, sh.
+func (s *Server) insertEntryLocked(sh *shard, parent fhandle.Handle, name string, child fhandle.Handle, touchParent bool, id once.Ident, now time.Time) (nfsproto.Status, uint64) {
 	if st, bound, ok := sh.recorded(id, now.UnixNano()); ok {
 		return st, bound
 	}
@@ -521,11 +543,16 @@ func (s *Server) localRemoveEntry(parent fhandle.Handle, name string, touchParen
 	sh := s.shard(parent.FileID)
 	sh.mu.Lock()
 	defer sh.unlock()
+	return sh.removeEntryLocked(parent, name, touchParent, id, time.Now())
+}
+
+// removeEntryLocked is localRemoveEntry at now, for a caller that holds
+// sh.mu, the lock of parent's shard.
+func (sh *shard) removeEntryLocked(parent fhandle.Handle, name string, touchParent bool, id once.Ident, now time.Time) (nfsproto.Status, fhandle.Handle) {
 	c := sh.removeEntry(parent, name)
 	if c == nil {
 		return nfsproto.ErrNoEnt, fhandle.Handle{}
 	}
-	now := time.Now()
 	if touchParent {
 		if pc := sh.attrs[parent.FileID]; pc != nil {
 			pc.at.Mtime = attr.FromGo(now)

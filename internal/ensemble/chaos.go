@@ -336,7 +336,6 @@ func (e *Ensemble) startProxy(i int) {
 		WritebackInterval: e.cfg.WritebackInterval,
 		CapKey:            e.cfg.CapabilityKey,
 		Obs:               e.registry(memberName("uproxy", i)),
-		Tracer:            e.tracers[i],
 		StatsFn:           e.serveStats,
 	})
 	put(&e.Proxies, i, p)

@@ -163,17 +163,16 @@ type Ensemble struct {
 	DatagramGateways []*wire.Gateway
 	Portmap          *wire.Portmap
 
-	// Obs aggregates every component's histograms; Tracer archives the
-	// µproxy's per-request spans. Both are always on — recording is one
-	// atomic add, and chaos restarts re-register the same registries so
-	// counts accumulate across failovers.
-	Obs    *obs.Collector
-	Tracer *obs.Tracer
+	// Obs aggregates every component's histograms and stitches their
+	// rings' events by call. It is always on — recording is one atomic
+	// add, an event is written for 1 call in 16 — and chaos restarts
+	// re-register the same registries, so counts accumulate and rings
+	// run on across failovers.
+	Obs *obs.Collector
 
-	// regs holds every role's registry by name and tracers µproxy i's
-	// span archive: a restarted role reports into its predecessor's.
-	regs    map[string]*obs.Registry
-	tracers []*obs.Tracer
+	// regs holds every role's registry by name: a restarted role reports
+	// into its predecessor's.
+	regs map[string]*obs.Registry
 
 	// disks[i] is storage node i's object store, the one part of a
 	// storage node that survives its crash; smallDisks[i] is small-file
@@ -216,12 +215,10 @@ func New(cfg Config) (*Ensemble, error) {
 		Net:     netsim.New(cfg.Net),
 		Virtual: netsim.Addr{Host: HostVirtual, Port: ServicePort},
 		Obs:     obs.NewCollector(),
-		Tracer:  obs.NewTracer(512),
 		cfg:     cfg,
 		regs:    make(map[string]*obs.Registry),
 		down:    make(map[roleSlot]netsim.Addr),
 	}
-	e.Obs.AddTracer("uproxy", e.Tracer)
 
 	// Every role starts through the helper that also restarts it
 	// (chaos.go), from an empty durable value.
@@ -308,12 +305,6 @@ func New(cfg Config) (*Ensemble, error) {
 	e.Fleet = route.NewFleet(nil)
 	e.Front = front.NewRing(e.Fleet, 0)
 	for i := 0; i < cfg.Proxies; i++ {
-		tracer := e.Tracer
-		if i > 0 {
-			tracer = obs.NewTracer(512)
-			e.Obs.AddTracer(memberName("uproxy", i), tracer)
-		}
-		e.tracers = append(e.tracers, tracer)
 		e.startProxy(i)
 	}
 
@@ -415,17 +406,18 @@ func memberListen(listen string, i int) (string, error) {
 }
 
 // serveStats answers the absorbed stats RPC program (obs.Program) from
-// the ensemble's collector: snapshots and recent traces as opaque JSON.
+// the ensemble's collector: snapshots and the latest stitched calls as
+// opaque JSON, the calls cut to what one reply datagram carries.
 func (e *Ensemble) serveStats(proc, arg uint32) []byte {
 	switch proc {
 	case obs.ProcSnapshot:
 		return e.Obs.SnapshotJSON()
 	case obs.ProcTraces:
 		max := int(arg)
-		if max <= 0 || max > 256 {
-			max = 32
+		if max <= 0 || max > obs.MaxTraces {
+			max = obs.MaxTraces
 		}
-		return e.Obs.TracesJSON(max)
+		return e.Obs.StitchJSON(max, netsim.MaxDatagram-netsim.HeaderSize-oncrpc.ReplyHeader-8) // 8: the opaque's length and padding
 	case obs.ProcRebalanceStatus:
 		return e.Rebalancer().StatusJSON()
 	case obs.ProcGrow:

@@ -3,6 +3,9 @@ package ensemble
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,15 +68,15 @@ func obsWrites(t *testing.T, c *client.Client, i int) {
 // TestObsHopAttribution runs a traced workload across the full ensemble
 // and asserts that the observability layer attributed >0 time to every
 // hop the requests crossed — per-stage and per-hop histograms at the
-// µproxy, per-op histograms at every server class, and archived spans
-// whose hops cover the whole path.
+// µproxy, per-op histograms at every server class, and stitched calls
+// whose events cover the whole path.
 //
-// The µproxy times 1 call in 16 by xid and the calls it orchestrates
-// always: the MOUNT's span covers the mount hop and the COMMIT's the
+// The µproxy traces 1 call in 16 by xid and the calls it orchestrates
+// always: the MOUNT's events cover the mount hop and the COMMIT's the
 // coordinator. A forwarded call — a CREATE to a directory server, a WRITE
-// to the small-file server or a storage node — has a span only when it is
-// in the sample, so the writes repeat until a span of a forwarded call
-// covers each of the three kinds. An iteration forwards at least one
+// to the small-file server or a storage node — has events only when it is
+// in the sample, so the writes repeat until the events of a forwarded
+// call cover each of the three kinds. An iteration forwards at least one
 // call of each kind (two CREATEs; the small file's WRITE and the big
 // file's first 64 KiB to the small-file server; six 32 KiB WRITEs to the
 // storage nodes), each in the sample with probability 1/16 over the
@@ -93,27 +96,37 @@ func TestObsHopAttribution(t *testing.T) {
 	defer e.Close()
 	obsWorkload(t, e)
 
-	// The trace ring keeps the latest spans, so coverage accumulates as
-	// the writes repeat: covered and timed over every span, forwarded
-	// over the spans of calls the µproxy forwarded rather than
-	// orchestrated (one hop each, with the server's time).
+	// The rings keep the latest events, so coverage accumulates as the
+	// writes repeat: covered and timed over every hop a call's events
+	// show — a forward or sub-call and the reply that ends it — and
+	// forwarded over the replies of calls the µproxy forwarded (with the
+	// server's time) rather than its own sub-calls. joined is set by a
+	// call whose µproxy forward and directory server handler are in one
+	// stitched trace.
 	covered := map[obs.HopKind]bool{}
 	timed := map[obs.HopKind]bool{}
 	forwarded := map[obs.HopKind]bool{}
+	joined := false
 	scan := func() {
-		for _, rec := range e.Obs.Traces(0) {
-			n := rec.NHops
-			if n > obs.MaxHops {
-				n = obs.MaxHops
-			}
-			routed := rec.Prog == nfsproto.Program && rec.Proc != uint32(nfsproto.ProcCommit) && rec.Proc != uint32(nfsproto.ProcRemove)
-			for _, h := range rec.Hops[:n] {
-				if h.TotalNS > 0 {
-					covered[h.Kind] = true
-				}
-				if h.ServerNS > 0 {
-					timed[h.Kind] = true
-					forwarded[h.Kind] = forwarded[h.Kind] || routed
+		for _, tr := range e.Obs.Stitch(0) {
+			sent := map[obs.HopKind]int64{}
+			var sawForward bool
+			for _, ev := range tr {
+				k := obs.HopKind(ev.Layer)
+				switch ev.Kind {
+				case obs.KindForward, obs.KindCall:
+					sent[k] = ev.At
+					sawForward = sawForward || ev.Kind == obs.KindForward && k == obs.HopDirsrv
+				case obs.KindReply, obs.KindCallReply:
+					if at, ok := sent[k]; ok && ev.At > at {
+						covered[k] = true
+					}
+					if ev.Value > 0 {
+						timed[k] = true
+						forwarded[k] = forwarded[k] || ev.Kind == obs.KindReply
+					}
+				case obs.KindBegin:
+					joined = joined || sawForward && strings.HasPrefix(ev.Component, "dirsrv[")
 				}
 			}
 		}
@@ -127,7 +140,7 @@ func TestObsHopAttribution(t *testing.T) {
 	const maxIterations = 340
 	for i := 1; !forwarded[obs.HopDirsrv] || !forwarded[obs.HopSmallfile] || !forwarded[obs.HopStorage]; i++ {
 		if i > maxIterations {
-			t.Fatalf("after %d iterations the spans of forwarded calls cover %v, want dirsrv, smallfile and storage", maxIterations, forwarded)
+			t.Fatalf("after %d iterations the events of forwarded calls cover %v, want dirsrv, smallfile and storage", maxIterations, forwarded)
 		}
 		obsWrites(t, c, i)
 		scan()
@@ -179,11 +192,11 @@ func TestObsHopAttribution(t *testing.T) {
 		t.Error("no coord.intend samples at the coordinator")
 	}
 
-	// Archived spans cover every hop kind the workload crossed, each with
+	// Stitched calls cover every hop kind the workload crossed, each with
 	// time attributed to it.
 	for _, k := range []obs.HopKind{obs.HopMount, obs.HopDirsrv, obs.HopSmallfile, obs.HopStorage, obs.HopCoord} {
 		if !covered[k] {
-			t.Errorf("no span attributes time to hop %s", k)
+			t.Errorf("no call's events attribute time to hop %s", k)
 		}
 	}
 	// Every server behind a hop times its calls, so each hop kind also
@@ -192,14 +205,18 @@ func TestObsHopAttribution(t *testing.T) {
 	// (the coordinator's intentions) alike.
 	for _, k := range []obs.HopKind{obs.HopDirsrv, obs.HopSmallfile, obs.HopStorage, obs.HopCoord} {
 		if !timed[k] {
-			t.Errorf("no span carries server-side time for hop %s", k)
+			t.Errorf("no call's reply carries server-side time for hop %s", k)
 		}
+	}
+	if !joined {
+		t.Error("no stitched call holds both its µproxy forward and its directory server's handler")
 	}
 }
 
 // TestObsStatsOverWire exercises the absorbed stats program end to end:
 // an ordinary RPC client asks the virtual server for a snapshot and for
-// recent traces, and gets the collector's JSON back.
+// the most stitched calls it serves, and gets the collector's JSON back,
+// in one reply datagram.
 func TestObsStatsOverWire(t *testing.T) {
 	e, err := New(Config{
 		StorageNodes: 2, DirServers: 1, SmallFileServers: 1,
@@ -240,7 +257,7 @@ func TestObsStatsOverWire(t *testing.T) {
 	}
 
 	body, err = rc.Call(obs.Program, obs.Version, obs.ProcTraces, func(enc *xdr.Encoder) {
-		enc.PutUint32(16)
+		enc.PutUint32(obs.MaxTraces)
 	})
 	if err != nil {
 		t.Fatalf("traces call: %v", err)
@@ -249,19 +266,19 @@ func TestObsStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans []obs.NamedSpan
-	if err := json.Unmarshal(raw, &spans); err != nil {
+	var calls []obs.Trace
+	if err := json.Unmarshal(raw, &calls); err != nil {
 		t.Fatalf("traces json: %v", err)
 	}
-	if len(spans) == 0 {
+	if len(calls) == 0 {
 		t.Fatal("wire traces empty")
 	}
-	if len(spans) > 16 {
-		t.Fatalf("wire traces: got %d spans, asked for 16", len(spans))
+	if len(calls) > obs.MaxTraces {
+		t.Fatalf("wire traces: got %d calls, asked for %d", len(calls), obs.MaxTraces)
 	}
-	for _, s := range spans {
-		if s.Component != "uproxy" {
-			t.Fatalf("span component %q", s.Component)
+	for _, c := range calls {
+		if len(c) == 0 {
+			t.Fatal("a stitched call has no events")
 		}
 	}
 }
@@ -327,5 +344,143 @@ func TestAdminGrowShrinkOverStatsPlane(t *testing.T) {
 	call(obs.ProcShrink, 2)
 	if st := settle(grown.Epoch); st.State != "done" || width() != 2 {
 		t.Fatalf("shrink over the stats plane: %+v, %d nodes in the table", st, width())
+	}
+}
+
+// kinds lists a trace's events but its stage laps, each as its
+// component's role and kind ("uproxy recv", "dirsrv begin", ...).
+func kinds(tr obs.Trace) []string {
+	var out []string
+	for _, ev := range tr {
+		if ev.Kind != obs.KindStage {
+			role, _, _ := strings.Cut(ev.Component, "[")
+			out = append(out, role+" "+ev.Kind.String())
+		}
+	}
+	return out
+}
+
+// TestStitchedCreateTrace: a CREATE in the sample, as untar makes them,
+// is stitched from the µproxy's ring and its directory server's into one
+// trace, in time order — the µproxy's arrival and stage laps, its
+// forward, the server's handler, the journal's append and sync inside
+// it, the reply and the end — and the client's own reading of the call
+// encloses it. The residual, the client's time the events do not
+// account for, is logged.
+func TestStitchedCreateTrace(t *testing.T) {
+	e, err := New(Config{StorageNodes: 2, DirServers: 2, SmallFileServers: 1, Coordinator: true,
+		NameKind: route.MkdirSwitching, MkdirP: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dir, _, err := c.Mkdir(c.Root(), "src", 0o755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ start, end int64 }
+	var creates []span
+	for i := 0; i < 400; i++ {
+		t0 := obs.Now()
+		if _, _, err := c.Create(dir, fmt.Sprintf("f%04d.c", i), 0o644, true); err != nil {
+			t.Fatal(err)
+		}
+		creates = append(creates, span{t0, obs.Now()})
+	}
+
+	want := "uproxy recv,uproxy forward,dirsrv begin,dirsrv append,dirsrv sync,dirsrv done,uproxy reply,uproxy end"
+	var residuals, clients []int64
+	for _, tr := range e.Obs.Stitch(0) {
+		if tr[0].Kind != obs.KindRecv || nfsproto.Proc(tr[0].Layer) != nfsproto.ProcCreate {
+			continue
+		}
+		if got := strings.Join(kinds(tr), ","); got != want {
+			t.Errorf("CREATE xid %#x: events %s, want %s", tr[0].Xid, got, want)
+			continue
+		}
+		recv, end := tr[0].At, tr[len(tr)-1].At
+		i := sort.Search(len(creates), func(i int) bool { return creates[i].end >= end })
+		if i == len(creates) || creates[i].start > recv {
+			t.Errorf("CREATE xid %#x: no client call encloses its events [%d, %d]", tr[0].Xid, recv, end)
+			continue
+		}
+		residuals = append(residuals, creates[i].end-creates[i].start-(end-recv))
+		clients = append(clients, creates[i].end-creates[i].start)
+		if len(residuals) == 1 {
+			var b strings.Builder
+			tr.WriteText(&b)
+			t.Logf("a sampled CREATE:\n%s", b.String())
+		}
+	}
+	if len(residuals) == 0 {
+		t.Fatal("no CREATE of 400 was in the sample")
+	}
+	slices.Sort(residuals)
+	slices.Sort(clients)
+	t.Logf("%d sampled CREATEs: client's time p50 %s; residual (client's time less the µproxy's arrival to end) p50 %s, max %s",
+		len(residuals), obs.Nanos(uint64(clients[len(clients)/2])),
+		obs.Nanos(uint64(residuals[len(residuals)/2])), obs.Nanos(uint64(residuals[len(residuals)-1])))
+}
+
+// TestCrossSiteRenameTrace: under name hashing a RENAME reaches the other
+// directory server by peer calls, each a step of the RENAME — the insert
+// of a new name that hashes there, the touch of a directory whose cell
+// lives there. A RENAME in the sample shows such a step at the other
+// site, its journal append and sync, under the RENAME's own source and
+// xid with a Step ≠ 0, and the peer call that carried it at the RENAME's
+// own site.
+func TestCrossSiteRenameTrace(t *testing.T) {
+	e, err := New(Config{StorageNodes: 2, DirServers: 2, Coordinator: true, NameKind: route.NameHashing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	found := func() bool {
+		for _, tr := range e.Obs.Stitch(0) {
+			var site string
+			var called, stepped bool
+			for _, ev := range tr {
+				switch {
+				case ev.Kind == obs.KindBegin && ev.Step == 0 && nfsproto.Proc(ev.Layer) == nfsproto.ProcRename:
+					site = ev.Component
+				case ev.Kind == obs.KindCallReply && ev.Step != 0 && ev.Component == site:
+					called = true
+				case ev.Kind == obs.KindSync && ev.Step != 0 && site != "" && ev.Component != site:
+					stepped = true
+				}
+			}
+			if called && stepped {
+				var b strings.Builder
+				tr.WriteText(&b)
+				t.Logf("a cross-site RENAME:\n%s", b.String())
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; ; i++ {
+		if i == 2000 {
+			t.Fatal("no RENAME of 2000 in the sample showed a peer step at the other site")
+		}
+		name := fmt.Sprintf("r%d", i)
+		if _, _, err := c.Create(c.Root(), name, 0o644, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Rename(c.Root(), name, c.Root(), name+".moved"); err != nil {
+			t.Fatal(err)
+		}
+		if i%32 == 31 && found() {
+			return
+		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -17,7 +18,7 @@ const (
 	Version = 1
 
 	ProcSnapshot = 1 // -> opaque JSON ClusterSnapshot
-	ProcTraces   = 2 // args: u32 max -> opaque JSON []NamedSpan
+	ProcTraces   = 2 // args: u32 max (≤ MaxTraces) -> opaque JSON []Trace
 
 	// Elastic-ensemble admin verbs, answered by the same stats plane.
 	ProcRebalanceStatus = 3 // -> opaque JSON rebalance.Status
@@ -25,17 +26,14 @@ const (
 	ProcShrink          = 5 // args: u32 nodes -> opaque JSON ack
 )
 
-// Collector aggregates the registries (and tracers) of every component
-// of an ensemble into cluster-wide snapshots.
-type Collector struct {
-	mu      sync.Mutex
-	regs    []*Registry
-	tracers []namedTracer
-}
+// MaxTraces bounds the calls one ProcTraces answer stitches.
+const MaxTraces = 64
 
-type namedTracer struct {
-	name string
-	t    *Tracer
+// Collector aggregates the registries of every component of an ensemble
+// into cluster-wide snapshots and stitched traces.
+type Collector struct {
+	mu   sync.Mutex
+	regs []*Registry
 }
 
 // NewCollector returns an empty collector.
@@ -57,23 +55,6 @@ func (c *Collector) AddRegistry(r *Registry) {
 		}
 	}
 	c.regs = append(c.regs, r)
-}
-
-// AddTracer registers a component's trace ring under name, replacing a
-// previous registration of the same name.
-func (c *Collector) AddTracer(name string, t *Tracer) {
-	if t == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, old := range c.tracers {
-		if old.name == name {
-			c.tracers[i] = namedTracer{name: name, t: t}
-			return
-		}
-	}
-	c.tracers = append(c.tracers, namedTracer{name: name, t: t})
 }
 
 // ClusterSnapshot is the JSON form served to slicectl stats.
@@ -105,38 +86,101 @@ func (c *Collector) SnapshotJSON() []byte {
 	return b
 }
 
-// NamedSpan attributes a completed span to the component that traced it.
-type NamedSpan struct {
-	Component string `json:"component"`
-	SpanRecord
-}
+// Trace is one call's events from every component's ring, in time order.
+type Trace []Event
 
-// Traces returns up to max recently completed spans across all
-// registered tracers, newest first.
-func (c *Collector) Traces(max int) []NamedSpan {
+// Stitch joins the events of every registered ring by call — source and
+// xid, every Step of the call together — and returns the max calls whose
+// latest event is newest (all of them when max ≤ 0), newest first.
+func (c *Collector) Stitch(max int) []Trace {
 	c.mu.Lock()
-	tracers := append([]namedTracer(nil), c.tracers...)
+	regs := append([]*Registry(nil), c.regs...)
 	c.mu.Unlock()
-	var out []NamedSpan
-	for _, nt := range tracers {
-		for _, rec := range nt.t.Recent(max) {
-			out = append(out, NamedSpan{Component: nt.name, SpanRecord: rec})
+	calls := map[CallID]Trace{}
+	for _, r := range regs {
+		for _, ev := range r.Events() {
+			ev.Component = r.Component()
+			k := ev.CallID
+			k.Step = 0
+			calls[k] = append(calls[k], ev)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].End > out[j].End })
+	out := make([]Trace, 0, len(calls))
+	for _, t := range calls {
+		sort.SliceStable(t, func(i, j int) bool { return t[i].At < t[j].At })
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][len(out[i])-1].At > out[j][len(out[j])-1].At })
 	if max > 0 && len(out) > max {
 		out = out[:max]
 	}
 	return out
 }
 
-// TracesJSON serializes up to max recent spans.
-func (c *Collector) TracesJSON(max int) []byte {
-	b, err := json.Marshal(c.Traces(max))
-	if err != nil {
-		return []byte("[]")
+// StitchJSON serializes up to max stitched calls in at most limit bytes,
+// halving the calls it sends until they fit.
+func (c *Collector) StitchJSON(max, limit int) []byte {
+	traces := c.Stitch(max)
+	for {
+		b, err := json.Marshal(traces)
+		if err != nil {
+			return []byte("[]")
+		}
+		if len(b) <= limit || len(traces) <= 1 {
+			return b
+		}
+		traces = traces[:len(traces)/2]
 	}
-	return b
+}
+
+// WriteText writes the trace as one block: a line naming the call and
+// how long its events run, then one line an event, offset from the first. A reply's
+// line splits its hop's round trip into the server's time, which the
+// reply header carried, and the rest, wire and queueing.
+func (t Trace) WriteText(w io.Writer) {
+	if len(t) == 0 {
+		return
+	}
+	first, op := t[0].At, ""
+	for _, ev := range t {
+		if op == "" && (ev.Kind == KindRecv || ev.Kind == KindBegin) {
+			op = OpName(uint32(ev.Value), uint32(ev.Layer))
+		}
+	}
+	fmt.Fprintf(w, "call %d:%d xid %#x %s %s\n", t[0].Host, t[0].Port, t[0].Xid, op, Nanos(uint64(t[len(t)-1].At-first)))
+	type hop struct {
+		c     string
+		layer uint8
+		step  uint16
+	}
+	sent := map[hop]int64{}
+	for _, ev := range t {
+		fmt.Fprintf(w, "  +%-9s %-12s", Nanos(uint64(ev.At-first)), ev.Component)
+		if ev.Step != 0 {
+			fmt.Fprintf(w, " step %#04x", ev.Step)
+		}
+		fmt.Fprintf(w, " %s", ev.Kind)
+		switch ev.Kind {
+		case KindRecv, KindBegin:
+			fmt.Fprintf(w, " %s", OpName(uint32(ev.Value), uint32(ev.Layer)))
+		case KindStage:
+			fmt.Fprintf(w, " %s %s", StageNames[int(ev.Layer)%len(StageNames)], Nanos(ev.Value))
+		case KindForward, KindCall:
+			sent[hop{ev.Component, ev.Layer, ev.Step}] = ev.At
+			fmt.Fprintf(w, " %s", HopKind(ev.Layer))
+		case KindReply, KindCallReply:
+			fmt.Fprintf(w, " %s", HopKind(ev.Layer))
+			if at, ok := sent[hop{ev.Component, ev.Layer, ev.Step}]; ok && ev.At >= at {
+				total := uint64(ev.At - at)
+				fmt.Fprintf(w, " %s (server %s, wire+queue %s)", Nanos(total), Nanos(ev.Value), Nanos(total-min(total, ev.Value)))
+			}
+		case KindEnd, KindDone:
+			fmt.Fprintf(w, " %s", Nanos(ev.Value))
+		case KindAppend:
+			fmt.Fprintf(w, " %d B", ev.Value)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // WriteText writes the whole cluster snapshot in the text exposition

@@ -1,14 +1,15 @@
 // Package obs is the always-on observability layer of the live Slice
 // stack: lock-free power-of-two latency histograms, named registries with
-// text and JSON exposition, and pooled per-request trace spans that
-// attribute latency to individual hops (µproxy stages, directory servers,
-// small-file servers, storage nodes, the coordinator).
+// text and JSON exposition, and in every registry a ring of events keyed
+// by call identity, which the collector stitches into one call's path
+// through every role (µproxy stages, directory servers and their
+// journals, small-file servers, storage nodes, the coordinator).
 //
 // The paper's evaluation is entirely about where time goes — Table 3
 // breaks down per-request µproxy CPU cost and Figures 4–7 are latency
 // curves — so the live system keeps the same accounting cheap enough to
-// leave on: recording a sample is a single atomic add, and trace spans
-// are pooled so the steady-state data path stays allocation-free.
+// leave on: recording a sample is a single atomic add, and an event,
+// written for 1 call in 16, allocates nothing.
 package obs
 
 import (

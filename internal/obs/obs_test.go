@@ -219,53 +219,6 @@ func TestMergeRole(t *testing.T) {
 	}
 }
 
-func TestTracerSpans(t *testing.T) {
-	tr := NewTracer(64)
-	start := time.Now().UnixNano()
-	s := tr.Start(42, 3, start)
-	s.DecodeNS = 100
-	s.AddHop(HopDirsrv, 5000, 3000)
-	s.AddHop(HopCoord, 7000, 6000)
-	tr.Finish(s, start+12_000)
-
-	recent := tr.Recent(10)
-	if len(recent) != 1 {
-		t.Fatalf("recent = %d spans, want 1", len(recent))
-	}
-	got := recent[0]
-	if got.ID != 42 || got.NHops != 2 || got.Hops[0].Kind != HopDirsrv {
-		t.Fatalf("unexpected span record: %+v", got)
-	}
-	if got.HopTotal(HopCoord) != 7000 {
-		t.Fatalf("HopTotal(coord) = %d, want 7000", got.HopTotal(HopCoord))
-	}
-
-	// Hop overflow is counted but bounded.
-	s2 := tr.Start(43, 1, start)
-	for i := 0; i < MaxHops+3; i++ {
-		s2.AddHop(HopStorage, 1, 0)
-	}
-	if s2.NHops != MaxHops+3 {
-		t.Fatalf("NHops = %d, want %d", s2.NHops, MaxHops+3)
-	}
-	tr.Abort(s2)
-
-	// Ring wraps without losing the newest entries.
-	for i := 0; i < 500; i++ {
-		sp := tr.Start(uint64(i), 0, int64(i))
-		tr.Finish(sp, int64(i+1))
-	}
-	recent = tr.Recent(4)
-	if len(recent) != 4 {
-		t.Fatalf("recent = %d, want 4", len(recent))
-	}
-	for i := 1; i < len(recent); i++ {
-		if recent[i-1].End < recent[i].End {
-			t.Fatalf("recent not newest-first: %d before %d", recent[i-1].End, recent[i].End)
-		}
-	}
-}
-
 // TestObserveRPCTakesNoLock: once an op class has been served, recording
 // another call of it allocates nothing and never takes the registry's
 // lock — the test holds the lock while it records — and the calls land
@@ -273,9 +226,9 @@ func TestTracerSpans(t *testing.T) {
 func TestObserveRPCTakesNoLock(t *testing.T) {
 	r := NewRegistry("dirsrv[0]")
 	const lookup, create = 3, 8
-	r.ObserveRPC(progNFS, 3, lookup, 100)
-	r.ObserveRPC(progNFS, 3, create, 100)
-	if n := testing.AllocsPerRun(100, func() { r.ObserveRPC(progNFS, 3, lookup, 100) }); n != 0 {
+	r.ObserveRPC(CallID{}, progNFS, lookup, 0, 100)
+	r.ObserveRPC(CallID{}, progNFS, create, 0, 100)
+	if n := testing.AllocsPerRun(100, func() { r.ObserveRPC(CallID{}, progNFS, lookup, 0, 100) }); n != 0 {
 		t.Errorf("ObserveRPC allocates %.1f times a call after the first", n)
 	}
 
@@ -284,8 +237,8 @@ func TestObserveRPCTakesNoLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 10; i++ {
-			r.ObserveRPC(progNFS, 3, lookup, 100)
-			r.ObserveRPC(progNFS, 3, create, 100)
+			r.ObserveRPC(CallID{}, progNFS, lookup, 0, 100)
+			r.ObserveRPC(CallID{}, progNFS, create, 0, 100)
 		}
 	}()
 	select {
@@ -321,7 +274,7 @@ func TestObserveRPCConcurrentClasses(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				for proc := uint32(0); proc < procs; proc++ {
-					r.ObserveRPC(progNFS, 3, (proc+uint32(w))%procs, 100)
+					r.ObserveRPC(CallID{}, progNFS, (proc+uint32(w))%procs, 0, 100)
 				}
 			}
 		}()

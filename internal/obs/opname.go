@@ -42,128 +42,55 @@ const (
 	HistBulkWriteChunk = "bulk.write_chunk"
 )
 
-// dirPeerProcNames names the directory-server peer protocol (§4.3).
-var dirPeerProcNames = [...]string{
-	1: "peer.getattr",
-	2: "peer.setattr",
-	3: "peer.insert",
-	4: "peer.remove",
-	5: "peer.touchdir",
-	6: "peer.rmdircell",
-	7: "peer.listdir",
-	8: "peer.countdir",
-	9: "peer.linkdelta",
-}
-
-// nfsProcNames names the NFS procedure subset the ensemble serves.
-var nfsProcNames = [...]string{
-	0:  "nfs.null",
-	1:  "nfs.getattr",
-	2:  "nfs.setattr",
-	3:  "nfs.lookup",
-	4:  "nfs.access",
-	5:  "nfs.readlink",
-	6:  "nfs.read",
-	7:  "nfs.write",
-	8:  "nfs.create",
-	9:  "nfs.mkdir",
-	10: "nfs.symlink",
-	12: "nfs.remove",
-	13: "nfs.rmdir",
-	14: "nfs.rename",
-	15: "nfs.link",
-	16: "nfs.readdir",
-	18: "nfs.fsstat",
-	21: "nfs.commit",
+// opNames names the op class of each (program, procedure) the ensemble
+// serves: the NFS subset, MOUNT, the portmapper, the storage objects', the
+// replica peers', the directory peers' (§4.3), the coordinator's and the
+// stats program's own.
+var opNames = map[[2]uint32]string{
+	{progNFS, 0}: "nfs.null", {progNFS, 1}: "nfs.getattr", {progNFS, 2}: "nfs.setattr",
+	{progNFS, 3}: "nfs.lookup", {progNFS, 4}: "nfs.access", {progNFS, 5}: "nfs.readlink",
+	{progNFS, 6}: "nfs.read", {progNFS, 7}: "nfs.write", {progNFS, 8}: "nfs.create",
+	{progNFS, 9}: "nfs.mkdir", {progNFS, 10}: "nfs.symlink", {progNFS, 12}: "nfs.remove",
+	{progNFS, 13}: "nfs.rmdir", {progNFS, 14}: "nfs.rename", {progNFS, 15}: "nfs.link",
+	{progNFS, 16}: "nfs.readdir", {progNFS, 18}: "nfs.fsstat", {progNFS, 21}: "nfs.commit",
+	{progMount, 0}: "mount.null", {progMount, 1}: "mount.mnt", {progMount, 2}: "mount.dump",
+	{progMount, 3}: "mount.umnt", {progMount, 4}: "mount.umntall", {progMount, 5}: "mount.export",
+	{progPortmap, 0}: "portmap.null", {progPortmap, 3}: "portmap.getport", {progPortmap, 4}: "portmap.dump",
+	{progObj, 1}: "obj.remove", {progObj, 2}: "obj.truncate",
+	{progReplicaPeer, 1}: "replica.peer.list", {progReplicaPeer, 2}: "replica.peer.read",
+	{progReplicaPeer, 3}: "replica.peer.write", {progReplicaPeer, 4}: "replica.peer.remove",
+	{progReplicaPeer, 5}: "replica.peer.truncate",
+	{progDirPeer, 1}:     "peer.getattr", {progDirPeer, 2}: "peer.setattr", {progDirPeer, 3}: "peer.insert",
+	{progDirPeer, 4}: "peer.remove", {progDirPeer, 5}: "peer.touchdir", {progDirPeer, 6}: "peer.rmdircell",
+	{progDirPeer, 7}: "peer.listdir", {progDirPeer, 8}: "peer.countdir", {progDirPeer, 9}: "peer.linkdelta",
+	{progCoord, 1}: "coord.intend", {progCoord, 2}: "coord.complete",
+	{Program, ProcSnapshot}: "obs.snapshot", {Program, ProcTraces}: "obs.traces",
+	{Program, ProcRebalanceStatus}: "obs.rebalance-status", {Program, ProcGrow}: "obs.grow",
+	{Program, ProcShrink}: "obs.shrink",
 }
 
 // OpName maps an RPC (program, procedure) pair to the histogram name of
 // its op class. Unknown pairs get a numeric fallback rather than an
 // error: the exposition layer never rejects traffic it merely observes.
 func OpName(prog, proc uint32) string {
-	switch prog {
-	case progNFS:
-		if proc < uint32(len(nfsProcNames)) && nfsProcNames[proc] != "" {
-			return nfsProcNames[proc]
-		}
-	case progMount:
-		switch proc {
-		case 0:
-			return "mount.null"
-		case 1:
-			return "mount.mnt"
-		case 2:
-			return "mount.dump"
-		case 3:
-			return "mount.umnt"
-		case 4:
-			return "mount.umntall"
-		case 5:
-			return "mount.export"
-		}
-	case progPortmap:
-		switch proc {
-		case 0:
-			return "portmap.null"
-		case 3:
-			return "portmap.getport"
-		case 4:
-			return "portmap.dump"
-		}
-	case progObj:
-		switch proc {
-		case 1:
-			return "obj.remove"
-		case 2:
-			return "obj.truncate"
-		}
-	case progReplicaPeer:
-		switch proc {
-		case 1:
-			return "replica.peer.list"
-		case 2:
-			return "replica.peer.read"
-		case 3:
-			return "replica.peer.write"
-		case 4:
-			return "replica.peer.remove"
-		case 5:
-			return "replica.peer.truncate"
-		}
-	case progDirPeer:
-		if proc < uint32(len(dirPeerProcNames)) && dirPeerProcNames[proc] != "" {
-			return dirPeerProcNames[proc]
-		}
-	case progCoord:
-		switch proc {
-		case 1:
-			return "coord.intend"
-		case 2:
-			return "coord.complete"
-		}
-	case Program:
-		switch proc {
-		case ProcSnapshot:
-			return "obs.snapshot"
-		case ProcTraces:
-			return "obs.traces"
-		case ProcRebalanceStatus:
-			return "obs.rebalance-status"
-		case ProcGrow:
-			return "obs.grow"
-		case ProcShrink:
-			return "obs.shrink"
-		}
+	if name, ok := opNames[[2]uint32{prog, proc}]; ok {
+		return name
 	}
 	return fmt.Sprintf("prog%d.proc%d", prog, proc)
 }
 
-// ObserveRPC records one served call into the registry, named by op
-// class. Its signature matches oncrpc.ServerObserver, so components
-// install it directly: srv.SetObserver(reg.ObserveRPC). After an op
-// class's first call it takes no lock and allocates nothing.
-func (r *Registry) ObserveRPC(prog, vers, proc uint32, handlerNS uint64) {
-	r.rpcHist(prog, proc).Record(handlerNS)
+// ObserveRPC records one served call, from the server's readings of Now
+// around its handler: its time into the registry's histogram of its op
+// class, and, when the call is in the sample, its handler's begin and
+// end into the ring. Its signature matches oncrpc.ServerObserver, so
+// components install it directly: srv.SetObserver(reg.ObserveRPC). After
+// an op class's first call it takes no lock and allocates nothing.
+func (r *Registry) ObserveRPC(id CallID, prog, proc uint32, t0, t1 int64) {
+	r.rpcHist(prog, proc).Record(uint64(t1 - t0))
+	if Sampled(id.Xid) {
+		r.events.Record(id, KindBegin, uint8(proc), t0, uint64(prog))
+		r.events.Record(id, KindDone, uint8(proc), t1, uint64(t1-t0))
+	}
 }
 
 // rpcHist returns the histogram of the calls to proc of prog, found in a

@@ -11,8 +11,9 @@ import (
 )
 
 // Registry names the histograms of one component ("uproxy", "dirsrv[0]",
-// "coord", ...). Components resolve their histogram pointers once at
-// construction; the registry lock is never on a data path.
+// "coord", ...) and holds its ring of events. Components resolve their
+// histogram pointers once at construction; the registry lock is never on
+// a data path.
 type Registry struct {
 	component string
 
@@ -23,6 +24,10 @@ type Registry struct {
 	// rpc maps a served call's program and procedure (ObserveRPC) to its
 	// histogram. It is copied on write under mu and read without it.
 	rpc atomic.Pointer[map[uint64]*Histogram]
+
+	// events is the component's ring: a restarted component writes on
+	// into its predecessor's, as it does into its histograms.
+	events Recorder
 }
 
 // NewRegistry creates a registry for the named component.
@@ -51,6 +56,25 @@ func (r *Registry) hist(name string) *Histogram {
 	r.order = append(r.order, name)
 	return h
 }
+
+// Record writes one event of the call id into the registry's ring; a nil
+// registry records nothing.
+func (r *Registry) Record(id CallID, k Kind, layer uint8, at int64, v uint64) {
+	if r != nil {
+		r.events.Record(id, k, layer, at, v)
+	}
+}
+
+// Stamp records an event at Now; a nil registry reads no clock.
+func (r *Registry) Stamp(id CallID, k Kind, layer uint8, v uint64) {
+	if r != nil {
+		r.events.Record(id, k, layer, Now(), v)
+	}
+}
+
+// Events returns the events in the registry's ring, in the order they
+// were written.
+func (r *Registry) Events() []Event { return r.events.Events() }
 
 // Snapshot copies every histogram in the registry.
 func (r *Registry) Snapshot() RegistrySnapshot {

@@ -35,6 +35,7 @@ import (
 
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/xdr"
 )
 
@@ -916,12 +917,13 @@ func (f HandlerFunc) ServeRPC(call Call, from netsim.Addr, e *xdr.Encoder) uint3
 }
 
 // ServerObserver is notified after each handled call with the call's
-// identity and the server's wall time for it: the handler plus the
-// encoding of its result, where a bulk READ does its actual reading. It
-// runs on the goroutine that served the call, before the reply is sent, and
-// must be cheap and thread-safe (the obs wiring records one histogram
-// sample, a single atomic add).
-type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
+// identity — its source and xid, and its program and procedure — and the
+// server's readings of obs.Now before the handler and after the encoding
+// of its result, where a bulk READ does its actual reading. It runs on the
+// goroutine that served the call, before the reply is sent, and must be
+// cheap and thread-safe (the obs wiring records one histogram sample, a
+// single atomic add, and two ring events for a call in the sample).
+type ServerObserver func(id obs.CallID, prog, proc uint32, t0, t1 int64)
 
 // Server accepts RPC calls on a port and dispatches them to a handler.
 // It runs on a fabric port, not any Conn, because it sends each reply in
@@ -1011,13 +1013,6 @@ func (s *Server) serveInline(d []byte) {
 	}
 }
 
-// monoBase anchors monoNow: a time.Since of it reads the monotonic clock
-// alone, where a time.Now reads the wall clock too.
-var monoBase = time.Now()
-
-// monoNow is the monotonic clock in nanoseconds since monoBase.
-func monoNow() int64 { return int64(time.Since(monoBase)) }
-
 // serve handles one delivered datagram: parse, suppression of a duplicate
 // in flight, handler, reply. It owns d, which the fabric has verified.
 func (s *Server) serve(d []byte) {
@@ -1042,7 +1037,7 @@ func (s *Server) serve(d []byte) {
 	obsFn := s.obs.Load()
 	var t0 int64
 	if obsFn != nil {
-		t0 = monoNow()
+		t0 = obs.Now()
 	}
 	// The reply is encoded into the buffer that becomes its datagram: the
 	// header first, then the handler's result behind it — a READ's data is
@@ -1057,9 +1052,9 @@ func (s *Server) serve(d []byte) {
 	out := e.Bytes()
 	freeEncoder(e) // out is the reply's now: sent below
 	if obsFn != nil {
-		handlerNS := uint64(monoNow() - t0)
-		(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
-		binary.BigEndian.PutUint64(out[netsim.HeaderSize+OffServerNS:], handlerNS)
+		t1 := obs.Now()
+		(*obsFn)(obs.CallID{Host: from.Host, Port: from.Port, Xid: call.Xid}, call.Program, call.Proc, t0, t1)
+		binary.BigEndian.PutUint64(out[netsim.HeaderSize+OffServerNS:], uint64(t1-t0))
 	}
 	// call.Body aliases the request datagram; the handler has copied out
 	// what it keeps, so it can go back now.

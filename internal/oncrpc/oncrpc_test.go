@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"slice/internal/netsim"
+	"slice/internal/obs"
 	"slice/internal/xdr"
 )
 
@@ -936,7 +937,7 @@ func TestReplyEncodedIntoItsDatagram(t *testing.T) {
 			filled <- &p[0]
 		}, AcceptSuccess
 	}))
-	srv.SetObserver(func(uint32, uint32, uint32, uint64) {})
+	srv.SetObserver(func(obs.CallID, uint32, uint32, int64, int64) {})
 	sent := make(chan *byte, 1)
 	n.AddTap(netsim.TapFunc(func(d []byte) netsim.Verdict {
 		if h, err := netsim.ParseHeader(d); err == nil && h.Src == srv.Addr() {

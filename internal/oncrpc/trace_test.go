@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"slice/internal/netsim"
+	"slice/internal/obs"
 	"slice/internal/xdr"
 )
 
@@ -21,7 +22,7 @@ func TestReplyHeaderCarriesServerTime(t *testing.T) {
 		cli, srv := newPair(t, netsim.Config{}, sleepy, ClientConfig{Timeout: time.Second})
 		seen := make(chan uint64, 1)
 		if observed {
-			srv.SetObserver(func(prog, vers, proc uint32, handlerNS uint64) { seen <- handlerNS })
+			srv.SetObserver(func(_ obs.CallID, prog, proc uint32, t0, t1 int64) { seen <- uint64(t1 - t0) })
 		}
 		rep, err := cli.CallTo(srv.Addr(), 7, 1, 3, nil)
 		if err != nil {

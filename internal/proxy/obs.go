@@ -17,32 +17,36 @@ import (
 )
 
 // This file is the µproxy's observability wiring: the stage clock, the
-// per-stage and per-hop latency histograms, pooled per-request trace
-// spans keyed by the client xid, and the absorbed stats RPC program that
-// lets slicectl aggregate a live ensemble over the wire.
+// per-stage and per-hop latency histograms, the events it writes into its
+// registry's ring under the identity of the call they belong to, and the
+// absorbed stats RPC program that lets slicectl aggregate a live ensemble
+// over the wire.
 //
 // The discipline matches the pooled data path: histogram pointers are
 // resolved once at construction (the registry's map and lock are never
-// touched per request), a span is a pool object stamped and recycled by
-// the tracer, and the request path stops writing the obs fields of a
-// pending record when it releases the shard lock it published the record
-// under — so the response path, which owns the record exclusively after
-// pairing, never races the request path.
+// touched per request), an event is a few words in a fixed ring, and the
+// request path stops writing the obs fields of a pending record when it
+// releases the shard lock it published the record under — so the response
+// path, which owns the record exclusively after pairing, never races the
+// request path.
 
 // lapClock is the one stage clock a packet carries through the µproxy,
 // read once per stage boundary: a reading closes the lap of the stage just
 // finished (Table 3's four, stats.go) and opens the next, so a packet's
 // laps sum to the time between its first and last readings with no gap
 // and no overlap. settle pays closed laps out to the cumulative counters,
-// the stage.* histograms and the trace span alike; nothing else in the
-// µproxy times a stage.
+// the stage.* histograms and the ring's stage events alike; nothing else
+// in the µproxy times a stage.
 //
 // Laps are taken for timed calls only, as iprobe sampled the paper's
-// Table 3: for the calls timed picks by xid, whose laps alone the
-// counters and stage.* histograms take (StageStats scales them to every
-// packet), and for the calls the µproxy always times, whose own RPCs dwarf
-// the clock (MOUNT, COMMIT, REMOVE, a truncating SETATTR), whose laps go to
-// their spans only.
+// Table 3: for the calls in the sample every role traces (obs.Sampled,
+// by xid), whose laps alone the counters and stage.* histograms take
+// (StageStats scales them to every packet), and for the calls the µproxy
+// always times, whose own RPCs dwarf the clock (MOUNT, COMMIT, REMOVE, a
+// truncating SETATTR), whose laps go to the ring only. A timed call's
+// events — its arrival, stage laps, forward, reply and end, and each
+// sub-call made for it — are stamped with these readings, so they read no
+// clock of their own.
 //
 // The readings double as the request's other timestamps, and an untimed
 // call reads the clock for these alone — four times a request/reply pair.
@@ -61,21 +65,11 @@ type lapClock struct {
 	start int64             // first reading
 	last  int64             // latest reading
 	ns    [numStages]uint64 // closed laps not yet settled
+	id    obs.CallID        // the call the packet belongs to: its events' key
 
-	timed   bool // laps are taken
+	timed   bool // laps are taken and events written
 	sampled bool // the packet's xid is in the sample: its laps are counted
 }
-
-// sampleBits sets the sample: 1 call in 1<<sampleBits is timed.
-const sampleBits = 4
-
-// timed reports whether the call with transaction id xid is in the stage
-// clock's sample, which takes both halves of 1 call in 16. The xid is
-// hashed (its product with 2³²/φ, top bits), not masked: a client's xids
-// run in sequence, and a workload's fixed cycle of operations over
-// sequential xids would alias with a mask, timing one operation of the
-// cycle always and another never.
-func timed(xid uint32) bool { return (xid*0x9E3779B9)>>(32-sampleBits) == 0 }
 
 // startClock starts a packet's clock, timed when the packet is in the
 // sample.
@@ -112,37 +106,40 @@ func (p *Proxy) skip(c *lapClock) {
 
 // settle pays c's closed laps out — to the cumulative counters and one
 // sample per stage to the histograms when the packet is in the sample, and
-// to the span when the packet belongs to one — and zeroes them. It reads
-// no clock.
-func (p *Proxy) settle(c *lapClock, sp *obs.Span) {
+// one stage event per lap to the ring — and zeroes them. It reads no
+// clock.
+func (p *Proxy) settle(c *lapClock) {
 	if !c.timed {
 		return
 	}
-	if c.sampled {
-		for s, ns := range c.ns {
-			if ns == 0 {
-				continue
-			}
+	for s, ns := range c.ns {
+		if ns == 0 {
+			continue
+		}
+		if c.sampled {
 			p.st.ns[s].Add(ns)
 			if p.hists != nil {
 				p.hists.stage[s].Record(ns)
 			}
 		}
-	}
-	if sp != nil {
-		sp.InterceptNS += c.ns[stIntercept]
-		sp.DecodeNS += c.ns[stDecode]
-		sp.RewriteNS += c.ns[stRewrite]
-		sp.SoftStateNS += c.ns[stSoftState]
+		p.cfg.Obs.Record(c.id, obs.KindStage, uint8(s), c.last, ns)
 	}
 	c.ns = [numStages]uint64{}
 }
 
-// wallTime converts a clock reading to a wire timestamp. Wall time is
-// New's plus the monotonic time since: it follows the host's clock except
-// across a step, which a µproxy that stamps only soft state can afford.
+// event writes an event of a timed clock's call, at a reading it took.
+func (p *Proxy) event(c *lapClock, k obs.Kind, layer uint8, at int64, v uint64) {
+	if c.timed {
+		p.cfg.Obs.Record(c.id, k, layer, at, v)
+	}
+}
+
+// wallTime converts a clock reading to a wire timestamp. Wall time is the
+// process's start plus the monotonic time since: it follows the host's
+// clock except across a step, which a µproxy that stamps only soft state
+// can afford.
 func (p *Proxy) wallTime(reading int64) attr.Time {
-	return attr.FromGo(time.Unix(0, p.wall0+reading))
+	return attr.FromGo(time.Unix(0, obs.WallNS(reading)))
 }
 
 // proxyHists caches direct histogram pointers for the data path.
@@ -168,7 +165,7 @@ type proxyHists struct {
 
 func newProxyHists(reg *obs.Registry, replicas *replica.Map) *proxyHists {
 	h := &proxyHists{mount: reg.Hist("e2e.mount.mnt"), reg: reg}
-	for s, name := range stageNames {
+	for s, name := range obs.StageNames {
 		h.stage[s] = reg.Hist("stage." + name)
 	}
 	for k := obs.HopDirsrv; k <= obs.HopMount; k++ {
@@ -228,47 +225,37 @@ func (p *Proxy) histE2E(prog uint32, proc nfsproto.Proc) *obs.Histogram {
 
 // recordHop attributes the forwarded hop's round trip — forward time to
 // hopEnd, the first reading of the reply that completed it — when its
-// (last) reply pairs, and the server's time for the call, read from the
-// reply header, to the span. The caller owns pd exclusively.
+// (last) reply pairs, and writes the reply's event with the server's time
+// for the call, read from the reply header. The caller owns pd
+// exclusively.
 func (p *Proxy) recordHop(pd *pendingReq, hopEnd int64, serverNS uint64) {
-	if p.hists == nil && pd.span == nil {
+	if p.hists == nil {
 		return
 	}
-	total := uint64(hopEnd - pd.clk.last)
-	if pd.span != nil {
-		pd.span.AddHop(pd.hop, total, serverNS)
+	if h := p.hists.hop[pd.hop]; h != nil {
+		h.Record(uint64(hopEnd - pd.clk.last))
 	}
-	if p.hists != nil {
-		if h := p.hists.hop[pd.hop]; h != nil {
-			h.Record(total)
-		}
-	}
+	p.event(&pd.clk, obs.KindReply, uint8(pd.hop), hopEnd, serverNS)
 }
 
 // endObs closes out a request at its clock's last reading: settles the
-// response half's laps, records the end-to-end latency and archives the
-// span. The caller owns pd exclusively.
+// response half's laps and records the end-to-end latency, in its
+// histogram and its call's last event. The caller owns pd exclusively.
 func (p *Proxy) endObs(pd *pendingReq) {
-	p.settle(&pd.clk, pd.span)
-	if p.hists != nil {
-		if h := p.histE2E(pd.prog, pd.proc); h != nil {
-			h.Record(uint64(pd.clk.last - pd.clk.start))
-		}
-	}
-	if pd.span != nil {
-		p.tracer.Finish(pd.span, p.wall0+pd.clk.last)
-		pd.span = nil
-	}
+	p.settle(&pd.clk)
+	p.end(pd, pd.clk.last)
 }
 
-// dropPending recycles a pending record on a request-path error,
-// returning its span (never archived: the request crossed no hop).
-func (p *Proxy) dropPending(pd *pendingReq) {
-	if pd.span != nil {
-		p.tracer.Abort(pd.span)
-		pd.span = nil
+// end records the end-to-end latency of pd's call, answered at reading at.
+func (p *Proxy) end(pd *pendingReq, at int64) {
+	if p.hists == nil {
+		return
 	}
-	putPending(pd)
+	e2e := uint64(at - pd.clk.start)
+	if h := p.histE2E(pd.prog, pd.proc); h != nil {
+		h.Record(e2e)
+	}
+	p.event(&pd.clk, obs.KindEnd, 0, at, e2e)
 }
 
 // hopForSite classifies a data-site address for hop attribution.
@@ -284,22 +271,25 @@ func (p *Proxy) hopForSite(addr netsim.Addr) obs.HopKind {
 }
 
 // obsCall wraps a µproxy-originated RPC to dst (zero: the coordinator):
-// it times the round trip and records the hop, with the server's time for
-// the call from the reply header.
-func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+// it times the round trip and records the hop, and, for the call whose
+// clock is clk (nil: background work), writes the sub-call's events, its
+// reply's with the server's time for it from the reply header — the only
+// server time there is for a sub-call whose own xid is not in the sample.
+func (p *Proxy) obsCall(clk *lapClock, hop obs.HopKind, dst netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
 	c, err := p.rpc.Get()
 	if err != nil {
 		return nil, err
 	}
 	t0 := p.now()
 	rep, err := c.CallTo(dst, prog, vers, proc, args)
-	total := uint64(p.now() - t0)
-	if sp != nil {
-		sp.AddHop(hop, total, rep.ServerNS)
-	}
+	t1 := p.now()
 	if p.hists != nil {
 		if h := p.hists.hop[hop]; h != nil {
-			h.Record(total)
+			h.Record(uint64(t1 - t0))
+		}
+		if clk != nil {
+			p.event(clk, obs.KindCall, uint8(hop), t0, 0)
+			p.event(clk, obs.KindCallReply, uint8(hop), t1, rep.ServerNS)
 		}
 	}
 	return rep.Body, err
@@ -315,8 +305,8 @@ func (p *Proxy) answerStats(client netsim.Addr, xid, proc, arg uint32) {
 		accept, res = oncrpc.AcceptProcUnavail, nil
 	}
 	// An oversized snapshot (beyond the fabric MTU) fails BuildReply and
-	// is counted as dropped; the caller times out and can ask for less
-	// (fewer traces) rather than the µproxy fragmenting.
+	// is counted as dropped; the caller times out rather than the µproxy
+	// fragmenting. Stitched traces are cut to fit (obs.StitchJSON).
 	d, err := oncrpc.BuildReply(p.cfg.Virtual, client, xid, accept, res)
 	if err != nil {
 		p.st.dropped.Add(1)

@@ -22,17 +22,17 @@ import (
 // orchestrate, as a directory server's handler runs its peer calls.
 
 // caller returns the coord.Caller of the RPCs the µproxy originates for
-// span sp: the zero site is the coordinator, any other a data site whose
-// call counts as initiated, and each is attributed to sp as a hop of its
-// kind.
-func (p *Proxy) caller(sp *obs.Span) coord.Caller {
+// the call whose clock is clk: the zero site is the coordinator, any other
+// a data site whose call counts as initiated, and each is a sub-call of
+// clk's, a hop of its kind.
+func (p *Proxy) caller(clk *lapClock) coord.Caller {
 	return func(site netsim.Addr, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
 		hop := obs.HopCoord
 		if !site.IsZero() {
 			hop = p.hopForSite(site)
 			p.st.initiated.Add(1)
 		}
-		return p.obsCall(sp, hop, site, prog, vers, proc, args)
+		return p.obsCall(clk, hop, site, prog, vers, proc, args)
 	}
 }
 
@@ -42,8 +42,8 @@ func (p *Proxy) caller(sp *obs.Span) coord.Caller {
 // skips the storage nodes when the cached size says the file lies wholly
 // below the threshold. id is 0 when no intention was logged (no
 // coordinator, or it could not be reached).
-func (p *Proxy) applyAll(sp *obs.Span, a coord.Action, size uint64) (id, verf uint64, ok bool) {
-	call := p.caller(sp)
+func (p *Proxy) applyAll(clk *lapClock, a coord.Action, size uint64) (id, verf uint64, ok bool) {
+	call := p.caller(clk)
 	if p.cfg.Coord != nil {
 		id = coord.CallIntend(call, a.Op, a.FH, size)
 	}
@@ -64,16 +64,17 @@ func (p *Proxy) observeAttr(fh fhandle.Handle, at attr.Attr) {
 }
 
 // fetchAttr asks fh's directory server for the file's attributes and
-// folds them into the cache. The status is the server's: after a remove,
-// ESTALE says the last link went with it.
-func (p *Proxy) fetchAttr(sp *obs.Span, fh fhandle.Handle) (nfsproto.Status, error) {
+// folds them into the cache, a sub-call of the call whose clock is clk.
+// The status is the server's: after a remove, ESTALE says the last link
+// went with it.
+func (p *Proxy) fetchAttr(clk *lapClock, fh fhandle.Handle) (nfsproto.Status, error) {
 	info := nfsproto.RequestInfo{Proc: nfsproto.ProcGetAttr, FH: fh}
 	addr, err := p.cfg.Names.AddrFor(&info)
 	if err != nil {
 		return 0, err
 	}
 	var res nfsproto.GetAttrRes
-	if err := p.nfsCall(sp, obs.HopDirsrv, addr, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}, &res); err != nil {
+	if err := p.nfsCall(clk, obs.HopDirsrv, addr, nfsproto.ProcGetAttr, &nfsproto.GetAttrArgs{FH: fh}, &res); err != nil {
 		return 0, err
 	}
 	if res.Status == nfsproto.OK {
@@ -82,19 +83,21 @@ func (p *Proxy) fetchAttr(sp *obs.Span, fh fhandle.Handle) (nfsproto.Status, err
 	return res.Status, nil
 }
 
-// resolveChild finds the handle bound to (dir, name) with a LOOKUP of the
-// µproxy's own to the responsible directory server — every time: a
-// binding remembered from earlier traffic can be changed through another
-// fleet member without this one seeing it, and a REMOVE orchestrated on a
-// stale handle clears the wrong file's data and strands the right one's.
-func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, bool) {
+// resolveChild finds the handle bound to the name pd's REMOVE removes
+// with a LOOKUP of the µproxy's own, a sub-call of the REMOVE, to the
+// responsible directory server — every time: a binding remembered from
+// earlier traffic can be changed through another fleet member without
+// this one seeing it, and a REMOVE orchestrated on a stale handle clears
+// the wrong file's data and strands the right one's.
+func (p *Proxy) resolveChild(pd *pendingReq) (fhandle.Handle, bool) {
+	dir, name := pd.info.FH, pd.info.Name
 	info := nfsproto.RequestInfo{Proc: nfsproto.ProcLookup, FH: dir, Name: name, HasName: true}
 	addr, err := p.cfg.Names.AddrFor(&info)
 	if err != nil {
 		return fhandle.Handle{}, false
 	}
 	var res nfsproto.LookupRes
-	if err := p.nfsCall(nil, obs.HopDirsrv, addr, nfsproto.ProcLookup, &nfsproto.LookupArgs{Dir: dir, Name: name}, &res); err != nil {
+	if err := p.nfsCall(&pd.clk, obs.HopDirsrv, addr, nfsproto.ProcLookup, &nfsproto.LookupArgs{Dir: dir, Name: name}, &res); err != nil {
 		return fhandle.Handle{}, false
 	}
 	if res.Status != nfsproto.OK {
@@ -111,11 +114,11 @@ func (p *Proxy) resolveChild(dir fhandle.Handle, name string) (fhandle.Handle, b
 // clears the victim's data across the storage sites under an intention,
 // then forgets its soft state. It owns d: every path forwards or frees it.
 func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
-	child, known := p.resolveChild(pd.info.FH, pd.info.Name)
+	child, known := p.resolveChild(pd)
 	p.skip(&pd.clk) // the LOOKUP's wait is no stage's cost
 
-	// The hook runs before the span is closed, so its RPCs are attributed
-	// to the request's span via pd.
+	// The hook runs before the call ends, so its RPCs are sub-calls of the
+	// request's, through pd's clock.
 	pd.onOK = func() {
 		if !known || child.Type == uint8(attr.TypeDir) {
 			return
@@ -125,10 +128,10 @@ func (p *Proxy) routeRemove(d []byte, key pendKey, pd *pendingReq) netsim.Verdic
 		// LINK the µproxy never saw), so ask the directory server: after
 		// a remove, a live attribute cell means other names remain;
 		// ESTALE means the file is gone and its data must be cleared.
-		if st, err := p.fetchAttr(pd.span, child); err == nil && st == nfsproto.OK {
+		if st, err := p.fetchAttr(&pd.clk, child); err == nil && st == nfsproto.OK {
 			return // still linked: keep the data
 		}
-		p.applyAll(pd.span, coord.Action{Op: coord.OpRemove, FH: child}, 0)
+		p.applyAll(&pd.clk, coord.Action{Op: coord.OpRemove, FH: child}, 0)
 		p.attrs.forget(child)
 	}
 	return p.forward(d, key, pd)
@@ -141,7 +144,7 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq, args *nfspro
 	if args.Sattr.SetSize {
 		fh, size := args.FH, args.Sattr.Size
 		pd.onOK = func() {
-			p.applyAll(pd.span, coord.Action{Op: coord.OpTruncate, FH: fh, Size: size}, size)
+			p.applyAll(&pd.clk, coord.Action{Op: coord.OpTruncate, FH: fh, Size: size}, size)
 			// The directory server applied the new size itself; an
 			// entry the cache holds follows it.
 			now := p.wallTime(p.now())
@@ -159,18 +162,18 @@ func (p *Proxy) routeSetAttr(d []byte, key pendKey, pd *pendingReq, args *nfspro
 // file's dirty attributes to the directory server, declares a commit
 // intention, commits every involved data site, clears the intention, and
 // synthesizes the reply. This is the consistent write commitment of §4.2.
-// It owns pd, the call's record, which is never published. The span (nil
-// when tracing is off) collects every RPC of the chain and is closed — and
-// the absorbed op's end-to-end latency recorded, from the first reading of
-// the request's clock — just before the reply is injected, so a client
-// that acts on the reply finds both.
+// It owns pd, the call's record, which is never published. Every RPC of
+// the chain is a sub-call of the COMMIT's, and the absorbed op's
+// end-to-end latency is recorded, from the first reading of the request's
+// clock, just before the reply is injected, so a client that acts on the
+// reply finds it.
 func (p *Proxy) absorbCommit(key pendKey, pd *pendingReq) {
-	p.settle(&pd.clk, pd.span)
-	sp, info := pd.span, &pd.info
+	p.settle(&pd.clk)
+	info := &pd.info
 	fh := info.FH
-	p.pushAttrs(sp, fh)
+	p.pushAttrs(&pd.clk, fh)
 
-	id, verf, committed := p.applyAll(sp, coord.Action{
+	id, verf, committed := p.applyAll(&pd.clk, coord.Action{
 		Op: coord.OpCommit, FH: fh, Offset: info.Offset, Count: info.Count,
 	}, uint64(info.Count))
 	// Only a fully committed write set clears the intention. A partial
@@ -196,13 +199,7 @@ func (p *Proxy) absorbCommit(key pendKey, pd *pendingReq) {
 		res.Attr = nfsproto.Some(at)
 	}
 	out, err := oncrpc.BuildReply(p.cfg.Virtual, key.client, key.xid, oncrpc.AcceptSuccess, res.Encode)
-	end := p.now()
-	if p.hists != nil {
-		p.hists.e2e[nfsproto.ProcCommit].Record(uint64(end - pd.clk.start))
-	}
-	if sp != nil {
-		p.tracer.Finish(sp, p.wall0+end)
-	}
+	p.end(pd, p.now())
 	putPending(pd)
 	if err != nil {
 		p.st.dropped.Add(1)
@@ -216,8 +213,8 @@ func (p *Proxy) absorbCommit(key pendKey, pd *pendingReq) {
 // pushAttrs writes the file's dirty cached attributes back to its
 // directory server with SETATTR (§4.1: on commit interception and on
 // eviction).
-func (p *Proxy) pushAttrs(sp *obs.Span, fh fhandle.Handle) {
-	if e, ok := p.attrs.takeDirty(fh); ok && !p.push(sp, e) {
+func (p *Proxy) pushAttrs(clk *lapClock, fh fhandle.Handle) {
+	if e, ok := p.attrs.takeDirty(fh); ok && !p.push(clk, e) {
 		p.attrs.markDirty(fh)
 	}
 }
@@ -241,7 +238,7 @@ func (p *Proxy) WritebackAttrs() {
 // goes only when routed I/O grew the file past what the directory server
 // last reported — a write inside the file dirties times alone, so a
 // µproxy never pushes a length it did not itself extend.
-func (p *Proxy) push(sp *obs.Span, e attrEntry) bool {
+func (p *Proxy) push(clk *lapClock, e attrEntry) bool {
 	info := nfsproto.RequestInfo{Proc: nfsproto.ProcSetAttr, FH: e.fh}
 	addr, err := p.cfg.Names.AddrFor(&info)
 	if err != nil {
@@ -254,7 +251,7 @@ func (p *Proxy) push(sp *obs.Span, e attrEntry) bool {
 		SetAtime: true, Atime: e.at.Atime,
 	}}
 	var res nfsproto.SetAttrRes
-	if err := p.nfsCall(sp, obs.HopDirsrv, addr, nfsproto.ProcSetAttr, &args, &res); err != nil || res.Status != nfsproto.OK {
+	if err := p.nfsCall(clk, obs.HopDirsrv, addr, nfsproto.ProcSetAttr, &args, &res); err != nil || res.Status != nfsproto.OK {
 		return false
 	}
 	if grew {

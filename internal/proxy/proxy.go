@@ -61,13 +61,10 @@ type Config struct {
 	// are refused by the storage nodes.
 	CapKey []byte
 	// Obs, when set, receives the µproxy's per-stage, per-hop, and
-	// end-to-end latency histograms. Histogram pointers are resolved at
+	// end-to-end latency histograms, and the events of every timed call
+	// (obs.go) in its ring. Histogram pointers are resolved at
 	// construction; recording is one atomic add per sample.
 	Obs *obs.Registry
-	// Tracer, when set, archives a pooled per-request span for every
-	// timed request (obs.go): per-stage µproxy costs plus per-hop
-	// round-trip and server time.
-	Tracer *obs.Tracer
 	// StatsFn, when set, answers the stats program (obs.Program) sent to
 	// the virtual server: the µproxy absorbs the call and replies with
 	// the returned bytes as an opaque result (nil = proc unavailable).
@@ -80,6 +77,11 @@ type Config struct {
 type pendKey struct {
 	client netsim.Addr
 	xid    uint32
+}
+
+// callID is the key of the events of the call k names.
+func (k pendKey) callID() obs.CallID {
+	return obs.CallID{Host: k.client.Host, Port: k.client.Port, Xid: k.xid}
 }
 
 // pendHash mixes a pending-request identity for shard selection.
@@ -138,9 +140,8 @@ type pendingReq struct {
 	// request's stage clock: its first reading is the request's start, the
 	// reading that closes the request half is the forward time, and the
 	// paired reply's own clock is spliced onto it.
-	span *obs.Span   // pooled trace span, nil when tracing is off or the call untimed
-	clk  lapClock    // the stage clock (obs.go)
-	hop  obs.HopKind // where the request was forwarded
+	clk lapClock    // the stage clock (obs.go)
+	hop obs.HopKind // where the request was forwarded
 }
 
 var pendPool = sync.Pool{New: func() any { return new(pendingReq) }}
@@ -182,17 +183,14 @@ type Proxy struct {
 	// is the coordinator, through cfg.Coord.
 	rpc *oncrpc.LazyClient
 
-	// now reads the stage clock: nanoseconds since New on the monotonic
-	// clock (a field so a test can count the reads). wall0 is New's
-	// wall-clock time in Unix nanoseconds; wall0 plus a reading stamps
-	// spans and attribute times without a second clock read.
-	now   func() int64
-	wall0 int64
+	// now reads the stage clock, obs.Now (a field so a test can count the
+	// reads): one reading stamps events and, through wallTime, attribute
+	// times without a second clock read.
+	now func() int64
 
 	tapTok *netsim.TapToken
 	st     stageCounters
 	hists  *proxyHists // nil when cfg.Obs is nil
-	tracer *obs.Tracer // nil when cfg.Tracer is nil
 
 	// orchestrating counts the orchestrations in flight, plus closing
 	// once Close has begun; the one that leaves the count at closing
@@ -209,16 +207,13 @@ const closing = 1 << 62 // marks the orchestration count once Close has begun
 
 // New creates a µproxy and registers it as a tap on the network.
 func New(cfg Config) *Proxy {
-	base := time.Now()
 	p := &Proxy{
 		cfg:     cfg,
 		attrs:   newAttrCache(),
 		rpc:     oncrpc.NewLazyClient(cfg.Net, cfg.Host, oncrpc.ClientConfig{Resolve: cfg.Coord}),
-		now:     func() int64 { return int64(time.Since(base)) },
-		wall0:   base.UnixNano(),
+		now:     obs.Now,
 		drained: make(chan struct{}),
 		stopCh:  make(chan struct{}),
-		tracer:  cfg.Tracer,
 	}
 	if cfg.IO != nil && cfg.IO.Replicas.Replicated() {
 		p.dirty = replica.NewDirtySet()
@@ -410,7 +405,7 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 	}
 	payload := d[netsim.HeaderSize:]
 	xid := binary.BigEndian.Uint32(payload[oncrpc.OffXid:])
-	sampled := timed(xid)
+	sampled := obs.Sampled(xid)
 	if sampled {
 		p.st.sampled.Add(1)
 	}
@@ -440,10 +435,11 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 			clk = p.startClock(false)
 			clk.timed = timedCall
 		}
+		clk.id = key.callID()
 		if ok {
 			return p.handleResponse(d, key, clk, verify)
 		}
-		p.settle(&clk, nil)
+		p.settle(&clk)
 	}
 	return netsim.Pass
 }
@@ -451,7 +447,8 @@ func (p *Proxy) Handle(d []byte) netsim.Verdict {
 // newPending opens the pending record of a freshly decoded call — info
 // holds an NFS call's routing fields, nil for another program — hands it
 // the call's clock, and closes the decode lap: decode runs from the call's
-// arrival until it sits, decoded, in a record. A timed call gets a span.
+// arrival until it sits, decoded, in a record. A timed call's first event
+// is its arrival.
 func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.RequestInfo) *pendingReq {
 	pd := getPending()
 	pd.prog = call.Program
@@ -460,10 +457,7 @@ func (p *Proxy) newPending(clk lapClock, call *oncrpc.Call, info *nfsproto.Reque
 		pd.info = *info
 	}
 	pd.clk = clk
-	if p.tracer != nil && clk.timed {
-		pd.span = p.tracer.Start(uint64(call.Xid), call.Proc, p.wall0+clk.start)
-		pd.span.Prog = call.Program
-	}
+	p.event(&pd.clk, obs.KindRecv, uint8(call.Proc), clk.start, uint64(call.Program))
 	p.lap(&pd.clk, stDecode)
 	return pd
 }
@@ -498,6 +492,7 @@ func (p *Proxy) handleRequest(d []byte, sampled bool) netsim.Verdict {
 		}
 	}
 	key := pendKey{client: h.Src, xid: call.Xid}
+	clk.id = key.callID()
 	if v, replayed := p.retransmit(d, key, &call, &info, checked, &clk); replayed {
 		return v
 	}
@@ -518,7 +513,7 @@ func (p *Proxy) handleRequest(d []byte, sampled bool) netsim.Verdict {
 			arg = binary.BigEndian.Uint32(call.Body)
 		}
 		p.lap(&clk, stDecode)
-		p.settle(&clk, nil)
+		p.settle(&clk)
 		netsim.FreeBuf(d)
 		p.answerStats(h.Src, call.Xid, call.Proc, arg)
 		return netsim.Consumed
@@ -547,12 +542,12 @@ func (p *Proxy) handleRequest(d []byte, sampled bool) netsim.Verdict {
 		netsim.FreeBuf(d)
 		if !p.orchestrate(func() { p.absorbCommit(key, pd) }) {
 			p.st.dropped.Add(1)
-			p.dropPending(pd)
+			putPending(pd)
 		}
 		return netsim.Consumed
 	case nfsproto.ProcRemove:
 		if !p.orchestrate(func() { p.routeRemove(d, key, pd) }) {
-			p.dropPending(pd)
+			putPending(pd)
 			return p.consumeDrop(d)
 		}
 		return netsim.Consumed
@@ -590,7 +585,7 @@ func inPlace(prog uint32, proc nfsproto.Proc) bool {
 // did) and must agree with it in procedure, handle and offset — what the
 // record was routed, stamped and will account the reply by. One that does
 // not came from a corrupt first transmission, which every server's Recv
-// dropped: it is discarded — its dirty mark and span released —
+// dropped: it is discarded — its dirty mark released —
 // and the retransmission routed fresh rather than along a wrong path with
 // a capability for the wrong handle.
 func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfsproto.RequestInfo, checked bool, clk *lapClock) (netsim.Verdict, bool) {
@@ -616,7 +611,7 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 		if p.dirty != nil {
 			p.settleReplica(pd, nil)
 		}
-		p.dropPending(pd)
+		putPending(pd)
 		return 0, false
 	}
 	// A name-space call is routed by names the record does not keep
@@ -626,7 +621,7 @@ func (p *Proxy) retransmit(d []byte, key pendKey, call *oncrpc.Call, info *nfspr
 	path, ok := p.route(d, key, pd, buf[:0])
 	s.mu.Unlock()
 	p.lap(clk, stDecode)
-	p.settle(clk, nil)
+	p.settle(clk)
 	if !ok {
 		return p.consumeDrop(d), true
 	}
@@ -767,7 +762,7 @@ func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 	var buf [len(pendingReq{}.targetsBuf)]netsim.Addr
 	path, ok := p.route(d, key, pd, buf[:0])
 	if !ok {
-		p.dropPending(pd)
+		putPending(pd)
 		return p.consumeDrop(d)
 	}
 	p.publish(key, pd)
@@ -778,16 +773,18 @@ func (p *Proxy) forward(d []byte, key pendKey, pd *pendingReq) netsim.Verdict {
 // publish closes the request half of pd's clock and makes the record
 // pairable: everything since decode was redirection (route resolution and
 // the rewrite), and the last lap — soft state — brackets the insert
-// itself, so it is read and settled under the shard lock. Once the lock
-// drops, a reply may pair with the record and own it.
+// itself, so it is read and settled, and the forward's event written,
+// under the shard lock. Once the lock drops, a reply may pair with the
+// record and own it.
 func (p *Proxy) publish(key pendKey, pd *pendingReq) {
 	p.lap(&pd.clk, stRewrite)
-	p.settle(&pd.clk, pd.span)
+	p.settle(&pd.clk)
 	s := p.shardFor(key)
 	s.mu.Lock()
 	s.pend[key] = pd
 	p.finalLap(&pd.clk, stSoftState)
-	p.settle(&pd.clk, pd.span)
+	p.settle(&pd.clk)
+	p.event(&pd.clk, obs.KindForward, uint8(pd.hop), pd.clk.last, 0)
 	s.mu.Unlock()
 	p.st.requests.Add(1)
 }
@@ -812,12 +809,12 @@ func (p *Proxy) injectToAll(d []byte, path []netsim.Addr) {
 }
 
 // nfsCall issues an NFS call the µproxy originates itself (lookups for
-// remove orchestration, setattr writeback, commit fan-out). The call is
-// attributed to span sp (nil for background work) as a hop of the given
-// kind.
-func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
+// remove orchestration, setattr writeback, commit fan-out), a sub-call of
+// the call whose clock is clk (nil for background work), as a hop of the
+// given kind.
+func (p *Proxy) nfsCall(clk *lapClock, hop obs.HopKind, addr netsim.Addr, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
 	p.st.initiated.Add(1)
-	body, err := p.obsCall(sp, hop, addr, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	body, err := p.obsCall(clk, hop, addr, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}

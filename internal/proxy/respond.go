@@ -50,7 +50,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 		// retransmission rebuilds the record — and re-marks the dirty
 		// set — with a full fan-out.
 		p.lap(&clk, stSoftState)
-		p.settle(&clk, nil)
+		p.settle(&clk)
 		if p.dirty != nil {
 			if g, ok := p.cfg.IO.Replicas.MemberOf(h.Src); ok && len(g.Members) > 1 {
 				return p.consumeDrop(d)
@@ -71,7 +71,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 	if i < 0 || pd.heard&(1<<i) != 0 {
 		s.mu.Unlock()
 		p.lap(&clk, stSoftState)
-		p.settle(&clk, nil)
+		p.settle(&clk)
 		return p.consumeDrop(d)
 	}
 	pd.heard |= 1 << i
@@ -83,7 +83,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 		}
 		s.mu.Unlock()
 		p.lap(&clk, stSoftState)
-		p.settle(&clk, nil)
+		p.settle(&clk)
 		netsim.FreeBuf(d)
 		return netsim.Consumed
 	}
@@ -113,7 +113,7 @@ func (p *Proxy) handleResponse(d []byte, key pendKey, clk lapClock, verify bool)
 			p.skip(&pd.clk)
 			p.finishResponse(d, key, pd, rep)
 		}) {
-			p.dropPending(pd)
+			putPending(pd)
 			return p.consumeDrop(d)
 		}
 		return netsim.Consumed
@@ -322,7 +322,7 @@ func (p *Proxy) respondIO(d []byte, key pendKey, pd *pendingReq, rep oncrpc.Repl
 func (p *Proxy) fetchFor(pd *pendingReq, fh fhandle.Handle) (nfsproto.Status, error) {
 	p.lap(&pd.clk, stSoftState)
 	defer p.skip(&pd.clk)
-	return p.fetchAttr(pd.span, fh)
+	return p.fetchAttr(&pd.clk, fh)
 }
 
 // peekAttr decodes the attribute block at offset off of a reply body whose

@@ -16,11 +16,11 @@ import (
 //	                      pairing
 //
 // The counts are exact. The times are sampled, as iprobe sampled them: the
-// stage clock (obs.go) takes the laps of 1 call in 16, picked by xid, and
-// each *NS field estimates the total over all packets as the sampled laps
-// × Intercepted ÷ the intercepted packets in the sample — exact when every
-// packet is in it. The benchmark harness reports each stage per packet
-// and as a fraction of total CPU.
+// stage clock (obs.go) takes the laps of 1 call in 16, picked by xid
+// (obs.Sampled), and each *NS field estimates the total over all packets
+// as the sampled laps × Intercepted ÷ the intercepted packets in the
+// sample — exact when every packet is in it. The benchmark harness
+// reports each stage per packet and as a fraction of total CPU.
 type StageStats struct {
 	Intercepted uint64 // datagrams examined by the tap
 	Requests    uint64 // requests consumed and routed
@@ -35,8 +35,9 @@ type StageStats struct {
 	SoftStateNS uint64
 }
 
-// stage indexes Table 3's four rows: the one taxonomy the cumulative
-// counters, the stage.* histograms and the trace spans all report.
+// stage indexes Table 3's four rows (obs.StageNames): the one taxonomy
+// the cumulative counters, the stage.* histograms and the stage events
+// all report.
 type stage uint8
 
 const (
@@ -46,9 +47,6 @@ const (
 	stSoftState
 	numStages
 )
-
-// stageNames are the histogram suffixes (stage.intercept, ...).
-var stageNames = [numStages]string{"intercept", "decode", "rewrite", "softstate"}
 
 // stageCounters is the internal atomic form of StageStats.
 type stageCounters struct {

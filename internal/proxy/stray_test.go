@@ -5,6 +5,7 @@ import (
 
 	"slice/internal/netsim"
 	"slice/internal/nfsproto"
+	"slice/internal/obs"
 	"slice/internal/oncrpc"
 	"slice/internal/replica"
 	"slice/internal/route"
@@ -43,7 +44,7 @@ func TestRecordlessReplicaReplyDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := p.handleResponse(d, pendKey{client: client, xid: 7}, p.startClock(timed(7)), true)
+		got := p.handleResponse(d, pendKey{client: client, xid: 7}, p.startClock(obs.Sampled(7)), true)
 		if got != tc.want {
 			t.Errorf("recordless reply from %v: verdict %v, want %v", tc.from, got, tc.want)
 		}

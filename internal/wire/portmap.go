@@ -103,11 +103,13 @@ func (p *Portmap) serveConn(tcp net.Conn) {
 			netsim.FreeBuf(rec)
 			return // framing is fine but the stream isn't RPC; hang up
 		}
-		t0 := time.Now()
+		t0 := obs.Now()
 		res, accept := p.serve(call)
 		reply := oncrpc.EncodeReply(call.Xid, accept, res)
 		if r := p.reg.Load(); r != nil {
-			r.ObserveRPC(call.Program, call.Version, call.Proc, uint64(time.Since(t0)))
+			// A stream peer has no fabric address: the call is keyed by
+			// its xid alone.
+			r.ObserveRPC(obs.CallID{Xid: call.Xid}, call.Program, call.Proc, t0, obs.Now())
 		}
 		netsim.FreeBuf(rec)
 		if err := writeRecord(bw, reply); err != nil {
